@@ -385,6 +385,10 @@ pub struct Replica {
     txn_decisions: BTreeMap<String, String>,
     /// `TxnDecision` records appended over this replica's lifetime.
     pub txn_decisions_logged: u64,
+    /// Durable mode: per client, the highest sequence number mirrored into
+    /// the engine — the machine's dedup table as of the mirrored prefix,
+    /// which tells a first apply from a duplicate at a later slot.
+    mirrored_seq: BTreeMap<u32, u64>,
     /// Leader-lease duration (µs). `0` — the default — disables the lease
     /// fast path entirely: no extra messages, timers, or RNG draws, so
     /// lease-off runs stay bit-identical to the pre-lease protocol.
@@ -454,6 +458,7 @@ impl Replica {
             last_recovery_io_us: 0,
             txn_decisions: BTreeMap::new(),
             txn_decisions_logged: 0,
+            mirrored_seq: BTreeMap::new(),
             lease_us: 0,
             max_skew_us: 0,
             lease_holder: None,
@@ -745,60 +750,54 @@ impl Replica {
     /// [`crate::durable::WalRecord::TxnDecision`], and the caller must sync
     /// before the releasing reply leaves.
     fn mirror_applied(&mut self, index: usize, replies: &[(u32, u64, KvResponse)]) -> bool {
-        if self.engine.is_none() {
+        let Some(engine) = self.engine.as_mut() else {
             return false;
-        }
-        let cmds: Vec<Command<KvCommand>> = match self.log.slot(index) {
-            Slot::Applied(MpOp::Cmd(c)) => vec![c.clone()],
-            Slot::Applied(MpOp::Batch(cs)) => cs.clone(),
+        };
+        let cmds = match self.log.slot(index) {
+            Slot::Applied(MpOp::Cmd(c)) => std::slice::from_ref(c),
+            Slot::Applied(MpOp::Batch(cs)) => cs.as_slice(),
             _ => return false,
         };
-        // Authoritative answers for any range scans in the slot, computed
-        // from the machine *after* the whole slot applied — which is the
-        // state the engine's index reaches once the mirror loop finishes.
-        type RangeCheck = (String, String, usize, Vec<(String, String)>);
-        let range_checks: Vec<RangeCheck> = cmds
-            .iter()
-            .filter_map(|cmd| match &cmd.op {
-                KvCommand::Range { start, end, limit } => Some((
-                    start.clone(),
-                    end.clone(),
-                    *limit,
-                    self.log.machine().kv().scan(start, end, *limit),
-                )),
-                _ => None,
-            })
-            .collect();
         let mut decisions: Vec<(String, String)> = Vec::new();
-        {
-            let engine = self.engine.as_mut().expect("checked above");
-            for (cmd, (_, _, out)) in cmds.iter().zip(replies) {
-                match &cmd.op {
-                    KvCommand::Put { key, value } => {
-                        engine.put(key, value);
-                        if is_txn_decision(key, value) {
-                            decisions.push((key.clone(), value.clone()));
-                        }
-                    }
-                    KvCommand::Delete { key } => engine.delete(key),
-                    KvCommand::Cas { key, new, .. } => {
-                        if matches!(out, KvResponse::CasResult { swapped: true }) {
-                            engine.put(key, new);
-                            if is_txn_decision(key, new) {
-                                decisions.push((key.clone(), new.clone()));
-                            }
-                        }
-                    }
-                    KvCommand::Get { .. } | KvCommand::Range { .. } => {}
-                }
+        for (cmd, (_, _, out)) in cmds.iter().zip(replies) {
+            // The machine answers a duplicate `(client, seq)` from its
+            // client table; such a reply describes an earlier log position.
+            let last = self.mirrored_seq.get(&cmd.client);
+            let fresh = last.is_none_or(|last| cmd.seq > *last);
+            if fresh {
+                self.mirrored_seq.insert(cmd.client, cmd.seq);
             }
-            // Serve every range from the on-disk primary index too: charges
-            // the honest B+ tree scan I/O and cross-checks the index
-            // against the machine's sorted map.
-            for (start, end, limit, want) in range_checks {
-                let mut got = engine.scan(&start, &end);
-                got.truncate(limit);
-                assert_eq!(got, want, "engine index diverged from machine on range scan");
+            match &cmd.op {
+                KvCommand::Put { key, value } => {
+                    engine.put(key, value);
+                    if is_txn_decision(key, value) {
+                        decisions.push((key.clone(), value.clone()));
+                    }
+                }
+                KvCommand::Delete { key } => engine.delete(key),
+                KvCommand::Cas { key, new, .. } => {
+                    if matches!(out, KvResponse::CasResult { swapped: true }) {
+                        engine.put(key, new);
+                        if is_txn_decision(key, new) {
+                            decisions.push((key.clone(), new.clone()));
+                        }
+                    }
+                }
+                KvCommand::Get { .. } => {}
+                // Serve every range from the on-disk primary index too:
+                // charges the honest B+ tree scan I/O and cross-checks the
+                // index against the answer the machine gave at this point
+                // of the log. (The machine itself may be slots ahead by
+                // now: one `decide` can apply several before any is
+                // mirrored.)
+                KvCommand::Range { start, end, limit } => {
+                    let mut got = engine.scan(start, end);
+                    got.truncate(*limit);
+                    assert!(
+                        !fresh || *out == KvResponse::Entries(got),
+                        "engine index diverged from machine on range scan"
+                    );
+                }
             }
         }
         let resolved = !decisions.is_empty();
@@ -835,6 +834,9 @@ impl Replica {
         for (k, v) in &entries {
             engine.put(k, v);
         }
+        self.mirrored_seq = (self.log.machine().client_table.iter())
+            .map(|(&client, &(seq, _))| (client, seq))
+            .collect();
         // Decision records captured by the checkpoint re-seed the decision
         // table; WAL replay then adds anything resolved after it.
         for (k, v) in &entries {
@@ -918,6 +920,7 @@ impl Replica {
         self.log = ReplicatedLog::new();
         self.snapshot_floor = 0;
         self.txn_decisions.clear();
+        self.mirrored_seq.clear();
         if let Some(blob) = recovery.snapshot {
             let (machine, applied) =
                 decode_snapshot(&blob).expect("checkpoint blob decodes");
@@ -2086,6 +2089,37 @@ mod tests {
             })
             .collect();
         assert!(digests.len() <= 1, "replica state diverged: {digests:?}");
+    }
+
+    #[test]
+    fn range_cross_check_uses_the_reply_of_its_own_log_position() {
+        let mut r = Replica::new(QuorumSpec::Majority { n: 3 }, 3)
+            .with_engine(Box::new(storage::DurableEngine::new(DiskModel::ssd())));
+        let cmd = |client, op| MpOp::Cmd(Command { client, seq: 1, op });
+        let range = || KvCommand::Range {
+            start: "a".into(),
+            end: "z".into(),
+            limit: 10,
+        };
+        let put = |key: &str| KvCommand::Put {
+            key: key.into(),
+            value: "v".into(),
+        };
+        // Slots decided out of order apply in one `decide`: by the time
+        // slot 1's range is mirrored the machine already holds slot 2's key.
+        assert!(r.log.decide(2, cmd(3, put("k2"))).is_empty());
+        assert!(r.log.decide(1, cmd(2, range())).is_empty());
+        let mut applied = r.log.decide(0, cmd(1, put("k0")));
+        // A retransmission of the same range that a later leader proposed
+        // afresh: the machine answers it from its client table, with rows
+        // that no longer describe the index.
+        applied.extend(r.log.decide(3, cmd(2, range())));
+        assert_eq!(applied.len(), 4);
+        for (slot, replies) in applied {
+            r.mirror_applied(slot, &replies);
+        }
+        let index = r.engine.as_mut().expect("attached above").scan("a", "z");
+        assert_eq!(index.len(), 2);
     }
 
     #[test]

@@ -278,70 +278,36 @@ impl Replica {
         }
     }
 
-    /// Mirrors one freshly applied entry's effects into the durable
-    /// engine's primary index. `out` is the machine's actual output, so a
-    /// failed CAS mirrors nothing. Callers must skip entries the dedup
-    /// table absorbed (a duplicate `(client, seq)` at a second log index
-    /// does not mutate the machine, so re-mirroring its payload would
-    /// clobber newer state).
+    /// Applies retained log entry `i` to the machine and, in durable mode,
+    /// mirrors a command's first apply into the engine's primary index. A
+    /// duplicate `(client, seq)` at a second index is absorbed by the dedup
+    /// table without mutating the machine, so its payload must not be
+    /// mirrored over newer state.
     ///
-    /// Returns `true` when the entry resolved a transaction decision
-    /// record: the outcome was additionally appended to the WAL as a
-    /// first-class [`WalRecord::TxnDecision`], and the caller must sync
-    /// before the releasing reply leaves.
-    fn mirror_applied(&mut self, op: &SmrOp, out: Option<&KvResponse>) -> bool {
-        if self.engine.is_none() {
-            return false;
-        }
-        let SmrOp::Cmd(cmd) = op else { return false };
-        let mut decision: Option<(String, String)> = None;
-        {
-            // Authoritative range answer from the machine, computed before
-            // the engine borrow.
-            let range_check = match &cmd.op {
-                KvCommand::Range { start, end, limit } => Some((
-                    start.clone(),
-                    end.clone(),
-                    *limit,
-                    self.machine.kv().scan(start, end, *limit),
-                )),
-                _ => None,
-            };
-            let engine = self.engine.as_mut().expect("checked above");
-            match &cmd.op {
-                KvCommand::Put { key, value } => {
-                    engine.put(key, value);
-                    if is_txn_decision(key, value) {
-                        decision = Some((key.clone(), value.clone()));
-                    }
-                }
-                KvCommand::Delete { key } => engine.delete(key),
-                KvCommand::Cas { key, new, .. } => {
-                    if matches!(out, Some(KvResponse::CasResult { swapped: true })) {
-                        engine.put(key, new);
-                        if is_txn_decision(key, new) {
-                            decision = Some((key.clone(), new.clone()));
-                        }
-                    }
-                }
-                KvCommand::Get { .. } | KvCommand::Range { .. } => {}
-            }
-            // Serve every range from the on-disk primary index too: charges
-            // the honest B+ tree scan I/O and cross-checks the index
-            // against the machine's sorted map.
-            if let Some((start, end, limit, want)) = range_check {
-                let mut got = engine.scan(&start, &end);
-                got.truncate(limit);
-                assert_eq!(got, want, "engine index diverged from machine on range scan");
-            }
-        }
-        let resolved = decision.is_some();
-        if let Some((key, value)) = decision {
-            self.txn_decisions.insert(key.clone(), value.clone());
-            self.txn_decisions_logged += 1;
-            self.wal_log(WalRecord::TxnDecision { key, value });
-        }
-        resolved
+    /// Returns the command's `(client, seq)` with the machine's output, and
+    /// whether the entry resolved a transaction decision record: the
+    /// outcome was then additionally appended to the WAL as a first-class
+    /// [`WalRecord::TxnDecision`], and the caller must sync before the
+    /// releasing reply leaves.
+    fn apply_entry(&mut self, i: usize) -> (Option<(u32, u64, KvResponse)>, bool) {
+        let op = &self.log[i - self.log_offset].op;
+        let SmrOp::Cmd(cmd) = op else {
+            return (None, false);
+        };
+        let fresh = self.machine.cached(cmd.client, cmd.seq).is_none();
+        let out = self.machine.apply(op).expect("commands produce output");
+        let decision = match self.engine.as_deref_mut() {
+            Some(engine) if fresh => mirror_cmd(engine, &cmd.op, &out),
+            _ => None,
+        };
+        let reply = Some((cmd.client, cmd.seq, out));
+        let Some((key, value)) = decision else {
+            return (reply, false);
+        };
+        self.txn_decisions.insert(key.clone(), value.clone());
+        self.txn_decisions_logged += 1;
+        self.wal_log(WalRecord::TxnDecision { key, value });
+        (reply, true)
     }
 
     /// Rebuilds the engine's primary index from the full machine state —
@@ -499,15 +465,7 @@ impl Replica {
             if i <= self.log_offset {
                 continue;
             }
-            let op = self.entry(i).expect("committed and retained").op.clone();
-            let fresh = match &op {
-                SmrOp::Cmd(cmd) => self.machine.cached(cmd.client, cmd.seq).is_none(),
-                SmrOp::Noop => false,
-            };
-            let out = self.machine.apply(&op);
-            if fresh {
-                self.mirror_applied(&op, out.as_ref());
-            }
+            self.apply_entry(i);
         }
         self.recovered_floor = self.log_offset;
         self.last_recovery_replayed = replayed;
@@ -796,33 +754,25 @@ impl Replica {
             if i <= self.log_offset {
                 continue;
             }
-            let op = self.entry(i).expect("committed and retained").op.clone();
             self.pending_trace.remove(&i);
             ctx.phase(SPAN, i as u64, self.current_term, CncPhase::Decision);
             ctx.span_close(SPAN, i as u64, self.current_term);
-            // A duplicate `(client, seq)` at a second index is absorbed by
-            // the dedup table without mutating the machine — don't mirror
-            // its payload over newer state.
-            let fresh = match &op {
-                SmrOp::Cmd(cmd) => self.machine.cached(cmd.client, cmd.seq).is_none(),
-                SmrOp::Noop => false,
-            };
-            let out = self.machine.apply(&op);
-            if fresh && self.mirror_applied(&op, out.as_ref()) {
+            let (reply, resolved) = self.apply_entry(i);
+            if resolved {
                 // WAL-before-decision: the entry resolved a transaction
                 // decision record — its dedicated WAL entry must be on
                 // disk before the reply that releases the transaction.
                 self.wal_sync(ctx);
             }
             if self.role == Role::Leader {
-                if let (Some(client_node), Some(output), SmrOp::Cmd(cmd)) =
-                    (self.pending_reply.remove(&i), out, &op)
+                if let (Some(client_node), Some((client, seq, output))) =
+                    (self.pending_reply.remove(&i), reply)
                 {
                     ctx.send(
                         client_node,
                         RaftMsg::Reply {
-                            client: cmd.client,
-                            seq: cmd.seq,
+                            client,
+                            seq,
                             output,
                         },
                     );
@@ -926,6 +876,50 @@ impl Replica {
             },
         );
     }
+}
+
+/// Mirrors one command's effect into the durable engine's primary index.
+/// `out` is the machine's actual output, so a failed CAS mirrors nothing.
+/// Returns the `(key, value)` written when it is a transaction decision
+/// record.
+fn mirror_cmd(
+    engine: &mut dyn storage::StorageEngine,
+    op: &KvCommand,
+    out: &KvResponse,
+) -> Option<(String, String)> {
+    let written = match op {
+        KvCommand::Put { key, value } => {
+            engine.put(key, value);
+            Some((key, value))
+        }
+        KvCommand::Delete { key } => {
+            engine.delete(key);
+            None
+        }
+        KvCommand::Cas { key, new, .. } => {
+            let swapped = matches!(out, KvResponse::CasResult { swapped: true });
+            swapped.then(|| {
+                engine.put(key, new);
+                (key, new)
+            })
+        }
+        KvCommand::Get { .. } => None,
+        // Serve every range from the on-disk primary index too: charges the
+        // honest B+ tree scan I/O and cross-checks the index against the
+        // answer the machine just gave.
+        KvCommand::Range { start, end, limit } => {
+            let mut got = engine.scan(start, end);
+            got.truncate(*limit);
+            assert!(
+                *out == KvResponse::Entries(got),
+                "engine index diverged from machine on range scan"
+            );
+            None
+        }
+    };
+    written
+        .filter(|(key, value)| is_txn_decision(key, value))
+        .map(|(key, value)| (key.clone(), value.clone()))
 }
 
 impl Node for Replica {

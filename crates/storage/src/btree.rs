@@ -2,11 +2,15 @@
 //!
 //! Classic textbook shape: internal pages route by separator keys, leaf
 //! pages hold `(key, value)` pairs and chain left-to-right so range scans
-//! are a descent plus a linked-list walk. Pages split when their serialized
-//! form would overflow [`PAGE_SIZE`]; deletes leave pages sparse (no merge
-//! — the simulation favors simplicity, and sparse pages only cost space).
+//! are a descent plus a linked-list walk. Every operation works on the
+//! pool's frame itself: it walks the packed entries where they lie, shifts
+//! the tail with `copy_within` to make or close a gap, and allocates only
+//! for the rows a `get`/`scan` returns and the separator a split promotes.
+//! A page splits when an edit would grow it past [`PAGE_SIZE`]; deletes
+//! leave pages sparse (no merge — sparse pages only cost space).
 //!
-//! Page layouts (little-endian):
+//! Page layouts (little-endian) — a contract, since code reads them in
+//! place and checkpoints persist them:
 //!
 //! | leaf | internal |
 //! |---|---|
@@ -15,8 +19,9 @@
 //! | `next_leaf: u32` (`MAX` = none) | `child0: u32` |
 //! | `n × (klen: u16, vlen: u16, key, value)` | `n × (klen: u16, key, child: u32)` |
 //!
-//! In an internal page, `child0` covers keys `< key[0]`; entry `i`'s child
-//! covers `key[i] ≤ k < key[i+1]`.
+//! Entries are packed in ascending key order and every byte after the last
+//! one is zero. In an internal page, `child0` covers keys `< key[0]`; entry
+//! `i`'s child covers `key[i] ≤ k < key[i+1]`.
 
 use crate::buffer::BufferPool;
 use crate::disk::{SimDisk, PAGE_SIZE};
@@ -25,102 +30,127 @@ const LEAF: u8 = 0;
 const INTERNAL: u8 = 1;
 const NO_LEAF: u32 = u32::MAX;
 
+/// Bytes before the first entry: tag, `n`, and the link (`next_leaf` or
+/// `child0`).
+const HEADER: usize = 7;
+/// Framing bytes of an internal entry (`klen` + `child`); a leaf entry's
+/// (`klen` + `vlen`) are fewer.
+const SEP_FRAMING: usize = 6;
+
 /// Largest `key.len() + value.len()` a single entry may carry; keeps every
 /// page able to hold at least three entries so splits always make progress.
 pub const MAX_ENTRY_BYTES: usize = 1024;
 
-#[derive(Debug)]
-enum Page {
-    Leaf {
-        next: u32,
-        entries: Vec<(String, String)>,
-    },
-    Internal {
-        child0: u32,
-        seps: Vec<(String, u32)>,
-    },
+/// A page image with room for the one entry that overflowed it.
+type Wide = [u8; WIDE];
+const WIDE: usize = PAGE_SIZE + SEP_FRAMING + MAX_ENTRY_BYTES;
+
+fn u16_at(page: &[u8], at: usize) -> usize {
+    usize::from(u16::from_le_bytes([page[at], page[at + 1]]))
 }
 
-fn decode(data: &[u8; PAGE_SIZE]) -> Page {
-    let tag = data[0];
-    let n = u16::from_le_bytes([data[1], data[2]]) as usize;
-    let mut pos = 3;
-    let get_u16 = |data: &[u8; PAGE_SIZE], pos: &mut usize| {
-        let v = u16::from_le_bytes([data[*pos], data[*pos + 1]]);
-        *pos += 2;
-        v as usize
-    };
-    let get_u32 = |data: &[u8; PAGE_SIZE], pos: &mut usize| {
-        let v = u32::from_le_bytes(data[*pos..*pos + 4].try_into().expect("4 bytes"));
-        *pos += 4;
-        v
-    };
-    let get_str = |data: &[u8; PAGE_SIZE], pos: &mut usize, len: usize| {
-        let s = String::from_utf8(data[*pos..*pos + len].to_vec()).expect("utf8 page data");
-        *pos += len;
-        s
-    };
-    if tag == LEAF {
-        let next = get_u32(data, &mut pos);
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            let klen = get_u16(data, &mut pos);
-            let vlen = get_u16(data, &mut pos);
-            let k = get_str(data, &mut pos, klen);
-            let v = get_str(data, &mut pos, vlen);
-            entries.push((k, v));
-        }
-        Page::Leaf { next, entries }
-    } else {
-        let child0 = get_u32(data, &mut pos);
-        let mut seps = Vec::with_capacity(n);
-        for _ in 0..n {
-            let klen = get_u16(data, &mut pos);
-            let k = get_str(data, &mut pos, klen);
-            let child = get_u32(data, &mut pos);
-            seps.push((k, child));
-        }
-        Page::Internal { child0, seps }
-    }
+fn u32_at(page: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(page[at..at + 4].try_into().expect("4 bytes"))
 }
 
-fn leaf_size(entries: &[(String, String)]) -> usize {
-    7 + entries.iter().map(|(k, v)| 4 + k.len() + v.len()).sum::<usize>()
+fn count(page: &[u8]) -> usize {
+    u16_at(page, 1)
 }
 
-fn internal_size(seps: &[(String, u32)]) -> usize {
-    7 + seps.iter().map(|(k, _)| 6 + k.len()).sum::<usize>()
+fn set_count(page: &mut [u8], n: usize) {
+    page[1..3].copy_from_slice(&(n as u16).to_le_bytes());
 }
 
-fn encode(page: &Page) -> [u8; PAGE_SIZE] {
-    let mut buf = Vec::with_capacity(PAGE_SIZE);
-    match page {
-        Page::Leaf { next, entries } => {
-            buf.push(LEAF);
-            buf.extend_from_slice(&(entries.len() as u16).to_le_bytes());
-            buf.extend_from_slice(&next.to_le_bytes());
-            for (k, v) in entries {
-                buf.extend_from_slice(&(k.len() as u16).to_le_bytes());
-                buf.extend_from_slice(&(v.len() as u16).to_le_bytes());
-                buf.extend_from_slice(k.as_bytes());
-                buf.extend_from_slice(v.as_bytes());
-            }
-        }
-        Page::Internal { child0, seps } => {
-            buf.push(INTERNAL);
-            buf.extend_from_slice(&(seps.len() as u16).to_le_bytes());
-            buf.extend_from_slice(&child0.to_le_bytes());
-            for (k, child) in seps {
-                buf.extend_from_slice(&(k.len() as u16).to_le_bytes());
-                buf.extend_from_slice(k.as_bytes());
-                buf.extend_from_slice(&child.to_le_bytes());
-            }
+fn link(page: &[u8]) -> u32 {
+    u32_at(page, 3)
+}
+
+fn set_link(page: &mut [u8], pid: u32) {
+    page[3..HEADER].copy_from_slice(&pid.to_le_bytes());
+}
+
+/// Walks a page's packed entries as `(offset, key, end offset)`. A leaf
+/// entry's value is the bytes between its key and `end`; an internal
+/// entry's child is the last four bytes before `end`.
+fn entries(page: &[u8]) -> impl Iterator<Item = (usize, &[u8], usize)> {
+    let leaf = page[0] == LEAF;
+    let mut off = HEADER;
+    (0..count(page)).map(move |_| {
+        let klen = u16_at(page, off);
+        let (key_at, end) = if leaf {
+            (off + 4, off + 4 + klen + u16_at(page, off + 2))
+        } else {
+            (off + 2, off + 2 + klen + 4)
+        };
+        let entry = (off, &page[key_at..key_at + klen], end);
+        off = end;
+        entry
+    })
+}
+
+/// One past the last entry's last byte.
+fn used(page: &[u8]) -> usize {
+    entries(page).last().map_or(HEADER, |(.., end)| end)
+}
+
+/// Where `key` lives or belongs — `(offset, end)` of its entry, or twice the
+/// offset of the first larger entry (of `used` if there is none) — followed
+/// by the page's `used`.
+fn locate(page: &[u8], key: &[u8]) -> (usize, usize, usize) {
+    let mut entries = entries(page);
+    let (mut at, mut found) = (HEADER, None);
+    for (off, k, end) in entries.by_ref() {
+        at = end;
+        if k >= key {
+            found = Some((off, if k == key { end } else { off }));
+            break;
         }
     }
-    assert!(buf.len() <= PAGE_SIZE, "page overflow: {} bytes", buf.len());
-    let mut frame = [0u8; PAGE_SIZE];
-    frame[..buf.len()].copy_from_slice(&buf);
-    frame
+    let used = entries.last().map_or(at, |(.., end)| end);
+    let (off, end) = found.unwrap_or((used, used));
+    (off, end, used)
+}
+
+/// The child of an internal page that covers `key`, and the offset just
+/// past the entry naming it — where a separator split off that child goes.
+fn route(page: &[u8], key: &[u8]) -> (u32, usize) {
+    entries(page)
+        .take_while(|(_, k, _)| *k <= key)
+        .last()
+        .map_or((link(page), HEADER), |(.., end)| {
+            (u32_at(page, end - 4), end)
+        })
+}
+
+/// Replaces bytes `[off, resume)` of a page's `used` entry bytes — one
+/// whole entry, or nothing — with the concatenation of `parts` — again one
+/// entry or nothing — shifting the tail, zeroing what a shrink vacates and
+/// keeping the entry count. Returns the new `used`.
+fn splice(page: &mut [u8], used: usize, off: usize, resume: usize, parts: [&[u8]; 3]) -> usize {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    page.copy_within(resume..used, off + len);
+    let mut at = off;
+    for part in parts {
+        page[at..at + part.len()].copy_from_slice(part);
+        at += part.len();
+    }
+    let new_used = off + len + (used - resume);
+    if new_used < used {
+        page[new_used..used].fill(0);
+    }
+    let n = count(page) + usize::from(len > 0) - usize::from(resume > off);
+    set_count(page, n);
+    new_used
+}
+
+fn widen(page: &[u8], used: usize) -> Wide {
+    let mut wide = [0u8; WIDE];
+    wide[..used].copy_from_slice(&page[..used]);
+    wide
+}
+
+fn text(bytes: &[u8]) -> String {
+    String::from_utf8(bytes.to_vec()).expect("utf8 page data")
 }
 
 /// A B+ tree rooted at one page id. The tree owns no I/O state — the disk
@@ -137,14 +167,7 @@ impl BTree {
     /// Creates an empty tree by allocating its root leaf.
     pub fn new(disk: &mut SimDisk, pool: &mut BufferPool) -> Self {
         let root = pool.alloc(disk);
-        pool.write(
-            disk,
-            root,
-            &encode(&Page::Leaf {
-                next: NO_LEAF,
-                entries: Vec::new(),
-            }),
-        );
+        set_link(pool.page_mut(disk, root), NO_LEAF);
         BTree { root, len: 0 }
     }
 
@@ -159,14 +182,12 @@ impl BTree {
         if let Some((sep, right)) = self.insert_into(disk, pool, self.root, key, value) {
             // Root split: grow the tree by one level.
             let new_root = pool.alloc(disk);
-            pool.write(
-                disk,
-                new_root,
-                &encode(&Page::Internal {
-                    child0: self.root,
-                    seps: vec![(sep, right)],
-                }),
-            );
+            let page = pool.page_mut(disk, new_root);
+            page[0] = INTERNAL;
+            set_link(page, self.root);
+            let klen = (sep.len() as u16).to_le_bytes();
+            let parts = [&klen[..], sep.as_bytes(), &right.to_le_bytes()];
+            splice(page, HEADER, HEADER, HEADER, parts);
             self.root = new_root;
         }
     }
@@ -174,32 +195,24 @@ impl BTree {
     /// Point lookup.
     pub fn get(&self, disk: &mut SimDisk, pool: &mut BufferPool, key: &str) -> Option<String> {
         let pid = self.descend(disk, pool, key);
-        let frame = pool.read(disk, pid);
-        match decode(&frame) {
-            Page::Leaf { entries, .. } => entries
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.clone()),
-            Page::Internal { .. } => unreachable!("descend ends at a leaf"),
-        }
+        let page = pool.page(disk, pid);
+        entries(page)
+            .find(|(_, k, _)| *k == key.as_bytes())
+            .map(|(off, k, end)| text(&page[off + 4 + k.len()..end]))
     }
 
     /// Removes `key` if present. Returns whether it existed. Pages are not
     /// merged; a sparse leaf stays in the chain.
     pub fn delete(&mut self, disk: &mut SimDisk, pool: &mut BufferPool, key: &str) -> bool {
         let pid = self.descend(disk, pool, key);
-        let frame = pool.read(disk, pid);
-        let Page::Leaf { next, mut entries } = decode(&frame) else {
-            unreachable!("descend ends at a leaf")
-        };
-        let before = entries.len();
-        entries.retain(|(k, _)| k != key);
-        let removed = entries.len() < before;
-        if removed {
-            self.len -= 1;
-            pool.write(disk, pid, &encode(&Page::Leaf { next, entries }));
+        let page = pool.page(disk, pid);
+        let (off, end, used) = locate(page, key.as_bytes());
+        if off == end {
+            return false;
         }
-        removed
+        splice(pool.page_mut(disk, pid), used, off, end, [&[]; 3]);
+        self.len -= 1;
+        true
     }
 
     /// Ordered scan of keys in `[lo, hi)` via the leaf chain.
@@ -213,22 +226,19 @@ impl BTree {
         let mut out = Vec::new();
         let mut pid = self.descend(disk, pool, lo);
         loop {
-            let frame = pool.read(disk, pid);
-            let Page::Leaf { next, entries } = decode(&frame) else {
-                unreachable!("leaf chain holds only leaves")
-            };
-            for (k, v) in entries {
-                if k.as_str() >= hi {
+            let page = pool.page(disk, pid);
+            for (off, k, end) in entries(page) {
+                if k >= hi.as_bytes() {
                     return out;
                 }
-                if k.as_str() >= lo {
-                    out.push((k, v));
+                if k >= lo.as_bytes() {
+                    out.push((text(k), text(&page[off + 4 + k.len()..end])));
                 }
             }
-            if next == NO_LEAF {
+            pid = link(page);
+            if pid == NO_LEAF {
                 return out;
             }
-            pid = next;
         }
     }
 
@@ -236,20 +246,22 @@ impl BTree {
     fn descend(&self, disk: &mut SimDisk, pool: &mut BufferPool, key: &str) -> u32 {
         let mut pid = self.root;
         loop {
-            let frame = pool.read(disk, pid);
-            match decode(&frame) {
-                Page::Leaf { .. } => return pid,
-                Page::Internal { child0, seps } => {
-                    pid = seps
-                        .iter()
-                        .take_while(|(k, _)| k.as_str() <= key)
-                        .last()
-                        .map_or(child0, |(_, c)| *c);
-                }
+            let page = pool.page(disk, pid);
+            if page[0] == LEAF {
+                return pid;
             }
+            pid = route(page, key.as_bytes()).0;
         }
     }
 
+    /// Upserts below `pid`; returns the separator and page a split of `pid`
+    /// hands to its parent.
+    ///
+    /// The pool is touched exactly as often, and in the same order, as a
+    /// read-modify-write of whole pages would touch it (one fetch to look,
+    /// one to write, a split's `alloc` before its two writes), so hit, miss
+    /// and eviction counts are properties of the workload, not of how the
+    /// bytes get edited.
     fn insert_into(
         &mut self,
         disk: &mut SimDisk,
@@ -258,64 +270,146 @@ impl BTree {
         key: &str,
         value: &str,
     ) -> Option<(String, u32)> {
-        let frame = pool.read(disk, pid);
-        match decode(&frame) {
-            Page::Leaf { next, mut entries } => {
-                match entries.binary_search_by(|(k, _)| k.as_str().cmp(key)) {
-                    Ok(i) => entries[i].1 = value.to_string(),
-                    Err(i) => {
-                        entries.insert(i, (key.to_string(), value.to_string()));
-                        self.len += 1;
-                    }
-                }
-                if leaf_size(&entries) <= PAGE_SIZE {
-                    pool.write(disk, pid, &encode(&Page::Leaf { next, entries }));
-                    return None;
-                }
-                let right_entries = entries.split_off(entries.len() / 2);
-                let sep = right_entries[0].0.clone();
-                let right = pool.alloc(disk);
-                pool.write(
-                    disk,
-                    right,
-                    &encode(&Page::Leaf {
-                        next,
-                        entries: right_entries,
-                    }),
-                );
-                pool.write(disk, pid, &encode(&Page::Leaf { next: right, entries }));
-                Some((sep, right))
+        let page = pool.page(disk, pid);
+        if page[0] == LEAF {
+            let (off, end, used) = locate(page, key.as_bytes());
+            self.len += usize::from(off == end);
+            let [k0, k1] = (key.len() as u16).to_le_bytes();
+            let [v0, v1] = (value.len() as u16).to_le_bytes();
+            let parts = [&[k0, k1, v0, v1][..], key.as_bytes(), value.as_bytes()];
+            let grown = used - (end - off) + 4 + key.len() + value.len();
+            let wide = (grown > PAGE_SIZE).then(|| widen(page, used));
+            return place(disk, pool, pid, wide, used, (off, end), parts);
+        }
+        let (child, at) = route(page, key.as_bytes());
+        let used = used(page);
+        // A child split must not fetch this page again before its `alloc`
+        // (that would reorder evictions), so a page that the promoted
+        // separator could overflow is copied now, while it is in hand.
+        let spare = (used + SEP_FRAMING + MAX_ENTRY_BYTES > PAGE_SIZE).then(|| widen(page, used));
+        let (sep, new_child) = self.insert_into(disk, pool, child, key, value)?;
+        let klen = (sep.len() as u16).to_le_bytes();
+        let parts = [&klen[..], sep.as_bytes(), &new_child.to_le_bytes()[..]];
+        let wide = spare.filter(|_| used + SEP_FRAMING + sep.len() > PAGE_SIZE);
+        place(disk, pool, pid, wide, used, (at, at), parts)
+    }
+}
+
+/// Writes the entry `parts` over bytes `[off, end)` of page `pid`: in the
+/// frame when it fits (`wide` is `None`), else in the widened image, which
+/// is then split.
+fn place(
+    disk: &mut SimDisk,
+    pool: &mut BufferPool,
+    pid: u32,
+    wide: Option<Wide>,
+    used: usize,
+    (off, end): (usize, usize),
+    parts: [&[u8]; 3],
+) -> Option<(String, u32)> {
+    let Some(mut wide) = wide else {
+        splice(pool.page_mut(disk, pid), used, off, end, parts);
+        return None;
+    };
+    let used = splice(&mut wide, used, off, end, parts);
+    Some(split(disk, pool, pid, &wide, used))
+}
+
+/// Splits the over-full image `wide` of page `pid` (`used` bytes) in two:
+/// the left half goes back to `pid`, the right half to a fresh page, and
+/// the separator between them is returned with the fresh page's id. A leaf
+/// keeps the separator's entry as the right page's first; an internal page
+/// promotes it, its child becoming the right page's `child0`.
+fn split(
+    disk: &mut SimDisk,
+    pool: &mut BufferPool,
+    pid: u32,
+    wide: &Wide,
+    used: usize,
+) -> (String, u32) {
+    let (leaf, n) = (wide[0] == LEAF, count(wide));
+    // Halve by entry count. Entries vary in size, so move the cut as little
+    // as it takes for both halves to fit a page: `mid` is the first entry
+    // from the middle on that leaves a right half that fits, or failing
+    // that the last one whose left half does.
+    let (mut mid, mut sep, mut cut, mut right_from) = (0, &wide[..0], HEADER, HEADER);
+    for (i, (off, key, end)) in entries(wide).enumerate() {
+        if off > PAGE_SIZE {
+            break;
+        }
+        (mid, sep, cut, right_from) = (i, key, off, if leaf { off } else { end });
+        if i >= n / 2 && HEADER + used - right_from <= PAGE_SIZE {
+            break;
+        }
+    }
+    let (right_n, right_link) = if leaf {
+        (n - mid, link(wide))
+    } else {
+        (n - mid - 1, u32_at(wide, right_from - 4))
+    };
+    let right = pool.alloc(disk);
+    let page = pool.page_mut(disk, right);
+    page[0] = wide[0];
+    set_count(page, right_n);
+    set_link(page, right_link);
+    page[HEADER..HEADER + used - right_from].copy_from_slice(&wide[right_from..used]);
+    let page = pool.page_mut(disk, pid);
+    page[..cut].copy_from_slice(&wide[..cut]);
+    page[cut..].fill(0);
+    set_count(page, mid);
+    if leaf {
+        set_link(page, right);
+    }
+    (text(sep), right)
+}
+
+#[cfg(test)]
+impl BTree {
+    /// Asserts what every operation relies on: entries sorted within a
+    /// page and inside the bounds its parent's separators give it, used
+    /// bytes within the page and nothing but zeros after them, the leaf
+    /// chain visiting the leaves left to right, and `len` counting the keys.
+    fn check_invariants(&self, disk: &mut SimDisk, pool: &mut BufferPool) {
+        fn check(
+            disk: &mut SimDisk,
+            pool: &mut BufferPool,
+            pid: u32,
+            (lo, hi): (Option<&[u8]>, Option<&[u8]>),
+            leaves: &mut Vec<u32>,
+        ) -> usize {
+            let page = *pool.page(disk, pid); // copied: the recursion reuses the pool
+            assert!(page[0] == LEAF || page[0] == INTERNAL, "page {pid}: tag");
+            let used = used(&page);
+            assert!(used <= PAGE_SIZE, "page {pid}: {used} bytes used");
+            assert!(page[used..].iter().all(|&b| b == 0), "page {pid}: tail");
+            let keys: Vec<&[u8]> = entries(&page).map(|(_, k, _)| k).collect();
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "page {pid}: order");
+            let outside = |k: &&[u8]| lo.is_some_and(|lo| *k < lo) || hi.is_some_and(|hi| *k >= hi);
+            assert!(
+                !keys.iter().any(outside),
+                "page {pid}: outside its separators"
+            );
+            if page[0] == LEAF {
+                leaves.push(pid);
+                return keys.len();
             }
-            Page::Internal { child0, mut seps } => {
-                let child = seps
-                    .iter()
-                    .take_while(|(k, _)| k.as_str() <= key)
-                    .last()
-                    .map_or(child0, |(_, c)| *c);
-                let (sep, new_child) = self.insert_into(disk, pool, child, key, value)?;
-                let at = seps
-                    .binary_search_by(|(k, _)| k.as_str().cmp(&sep))
-                    .unwrap_or_else(|i| i);
-                seps.insert(at, (sep, new_child));
-                if internal_size(&seps) <= PAGE_SIZE {
-                    pool.write(disk, pid, &encode(&Page::Internal { child0, seps }));
-                    return None;
-                }
-                let mid = seps.len() / 2;
-                let mut right_seps = seps.split_off(mid);
-                let (promoted, right_child0) = right_seps.remove(0);
-                let right = pool.alloc(disk);
-                pool.write(
-                    disk,
-                    right,
-                    &encode(&Page::Internal {
-                        child0: right_child0,
-                        seps: right_seps,
-                    }),
-                );
-                pool.write(disk, pid, &encode(&Page::Internal { child0, seps }));
-                Some((promoted, right))
+            assert!(
+                !keys.is_empty(),
+                "page {pid}: internal page without separators"
+            );
+            let mut total = check(disk, pool, link(&page), (lo, Some(keys[0])), leaves);
+            for (i, (_, k, end)) in entries(&page).enumerate() {
+                let bounds = (Some(k), keys.get(i + 1).copied().or(hi));
+                total += check(disk, pool, u32_at(&page, end - 4), bounds, leaves);
             }
+            total
+        }
+        let mut leaves = Vec::new();
+        let keys = check(disk, pool, self.root, (None, None), &mut leaves);
+        assert_eq!(keys, self.len, "len must count the keys");
+        leaves.push(NO_LEAF);
+        for pair in leaves.windows(2) {
+            assert_eq!(link(pool.page(disk, pair[0])), pair[1], "leaf chain");
         }
     }
 }
@@ -323,6 +417,7 @@ impl BTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use simnet::DiskModel;
 
     fn stack(pool_pages: usize) -> (SimDisk, BufferPool) {
@@ -433,6 +528,74 @@ mod tests {
         let expect: Vec<(String, String)> =
             model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
         assert_eq!(all, expect, "final scan must equal the model");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Against a `BTreeMap` model: keys of 2..=201 bytes, values from
+        /// empty up to the largest entry a page admits (so overwriting a
+        /// key grows and shrinks it across the page boundary, and splits
+        /// see very unequal entries), deletes, point reads and scans whose
+        /// bounds are exact keys — through pools from one frame up, with
+        /// the structural invariants checked after every step.
+        #[test]
+        fn prop_matches_a_btreemap_and_keeps_its_invariants(
+            pool_pages in 1usize..12,
+            ops in collection::vec((0u8..10, 0usize..48, 0usize..5), 1..300),
+        ) {
+            let key = |id: usize| format!("{id:02}{}", "k".repeat(id * 37 % 200));
+            let (mut d, mut p) = stack(pool_pages);
+            let mut t = BTree::new(&mut d, &mut p);
+            let mut model = std::collections::BTreeMap::new();
+            for (step, &(op, id, size)) in ops.iter().enumerate() {
+                let k = key(id);
+                match op {
+                    0..=4 => {
+                        let vlen = [0, 17, 300, 700, MAX_ENTRY_BYTES - k.len()][size];
+                        let v = char::from(b'a' + (step % 26) as u8).to_string().repeat(vlen);
+                        t.put(&mut d, &mut p, &k, &v);
+                        model.insert(k, v);
+                    }
+                    5..=6 => prop_assert_eq!(
+                        t.delete(&mut d, &mut p, &k),
+                        model.remove(&k).is_some()
+                    ),
+                    7 => prop_assert_eq!(t.get(&mut d, &mut p, &k), model.get(&k).cloned()),
+                    _ => {
+                        let hi = key(id + size * 3);
+                        let want: Vec<(String, String)> = model
+                            .range(k.clone()..hi.clone().max(k.clone()))
+                            .map(|(k, v)| (k.clone(), v.clone()))
+                            .collect();
+                        prop_assert_eq!(t.scan(&mut d, &mut p, &k, &hi), want);
+                    }
+                }
+                t.check_invariants(&mut d, &mut p);
+            }
+            let all: Vec<(String, String)> = model.into_iter().collect();
+            prop_assert_eq!(t.scan(&mut d, &mut p, "", "~"), all);
+        }
+    }
+
+    #[test]
+    fn split_moves_the_cut_when_halving_by_count_would_overflow() {
+        // Three maximum-size entries and five small ones share a leaf; a
+        // fourth big one sorting first makes the count midpoint (4 of 9)
+        // put all four big entries — more than a page — on the left.
+        let (mut d, mut p) = stack(4);
+        let mut t = BTree::new(&mut d, &mut p);
+        let big = "x".repeat(MAX_ENTRY_BYTES - 2);
+        for k in ["b1", "b2", "b3"] {
+            t.put(&mut d, &mut p, k, &big);
+        }
+        for k in ["s1", "s2", "s3", "s4", "s5"] {
+            t.put(&mut d, &mut p, k, &"y".repeat(150));
+        }
+        assert_eq!(d.n_pages(), 1, "everything fits one leaf so far");
+        t.put(&mut d, &mut p, "b0", &big);
+        t.check_invariants(&mut d, &mut p);
+        assert_eq!(t.scan(&mut d, &mut p, "", "~").len(), 9);
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //!
 //! The pool is the *volatile* cache between the B+ tree and the disk: reads
 //! that hit cost nothing, misses charge a page read, and evicting a dirty
-//! frame charges the write-back. [`BufferPool::crash`] drops every frame —
-//! including dirty ones — which is precisely why the layers above must WAL
-//! first and treat on-disk pages as reconstructible.
-
-use std::collections::BTreeMap;
+//! frame charges the write-back. Callers work on the resident frame itself
+//! ([`BufferPool::page`] / [`BufferPool::page_mut`] lend it out); nothing is
+//! copied on a hit. [`BufferPool::crash`] drops every frame — including
+//! dirty ones — which is precisely why the layers above must WAL first and
+//! treat on-disk pages as reconstructible.
 
 use crate::disk::{SimDisk, PAGE_SIZE};
 
@@ -32,13 +32,17 @@ struct Frame {
     referenced: bool,
 }
 
+/// Page-table entry of a page that has no frame.
+const NOT_RESIDENT: usize = usize::MAX;
+
 /// A CLOCK-eviction buffer pool of `capacity` frames.
 #[derive(Debug)]
 pub struct BufferPool {
     capacity: usize,
     frames: Vec<Frame>,
-    /// pid → index into `frames`.
-    map: BTreeMap<u32, usize>,
+    /// pid → index into `frames` (or [`NOT_RESIDENT`]); dense, because the
+    /// disk hands out page ids densely from 0.
+    table: Vec<usize>,
     hand: usize,
     stats: PoolStats,
 }
@@ -49,35 +53,40 @@ impl BufferPool {
         BufferPool {
             capacity: capacity.max(1),
             frames: Vec::new(),
-            map: BTreeMap::new(),
+            table: Vec::new(),
             hand: 0,
             stats: PoolStats::default(),
         }
     }
 
-    /// Reads page `pid` through the pool (copy out).
-    pub fn read(&mut self, disk: &mut SimDisk, pid: u32) -> [u8; PAGE_SIZE] {
-        let idx = self.fetch(disk, pid);
-        self.frames[idx].referenced = true;
-        self.frames[idx].data
-    }
-
-    /// Writes page `pid` through the pool: the frame is updated and marked
-    /// dirty; the disk sees it at eviction or [`BufferPool::flush_all`].
-    pub fn write(&mut self, disk: &mut SimDisk, pid: u32, data: &[u8; PAGE_SIZE]) {
+    /// Lends out page `pid`'s resident frame for reading, loading it first
+    /// on a miss.
+    pub fn page(&mut self, disk: &mut SimDisk, pid: u32) -> &[u8; PAGE_SIZE] {
         let idx = self.fetch(disk, pid);
         let f = &mut self.frames[idx];
-        f.data = *data;
+        f.referenced = true;
+        &f.data
+    }
+
+    /// Lends out page `pid`'s resident frame for editing in place and marks
+    /// it dirty; the disk sees the edit at eviction or
+    /// [`BufferPool::flush_all`].
+    pub fn page_mut(&mut self, disk: &mut SimDisk, pid: u32) -> &mut [u8; PAGE_SIZE] {
+        let idx = self.fetch(disk, pid);
+        let f = &mut self.frames[idx];
         f.dirty = true;
         f.referenced = true;
+        &mut f.data
     }
 
     /// Allocates a fresh page on disk and installs its (zeroed) frame
     /// without a read. Returns the page id.
     pub fn alloc(&mut self, disk: &mut SimDisk) -> u32 {
         let pid = disk.alloc_page();
-        let idx = self.install(disk, pid, [0u8; PAGE_SIZE]);
-        self.frames[idx].referenced = true;
+        let idx = self.claim_frame(disk, pid);
+        let f = &mut self.frames[idx];
+        f.data.fill(0);
+        f.referenced = true;
         pid
     }
 
@@ -95,7 +104,7 @@ impl BufferPool {
     /// Drops every frame, dirty or not — the crash model.
     pub fn crash(&mut self) {
         self.frames.clear();
-        self.map.clear();
+        self.table.clear();
         self.hand = 0;
     }
 
@@ -104,26 +113,29 @@ impl BufferPool {
         self.stats
     }
 
-    /// Resident page count (tests).
-    pub fn resident(&self) -> usize {
-        self.frames.len()
-    }
-
     fn fetch(&mut self, disk: &mut SimDisk, pid: u32) -> usize {
-        if let Some(&idx) = self.map.get(&pid) {
-            self.stats.hits += 1;
-            return idx;
+        match self.table.get(pid as usize) {
+            Some(&idx) if idx != NOT_RESIDENT => {
+                self.stats.hits += 1;
+                idx
+            }
+            _ => {
+                self.stats.misses += 1;
+                let idx = self.claim_frame(disk, pid);
+                self.frames[idx].data = *disk.read_page(pid);
+                idx
+            }
         }
-        self.stats.misses += 1;
-        let data = disk.read_page(pid);
-        self.install(disk, pid, data)
     }
 
-    fn install(&mut self, disk: &mut SimDisk, pid: u32, data: [u8; PAGE_SIZE]) -> usize {
+    /// Makes a clean, unreferenced frame the home of `pid`, evicting (and
+    /// writing back) a victim when the pool is full. The frame's bytes are
+    /// whatever was there before; the caller overwrites them.
+    fn claim_frame(&mut self, disk: &mut SimDisk, pid: u32) -> usize {
         let idx = if self.frames.len() < self.capacity {
             self.frames.push(Frame {
                 pid,
-                data,
+                data: [0u8; PAGE_SIZE],
                 dirty: false,
                 referenced: false,
             });
@@ -135,17 +147,15 @@ impl BufferPool {
                 disk.write_page(f.pid, &f.data);
                 self.stats.writebacks += 1;
             }
-            self.map.remove(&f.pid);
+            self.table[f.pid as usize] = NOT_RESIDENT;
             self.stats.evictions += 1;
-            *f = Frame {
-                pid,
-                data,
-                dirty: false,
-                referenced: false,
-            };
+            (f.pid, f.dirty, f.referenced) = (pid, false, false);
             victim
         };
-        self.map.insert(pid, idx);
+        if self.table.len() <= pid as usize {
+            self.table.resize(pid as usize + 1, NOT_RESIDENT);
+        }
+        self.table[pid as usize] = idx;
         idx
     }
 
@@ -185,13 +195,13 @@ mod tests {
         let mut d = disk();
         let mut pool = BufferPool::new(4);
         let pid = pool.alloc(&mut d);
-        pool.write(&mut d, pid, &page(7));
+        *pool.page_mut(&mut d, pid) = page(7);
         let reads_before = d.stats().reads;
         for _ in 0..10 {
-            assert_eq!(pool.read(&mut d, pid), page(7));
+            assert_eq!(*pool.page(&mut d, pid), page(7));
         }
         assert_eq!(d.stats().reads, reads_before, "all hits");
-        assert_eq!(pool.stats().hits, 11); // write fetch + 10 reads
+        assert_eq!(pool.stats().hits, 11); // page_mut fetch + 10 reads
         assert_eq!(pool.stats().misses, 0);
     }
 
@@ -201,16 +211,16 @@ mod tests {
         let mut pool = BufferPool::new(2);
         let pids: Vec<u32> = (0..4).map(|_| pool.alloc(&mut d)).collect();
         for (i, &pid) in pids.iter().enumerate() {
-            pool.write(&mut d, pid, &page(i as u8 + 1));
+            *pool.page_mut(&mut d, pid) = page(i as u8 + 1);
         }
         // Capacity 2 with 4 pages touched ⇒ evictions happened, and every
         // page still reads back its own contents through the pool.
         assert!(pool.stats().evictions >= 2);
         assert!(pool.stats().writebacks >= 1);
         for (i, &pid) in pids.iter().enumerate() {
-            assert_eq!(pool.read(&mut d, pid), page(i as u8 + 1));
+            assert_eq!(*pool.page(&mut d, pid), page(i as u8 + 1));
         }
-        assert_eq!(pool.resident(), 2);
+        assert_eq!(pool.frames.len(), 2);
     }
 
     #[test]
@@ -224,19 +234,19 @@ mod tests {
         // frame under the hand (a). Now b and c sit unreferenced.
         let fresh = pool.alloc(&mut d);
         // Touch c: it gets its bit back; b stays unreferenced.
-        pool.read(&mut d, c);
+        pool.page(&mut d, c);
         // Next eviction must pick b — the only unreferenced frame ahead of
         // the hand — leaving the recently-touched pages resident.
         let _e = pool.alloc(&mut d);
         let miss_before = pool.stats().misses;
-        pool.read(&mut d, c);
-        pool.read(&mut d, fresh);
+        pool.page(&mut d, c);
+        pool.page(&mut d, fresh);
         assert_eq!(
             pool.stats().misses,
             miss_before,
             "second-chance pages stayed resident"
         );
-        pool.read(&mut d, b);
+        pool.page(&mut d, b);
         assert_eq!(pool.stats().misses, miss_before + 1, "b was the victim");
     }
 
@@ -246,15 +256,15 @@ mod tests {
         let mut pool = BufferPool::new(4);
         let saved = pool.alloc(&mut d);
         let lost = pool.alloc(&mut d);
-        pool.write(&mut d, saved, &page(1));
+        *pool.page_mut(&mut d, saved) = page(1);
         pool.flush_all(&mut d);
-        pool.write(&mut d, lost, &page(2));
+        *pool.page_mut(&mut d, lost) = page(2);
         pool.crash();
-        assert_eq!(pool.resident(), 0);
+        assert_eq!(pool.frames.len(), 0);
         // A fresh pool reads what the disk has: the flushed page persisted,
         // the unflushed write vanished.
         let mut pool2 = BufferPool::new(4);
-        assert_eq!(pool2.read(&mut d, saved), page(1));
-        assert_eq!(pool2.read(&mut d, lost), page(0));
+        assert_eq!(*pool2.page(&mut d, saved), page(1));
+        assert_eq!(*pool2.page(&mut d, lost), page(0));
     }
 }

@@ -80,10 +80,10 @@ impl SimDisk {
         pid
     }
 
-    /// Reads page `pid` into an owned buffer.
-    pub fn read_page(&mut self, pid: u32) -> [u8; PAGE_SIZE] {
+    /// Reads page `pid`: charges the I/O and lends out the device's copy.
+    pub fn read_page(&mut self, pid: u32) -> &[u8; PAGE_SIZE] {
         self.charge_read(PAGE_SIZE);
-        self.pages[pid as usize]
+        &self.pages[pid as usize]
     }
 
     /// Writes page `pid` in place.
@@ -174,8 +174,8 @@ mod tests {
         frame[0] = 0xAB;
         frame[PAGE_SIZE - 1] = 0xCD;
         d.write_page(p1, &frame);
-        assert_eq!(d.read_page(p1), frame);
-        assert_eq!(d.read_page(p0), [0u8; PAGE_SIZE]);
+        assert_eq!(*d.read_page(p1), frame);
+        assert_eq!(*d.read_page(p0), [0u8; PAGE_SIZE]);
         let s = d.stats();
         assert_eq!(s.writes, 3); // 2 allocs + 1 write
         assert_eq!(s.reads, 2);
