@@ -18,7 +18,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use consensus_core::workload::{KvMix, KvWorkload, LatencyRecorder};
-use consensus_core::{Command, DedupKvMachine, KvCommand, KvResponse, StateMachine};
+use consensus_core::{Command, DedupKvMachine, KvCommand, KvResponse};
 use simnet::{CncPhase, Context, NetConfig, Node, NodeId, RunOutcome, Sim, Time, Timer};
 
 /// Span protocol label; instances are sequence numbers.
@@ -230,10 +230,7 @@ impl CheapReplica {
     }
 
     fn apply(&mut self, ctx: &mut Context<CheapMsg>, cmd: Command<KvCommand>) {
-        let output = self
-            .machine
-            .apply(&consensus_core::SmrOp::Cmd(cmd.clone()))
-            .expect("output");
+        let output = self.machine.apply_cmd(&cmd);
         self.pending_requests.remove(&(cmd.client, cmd.seq));
         self.history.push(cmd.clone());
         ctx.send(
@@ -629,6 +626,7 @@ impl CheapCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use consensus_core::StateMachine as _;
 
     #[test]
     fn cheaptiny_uses_only_f_plus_one_actives() {

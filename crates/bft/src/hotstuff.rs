@@ -21,7 +21,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use consensus_core::workload::{KvMix, KvWorkload, LatencyRecorder};
-use consensus_core::{Command, DedupKvMachine, KvCommand, KvResponse, StateMachine};
+use consensus_core::{Command, DedupKvMachine, KvCommand, KvResponse};
 use simnet::{CncPhase, Context, NetConfig, Node, NodeId, RunOutcome, Sim, Time, Timer};
 
 /// Span protocol label; instances are HotStuff view/instance numbers.
@@ -344,10 +344,7 @@ impl HsReplica {
                 inst.executed = true;
                 inst.cmd.clone().expect("ready")
             };
-            let output = self
-                .machine
-                .apply(&consensus_core::SmrOp::Cmd(cmd.clone()))
-                .expect("command output");
+            let output = self.machine.apply_cmd(&cmd);
             self.executed_upto = n;
             self.queued.remove(&(cmd.client, cmd.seq));
             ctx.send(
@@ -638,6 +635,7 @@ impl HsCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use consensus_core::StateMachine as _;
 
     #[test]
     fn commits_with_rotating_leaders() {

@@ -18,7 +18,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use consensus_core::workload::{KvMix, KvWorkload, LatencyRecorder};
-use consensus_core::{Command, DedupKvMachine, KvCommand, KvResponse, StateMachine};
+use consensus_core::{Command, DedupKvMachine, KvCommand, KvResponse};
 use simnet::{CncPhase, Context, NetConfig, Node, NodeId, RunOutcome, Sim, Time, Timer, TimerId};
 
 /// Span protocol label; instances are USIG counters, rounds are views.
@@ -232,10 +232,7 @@ impl MinReplica {
     }
 
     fn apply(&mut self, ctx: &mut Context<MinMsg>, cmd: Command<KvCommand>) {
-        let output = self
-            .machine
-            .apply(&consensus_core::SmrOp::Cmd(cmd.clone()))
-            .expect("command output");
+        let output = self.machine.apply_cmd(&cmd);
         self.pending_requests.remove(&(cmd.client, cmd.seq));
         self.history.push(cmd.clone());
         ctx.send(
@@ -610,6 +607,7 @@ impl MinCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use consensus_core::StateMachine as _;
 
     #[test]
     fn three_replicas_tolerate_one_fault() {

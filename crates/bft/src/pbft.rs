@@ -26,17 +26,15 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use consensus_core::driver::{
-    BatchConfig, ByzantineWindow, ClusterDriver, DecidedEntry, DriverConfig,
+use consensus_core::cluster::decided_slots;
+use consensus_core::driver::{BatchConfig, Batcher, DecidedEntry, Flush};
+use consensus_core::{
+    Cluster, Command, DedupKvMachine, KvCommand, KvResponse, ReplicatedLog, Session, SmrOp,
+    SmrProtocol, StateMachine, WorkloadClient,
 };
-use consensus_core::history::ClientRecord;
-use consensus_core::smr::Slot;
-use consensus_core::workload::{KvMix, KvWorkload, LatencyRecorder, WorkloadMode};
-use consensus_core::{Command, HistorySink, KvCommand, KvResponse, ReplicatedLog, StateMachine};
 use rand_chacha::ChaCha20Rng;
 use simnet::{
-    CausalSpan, CncPhase, Context, FilterAction, FnFilter, Metrics, NetConfig, Node, NodeId,
-    RunOutcome, Sim, Time, Timer, TimerId,
+    CncPhase, Context, Filter, FilterAction, FnFilter, Node, NodeId, Timer, TimerId,
 };
 
 use crate::sim_crypto::{digest_of, Digest};
@@ -160,59 +158,6 @@ impl simnet::Payload for PbftMsg {
     }
 }
 
-/// The PBFT execution machine: a KV store plus the client dedup table,
-/// executing one *batch* of commands per log slot (sequence number).
-/// Identical state evolution to the unbatched machine given the same
-/// flattened command sequence, so state digests are comparable across
-/// batch configurations.
-#[derive(Debug, Default)]
-pub struct BatchMachine {
-    kv: consensus_core::KvStore,
-    client_table: BTreeMap<u32, (u64, KvResponse)>,
-}
-
-impl BatchMachine {
-    /// Cached reply for `(client, seq)` if that command already applied.
-    pub fn cached(&self, client: u32, seq: u64) -> Option<&KvResponse> {
-        self.client_table
-            .get(&client)
-            .filter(|(s, _)| *s >= seq)
-            .map(|(_, out)| out)
-    }
-
-    /// Applies one command with client-table dedup and returns the reply.
-    fn apply_one(&mut self, cmd: &Command<KvCommand>) -> (u32, u64, KvResponse) {
-        if let Some((last, out)) = self.client_table.get(&cmd.client) {
-            if cmd.seq <= *last {
-                return (cmd.client, cmd.seq, out.clone());
-            }
-        }
-        let out = self.kv.apply(&cmd.op);
-        self.client_table.insert(cmd.client, (cmd.seq, out.clone()));
-        (cmd.client, cmd.seq, out)
-    }
-}
-
-impl StateMachine for BatchMachine {
-    type Op = Vec<Command<KvCommand>>;
-    /// One `(client, seq, reply)` per command in the batch.
-    type Output = Vec<(u32, u64, KvResponse)>;
-
-    fn apply(&mut self, op: &Self::Op) -> Self::Output {
-        op.iter().map(|c| self.apply_one(c)).collect()
-    }
-
-    fn digest(&self) -> u64 {
-        let mut h = self.kv.digest();
-        for (c, (s, _)) in &self.client_table {
-            h = h
-                .rotate_left(7)
-                .wrapping_add(u64::from(*c).wrapping_mul(31).wrapping_add(*s));
-        }
-        h
-    }
-}
-
 #[derive(Debug, Default)]
 struct Instance {
     cmds: Option<Vec<Command<KvCommand>>>,
@@ -248,18 +193,16 @@ pub struct PbftReplica {
     /// Last stable checkpoint sequence number.
     pub low_water: u64,
     instances: BTreeMap<u64, Instance>,
-    exec: ReplicatedLog<BatchMachine>,
-    /// Batching/pipelining knob. Under `BatchConfig::unbatched()` every
+    /// Executes one batch of commands per slot (sequence `n` lives at slot
+    /// `n − 1`).
+    exec: ReplicatedLog<DedupKvMachine>,
+    /// Batching/pipelining policy. Under `BatchConfig::unbatched()` every
     /// request is ordered immediately in its own sequence number, exactly
     /// as before the knob existed.
-    batch: BatchConfig,
+    batcher: Batcher,
     /// Requests accepted by the primary but not yet assigned a sequence
     /// number — the next batch.
     queue: Vec<Command<KvCommand>>,
-    /// Whether a `BATCH_FLUSH` timer is outstanding.
-    flush_armed: bool,
-    /// The `BATCH_FLUSH` timer fired while the batch was held back.
-    overdue: bool,
     /// Highest executed sequence number.
     pub executed_upto: u64,
     checkpoint_interval: u64,
@@ -288,6 +231,7 @@ impl PbftReplica {
 
     /// Creates a replica with an explicit batching config.
     pub fn new_with(n_replicas: usize, batch: BatchConfig) -> Self {
+        assert!(n_replicas >= 4, "PBFT needs at least 3f+1 = 4 replicas");
         let f = (n_replicas - 1) / 3;
         PbftReplica {
             n_replicas,
@@ -297,10 +241,8 @@ impl PbftReplica {
             low_water: 0,
             instances: BTreeMap::new(),
             exec: ReplicatedLog::new(),
-            batch,
+            batcher: Batcher::new(batch),
             queue: Vec::new(),
-            flush_armed: false,
-            overdue: false,
             executed_upto: 0,
             checkpoint_interval: CHECKPOINT_INTERVAL,
             checkpoint_votes: BTreeMap::new(),
@@ -341,13 +283,13 @@ impl PbftReplica {
     }
 
     /// The replicated state machine.
-    pub fn machine(&self) -> &BatchMachine {
+    pub fn machine(&self) -> &DedupKvMachine {
         self.exec.machine()
     }
 
     /// The execution log (sequence `n` lives at slot `n - 1`) — what safety
     /// checkers compare across replicas.
-    pub fn exec_log(&self) -> &ReplicatedLog<BatchMachine> {
+    pub fn exec_log(&self) -> &ReplicatedLog<DedupKvMachine> {
         &self.exec
     }
 
@@ -408,34 +350,29 @@ impl PbftReplica {
         self.try_flush(ctx);
     }
 
-    /// Assigns sequence numbers to queued batches while the pipeline window
-    /// has room. An underfull batch is held open `max_delay` µs for more
-    /// requests (unless the flush timer already fired).
+    /// Assigns sequence numbers to queued batches as the batch policy
+    /// releases them; the window counts assigned-but-unexecuted sequences
+    /// (executions drain it and re-trigger this).
     fn try_flush(&mut self, ctx: &mut Context<PbftMsg>) {
         if !self.is_primary(ctx.id()) {
             return;
         }
-        while !self.queue.is_empty() {
-            let in_flight = self.next_seq.saturating_sub(self.executed_upto);
-            if in_flight as usize >= self.batch.pipeline_window {
-                return; // executions drain the window and re-trigger this
-            }
-            let underfull = self.queue.len() < self.batch.max_batch.max(1);
-            if underfull && self.batch.max_delay > 0 && !self.overdue {
-                if !self.flush_armed {
-                    self.flush_armed = true;
-                    ctx.set_timer(self.batch.max_delay, BATCH_FLUSH);
+        loop {
+            let in_flight = self.next_seq.saturating_sub(self.executed_upto) as usize;
+            match self.batcher.poll(self.queue.len(), in_flight) {
+                Flush::Take(k) => self.flush_one(ctx, k),
+                Flush::Arm(delay) => {
+                    ctx.set_timer(delay, BATCH_FLUSH);
+                    return;
                 }
-                return;
+                Flush::Hold => return,
             }
-            self.flush_one(ctx);
         }
-        self.overdue = false;
     }
 
-    /// Primary path: bind the next batch to a sequence number.
-    fn flush_one(&mut self, ctx: &mut Context<PbftMsg>) {
-        let k = self.queue.len().min(self.batch.max_batch.max(1));
+    /// Primary path: bind the oldest `k` queued requests to the next
+    /// sequence number.
+    fn flush_one(&mut self, ctx: &mut Context<PbftMsg>, k: usize) {
         let cmds: Vec<Command<KvCommand>> = self.queue.drain(..k).collect();
         ctx.record_batch(k as u64);
         self.next_seq += 1;
@@ -472,8 +409,7 @@ impl PbftReplica {
     /// their clients' retry path if they matter).
     fn reset_batching(&mut self) {
         self.queue.clear();
-        self.flush_armed = false;
-        self.overdue = false;
+        self.batcher.reset();
     }
 
     fn on_prepared(&mut self, ctx: &mut Context<PbftMsg>, n: u64) {
@@ -519,19 +455,21 @@ impl PbftReplica {
                 inst.executed = true;
                 inst.cmds.clone().expect("committed instance has commands")
             };
-            let outputs = self.exec.decide((next - 1) as usize, cmds.clone());
+            // Sequence numbers execute strictly in order, so deciding slot
+            // `next − 1` applies exactly that slot.
+            let outputs = self.exec.decide((next - 1) as usize, SmrOp::Batch(cmds.clone()));
             self.executed_upto = next;
             for cmd in &cmds {
                 self.pending_requests.remove(&(cmd.client, cmd.seq));
             }
             for (_, outs) in outputs {
-                for (client, seq, output) in outs {
+                for (cmd, output) in cmds.iter().zip(outs) {
                     ctx.send(
-                        NodeId(client),
+                        NodeId(cmd.client),
                         PbftMsg::Reply {
                             view: self.view,
-                            client,
-                            seq,
+                            client: cmd.client,
+                            seq: cmd.seq,
                             output,
                         },
                     );
@@ -852,9 +790,9 @@ impl Node for PbftReplica {
                 }
             }
             BATCH_FLUSH => {
-                self.flush_armed = false;
-                if self.is_primary(ctx.id()) && !self.queue.is_empty() {
-                    self.overdue = true;
+                let pending = self.is_primary(ctx.id()) && !self.queue.is_empty();
+                self.batcher.expire(pending);
+                if pending {
                     self.try_flush(ctx);
                 }
             }
@@ -863,79 +801,47 @@ impl Node for PbftReplica {
     }
 }
 
-/// A PBFT client: waits for `f+1` matching replies per request.
+/// A PBFT client: waits for `f+1` matching replies per request and
+/// escalates a silent request by broadcasting it to every replica — which
+/// is why it does not share the leader-following [`consensus_core::Client`].
 /// Closed-loop by default (one outstanding request), optionally open-loop
 /// with a fixed issue interval so batching experiments can saturate the
 /// primary.
 pub struct PbftClient {
-    /// Client id == node id.
-    pub client_id: u32,
+    /// The workload and its records.
+    pub session: Session,
     n_replicas: usize,
     f: usize,
-    workload: KvWorkload,
-    total: usize,
-    mode: WorkloadMode,
-    /// Completed requests.
-    pub completed: usize,
-    /// Issued-but-unaccepted requests, by client sequence number.
-    outstanding: BTreeMap<u64, (Command<KvCommand>, Time)>,
     /// Reply votes: seq → output digest → replicas.
     votes: BTreeMap<u64, BTreeMap<u64, BTreeSet<NodeId>>>,
-    /// Latencies.
-    pub latencies: LatencyRecorder,
-    /// Invoke/response history for safety checking.
-    pub history: HistorySink,
 }
 
 const CLIENT_RETRY: u64 = 9;
 const CLIENT_ISSUE: u64 = 10;
 
 impl PbftClient {
-    /// Creates a closed-loop client issuing `total` commands.
-    pub fn new(client_id: u32, n_replicas: usize, total: usize, mix: KvMix, seed: u64) -> Self {
-        Self::new_with(client_id, n_replicas, total, mix, seed, WorkloadMode::Closed)
-    }
-
-    /// Creates a client with an explicit pacing mode.
-    pub fn new_with(
-        client_id: u32,
-        n_replicas: usize,
-        total: usize,
-        mix: KvMix,
-        seed: u64,
-        mode: WorkloadMode,
-    ) -> Self {
-        PbftClient {
-            client_id,
-            n_replicas,
-            f: (n_replicas - 1) / 3,
-            workload: KvWorkload::new(client_id, mix, seed),
-            total,
-            mode,
-            completed: 0,
-            outstanding: BTreeMap::new(),
-            votes: BTreeMap::new(),
-            latencies: LatencyRecorder::new(),
-            history: HistorySink::new(),
-        }
-    }
-
-    /// Whether the workload finished.
-    pub fn done(&self) -> bool {
-        self.completed >= self.total
-    }
-
     fn issue_next(&mut self, ctx: &mut Context<PbftMsg>) {
-        if self.workload.issued() as usize >= self.total {
+        let Some(cmd) = self.session.issue(ctx.now()) else {
             return;
-        }
-        let cmd = self.workload.next_command();
-        self.history
-            .invoke(cmd.client, cmd.seq, cmd.op.clone(), ctx.now().0);
-        self.outstanding.insert(cmd.seq, (cmd.clone(), ctx.now()));
+        };
         // Optimistically to the (assumed) primary only.
         ctx.send(NodeId(0), PbftMsg::Request { cmd });
         ctx.set_timer(150_000, CLIENT_RETRY);
+    }
+}
+
+impl WorkloadClient for PbftClient {
+    fn new(session: Session, n_replicas: usize) -> Self {
+        PbftClient {
+            session,
+            n_replicas,
+            f: (n_replicas - 1) / 3,
+            votes: BTreeMap::new(),
+        }
+    }
+
+    fn session(&self) -> &Session {
+        &self.session
     }
 }
 
@@ -944,27 +850,23 @@ impl Node for PbftClient {
 
     fn on_start(&mut self, ctx: &mut Context<PbftMsg>) {
         self.issue_next(ctx);
-        if let WorkloadMode::Open { interval_us } = self.mode {
-            ctx.set_timer(interval_us.max(1), CLIENT_ISSUE);
+        if let Some(interval) = self.session.open_interval() {
+            ctx.set_timer(interval, CLIENT_ISSUE);
         }
     }
 
     fn on_message(&mut self, ctx: &mut Context<PbftMsg>, from: NodeId, msg: PbftMsg) {
         if let PbftMsg::Reply { seq, output, .. } = msg {
-            if !self.outstanding.contains_key(&seq) {
+            if !self.session.is_outstanding(seq) {
                 return;
             }
             let key = digest_of(&output).0;
             let votes = self.votes.entry(seq).or_default().entry(key).or_default();
             votes.insert(from);
             if votes.len() >= self.f + 1 {
-                let (cmd, sent_at) = self.outstanding.remove(&seq).expect("checked above");
                 self.votes.remove(&seq);
-                self.history
-                    .complete(cmd.client, cmd.seq, ctx.now().0, output);
-                self.latencies.record(sent_at, ctx.now());
-                self.completed += 1;
-                if self.mode == WorkloadMode::Closed {
+                self.session.complete(seq, output, ctx.now());
+                if self.session.is_closed_loop() {
                     self.issue_next(ctx);
                 }
             }
@@ -973,11 +875,11 @@ impl Node for PbftClient {
 
     fn on_timer(&mut self, ctx: &mut Context<PbftMsg>, timer: Timer) {
         match timer.kind {
-            CLIENT_RETRY if !self.outstanding.is_empty() => {
+            CLIENT_RETRY if self.session.has_outstanding() => {
                 // Escalate: broadcast every pending request to all replicas
                 // (this is what ultimately triggers a view change when the
                 // primary is faulty).
-                for (cmd, _) in self.outstanding.values() {
+                for cmd in self.session.outstanding() {
                     for r in 0..self.n_replicas {
                         ctx.send(NodeId::from(r), PbftMsg::Request { cmd: cmd.clone() });
                     }
@@ -986,9 +888,9 @@ impl Node for PbftClient {
             }
             CLIENT_ISSUE => {
                 self.issue_next(ctx);
-                if let WorkloadMode::Open { interval_us } = self.mode {
-                    if (self.workload.issued() as usize) < self.total {
-                        ctx.set_timer(interval_us.max(1), CLIENT_ISSUE);
+                if let Some(interval) = self.session.open_interval() {
+                    if self.session.remaining() {
+                        ctx.set_timer(interval, CLIENT_ISSUE);
                     }
                 }
             }
@@ -997,147 +899,59 @@ impl Node for PbftClient {
     }
 }
 
-simnet::node_enum! {
-    /// A PBFT process.
-    pub enum PbftProc: PbftMsg {
-        /// Replica.
-        Replica(PbftReplica),
-        /// Client.
-        Client(PbftClient),
+/// PBFT as a log protocol of the SMR shell.
+pub struct Pbft;
+
+impl SmrProtocol for Pbft {
+    const NAME: &'static str = "pbft";
+    type Shape = usize;
+    type Msg = PbftMsg;
+    type Replica = PbftReplica;
+    type Client = PbftClient;
+
+    fn replica(n_replicas: usize, batch: BatchConfig) -> PbftReplica {
+        PbftReplica::new_with(n_replicas, batch)
+    }
+
+    fn is_leader(replica: &PbftReplica, id: NodeId) -> bool {
+        replica.is_primary(id)
+    }
+
+    fn applied_len(replica: &PbftReplica) -> u64 {
+        replica.executed_upto
+    }
+
+    fn machine(replica: &PbftReplica) -> &DedupKvMachine {
+        replica.machine()
+    }
+
+    /// A Byzantine replica's *outbound* messages may have lied, but its
+    /// local execution log is honestly built from what it received, so its
+    /// harvest is still evidence about the protocol.
+    fn decided(replica: &PbftReplica, node: u32, out: &mut Vec<DecidedEntry>) {
+        decided_slots(replica.exec_log(), node, out);
+    }
+
+    fn equivocation_filter() -> Option<Box<dyn Filter<PbftMsg>>> {
+        Some(Box::new(equivocation_filter()))
     }
 }
+
+/// A PBFT process.
+pub type PbftProc = consensus_core::Proc<Pbft>;
 
 /// A ready-to-run PBFT cluster.
-pub struct PbftCluster {
-    /// The simulation.
-    pub sim: Sim<PbftProc>,
-    /// Replica count (`3f+1`).
-    pub n_replicas: usize,
-    /// Client count.
-    pub n_clients: usize,
+pub type PbftCluster = Cluster<Pbft>;
+
+/// Checks that all live replicas that executed the same prefix agree on
+/// the state digest.
+pub trait StateAgreement {
+    /// Panics on divergence; returns the longest executed prefix.
+    fn check_state_agreement(&self) -> u64;
 }
 
-impl PbftCluster {
-    /// Builds `n_replicas` replicas and `n_clients` clients issuing
-    /// `cmds_per_client` commands each.
-    pub fn new(
-        n_replicas: usize,
-        n_clients: usize,
-        cmds_per_client: usize,
-        config: NetConfig,
-        seed: u64,
-    ) -> Self {
-        Self::new_with(
-            n_replicas,
-            n_clients,
-            cmds_per_client,
-            config,
-            seed,
-            BatchConfig::unbatched(),
-            WorkloadMode::Closed,
-        )
-    }
-
-    /// Builds a cluster with explicit batching and client-pacing configs.
-    pub fn new_with(
-        n_replicas: usize,
-        n_clients: usize,
-        cmds_per_client: usize,
-        config: NetConfig,
-        seed: u64,
-        batch: BatchConfig,
-        mode: WorkloadMode,
-    ) -> Self {
-        assert!(n_replicas >= 4, "PBFT needs at least 3f+1 = 4 replicas");
-        let mut sim = Sim::new(config, seed);
-        for _ in 0..n_replicas {
-            sim.add_node(PbftReplica::new_with(n_replicas, batch));
-        }
-        for c in 0..n_clients {
-            let id = (n_replicas + c) as u32;
-            sim.add_node(PbftClient::new_with(
-                id,
-                n_replicas,
-                cmds_per_client,
-                KvMix::default(),
-                seed,
-                mode,
-            ));
-        }
-        PbftCluster {
-            sim,
-            n_replicas,
-            n_clients,
-        }
-    }
-
-    /// Replaces every client's workload mix. A builder — call before the
-    /// first step; with the default mix it is a no-op, so existing runs are
-    /// untouched.
-    #[must_use]
-    pub fn with_mix(mut self, mix: KvMix) -> Self {
-        for c in 0..self.n_clients {
-            let id = NodeId::from(self.n_replicas + c);
-            if let PbftProc::Client(cl) = self.sim.node_mut(id) {
-                cl.workload.set_mix(mix);
-            }
-        }
-        self
-    }
-
-    /// Runs until clients finish or `horizon`.
-    pub fn run(&mut self, horizon: Time) -> bool {
-        loop {
-            let outcome = self.sim.run_for(10_000);
-            if self.all_done() {
-                return true;
-            }
-            if self.sim.now() >= horizon || outcome == RunOutcome::Quiescent {
-                return self.all_done();
-            }
-        }
-    }
-
-    /// Whether every client finished.
-    pub fn all_done(&self) -> bool {
-        self.clients().all(|c| c.done())
-    }
-
-    /// Iterates over clients.
-    pub fn clients(&self) -> impl Iterator<Item = &PbftClient> {
-        self.sim.nodes().filter_map(|(_, p)| match p {
-            PbftProc::Client(c) => Some(c),
-            _ => None,
-        })
-    }
-
-    /// Iterates over replicas.
-    pub fn replicas(&self) -> impl Iterator<Item = &PbftReplica> {
-        self.sim.nodes().filter_map(|(_, p)| match p {
-            PbftProc::Replica(r) => Some(r),
-            _ => None,
-        })
-    }
-
-    /// Total completed commands.
-    pub fn total_completed(&self) -> usize {
-        self.clients().map(|c| c.completed).sum()
-    }
-
-    /// Aggregated latencies.
-    pub fn latencies(&self) -> LatencyRecorder {
-        let mut agg = LatencyRecorder::new();
-        for c in self.clients() {
-            for &s in c.latencies.samples() {
-                agg.record_micros(s);
-            }
-        }
-        agg
-    }
-
-    /// Checks that all replicas that executed a common prefix agree on the
-    /// state digest at the shortest prefix. Returns that prefix length.
-    pub fn check_state_agreement(&self) -> u64 {
+impl StateAgreement for PbftCluster {
+    fn check_state_agreement(&self) -> u64 {
         let live: Vec<&PbftReplica> = self
             .sim
             .nodes()
@@ -1147,7 +961,7 @@ impl PbftCluster {
                 _ => None,
             })
             .collect();
-        let min_exec = live.iter().map(|r| r.executed_upto).max().unwrap_or(0);
+        let max_exec = live.iter().map(|r| r.executed_upto).max().unwrap_or(0);
         // Digest comparison is only meaningful at equal prefixes; compare
         // replicas that executed exactly the same amount.
         let mut by_prefix: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
@@ -1163,7 +977,7 @@ impl PbftCluster {
                 "replicas diverged at prefix {prefix}: {digests:?}"
             );
         }
-        min_exec
+        max_exec
     }
 }
 
@@ -1197,164 +1011,12 @@ pub fn equivocation_filter() -> impl simnet::Filter<PbftMsg> {
     )
 }
 
-/// Sub-index stride for flattening batched sequence numbers into
-/// per-command [`DecidedEntry`] indices: command `j` of sequence `n`
-/// (log slot `n − 1`) gets `(n − 1)·2²⁰ + j`.
-const SUB_INDEX: u64 = 1 << 20;
-
-impl ClusterDriver for PbftCluster {
-    fn from_config(cfg: &DriverConfig) -> Self {
-        PbftCluster::new_with(
-            cfg.n_replicas,
-            cfg.n_clients,
-            cfg.cmds_per_client,
-            cfg.net.clone(),
-            cfg.seed,
-            cfg.batch,
-            cfg.mode,
-        )
-        .with_mix(cfg.mix)
-    }
-
-    fn protocol(&self) -> &'static str {
-        "pbft"
-    }
-
-    fn n_replicas(&self) -> usize {
-        self.n_replicas
-    }
-
-    fn now(&self) -> Time {
-        self.sim.now()
-    }
-
-    fn run_until(&mut self, at: Time) -> RunOutcome {
-        let mut guard = 0;
-        loop {
-            let outcome = self.sim.run_until(at);
-            if outcome != RunOutcome::Stopped || guard > 10_000 {
-                return outcome;
-            }
-            guard += 1;
-        }
-    }
-
-    fn run(&mut self, horizon: Time) -> bool {
-        PbftCluster::run(self, horizon)
-    }
-
-    fn all_done(&self) -> bool {
-        PbftCluster::all_done(self)
-    }
-
-    fn completed_ops(&self) -> usize {
-        self.total_completed()
-    }
-
-    fn decided_log(&self) -> Vec<DecidedEntry> {
-        let mut entries = Vec::new();
-        for (id, proc_) in self.sim.nodes() {
-            let PbftProc::Replica(r) = proc_ else { continue };
-            let log = r.exec_log();
-            for i in 0..log.len() {
-                let cmds = match log.slot(i) {
-                    Slot::Decided(cmds) | Slot::Applied(cmds) => cmds,
-                    Slot::Empty => continue,
-                };
-                let base = i as u64 * SUB_INDEX;
-                for (j, cmd) in cmds.iter().enumerate() {
-                    entries.push(DecidedEntry {
-                        node: id.0,
-                        index: base + j as u64,
-                        op: format!("{cmd:?}"),
-                        origin: Some((cmd.client, cmd.seq)),
-                    });
-                }
-            }
-        }
-        entries
-    }
-
-    fn state_digests(&self) -> Vec<(u32, u64, u64)> {
-        self.sim
-            .nodes()
-            .filter_map(|(id, p)| match p {
-                PbftProc::Replica(r) => Some((id.0, r.executed_upto, r.machine().digest())),
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn history(&self) -> Vec<ClientRecord> {
-        HistorySink::merge(self.clients().map(|c| &c.history))
-    }
-
-    fn latencies(&self) -> LatencyRecorder {
-        PbftCluster::latencies(self)
-    }
-
-    fn metrics(&self) -> &Metrics {
-        self.sim.metrics()
-    }
-
-    fn enable_tracing(&mut self, site: u32) {
-        self.sim.enable_tracing(site);
-    }
-
-    fn causal_spans(&self) -> Vec<CausalSpan> {
-        self.sim.causal_spans().to_vec()
-    }
-
-    fn open_span_instances(&self) -> usize {
-        self.sim.open_instance_count()
-    }
-
-    fn crash_at(&mut self, node: NodeId, at: Time) {
-        self.sim.crash_at(node, at);
-    }
-
-    fn restart_at(&mut self, node: NodeId, at: Time) {
-        self.sim.restart_at(node, at);
-    }
-
-    fn partition_at(&mut self, at: Time, groups: Vec<Vec<NodeId>>) {
-        self.sim.partition_at(at, groups);
-    }
-
-    fn heal_at(&mut self, at: Time) {
-        self.sim.heal_at(at);
-    }
-
-    fn set_drop_prob(&mut self, p: f64) {
-        self.sim.set_drop_prob(p);
-    }
-
-    fn open_byzantine_window(&mut self, kind: ByzantineWindow, node: NodeId) -> bool {
-        match kind {
-            ByzantineWindow::Mute => {
-                self.sim.set_filter(
-                    node,
-                    Box::new(FnFilter(
-                        |_f, _t: NodeId, _m: &PbftMsg, _r: &mut ChaCha20Rng| FilterAction::Drop,
-                    )),
-                );
-            }
-            ByzantineWindow::Equivocate => {
-                self.sim.set_filter(node, Box::new(equivocation_filter()));
-            }
-        }
-        true
-    }
-
-    fn close_byzantine_window(&mut self, node: NodeId) {
-        self.sim.clear_filter(node);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::{FilterAction, FnFilter};
+    use consensus_core::driver::{ByzantineWindow, ClusterDriver, DriverConfig};
+    use consensus_core::WorkloadMode;
+    use simnet::{NetConfig, Time};
 
     #[test]
     fn commits_requests_fault_free() {

@@ -20,7 +20,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use consensus_core::workload::{KvMix, KvWorkload, LatencyRecorder};
-use consensus_core::{Command, DedupKvMachine, KvCommand, KvResponse, StateMachine};
+use consensus_core::{Command, DedupKvMachine, KvCommand, KvResponse};
 use simnet::{CncPhase, Context, NetConfig, Node, NodeId, RunOutcome, Sim, Time, Timer};
 
 /// Span protocol label; instances are sequence numbers.
@@ -260,10 +260,7 @@ impl SmReplica {
                 inst.executed = true;
                 inst.cmd.clone().expect("ready")
             };
-            let output = self
-                .machine
-                .apply(&consensus_core::SmrOp::Cmd(cmd.clone()))
-                .expect("output");
+            let output = self.machine.apply_cmd(&cmd);
             self.executed_upto = next;
             ctx.send(
                 NodeId(cmd.client),
@@ -597,6 +594,7 @@ impl SmCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use consensus_core::StateMachine as _;
     use simnet::DropAll;
 
     fn cfg(m: usize, c: usize, mode: Mode) -> SeeMoReConfig {

@@ -20,7 +20,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use consensus_core::workload::{KvMix, KvWorkload, LatencyRecorder};
-use consensus_core::{Command, DedupKvMachine, KvCommand, KvResponse, StateMachine};
+use consensus_core::{Command, DedupKvMachine, KvCommand, KvResponse};
 use simnet::{CncPhase, Context, NetConfig, Node, NodeId, RunOutcome, Sim, Time, Timer, TimerId};
 
 /// Span protocol label; instances are sequence numbers, rounds are views.
@@ -233,10 +233,7 @@ impl XftReplica {
     }
 
     fn apply(&mut self, ctx: &mut Context<XftMsg>, cmd: Command<KvCommand>) {
-        let output = self
-            .machine
-            .apply(&consensus_core::SmrOp::Cmd(cmd.clone()))
-            .expect("output");
+        let output = self.machine.apply_cmd(&cmd);
         self.pending_requests.remove(&(cmd.client, cmd.seq));
         self.history.push(cmd.clone());
         ctx.send(
@@ -589,6 +586,7 @@ impl XftCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use consensus_core::StateMachine as _;
 
     #[test]
     fn anarchy_predicate_matches_slides() {

@@ -20,7 +20,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use consensus_core::workload::{KvMix, KvWorkload, LatencyRecorder};
-use consensus_core::{Command, DedupKvMachine, KvCommand, KvResponse, StateMachine};
+use consensus_core::{Command, DedupKvMachine, KvCommand, KvResponse};
 use simnet::{CncPhase, Context, NetConfig, Node, NodeId, RunOutcome, Sim, Time, Timer};
 
 /// Span protocol label; instances are sequence numbers, rounds are views.
@@ -161,10 +161,7 @@ impl ZyzReplica {
             ctx.phase(SPAN, n, self.view, CncPhase::Agreement);
             ctx.phase(SPAN, n, self.view, CncPhase::Decision);
             ctx.span_close(SPAN, n, self.view);
-            let output = self
-                .machine
-                .apply(&consensus_core::SmrOp::Cmd(cmd.clone()))
-                .expect("commands produce outputs");
+            let output = self.machine.apply_cmd(&cmd);
             self.history = expected;
             self.hist_at.insert(n, expected);
             self.spec_executed = n;
@@ -529,6 +526,7 @@ impl ZyzCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use consensus_core::StateMachine as _;
     use simnet::DelayModel;
 
     fn fixed_net() -> NetConfig {

@@ -90,6 +90,89 @@ impl Default for BatchConfig {
     }
 }
 
+/// What a proposer does with its queue right now — [`Batcher::poll`]'s answer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Flush {
+    /// Nothing to do: the queue is empty, the pipeline window is full, or an
+    /// underfull batch is waiting out its already armed flush timer.
+    Hold,
+    /// Arm the flush timer for this many µs, then hold.
+    Arm(u64),
+    /// Propose the oldest `k` queued commands as one batch, then poll again.
+    Take(usize),
+}
+
+/// The batch-ripeness policy of [`BatchConfig`], shared by the three SMR
+/// proposers: never exceed `pipeline_window` slots in flight; take a full
+/// batch at once; hold an underfull one for `max_delay` µs (one armed timer
+/// at a time), after which everything queued goes out — underfull batches
+/// included — as fast as the window allows, until the queue has drained.
+#[derive(Clone, Copy, Debug)]
+pub struct Batcher {
+    cfg: BatchConfig,
+    /// A flush timer is outstanding.
+    armed: bool,
+    /// The open batch's `max_delay` has expired.
+    overdue: bool,
+}
+
+impl Batcher {
+    /// A policy with nothing armed.
+    pub fn new(cfg: BatchConfig) -> Self {
+        Batcher {
+            cfg,
+            armed: false,
+            overdue: false,
+        }
+    }
+
+    /// Decides from the number of `queued` commands and of slots `in_flight`.
+    pub fn poll(&mut self, queued: usize, in_flight: usize) -> Flush {
+        if queued == 0 {
+            self.drained();
+            return Flush::Hold;
+        }
+        if in_flight >= self.cfg.pipeline_window {
+            return Flush::Hold;
+        }
+        let full = self.cfg.max_batch.max(1);
+        if queued >= full || self.cfg.max_delay == 0 || self.overdue {
+            Flush::Take(queued.min(full))
+        } else if self.armed {
+            Flush::Hold
+        } else {
+            self.armed = true;
+            Flush::Arm(self.cfg.max_delay)
+        }
+    }
+
+    /// The flush timer fired. `pending` says whether this node still leads
+    /// and has commands queued; if so the caller polls next.
+    pub fn expire(&mut self, pending: bool) {
+        self.armed = false;
+        self.overdue |= pending;
+    }
+
+    /// The queue emptied: the next batch gets its full `max_delay` again.
+    /// [`Batcher::poll`] notices an empty queue itself; this is for a
+    /// proposer that stops polling once its queue is empty (Multi-Paxos,
+    /// whose in-flight count is not free) or ships it without asking
+    /// (Raft's heartbeat).
+    pub fn drained(&mut self) {
+        self.overdue = false;
+    }
+
+    /// Forgets timer and overdue state (leadership lost, queue dropped).
+    pub fn reset(&mut self) {
+        *self = Batcher::new(self.cfg);
+    }
+
+    /// The largest batch the policy hands out.
+    pub fn max_batch(&self) -> usize {
+        self.cfg.max_batch
+    }
+}
+
 /// Everything needed to construct a cluster deterministically: a run is a
 /// pure function of this config. The client workload (`n_clients` closed-loop
 /// clients issuing `cmds_per_client` commands each) doubles as the submission
@@ -309,6 +392,69 @@ mod tests {
         assert!(!b.is_unbatched());
         assert_eq!(b.label(), "b8/w16/d200");
         assert_eq!(BatchConfig::new(4, 0, usize::MAX).label(), "b4/winf/d0");
+    }
+
+    #[test]
+    fn batcher_decision_table() {
+        // (config, overdue, armed, queued, in_flight) → answer.
+        let b = BatchConfig::new(4, 300, 2);
+        let table = [
+            (b, false, false, 0, 0, Flush::Hold),
+            (b, false, false, 1, 0, Flush::Arm(300)),
+            (b, false, true, 3, 0, Flush::Hold),
+            (b, false, true, 4, 0, Flush::Take(4)),
+            (b, false, false, 9, 1, Flush::Take(4)),
+            (b, false, false, 9, 2, Flush::Hold),
+            (b, true, false, 1, 1, Flush::Take(1)),
+            (b, true, false, 1, 2, Flush::Hold),
+            (BatchConfig::new(4, 0, 2), false, false, 1, 0, Flush::Take(1)),
+            (BatchConfig::new(0, 0, 1), false, false, 3, 0, Flush::Take(1)),
+        ];
+        for (cfg, overdue, armed, queued, in_flight, want) in table {
+            let mut batcher = Batcher {
+                cfg,
+                armed,
+                overdue,
+            };
+            let got = batcher.poll(queued, in_flight);
+            assert_eq!(got, want, "{cfg:?} overdue={overdue} armed={armed} {queued}/{in_flight}");
+        }
+    }
+
+    #[test]
+    fn unbatched_default_never_arms_and_always_takes_immediately() {
+        let mut batcher = Batcher::new(BatchConfig::unbatched());
+        for queued in 1..50 {
+            for in_flight in [0, 1, 1_000_000] {
+                assert_eq!(batcher.poll(queued, in_flight), Flush::Take(1));
+            }
+        }
+        assert_eq!(batcher.poll(0, 0), Flush::Hold);
+    }
+
+    #[test]
+    fn expired_timer_releases_one_underfull_batch_then_holds_again() {
+        let mut batcher = Batcher::new(BatchConfig::new(4, 300, 8));
+        assert_eq!(batcher.poll(2, 0), Flush::Arm(300));
+        assert_eq!(batcher.poll(3, 0), Flush::Hold, "one timer at a time");
+        batcher.expire(true);
+        assert_eq!(batcher.poll(3, 0), Flush::Take(3), "overdue: underfull goes");
+        assert_eq!(batcher.poll(0, 1), Flush::Hold, "drained: overdue is spent");
+        assert_eq!(batcher.poll(1, 1), Flush::Arm(300), "next batch waits again");
+        // A timer that fires with nothing to flush (or after leadership was
+        // lost) must not make the next batch overdue.
+        batcher.expire(false);
+        assert_eq!(batcher.poll(1, 1), Flush::Arm(300));
+        // While overdue, a queue longer than one batch drains in full
+        // batches plus the underfull remainder.
+        batcher.expire(true);
+        assert_eq!(batcher.poll(6, 0), Flush::Take(4));
+        assert_eq!(batcher.poll(2, 1), Flush::Take(2));
+        // Losing leadership forgets an armed timer and an overdue batch.
+        batcher.reset();
+        assert_eq!(batcher.poll(1, 2), Flush::Arm(300));
+        batcher.reset();
+        assert_eq!(batcher.poll(1, 2), Flush::Arm(300));
     }
 
     #[test]

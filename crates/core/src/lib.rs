@@ -21,8 +21,14 @@
 //!   recording shared by all protocol crates and the bench harness.
 //! * [`driver`] — the unified [`ClusterDriver`] API (construct from seed,
 //!   step, fault, harvest) plus the shared [`BatchConfig`]
-//!   batching/pipelining knob; bench and nemesis drive every SMR protocol
-//!   only through this trait.
+//!   batching/pipelining knob and its one ripeness policy, [`Batcher`];
+//!   bench and nemesis drive every SMR protocol only through this trait.
+//! * [`client`] and [`cluster`] — the rest of the **SMR shell** shared by
+//!   Multi-Paxos, Raft and PBFT: the workload [`Session`], the
+//!   leader-following [`Client`] over a [`ClientWire`] message type, and the
+//!   generic [`Cluster`] harness with the single [`ClusterDriver`] impl. A
+//!   log protocol supplies an [`SmrProtocol`] impl — messages, replica,
+//!   `decided_log` shape — and nothing else.
 //! * [`txn`] — shared transaction types for the sharded store
 //!   (`forty-store`): transaction ids, the router-facing [`StoreCommand`],
 //!   and the log-entry encoding of the Gray–Lamport 2PC-over-consensus
@@ -35,6 +41,8 @@
 //!   abstract (fault-tolerant) 3PC.
 
 pub mod ballot;
+pub mod client;
+pub mod cluster;
 pub mod cnc;
 pub mod driver;
 pub mod history;
@@ -45,7 +53,11 @@ pub mod txn;
 pub mod workload;
 
 pub use ballot::Ballot;
-pub use driver::{BatchConfig, ByzantineWindow, ClusterDriver, DecidedEntry, DriverConfig};
+pub use client::{Client, ClientWire, Inbound, Session, WorkloadClient};
+pub use cluster::{Cluster, DurableProtocol, Proc, SmrProtocol};
+pub use driver::{
+    BatchConfig, Batcher, ByzantineWindow, ClusterDriver, DecidedEntry, DriverConfig, Flush,
+};
 pub use history::{ClientRecord, HistorySink};
 pub use quorum::QuorumSpec;
 pub use workload::WorkloadMode;

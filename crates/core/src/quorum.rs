@@ -74,6 +74,14 @@ pub enum QuorumSpec {
     },
 }
 
+/// Simple majorities over `n` nodes — the default quorum system of a
+/// cluster described only by its size.
+impl From<usize> for QuorumSpec {
+    fn from(n: usize) -> Self {
+        QuorumSpec::Majority { n }
+    }
+}
+
 impl QuorumSpec {
     /// Total number of nodes in the system.
     pub fn n(&self) -> usize {

@@ -687,28 +687,45 @@ mod tests {
     }
 }
 
-/// A log operation shared by the SMR protocol crates: a client command or a
-/// leader-change no-op.
+/// The log operation every SMR protocol crate replicates: a leader-change
+/// no-op, one client command, or several commands decided as one slot.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SmrOp {
     /// Gap filler proposed during leader recovery; applies nothing.
     Noop,
     /// A client command.
     Cmd(Command<KvCommand>),
+    /// Several client commands decided as one slot (leader-side batching),
+    /// applied in order.
+    Batch(Vec<Command<KvCommand>>),
 }
 
-impl std::fmt::Display for SmrOp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl SmrOp {
+    /// Wraps the commands of one slot: a singleton stays [`SmrOp::Cmd`], so
+    /// unbatched runs are byte-identical on the wire and in the WAL.
+    pub fn from_batch(mut cmds: impl ExactSizeIterator<Item = Command<KvCommand>>) -> Self {
+        if cmds.len() == 1 {
+            SmrOp::Cmd(cmds.next().expect("len 1"))
+        } else {
+            SmrOp::Batch(cmds.collect())
+        }
+    }
+
+    /// The client commands this op carries, in apply order.
+    pub fn commands(&self) -> &[Command<KvCommand>] {
         match self {
-            SmrOp::Noop => f.write_str("noop"),
-            SmrOp::Cmd(c) => write!(f, "{c}"),
+            SmrOp::Noop => &[],
+            SmrOp::Cmd(cmd) => std::slice::from_ref(cmd),
+            SmrOp::Batch(cmds) => cmds,
         }
     }
 }
 
 /// A key-value machine with built-in duplicate suppression: the client table
 /// (last applied sequence number and cached reply per client) is part of the
-/// deterministic state, so replicas dedup identically.
+/// deterministic state, so replicas dedup identically. Its state after a
+/// command sequence does not depend on how the sequence was cut into
+/// [`SmrOp`]s, so digests are comparable across batch configurations.
 #[derive(Clone, Debug, Default)]
 pub struct DedupKvMachine {
     kv: KvStore,
@@ -742,26 +759,27 @@ impl DedupKvMachine {
     pub fn restore(kv: KvStore, client_table: BTreeMap<u32, (u64, KvResponse)>) -> Self {
         DedupKvMachine { kv, client_table }
     }
+
+    /// Applies one command under the dedup rule: a `(client, seq)` at or
+    /// below the client's last applied sequence number is answered from the
+    /// client table without touching the store.
+    pub fn apply_cmd(&mut self, cmd: &Command<KvCommand>) -> KvResponse {
+        if let Some(out) = self.cached(cmd.client, cmd.seq) {
+            return out.clone();
+        }
+        let out = self.kv.apply(&cmd.op);
+        self.client_table.insert(cmd.client, (cmd.seq, out.clone()));
+        out
+    }
 }
 
 impl StateMachine for DedupKvMachine {
     type Op = SmrOp;
-    type Output = Option<KvResponse>;
+    /// One reply per command in the op (empty for no-ops).
+    type Output = Vec<KvResponse>;
 
-    fn apply(&mut self, op: &SmrOp) -> Option<KvResponse> {
-        match op {
-            SmrOp::Noop => None,
-            SmrOp::Cmd(cmd) => {
-                if let Some((last, out)) = self.client_table.get(&cmd.client) {
-                    if cmd.seq <= *last {
-                        return Some(out.clone());
-                    }
-                }
-                let out = self.kv.apply(&cmd.op);
-                self.client_table.insert(cmd.client, (cmd.seq, out.clone()));
-                Some(out)
-            }
-        }
+    fn apply(&mut self, op: &SmrOp) -> Vec<KvResponse> {
+        op.commands().iter().map(|c| self.apply_cmd(c)).collect()
     }
 
     fn digest(&self) -> u64 {
@@ -778,6 +796,7 @@ impl StateMachine for DedupKvMachine {
 #[cfg(test)]
 mod dedup_tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cmd(client: u32, seq: u64, key: &str, value: &str) -> SmrOp {
         SmrOp::Cmd(Command {
@@ -796,14 +815,14 @@ mod dedup_tests {
         m.apply(&cmd(1, 0, "k", "a"));
         let applied_before = m.kv().applied();
         let out = m.apply(&cmd(1, 0, "k", "a"));
-        assert_eq!(out, Some(KvResponse::Ok));
+        assert_eq!(out, vec![KvResponse::Ok]);
         assert_eq!(m.kv().applied(), applied_before, "no re-application");
     }
 
     #[test]
     fn noop_applies_nothing() {
         let mut m = DedupKvMachine::default();
-        assert_eq!(m.apply(&SmrOp::Noop), None);
+        assert_eq!(m.apply(&SmrOp::Noop), vec![]);
         assert_eq!(m.kv().applied(), 0);
     }
 
@@ -834,6 +853,77 @@ mod dedup_tests {
         a.apply(&cmd(1, 0, "k", "v"));
         b.apply(&cmd(1, 1, "k", "v"));
         assert_ne!(a.digest(), b.digest(), "same kv, different client table");
+    }
+
+    #[test]
+    fn singleton_batches_stay_cmd() {
+        let one = |seq| Command {
+            client: 1,
+            seq,
+            op: KvCommand::Get { key: "k".into() },
+        };
+        assert_eq!(SmrOp::from_batch([one(0)].into_iter()), SmrOp::Cmd(one(0)));
+        assert_eq!(
+            SmrOp::from_batch([one(0), one(1)].into_iter()),
+            SmrOp::Batch(vec![one(0), one(1)])
+        );
+    }
+
+    proptest! {
+        /// Any chunking of one flattened command sequence into
+        /// `Noop`/`Cmd`/`Batch` ops — duplicates of earlier `(client, seq)`s
+        /// included — yields the same digest, the same store and the same
+        /// per-command replies as applying the commands one at a time.
+        #[test]
+        fn prop_state_is_independent_of_how_commands_are_chunked(
+            raw in proptest::collection::vec((0u32..3, 0u8..5, 0usize..4, 0u8..4), 1..40),
+            cuts in proptest::collection::vec(0usize..5, 1..40),
+        ) {
+            let mut next_seq = [0u64; 3];
+            let mut cmds: Vec<Command<KvCommand>> = Vec::new();
+            for (i, &(client, kind, key, dup)) in raw.iter().enumerate() {
+                if dup == 0 && !cmds.is_empty() {
+                    // A retransmission decided again at a later position.
+                    cmds.push(cmds[i % cmds.len()].clone());
+                    continue;
+                }
+                let seq = next_seq[client as usize];
+                next_seq[client as usize] += 1;
+                let key = format!("k{key}");
+                let op = match kind {
+                    0 => KvCommand::Put { key, value: format!("v{i}") },
+                    1 => KvCommand::Get { key },
+                    2 => KvCommand::Delete { key },
+                    3 => KvCommand::Cas { key, expect: format!("v{}", i / 2), new: format!("w{i}") },
+                    _ => KvCommand::Range { start: "k0".into(), end: key, limit: 3 },
+                };
+                cmds.push(Command { client, seq, op });
+            }
+
+            let mut flat = DedupKvMachine::default();
+            let flat_replies: Vec<KvResponse> = cmds.iter().map(|c| flat.apply_cmd(c)).collect();
+
+            let mut chunked = DedupKvMachine::default();
+            let mut replies = Vec::new();
+            let mut rest = cmds.as_slice();
+            for &cut in &cuts {
+                let (chunk, tail) = rest.split_at(cut.min(rest.len()));
+                rest = tail;
+                let op = match chunk {
+                    [] => SmrOp::Noop,
+                    [one] => SmrOp::Cmd(one.clone()),
+                    many => SmrOp::Batch(many.to_vec()),
+                };
+                replies.extend(chunked.apply(&op));
+            }
+            replies.extend(chunked.apply(&SmrOp::Batch(rest.to_vec())));
+            prop_assert_eq!(replies, flat_replies);
+            prop_assert_eq!(chunked.digest(), flat.digest());
+            prop_assert_eq!(
+                chunked.kv().iter().collect::<Vec<_>>(),
+                flat.kv().iter().collect::<Vec<_>>()
+            );
+        }
     }
 }
 

@@ -125,14 +125,6 @@ impl KvWorkload {
     pub fn issued(&self) -> u64 {
         self.next_seq
     }
-
-    /// Replaces the mix for subsequent commands. Called before the first
-    /// command is generated this is equivalent to constructing with `mix`
-    /// (the RNG state is untouched) — the hook cluster builders use to
-    /// thread a [`crate::driver::DriverConfig`] mix to existing clients.
-    pub fn set_mix(&mut self, mix: KvMix) {
-        self.mix = mix;
-    }
 }
 
 /// Records request → reply latencies (in simulated microseconds) and

@@ -27,7 +27,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`simnet`] | deterministic discrete-event network simulation |
-//! | [`consensus_core`] | taxonomy, ballots, quorum systems, SMR, C&C framework |
+//! | [`consensus_core`] | taxonomy, ballots, quorum systems, C&C framework, and the SMR shell (`SmrOp`, `DedupKvMachine`, `Client`, `Batcher`, `Cluster<P>`) under the three log protocols |
 //! | [`paxos`] | single-decree, Multi-, Fast, and Flexible Paxos |
 //! | [`raft`] | Raft |
 //! | [`atomic_commit`] | 2PC and fault-tolerant 3PC |

@@ -44,6 +44,6 @@ pub use exec::{execute_plan, WindowKind};
 pub use lin::check_linearizable;
 pub use plan::{generate, FaultAction, FaultPlan, FaultSpec};
 pub use targets::{
-    by_name, client_evidence, harvest_paxos, harvest_pbft, harvest_raft, injected_bug_target,
-    smr_safety, store_injected_bug_target, targets, RunReport, Target,
+    by_name, harvest, injected_bug_target, smr_safety, store_injected_bug_target, targets,
+    RunReport, Target,
 };

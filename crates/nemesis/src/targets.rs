@@ -69,16 +69,17 @@ use std::collections::BTreeSet;
 use agreement::ben_or::BenOrNode;
 use atomic_commit::three_phase::{self, CrashPoint};
 use atomic_commit::{two_phase, TxnState};
-use bft::pbft::{PbftCluster, PbftMsg};
+use bft::pbft::{Pbft, PbftMsg};
 use bft::sim_crypto::digest_of;
 use consensus_core::{
-    BatchConfig, ClientRecord, ClusterDriver as _, Command, HistorySink, KvCommand, QuorumSpec,
-    WorkloadMode,
+    BatchConfig, ClientRecord, Cluster, ClusterDriver, Command, DriverConfig, KvCommand,
+    QuorumSpec, SmrProtocol,
 };
-use paxos::multi::MultiPaxosCluster;
+use paxos::multi::{MultiPaxos, MultiPaxosCluster};
+use raft::Raft;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha20Rng;
-use simnet::{FilterAction, FnFilter, NetConfig, NodeId, Sim};
+use simnet::{Filter, FilterAction, FnFilter, NetConfig, NodeId, Sim};
 
 use crate::checker::{
     check_atomic_commit, check_binary_agreement, check_integrity, check_log_agreement,
@@ -133,76 +134,39 @@ const NEMESIS_BATCH: BatchConfig = BatchConfig::new(4, 300, 4);
 /// appears twice: unbatched (the historical configuration) and under
 /// [`NEMESIS_BATCH`] — safety must hold for every knob setting.
 pub fn targets() -> Vec<Box<dyn Target>> {
+    let unbatched = BatchConfig::unbatched();
     vec![
-        Box::new(PaxosTarget {
-            buggy: false,
-            batch: BatchConfig::unbatched(),
-        }),
-        Box::new(PaxosTarget {
-            buggy: false,
-            batch: NEMESIS_BATCH,
-        }),
-        Box::new(RaftTarget {
-            batch: BatchConfig::unbatched(),
-        }),
-        Box::new(RaftTarget {
-            batch: NEMESIS_BATCH,
-        }),
-        Box::new(PbftTarget {
-            batch: BatchConfig::unbatched(),
-        }),
-        Box::new(PbftTarget {
-            batch: NEMESIS_BATCH,
-        }),
+        smr::<MultiPaxos>("paxos", 5, 6, unbatched, None),
+        smr::<MultiPaxos>("paxos+batch", 5, 6, NEMESIS_BATCH, None),
+        smr::<Raft>("raft", 5, 6, unbatched, None),
+        smr::<Raft>("raft+batch", 5, 6, NEMESIS_BATCH, None),
+        smr::<Pbft>("pbft", 4, 5, unbatched, Some(equivocation_filter)),
+        smr::<Pbft>("pbft+batch", 4, 5, NEMESIS_BATCH, Some(equivocation_filter)),
         Box::new(TwoPcTarget),
         Box::new(ThreePcTarget),
         Box::new(PaxosCommitTarget),
         Box::new(BenOrTarget),
-        Box::new(StoreTarget::<MultiPaxosCluster> {
-            name: "store-paxos",
-            buggy: false,
-            durable: false,
-            geo: false,
-            _engine: std::marker::PhantomData,
-        }),
-        Box::new(StoreTarget::<raft::RaftCluster> {
-            name: "store-raft",
-            buggy: false,
-            durable: false,
-            geo: false,
-            _engine: std::marker::PhantomData,
-        }),
-        Box::new(StoreTarget::<MultiPaxosCluster> {
-            name: "store-paxos-durable",
-            buggy: false,
-            durable: true,
-            geo: false,
-            _engine: std::marker::PhantomData,
-        }),
-        Box::new(StoreTarget::<raft::RaftCluster> {
-            name: "store-raft-durable",
-            buggy: false,
-            durable: true,
-            geo: false,
-            _engine: std::marker::PhantomData,
-        }),
-        Box::new(StoreTarget::<MultiPaxosCluster> {
-            name: "store-geo",
-            buggy: false,
-            durable: false,
-            geo: true,
-            _engine: std::marker::PhantomData,
-        }),
+        store::<MultiPaxosCluster>("store-paxos", false, false, false),
+        store::<raft::RaftCluster>("store-raft", false, false, false),
+        store::<MultiPaxosCluster>("store-paxos-durable", false, true, false),
+        store::<raft::RaftCluster>("store-raft-durable", false, true, false),
+        store::<MultiPaxosCluster>("store-geo", false, false, true),
     ]
 }
 
 /// The deliberately broken Flexible-Paxos configuration (`q1 + q2 ≤ n`, so
-/// election and replication quorums need not intersect). Used to prove the
-/// nemesis catches real safety bugs; never part of [`targets`].
+/// election and replication quorums need not intersect: a new leader's
+/// prepare quorum can miss every acceptor that voted in a decided
+/// replication quorum). Used to prove the nemesis catches real safety bugs;
+/// never part of [`targets`].
 pub fn injected_bug_target() -> Box<dyn Target> {
-    Box::new(PaxosTarget {
-        buggy: true,
+    Box::new(SmrTarget::<MultiPaxos> {
+        name: "paxos-buggy",
+        shape: QuorumSpec::Flexible { n: 5, q1: 2, q2: 2 },
+        nodes: 5,
+        cmds: 6,
         batch: BatchConfig::unbatched(),
+        lie: None,
     })
 }
 
@@ -212,82 +176,17 @@ pub fn injected_bug_target() -> Box<dyn Target> {
 /// atomicity checker catches real cross-shard bugs; never part of
 /// [`targets`].
 pub fn store_injected_bug_target() -> Box<dyn Target> {
-    Box::new(StoreTarget::<MultiPaxosCluster> {
-        name: "store-buggy",
-        buggy: true,
-        durable: false,
-        geo: false,
-        _engine: std::marker::PhantomData,
-    })
+    store::<MultiPaxosCluster>("store-buggy", true, false, false)
 }
 
-/// Resolves a target by name, including the injected-bug target (so stored
+/// Resolves a target by name, including the injected-bug targets (so stored
 /// counterexamples can be replayed).
 pub fn by_name(name: &str) -> Option<Box<dyn Target>> {
-    match name {
-        "paxos" => Some(Box::new(PaxosTarget {
-            buggy: false,
-            batch: BatchConfig::unbatched(),
-        })),
-        "paxos+batch" => Some(Box::new(PaxosTarget {
-            buggy: false,
-            batch: NEMESIS_BATCH,
-        })),
-        "paxos-buggy" => Some(injected_bug_target()),
-        "raft" => Some(Box::new(RaftTarget {
-            batch: BatchConfig::unbatched(),
-        })),
-        "raft+batch" => Some(Box::new(RaftTarget {
-            batch: NEMESIS_BATCH,
-        })),
-        "pbft" => Some(Box::new(PbftTarget {
-            batch: BatchConfig::unbatched(),
-        })),
-        "pbft+batch" => Some(Box::new(PbftTarget {
-            batch: NEMESIS_BATCH,
-        })),
-        "2pc" => Some(Box::new(TwoPcTarget)),
-        "3pc" => Some(Box::new(ThreePcTarget)),
-        "paxos-commit" => Some(Box::new(PaxosCommitTarget)),
-        "ben-or" => Some(Box::new(BenOrTarget)),
-        "store-paxos" => Some(Box::new(StoreTarget::<MultiPaxosCluster> {
-            name: "store-paxos",
-            buggy: false,
-            durable: false,
-            geo: false,
-            _engine: std::marker::PhantomData,
-        })),
-        "store-raft" => Some(Box::new(StoreTarget::<raft::RaftCluster> {
-            name: "store-raft",
-            buggy: false,
-            durable: false,
-            geo: false,
-            _engine: std::marker::PhantomData,
-        })),
-        "store-paxos-durable" => Some(Box::new(StoreTarget::<MultiPaxosCluster> {
-            name: "store-paxos-durable",
-            buggy: false,
-            durable: true,
-            geo: false,
-            _engine: std::marker::PhantomData,
-        })),
-        "store-raft-durable" => Some(Box::new(StoreTarget::<raft::RaftCluster> {
-            name: "store-raft-durable",
-            buggy: false,
-            durable: true,
-            geo: false,
-            _engine: std::marker::PhantomData,
-        })),
-        "store-geo" => Some(Box::new(StoreTarget::<MultiPaxosCluster> {
-            name: "store-geo",
-            buggy: false,
-            durable: false,
-            geo: true,
-            _engine: std::marker::PhantomData,
-        })),
-        "store-buggy" => Some(store_injected_bug_target()),
-        _ => None,
-    }
+    let bugs = [injected_bug_target(), store_injected_bug_target()];
+    targets()
+        .into_iter()
+        .chain(bugs)
+        .find(|t| t.name() == name)
 }
 
 // ---------------------------------------------------------------------------
@@ -295,42 +194,11 @@ pub fn by_name(name: &str) -> Option<Box<dyn Target>> {
 // hand and want the same checker-ready evidence the targets collect.
 // ---------------------------------------------------------------------------
 
-/// Harvests every Multi-Paxos replica's decided slots plus `(node,
-/// applied_len, digest)` triples for the state-machine consistency check.
-/// Batched slots are flattened to one entry per command by the driver.
-pub fn harvest_paxos(cluster: &MultiPaxosCluster) -> (Vec<DecidedEntry>, Vec<(u32, u64, u64)>) {
+/// Harvests every replica's decided entries (batched slots flattened to
+/// one entry per command by the driver) plus `(node, applied_len, digest)`
+/// triples for the state-machine consistency check.
+pub fn harvest<D: ClusterDriver>(cluster: &D) -> (Vec<DecidedEntry>, Vec<(u32, u64, u64)>) {
     (cluster.decided_log(), cluster.state_digests())
-}
-
-/// Harvests every Raft replica's *committed* entries (an uncommitted suffix
-/// may legally be overwritten; compacted prefixes are covered by the digest
-/// check) plus `(node, last_applied, digest)` triples. Terms are baked into
-/// the op identity so the agreement check also enforces Log Matching.
-pub fn harvest_raft(cluster: &raft::RaftCluster) -> (Vec<DecidedEntry>, Vec<(u32, u64, u64)>) {
-    (cluster.decided_log(), cluster.state_digests())
-}
-
-/// Harvests every PBFT replica's execution log plus `(node, executed_upto,
-/// digest)` triples. A Byzantine replica's *outbound* messages may have
-/// lied, but its local execution log is honestly built from what it
-/// received, so its harvest is still evidence about the protocol.
-/// Batched sequence numbers are flattened to one entry per command by the
-/// driver.
-pub fn harvest_pbft(cluster: &PbftCluster) -> (Vec<DecidedEntry>, Vec<(u32, u64, u64)>) {
-    (cluster.decided_log(), cluster.state_digests())
-}
-
-/// Merges client histories and collects the set of `(client, seq)` pairs
-/// actually issued — the reference set for the validity check.
-pub fn client_evidence<'a>(
-    sinks: impl IntoIterator<Item = &'a HistorySink>,
-) -> (Vec<ClientRecord>, BTreeSet<(u32, u64)>) {
-    let sinks: Vec<&HistorySink> = sinks.into_iter().collect();
-    let issued = sinks
-        .iter()
-        .flat_map(|s| s.records().iter().map(|r| (r.client, r.seq)))
-        .collect();
-    (HistorySink::merge(sinks), issued)
 }
 
 /// The full SMR safety battery: log agreement, integrity, state-machine
@@ -376,202 +244,87 @@ fn smr_spec(nodes: u32) -> FaultSpec {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-Paxos
+// The SMR protocols: Multi-Paxos, Raft, PBFT
 // ---------------------------------------------------------------------------
 
-struct PaxosTarget {
-    /// Use the non-intersecting Flexible quorum spec (the injected bug).
-    buggy: bool,
+/// What an equivocating replica sends in place of the truth.
+type Lie<M> = fn() -> Box<dyn Filter<M>>;
+
+/// One log protocol under test: `nodes` replicas of `shape` and two
+/// closed-loop clients issuing `cmds` commands each.
+struct SmrTarget<P: SmrProtocol> {
+    name: &'static str,
+    shape: P::Shape,
+    nodes: usize,
+    cmds: usize,
     /// Batching knob for the replicas under test.
     batch: BatchConfig,
+    /// Set for protocols that claim to survive `f = 1` Byzantine replica.
+    /// Crash-fault protocols have `None` and never see a Byzantine window.
+    lie: Option<Lie<P::Msg>>,
 }
 
-impl PaxosTarget {
-    fn build(&self, seed: u64) -> MultiPaxosCluster {
-        let spec = if self.buggy {
-            // q1 + q2 = 4 ≤ n = 5: a new leader's prepare quorum can miss
-            // every acceptor that voted in a decided replication quorum.
-            QuorumSpec::Flexible { n: 5, q1: 2, q2: 2 }
-        } else {
-            QuorumSpec::Majority { n: 5 }
-        };
-        MultiPaxosCluster::new_with(
-            spec,
-            5,
-            2,
-            6,
-            NetConfig::lan(),
-            seed,
-            self.batch,
-            WorkloadMode::Closed,
-        )
-    }
-}
-
-impl Target for PaxosTarget {
-    fn name(&self) -> &'static str {
-        match (self.buggy, self.batch.is_unbatched()) {
-            (true, _) => "paxos-buggy",
-            (false, true) => "paxos",
-            (false, false) => "paxos+batch",
-        }
-    }
-
-    fn fault_spec(&self) -> FaultSpec {
-        smr_spec(5)
-    }
-
-    fn run(&self, seed: u64, plan: &FaultPlan) -> RunReport {
-        let mut cluster = self.build(seed);
-        execute_plan(&mut cluster.sim, plan, SMR_HORIZON, 0.0, |_, _| None);
-
-        let (entries, digests) = harvest_paxos(&cluster);
-        let (history, issued) = client_evidence(cluster.clients().map(|c| &c.history));
-        RunReport {
-            violations: smr_safety(&entries, &digests, &history, Some(&issued)),
-            ops: cluster.total_completed(),
-        }
-    }
-
-    fn trace_json(&self, seed: u64, plan: &FaultPlan) -> Option<String> {
-        let mut cluster = self.build(seed);
-        cluster.sim.record_trace(true);
-        execute_plan(&mut cluster.sim, plan, SMR_HORIZON, 0.0, |_, _| None);
-        Some(simnet::causal::export_events(
-            cluster.sim.trace(),
-            cluster.sim.spans(),
-        ))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Raft
-// ---------------------------------------------------------------------------
-
-struct RaftTarget {
-    /// Batching knob for the replicas under test.
+/// `nodes` replicas in the protocol's default shape (majority quorums).
+fn smr<P: SmrProtocol>(
+    name: &'static str,
+    nodes: usize,
+    cmds: usize,
     batch: BatchConfig,
+    lie: Option<Lie<P::Msg>>,
+) -> Box<dyn Target> {
+    Box::new(SmrTarget::<P> {
+        name,
+        shape: P::Shape::from(nodes),
+        nodes,
+        cmds,
+        batch,
+        lie,
+    })
 }
 
-impl RaftTarget {
-    fn build(&self, seed: u64) -> raft::RaftCluster {
-        raft::RaftCluster::new_with(
-            5,
-            2,
-            6,
-            NetConfig::lan(),
-            seed,
-            self.batch,
-            WorkloadMode::Closed,
-        )
+impl<P: SmrProtocol> SmrTarget<P> {
+    /// Builds the cluster from `seed` and plays `plan` against it.
+    fn drive(&self, seed: u64, plan: &FaultPlan, trace: bool) -> Cluster<P> {
+        let cfg = DriverConfig::new(self.nodes, 2, self.cmds, seed).with_batch(self.batch);
+        let mut cluster = Cluster::<P>::build(self.shape, &cfg);
+        cluster.sim.record_trace(trace);
+        execute_plan(&mut cluster.sim, plan, SMR_HORIZON, 0.0, |kind, _node| {
+            let lie = self.lie?;
+            Some(match kind {
+                WindowKind::Mute => Box::new(simnet::DropAll),
+                WindowKind::Equivocate => lie(),
+            })
+        });
+        cluster
     }
 }
 
-impl Target for RaftTarget {
+impl<P: SmrProtocol> Target for SmrTarget<P> {
     fn name(&self) -> &'static str {
-        if self.batch.is_unbatched() {
-            "raft"
-        } else {
-            "raft+batch"
-        }
-    }
-
-    fn fault_spec(&self) -> FaultSpec {
-        smr_spec(5)
-    }
-
-    fn run(&self, seed: u64, plan: &FaultPlan) -> RunReport {
-        let mut cluster = self.build(seed);
-        execute_plan(&mut cluster.sim, plan, SMR_HORIZON, 0.0, |_, _| None);
-
-        let (entries, digests) = harvest_raft(&cluster);
-        let (history, issued) = client_evidence(cluster.clients().map(|c| &c.history));
-        RunReport {
-            violations: smr_safety(&entries, &digests, &history, Some(&issued)),
-            ops: cluster.total_completed(),
-        }
-    }
-
-    fn trace_json(&self, seed: u64, plan: &FaultPlan) -> Option<String> {
-        let mut cluster = self.build(seed);
-        cluster.sim.record_trace(true);
-        execute_plan(&mut cluster.sim, plan, SMR_HORIZON, 0.0, |_, _| None);
-        Some(simnet::causal::export_events(
-            cluster.sim.trace(),
-            cluster.sim.spans(),
-        ))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// PBFT
-// ---------------------------------------------------------------------------
-
-struct PbftTarget {
-    /// Batching knob for the replicas under test.
-    batch: BatchConfig,
-}
-
-impl PbftTarget {
-    fn build(&self, seed: u64) -> PbftCluster {
-        PbftCluster::new_with(
-            4,
-            2,
-            5,
-            NetConfig::lan(),
-            seed,
-            self.batch,
-            WorkloadMode::Closed,
-        )
-    }
-}
-
-/// Maps a Byzantine window onto PBFT's concrete outbound filter.
-fn pbft_window_filter(kind: WindowKind) -> Box<dyn simnet::Filter<PbftMsg>> {
-    match kind {
-        WindowKind::Mute => Box::new(simnet::DropAll),
-        WindowKind::Equivocate => Box::new(equivocation_filter()),
-    }
-}
-
-impl Target for PbftTarget {
-    fn name(&self) -> &'static str {
-        if self.batch.is_unbatched() {
-            "pbft"
-        } else {
-            "pbft+batch"
-        }
+        self.name
     }
 
     fn fault_spec(&self) -> FaultSpec {
         FaultSpec {
-            max_byzantine: 1, // f = 1 at n = 4
-            allow_equivocation: true,
-            ..smr_spec(4)
+            max_byzantine: u32::from(self.lie.is_some()), // f = 1 at n = 4
+            allow_equivocation: self.lie.is_some(),
+            ..smr_spec(self.nodes as u32)
         }
     }
 
     fn run(&self, seed: u64, plan: &FaultPlan) -> RunReport {
-        let mut cluster = self.build(seed);
-        execute_plan(&mut cluster.sim, plan, SMR_HORIZON, 0.0, |kind, _node| {
-            Some(pbft_window_filter(kind))
-        });
-
-        let (entries, digests) = harvest_pbft(&cluster);
-        let (history, _issued) = client_evidence(cluster.clients().map(|c| &c.history));
-        // `issued: None` skips the validity check — see [`smr_safety`].
+        let cluster = self.drive(seed, plan, false);
+        let (entries, digests) = harvest(&cluster);
+        // Under a Byzantine model validity is not checked — see [`smr_safety`].
+        let issued = self.lie.is_none().then(|| cluster.issued());
         RunReport {
-            violations: smr_safety(&entries, &digests, &history, None),
+            violations: smr_safety(&entries, &digests, &cluster.history(), issued.as_ref()),
             ops: cluster.total_completed(),
         }
     }
 
     fn trace_json(&self, seed: u64, plan: &FaultPlan) -> Option<String> {
-        let mut cluster = self.build(seed);
-        cluster.sim.record_trace(true);
-        execute_plan(&mut cluster.sim, plan, SMR_HORIZON, 0.0, |kind, _node| {
-            Some(pbft_window_filter(kind))
-        });
+        let cluster = self.drive(seed, plan, true);
         Some(simnet::causal::export_events(
             cluster.sim.trace(),
             cluster.sim.spans(),
@@ -584,9 +337,7 @@ impl Target for PbftTarget {
 /// place of the node's real `PrePrepare`/`Prepare`; even destinations hear
 /// the truth. Splitting the backups this way is the classic attempt to get
 /// two quorums to prepare different requests at the same sequence number.
-fn equivocation_filter() -> FnFilter<
-    impl FnMut(NodeId, NodeId, &PbftMsg, &mut ChaCha20Rng) -> FilterAction<PbftMsg> + Send,
-> {
+fn equivocation_filter() -> Box<dyn Filter<PbftMsg>> {
     // The forged request names the Byzantine node *itself* as the client.
     // Real PBFT authenticates client requests, so a lying primary cannot
     // impersonate an honest client — but it can always submit a request of
@@ -606,7 +357,7 @@ fn equivocation_filter() -> FnFilter<
             value: "forged".to_string(),
         },
     }];
-    FnFilter(move |_from, to: NodeId, msg: &PbftMsg, _rng: &mut ChaCha20Rng| {
+    Box::new(FnFilter(move |_from, to: NodeId, msg: &PbftMsg, _rng: &mut ChaCha20Rng| {
         if to.0.is_multiple_of(2) {
             return FilterAction::Deliver;
         }
@@ -624,7 +375,7 @@ fn equivocation_filter() -> FnFilter<
             }),
             _ => FilterAction::Deliver,
         }
-    })
+    }))
 }
 
 // ---------------------------------------------------------------------------
@@ -892,6 +643,21 @@ struct StoreTarget<E: ShardEngine> {
     /// built-in lease-edge skews and region partition on every trial.
     geo: bool,
     _engine: std::marker::PhantomData<E>,
+}
+
+fn store<E: ShardEngine + 'static>(
+    name: &'static str,
+    buggy: bool,
+    durable: bool,
+    geo: bool,
+) -> Box<dyn Target> {
+    Box::new(StoreTarget::<E> {
+        name,
+        buggy,
+        durable,
+        geo,
+        _engine: std::marker::PhantomData,
+    })
 }
 
 impl<E: ShardEngine> StoreTarget<E> {

@@ -28,14 +28,12 @@
 //!
 //! ## Snapshot blob
 //!
-//! `applied_len`, then the [`MpMachine`]: KV applied-counter, KV entries,
+//! `applied_len`, then the [`DedupKvMachine`]: KV applied-counter, KV entries,
 //! client table. Restoring must reproduce the machine digest bit-for-bit —
 //! the nemesis fingerprint oracle depends on it.
 
-use consensus_core::{Ballot, Command, KvCommand, KvResponse, KvStore};
+use consensus_core::{Ballot, Command, DedupKvMachine, KvCommand, KvResponse, KvStore, SmrOp};
 use storage::codec::{put_str, put_u32, put_u64, Reader};
-
-use crate::multi::{MpMachine, MpOp};
 
 /// WAL record decoded back from bytes.
 #[derive(Clone, Debug, PartialEq)]
@@ -52,14 +50,14 @@ pub enum WalRecord {
         /// Accepting ballot.
         ballot: Ballot,
         /// Accepted op.
-        op: MpOp,
+        op: SmrOp,
     },
     /// A slot's decision was learned.
     Decide {
         /// Log index.
         index: usize,
         /// Decided op.
-        op: MpOp,
+        op: SmrOp,
     },
     /// An applied slot resolved a transaction decision record: the
     /// coordinator shard persists the outcome as a first-class WAL entry
@@ -86,26 +84,26 @@ fn get_ballot(r: &mut Reader) -> Option<Ballot> {
 fn put_kv_command(buf: &mut Vec<u8>, op: &KvCommand) {
     match op {
         KvCommand::Put { key, value } => {
-            buf.push(0);
+            put_u32(buf, 0);
             put_str(buf, key);
             put_str(buf, value);
         }
         KvCommand::Get { key } => {
-            buf.push(1);
+            put_u32(buf, 1);
             put_str(buf, key);
         }
         KvCommand::Delete { key } => {
-            buf.push(2);
+            put_u32(buf, 2);
             put_str(buf, key);
         }
         KvCommand::Cas { key, expect, new } => {
-            buf.push(3);
+            put_u32(buf, 3);
             put_str(buf, key);
             put_str(buf, expect);
             put_str(buf, new);
         }
         KvCommand::Range { start, end, limit } => {
-            buf.push(4);
+            put_u32(buf, 4);
             put_str(buf, start);
             put_str(buf, end);
             put_u64(buf, *limit as u64);
@@ -114,8 +112,7 @@ fn put_kv_command(buf: &mut Vec<u8>, op: &KvCommand) {
 }
 
 fn get_kv_command(r: &mut Reader) -> Option<KvCommand> {
-    let tag = r.get_u32()?;
-    Some(match tag {
+    Some(match r.get_u32()? {
         0 => KvCommand::Put {
             key: r.get_str()?,
             value: r.get_str()?,
@@ -139,12 +136,7 @@ fn get_kv_command(r: &mut Reader) -> Option<KvCommand> {
 fn put_command(buf: &mut Vec<u8>, cmd: &Command<KvCommand>) {
     put_u32(buf, cmd.client);
     put_u64(buf, cmd.seq);
-    let mut inner = Vec::new();
-    put_kv_command(&mut inner, &cmd.op);
-    // Tag is a byte on the wire; re-read as u32 for uniformity.
-    let tag = inner.remove(0);
-    put_u32(buf, u32::from(tag));
-    buf.extend_from_slice(&inner);
+    put_kv_command(buf, &cmd.op);
 }
 
 fn get_command(r: &mut Reader) -> Option<Command<KvCommand>> {
@@ -154,14 +146,14 @@ fn get_command(r: &mut Reader) -> Option<Command<KvCommand>> {
     Some(Command { client, seq, op })
 }
 
-fn put_op(buf: &mut Vec<u8>, op: &MpOp) {
+fn put_op(buf: &mut Vec<u8>, op: &SmrOp) {
     match op {
-        MpOp::Noop => put_u32(buf, 0),
-        MpOp::Cmd(cmd) => {
+        SmrOp::Noop => put_u32(buf, 0),
+        SmrOp::Cmd(cmd) => {
             put_u32(buf, 1);
             put_command(buf, cmd);
         }
-        MpOp::Batch(cmds) => {
+        SmrOp::Batch(cmds) => {
             put_u32(buf, 2);
             put_u32(buf, cmds.len() as u32);
             for c in cmds {
@@ -171,17 +163,17 @@ fn put_op(buf: &mut Vec<u8>, op: &MpOp) {
     }
 }
 
-fn get_op(r: &mut Reader) -> Option<MpOp> {
+fn get_op(r: &mut Reader) -> Option<SmrOp> {
     Some(match r.get_u32()? {
-        0 => MpOp::Noop,
-        1 => MpOp::Cmd(get_command(r)?),
+        0 => SmrOp::Noop,
+        1 => SmrOp::Cmd(get_command(r)?),
         2 => {
             let n = r.get_u32()? as usize;
             let mut cmds = Vec::with_capacity(n);
             for _ in 0..n {
                 cmds.push(get_command(r)?);
             }
-            MpOp::Batch(cmds)
+            SmrOp::Batch(cmds)
         }
         _ => return None,
     })
@@ -260,8 +252,9 @@ pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
     buf
 }
 
-/// Decodes a WAL record. `None` means corruption the CRC somehow missed —
-/// callers treat it as end-of-log.
+/// Decodes a WAL record. The WAL hands recovery only CRC-valid records (a
+/// torn tail ends the log before this is called), so `None` means the
+/// writer and this decoder disagree on the format — callers panic.
 pub fn decode_record(bytes: &[u8]) -> Option<WalRecord> {
     let mut r = Reader::new(bytes);
     let rec = match r.get_u32()? {
@@ -287,7 +280,7 @@ pub fn decode_record(bytes: &[u8]) -> Option<WalRecord> {
 }
 
 /// Serializes a machine checkpoint: the state after `applied_len` entries.
-pub fn encode_snapshot(machine: &MpMachine, applied_len: usize) -> Vec<u8> {
+pub fn encode_snapshot(machine: &DedupKvMachine, applied_len: usize) -> Vec<u8> {
     let mut buf = Vec::new();
     put_u64(&mut buf, applied_len as u64);
     put_u64(&mut buf, machine.kv().applied());
@@ -296,8 +289,8 @@ pub fn encode_snapshot(machine: &MpMachine, applied_len: usize) -> Vec<u8> {
         put_str(&mut buf, k);
         put_str(&mut buf, v);
     }
-    put_u32(&mut buf, machine.client_table.len() as u32);
-    for (client, (seq, out)) in &machine.client_table {
+    put_u32(&mut buf, machine.client_table().len() as u32);
+    for (client, (seq, out)) in machine.client_table() {
         put_u32(&mut buf, *client);
         put_u64(&mut buf, *seq);
         put_response(&mut buf, out);
@@ -307,7 +300,7 @@ pub fn encode_snapshot(machine: &MpMachine, applied_len: usize) -> Vec<u8> {
 
 /// Deserializes a checkpoint back into `(machine, applied_len)`. The
 /// restored machine's digest equals the snapshotted one bit-for-bit.
-pub fn decode_snapshot(bytes: &[u8]) -> Option<(MpMachine, usize)> {
+pub fn decode_snapshot(bytes: &[u8]) -> Option<(DedupKvMachine, usize)> {
     let mut r = Reader::new(bytes);
     let applied_len = r.get_u64()? as usize;
     let kv_applied = r.get_u64()?;
@@ -319,17 +312,10 @@ pub fn decode_snapshot(bytes: &[u8]) -> Option<(MpMachine, usize)> {
         entries.push((k, v));
     }
     let n_clients = r.get_u32()? as usize;
-    let mut client_table = std::collections::BTreeMap::new();
-    for _ in 0..n_clients {
-        let client = r.get_u32()?;
-        let seq = r.get_u64()?;
-        let out = get_response(&mut r)?;
-        client_table.insert(client, (seq, out));
-    }
-    let machine = MpMachine {
-        kv: KvStore::restore(entries, kv_applied),
-        client_table,
-    };
+    let clients = (0..n_clients)
+        .map(|_| Some((r.get_u32()?, (r.get_u64()?, get_response(&mut r)?))))
+        .collect::<Option<_>>()?;
+    let machine = DedupKvMachine::restore(KvStore::restore(entries, kv_applied), clients);
     (r.remaining() == 0).then_some((machine, applied_len))
 }
 
@@ -351,7 +337,7 @@ mod tests {
             WalRecord::Accept {
                 index: 42,
                 ballot: Ballot::new(3, 1),
-                op: MpOp::Cmd(cmd(
+                op: SmrOp::Cmd(cmd(
                     9,
                     4,
                     KvCommand::Cas {
@@ -363,11 +349,11 @@ mod tests {
             },
             WalRecord::Decide {
                 index: 0,
-                op: MpOp::Noop,
+                op: SmrOp::Noop,
             },
             WalRecord::Decide {
                 index: 5,
-                op: MpOp::Batch(vec![
+                op: SmrOp::Batch(vec![
                     cmd(
                         1,
                         1,
@@ -413,9 +399,9 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_digest_exactly() {
-        let mut m = MpMachine::default();
+        let mut m = DedupKvMachine::default();
         for i in 0..20u32 {
-            m.apply(&MpOp::Cmd(cmd(
+            m.apply(&SmrOp::Cmd(cmd(
                 i % 3,
                 u64::from(i),
                 KvCommand::Put {
@@ -424,8 +410,8 @@ mod tests {
                 },
             )));
         }
-        m.apply(&MpOp::Cmd(cmd(0, 50, KvCommand::Get { key: "k1".into() })));
-        m.apply(&MpOp::Cmd(cmd(
+        m.apply(&SmrOp::Cmd(cmd(0, 50, KvCommand::Get { key: "k1".into() })));
+        m.apply(&SmrOp::Cmd(cmd(
             1,
             51,
             KvCommand::Cas {
@@ -434,7 +420,7 @@ mod tests {
                 new: "x".into(),
             },
         )));
-        m.apply(&MpOp::Cmd(cmd(
+        m.apply(&SmrOp::Cmd(cmd(
             2,
             52,
             KvCommand::Range {
@@ -452,5 +438,49 @@ mod tests {
         for cut in 0..blob.len() {
             assert!(decode_snapshot(&blob[..cut]).is_none(), "cut {cut}");
         }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Bytes recorded before `put_command` stopped re-tagging through a
+    /// temporary buffer: the WAL and checkpoint formats are a contract with
+    /// every disk image already written.
+    #[test]
+    fn golden_bytes_pin_the_formats() {
+        let accept = encode_record(&WalRecord::Accept {
+            index: 42,
+            ballot: Ballot::new(3, 1),
+            op: SmrOp::Cmd(cmd(
+                9,
+                4,
+                KvCommand::Cas {
+                    key: "k".into(),
+                    expect: "a".into(),
+                    new: "b".into(),
+                },
+            )),
+        });
+        assert_eq!(
+            hex(&accept),
+            "020000002a00000000000000030000000000000001000000010000000900000004000000\
+             0000000003000000010000006b01000000610100000062"
+        );
+        let mut m = DedupKvMachine::default();
+        m.apply(&SmrOp::Cmd(cmd(
+            1,
+            1,
+            KvCommand::Put {
+                key: "x".into(),
+                value: "y".into(),
+            },
+        )));
+        m.apply(&SmrOp::Cmd(cmd(2, 3, KvCommand::Get { key: "x".into() })));
+        assert_eq!(
+            hex(&encode_snapshot(&m, 2)),
+            "020000000000000002000000000000000100000001000000780100000079020000000100\
+             0000010000000000000000000000020000000300000000000000020000000100000079"
+        );
     }
 }

@@ -18,7 +18,7 @@
 use consensus_core::QuorumSpec;
 use simnet::{NetConfig, Time};
 
-use crate::multi::MultiPaxosCluster;
+use crate::multi::{LogConsistency, MultiPaxosCluster};
 
 /// Builds a Multi-Paxos cluster running under a Flexible Paxos quorum
 /// configuration. Panics if the configuration violates the generalized

@@ -30,5 +30,5 @@ pub mod livelock;
 pub mod multi;
 pub mod single;
 
-pub use multi::MultiPaxosCluster;
+pub use multi::{LogConsistency, MultiPaxos, MultiPaxosCluster};
 pub use single::{PaxosMsg, PaxosNode, RetryPolicy};

@@ -20,97 +20,19 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use consensus_core::driver::{BatchConfig, ClusterDriver, DecidedEntry, DriverConfig};
+use consensus_core::cluster::decided_slots;
+use consensus_core::driver::{BatchConfig, Batcher, DecidedEntry, Flush};
 use consensus_core::quorum::Phase;
 use consensus_core::smr::Slot;
-use consensus_core::workload::{KvMix, KvWorkload, LatencyRecorder, WorkloadMode};
 use consensus_core::{
-    Ballot, ClientRecord, Command, HistorySink, KvCommand, KvResponse, QuorumSpec, ReadMode,
-    ReplicatedLog, StateMachine,
+    Ballot, Client, ClientWire, Cluster, Command, DedupKvMachine, DurableProtocol, Inbound,
+    KvCommand, KvResponse, QuorumSpec, ReadMode, ReplicatedLog, SmrOp, SmrProtocol,
 };
 use simnet::causal::cat;
-use simnet::{
-    CausalSpan, CncPhase, Context, DiskModel, Metrics, NetConfig, Node, NodeId, Payload,
-    RunOutcome, Sim, Time, Timer, TraceCtx,
-};
+use simnet::{CncPhase, Context, DiskModel, Node, NodeId, Payload, Time, Timer, TraceCtx};
 
 /// Span protocol label; instances are log indices.
 const SPAN: &str = "multi-paxos";
-
-/// A log operation: a client command or a gap-filling no-op proposed during
-/// leader recovery.
-#[derive(Clone, Debug, PartialEq)]
-pub enum MpOp {
-    /// Leader-change filler; applies nothing.
-    Noop,
-    /// A client command.
-    Cmd(Command<KvCommand>),
-    /// Several client commands decided as one slot (leader-side batching).
-    /// Applied in order; always length ≥ 2 (singletons stay [`MpOp::Cmd`] so
-    /// unbatched runs are byte-identical on the wire).
-    Batch(Vec<Command<KvCommand>>),
-}
-
-/// The replicated state machine: a KV store plus the client table used for
-/// duplicate suppression (both are deterministic state).
-#[derive(Clone, Debug, Default)]
-pub struct MpMachine {
-    pub(crate) kv: consensus_core::KvStore,
-    pub(crate) client_table: BTreeMap<u32, (u64, KvResponse)>,
-}
-
-impl MpMachine {
-    /// Cached reply for `(client, seq)` if that command already applied.
-    pub fn cached(&self, client: u32, seq: u64) -> Option<&KvResponse> {
-        self.client_table
-            .get(&client)
-            .filter(|(s, _)| *s >= seq)
-            .map(|(_, out)| out)
-    }
-
-    /// The underlying store (assertions in tests).
-    pub fn kv(&self) -> &consensus_core::KvStore {
-        &self.kv
-    }
-}
-
-impl MpMachine {
-    /// Applies one command with client-table dedup and returns the reply.
-    fn apply_one(&mut self, cmd: &Command<KvCommand>) -> (u32, u64, KvResponse) {
-        if let Some((last, out)) = self.client_table.get(&cmd.client) {
-            if cmd.seq <= *last {
-                return (cmd.client, cmd.seq, out.clone());
-            }
-        }
-        let out = self.kv.apply(&cmd.op);
-        self.client_table.insert(cmd.client, (cmd.seq, out.clone()));
-        (cmd.client, cmd.seq, out)
-    }
-}
-
-impl StateMachine for MpMachine {
-    type Op = MpOp;
-    /// One `(client, seq, reply)` per command in the op (empty for no-ops).
-    type Output = Vec<(u32, u64, KvResponse)>;
-
-    fn apply(&mut self, op: &MpOp) -> Self::Output {
-        match op {
-            MpOp::Noop => Vec::new(),
-            MpOp::Cmd(cmd) => vec![self.apply_one(cmd)],
-            MpOp::Batch(cmds) => cmds.iter().map(|c| self.apply_one(c)).collect(),
-        }
-    }
-
-    fn digest(&self) -> u64 {
-        let mut h = self.kv.digest();
-        for (c, (s, _)) in &self.client_table {
-            h = h
-                .rotate_left(7)
-                .wrapping_add(u64::from(*c).wrapping_mul(31).wrapping_add(*s));
-        }
-        h
-    }
-}
 
 /// Multi-Paxos wire messages.
 #[derive(Clone, Debug)]
@@ -154,7 +76,7 @@ pub enum MpMsg {
         /// enabled, so default runs are unchanged.
         floor: usize,
         /// `(index, accept ballot, value)` triples.
-        entries: Vec<(usize, Ballot, MpOp)>,
+        entries: Vec<(usize, Ballot, SmrOp)>,
     },
     /// Phase 2a with the slide's extra **index** argument.
     Accept {
@@ -163,7 +85,7 @@ pub enum MpMsg {
         /// Log index.
         index: usize,
         /// Proposed op.
-        op: MpOp,
+        op: SmrOp,
         /// Leader-local send time; echoed back in [`MpMsg::Accepted`] so the
         /// leader can date lease grants from *before* the message left
         /// (send-time basis makes the one-way delay eat into the lease
@@ -184,7 +106,7 @@ pub enum MpMsg {
         /// Log index.
         index: usize,
         /// Decided op.
-        op: MpOp,
+        op: SmrOp,
     },
     /// Leader lease renewal.
     Heartbeat {
@@ -208,7 +130,7 @@ pub enum MpMsg {
         /// Applied length the machine reflects.
         floor: usize,
         /// The checkpointed state machine.
-        machine: Box<MpMachine>,
+        machine: Box<DedupKvMachine>,
     },
     /// Fast-path linearizable read: answered locally by a leader holding an
     /// unexpired quorum lease, NACKed otherwise. Only sent when the geo
@@ -261,16 +183,9 @@ impl Payload for MpMsg {
         // singleton op is exactly 64 bytes, `PrepareAck` is 32 + 48·entries).
         // Command payloads beyond the flat budget (padded large values)
         // add their real bytes on every hop that carries the command.
-        fn op_bytes(op: &MpOp) -> usize {
-            match op {
-                MpOp::Noop => 48,
-                MpOp::Cmd(c) => 48 + c.op.payload_excess(),
-                MpOp::Batch(cmds) => cmds
-                    .iter()
-                    .map(|c| 48 + c.op.payload_excess())
-                    .sum::<usize>()
-                    .max(48),
-            }
+        fn op_bytes(op: &SmrOp) -> usize {
+            let cmds = op.commands().iter();
+            cmds.map(|c| 48 + c.op.payload_excess()).sum::<usize>().max(48)
         }
         match self {
             MpMsg::Request { cmd, .. } => 64 + cmd.op.payload_excess(),
@@ -278,7 +193,7 @@ impl Payload for MpMsg {
                 32 + entries.iter().map(|(_, _, op)| op_bytes(op)).sum::<usize>()
             }
             MpMsg::Accept { op, .. } | MpMsg::Decide { op, .. } => 16 + op_bytes(op),
-            MpMsg::InstallState { machine, .. } => 64 + 48 * machine.kv.len(),
+            MpMsg::InstallState { machine, .. } => 64 + 48 * machine.kv().len(),
             _ => 64,
         }
     }
@@ -286,17 +201,7 @@ impl Payload for MpMsg {
 
 const ELECTION: u64 = 1;
 const HEARTBEAT: u64 = 2;
-const CLIENT_RETRY: u64 = 3;
 const BATCH_FLUSH: u64 = 4;
-const CLIENT_ISSUE: u64 = 5;
-const CLIENT_NUDGE: u64 = 6;
-
-/// Delay before resending after a `NotLeader` redirect. A single armed
-/// nudge (instead of an immediate resend per redirect) bounds redirect
-/// traffic to one resend per client per interval: with a transmit-limited
-/// NIC, stale redirects otherwise arrive from a growing queue and every
-/// bounce triggers another bounce — a self-sustaining request storm.
-const NUDGE_US: u64 = 2_000;
 
 /// Heartbeat period (µs).
 const HB_PERIOD: u64 = 10_000;
@@ -311,7 +216,7 @@ fn is_txn_decision(key: &str, value: &str) -> bool {
 
 #[derive(Debug)]
 struct Proposal {
-    op: MpOp,
+    op: SmrOp,
     acks: BTreeSet<NodeId>,
     decided: bool,
 }
@@ -321,21 +226,20 @@ pub struct Replica {
     /// Cluster quorum configuration.
     spec: QuorumSpec,
     /// Number of replica nodes (clients have higher ids).
-    #[allow(dead_code)]
     n_replicas: usize,
     /// Highest ballot promised (durable).
     pub promised: Ballot,
     /// Accepted entries: index → (ballot, op) (durable).
-    accepted: BTreeMap<usize, (Ballot, MpOp)>,
+    accepted: BTreeMap<usize, (Ballot, SmrOp)>,
     /// The replicated log + state machine.
-    pub log: ReplicatedLog<MpMachine>,
+    pub log: ReplicatedLog<DedupKvMachine>,
     /// Whether this replica currently leads.
     pub is_leader: bool,
     /// Candidate election state.
     electing: bool,
     election_ballot: Ballot,
     prepare_acks: BTreeSet<NodeId>,
-    prepare_entries: BTreeMap<usize, (Ballot, MpOp)>,
+    prepare_entries: BTreeMap<usize, (Ballot, SmrOp)>,
     /// Leader state.
     next_index: usize,
     proposals: BTreeMap<usize, Proposal>,
@@ -343,16 +247,11 @@ pub struct Replica {
     election_timer: Option<simnet::TimerId>,
     /// Leader changes observed (the "phase 1 only on leader change" claim).
     pub view_changes: u64,
-    /// Batching/pipelining knob.
-    batch: BatchConfig,
+    /// Batching/pipelining policy.
+    batcher: Batcher,
     /// Commands accepted from clients but not yet proposed (leader only),
     /// with the causal context + arrival time of each (for queue spans).
     queue: Vec<(Command<KvCommand>, NodeId, Option<TraceCtx>, Time)>,
-    /// Whether a `BATCH_FLUSH` timer is armed for the open batch.
-    flush_armed: bool,
-    /// Whether the open batch's `max_delay` has expired (flush even if
-    /// underfull as soon as the pipeline window allows).
-    overdue: bool,
     /// Durable storage, when enabled: promises/accepts/decides go to its
     /// WAL *before* the ack they justify leaves, checkpoints absorb the
     /// applied prefix, and the applied KV state is mirrored into its index.
@@ -442,10 +341,8 @@ impl Replica {
             pending_reply: BTreeMap::new(),
             election_timer: None,
             view_changes: 0,
-            batch,
+            batcher: Batcher::new(batch),
             queue: Vec::new(),
-            flush_armed: false,
-            overdue: false,
             engine: None,
             snapshot_threshold: usize::MAX,
             snapshot_floor: 0,
@@ -475,25 +372,22 @@ impl Replica {
     /// granted it a lease within the last `lease_us` µs, and acceptors
     /// refuse to elect anyone else while honoring an unexpired lease.
     /// Reads are NACKed whenever the skew oracle exceeds `max_skew_us`.
-    pub fn with_lease(mut self, lease_us: u64, max_skew_us: u64) -> Self {
+    pub fn set_lease(&mut self, lease_us: u64, max_skew_us: u64) {
         self.lease_us = lease_us;
         self.max_skew_us = max_skew_us;
-        self
     }
 
     /// Checkpoints (and compacts the log) every `threshold` applied
     /// entries. Works with or without a durable engine: RAM-only replicas
     /// still bound their log growth; durable ones also truncate the WAL.
-    pub fn with_snapshot_threshold(mut self, threshold: usize) -> Self {
+    pub fn set_snapshot_threshold(&mut self, threshold: usize) {
         self.snapshot_threshold = threshold.max(1);
-        self
     }
 
     /// Attaches a durable storage engine: the WAL-before-ack discipline,
     /// checkpointing and crash recovery all activate.
-    pub fn with_engine(mut self, engine: Box<dyn storage::StorageEngine>) -> Self {
+    pub fn attach_engine(&mut self, engine: Box<dyn storage::StorageEngine>) {
         self.engine = Some(engine);
-        self
     }
 
     /// Whether snapshots/compaction are enabled (gates the catch-up
@@ -565,7 +459,7 @@ impl Replica {
         self.lease_grants.clear();
         // Adopt the highest-ballot value for every discovered index and
         // re-propose it under my ballot; fill gaps with no-ops.
-        let discovered: BTreeMap<usize, (Ballot, MpOp)> = self.prepare_entries.clone();
+        let discovered: BTreeMap<usize, (Ballot, SmrOp)> = self.prepare_entries.clone();
         let max_idx = discovered.keys().max().copied();
         let low = self.log.applied_len();
         self.next_index = max_idx.map_or(low, |m| m + 1).max(low);
@@ -580,7 +474,7 @@ impl Replica {
             let op = discovered
                 .get(&index)
                 .map(|(_, op)| op.clone())
-                .unwrap_or(MpOp::Noop);
+                .unwrap_or(SmrOp::Noop);
             self.propose(ctx, index, op);
         }
         // Lease reads wait for the re-proposed tail to apply: below this
@@ -602,8 +496,7 @@ impl Replica {
     fn step_down(&mut self) {
         self.is_leader = false;
         self.queue.clear();
-        self.overdue = false;
-        self.flush_armed = false;
+        self.batcher.reset();
         self.lease_grants.clear();
     }
 
@@ -620,36 +513,30 @@ impl Replica {
         (0..self.n_replicas).map(NodeId::from)
     }
 
-    /// Proposes queued commands while the pipeline window has room. An
-    /// underfull batch is held open until `max_delay` expires (the
-    /// `BATCH_FLUSH` timer sets `overdue`); with `max_delay == 0` every
-    /// command flushes the moment the window allows — which for the
-    /// unbatched default (window = ∞) is immediately, reproducing the
-    /// pre-batching behaviour message-for-message.
+    /// Proposes queued commands as the batch policy releases them. With the
+    /// unbatched default (no delay, window = ∞) that is immediately, one
+    /// command per slot, reproducing the pre-batching behaviour
+    /// message-for-message.
     fn try_flush(&mut self, ctx: &mut Context<MpMsg>) {
         if !self.is_leader {
             return;
         }
+        // `in_flight` scans the proposal table: ask only with work queued.
         while !self.queue.is_empty() {
-            if self.in_flight() >= self.batch.pipeline_window {
-                return;
-            }
-            let underfull = self.queue.len() < self.batch.max_batch.max(1);
-            if underfull && self.batch.max_delay > 0 && !self.overdue {
-                if !self.flush_armed {
-                    self.flush_armed = true;
-                    ctx.set_timer(self.batch.max_delay, BATCH_FLUSH);
+            match self.batcher.poll(self.queue.len(), self.in_flight()) {
+                Flush::Take(k) => self.flush_one(ctx, k),
+                Flush::Arm(delay) => {
+                    ctx.set_timer(delay, BATCH_FLUSH);
+                    return;
                 }
-                return;
+                Flush::Hold => return,
             }
-            self.flush_one(ctx);
         }
-        self.overdue = false;
+        self.batcher.drained();
     }
 
-    /// Takes up to `max_batch` queued commands and proposes them as one slot.
-    fn flush_one(&mut self, ctx: &mut Context<MpMsg>) {
-        let k = self.queue.len().min(self.batch.max_batch.max(1));
+    /// Proposes the oldest `k` queued commands as one slot.
+    fn flush_one(&mut self, ctx: &mut Context<MpMsg>, k: usize) {
         let taken: Vec<(Command<KvCommand>, NodeId, Option<TraceCtx>, Time)> =
             self.queue.drain(..k).collect();
         let index = self.next_index;
@@ -667,11 +554,7 @@ impl Replica {
         // command's trace; batch-mates rely on the attribution fallback.
         ctx.set_trace_ctx(taken.first().and_then(|(_, _, tc, _)| *tc));
         ctx.record_batch(k as u64);
-        let op = if taken.len() == 1 {
-            MpOp::Cmd(taken.into_iter().next().expect("len 1").0)
-        } else {
-            MpOp::Batch(taken.into_iter().map(|(c, ..)| c).collect())
-        };
+        let op = SmrOp::from_batch(taken.into_iter().map(|(c, ..)| c));
         self.propose(ctx, index, op);
     }
 
@@ -681,13 +564,15 @@ impl Replica {
             .iter()
             .any(|(c, ..)| c.client == client && c.seq == seq)
             || self.proposals.values().any(|p| match &p.op {
-                MpOp::Cmd(c) => c.client == client && c.seq == seq,
-                MpOp::Batch(cs) => cs.iter().any(|c| c.client == client && c.seq == seq),
-                MpOp::Noop => false,
+                // Spelled out per variant: this scan runs once per request
+                // over every proposal of the current leadership.
+                SmrOp::Cmd(c) => c.client == client && c.seq == seq,
+                SmrOp::Batch(cs) => cs.iter().any(|c| c.client == client && c.seq == seq),
+                SmrOp::Noop => false,
             })
     }
 
-    fn propose(&mut self, ctx: &mut Context<MpMsg>, index: usize, op: MpOp) {
+    fn propose(&mut self, ctx: &mut Context<MpMsg>, index: usize, op: SmrOp) {
         self.proposals.insert(
             index,
             Proposal {
@@ -709,7 +594,7 @@ impl Replica {
         );
     }
 
-    fn on_decided(&mut self, ctx: &mut Context<MpMsg>, index: usize, op: MpOp) {
+    fn on_decided(&mut self, ctx: &mut Context<MpMsg>, index: usize, op: SmrOp) {
         // Slots below the snapshot floor were compacted away; a stale
         // Decide for one must not resurrect the slot.
         if index < self.snapshot_floor {
@@ -723,7 +608,11 @@ impl Replica {
                 // before the reply that releases the transaction leaves.
                 self.wal_sync(ctx);
             }
-            for (client, seq, output) in replies {
+            let Slot::Applied(op) = self.log.slot(i) else {
+                continue;
+            };
+            for (cmd, output) in op.commands().iter().zip(replies) {
+                let (client, seq) = (cmd.client, cmd.seq);
                 if let Some(client_node) = self.pending_reply.remove(&(client, seq)) {
                     ctx.send(
                         client_node,
@@ -743,30 +632,28 @@ impl Replica {
 
     /// Mirrors a freshly applied slot's effects into the durable engine's
     /// primary index. The replies carry each command's actual outcome, so a
-    /// failed CAS mirrors nothing and a deduped re-apply is idempotent.
+    /// failed CAS mirrors nothing. A duplicate `(client, seq)` decided again
+    /// at a later slot was absorbed by the machine's client table without
+    /// mutating it, so its payload must not be mirrored over newer state.
     ///
     /// Returns `true` when the slot resolved a transaction decision record:
     /// the outcome was additionally appended to the WAL as a first-class
     /// [`crate::durable::WalRecord::TxnDecision`], and the caller must sync
     /// before the releasing reply leaves.
-    fn mirror_applied(&mut self, index: usize, replies: &[(u32, u64, KvResponse)]) -> bool {
+    fn mirror_applied(&mut self, index: usize, replies: &[KvResponse]) -> bool {
         let Some(engine) = self.engine.as_mut() else {
             return false;
         };
-        let cmds = match self.log.slot(index) {
-            Slot::Applied(MpOp::Cmd(c)) => std::slice::from_ref(c),
-            Slot::Applied(MpOp::Batch(cs)) => cs.as_slice(),
-            _ => return false,
+        let Slot::Applied(op) = self.log.slot(index) else {
+            return false;
         };
         let mut decisions: Vec<(String, String)> = Vec::new();
-        for (cmd, (_, _, out)) in cmds.iter().zip(replies) {
-            // The machine answers a duplicate `(client, seq)` from its
-            // client table; such a reply describes an earlier log position.
+        for (cmd, out) in op.commands().iter().zip(replies) {
             let last = self.mirrored_seq.get(&cmd.client);
-            let fresh = last.is_none_or(|last| cmd.seq > *last);
-            if fresh {
-                self.mirrored_seq.insert(cmd.client, cmd.seq);
+            if last.is_some_and(|last| cmd.seq <= *last) {
+                continue;
             }
+            self.mirrored_seq.insert(cmd.client, cmd.seq);
             match &cmd.op {
                 KvCommand::Put { key, value } => {
                     engine.put(key, value);
@@ -794,7 +681,7 @@ impl Replica {
                     let mut got = engine.scan(start, end);
                     got.truncate(*limit);
                     assert!(
-                        !fresh || *out == KvResponse::Entries(got),
+                        *out == KvResponse::Entries(got),
                         "engine index diverged from machine on range scan"
                     );
                 }
@@ -826,7 +713,7 @@ impl Replica {
         let entries: Vec<(String, String)> = self
             .log
             .machine()
-            .kv
+            .kv()
             .iter()
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
@@ -834,7 +721,7 @@ impl Replica {
         for (k, v) in &entries {
             engine.put(k, v);
         }
-        self.mirrored_seq = (self.log.machine().client_table.iter())
+        self.mirrored_seq = (self.log.machine().client_table().iter())
             .map(|(&client, &(seq, _))| (client, seq))
             .collect();
         // Decision records captured by the checkpoint re-seed the decision
@@ -1066,7 +953,7 @@ impl Node for Replica {
                     self.promised = ballot;
                     self.wal_sync(ctx); // promise durable before the ack leaves
                     self.arm_election_timer(ctx);
-                    let entries: Vec<(usize, Ballot, MpOp)> = self
+                    let entries: Vec<(usize, Ballot, SmrOp)> = self
                         .accepted
                         .range(low..)
                         .map(|(&i, (b, op))| (i, *b, op.clone()))
@@ -1283,7 +1170,7 @@ impl Node for Replica {
                 }
                 // Preserve any decided-but-unapplied tail above the incoming
                 // floor; `install` drops it, so re-decide afterwards.
-                let tail: Vec<(usize, MpOp)> = (floor..self.log.len())
+                let tail: Vec<(usize, SmrOp)> = (floor..self.log.len())
                     .filter_map(|i| match self.log.slot(i) {
                         Slot::Decided(op) => Some((i, op.clone())),
                         _ => None,
@@ -1364,15 +1251,15 @@ impl Node for Replica {
                     {
                         let index = self.next_index;
                         self.next_index += 1;
-                        self.propose(ctx, index, MpOp::Noop);
+                        self.propose(ctx, index, SmrOp::Noop);
                     }
                 }
             BATCH_FLUSH => {
-                self.flush_armed = false;
-                if self.is_leader && !self.queue.is_empty() {
-                    // The open batch's grace period is over: flush underfull
-                    // as soon as the pipeline window allows.
-                    self.overdue = true;
+                // The open batch's grace period is over: flush underfull
+                // as soon as the pipeline window allows.
+                let pending = self.is_leader && !self.queue.is_empty();
+                self.batcher.expire(pending);
+                if pending {
                     self.try_flush(ctx);
                 }
             }
@@ -1408,382 +1295,90 @@ impl Node for Replica {
     }
 }
 
-/// A workload client: closed loop (one outstanding command, the default) or
-/// open loop (fixed inter-arrival time, multiple outstanding).
-pub struct Client {
-    /// Client id (== its node id).
-    pub client_id: u32,
-    n_replicas: usize,
-    workload: KvWorkload,
-    total: usize,
-    mode: WorkloadMode,
-    /// Completed commands.
-    pub completed: usize,
-    /// Issued-but-unreplied commands, by client sequence number.
-    outstanding: BTreeMap<u64, (Command<KvCommand>, Time)>,
-    /// Causal root span per outstanding command (when tracing is enabled).
-    trace_roots: BTreeMap<u64, TraceCtx>,
-    leader_guess: NodeId,
-    nudge_armed: bool,
-    /// Consecutive `CLIENT_RETRY` expiries with no reply or redirect.
-    retry_strikes: u8,
-    /// Request → reply latencies.
-    pub latencies: LatencyRecorder,
-    /// Invoke/response history for safety checking.
-    pub history: HistorySink,
-    /// Fast-read replies landed at this node, keyed by `(reader client id,
-    /// read sequence number)`: `(value, mode)`. Filled by the geo read
-    /// path, which borrows stub clients as regional read gateways (several
-    /// routers may share one gateway, hence the compound key); the classic
-    /// workload never touches it.
-    pub read_replies: BTreeMap<(u32, u64), (Option<String>, ReadMode)>,
-}
-
-impl Client {
-    /// Creates a closed-loop client that will issue `total` commands.
-    pub fn new(client_id: u32, n_replicas: usize, total: usize, mix: KvMix, seed: u64) -> Self {
-        Self::new_with(client_id, n_replicas, total, mix, seed, WorkloadMode::Closed)
+impl ClientWire for MpMsg {
+    fn request(cmd: Command<KvCommand>) -> Self {
+        MpMsg::Request { cmd }
     }
 
-    /// Creates a client with an explicit pacing mode.
-    pub fn new_with(
-        client_id: u32,
-        n_replicas: usize,
-        total: usize,
-        mix: KvMix,
-        seed: u64,
-        mode: WorkloadMode,
-    ) -> Self {
-        Client {
-            client_id,
-            n_replicas,
-            workload: KvWorkload::new(client_id, mix, seed),
-            total,
-            mode,
-            completed: 0,
-            outstanding: BTreeMap::new(),
-            trace_roots: BTreeMap::new(),
-            leader_guess: NodeId(0),
-            nudge_armed: false,
-            retry_strikes: 0,
-            latencies: LatencyRecorder::new(),
-            history: HistorySink::new(),
-            read_replies: BTreeMap::new(),
-        }
+    fn read_request(client: u32, seq: u64, key: String) -> Self {
+        MpMsg::ReadReq { client, seq, key }
     }
 
-    fn issue_next(&mut self, ctx: &mut Context<MpMsg>) {
-        if self.workload.issued() as usize >= self.total {
-            return;
-        }
-        let cmd = self.workload.next_command();
-        self.history
-            .invoke(cmd.client, cmd.seq, cmd.op.clone(), ctx.now().0);
-        self.outstanding.insert(cmd.seq, (cmd.clone(), ctx.now()));
-        // Root the command's causal trace (no-op unless tracing is on); the
-        // request send below inherits it automatically.
-        if let Some(tc) = ctx.trace_begin(&format!("op c{} s{}", cmd.client, cmd.seq)) {
-            self.trace_roots.insert(cmd.seq, tc);
-        }
-        ctx.send(self.leader_guess, MpMsg::Request { cmd });
-        ctx.set_timer(100_000, CLIENT_RETRY);
-    }
-
-    fn resend_all(&mut self, ctx: &mut Context<MpMsg>) {
-        let pending: Vec<(u64, Command<KvCommand>)> = self
-            .outstanding
-            .iter()
-            .map(|(&seq, (cmd, _))| (seq, cmd.clone()))
-            .collect();
-        for (seq, cmd) in pending {
-            // Retransmits stay on the original trace.
-            ctx.set_trace_ctx(self.trace_roots.get(&seq).copied());
-            ctx.send(self.leader_guess, MpMsg::Request { cmd });
-        }
-        ctx.set_trace_ctx(None);
-        if !self.outstanding.is_empty() {
-            ctx.set_timer(100_000, CLIENT_RETRY);
-        }
-    }
-
-    /// Whether all commands completed.
-    pub fn done(&self) -> bool {
-        self.completed >= self.total
-    }
-}
-
-impl Node for Client {
-    type Msg = MpMsg;
-
-    fn on_start(&mut self, ctx: &mut Context<MpMsg>) {
-        self.issue_next(ctx);
-        if let WorkloadMode::Open { interval_us } = self.mode {
-            ctx.set_timer(interval_us.max(1), CLIENT_ISSUE);
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<MpMsg>, from: NodeId, msg: MpMsg) {
-        match msg {
-            MpMsg::Reply { seq, output, .. } => {
-                self.retry_strikes = 0;
-                if let Some((cmd, sent_at)) = self.outstanding.remove(&seq) {
-                    if let Some(tc) = self.trace_roots.remove(&seq) {
-                        ctx.trace_close(tc);
-                    }
-                    self.history
-                        .complete(cmd.client, cmd.seq, ctx.now().0, output);
-                    self.latencies.record(sent_at, ctx.now());
-                    self.completed += 1;
-                    if self.mode == WorkloadMode::Closed {
-                        self.issue_next(ctx);
-                    }
-                }
-            }
-            MpMsg::NotLeader { seq, hint } => {
-                self.retry_strikes = 0;
-                if self.outstanding.contains_key(&seq) {
-                    // Follow the hint unless it points back at the
-                    // replier; then probe round-robin.
-                    self.leader_guess = if hint != from && hint.index() < self.n_replicas {
-                        hint
-                    } else {
-                        NodeId::from((from.index() + 1) % self.n_replicas)
-                    };
-                    if !self.nudge_armed {
-                        self.nudge_armed = true;
-                        ctx.set_timer(NUDGE_US, CLIENT_NUDGE);
-                    }
-                }
-            }
+    fn classify(self) -> Inbound {
+        match self {
+            MpMsg::Reply { seq, output, .. } => Inbound::Reply { seq, output },
+            MpMsg::NotLeader { seq, hint } => Inbound::NotLeader { seq, hint },
             MpMsg::ReadResp {
                 client,
                 seq,
                 value,
                 mode,
-            } => {
-                self.read_replies.insert((client, seq), (value, mode));
-            }
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<MpMsg>, timer: Timer) {
-        match timer.kind {
-            CLIENT_RETRY if !self.outstanding.is_empty() => {
-                // First expiry resends to the current guess (the reply may
-                // just be slow under load); only repeated silence rotates —
-                // eagerly rotating off a live-but-saturated leader turns
-                // every >100 ms reply into a redirect round-trip.
-                self.retry_strikes = self.retry_strikes.saturating_add(1);
-                if self.retry_strikes >= 2 {
-                    self.retry_strikes = 0;
-                    self.leader_guess =
-                        NodeId::from((self.leader_guess.index() + 1) % self.n_replicas);
-                }
-                self.resend_all(ctx);
-            }
-            CLIENT_NUDGE => {
-                self.nudge_armed = false;
-                if !self.outstanding.is_empty() {
-                    self.resend_all(ctx);
-                }
-            }
-            CLIENT_ISSUE => {
-                self.issue_next(ctx);
-                if let WorkloadMode::Open { interval_us } = self.mode {
-                    if (self.workload.issued() as usize) < self.total {
-                        ctx.set_timer(interval_us.max(1), CLIENT_ISSUE);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-simnet::node_enum! {
-    /// A Multi-Paxos process: replica or client.
-    pub enum Proc: MpMsg {
-        /// Server replica.
-        Replica(Replica),
-        /// Workload client.
-        Client(Client),
-    }
-}
-
-/// A ready-to-run Multi-Paxos cluster with clients.
-pub struct MultiPaxosCluster {
-    /// The simulation.
-    pub sim: Sim<Proc>,
-    /// Number of replicas (nodes `0..n_replicas`).
-    pub n_replicas: usize,
-    /// Number of clients (nodes `n_replicas..`).
-    pub n_clients: usize,
-}
-
-impl MultiPaxosCluster {
-    /// Builds an unbatched, closed-loop cluster of `n_replicas` replicas
-    /// under `spec` plus `n_clients` clients issuing `cmds_per_client`
-    /// commands each.
-    pub fn new(
-        spec: QuorumSpec,
-        n_replicas: usize,
-        n_clients: usize,
-        cmds_per_client: usize,
-        config: NetConfig,
-        seed: u64,
-    ) -> Self {
-        Self::new_with(
-            spec,
-            n_replicas,
-            n_clients,
-            cmds_per_client,
-            config,
-            seed,
-            BatchConfig::unbatched(),
-            WorkloadMode::Closed,
-        )
-    }
-
-    /// Builds a cluster with explicit batching and client-pacing configs.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_with(
-        spec: QuorumSpec,
-        n_replicas: usize,
-        n_clients: usize,
-        cmds_per_client: usize,
-        config: NetConfig,
-        seed: u64,
-        batch: BatchConfig,
-        mode: WorkloadMode,
-    ) -> Self {
-        assert_eq!(spec.n(), n_replicas, "quorum spec must match replica count");
-        let mut sim = Sim::new(config, seed);
-        for _ in 0..n_replicas {
-            sim.add_node(Replica::new_with(spec, n_replicas, batch));
-        }
-        for c in 0..n_clients {
-            let id = (n_replicas + c) as u32;
-            sim.add_node(Client::new_with(
-                id,
-                n_replicas,
-                cmds_per_client,
-                KvMix::default(),
-                seed,
+            } => Inbound::ReadReply {
+                client,
+                seq,
+                value,
                 mode,
-            ));
-        }
-        MultiPaxosCluster {
-            sim,
-            n_replicas,
-            n_clients,
+            },
+            _ => Inbound::Other,
         }
     }
+}
 
-    /// Replaces every client's workload mix. A builder — call before the
-    /// first step; with the default mix it is a no-op, so existing runs are
-    /// untouched.
-    #[must_use]
-    pub fn with_mix(mut self, mix: KvMix) -> Self {
-        for c in 0..self.n_clients {
-            let id = NodeId::from(self.n_replicas + c);
-            if let Proc::Client(cl) = self.sim.node_mut(id) {
-                cl.workload.set_mix(mix);
-            }
-        }
-        self
+/// Multi-Paxos as a log protocol of the SMR shell.
+pub struct MultiPaxos;
+
+impl SmrProtocol for MultiPaxos {
+    const NAME: &'static str = "multi-paxos";
+    type Shape = QuorumSpec;
+    type Msg = MpMsg;
+    type Replica = Replica;
+    type Client = Client<MpMsg>;
+
+    fn replica(spec: QuorumSpec, batch: BatchConfig) -> Replica {
+        Replica::new_with(spec, spec.n(), batch)
     }
 
-    /// Enables clock-bound leader leases on every replica (see
-    /// [`Replica::with_lease`]). `lease_us == 0` is the no-op default.
-    pub fn with_lease(mut self, lease_us: u64, max_skew_us: u64) -> Self {
-        for i in 0..self.n_replicas {
-            if let Proc::Replica(r) = self.sim.node_mut(NodeId::from(i)) {
-                r.lease_us = lease_us;
-                r.max_skew_us = max_skew_us;
-            }
-        }
-        self
+    fn is_leader(replica: &Replica, _id: NodeId) -> bool {
+        replica.is_leader
     }
 
-    /// Enables snapshots/compaction on every replica (RAM mode: log growth
-    /// is bounded but nothing is written to a disk model).
-    pub fn with_snapshot_threshold(mut self, threshold: usize) -> Self {
-        for i in 0..self.n_replicas {
-            if let Proc::Replica(r) = self.sim.node_mut(NodeId::from(i)) {
-                r.snapshot_threshold = threshold.max(1);
-            }
-        }
-        self
+    fn applied_len(replica: &Replica) -> u64 {
+        replica.log.applied_len() as u64
     }
 
-    /// Attaches a fresh [`storage::DurableEngine`] over `model` to every
-    /// replica and enables snapshots at `threshold`: WAL-before-ack,
-    /// checkpointing, and real crash recovery all activate.
-    pub fn with_durability(mut self, threshold: usize, model: DiskModel) -> Self {
-        for i in 0..self.n_replicas {
-            if let Proc::Replica(r) = self.sim.node_mut(NodeId::from(i)) {
-                r.snapshot_threshold = threshold.max(1);
-                r.engine = Some(Box::new(storage::DurableEngine::new(model)));
-            }
-        }
-        self
+    fn machine(replica: &Replica) -> &DedupKvMachine {
+        replica.log.machine()
     }
 
-    /// Runs until all clients finish or `horizon` passes. Returns whether
-    /// every client completed.
-    pub fn run(&mut self, horizon: Time) -> bool {
-        loop {
-            let outcome = self.sim.run_for(10_000);
-            if self.all_done() {
-                return true;
-            }
-            if self.sim.now() >= horizon || outcome == RunOutcome::Quiescent {
-                return self.all_done();
-            }
-        }
+    fn decided(replica: &Replica, node: u32, out: &mut Vec<DecidedEntry>) {
+        decided_slots(&replica.log, node, out);
     }
+}
 
-    /// Whether every client completed its workload.
-    pub fn all_done(&self) -> bool {
-        self.clients().all(|c| c.done())
+impl DurableProtocol for MultiPaxos {
+    fn attach_storage(replica: &mut Replica, threshold: usize, model: DiskModel) {
+        replica.set_snapshot_threshold(threshold);
+        replica.attach_engine(Box::new(storage::DurableEngine::new(model)));
     }
+}
 
-    /// Iterates over client states.
-    pub fn clients(&self) -> impl Iterator<Item = &Client> {
-        self.sim.nodes().filter_map(|(_, p)| match p {
-            Proc::Client(c) => Some(c),
-            _ => None,
-        })
-    }
+/// A Multi-Paxos process: replica or client.
+pub type Proc = consensus_core::Proc<MultiPaxos>;
 
-    /// Iterates over replica states.
-    pub fn replicas(&self) -> impl Iterator<Item = &Replica> {
-        self.sim.nodes().filter_map(|(_, p)| match p {
-            Proc::Replica(r) => Some(r),
-            _ => None,
-        })
-    }
+/// A ready-to-run Multi-Paxos cluster with clients. Leases and RAM-only
+/// snapshots are per-replica knobs: `cluster.map_replicas(|r|
+/// r.set_lease(..))`.
+pub type MultiPaxosCluster = Cluster<MultiPaxos>;
 
-    /// The current leader, if exactly one *live* replica claims leadership.
-    pub fn leader(&self) -> Option<NodeId> {
-        let leaders: Vec<NodeId> = self
-            .sim
-            .nodes()
-            .filter_map(|(id, p)| match p {
-                Proc::Replica(r) if r.is_leader && self.sim.is_alive(id) => Some(id),
-                _ => None,
-            })
-            .collect();
-        match leaders.as_slice() {
-            [one] => Some(*one),
-            _ => None,
-        }
-    }
+/// Asserts that all replica logs agree on their common applied prefix and
+/// returns the shortest applied length.
+pub trait LogConsistency {
+    /// Panics on the first index where two applied logs differ.
+    fn check_log_consistency(&self) -> usize;
+}
 
-    /// Asserts that all replica logs agree on their common applied prefix
-    /// and returns the shortest applied length.
-    pub fn check_log_consistency(&self) -> usize {
+impl LogConsistency for MultiPaxosCluster {
+    fn check_log_consistency(&self) -> usize {
         let replicas: Vec<&Replica> = self.replicas().collect();
         let min_applied = replicas
             .iter()
@@ -1791,7 +1386,7 @@ impl MultiPaxosCluster {
             .min()
             .unwrap_or(0);
         for i in 0..min_applied {
-            let mut ops: Vec<&MpOp> = Vec::new();
+            let mut ops: Vec<&SmrOp> = Vec::new();
             for r in &replicas {
                 if let Slot::Applied(op) = r.log.slot(i) {
                     ops.push(op);
@@ -1803,177 +1398,14 @@ impl MultiPaxosCluster {
         }
         min_applied
     }
-
-    /// Total commands completed across clients.
-    pub fn total_completed(&self) -> usize {
-        self.clients().map(|c| c.completed).sum()
-    }
-
-    /// Aggregated latency recorder across clients.
-    pub fn latencies(&self) -> LatencyRecorder {
-        let mut agg = LatencyRecorder::new();
-        for c in self.clients() {
-            for &s in c.latencies.samples() {
-                agg.record_micros(s);
-            }
-        }
-        agg
-    }
-}
-
-/// Sub-index stride for flattening batched slots into per-command
-/// [`DecidedEntry`] indices: command `j` of slot `i` gets `i·2²⁰ + j`.
-const SUB_INDEX: u64 = 1 << 20;
-
-impl ClusterDriver for MultiPaxosCluster {
-    fn from_config(cfg: &DriverConfig) -> Self {
-        MultiPaxosCluster::new_with(
-            QuorumSpec::Majority { n: cfg.n_replicas },
-            cfg.n_replicas,
-            cfg.n_clients,
-            cfg.cmds_per_client,
-            cfg.net.clone(),
-            cfg.seed,
-            cfg.batch,
-            cfg.mode,
-        )
-        .with_mix(cfg.mix)
-    }
-
-    fn protocol(&self) -> &'static str {
-        "multi-paxos"
-    }
-
-    fn n_replicas(&self) -> usize {
-        self.n_replicas
-    }
-
-    fn now(&self) -> Time {
-        self.sim.now()
-    }
-
-    fn run_until(&mut self, at: Time) -> RunOutcome {
-        let mut guard = 0;
-        loop {
-            let outcome = self.sim.run_until(at);
-            if outcome != RunOutcome::Stopped || guard > 10_000 {
-                return outcome;
-            }
-            guard += 1;
-        }
-    }
-
-    fn run(&mut self, horizon: Time) -> bool {
-        MultiPaxosCluster::run(self, horizon)
-    }
-
-    fn all_done(&self) -> bool {
-        MultiPaxosCluster::all_done(self)
-    }
-
-    fn completed_ops(&self) -> usize {
-        self.total_completed()
-    }
-
-    fn decided_log(&self) -> Vec<DecidedEntry> {
-        let mut entries = Vec::new();
-        for (id, proc_) in self.sim.nodes() {
-            let Proc::Replica(r) = proc_ else { continue };
-            for i in 0..r.log.len() {
-                let op = match r.log.slot(i) {
-                    Slot::Decided(op) | Slot::Applied(op) => op,
-                    Slot::Empty => continue,
-                };
-                let base = i as u64 * SUB_INDEX;
-                match op {
-                    MpOp::Noop => entries.push(DecidedEntry {
-                        node: id.0,
-                        index: base,
-                        op: "Noop".to_string(),
-                        origin: None,
-                    }),
-                    MpOp::Cmd(cmd) => entries.push(DecidedEntry {
-                        node: id.0,
-                        index: base,
-                        op: format!("{cmd:?}"),
-                        origin: Some((cmd.client, cmd.seq)),
-                    }),
-                    MpOp::Batch(cmds) => {
-                        for (j, cmd) in cmds.iter().enumerate() {
-                            entries.push(DecidedEntry {
-                                node: id.0,
-                                index: base + j as u64,
-                                op: format!("{cmd:?}"),
-                                origin: Some((cmd.client, cmd.seq)),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        entries
-    }
-
-    fn state_digests(&self) -> Vec<(u32, u64, u64)> {
-        self.sim
-            .nodes()
-            .filter_map(|(id, p)| match p {
-                Proc::Replica(r) => {
-                    Some((id.0, r.log.applied_len() as u64, r.log.machine().digest()))
-                }
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn history(&self) -> Vec<ClientRecord> {
-        HistorySink::merge(self.clients().map(|c| &c.history))
-    }
-
-    fn latencies(&self) -> LatencyRecorder {
-        MultiPaxosCluster::latencies(self)
-    }
-
-    fn metrics(&self) -> &Metrics {
-        self.sim.metrics()
-    }
-
-    fn enable_tracing(&mut self, site: u32) {
-        self.sim.enable_tracing(site);
-    }
-
-    fn causal_spans(&self) -> Vec<CausalSpan> {
-        self.sim.causal_spans().to_vec()
-    }
-
-    fn open_span_instances(&self) -> usize {
-        self.sim.open_instance_count()
-    }
-
-    fn crash_at(&mut self, node: NodeId, at: Time) {
-        self.sim.crash_at(node, at);
-    }
-
-    fn restart_at(&mut self, node: NodeId, at: Time) {
-        self.sim.restart_at(node, at);
-    }
-
-    fn partition_at(&mut self, at: Time, groups: Vec<Vec<NodeId>>) {
-        self.sim.partition_at(at, groups);
-    }
-
-    fn heal_at(&mut self, at: Time) {
-        self.sim.heal_at(at);
-    }
-
-    fn set_drop_prob(&mut self, p: f64) {
-        self.sim.set_drop_prob(p);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use consensus_core::driver::{ClusterDriver, DriverConfig};
+    use consensus_core::{StateMachine as _, WorkloadMode};
+    use simnet::NetConfig;
 
     fn majority_cluster(
         n: usize,
@@ -2091,11 +1523,41 @@ mod tests {
         assert!(digests.len() <= 1, "replica state diverged: {digests:?}");
     }
 
+    fn durable_replica() -> Replica {
+        let mut r = Replica::new(QuorumSpec::Majority { n: 3 }, 3);
+        r.attach_engine(Box::new(storage::DurableEngine::new(DiskModel::ssd())));
+        r
+    }
+
+    #[test]
+    fn duplicate_writes_are_not_mirrored_over_newer_state() {
+        let mut r = durable_replica();
+        let put = |client, value: &str| {
+            SmrOp::Cmd(Command {
+                client,
+                seq: 1,
+                op: KvCommand::Put {
+                    key: "k".into(),
+                    value: value.into(),
+                },
+            })
+        };
+        // c1: Put k=a, c2: Put k=b, then c1's retransmission decided again
+        // at a later slot: the machine absorbs it in its client table.
+        for (slot, op) in [put(1, "a"), put(2, "b"), put(1, "a")].into_iter().enumerate() {
+            for (i, replies) in r.log.decide(slot, op) {
+                r.mirror_applied(i, &replies);
+            }
+        }
+        assert_eq!(r.log.machine().kv().get("k"), Some(&"b".to_string()));
+        let engine = r.engine.as_mut().expect("attached above");
+        assert_eq!(engine.get("k"), Some("b".to_string()), "index follows the machine");
+    }
+
     #[test]
     fn range_cross_check_uses_the_reply_of_its_own_log_position() {
-        let mut r = Replica::new(QuorumSpec::Majority { n: 3 }, 3)
-            .with_engine(Box::new(storage::DurableEngine::new(DiskModel::ssd())));
-        let cmd = |client, op| MpOp::Cmd(Command { client, seq: 1, op });
+        let mut r = durable_replica();
+        let cmd = |client, op| SmrOp::Cmd(Command { client, seq: 1, op });
         let range = || KvCommand::Range {
             start: "a".into(),
             end: "z".into(),
@@ -2146,11 +1608,7 @@ mod tests {
         let mut seq = Vec::new();
         for i in 0..r.log.applied_len() {
             if let Slot::Applied(op) = r.log.slot(i) {
-                match op {
-                    MpOp::Noop => {}
-                    MpOp::Cmd(c) => seq.push((c.client, c.seq)),
-                    MpOp::Batch(cs) => seq.extend(cs.iter().map(|c| (c.client, c.seq))),
-                }
+                seq.extend(op.commands().iter().map(|c| (c.client, c.seq)));
             }
         }
         seq
@@ -2266,7 +1724,7 @@ mod tests {
         // Mirror of raft's test: with a snapshot threshold of 8, a 40-command
         // workload must checkpoint at least once and retain well under 40
         // slots — the log stays bounded against the checkpoint.
-        let mut cluster = majority_cluster(3, 1, 40, 21).with_snapshot_threshold(8);
+        let mut cluster = majority_cluster(3, 1, 40, 21).map_replicas(|r| r.set_snapshot_threshold(8));
         assert!(cluster.run(Time::from_secs(20)));
         assert_eq!(cluster.total_completed(), 40);
         cluster.sim.run_for(300_000); // let followers settle / catch up
@@ -2474,7 +1932,7 @@ mod tests {
 
     #[test]
     fn lease_reads_serve_locally_and_nack_past_skew_bound() {
-        let mut cluster = majority_cluster(3, 1, 10, 12).with_lease(30_000, 5_000);
+        let mut cluster = majority_cluster(3, 1, 10, 12).map_replicas(|r| r.set_lease(30_000, 5_000));
         assert!(cluster.run(Time::from_secs(10)));
         let (leader, key, want) = leader_and_sample(&cluster);
         let client = NodeId(3);
@@ -2530,7 +1988,7 @@ mod tests {
         // After the workload drains, only heartbeat-driven no-op proposals
         // can keep the lease alive. Run well past several lease lifetimes
         // and verify a fast read still serves locally.
-        let mut cluster = majority_cluster(3, 1, 15, 13).with_lease(30_000, 5_000);
+        let mut cluster = majority_cluster(3, 1, 15, 13).map_replicas(|r| r.set_lease(30_000, 5_000));
         assert!(cluster.run(Time::from_secs(5)));
         cluster.sim.run_for(500_000); // ≫ lease_us with no client traffic
         let (leader, key, want) = leader_and_sample(&cluster);
@@ -2566,7 +2024,7 @@ mod tests {
         // A leader cut off from its acceptors keeps self-delivering Accepts
         // (local hops bypass partitions), so only the *quorum* freshness
         // check stands between it and stale reads.
-        let mut cluster = majority_cluster(3, 1, 10, 14).with_lease(30_000, 5_000);
+        let mut cluster = majority_cluster(3, 1, 10, 14).map_replicas(|r| r.set_lease(30_000, 5_000));
         assert!(cluster.run(Time::from_secs(10)));
         let (leader, key, _) = leader_and_sample(&cluster);
         let now = cluster.sim.now();
@@ -2617,7 +2075,7 @@ mod tests {
                 42,
             );
             if lease {
-                cluster = cluster.with_lease(30_000, 5_000);
+                cluster = cluster.map_replicas(|r| r.set_lease(30_000, 5_000));
             }
             assert!(cluster.run(Time::from_secs(30)));
             cluster.check_log_consistency();

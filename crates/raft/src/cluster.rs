@@ -1,178 +1,79 @@
-//! Cluster harness and end-to-end tests for Raft.
+//! Raft as a log protocol of the SMR shell, plus its end-to-end tests.
 
-use consensus_core::driver::{BatchConfig, ClusterDriver, DecidedEntry, DriverConfig};
-use consensus_core::history::ClientRecord;
-use consensus_core::workload::{KvMix, LatencyRecorder, WorkloadMode};
-use consensus_core::{HistorySink, SmrOp, StateMachine as _};
-use simnet::{CausalSpan, DiskModel, Metrics, NetConfig, NodeId, RunOutcome, Sim, Time};
+use consensus_core::driver::{BatchConfig, DecidedEntry};
+use consensus_core::{Client, Cluster, DedupKvMachine, DurableProtocol, SmrProtocol};
+use simnet::{DiskModel, NodeId};
 
-use crate::client::Client;
+use crate::msg::RaftMsg;
 use crate::replica::{Replica, Role};
-use crate::Proc;
 
-/// A ready-to-run Raft cluster with clients.
-pub struct RaftCluster {
-    /// The simulation.
-    pub sim: Sim<Proc>,
-    /// Number of replicas (nodes `0..n_replicas`).
-    pub n_replicas: usize,
-    /// Number of clients.
-    pub n_clients: usize,
+/// Raft's marker for [`consensus_core::Cluster`].
+pub struct Raft;
+
+impl SmrProtocol for Raft {
+    const NAME: &'static str = "raft";
+    type Shape = usize;
+    type Msg = RaftMsg;
+    type Replica = Replica;
+    type Client = Client<RaftMsg>;
+
+    fn replica(n_replicas: usize, batch: BatchConfig) -> Replica {
+        Replica::new_with(n_replicas, batch)
+    }
+
+    fn is_leader(replica: &Replica, _id: NodeId) -> bool {
+        replica.role == Role::Leader
+    }
+
+    fn applied_len(replica: &Replica) -> u64 {
+        replica.last_applied as u64
+    }
+
+    fn machine(replica: &Replica) -> &DedupKvMachine {
+        replica.machine()
+    }
+
+    /// Every *committed* retained entry (an uncommitted suffix may legally
+    /// be overwritten; compacted prefixes are covered by the digest check).
+    /// Terms are baked into the op identity so the agreement check also
+    /// enforces Log Matching.
+    fn decided(r: &Replica, node: u32, out: &mut Vec<DecidedEntry>) {
+        for i in (r.log_offset() + 1)..=r.commit_index {
+            let Some(entry) = r.entry(i) else { continue };
+            out.push(DecidedEntry {
+                node,
+                index: i as u64,
+                op: format!("t{}:{:?}", entry.term, entry.op),
+                origin: entry.op.commands().first().map(|c| (c.client, c.seq)),
+            });
+        }
+    }
 }
 
-impl RaftCluster {
-    /// Builds an unbatched, closed-loop cluster of `n_replicas` replicas
-    /// plus `n_clients` clients issuing `cmds_per_client` commands each.
-    pub fn new(
-        n_replicas: usize,
-        n_clients: usize,
-        cmds_per_client: usize,
-        config: NetConfig,
-        seed: u64,
-    ) -> Self {
-        Self::new_with(
-            n_replicas,
-            n_clients,
-            cmds_per_client,
-            config,
-            seed,
-            BatchConfig::unbatched(),
-            WorkloadMode::Closed,
-        )
+impl DurableProtocol for Raft {
+    fn attach_storage(replica: &mut Replica, threshold: usize, model: DiskModel) {
+        replica.set_snapshot_threshold(threshold);
+        replica.attach_engine(Box::new(storage::DurableEngine::new(model)));
     }
+}
 
-    /// Builds a cluster with explicit batching and client-pacing configs.
-    pub fn new_with(
-        n_replicas: usize,
-        n_clients: usize,
-        cmds_per_client: usize,
-        config: NetConfig,
-        seed: u64,
-        batch: BatchConfig,
-        mode: WorkloadMode,
-    ) -> Self {
-        let mut sim = Sim::new(config, seed);
-        for _ in 0..n_replicas {
-            sim.add_node(Replica::new_with(n_replicas, batch));
-        }
-        for c in 0..n_clients {
-            let id = (n_replicas + c) as u32;
-            sim.add_node(Client::new_with(
-                id,
-                n_replicas,
-                cmds_per_client,
-                KvMix::default(),
-                seed,
-                mode,
-            ));
-        }
-        RaftCluster {
-            sim,
-            n_replicas,
-            n_clients,
-        }
-    }
+/// A Raft process: replica or client.
+pub type Proc = consensus_core::Proc<Raft>;
 
-    /// Replaces every client's workload mix. A builder — call before the
-    /// first step; with the default mix it is a no-op, so existing runs are
-    /// untouched.
-    #[must_use]
-    pub fn with_mix(mut self, mix: KvMix) -> Self {
-        for c in 0..self.n_clients {
-            let id = NodeId::from(self.n_replicas + c);
-            if let Proc::Client(cl) = self.sim.node_mut(id) {
-                cl.set_mix(mix);
-            }
-        }
-        self
-    }
+/// A ready-to-run Raft cluster with clients.
+pub type RaftCluster = Cluster<Raft>;
 
-    /// Attaches a fresh [`storage::DurableEngine`] over `model` to every
-    /// replica and sets the snapshot threshold: WAL-before-message
-    /// persistence, checkpointing, and real crash recovery all activate.
-    #[must_use]
-    pub fn with_durability(mut self, threshold: usize, model: DiskModel) -> Self {
-        for i in 0..self.n_replicas {
-            if let Proc::Replica(r) = self.sim.node_mut(NodeId::from(i)) {
-                r.snapshot_threshold = threshold.max(1);
-                r.engine = Some(Box::new(storage::DurableEngine::new(model)));
-            }
-        }
-        self
-    }
+/// Checks the **Log Matching** property over the retained (non-compacted)
+/// ranges: if two logs contain an entry with the same absolute index and
+/// term, they are identical from there down to the higher of the two
+/// snapshot offsets. Also checks retained committed entries agree.
+pub trait LogMatching {
+    /// Panics on the first violation; returns the shortest commit index.
+    fn check_log_matching(&self) -> usize;
+}
 
-    /// Runs until all clients finish or `horizon` passes.
-    pub fn run(&mut self, horizon: Time) -> bool {
-        loop {
-            let outcome = self.sim.run_for(10_000);
-            if self.all_done() {
-                return true;
-            }
-            if self.sim.now() >= horizon || outcome == RunOutcome::Quiescent {
-                return self.all_done();
-            }
-        }
-    }
-
-    /// Whether all clients completed their workloads.
-    pub fn all_done(&self) -> bool {
-        self.clients().all(|c| c.done())
-    }
-
-    /// Iterates over client states.
-    pub fn clients(&self) -> impl Iterator<Item = &Client> {
-        self.sim.nodes().filter_map(|(_, p)| match p {
-            Proc::Client(c) => Some(c),
-            _ => None,
-        })
-    }
-
-    /// Iterates over replica states.
-    pub fn replicas(&self) -> impl Iterator<Item = &Replica> {
-        self.sim.nodes().filter_map(|(_, p)| match p {
-            Proc::Replica(r) => Some(r),
-            _ => None,
-        })
-    }
-
-    /// The unique live leader, if any.
-    pub fn leader(&self) -> Option<NodeId> {
-        let leaders: Vec<NodeId> = self
-            .sim
-            .nodes()
-            .filter_map(|(id, p)| match p {
-                Proc::Replica(r) if r.role == Role::Leader && self.sim.is_alive(id) => Some(id),
-                _ => None,
-            })
-            .collect();
-        match leaders.as_slice() {
-            [one] => Some(*one),
-            _ => None,
-        }
-    }
-
-    /// Total commands completed.
-    pub fn total_completed(&self) -> usize {
-        self.clients().map(|c| c.completed).sum()
-    }
-
-    /// Aggregated latencies.
-    pub fn latencies(&self) -> LatencyRecorder {
-        let mut agg = LatencyRecorder::new();
-        for c in self.clients() {
-            for &s in c.latencies.samples() {
-                agg.record_micros(s);
-            }
-        }
-        agg
-    }
-
-    /// Checks the **Log Matching** property over the retained (non-
-    /// compacted) ranges: if two logs contain an entry with the same
-    /// absolute index and term, they are identical from there down to the
-    /// higher of the two snapshot offsets. Also checks retained committed
-    /// entries agree. Returns the shortest commit index.
-    pub fn check_log_matching(&self) -> usize {
+impl LogMatching for RaftCluster {
+    fn check_log_matching(&self) -> usize {
         let replicas: Vec<&Replica> = self.replicas().collect();
         for a in 0..replicas.len() {
             for b in a + 1..replicas.len() {
@@ -209,134 +110,12 @@ impl RaftCluster {
     }
 }
 
-impl ClusterDriver for RaftCluster {
-    fn from_config(cfg: &DriverConfig) -> Self {
-        RaftCluster::new_with(
-            cfg.n_replicas,
-            cfg.n_clients,
-            cfg.cmds_per_client,
-            cfg.net.clone(),
-            cfg.seed,
-            cfg.batch,
-            cfg.mode,
-        )
-        .with_mix(cfg.mix)
-    }
-
-    fn protocol(&self) -> &'static str {
-        "raft"
-    }
-
-    fn n_replicas(&self) -> usize {
-        self.n_replicas
-    }
-
-    fn now(&self) -> Time {
-        self.sim.now()
-    }
-
-    fn run_until(&mut self, at: Time) -> RunOutcome {
-        let mut guard = 0;
-        loop {
-            let outcome = self.sim.run_until(at);
-            if outcome != RunOutcome::Stopped || guard > 10_000 {
-                return outcome;
-            }
-            guard += 1;
-        }
-    }
-
-    fn run(&mut self, horizon: Time) -> bool {
-        RaftCluster::run(self, horizon)
-    }
-
-    fn all_done(&self) -> bool {
-        RaftCluster::all_done(self)
-    }
-
-    fn completed_ops(&self) -> usize {
-        self.total_completed()
-    }
-
-    fn decided_log(&self) -> Vec<DecidedEntry> {
-        let mut entries = Vec::new();
-        for (id, proc_) in self.sim.nodes() {
-            let Proc::Replica(r) = proc_ else { continue };
-            for i in (r.log_offset() + 1)..=r.commit_index {
-                let Some(entry) = r.entry(i) else { continue };
-                let origin = match &entry.op {
-                    SmrOp::Cmd(cmd) => Some((cmd.client, cmd.seq)),
-                    SmrOp::Noop => None,
-                };
-                entries.push(DecidedEntry {
-                    node: id.0,
-                    index: i as u64,
-                    op: format!("t{}:{:?}", entry.term, entry.op),
-                    origin,
-                });
-            }
-        }
-        entries
-    }
-
-    fn state_digests(&self) -> Vec<(u32, u64, u64)> {
-        self.sim
-            .nodes()
-            .filter_map(|(id, p)| match p {
-                Proc::Replica(r) => Some((id.0, r.last_applied as u64, r.machine().digest())),
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn history(&self) -> Vec<ClientRecord> {
-        HistorySink::merge(self.clients().map(|c| &c.history))
-    }
-
-    fn latencies(&self) -> LatencyRecorder {
-        RaftCluster::latencies(self)
-    }
-
-    fn metrics(&self) -> &Metrics {
-        self.sim.metrics()
-    }
-
-    fn enable_tracing(&mut self, site: u32) {
-        self.sim.enable_tracing(site);
-    }
-
-    fn causal_spans(&self) -> Vec<CausalSpan> {
-        self.sim.causal_spans().to_vec()
-    }
-
-    fn open_span_instances(&self) -> usize {
-        self.sim.open_instance_count()
-    }
-
-    fn crash_at(&mut self, node: NodeId, at: Time) {
-        self.sim.crash_at(node, at);
-    }
-
-    fn restart_at(&mut self, node: NodeId, at: Time) {
-        self.sim.restart_at(node, at);
-    }
-
-    fn partition_at(&mut self, at: Time, groups: Vec<Vec<NodeId>>) {
-        self.sim.partition_at(at, groups);
-    }
-
-    fn heal_at(&mut self, at: Time) {
-        self.sim.heal_at(at);
-    }
-
-    fn set_drop_prob(&mut self, p: f64) {
-        self.sim.set_drop_prob(p);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use consensus_core::driver::{ClusterDriver, DriverConfig};
+    use consensus_core::{StateMachine as _, WorkloadMode};
+    use simnet::{NetConfig, Time};
 
     #[test]
     fn elects_a_leader() {
@@ -469,20 +248,15 @@ mod tests {
     #[test]
     fn snapshots_bound_log_growth() {
         // Low threshold: replicas must compact while serving.
-        let mut cluster = RaftCluster::new(3, 1, 40, NetConfig::lan(), 20);
-        for i in 0..3 {
-            if let crate::Proc::Replica(r) = cluster.sim.node_mut(NodeId::from(i)) {
-                let fresh = Replica::new(3).with_snapshot_threshold(8);
-                *r = fresh;
-            }
-        }
+        let mut cluster = RaftCluster::new(3, 1, 40, NetConfig::lan(), 20)
+            .map_replicas(|r| r.set_snapshot_threshold(8));
         assert!(cluster.run(Time::from_secs(30)));
         cluster.sim.run_for(300_000);
         for (id, r) in cluster
             .sim
             .nodes()
             .filter_map(|(id, p)| match p {
-                crate::Proc::Replica(r) => Some((id, r)),
+                Proc::Replica(r) => Some((id, r)),
                 _ => None,
             })
         {
@@ -500,12 +274,8 @@ mod tests {
     fn lagging_follower_catches_up_via_install_snapshot() {
         // A follower sleeps through enough traffic that the leader compacts
         // past its position; on wake-up only InstallSnapshot can help.
-        let mut cluster = RaftCluster::new(3, 1, 50, NetConfig::lan(), 21);
-        for i in 0..3 {
-            if let crate::Proc::Replica(r) = cluster.sim.node_mut(NodeId::from(i)) {
-                *r = Replica::new(3).with_snapshot_threshold(8);
-            }
-        }
+        let mut cluster = RaftCluster::new(3, 1, 50, NetConfig::lan(), 21)
+            .map_replicas(|r| r.set_snapshot_threshold(8));
         cluster.sim.run_until(Time::from_millis(30));
         let leader = cluster.leader().expect("leader");
         let sleeper = (0..3)
@@ -520,7 +290,7 @@ mod tests {
         cluster.sim.run_for(2_000_000);
         let snaps = cluster.sim.metrics().kind("install-snapshot");
         assert!(snaps >= 1, "snapshot shipping expected");
-        if let crate::Proc::Replica(r) = cluster.sim.node(sleeper) {
+        if let Proc::Replica(r) = cluster.sim.node(sleeper) {
             assert!(
                 r.snapshots_installed >= 1,
                 "sleeper should have installed a snapshot"
@@ -715,7 +485,7 @@ mod tests {
         assert_eq!(cluster.total_completed(), 30);
         cluster.sim.run_for(300_000);
         let digest_before = {
-            let crate::Proc::Replica(r) = cluster.sim.node(NodeId(2)) else {
+            let Proc::Replica(r) = cluster.sim.node(NodeId(2)) else {
                 panic!("node 2 is a replica")
             };
             assert!(r.snapshots_taken >= 1, "needs a checkpoint to recover from");
@@ -727,7 +497,7 @@ mod tests {
         cluster.sim.crash_at(NodeId(2), Time(now.0 + 1_000));
         cluster.sim.restart_at(NodeId(2), Time(now.0 + 50_000));
         cluster.sim.run_for(500_000);
-        let crate::Proc::Replica(r) = cluster.sim.node(NodeId(2)) else {
+        let Proc::Replica(r) = cluster.sim.node(NodeId(2)) else {
             panic!("node 2 is a replica")
         };
         assert!(
@@ -760,7 +530,7 @@ mod tests {
         assert_eq!(cluster.total_completed(), 40);
         cluster.sim.run_for(500_000);
         cluster.check_log_matching();
-        let crate::Proc::Replica(r) = cluster.sim.node(leader) else {
+        let Proc::Replica(r) = cluster.sim.node(leader) else {
             panic!("leader is a replica")
         };
         assert_eq!(r.storage_stats().expect("durable engine").recoveries, 1);
@@ -813,7 +583,7 @@ mod tests {
             Time(now.0 + 20),
         );
         cluster.sim.run_for(200_000);
-        let crate::Proc::Client(c) = cluster.sim.node(client) else {
+        let Proc::Client(c) = cluster.sim.node(client) else {
             panic!("node 3 is the client")
         };
         assert_eq!(
@@ -864,7 +634,7 @@ mod tests {
             Time(now.0 + 10),
         );
         cluster.sim.run_for(100_000);
-        let crate::Proc::Client(c) = cluster.sim.node(client) else {
+        let Proc::Client(c) = cluster.sim.node(client) else {
             panic!("node 5 is the client")
         };
         let (_, mode) = c.read_replies.get(&(5, 7)).expect("nack reply");

@@ -1,6 +1,8 @@
 //! On-disk formats for durable Raft: WAL records and machine snapshots,
-//! hand-encoded via [`storage::codec`] — the same discipline as
-//! `paxos::durable`, with Raft's own persistent state in the records.
+//! hand-encoded via [`storage::codec`] (the workspace has no serde derive —
+//! every byte here is explicit). Ops, commands, replies and the machine
+//! checkpoint encode exactly as in `paxos::durable`; the records around
+//! them carry Raft's own persistent state.
 //!
 //! ## WAL records
 //!
@@ -22,9 +24,10 @@
 //! volatile): replaying them lets a restarted replica re-apply to its old
 //! frontier without waiting for a leader round-trip.
 //!
-//! `TxnDecision` carries the store's WAL-before-decision discipline (see
-//! `paxos::durable`): a slot that resolves a `~dec.<tid>` record is synced
-//! before the releasing reply leaves.
+//! `TxnDecision` carries the store's WAL-before-decision discipline: when
+//! an applied entry resolves a 2PC decision record (`~dec.<tid>`), the
+//! replica logs the resolved `(key, value)` as its own record and syncs
+//! before the reply that releases the transaction leaves.
 //!
 //! ## Snapshot blob
 //!
@@ -131,14 +134,32 @@ fn get_kv_command(r: &mut Reader) -> Option<KvCommand> {
     })
 }
 
+fn put_command(buf: &mut Vec<u8>, cmd: &Command<KvCommand>) {
+    put_u32(buf, cmd.client);
+    put_u64(buf, cmd.seq);
+    put_kv_command(buf, &cmd.op);
+}
+
+fn get_command(r: &mut Reader) -> Option<Command<KvCommand>> {
+    let client = r.get_u32()?;
+    let seq = r.get_u64()?;
+    let op = get_kv_command(r)?;
+    Some(Command { client, seq, op })
+}
+
 fn put_op(buf: &mut Vec<u8>, op: &SmrOp) {
     match op {
         SmrOp::Noop => put_u32(buf, 0),
         SmrOp::Cmd(cmd) => {
             put_u32(buf, 1);
-            put_u32(buf, cmd.client);
-            put_u64(buf, cmd.seq);
-            put_kv_command(buf, &cmd.op);
+            put_command(buf, cmd);
+        }
+        SmrOp::Batch(cmds) => {
+            put_u32(buf, 2);
+            put_u32(buf, cmds.len() as u32);
+            for c in cmds {
+                put_command(buf, c);
+            }
         }
     }
 }
@@ -146,11 +167,15 @@ fn put_op(buf: &mut Vec<u8>, op: &SmrOp) {
 fn get_op(r: &mut Reader) -> Option<SmrOp> {
     Some(match r.get_u32()? {
         0 => SmrOp::Noop,
-        1 => SmrOp::Cmd(Command {
-            client: r.get_u32()?,
-            seq: r.get_u64()?,
-            op: get_kv_command(r)?,
-        }),
+        1 => SmrOp::Cmd(get_command(r)?),
+        2 => {
+            let n = r.get_u32()? as usize;
+            let mut cmds = Vec::with_capacity(n);
+            for _ in 0..n {
+                cmds.push(get_command(r)?);
+            }
+            SmrOp::Batch(cmds)
+        }
         _ => return None,
     })
 }
@@ -243,8 +268,9 @@ pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
     buf
 }
 
-/// Decodes a WAL record. `None` means corruption the CRC somehow missed —
-/// callers treat it as end-of-log.
+/// Decodes a WAL record. The WAL hands recovery only CRC-valid records (a
+/// torn tail ends the log before this is called), so `None` means the
+/// writer and this decoder disagree on the format — callers panic.
 pub fn decode_record(bytes: &[u8]) -> Option<WalRecord> {
     let mut r = Reader::new(bytes);
     let rec = match r.get_u32()? {
@@ -315,14 +341,10 @@ pub fn decode_snapshot(bytes: &[u8]) -> Option<(DedupKvMachine, usize, u64)> {
         entries.push((k, v));
     }
     let n_clients = r.get_u32()? as usize;
-    let mut client_table = std::collections::BTreeMap::new();
-    for _ in 0..n_clients {
-        let client = r.get_u32()?;
-        let seq = r.get_u64()?;
-        let out = get_response(&mut r)?;
-        client_table.insert(client, (seq, out));
-    }
-    let machine = DedupKvMachine::restore(KvStore::restore(entries, kv_applied), client_table);
+    let clients = (0..n_clients)
+        .map(|_| Some((r.get_u32()?, (r.get_u64()?, get_response(&mut r)?))))
+        .collect::<Option<_>>()?;
+    let machine = DedupKvMachine::restore(KvStore::restore(entries, kv_applied), clients);
     (r.remaining() == 0).then_some((machine, last_included_index, last_included_term))
 }
 
@@ -381,6 +403,24 @@ mod tests {
                             limit: 16,
                         },
                     ),
+                },
+            },
+            WalRecord::Append {
+                index: 4,
+                entry: Entry {
+                    term: 2,
+                    op: SmrOp::Batch(vec![
+                        Command {
+                            client: 2,
+                            seq: 3,
+                            op: KvCommand::Get { key: "x".into() },
+                        },
+                        Command {
+                            client: 2,
+                            seq: 4,
+                            op: KvCommand::Delete { key: "x".into() },
+                        },
+                    ]),
                 },
             },
             WalRecord::Truncate { from: 17 },
@@ -446,5 +486,51 @@ mod tests {
         for cut in 0..blob.len() {
             assert!(decode_snapshot(&blob[..cut]).is_none(), "cut {cut}");
         }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The WAL and checkpoint formats are a contract with every disk image
+    /// already written; these bytes were recorded before `SmrOp` grew its
+    /// `Batch` variant.
+    #[test]
+    fn golden_bytes_pin_the_formats() {
+        let append = encode_record(&WalRecord::Append {
+            index: 42,
+            entry: Entry {
+                term: 7,
+                op: cmd(
+                    9,
+                    4,
+                    KvCommand::Cas {
+                        key: "k".into(),
+                        expect: "a".into(),
+                        new: "b".into(),
+                    },
+                ),
+            },
+        });
+        assert_eq!(
+            hex(&append),
+            "020000002a00000000000000070000000000000001000000090000000400000000000000\
+             03000000010000006b01000000610100000062"
+        );
+        let mut m = DedupKvMachine::default();
+        m.apply(&cmd(
+            1,
+            1,
+            KvCommand::Put {
+                key: "x".into(),
+                value: "y".into(),
+            },
+        ));
+        m.apply(&cmd(2, 3, KvCommand::Get { key: "x".into() }));
+        assert_eq!(
+            hex(&encode_snapshot(&m, 2, 7)),
+            "020000000000000007000000000000000200000000000000010000000100000078010000\
+             00790200000001000000010000000000000000000000020000000300000000000000020000000100000079"
+        );
     }
 }

@@ -6,30 +6,18 @@
 //! info card as Paxos: partially synchronous, crash faults, pessimistic,
 //! known participants, `2f+1` nodes, 2 phases, `O(N)` messages.
 //!
-//! The crate mirrors `paxos::multi`'s shape (replica + closed-loop clients
-//! over the shared [`consensus_core::DedupKvMachine`]) so the cross-protocol
-//! comparison in `bench` is apples-to-apples, but the consensus
-//! module is pure Raft: terms, randomized election timeouts, the election
-//! restriction, `AppendEntries` consistency checks, and the current-term
-//! commit rule.
+//! Op, dedup machine, workload client, batch policy and cluster harness are
+//! the SMR shell of [`consensus_core`] — the same ones Multi-Paxos runs
+//! under, so the cross-protocol comparison in `bench` is apples-to-apples.
+//! What this crate supplies is pure Raft: terms, randomized election
+//! timeouts, the election restriction, `AppendEntries` consistency checks,
+//! and the current-term commit rule.
 
-pub mod client;
 pub mod cluster;
 pub mod durable;
 pub mod msg;
 pub mod replica;
 
-pub use client::Client;
-pub use cluster::RaftCluster;
+pub use cluster::{LogMatching, Proc, Raft, RaftCluster};
 pub use msg::{Entry, RaftMsg};
 pub use replica::{Replica, Role};
-
-simnet::node_enum! {
-    /// A Raft process: replica or client.
-    pub enum Proc: msg::RaftMsg {
-        /// Server replica.
-        Replica(replica::Replica),
-        /// Workload client.
-        Client(client::Client),
-    }
-}

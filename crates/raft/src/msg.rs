@@ -1,6 +1,8 @@
 //! Raft wire messages and log entries.
 
-use consensus_core::{Command, DedupKvMachine, KvCommand, KvResponse, ReadMode, SmrOp};
+use consensus_core::{
+    ClientWire, Command, DedupKvMachine, Inbound, KvCommand, KvResponse, ReadMode, SmrOp,
+};
 use simnet::{NodeId, Payload};
 
 /// One Raft log entry: the term it was created in and the operation.
@@ -159,18 +161,43 @@ impl Payload for RaftMsg {
         match self {
             RaftMsg::Request { cmd } => 64 + cmd.op.payload_excess(),
             RaftMsg::AppendEntries { entries, .. } => {
-                48 + entries
-                    .iter()
-                    .map(|e| {
-                        48 + match &e.op {
-                            SmrOp::Cmd(c) => c.op.payload_excess(),
-                            SmrOp::Noop => 0,
-                        }
-                    })
-                    .sum::<usize>()
+                let excess = |e: &Entry| -> usize {
+                    let cmds = e.op.commands().iter();
+                    cmds.map(|c| c.op.payload_excess()).sum()
+                };
+                48 + entries.iter().map(|e| 48 + excess(e)).sum::<usize>()
             }
             RaftMsg::InstallSnapshot { .. } => 4_096,
             _ => 64,
+        }
+    }
+}
+
+impl ClientWire for RaftMsg {
+    fn request(cmd: Command<KvCommand>) -> Self {
+        RaftMsg::Request { cmd }
+    }
+
+    fn read_request(client: u32, seq: u64, key: String) -> Self {
+        RaftMsg::ReadReq { client, seq, key }
+    }
+
+    fn classify(self) -> Inbound {
+        match self {
+            RaftMsg::Reply { seq, output, .. } => Inbound::Reply { seq, output },
+            RaftMsg::NotLeader { seq, hint } => Inbound::NotLeader { seq, hint },
+            RaftMsg::ReadResp {
+                client,
+                seq,
+                value,
+                mode,
+            } => Inbound::ReadReply {
+                client,
+                seq,
+                value,
+                mode,
+            },
+            _ => Inbound::Other,
         }
     }
 }

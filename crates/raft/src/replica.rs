@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 
 use consensus_core::{
-    BatchConfig, DedupKvMachine, KvCommand, KvResponse, ReadMode, SmrOp, StateMachine,
+    BatchConfig, Batcher, DedupKvMachine, Flush, KvCommand, KvResponse, ReadMode, SmrOp,
 };
 use simnet::causal::cat;
 use simnet::{CncPhase, Context, Node, NodeId, Time, TraceCtx, Timer, TimerId};
@@ -107,21 +107,16 @@ pub struct Replica {
     pub elections_won: u64,
 
     // --- replication batching (leader only) ---
-    /// Batching/pipelining knob. Under `BatchConfig::unbatched()` every
+    /// Batching/pipelining policy. Under `BatchConfig::unbatched()` every
     /// appended entry triggers an immediate fan-out, exactly as before the
     /// knob existed.
-    batch: BatchConfig,
+    batcher: Batcher,
     /// Entries appended to the leader's log but not yet shipped to
     /// followers. They form the next `AppendEntries` wave.
     unflushed: usize,
-    /// Whether a `FLUSH` timer is outstanding.
-    flush_armed: bool,
-    /// The `FLUSH` timer fired while the wave was held back: ship it at the
-    /// next opportunity even if underfull.
-    overdue: bool,
 
     // --- compaction ---
-    pub(crate) snapshot_threshold: usize,
+    snapshot_threshold: usize,
     /// Snapshots this replica has taken locally.
     pub snapshots_taken: u64,
     /// Snapshots received and installed from a leader.
@@ -132,7 +127,7 @@ pub struct Replica {
     /// *before* the message they justify leaves, checkpoints absorb the
     /// applied prefix, and applied KV state is mirrored into its primary
     /// index. `None` keeps the historical everything-in-RAM behaviour.
-    pub(crate) engine: Option<Box<dyn storage::StorageEngine>>,
+    engine: Option<Box<dyn storage::StorageEngine>>,
     /// Whether WAL records were appended since the last sync.
     wal_dirty: bool,
     /// Floor restored by the most recent crash recovery (0 = none / cold).
@@ -196,10 +191,8 @@ impl Replica {
             pending_reply: BTreeMap::new(),
             pending_trace: BTreeMap::new(),
             elections_won: 0,
-            batch,
+            batcher: Batcher::new(batch),
             unflushed: 0,
-            flush_armed: false,
-            overdue: false,
             snapshot_threshold: SNAPSHOT_THRESHOLD,
             snapshots_taken: 0,
             snapshots_installed: 0,
@@ -219,18 +212,14 @@ impl Replica {
     }
 
     /// Overrides the snapshot threshold (compaction experiments).
-    #[must_use]
-    pub fn with_snapshot_threshold(mut self, t: usize) -> Self {
+    pub fn set_snapshot_threshold(&mut self, t: usize) {
         self.snapshot_threshold = t.max(1);
-        self
     }
 
     /// Attaches a durable storage engine: the WAL-before-message
     /// discipline, checkpointing and crash recovery all activate.
-    #[must_use]
-    pub fn with_engine(mut self, engine: Box<dyn storage::StorageEngine>) -> Self {
+    pub fn attach_engine(&mut self, engine: Box<dyn storage::StorageEngine>) {
         self.engine = Some(engine);
-        self
     }
 
     /// Storage counters, when a durable engine is attached.
@@ -295,7 +284,7 @@ impl Replica {
             return (None, false);
         };
         let fresh = self.machine.cached(cmd.client, cmd.seq).is_none();
-        let out = self.machine.apply(op).expect("commands produce output");
+        let out = self.machine.apply_cmd(cmd);
         let decision = match self.engine.as_deref_mut() {
             Some(engine) if fresh => mirror_cmd(engine, &cmd.op, &out),
             _ => None,
@@ -526,39 +515,40 @@ impl Replica {
         self.last_log_index() - self.unflushed
     }
 
-    /// Ships the queued entries if the batch is ripe: full, overdue, or
-    /// configured for immediate flushing — but never while `pipeline_window`
-    /// uncommitted entries are already on the wire (commits drain the
-    /// window and re-trigger this via [`Self::set_commit_index`]).
+    /// Ships the queued entries as one wave when the batch policy releases
+    /// them: full, overdue, or configured for immediate flushing — but never
+    /// while `pipeline_window` uncommitted entries are already on the wire
+    /// (commits drain the window and re-trigger this via
+    /// [`Self::set_commit_index`]). `AppendEntries` carries a range, so the
+    /// whole queue goes out however many batches it holds.
     fn maybe_flush(&mut self, ctx: &mut Context<RaftMsg>) {
-        if self.role != Role::Leader || self.unflushed == 0 {
+        if self.role != Role::Leader {
             return;
         }
-        let in_flight = self.flushed_tip().saturating_sub(self.commit_index);
-        if in_flight >= self.batch.pipeline_window {
-            return;
-        }
-        let underfull = self.unflushed < self.batch.max_batch.max(1);
-        if underfull && self.batch.max_delay > 0 && !self.overdue {
-            if !self.flush_armed {
-                self.flush_armed = true;
-                ctx.set_timer(self.batch.max_delay, FLUSH);
+        loop {
+            let in_flight = self.flushed_tip().saturating_sub(self.commit_index);
+            match self.batcher.poll(self.unflushed, in_flight) {
+                Flush::Take(_) => {
+                    self.take_wave(ctx);
+                    self.replicate_all(ctx);
+                }
+                Flush::Arm(delay) => {
+                    ctx.set_timer(delay, FLUSH);
+                    return;
+                }
+                Flush::Hold => return,
             }
-            return;
         }
-        self.overdue = false;
+    }
+
+    /// Turns the queued entries into the next wave: the caller's fan-out
+    /// ships them. Emits their queue-wait spans and rebinds the send context
+    /// to the oldest one, so the `AppendEntries` fan-out chains under the
+    /// first batched command's trace — exactly the Multi-Paxos convention.
+    fn take_wave(&mut self, ctx: &mut Context<RaftMsg>) {
         ctx.record_batch(self.unflushed as u64);
         let wave_from = self.flushed_tip() + 1;
         self.unflushed = 0;
-        self.note_wave(ctx, wave_from);
-        self.replicate_all(ctx);
-    }
-
-    /// Emits queue-wait spans for the entries in the shipping wave
-    /// (`wave_from..=last_log_index`) and rebinds the send context to the
-    /// oldest one, so the `AppendEntries` fan-out chains under the first
-    /// batched command's trace — exactly the Multi-Paxos convention.
-    fn note_wave(&mut self, ctx: &mut Context<RaftMsg>, wave_from: usize) {
         let mut first: Option<TraceCtx> = None;
         for i in wave_from..=self.last_log_index() {
             if let Some(&(tc, enqueued)) = self.pending_trace.get(&i) {
@@ -575,8 +565,7 @@ impl Replica {
 
     fn reset_batching(&mut self) {
         self.unflushed = 0;
-        self.flush_armed = false;
-        self.overdue = false;
+        self.batcher.reset();
     }
 
     fn reset_election_timer(&mut self, ctx: &mut Context<RaftMsg>) {
@@ -702,7 +691,7 @@ impl Replica {
         // Ship at most a wire batch, and never past the flushed tip:
         // queued-but-unflushed entries wait for their wave (an empty
         // entries list is just a heartbeat).
-        let end = (rel_next + BATCH.max(self.batch.max_batch))
+        let end = (rel_next + BATCH.max(self.batcher.max_batch()))
             .min(self.log.len())
             .min(self.flushed_tip() - self.log_offset + 1)
             .max(rel_next);
@@ -1274,19 +1263,16 @@ impl Node for Replica {
                 // The heartbeat fan-out ships everything anyway: fold any
                 // queued wave into it.
                 if self.unflushed > 0 {
-                    ctx.record_batch(self.unflushed as u64);
-                    let wave_from = self.flushed_tip() + 1;
-                    self.unflushed = 0;
-                    self.overdue = false;
-                    self.note_wave(ctx, wave_from);
+                    self.take_wave(ctx);
+                    self.batcher.drained();
                 }
                 self.replicate_all(ctx);
                 ctx.set_timer(HB_PERIOD, HEARTBEAT);
             }
             FLUSH => {
-                self.flush_armed = false;
-                if self.role == Role::Leader && self.unflushed > 0 {
-                    self.overdue = true;
+                let pending = self.role == Role::Leader && self.unflushed > 0;
+                self.batcher.expire(pending);
+                if pending {
                     self.maybe_flush(ctx);
                 }
             }

@@ -15,13 +15,11 @@
 //! replica shows a cached reply for it — "applied on one replica" implies
 //! "decided in the shard log".
 
-use consensus_core::driver::{BatchConfig, ClusterDriver};
+use consensus_core::driver::{BatchConfig, ClusterDriver, DriverConfig};
 use consensus_core::smr::{Command, KvCommand, KvResponse};
-use consensus_core::workload::WorkloadMode;
-use consensus_core::{QuorumSpec, ReadMode};
-use paxos::multi::{MpMsg, MultiPaxosCluster};
-use raft::msg::RaftMsg;
-use raft::RaftCluster;
+use consensus_core::{Client, ClientWire, Cluster, DurableProtocol, ReadMode, SmrProtocol};
+use paxos::multi::MultiPaxos;
+use raft::Raft;
 use simnet::{DiskModel, NetConfig, NodeId, TraceCtx};
 
 /// Geo deployment of one shard group: which region each replica lives in,
@@ -183,113 +181,54 @@ pub trait ShardEngine: ClusterDriver {
     fn set_replica_skew(&mut self, replica: usize, offset_us: u64);
 }
 
-impl ShardEngine for MultiPaxosCluster {
-    fn build_shard(spec: &ShardBuildSpec) -> Self {
-        let n_stubs = spec.geo.as_ref().map_or(1, |g| g.n_regions);
-        let mut cluster = MultiPaxosCluster::new_with(
-            QuorumSpec::Majority {
-                n: spec.n_replicas,
-            },
-            spec.n_replicas,
-            n_stubs,
-            0,
-            spec.net.clone(),
-            spec.seed,
-            spec.batch,
-            WorkloadMode::Closed,
-        );
-        if let Some(geo) = &spec.geo {
-            cluster = cluster.with_lease(geo.lease_us, geo.max_skew_us);
-            for (r, &region) in geo.regions.iter().enumerate() {
-                cluster.sim.set_node_region(NodeId::from(r), region as usize);
-            }
-            for g in 0..geo.n_regions {
-                cluster
-                    .sim
-                    .set_node_region(NodeId::from(spec.n_replicas + g), g);
-            }
-        }
-        if let Some((threshold, disk)) = spec.durability {
-            cluster = cluster.with_durability(threshold, disk);
-        }
-        if let Some(site) = spec.trace_site {
-            cluster.enable_tracing(site);
-        }
-        cluster
+/// What a log protocol adds to [`SmrProtocol`] to serve as a shard group:
+/// durable replicas, leader-following clients (the stubs the harness
+/// injects through), and the geo read path's two protocol-specific rules.
+pub trait ShardProtocol:
+    DurableProtocol<Client = Client<<Self as SmrProtocol>::Msg>, Msg: ClientWire>
+{
+    /// Configures `replica`'s fast-read path for a geo deployment.
+    /// Multi-Paxos enables leader leases; Raft's read-index needs nothing.
+    fn configure_geo(replica: &mut Self::Replica, geo: &ShardGeo) {
+        let _ = (replica, geo);
     }
 
-    fn supports_durable() -> bool {
-        true
+    /// The replica a region-`region` client should aim its fast reads at.
+    fn read_target(cluster: &Cluster<Self>, region: usize) -> usize;
+}
+
+impl ShardProtocol for MultiPaxos {
+    fn configure_geo(replica: &mut paxos::multi::Replica, geo: &ShardGeo) {
+        replica.set_lease(geo.lease_us, geo.max_skew_us);
     }
 
-    fn submit(&mut self, cmd: Command<KvCommand>) {
-        self.submit_traced(cmd, None);
-    }
-
-    fn submit_traced(&mut self, cmd: Command<KvCommand>, tc: Option<TraceCtx>) {
-        let stub = NodeId::from(self.n_replicas);
-        let at = self.sim.now();
-        for r in 0..self.n_replicas {
-            let msg = MpMsg::Request { cmd: cmd.clone() };
-            self.sim.inject_traced(stub, NodeId::from(r), msg, at, tc);
-        }
-    }
-
-    fn reply_for(&self, client: u32, seq: u64) -> Option<KvResponse> {
-        self.replicas()
-            .find_map(|r| r.log.machine().cached(client, seq).cloned())
-    }
-
-    fn peek(&self, key: &str) -> Option<String> {
-        self.replicas()
-            .max_by_key(|r| r.log.applied_len())
-            .and_then(|r| r.log.machine().kv().get(key).cloned())
-    }
-
-    fn submit_read(&mut self, client: u32, seq: u64, key: &str, target: usize, region: usize) {
-        let stub = NodeId::from(self.n_replicas + region);
-        let at = self.sim.now();
-        let msg = MpMsg::ReadReq {
-            client,
-            seq,
-            key: key.to_string(),
-        };
-        self.sim.inject(stub, NodeId::from(target), msg, at);
-    }
-
-    fn read_reply(&self, client: u32, seq: u64) -> Option<(Option<String>, ReadMode)> {
-        self.clients()
-            .find_map(|c| c.read_replies.get(&(client, seq)).cloned())
-    }
-
-    fn read_target(&self, _region: usize) -> usize {
+    fn read_target(cluster: &Cluster<Self>, _region: usize) -> usize {
         // Only the lease-holding leader can serve Multi-Paxos fast reads;
         // locality falls out of placement homing the leader near clients.
-        self.leader().map_or(0, NodeId::index)
-    }
-
-    fn replica_region(&self, replica: usize) -> Option<usize> {
-        self.sim.node_region(NodeId::from(replica))
-    }
-
-    fn set_replica_skew(&mut self, replica: usize, offset_us: u64) {
-        self.sim.set_clock_skew(NodeId::from(replica), offset_us);
+        cluster.leader().map_or(0, NodeId::index)
     }
 }
 
-impl ShardEngine for RaftCluster {
+impl ShardProtocol for Raft {
+    fn read_target(cluster: &Cluster<Self>, region: usize) -> usize {
+        // Read-index lets any replica serve, so prefer one homed in the
+        // client's region; otherwise aim at the leader.
+        (0..cluster.n_replicas)
+            .find(|&r| cluster.sim.node_region(NodeId::from(r)) == Some(region))
+            .or_else(|| cluster.leader().map(NodeId::index))
+            .unwrap_or(0)
+    }
+}
+
+impl<P: ShardProtocol> ShardEngine for Cluster<P> {
     fn build_shard(spec: &ShardBuildSpec) -> Self {
         let n_stubs = spec.geo.as_ref().map_or(1, |g| g.n_regions);
-        let mut cluster = RaftCluster::new_with(
-            spec.n_replicas,
-            n_stubs,
-            0,
-            spec.net.clone(),
-            spec.seed,
-            spec.batch,
-            WorkloadMode::Closed,
-        );
+        let cfg = DriverConfig::new(spec.n_replicas, n_stubs, 0, spec.seed)
+            .with_net(spec.net.clone())
+            .with_batch(spec.batch);
+        let mut cluster = Self::from_config(&cfg);
         if let Some(geo) = &spec.geo {
+            cluster = cluster.map_replicas(|r| P::configure_geo(r, geo));
             for (r, &region) in geo.regions.iter().enumerate() {
                 cluster.sim.set_node_region(NodeId::from(r), region as usize);
             }
@@ -320,30 +259,26 @@ impl ShardEngine for RaftCluster {
         let stub = NodeId::from(self.n_replicas);
         let at = self.sim.now();
         for r in 0..self.n_replicas {
-            let msg = RaftMsg::Request { cmd: cmd.clone() };
+            let msg = P::Msg::request(cmd.clone());
             self.sim.inject_traced(stub, NodeId::from(r), msg, at, tc);
         }
     }
 
     fn reply_for(&self, client: u32, seq: u64) -> Option<KvResponse> {
         self.replicas()
-            .find_map(|r| r.machine().cached(client, seq).cloned())
+            .find_map(|r| P::machine(r).cached(client, seq).cloned())
     }
 
     fn peek(&self, key: &str) -> Option<String> {
         self.replicas()
-            .max_by_key(|r| r.last_applied)
-            .and_then(|r| r.machine().kv().get(key).cloned())
+            .max_by_key(|r| P::applied_len(r))
+            .and_then(|r| P::machine(r).kv().get(key).cloned())
     }
 
     fn submit_read(&mut self, client: u32, seq: u64, key: &str, target: usize, region: usize) {
         let stub = NodeId::from(self.n_replicas + region);
         let at = self.sim.now();
-        let msg = RaftMsg::ReadReq {
-            client,
-            seq,
-            key: key.to_string(),
-        };
+        let msg = P::Msg::read_request(client, seq, key.to_string());
         self.sim.inject(stub, NodeId::from(target), msg, at);
     }
 
@@ -353,12 +288,7 @@ impl ShardEngine for RaftCluster {
     }
 
     fn read_target(&self, region: usize) -> usize {
-        // Read-index lets any replica serve, so prefer one homed in the
-        // client's region; otherwise aim at the leader.
-        (0..self.n_replicas)
-            .find(|&r| self.sim.node_region(NodeId::from(r)) == Some(region))
-            .or_else(|| self.leader().map(NodeId::index))
-            .unwrap_or(0)
+        P::read_target(self, region)
     }
 
     fn replica_region(&self, replica: usize) -> Option<usize> {
@@ -373,6 +303,8 @@ impl ShardEngine for RaftCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paxos::MultiPaxosCluster;
+    use raft::RaftCluster;
     use simnet::Time;
 
     fn drive<E: ShardEngine>(mut shard: E) {

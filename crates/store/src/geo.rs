@@ -10,7 +10,7 @@
 //! protocol can prove it is legal:
 //!
 //! * **Multi-Paxos** — clock-bound leader leases, renewed through the log
-//!   (`paxos::multi::Replica::with_lease`). A lease-holding leader answers
+//!   (`paxos::multi::Replica::set_lease`). A lease-holding leader answers
 //!   reads from applied state without a log round; reads are region-local
 //!   exactly when the leader is homed in the client's region.
 //! * **Raft** — read-index follower reads: any replica parks the read,

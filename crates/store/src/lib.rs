@@ -11,8 +11,9 @@
 //!   config so every router provably shares one view
 //!   ([`shard_map`]).
 //! * [`ShardEngine`] — any [`consensus_core::ClusterDriver`] usable as a
-//!   replicated shard log; implemented for `paxos::MultiPaxosCluster` and
-//!   `raft::RaftCluster` ([`engine`]).
+//!   replicated shard log; implemented once, for every
+//!   [`consensus_core::Cluster`] whose protocol is a [`ShardProtocol`] —
+//!   `paxos::MultiPaxosCluster` and `raft::RaftCluster` ([`engine`]).
 //! * [`Store`] — routers, 2PC-over-consensus (Gray & Lamport's *Consensus
 //!   on Transaction Commit*), a recovery actor, and a post-run audit pass,
 //!   all stepped in deterministic lockstep ([`store`]).
@@ -30,7 +31,7 @@ pub mod geo;
 pub mod shard_map;
 pub mod store;
 
-pub use engine::{ShardBuildSpec, ShardEngine, ShardGeo};
+pub use engine::{ShardBuildSpec, ShardEngine, ShardGeo, ShardProtocol};
 pub use geo::{compute_placement, GeoConfig, PlacementPolicy, ReadOutcome};
 pub use shard_map::{key_hash, ShardMap};
 pub use store::{

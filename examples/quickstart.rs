@@ -5,7 +5,7 @@
 //! ```
 
 use forty::consensus_core::QuorumSpec;
-use forty::paxos::MultiPaxosCluster;
+use forty::paxos::{LogConsistency, MultiPaxosCluster};
 use forty::simnet::{NetConfig, Time};
 
 fn main() {

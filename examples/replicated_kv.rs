@@ -8,10 +8,10 @@
 //! ```
 
 use forty::bft::hotstuff::{HsCluster, HsConfig};
-use forty::bft::pbft::PbftCluster;
+use forty::bft::pbft::{PbftCluster, StateAgreement};
 use forty::consensus_core::QuorumSpec;
-use forty::paxos::MultiPaxosCluster;
-use forty::raft::RaftCluster;
+use forty::paxos::{LogConsistency, MultiPaxosCluster};
+use forty::raft::{LogMatching, RaftCluster};
 use forty::simnet::{NetConfig, NodeId, Time};
 
 const CMDS: usize = 30;

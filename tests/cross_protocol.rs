@@ -4,11 +4,11 @@
 
 use forty::bft::hotstuff::{HsCluster, HsConfig};
 use forty::bft::minbft::MinCluster;
-use forty::bft::pbft::PbftCluster;
+use forty::bft::pbft::{PbftCluster, StateAgreement};
 use forty::bft::zyzzyva::ZyzCluster;
 use forty::consensus_core::QuorumSpec;
-use forty::paxos::MultiPaxosCluster;
-use forty::raft::RaftCluster;
+use forty::paxos::{LogConsistency, MultiPaxosCluster};
+use forty::raft::{LogMatching, RaftCluster};
 use forty::simnet::{NetConfig, Time};
 
 const CMDS: usize = 20;

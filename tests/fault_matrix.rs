@@ -13,15 +13,12 @@ use forty::atomic_commit::two_phase;
 use forty::atomic_commit::TxnState;
 use forty::bft::pbft::PbftCluster;
 use forty::bft::xft::is_anarchy;
-use forty::consensus_core::QuorumSpec;
+use forty::consensus_core::{ClusterDriver, QuorumSpec};
 use forty::paxos::MultiPaxosCluster;
 use forty::raft::RaftCluster;
 use forty::simnet::{DropAll, NetConfig, NodeId, Time};
 use nemesis::checker::check_atomic_commit;
-use nemesis::{
-    client_evidence, execute_plan, harvest_paxos, harvest_pbft, harvest_raft, smr_safety,
-    FaultAction, FaultPlan,
-};
+use nemesis::{execute_plan, harvest, smr_safety, FaultAction, FaultPlan};
 
 #[test]
 fn paxos_survives_f_crashes_but_not_f_plus_one() {
@@ -43,9 +40,9 @@ fn paxos_survives_f_crashes_but_not_f_plus_one() {
     };
     execute_plan(&mut ok.sim, &plan, 1_000, 0.0, |_, _| None);
     assert!(ok.run(Time::from_secs(30)), "f = 2 of 5 must be fine");
-    let (entries, digests) = harvest_paxos(&ok);
-    let (history, issued) = client_evidence(ok.clients().map(|c| &c.history));
-    assert_eq!(smr_safety(&entries, &digests, &history, Some(&issued)), []);
+    let (entries, digests) = harvest(&ok);
+    let issued = ok.issued();
+    assert_eq!(smr_safety(&entries, &digests, &ok.history(), Some(&issued)), []);
 
     let mut dead = MultiPaxosCluster::new(
         QuorumSpec::Majority { n: 5 },
@@ -60,9 +57,9 @@ fn paxos_survives_f_crashes_but_not_f_plus_one() {
     }
     assert!(!dead.run(Time::from_millis(500)), "f+1 crashes must stall");
     assert_eq!(dead.total_completed(), 0, "but never decide wrongly");
-    let (entries, digests) = harvest_paxos(&dead);
-    let (history, issued) = client_evidence(dead.clients().map(|c| &c.history));
-    assert_eq!(smr_safety(&entries, &digests, &history, Some(&issued)), []);
+    let (entries, digests) = harvest(&dead);
+    let issued = dead.issued();
+    assert_eq!(smr_safety(&entries, &digests, &dead.history(), Some(&issued)), []);
 }
 
 #[test]
@@ -80,9 +77,9 @@ fn raft_recovers_from_cascading_leader_crashes() {
         c.sim.crash_at(l2, at);
     }
     assert!(c.run(Time::from_secs(60)), "completed {}", c.total_completed());
-    let (entries, digests) = harvest_raft(&c);
-    let (history, issued) = client_evidence(c.clients().map(|cl| &cl.history));
-    assert_eq!(smr_safety(&entries, &digests, &history, Some(&issued)), []);
+    let (entries, digests) = harvest(&c);
+    let issued = c.issued();
+    assert_eq!(smr_safety(&entries, &digests, &c.history(), Some(&issued)), []);
 }
 
 #[test]
@@ -90,11 +87,10 @@ fn pbft_tolerates_a_fully_silent_byzantine_replica() {
     let mut c = PbftCluster::new(4, 1, 10, NetConfig::lan(), 4);
     c.sim.set_filter(NodeId(2), Box::new(DropAll));
     assert!(c.run(Time::from_secs(30)));
-    let (entries, digests) = harvest_pbft(&c);
-    let (history, _) = client_evidence(c.clients().map(|cl| &cl.history));
+    let (entries, digests) = harvest(&c);
     // `issued: None` — no validity check, the sim crypto has no client
     // signatures (see `nemesis::smr_safety`).
-    assert_eq!(smr_safety(&entries, &digests, &history, None), []);
+    assert_eq!(smr_safety(&entries, &digests, &c.history(), None), []);
 }
 
 #[test]
@@ -106,9 +102,8 @@ fn pbft_stalls_beyond_its_byzantine_bound() {
     c.sim.set_filter(NodeId(3), Box::new(DropAll));
     assert!(!c.run(Time::from_secs(2)));
     assert_eq!(c.total_completed(), 0);
-    let (entries, digests) = harvest_pbft(&c);
-    let (history, _) = client_evidence(c.clients().map(|cl| &cl.history));
-    assert_eq!(smr_safety(&entries, &digests, &history, None), []);
+    let (entries, digests) = harvest(&c);
+    assert_eq!(smr_safety(&entries, &digests, &c.history(), None), []);
 }
 
 #[test]
@@ -173,9 +168,9 @@ fn partitions_respect_quorum_boundaries() {
     };
     execute_plan(&mut c.sim, &plan, 900_000, 0.0, |_, _| None);
     assert!(c.run(Time::from_secs(60)));
-    let (entries, digests) = harvest_raft(&c);
-    let (history, issued) = client_evidence(c.clients().map(|cl| &cl.history));
-    assert_eq!(smr_safety(&entries, &digests, &history, Some(&issued)), []);
+    let (entries, digests) = harvest(&c);
+    let issued = c.issued();
+    assert_eq!(smr_safety(&entries, &digests, &c.history(), Some(&issued)), []);
 }
 
 #[test]

@@ -7,10 +7,10 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha20Rng;
 
-use forty::bft::pbft::PbftCluster;
+use forty::bft::pbft::{PbftCluster, StateAgreement};
 use forty::consensus_core::QuorumSpec;
-use forty::paxos::MultiPaxosCluster;
-use forty::raft::RaftCluster;
+use forty::paxos::{LogConsistency, MultiPaxosCluster};
+use forty::raft::{LogMatching, RaftCluster};
 use forty::simnet::{NetConfig, NodeId, Time};
 
 const SEEDS: u64 = 8;

@@ -7,10 +7,10 @@
 //! traced run is bit-identical to the untraced one, because the tracer
 //! draws no randomness and schedules no events.
 
-use forty::bft::pbft::PbftCluster;
+use forty::bft::pbft::{PbftCluster, StateAgreement};
 use forty::consensus_core::{ClusterDriver, QuorumSpec};
-use forty::paxos::MultiPaxosCluster;
-use forty::raft::RaftCluster;
+use forty::paxos::{LogConsistency, MultiPaxosCluster};
+use forty::raft::{LogMatching, RaftCluster};
 use forty::simnet::{NetConfig, Time};
 
 const CMDS: usize = 12;
