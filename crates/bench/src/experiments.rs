@@ -37,6 +37,8 @@ use paxos::{MultiPaxosCluster, PaxosNode, RetryPolicy};
 use raft::RaftCluster;
 use simnet::{DelayModel, NetConfig, NodeId, Sim, Time, TraceEvent};
 
+use crate::artifact::{table, Artifact};
+
 /// One regenerated table or figure.
 pub struct Report {
     /// Experiment id (e.g. `"f11"`).
@@ -1258,19 +1260,16 @@ pub fn f28_store() -> Report {
 
 /// F29 — cold-restart recovery time vs checkpoint threshold.
 pub fn f29_recovery() -> Report {
-    use crate::recovery::{render_table, run_sweep, sweep_to_json};
+    use crate::recovery::{Recovery, COMMANDS, CRASHED, REPLICAS, SEED};
 
-    let points = run_sweep();
+    let points = Recovery::run(&());
     let mut lines = vec![format!(
-        "durable Multi-Paxos and Raft shards ({} replicas, {} commands, seed {}): replica {} \
-         crashes after the workload and restarts through checkpoint + WAL replay",
-        crate::recovery::REPLICAS,
-        crate::recovery::COMMANDS,
-        crate::recovery::SEED,
-        crate::recovery::CRASHED,
+        "durable Multi-Paxos and Raft shards ({REPLICAS} replicas, {COMMANDS} commands, seed \
+         {SEED}): replica {CRASHED} crashes after the workload and restarts through checkpoint \
+         + WAL replay",
     )];
     lines.push(String::new());
-    lines.extend(render_table(&points));
+    lines.extend(table(&Recovery::fields(), &points));
     lines.push(String::new());
     lines.push(
         "small threshold: frequent checkpoints, short replay; checkpoints off: \
@@ -1285,7 +1284,7 @@ pub fn f29_recovery() -> Report {
     Report {
         id: "f29",
         title: "Durable storage: cold-restart recovery vs checkpoint threshold",
-        data: sweep_to_json(&points),
+        data: json!({"artifact": Recovery::PATH, "cells": points.len()}),
         lines,
     }
 }
@@ -1294,28 +1293,25 @@ pub fn f29_recovery() -> Report {
 
 /// F30 — end-to-end causal tracing: critical-path latency attribution.
 pub fn f30_latency() -> Report {
-    use crate::latency::{full_spec, render_table, run_sweep, sweep_to_json, validate_schema};
+    use crate::latency::{Latency, SEED};
 
-    let spec = full_spec();
-    let points = run_sweep(&spec);
-    let data = sweep_to_json(&spec, &points);
-    let problems = validate_schema(&data);
+    let spec = Latency::full_spec();
+    let points = Latency::run(&spec);
+    let problems = Latency::gate(&points);
     assert!(problems.is_empty(), "latency sweep invalid: {problems:?}");
 
     let mut lines = vec![format!(
-        "sharded store ({} txns + {} singles per router, seed {}): every \
+        "sharded store ({} txns + {} singles per router, seed {SEED}): every \
          transaction's latency decomposed into causal buckets via the \
          trace trees the run recorded",
-        spec.txns_per_router,
-        spec.singles_per_router,
-        crate::latency::SEED,
+        spec.txns_per_router, spec.singles_per_router,
     )];
     lines.push(String::new());
-    lines.extend(render_table(&points));
+    lines.extend(table(&Latency::fields(), &points));
     lines.push(String::new());
     lines.push(
         "every cell reconciles ≥95% of measured end-to-end time into named \
-         buckets (enforced by the schema validator); batching shifts time \
+         buckets (enforced by the artifact's gate); batching shifts time \
          into the client-queue bucket, durability into wal-fsync"
             .into(),
     );
@@ -1328,7 +1324,7 @@ pub fn f30_latency() -> Report {
     Report {
         id: "f30",
         title: "Causal tracing: critical-path latency attribution",
-        data,
+        data: json!({"artifact": Latency::PATH, "cells": points.len()}),
         lines,
     }
 }

@@ -27,6 +27,8 @@ use paxos::MultiPaxosCluster;
 use raft::RaftCluster;
 use store::{GeoConfig, PlacementPolicy, ShardEngine, Store, StoreConfig};
 
+use crate::artifact::{Artifact, Field};
+
 /// Version stamp of the JSON artifact layout; bump when fields change.
 pub const SCHEMA_VERSION: u64 = 1;
 
@@ -48,20 +50,6 @@ pub struct GeoSpec {
     pub reads_per_router: usize,
     /// Store seed shared by every cell.
     pub seed: u64,
-}
-
-/// The checked-in artifact's grid.
-pub fn full_spec() -> GeoSpec {
-    GeoSpec {
-        placements: vec![
-            PlacementPolicy::PrimaryWitness,
-            PlacementPolicy::SingleRegion,
-            PlacementPolicy::Spread,
-        ],
-        local_pcts: vec![50, 100],
-        reads_per_router: 12,
-        seed: 42,
-    }
 }
 
 /// A CI-sized grid: the canonical primary-witness deployment only.
@@ -115,56 +103,18 @@ pub struct GeoPoint {
     pub fingerprint: String,
 }
 
-impl GeoPoint {
-    /// Machine-readable record (integers + the fingerprint string).
-    pub fn to_json(&self) -> Value {
-        json!({
-            "engine": self.engine,
-            "placement": self.placement,
-            "local_read_pct": u64::from(self.local_read_pct),
-            "reads": self.reads as u64,
-            "local_reads": self.local_reads as u64,
-            "primary_local_reads": self.primary_local_reads as u64,
-            "lease_reads": self.lease_reads as u64,
-            "read_index_reads": self.read_index_reads as u64,
-            "log_fallbacks": self.log_fallbacks as u64,
-            "p50_primary_local_us": self.p50_primary_local_us,
-            "p99_primary_local_us": self.p99_primary_local_us,
-            "p50_other_us": self.p50_other_us,
-            "commits": self.commits as u64,
-            "cross_shard_commits": self.cross_shard_commits as u64,
-            "txn_p50_us": self.txn_p50_us,
-            "sim_micros": self.sim_micros,
-            "fingerprint": self.fingerprint.clone(),
-        })
-    }
-}
-
-fn percentiles(samples: &[u64]) -> (u64, u64) {
-    let mut rec = LatencyRecorder::new();
-    for &s in samples {
-        rec.record_micros(s);
-    }
-    if samples.is_empty() {
-        (0, 0)
-    } else {
-        (rec.percentile(50.0), rec.percentile(99.0))
-    }
-}
-
 /// Runs one cell: deploy, run to quiescence, harvest read outcomes.
 fn run_cell<E: ShardEngine>(
     engine: &'static str,
     placement: PlacementPolicy,
     local_pct: u32,
-    reads_per_router: usize,
-    seed: u64,
+    spec: &GeoSpec,
 ) -> GeoPoint {
-    let cfg = StoreConfig::small(seed).routers(3).geo(
+    let cfg = StoreConfig::small(spec.seed).routers(3).geo(
         GeoConfig::three_dc()
             .placement(placement)
             .local_read_pct(local_pct)
-            .reads_per_router(reads_per_router),
+            .reads_per_router(spec.reads_per_router),
     );
     let mut s: Store<E> = Store::new(cfg);
     assert!(
@@ -173,16 +123,14 @@ fn run_cell<E: ShardEngine>(
         placement.tag()
     );
     let reads = s.read_outcomes();
-    let (mut primary_local, mut other) = (Vec::new(), Vec::new());
+    let (mut primary_local, mut other) = (LatencyRecorder::new(), LatencyRecorder::new());
     for r in &reads {
         if r.local && s.shard_map().primary_region(r.shard) == Some(r.region) {
-            primary_local.push(r.latency_us);
+            primary_local.record_micros(r.latency_us);
         } else {
-            other.push(r.latency_us);
+            other.record_micros(r.latency_us);
         }
     }
-    let (p50_pl, p99_pl) = percentiles(&primary_local);
-    let (p50_other, _) = percentiles(&other);
     let outcomes = s.outcomes();
     let commits: Vec<_> = outcomes
         .iter()
@@ -194,16 +142,16 @@ fn run_cell<E: ShardEngine>(
         local_read_pct: local_pct,
         reads: reads.len(),
         local_reads: reads.iter().filter(|r| r.local).count(),
-        primary_local_reads: primary_local.len(),
+        primary_local_reads: primary_local.count(),
         lease_reads: reads.iter().filter(|r| r.mode == ReadMode::Lease).count(),
         read_index_reads: reads
             .iter()
             .filter(|r| r.mode == ReadMode::ReadIndex)
             .count(),
         log_fallbacks: reads.iter().filter(|r| r.mode == ReadMode::Log).count(),
-        p50_primary_local_us: p50_pl,
-        p99_primary_local_us: p99_pl,
-        p50_other_us: p50_other,
+        p50_primary_local_us: primary_local.percentile(50.0),
+        p99_primary_local_us: primary_local.percentile(99.0),
+        p50_other_us: other.percentile(50.0),
         commits: commits.len(),
         cross_shard_commits: commits.iter().filter(|o| o.span > 1).count(),
         txn_p50_us: s.txn_latencies().percentile(50.0),
@@ -212,157 +160,125 @@ fn run_cell<E: ShardEngine>(
     }
 }
 
-/// Runs the grid for both engines. Cell order is the deterministic
-/// iteration order of the spec (placement → local_pct → engine).
-pub fn run_sweep(spec: &GeoSpec) -> Vec<GeoPoint> {
-    let mut points = Vec::new();
-    for &placement in &spec.placements {
-        for &pct in &spec.local_pcts {
-            points.push(run_cell::<MultiPaxosCluster>(
-                "multi-paxos",
-                placement,
-                pct,
-                spec.reads_per_router,
-                spec.seed,
-            ));
-            points.push(run_cell::<RaftCluster>(
-                "raft",
-                placement,
-                pct,
-                spec.reads_per_router,
-                spec.seed,
-            ));
+/// The `bench geo` artifact, `BENCH_geo.json`.
+pub struct Geo;
+
+impl Artifact for Geo {
+    type Spec = GeoSpec;
+    type Point = GeoPoint;
+    const NAME: &'static str = "geo";
+    const PATH: &'static str = "BENCH_geo.json";
+    const LIST: &'static str = "points";
+
+    fn full_spec() -> GeoSpec {
+        GeoSpec {
+            placements: vec![
+                PlacementPolicy::PrimaryWitness,
+                PlacementPolicy::SingleRegion,
+                PlacementPolicy::Spread,
+            ],
+            local_pcts: vec![50, 100],
+            reads_per_router: 12,
+            seed: 42,
         }
     }
-    points
-}
 
-/// The acceptance gate on a sweep's points (empty = pass):
-///
-/// 1. every cell commits at least one cross-shard transaction — the WAN
-///    deployment must not break 2PC-over-consensus;
-/// 2. every cell with primary-local reads serves them with a p50 strictly
-///    below one inter-region round trip ([`MIN_WAN_RTT_US`]);
-/// 3. each engine serves primary-local reads somewhere in the grid — the
-///    fast path must actually exist, not be vacuously fast.
-pub fn gate_problems(points: &[GeoPoint]) -> Vec<String> {
-    let mut problems = Vec::new();
-    for p in points {
-        let cell = format!("{}/{}/{}%", p.engine, p.placement, p.local_read_pct);
-        if p.cross_shard_commits == 0 {
-            problems.push(format!("{cell}: no cross-shard transaction committed"));
-        }
-        if p.primary_local_reads > 0 && p.p50_primary_local_us >= MIN_WAN_RTT_US {
-            problems.push(format!(
-                "{cell}: p50 primary-local read {} µs pays a WAN round trip (bound {} µs)",
-                p.p50_primary_local_us, MIN_WAN_RTT_US
-            ));
-        }
+    fn smoke_spec() -> Option<GeoSpec> {
+        Some(smoke_spec())
     }
-    for engine in ["multi-paxos", "raft"] {
-        if !points
-            .iter()
-            .any(|p| p.engine == engine && p.primary_local_reads > 0)
-        {
-            problems.push(format!("{engine}: no primary-local reads anywhere in the grid"));
-        }
-    }
-    problems
-}
 
-/// The complete JSON artifact for a sweep.
-pub fn sweep_to_json(spec: &GeoSpec, points: &[GeoPoint]) -> Value {
-    json!({
-        "schema_version": SCHEMA_VERSION,
-        "topology": "three_dc",
-        "min_wan_rtt_us": MIN_WAN_RTT_US,
-        "reads_per_router": spec.reads_per_router as u64,
-        "seed": spec.seed,
-        "points": Value::Array(points.iter().map(GeoPoint::to_json).collect()),
-    })
-}
-
-/// Renders the sweep as a markdown table.
-pub fn render_table(points: &[GeoPoint]) -> Vec<String> {
-    let mut lines = vec![
-        "| engine | placement | local mix | reads | local | primary-local | lease/read-index/log | p50 prim-local (µs) | p50 other (µs) | txn p50 (µs) | x-shard commits |".to_string(),
-        "|---|---|---|---|---|---|---|---|---|---|---|".to_string(),
-    ];
-    for p in points {
-        lines.push(format!(
-            "| {} | {} | {}% | {} | {} | {} | {}/{}/{} | {} | {} | {} | {} |",
-            p.engine,
-            p.placement,
-            p.local_read_pct,
-            p.reads,
-            p.local_reads,
-            p.primary_local_reads,
-            p.lease_reads,
-            p.read_index_reads,
-            p.log_fallbacks,
-            p.p50_primary_local_us,
-            p.p50_other_us,
-            p.txn_p50_us,
-            p.cross_shard_commits,
-        ));
-    }
-    lines
-}
-
-/// Validates the shape of a parsed `BENCH_geo.json`. Returns the list of
-/// problems (empty = valid).
-pub fn validate_schema(doc: &Value) -> Vec<String> {
-    let mut problems = Vec::new();
-    match doc.get("schema_version").and_then(Value::as_u64) {
-        Some(SCHEMA_VERSION) => {}
-        other => problems.push(format!(
-            "schema_version: expected {SCHEMA_VERSION}, got {other:?}"
-        )),
-    }
-    match doc.get("min_wan_rtt_us").and_then(Value::as_u64) {
-        Some(MIN_WAN_RTT_US) => {}
-        other => problems.push(format!(
-            "min_wan_rtt_us: expected {MIN_WAN_RTT_US}, got {other:?}"
-        )),
-    }
-    if doc.get("seed").and_then(Value::as_u64).is_none() {
-        problems.push("missing seed".to_string());
-    }
-    let Some(points) = doc.get("points").and_then(Value::as_array) else {
-        problems.push("missing points array".to_string());
-        return problems;
-    };
-    if points.is_empty() {
-        problems.push("points array is empty".to_string());
-    }
-    for (i, p) in points.iter().enumerate() {
-        for key in ["engine", "placement", "fingerprint"] {
-            if p.get(key).and_then(Value::as_str).is_none() {
-                problems.push(format!("points[{i}].{key}: missing or not a string"));
+    /// Runs the grid for both engines. Cell order is the deterministic
+    /// iteration order of the spec (placement → local_pct → engine).
+    fn run(spec: &GeoSpec) -> Vec<GeoPoint> {
+        let mut points = Vec::new();
+        for &placement in &spec.placements {
+            for &pct in &spec.local_pcts {
+                points.push(run_cell::<MultiPaxosCluster>(
+                    "multi-paxos",
+                    placement,
+                    pct,
+                    spec,
+                ));
+                points.push(run_cell::<RaftCluster>("raft", placement, pct, spec));
             }
         }
-        for key in [
-            "local_read_pct",
-            "reads",
-            "local_reads",
-            "primary_local_reads",
-            "lease_reads",
-            "read_index_reads",
-            "log_fallbacks",
-            "p50_primary_local_us",
-            "p99_primary_local_us",
-            "p50_other_us",
-            "commits",
-            "cross_shard_commits",
-            "txn_p50_us",
-            "sim_micros",
-        ] {
-            if p.get(key).and_then(Value::as_u64).is_none() {
-                problems.push(format!("points[{i}].{key}: missing or not an integer"));
+        points
+    }
+
+    fn fields() -> Vec<Field<GeoPoint>> {
+        type F = Field<GeoPoint>;
+        vec![
+            F::str("engine", |p| p.engine.into()).col("engine"),
+            F::str("placement", |p| p.placement.into()).col("placement"),
+            F::int("local_read_pct", |p| p.local_read_pct.into()),
+            F::derived("local mix", |p| format!("{}%", p.local_read_pct)),
+            F::int("reads", |p| p.reads as u64).col("reads"),
+            F::int("local_reads", |p| p.local_reads as u64).col("local"),
+            F::int("primary_local_reads", |p| p.primary_local_reads as u64).col("primary-local"),
+            F::int("lease_reads", |p| p.lease_reads as u64),
+            F::int("read_index_reads", |p| p.read_index_reads as u64),
+            F::int("log_fallbacks", |p| p.log_fallbacks as u64),
+            F::derived("lease/read-index/log", |p| {
+                format!(
+                    "{}/{}/{}",
+                    p.lease_reads, p.read_index_reads, p.log_fallbacks
+                )
+            }),
+            F::int("p50_primary_local_us", |p| p.p50_primary_local_us).col("p50 prim-local (µs)"),
+            F::int("p99_primary_local_us", |p| p.p99_primary_local_us),
+            F::int("p50_other_us", |p| p.p50_other_us).col("p50 other (µs)"),
+            F::int("txn_p50_us", |p| p.txn_p50_us).col("txn p50 (µs)"),
+            F::int("commits", |p| p.commits as u64),
+            F::int("cross_shard_commits", |p| p.cross_shard_commits as u64).col("x-shard commits"),
+            F::int("sim_micros", |p| p.sim_micros),
+            F::str("fingerprint", |p| p.fingerprint.clone()),
+        ]
+    }
+
+    fn header(spec: &GeoSpec, _points: &[GeoPoint]) -> Value {
+        json!({
+            "schema_version": SCHEMA_VERSION,
+            "topology": "three_dc",
+            "min_wan_rtt_us": MIN_WAN_RTT_US,
+            "reads_per_router": spec.reads_per_router as u64,
+            "seed": spec.seed,
+        })
+    }
+
+    /// The acceptance gate on a sweep's points (empty = pass):
+    ///
+    /// 1. every cell commits at least one cross-shard transaction — the WAN
+    ///    deployment must not break 2PC-over-consensus;
+    /// 2. every cell with primary-local reads serves them with a p50 strictly
+    ///    below one inter-region round trip ([`MIN_WAN_RTT_US`]);
+    /// 3. each engine serves primary-local reads somewhere in the grid — the
+    ///    fast path must actually exist, not be vacuously fast.
+    fn gate(points: &[GeoPoint]) -> Vec<String> {
+        let mut problems = Vec::new();
+        for p in points {
+            let cell = format!("{}/{}/{}%", p.engine, p.placement, p.local_read_pct);
+            if p.cross_shard_commits == 0 {
+                problems.push(format!("{cell}: no cross-shard transaction committed"));
+            }
+            if p.primary_local_reads > 0 && p.p50_primary_local_us >= MIN_WAN_RTT_US {
+                problems.push(format!(
+                    "{cell}: p50 primary-local read {} µs pays a WAN round trip (bound {} µs)",
+                    p.p50_primary_local_us, MIN_WAN_RTT_US
+                ));
             }
         }
+        for engine in ["multi-paxos", "raft"] {
+            if !points
+                .iter()
+                .any(|p| p.engine == engine && p.primary_local_reads > 0)
+            {
+                problems.push(format!(
+                    "{engine}: no primary-local reads anywhere in the grid"
+                ));
+            }
+        }
+        problems
     }
-    problems
 }
 
 #[cfg(test)]
@@ -370,21 +286,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_sweep_is_deterministic_valid_and_passes_the_gate() {
+    fn gate_rejects_wan_priced_local_reads_and_dead_txns() {
         let spec = smoke_spec();
-        let a = run_sweep(&spec);
-        let b = run_sweep(&spec);
-        let (ja, jb) = (sweep_to_json(&spec, &a), sweep_to_json(&spec, &b));
-        assert_eq!(
-            serde_json::to_string(&ja).unwrap(),
-            serde_json::to_string(&jb).unwrap(),
-            "geo sweep must be a pure function of the spec"
-        );
-        assert!(validate_schema(&ja).is_empty(), "{:?}", validate_schema(&ja));
-        assert!(gate_problems(&a).is_empty(), "{:?}", gate_problems(&a));
+        let mut points = Geo::run(&spec);
+        assert!(Geo::gate(&points).is_empty());
         // 1 placement × 1 mix × 2 engines.
-        assert_eq!(a.len(), 2);
-        for p in &a {
+        assert_eq!(points.len(), 2);
+        for p in &points {
             assert_eq!(p.reads, 3 * spec.reads_per_router);
             // The fast paths are engine-specific and mutually exclusive.
             match p.engine {
@@ -393,16 +301,9 @@ mod tests {
                 other => panic!("unknown engine {other}"),
             }
         }
-    }
-
-    #[test]
-    fn gate_rejects_wan_priced_local_reads_and_dead_txns() {
-        let spec = smoke_spec();
-        let mut points = run_sweep(&spec);
-        assert!(gate_problems(&points).is_empty());
         points[0].p50_primary_local_us = MIN_WAN_RTT_US;
         points[1].cross_shard_commits = 0;
-        let problems = gate_problems(&points);
+        let problems = Geo::gate(&points);
         assert_eq!(problems.len(), 2, "{problems:?}");
     }
 }

@@ -17,7 +17,7 @@
 //!
 //! Both decompositions charge every microsecond to exactly one bucket, so
 //! the bucket totals reconcile against measured end-to-end latency by
-//! construction; [`validate_schema`] rejects any sweep where less than
+//! construction; the artifact's gate rejects any sweep where less than
 //! 95 % of transaction time lands in a named (non-`untraced`) bucket, and
 //! any durable cell whose WAL-fsync bucket is empty.
 //!
@@ -27,12 +27,16 @@
 use std::collections::BTreeMap;
 
 use consensus_core::driver::BatchConfig;
+use consensus_core::workload::LatencyRecorder;
 use paxos::MultiPaxosCluster;
 use raft::RaftCluster;
 use serde_json::{json, Value};
 use simnet::causal::{attribute_window, cat};
-use simnet::{CausalSpan, DiskModel, NetConfig, Time};
+use simnet::{CausalSpan, DiskModel, Time};
 use store::{OpRecord, ShardEngine, Store, StoreConfig, ROUTER_BASE};
+
+use crate::artifact::{record, Artifact, Field};
+use crate::throughput::net_profile;
 
 /// Bumped whenever the JSON layout changes incompatibly.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -45,11 +49,6 @@ pub const HORIZON: Time = Time(60_000_000);
 pub const WARMUP_US: u64 = 20_000;
 /// Checkpoint threshold for durable cells.
 pub const DURABLE_THRESHOLD: usize = 8;
-/// Per-message NIC serialization cost, µs (same profile as the
-/// throughput sweep, so the `nic` bucket has real transmit occupancy).
-pub const NIC_PER_MSG_US: u64 = 30;
-/// NIC throughput, bytes/µs.
-pub const NIC_BYTES_PER_US: u64 = 50;
 /// Minimum accepted reconciliation: named buckets must cover ≥95 % of
 /// measured end-to-end transaction time.
 pub const MIN_RECONCILE_X100: u64 = 9_500;
@@ -92,34 +91,6 @@ pub struct SweepSpec {
 
 fn batched() -> BatchConfig {
     BatchConfig::new(4, 200, 4)
-}
-
-/// The full grid behind `BENCH_latency.json`: Multi-Paxos swept over
-/// batching × storage, Raft over batching (Raft shards keep the RAM
-/// durability model, so a "durable" Raft cell would be a lie).
-pub fn full_spec() -> SweepSpec {
-    let mut cells = Vec::new();
-    for durable in [false, true] {
-        for batch in [BatchConfig::unbatched(), batched()] {
-            cells.push(CellSpec {
-                engine: "multi-paxos",
-                batch,
-                durable,
-            });
-        }
-    }
-    for batch in [BatchConfig::unbatched(), batched()] {
-        cells.push(CellSpec {
-            engine: "raft",
-            batch,
-            durable: false,
-        });
-    }
-    SweepSpec {
-        cells,
-        txns_per_router: 4,
-        singles_per_router: 2,
-    }
 }
 
 /// A 2-cell grid for tests and the CI smoke lane: the cheapest cell plus
@@ -191,34 +162,6 @@ pub struct Point {
     pub bucket_stats: Vec<BucketStat>,
 }
 
-impl Point {
-    /// The machine-readable form stored in `BENCH_latency.json`.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "engine": self.engine,
-            "batch": self.batch.clone(),
-            "durable": self.durable,
-            "txns": self.txns,
-            "ops": self.ops,
-            "spans": self.spans,
-            "txn_p50_us": self.txn_p50_us,
-            "txn_p99_us": self.txn_p99_us,
-            "op_p50_us": self.op_p50_us,
-            "op_p99_us": self.op_p99_us,
-            "txn_total_us": self.txn_total_us,
-            "reconcile_pct_x100": self.reconcile_pct_x100,
-            "net_delivered_p50_us": self.net_delivered_p50_us,
-            "net_delivered_p99_us": self.net_delivered_p99_us,
-            "buckets": self.bucket_stats.iter().map(|b| json!({
-                "name": b.name,
-                "p50_us": b.p50_us,
-                "p99_us": b.p99_us,
-                "total_us": b.total_us,
-            })).collect::<Vec<_>>(),
-        })
-    }
-}
-
 /// Last instant of causal activity belonging to the op's trace, clamped
 /// to the op window; the op's start when the trace recorded nothing.
 fn effective_end(spans: &[CausalSpan], r: &OpRecord) -> u64 {
@@ -229,18 +172,6 @@ fn effective_end(spans: &[CausalSpan], r: &OpRecord) -> u64 {
         .max()
         .map(|e| e.clamp(r.started, r.finished))
         .unwrap_or(r.started)
-}
-
-/// Decomposes one operation's latency: span attribution up to the last
-/// causal activity, then coordinator think time for the tail (the reply
-/// sat applied until the router's next poll quantum).
-pub fn op_breakdown(spans: &[CausalSpan], r: &OpRecord) -> BTreeMap<&'static str, u64> {
-    let eff = effective_end(spans, r);
-    let mut b = attribute_window(spans, r.trace_id, r.started, eff);
-    if r.finished > eff {
-        *b.entry(cat::COORD).or_insert(0) += r.finished - eff;
-    }
-    b
 }
 
 /// Decomposes one transaction window given its operations (pre-filtered
@@ -287,15 +218,10 @@ pub fn txn_breakdown(
     out
 }
 
-/// Nearest-rank percentile of an unsorted sample (integer µs in, out).
-fn pct(samples: &[u64], num: u64, den: u64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut v = samples.to_vec();
-    v.sort_unstable();
-    let idx = ((num * v.len() as u64) / den).min(v.len() as u64 - 1);
-    v[idx as usize]
+/// Nearest-rank median and 99th percentile — [`LatencyRecorder`]'s rule,
+/// the one every artifact reports.
+fn p50_p99(samples: &LatencyRecorder) -> (u64, u64) {
+    (samples.percentile(50.0), samples.percentile(99.0))
 }
 
 fn store_cfg(spec: &SweepSpec, cell: &CellSpec) -> StoreConfig {
@@ -303,18 +229,24 @@ fn store_cfg(spec: &SweepSpec, cell: &CellSpec) -> StoreConfig {
         .txns_per_router(spec.txns_per_router)
         .singles_per_router(spec.singles_per_router)
         .batch(cell.batch)
-        .net(NetConfig::lan().with_nic(NIC_PER_MSG_US, NIC_BYTES_PER_US));
+        .net(net_profile());
     if cell.durable {
         cfg = cfg.durable(DURABLE_THRESHOLD, DiskModel::ssd());
     }
     cfg
 }
 
-fn run_cell<E: ShardEngine>(spec: &SweepSpec, cell: &CellSpec) -> Point {
+/// One cell's store, run to quiescence with causal tracing on.
+fn traced_store<E: ShardEngine>(spec: &SweepSpec, cell: &CellSpec) -> Store<E> {
     let mut s: Store<E> = Store::new(store_cfg(spec, cell));
     s.enable_tracing();
     s.warm_up(WARMUP_US);
     assert!(s.run(HORIZON), "latency cell stalled: {cell:?}");
+    s
+}
+
+fn run_cell<E: ShardEngine>(spec: &SweepSpec, cell: &CellSpec) -> Point {
+    let s: Store<E> = traced_store(spec, cell);
 
     let spans = s.causal_spans();
     let n_routers = s.cfg.n_routers as u32;
@@ -328,8 +260,8 @@ fn run_cell<E: ShardEngine>(spec: &SweepSpec, cell: &CellSpec) -> Point {
 
     // Per-transaction decomposition: a router is strictly sequential, so
     // the ops inside a transaction's window belong to that transaction.
-    let mut txn_e2e: Vec<u64> = Vec::new();
-    let mut per_bucket: BTreeMap<&'static str, Vec<u64>> = BTreeMap::new();
+    let mut txn_e2e = LatencyRecorder::new();
+    let mut per_bucket = BUCKETS.map(|_| LatencyRecorder::new());
     for o in &outcomes {
         let end = o.at;
         let start = o.at - o.latency_us;
@@ -339,28 +271,26 @@ fn run_cell<E: ShardEngine>(spec: &SweepSpec, cell: &CellSpec) -> Point {
             .cloned()
             .collect();
         let b = txn_breakdown(&spans, &mine, start, end);
-        txn_e2e.push(o.latency_us);
-        for name in BUCKETS {
-            per_bucket
-                .entry(name)
-                .or_default()
-                .push(b.get(name).copied().unwrap_or(0));
+        txn_e2e.record_micros(o.latency_us);
+        for (samples, name) in per_bucket.iter_mut().zip(BUCKETS) {
+            samples.record_micros(b.get(name).copied().unwrap_or(0));
         }
     }
 
-    let bucket_stats: Vec<BucketStat> = BUCKETS
+    let bucket_stats: Vec<BucketStat> = per_bucket
         .iter()
-        .map(|&name| {
-            let vals = per_bucket.get(name).cloned().unwrap_or_default();
+        .zip(BUCKETS)
+        .map(|(samples, name)| {
+            let (p50_us, p99_us) = p50_p99(samples);
             BucketStat {
                 name,
-                p50_us: pct(&vals, 50, 100),
-                p99_us: pct(&vals, 99, 100),
-                total_us: vals.iter().sum(),
+                p50_us,
+                p99_us,
+                total_us: samples.samples().iter().sum(),
             }
         })
         .collect();
-    let txn_total_us: u64 = txn_e2e.iter().sum();
+    let txn_total_us: u64 = txn_e2e.samples().iter().sum();
     let untraced: u64 = bucket_stats
         .iter()
         .find(|b| b.name == cat::UNTRACED)
@@ -369,7 +299,12 @@ fn run_cell<E: ShardEngine>(spec: &SweepSpec, cell: &CellSpec) -> Point {
         .checked_div(txn_total_us)
         .unwrap_or(0);
 
-    let op_e2e: Vec<u64> = router_ops.iter().map(|r| r.finished - r.started).collect();
+    let mut op_e2e = LatencyRecorder::new();
+    for r in &router_ops {
+        op_e2e.record_micros(r.finished - r.started);
+    }
+    let (txn_p50_us, txn_p99_us) = p50_p99(&txn_e2e);
+    let (op_p50_us, op_p99_us) = p50_p99(&op_e2e);
     let net = &s.shards()[0].metrics().delivered_latency;
 
     Point {
@@ -379,10 +314,10 @@ fn run_cell<E: ShardEngine>(spec: &SweepSpec, cell: &CellSpec) -> Point {
         txns: outcomes.len(),
         ops: router_ops.len(),
         spans: spans.len(),
-        txn_p50_us: pct(&txn_e2e, 50, 100),
-        txn_p99_us: pct(&txn_e2e, 99, 100),
-        op_p50_us: pct(&op_e2e, 50, 100),
-        op_p99_us: pct(&op_e2e, 99, 100),
+        txn_p50_us,
+        txn_p99_us,
+        op_p50_us,
+        op_p99_us,
         txn_total_us,
         reconcile_pct_x100,
         net_delivered_p50_us: net.quantile(0.50).unwrap_or(0),
@@ -398,193 +333,203 @@ pub fn traced_example() -> Store<MultiPaxosCluster> {
     let spec = smoke_spec();
     let cell = spec.cells[1];
     assert!(cell.durable, "the example cell must exercise the WAL");
-    let mut s: Store<MultiPaxosCluster> = Store::new(store_cfg(&spec, &cell));
-    s.enable_tracing();
-    s.warm_up(WARMUP_US);
-    assert!(s.run(HORIZON), "example store stalled");
-    s
+    traced_store(&spec, &cell)
 }
 
-/// Runs every cell of the sweep, in spec order.
-pub fn run_sweep(spec: &SweepSpec) -> Vec<Point> {
-    spec.cells
+/// Share of a cell's transaction time spent in the named buckets, percent.
+fn share(p: &Point, names: &[&str]) -> String {
+    let t: u64 = p
+        .bucket_stats
         .iter()
-        .map(|cell| match cell.engine {
-            "multi-paxos" => run_cell::<MultiPaxosCluster>(spec, cell),
-            "raft" => run_cell::<RaftCluster>(spec, cell),
-            other => panic!("unknown engine {other}"),
-        })
-        .collect()
+        .filter(|b| names.contains(&b.name))
+        .map(|b| b.total_us)
+        .sum();
+    (t * 100)
+        .checked_div(p.txn_total_us)
+        .unwrap_or(0)
+        .to_string()
 }
 
-/// The complete machine-readable document.
-pub fn sweep_to_json(spec: &SweepSpec, points: &[Point]) -> Value {
-    json!({
-        "schema_version": SCHEMA_VERSION,
-        "seed": SEED,
-        "warmup_us": WARMUP_US,
-        "txns_per_router": spec.txns_per_router,
-        "singles_per_router": spec.singles_per_router,
-        "net": "lan",
-        "cells": points.iter().map(Point::to_json).collect::<Vec<_>>(),
-    })
-}
+/// The `bench latency` artifact, `BENCH_latency.json`.
+pub struct Latency;
 
-/// Renders the sweep as a Markdown table: end-to-end percentiles plus
-/// each cell's bucket shares (percent of total transaction time).
-pub fn render_table(points: &[Point]) -> Vec<String> {
-    let mut lines = vec![
-        "| engine | batch | storage | txns | txn p50 µs | txn p99 µs | net p50 µs | queue% | \
-         nic% | consensus% | flight% | fsync% | coord% | untraced% | reconcile% |"
-            .to_string(),
-        "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|".to_string(),
-    ];
-    let share = |p: &Point, names: &[&str]| -> u64 {
-        if p.txn_total_us == 0 {
-            return 0;
-        }
-        let t: u64 = p
-            .bucket_stats
-            .iter()
-            .filter(|b| names.contains(&b.name))
-            .map(|b| b.total_us)
-            .sum();
-        t * 100 / p.txn_total_us
-    };
-    for p in points {
-        lines.push(format!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {}.{:02} |",
-            p.engine,
-            p.batch,
-            if p.durable { "durable-ssd" } else { "ram" },
-            p.txns,
-            p.txn_p50_us,
-            p.txn_p99_us,
-            p.net_delivered_p50_us,
-            share(p, &[cat::QUEUE]),
-            share(p, &[cat::NIC]),
-            share(
-                p,
-                &["leader-election", "value-discovery", "agreement", "decision"]
-            ),
-            share(p, &[cat::FLIGHT]),
-            share(p, &[cat::FSYNC]),
-            share(p, &[cat::COORD]),
-            share(p, &[cat::UNTRACED]),
-            p.reconcile_pct_x100 / 100,
-            p.reconcile_pct_x100 % 100,
-        ));
-    }
-    lines
-}
+impl Artifact for Latency {
+    type Spec = SweepSpec;
+    type Point = Point;
+    const NAME: &'static str = "latency";
+    const PATH: &'static str = "BENCH_latency.json";
+    const LIST: &'static str = "cells";
 
-fn u(v: &Value, key: &str) -> Option<u64> {
-    v.get(key).and_then(Value::as_u64)
-}
-
-/// Structural and semantic checks on a sweep document. Returns every
-/// problem found (empty = valid). Enforces the tentpole invariants: named
-/// buckets reconcile to ≥95 % of end-to-end time in every cell, durable
-/// cells show nonzero WAL-fsync time, and bucket totals sum exactly to
-/// the measured transaction time.
-pub fn validate_schema(doc: &Value) -> Vec<String> {
-    let mut problems = Vec::new();
-    if u(doc, "schema_version") != Some(SCHEMA_VERSION) {
-        problems.push(format!("schema_version must be {SCHEMA_VERSION}"));
-    }
-    for key in ["seed", "warmup_us", "txns_per_router", "singles_per_router"] {
-        if u(doc, key).is_none() {
-            problems.push(format!("missing top-level {key}"));
-        }
-    }
-    let cells = match doc.get("cells").and_then(Value::as_array) {
-        Some(c) if !c.is_empty() => c,
-        _ => {
-            problems.push("cells must be a non-empty array".into());
-            return problems;
-        }
-    };
-    for (i, c) in cells.iter().enumerate() {
-        let tag = format!("cell {i}");
-        for key in [
-            "txns",
-            "ops",
-            "spans",
-            "txn_p50_us",
-            "txn_p99_us",
-            "op_p50_us",
-            "op_p99_us",
-            "txn_total_us",
-            "reconcile_pct_x100",
-            "net_delivered_p50_us",
-            "net_delivered_p99_us",
-        ] {
-            if u(c, key).is_none() {
-                problems.push(format!("{tag}: missing {key}"));
+    /// The full grid behind `BENCH_latency.json`: Multi-Paxos swept over
+    /// batching × storage, Raft over batching (Raft shards keep the RAM
+    /// durability model, so a "durable" Raft cell would be a lie).
+    fn full_spec() -> SweepSpec {
+        let mut cells = Vec::new();
+        for durable in [false, true] {
+            for batch in [BatchConfig::unbatched(), batched()] {
+                cells.push(CellSpec {
+                    engine: "multi-paxos",
+                    batch,
+                    durable,
+                });
             }
         }
-        if c.get("engine").and_then(Value::as_str).is_none() {
-            problems.push(format!("{tag}: missing engine"));
+        for batch in [BatchConfig::unbatched(), batched()] {
+            cells.push(CellSpec {
+                engine: "raft",
+                batch,
+                durable: false,
+            });
         }
-        if u(c, "txns") == Some(0) {
-            problems.push(format!("{tag}: no transactions analyzed"));
+        SweepSpec {
+            cells,
+            txns_per_router: 4,
+            singles_per_router: 2,
         }
-        if u(c, "txn_p50_us") > u(c, "txn_p99_us") {
-            problems.push(format!("{tag}: txn p50 exceeds p99"));
-        }
-        if u(c, "op_p50_us") > u(c, "op_p99_us") {
-            problems.push(format!("{tag}: op p50 exceeds p99"));
-        }
-        match u(c, "reconcile_pct_x100") {
-            Some(r) if r >= MIN_RECONCILE_X100 => {}
-            Some(r) => problems.push(format!(
-                "{tag}: buckets reconcile to only {}.{:02}% of e2e latency (need ≥95%)",
-                r / 100,
-                r % 100
-            )),
-            None => {}
-        }
-        let buckets = match c.get("buckets").and_then(Value::as_array) {
-            Some(b) => b,
-            None => {
-                problems.push(format!("{tag}: missing buckets"));
+    }
+
+    fn smoke_spec() -> Option<SweepSpec> {
+        Some(smoke_spec())
+    }
+
+    fn run(spec: &SweepSpec) -> Vec<Point> {
+        spec.cells
+            .iter()
+            .map(|cell| match cell.engine {
+                "multi-paxos" => run_cell::<MultiPaxosCluster>(spec, cell),
+                "raft" => run_cell::<RaftCluster>(spec, cell),
+                other => panic!("unknown engine {other}"),
+            })
+            .collect()
+    }
+
+    /// End-to-end percentiles and the per-bucket stats in the JSON; the
+    /// table shows each cell's bucket shares of total transaction time.
+    fn fields() -> Vec<Field<Point>> {
+        type F = Field<Point>;
+        vec![
+            F::str("engine", |p| p.engine.into()).col("engine"),
+            F::str("batch", |p| p.batch.clone()).col("batch"),
+            F::bool("durable", |p| p.durable),
+            F::derived("storage", |p| {
+                if p.durable { "durable-ssd" } else { "ram" }.into()
+            }),
+            F::int("txns", |p| p.txns as u64).col("txns"),
+            F::int("ops", |p| p.ops as u64),
+            F::int("spans", |p| p.spans as u64),
+            F::int("txn_p50_us", |p| p.txn_p50_us).col("txn p50 µs"),
+            F::int("txn_p99_us", |p| p.txn_p99_us).col("txn p99 µs"),
+            F::int("op_p50_us", |p| p.op_p50_us),
+            F::int("op_p99_us", |p| p.op_p99_us),
+            F::int("txn_total_us", |p| p.txn_total_us),
+            F::int("reconcile_pct_x100", |p| p.reconcile_pct_x100),
+            F::int("net_delivered_p50_us", |p| p.net_delivered_p50_us).col("net p50 µs"),
+            F::int("net_delivered_p99_us", |p| p.net_delivered_p99_us),
+            F::list("buckets", |p| {
+                let fields = [
+                    Field::str("name", |b: &BucketStat| b.name.into()),
+                    Field::int("p50_us", |b| b.p50_us),
+                    Field::int("p99_us", |b| b.p99_us),
+                    Field::int("total_us", |b| b.total_us),
+                ];
+                p.bucket_stats.iter().map(|b| record(&fields, b)).collect()
+            }),
+            F::derived("queue%", |p| share(p, &[cat::QUEUE])),
+            F::derived("nic%", |p| share(p, &[cat::NIC])),
+            F::derived("consensus%", |p| {
+                share(
+                    p,
+                    &[
+                        "leader-election",
+                        "value-discovery",
+                        "agreement",
+                        "decision",
+                    ],
+                )
+            }),
+            F::derived("flight%", |p| share(p, &[cat::FLIGHT])),
+            F::derived("fsync%", |p| share(p, &[cat::FSYNC])),
+            F::derived("coord%", |p| share(p, &[cat::COORD])),
+            F::derived("untraced%", |p| share(p, &[cat::UNTRACED])),
+            F::derived("reconcile%", |p| {
+                format!(
+                    "{}.{:02}",
+                    p.reconcile_pct_x100 / 100,
+                    p.reconcile_pct_x100 % 100
+                )
+            }),
+        ]
+    }
+
+    fn header(spec: &SweepSpec, _points: &[Point]) -> Value {
+        json!({
+            "schema_version": SCHEMA_VERSION,
+            "seed": SEED,
+            "warmup_us": WARMUP_US,
+            "txns_per_router": spec.txns_per_router,
+            "singles_per_router": spec.singles_per_router,
+            "net": "lan",
+        })
+    }
+
+    /// The analyzer's invariants: named buckets reconcile to ≥95 % of
+    /// end-to-end time in every cell, durable cells show nonzero WAL-fsync
+    /// time, bucket totals sum exactly to the measured transaction time,
+    /// and no median exceeds its tail.
+    fn gate(points: &[Point]) -> Vec<String> {
+        let mut problems = Vec::new();
+        for (i, p) in points.iter().enumerate() {
+            let tag = format!("cell {i}");
+            if p.txns == 0 {
+                problems.push(format!("{tag}: no transactions analyzed"));
+            }
+            if p.txn_p50_us > p.txn_p99_us {
+                problems.push(format!("{tag}: txn p50 exceeds p99"));
+            }
+            if p.op_p50_us > p.op_p99_us {
+                problems.push(format!("{tag}: op p50 exceeds p99"));
+            }
+            let r = p.reconcile_pct_x100;
+            if r < MIN_RECONCILE_X100 {
+                problems.push(format!(
+                    "{tag}: buckets reconcile to only {}.{:02}% of e2e latency (need ≥95%)",
+                    r / 100,
+                    r % 100
+                ));
+            }
+            if p.bucket_stats.len() != BUCKETS.len() {
+                problems.push(format!(
+                    "{tag}: expected {} buckets, found {}",
+                    BUCKETS.len(),
+                    p.bucket_stats.len()
+                ));
                 continue;
             }
-        };
-        if buckets.len() != BUCKETS.len() {
-            problems.push(format!(
-                "{tag}: expected {} buckets, found {}",
-                BUCKETS.len(),
-                buckets.len()
-            ));
-            continue;
-        }
-        let mut total = 0u64;
-        let mut fsync = 0u64;
-        for (b, &want) in buckets.iter().zip(BUCKETS.iter()) {
-            if b.get("name").and_then(Value::as_str) != Some(want) {
-                problems.push(format!("{tag}: bucket order drifted (expected {want})"));
+            let mut fsync = 0;
+            for (b, want) in p.bucket_stats.iter().zip(BUCKETS) {
+                if b.name != want {
+                    problems.push(format!("{tag}: bucket order drifted (expected {want})"));
+                }
+                if b.name == cat::FSYNC {
+                    fsync = b.total_us;
+                }
+                if b.p50_us > b.p99_us {
+                    problems.push(format!("{tag}: bucket {want} p50 exceeds p99"));
+                }
             }
-            let t = u(b, "total_us").unwrap_or(0);
-            total += t;
-            if b.get("name").and_then(Value::as_str) == Some(cat::FSYNC) {
-                fsync = t;
+            let total: u64 = p.bucket_stats.iter().map(|b| b.total_us).sum();
+            if total != p.txn_total_us {
+                problems.push(format!(
+                    "{tag}: bucket totals sum to {total} ≠ txn_total_us {}",
+                    p.txn_total_us
+                ));
             }
-            if u(b, "p50_us") > u(b, "p99_us") {
-                problems.push(format!("{tag}: bucket {want} p50 exceeds p99"));
+            if p.durable && fsync == 0 {
+                problems.push(format!("{tag}: durable cell has an empty wal-fsync bucket"));
             }
         }
-        if Some(total) != u(c, "txn_total_us") {
-            problems.push(format!(
-                "{tag}: bucket totals sum to {total} ≠ txn_total_us {:?}",
-                u(c, "txn_total_us")
-            ));
-        }
-        if c.get("durable").and_then(Value::as_bool) == Some(true) && fsync == 0 {
-            problems.push(format!("{tag}: durable cell has an empty wal-fsync bucket"));
-        }
+        problems
     }
-    problems
 }
 
 #[cfg(test)]
@@ -592,49 +537,42 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_sweep_is_deterministic_and_valid() {
-        let spec = smoke_spec();
-        let a = run_sweep(&spec);
-        let b = run_sweep(&spec);
-        let ja = serde_json::to_string_pretty(&sweep_to_json(&spec, &a)).unwrap();
-        let jb = serde_json::to_string_pretty(&sweep_to_json(&spec, &b)).unwrap();
-        assert_eq!(ja, jb, "same seed must produce a byte-identical sweep");
-
-        let doc = sweep_to_json(&spec, &a);
-        let problems = validate_schema(&doc);
-        assert!(problems.is_empty(), "schema problems: {problems:?}");
-
-        // The durable smoke cell must show real WAL/group-commit time.
-        let durable = a.iter().find(|p| p.durable).expect("durable cell");
-        let fsync = durable
-            .bucket_stats
-            .iter()
-            .find(|b| b.name == cat::FSYNC)
-            .unwrap();
-        assert!(fsync.total_us > 0, "durable cell recorded no fsync time");
-        let ram = a.iter().find(|p| !p.durable).expect("ram cell");
-        let ram_fsync = ram
-            .bucket_stats
-            .iter()
-            .find(|b| b.name == cat::FSYNC)
-            .unwrap();
-        assert_eq!(ram_fsync.total_us, 0, "ram cell charged fsync time");
+    fn percentiles_are_nearest_rank() {
+        let of = |n: u64| {
+            let mut samples = LatencyRecorder::new();
+            (1..=n).for_each(|us| samples.record_micros(us));
+            p50_p99(&samples)
+        };
+        // With the artifact's 8 transactions per cell the median is the
+        // 4th-smallest sample, not the 5th.
+        assert_eq!(of(8), (4, 8));
+        assert_eq!(of(100), (50, 99));
+        assert_eq!(of(0), (0, 0));
     }
 
     #[test]
-    fn validator_rejects_drift() {
-        let spec = smoke_spec();
-        let points = run_sweep(&spec);
-        let doc = sweep_to_json(&spec, &points);
-        assert!(validate_schema(&doc).is_empty());
+    fn durable_cells_charge_fsync_and_ram_cells_do_not() {
+        let points = Latency::run(&smoke_spec());
+        let fsync = |p: &Point| {
+            let b = p.bucket_stats.iter().find(|b| b.name == cat::FSYNC);
+            b.expect("fsync bucket").total_us
+        };
+        // The durable smoke cell must show real WAL/group-commit time.
+        let durable = points.iter().find(|p| p.durable).expect("durable cell");
+        assert!(fsync(durable) > 0, "durable cell recorded no fsync time");
+        let ram = points.iter().find(|p| !p.durable).expect("ram cell");
+        assert_eq!(fsync(ram), 0, "ram cell charged fsync time");
+    }
+
+    #[test]
+    fn gate_rejects_low_reconciliation_and_empty_fsync() {
+        let points = Latency::run(&smoke_spec());
+        assert!(Latency::gate(&points).is_empty());
 
         // A low reconciliation ratio must be rejected.
         let mut bad = points.clone();
         bad[0].reconcile_pct_x100 = MIN_RECONCILE_X100 - 1;
-        let doc = sweep_to_json(&spec, &bad);
-        assert!(validate_schema(&doc)
-            .iter()
-            .any(|p| p.contains("reconcile")));
+        assert!(Latency::gate(&bad).iter().any(|p| p.contains("reconcile")));
 
         // A durable cell with no fsync time must be rejected.
         let mut bad = points.clone();
@@ -646,16 +584,13 @@ mod tests {
             }
         }
         bad[1].txn_total_us -= zeroed;
-        let doc = sweep_to_json(&spec, &bad);
-        assert!(validate_schema(&doc)
-            .iter()
-            .any(|p| p.contains("wal-fsync")));
+        assert!(Latency::gate(&bad).iter().any(|p| p.contains("wal-fsync")));
     }
 
     #[test]
     fn breakdown_sums_match_windows_exactly() {
         let spec = smoke_spec();
-        let points = run_sweep(&spec);
+        let points = Latency::run(&spec);
         for p in &points {
             let total: u64 = p.bucket_stats.iter().map(|b| b.total_us).sum();
             assert_eq!(

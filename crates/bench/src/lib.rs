@@ -1,25 +1,24 @@
 //! # bench — regenerate every table and figure
 //!
 //! One function per experiment from DESIGN.md's per-experiment index
-//! (T1–T5, F1–F25). Each returns a [`Report`] with human-readable lines
-//! and a machine-readable JSON value; the `tables` binary prints them, and
-//! the Criterion benches time the hot paths.
-//!
-//! Run everything:
-//!
-//! ```sh
-//! cargo run --release -p bench --bin tables
-//! cargo run --release -p bench --bin tables -- --exp f11
-//! ```
-//!
-//! The `figures` binary renders the generated documentation under `docs/`
-//! (Mermaid message-flow diagrams, taxonomy info cards, measured
-//! statistics) from the same deterministic simulations:
+//! (T1–T5, F1–F30). Each returns a [`Report`] with human-readable lines
+//! and a machine-readable JSON value; `bench tables` prints them and keeps
+//! `results.json`. The four sweeps ([`throughput`], [`latency`],
+//! [`recovery`], [`geo`]) each implement [`artifact::Artifact`], and the
+//! one pipeline in [`artifact`] regenerates or drift-checks their
+//! `BENCH_*.json` files. `bench figures` renders the generated
+//! documentation under `docs/` (Mermaid message-flow diagrams, taxonomy info
+//! cards, measured statistics) from the same deterministic simulations.
+//! Host cost (wall-clock) is measured by the separate `benchmark/` package.
 //!
 //! ```sh
-//! cargo run --release -p bench --bin figures
+//! cargo run --release -p bench -- tables
+//! cargo run --release -p bench -- tables --exp f11
+//! cargo run --release -p bench -- throughput --check
+//! cargo run --release -p bench -- figures
 //! ```
 
+pub mod artifact;
 pub mod experiments;
 pub mod figures;
 pub mod geo;

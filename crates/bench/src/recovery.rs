@@ -25,7 +25,9 @@ use consensus_core::QuorumSpec;
 use paxos::MultiPaxosCluster;
 use raft::RaftCluster;
 use serde_json::{json, Value};
-use simnet::{DiskModel, NetConfig, NodeId, Time};
+use simnet::{DiskModel, NetConfig, Node, NodeId, Sim, Time};
+
+use crate::artifact::{Artifact, Field};
 
 /// Replicas per shard in the sweep scenario.
 pub const REPLICAS: usize = 3;
@@ -77,22 +79,14 @@ pub struct RecoveryPoint {
     pub applied_len: usize,
 }
 
-impl RecoveryPoint {
-    /// The machine-readable form stored in `BENCH_recovery.json`.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "engine": self.engine,
-            "threshold": self.threshold,
-            "disk": self.disk,
-            "recovered_floor": self.recovered_floor,
-            "records_replayed": self.records_replayed,
-            "recovery_io_us": self.recovery_io_us,
-            "checkpoints": self.checkpoints,
-            "wal_appends": self.wal_appends,
-            "total_io_us": self.total_io_us,
-            "applied_len": self.applied_len,
-        })
-    }
+/// Lets the finished run settle, then crashes `node` and restarts it 49 ms
+/// later, so its engine counters report one real recovery pass.
+pub fn crash_and_restart<N: Node>(sim: &mut Sim<N>, node: usize) {
+    sim.run_for(300_000);
+    let now = sim.now();
+    sim.crash_at(NodeId(node as u32), Time(now.0 + 1_000));
+    sim.restart_at(NodeId(node as u32), Time(now.0 + 50_000));
+    sim.run_for(500_000);
 }
 
 /// Runs one cell: workload, settle, crash, restart, harvest.
@@ -101,168 +95,105 @@ pub fn cold_restart_cell(
     threshold: Option<usize>,
     disk: &'static str,
 ) -> RecoveryPoint {
+    // A macro, not a generic function: the Paxos and Raft replicas expose
+    // the recovery counters under the same field names, not a shared trait.
+    macro_rules! cell {
+        ($cluster:expr, $($applied_len:tt)+) => {{
+            let mut c = $cluster
+                .with_durability(threshold.unwrap_or(usize::MAX), disk_by_name(disk));
+            assert!(c.run(Time::from_secs(30)), "durable cluster stalled");
+            crash_and_restart(&mut c.sim, CRASHED);
+            let r = c.replicas().nth(CRASHED).expect("crashed replica exists");
+            let s = r.storage_stats().expect("durable engine attached");
+            assert_eq!(s.recoveries, 1, "restart must run exactly one recovery");
+            RecoveryPoint {
+                engine,
+                threshold,
+                disk,
+                recovered_floor: r.recovered_floor,
+                records_replayed: r.last_recovery_replayed,
+                recovery_io_us: r.last_recovery_io_us,
+                checkpoints: s.snapshots_written,
+                wal_appends: s.wal_appends,
+                total_io_us: s.io_time_us,
+                applied_len: r.$($applied_len)+,
+            }
+        }};
+    }
+    let (quorum, net) = (QuorumSpec::Majority { n: REPLICAS }, NetConfig::lan());
     match engine {
-        "paxos" => paxos_cell(threshold, disk),
-        "raft" => raft_cell(threshold, disk),
+        "paxos" => cell!(
+            MultiPaxosCluster::new(quorum, REPLICAS, 1, COMMANDS, net, SEED),
+            log.applied_len()
+        ),
+        "raft" => cell!(
+            RaftCluster::new(REPLICAS, 1, COMMANDS, net, SEED),
+            last_applied
+        ),
         other => panic!("unknown engine {other}"),
     }
 }
 
-fn paxos_cell(threshold: Option<usize>, disk: &'static str) -> RecoveryPoint {
-    let mut c = MultiPaxosCluster::new(
-        QuorumSpec::Majority { n: REPLICAS },
-        REPLICAS,
-        1,
-        COMMANDS,
-        NetConfig::lan(),
-        SEED,
-    )
-    .with_durability(threshold.unwrap_or(usize::MAX), disk_by_name(disk));
-    assert!(c.run(Time::from_secs(30)), "durable cluster stalled");
-    c.sim.run_for(300_000);
-    let now = c.sim.now();
-    c.sim.crash_at(NodeId(CRASHED as u32), Time(now.0 + 1_000));
-    c.sim.restart_at(NodeId(CRASHED as u32), Time(now.0 + 50_000));
-    c.sim.run_for(500_000);
-    let r = c.replicas().nth(CRASHED).expect("crashed replica exists");
-    let s = r.storage_stats().expect("durable engine attached");
-    assert_eq!(s.recoveries, 1, "restart must run exactly one recovery");
-    RecoveryPoint {
-        engine: "paxos",
-        threshold,
-        disk,
-        recovered_floor: r.recovered_floor,
-        records_replayed: r.last_recovery_replayed,
-        recovery_io_us: r.last_recovery_io_us,
-        checkpoints: s.snapshots_written,
-        wal_appends: s.wal_appends,
-        total_io_us: s.io_time_us,
-        applied_len: r.log.applied_len(),
-    }
-}
+/// The `bench recovery` artifact, `BENCH_recovery.json`. One fixed grid:
+/// there is no smoke spec.
+pub struct Recovery;
 
-fn raft_cell(threshold: Option<usize>, disk: &'static str) -> RecoveryPoint {
-    let mut c = RaftCluster::new(REPLICAS, 1, COMMANDS, NetConfig::lan(), SEED)
-        .with_durability(threshold.unwrap_or(usize::MAX), disk_by_name(disk));
-    assert!(c.run(Time::from_secs(30)), "durable cluster stalled");
-    c.sim.run_for(300_000);
-    let now = c.sim.now();
-    c.sim.crash_at(NodeId(CRASHED as u32), Time(now.0 + 1_000));
-    c.sim.restart_at(NodeId(CRASHED as u32), Time(now.0 + 50_000));
-    c.sim.run_for(500_000);
-    let r = c.replicas().nth(CRASHED).expect("crashed replica exists");
-    let s = r.storage_stats().expect("durable engine attached");
-    assert_eq!(s.recoveries, 1, "restart must run exactly one recovery");
-    RecoveryPoint {
-        engine: "raft",
-        threshold,
-        disk,
-        recovered_floor: r.recovered_floor,
-        records_replayed: r.last_recovery_replayed,
-        recovery_io_us: r.last_recovery_io_us,
-        checkpoints: s.snapshots_written,
-        wal_appends: s.wal_appends,
-        total_io_us: s.io_time_us,
-        applied_len: r.last_applied,
-    }
-}
+impl Artifact for Recovery {
+    type Spec = ();
+    type Point = RecoveryPoint;
+    const NAME: &'static str = "recovery";
+    const PATH: &'static str = "BENCH_recovery.json";
+    const LIST: &'static str = "points";
 
-/// Runs the full sweep in registry order (engine-major, then disk, then
-/// threshold).
-pub fn run_sweep() -> Vec<RecoveryPoint> {
-    let mut points = Vec::new();
-    for engine in ENGINES {
-        for disk in DISKS {
-            for threshold in THRESHOLDS {
-                points.push(cold_restart_cell(engine, threshold, disk));
+    fn full_spec() {}
+
+    /// Runs the full sweep in registry order (engine-major, then disk, then
+    /// threshold).
+    fn run(_spec: &()) -> Vec<RecoveryPoint> {
+        let mut points = Vec::new();
+        for engine in ENGINES {
+            for disk in DISKS {
+                for threshold in THRESHOLDS {
+                    points.push(cold_restart_cell(engine, threshold, disk));
+                }
             }
         }
+        points
     }
-    points
-}
 
-/// Wraps the sweep in the versioned document written to disk.
-pub fn sweep_to_json(points: &[RecoveryPoint]) -> Value {
-    json!({
-        "schema": "bench/recovery/v2",
-        "scenario": json!({
-            "replicas": REPLICAS,
-            "commands": COMMANDS,
-            "seed": SEED,
-            "crashed_replica": CRASHED,
-        }),
-        "engines": ENGINES.as_slice(),
-        "disks": DISKS.as_slice(),
-        "thresholds": THRESHOLDS.as_slice(),
-        "points": points.iter().map(RecoveryPoint::to_json).collect::<Vec<_>>(),
-    })
-}
+    fn fields() -> Vec<Field<RecoveryPoint>> {
+        type F = Field<RecoveryPoint>;
+        vec![
+            F::str("engine", |p| p.engine.into()).col("engine"),
+            F::str("disk", |p| p.disk.into()).col("disk"),
+            F::opt_int("threshold", |p| p.threshold.map(|t| t as u64)),
+            F::derived("threshold", |p| {
+                p.threshold.map_or("off".into(), |t| t.to_string())
+            }),
+            F::int("recovered_floor", |p| p.recovered_floor as u64).col("floor"),
+            F::int("records_replayed", |p| p.records_replayed).col("replayed"),
+            F::int("recovery_io_us", |p| p.recovery_io_us).col("recovery µs"),
+            F::int("checkpoints", |p| p.checkpoints).col("checkpoints"),
+            F::int("wal_appends", |p| p.wal_appends),
+            F::int("total_io_us", |p| p.total_io_us).col("run-total µs"),
+            F::int("applied_len", |p| p.applied_len as u64),
+        ]
+    }
 
-/// Human-readable table, one row per cell.
-pub fn render_table(points: &[RecoveryPoint]) -> Vec<String> {
-    let mut lines = vec![format!(
-        "{:<6} {:<6} {:>9} {:>7} {:>10} {:>13} {:>12} {:>13}",
-        "engine", "disk", "threshold", "floor", "replayed", "recovery µs", "checkpoints",
-        "run-total µs"
-    )];
-    for p in points {
-        let t = p
-            .threshold
-            .map(|t| t.to_string())
-            .unwrap_or_else(|| "off".into());
-        lines.push(format!(
-            "{:<6} {:<6} {:>9} {:>7} {:>10} {:>13} {:>12} {:>13}",
-            p.engine, p.disk, t, p.recovered_floor, p.records_replayed, p.recovery_io_us,
-            p.checkpoints, p.total_io_us
-        ));
+    fn header(_spec: &(), _points: &[RecoveryPoint]) -> Value {
+        json!({
+            "schema": "bench/recovery/v2",
+            "scenario": json!({
+                "replicas": REPLICAS,
+                "commands": COMMANDS,
+                "seed": SEED,
+                "crashed_replica": CRASHED,
+            }),
+            "engines": ENGINES.as_slice(),
+            "disks": DISKS.as_slice(),
+            "thresholds": THRESHOLDS.as_slice(),
+        })
     }
-    lines
-}
-
-/// Validates the document shape; returns the list of problems (empty = ok).
-pub fn validate_schema(doc: &Value) -> Vec<String> {
-    let mut problems = Vec::new();
-    if doc.get("schema").and_then(Value::as_str) != Some("bench/recovery/v2") {
-        problems.push("schema tag missing or wrong".to_string());
-    }
-    if doc.get("scenario").and_then(Value::as_object).is_none() {
-        problems.push("scenario missing".to_string());
-    }
-    let Some(points) = doc.get("points").and_then(Value::as_array) else {
-        problems.push("points missing".to_string());
-        return problems;
-    };
-    let expected = ENGINES.len() * DISKS.len() * THRESHOLDS.len();
-    if points.len() != expected {
-        problems.push(format!("expected {expected} points, found {}", points.len()));
-    }
-    for (i, p) in points.iter().enumerate() {
-        for field in [
-            "engine",
-            "disk",
-            "recovered_floor",
-            "records_replayed",
-            "recovery_io_us",
-            "checkpoints",
-            "wal_appends",
-            "total_io_us",
-            "applied_len",
-        ] {
-            if p.get(field).is_none() {
-                problems.push(format!("point {i}: missing field {field}"));
-            }
-        }
-        if !p
-            .get("threshold")
-            .is_some_and(|t| t.is_null() || t.as_u64().is_some())
-        {
-            problems.push(format!("point {i}: threshold must be a number or null"));
-        }
-        if p.get("records_replayed").and_then(Value::as_u64).is_none() {
-            problems.push(format!("point {i}: records_replayed must be a number"));
-        }
-    }
-    problems
 }
 
 #[cfg(test)]
@@ -277,10 +208,19 @@ mod tests {
         for engine in ENGINES {
             let tight = cold_restart_cell(engine, Some(4), "ssd");
             let off = cold_restart_cell(engine, None, "ssd");
-            assert!(tight.checkpoints >= 1, "{engine}: threshold 4 never checkpointed");
-            assert!(tight.recovered_floor > 0, "{engine}: recovery ignored the checkpoint");
+            assert!(
+                tight.checkpoints >= 1,
+                "{engine}: threshold 4 never checkpointed"
+            );
+            assert!(
+                tight.recovered_floor > 0,
+                "{engine}: recovery ignored the checkpoint"
+            );
             assert_eq!(off.checkpoints, 0);
-            assert_eq!(off.recovered_floor, 0, "{engine}: no checkpoint: replay from slot 0");
+            assert_eq!(
+                off.recovered_floor, 0,
+                "{engine}: no checkpoint: replay from slot 0"
+            );
             assert!(
                 off.records_replayed > tight.records_replayed,
                 "{engine}: disabled checkpoints must replay more ({} vs {})",
@@ -307,14 +247,5 @@ mod tests {
                 "{engine}: the slower disk must charge more recovery time"
             );
         }
-    }
-
-    #[test]
-    fn document_validates_and_is_deterministic() {
-        let points = run_sweep();
-        let doc = sweep_to_json(&points);
-        assert!(validate_schema(&doc).is_empty(), "{:?}", validate_schema(&doc));
-        let again = sweep_to_json(&run_sweep());
-        assert_eq!(doc, again, "sweep must be deterministic");
     }
 }

@@ -28,6 +28,8 @@ use bft::pbft::PbftCluster;
 use paxos::MultiPaxosCluster;
 use raft::RaftCluster;
 
+use crate::artifact::{Artifact, Field};
+
 /// Version stamp of the JSON artifact layout; bump when fields change.
 /// v2 added the value-size axis (`value_bytes` on every point).
 pub const SCHEMA_VERSION: u64 = 2;
@@ -72,22 +74,6 @@ pub struct SweepSpec {
     pub value_clients: (usize, usize),
     /// Simulation seed shared by every cell.
     pub seed: u64,
-}
-
-/// The checked-in artifact's grid.
-pub fn full_spec() -> SweepSpec {
-    SweepSpec {
-        ns: vec![4, 7, 10],
-        batches: vec![
-            BatchConfig::unbatched(),
-            BatchConfig::new(4, 200, 4),
-            BatchConfig::new(16, 400, 16),
-        ],
-        clients: vec![(2, 150), (48, 50)],
-        value_bytes: vec![256, 1024],
-        value_clients: (48, 15),
-        seed: 1,
-    }
 }
 
 /// A CI-sized grid: one cluster size, two configs, one saturating
@@ -137,28 +123,6 @@ pub struct Point {
     pub msgs_per_op_x100: u64,
 }
 
-impl Point {
-    /// Machine-readable record (integers only — reproducible bit-for-bit).
-    pub fn to_json(&self) -> Value {
-        json!({
-            "protocol": self.protocol,
-            "n": self.n as u64,
-            "batch": self.batch.label(),
-            "clients": self.clients as u64,
-            "cmds_per_client": self.cmds_per_client as u64,
-            "value_bytes": self.value_bytes as u64,
-            "completed": self.completed as u64,
-            "all_done": self.all_done,
-            "sim_micros": self.sim_micros,
-            "tput_ops_per_sec": self.tput_ops_per_sec,
-            "p50_us": self.p50_us,
-            "p99_us": self.p99_us,
-            "mean_batch_x100": self.mean_batch_x100,
-            "msgs_per_op_x100": self.msgs_per_op_x100,
-        })
-    }
-}
-
 /// Runs one cell through the driver trait and measures it.
 fn run_point<D: ClusterDriver>(cfg: &DriverConfig) -> Point {
     let mut driver = D::from_config(cfg);
@@ -196,42 +160,6 @@ fn run_point<D: ClusterDriver>(cfg: &DriverConfig) -> Point {
     }
 }
 
-/// Runs the full grid for all three SMR protocols. Cell order is the
-/// deterministic iteration order of the spec (clients → n → batch →
-/// protocol for the main grid, then value_bytes → batch → protocol for the
-/// value-size axis), which is also the order of `points` in the JSON
-/// artifact.
-pub fn run_sweep(spec: &SweepSpec) -> Vec<Point> {
-    let mut points = Vec::new();
-    for &(clients, cmds) in &spec.clients {
-        for &n in &spec.ns {
-            for &batch in &spec.batches {
-                let cfg = DriverConfig::new(n, clients, cmds, spec.seed)
-                    .with_batch(batch)
-                    .with_net(net_profile());
-                points.push(run_point::<MultiPaxosCluster>(&cfg));
-                points.push(run_point::<RaftCluster>(&cfg));
-                points.push(run_point::<PbftCluster>(&cfg));
-            }
-        }
-    }
-    // Value-size axis: first cluster size, dedicated saturating population.
-    let n = spec.ns[0];
-    let (clients, cmds) = spec.value_clients;
-    for &vb in &spec.value_bytes {
-        for &batch in &spec.batches {
-            let cfg = DriverConfig::new(n, clients, cmds, spec.seed)
-                .with_batch(batch)
-                .with_net(net_profile())
-                .with_mix(KvMix::default().with_value_bytes(vb));
-            points.push(run_point::<MultiPaxosCluster>(&cfg));
-            points.push(run_point::<RaftCluster>(&cfg));
-            points.push(run_point::<PbftCluster>(&cfg));
-        }
-    }
-    points
-}
-
 /// Best batched/pipelined throughput ÷ unbatched throughput for one
 /// `(protocol, n, clients)` group of the tiny-value main grid, × 100.
 /// Value-size-axis cells are excluded so the baseline stays the classic
@@ -259,129 +187,128 @@ pub fn speedup_x100(points: &[Point], protocol: &str, n: usize, clients: usize) 
     Some(best * 100 / base)
 }
 
-/// The complete JSON artifact for a sweep.
-pub fn sweep_to_json(spec: &SweepSpec, points: &[Point]) -> Value {
-    let mut speedups = Vec::new();
-    for &(clients, _) in &spec.clients {
-        for &n in &spec.ns {
-            for protocol in ["multi-paxos", "raft", "pbft"] {
-                if let Some(s) = speedup_x100(points, protocol, n, clients) {
-                    speedups.push(json!({
-                        "protocol": protocol,
-                        "n": n as u64,
-                        "clients": clients as u64,
-                        "best_batched_speedup_x100": s,
-                    }));
+/// The `bench throughput` artifact, `BENCH_throughput.json`.
+pub struct Throughput;
+
+impl Artifact for Throughput {
+    type Spec = SweepSpec;
+    type Point = Point;
+    const NAME: &'static str = "throughput";
+    const PATH: &'static str = "BENCH_throughput.json";
+    const LIST: &'static str = "points";
+
+    fn full_spec() -> SweepSpec {
+        SweepSpec {
+            ns: vec![4, 7, 10],
+            batches: vec![
+                BatchConfig::unbatched(),
+                BatchConfig::new(4, 200, 4),
+                BatchConfig::new(16, 400, 16),
+            ],
+            clients: vec![(2, 150), (48, 50)],
+            value_bytes: vec![256, 1024],
+            value_clients: (48, 15),
+            seed: 1,
+        }
+    }
+
+    fn smoke_spec() -> Option<SweepSpec> {
+        Some(smoke_spec())
+    }
+
+    /// Runs the full grid for all three SMR protocols. Cell order is the
+    /// deterministic iteration order of the spec (clients → n → batch →
+    /// protocol for the main grid, then value_bytes → batch → protocol for the
+    /// value-size axis), which is also the order of `points` in the JSON
+    /// artifact.
+    fn run(spec: &SweepSpec) -> Vec<Point> {
+        let mut points = Vec::new();
+        for &(clients, cmds) in &spec.clients {
+            for &n in &spec.ns {
+                for &batch in &spec.batches {
+                    let cfg = DriverConfig::new(n, clients, cmds, spec.seed)
+                        .with_batch(batch)
+                        .with_net(net_profile());
+                    points.push(run_point::<MultiPaxosCluster>(&cfg));
+                    points.push(run_point::<RaftCluster>(&cfg));
+                    points.push(run_point::<PbftCluster>(&cfg));
                 }
             }
         }
-    }
-    json!({
-        "schema_version": SCHEMA_VERSION,
-        "net": "lan",
-        "nic": json!({
-            "per_msg_us": NIC_PER_MSG_US,
-            "bytes_per_us": NIC_BYTES_PER_US,
-        }),
-        "seed": spec.seed,
-        "points": Value::Array(points.iter().map(Point::to_json).collect()),
-        "speedups": Value::Array(speedups),
-    })
-}
-
-/// Renders the sweep as a markdown table (the EXPERIMENTS.md format).
-pub fn render_table(points: &[Point]) -> Vec<String> {
-    let mut lines = vec![
-        "| protocol | n | clients | val (B) | config | tput (ops/s) | p50 (µs) | p99 (µs) | mean batch | msgs/op |".to_string(),
-        "|---|---|---|---|---|---|---|---|---|---|".to_string(),
-    ];
-    for p in points {
-        lines.push(format!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {:.2} | {:.2} |",
-            p.protocol,
-            p.n,
-            p.clients,
-            p.value_bytes,
-            p.batch.label(),
-            p.tput_ops_per_sec,
-            p.p50_us,
-            p.p99_us,
-            p.mean_batch_x100 as f64 / 100.0,
-            p.msgs_per_op_x100 as f64 / 100.0,
-        ));
-    }
-    lines
-}
-
-/// Validates the shape of a parsed `BENCH_throughput.json`: version, NIC
-/// block, and every required integer field on every point. Returns the list
-/// of problems (empty = valid).
-pub fn validate_schema(doc: &Value) -> Vec<String> {
-    let mut problems = Vec::new();
-    match doc.get("schema_version").and_then(Value::as_u64) {
-        Some(SCHEMA_VERSION) => {}
-        other => problems.push(format!(
-            "schema_version: expected {SCHEMA_VERSION}, got {other:?}"
-        )),
-    }
-    if doc
-        .get("nic")
-        .and_then(|n| n.get("per_msg_us"))
-        .and_then(Value::as_u64)
-        .is_none()
-    {
-        problems.push("missing nic.per_msg_us".to_string());
-    }
-    if doc.get("seed").and_then(Value::as_u64).is_none() {
-        problems.push("missing seed".to_string());
-    }
-    let Some(points) = doc.get("points").and_then(Value::as_array) else {
-        problems.push("missing points array".to_string());
-        return problems;
-    };
-    if points.is_empty() {
-        problems.push("points array is empty".to_string());
-    }
-    for (i, p) in points.iter().enumerate() {
-        for key in ["protocol", "batch"] {
-            if p.get(key).and_then(Value::as_str).is_none() {
-                problems.push(format!("points[{i}].{key}: missing or not a string"));
+        // Value-size axis: first cluster size, dedicated saturating population.
+        let n = spec.ns[0];
+        let (clients, cmds) = spec.value_clients;
+        for &vb in &spec.value_bytes {
+            for &batch in &spec.batches {
+                let cfg = DriverConfig::new(n, clients, cmds, spec.seed)
+                    .with_batch(batch)
+                    .with_net(net_profile())
+                    .with_mix(KvMix::default().with_value_bytes(vb));
+                points.push(run_point::<MultiPaxosCluster>(&cfg));
+                points.push(run_point::<RaftCluster>(&cfg));
+                points.push(run_point::<PbftCluster>(&cfg));
             }
         }
-        if p.get("all_done").and_then(Value::as_bool).is_none() {
-            problems.push(format!("points[{i}].all_done: missing or not a bool"));
-        }
-        for key in [
-            "n",
-            "clients",
-            "cmds_per_client",
-            "value_bytes",
-            "completed",
-            "sim_micros",
-            "tput_ops_per_sec",
-            "p50_us",
-            "p99_us",
-            "mean_batch_x100",
-            "msgs_per_op_x100",
-        ] {
-            if p.get(key).and_then(Value::as_u64).is_none() {
-                problems.push(format!("points[{i}].{key}: missing or not an integer"));
+        points
+    }
+
+    /// Integers only (fixed-point ×100 for means), so the artifact is
+    /// reproducible bit-for-bit.
+    fn fields() -> Vec<Field<Point>> {
+        type F = Field<Point>;
+        vec![
+            F::str("protocol", |p| p.protocol.into()).col("protocol"),
+            F::int("n", |p| p.n as u64).col("n"),
+            F::int("clients", |p| p.clients as u64).col("clients"),
+            F::int("cmds_per_client", |p| p.cmds_per_client as u64),
+            F::int("value_bytes", |p| p.value_bytes as u64).col("val (B)"),
+            F::str("batch", |p| p.batch.label()).col("config"),
+            F::int("completed", |p| p.completed as u64),
+            F::bool("all_done", |p| p.all_done),
+            F::int("sim_micros", |p| p.sim_micros),
+            F::int("tput_ops_per_sec", |p| p.tput_ops_per_sec).col("tput (ops/s)"),
+            F::int("p50_us", |p| p.p50_us).col("p50 (µs)"),
+            F::int("p99_us", |p| p.p99_us).col("p99 (µs)"),
+            F::int("mean_batch_x100", |p| p.mean_batch_x100),
+            F::derived("mean batch", |p| {
+                format!("{:.2}", p.mean_batch_x100 as f64 / 100.0)
+            }),
+            F::int("msgs_per_op_x100", |p| p.msgs_per_op_x100),
+            F::derived("msgs/op", |p| {
+                format!("{:.2}", p.msgs_per_op_x100 as f64 / 100.0)
+            }),
+        ]
+    }
+
+    /// Version, network profile and the speedup block: best batched ÷
+    /// unbatched throughput per `(protocol, n, clients)` group.
+    fn header(spec: &SweepSpec, points: &[Point]) -> Value {
+        let mut speedups = Vec::new();
+        for &(clients, _) in &spec.clients {
+            for &n in &spec.ns {
+                for protocol in ["multi-paxos", "raft", "pbft"] {
+                    if let Some(s) = speedup_x100(points, protocol, n, clients) {
+                        speedups.push(json!({
+                            "protocol": protocol,
+                            "n": n as u64,
+                            "clients": clients as u64,
+                            "best_batched_speedup_x100": s,
+                        }));
+                    }
+                }
             }
         }
+        json!({
+            "schema_version": SCHEMA_VERSION,
+            "net": "lan",
+            "nic": json!({
+                "per_msg_us": NIC_PER_MSG_US,
+                "bytes_per_us": NIC_BYTES_PER_US,
+            }),
+            "seed": spec.seed,
+            "speedups": Value::Array(speedups),
+        })
     }
-    let Some(speedups) = doc.get("speedups").and_then(Value::as_array) else {
-        problems.push("missing speedups array".to_string());
-        return problems;
-    };
-    for (i, s) in speedups.iter().enumerate() {
-        if s.get("best_batched_speedup_x100")
-            .and_then(Value::as_u64)
-            .is_none()
-        {
-            problems.push(format!("speedups[{i}].best_batched_speedup_x100 missing"));
-        }
-    }
-    problems
 }
 
 #[cfg(test)]
@@ -389,34 +316,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_sweep_is_deterministic_and_valid() {
-        let spec = smoke_spec();
-        let a = run_sweep(&spec);
-        let b = run_sweep(&spec);
-        let (ja, jb) = (sweep_to_json(&spec, &a), sweep_to_json(&spec, &b));
-        assert_eq!(
-            serde_json::to_string(&ja).unwrap(),
-            serde_json::to_string(&jb).unwrap(),
-            "sweep must be a pure function of the spec"
-        );
-        assert!(validate_schema(&ja).is_empty(), "{:?}", validate_schema(&ja));
-        // Main grid (1 n × 2 configs × 1 population × 3 protocols) plus the
-        // value-size axis (1 size × 2 configs × 3 protocols).
-        assert_eq!(a.len(), 12);
-        for p in &a {
-            assert!(p.all_done, "{} {} stalled", p.protocol, p.batch.label());
-            assert_eq!(p.completed, p.clients * p.cmds_per_client);
-            assert!(p.tput_ops_per_sec > 0);
-        }
-    }
-
-    #[test]
     fn padded_values_cost_real_throughput() {
         // The value-size axis must be wire-real: 1 KiB values serialize
         // through the NIC model, so every protocol's unbatched cell loses
         // throughput versus its tiny-value twin.
         let spec = smoke_spec();
-        let points = run_sweep(&spec);
+        let points = Throughput::run(&spec);
+        // Main grid (1 n × 2 configs × 1 population × 3 protocols) plus the
+        // value-size axis (1 size × 2 configs × 3 protocols).
+        assert_eq!(points.len(), 12);
+        for p in &points {
+            assert!(p.all_done, "{} {} stalled", p.protocol, p.batch.label());
+            assert_eq!(p.completed, p.clients * p.cmds_per_client);
+            assert!(p.tput_ops_per_sec > 0);
+        }
         for protocol in ["multi-paxos", "raft", "pbft"] {
             let pick = |vb: usize| {
                 points
@@ -442,7 +355,7 @@ mod tests {
         // clients — this is the cheap canary for the ≥3× acceptance bound
         // the full grid demonstrates at n = 7.
         let spec = smoke_spec();
-        let points = run_sweep(&spec);
+        let points = Throughput::run(&spec);
         for protocol in ["multi-paxos", "raft", "pbft"] {
             let s = speedup_x100(&points, protocol, 4, 48).expect("speedup");
             assert!(
@@ -451,21 +364,5 @@ mod tests {
                 s as f64 / 100.0
             );
         }
-    }
-
-    #[test]
-    fn schema_validator_rejects_drifted_documents() {
-        let spec = smoke_spec();
-        let doc = sweep_to_json(&spec, &run_sweep(&spec));
-        assert!(validate_schema(&doc).is_empty());
-        let broken = serde_json::from_str(
-            &serde_json::to_string(&doc)
-                .unwrap()
-                .replace("\"schema_version\":2", "\"schema_version\":99"),
-        )
-        .unwrap();
-        assert!(!validate_schema(&broken).is_empty());
-        let no_points = serde_json::json!({"schema_version": SCHEMA_VERSION});
-        assert!(!validate_schema(&no_points).is_empty());
     }
 }

@@ -8,7 +8,7 @@
 //!    no timestamps or iteration-order nondeterminism).
 //! 2. **Freshness** — the committed `docs/` tree matches what the current
 //!    code generates. If a protocol or the renderer changes, rerun
-//!    `cargo run --release -p bench --bin figures` and commit the result.
+//!    `cargo run --release -p bench -- figures` and commit the result.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -42,26 +42,26 @@ fn committed_docs_match_generated() {
     for p in &pages {
         let path = docs_root().join("protocols").join(format!("{}.md", p.slug));
         let committed = fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{}: {e} — regenerate docs/ with the figures binary", p.slug));
+            .unwrap_or_else(|e| panic!("{}: {e} — regenerate docs/ with `bench figures`", p.slug));
         assert_eq!(
             committed, p.body,
-            "{}: docs/protocols/{}.md is stale — rerun `cargo run --release -p bench --bin figures`",
+            "{}: docs/protocols/{}.md is stale — rerun `cargo run --release -p bench -- figures`",
             p.slug, p.slug
         );
     }
     let committed_index = fs::read_to_string(docs_root().join("README.md"))
-        .expect("docs/README.md missing — regenerate with the figures binary");
+        .expect("docs/README.md missing — regenerate with `bench figures`");
     assert_eq!(
         committed_index,
         index_page(&pages),
-        "docs/README.md is stale — rerun `cargo run --release -p bench --bin figures`"
+        "docs/README.md is stale — rerun `cargo run --release -p bench -- figures`"
     );
     let committed_obs = fs::read_to_string(docs_root().join("observability.md"))
-        .expect("docs/observability.md missing — regenerate with the figures binary");
+        .expect("docs/observability.md missing — regenerate with `bench figures`");
     assert_eq!(
         committed_obs,
         observability_page(),
-        "docs/observability.md is stale — rerun `cargo run --release -p bench --bin figures`"
+        "docs/observability.md is stale — rerun `cargo run --release -p bench -- figures`"
     );
 }
 
