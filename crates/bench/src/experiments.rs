@@ -11,7 +11,7 @@ use atomic_commit::three_phase::{self, CrashPoint};
 use atomic_commit::two_phase;
 
 use bft::cheapbft::CheapCluster;
-use bft::hotstuff::{HsCluster, HsConfig};
+use bft::hotstuff::{ClientWindow, HsCluster, HsConfig};
 use bft::minbft::MinCluster;
 use bft::pbft::{PbftCluster, CHECKPOINT_INTERVAL};
 use bft::seemore::{Mode, SeeMoReConfig, SmCluster};
@@ -85,7 +85,7 @@ pub fn t1_taxonomy() -> Report {
     // Measured growth classes for the four flagship protocols.
     let measure_paxos = |n: usize| {
         let mut c =
-            MultiPaxosCluster::new(QuorumSpec::Majority { n }, n, 1, 10, NetConfig::lan(), 1);
+            MultiPaxosCluster::new(QuorumSpec::Majority { n }, 1, 10, NetConfig::lan(), 1);
         assert!(c.run(Time::from_secs(30)));
         c.sim.metrics().sent as f64 / 10.0
     };
@@ -95,7 +95,7 @@ pub fn t1_taxonomy() -> Report {
         c.sim.metrics().sent as f64 / 10.0
     };
     let measure_hs = |n: usize| {
-        let mut c = HsCluster::new(HsConfig::rotating(n), 10, 1, NetConfig::lan(), 1);
+        let mut c = HsCluster::new(HsConfig::rotating(n), 1, 10, NetConfig::lan(), 1);
         assert!(c.run(Time::from_secs(60)));
         c.sim.metrics().sent as f64 / 10.0
     };
@@ -212,7 +212,6 @@ pub fn f3_livelock() -> Report {
 pub fn f4_multipaxos() -> Report {
     let mut c = MultiPaxosCluster::new(
         QuorumSpec::Majority { n: 5 },
-        5,
         2,
         50,
         NetConfig::lan(),
@@ -607,27 +606,29 @@ pub fn f12_pbft_viewchange() -> Report {
 
 /// F13 — Zyzzyva's two cases.
 pub fn f13_zyzzyva() -> Report {
-    let mut fast = ZyzCluster::new(4, 10, fixed_net(500), 6);
+    let mut fast = ZyzCluster::new(4, 1, 10, fixed_net(500), 6);
     assert!(fast.run(Time::from_secs(30)));
+    let fast_path: usize = fast.clients().map(|c| c.fast_path).sum();
     let fast_line = format!(
         "fault-free : {} fast-path completions, min latency {}µs = 3 one-way delays",
-        fast.client().fast_path,
-        fast.client().latencies.min()
+        fast_path,
+        fast.latencies().min()
     );
-    let mut slow = ZyzCluster::new(4, 10, fixed_net(500), 6);
+    let mut slow = ZyzCluster::new(4, 1, 10, fixed_net(500), 6);
     slow.sim.crash_at(NodeId(3), Time::ZERO);
     assert!(slow.run(Time::from_secs(30)));
+    let cert_path: usize = slow.clients().map(|c| c.cert_path).sum();
     let slow_line = format!(
         "one backup down: {} commit-certificate (case 2) completions, min latency {}µs",
-        slow.client().cert_path,
-        slow.client().latencies.min()
+        cert_path,
+        slow.latencies().min()
     );
     Report {
         id: "f13",
         title: "Zyzzyva: case 1 (3f+1 replies) vs case 2 (2f+1 + commit cert)",
-        data: json!({"fast_path": fast.client().fast_path, "cert_path": slow.client().cert_path,
-                     "fast_latency_us": fast.client().latencies.min(),
-                     "cert_latency_us": slow.client().latencies.min()}),
+        data: json!({"fast_path": fast_path, "cert_path": cert_path,
+                     "fast_latency_us": fast.latencies().min(),
+                     "cert_latency_us": slow.latencies().min()}),
         lines: vec![fast_line, slow_line],
     }
 }
@@ -637,7 +638,7 @@ pub fn f14_hotstuff() -> Report {
     let mut lines = Vec::new();
     let mut per_cmd = Vec::new();
     for n in [4usize, 7, 10] {
-        let mut c = HsCluster::new(HsConfig::rotating(n), 10, 1, NetConfig::lan(), 7);
+        let mut c = HsCluster::new(HsConfig::rotating(n), 1, 10, NetConfig::lan(), 7);
         assert!(c.run(Time::from_secs(60)));
         let v = c.sim.metrics().sent as f64 / 10.0;
         per_cmd.push(v);
@@ -654,7 +655,7 @@ pub fn f14_hotstuff() -> Report {
             rotate: false,
             pipeline,
         };
-        let mut c = HsCluster::new(cfg, 40, 4, NetConfig::lan(), 7);
+        let mut c = HsCluster::new(cfg, 1, 40, NetConfig::lan(), 7).with_client_window(4);
         assert!(c.run(Time::from_secs(60)));
         c.sim.now().as_micros()
     };
@@ -676,7 +677,7 @@ pub fn f14_hotstuff() -> Report {
 
 /// F15 — MinBFT: 2f+1 replicas, 2 phases.
 pub fn f15_minbft() -> Report {
-    let mut c = MinCluster::new(3, 20, NetConfig::lan(), 8);
+    let mut c = MinCluster::new(3, 1, 20, NetConfig::lan(), 8);
     assert!(c.run(Time::from_secs(30)));
     let m = c.sim.metrics();
     let mut p = PbftCluster::new(4, 1, 20, NetConfig::lan(), 8);
@@ -704,11 +705,11 @@ pub fn f15_minbft() -> Report {
 
 /// F16 — CheapBFT: f+1 actives, PANIC switch.
 pub fn f16_cheapbft() -> Report {
-    let mut quiet = CheapCluster::new(3, 20, NetConfig::lan(), 9);
+    let mut quiet = CheapCluster::new(3, 1, 20, NetConfig::lan(), 9);
     assert!(quiet.run(Time::from_secs(30)));
     let quiet_msgs = quiet.sim.metrics().sent as f64 / 20.0;
 
-    let mut faulty = CheapCluster::new(3, 10, NetConfig::lan(), 9);
+    let mut faulty = CheapCluster::new(3, 1, 10, NetConfig::lan(), 9);
     faulty.sim.run_until(Time::from_millis(5));
     faulty.sim.crash_at(NodeId(1), Time::from_millis(6));
     let ok = faulty.run(Time::from_secs(60));
@@ -733,7 +734,7 @@ pub fn f16_cheapbft() -> Report {
 
 /// F17 — XFT: synchronous groups and the anarchy predicate.
 pub fn f17_xft() -> Report {
-    let mut c = XftCluster::new(5, 15, NetConfig::lan(), 10);
+    let mut c = XftCluster::new(5, 1, 15, NetConfig::lan(), 10);
     c.sim.run_until(Time::from_millis(5));
     c.sim.crash_at(NodeId(1), Time::from_millis(6)); // inside the group
     let ok = c.run(Time::from_secs(60));
@@ -795,16 +796,16 @@ pub fn f18_seemore() -> Report {
     let mut rows = Vec::new();
     for mode in [Mode::One, Mode::Two, Mode::Three] {
         let cfg = SeeMoReConfig { m: 1, c: 1, mode };
-        let mut cluster = SmCluster::new(cfg, 12, NetConfig::lan(), 11);
+        let mut cluster = SmCluster::new(cfg, 1, 12, NetConfig::lan(), 11);
         assert!(cluster.run(Time::from_secs(30)));
         lines.push(format!(
             "{:<8} {:>7} {:>8} {:>10} {:>12} {:>14.0}",
             format!("{mode:?}"),
             cfg.phases(),
             cfg.quorum(),
-            cluster.client().completed,
+            cluster.total_completed(),
             cluster.sim.metrics().sent,
-            cluster.client().latencies.mean()
+            cluster.latencies().mean()
         ));
         rows.push(json!({"mode": format!("{mode:?}"), "phases": cfg.phases(),
                          "quorum": cfg.quorum(), "messages": cluster.sim.metrics().sent}));
@@ -1347,9 +1348,9 @@ pub fn t5_comparison() -> Report {
                          "latency_us": lat}));
     };
 
-    // The three SMR protocols go through the uniform `ClusterDriver`
-    // surface: same construction, run, and harvest path as the nemesis
-    // targets and the throughput sweep.
+    // Every SMR protocol goes through the uniform `ClusterDriver` surface:
+    // same construction, run, and harvest path as the nemesis targets and
+    // the throughput sweep.
     fn smr_cell<D: ClusterDriver>(n: usize, cmds: usize, seed: u64) -> (f64, f64) {
         let cfg = DriverConfig::new(n, 1, cmds, seed);
         let mut d = D::from_config(&cfg);
@@ -1369,60 +1370,20 @@ pub fn t5_comparison() -> Report {
     let (msgs, lat) = smr_cell::<PbftCluster>(4, CMDS, 16);
     push("PBFT", 4, 1, msgs, lat, "byzantine");
 
-    let mut zy = ZyzCluster::new(4, CMDS, NetConfig::lan(), 16);
-    assert!(zy.run(Time::from_secs(30)));
-    push(
-        "Zyzzyva",
-        4,
-        1,
-        zy.sim.metrics().sent as f64 / CMDS as f64,
-        zy.client().latencies.mean(),
-        "byzantine",
-    );
+    let (msgs, lat) = smr_cell::<ZyzCluster>(4, CMDS, 16);
+    push("Zyzzyva", 4, 1, msgs, lat, "byzantine");
 
-    let mut hs = HsCluster::new(HsConfig::rotating(4), CMDS, 1, NetConfig::lan(), 16);
-    assert!(hs.run(Time::from_secs(30)));
-    push(
-        "HotStuff",
-        4,
-        1,
-        hs.sim.metrics().sent as f64 / CMDS as f64,
-        hs.client().latencies.mean(),
-        "byzantine",
-    );
+    let (msgs, lat) = smr_cell::<HsCluster>(4, CMDS, 16);
+    push("HotStuff", 4, 1, msgs, lat, "byzantine");
 
-    let mut mb = MinCluster::new(3, CMDS, NetConfig::lan(), 16);
-    assert!(mb.run(Time::from_secs(30)));
-    push(
-        "MinBFT",
-        3,
-        1,
-        mb.sim.metrics().sent as f64 / CMDS as f64,
-        mb.client().latencies.mean(),
-        "hybrid",
-    );
+    let (msgs, lat) = smr_cell::<MinCluster>(3, CMDS, 16);
+    push("MinBFT", 3, 1, msgs, lat, "hybrid");
 
-    let mut ch = CheapCluster::new(3, CMDS, NetConfig::lan(), 16);
-    assert!(ch.run(Time::from_secs(30)));
-    push(
-        "CheapBFT",
-        3,
-        1,
-        ch.sim.metrics().sent as f64 / CMDS as f64,
-        ch.client().latencies.mean(),
-        "hybrid",
-    );
+    let (msgs, lat) = smr_cell::<CheapCluster>(3, CMDS, 16);
+    push("CheapBFT", 3, 1, msgs, lat, "hybrid");
 
-    let mut xf = XftCluster::new(3, CMDS, NetConfig::lan(), 16);
-    assert!(xf.run(Time::from_secs(30)));
-    push(
-        "XFT",
-        3,
-        1,
-        xf.sim.metrics().sent as f64 / CMDS as f64,
-        xf.client().latencies.mean(),
-        "hybrid",
-    );
+    let (msgs, lat) = smr_cell::<XftCluster>(3, CMDS, 16);
+    push("XFT", 3, 1, msgs, lat, "hybrid");
 
     lines.push(String::new());
     lines.push("shapes: crash < hybrid < byzantine in replicas and messages;".into());

@@ -123,7 +123,7 @@ pub fn cold_restart_cell(
     let (quorum, net) = (QuorumSpec::Majority { n: REPLICAS }, NetConfig::lan());
     match engine {
         "paxos" => cell!(
-            MultiPaxosCluster::new(quorum, REPLICAS, 1, COMMANDS, net, SEED),
+            MultiPaxosCluster::new(quorum, 1, COMMANDS, net, SEED),
             log.applied_len()
         ),
         "raft" => cell!(

@@ -17,13 +17,16 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use consensus_core::workload::{KvMix, KvWorkload, LatencyRecorder};
-use consensus_core::{Command, DedupKvMachine, KvCommand, KvResponse};
-use simnet::{CncPhase, Context, NetConfig, Node, NodeId, RunOutcome, Sim, Time, Timer};
+use consensus_core::driver::{BatchConfig, DecidedEntry};
+use consensus_core::{
+    Cluster, Command, DedupKvMachine, KvCommand, KvResponse, Session, SmrProtocol,
+};
+use simnet::{CncPhase, Context, Node, NodeId, Timer};
 
 /// Span protocol label; instances are sequence numbers.
 const SPAN: &str = "cheapbft";
 
+use crate::shell::{decided_commands, VoteWire, VotingClient};
 use crate::sim_crypto::{digest_of, Usig, UsigCert, UsigVerifier};
 
 /// Which protocol the cluster is running.
@@ -147,14 +150,15 @@ pub struct CheapReplica {
 }
 
 impl CheapReplica {
-    /// Creates a replica for a `2f+1` cluster.
-    pub fn new(n_replicas: usize, id_hint: u32) -> Self {
+    /// Creates a replica for a `2f+1` cluster. Its CASH counter is bound to
+    /// the node id when the node starts.
+    pub fn new(n_replicas: usize) -> Self {
         CheapReplica {
             n_replicas,
             next_seq: 0,
             f: (n_replicas - 1) / 2,
             proto: Protocol::CheapTiny,
-            usig: Usig::new(NodeId(id_hint)),
+            usig: Usig::new(NodeId(0)),
             verifier: UsigVerifier::new(),
             instances: BTreeMap::new(),
             history: Vec::new(),
@@ -255,7 +259,7 @@ impl CheapReplica {
         ctx.send_many(self.peer_replicas(me), CheapMsg::SwitchHistory { history });
     }
 
-    fn enter_minbft(&mut self, ctx: &mut Context<CheapMsg>) {
+    fn enter_minbft(&mut self) {
         if self.proto == Protocol::MinBft {
             return;
         }
@@ -265,14 +269,15 @@ impl CheapReplica {
         // Sequence numbering restarts in the new protocol epoch.
         self.next_seq = 0;
         self.executed_counter = 0;
-        let _ = ctx;
     }
 }
 
 impl Node for CheapReplica {
     type Msg = CheapMsg;
 
-    fn on_start(&mut self, _ctx: &mut Context<CheapMsg>) {}
+    fn on_start(&mut self, ctx: &mut Context<CheapMsg>) {
+        self.usig.bind(ctx.id());
+    }
 
     fn on_message(&mut self, ctx: &mut Context<CheapMsg>, from: NodeId, msg: CheapMsg) {
         match msg {
@@ -303,9 +308,7 @@ impl Node for CheapReplica {
                     ctx.span_open(SPAN, n, 0);
                     ctx.phase(SPAN, n, 0, CncPhase::ValueDiscovery);
                     let proto = self.proto;
-                    let ui = self
-                        .usig
-                        .create(digest_of(&(proto_tag(proto), n, &cmd)));
+                    let ui = self.usig.create(digest_of(&(proto_tag(proto), n, &cmd)));
                     let me = ctx.id();
                     let inst = self.instances.entry(n).or_default();
                     inst.cmd = Some(cmd.clone());
@@ -394,10 +397,7 @@ impl Node for CheapReplica {
                     // Updates serve both as decide for actives and state
                     // transfer for passives.
                     let me = ctx.id();
-                    ctx.send_many(
-                        self.peer_replicas(me),
-                        CheapMsg::Update { proto, n, cmd },
-                    );
+                    ctx.send_many(self.peer_replicas(me), CheapMsg::Update { proto, n, cmd });
                     self.try_execute(ctx);
                 }
             }
@@ -422,7 +422,7 @@ impl Node for CheapReplica {
                 // Any panic triggers the switch protocol.
                 self.panic(ctx);
                 self.switch_votes.insert(from);
-                self.enter_minbft(ctx);
+                self.enter_minbft();
             }
 
             CheapMsg::SwitchHistory { history } => {
@@ -433,7 +433,7 @@ impl Node for CheapReplica {
                         self.apply(ctx, cmd);
                     }
                 }
-                self.enter_minbft(ctx);
+                self.enter_minbft();
             }
 
             CheapMsg::Reply { .. } => {}
@@ -446,7 +446,7 @@ impl Node for CheapReplica {
             if !self.pending_requests.is_empty() {
                 // Something is stuck: PANIC.
                 self.panic(ctx);
-                self.enter_minbft(ctx);
+                self.enter_minbft();
             }
         }
     }
@@ -459,181 +459,78 @@ fn proto_tag(p: Protocol) -> u8 {
     }
 }
 
-const CLIENT_RETRY: u64 = 5;
+/// The client accepts an output at `f+1` matching replies. It is also
+/// CheapBFT's fault detector: a missing reply raises `Panic` at all replicas.
+impl VoteWire for CheapMsg {
+    const RETRY_US: u64 = 150_000;
 
-/// A CheapBFT client.
-pub struct CheapClient {
-    /// Client id == node id.
-    pub client_id: u32,
-    n_replicas: usize,
-    f: usize,
-    workload: KvWorkload,
-    total: usize,
-    /// Completed.
-    pub completed: usize,
-    current: Option<(Command<KvCommand>, Time)>,
-    votes: BTreeMap<u64, BTreeSet<NodeId>>,
-    /// Latencies.
-    pub latencies: LatencyRecorder,
-    /// Panics this client raised.
-    pub panics_sent: u64,
-}
-
-impl CheapClient {
-    /// Creates a client.
-    pub fn new(client_id: u32, n_replicas: usize, total: usize, seed: u64) -> Self {
-        CheapClient {
-            client_id,
-            n_replicas,
-            f: (n_replicas - 1) / 2,
-            workload: KvWorkload::new(client_id, KvMix::default(), seed),
-            total,
-            completed: 0,
-            current: None,
-            votes: BTreeMap::new(),
-            latencies: LatencyRecorder::new(),
-            panics_sent: 0,
-        }
+    fn request(cmd: Command<KvCommand>) -> Self {
+        CheapMsg::Request { cmd }
     }
 
-    /// Whether done.
-    pub fn done(&self) -> bool {
-        self.completed >= self.total
-    }
-
-    fn send_next(&mut self, ctx: &mut Context<CheapMsg>) {
-        if self.done() {
-            self.current = None;
-            return;
-        }
-        let cmd = self.workload.next_command();
-        self.current = Some((cmd.clone(), ctx.now()));
-        self.votes.clear();
-        ctx.send(NodeId(0), CheapMsg::Request { cmd });
-        ctx.set_timer(150_000, CLIENT_RETRY);
-    }
-}
-
-impl Node for CheapClient {
-    type Msg = CheapMsg;
-
-    fn on_start(&mut self, ctx: &mut Context<CheapMsg>) {
-        self.send_next(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<CheapMsg>, from: NodeId, msg: CheapMsg) {
-        if let CheapMsg::Reply { seq, output, .. } = msg {
-            let Some((cmd, sent_at)) = &self.current else {
-                return;
-            };
-            if cmd.seq != seq {
-                return;
-            }
-            let key = digest_of(&output).0;
-            let votes = self.votes.entry(key).or_default();
-            votes.insert(from);
-            if votes.len() >= self.f + 1 {
-                let sent = *sent_at;
-                self.latencies.record(sent, ctx.now());
-                self.completed += 1;
-                self.current = None;
-                self.send_next(ctx);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<CheapMsg>, timer: Timer) {
-        if timer.kind == CLIENT_RETRY && self.current.is_some() {
-            // The client is CheapBFT's fault detector: a missing reply
-            // raises PANIC at all replicas.
-            self.panics_sent += 1;
-            for r in 0..self.n_replicas {
-                ctx.send(NodeId::from(r), CheapMsg::Panic);
-            }
-            if let Some((cmd, _)) = &self.current {
-                let cmd = cmd.clone();
-                for r in 0..self.n_replicas {
-                    ctx.send(NodeId::from(r), CheapMsg::Request { cmd: cmd.clone() });
-                }
-            }
-            ctx.set_timer(150_000, CLIENT_RETRY);
-        }
-    }
-}
-
-simnet::node_enum! {
-    /// A CheapBFT process.
-    pub enum CheapProc: CheapMsg {
-        /// Replica.
-        Replica(CheapReplica),
-        /// Client.
-        Client(CheapClient),
-    }
-}
-
-/// A ready-to-run CheapBFT cluster.
-pub struct CheapCluster {
-    /// The simulation.
-    pub sim: Sim<CheapProc>,
-    /// Replica count (`2f+1`).
-    pub n_replicas: usize,
-}
-
-impl CheapCluster {
-    /// Builds the cluster with one client issuing `cmds` commands.
-    pub fn new(n_replicas: usize, cmds: usize, config: NetConfig, seed: u64) -> Self {
-        let mut sim = Sim::new(config, seed);
-        for i in 0..n_replicas {
-            sim.add_node(CheapReplica::new(n_replicas, i as u32));
-        }
-        sim.add_node(CheapClient::new(n_replicas as u32, n_replicas, cmds, seed));
-        CheapCluster { sim, n_replicas }
-    }
-
-    /// Runs to completion or `horizon`.
-    pub fn run(&mut self, horizon: Time) -> bool {
-        loop {
-            let outcome = self.sim.run_for(10_000);
-            if self.client().done() {
-                return true;
-            }
-            if self.sim.now() >= horizon || outcome == RunOutcome::Quiescent {
-                return self.client().done();
-            }
-        }
-    }
-
-    /// The client.
-    pub fn client(&self) -> &CheapClient {
-        self.sim
-            .nodes()
-            .find_map(|(_, p)| match p {
-                CheapProc::Client(c) => Some(c),
-                _ => None,
-            })
-            .expect("client exists")
-    }
-
-    /// Iterates over replicas.
-    pub fn replicas(&self) -> impl Iterator<Item = &CheapReplica> {
-        self.sim.nodes().filter_map(|(_, p)| match p {
-            CheapProc::Replica(r) => Some(r),
+    fn reply(self) -> Option<(u64, KvResponse)> {
+        match self {
+            CheapMsg::Reply { seq, output, .. } => Some((seq, output)),
             _ => None,
-        })
+        }
+    }
+
+    fn alarm() -> Option<Self> {
+        Some(CheapMsg::Panic)
     }
 }
+
+/// CheapBFT as a log protocol of the SMR shell.
+pub struct CheapBft;
+
+impl SmrProtocol for CheapBft {
+    const NAME: &'static str = "cheapbft";
+    type Shape = usize;
+    type Msg = CheapMsg;
+    type Replica = CheapReplica;
+    type Client = VotingClient<CheapMsg>;
+
+    /// One request per sequence number: `batch` is ignored.
+    fn replica(n_replicas: usize, _batch: BatchConfig) -> CheapReplica {
+        CheapReplica::new(n_replicas)
+    }
+
+    fn client(n_replicas: usize, session: Session) -> VotingClient<CheapMsg> {
+        VotingClient::new(session, n_replicas, (n_replicas - 1) / 2 + 1)
+    }
+
+    fn is_leader(replica: &CheapReplica, id: NodeId) -> bool {
+        replica.primary() == id
+    }
+
+    fn applied_len(replica: &CheapReplica) -> u64 {
+        replica.history.len() as u64
+    }
+
+    fn machine(replica: &CheapReplica) -> &DedupKvMachine {
+        &replica.machine
+    }
+
+    fn decided(replica: &CheapReplica, node: u32, out: &mut Vec<DecidedEntry>) {
+        decided_commands(&replica.history, node, out);
+    }
+}
+
+/// A ready-to-run CheapBFT cluster (`2f+1` replicas).
+pub type CheapCluster = Cluster<CheapBft>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use consensus_core::StateMachine as _;
+    use simnet::{NetConfig, Time};
 
     #[test]
     fn cheaptiny_uses_only_f_plus_one_actives() {
         // n = 3 (f = 1): actives = {0, 1}; node 2 is passive.
-        let mut cluster = CheapCluster::new(3, 10, NetConfig::lan(), 1);
+        let mut cluster = CheapCluster::new(3, 1, 10, NetConfig::lan(), 1);
         assert!(cluster.run(Time::from_secs(10)));
-        assert_eq!(cluster.client().completed, 10);
+        assert_eq!(cluster.total_completed(), 10);
         // No panic, still CheapTiny.
         for r in cluster.replicas() {
             assert_eq!(r.proto, Protocol::CheapTiny);
@@ -650,7 +547,7 @@ mod tests {
 
     #[test]
     fn passive_replica_catches_up_via_updates() {
-        let mut cluster = CheapCluster::new(3, 10, NetConfig::lan(), 2);
+        let mut cluster = CheapCluster::new(3, 1, 10, NetConfig::lan(), 2);
         assert!(cluster.run(Time::from_secs(10)));
         cluster.sim.run_for(300_000);
         let executed: Vec<usize> = cluster.replicas().map(|r| r.executed()).collect();
@@ -667,22 +564,18 @@ mod tests {
         // Active backup (node 1) dies: CheapTiny can't form its all-active
         // quorum; the client panics; the cluster switches to MinBFT and
         // completes with {0, 2}.
-        let mut cluster = CheapCluster::new(3, 6, NetConfig::lan(), 3);
+        let mut cluster = CheapCluster::new(3, 1, 6, NetConfig::lan(), 3);
         cluster.sim.run_until(Time::from_millis(5));
         cluster.sim.crash_at(NodeId(1), Time::from_millis(6));
         assert!(
             cluster.run(Time::from_secs(60)),
             "completed {}",
-            cluster.client().completed
+            cluster.total_completed()
         );
-        assert_eq!(cluster.client().completed, 6);
-        assert!(cluster.client().panics_sent > 0);
-        for (id, r) in cluster.sim.nodes().filter_map(|(id, p)| match p {
-            CheapProc::Replica(r) => Some((id, r)),
-            _ => None,
-        }) {
-            if cluster.sim.is_alive(id) {
-                assert_eq!(r.proto, Protocol::MinBft, "{id} didn't switch");
+        assert_eq!(cluster.total_completed(), 6);
+        for (i, r) in cluster.replicas().enumerate() {
+            if cluster.sim.is_alive(NodeId::from(i)) {
+                assert_eq!(r.proto, Protocol::MinBft, "replica {i} didn't switch");
             }
         }
         assert!(cluster.sim.metrics().kind("panic") > 0);
@@ -693,10 +586,10 @@ mod tests {
     fn message_savings_versus_full_participation() {
         // CheapTiny's normal case touches f+1 replicas; MinBFT's touches
         // 2f+1. Compare messages per request, fault-free.
-        let mut cheap = CheapCluster::new(3, 20, NetConfig::lan(), 4);
+        let mut cheap = CheapCluster::new(3, 1, 20, NetConfig::lan(), 4);
         assert!(cheap.run(Time::from_secs(10)));
         let cheap_msgs = cheap.sim.metrics().sent as f64 / 20.0;
-        let mut min = crate::minbft::MinCluster::new(3, 20, NetConfig::lan(), 4);
+        let mut min = crate::minbft::MinCluster::new(3, 1, 20, NetConfig::lan(), 4);
         assert!(min.run(Time::from_secs(10)));
         let min_msgs = min.sim.metrics().sent as f64 / 20.0;
         assert!(
@@ -708,9 +601,9 @@ mod tests {
     #[test]
     fn deterministic() {
         let run = |seed| {
-            let mut cluster = CheapCluster::new(3, 8, NetConfig::lan(), seed);
+            let mut cluster = CheapCluster::new(3, 1, 8, NetConfig::lan(), seed);
             cluster.run(Time::from_secs(10));
-            (cluster.client().completed, cluster.sim.metrics().sent)
+            (cluster.total_completed(), cluster.sim.metrics().sent)
         };
         assert_eq!(run(5), run(5));
     }

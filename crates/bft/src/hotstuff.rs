@@ -20,13 +20,17 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use consensus_core::workload::{KvMix, KvWorkload, LatencyRecorder};
-use consensus_core::{Command, DedupKvMachine, KvCommand, KvResponse};
-use simnet::{CncPhase, Context, NetConfig, Node, NodeId, RunOutcome, Sim, Time, Timer};
+use consensus_core::driver::{BatchConfig, DecidedEntry};
+use consensus_core::{
+    Cluster, ClusterShape, Command, DedupKvMachine, KvCommand, KvResponse, Proc, Session,
+    SmrProtocol, WorkloadClient,
+};
+use simnet::{CncPhase, Context, Node, NodeId, Timer};
 
 /// Span protocol label; instances are HotStuff view/instance numbers.
 const SPAN: &str = "hotstuff";
 
+use crate::shell::{count_vote, decided_commands, replica_ids, ReplyVotes};
 use crate::sim_crypto::{digest_of, Digest, QuorumCert};
 
 /// Protocol phase of one instance.
@@ -146,6 +150,19 @@ impl HsConfig {
             rotate: false,
             pipeline: true,
         }
+    }
+}
+
+impl ClusterShape for HsConfig {
+    fn n_replicas(&self) -> usize {
+        self.n_replicas
+    }
+}
+
+/// The slide default: rotating leaders, no pipelining.
+impl From<usize> for HsConfig {
+    fn from(n_replicas: usize) -> Self {
+        HsConfig::rotating(n_replicas)
     }
 }
 
@@ -287,7 +304,6 @@ impl HsReplica {
     }
 
     fn advance_phase(&mut self, ctx: &mut Context<HsMsg>, n: u64, completed: HsPhase) {
-        let me = ctx.id();
         let inst = self.instances.entry(n).or_default();
         match completed {
             HsPhase::Prepare => {
@@ -312,7 +328,6 @@ impl HsReplica {
                 HsPhase::PreCommit => HsPhase::Commit,
                 _ => unreachable!(),
             };
-            let _ = me;
             ctx.send(
                 leader,
                 HsMsg::Vote {
@@ -460,69 +475,35 @@ impl Node for HsReplica {
 
 const CLIENT_RETRY: u64 = 1;
 
-/// A HotStuff client (broadcasts requests; one matching reply from the
-/// `2f+1`-certified decide is enough because decides carry threshold QCs —
-/// we conservatively wait for `f+1` replies like PBFT).
+/// A HotStuff client: broadcasts each request to every replica (the leader
+/// rotates, so there is no one to aim at), keeps up to `window` requests in
+/// flight so pipelining has something to overlap, and — decides carrying
+/// threshold QCs notwithstanding — conservatively waits for `f+1` replies
+/// like PBFT.
 pub struct HsClient {
-    /// Client id == node id.
-    pub client_id: u32,
+    /// The workload and its records.
+    pub session: Session,
     n_replicas: usize,
     f: usize,
-    workload: KvWorkload,
-    total: usize,
-    /// Completed.
-    pub completed: usize,
-    current: Option<(Command<KvCommand>, Time)>,
-    votes: BTreeMap<u64, BTreeSet<NodeId>>,
-    /// Latencies.
-    pub latencies: LatencyRecorder,
-    /// Commands in flight at once (pipelining needs > 1 to show gains).
+    votes: ReplyVotes,
     window: usize,
-    inflight: BTreeMap<u64, Time>,
 }
 
 impl HsClient {
-    /// Creates a client issuing `total` commands, `window` at a time.
-    pub fn new(
-        client_id: u32,
-        n_replicas: usize,
-        total: usize,
-        window: usize,
-        mix: KvMix,
-        seed: u64,
-    ) -> Self {
-        HsClient {
-            client_id,
-            n_replicas,
-            f: (n_replicas - 1) / 3,
-            workload: KvWorkload::new(client_id, mix, seed),
-            total,
-            completed: 0,
-            current: None,
-            votes: BTreeMap::new(),
-            latencies: LatencyRecorder::new(),
-            window: window.max(1),
-            inflight: BTreeMap::new(),
-        }
-    }
-
-    /// Whether done.
-    pub fn done(&self) -> bool {
-        self.completed >= self.total
-    }
-
     fn fill_window(&mut self, ctx: &mut Context<HsMsg>) {
-        while self.inflight.len() < self.window
-            && self.workload.issued() < self.total as u64
-        {
-            let cmd = self.workload.next_command();
-            self.inflight.insert(cmd.seq, ctx.now());
-            for r in 0..self.n_replicas {
-                ctx.send(NodeId::from(r), HsMsg::Request { cmd: cmd.clone() });
-            }
+        while self.session.outstanding().count() < self.window {
+            let Some(cmd) = self.session.issue(ctx.now()) else {
+                break;
+            };
+            ctx.send_many(replica_ids(self.n_replicas), HsMsg::Request { cmd });
         }
-        let _ = &self.current;
         ctx.set_timer(200_000, CLIENT_RETRY);
+    }
+}
+
+impl WorkloadClient for HsClient {
+    fn session(&self) -> &Session {
+        &self.session
     }
 }
 
@@ -534,101 +515,92 @@ impl Node for HsClient {
     }
 
     fn on_message(&mut self, ctx: &mut Context<HsMsg>, from: NodeId, msg: HsMsg) {
-        if let HsMsg::Reply { seq, .. } = msg {
-            if let Some(&sent) = self.inflight.get(&seq) {
-                let votes = self.votes.entry(seq).or_default();
-                votes.insert(from);
-                if votes.len() >= self.f + 1 {
-                    self.latencies.record(sent, ctx.now());
-                    self.inflight.remove(&seq);
-                    self.votes.remove(&seq);
-                    self.completed += 1;
-                    self.fill_window(ctx);
-                }
+        if let HsMsg::Reply { seq, output, .. } = msg {
+            if !self.session.is_outstanding(seq) {
+                return;
+            }
+            if count_vote(&mut self.votes, seq, &output, from) >= self.f + 1 {
+                self.votes.remove(&seq);
+                self.session.complete(seq, output, ctx.now());
+                self.fill_window(ctx);
             }
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<HsMsg>, timer: Timer) {
-        if timer.kind == CLIENT_RETRY && !self.inflight.is_empty() {
-            // Rebroadcast outstanding commands.
-            let seqs: Vec<u64> = self.inflight.keys().copied().collect();
-            let _ = seqs; // commands aren't stored; regenerating would
-                          // change the workload, so retries resend nothing —
-                          // on the lossless profiles used in tests this
-                          // never fires.
+        if timer.kind == CLIENT_RETRY && self.session.has_outstanding() {
+            for cmd in self.session.outstanding() {
+                let request = HsMsg::Request { cmd: cmd.clone() };
+                ctx.send_many(replica_ids(self.n_replicas), request);
+            }
             ctx.set_timer(200_000, CLIENT_RETRY);
         }
     }
 }
 
-simnet::node_enum! {
-    /// A HotStuff process.
-    pub enum HsProc: HsMsg {
-        /// Replica.
-        Replica(HsReplica),
-        /// Client.
-        Client(HsClient),
-    }
-}
+/// HotStuff as a log protocol of the SMR shell.
+pub struct HotStuff;
 
-/// A ready-to-run HotStuff cluster.
-pub struct HsCluster {
-    /// The simulation.
-    pub sim: Sim<HsProc>,
-    /// Configuration used.
-    pub cfg: HsConfig,
-}
+impl SmrProtocol for HotStuff {
+    const NAME: &'static str = "hotstuff";
+    type Shape = HsConfig;
+    type Msg = HsMsg;
+    type Replica = HsReplica;
+    type Client = HsClient;
 
-impl HsCluster {
-    /// Builds a cluster with one client issuing `cmds` commands with the
-    /// given in-flight `window`.
-    pub fn new(cfg: HsConfig, cmds: usize, window: usize, config: NetConfig, seed: u64) -> Self {
-        let mut sim = Sim::new(config, seed);
-        for _ in 0..cfg.n_replicas {
-            sim.add_node(HsReplica::new(cfg));
-        }
-        sim.add_node(HsClient::new(
-            cfg.n_replicas as u32,
-            cfg.n_replicas,
-            cmds,
-            window,
-            KvMix::default(),
-            seed,
-        ));
-        HsCluster { sim, cfg }
+    /// One command per instance: `batch` is ignored.
+    fn replica(cfg: HsConfig, _batch: BatchConfig) -> HsReplica {
+        HsReplica::new(cfg)
     }
 
-    /// Runs to completion or `horizon`.
-    pub fn run(&mut self, horizon: Time) -> bool {
-        loop {
-            let outcome = self.sim.run_for(10_000);
-            if self.client().done() {
-                return true;
-            }
-            if self.sim.now() >= horizon || outcome == RunOutcome::Quiescent {
-                return self.client().done();
-            }
+    fn client(cfg: HsConfig, session: Session) -> HsClient {
+        HsClient {
+            session,
+            n_replicas: cfg.n_replicas,
+            f: (cfg.n_replicas - 1) / 3,
+            votes: ReplyVotes::new(),
+            window: 1,
         }
     }
 
-    /// The client.
-    pub fn client(&self) -> &HsClient {
-        self.sim
-            .nodes()
-            .find_map(|(_, p)| match p {
-                HsProc::Client(c) => Some(c),
-                _ => None,
-            })
-            .expect("client exists")
+    fn is_leader(replica: &HsReplica, id: NodeId) -> bool {
+        replica.leader_of(replica.executed_upto + 1) == id
     }
 
-    /// Iterates over replicas.
-    pub fn replicas(&self) -> impl Iterator<Item = &HsReplica> {
-        self.sim.nodes().filter_map(|(_, p)| match p {
-            HsProc::Replica(r) => Some(r),
-            _ => None,
-        })
+    fn applied_len(replica: &HsReplica) -> u64 {
+        replica.executed_upto
+    }
+
+    fn machine(replica: &HsReplica) -> &DedupKvMachine {
+        &replica.machine
+    }
+
+    fn decided(replica: &HsReplica, node: u32, out: &mut Vec<DecidedEntry>) {
+        let executed = replica.instances.values().filter(|i| i.executed);
+        decided_commands(executed.filter_map(|i| i.cmd.as_ref()), node, out);
+    }
+}
+
+/// A ready-to-run HotStuff cluster (`3f+1` replicas).
+pub type HsCluster = Cluster<HotStuff>;
+
+/// The HotStuff-only cluster knob.
+pub trait ClientWindow {
+    /// Lets every client keep `window` commands in flight (default 1;
+    /// pipelining needs more than one to show gains). A builder — call
+    /// before the first step.
+    #[must_use]
+    fn with_client_window(self, window: usize) -> Self;
+}
+
+impl ClientWindow for HsCluster {
+    fn with_client_window(mut self, window: usize) -> Self {
+        for i in self.n_replicas..self.n_replicas + self.n_clients {
+            if let Proc::Client(c) = self.sim.node_mut(NodeId::from(i)) {
+                c.window = window.max(1);
+            }
+        }
+        self
     }
 }
 
@@ -636,12 +608,17 @@ impl HsCluster {
 mod tests {
     use super::*;
     use consensus_core::StateMachine as _;
+    use simnet::{NetConfig, Time};
 
     #[test]
     fn commits_with_rotating_leaders() {
-        let mut cluster = HsCluster::new(HsConfig::rotating(4), 12, 1, NetConfig::lan(), 1);
-        assert!(cluster.run(Time::from_secs(20)), "{}", cluster.client().completed);
-        assert_eq!(cluster.client().completed, 12);
+        let mut cluster = HsCluster::new(HsConfig::rotating(4), 1, 12, NetConfig::lan(), 1);
+        assert!(
+            cluster.run(Time::from_secs(20)),
+            "{}",
+            cluster.total_completed()
+        );
+        assert_eq!(cluster.total_completed(), 12);
         // Every replica led some instances (rotation).
         let leaders_used = cluster.replicas().filter(|r| r.led > 0).count();
         assert_eq!(leaders_used, 4, "all four replicas should lead");
@@ -649,7 +626,7 @@ mod tests {
 
     #[test]
     fn seven_phase_structure_on_the_wire() {
-        let mut cluster = HsCluster::new(HsConfig::rotating(4), 4, 1, NetConfig::lan(), 2);
+        let mut cluster = HsCluster::new(HsConfig::rotating(4), 1, 4, NetConfig::lan(), 2);
         assert!(cluster.run(Time::from_secs(20)));
         let m = cluster.sim.metrics();
         for kind in [
@@ -671,8 +648,7 @@ mod tests {
         // 1→n), unlike PBFT.
         let mut per_cmd = Vec::new();
         for n in [4usize, 7, 10] {
-            let mut cluster =
-                HsCluster::new(HsConfig::rotating(n), 10, 1, NetConfig::lan(), 3);
+            let mut cluster = HsCluster::new(HsConfig::rotating(n), 1, 10, NetConfig::lan(), 3);
             assert!(cluster.run(Time::from_secs(30)));
             per_cmd.push(cluster.sim.metrics().sent as f64 / 10.0);
         }
@@ -686,7 +662,7 @@ mod tests {
 
     #[test]
     fn replicas_converge() {
-        let mut cluster = HsCluster::new(HsConfig::rotating(4), 20, 1, NetConfig::lan(), 4);
+        let mut cluster = HsCluster::new(HsConfig::rotating(4), 1, 20, NetConfig::lan(), 4);
         assert!(cluster.run(Time::from_secs(30)));
         cluster.sim.run_for(200_000);
         let digests: BTreeSet<u64> = cluster
@@ -700,7 +676,8 @@ mod tests {
     #[test]
     fn pipeline_improves_throughput() {
         let run = |cfg: HsConfig, window: usize| {
-            let mut cluster = HsCluster::new(cfg, 30, window, NetConfig::lan(), 5);
+            let mut cluster =
+                HsCluster::new(cfg, 1, 30, NetConfig::lan(), 5).with_client_window(window);
             assert!(cluster.run(Time::from_secs(60)));
             cluster.sim.now().as_micros()
         };
@@ -729,24 +706,66 @@ mod tests {
                 rotate: false,
                 pipeline: false,
             },
-            8,
             1,
+            8,
             NetConfig::lan(),
             6,
         );
         cluster.sim.crash_at(NodeId(2), Time::ZERO);
         assert!(cluster.run(Time::from_secs(30)));
-        assert_eq!(cluster.client().completed, 8);
+        assert_eq!(cluster.total_completed(), 8);
     }
 
     #[test]
     fn deterministic() {
         let run = |seed| {
-            let mut cluster =
-                HsCluster::new(HsConfig::rotating(4), 8, 1, NetConfig::lan(), seed);
+            let mut cluster = HsCluster::new(HsConfig::rotating(4), 1, 8, NetConfig::lan(), seed);
             cluster.run(Time::from_secs(20));
-            (cluster.client().completed, cluster.sim.metrics().sent)
+            (cluster.total_completed(), cluster.sim.metrics().sent)
         };
         assert_eq!(run(9), run(9));
+    }
+
+    #[test]
+    fn a_lost_request_is_rebroadcast_instead_of_stalling_the_run() {
+        // 2 % loss, seed 1: the only message lost before the first retry is
+        // the second command's `Request` to the fixed leader (at 5.1 ms), so
+        // nobody ever proposes it. The retry timer rebroadcasts it.
+        let fixed = HsConfig {
+            n_replicas: 4,
+            rotate: false,
+            pipeline: false,
+        };
+        let lossy = NetConfig::lan().with_drop_prob(0.02);
+        let mut cluster = HsCluster::new(fixed, 1, 10, lossy, 1);
+        assert!(
+            cluster.run(Time::from_secs(20)),
+            "stalled at {}",
+            cluster.total_completed()
+        );
+        assert!(cluster.sim.metrics().dropped_loss > 0);
+    }
+
+    #[test]
+    fn f_forged_replies_plus_one_honest_do_not_complete_a_request() {
+        use crate::shell::testkit::{client, sim};
+        use consensus_core::WorkloadMode;
+
+        let reply = |value: &str| HsMsg::Reply {
+            client: 4,
+            seq: 0,
+            output: KvResponse::Value(Some(value.to_string())),
+        };
+        let mut sim = sim(4, 1, WorkloadMode::Closed, |session| {
+            HotStuff::client(HsConfig::rotating(4), session)
+        });
+        // f = 1 Byzantine replica lies; one honest replica answers.
+        sim.inject(NodeId(1), NodeId(4), reply("forged"), Time(1_000));
+        sim.inject(NodeId(2), NodeId(4), reply("honest"), Time(1_001));
+        sim.run_until(Time(5_000));
+        assert!(!client(&sim).session.done(), "f+1 replies must *match*");
+        sim.inject(NodeId(3), NodeId(4), reply("honest"), Time(6_000));
+        sim.run_until(Time(10_000));
+        assert!(client(&sim).session.done());
     }
 }

@@ -1,7 +1,10 @@
 //! # bft — Byzantine fault tolerant state machine replication
 //!
 //! Every BFT protocol the tutorial surveys, on the common `simnet`
-//! substrate:
+//! substrate. The seven SMR protocols are log protocols of the
+//! `consensus_core` SMR shell: each module implements `SmrProtocol` for a
+//! marker type and its `*Cluster` is an alias of `Cluster<P>`, so bench,
+//! nemesis and the checkers drive all of them through `ClusterDriver`.
 //!
 //! * [`pbft`] — Practical Byzantine Fault Tolerance (Castro & Liskov):
 //!   `3f+1` replicas, the three-phase pre-prepare/prepare/commit protocol,
@@ -23,6 +26,12 @@
 //! * [`seemore`] — SeeMoRe's hybrid-cloud modes 1–3 over `3m+2c+1` nodes.
 //! * [`upright`] — the UpRight fault model (`u = 2m+c+1` quorums,
 //!   intersection `m+1`) and its agreement/execution split.
+//! * [`shell`] — what the seven share beyond `consensus_core`: the
+//!   reply-voting [`shell::VotingClient`] (accept at a quorum of *matching*
+//!   replies, escalate silence by broadcast) that PBFT, MinBFT, CheapBFT,
+//!   XFT and SeeMoRe parameterise through [`shell::VoteWire`], the vote
+//!   counting HotStuff's windowed client reuses, and the `decided_log` shape
+//!   of one-command-at-a-time protocols.
 //! * [`sim_crypto`] — the structural stand-ins for digests, MACs, threshold
 //!   signatures, and trusted counters (see DESIGN.md's substitution table).
 
@@ -31,6 +40,7 @@ pub mod hotstuff;
 pub mod minbft;
 pub mod pbft;
 pub mod seemore;
+pub mod shell;
 pub mod sim_crypto;
 pub mod upright;
 pub mod xft;

@@ -17,13 +17,16 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use consensus_core::workload::{KvMix, KvWorkload, LatencyRecorder};
-use consensus_core::{Command, DedupKvMachine, KvCommand, KvResponse};
-use simnet::{CncPhase, Context, NetConfig, Node, NodeId, RunOutcome, Sim, Time, Timer, TimerId};
+use consensus_core::driver::{BatchConfig, DecidedEntry};
+use consensus_core::{
+    Cluster, Command, DedupKvMachine, KvCommand, KvResponse, Session, SmrProtocol,
+};
+use simnet::{CncPhase, Context, Node, NodeId, Timer, TimerId};
 
 /// Span protocol label; instances are USIG counters, rounds are views.
 const SPAN: &str = "minbft";
 
+use crate::shell::{decided_commands, VoteWire, VotingClient};
 use crate::sim_crypto::{digest_of, Usig, UsigCert, UsigVerifier};
 
 /// MinBFT wire messages.
@@ -147,13 +150,14 @@ pub struct MinReplica {
 }
 
 impl MinReplica {
-    /// Creates a replica; cluster size must be `2f+1`.
-    pub fn new(n_replicas: usize, id_hint: u32) -> Self {
+    /// Creates a replica; cluster size must be `2f+1`. Its USIG is bound to
+    /// the node id when the node starts.
+    pub fn new(n_replicas: usize) -> Self {
         MinReplica {
             n_replicas,
             f: (n_replicas - 1) / 2,
             view: 0,
-            usig: Usig::new(NodeId(id_hint)),
+            usig: Usig::new(NodeId(0)),
             verifier: UsigVerifier::new(),
             instances: BTreeMap::new(),
             view_base: 0,
@@ -249,7 +253,9 @@ impl MinReplica {
 impl Node for MinReplica {
     type Msg = MinMsg;
 
-    fn on_start(&mut self, _ctx: &mut Context<MinMsg>) {}
+    fn on_start(&mut self, ctx: &mut Context<MinMsg>) {
+        self.usig.bind(ctx.id());
+    }
 
     fn on_message(&mut self, ctx: &mut Context<MinMsg>, from: NodeId, msg: MinMsg) {
         match msg {
@@ -363,7 +369,12 @@ impl Node for MinReplica {
                 // new primary's quorum).
                 if self.max_vc_sent < new_view {
                     self.max_vc_sent = new_view;
-                    ctx.phase(SPAN, self.executed_counter + 1, new_view, CncPhase::LeaderElection);
+                    ctx.phase(
+                        SPAN,
+                        self.executed_counter + 1,
+                        new_view,
+                        CncPhase::LeaderElection,
+                    );
                     let me = ctx.id();
                     self.vc_votes.entry(new_view).or_default().insert(me);
                     ctx.send_many(self.peer_replicas(me), MinMsg::ViewChange { new_view });
@@ -430,7 +441,10 @@ impl Node for MinReplica {
         if timer.kind == VIEW_TIMER {
             self.view_timer = None;
             let stalled = !self.pending_requests.is_empty()
-                || self.instances.values().any(|i| i.cmd.is_some() && !i.executed);
+                || self
+                    .instances
+                    .values()
+                    .any(|i| i.cmd.is_some() && !i.executed);
             if stalled {
                 let new_view = self.view.max(self.max_vc_sent) + 1;
                 self.max_vc_sent = new_view;
@@ -443,183 +457,78 @@ impl Node for MinReplica {
     }
 }
 
-const CLIENT_RETRY: u64 = 7;
+/// The client accepts an output at `f+1` matching replies.
+impl VoteWire for MinMsg {
+    const RETRY_US: u64 = 150_000;
 
-/// A MinBFT client (`f+1` matching replies).
-pub struct MinClient {
-    /// Client id == node id.
-    pub client_id: u32,
-    n_replicas: usize,
-    f: usize,
-    workload: KvWorkload,
-    total: usize,
-    /// Completed.
-    pub completed: usize,
-    current: Option<(Command<KvCommand>, Time)>,
-    votes: BTreeMap<u64, BTreeSet<NodeId>>,
-    /// Latencies.
-    pub latencies: LatencyRecorder,
-}
-
-impl MinClient {
-    /// Creates a client issuing `total` commands.
-    pub fn new(client_id: u32, n_replicas: usize, total: usize, mix: KvMix, seed: u64) -> Self {
-        MinClient {
-            client_id,
-            n_replicas,
-            f: (n_replicas - 1) / 2,
-            workload: KvWorkload::new(client_id, mix, seed),
-            total,
-            completed: 0,
-            current: None,
-            votes: BTreeMap::new(),
-            latencies: LatencyRecorder::new(),
-        }
+    fn request(cmd: Command<KvCommand>) -> Self {
+        MinMsg::Request { cmd }
     }
 
-    /// Whether done.
-    pub fn done(&self) -> bool {
-        self.completed >= self.total
-    }
-
-    fn send_next(&mut self, ctx: &mut Context<MinMsg>) {
-        if self.done() {
-            self.current = None;
-            return;
-        }
-        let cmd = self.workload.next_command();
-        self.current = Some((cmd.clone(), ctx.now()));
-        self.votes.clear();
-        ctx.send(NodeId(0), MinMsg::Request { cmd });
-        ctx.set_timer(150_000, CLIENT_RETRY);
-    }
-}
-
-impl Node for MinClient {
-    type Msg = MinMsg;
-
-    fn on_start(&mut self, ctx: &mut Context<MinMsg>) {
-        self.send_next(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<MinMsg>, from: NodeId, msg: MinMsg) {
-        if let MinMsg::Reply { seq, output, .. } = msg {
-            let Some((cmd, sent_at)) = &self.current else {
-                return;
-            };
-            if cmd.seq != seq {
-                return;
-            }
-            let key = digest_of(&output).0;
-            let votes = self.votes.entry(key).or_default();
-            votes.insert(from);
-            if votes.len() >= self.f + 1 {
-                let sent = *sent_at;
-                self.latencies.record(sent, ctx.now());
-                self.completed += 1;
-                self.current = None;
-                self.send_next(ctx);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<MinMsg>, timer: Timer) {
-        if timer.kind == CLIENT_RETRY && self.current.is_some() {
-            if let Some((cmd, _)) = &self.current {
-                let cmd = cmd.clone();
-                for r in 0..self.n_replicas {
-                    ctx.send(NodeId::from(r), MinMsg::Request { cmd: cmd.clone() });
-                }
-            }
-            ctx.set_timer(150_000, CLIENT_RETRY);
-        }
-    }
-}
-
-simnet::node_enum! {
-    /// A MinBFT process.
-    pub enum MinProc: MinMsg {
-        /// Replica.
-        Replica(MinReplica),
-        /// Client.
-        Client(MinClient),
-    }
-}
-
-/// A ready-to-run MinBFT cluster.
-pub struct MinCluster {
-    /// The simulation.
-    pub sim: Sim<MinProc>,
-    /// Replica count (`2f+1`).
-    pub n_replicas: usize,
-}
-
-impl MinCluster {
-    /// Builds a `2f+1` cluster with one client issuing `cmds` commands.
-    pub fn new(n_replicas: usize, cmds: usize, config: NetConfig, seed: u64) -> Self {
-        let mut sim = Sim::new(config, seed);
-        for i in 0..n_replicas {
-            sim.add_node(MinReplica::new(n_replicas, i as u32));
-        }
-        sim.add_node(MinClient::new(
-            n_replicas as u32,
-            n_replicas,
-            cmds,
-            KvMix::default(),
-            seed,
-        ));
-        MinCluster { sim, n_replicas }
-    }
-
-    /// Runs to completion or `horizon`.
-    pub fn run(&mut self, horizon: Time) -> bool {
-        loop {
-            let outcome = self.sim.run_for(10_000);
-            if self.client().done() {
-                return true;
-            }
-            if self.sim.now() >= horizon || outcome == RunOutcome::Quiescent {
-                return self.client().done();
-            }
-        }
-    }
-
-    /// The client.
-    pub fn client(&self) -> &MinClient {
-        self.sim
-            .nodes()
-            .find_map(|(_, p)| match p {
-                MinProc::Client(c) => Some(c),
-                _ => None,
-            })
-            .expect("client exists")
-    }
-
-    /// Iterates over replicas.
-    pub fn replicas(&self) -> impl Iterator<Item = &MinReplica> {
-        self.sim.nodes().filter_map(|(_, p)| match p {
-            MinProc::Replica(r) => Some(r),
+    fn reply(self) -> Option<(u64, KvResponse)> {
+        match self {
+            MinMsg::Reply { seq, output, .. } => Some((seq, output)),
             _ => None,
-        })
+        }
     }
 }
+
+/// MinBFT as a log protocol of the SMR shell.
+pub struct MinBft;
+
+impl SmrProtocol for MinBft {
+    const NAME: &'static str = "minbft";
+    type Shape = usize;
+    type Msg = MinMsg;
+    type Replica = MinReplica;
+    type Client = VotingClient<MinMsg>;
+
+    /// One request per USIG counter: `batch` is ignored.
+    fn replica(n_replicas: usize, _batch: BatchConfig) -> MinReplica {
+        MinReplica::new(n_replicas)
+    }
+
+    fn client(n_replicas: usize, session: Session) -> VotingClient<MinMsg> {
+        VotingClient::new(session, n_replicas, (n_replicas - 1) / 2 + 1)
+    }
+
+    fn is_leader(replica: &MinReplica, id: NodeId) -> bool {
+        replica.primary_of(replica.view) == id
+    }
+
+    fn applied_len(replica: &MinReplica) -> u64 {
+        replica.history.len() as u64
+    }
+
+    fn machine(replica: &MinReplica) -> &DedupKvMachine {
+        &replica.machine
+    }
+
+    fn decided(replica: &MinReplica, node: u32, out: &mut Vec<DecidedEntry>) {
+        decided_commands(&replica.history, node, out);
+    }
+}
+
+/// A ready-to-run MinBFT cluster (`2f+1` replicas).
+pub type MinCluster = Cluster<MinBft>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use consensus_core::StateMachine as _;
+    use simnet::{NetConfig, Time};
 
     #[test]
     fn three_replicas_tolerate_one_fault() {
         // n = 2f+1 = 3 for f = 1 — the headline saving over PBFT's 4.
-        let mut cluster = MinCluster::new(3, 10, NetConfig::lan(), 1);
+        let mut cluster = MinCluster::new(3, 1, 10, NetConfig::lan(), 1);
         assert!(cluster.run(Time::from_secs(10)));
-        assert_eq!(cluster.client().completed, 10);
+        assert_eq!(cluster.total_completed(), 10);
     }
 
     #[test]
     fn two_phases_linear_messages() {
-        let mut cluster = MinCluster::new(3, 10, NetConfig::lan(), 2);
+        let mut cluster = MinCluster::new(3, 1, 10, NetConfig::lan(), 2);
         assert!(cluster.run(Time::from_secs(10)));
         let m = cluster.sim.metrics();
         assert!(m.kind("prepare") > 0);
@@ -627,28 +536,31 @@ mod tests {
         // Leader-centric: commits go to the primary only, so commits ≈
         // prepares (both (n−1) per request) — not (n−1)² as in PBFT.
         let ratio = m.kind("commit") as f64 / m.kind("prepare") as f64;
-        assert!(ratio < 1.5, "commit/prepare ratio {ratio} suggests all-to-all");
+        assert!(
+            ratio < 1.5,
+            "commit/prepare ratio {ratio} suggests all-to-all"
+        );
     }
 
     #[test]
     fn crashed_backup_is_tolerated() {
-        let mut cluster = MinCluster::new(3, 10, NetConfig::lan(), 3);
+        let mut cluster = MinCluster::new(3, 1, 10, NetConfig::lan(), 3);
         cluster.sim.crash_at(NodeId(2), Time::ZERO);
         assert!(cluster.run(Time::from_secs(10)));
-        assert_eq!(cluster.client().completed, 10);
+        assert_eq!(cluster.total_completed(), 10);
     }
 
     #[test]
     fn primary_crash_view_change() {
-        let mut cluster = MinCluster::new(3, 10, NetConfig::lan(), 4);
+        let mut cluster = MinCluster::new(3, 1, 10, NetConfig::lan(), 4);
         cluster.sim.run_until(Time::from_millis(10));
         cluster.sim.crash_at(NodeId(0), Time::from_millis(11));
         assert!(
             cluster.run(Time::from_secs(30)),
             "completed {}",
-            cluster.client().completed
+            cluster.total_completed()
         );
-        assert_eq!(cluster.client().completed, 10);
+        assert_eq!(cluster.total_completed(), 10);
         let vc = cluster.replicas().map(|r| r.view_changes).max().unwrap();
         assert!(vc >= 1);
     }
@@ -660,7 +572,7 @@ mod tests {
         // command: the certificate no longer matches → rejected → view
         // change → honest primary serves.
         use simnet::{FilterAction, FnFilter};
-        let mut cluster = MinCluster::new(3, 5, NetConfig::lan(), 5);
+        let mut cluster = MinCluster::new(3, 1, 5, NetConfig::lan(), 5);
         cluster.sim.set_filter(
             NodeId(0),
             Box::new(FnFilter(
@@ -686,16 +598,16 @@ mod tests {
         assert!(
             cluster.run(Time::from_secs(60)),
             "completed {}",
-            cluster.client().completed
+            cluster.total_completed()
         );
-        assert_eq!(cluster.client().completed, 5);
+        assert_eq!(cluster.total_completed(), 5);
         let view = cluster.replicas().map(|r| r.view).max().unwrap();
         assert!(view >= 1, "the equivocating primary must be deposed");
     }
 
     #[test]
     fn replicas_converge() {
-        let mut cluster = MinCluster::new(3, 15, NetConfig::lan(), 6);
+        let mut cluster = MinCluster::new(3, 1, 15, NetConfig::lan(), 6);
         assert!(cluster.run(Time::from_secs(10)));
         cluster.sim.run_for(300_000);
         let digests: BTreeSet<u64> = cluster
@@ -713,7 +625,7 @@ mod tests {
             let minbft_n = 2 * f + 1;
             let pbft_n = 3 * f + 1;
             assert!(minbft_n < pbft_n);
-            let mut cluster = MinCluster::new(minbft_n, 5, NetConfig::lan(), 7);
+            let mut cluster = MinCluster::new(minbft_n, 1, 5, NetConfig::lan(), 7);
             assert!(cluster.run(Time::from_secs(10)));
         }
     }
@@ -721,9 +633,9 @@ mod tests {
     #[test]
     fn deterministic() {
         let run = |seed| {
-            let mut cluster = MinCluster::new(3, 8, NetConfig::lan(), seed);
+            let mut cluster = MinCluster::new(3, 1, 8, NetConfig::lan(), seed);
             cluster.run(Time::from_secs(10));
-            (cluster.client().completed, cluster.sim.metrics().sent)
+            (cluster.total_completed(), cluster.sim.metrics().sent)
         };
         assert_eq!(run(8), run(8));
     }

@@ -30,13 +30,12 @@ use consensus_core::cluster::decided_slots;
 use consensus_core::driver::{BatchConfig, Batcher, DecidedEntry, Flush};
 use consensus_core::{
     Cluster, Command, DedupKvMachine, KvCommand, KvResponse, ReplicatedLog, Session, SmrOp,
-    SmrProtocol, StateMachine, WorkloadClient,
+    SmrProtocol, StateMachine,
 };
 use rand_chacha::ChaCha20Rng;
-use simnet::{
-    CncPhase, Context, Filter, FilterAction, FnFilter, Node, NodeId, Timer, TimerId,
-};
+use simnet::{CncPhase, Context, Filter, FilterAction, FnFilter, Node, NodeId, Timer, TimerId};
 
+use crate::shell::{VoteWire, VotingClient};
 use crate::sim_crypto::{digest_of, Digest};
 
 /// Span protocol label; instances are sequence numbers, rounds are views.
@@ -457,7 +456,9 @@ impl PbftReplica {
             };
             // Sequence numbers execute strictly in order, so deciding slot
             // `next − 1` applies exactly that slot.
-            let outputs = self.exec.decide((next - 1) as usize, SmrOp::Batch(cmds.clone()));
+            let outputs = self
+                .exec
+                .decide((next - 1) as usize, SmrOp::Batch(cmds.clone()));
             self.executed_upto = next;
             for cmd in &cmds {
                 self.pending_requests.remove(&(cmd.client, cmd.seq));
@@ -517,7 +518,12 @@ impl PbftReplica {
 
     fn start_view_change(&mut self, ctx: &mut Context<PbftMsg>) {
         let new_view = self.view + 1;
-        ctx.phase(SPAN, self.executed_upto + 1, new_view, CncPhase::LeaderElection);
+        ctx.phase(
+            SPAN,
+            self.executed_upto + 1,
+            new_view,
+            CncPhase::LeaderElection,
+        );
         self.max_vc_sent = self.max_vc_sent.max(new_view);
         let prepared: Vec<PreparedClaim> = self
             .instances
@@ -801,100 +807,20 @@ impl Node for PbftReplica {
     }
 }
 
-/// A PBFT client: waits for `f+1` matching replies per request and
-/// escalates a silent request by broadcasting it to every replica — which
-/// is why it does not share the leader-following [`consensus_core::Client`].
-/// Closed-loop by default (one outstanding request), optionally open-loop
-/// with a fixed issue interval so batching experiments can saturate the
-/// primary.
-pub struct PbftClient {
-    /// The workload and its records.
-    pub session: Session,
-    n_replicas: usize,
-    f: usize,
-    /// Reply votes: seq → output digest → replicas.
-    votes: BTreeMap<u64, BTreeMap<u64, BTreeSet<NodeId>>>,
-}
+/// The client accepts an output at `f+1` matching replies and escalates a
+/// silent request by broadcast after 150 ms — which is why it does not share
+/// the leader-following [`consensus_core::Client`].
+impl VoteWire for PbftMsg {
+    const RETRY_US: u64 = 150_000;
 
-const CLIENT_RETRY: u64 = 9;
-const CLIENT_ISSUE: u64 = 10;
-
-impl PbftClient {
-    fn issue_next(&mut self, ctx: &mut Context<PbftMsg>) {
-        let Some(cmd) = self.session.issue(ctx.now()) else {
-            return;
-        };
-        // Optimistically to the (assumed) primary only.
-        ctx.send(NodeId(0), PbftMsg::Request { cmd });
-        ctx.set_timer(150_000, CLIENT_RETRY);
-    }
-}
-
-impl WorkloadClient for PbftClient {
-    fn new(session: Session, n_replicas: usize) -> Self {
-        PbftClient {
-            session,
-            n_replicas,
-            f: (n_replicas - 1) / 3,
-            votes: BTreeMap::new(),
-        }
+    fn request(cmd: Command<KvCommand>) -> Self {
+        PbftMsg::Request { cmd }
     }
 
-    fn session(&self) -> &Session {
-        &self.session
-    }
-}
-
-impl Node for PbftClient {
-    type Msg = PbftMsg;
-
-    fn on_start(&mut self, ctx: &mut Context<PbftMsg>) {
-        self.issue_next(ctx);
-        if let Some(interval) = self.session.open_interval() {
-            ctx.set_timer(interval, CLIENT_ISSUE);
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<PbftMsg>, from: NodeId, msg: PbftMsg) {
-        if let PbftMsg::Reply { seq, output, .. } = msg {
-            if !self.session.is_outstanding(seq) {
-                return;
-            }
-            let key = digest_of(&output).0;
-            let votes = self.votes.entry(seq).or_default().entry(key).or_default();
-            votes.insert(from);
-            if votes.len() >= self.f + 1 {
-                self.votes.remove(&seq);
-                self.session.complete(seq, output, ctx.now());
-                if self.session.is_closed_loop() {
-                    self.issue_next(ctx);
-                }
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<PbftMsg>, timer: Timer) {
-        match timer.kind {
-            CLIENT_RETRY if self.session.has_outstanding() => {
-                // Escalate: broadcast every pending request to all replicas
-                // (this is what ultimately triggers a view change when the
-                // primary is faulty).
-                for cmd in self.session.outstanding() {
-                    for r in 0..self.n_replicas {
-                        ctx.send(NodeId::from(r), PbftMsg::Request { cmd: cmd.clone() });
-                    }
-                }
-                ctx.set_timer(150_000, CLIENT_RETRY);
-            }
-            CLIENT_ISSUE => {
-                self.issue_next(ctx);
-                if let Some(interval) = self.session.open_interval() {
-                    if self.session.remaining() {
-                        ctx.set_timer(interval, CLIENT_ISSUE);
-                    }
-                }
-            }
-            _ => {}
+    fn reply(self) -> Option<(u64, KvResponse)> {
+        match self {
+            PbftMsg::Reply { seq, output, .. } => Some((seq, output)),
+            _ => None,
         }
     }
 }
@@ -907,10 +833,14 @@ impl SmrProtocol for Pbft {
     type Shape = usize;
     type Msg = PbftMsg;
     type Replica = PbftReplica;
-    type Client = PbftClient;
+    type Client = VotingClient<PbftMsg>;
 
     fn replica(n_replicas: usize, batch: BatchConfig) -> PbftReplica {
         PbftReplica::new_with(n_replicas, batch)
+    }
+
+    fn client(n_replicas: usize, session: Session) -> VotingClient<PbftMsg> {
+        VotingClient::new(session, n_replicas, (n_replicas - 1) / 3 + 1)
     }
 
     fn is_leader(replica: &PbftReplica, id: NodeId) -> bool {
@@ -1021,7 +951,11 @@ mod tests {
     #[test]
     fn commits_requests_fault_free() {
         let mut cluster = PbftCluster::new(4, 1, 10, NetConfig::lan(), 1);
-        assert!(cluster.run(Time::from_secs(10)), "{}", cluster.total_completed());
+        assert!(
+            cluster.run(Time::from_secs(10)),
+            "{}",
+            cluster.total_completed()
+        );
         assert_eq!(cluster.total_completed(), 10);
         assert!(cluster.check_state_agreement() >= 10);
     }
@@ -1207,17 +1141,17 @@ mod tests {
     /// flattened across batches in execution order.
     fn flattened_origins(cluster: &PbftCluster) -> Vec<(u32, u64)> {
         let log = cluster.decided_log();
-        let best = log.iter().map(|e| e.node).fold(
-            (0u32, 0usize),
-            |(best, best_len), node| {
+        let best = log
+            .iter()
+            .map(|e| e.node)
+            .fold((0u32, 0usize), |(best, best_len), node| {
                 let len = log.iter().filter(|e| e.node == node).count();
                 if len > best_len {
                     (node, len)
                 } else {
                     (best, best_len)
                 }
-            },
-        );
+            });
         let mut mine: Vec<&DecidedEntry> = log.iter().filter(|e| e.node == best.0).collect();
         mine.sort_by_key(|e| e.index);
         mine.iter().filter_map(|e| e.origin).collect()
@@ -1321,7 +1255,12 @@ mod tests {
         assert_eq!(drv.issued().len(), 10);
         assert_eq!(drv.latencies().count(), 10);
         let log = drv.decided_log();
-        assert!(log.iter().filter(|e| e.node == 0 && e.origin.is_some()).count() >= 10);
+        assert!(
+            log.iter()
+                .filter(|e| e.node == 0 && e.origin.is_some())
+                .count()
+                >= 10
+        );
         assert!(drv.metrics().sent > 0);
     }
 

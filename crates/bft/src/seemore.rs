@@ -19,13 +19,16 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use consensus_core::workload::{KvMix, KvWorkload, LatencyRecorder};
-use consensus_core::{Command, DedupKvMachine, KvCommand, KvResponse};
-use simnet::{CncPhase, Context, NetConfig, Node, NodeId, RunOutcome, Sim, Time, Timer};
+use consensus_core::driver::{BatchConfig, DecidedEntry};
+use consensus_core::{
+    Cluster, ClusterShape, Command, DedupKvMachine, KvCommand, KvResponse, Session, SmrProtocol,
+};
+use simnet::{CncPhase, Context, Node, NodeId};
 
 /// Span protocol label; instances are sequence numbers.
 const SPAN: &str = "seemore";
 
+use crate::shell::{decided_commands, VoteWire, VotingClient};
 use crate::sim_crypto::{digest_of, Digest};
 
 /// The three SeeMoRe operating modes.
@@ -103,10 +106,36 @@ impl SeeMoReConfig {
     pub fn proxies(&self) -> Vec<NodeId> {
         let mut v: Vec<NodeId> = (self.n_private()..self.n()).map(NodeId::from).collect();
         while v.len() < 3 * self.m + 1 {
-            v.insert(0, NodeId::from(self.n_private() - 1 - (3 * self.m + 1 - v.len() - 1)));
+            v.insert(
+                0,
+                NodeId::from(self.n_private() - 1 - (3 * self.m + 1 - v.len() - 1)),
+            );
         }
         v.truncate(3 * self.m + 1);
         v
+    }
+}
+
+impl ClusterShape for SeeMoReConfig {
+    fn n_replicas(&self) -> usize {
+        self.n()
+    }
+}
+
+/// The mode-1 deployment of `n = 5k+1` nodes that tolerates as many
+/// malicious as crash faults (`m = c = k`).
+impl From<usize> for SeeMoReConfig {
+    fn from(n: usize) -> Self {
+        let k = n.saturating_sub(1) / 5;
+        assert!(
+            k >= 1 && n == 5 * k + 1,
+            "no m = c SeeMoRe deployment has {n} nodes"
+        );
+        SeeMoReConfig {
+            m: k,
+            c: k,
+            mode: Mode::One,
+        }
     }
 }
 
@@ -360,10 +389,7 @@ impl Node for SmReplica {
                     Mode::Three => {
                         // Untrusted primary: validate first.
                         if self.is_proxy(me) {
-                            ctx.send_many(
-                                proxies.iter().copied(),
-                                SmMsg::Validate { n, digest },
-                            );
+                            ctx.send_many(proxies.iter().copied(), SmMsg::Validate { n, digest });
                         }
                     }
                 }
@@ -382,7 +408,11 @@ impl Node for SmReplica {
                 inst.validates.insert(from);
                 if inst.validates.len() >= quorum && !inst.validated {
                     inst.validated = true;
-                    let d = if inst.cmd.is_some() { inst.digest } else { digest };
+                    let d = if inst.cmd.is_some() {
+                        inst.digest
+                    } else {
+                        digest
+                    };
                     ctx.send_many(proxies.iter().copied(), SmMsg::Ack { n, digest: d });
                 }
             }
@@ -434,168 +464,70 @@ impl Node for SmReplica {
     }
 }
 
-const CLIENT_RETRY: u64 = 3;
+/// The client accepts an output at `m+1` matching replies (a correct node
+/// is among them), or at one reply from the private cloud.
+impl VoteWire for SmMsg {
+    const RETRY_US: u64 = 200_000;
 
-/// A SeeMoRe client: `m+1` matching replies (a correct node is among them).
-pub struct SmClient {
-    /// Client id == node id.
-    pub client_id: u32,
-    cfg: SeeMoReConfig,
-    workload: KvWorkload,
-    total: usize,
-    /// Completed.
-    pub completed: usize,
-    current: Option<(Command<KvCommand>, Time)>,
-    votes: BTreeMap<u64, BTreeSet<NodeId>>,
-    /// Latencies.
-    pub latencies: LatencyRecorder,
-}
-
-impl SmClient {
-    /// Creates a client.
-    pub fn new(client_id: u32, cfg: SeeMoReConfig, total: usize, seed: u64) -> Self {
-        SmClient {
-            client_id,
-            cfg,
-            workload: KvWorkload::new(client_id, KvMix::default(), seed),
-            total,
-            completed: 0,
-            current: None,
-            votes: BTreeMap::new(),
-            latencies: LatencyRecorder::new(),
-        }
+    fn request(cmd: Command<KvCommand>) -> Self {
+        SmMsg::Request { cmd }
     }
 
-    /// Whether done.
-    pub fn done(&self) -> bool {
-        self.completed >= self.total
-    }
-
-    fn send_next(&mut self, ctx: &mut Context<SmMsg>) {
-        if self.done() {
-            self.current = None;
-            return;
-        }
-        let cmd = self.workload.next_command();
-        self.current = Some((cmd.clone(), ctx.now()));
-        self.votes.clear();
-        let p = self.cfg.primary();
-        ctx.send(p, SmMsg::Request { cmd });
-        ctx.set_timer(200_000, CLIENT_RETRY);
-    }
-}
-
-impl Node for SmClient {
-    type Msg = SmMsg;
-
-    fn on_start(&mut self, ctx: &mut Context<SmMsg>) {
-        self.send_next(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<SmMsg>, from: NodeId, msg: SmMsg) {
-        if let SmMsg::Reply { seq, output, .. } = msg {
-            let Some((cmd, sent_at)) = &self.current else {
-                return;
-            };
-            if cmd.seq != seq {
-                return;
-            }
-            let key = digest_of(&output).0;
-            let votes = self.votes.entry(key).or_default();
-            votes.insert(from);
-            // A trusted (private) replier is definitive; otherwise m+1
-            // matching public replies.
-            let trusted = votes.iter().any(|id| self.cfg.is_private(*id));
-            if trusted || votes.len() >= self.cfg.m + 1 {
-                let sent = *sent_at;
-                self.latencies.record(sent, ctx.now());
-                self.completed += 1;
-                self.current = None;
-                self.send_next(ctx);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<SmMsg>, timer: Timer) {
-        if timer.kind == CLIENT_RETRY && self.current.is_some() {
-            if let Some((cmd, _)) = &self.current {
-                let cmd = cmd.clone();
-                for r in 0..self.cfg.n() {
-                    ctx.send(NodeId::from(r), SmMsg::Request { cmd: cmd.clone() });
-                }
-            }
-            ctx.set_timer(200_000, CLIENT_RETRY);
-        }
-    }
-}
-
-simnet::node_enum! {
-    /// A SeeMoRe process.
-    pub enum SmProc: SmMsg {
-        /// Replica.
-        Replica(SmReplica),
-        /// Client.
-        Client(SmClient),
-    }
-}
-
-/// A ready-to-run SeeMoRe cluster.
-pub struct SmCluster {
-    /// The simulation.
-    pub sim: Sim<SmProc>,
-    /// Configuration.
-    pub cfg: SeeMoReConfig,
-}
-
-impl SmCluster {
-    /// Builds the cluster with one client issuing `cmds` commands.
-    pub fn new(cfg: SeeMoReConfig, cmds: usize, config: NetConfig, seed: u64) -> Self {
-        let mut sim = Sim::new(config, seed);
-        for _ in 0..cfg.n() {
-            sim.add_node(SmReplica::new(cfg));
-        }
-        sim.add_node(SmClient::new(cfg.n() as u32, cfg, cmds, seed));
-        SmCluster { sim, cfg }
-    }
-
-    /// Runs to completion or `horizon`.
-    pub fn run(&mut self, horizon: Time) -> bool {
-        loop {
-            let outcome = self.sim.run_for(10_000);
-            if self.client().done() {
-                return true;
-            }
-            if self.sim.now() >= horizon || outcome == RunOutcome::Quiescent {
-                return self.client().done();
-            }
-        }
-    }
-
-    /// The client.
-    pub fn client(&self) -> &SmClient {
-        self.sim
-            .nodes()
-            .find_map(|(_, p)| match p {
-                SmProc::Client(c) => Some(c),
-                _ => None,
-            })
-            .expect("client exists")
-    }
-
-    /// Iterates over replicas.
-    pub fn replicas(&self) -> impl Iterator<Item = &SmReplica> {
-        self.sim.nodes().filter_map(|(_, p)| match p {
-            SmProc::Replica(r) => Some(r),
+    fn reply(self) -> Option<(u64, KvResponse)> {
+        match self {
+            SmMsg::Reply { seq, output, .. } => Some((seq, output)),
             _ => None,
-        })
+        }
     }
 }
+
+/// SeeMoRe as a log protocol of the SMR shell.
+pub struct SeeMoRe;
+
+impl SmrProtocol for SeeMoRe {
+    const NAME: &'static str = "seemore";
+    type Shape = SeeMoReConfig;
+    type Msg = SmMsg;
+    type Replica = SmReplica;
+    type Client = VotingClient<SmMsg>;
+
+    /// One request per sequence number: `batch` is ignored.
+    fn replica(cfg: SeeMoReConfig, _batch: BatchConfig) -> SmReplica {
+        SmReplica::new(cfg)
+    }
+
+    fn client(cfg: SeeMoReConfig, session: Session) -> VotingClient<SmMsg> {
+        VotingClient::new(session, cfg.n(), cfg.m + 1)
+            .to_primary(cfg.primary())
+            .trusting(cfg.n_private())
+    }
+
+    fn is_leader(replica: &SmReplica, id: NodeId) -> bool {
+        replica.cfg.primary() == id
+    }
+
+    fn applied_len(replica: &SmReplica) -> u64 {
+        replica.executed_upto
+    }
+
+    fn machine(replica: &SmReplica) -> &DedupKvMachine {
+        &replica.machine
+    }
+
+    fn decided(replica: &SmReplica, node: u32, out: &mut Vec<DecidedEntry>) {
+        let executed = replica.instances.values().filter(|i| i.executed);
+        decided_commands(executed.filter_map(|i| i.cmd.as_ref()), node, out);
+    }
+}
+
+/// A ready-to-run SeeMoRe cluster (`3m+2c+1` replicas).
+pub type SmCluster = Cluster<SeeMoRe>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use consensus_core::StateMachine as _;
-    use simnet::DropAll;
+    use simnet::{DropAll, NetConfig, Time};
 
     fn cfg(m: usize, c: usize, mode: Mode) -> SeeMoReConfig {
         SeeMoReConfig { m, c, mode }
@@ -620,36 +552,39 @@ mod tests {
     #[test]
     fn all_three_modes_commit() {
         for mode in [Mode::One, Mode::Two, Mode::Three] {
-            let mut cluster = SmCluster::new(cfg(1, 1, mode), 8, NetConfig::lan(), 1);
+            let mut cluster = SmCluster::new(cfg(1, 1, mode), 1, 8, NetConfig::lan(), 1);
             assert!(
                 cluster.run(Time::from_secs(20)),
                 "{mode:?}: {}",
-                cluster.client().completed
+                cluster.total_completed()
             );
-            assert_eq!(cluster.client().completed, 8, "{mode:?}");
+            assert_eq!(cluster.total_completed(), 8, "{mode:?}");
         }
     }
 
     #[test]
     fn mode1_is_linear_modes23_quadratic() {
         let msgs = |mode| {
-            let mut cluster = SmCluster::new(cfg(1, 1, mode), 10, NetConfig::lan(), 2);
+            let mut cluster = SmCluster::new(cfg(1, 1, mode), 1, 10, NetConfig::lan(), 2);
             assert!(cluster.run(Time::from_secs(20)));
             cluster.sim.metrics().sent as f64 / 10.0
         };
         let m1 = msgs(Mode::One);
         let m2 = msgs(Mode::Two);
         let m3 = msgs(Mode::Three);
-        assert!(m2 > m1, "decentralized coordination costs more: {m1} vs {m2}");
+        assert!(
+            m2 > m1,
+            "decentralized coordination costs more: {m1} vs {m2}"
+        );
         assert!(m3 > m2, "validation phase adds messages: {m2} vs {m3}");
     }
 
     #[test]
     fn mode3_has_validation_phase() {
-        let mut cluster = SmCluster::new(cfg(1, 1, Mode::Three), 5, NetConfig::lan(), 3);
+        let mut cluster = SmCluster::new(cfg(1, 1, Mode::Three), 1, 5, NetConfig::lan(), 3);
         assert!(cluster.run(Time::from_secs(20)));
         assert!(cluster.sim.metrics().kind("validate") > 0);
-        let mut c1 = SmCluster::new(cfg(1, 1, Mode::One), 5, NetConfig::lan(), 3);
+        let mut c1 = SmCluster::new(cfg(1, 1, Mode::One), 1, 5, NetConfig::lan(), 3);
         assert!(c1.run(Time::from_secs(20)));
         assert_eq!(c1.sim.metrics().kind("validate"), 0);
     }
@@ -658,7 +593,7 @@ mod tests {
     fn tolerates_c_private_crashes_and_m_public_mutes() {
         for mode in [Mode::One, Mode::Two] {
             let k = cfg(1, 1, mode);
-            let mut cluster = SmCluster::new(k, 6, NetConfig::lan(), 4);
+            let mut cluster = SmCluster::new(k, 1, 6, NetConfig::lan(), 4);
             // Crash one private node outside the proxy set: c = 1.
             cluster.sim.crash_at(NodeId(1), Time::ZERO);
             // Mute one public node: m = 1 (it still receives but never
@@ -667,15 +602,15 @@ mod tests {
             assert!(
                 cluster.run(Time::from_secs(30)),
                 "{mode:?}: {}",
-                cluster.client().completed
+                cluster.total_completed()
             );
-            assert_eq!(cluster.client().completed, 6, "{mode:?}");
+            assert_eq!(cluster.total_completed(), 6, "{mode:?}");
         }
     }
 
     #[test]
     fn replicas_converge() {
-        let mut cluster = SmCluster::new(cfg(1, 1, Mode::One), 12, NetConfig::lan(), 5);
+        let mut cluster = SmCluster::new(cfg(1, 1, Mode::One), 1, 12, NetConfig::lan(), 5);
         assert!(cluster.run(Time::from_secs(20)));
         cluster.sim.run_for(300_000);
         let digests: BTreeSet<u64> = cluster
@@ -689,9 +624,9 @@ mod tests {
     #[test]
     fn deterministic() {
         let run = |seed| {
-            let mut cluster = SmCluster::new(cfg(1, 1, Mode::Two), 6, NetConfig::lan(), seed);
+            let mut cluster = SmCluster::new(cfg(1, 1, Mode::Two), 1, 6, NetConfig::lan(), seed);
             cluster.run(Time::from_secs(20));
-            (cluster.client().completed, cluster.sim.metrics().sent)
+            (cluster.total_completed(), cluster.sim.metrics().sent)
         };
         assert_eq!(run(6), run(6));
     }

@@ -89,6 +89,12 @@ impl Usig {
         Usig { owner, counter: 0 }
     }
 
+    /// Hands the component to `owner`. The counter is untouched: it is what
+    /// the hardware keeps across restarts.
+    pub fn bind(&mut self, owner: NodeId) {
+        self.owner = owner;
+    }
+
     /// Assigns the next counter value to `digest`.
     pub fn create(&mut self, digest: Digest) -> UsigCert {
         self.counter += 1;

@@ -78,8 +78,8 @@ impl UpRightConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use consensus_core::quorum::{verify_intersection_exhaustively, Phase};
     use crate::seemore::{Mode, SeeMoReConfig, SmCluster};
+    use consensus_core::quorum::{verify_intersection_exhaustively, Phase};
     use simnet::{NetConfig, Time};
 
     #[test]
@@ -151,8 +151,8 @@ mod tests {
         };
         assert_eq!(cfg.n(), u.agreement_nodes());
         assert_eq!(cfg.quorum(), u.quorum());
-        let mut cluster = SmCluster::new(cfg, 6, NetConfig::lan(), 1);
+        let mut cluster = SmCluster::new(cfg, 1, 6, NetConfig::lan(), 1);
         assert!(cluster.run(Time::from_secs(20)));
-        assert_eq!(cluster.client().completed, 6);
+        assert_eq!(cluster.total_completed(), 6);
     }
 }

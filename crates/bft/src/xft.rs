@@ -19,13 +19,16 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use consensus_core::workload::{KvMix, KvWorkload, LatencyRecorder};
-use consensus_core::{Command, DedupKvMachine, KvCommand, KvResponse};
-use simnet::{CncPhase, Context, NetConfig, Node, NodeId, RunOutcome, Sim, Time, Timer, TimerId};
+use consensus_core::driver::{BatchConfig, DecidedEntry};
+use consensus_core::{
+    Cluster, Command, DedupKvMachine, KvCommand, KvResponse, Session, SmrProtocol,
+};
+use simnet::{CncPhase, Context, Node, NodeId, Timer, TimerId};
 
 /// Span protocol label; instances are sequence numbers, rounds are views.
 const SPAN: &str = "xft";
 
+use crate::shell::{decided_commands, VoteWire, VotingClient};
 use crate::sim_crypto::digest_of;
 
 /// The anarchy predicate from the slides: `m(s) > 0` **and**
@@ -201,10 +204,9 @@ impl XftReplica {
         let group_size = self.f + 1;
         loop {
             let next = self.executed_upto + 1;
-            let ready = self
-                .instances
-                .get(&next)
-                .is_some_and(|i| !i.executed && i.cmd.is_some() && i.endorsements.len() >= group_size);
+            let ready = self.instances.get(&next).is_some_and(|i| {
+                !i.executed && i.cmd.is_some() && i.endorsements.len() >= group_size
+            });
             if !ready {
                 return;
             }
@@ -363,7 +365,12 @@ impl Node for XftReplica {
                 self.vc_votes.entry(new_view).or_default().insert(from);
                 if self.max_vc_sent < new_view {
                     self.max_vc_sent = new_view;
-                    ctx.phase(SPAN, self.executed_upto + 1, new_view, CncPhase::LeaderElection);
+                    ctx.phase(
+                        SPAN,
+                        self.executed_upto + 1,
+                        new_view,
+                        CncPhase::LeaderElection,
+                    );
                     let me = ctx.id();
                     self.vc_votes.entry(new_view).or_default().insert(me);
                     ctx.send_many(self.peer_replicas(me), XftMsg::ViewChange { new_view });
@@ -427,166 +434,68 @@ impl Node for XftReplica {
     }
 }
 
-const CLIENT_RETRY: u64 = 6;
+/// The client waits for matching replies from the whole synchronous group
+/// (`f+1`).
+impl VoteWire for XftMsg {
+    const RETRY_US: u64 = 200_000;
 
-/// An XFT client: waits for replies from the full synchronous group
-/// (`f+1` matching).
-pub struct XftClient {
-    /// Client id == node id.
-    pub client_id: u32,
-    n_replicas: usize,
-    f: usize,
-    workload: KvWorkload,
-    total: usize,
-    /// Completed.
-    pub completed: usize,
-    current: Option<(Command<KvCommand>, Time)>,
-    votes: BTreeMap<u64, BTreeSet<NodeId>>,
-    /// Latencies.
-    pub latencies: LatencyRecorder,
-}
-
-impl XftClient {
-    /// Creates a client.
-    pub fn new(client_id: u32, n_replicas: usize, total: usize, seed: u64) -> Self {
-        XftClient {
-            client_id,
-            n_replicas,
-            f: (n_replicas - 1) / 2,
-            workload: KvWorkload::new(client_id, KvMix::default(), seed),
-            total,
-            completed: 0,
-            current: None,
-            votes: BTreeMap::new(),
-            latencies: LatencyRecorder::new(),
-        }
+    fn request(cmd: Command<KvCommand>) -> Self {
+        XftMsg::Request { cmd }
     }
 
-    /// Whether done.
-    pub fn done(&self) -> bool {
-        self.completed >= self.total
-    }
-
-    fn send_next(&mut self, ctx: &mut Context<XftMsg>) {
-        if self.done() {
-            self.current = None;
-            return;
-        }
-        let cmd = self.workload.next_command();
-        self.current = Some((cmd.clone(), ctx.now()));
-        self.votes.clear();
-        ctx.send(NodeId(0), XftMsg::Request { cmd });
-        ctx.set_timer(200_000, CLIENT_RETRY);
-    }
-}
-
-impl Node for XftClient {
-    type Msg = XftMsg;
-
-    fn on_start(&mut self, ctx: &mut Context<XftMsg>) {
-        self.send_next(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<XftMsg>, from: NodeId, msg: XftMsg) {
-        if let XftMsg::Reply { seq, output, .. } = msg {
-            let Some((cmd, sent_at)) = &self.current else {
-                return;
-            };
-            if cmd.seq != seq {
-                return;
-            }
-            let key = digest_of(&output).0;
-            let votes = self.votes.entry(key).or_default();
-            votes.insert(from);
-            if votes.len() >= self.f + 1 {
-                let sent = *sent_at;
-                self.latencies.record(sent, ctx.now());
-                self.completed += 1;
-                self.current = None;
-                self.send_next(ctx);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<XftMsg>, timer: Timer) {
-        if timer.kind == CLIENT_RETRY && self.current.is_some() {
-            if let Some((cmd, _)) = &self.current {
-                let cmd = cmd.clone();
-                for r in 0..self.n_replicas {
-                    ctx.send(NodeId::from(r), XftMsg::Request { cmd: cmd.clone() });
-                }
-            }
-            ctx.set_timer(200_000, CLIENT_RETRY);
-        }
-    }
-}
-
-simnet::node_enum! {
-    /// An XFT process.
-    pub enum XftProc: XftMsg {
-        /// Replica.
-        Replica(XftReplica),
-        /// Client.
-        Client(XftClient),
-    }
-}
-
-/// A ready-to-run XFT cluster.
-pub struct XftCluster {
-    /// The simulation.
-    pub sim: Sim<XftProc>,
-    /// Replica count (`2f+1`).
-    pub n_replicas: usize,
-}
-
-impl XftCluster {
-    /// Builds the cluster with one client issuing `cmds` commands.
-    pub fn new(n_replicas: usize, cmds: usize, config: NetConfig, seed: u64) -> Self {
-        let mut sim = Sim::new(config, seed);
-        for _ in 0..n_replicas {
-            sim.add_node(XftReplica::new(n_replicas));
-        }
-        sim.add_node(XftClient::new(n_replicas as u32, n_replicas, cmds, seed));
-        XftCluster { sim, n_replicas }
-    }
-
-    /// Runs to completion or `horizon`.
-    pub fn run(&mut self, horizon: Time) -> bool {
-        loop {
-            let outcome = self.sim.run_for(10_000);
-            if self.client().done() {
-                return true;
-            }
-            if self.sim.now() >= horizon || outcome == RunOutcome::Quiescent {
-                return self.client().done();
-            }
-        }
-    }
-
-    /// The client.
-    pub fn client(&self) -> &XftClient {
-        self.sim
-            .nodes()
-            .find_map(|(_, p)| match p {
-                XftProc::Client(c) => Some(c),
-                _ => None,
-            })
-            .expect("client exists")
-    }
-
-    /// Iterates over replicas.
-    pub fn replicas(&self) -> impl Iterator<Item = &XftReplica> {
-        self.sim.nodes().filter_map(|(_, p)| match p {
-            XftProc::Replica(r) => Some(r),
+    fn reply(self) -> Option<(u64, KvResponse)> {
+        match self {
+            XftMsg::Reply { seq, output, .. } => Some((seq, output)),
             _ => None,
-        })
+        }
     }
 }
+
+/// XFT (XPaxos) as a log protocol of the SMR shell.
+pub struct Xft;
+
+impl SmrProtocol for Xft {
+    const NAME: &'static str = "xft";
+    type Shape = usize;
+    type Msg = XftMsg;
+    type Replica = XftReplica;
+    type Client = VotingClient<XftMsg>;
+
+    /// One request per sequence number: `batch` is ignored.
+    fn replica(n_replicas: usize, _batch: BatchConfig) -> XftReplica {
+        XftReplica::new(n_replicas)
+    }
+
+    fn client(n_replicas: usize, session: Session) -> VotingClient<XftMsg> {
+        VotingClient::new(session, n_replicas, (n_replicas - 1) / 2 + 1)
+    }
+
+    fn is_leader(replica: &XftReplica, id: NodeId) -> bool {
+        replica.primary_of(replica.view) == id
+    }
+
+    /// `executed_upto` restarts in every view; the history does not.
+    fn applied_len(replica: &XftReplica) -> u64 {
+        replica.history.len() as u64
+    }
+
+    fn machine(replica: &XftReplica) -> &DedupKvMachine {
+        &replica.machine
+    }
+
+    fn decided(replica: &XftReplica, node: u32, out: &mut Vec<DecidedEntry>) {
+        decided_commands(&replica.history, node, out);
+    }
+}
+
+/// A ready-to-run XFT cluster (`2f+1` replicas).
+pub type XftCluster = Cluster<Xft>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use consensus_core::StateMachine as _;
+    use simnet::{NetConfig, Time};
 
     #[test]
     fn anarchy_predicate_matches_slides() {
@@ -601,9 +510,9 @@ mod tests {
 
     #[test]
     fn common_case_commits_with_synchronous_group_only() {
-        let mut cluster = XftCluster::new(5, 10, NetConfig::lan(), 1);
+        let mut cluster = XftCluster::new(5, 1, 10, NetConfig::lan(), 1);
         assert!(cluster.run(Time::from_secs(10)));
-        assert_eq!(cluster.client().completed, 10);
+        assert_eq!(cluster.total_completed(), 10);
         // Only the f+1 = 3 group members run agreement; prepares go to 2
         // followers, commits circulate within the group.
         let m = cluster.sim.metrics();
@@ -613,16 +522,16 @@ mod tests {
 
     #[test]
     fn group_member_crash_triggers_view_change() {
-        let mut cluster = XftCluster::new(5, 8, NetConfig::lan(), 2);
+        let mut cluster = XftCluster::new(5, 1, 8, NetConfig::lan(), 2);
         cluster.sim.run_until(Time::from_millis(5));
         // Crash a follower inside the synchronous group {0,1,2}.
         cluster.sim.crash_at(NodeId(1), Time::from_millis(6));
         assert!(
             cluster.run(Time::from_secs(60)),
             "completed {}",
-            cluster.client().completed
+            cluster.total_completed()
         );
-        assert_eq!(cluster.client().completed, 8);
+        assert_eq!(cluster.total_completed(), 8);
         let vc = cluster.replicas().map(|r| r.view_changes).max().unwrap();
         assert!(vc >= 1, "the whole group must be reconfigured");
         // The new group excludes the crashed node (view advanced).
@@ -632,7 +541,7 @@ mod tests {
 
     #[test]
     fn passive_replicas_converge_via_lazy_updates() {
-        let mut cluster = XftCluster::new(5, 12, NetConfig::lan(), 3);
+        let mut cluster = XftCluster::new(5, 1, 12, NetConfig::lan(), 3);
         assert!(cluster.run(Time::from_secs(10)));
         cluster.sim.run_for(500_000);
         let executed: Vec<u64> = cluster.replicas().map(|r| r.executed_upto).collect();
@@ -650,10 +559,10 @@ mod tests {
 
     #[test]
     fn crash_outside_group_is_free() {
-        let mut cluster = XftCluster::new(5, 10, NetConfig::lan(), 4);
+        let mut cluster = XftCluster::new(5, 1, 10, NetConfig::lan(), 4);
         cluster.sim.crash_at(NodeId(4), Time::ZERO); // passive node
         assert!(cluster.run(Time::from_secs(10)));
-        assert_eq!(cluster.client().completed, 10);
+        assert_eq!(cluster.total_completed(), 10);
         let vc = cluster.replicas().map(|r| r.view_changes).max().unwrap();
         assert_eq!(vc, 0, "no view change needed for a passive crash");
     }
@@ -661,9 +570,9 @@ mod tests {
     #[test]
     fn deterministic() {
         let run = |seed| {
-            let mut cluster = XftCluster::new(5, 6, NetConfig::lan(), seed);
+            let mut cluster = XftCluster::new(5, 1, 6, NetConfig::lan(), seed);
             cluster.run(Time::from_secs(10));
-            (cluster.client().completed, cluster.sim.metrics().sent)
+            (cluster.total_completed(), cluster.sim.metrics().sent)
         };
         assert_eq!(run(5), run(5));
     }

@@ -19,13 +19,16 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use consensus_core::workload::{KvMix, KvWorkload, LatencyRecorder};
-use consensus_core::{Command, DedupKvMachine, KvCommand, KvResponse};
-use simnet::{CncPhase, Context, NetConfig, Node, NodeId, RunOutcome, Sim, Time, Timer};
+use consensus_core::driver::{BatchConfig, DecidedEntry};
+use consensus_core::{
+    Cluster, Command, DedupKvMachine, KvCommand, KvResponse, Session, SmrProtocol, WorkloadClient,
+};
+use simnet::{CncPhase, Context, Node, NodeId, Timer};
 
 /// Span protocol label; instances are sequence numbers, rounds are views.
 const SPAN: &str = "zyzzyva";
 
+use crate::shell::{decided_commands, replica_ids};
 use crate::sim_crypto::{digest_of, Digest};
 
 /// Zyzzyva wire messages.
@@ -114,6 +117,8 @@ pub struct ZyzReplica {
     pub history: Digest,
     /// Per-sequence history digests (to validate commit certs).
     hist_at: BTreeMap<u64, Digest>,
+    /// Speculatively executed commands, in execution order.
+    executed: Vec<Command<KvCommand>>,
 }
 
 impl ZyzReplica {
@@ -130,6 +135,7 @@ impl ZyzReplica {
             machine: DedupKvMachine::default(),
             history: Digest(0),
             hist_at: BTreeMap::new(),
+            executed: Vec::new(),
         }
     }
 
@@ -177,6 +183,7 @@ impl ZyzReplica {
                     output,
                 },
             );
+            self.executed.push(cmd);
         }
     }
 }
@@ -274,66 +281,44 @@ impl Node for ZyzReplica {
 const CLIENT_COMMIT_TIMER: u64 = 1;
 const CLIENT_RETRY: u64 = 2;
 
+/// Where the outstanding request stands.
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum ReqPhase {
     AwaitingSpec,
-    AwaitingLocalCommit { n: u64 },
+    /// A commit certificate for sequence `n` is out; `output` is what its
+    /// signers reported.
+    AwaitingLocalCommit {
+        n: u64,
+        output: KvResponse,
+    },
 }
 
-/// A Zyzzyva client: the commitment point of the protocol.
+/// A Zyzzyva client: the commitment point of the protocol, which is why it
+/// is not a [`crate::shell::VotingClient`]. Closed loop only — the
+/// speculative votes and the commit certificate belong to the one
+/// outstanding request.
 pub struct ZyzClient {
-    /// Client id == node id.
-    pub client_id: u32,
+    /// The workload and its records.
+    pub session: Session,
     n_replicas: usize,
     f: usize,
-    workload: KvWorkload,
-    total: usize,
-    /// Completed requests.
-    pub completed: usize,
     /// Requests completed via the fast path (case 1).
     pub fast_path: usize,
     /// Requests completed via a commit certificate (case 2).
     pub cert_path: usize,
-    current: Option<(Command<KvCommand>, Time, ReqPhase)>,
-    /// Spec-response votes for the current request, keyed by
-    /// `(n, history, output digest)`.
-    votes: BTreeMap<(u64, Digest, u64), BTreeSet<NodeId>>,
+    phase: ReqPhase,
+    /// Spec-response votes for the outstanding request, keyed by
+    /// `(n, history, output digest)`: the output and who reported it.
+    votes: BTreeMap<(u64, Digest, u64), (KvResponse, BTreeSet<NodeId>)>,
     local_commits: BTreeSet<NodeId>,
-    /// Latencies.
-    pub latencies: LatencyRecorder,
 }
 
 impl ZyzClient {
-    /// Creates a client issuing `total` commands.
-    pub fn new(client_id: u32, n_replicas: usize, total: usize, mix: KvMix, seed: u64) -> Self {
-        ZyzClient {
-            client_id,
-            n_replicas,
-            f: (n_replicas - 1) / 3,
-            workload: KvWorkload::new(client_id, mix, seed),
-            total,
-            completed: 0,
-            fast_path: 0,
-            cert_path: 0,
-            current: None,
-            votes: BTreeMap::new(),
-            local_commits: BTreeSet::new(),
-            latencies: LatencyRecorder::new(),
-        }
-    }
-
-    /// Whether the workload finished.
-    pub fn done(&self) -> bool {
-        self.completed >= self.total
-    }
-
     fn send_next(&mut self, ctx: &mut Context<ZyzMsg>) {
-        if self.done() {
-            self.current = None;
+        let Some(cmd) = self.session.issue(ctx.now()) else {
             return;
-        }
-        let cmd = self.workload.next_command();
-        self.current = Some((cmd.clone(), ctx.now(), ReqPhase::AwaitingSpec));
+        };
+        self.phase = ReqPhase::AwaitingSpec;
         self.votes.clear();
         self.local_commits.clear();
         ctx.send(NodeId(0), ZyzMsg::Request { cmd });
@@ -343,19 +328,20 @@ impl ZyzClient {
         ctx.set_timer(300_000, CLIENT_RETRY);
     }
 
-    fn complete(&mut self, ctx: &mut Context<ZyzMsg>, fast: bool) {
-        if let Some((_, sent_at, _)) = &self.current {
-            let sent = *sent_at;
-            self.latencies.record(sent, ctx.now());
-        }
-        self.completed += 1;
+    fn complete(&mut self, ctx: &mut Context<ZyzMsg>, seq: u64, output: KvResponse, fast: bool) {
+        self.session.complete(seq, output, ctx.now());
         if fast {
             self.fast_path += 1;
         } else {
             self.cert_path += 1;
         }
-        self.current = None;
         self.send_next(ctx);
+    }
+}
+
+impl WorkloadClient for ZyzClient {
+    fn session(&self) -> &Session {
+        &self.session
     }
 }
 
@@ -375,29 +361,30 @@ impl Node for ZyzClient {
                 output,
                 ..
             } => {
-                let Some((cmd, _, phase)) = &self.current else {
-                    return;
-                };
-                if cmd.seq != seq || *phase != ReqPhase::AwaitingSpec {
+                if !self.session.is_outstanding(seq) || self.phase != ReqPhase::AwaitingSpec {
                     return;
                 }
                 let key = (n, hist, digest_of(&output).0);
-                let entry = self.votes.entry(key).or_default();
-                entry.insert(from);
-                if entry.len() >= self.n_replicas {
+                let (_, voters) = self
+                    .votes
+                    .entry(key)
+                    .or_insert_with(|| (output.clone(), BTreeSet::new()));
+                voters.insert(from);
+                if voters.len() >= self.n_replicas {
                     // Case 1: 3f+1 matching replies.
-                    self.complete(ctx, true);
+                    self.complete(ctx, seq, output, true);
                 }
             }
             ZyzMsg::LocalCommit { n, .. } => {
-                let Some((_, _, phase)) = &self.current else {
+                let Some(seq) = self.session.outstanding().next().map(|cmd| cmd.seq) else {
                     return;
                 };
-                if let ReqPhase::AwaitingLocalCommit { n: want } = phase {
+                if let ReqPhase::AwaitingLocalCommit { n: want, output } = &self.phase {
                     if *want == n {
                         self.local_commits.insert(from);
                         if self.local_commits.len() >= 2 * self.f + 1 {
-                            self.complete(ctx, false);
+                            let output = output.clone();
+                            self.complete(ctx, seq, output, false);
                         }
                     }
                 }
@@ -409,125 +396,98 @@ impl Node for ZyzClient {
     fn on_timer(&mut self, ctx: &mut Context<ZyzMsg>, timer: Timer) {
         match timer.kind {
             CLIENT_COMMIT_TIMER => {
-                let Some((_, _, ReqPhase::AwaitingSpec)) = &self.current else {
+                if !self.session.has_outstanding() || self.phase != ReqPhase::AwaitingSpec {
                     return;
-                };
+                }
                 // Case 2: 2f+1 ≤ matching < 3f+1 → send a commit
                 // certificate.
-                let best = self
-                    .votes
-                    .iter()
-                    .max_by_key(|(_, s)| s.len())
-                    .map(|(&k, s)| (k, s.clone()));
-                if let Some(((n, hist, _), signers)) = best {
+                let best = self.votes.iter().max_by_key(|(_, (_, s))| s.len());
+                if let Some((&(n, hist, _), (output, signers))) = best {
                     if signers.len() >= 2 * self.f + 1 {
-                        if let Some((_, _, phase)) = &mut self.current {
-                            *phase = ReqPhase::AwaitingLocalCommit { n };
-                        }
-                        for r in 0..self.n_replicas {
-                            ctx.send(
-                                NodeId::from(r),
-                                ZyzMsg::CommitCert {
-                                    view: 0,
-                                    n,
-                                    hist,
-                                    signers: signers.clone(),
-                                },
-                            );
-                        }
+                        let cert = ZyzMsg::CommitCert {
+                            view: 0,
+                            n,
+                            hist,
+                            signers: signers.clone(),
+                        };
+                        self.phase = ReqPhase::AwaitingLocalCommit {
+                            n,
+                            output: output.clone(),
+                        };
+                        ctx.send_many(replica_ids(self.n_replicas), cert);
                         return;
                     }
                 }
                 // Not enough yet: re-check shortly.
                 ctx.set_timer(10_000, CLIENT_COMMIT_TIMER);
             }
-            CLIENT_RETRY => {
-                if let Some((cmd, _, _)) = &self.current {
-                    let cmd = cmd.clone();
-                    for r in 0..self.n_replicas {
-                        ctx.send(NodeId::from(r), ZyzMsg::Request { cmd: cmd.clone() });
-                    }
-                    ctx.set_timer(300_000, CLIENT_RETRY);
+            CLIENT_RETRY if self.session.has_outstanding() => {
+                for cmd in self.session.outstanding() {
+                    let request = ZyzMsg::Request { cmd: cmd.clone() };
+                    ctx.send_many(replica_ids(self.n_replicas), request);
                 }
+                ctx.set_timer(300_000, CLIENT_RETRY);
             }
             _ => {}
         }
     }
 }
 
-simnet::node_enum! {
-    /// A Zyzzyva process.
-    pub enum ZyzProc: ZyzMsg {
-        /// Replica (node 0 = primary).
-        Replica(ZyzReplica),
-        /// Client (commitment point).
-        Client(ZyzClient),
+/// Zyzzyva as a log protocol of the SMR shell.
+pub struct Zyzzyva;
+
+impl SmrProtocol for Zyzzyva {
+    const NAME: &'static str = "zyzzyva";
+    type Shape = usize;
+    type Msg = ZyzMsg;
+    type Replica = ZyzReplica;
+    type Client = ZyzClient;
+
+    /// One request per sequence number: `batch` is ignored.
+    fn replica(n_replicas: usize, _batch: BatchConfig) -> ZyzReplica {
+        ZyzReplica::new(n_replicas)
     }
-}
 
-/// A ready-to-run Zyzzyva cluster.
-pub struct ZyzCluster {
-    /// The simulation.
-    pub sim: Sim<ZyzProc>,
-    /// Number of replicas.
-    pub n_replicas: usize,
-}
-
-impl ZyzCluster {
-    /// Builds a cluster with one client issuing `cmds` commands.
-    pub fn new(n_replicas: usize, cmds: usize, config: NetConfig, seed: u64) -> Self {
-        let mut sim = Sim::new(config, seed);
-        for _ in 0..n_replicas {
-            sim.add_node(ZyzReplica::new(n_replicas));
-        }
-        sim.add_node(ZyzClient::new(
-            n_replicas as u32,
+    fn client(n_replicas: usize, session: Session) -> ZyzClient {
+        ZyzClient {
+            session,
             n_replicas,
-            cmds,
-            KvMix::default(),
-            seed,
-        ));
-        ZyzCluster { sim, n_replicas }
-    }
-
-    /// Runs to completion or `horizon`.
-    pub fn run(&mut self, horizon: Time) -> bool {
-        loop {
-            let outcome = self.sim.run_for(10_000);
-            if self.client().done() {
-                return true;
-            }
-            if self.sim.now() >= horizon || outcome == RunOutcome::Quiescent {
-                return self.client().done();
-            }
+            f: (n_replicas - 1) / 3,
+            fast_path: 0,
+            cert_path: 0,
+            phase: ReqPhase::AwaitingSpec,
+            votes: BTreeMap::new(),
+            local_commits: BTreeSet::new(),
         }
     }
 
-    /// The (single) client.
-    pub fn client(&self) -> &ZyzClient {
-        self.sim
-            .nodes()
-            .find_map(|(_, p)| match p {
-                ZyzProc::Client(c) => Some(c),
-                _ => None,
-            })
-            .expect("cluster has a client")
+    fn is_leader(replica: &ZyzReplica, id: NodeId) -> bool {
+        replica.primary() == id
     }
 
-    /// Iterates over replicas.
-    pub fn replicas(&self) -> impl Iterator<Item = &ZyzReplica> {
-        self.sim.nodes().filter_map(|(_, p)| match p {
-            ZyzProc::Replica(r) => Some(r),
-            _ => None,
-        })
+    /// Speculative execution *is* application: the frontier is
+    /// `spec_executed`, not the certified `committed_upto`.
+    fn applied_len(replica: &ZyzReplica) -> u64 {
+        replica.spec_executed
+    }
+
+    fn machine(replica: &ZyzReplica) -> &DedupKvMachine {
+        &replica.machine
+    }
+
+    fn decided(replica: &ZyzReplica, node: u32, out: &mut Vec<DecidedEntry>) {
+        decided_commands(&replica.executed, node, out);
     }
 }
+
+/// A ready-to-run Zyzzyva cluster (`3f+1` replicas, node 0 the primary).
+pub type ZyzCluster = Cluster<Zyzzyva>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use consensus_core::StateMachine as _;
-    use simnet::DelayModel;
+    use simnet::{DelayModel, NetConfig, Time};
 
     fn fixed_net() -> NetConfig {
         NetConfig::synchronous().with_delay(DelayModel::Fixed(500))
@@ -535,36 +495,33 @@ mod tests {
 
     #[test]
     fn fault_free_takes_fast_path() {
-        let mut cluster = ZyzCluster::new(4, 10, fixed_net(), 1);
+        let mut cluster = ZyzCluster::new(4, 1, 10, fixed_net(), 1);
         assert!(cluster.run(Time::from_secs(10)));
-        let c = cluster.client();
-        assert_eq!(c.completed, 10);
+        let c = cluster.clients().next().unwrap();
+        assert_eq!(c.session.completed, 10);
         assert_eq!(c.fast_path, 10, "all requests on case 1");
         assert_eq!(c.cert_path, 0);
     }
 
     #[test]
     fn fast_path_is_three_delays() {
-        let mut cluster = ZyzCluster::new(4, 1, fixed_net(), 2);
+        let mut cluster = ZyzCluster::new(4, 1, 1, fixed_net(), 2);
         assert!(cluster.run(Time::from_secs(10)));
         // request (500) + order-req (500) + spec-response (500) = 1500.
-        assert_eq!(cluster.client().latencies.min(), 1_500);
+        assert_eq!(cluster.latencies().min(), 1_500);
     }
 
     #[test]
     fn crashed_backup_forces_commit_certificate() {
-        let mut cluster = ZyzCluster::new(4, 5, fixed_net(), 3);
+        let mut cluster = ZyzCluster::new(4, 1, 5, fixed_net(), 3);
         cluster.sim.crash_at(NodeId(3), Time::ZERO);
         assert!(cluster.run(Time::from_secs(30)));
-        let c = cluster.client();
-        assert_eq!(c.completed, 5);
+        let c = cluster.clients().next().unwrap();
+        assert_eq!(c.session.completed, 5);
         assert_eq!(c.cert_path, 5, "all requests need case 2");
-        for (id, r) in cluster.sim.nodes().filter_map(|(id, p)| match p {
-            ZyzProc::Replica(r) => Some((id, r)),
-            _ => None,
-        }) {
-            if cluster.sim.is_alive(id) {
-                assert!(r.committed_upto >= 5, "{id}: {}", r.committed_upto);
+        for (i, r) in cluster.replicas().enumerate() {
+            if cluster.sim.is_alive(NodeId::from(i)) {
+                assert!(r.committed_upto >= 5, "replica {i}: {}", r.committed_upto);
             }
         }
     }
@@ -574,7 +531,7 @@ mod tests {
         // Per request (fault-free): 1 request + (n−1) order-reqs + n
         // spec-responses: linear in n.
         for n in [4usize, 7] {
-            let mut cluster = ZyzCluster::new(n, 10, fixed_net(), 4);
+            let mut cluster = ZyzCluster::new(n, 1, 10, fixed_net(), 4);
             assert!(cluster.run(Time::from_secs(10)));
             let per_req = cluster.sim.metrics().sent as f64 / 10.0;
             let expected = 1.0 + (n as f64 - 1.0) + n as f64;
@@ -587,7 +544,7 @@ mod tests {
 
     #[test]
     fn replicas_stay_consistent() {
-        let mut cluster = ZyzCluster::new(4, 20, NetConfig::lan(), 5);
+        let mut cluster = ZyzCluster::new(4, 1, 20, NetConfig::lan(), 5);
         assert!(cluster.run(Time::from_secs(10)));
         let digests: BTreeSet<u64> = cluster
             .replicas()
@@ -603,7 +560,7 @@ mod tests {
         // backup refuses to execute (no divergence), the rest proceed; the
         // client still completes via case 2.
         use simnet::{FilterAction, FnFilter};
-        let mut cluster = ZyzCluster::new(4, 3, fixed_net(), 6);
+        let mut cluster = ZyzCluster::new(4, 1, 3, fixed_net(), 6);
         cluster.sim.set_filter(
             NodeId(0),
             Box::new(FnFilter(
@@ -623,8 +580,8 @@ mod tests {
             )),
         );
         assert!(cluster.run(Time::from_secs(30)));
-        let c = cluster.client();
-        assert_eq!(c.completed, 3);
+        let c = cluster.clients().next().unwrap();
+        assert_eq!(c.session.completed, 3);
         assert!(c.cert_path > 0, "case 2 must fire");
         // The lied-to backup executed nothing.
         let stalled = cluster.replicas().filter(|r| r.spec_executed == 0).count();
@@ -634,9 +591,9 @@ mod tests {
     #[test]
     fn deterministic() {
         let run = |seed| {
-            let mut cluster = ZyzCluster::new(4, 5, NetConfig::lan(), seed);
+            let mut cluster = ZyzCluster::new(4, 1, 5, NetConfig::lan(), seed);
             cluster.run(Time::from_secs(10));
-            (cluster.client().completed, cluster.sim.metrics().sent)
+            (cluster.total_completed(), cluster.sim.metrics().sent)
         };
         assert_eq!(run(7), run(7));
     }

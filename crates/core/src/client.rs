@@ -7,8 +7,9 @@
 //! and Raft share — send to the believed leader, follow `NotLeader` hints,
 //! resend on silence — over any message type that implements
 //! [`ClientWire`]. Protocols whose clients talk to replicas differently
-//! (PBFT collects `f+1` matching replies and escalates by broadcast) wrap a
-//! `Session` in their own node and implement [`WorkloadClient`].
+//! (the BFT family collects a quorum of matching replies and escalates by
+//! broadcast — `bft::shell::VotingClient`) wrap a `Session` in their own
+//! node and implement [`WorkloadClient`].
 
 use std::collections::BTreeMap;
 
@@ -112,11 +113,8 @@ impl Session {
     }
 }
 
-/// A client node the cluster harness can build and harvest.
+/// A client node the cluster harness can harvest.
 pub trait WorkloadClient: Node {
-    /// Wraps `session` for a cluster of `n_replicas` (node ids `0..n`).
-    fn new(session: Session, n_replicas: usize) -> Self;
-
     /// The client's workload and records.
     fn session(&self) -> &Session;
 }
@@ -201,6 +199,20 @@ pub struct Client<M> {
 }
 
 impl<M: ClientWire> Client<M> {
+    /// Wraps `session` for a cluster of `n_replicas` (node ids `0..n`).
+    pub fn new(session: Session, n_replicas: usize) -> Self {
+        Client {
+            session,
+            n_replicas,
+            trace_roots: BTreeMap::new(),
+            leader_guess: NodeId(0),
+            nudge_armed: false,
+            retry_strikes: 0,
+            read_replies: BTreeMap::new(),
+            wire: std::marker::PhantomData,
+        }
+    }
+
     fn issue_next(&mut self, ctx: &mut Context<M>) {
         let Some(cmd) = self.session.issue(ctx.now()) else {
             return;
@@ -229,19 +241,6 @@ impl<M: ClientWire> Client<M> {
 }
 
 impl<M: ClientWire> WorkloadClient for Client<M> {
-    fn new(session: Session, n_replicas: usize) -> Self {
-        Client {
-            session,
-            n_replicas,
-            trace_roots: BTreeMap::new(),
-            leader_guess: NodeId(0),
-            nudge_armed: false,
-            retry_strikes: 0,
-            read_replies: BTreeMap::new(),
-            wire: std::marker::PhantomData,
-        }
-    }
-
     fn session(&self) -> &Session {
         &self.session
     }

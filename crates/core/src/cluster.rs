@@ -8,8 +8,6 @@
 //! (election, replication, the commit rule, read fast paths) stays inside
 //! `Replica::on_message` / `on_timer`.
 
-use std::marker::PhantomData;
-
 use simnet::{
     CausalSpan, Context, DiskModel, DropAll, Filter, Metrics, NetConfig, Node, NodeId, Payload,
     RunOutcome, Sim, Time, Timer,
@@ -22,14 +20,32 @@ use crate::quorum::QuorumSpec;
 use crate::smr::{DedupKvMachine, ReplicatedLog, Slot, SmrOp, StateMachine};
 use crate::workload::{LatencyRecorder, WorkloadMode};
 
+/// What a protocol's replicas and clients are built from: the replica count
+/// itself, or a quorum system or deployment config that determines it.
+pub trait ClusterShape: Copy {
+    /// Number of replicas (nodes `0..n`).
+    fn n_replicas(&self) -> usize;
+}
+
+impl ClusterShape for usize {
+    fn n_replicas(&self) -> usize {
+        *self
+    }
+}
+
+impl ClusterShape for QuorumSpec {
+    fn n_replicas(&self) -> usize {
+        self.n()
+    }
+}
+
 /// What a log protocol supplies to the SMR shell.
 pub trait SmrProtocol: Sized + 'static {
     /// Stable protocol name (e.g. `"multi-paxos"`).
     const NAME: &'static str;
-    /// What a replica is built from besides the batch config: the replica
-    /// count, or a quorum system over it. Also selects which `new` /
-    /// `new_with` signature [`Cluster`] offers.
-    type Shape: Copy + From<usize>;
+    /// What a replica (besides the batch config) and a client (besides its
+    /// session) are built from.
+    type Shape: ClusterShape;
     /// Wire messages.
     type Msg: Payload;
     /// Server replica.
@@ -39,6 +55,9 @@ pub trait SmrProtocol: Sized + 'static {
 
     /// Builds one replica.
     fn replica(shape: Self::Shape, batch: BatchConfig) -> Self::Replica;
+
+    /// Builds one client around its workload `session`.
+    fn client(shape: Self::Shape, session: Session) -> Self::Client;
 
     /// Whether `replica` (node `id`) currently believes it leads.
     fn is_leader(replica: &Self::Replica, id: NodeId) -> bool;
@@ -114,24 +133,61 @@ impl<P: SmrProtocol> Node for Proc<P> {
 }
 
 /// A ready-to-run cluster of protocol `P` with clients.
-///
-/// The second parameter is always `P::Shape`; spelling it out lets the two
-/// constructor families below (`new(n_replicas, ..)` and `new(spec,
-/// n_replicas, ..)`) live in disjoint inherent impls.
-pub struct Cluster<P: SmrProtocol, S = <P as SmrProtocol>::Shape> {
+pub struct Cluster<P: SmrProtocol> {
     /// The simulation.
     pub sim: Sim<Proc<P>>,
     /// Number of replicas (nodes `0..n_replicas`).
     pub n_replicas: usize,
     /// Number of clients (nodes `n_replicas..`).
     pub n_clients: usize,
-    shape: PhantomData<S>,
 }
 
 impl<P: SmrProtocol> Cluster<P> {
+    /// Builds an unbatched, closed-loop cluster: the replicas `shape` calls
+    /// for plus `n_clients` clients issuing `cmds_per_client` commands each.
+    pub fn new(
+        shape: P::Shape,
+        n_clients: usize,
+        cmds_per_client: usize,
+        net: NetConfig,
+        seed: u64,
+    ) -> Self {
+        Self::new_with(
+            shape,
+            n_clients,
+            cmds_per_client,
+            net,
+            seed,
+            BatchConfig::unbatched(),
+            WorkloadMode::Closed,
+        )
+    }
+
+    /// Builds a cluster with explicit batching and client-pacing configs.
+    pub fn new_with(
+        shape: P::Shape,
+        n_clients: usize,
+        cmds_per_client: usize,
+        net: NetConfig,
+        seed: u64,
+        batch: BatchConfig,
+        mode: WorkloadMode,
+    ) -> Self {
+        let cfg = DriverConfig::new(shape.n_replicas(), n_clients, cmds_per_client, seed)
+            .with_net(net)
+            .with_batch(batch)
+            .with_mode(mode);
+        Self::build(shape, &cfg)
+    }
+
     /// Builds `cfg.n_replicas` replicas of `shape`, then `cfg.n_clients`
     /// clients issuing `cfg.cmds_per_client` commands each.
     pub fn build(shape: P::Shape, cfg: &DriverConfig) -> Self {
+        assert_eq!(
+            shape.n_replicas(),
+            cfg.n_replicas,
+            "shape must match replica count"
+        );
         let mut sim = Sim::new(cfg.net.clone(), cfg.seed);
         for _ in 0..cfg.n_replicas {
             sim.add_node(Proc::Replica(P::replica(shape, cfg.batch)));
@@ -139,13 +195,12 @@ impl<P: SmrProtocol> Cluster<P> {
         for c in 0..cfg.n_clients {
             let id = (cfg.n_replicas + c) as u32;
             let session = Session::new(id, cfg.cmds_per_client, cfg.mix, cfg.seed, cfg.mode);
-            sim.add_node(Proc::Client(P::Client::new(session, cfg.n_replicas)));
+            sim.add_node(Proc::Client(P::client(shape, session)));
         }
         Cluster {
             sim,
             n_replicas: cfg.n_replicas,
             n_clients: cfg.n_clients,
-            shape: PhantomData,
         }
     }
 
@@ -234,90 +289,6 @@ impl<P: DurableProtocol> Cluster<P> {
     }
 }
 
-impl<P: SmrProtocol<Shape = usize>> Cluster<P, usize> {
-    /// Builds an unbatched, closed-loop cluster of `n_replicas` replicas
-    /// plus `n_clients` clients issuing `cmds_per_client` commands each.
-    pub fn new(
-        n_replicas: usize,
-        n_clients: usize,
-        cmds_per_client: usize,
-        net: NetConfig,
-        seed: u64,
-    ) -> Self {
-        Self::new_with(
-            n_replicas,
-            n_clients,
-            cmds_per_client,
-            net,
-            seed,
-            BatchConfig::unbatched(),
-            WorkloadMode::Closed,
-        )
-    }
-
-    /// Builds a cluster with explicit batching and client-pacing configs.
-    pub fn new_with(
-        n_replicas: usize,
-        n_clients: usize,
-        cmds_per_client: usize,
-        net: NetConfig,
-        seed: u64,
-        batch: BatchConfig,
-        mode: WorkloadMode,
-    ) -> Self {
-        let cfg = DriverConfig::new(n_replicas, n_clients, cmds_per_client, seed)
-            .with_net(net)
-            .with_batch(batch)
-            .with_mode(mode);
-        Self::build(n_replicas, &cfg)
-    }
-}
-
-impl<P: SmrProtocol<Shape = QuorumSpec>> Cluster<P, QuorumSpec> {
-    /// Builds an unbatched, closed-loop cluster of `n_replicas` replicas
-    /// under `spec` plus `n_clients` clients issuing `cmds_per_client`
-    /// commands each.
-    pub fn new(
-        spec: QuorumSpec,
-        n_replicas: usize,
-        n_clients: usize,
-        cmds_per_client: usize,
-        net: NetConfig,
-        seed: u64,
-    ) -> Self {
-        Self::new_with(
-            spec,
-            n_replicas,
-            n_clients,
-            cmds_per_client,
-            net,
-            seed,
-            BatchConfig::unbatched(),
-            WorkloadMode::Closed,
-        )
-    }
-
-    /// Builds a cluster with explicit batching and client-pacing configs.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_with(
-        spec: QuorumSpec,
-        n_replicas: usize,
-        n_clients: usize,
-        cmds_per_client: usize,
-        net: NetConfig,
-        seed: u64,
-        batch: BatchConfig,
-        mode: WorkloadMode,
-    ) -> Self {
-        assert_eq!(spec.n(), n_replicas, "quorum spec must match replica count");
-        let cfg = DriverConfig::new(n_replicas, n_clients, cmds_per_client, seed)
-            .with_net(net)
-            .with_batch(batch)
-            .with_mode(mode);
-        Self::build(spec, &cfg)
-    }
-}
-
 /// Sub-index stride for flattening batched slots into per-command
 /// [`DecidedEntry`] indices: command `j` of slot `i` gets `i·2²⁰ + j`.
 const SUB_INDEX: u64 = 1 << 20;
@@ -350,7 +321,10 @@ pub fn decided_slots(log: &ReplicatedLog<DedupKvMachine>, node: u32, out: &mut V
     }
 }
 
-impl<P: SmrProtocol> ClusterDriver for Cluster<P> {
+impl<P: SmrProtocol> ClusterDriver for Cluster<P>
+where
+    P::Shape: From<usize>,
+{
     fn from_config(cfg: &DriverConfig) -> Self {
         Self::build(P::Shape::from(cfg.n_replicas), cfg)
     }

@@ -1,7 +1,7 @@
 //! The unified cluster-driver API.
 //!
 //! Every steady-state SMR protocol in this workspace (Multi-Paxos, Raft,
-//! PBFT) can be built from a seed, stepped through simulated time, subjected
+//! PBFT and the six other `bft` protocols) can be built from a seed, stepped through simulated time, subjected
 //! to faults, and harvested for evidence — and until now each consumer
 //! (the nemesis harness, the bench experiments, ad-hoc tests) hand-rolled
 //! that loop per protocol. [`ClusterDriver`] is the one trait that captures

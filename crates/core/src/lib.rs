@@ -24,10 +24,11 @@
 //!   batching/pipelining knob and its one ripeness policy, [`Batcher`];
 //!   bench and nemesis drive every SMR protocol only through this trait.
 //! * [`client`] and [`cluster`] — the rest of the **SMR shell** shared by
-//!   Multi-Paxos, Raft and PBFT: the workload [`Session`], the
-//!   leader-following [`Client`] over a [`ClientWire`] message type, and the
-//!   generic [`Cluster`] harness with the single [`ClusterDriver`] impl. A
-//!   log protocol supplies an [`SmrProtocol`] impl — messages, replica,
+//!   all nine SMR protocols (Multi-Paxos, Raft and the seven in `bft`): the
+//!   workload [`Session`], the leader-following [`Client`] over a
+//!   [`ClientWire`] message type, and the generic [`Cluster`] harness with
+//!   the single [`ClusterDriver`] impl. A log protocol supplies an
+//!   [`SmrProtocol`] impl — messages, replica, client, [`ClusterShape`],
 //!   `decided_log` shape — and nothing else.
 //! * [`txn`] — shared transaction types for the sharded store
 //!   (`forty-store`): transaction ids, the router-facing [`StoreCommand`],
@@ -54,7 +55,7 @@ pub mod workload;
 
 pub use ballot::Ballot;
 pub use client::{Client, ClientWire, Inbound, Session, WorkloadClient};
-pub use cluster::{Cluster, DurableProtocol, Proc, SmrProtocol};
+pub use cluster::{Cluster, ClusterShape, DurableProtocol, Proc, SmrProtocol};
 pub use driver::{
     BatchConfig, Batcher, ByzantineWindow, ClusterDriver, DecidedEntry, DriverConfig, Flush,
 };

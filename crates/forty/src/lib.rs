@@ -12,7 +12,6 @@
 //!
 //! let mut cluster = MultiPaxosCluster::new(
 //!     QuorumSpec::Majority { n: 3 },
-//!     3,          // replicas
 //!     1,          // clients
 //!     5,          // commands per client
 //!     NetConfig::lan(),
@@ -27,12 +26,12 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`simnet`] | deterministic discrete-event network simulation |
-//! | [`consensus_core`] | taxonomy, ballots, quorum systems, C&C framework, and the SMR shell (`SmrOp`, `DedupKvMachine`, `Client`, `Batcher`, `Cluster<P>`) under the three log protocols |
+//! | [`consensus_core`] | taxonomy, ballots, quorum systems, C&C framework, and the SMR shell (`SmrOp`, `DedupKvMachine`, `Session` + `Client`, `Batcher`, `Cluster<P>`) under all nine SMR protocols |
 //! | [`paxos`] | single-decree, Multi-, Fast, and Flexible Paxos |
 //! | [`raft`] | Raft |
 //! | [`atomic_commit`] | 2PC and fault-tolerant 3PC |
 //! | [`agreement`] | interactive consistency, OM(m), FLP, Ben-Or |
-//! | [`bft`] | PBFT, Zyzzyva, HotStuff, MinBFT, CheapBFT, XFT, SeeMoRe, UpRight |
+//! | [`bft`] | PBFT, Zyzzyva, HotStuff, MinBFT, CheapBFT, XFT, SeeMoRe — each a `Cluster<P>` — their reply-voting client, and the UpRight model |
 //! | [`blockchain`] | PoW, PoS, permissioned chains |
 //! | [`store`] | sharded transactional KV store: 2PC over consensus groups |
 

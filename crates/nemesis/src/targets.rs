@@ -271,7 +271,10 @@ fn smr<P: SmrProtocol>(
     cmds: usize,
     batch: BatchConfig,
     lie: Option<Lie<P::Msg>>,
-) -> Box<dyn Target> {
+) -> Box<dyn Target>
+where
+    P::Shape: From<usize>,
+{
     Box::new(SmrTarget::<P> {
         name,
         shape: P::Shape::from(nodes),
@@ -299,7 +302,10 @@ impl<P: SmrProtocol> SmrTarget<P> {
     }
 }
 
-impl<P: SmrProtocol> Target for SmrTarget<P> {
+impl<P: SmrProtocol> Target for SmrTarget<P>
+where
+    P::Shape: From<usize>,
+{
     fn name(&self) -> &'static str {
         self.name
     }

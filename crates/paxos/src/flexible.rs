@@ -34,7 +34,7 @@ pub fn flexible_cluster(
         spec.is_safe(),
         "quorum configuration violates |Q1| + |Q2| > n: {spec:?}"
     );
-    MultiPaxosCluster::new(spec, spec.n(), n_clients, cmds_per_client, config, seed)
+    MultiPaxosCluster::new(spec, n_clients, cmds_per_client, config, seed)
 }
 
 /// Measured outcome of one flexible-quorum run (for experiment F6).

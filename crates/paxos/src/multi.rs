@@ -26,7 +26,7 @@ use consensus_core::quorum::Phase;
 use consensus_core::smr::Slot;
 use consensus_core::{
     Ballot, Client, ClientWire, Cluster, Command, DedupKvMachine, DurableProtocol, Inbound,
-    KvCommand, KvResponse, QuorumSpec, ReadMode, ReplicatedLog, SmrOp, SmrProtocol,
+    KvCommand, KvResponse, QuorumSpec, ReadMode, ReplicatedLog, Session, SmrOp, SmrProtocol,
 };
 use simnet::causal::cat;
 use simnet::{CncPhase, Context, DiskModel, Node, NodeId, Payload, Time, Timer, TraceCtx};
@@ -1338,6 +1338,10 @@ impl SmrProtocol for MultiPaxos {
         Replica::new_with(spec, spec.n(), batch)
     }
 
+    fn client(spec: QuorumSpec, session: Session) -> Client<MpMsg> {
+        Client::new(session, spec.n())
+    }
+
     fn is_leader(replica: &Replica, _id: NodeId) -> bool {
         replica.is_leader
     }
@@ -1415,7 +1419,6 @@ mod tests {
     ) -> MultiPaxosCluster {
         MultiPaxosCluster::new(
             QuorumSpec::Majority { n },
-            n,
             clients,
             cmds,
             NetConfig::lan(),
@@ -1501,7 +1504,6 @@ mod tests {
         // Lossy network forces client retries; the client table must dedup.
         let mut cluster = MultiPaxosCluster::new(
             QuorumSpec::Majority { n: 3 },
-            3,
             1,
             15,
             NetConfig::lan().with_drop_prob(0.05),
@@ -1622,7 +1624,6 @@ mod tests {
         let decided = |batch: BatchConfig| {
             let mut cluster = MultiPaxosCluster::new_with(
                 QuorumSpec::Majority { n: 3 },
-                3,
                 2,
                 20,
                 NetConfig::synchronous(),
@@ -1653,7 +1654,6 @@ mod tests {
         // holes, regardless of the window.
         let mut cluster = MultiPaxosCluster::new_with(
             QuorumSpec::Majority { n: 5 },
-            5,
             4,
             10,
             NetConfig::lan(),
@@ -1679,7 +1679,6 @@ mod tests {
         // queue fills and multi-command batches actually form.
         let mut cluster = MultiPaxosCluster::new_with(
             QuorumSpec::Majority { n: 3 },
-            3,
             2,
             30,
             NetConfig::lan(),
@@ -1753,7 +1752,6 @@ mod tests {
         let run = |threshold: Option<usize>| {
             let mut cluster = MultiPaxosCluster::new(
                 QuorumSpec::Majority { n: 3 },
-                3,
                 2,
                 20,
                 NetConfig::synchronous(),
@@ -2068,7 +2066,6 @@ mod tests {
         let decided = |lease: bool| {
             let mut cluster = MultiPaxosCluster::new(
                 QuorumSpec::Majority { n: 3 },
-                3,
                 2,
                 20,
                 NetConfig::synchronous(),

@@ -1,7 +1,7 @@
 //! Raft as a log protocol of the SMR shell, plus its end-to-end tests.
 
 use consensus_core::driver::{BatchConfig, DecidedEntry};
-use consensus_core::{Client, Cluster, DedupKvMachine, DurableProtocol, SmrProtocol};
+use consensus_core::{Client, Cluster, DedupKvMachine, DurableProtocol, Session, SmrProtocol};
 use simnet::{DiskModel, NodeId};
 
 use crate::msg::RaftMsg;
@@ -19,6 +19,10 @@ impl SmrProtocol for Raft {
 
     fn replica(n_replicas: usize, batch: BatchConfig) -> Replica {
         Replica::new_with(n_replicas, batch)
+    }
+
+    fn client(n_replicas: usize, session: Session) -> Client<RaftMsg> {
+        Client::new(session, n_replicas)
     }
 
     fn is_leader(replica: &Replica, _id: NodeId) -> bool {

@@ -220,7 +220,10 @@ impl ShardProtocol for Raft {
     }
 }
 
-impl<P: ShardProtocol> ShardEngine for Cluster<P> {
+impl<P: ShardProtocol> ShardEngine for Cluster<P>
+where
+    P::Shape: From<usize>,
+{
     fn build_shard(spec: &ShardBuildSpec) -> Self {
         let n_stubs = spec.geo.as_ref().map_or(1, |g| g.n_regions);
         let cfg = DriverConfig::new(spec.n_replicas, n_stubs, 0, spec.seed)

@@ -33,7 +33,7 @@ fn main() {
         (Mode::Three, "3: untrusted, decentralized"),
     ] {
         let cfg = SeeMoReConfig { m, c, mode };
-        let mut cluster = SmCluster::new(cfg, 12, NetConfig::lan(), 3);
+        let mut cluster = SmCluster::new(cfg, 1, 12, NetConfig::lan(), 3);
 
         // Stress it: crash one private node and mute one public node.
         cluster.sim.crash_at(NodeId(1), Time::ZERO);
@@ -50,7 +50,7 @@ fn main() {
             label,
             cfg.phases(),
             cfg.quorum(),
-            cluster.client().completed,
+            cluster.total_completed(),
             cluster.sim.metrics().sent,
             if ok { "" } else { "  (incomplete)" }
         );

@@ -13,7 +13,6 @@ fn main() {
     // issuing 20 key-value commands, on a simulated datacenter LAN.
     let mut cluster = MultiPaxosCluster::new(
         QuorumSpec::Majority { n: 3 },
-        3,
         1,
         20,
         NetConfig::lan(),

@@ -49,7 +49,6 @@ fn main() {
     {
         let mut c = MultiPaxosCluster::new(
             QuorumSpec::Majority { n: 3 },
-            3,
             1,
             CMDS,
             NetConfig::lan(),
@@ -112,16 +111,16 @@ fn main() {
             rotate: false,
             pipeline: false,
         };
-        let mut c = HsCluster::new(cfg, CMDS, 1, NetConfig::lan(), SEED);
+        let mut c = HsCluster::new(cfg, 1, CMDS, NetConfig::lan(), SEED);
         c.sim.run_until(Time::from_millis(20));
         c.sim.crash_at(NodeId(2), Time::from_millis(21));
         let ok = c.run(Time::from_secs(60));
         print_row(&Row {
             name: "HotStuff",
             replicas: 4,
-            completed: c.client().completed,
+            completed: c.total_completed(),
             messages: c.sim.metrics().sent,
-            mean_latency_ms: c.client().latencies.mean() / 1_000.0,
+            mean_latency_ms: c.latencies().mean() / 1_000.0,
             survived_crash: ok,
         });
     }

@@ -24,7 +24,6 @@ use nemesis::{execute_plan, harvest, smr_safety, FaultAction, FaultPlan};
 fn paxos_survives_f_crashes_but_not_f_plus_one() {
     let mut ok = MultiPaxosCluster::new(
         QuorumSpec::Majority { n: 5 },
-        5,
         1,
         10,
         NetConfig::lan(),
@@ -46,7 +45,6 @@ fn paxos_survives_f_crashes_but_not_f_plus_one() {
 
     let mut dead = MultiPaxosCluster::new(
         QuorumSpec::Majority { n: 5 },
-        5,
         1,
         10,
         NetConfig::lan(),

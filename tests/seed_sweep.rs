@@ -43,7 +43,6 @@ fn multipaxos_sweep_single_crash_schedules() {
         let p = plan(seed, 5);
         let mut c = MultiPaxosCluster::new(
             QuorumSpec::Majority { n: 5 },
-            5,
             2,
             CMDS,
             NetConfig::lan(),

@@ -6,14 +6,26 @@
 //! must reproduce them exactly, because node order, RNG draws, timer arming
 //! order and message contents all feed the fingerprints of the checked-in
 //! artifacts.
+//!
+//! The second half does the same for the six BFT protocols that joined the
+//! shell later (MinBFT, CheapBFT, XFT, SeeMoRe, Zyzzyva, HotStuff). Their
+//! constants were recorded by running these rows against the `*Cluster`
+//! structs and private workload clients of the commit before the move
+//! (14b98a2), in a clone of it.
 
+use forty::bft::cheapbft::{CheapBft, CheapCluster, Protocol};
+use forty::bft::hotstuff::{ClientWindow, HotStuff, HsCluster, HsConfig};
+use forty::bft::minbft::{MinBft, MinCluster};
 use forty::bft::pbft::PbftCluster;
+use forty::bft::seemore::{Mode, SeeMoRe, SeeMoReConfig, SmCluster};
+use forty::bft::xft::{Xft, XftCluster};
+use forty::bft::zyzzyva::{ZyzCluster, Zyzzyva};
 use forty::consensus_core::driver::{BatchConfig, ClusterDriver, DriverConfig};
 use forty::consensus_core::workload::KvMix;
-use forty::consensus_core::WorkloadMode;
+use forty::consensus_core::{Cluster, SmrProtocol, StateMachine, WorkloadMode};
 use forty::paxos::MultiPaxosCluster;
 use forty::raft::RaftCluster;
-use forty::simnet::{DiskModel, NodeId, Time};
+use forty::simnet::{DiskModel, DropAll, NetConfig, NodeId, Time};
 use forty::store::{ShardEngine, Store, StoreConfig};
 
 const SEEDS: [u64; 2] = [3, 11];
@@ -169,3 +181,147 @@ const PAXOS_CRASH: u64 = 13623694217501413311;
 const RAFT_CRASH: u64 = 11120947086349577556;
 const STORE_PAXOS: [u64; 2] = [6705092968428748827, 8249467345722595506];
 const STORE_RAFT: [u64; 2] = [11288678811017748299, 5479469973679516688];
+
+// ---- the six BFT protocols ------------------------------------------------
+
+/// Runs `c` to completion and hashes what the pre-shell harnesses exposed:
+/// the network and timer counters, the sorted client latencies, and every
+/// replica's `(commands applied, machine digest)`.
+fn bft_fingerprint<P: SmrProtocol>(c: &mut Cluster<P>) -> u64 {
+    assert!(c.run(Time::from_secs(60)), "{} stalled", P::NAME);
+    let mut h = Fnv::new();
+    let m = c.sim.metrics();
+    for v in [m.sent, m.delivered, m.bytes_sent, m.timer_fires] {
+        h.eat_u64(v);
+    }
+    let mut latencies = c.latencies().samples().to_vec();
+    latencies.sort_unstable();
+    for v in latencies {
+        h.eat_u64(v);
+    }
+    for r in c.replicas() {
+        h.eat_u64(P::machine(r).kv().applied());
+        h.eat_u64(P::machine(r).digest());
+    }
+    h.0
+}
+
+/// One closed-loop client, 25 commands, LAN.
+fn bft<P: SmrProtocol>(shape: P::Shape, seed: u64) -> Cluster<P> {
+    Cluster::new(shape, 1, 25, NetConfig::lan(), seed)
+}
+
+/// Fingerprints of the fault-free runs `(shape, seed)`.
+fn fault_free<P: SmrProtocol, const K: usize>(rows: [(P::Shape, u64); K]) -> [u64; K] {
+    rows.map(|(shape, seed)| bft_fingerprint(&mut bft::<P>(shape, seed)))
+}
+
+#[test]
+fn minbft_runs_are_bit_identical_to_the_pre_shell_commit() {
+    assert_eq!(fault_free::<MinBft, 2>(SEEDS.map(|seed| (3, seed))), MINBFT);
+    // Primary crash → view change with state transfer.
+    let mut c: MinCluster = bft(3, 3);
+    c.sim.crash_at(NodeId(0), Time::from_millis(11));
+    assert_eq!(bft_fingerprint(&mut c), MINBFT_PRIMARY_CRASH);
+    assert!(c.replicas().any(|r| r.view_changes >= 1));
+}
+
+#[test]
+fn cheapbft_runs_are_bit_identical_to_the_pre_shell_commit() {
+    assert_eq!(
+        fault_free::<CheapBft, 2>(SEEDS.map(|seed| (3, seed))),
+        CHEAPBFT
+    );
+    // Active-backup crash → client `Panic` → CheapSwitch → MinBFT.
+    let mut c: CheapCluster = bft(3, 3);
+    c.sim.crash_at(NodeId(1), Time::from_millis(6));
+    assert_eq!(bft_fingerprint(&mut c), CHEAPBFT_ACTIVE_CRASH);
+    assert!(c.sim.metrics().kind("panic") > 0);
+    assert_eq!(c.replicas().next().unwrap().proto, Protocol::MinBft);
+}
+
+#[test]
+fn xft_runs_are_bit_identical_to_the_pre_shell_commit() {
+    assert_eq!(fault_free::<Xft, 2>(SEEDS.map(|seed| (5, seed))), XFT);
+    // Primary crash → the whole synchronous group is reconfigured.
+    let mut c: XftCluster = bft(5, 3);
+    c.sim.crash_at(NodeId(0), Time::from_millis(11));
+    assert_eq!(bft_fingerprint(&mut c), XFT_PRIMARY_CRASH);
+    assert!(c.replicas().any(|r| r.view_changes >= 1));
+}
+
+#[test]
+fn seemore_runs_are_bit_identical_to_the_pre_shell_commit() {
+    let cfg = |mode| SeeMoReConfig { m: 1, c: 1, mode };
+    let rows = [
+        (Mode::One, 3),
+        (Mode::One, 11),
+        (Mode::Two, 3),
+        (Mode::Three, 3),
+    ];
+    let rows = rows.map(|(mode, seed)| (cfg(mode), seed));
+    assert_eq!(fault_free::<SeeMoRe, 4>(rows), SEEMORE);
+    // One private node crashed (c = 1) and one public node mute (m = 1).
+    let mut c: SmCluster = bft(cfg(Mode::Two), 11);
+    c.sim.crash_at(NodeId(1), Time::ZERO);
+    c.sim.set_filter(NodeId(5), Box::new(DropAll));
+    assert_eq!(bft_fingerprint(&mut c), SEEMORE_FAULTED);
+}
+
+#[test]
+fn zyzzyva_runs_are_bit_identical_to_the_pre_shell_commit() {
+    assert_eq!(
+        fault_free::<Zyzzyva, 2>(SEEDS.map(|seed| (4, seed))),
+        ZYZZYVA
+    );
+    // One backup crashed → every request takes the commit-certificate path.
+    let mut c: ZyzCluster = bft(4, 3);
+    c.sim.crash_at(NodeId(3), Time::ZERO);
+    assert_eq!(bft_fingerprint(&mut c), ZYZZYVA_BACKUP_CRASH);
+    assert_eq!(c.clients().next().unwrap().cert_path, 25);
+}
+
+/// HotStuff here has no pacemaker, so a crashed leader has no recovery path
+/// to reach; its faulted row is a follower crash under a fixed leader (QCs
+/// form at exactly `2f+1`). No row runs past the client's 200 ms retry with
+/// commands in flight — the one place the client's behaviour was changed
+/// after the move (it now rebroadcasts), so these rows hold on both sides
+/// of that fix.
+#[test]
+fn hotstuff_runs_are_bit_identical_to_the_pre_shell_commit() {
+    let rows = SEEDS.map(|seed| (HsConfig::rotating(4), seed));
+    assert_eq!(fault_free::<HotStuff, 2>(rows), HOTSTUFF);
+    let mut pipelined: HsCluster = bft(HsConfig::pipelined(4), 3).with_client_window(4);
+    assert_eq!(bft_fingerprint(&mut pipelined), HOTSTUFF_PIPELINED);
+    let fixed = HsConfig {
+        n_replicas: 4,
+        rotate: false,
+        pipeline: false,
+    };
+    let mut c: HsCluster = bft(fixed, 3);
+    c.sim.crash_at(NodeId(2), Time::from_millis(21));
+    assert_eq!(bft_fingerprint(&mut c), HOTSTUFF_FOLLOWER_CRASH);
+}
+
+// Recorded at the parent commit (14b98a2) through its `MinCluster`,
+// `CheapCluster`, `XftCluster`, `SmCluster`, `ZyzCluster` and `HsCluster`
+// structs: fault-free seeds 3 and 11 (SeeMoRe: mode 1 ×2, mode 2, mode 3),
+// then the faulted run.
+const MINBFT: [u64; 2] = [6450686441595572534, 8648420573318878212];
+const MINBFT_PRIMARY_CRASH: u64 = 8194679454399035488;
+const CHEAPBFT: [u64; 2] = [8072534484268492587, 3905578503002983233];
+const CHEAPBFT_ACTIVE_CRASH: u64 = 13827861117942440587;
+const XFT: [u64; 2] = [9381033767962496262, 11592708336159364853];
+const XFT_PRIMARY_CRASH: u64 = 5977028364248751804;
+const SEEMORE: [u64; 4] = [
+    17361397773961994718,
+    12378801892068985603,
+    1212677813086060933,
+    11845416409176330910,
+];
+const SEEMORE_FAULTED: u64 = 14154465284525968917;
+const ZYZZYVA: [u64; 2] = [13380404556965488691, 17459630557714406066];
+const ZYZZYVA_BACKUP_CRASH: u64 = 18119961797937107811;
+const HOTSTUFF: [u64; 2] = [15366296371999945091, 10606750106032775182];
+const HOTSTUFF_PIPELINED: u64 = 15348452969657559956;
+const HOTSTUFF_FOLLOWER_CRASH: u64 = 1609866020959986535;

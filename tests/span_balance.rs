@@ -45,7 +45,6 @@ fn assert_balanced<C: ClusterDriver>(name: &str, cluster: &C) {
 fn multi_paxos_smoke_run_balances_spans() {
     let mut c = MultiPaxosCluster::new(
         QuorumSpec::Majority { n: 3 },
-        3,
         1,
         CMDS,
         NetConfig::lan(),
@@ -112,7 +111,6 @@ fn tracing_does_not_perturb_the_run() {
     let run = |traced: bool| {
         let mut c = MultiPaxosCluster::new(
             QuorumSpec::Majority { n: 3 },
-            3,
             1,
             CMDS,
             NetConfig::lan(),

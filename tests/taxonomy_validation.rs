@@ -54,26 +54,13 @@ fn paxos_node_bound_is_necessary_and_sufficient() {
     let c = card("Paxos").unwrap();
     assert_eq!(c.nodes, NodeBound::TwoFPlusOne);
     // Sufficient: n = 3 = 2f+1 completes with one crashed replica.
-    let mut ok = MultiPaxosCluster::new(
-        QuorumSpec::Majority { n: 3 },
-        3,
-        1,
-        5,
-        NetConfig::lan(),
-        1,
-    );
+    let mut ok = MultiPaxosCluster::new(QuorumSpec::Majority { n: 3 }, 1, 5, NetConfig::lan(), 1);
     ok.sim.crash_at(forty::simnet::NodeId(2), Time::ZERO);
     assert!(ok.run(Time::from_secs(30)));
     // Necessary: with two of three replicas down there is no majority;
     // nothing commits (and nothing unsafe happens).
-    let mut stuck = MultiPaxosCluster::new(
-        QuorumSpec::Majority { n: 3 },
-        3,
-        1,
-        5,
-        NetConfig::lan(),
-        2,
-    );
+    let mut stuck =
+        MultiPaxosCluster::new(QuorumSpec::Majority { n: 3 }, 1, 5, NetConfig::lan(), 2);
     stuck.sim.crash_at(forty::simnet::NodeId(1), Time::ZERO);
     stuck.sim.crash_at(forty::simnet::NodeId(2), Time::ZERO);
     assert!(!stuck.run(Time::from_millis(500)));
@@ -83,14 +70,7 @@ fn paxos_node_bound_is_necessary_and_sufficient() {
 #[test]
 fn paxos_measured_complexity_is_linear() {
     let measure = |n: usize| {
-        let mut c = MultiPaxosCluster::new(
-            QuorumSpec::Majority { n },
-            n,
-            1,
-            15,
-            NetConfig::lan(),
-            5,
-        );
+        let mut c = MultiPaxosCluster::new(QuorumSpec::Majority { n }, 1, 15, NetConfig::lan(), 5);
         assert!(c.run(Time::from_secs(30)));
         c.sim.metrics().sent as f64 / 15.0
     };
@@ -107,7 +87,10 @@ fn raft_measured_complexity_is_linear() {
         assert!(c.run(Time::from_secs(30)));
         c.sim.metrics().sent as f64 / 15.0
     };
-    assert_eq!(growth_class(measure, 3, 9), card("Raft").unwrap().complexity);
+    assert_eq!(
+        growth_class(measure, 3, 9),
+        card("Raft").unwrap().complexity
+    );
 }
 
 #[test]
@@ -126,7 +109,7 @@ fn pbft_measured_complexity_is_quadratic() {
 #[test]
 fn hotstuff_measured_complexity_is_linear_despite_bft() {
     let measure = |n: usize| {
-        let mut c = HsCluster::new(HsConfig::rotating(n), 10, 1, NetConfig::lan(), 8);
+        let mut c = HsCluster::new(HsConfig::rotating(n), 1, 10, NetConfig::lan(), 8);
         assert!(c.run(Time::from_secs(60)));
         c.sim.metrics().sent as f64 / 10.0
     };
@@ -145,7 +128,7 @@ fn node_bounds_match_minimum_working_cluster_sizes() {
 
     // MinBFT card says 2f+1: n = 3 works with f = 1 crash — fewer
     // replicas than PBFT for the same fault bound, thanks to the USIG.
-    let mut minbft = MinCluster::new(3, 5, NetConfig::lan(), 9);
+    let mut minbft = MinCluster::new(3, 1, 5, NetConfig::lan(), 9);
     minbft.sim.crash_at(forty::simnet::NodeId(2), Time::ZERO);
     assert!(minbft.run(Time::from_secs(30)));
 
@@ -159,7 +142,7 @@ fn node_bounds_match_minimum_working_cluster_sizes() {
 fn hotstuff_phase_count_is_seven_on_the_wire() {
     // The card says 7 phases; count distinct one-way exchanges per
     // committed command on a quiet run.
-    let mut c = HsCluster::new(HsConfig::rotating(4), 3, 1, NetConfig::lan(), 10);
+    let mut c = HsCluster::new(HsConfig::rotating(4), 1, 3, NetConfig::lan(), 10);
     assert!(c.run(Time::from_secs(30)));
     let m = c.sim.metrics();
     let phases = [
