@@ -205,8 +205,8 @@ pub fn metrics_table(m: &Metrics) -> String {
     }
 
     out.push_str("\nPer message kind:\n\n| Kind | Sent | Bytes |\n|---|---|---|\n");
-    for (kind, count) in &m.sent_by_kind {
-        let _ = writeln!(out, "| `{kind}` | {count} | {} |", m.kind_bytes(kind));
+    for (kind, sent, bytes) in m.kinds() {
+        let _ = writeln!(out, "| `{kind}` | {sent} | {bytes} |");
     }
 
     out.push_str("\nC&C phase entries observed on the trace:\n\n| Phase | Entries |\n|---|---|\n");
@@ -335,8 +335,7 @@ mod tests {
     #[test]
     fn metrics_table_lists_all_phases() {
         let mut m = Metrics::default();
-        m.sent_by_kind.insert("accept", 5);
-        m.bytes_by_kind.insert("accept", 320);
+        m.add_kind("accept", 5, 320);
         m.phase_entries.insert("decision", 2);
         let md = metrics_table(&m);
         assert!(md.contains("| `accept` | 5 | 320 |"));

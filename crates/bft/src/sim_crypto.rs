@@ -17,15 +17,26 @@ use simnet::NodeId;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Digest(pub u64);
 
+/// FNV-1a state that hashes whatever is formatted into it, so a digest
+/// costs no intermediate `String`.
+struct Fnv1a(u64);
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        Ok(())
+    }
+}
+
 /// Digests any debug-renderable value.
 pub fn digest_of<T: std::fmt::Debug>(value: &T) -> Digest {
-    let s = format!("{value:?}");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    Digest(h)
+    use std::fmt::Write;
+    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+    write!(h, "{value:?}").expect("hashing cannot fail");
+    Digest(h.0)
 }
 
 /// A quorum certificate: proof that `signers` (distinct replicas) endorsed
@@ -181,6 +192,39 @@ mod tests {
         assert_eq!(digest_of(&42u64), digest_of(&42u64));
         assert_ne!(digest_of(&42u64), digest_of(&43u64));
         assert_ne!(digest_of(&"a"), digest_of(&"b"));
+    }
+
+    /// The definition `digest_of` had while it rendered into a `String`
+    /// first; every digest on the wire and in a fingerprint was made by it.
+    fn digest_via_string<T: std::fmt::Debug>(value: &T) -> Digest {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in format!("{value:?}").bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        Digest(h)
+    }
+
+    #[test]
+    fn streaming_digest_equals_the_string_rendering_definition() {
+        use consensus_core::{Command, KvCommand};
+        let cmd = |seq: u64, value: String| Command {
+            client: 7,
+            seq,
+            op: KvCommand::Put {
+                key: format!("k{seq}"),
+                value,
+            },
+        };
+        let one = cmd(1, "v\"quoted\"\n".into());
+        let batch: Vec<Command<KvCommand>> = (0..16).map(|i| cmd(i, "x".repeat(1024))).collect();
+        let big = "x✓".repeat(1024); // 4 KiB, multi-byte characters included
+        assert_eq!(digest_of(&one), digest_via_string(&one));
+        assert_eq!(digest_of(&batch), digest_via_string(&batch));
+        assert_eq!(digest_of(&(3u64, &batch)), digest_via_string(&(3u64, &batch)));
+        assert_eq!(digest_of(&(1u8, "a", Some(2.5f64))), digest_via_string(&(1u8, "a", Some(2.5f64))));
+        assert_eq!(digest_of(&big), digest_via_string(&big));
+        assert_eq!(digest_of(&()), digest_via_string(&()));
     }
 
     #[test]

@@ -242,6 +242,8 @@ pub struct Replica {
     prepare_entries: BTreeMap<usize, (Ballot, SmrOp)>,
     /// Leader state.
     next_index: usize,
+    /// The open window of this leadership's proposals: an entry goes once it
+    /// is both decided and applied (see [`Replica::retire_proposal`]).
     proposals: BTreeMap<usize, Proposal>,
     pending_reply: BTreeMap<(u32, u64), NodeId>,
     election_timer: Option<simnet::TimerId>,
@@ -401,10 +403,11 @@ impl Replica {
         self.engine.as_ref().map(|e| e.stats())
     }
 
-    /// Appends a protocol record to the engine's WAL (no-op without one).
-    fn wal_log(&mut self, rec: crate::durable::WalRecord) {
+    /// Appends a protocol record to the engine's WAL. Without an engine
+    /// the record is never built, so a RAM-mode replica clones no op for it.
+    fn wal_log(&mut self, rec: impl FnOnce() -> crate::durable::WalRecord) {
         if let Some(e) = self.engine.as_mut() {
-            e.log_record(&crate::durable::encode_record(&rec));
+            e.log_record(&crate::durable::encode_record(&rec()));
         }
     }
 
@@ -558,6 +561,22 @@ impl Replica {
         self.propose(ctx, index, op);
     }
 
+    /// Forgets the proposal at `index` if it is both decided and applied.
+    /// Nothing can ask for it again: `in_flight` counts undecided proposals
+    /// only, a late `Accepted` for a missing entry is ignored exactly like
+    /// one for a decided entry, and the dedup table answers a retried
+    /// `Request` for any applied command before `cmd_in_flight` is
+    /// consulted. A proposal that is decided but held behind a gap stays (a
+    /// retry must still be swallowed, not re-proposed at a new slot), and so
+    /// does one whose slot a stale `Decide` applied before its own quorum
+    /// arrived (`in_flight` counts it until then).
+    fn retire_proposal(&mut self, index: usize) {
+        if index < self.log.applied_len() && self.proposals.get(&index).is_some_and(|p| p.decided)
+        {
+            self.proposals.remove(&index);
+        }
+    }
+
     /// Whether `(client, seq)` is queued or proposed but not yet applied.
     fn cmd_in_flight(&self, client: u32, seq: u64) -> bool {
         self.queue
@@ -565,7 +584,7 @@ impl Replica {
             .any(|(c, ..)| c.client == client && c.seq == seq)
             || self.proposals.values().any(|p| match &p.op {
                 // Spelled out per variant: this scan runs once per request
-                // over every proposal of the current leadership.
+                // over the open proposal window.
                 SmrOp::Cmd(c) => c.client == client && c.seq == seq,
                 SmrOp::Batch(cs) => cs.iter().any(|c| c.client == client && c.seq == seq),
                 SmrOp::Noop => false,
@@ -602,6 +621,7 @@ impl Replica {
         }
         let outputs = self.log.decide(index, op);
         for (i, replies) in outputs {
+            self.retire_proposal(i);
             if self.mirror_applied(i, &replies) {
                 // WAL-before-decision: the slot resolved a transaction
                 // decision record — its dedicated WAL entry must be on disk
@@ -628,6 +648,12 @@ impl Replica {
         self.maybe_snapshot();
         // A decided slot may free pipeline-window room for queued commands.
         self.try_flush(ctx);
+        debug_assert!(
+            self.proposals
+                .range(..self.log.applied_len())
+                .all(|(_, p)| !p.decided),
+            "a proposal that is decided and applied must have been retired"
+        );
     }
 
     /// Mirrors a freshly applied slot's effects into the durable engine's
@@ -691,7 +717,7 @@ impl Replica {
         for (key, value) in decisions {
             self.txn_decisions.insert(key.clone(), value.clone());
             self.txn_decisions_logged += 1;
-            self.wal_log(crate::durable::WalRecord::TxnDecision { key, value });
+            self.wal_log(|| crate::durable::WalRecord::TxnDecision { key, value });
         }
         resolved
     }
@@ -948,7 +974,7 @@ impl Node for Replica {
                         self.step_down();
                     }
                     if ballot > self.promised {
-                        self.wal_log(crate::durable::WalRecord::Promise { ballot });
+                        self.wal_log(|| crate::durable::WalRecord::Promise { ballot });
                     }
                     self.promised = ballot;
                     self.wal_sync(ctx); // promise durable before the ack leaves
@@ -1025,10 +1051,10 @@ impl Node for Replica {
                         self.step_down();
                     }
                     if ballot > self.promised {
-                        self.wal_log(crate::durable::WalRecord::Promise { ballot });
+                        self.wal_log(|| crate::durable::WalRecord::Promise { ballot });
                     }
                     self.promised = ballot;
-                    self.wal_log(crate::durable::WalRecord::Accept {
+                    self.wal_log(|| crate::durable::WalRecord::Accept {
                         index,
                         ballot,
                         op: op.clone(),
@@ -1072,7 +1098,7 @@ impl Node for Replica {
                             ctx.phase(SPAN, index as u64, ballot.num, CncPhase::Decision);
                             ctx.span_close(SPAN, index as u64, ballot.num);
                             if matches!(self.log.slot(index), Slot::Empty) {
-                                self.wal_log(crate::durable::WalRecord::Decide {
+                                self.wal_log(|| crate::durable::WalRecord::Decide {
                                     index,
                                     op: op.clone(),
                                 });
@@ -1086,6 +1112,9 @@ impl Node for Replica {
                                     op: op.clone(),
                                 },
                             );
+                            // A stale `Decide` may have applied the slot
+                            // before this quorum arrived.
+                            self.retire_proposal(index);
                             self.on_decided(ctx, index, op);
                         }
                     }
@@ -1099,7 +1128,7 @@ impl Node for Replica {
                 ctx.phase(SPAN, index as u64, self.promised.num, CncPhase::Decision);
                 ctx.span_close(SPAN, index as u64, self.promised.num);
                 if matches!(self.log.slot(index), Slot::Empty) {
-                    self.wal_log(crate::durable::WalRecord::Decide {
+                    self.wal_log(|| crate::durable::WalRecord::Decide {
                         index,
                         op: op.clone(),
                     });
@@ -1177,6 +1206,8 @@ impl Node for Replica {
                     })
                     .collect();
                 self.log.install(*machine, floor);
+                // The install applied every slot below `floor` at once.
+                self.proposals.retain(|&i, p| !(p.decided && i < floor));
                 self.accepted = self.accepted.split_off(&floor);
                 self.snapshot_floor = floor;
                 self.snapshots_installed += 1;
@@ -1644,6 +1675,120 @@ mod tests {
         ] {
             assert_eq!(decided(b), unbatched, "config {} diverged", b.label());
         }
+    }
+
+    fn replica(cluster: &MultiPaxosCluster, id: NodeId) -> &Replica {
+        let Proc::Replica(r) = cluster.sim.node(id) else {
+            panic!("{id:?} is a replica")
+        };
+        r
+    }
+
+    #[test]
+    fn proposal_table_holds_only_the_open_window() {
+        // `smr-small`'s Multi-Paxos cell: 48 closed-loop clients × 50
+        // commands over a transmit-limited NIC.
+        let mut cluster = MultiPaxosCluster::new(
+            QuorumSpec::Majority { n: 5 },
+            48,
+            50,
+            NetConfig::lan().with_nic(30, 50),
+            7,
+        );
+        let mut peak = 0;
+        while !cluster.all_done() {
+            cluster.sim.run_for(500);
+            assert!(cluster.sim.now() < Time::from_secs(60), "stalled");
+            let outstanding: usize = (cluster.clients())
+                .map(|c| c.session.outstanding().count())
+                .sum();
+            if let Some(leader) = cluster.leader() {
+                let open = replica(&cluster, leader).proposals.len();
+                assert!(open <= outstanding, "{open} proposals, {outstanding} commands open");
+                peak = peak.max(open);
+            }
+        }
+        assert!(peak > 8, "the window never opened (peak {peak})");
+        cluster.sim.run_for(200_000); // the last slots' remaining echoes
+        let leader = cluster.leader().expect("stable leader");
+        assert!(replica(&cluster, leader).proposals.is_empty());
+        cluster.check_log_consistency();
+
+        // FNV-1a of the decided `(client, seq)` sequence, recorded at the
+        // commit before proposals were ever forgotten (7711502).
+        let decided = flattened_decisions(&cluster);
+        assert_eq!(decided.len(), 2_400);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for (client, seq) in decided {
+            for b in u64::from(client).to_le_bytes().into_iter().chain(seq.to_le_bytes()) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(h, DECIDED_48X50);
+    }
+    const DECIDED_48X50: u64 = 11025301746674878501;
+
+    #[test]
+    fn duplicate_request_for_a_decided_slot_behind_a_gap_is_swallowed() {
+        let mut cluster = MultiPaxosCluster::new(
+            QuorumSpec::Majority { n: 3 },
+            1,
+            0,
+            NetConfig::synchronous(),
+            1,
+        );
+        cluster.sim.run_for(5_000);
+        let leader = cluster.leader().expect("node 0 bootstraps leadership");
+        let request = |seq| MpMsg::Request {
+            cmd: Command {
+                client: 3,
+                seq,
+                op: KvCommand::Put {
+                    key: format!("k{seq}"),
+                    value: "v".into(),
+                },
+            },
+        };
+        // Slot 0's Accepts reach nobody but the leader itself; slot 1's reach
+        // everyone, so slot 1 is decided and waits behind the gap.
+        cluster.sim.set_filter(leader, Box::new(simnet::DropAll));
+        let now = cluster.sim.now();
+        cluster.sim.inject(NodeId(3), leader, request(1), now);
+        cluster.sim.run_for(100);
+        cluster.sim.clear_filter(leader);
+        let now = cluster.sim.now();
+        cluster.sim.inject(NodeId(3), leader, request(2), now);
+        cluster.sim.run_for(5_000);
+        let state = |cluster: &MultiPaxosCluster| {
+            let r = replica(cluster, leader);
+            let table: Vec<(usize, bool)> =
+                r.proposals.iter().map(|(&i, p)| (i, p.decided)).collect();
+            (table, r.next_index, r.log.applied_len(), cluster.sim.metrics().kind("accept"))
+        };
+        let held = state(&cluster);
+        assert_eq!(held.0, vec![(0, false), (1, true)]);
+        assert_eq!((held.1, held.2), (2, 0));
+
+        // The client retries the command of the decided slot: it is neither
+        // applied (so the dedup table cannot answer) nor to be proposed again.
+        let now = cluster.sim.now();
+        cluster.sim.inject(NodeId(3), leader, request(2), now);
+        cluster.sim.run_for(5_000);
+        assert_eq!(state(&cluster), held, "the retry was re-proposed");
+
+        // One acceptor's echo for slot 0 closes the gap: both slots apply and
+        // both proposals go.
+        let r = replica(&cluster, leader);
+        let echo = MpMsg::Accepted {
+            ballot: r.promised,
+            index: 0,
+            sent: Time(0),
+        };
+        let now = cluster.sim.now();
+        cluster.sim.inject(NodeId(1), leader, echo, now);
+        cluster.sim.run_for(5_000);
+        let (table, next_index, applied, _) = state(&cluster);
+        assert_eq!((table, next_index, applied), (vec![], 2, 2));
     }
 
     #[test]

@@ -241,6 +241,18 @@ impl Replica {
         }
     }
 
+    /// Appends `entry` to the log and, in durable mode, its `Append` record
+    /// to the WAL; returns the entry's index. A RAM-mode replica moves the
+    /// entry in without cloning it for a record nobody writes.
+    fn append(&mut self, entry: Entry) -> usize {
+        let index = self.last_log_index() + 1;
+        if self.engine.is_some() {
+            self.wal_log(WalRecord::Append { index, entry: entry.clone() });
+        }
+        self.log.push(entry);
+        index
+    }
+
     /// Persists the Figure-2 hard state (`current_term`, `voted_for`) —
     /// called whenever either changes; the sync rides the handler's group
     /// commit before its response leaves.
@@ -637,13 +649,9 @@ impl Replica {
             self.current_term,
             CncPhase::ValueDiscovery,
         );
-        self.log.push(Entry {
+        self.append(Entry {
             term: self.current_term,
             op: SmrOp::Noop,
-        });
-        self.wal_log(WalRecord::Append {
-            index: self.last_log_index(),
-            entry: self.log.last().expect("just pushed").clone(),
         });
         self.wal_sync(ctx); // the no-op is durable before it replicates
         self.match_index[ctx.id().index()] = self.last_log_index();
@@ -962,14 +970,9 @@ impl Node for Replica {
                 if in_flight {
                     return;
                 }
-                self.log.push(Entry {
+                let index = self.append(Entry {
                     term: self.current_term,
                     op: SmrOp::Cmd(cmd),
-                });
-                let index = self.last_log_index();
-                self.wal_log(WalRecord::Append {
-                    index,
-                    entry: self.log.last().expect("just pushed").clone(),
                 });
                 self.wal_sync(ctx); // entry durable before the leader counts it
                 ctx.span_open(SPAN, index as u64, self.current_term);
@@ -1089,12 +1092,10 @@ impl Node for Replica {
                             );
                             self.log.truncate(index - self.log_offset);
                             self.wal_log(WalRecord::Truncate { from: index });
-                            self.log.push(entry.clone());
-                            self.wal_log(WalRecord::Append { index, entry });
+                            self.append(entry);
                         }
                         None => {
-                            self.log.push(entry.clone());
-                            self.wal_log(WalRecord::Append { index, entry });
+                            self.append(entry);
                         }
                     }
                 }

@@ -93,6 +93,14 @@ impl Histogram {
     }
 }
 
+/// Sent count and byte total of one message kind.
+#[derive(Clone, Copy, Debug)]
+struct KindTally {
+    kind: &'static str,
+    sent: u64,
+    bytes: u64,
+}
+
 /// Counters accumulated over a simulation run.
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
@@ -117,14 +125,15 @@ pub struct Metrics {
     pub bytes_sent: u64,
     /// Timer callbacks executed.
     pub timer_fires: u64,
-    /// Per message-kind sent counts (kind → count).
-    pub sent_by_kind: BTreeMap<&'static str, u64>,
+    /// Per message-kind sent counts and byte totals, in first-seen order.
+    /// A protocol has a dozen kinds at most and every routed message bumps
+    /// one, so this is a scanned `Vec`, not a map; [`Metrics::kinds`] reads
+    /// it out in name order.
+    kinds: Vec<KindTally>,
     /// Node crash events executed.
     pub crashes: u64,
     /// Node restart events executed.
     pub restarts: u64,
-    /// Per message-kind sent byte totals (kind → bytes).
-    pub bytes_by_kind: BTreeMap<&'static str, u64>,
     /// Distribution of individual message sizes in bytes.
     pub msg_size: Histogram,
     /// End-to-end latency per consensus instance in µs: first `span_open` to
@@ -161,7 +170,39 @@ pub enum DropCause {
 impl Metrics {
     /// Messages of one kind sent so far.
     pub fn kind(&self, kind: &str) -> u64 {
-        self.sent_by_kind.get(kind).copied().unwrap_or(0)
+        self.kinds.iter().find(|t| t.kind == kind).map_or(0, |t| t.sent)
+    }
+
+    /// Adds `sent` messages totalling `bytes` to `kind`'s tally — one routed
+    /// message at a time in the simulator, a whole shard's tally when a
+    /// harness folds several simulations into one table.
+    pub fn add_kind(&mut self, kind: &'static str, sent: u64, bytes: u64) {
+        // A kind label is one string literal, so its address identifies it;
+        // comparing contents is the fallback for a literal the compiler
+        // emitted twice.
+        let known = self
+            .kinds
+            .iter()
+            .position(|t| std::ptr::eq(t.kind, kind))
+            .or_else(|| self.kinds.iter().position(|t| t.kind == kind));
+        let at = known.unwrap_or_else(|| {
+            self.kinds.push(KindTally {
+                kind,
+                sent: 0,
+                bytes: 0,
+            });
+            self.kinds.len() - 1
+        });
+        let tally = &mut self.kinds[at];
+        tally.sent += sent;
+        tally.bytes += bytes;
+    }
+
+    /// `(kind, sent, bytes)` for every kind seen, sorted by kind.
+    pub fn kinds(&self) -> Vec<(&'static str, u64, u64)> {
+        let mut rows: Vec<_> = self.kinds.iter().map(|t| (t.kind, t.sent, t.bytes)).collect();
+        rows.sort_unstable_by_key(|&(kind, ..)| kind);
+        rows
     }
 
     /// Resets all counters — used between phases of an experiment so the
@@ -178,7 +219,7 @@ impl Metrics {
 
     /// Bytes sent for messages of one kind.
     pub fn kind_bytes(&self, kind: &str) -> u64 {
-        self.bytes_by_kind.get(kind).copied().unwrap_or(0)
+        self.kinds.iter().find(|t| t.kind == kind).map_or(0, |t| t.bytes)
     }
 
     /// Records one lost message: bumps `dropped` and the per-cause split
@@ -202,9 +243,9 @@ impl Metrics {
 
     /// Renders the per-kind breakdown as `kind=count` pairs, sorted by kind.
     pub fn kinds_summary(&self) -> String {
-        self.sent_by_kind
+        self.kinds()
             .iter()
-            .map(|(k, v)| format!("{k}={v}"))
+            .map(|(kind, sent, _)| format!("{kind}={sent}"))
             .collect::<Vec<_>>()
             .join(" ")
     }
@@ -250,7 +291,7 @@ mod tests {
     fn phase_and_bytes_lookup() {
         let mut m = Metrics::default();
         m.phase_entries.insert("agreement", 4);
-        m.bytes_by_kind.insert("accept", 640);
+        m.add_kind("accept", 10, 640);
         assert_eq!(m.phase("agreement"), 4);
         assert_eq!(m.phase("decision"), 0);
         assert_eq!(m.kind_bytes("accept"), 640);
@@ -282,11 +323,16 @@ mod tests {
     #[test]
     fn kind_lookup_and_reset() {
         let mut m = Metrics::default();
-        m.sent_by_kind.insert("prepare", 3);
+        m.add_kind("prepare", 3, 192);
         m.sent = 3;
         assert_eq!(m.kind("prepare"), 3);
         assert_eq!(m.kind("accept"), 0);
         assert_eq!(m.kinds_summary(), "prepare=3");
+        // The same label at another address joins the same tally.
+        let twin: &'static str = Box::leak(String::from("prepare").into_boxed_str());
+        m.add_kind(twin, 2, 128);
+        m.add_kind("accept", 1, 64);
+        assert_eq!(m.kinds(), vec![("accept", 1, 64), ("prepare", 5, 320)]);
         m.reset();
         assert_eq!(m.sent, 0);
         assert_eq!(m.kind("prepare"), 0);

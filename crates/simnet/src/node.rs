@@ -160,9 +160,15 @@ impl<M: Payload> Context<'_, M> {
         self.effects.push(Effect::Send { to, msg, tc });
     }
 
-    /// Sends `msg` to every node in `targets`.
+    /// Sends `msg` to every node in `targets`: a clone to each but the last,
+    /// which takes the original.
     pub fn send_many<I: IntoIterator<Item = NodeId>>(&mut self, targets: I, msg: M) {
-        for to in targets {
+        let mut targets = targets.into_iter().peekable();
+        while let Some(to) = targets.next() {
+            if targets.peek().is_none() {
+                self.send(to, msg);
+                return;
+            }
             self.send(to, msg.clone());
         }
     }
@@ -170,19 +176,12 @@ impl<M: Payload> Context<'_, M> {
     /// Broadcasts to every *other* node.
     pub fn broadcast(&mut self, msg: M) {
         let me = self.node;
-        for i in 0..self.n_nodes {
-            let to = NodeId::from(i);
-            if to != me {
-                self.send(to, msg.clone());
-            }
-        }
+        self.send_many((0..self.n_nodes).map(NodeId::from).filter(|&to| to != me), msg);
     }
 
     /// Broadcasts to every node *including* self.
     pub fn broadcast_all(&mut self, msg: M) {
-        for i in 0..self.n_nodes {
-            self.send(NodeId::from(i), msg.clone());
-        }
+        self.send_many((0..self.n_nodes).map(NodeId::from), msg);
     }
 
     /// Arms a one-shot timer `delay` microseconds from now carrying the

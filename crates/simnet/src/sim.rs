@@ -1,6 +1,6 @@
 //! The simulation engine.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
@@ -28,7 +28,7 @@ pub enum RunOutcome {
     EventLimit,
 }
 
-struct Slot<N> {
+struct Slot<N: Node> {
     node: N,
     alive: bool,
     /// Incremented on every crash and restart; timers armed in an older
@@ -36,6 +36,64 @@ struct Slot<N> {
     epoch: u32,
     rng: ChaCha20Rng,
     started: bool,
+    /// Region assignment, used only when `config.wan` is set: a message
+    /// between two region-assigned nodes samples the topology's region-pair
+    /// model instead of the flat `config.delay`.
+    region: Option<usize>,
+    /// Forward clock offset in µs (local clock = `now + offset`). Zero
+    /// unless a harness injects skew; purely observational — event
+    /// scheduling always uses the global `now`.
+    clock_offset: u64,
+    /// NIC busy-until time, used only when `config.nic` is set.
+    nic_busy: u64,
+    /// Byzantine outbound filter, if installed.
+    filter: Option<Box<dyn Filter<N::Msg>>>,
+}
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum TimerState {
+    Pending,
+    Cancelled,
+    Fired,
+}
+
+/// What became of every timer that may still have an event queued. Timer
+/// ids are handed out in sequence, so the ledger is a window of states
+/// indexed by `id - base`: arming appends, cancelling and firing index, and
+/// the window's front advances past timers whose event has popped. Only a
+/// pending timer can be cancelled, so cancelling one that already fired
+/// records nothing.
+#[derive(Default)]
+struct TimerLedger {
+    /// Id of `states[0]`.
+    base: u64,
+    states: VecDeque<TimerState>,
+}
+
+impl TimerLedger {
+    fn arm(&mut self, id: TimerId) {
+        debug_assert_eq!(id.0, self.base + self.states.len() as u64, "timer ids are sequential");
+        self.states.push_back(TimerState::Pending);
+    }
+
+    fn cancel(&mut self, id: TimerId) {
+        let state = id.0.checked_sub(self.base).and_then(|i| self.states.get_mut(i as usize));
+        if let Some(state @ TimerState::Pending) = state {
+            *state = TimerState::Cancelled;
+        }
+    }
+
+    /// Retires `id` as its event pops; `true` unless it was cancelled.
+    fn fire(&mut self, id: TimerId) -> bool {
+        let state = &mut self.states[(id.0 - self.base) as usize];
+        let live = *state == TimerState::Pending;
+        *state = TimerState::Fired;
+        while self.states.front() == Some(&TimerState::Fired) {
+            self.states.pop_front();
+            self.base += 1;
+        }
+        live
+    }
 }
 
 /// A deterministic discrete-event simulation of `N`-typed nodes.
@@ -51,7 +109,7 @@ pub struct Sim<N: Node> {
     seed: u64,
     now: Time,
     next_timer: u64,
-    cancelled: HashSet<TimerId>,
+    timers: TimerLedger,
     metrics: Metrics,
     trace: Option<Vec<TraceEntry>>,
     spans: Vec<SpanEvent>,
@@ -61,20 +119,9 @@ pub struct Sim<N: Node> {
     partition: Option<Vec<usize>>,
     partition_plans: Vec<Vec<Vec<NodeId>>>,
     link_delays: HashMap<(NodeId, NodeId), DelayModel>,
-    /// Region assignment per node, used only when `config.wan` is set: a
-    /// message between two region-assigned nodes samples the topology's
-    /// region-pair model instead of the flat `config.delay`.
-    node_regions: HashMap<usize, usize>,
-    /// Per-node forward clock offset in µs (local clock = `now + offset`).
-    /// Empty (all zero) unless a harness injects skew; purely observational —
-    /// event scheduling always uses the global `now`.
-    clock_offsets: HashMap<usize, u64>,
     /// Cached max pairwise clock-offset difference (the sim's ground-truth
     /// skew bound, exposed to nodes as a perfect sync-monitor oracle).
     skew_bound: u64,
-    /// Per-sender NIC busy-until time, used only when `config.nic` is set.
-    nic_busy: HashMap<usize, u64>,
-    filters: HashMap<usize, Box<dyn Filter<N::Msg>>>,
     stop_requested: bool,
     max_events: u64,
     events_processed: u64,
@@ -94,7 +141,7 @@ impl<N: Node> Sim<N> {
             seed,
             now: Time::ZERO,
             next_timer: 0,
-            cancelled: HashSet::new(),
+            timers: TimerLedger::default(),
             metrics: Metrics::default(),
             trace: None,
             spans: Vec::new(),
@@ -102,11 +149,7 @@ impl<N: Node> Sim<N> {
             partition: None,
             partition_plans: Vec::new(),
             link_delays: HashMap::new(),
-            node_regions: HashMap::new(),
-            clock_offsets: HashMap::new(),
             skew_bound: 0,
-            nic_busy: HashMap::new(),
-            filters: HashMap::new(),
             stop_requested: false,
             max_events: 20_000_000,
             events_processed: 0,
@@ -128,6 +171,10 @@ impl<N: Node> Sim<N> {
             epoch: 0,
             rng: ChaCha20Rng::seed_from_u64(node_seed),
             started: false,
+            region: None,
+            clock_offset: 0,
+            nic_busy: 0,
+            filter: None,
         });
         NodeId::from(idx)
     }
@@ -252,12 +299,12 @@ impl<N: Node> Sim<N> {
         if let Some(t) = &self.config.wan {
             assert!(region < t.n_regions(), "region out of range for topology");
         }
-        self.node_regions.insert(id.index(), region);
+        self.slots[id.index()].region = Some(region);
     }
 
     /// The region `id` was assigned to, if any.
     pub fn node_region(&self, id: NodeId) -> Option<usize> {
-        self.node_regions.get(&id.index()).copied()
+        self.slots[id.index()].region
     }
 
     /// Sets `id`'s forward clock offset: its local clock reads
@@ -265,13 +312,12 @@ impl<N: Node> Sim<N> {
     /// visible only through [`Context::local_now`] — so skew injection
     /// perturbs lease decisions without perturbing the schedule itself.
     pub fn set_clock_skew(&mut self, id: NodeId, offset_us: u64) {
-        self.clock_offsets.insert(id.index(), offset_us);
-        let max = self.clock_offsets.values().copied().max().unwrap_or(0);
-        let min = if self.clock_offsets.len() == self.slots.len() {
-            self.clock_offsets.values().copied().min().unwrap_or(0)
-        } else {
-            0 // some node still runs an unskewed clock
-        };
+        self.slots[id.index()].clock_offset = offset_us;
+        // A node whose offset was never set runs an unskewed clock, which
+        // bounds the spread from below exactly as an explicit 0 does.
+        let offsets = self.slots.iter().map(|s| s.clock_offset);
+        let max = offsets.clone().max().unwrap_or(0);
+        let min = offsets.min().unwrap_or(0);
         self.skew_bound = max - min;
     }
 
@@ -293,12 +339,12 @@ impl<N: Node> Sim<N> {
     /// Installs a Byzantine outbound filter on `id` (replacing any previous
     /// one). See [`crate::fault`].
     pub fn set_filter(&mut self, id: NodeId, filter: Box<dyn Filter<N::Msg>>) {
-        self.filters.insert(id.index(), filter);
+        self.slots[id.index()].filter = Some(filter);
     }
 
     /// Removes the filter on `id`, if any.
     pub fn clear_filter(&mut self, id: NodeId) {
-        self.filters.remove(&id.index());
+        self.slots[id.index()].filter = None;
     }
 
     /// Injects a message "from the outside" (e.g. an external client not
@@ -346,7 +392,6 @@ impl<N: Node> Sim<N> {
         let mut effects = std::mem::take(&mut self.scratch);
         effects.clear();
         let n_nodes = self.slots.len();
-        let clock_offset = self.clock_offsets.get(&idx).copied().unwrap_or(0);
         let skew_bound = self.skew_bound;
         {
             let slot = &mut self.slots[idx];
@@ -359,7 +404,7 @@ impl<N: Node> Sim<N> {
                 next_timer: &mut self.next_timer,
                 tracer: &mut self.tracer,
                 cur,
-                clock_offset,
+                clock_offset: slot.clock_offset,
                 skew_bound,
             };
             f(&mut slot.node, &mut ctx);
@@ -370,12 +415,11 @@ impl<N: Node> Sim<N> {
             match effect {
                 Effect::Send { to, msg, tc } => self.route(from, to, msg, tc),
                 Effect::SetTimer { id, delay, kind } => {
+                    self.timers.arm(id);
                     self.queue
                         .push(self.now + delay, from, EventKind::TimerFire { id, kind, epoch });
                 }
-                Effect::CancelTimer { id } => {
-                    self.cancelled.insert(id);
-                }
+                Effect::CancelTimer { id } => self.timers.cancel(id),
                 Effect::Span { protocol, instance, round, kind } => {
                     self.record_span(from, protocol, instance, round, kind);
                 }
@@ -400,7 +444,7 @@ impl<N: Node> Sim<N> {
         // Byzantine outbound filter. A filtered message never reaches the
         // network, so it is not counted as sent — but the loss is visible in
         // the drop counters and the trace.
-        let msg = match self.filters.get_mut(&from.index()) {
+        let msg = match self.slots[from.index()].filter.as_mut() {
             Some(filter) => match filter.outgoing(from, to, &msg, &mut self.net_rng) {
                 FilterAction::Deliver => msg,
                 FilterAction::Drop => {
@@ -416,8 +460,7 @@ impl<N: Node> Sim<N> {
         self.metrics.sent += 1;
         let size = msg.size_bytes() as u64;
         self.metrics.bytes_sent += size;
-        *self.metrics.sent_by_kind.entry(msg.kind()).or_insert(0) += 1;
-        *self.metrics.bytes_by_kind.entry(msg.kind()).or_insert(0) += size;
+        self.metrics.add_kind(msg.kind(), 1, size);
         self.metrics.msg_size.record(size);
         self.push_trace(TraceEvent::Send, from, to, msg.kind());
 
@@ -449,11 +492,8 @@ impl<N: Node> Sim<N> {
         let model = match self.link_delays.get(&(from, to)) {
             Some(m) => *m,
             None => match &self.config.wan {
-                Some(t) => match (
-                    self.node_regions.get(&from.index()),
-                    self.node_regions.get(&to.index()),
-                ) {
-                    (Some(&a), Some(&b)) => t.model_between(a, b),
+                Some(t) => match (self.slots[from.index()].region, self.slots[to.index()].region) {
+                    (Some(a), Some(b)) => t.model_between(a, b),
                     _ => self.config.delay,
                 },
                 None => self.config.delay,
@@ -469,7 +509,7 @@ impl<N: Node> Sim<N> {
         // RNG draws, so traces without a NIC model are unchanged.
         let sent_at = match self.config.nic {
             Some(nic) => {
-                let busy = self.nic_busy.entry(from.index()).or_insert(0);
+                let busy = &mut self.slots[from.index()].nic_busy;
                 let departure = self.now.0.max(*busy);
                 let done = departure + nic.tx_micros(size);
                 *busy = done;
@@ -616,7 +656,7 @@ impl<N: Node> Sim<N> {
                 self.invoke(idx, tc, |node, ctx| node.on_message(ctx, from, msg));
             }
             EventKind::TimerFire { id, kind, epoch } => {
-                if self.cancelled.remove(&id) {
+                if !self.timers.fire(id) {
                     return;
                 }
                 let slot = &self.slots[idx];
@@ -733,6 +773,14 @@ impl<N: Node> Sim<N> {
     /// Number of events still queued.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
+    }
+
+    /// Timers in the ledger's window, and how many of them are marked
+    /// cancelled.
+    #[cfg(test)]
+    fn timer_records(&self) -> (usize, usize) {
+        let cancelled = self.timers.states.iter().filter(|s| **s == TimerState::Cancelled);
+        (self.timers.states.len(), cancelled.count())
     }
 }
 
@@ -1035,6 +1083,63 @@ mod tests {
         let id = sim.add_node(C { fired: false });
         sim.run_to_quiescence();
         assert!(!sim.node(id).fired);
+    }
+
+    #[test]
+    fn cancelling_a_fired_timer_records_nothing() {
+        // The election-timer idiom: every fire cancels the stored id — the
+        // very timer that is firing — and arms the next. Node 1 also keeps a
+        // long timer pending and cancels a fired id again much later.
+        struct Rearm {
+            current: Option<TimerId>,
+            first: Option<TimerId>,
+            fires: u32,
+            long_fired: bool,
+        }
+        #[derive(Clone, Debug)]
+        struct M;
+        impl Payload for M {}
+        impl Node for Rearm {
+            type Msg = M;
+            fn on_start(&mut self, ctx: &mut Context<M>) {
+                self.current = Some(ctx.set_timer(100, 0));
+                self.first = self.current;
+                if ctx.id() == NodeId(1) {
+                    ctx.set_timer(1_000_000, 1);
+                }
+            }
+            fn on_message(&mut self, _ctx: &mut Context<M>, _f: NodeId, _m: M) {}
+            fn on_timer(&mut self, ctx: &mut Context<M>, t: Timer) {
+                if t.kind == 1 {
+                    self.long_fired = true;
+                    return;
+                }
+                self.fires += 1;
+                if let Some(id) = self.current.take() {
+                    ctx.cancel_timer(id);
+                }
+                if let Some(id) = self.first {
+                    ctx.cancel_timer(id); // fired long ago
+                }
+                if self.fires < 1_000 {
+                    self.current = Some(ctx.set_timer(100, 0));
+                }
+            }
+        }
+        let mut sim: Sim<Rearm> = Sim::new(NetConfig::synchronous(), 33);
+        for _ in 0..2 {
+            sim.add_node(Rearm { current: None, first: None, fires: 0, long_fired: false });
+        }
+        sim.run_until(Time(50_000));
+        let (window, cancelled) = sim.timer_records();
+        assert_eq!(cancelled, 0, "a fired timer's cancellation left a record");
+        assert!(window > 0, "node 1's long timer is still pending");
+        assert_eq!(sim.run_to_quiescence(), RunOutcome::Quiescent);
+        assert_eq!(sim.timer_records(), (0, 0));
+        for (_, node) in sim.nodes() {
+            assert_eq!(node.fires, 1_000, "a stale cancel must not hit a live timer");
+        }
+        assert!(sim.node(NodeId(1)).long_fired);
     }
 
     #[test]
@@ -1465,6 +1570,119 @@ mod tests {
         plain.run_to_quiescence();
         assert_eq!(sim.now(), plain.now());
         assert_eq!(sim.metrics().sent, plain.metrics().sent);
+    }
+
+    #[test]
+    fn skew_bound_matches_the_offset_map_rule() {
+        // The rule as the per-node offset map stated it: spread of the set
+        // offsets, measured from 0 while any node's offset was never set.
+        fn rule(set: &BTreeMap<usize, u64>, n: usize) -> u64 {
+            let max = set.values().copied().max().unwrap_or(0);
+            let min = if set.len() == n {
+                set.values().copied().min().unwrap_or(0)
+            } else {
+                0
+            };
+            max - min
+        }
+        let mut sim = pingpong_sim(3, NetConfig::synchronous(), 43);
+        let mut set = BTreeMap::new();
+        // Some set, one of them to zero; then all set; then all set with a
+        // zero among them; then all equal.
+        for (node, offset) in [(1, 700), (0, 0), (2, 300), (0, 600), (2, 0), (2, 900), (0, 900), (1, 900)] {
+            sim.set_clock_skew(NodeId(node), offset);
+            set.insert(node as usize, offset);
+            assert_eq!(sim.clock_skew_bound(), rule(&set, 3), "after {node} := {offset}");
+        }
+        assert_eq!(sim.clock_skew_bound(), 0);
+    }
+
+    #[test]
+    fn kind_tallies_agree_with_an_ordered_map() {
+        #[derive(Clone, Debug)]
+        struct K(usize);
+        const KINDS: [&str; 7] = ["vote", "accept", "ack", "commit", "nack", "beat", "read"];
+        impl Payload for K {
+            fn kind(&self) -> &'static str {
+                KINDS[self.0]
+            }
+            fn size_bytes(&self) -> usize {
+                10 + 7 * self.0
+            }
+        }
+        // Every delivery fans out again until the hop budget runs dry.
+        struct Chatter {
+            hops: usize,
+        }
+        impl Node for Chatter {
+            type Msg = K;
+            fn on_start(&mut self, ctx: &mut Context<K>) {
+                ctx.broadcast(K(ctx.id().index() % KINDS.len()));
+            }
+            fn on_message(&mut self, ctx: &mut Context<K>, from: NodeId, m: K) {
+                if self.hops > 0 {
+                    self.hops -= 1;
+                    ctx.send(from, K((m.0 * 3 + ctx.id().index() + self.hops) % KINDS.len()));
+                }
+            }
+        }
+        let mut sim: Sim<Chatter> = Sim::new(NetConfig::lan(), 44);
+        for _ in 0..4 {
+            sim.add_node(Chatter { hops: 40 });
+        }
+        sim.record_trace(true);
+        sim.run_to_quiescence();
+
+        let mut model: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+        for t in sim.trace().iter().filter(|t| matches!(t.event, TraceEvent::Send)) {
+            let size = 10 + 7 * KINDS.iter().position(|k| *k == t.kind).expect("known kind");
+            let row = model.entry(t.kind).or_default();
+            row.0 += 1;
+            row.1 += size as u64;
+        }
+        let m = sim.metrics();
+        assert!(model.len() >= 6, "only {} kinds on the wire", model.len());
+        let want: Vec<(&str, u64, u64)> = model.iter().map(|(&k, &(n, b))| (k, n, b)).collect();
+        assert_eq!(m.kinds(), want, "name order, counts and bytes");
+        for (kind, sent, bytes) in want {
+            assert_eq!((m.kind(kind), m.kind_bytes(kind)), (sent, bytes));
+        }
+        let summary: Vec<String> = model.iter().map(|(k, (n, _))| format!("{k}={n}")).collect();
+        assert_eq!(m.kinds_summary(), summary.join(" "));
+        assert_eq!((m.kind("absent"), m.kind_bytes("absent")), (0, 0));
+        assert_eq!(m.sent, model.values().map(|r| r.0).sum::<u64>());
+        assert_eq!(m.bytes_sent, model.values().map(|r| r.1).sum::<u64>());
+    }
+
+    #[test]
+    fn per_node_state_works_for_a_node_added_after_a_run() {
+        use crate::config::WanTopology;
+        let topo = WanTopology::symmetric(2, DelayModel::Fixed(100), DelayModel::Fixed(30_000));
+        let mut sim = pingpong_sim(2, NetConfig::synchronous().with_wan(topo), 45);
+        sim.set_node_region(NodeId(0), 0);
+        sim.set_node_region(NodeId(1), 0);
+        sim.run_to_quiescence();
+        assert_eq!(sim.node(NodeId(0)).pongs, 1);
+
+        // A late joiner in the other region, muted at first.
+        let late = sim.add_node(PingPong::new());
+        assert_eq!(sim.node_region(late), None);
+        sim.set_node_region(late, 1);
+        assert_eq!(sim.node_region(late), Some(1));
+        sim.set_filter(late, Box::new(crate::fault::DropAll));
+        let t0 = sim.now();
+        sim.inject(NodeId(0), late, Msg::Ping(9), t0);
+        sim.run_to_quiescence();
+        assert_eq!(sim.node(late).pings_seen, 1);
+        assert_eq!(sim.node(NodeId(0)).pongs, 1, "the filter swallowed the pong");
+        assert_eq!(sim.metrics().dropped_filter, 1);
+
+        sim.clear_filter(late);
+        let t1 = sim.now();
+        sim.inject(NodeId(0), late, Msg::Ping(9), t1);
+        sim.run_to_quiescence();
+        assert_eq!(sim.node(NodeId(0)).pongs, 2);
+        assert_eq!(sim.now(), Time(t1.0 + 30_000), "the pong crossed regions");
     }
 
     #[test]

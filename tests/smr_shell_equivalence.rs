@@ -120,6 +120,18 @@ fn pbft_runs_are_bit_identical_to_the_pre_shell_commit() {
     assert_eq!(sweep::<PbftCluster>(4), PBFT);
 }
 
+/// `smr-small`'s Multi-Paxos cell — 5 replicas, 48 closed-loop clients × 50
+/// commands over a transmit-limited NIC — where the event queue runs
+/// thousands deep and the leader's proposal window stays open throughout.
+#[test]
+fn multi_paxos_under_a_loaded_nic_is_bit_identical_to_the_recorded_run() {
+    let row = |seed| {
+        let cfg = DriverConfig::new(5, 48, 50, seed).with_net(NetConfig::lan().with_nic(30, 50));
+        fingerprint(MultiPaxosCluster::from_config(&cfg))
+    };
+    assert_eq!(SEEDS.map(row), PAXOS_LOADED_NIC);
+}
+
 /// Durable engines, the initial leader crashed mid-workload and restarted
 /// through checkpoint load + WAL replay while the survivors fail over.
 fn crashed<D: ClusterDriver>(mut d: D) -> u64 {
@@ -177,6 +189,9 @@ const PBFT: [u64; 4] = [
     7725206949083403816,
     9668082458443956368,
 ];
+// Recorded at 7711502, before the event queue, the proposal table and the
+// per-node simulator state changed shape.
+const PAXOS_LOADED_NIC: [u64; 2] = [17210024983022237609, 12686584460293277376];
 const PAXOS_CRASH: u64 = 13623694217501413311;
 const RAFT_CRASH: u64 = 11120947086349577556;
 const STORE_PAXOS: [u64; 2] = [6705092968428748827, 8249467345722595506];
