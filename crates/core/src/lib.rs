@@ -31,10 +31,9 @@
 //!   [`SmrProtocol`] impl — messages, replica, client, [`ClusterShape`],
 //!   `decided_log` shape — and nothing else.
 //! * [`txn`] — shared transaction types for the sharded store
-//!   (`forty-store`): transaction ids, the router-facing [`StoreCommand`],
-//!   and the log-entry encoding of the Gray–Lamport 2PC-over-consensus
-//!   construction, including the C&C phase mapping of its prepare/decide
-//!   steps.
+//!   (`forty-store`): transaction ids and outcomes, and the log-entry
+//!   encoding of the Gray–Lamport 2PC-over-consensus construction, including
+//!   the C&C phase mapping of its prepare/decide steps.
 //! * [`cnc`] — the **Consensus & Commitment (C&C) framework**: every
 //!   leader-based agreement protocol as *Leader Election → Value Discovery →
 //!   Fault-tolerant Agreement → Decision*, including a runnable generic
@@ -67,4 +66,4 @@ pub use taxonomy::{
     ComplexityClass, FailureModel, NodeBound, ParticipantAwareness, ProcessingStrategy,
     ProtocolCard,
 };
-pub use txn::{StoreCommand, Transaction, TxnDecision, TxnId, TxnPhase};
+pub use txn::{TxnDecision, TxnId, TxnPhase};

@@ -5,9 +5,10 @@
 //! control state — the participants' prepare records and the coordinator's
 //! commit/abort decision — is an ordinary key-value entry in some shard's
 //! *replicated* log, so no single process holds the only copy of anything.
-//! This module defines the router-facing command types plus the log-entry
-//! encoding of that control state, shared by the store itself, the bench
-//! experiments, and the nemesis atomicity checker.
+//! This module defines the transaction ids, outcomes and phases plus the
+//! log-entry encoding of that control state, shared by the store itself, the
+//! log engines' durable layers, the bench experiments, and the nemesis
+//! atomicity checker.
 //!
 //! Encoding invariants:
 //!
@@ -24,7 +25,6 @@
 
 use std::fmt;
 
-use crate::smr::KvCommand;
 use simnet::CncPhase;
 
 /// Transaction id: the issuing router client and its txn counter.
@@ -57,24 +57,6 @@ impl fmt::Display for TxnId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "t{}.{}", self.client, self.number)
     }
-}
-
-/// A multi-key write transaction. Keys may span shards; the store commits
-/// all writes or none of them.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Transaction {
-    /// `(key, value)` writes, at most one per key.
-    pub writes: Vec<(String, String)>,
-}
-
-/// A command submitted to the store through a router client.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum StoreCommand {
-    /// A single-key operation, routed to one shard and served by its SMR
-    /// log directly — no commitment protocol involved.
-    Single(KvCommand),
-    /// A cross-shard transaction, committed via 2PC over consensus.
-    Txn(Transaction),
 }
 
 /// The outcome of a transaction.
@@ -156,6 +138,13 @@ pub fn decision_key(tid: TxnId) -> String {
 /// Extracts the transaction id from a decision key.
 pub fn parse_decision_key(key: &str) -> Option<TxnId> {
     TxnId::parse(key.strip_prefix("~dec.")?)
+}
+
+/// Whether an applied write resolves a 2PC/commit decision record: a
+/// decision key whose new value is a final `commit`/`abort` (the `pending`
+/// init is not a resolution).
+pub fn is_txn_decision(key: &str, value: &str) -> bool {
+    parse_decision_key(key).is_some() && TxnDecision::parse(value).is_some()
 }
 
 /// The participant-shard key holding `tid`'s prepare record on `shard`.

@@ -24,6 +24,7 @@ use consensus_core::cluster::decided_slots;
 use consensus_core::driver::{BatchConfig, Batcher, DecidedEntry, Flush};
 use consensus_core::quorum::Phase;
 use consensus_core::smr::Slot;
+use consensus_core::txn::is_txn_decision;
 use consensus_core::{
     Ballot, Client, ClientWire, Cluster, Command, DedupKvMachine, DurableProtocol, Inbound,
     KvCommand, KvResponse, QuorumSpec, ReadMode, ReplicatedLog, Session, SmrOp, SmrProtocol,
@@ -205,14 +206,6 @@ const BATCH_FLUSH: u64 = 4;
 
 /// Heartbeat period (µs).
 const HB_PERIOD: u64 = 10_000;
-
-/// Whether an applied write resolves a 2PC/commit decision record: a
-/// decision key whose new value is a final `commit`/`abort` (the `pending`
-/// init is not a resolution).
-fn is_txn_decision(key: &str, value: &str) -> bool {
-    consensus_core::txn::parse_decision_key(key).is_some()
-        && consensus_core::txn::TxnDecision::parse(value).is_some()
-}
 
 #[derive(Debug)]
 struct Proposal {

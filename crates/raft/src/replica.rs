@@ -4,6 +4,7 @@
 
 use std::collections::BTreeMap;
 
+use consensus_core::txn::is_txn_decision;
 use consensus_core::{
     BatchConfig, Batcher, DedupKvMachine, Flush, KvCommand, KvResponse, ReadMode, SmrOp,
 };
@@ -56,14 +57,6 @@ struct PendingRead {
     /// Leader-confirmed commit index the read must wait for (`None` while
     /// the read-index round-trip is still in flight).
     ready_at: Option<usize>,
-}
-
-/// Whether an applied write resolves a 2PC/commit decision record: a
-/// decision key whose new value is a final `commit`/`abort` (the `pending`
-/// init is not a resolution).
-fn is_txn_decision(key: &str, value: &str) -> bool {
-    consensus_core::txn::parse_decision_key(key).is_some()
-        && consensus_core::txn::TxnDecision::parse(value).is_some()
 }
 
 /// A Raft server.

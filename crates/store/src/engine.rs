@@ -1,9 +1,9 @@
 //! The shard engine abstraction: one consensus group serving one shard.
 //!
 //! A [`ShardEngine`] is any [`ClusterDriver`] the store can additionally
-//! *drive as a log service*: the router harness injects client commands into
-//! the group, observes replies by reading the replicas' dedup tables, and
-//! peeks at applied state. Multi-Paxos and Raft both qualify — the store is
+//! *drive as a log service*: the harness's `Port` injects client commands into
+//! the group and observes replies by reading the replicas' dedup tables, and
+//! checkers peek at applied state. Multi-Paxos and Raft both qualify — the store is
 //! deliberately engine-agnostic, which is the tutorial's point that 2PC
 //! layered over consensus does not care which consensus it is layered over.
 //!
@@ -125,25 +125,11 @@ pub trait ShardEngine: ClusterDriver {
     where
         Self: Sized;
 
-    /// Whether durable specs actually persist state. Both engines now
-    /// answer `true`; the method remains so tests can assert the invariant
-    /// and future engines must declare themselves.
-    fn supports_durable() -> bool
-    where
-        Self: Sized;
-
     /// Broadcasts `cmd` to every replica, sent from the stub client node.
     /// Safe to call repeatedly with the same command (dedup applies once).
-    fn submit(&mut self, cmd: Command<KvCommand>);
-
-    /// [`ShardEngine::submit`] carrying a causal trace context: the injected
-    /// messages (and everything the shard does on their behalf) chain under
-    /// the harness-minted root span. The default drops the context, so
-    /// engines without tracing support still compose.
-    fn submit_traced(&mut self, cmd: Command<KvCommand>, tc: Option<TraceCtx>) {
-        let _ = tc;
-        self.submit(cmd);
-    }
+    /// With a trace context, the injected messages (and everything the shard
+    /// does on their behalf) chain under that harness-minted root span.
+    fn submit(&mut self, cmd: Command<KvCommand>, tc: Option<TraceCtx>);
 
     /// The reply for `(client, seq)` if some replica already applied it.
     /// Valid only while `(client, seq)` is the client's newest command on
@@ -233,7 +219,9 @@ where
         if let Some(geo) = &spec.geo {
             cluster = cluster.map_replicas(|r| P::configure_geo(r, geo));
             for (r, &region) in geo.regions.iter().enumerate() {
-                cluster.sim.set_node_region(NodeId::from(r), region as usize);
+                cluster
+                    .sim
+                    .set_node_region(NodeId::from(r), region as usize);
             }
             for g in 0..geo.n_regions {
                 cluster
@@ -250,15 +238,7 @@ where
         cluster
     }
 
-    fn supports_durable() -> bool {
-        true
-    }
-
-    fn submit(&mut self, cmd: Command<KvCommand>) {
-        self.submit_traced(cmd, None);
-    }
-
-    fn submit_traced(&mut self, cmd: Command<KvCommand>, tc: Option<TraceCtx>) {
+    fn submit(&mut self, cmd: Command<KvCommand>, tc: Option<TraceCtx>) {
         let stub = NodeId::from(self.n_replicas);
         let at = self.sim.now();
         for r in 0..self.n_replicas {
@@ -322,7 +302,7 @@ mod tests {
         };
         let mut t = 20_000; // past initial leader election
         shard.run_until(Time(t));
-        shard.submit(cmd.clone());
+        shard.submit(cmd.clone(), None);
         let reply = loop {
             t += 500;
             shard.run_until(Time(t));
@@ -330,7 +310,7 @@ mod tests {
                 break r;
             }
             if t % 25_000 == 0 {
-                shard.submit(cmd.clone()); // retransmit
+                shard.submit(cmd.clone(), None); // retransmit
             }
             assert!(t < 5_000_000, "submission never applied");
         };
@@ -358,7 +338,5 @@ mod tests {
         let durable = spec().durable(8, DiskModel::ssd());
         drive(MultiPaxosCluster::build_shard(&durable));
         drive(RaftCluster::build_shard(&durable));
-        assert!(MultiPaxosCluster::supports_durable());
-        assert!(RaftCluster::supports_durable());
     }
 }

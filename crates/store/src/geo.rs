@@ -200,7 +200,10 @@ mod tests {
     fn single_region_keeps_each_shard_whole() {
         let p = compute_placement(PlacementPolicy::SingleRegion, 4, 3, 3);
         for (s, row) in p.iter().enumerate() {
-            assert!(row.iter().all(|&r| r == (s % 3) as u32), "shard {s}: {row:?}");
+            assert!(
+                row.iter().all(|&r| r == (s % 3) as u32),
+                "shard {s}: {row:?}"
+            );
         }
     }
 
@@ -211,7 +214,10 @@ mod tests {
             let primary = (s % 3) as u32;
             assert_eq!(row[0], primary, "replica 0 must be primary-homed");
             let in_primary = row.iter().filter(|&&r| r == primary).count();
-            assert!(in_primary > 5 / 2, "shard {s} majority not primary: {row:?}");
+            assert!(
+                in_primary > 5 / 2,
+                "shard {s} majority not primary: {row:?}"
+            );
             assert!(
                 row.iter().any(|&r| r != primary),
                 "shard {s} has no witness: {row:?}"

@@ -16,7 +16,14 @@
 //!   `paxos::MultiPaxosCluster` and `raft::RaftCluster` ([`engine`]).
 //! * [`Store`] — routers, 2PC-over-consensus (Gray & Lamport's *Consensus
 //!   on Transaction Commit*), a recovery actor, and a post-run audit pass,
-//!   all stepped in deterministic lockstep ([`store`]).
+//!   all stepped in deterministic lockstep. [`store`] is the harness —
+//!   build, `step`/`run`, result harvest, fault injection, fingerprint;
+//!   [`config`] holds [`StoreConfig`], the [`CommitBackend`] spectrum and
+//!   the control-record codec; `workload.rs` the seeded per-router workload;
+//!   `router.rs` the forward path (13 phases over three backends);
+//!   `recovery.rs` the termination path and the audit reader; and `port.rs`
+//!   the one way any of those actors reaches a shard log — `send`, `poll`,
+//!   at-most-once by `(client, seq)`, retransmission, fast-read fallback.
 //! * [`GeoConfig`] — WAN regions, shard placement, and the region-local
 //!   linearizable read path (leader leases / read index) ([`geo`]).
 //!
@@ -26,16 +33,23 @@
 //! coordinator state is replicated log entries — the same crash only delays
 //! the transaction until recovery re-derives the outcome from the logs.
 
+pub mod config;
 pub mod engine;
 pub mod geo;
+mod port;
+mod recovery;
+mod router;
 pub mod shard_map;
 pub mod store;
+mod workload;
 
+pub use config::{
+    decode_intent, encode_intent, intent_key, CommitBackend, StoreConfig, AUDIT_CLIENT, QUANTUM_US,
+    RECOVERY_CLIENT, RECOVERY_DELAY_US, ROUTER_BASE,
+};
 pub use engine::{ShardBuildSpec, ShardEngine, ShardGeo, ShardProtocol};
 pub use geo::{compute_placement, GeoConfig, PlacementPolicy, ReadOutcome};
+pub use port::OpRecord;
+pub use router::{RangeOutcome, RouterCrashPoint, TxnOutcome};
 pub use shard_map::{key_hash, ShardMap};
-pub use store::{
-    decode_intent, encode_intent, intent_key, CommitBackend, OpRecord, RangeOutcome,
-    RouterCrashPoint, Store, StoreConfig, TxnOutcome, AUDIT_CLIENT, QUANTUM_US, RECOVERY_CLIENT,
-    RECOVERY_DELAY_US, ROUTER_BASE,
-};
+pub use store::Store;

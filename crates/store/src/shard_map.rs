@@ -118,12 +118,7 @@ impl ShardMap {
             Some(p) => {
                 let rows = p
                     .iter()
-                    .map(|row| {
-                        row.iter()
-                            .map(u32::to_string)
-                            .collect::<Vec<_>>()
-                            .join(".")
-                    })
+                    .map(|row| row.iter().map(u32::to_string).collect::<Vec<_>>().join("."))
                     .collect::<Vec<_>>()
                     .join(",");
                 format!("{ranges}|{rows}")
@@ -206,9 +201,10 @@ mod tests {
     #[test]
     fn placement_round_trips_and_stays_backward_compatible() {
         let plain = ShardMap::even(3);
-        let placed = plain
-            .clone()
-            .with_placement(vec![vec![0, 0, 1], vec![1, 1, 2], vec![2, 2, 0]]);
+        let placed =
+            plain
+                .clone()
+                .with_placement(vec![vec![0, 0, 1], vec![1, 1, 2], vec![2, 2, 0]]);
         // Placement-free serialization is byte-identical to the historical
         // form and parses back without a placement.
         assert!(!plain.serialize().contains('|'));

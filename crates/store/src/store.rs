@@ -1,723 +1,26 @@
-//! The sharded store harness: routers, 2PC over consensus, recovery, audit.
+//! The sharded store harness: [`Store`] builds the shard groups, the routers,
+//! the recovery actor and the audit reader, and steps them in lockstep.
 //!
-//! One [`crate::ShardEngine`] consensus group per shard, all stepped in
-//! lockstep quanta of simulated time. Routers live *between* the groups:
-//! at every step boundary they poll for replies and inject follow-up
-//! commands. A router is the 2PC coordinator *process*, but — following
-//! Gray & Lamport's *Consensus on Transaction Commit* — every piece of 2PC
-//! state it produces is a replicated log entry in some shard:
-//!
-//! 1. **Intent** — `~txn.<tid> = "<participant shards>"` on the coordinator
-//!    shard (who is involved, for recovery).
-//! 2. **Init** — `~dec.<tid> = "pending"` on the coordinator shard.
-//! 3. **Prepare** — `~prep.<tid>.s<k> = "<write-set>"` on every participant
-//!    shard (the participant's yes vote *and* its redo log).
-//! 4. **Decide** — compare-and-swap `~dec.<tid>: pending → commit|abort` on
-//!    the coordinator shard. Log order serializes concurrent deciders;
-//!    exactly one CAS swaps. *This entry is the commit point.*
-//! 5. **Apply** — data writes `key = value@<tid>`, issued only after the
-//!    decision entry is observed durable.
-//!
-//! If the router crashes at *any* point, a recovery actor re-derives the
-//! outcome purely from replicated state: it CASes the decision to `abort`
-//! (winning iff the decision was still open), and otherwise completes the
-//! writes recorded in the prepare entries. Unreplicated 2PC blocks in this
-//! exact scenario — `atomic_commit::two_phase` with
-//! `CrashPoint::AfterVotes` demonstrates the contrast.
-//!
-//! The `buggy_early_writes` knob re-creates the classic early-dissemination
-//! bug: the coordinator applies the decision — it disseminates the data
-//! writes — *before* its decision entry is replicated. A router crash in
-//! that window leaves the txn formally undecided, recovery's abort-CAS
-//! wins, and the "committed" writes are already visible as orphaned aborted
-//! state — the nemesis atomicity checker catches exactly this.
+//! One [`crate::ShardEngine`] consensus group per shard, all advanced in
+//! quanta of simulated time. Routers live *between* the groups: at every step
+//! boundary each actor polls its `Port` for replies and sends follow-up
+//! commands (`router.rs` is the forward path, `recovery.rs` the termination
+//! path). This file is the rest of the harness: construction, the step loop,
+//! result harvest, fault injection and the run fingerprint.
 
-use consensus_core::driver::BatchConfig;
 use consensus_core::history::{ClientRecord, HistorySink};
-use consensus_core::smr::{Command, KvCommand, KvResponse};
-use consensus_core::txn::{self, TxnDecision, TxnId, TxnPhase};
+use consensus_core::txn::{TxnDecision, TxnId};
 use consensus_core::workload::LatencyRecorder;
-use consensus_core::ReadMode;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha20Rng;
-use simnet::causal::cat;
-use simnet::{CausalSpan, DiskModel, NetConfig, Time, TraceCtx, Tracer};
+use simnet::{CausalSpan, NodeId, Time};
 
-use crate::engine::{ShardEngine, ShardGeo};
-use crate::geo::{compute_placement, GeoConfig, ReadOutcome};
+use crate::config::{CommitBackend, StoreConfig, QUANTUM_US};
+use crate::engine::{ShardBuildSpec, ShardEngine, ShardGeo};
+use crate::geo::{compute_placement, ReadOutcome};
+use crate::port::{OpRecord, Step, StoreTrace};
+use crate::recovery::{Audit, Recovery};
+use crate::router::{RangeOutcome, Router, RouterCrashPoint, TxnOutcome};
 use crate::shard_map::ShardMap;
-
-/// Lockstep step size: shards run this many µs between harness polls.
-pub const QUANTUM_US: u64 = 500;
-/// Retransmit interval for unacknowledged submissions.
-pub const RETRY_US: u64 = 25_000;
-/// How long a crashed router's transaction stays untouched before the
-/// recovery actor claims it.
-pub const RECOVERY_DELAY_US: u64 = 40_000;
-/// How long a router waits on a silent fast-path geo read before falling
-/// back to the ordinary log path. Generous enough to cover a WAN round
-/// trip plus a read-index confirmation; a NACK falls back immediately.
-pub const GEO_READ_TIMEOUT_US: u64 = 120_000;
-/// Client id of router `r` is `ROUTER_BASE + r`.
-pub const ROUTER_BASE: u32 = 100;
-/// Client id of the recovery actor.
-pub const RECOVERY_CLIENT: u32 = 200;
-/// Client id of the post-run audit reader.
-pub const AUDIT_CLIENT: u32 = 300;
-
-/// The coordinator-shard key registering `tid`'s participant set.
-pub fn intent_key(tid: TxnId) -> String {
-    format!("~txn.{tid}")
-}
-
-fn encode_participants(shards: &[usize]) -> String {
-    shards
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>()
-        .join(";")
-}
-
-fn decode_participants(s: &str) -> Vec<usize> {
-    s.split(';').filter_map(|p| p.parse().ok()).collect()
-}
-
-/// The commitment protocol a transaction runs over the shard logs. The
-/// three backends share the intent/data-write plumbing and differ only in
-/// how the commit point is reached — which is exactly the Gray–Lamport
-/// spectrum:
-///
-/// * [`TwoPhase`](CommitBackend::TwoPhase) — raw blocking 2PC: the
-///   decision exists only in the coordinator *process* until it writes a
-///   plain decision record. A coordinator crash after the votes leaves the
-///   transaction **stalled forever** (recovery finds no durable decision
-///   and no vote registers to force).
-/// * [`TwoPhaseOverConsensus`](CommitBackend::TwoPhaseOverConsensus) — the
-///   store's historical protocol: decision entry initialized to `pending`
-///   and resolved by a log-serialized CAS; recovery can always close the
-///   decision with its abort-CAS.
-/// * [`PaxosCommit`](CommitBackend::PaxosCommit) — Gray & Lamport's Paxos
-///   Commit mapped onto the shard logs: one *vote register*
-///   `~vote.<tid>.s<k>` per participant, each resolved by a CAS
-///   `pending → prepared|aborted` that the shard's consensus group
-///   serializes (one Paxos instance per vote). Prepared votes carry the
-///   shard-local write-set, so *any* coordinator — here the recovery
-///   actor — can finish the transaction from the replicated votes alone,
-///   committing prepared work instead of aborting it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum CommitBackend {
-    /// Raw blocking 2PC (decision record is a plain put; no recovery CAS).
-    TwoPhase,
-    /// 2PC with the decision as a log-serialized CAS (the default).
-    TwoPhaseOverConsensus,
-    /// Paxos Commit: per-participant vote registers in the shard logs.
-    PaxosCommit,
-}
-
-impl CommitBackend {
-    /// Stable short tag used in intent records and trace lines.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            CommitBackend::TwoPhase => "2pc",
-            CommitBackend::TwoPhaseOverConsensus => "2pcoc",
-            CommitBackend::PaxosCommit => "pc",
-        }
-    }
-
-    /// Parses a [`CommitBackend::tag`] rendering.
-    pub fn parse(s: &str) -> Option<CommitBackend> {
-        match s {
-            "2pc" => Some(CommitBackend::TwoPhase),
-            "2pcoc" => Some(CommitBackend::TwoPhaseOverConsensus),
-            "pc" => Some(CommitBackend::PaxosCommit),
-            _ => None,
-        }
-    }
-}
-
-/// Encodes an intent record: participants, prefixed with the backend tag
-/// for non-default backends. The default backend keeps the legacy untagged
-/// encoding so historical fingerprints are unchanged.
-pub fn encode_intent(backend: CommitBackend, shards: &[usize]) -> String {
-    match backend {
-        CommitBackend::TwoPhaseOverConsensus => encode_participants(shards),
-        other => format!("{}!{}", other.tag(), encode_participants(shards)),
-    }
-}
-
-/// Decodes an intent record into `(backend, participants)`. Untagged
-/// records are the legacy default backend.
-pub fn decode_intent(s: &str) -> (CommitBackend, Vec<usize>) {
-    match s.split_once('!') {
-        Some((tag, rest)) => match CommitBackend::parse(tag) {
-            Some(b) => (b, decode_participants(rest)),
-            None => (CommitBackend::TwoPhaseOverConsensus, decode_participants(s)),
-        },
-        None => (CommitBackend::TwoPhaseOverConsensus, decode_participants(s)),
-    }
-}
-
-/// Store-wide configuration. Serialized (including the shard map) and
-/// re-parsed by every router, so all routers provably share one routing
-/// view.
-///
-/// Every builder knob in one place (all start from [`StoreConfig::new`]'s
-/// canonical small store and return `self`):
-///
-/// | Builder | Default | Effect |
-/// |---|---|---|
-/// | [`shards`](StoreConfig::shards) | 3 | Number of shards = consensus groups. |
-/// | [`replicas`](StoreConfig::replicas) | 3 | Replicas per consensus group. |
-/// | [`routers`](StoreConfig::routers) | 2 | Router (coordinator) clients. |
-/// | [`txns_per_router`](StoreConfig::txns_per_router) | 3 | Cross-shard transactions each router issues. |
-/// | [`singles_per_router`](StoreConfig::singles_per_router) | 2 | Single-key ops each router issues. |
-/// | [`ranges_per_router`](StoreConfig::ranges_per_router) | 0 | Fan-out range scans each router issues (after txns/singles). |
-/// | [`keys_per_shard`](StoreConfig::keys_per_shard) | 4 | Workload key-pool size per shard. |
-/// | [`batch`](StoreConfig::batch) | unbatched | Batching/pipelining knob forwarded to every shard group. |
-/// | [`net`](StoreConfig::net) | LAN | Network profile of every shard group. |
-/// | [`buggy_early_writes`](StoreConfig::buggy_early_writes) | off | Inject the early-dissemination coordinator bug. |
-/// | [`durable`](StoreConfig::durable) | off | Durable shard storage: `(snapshot_threshold, disk model)`. |
-/// | [`backend`](StoreConfig::backend) | 2PC-over-consensus | Default commitment protocol for generated transactions. |
-/// | [`txn_backend`](StoreConfig::txn_backend) | — | Per-transaction backend override `(router, txn_number, backend)`. |
-/// | [`geo`](StoreConfig::geo) | off | WAN regions, shard placement, and the fast geo read path. |
-///
-/// `max_span` (default 3) has no builder: set the field directly. The
-/// master `seed` is [`StoreConfig::new`]'s argument.
-#[derive(Clone, Debug)]
-pub struct StoreConfig {
-    /// Number of shards = consensus groups.
-    pub n_shards: usize,
-    /// Replicas per consensus group.
-    pub replicas_per_shard: usize,
-    /// Number of router clients.
-    pub n_routers: usize,
-    /// Cross-shard transactions each router issues.
-    pub txns_per_router: usize,
-    /// Single-key operations each router issues.
-    pub singles_per_router: usize,
-    /// Range scans each router issues (after its txns/singles, so the
-    /// default of 0 leaves historical workloads bit-identical).
-    pub ranges_per_router: usize,
-    /// Maximum shards a generated transaction spans.
-    pub max_span: usize,
-    /// Data keys per shard in the workload pool.
-    pub keys_per_shard: usize,
-    /// Batching/pipelining knob forwarded to every shard group.
-    pub batch: BatchConfig,
-    /// Network profile of every shard group.
-    pub net: NetConfig,
-    /// Master seed; shard groups and routers derive their own.
-    pub seed: u64,
-    /// Inject the early-dissemination bug (see module docs).
-    pub buggy_early_writes: bool,
-    /// Durable shard storage: `(snapshot_threshold, disk model)`. When set,
-    /// every shard group that supports it persists its state through a
-    /// [`storage::StorageEngine`] — 2PC prepare/decision records become WAL
-    /// entries that are durable *before* the acks that release them, and
-    /// replica recovery is a real WAL-replay + snapshot-load. `None` keeps
-    /// the historical RAM-durability model.
-    pub durability: Option<(usize, DiskModel)>,
-    /// Commitment protocol generated transactions run (overridable
-    /// per-transaction via [`StoreConfig::txn_backend`]).
-    pub backend: CommitBackend,
-    /// Per-transaction backend overrides `(router, txn_number, backend)`,
-    /// applied to the generated workload at build time.
-    pub backend_overrides: Vec<(usize, u64, CommitBackend)>,
-    /// Geo deployment: WAN topology, shard placement, leases, and the
-    /// region-local fast read path. `None` keeps the single-datacenter
-    /// store bit-identical to its historical behavior.
-    pub geo: Option<GeoConfig>,
-}
-
-impl StoreConfig {
-    /// The canonical small store — 3 shards × 3 replicas, 2 routers — that
-    /// every builder method refines.
-    pub fn new(seed: u64) -> Self {
-        StoreConfig {
-            n_shards: 3,
-            replicas_per_shard: 3,
-            n_routers: 2,
-            txns_per_router: 3,
-            singles_per_router: 2,
-            ranges_per_router: 0,
-            max_span: 3,
-            keys_per_shard: 4,
-            batch: BatchConfig::unbatched(),
-            net: NetConfig::lan(),
-            seed,
-            buggy_early_writes: false,
-            durability: None,
-            backend: CommitBackend::TwoPhaseOverConsensus,
-            backend_overrides: Vec::new(),
-            geo: None,
-        }
-    }
-
-    /// A small default store (alias of [`StoreConfig::new`], kept for the
-    /// historical name).
-    pub fn small(seed: u64) -> Self {
-        Self::new(seed)
-    }
-
-    /// The same store with `n` shards.
-    #[must_use]
-    pub fn shards(mut self, n: usize) -> Self {
-        self.n_shards = n;
-        self
-    }
-
-    /// The same store with `n` replicas per shard.
-    #[must_use]
-    pub fn replicas(mut self, n: usize) -> Self {
-        self.replicas_per_shard = n;
-        self
-    }
-
-    /// The same store with `n` routers.
-    #[must_use]
-    pub fn routers(mut self, n: usize) -> Self {
-        self.n_routers = n;
-        self
-    }
-
-    /// The same store with `n` cross-shard transactions per router.
-    #[must_use]
-    pub fn txns_per_router(mut self, n: usize) -> Self {
-        self.txns_per_router = n;
-        self
-    }
-
-    /// The same store with `n` single-key operations per router.
-    #[must_use]
-    pub fn singles_per_router(mut self, n: usize) -> Self {
-        self.singles_per_router = n;
-        self
-    }
-
-    /// The same store with `n` range scans per router (issued after the
-    /// router's transactions and singles).
-    #[must_use]
-    pub fn ranges_per_router(mut self, n: usize) -> Self {
-        self.ranges_per_router = n;
-        self
-    }
-
-    /// The same store with a different workload key-pool size per shard.
-    #[must_use]
-    pub fn keys_per_shard(mut self, n: usize) -> Self {
-        self.keys_per_shard = n;
-        self
-    }
-
-    /// The same store with a batching/pipelining knob on every shard.
-    #[must_use]
-    pub fn batch(mut self, batch: BatchConfig) -> Self {
-        self.batch = batch;
-        self
-    }
-
-    /// The same store with a different network profile on every shard.
-    #[must_use]
-    pub fn net(mut self, net: NetConfig) -> Self {
-        self.net = net;
-        self
-    }
-
-    /// The same store with the early-dissemination coordinator bug
-    /// injected (see the module docs).
-    #[must_use]
-    pub fn buggy_early_writes(mut self, on: bool) -> Self {
-        self.buggy_early_writes = on;
-        self
-    }
-
-    /// The same store with durable shard storage enabled.
-    #[must_use]
-    pub fn durable(mut self, snapshot_threshold: usize, disk: DiskModel) -> Self {
-        self.durability = Some((snapshot_threshold, disk));
-        self
-    }
-
-    /// The same store with a different default commit backend.
-    #[must_use]
-    pub fn backend(mut self, backend: CommitBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// The same store with router `router`'s transaction number
-    /// `txn_number` running `backend` instead of the default. Panics at
-    /// build time if that transaction does not exist in the generated
-    /// workload.
-    #[must_use]
-    pub fn txn_backend(mut self, router: usize, txn_number: u64, backend: CommitBackend) -> Self {
-        self.backend_overrides.push((router, txn_number, backend));
-        self
-    }
-
-    /// The same store deployed across WAN regions: installs the topology
-    /// into every shard group's network, computes and serializes the shard
-    /// placement, homes router `r` in region `r mod n_regions`, and appends
-    /// each router's fast-path geo reads to its workload.
-    #[must_use]
-    pub fn geo(mut self, geo: GeoConfig) -> Self {
-        self.geo = Some(geo);
-        self
-    }
-}
-
-/// Where a router may be crashed relative to a transaction's lifecycle,
-/// mirroring `atomic_commit::three_phase::CrashPoint` one layer up.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RouterCrashPoint {
-    /// After the decision entry is initialized, before any prepare.
-    BeforePrepare,
-    /// After all prepare records are durable, before the decision CAS.
-    AfterPrepare,
-    /// After the commit decision is durable, before any data write.
-    AfterDecide,
-    /// Buggy mode only: after the early data writes are applied, before
-    /// the decision CAS is even submitted — the maximal-damage window of
-    /// the early-dissemination bug.
-    AfterEarlyWrites,
-}
-
-/// A completed transaction as the issuing router saw it.
-#[derive(Clone, Debug)]
-pub struct TxnOutcome {
-    /// Transaction id.
-    pub tid: TxnId,
-    /// Final decision.
-    pub decision: TxnDecision,
-    /// Number of shards the transaction spanned.
-    pub span: usize,
-    /// Completion time (µs).
-    pub at: u64,
-    /// Begin-to-outcome latency (µs).
-    pub latency_us: u64,
-}
-
-/// One generated workload item.
-#[derive(Clone, Debug)]
-enum WorkItem {
-    Single(KvCommand),
-    /// A key-interval scan, fanned out across every shard and merged.
-    Range {
-        start: String,
-        end: String,
-        limit: usize,
-    },
-    Txn {
-        writes: Vec<(String, String)>,
-        abort: bool,
-        backend: CommitBackend,
-    },
-    /// A fast-path linearizable read (geo stores only): tries the lease /
-    /// read-index path first, falls back to the log on NACK or silence.
-    GeoRead { key: String },
-}
-
-/// A completed merged range scan as the issuing router saw it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RangeOutcome {
-    /// Issuing router's client id.
-    pub client: u32,
-    /// Scan start key (inclusive).
-    pub start: String,
-    /// Scan end key (exclusive).
-    pub end: String,
-    /// Maximum entries requested.
-    pub limit: usize,
-    /// Merged result: per-shard scans concatenated, sorted by key, and
-    /// truncated to `limit` — the deterministic global top-`limit`.
-    pub entries: Vec<(String, String)>,
-    /// Completion time (µs).
-    pub at: u64,
-}
-
-/// A range scan's in-flight accumulator: per-shard partial results awaiting
-/// the merge.
-#[derive(Clone, Debug)]
-struct RangeAcc {
-    start: String,
-    end: String,
-    limit: usize,
-    entries: Vec<(String, String)>,
-}
-
-/// An in-flight geo fast read. One per router at a time (the router is a
-/// sequential client); the history invoke opened at issue time is closed by
-/// whichever path answers — fast reply or log fallback — never both.
-#[derive(Clone, Debug)]
-struct FastRead {
-    key: String,
-    shard: usize,
-    seq: u64,
-    /// Region of the replica the read was aimed at.
-    target_region: Option<usize>,
-    issued: u64,
-    last_sent: u64,
-    /// The fast path NACKed or went silent; the read now rides the log as
-    /// an ordinary pending op under the *same* `(client, seq)`.
-    fell_back: bool,
-    tc: Option<TraceCtx>,
-}
-
-/// An outstanding submission awaiting its reply.
-#[derive(Clone, Debug)]
-struct Pending {
-    shard: usize,
-    seq: u64,
-    op: KvCommand,
-    /// Last (re)transmission time — drives the retry clock.
-    sent: u64,
-    /// First submission time — the op's root-span start.
-    issued: u64,
-    /// Root trace context, when tracing is on.
-    tc: Option<TraceCtx>,
-}
-
-/// One completed harness-level operation: which trace to attribute, over
-/// what window, routed where. The raw material of the critical-path
-/// analyzer.
-#[derive(Clone, Debug)]
-pub struct OpRecord {
-    /// Issuing harness client id (router / recovery / audit).
-    pub client: u32,
-    /// Client sequence number.
-    pub seq: u64,
-    /// Shard the op was routed to.
-    pub shard: usize,
-    /// Trace id of the op's root span.
-    pub trace_id: u64,
-    /// First-submission time (µs).
-    pub started: u64,
-    /// Reply-observed time (µs).
-    pub finished: u64,
-    /// Short label, e.g. `cas:decision`.
-    pub label: String,
-}
-
-/// Classifies an op for span/record labels: verb plus the 2PC key class it
-/// touches (`intent`/`decision`/`prepare`), if any.
-fn op_label(op: &KvCommand) -> String {
-    let (verb, key) = match op {
-        KvCommand::Put { key, .. } => ("put", key),
-        KvCommand::Get { key } => ("get", key),
-        KvCommand::Delete { key } => ("del", key),
-        KvCommand::Cas { key, .. } => ("cas", key),
-        KvCommand::Range { start, .. } => ("range", start),
-    };
-    let class = if key.starts_with("~txn.") {
-        ":intent"
-    } else if key.starts_with("~dec.") {
-        ":decision"
-    } else if key.starts_with("~prep.") {
-        ":prepare"
-    } else if key.starts_with("~vote.") {
-        ":vote"
-    } else {
-        ""
-    };
-    format!("{verb}{class}")
-}
-
-/// Harness-side causal tracing: the site-0 tracer that mints per-operation
-/// root spans, plus the completed-op records. Disabled — and free — unless
-/// [`Store::enable_tracing`] ran.
-struct StoreTrace {
-    tracer: Tracer,
-    records: Vec<OpRecord>,
-}
-
-impl StoreTrace {
-    fn new() -> Self {
-        StoreTrace {
-            tracer: Tracer::new(),
-            records: Vec::new(),
-        }
-    }
-
-    /// Opens a root span for a submitted op and returns the context the
-    /// shard-level spans will chain under.
-    fn begin_op(&mut self, client: u32, seq: u64, op: &KvCommand, now: u64) -> Option<TraceCtx> {
-        if !self.tracer.is_enabled() {
-            return None;
-        }
-        let name = format!("{} c{client}.{seq}", op_label(op));
-        let id = self.tracer.record(0, 0, client, name, cat::OP, now, now);
-        self.tracer.retag_root(id);
-        Some(TraceCtx {
-            trace_id: id,
-            parent_span: 0,
-            span_id: id,
-        })
-    }
-
-    /// Closes the op's root span at reply time and records the op window.
-    fn finish_op(&mut self, p: &Pending, client: u32, now: u64) {
-        if let Some(tc) = p.tc {
-            self.tracer.close(tc.span_id, now);
-            self.records.push(OpRecord {
-                client,
-                seq: p.seq,
-                shard: p.shard,
-                trace_id: tc.trace_id,
-                started: p.issued,
-                finished: now,
-                label: op_label(&p.op),
-            });
-        }
-    }
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Phase {
-    Idle,
-    Single,
-    /// Range scan: per-shard sub-scans in flight, merge pending.
-    Range,
-    /// Geo fast read in flight (or its log fallback after a NACK/timeout).
-    GeoRead,
-    Intent,
-    Init,
-    Prepare,
-    /// Paxos Commit: vote registers being initialized to `pending`.
-    VoteInit,
-    /// Paxos Commit: per-participant vote CASes in flight.
-    Vote,
-    /// Buggy mode only: data writes in flight *before* the decision CAS.
-    EarlyWrite,
-    Decide,
-    ReadDecision,
-    Write,
-}
-
-#[derive(Clone, Debug)]
-struct ActiveTxn {
-    tid: TxnId,
-    writes: Vec<(String, String)>,
-    coord: usize,
-    participants: Vec<usize>,
-    backend: CommitBackend,
-    intend_abort: bool,
-    decided: Option<TxnDecision>,
-    /// What the plain decision put (non-CAS backends) will record once
-    /// acked.
-    planned: Option<TxnDecision>,
-    /// Paxos Commit: resolved vote per participant (`true` = prepared).
-    votes: Vec<Option<bool>>,
-    /// Remaining data writes per participant (parallel to `participants`).
-    queues: Vec<Vec<(String, String)>>,
-    /// Buggy mode: the data writes already applied before the decision.
-    wrote_early: bool,
-    started: u64,
-}
-
-struct Router {
-    idx: usize,
-    client: u32,
-    map: ShardMap,
-    /// Home region (always 0 on non-geo stores).
-    region: usize,
-    items: Vec<WorkItem>,
-    next_item: usize,
-    txn_counter: u64,
-    seq: u64,
-    phase: Phase,
-    txn: Option<ActiveTxn>,
-    range: Option<RangeAcc>,
-    ranges: Vec<RangeOutcome>,
-    fast_read: Option<FastRead>,
-    geo_reads: Vec<ReadOutcome>,
-    pending: Vec<Pending>,
-    crashed: Option<u64>,
-    crash_at: Option<u64>,
-    restart_at: Option<u64>,
-    crash_on: Option<(u64, RouterCrashPoint)>,
-    history: HistorySink,
-    txn_latencies: LatencyRecorder,
-    outcomes: Vec<TxnOutcome>,
-}
-
-impl Router {
-    fn bump(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
-    }
-
-    fn done(&self) -> bool {
-        self.phase == Phase::Idle && self.next_item >= self.items.len() && self.pending.is_empty()
-    }
-
-    fn should_crash(&self, point: RouterCrashPoint) -> bool {
-        match (self.crash_on, &self.txn) {
-            (Some((num, p)), Some(t)) => p == point && t.tid.number == num,
-            _ => false,
-        }
-    }
-}
-
-/// A crashed router's in-flight transaction, queued for recovery.
-#[derive(Clone, Debug)]
-struct Abandoned {
-    tid: TxnId,
-    coord: usize,
-    at: u64,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum RecPhase {
-    Idle,
-    Intent,
-    AbortCas,
-    GetDecision,
-    GetPrepare,
-    /// Paxos Commit: free-abort CAS on the current vote register.
-    VoteCas,
-    /// Paxos Commit: reading a vote register another coordinator resolved.
-    VoteGet,
-    /// Non-CAS backends: writing the derived decision record.
-    PutDecision,
-    Write,
-}
-
-struct RecTask {
-    tid: TxnId,
-    coord: usize,
-    backend: CommitBackend,
-    participants: Vec<usize>,
-    writes: Vec<(String, String)>,
-    prep_idx: usize,
-    /// Paxos Commit: index of the vote register being terminated.
-    vote_idx: usize,
-    /// Outcome derived from the vote registers (Paxos Commit).
-    decision: Option<TxnDecision>,
-    write_idx: usize,
-}
-
-struct Recovery {
-    seq: u64,
-    queue: Vec<Abandoned>,
-    phase: RecPhase,
-    task: Option<RecTask>,
-    pending: Vec<Pending>,
-    history: HistorySink,
-    recovered: Vec<(TxnId, TxnDecision)>,
-    /// Raw-2PC transactions recovery had to give up on: the coordinator
-    /// died holding the only copy of the open decision. These block
-    /// forever — the availability gap the replicated backends close.
-    stalled: Vec<TxnId>,
-}
-
-struct Audit {
-    seq: u64,
-    keys: Vec<(usize, String)>,
-    idx: usize,
-    started: bool,
-    pending: Vec<Pending>,
-    history: HistorySink,
-}
+use crate::workload::{generate_items, key_pool, WorkItem};
 
 /// The sharded transactional store.
 pub struct Store<E: ShardEngine> {
@@ -733,1346 +36,35 @@ pub struct Store<E: ShardEngine> {
     causal: StoreTrace,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn submit<E: ShardEngine>(
-    shards: &mut [E],
-    tr: &mut StoreTrace,
-    history: &mut HistorySink,
-    client: u32,
-    seq: u64,
-    shard: usize,
-    op: KvCommand,
-    now: u64,
-) -> Pending {
-    history.invoke(client, seq, op.clone(), now);
-    let tc = tr.begin_op(client, seq, &op, now);
-    shards[shard].submit_traced(
-        Command {
-            client,
-            seq,
-            op: op.clone(),
-        },
-        tc,
-    );
-    Pending {
-        shard,
-        seq,
-        op,
-        sent: now,
-        issued: now,
-        tc,
-    }
-}
-
-/// Polls outstanding ops: completes those with replies, retransmits stale
-/// ones. Returns the completed `(op, response)` pairs.
-fn poll<E: ShardEngine>(
-    shards: &mut [E],
-    tr: &mut StoreTrace,
-    history: &mut HistorySink,
-    client: u32,
-    pending: &mut Vec<Pending>,
-    now: u64,
-) -> Vec<(Pending, KvResponse)> {
-    let mut done = Vec::new();
-    let mut i = 0;
-    while i < pending.len() {
-        if let Some(resp) = shards[pending[i].shard].reply_for(client, pending[i].seq) {
-            history.complete(client, pending[i].seq, now, resp.clone());
-            let p = pending.remove(i);
-            tr.finish_op(&p, client, now);
-            done.push((p, resp));
-        } else {
-            let p = &mut pending[i];
-            if now.saturating_sub(p.sent) >= RETRY_US {
-                // Retransmissions continue the op's original trace.
-                shards[p.shard].submit_traced(
-                    Command {
-                        client,
-                        seq: p.seq,
-                        op: p.op.clone(),
-                    },
-                    p.tc,
-                );
-                p.sent = now;
-            }
-            i += 1;
-        }
-    }
-    done
-}
-
-fn crash_router(r: &mut Router, now: u64, trace: &mut Vec<String>, queue: &mut Vec<Abandoned>) {
-    r.crashed = Some(now);
-    r.pending.clear();
-    r.range = None;
-    r.fast_read = None;
-    if let Some(t) = r.txn.take() {
-        trace.push(format!(
-            "t={now} r{} crash mid-txn {} (to recovery)",
-            r.idx, t.tid
-        ));
-        queue.push(Abandoned {
-            tid: t.tid,
-            coord: t.coord,
-            at: now,
-        });
+/// Splits a global fault-node id into `Ok((shard, replica))` or
+/// `Err(router)`: all shard replicas come first, then the routers.
+fn split_node(cfg: &StoreConfig, global: u32) -> Result<(usize, usize), usize> {
+    let rps = cfg.replicas_per_shard as u32;
+    let n_replicas = cfg.n_shards as u32 * rps;
+    if global < n_replicas {
+        Ok(((global / rps) as usize, (global % rps) as usize))
     } else {
-        trace.push(format!("t={now} r{} crash", r.idx));
-    }
-    r.phase = Phase::Idle;
-}
-
-/// Splits `writes` into per-participant queues of *tagged* values, ordered
-/// like `participants`.
-fn tagged_queues(
-    map: &ShardMap,
-    writes: &[(String, String)],
-    participants: &[usize],
-    tid: TxnId,
-) -> Vec<Vec<(String, String)>> {
-    participants
-        .iter()
-        .map(|&s| {
-            writes
-                .iter()
-                .filter(|(k, _)| map.group_of(k) == s)
-                .map(|(k, v)| (k.clone(), txn::tag_value(v, tid)))
-                .collect()
-        })
-        .collect()
-}
-
-fn start_writes<E: ShardEngine>(r: &mut Router, shards: &mut [E], tr: &mut StoreTrace, now: u64) {
-    let t = r.txn.as_mut().expect("writes need an active txn");
-    if t.queues.iter().all(|q| q.is_empty()) {
-        return;
-    }
-    // One outstanding op per shard: submit the head of each queue.
-    let heads: Vec<(usize, (String, String))> = t
-        .queues
-        .iter_mut()
-        .zip(t.participants.clone())
-        .filter_map(|(q, s)| (!q.is_empty()).then(|| (s, q.remove(0))))
-        .collect();
-    for (s, (key, value)) in heads {
-        let seq = r.bump();
-        let op = KvCommand::Put { key, value };
-        r.pending
-            .push(submit(shards, tr, &mut r.history, r.client, seq, s, op, now));
+        Err((global - n_replicas) as usize)
     }
 }
 
-fn finish_txn(r: &mut Router, decision: TxnDecision, now: u64, trace: &mut Vec<String>) {
-    let t = r.txn.take().expect("finishing without an active txn");
-    let latency = now - t.started;
-    trace.push(format!(
-        "t={now} r{} {} phase={} decision={} span={}",
-        r.idx,
-        t.tid,
-        TxnPhase::Decide.label(),
-        decision.as_str(),
-        t.participants.len()
-    ));
-    r.txn_latencies.record_micros(latency);
-    r.outcomes.push(TxnOutcome {
-        tid: t.tid,
-        decision,
-        span: t.participants.len(),
-        at: now,
-        latency_us: latency,
-    });
-    r.phase = Phase::Idle;
-}
-
-/// Submits one prepare record per participant shard: the participant's yes
-/// vote *and* its redo log, shared by the consensus-2PC and raw-2PC
-/// backends.
-fn submit_prepares<E: ShardEngine>(
-    r: &mut Router,
+/// Splits each shard group into `side_a(shard)` and everyone else among its
+/// `n_nodes` replicas and stub clients. Shards where either side would be
+/// empty are untouched.
+fn partition_each<E: ShardEngine>(
     shards: &mut [E],
-    tr: &mut StoreTrace,
-    now: u64,
-    trace: &mut Vec<String>,
+    n_nodes: usize,
+    at: u64,
+    side_a: impl Fn(usize) -> Vec<NodeId>,
 ) {
-    let t = r.txn.as_ref().expect("prepares need an active txn");
-    let tid = t.tid;
-    let participants = t.participants.clone();
-    let prepares: Vec<(usize, String)> = participants
-        .iter()
-        .map(|&s| {
-            let writes: Vec<(String, String)> = t
-                .writes
-                .iter()
-                .filter(|(k, _)| r.map.group_of(k) == s)
-                .cloned()
-                .collect();
-            (s, txn::encode_writes(&writes))
-        })
-        .collect();
-    trace.push(format!(
-        "t={now} r{} {tid} phase={} shards={participants:?}",
-        r.idx,
-        TxnPhase::Prepare.label(),
-    ));
-    for (s, value) in prepares {
-        let seq = r.bump();
-        let op = KvCommand::Put {
-            key: txn::prepare_key(tid, s),
-            value,
-        };
-        r.pending
-            .push(submit(shards, tr, &mut r.history, r.client, seq, s, op, now));
-    }
-}
-
-fn start_next<E: ShardEngine>(
-    r: &mut Router,
-    shards: &mut [E],
-    tr: &mut StoreTrace,
-    now: u64,
-    trace: &mut Vec<String>,
-) {
-    if r.next_item >= r.items.len() {
-        return;
-    }
-    let item = r.items[r.next_item].clone();
-    r.next_item += 1;
-    match item {
-        WorkItem::Single(op) => {
-            let key = match &op {
-                KvCommand::Put { key, .. }
-                | KvCommand::Get { key }
-                | KvCommand::Delete { key }
-                | KvCommand::Cas { key, .. } => key.clone(),
-                // Scans span shards and are their own work item.
-                KvCommand::Range { .. } => unreachable!("ranges use WorkItem::Range"),
-            };
-            let shard = r.map.group_of(&key);
-            let seq = r.bump();
-            r.pending
-                .push(submit(shards, tr, &mut r.history, r.client, seq, shard, op, now));
-            r.phase = Phase::Single;
-        }
-        WorkItem::Range { start, end, limit } => {
-            // Hash partitioning scatters any key interval across every
-            // shard, so the scan fans out to all of them with the same
-            // limit: the global top-`limit` is always contained in the
-            // union of the per-shard top-`limit`s.
-            trace.push(format!(
-                "t={now} r{} range [{start},{end}) limit={limit} fanout={}",
-                r.idx,
-                shards.len()
-            ));
-            for shard in 0..shards.len() {
-                let seq = r.bump();
-                let op = KvCommand::Range {
-                    start: start.clone(),
-                    end: end.clone(),
-                    limit,
-                };
-                r.pending
-                    .push(submit(shards, tr, &mut r.history, r.client, seq, shard, op, now));
-            }
-            r.range = Some(RangeAcc {
-                start,
-                end,
-                limit,
-                entries: Vec::new(),
-            });
-            r.phase = Phase::Range;
-        }
-        WorkItem::Txn {
-            writes,
-            abort,
-            backend,
-        } => {
-            let tid = TxnId::new(r.client, r.txn_counter);
-            r.txn_counter += 1;
-            let coord = r.map.group_of(&writes[0].0);
-            let mut participants: Vec<usize> = writes.iter().map(|(k, _)| r.map.group_of(k)).collect();
-            participants.sort_unstable();
-            participants.dedup();
-            let span = participants.len();
-            // The default backend keeps the historical trace line (and
-            // therefore historical fingerprints) byte-identical.
-            let suffix = if backend == CommitBackend::TwoPhaseOverConsensus {
-                String::new()
-            } else {
-                format!(" backend={}", backend.tag())
-            };
-            trace.push(format!(
-                "t={now} r{} {tid} begin span={span} coord=s{coord}{suffix}",
-                r.idx
-            ));
-            let n_participants = participants.len();
-            r.txn = Some(ActiveTxn {
-                tid,
-                writes,
-                coord,
-                participants: participants.clone(),
-                backend,
-                intend_abort: abort,
-                decided: None,
-                planned: None,
-                votes: vec![None; n_participants],
-                queues: Vec::new(),
-                wrote_early: false,
-                started: now,
-            });
-            let seq = r.bump();
-            let op = KvCommand::Put {
-                key: intent_key(tid),
-                value: encode_intent(backend, &participants),
-            };
-            r.pending
-                .push(submit(shards, tr, &mut r.history, r.client, seq, coord, op, now));
-            r.phase = Phase::Intent;
-        }
-        WorkItem::GeoRead { key } => {
-            let shard = r.map.group_of(&key);
-            let seq = r.bump();
-            let target = shards[shard].read_target(r.region);
-            let target_region = shards[shard].replica_region(target);
-            let op = KvCommand::Get { key: key.clone() };
-            // One history invoke for the whole read: the fast reply or the
-            // log fallback completes it, never both.
-            r.history.invoke(r.client, seq, op.clone(), now);
-            let tc = tr.begin_op(r.client, seq, &op, now);
-            shards[shard].submit_read(r.client, seq, &key, target, r.region);
-            trace.push(format!(
-                "t={now} r{} georead {key} shard=s{shard} target={target} region={}",
-                r.idx, r.region
-            ));
-            r.fast_read = Some(FastRead {
-                key,
-                shard,
-                seq,
-                target_region,
-                issued: now,
-                last_sent: now,
-                fell_back: false,
-                tc,
-            });
-            r.phase = Phase::GeoRead;
-        }
-    }
-}
-
-/// Closes out a completed geo read: trace line, outcome record, root span.
-#[allow(clippy::too_many_arguments)]
-fn finish_geo_read(
-    r: &mut Router,
-    tr: &mut StoreTrace,
-    fr: FastRead,
-    mode: ReadMode,
-    value: Option<String>,
-    local: bool,
-    now: u64,
-    trace: &mut Vec<String>,
-) {
-    trace.push(format!(
-        "t={now} r{} georead {} -> mode={mode:?} local={local}",
-        r.idx, fr.key
-    ));
-    if mode != ReadMode::Log {
-        // The log fallback's root span was already closed by `poll`; the
-        // fast path closes it here.
-        tr.finish_op(
-            &Pending {
-                shard: fr.shard,
-                seq: fr.seq,
-                op: KvCommand::Get {
-                    key: fr.key.clone(),
-                },
-                sent: fr.last_sent,
-                issued: fr.issued,
-                tc: fr.tc,
-            },
-            r.client,
-            now,
-        );
-    }
-    r.geo_reads.push(ReadOutcome {
-        client: r.client,
-        key: fr.key,
-        shard: fr.shard,
-        region: r.region,
-        target_region: fr.target_region,
-        mode,
-        value,
-        at: now,
-        latency_us: now - fr.issued,
-        local,
-    });
-    r.phase = Phase::Idle;
-}
-
-#[allow(clippy::too_many_lines)]
-fn step_router<E: ShardEngine>(
-    r: &mut Router,
-    shards: &mut [E],
-    tr: &mut StoreTrace,
-    now: u64,
-    buggy: bool,
-    trace: &mut Vec<String>,
-    queue: &mut Vec<Abandoned>,
-) {
-    if let Some(t) = r.crash_at {
-        if now >= t && r.crashed.is_none() {
-            r.crash_at = None;
-            crash_router(r, now, trace, queue);
-        }
-    }
-    if let Some(t) = r.restart_at {
-        if now >= t {
-            r.restart_at = None;
-            if r.crashed.is_some() {
-                // The restarted router does not resume its in-flight
-                // transaction — that already belongs to recovery. It picks
-                // up the rest of its workload.
-                r.crashed = None;
-                r.txn = None;
-                r.pending.clear();
-                r.phase = Phase::Idle;
-                trace.push(format!("t={now} r{} restart", r.idx));
-            }
-        }
-    }
-    if r.crashed.is_some() {
-        return;
-    }
-
-    let done = poll(shards, tr, &mut r.history, r.client, &mut r.pending, now);
-
-    match r.phase {
-        Phase::Idle => start_next(r, shards, tr, now, trace),
-        Phase::Single => {
-            if !done.is_empty() {
-                r.phase = Phase::Idle;
-            }
-        }
-        Phase::Range => {
-            for (_, resp) in &done {
-                if let KvResponse::Entries(entries) = resp {
-                    let acc = r.range.as_mut().expect("range phase has an accumulator");
-                    acc.entries.extend(entries.iter().cloned());
-                }
-            }
-            if r.pending.is_empty() {
-                let acc = r.range.take().expect("range phase has an accumulator");
-                // Shards own disjoint key sets, so a plain sort is a
-                // duplicate-free merge; the global result is its first
-                // `limit` keys.
-                let mut merged = acc.entries;
-                merged.sort();
-                merged.truncate(acc.limit);
-                trace.push(format!(
-                    "t={now} r{} range [{},{}) -> {} entries",
-                    r.idx,
-                    acc.start,
-                    acc.end,
-                    merged.len()
-                ));
-                r.ranges.push(RangeOutcome {
-                    client: r.client,
-                    start: acc.start,
-                    end: acc.end,
-                    limit: acc.limit,
-                    entries: merged,
-                    at: now,
-                });
-                r.phase = Phase::Idle;
-            }
-        }
-        Phase::GeoRead => {
-            let fr = r.fast_read.as_ref().expect("geo-read phase has a read");
-            if fr.fell_back {
-                // The read rides the log as an ordinary pending op; `poll`
-                // already completed the history when the reply landed.
-                if let Some((_, resp)) = done.into_iter().find(|(p, _)| p.seq == fr.seq) {
-                    let fr = r.fast_read.take().expect("geo-read phase has a read");
-                    let value = match resp {
-                        KvResponse::Value(v) => v,
-                        _ => None,
-                    };
-                    finish_geo_read(r, tr, fr, ReadMode::Log, value, false, now, trace);
-                }
-            } else {
-                match shards[fr.shard].read_reply(r.client, fr.seq) {
-                    Some((value, mode)) if mode != ReadMode::Nack => {
-                        let fr = r.fast_read.take().expect("geo-read phase has a read");
-                        r.history.complete(
-                            r.client,
-                            fr.seq,
-                            now,
-                            KvResponse::Value(value.clone()),
-                        );
-                        let local = fr.target_region == Some(r.region);
-                        finish_geo_read(r, tr, fr, mode, value, local, now, trace);
-                    }
-                    reply => {
-                        let nacked = reply.is_some();
-                        let timed_out = now.saturating_sub(fr.issued) >= GEO_READ_TIMEOUT_US;
-                        let fr = r.fast_read.as_mut().expect("geo-read phase has a read");
-                        if nacked || timed_out {
-                            // Fall back to the log under the same
-                            // `(client, seq)`: no second history invoke, so
-                            // the checker sees one read however it is served.
-                            fr.fell_back = true;
-                            fr.last_sent = now;
-                            let op = KvCommand::Get { key: fr.key.clone() };
-                            shards[fr.shard].submit_traced(
-                                Command {
-                                    client: r.client,
-                                    seq: fr.seq,
-                                    op: op.clone(),
-                                },
-                                fr.tc,
-                            );
-                            r.pending.push(Pending {
-                                shard: fr.shard,
-                                seq: fr.seq,
-                                op,
-                                sent: now,
-                                issued: fr.issued,
-                                tc: fr.tc,
-                            });
-                        } else if now.saturating_sub(fr.last_sent) >= RETRY_US {
-                            // Retransmit, re-resolving the target: leadership
-                            // may have moved since the first attempt.
-                            fr.last_sent = now;
-                            let (key, shard, seq) = (fr.key.clone(), fr.shard, fr.seq);
-                            let target = shards[shard].read_target(r.region);
-                            fr.target_region = shards[shard].replica_region(target);
-                            shards[shard].submit_read(r.client, seq, &key, target, r.region);
-                        }
-                    }
-                }
-            }
-        }
-        Phase::Intent => {
-            if !done.is_empty() {
-                let t = r.txn.as_ref().expect("intent phase has a txn");
-                let (tid, coord, backend) = (t.tid, t.coord, t.backend);
-                let participants = t.participants.clone();
-                match backend {
-                    CommitBackend::TwoPhaseOverConsensus => {
-                        let seq = r.bump();
-                        let op = KvCommand::Put {
-                            key: txn::decision_key(tid),
-                            value: txn::DECISION_PENDING.to_string(),
-                        };
-                        r.pending
-                            .push(submit(shards, tr, &mut r.history, r.client, seq, coord, op, now));
-                        r.phase = Phase::Init;
-                    }
-                    CommitBackend::TwoPhase => {
-                        // Raw 2PC has no replicated pending-init: the open
-                        // decision lives only in this router process.
-                        if r.should_crash(RouterCrashPoint::BeforePrepare) {
-                            crash_router(r, now, trace, queue);
-                            return;
-                        }
-                        submit_prepares(r, shards, tr, now, trace);
-                        r.phase = Phase::Prepare;
-                    }
-                    CommitBackend::PaxosCommit => {
-                        // One vote register per participant, initialized to
-                        // `pending` in that participant's own shard log —
-                        // one Paxos instance per vote.
-                        for &s in &participants {
-                            let seq = r.bump();
-                            let op = KvCommand::Put {
-                                key: txn::vote_key(tid, s),
-                                value: txn::VOTE_PENDING.to_string(),
-                            };
-                            r.pending
-                                .push(submit(shards, tr, &mut r.history, r.client, seq, s, op, now));
-                        }
-                        r.phase = Phase::VoteInit;
-                    }
-                }
-            }
-        }
-        Phase::Init => {
-            if !done.is_empty() {
-                if r.should_crash(RouterCrashPoint::BeforePrepare) {
-                    crash_router(r, now, trace, queue);
-                    return;
-                }
-                submit_prepares(r, shards, tr, now, trace);
-                r.phase = Phase::Prepare;
-            }
-        }
-        Phase::VoteInit => {
-            if r.pending.is_empty() {
-                if r.should_crash(RouterCrashPoint::BeforePrepare) {
-                    crash_router(r, now, trace, queue);
-                    return;
-                }
-                let t = r.txn.as_ref().expect("vote-init phase has a txn");
-                let tid = t.tid;
-                let participants = t.participants.clone();
-                let intend_abort = t.intend_abort;
-                trace.push(format!(
-                    "t={now} r{} {tid} phase=vote shards={participants:?}",
-                    r.idx,
-                ));
-                // Cast each participant's vote: a CAS the shard log
-                // serializes against any recovery free-abort. Prepared
-                // votes carry the shard-local write-set (the redo log).
-                let votes: Vec<(usize, String)> = participants
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &s)| {
-                        let value = if intend_abort && i == 0 {
-                            txn::VOTE_ABORTED.to_string()
-                        } else {
-                            let writes: Vec<(String, String)> = r
-                                .txn
-                                .as_ref()
-                                .expect("vote-init phase has a txn")
-                                .writes
-                                .iter()
-                                .filter(|(k, _)| r.map.group_of(k) == s)
-                                .cloned()
-                                .collect();
-                            txn::vote_prepared(&writes)
-                        };
-                        (s, value)
-                    })
-                    .collect();
-                for (s, value) in votes {
-                    let seq = r.bump();
-                    let op = KvCommand::Cas {
-                        key: txn::vote_key(tid, s),
-                        expect: txn::VOTE_PENDING.to_string(),
-                        new: value,
-                    };
-                    r.pending
-                        .push(submit(shards, tr, &mut r.history, r.client, seq, s, op, now));
-                }
-                r.phase = Phase::Vote;
-            }
-        }
-        Phase::Vote => {
-            for (p, resp) in &done {
-                let t = r.txn.as_mut().expect("vote phase has a txn");
-                let (key, outcome) = match (&p.op, resp) {
-                    (KvCommand::Cas { key, new, .. }, KvResponse::CasResult { swapped: true }) => {
-                        (key, txn::parse_vote(new).map(|v| v.is_some()))
-                    }
-                    (KvCommand::Cas { key, .. }, KvResponse::CasResult { swapped: false }) => {
-                        // Someone else (recovery's free abort) resolved this
-                        // register first; learn the chosen value from the log.
-                        (key, None)
-                    }
-                    (KvCommand::Get { key }, KvResponse::Value(Some(v))) => {
-                        (key, txn::parse_vote(v).map(|w| w.is_some()))
-                    }
-                    _ => continue,
-                };
-                let Some((_, shard)) = txn::parse_vote_key(key) else {
-                    continue;
-                };
-                let Some(i) = t.participants.iter().position(|&s| s == shard) else {
-                    continue;
-                };
-                match outcome {
-                    Some(prepared) => t.votes[i] = Some(prepared),
-                    None => {
-                        // Register resolved by another coordinator (or still
-                        // unparsed): read it.
-                        let tid = t.tid;
-                        let seq = r.bump();
-                        let op = KvCommand::Get {
-                            key: txn::vote_key(tid, shard),
-                        };
-                        r.pending
-                            .push(submit(shards, tr, &mut r.history, r.client, seq, shard, op, now));
-                    }
-                }
-            }
-            let t = r.txn.as_ref().expect("vote phase has a txn");
-            if r.pending.is_empty() && t.votes.iter().all(Option::is_some) {
-                if r.should_crash(RouterCrashPoint::AfterPrepare) {
-                    crash_router(r, now, trace, queue);
-                    return;
-                }
-                let all_prepared = t.votes.iter().all(|v| *v == Some(true));
-                let decision = if all_prepared {
-                    TxnDecision::Commit
-                } else {
-                    TxnDecision::Abort
-                };
-                let (tid, coord) = (t.tid, t.coord);
-                let t = r.txn.as_mut().expect("vote phase has a txn");
-                t.planned = Some(decision);
-                // The commit point already happened — it is the log-ordered
-                // resolution of the vote registers. The decision record is
-                // derived state any coordinator re-computes identically.
-                let seq = r.bump();
-                let op = KvCommand::Put {
-                    key: txn::decision_key(tid),
-                    value: decision.as_str().to_string(),
-                };
-                r.pending
-                    .push(submit(shards, tr, &mut r.history, r.client, seq, coord, op, now));
-                r.phase = Phase::Decide;
-            }
-        }
-        Phase::Prepare => {
-            if r.pending.is_empty() {
-                if r.should_crash(RouterCrashPoint::AfterPrepare) {
-                    crash_router(r, now, trace, queue);
-                    return;
-                }
-                let t = r.txn.as_mut().expect("prepare phase has a txn");
-                let tid = t.tid;
-                let coord = t.coord;
-                let decision = if t.intend_abort {
-                    TxnDecision::Abort
-                } else {
-                    TxnDecision::Commit
-                };
-                if buggy && decision == TxnDecision::Commit {
-                    // BUG (opt-in): disseminate the data writes *now*, before
-                    // the decision entry is replicated. Until the CAS lands,
-                    // the txn is still formally undecided — a router crash in
-                    // this window lets recovery's abort-CAS win while the
-                    // "committed" writes are already visible.
-                    t.queues = tagged_queues(&r.map, &t.writes, &t.participants, tid);
-                    start_writes(r, shards, tr, now);
-                    r.phase = Phase::EarlyWrite;
-                    return;
-                }
-                let backend = t.backend;
-                if backend == CommitBackend::TwoPhase {
-                    t.planned = Some(decision);
-                }
-                let seq = r.bump();
-                let op = if backend == CommitBackend::TwoPhase {
-                    // Raw 2PC: the decision is a plain record. Until this
-                    // put is durable, the outcome exists only in this
-                    // process — the classic blocking window.
-                    KvCommand::Put {
-                        key: txn::decision_key(tid),
-                        value: decision.as_str().to_string(),
-                    }
-                } else {
-                    KvCommand::Cas {
-                        key: txn::decision_key(tid),
-                        expect: txn::DECISION_PENDING.to_string(),
-                        new: decision.as_str().to_string(),
-                    }
-                };
-                r.pending
-                    .push(submit(shards, tr, &mut r.history, r.client, seq, coord, op, now));
-                r.phase = Phase::Decide;
-            }
-        }
-        Phase::EarlyWrite => {
-            for (p, _) in &done {
-                let t = r.txn.as_mut().expect("early-write phase has a txn");
-                if let Some(i) = t.participants.iter().position(|&s| s == p.shard) {
-                    if let Some((key, value)) =
-                        (!t.queues[i].is_empty()).then(|| t.queues[i].remove(0))
-                    {
-                        let seq = r.bump();
-                        let op = KvCommand::Put { key, value };
-                        r.pending
-                            .push(submit(shards, tr, &mut r.history, r.client, seq, p.shard, op, now));
-                    }
-                }
-            }
-            let t = r.txn.as_mut().expect("early-write phase has a txn");
-            if r.pending.is_empty() && t.queues.iter().all(Vec::is_empty) {
-                t.wrote_early = true;
-                let (tid, coord) = (t.tid, t.coord);
-                if r.should_crash(RouterCrashPoint::AfterEarlyWrites) {
-                    crash_router(r, now, trace, queue);
-                    return;
-                }
-                let seq = r.bump();
-                let op = KvCommand::Cas {
-                    key: txn::decision_key(tid),
-                    expect: txn::DECISION_PENDING.to_string(),
-                    new: TxnDecision::Commit.as_str().to_string(),
-                };
-                r.pending
-                    .push(submit(shards, tr, &mut r.history, r.client, seq, coord, op, now));
-                r.phase = Phase::Decide;
-            }
-        }
-        Phase::Decide => {
-            let mut read_decision = false;
-            for (p, resp) in &done {
-                match (&p.op, resp) {
-                    (KvCommand::Cas { key, .. }, KvResponse::CasResult { swapped })
-                        if txn::parse_decision_key(key).is_some() =>
-                    {
-                        let t = r.txn.as_mut().expect("decide phase has a txn");
-                        if *swapped {
-                            t.decided = Some(if t.intend_abort {
-                                TxnDecision::Abort
-                            } else {
-                                TxnDecision::Commit
-                            });
-                        } else {
-                            // Someone else (recovery) resolved the decision
-                            // first; learn it from the log.
-                            read_decision = true;
-                        }
-                    }
-                    (KvCommand::Put { key, .. }, KvResponse::Ok)
-                        if txn::parse_decision_key(key).is_some() =>
-                    {
-                        // Non-CAS backends: the planned decision record is
-                        // durable.
-                        let t = r.txn.as_mut().expect("decide phase has a txn");
-                        t.decided = t.planned;
-                    }
-                    _ => {}
-                }
-            }
-            if read_decision {
-                let t = r.txn.as_ref().expect("decide phase has a txn");
-                let (tid, coord) = (t.tid, t.coord);
-                let seq = r.bump();
-                let op = KvCommand::Get {
-                    key: txn::decision_key(tid),
-                };
-                r.pending
-                    .push(submit(shards, tr, &mut r.history, r.client, seq, coord, op, now));
-                r.phase = Phase::ReadDecision;
-                return;
-            }
-            let decided = r.txn.as_ref().expect("decide phase has a txn").decided;
-            match decided {
-                Some(TxnDecision::Abort) if r.pending.is_empty() => {
-                    finish_txn(r, TxnDecision::Abort, now, trace);
-                }
-                Some(TxnDecision::Commit) => {
-                    if r.should_crash(RouterCrashPoint::AfterDecide) {
-                        crash_router(r, now, trace, queue);
-                        return;
-                    }
-                    let t = r.txn.as_mut().expect("decide phase has a txn");
-                    if !t.wrote_early {
-                        t.queues = tagged_queues(&r.map, &t.writes, &t.participants, t.tid);
-                        start_writes(r, shards, tr, now);
-                    }
-                    r.phase = Phase::Write;
-                }
-                // Abort with replies still outstanding, or undecided: wait.
-                Some(TxnDecision::Abort) | None => {}
-            }
-        }
-        Phase::ReadDecision => {
-            if let Some((p, resp)) = done.into_iter().next() {
-                let t = r.txn.as_mut().expect("read-decision phase has a txn");
-                match resp {
-                    KvResponse::Value(Some(v)) => match TxnDecision::parse(&v) {
-                        Some(TxnDecision::Commit) => {
-                            t.decided = Some(TxnDecision::Commit);
-                            if !t.wrote_early {
-                                t.queues =
-                                    tagged_queues(&r.map, &t.writes, &t.participants, t.tid);
-                            }
-                            start_writes(r, shards, tr, now);
-                            r.phase = Phase::Write;
-                        }
-                        Some(TxnDecision::Abort) => {
-                            t.decided = Some(TxnDecision::Abort);
-                            finish_txn(r, TxnDecision::Abort, now, trace);
-                        }
-                        None => {
-                            // Still pending (only possible transiently);
-                            // re-read.
-                            let seq = r.bump();
-                            r.pending.push(submit(shards, tr, &mut r.history,
-                                r.client,
-                                seq,
-                                p.shard,
-                                p.op.clone(),
-                                now,
-                            ));
-                        }
-                    },
-                    _ => {
-                        let seq = r.bump();
-                        r.pending.push(submit(shards, tr, &mut r.history,
-                            r.client,
-                            seq,
-                            p.shard,
-                            p.op.clone(),
-                            now,
-                        ));
-                    }
-                }
-            }
-        }
-        Phase::Write => {
-            for (p, _) in &done {
-                let t = r.txn.as_mut().expect("write phase has a txn");
-                if let Some(i) = t.participants.iter().position(|&s| s == p.shard) {
-                    if let Some((key, value)) =
-                        (!t.queues[i].is_empty()).then(|| t.queues[i].remove(0))
-                    {
-                        let seq = r.bump();
-                        let op = KvCommand::Put { key, value };
-                        r.pending
-                            .push(submit(shards, tr, &mut r.history, r.client, seq, p.shard, op, now));
-                    }
-                }
-            }
-            let t = r.txn.as_ref().expect("write phase has a txn");
-            if r.pending.is_empty() && t.queues.iter().all(|q| q.is_empty()) {
-                finish_txn(r, TxnDecision::Commit, now, trace);
-            }
-        }
-    }
-}
-
-fn finish_recovery(
-    rec: &mut Recovery,
-    decision: TxnDecision,
-    now: u64,
-    trace: &mut Vec<String>,
-) {
-    let task = rec.task.take().expect("finishing without a task");
-    trace.push(format!(
-        "t={now} recovery {} phase={} decision={}",
-        task.tid,
-        TxnPhase::Decide.label(),
-        decision.as_str()
-    ));
-    rec.recovered.push((task.tid, decision));
-    rec.phase = RecPhase::Idle;
-}
-
-/// Gives up on a raw-2PC transaction whose only decision copy died with
-/// its coordinator: there is nothing in any log that can resolve it.
-fn stall_recovery(rec: &mut Recovery, now: u64, trace: &mut Vec<String>) {
-    let task = rec.task.take().expect("stalling without a task");
-    trace.push(format!(
-        "t={now} recovery {} stalled (no durable decision; raw 2pc blocks)",
-        task.tid
-    ));
-    rec.stalled.push(task.tid);
-    rec.phase = RecPhase::Idle;
-}
-
-/// Records the outcome recovery derived from the vote registers and makes
-/// it durable as a plain decision record. Every coordinator derives the
-/// same outcome from the same (immutable once resolved) registers, so
-/// concurrent writers always write the same value.
-fn rec_put_decision<E: ShardEngine>(
-    rec: &mut Recovery,
-    shards: &mut [E],
-    tr: &mut StoreTrace,
-    decision: TxnDecision,
-    now: u64,
-) {
-    let task = rec.task.as_mut().expect("deriving a decision needs a task");
-    task.decision = Some(decision);
-    let (tid, coord) = (task.tid, task.coord);
-    rec.seq += 1;
-    let op = KvCommand::Put {
-        key: txn::decision_key(tid),
-        value: decision.as_str().to_string(),
-    };
-    rec.pending.push(submit(shards, tr, &mut rec.history,
-        RECOVERY_CLIENT,
-        rec.seq,
-        coord,
-        op,
-        now,
-    ));
-    rec.phase = RecPhase::PutDecision;
-}
-
-fn step_recovery<E: ShardEngine>(
-    rec: &mut Recovery,
-    shards: &mut [E],
-    tr: &mut StoreTrace,
-    map: &ShardMap,
-    now: u64,
-    trace: &mut Vec<String>,
-) {
-    let done = poll(shards, tr, &mut rec.history, RECOVERY_CLIENT, &mut rec.pending, now);
-    let mut resubmit: Option<(usize, KvCommand)> = None;
-
-    match rec.phase {
-        RecPhase::Idle => {
-            if let Some(pos) = rec
-                .queue
-                .iter()
-                .position(|a| now >= a.at + RECOVERY_DELAY_US)
-            {
-                let a = rec.queue.remove(pos);
-                trace.push(format!("t={now} recovery {} claim", a.tid));
-                rec.task = Some(RecTask {
-                    tid: a.tid,
-                    coord: a.coord,
-                    backend: CommitBackend::TwoPhaseOverConsensus,
-                    participants: Vec::new(),
-                    writes: Vec::new(),
-                    prep_idx: 0,
-                    vote_idx: 0,
-                    decision: None,
-                    write_idx: 0,
-                });
-                rec.seq += 1;
-                let op = KvCommand::Get {
-                    key: intent_key(a.tid),
-                };
-                rec.pending.push(submit(shards, tr, &mut rec.history,
-                    RECOVERY_CLIENT,
-                    rec.seq,
-                    a.coord,
-                    op,
-                    now,
-                ));
-                rec.phase = RecPhase::Intent;
-            }
-        }
-        RecPhase::Intent => {
-            if let Some((_, resp)) = done.into_iter().next() {
-                match resp {
-                    KvResponse::Value(Some(v)) => {
-                        let task = rec.task.as_mut().expect("intent phase has a task");
-                        let (backend, participants) = decode_intent(&v);
-                        task.backend = backend;
-                        task.participants = participants;
-                        let (tid, coord) = (task.tid, task.coord);
-                        let first = task.participants.first().copied();
-                        rec.seq += 1;
-                        match backend {
-                            CommitBackend::TwoPhaseOverConsensus => {
-                                let op = KvCommand::Cas {
-                                    key: txn::decision_key(tid),
-                                    expect: txn::DECISION_PENDING.to_string(),
-                                    new: TxnDecision::Abort.as_str().to_string(),
-                                };
-                                rec.pending.push(submit(shards, tr, &mut rec.history,
-                                    RECOVERY_CLIENT,
-                                    rec.seq,
-                                    coord,
-                                    op,
-                                    now,
-                                ));
-                                rec.phase = RecPhase::AbortCas;
-                            }
-                            CommitBackend::TwoPhase => {
-                                // Raw 2PC leaves nothing to force: either a
-                                // decision record survived or the
-                                // transaction is stuck.
-                                let op = KvCommand::Get {
-                                    key: txn::decision_key(tid),
-                                };
-                                rec.pending.push(submit(shards, tr, &mut rec.history,
-                                    RECOVERY_CLIENT,
-                                    rec.seq,
-                                    coord,
-                                    op,
-                                    now,
-                                ));
-                                rec.phase = RecPhase::GetDecision;
-                            }
-                            CommitBackend::PaxosCommit => {
-                                // Gray–Lamport termination: walk the vote
-                                // registers, free-aborting any that is
-                                // still open. The shard log serializes the
-                                // race with the (possibly in-flight) vote.
-                                let shard =
-                                    first.expect("paxos-commit intent has participants");
-                                let op = KvCommand::Cas {
-                                    key: txn::vote_key(tid, shard),
-                                    expect: txn::VOTE_PENDING.to_string(),
-                                    new: txn::VOTE_ABORTED.to_string(),
-                                };
-                                rec.pending.push(submit(shards, tr, &mut rec.history,
-                                    RECOVERY_CLIENT,
-                                    rec.seq,
-                                    shard,
-                                    op,
-                                    now,
-                                ));
-                                rec.phase = RecPhase::VoteCas;
-                            }
-                        }
-                    }
-                    _ => {
-                        // The intent never became durable: the transaction
-                        // registered nothing, so nothing can ever commit.
-                        finish_recovery(rec, TxnDecision::Abort, now, trace);
-                    }
-                }
-            }
-        }
-        RecPhase::AbortCas => {
-            if let Some((_, resp)) = done.into_iter().next() {
-                if resp == (KvResponse::CasResult { swapped: true }) {
-                    // We closed the decision: abort is durable, and the
-                    // router (sound) never wrote data without a durable
-                    // commit — nothing to undo.
-                    finish_recovery(rec, TxnDecision::Abort, now, trace);
-                } else {
-                    let task = rec.task.as_ref().expect("abort-cas phase has a task");
-                    let (tid, coord) = (task.tid, task.coord);
-                    rec.seq += 1;
-                    let op = KvCommand::Get {
-                        key: txn::decision_key(tid),
-                    };
-                    rec.pending.push(submit(shards, tr, &mut rec.history,
-                        RECOVERY_CLIENT,
-                        rec.seq,
-                        coord,
-                        op,
-                        now,
-                    ));
-                    rec.phase = RecPhase::GetDecision;
-                }
-            }
-        }
-        RecPhase::GetDecision => {
-            if let Some((_, resp)) = done.into_iter().next() {
-                let task = rec.task.as_ref().expect("get-decision phase has a task");
-                let (tid, coord, backend) = (task.tid, task.coord, task.backend);
-                match resp {
-                    KvResponse::Value(Some(v)) => match TxnDecision::parse(&v) {
-                        Some(TxnDecision::Commit) => {
-                            let shard = task.participants[0];
-                            rec.seq += 1;
-                            let op = KvCommand::Get {
-                                key: txn::prepare_key(tid, shard),
-                            };
-                            rec.pending.push(submit(shards, tr, &mut rec.history,
-                                RECOVERY_CLIENT,
-                                rec.seq,
-                                shard,
-                                op,
-                                now,
-                            ));
-                            rec.phase = RecPhase::GetPrepare;
-                        }
-                        Some(TxnDecision::Abort) => {
-                            finish_recovery(rec, TxnDecision::Abort, now, trace);
-                        }
-                        None => {
-                            if backend == CommitBackend::TwoPhase {
-                                // Unresolvable garbage — nothing to force.
-                                stall_recovery(rec, now, trace);
-                                return;
-                            }
-                            // Back to pending is impossible, but an
-                            // interleaved init can surface it transiently:
-                            // retry the abort CAS.
-                            rec.seq += 1;
-                            let op = KvCommand::Cas {
-                                key: txn::decision_key(tid),
-                                expect: txn::DECISION_PENDING.to_string(),
-                                new: TxnDecision::Abort.as_str().to_string(),
-                            };
-                            rec.pending.push(submit(shards, tr, &mut rec.history,
-                                RECOVERY_CLIENT,
-                                rec.seq,
-                                coord,
-                                op,
-                                now,
-                            ));
-                            rec.phase = RecPhase::AbortCas;
-                        }
-                    },
-                    _ => {
-                        if backend == CommitBackend::TwoPhase {
-                            // No durable decision anywhere: the only copy
-                            // died with the coordinator process. Blocked.
-                            stall_recovery(rec, now, trace);
-                            return;
-                        }
-                        // Decision key absent: the init write never became
-                        // durable, so no commit CAS can ever succeed.
-                        finish_recovery(rec, TxnDecision::Abort, now, trace);
-                    }
-                }
-            }
-        }
-        RecPhase::VoteCas => {
-            if let Some((_, resp)) = done.into_iter().next() {
-                let task = rec.task.as_ref().expect("vote-cas phase has a task");
-                let (tid, shard) = (task.tid, task.participants[task.vote_idx]);
-                if resp == (KvResponse::CasResult { swapped: true }) {
-                    // We closed this vote register as aborted; the whole
-                    // transaction aborts, and the (durable) register makes
-                    // every future coordinator agree.
-                    rec_put_decision(rec, shards, tr, TxnDecision::Abort, now);
-                } else {
-                    // The register was already resolved (vote or free
-                    // abort); learn the chosen value from the log.
-                    rec.seq += 1;
-                    let op = KvCommand::Get {
-                        key: txn::vote_key(tid, shard),
-                    };
-                    rec.pending.push(submit(shards, tr, &mut rec.history,
-                        RECOVERY_CLIENT,
-                        rec.seq,
-                        shard,
-                        op,
-                        now,
-                    ));
-                    rec.phase = RecPhase::VoteGet;
-                }
-            }
-        }
-        RecPhase::VoteGet => {
-            if let Some((p, resp)) = done.into_iter().next() {
-                match resp {
-                    KvResponse::Value(Some(v)) => match txn::parse_vote(&v) {
-                        Some(Some(writes)) => {
-                            // Prepared: harvest the shard-local redo log and
-                            // terminate the next register.
-                            let task = rec.task.as_mut().expect("vote-get phase has a task");
-                            let tid = task.tid;
-                            for (k, val) in writes {
-                                task.writes.push((k, txn::tag_value(&val, tid)));
-                            }
-                            task.vote_idx += 1;
-                            if task.vote_idx < task.participants.len() {
-                                let shard = task.participants[task.vote_idx];
-                                rec.seq += 1;
-                                let op = KvCommand::Cas {
-                                    key: txn::vote_key(tid, shard),
-                                    expect: txn::VOTE_PENDING.to_string(),
-                                    new: txn::VOTE_ABORTED.to_string(),
-                                };
-                                rec.pending.push(submit(shards, tr, &mut rec.history,
-                                    RECOVERY_CLIENT,
-                                    rec.seq,
-                                    shard,
-                                    op,
-                                    now,
-                                ));
-                                rec.phase = RecPhase::VoteCas;
-                            } else {
-                                // Every register resolved prepared: the
-                                // transaction had already passed its commit
-                                // point when the coordinator died. Commit it.
-                                rec_put_decision(rec, shards, tr, TxnDecision::Commit, now);
-                            }
-                        }
-                        Some(None) => {
-                            rec_put_decision(rec, shards, tr, TxnDecision::Abort, now);
-                        }
-                        None => {
-                            // Transiently pending/garbage: re-read.
-                            resubmit = Some((p.shard, p.op.clone()));
-                        }
-                    },
-                    KvResponse::Value(None) => {
-                        // The register was never initialized durably — the
-                        // coordinator died before the vote phase and no vote
-                        // can ever be cast. Free abort.
-                        rec_put_decision(rec, shards, tr, TxnDecision::Abort, now);
-                    }
-                    _ => {
-                        resubmit = Some((p.shard, p.op.clone()));
-                    }
-                }
-            }
-        }
-        RecPhase::PutDecision => {
-            if let Some((_, resp)) = done.into_iter().next() {
-                if resp == KvResponse::Ok {
-                    let task = rec.task.as_mut().expect("put-decision phase has a task");
-                    let decision = task.decision.expect("put-decision has an outcome");
-                    if decision == TxnDecision::Commit && !task.writes.is_empty() {
-                        rec.phase = RecPhase::Write;
-                    } else {
-                        finish_recovery(rec, decision, now, trace);
-                    }
-                }
-            }
-        }
-        RecPhase::GetPrepare => {
-            if let Some((p, resp)) = done.into_iter().next() {
-                let task = rec.task.as_mut().expect("get-prepare phase has a task");
-                match resp {
-                    KvResponse::Value(Some(v)) => {
-                        let tid = task.tid;
-                        for (k, val) in txn::decode_writes(&v) {
-                            task.writes.push((k, txn::tag_value(&val, tid)));
-                        }
-                        task.prep_idx += 1;
-                        if task.prep_idx < task.participants.len() {
-                            let shard = task.participants[task.prep_idx];
-                            rec.seq += 1;
-                            let op = KvCommand::Get {
-                                key: txn::prepare_key(tid, shard),
-                            };
-                            rec.pending.push(submit(shards, tr, &mut rec.history,
-                                RECOVERY_CLIENT,
-                                rec.seq,
-                                shard,
-                                op,
-                                now,
-                            ));
-                        } else if task.writes.is_empty() {
-                            finish_recovery(rec, TxnDecision::Commit, now, trace);
-                        } else {
-                            rec.phase = RecPhase::Write;
-                        }
-                    }
-                    _ => {
-                        // A committed transaction always has durable prepare
-                        // records; a transient miss just means the replica
-                        // we read lagged. Retry.
-                        resubmit = Some((p.shard, p.op.clone()));
-                    }
-                }
-            }
-        }
-        RecPhase::Write => {
-            if !done.is_empty() {
-                let task = rec.task.as_mut().expect("write phase has a task");
-                task.write_idx += 1;
-                if task.write_idx >= task.writes.len() {
-                    finish_recovery(rec, TxnDecision::Commit, now, trace);
-                }
-            }
-        }
-    }
-
-    if let Some((shard, op)) = resubmit {
-        rec.seq += 1;
-        rec.pending.push(submit(shards, tr, &mut rec.history,
-            RECOVERY_CLIENT,
-            rec.seq,
-            shard,
-            op,
-            now,
-        ));
-    }
-
-    // The write phase issues one write at a time (sequential, idempotent
-    // re-application of the prepare records), routed by the shard map.
-    if rec.phase == RecPhase::Write && rec.pending.is_empty() {
-        if let Some(task) = rec.task.as_ref() {
-            if task.write_idx < task.writes.len() {
-                let (key, value) = task.writes[task.write_idx].clone();
-                let shard = map.group_of(&key);
-                let op = KvCommand::Put { key, value };
-                rec.seq += 1;
-                rec.pending.push(submit(shards, tr, &mut rec.history,
-                    RECOVERY_CLIENT,
-                    rec.seq,
-                    shard,
-                    op,
-                    now,
-                ));
-            }
+    for (s, shard) in shards.iter_mut().enumerate() {
+        let a = side_a(s);
+        let b: Vec<NodeId> = (0..n_nodes)
+            .map(NodeId::from)
+            .filter(|id| !a.contains(id))
+            .collect();
+        if !a.is_empty() && !b.is_empty() {
+            shard.partition_at(Time(at), vec![a, b]);
         }
     }
 }
@@ -2103,12 +95,7 @@ impl<E: ShardEngine> Store<E> {
                     Some(g) => cfg.net.clone().with_wan(g.topology.clone()),
                     None => cfg.net.clone(),
                 };
-                let mut spec = crate::engine::ShardBuildSpec::new(
-                    cfg.replicas_per_shard,
-                    cfg.batch,
-                    net,
-                    seed,
-                );
+                let mut spec = ShardBuildSpec::new(cfg.replicas_per_shard, cfg.batch, net, seed);
                 if let Some(g) = &cfg.geo {
                     spec = spec.geo(ShardGeo {
                         n_regions: g.topology.n_regions(),
@@ -2123,7 +110,6 @@ impl<E: ShardEngine> Store<E> {
                 E::build_shard(&spec)
             })
             .collect();
-        let trace = Vec::new();
         let pool = key_pool(&map, cfg.n_shards, cfg.keys_per_shard);
         let n_regions = cfg.geo.as_ref().map_or(1, |g| g.topology.n_regions());
         let routers: Vec<Router> = (0..cfg.n_routers)
@@ -2131,30 +117,8 @@ impl<E: ShardEngine> Store<E> {
                 let router_map =
                     ShardMap::deserialize(&wire).expect("store config shard map corrupt");
                 assert_eq!(router_map, map, "router {r} decoded a different shard map");
-                Router {
-                    idx: r,
-                    client: ROUTER_BASE + r as u32,
-                    map: router_map,
-                    region: r % n_regions,
-                    items: generate_items(&cfg, &pool, r, &map),
-                    next_item: 0,
-                    txn_counter: 0,
-                    seq: 0,
-                    phase: Phase::Idle,
-                    txn: None,
-                    range: None,
-                    ranges: Vec::new(),
-                    fast_read: None,
-                    geo_reads: Vec::new(),
-                    pending: Vec::new(),
-                    crashed: None,
-                    crash_at: None,
-                    restart_at: None,
-                    crash_on: None,
-                    history: HistorySink::new(),
-                    txn_latencies: LatencyRecorder::new(),
-                    outcomes: Vec::new(),
-                }
+                let items = generate_items(&cfg, &pool, r, &map);
+                Router::new(r, router_map, r % n_regions, items)
             })
             .collect();
         let audit_keys: Vec<(usize, String)> = pool
@@ -2167,27 +131,11 @@ impl<E: ShardEngine> Store<E> {
             map,
             shards,
             routers,
-            recovery: Recovery {
-                seq: 0,
-                queue: Vec::new(),
-                phase: RecPhase::Idle,
-                task: None,
-                pending: Vec::new(),
-                history: HistorySink::new(),
-                recovered: Vec::new(),
-                stalled: Vec::new(),
-            },
-            audit: Audit {
-                seq: 0,
-                keys: audit_keys,
-                idx: 0,
-                started: false,
-                pending: Vec::new(),
-                history: HistorySink::new(),
-            },
+            recovery: Recovery::new(),
+            audit: Audit::new(audit_keys),
             now: 0,
-            trace,
-            causal: StoreTrace::new(),
+            trace: Vec::new(),
+            causal: StoreTrace::default(),
         };
         let overrides = store.cfg.backend_overrides.clone();
         for (router, txn_number, backend) in overrides {
@@ -2218,10 +166,15 @@ impl<E: ShardEngine> Store<E> {
     /// op's latency window.
     pub fn warm_up(&mut self, micros: u64) {
         while self.now < micros {
-            self.now += QUANTUM_US;
-            for s in &mut self.shards {
-                s.run_until(Time(self.now));
-            }
+            self.advance_shards();
+        }
+    }
+
+    /// Runs every shard group one quantum further.
+    fn advance_shards(&mut self) {
+        self.now += QUANTUM_US;
+        for s in &mut self.shards {
+            s.run_until(Time(self.now));
         }
     }
 
@@ -2253,47 +206,34 @@ impl<E: ShardEngine> Store<E> {
     /// Advances every shard one quantum, then runs router/recovery/audit
     /// logic at the boundary.
     pub fn step(&mut self) {
-        self.now += QUANTUM_US;
-        for s in &mut self.shards {
-            s.run_until(Time(self.now));
+        self.advance_shards();
+        let mut cx = Step {
+            shards: &mut self.shards,
+            causal: &mut self.causal,
+            trace: &mut self.trace,
+            now: self.now,
+        };
+        for r in &mut self.routers {
+            r.step(&mut cx, self.cfg.buggy_early_writes);
+            self.recovery.queue.extend(r.orphan.take());
         }
-        let now = self.now;
-        let buggy = self.cfg.buggy_early_writes;
-        for r in self.routers.iter_mut() {
-            step_router(
-                r,
-                &mut self.shards,
-                &mut self.causal,
-                now,
-                buggy,
-                &mut self.trace,
-                &mut self.recovery.queue,
-            );
-        }
-        step_recovery(
-            &mut self.recovery,
-            &mut self.shards,
-            &mut self.causal,
-            &self.map,
-            now,
-            &mut self.trace,
-        );
+        self.recovery.step(&mut cx, &self.map);
         if self.audit.started {
-            step_audit(&mut self.audit, &mut self.shards, &mut self.causal, now);
+            self.audit.step(&mut cx);
         }
     }
 
     /// Whether routers and recovery have no more work (crashed routers with
     /// no scheduled restart count as finished).
     pub fn main_quiesced(&self) -> bool {
-        self.routers.iter().all(|r| {
-            if r.crashed.is_some() {
+        let finished = |r: &Router| {
+            if r.crashed {
                 r.restart_at.is_none()
             } else {
                 r.done() && r.crash_at.is_none()
             }
-        }) && self.recovery.queue.is_empty()
-            && self.recovery.phase == RecPhase::Idle
+        };
+        self.routers.iter().all(finished) && self.recovery.quiesced()
     }
 
     /// Starts the post-run audit: one serializable `Get` per pool key,
@@ -2304,9 +244,7 @@ impl<E: ShardEngine> Store<E> {
 
     /// Whether the audit pass has read every pool key.
     pub fn audit_done(&self) -> bool {
-        self.audit.started
-            && self.audit.idx >= self.audit.keys.len()
-            && self.audit.pending.is_empty()
+        self.audit.done()
     }
 
     /// Runs the whole workload plus the audit pass. Returns `true` iff all
@@ -2325,48 +263,38 @@ impl<E: ShardEngine> Store<E> {
 
     /// Merged invoke/response history of routers, recovery, and audit.
     pub fn history(&self) -> Vec<ClientRecord> {
-        let sinks: Vec<&HistorySink> = self
-            .routers
-            .iter()
-            .map(|r| &r.history)
-            .chain([&self.recovery.history, &self.audit.history])
-            .collect();
-        HistorySink::merge(sinks)
+        let routers = self.routers.iter().map(Router::port);
+        let ports = routers.chain([self.recovery.port(), self.audit.port()]);
+        HistorySink::merge(ports.map(|p| p.history()))
+    }
+
+    /// Every router's `pick` results, merged in `key` order.
+    fn gathered<T: Clone, K: Ord>(
+        &self,
+        pick: impl Fn(&Router) -> &[T],
+        key: impl Fn(&T) -> K,
+    ) -> Vec<T> {
+        let picked = self.routers.iter().flat_map(|r| pick(r).iter().cloned());
+        let mut all: Vec<T> = picked.collect();
+        all.sort_by_key(key);
+        all
     }
 
     /// All transaction outcomes routers observed, in completion order.
     pub fn outcomes(&self) -> Vec<TxnOutcome> {
-        let mut all: Vec<TxnOutcome> = self
-            .routers
-            .iter()
-            .flat_map(|r| r.outcomes.iter().cloned())
-            .collect();
-        all.sort_by_key(|o| (o.at, o.tid));
-        all
+        self.gathered(|r| &r.outcomes, |o| (o.at, o.tid))
     }
 
     /// All merged range-scan results routers observed, ordered by
     /// completion time then client.
     pub fn range_results(&self) -> Vec<RangeOutcome> {
-        let mut all: Vec<RangeOutcome> = self
-            .routers
-            .iter()
-            .flat_map(|r| r.ranges.iter().cloned())
-            .collect();
-        all.sort_by_key(|o| (o.at, o.client));
-        all
+        self.gathered(|r| &r.ranges, |o| (o.at, o.client))
     }
 
     /// All completed geo fast-path reads (with their log fallbacks),
     /// ordered by completion time then client. Empty on non-geo stores.
     pub fn read_outcomes(&self) -> Vec<ReadOutcome> {
-        let mut all: Vec<ReadOutcome> = self
-            .routers
-            .iter()
-            .flat_map(|r| r.geo_reads.iter().cloned())
-            .collect();
-        all.sort_by_key(|o| (o.at, o.client));
-        all
+        self.gathered(|r| &r.geo_reads, |o| (o.at, o.client))
     }
 
     /// Transactions the recovery actor resolved, in resolution order.
@@ -2402,10 +330,8 @@ impl<E: ShardEngine> Store<E> {
     /// Begin-to-outcome transaction latencies across all routers.
     pub fn txn_latencies(&self) -> LatencyRecorder {
         let mut agg = LatencyRecorder::new();
-        for r in &self.routers {
-            for &s in r.txn_latencies.samples() {
-                agg.record_micros(s);
-            }
+        for o in self.routers.iter().flat_map(|r| &r.outcomes) {
+            agg.record_micros(o.latency_us);
         }
         agg
     }
@@ -2475,68 +401,53 @@ impl<E: ShardEngine> Store<E> {
         (self.cfg.n_shards * self.cfg.replicas_per_shard + self.cfg.n_routers) as u32
     }
 
-    fn split_node(&self, global: u32) -> Result<(usize, usize), usize> {
-        let rps = self.cfg.replicas_per_shard as u32;
-        let n_replicas = self.cfg.n_shards as u32 * rps;
-        if global < n_replicas {
-            Ok(((global / rps) as usize, (global % rps) as usize))
-        } else {
-            Err((global - n_replicas) as usize)
+    /// Schedules a fault on a global node at `at`: `on_replica` for a shard
+    /// replica, the slot `on_router` picks for a router.
+    fn fault_node_at(
+        &mut self,
+        global: u32,
+        at: u64,
+        on_replica: impl FnOnce(&mut E, NodeId, Time),
+        on_router: impl FnOnce(&mut Router) -> &mut Option<u64>,
+    ) {
+        match split_node(&self.cfg, global) {
+            Ok((shard, r)) => on_replica(&mut self.shards[shard], NodeId::from(r), Time(at)),
+            Err(router) => {
+                if let Some(r) = self.routers.get_mut(router) {
+                    *on_router(r) = Some(at);
+                }
+            }
         }
     }
 
     /// Crashes a global node (replica or router) at absolute time `at`.
     pub fn crash_node_at(&mut self, global: u32, at: u64) {
-        match self.split_node(global) {
-            Ok((shard, replica)) => {
-                self.shards[shard].crash_at(simnet::NodeId::from(replica), Time(at));
-            }
-            Err(router) => {
-                if router < self.routers.len() {
-                    self.routers[router].crash_at = Some(at);
-                }
-            }
-        }
+        self.fault_node_at(global, at, E::crash_at, |r| &mut r.crash_at);
     }
 
     /// Restarts a global node (replica or router) at absolute time `at`.
     pub fn restart_node_at(&mut self, global: u32, at: u64) {
-        match self.split_node(global) {
-            Ok((shard, replica)) => {
-                self.shards[shard].restart_at(simnet::NodeId::from(replica), Time(at));
-            }
-            Err(router) => {
-                if router < self.routers.len() {
-                    self.routers[router].restart_at = Some(at);
-                }
-            }
-        }
+        self.fault_node_at(global, at, E::restart_at, |r| &mut r.restart_at);
+    }
+
+    /// Nodes per shard group: its replicas, then one stub client per region.
+    fn nodes_per_shard(&self) -> usize {
+        let n_stubs = self.cfg.geo.as_ref().map_or(1, |g| g.topology.n_regions());
+        self.cfg.replicas_per_shard + n_stubs
     }
 
     /// Partitions each shard group along `group` (global replica ids):
     /// replicas in `group` on one side, the rest (plus every stub client)
     /// on the other. Shards with an empty side are untouched.
     pub fn partition_at(&mut self, at: u64, group: &[u32]) {
-        let rps = self.cfg.replicas_per_shard;
-        let n_stubs = self.cfg.geo.as_ref().map_or(1, |g| g.topology.n_regions());
-        for s in 0..self.cfg.n_shards {
-            let side_a: Vec<simnet::NodeId> = group
-                .iter()
-                .filter_map(|&g| match self.split_node(g) {
-                    Ok((shard, replica)) if shard == s => Some(simnet::NodeId::from(replica)),
-                    _ => None,
-                })
-                .collect();
-            // The stub clients (ids rps..) stay with the complement side.
-            let side_b: Vec<simnet::NodeId> = (0..rps + n_stubs)
-                .map(simnet::NodeId::from)
-                .filter(|id| !side_a.contains(id))
-                .collect();
-            if side_a.is_empty() || side_b.is_empty() {
-                continue;
-            }
-            self.shards[s].partition_at(Time(at), vec![side_a, side_b]);
-        }
+        let (n_nodes, cfg) = (self.nodes_per_shard(), &self.cfg);
+        let replica_on = |s, &g| match split_node(cfg, g) {
+            Ok((shard, replica)) if shard == s => Some(NodeId::from(replica)),
+            _ => None,
+        };
+        partition_each(&mut self.shards, n_nodes, at, |s| {
+            group.iter().filter_map(|g| replica_on(s, g)).collect()
+        });
     }
 
     /// Partitions region `region` away from the rest of the WAN at absolute
@@ -2544,33 +455,22 @@ impl<E: ShardEngine> Store<E> {
     /// (plus that region's stub client) land on one side and everything
     /// else on the other. No-op on non-geo stores.
     pub fn partition_region_at(&mut self, at: u64, region: usize) {
-        let rps = self.cfg.replicas_per_shard;
-        let n_stubs = self.cfg.geo.as_ref().map_or(1, |g| g.topology.n_regions());
-        let Some(placement) = self.map.placement().cloned() else {
+        let (n_nodes, rps) = (self.nodes_per_shard(), self.cfg.replicas_per_shard);
+        let Some(placement) = self.map.placement() else {
             return;
         };
-        for (s, shard_regions) in placement.iter().enumerate().take(self.cfg.n_shards) {
-            let side_a: Vec<simnet::NodeId> = (0..rps)
-                .filter(|&r| shard_regions[r] as usize == region)
-                .map(simnet::NodeId::from)
-                .chain((region < n_stubs).then(|| simnet::NodeId::from(rps + region)))
-                .collect();
-            let side_b: Vec<simnet::NodeId> = (0..rps + n_stubs)
-                .map(simnet::NodeId::from)
-                .filter(|id| !side_a.contains(id))
-                .collect();
-            if side_a.is_empty() || side_b.is_empty() {
-                continue;
-            }
-            self.shards[s].partition_at(Time(at), vec![side_a, side_b]);
-        }
+        let stub = (rps + region < n_nodes).then(|| NodeId::from(rps + region));
+        partition_each(&mut self.shards, n_nodes, at, |s| {
+            let homed = (0..rps).filter(|&r| placement[s][r] as usize == region);
+            homed.map(NodeId::from).chain(stub).collect()
+        });
     }
 
     /// Skews the local clock of a global replica id forward by `offset_us`
     /// — the lever for driving a lease holder past its skew bound. Ignored
     /// for router ids (routers have no protocol clock).
     pub fn set_replica_skew(&mut self, global: u32, offset_us: u64) {
-        if let Ok((shard, replica)) = self.split_node(global) {
+        if let Ok((shard, replica)) = split_node(&self.cfg, global) {
             self.shards[shard].set_replica_skew(replica, offset_us);
         }
     }
@@ -2608,151 +508,11 @@ impl<E: ShardEngine> Store<E> {
 
     /// Whether router `r` finished its workload.
     pub fn router_done(&self, r: usize) -> bool {
-        self.routers[r].crashed.is_none() && self.routers[r].done()
+        !self.routers[r].crashed && self.routers[r].done()
     }
 
     /// The generated data-key pool, grouped by shard (for tests).
     pub fn pool_keys(&self) -> Vec<(usize, String)> {
         self.audit.keys.clone()
     }
-}
-
-fn step_audit<E: ShardEngine>(audit: &mut Audit, shards: &mut [E], tr: &mut StoreTrace, now: u64) {
-    let done = poll(shards, tr, &mut audit.history, AUDIT_CLIENT, &mut audit.pending, now);
-    let _ = done;
-    if audit.pending.is_empty() && audit.idx < audit.keys.len() {
-        let (shard, key) = audit.keys[audit.idx].clone();
-        audit.idx += 1;
-        audit.seq += 1;
-        let op = KvCommand::Get { key };
-        audit.pending.push(submit(shards, tr, &mut audit.history,
-            AUDIT_CLIENT,
-            audit.seq,
-            shard,
-            op,
-            now,
-        ));
-    }
-}
-
-/// `keys_per_shard` data keys per shard, found by probing the hash map.
-fn key_pool(map: &ShardMap, n_shards: usize, keys_per_shard: usize) -> Vec<Vec<String>> {
-    let mut pool: Vec<Vec<String>> = vec![Vec::new(); n_shards];
-    let mut i = 0u64;
-    while pool.iter().any(|p| p.len() < keys_per_shard) {
-        let key = format!("k{i}");
-        let s = map.group_of(&key);
-        if pool[s].len() < keys_per_shard {
-            pool[s].push(key);
-        }
-        i += 1;
-        assert!(i < 100_000, "hash map never filled some shard's pool");
-    }
-    pool
-}
-
-/// Deterministic per-router workload: alternating cross-shard transactions
-/// and single-key operations.
-fn generate_items(
-    cfg: &StoreConfig,
-    pool: &[Vec<String>],
-    router: usize,
-    map: &ShardMap,
-) -> Vec<WorkItem> {
-    let mut rng = ChaCha20Rng::seed_from_u64(
-        cfg.seed ^ (router as u64 + 0x5707).rotate_left(17),
-    );
-    let mut items = Vec::new();
-    let rounds = cfg.txns_per_router.max(cfg.singles_per_router);
-    let mut txns = 0;
-    let mut singles = 0;
-    for i in 0..rounds {
-        if txns < cfg.txns_per_router {
-            let span = 1 + rng.gen_range(0..cfg.max_span.min(cfg.n_shards).max(1));
-            let span = span.min(cfg.n_shards);
-            let mut shards: Vec<usize> = (0..cfg.n_shards).collect();
-            // Deterministic partial shuffle.
-            for j in 0..span {
-                let k = j + rng.gen_range(0..cfg.n_shards - j);
-                shards.swap(j, k);
-            }
-            let writes: Vec<(String, String)> = shards[..span]
-                .iter()
-                .map(|&s| {
-                    let key = pool[s][rng.gen_range(0..pool[s].len())].clone();
-                    (key, format!("w{router}.{i}"))
-                })
-                .collect();
-            let abort = rng.gen_range(0..5) == 0;
-            items.push(WorkItem::Txn {
-                writes,
-                abort,
-                backend: cfg.backend,
-            });
-            txns += 1;
-        }
-        if singles < cfg.singles_per_router {
-            let s = rng.gen_range(0..cfg.n_shards);
-            let key = pool[s][rng.gen_range(0..pool[s].len())].clone();
-            let op = if rng.gen_range(0..2) == 0 {
-                KvCommand::Put {
-                    key,
-                    value: format!("s{router}.{i}"),
-                }
-            } else {
-                KvCommand::Get { key }
-            };
-            items.push(WorkItem::Single(op));
-            singles += 1;
-        }
-    }
-    // Range scans come last, both in the item list and in RNG draw order,
-    // so `ranges_per_router = 0` leaves historical workloads bit-identical.
-    if cfg.ranges_per_router > 0 {
-        let mut all_keys: Vec<String> = pool.iter().flatten().cloned().collect();
-        all_keys.sort();
-        for _ in 0..cfg.ranges_per_router {
-            let a = rng.gen_range(0..all_keys.len());
-            let b = rng.gen_range(0..all_keys.len());
-            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            // `"!"` sorts below every pool-key character, so this end bound
-            // includes `all_keys[hi]` itself but none of its extensions.
-            let end = format!("{}!", all_keys[hi]);
-            let limit = 1 + rng.gen_range(0..all_keys.len());
-            items.push(WorkItem::Range {
-                start: all_keys[lo].clone(),
-                end,
-                limit,
-            });
-        }
-    }
-    // Geo fast reads come last of all (zero extra RNG draws without a geo
-    // config, so non-geo workloads stay bit-identical).
-    if let Some(geo) = &cfg.geo {
-        let n_regions = geo.topology.n_regions();
-        let my_region = router % n_regions;
-        let local: Vec<usize> = (0..cfg.n_shards)
-            .filter(|&s| map.primary_region(s) == Some(my_region))
-            .collect();
-        let remote: Vec<usize> = (0..cfg.n_shards)
-            .filter(|&s| map.primary_region(s) != Some(my_region))
-            .collect();
-        for _ in 0..geo.reads_per_router {
-            let pick_local = rng.gen_range(0..100) < geo.local_read_pct && !local.is_empty();
-            let from = if pick_local || remote.is_empty() {
-                &local
-            } else {
-                &remote
-            };
-            let s = from[rng.gen_range(0..from.len())];
-            // Mild key skew (zipf-ish): the minimum of two uniform draws
-            // biases reads toward the front of the shard's pool.
-            let a = rng.gen_range(0..pool[s].len());
-            let b = rng.gen_range(0..pool[s].len());
-            items.push(WorkItem::GeoRead {
-                key: pool[s][a.min(b)].clone(),
-            });
-        }
-    }
-    items
 }

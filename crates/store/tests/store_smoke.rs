@@ -310,10 +310,7 @@ fn durable_store_same_seed_fingerprints_are_bit_identical() {
 fn durable_raft_store_survives_replica_crash_restart() {
     // The Raft mirror of the paxos durable test: a crashed replica's
     // term/vote/log state really is gone from RAM, and recovery must
-    // rebuild it from the engine's checkpoint + WAL. Both engines answer
-    // for durability now — there is no fallback path left.
-    assert!(RaftCluster::supports_durable());
-    assert!(MultiPaxosCluster::supports_durable());
+    // rebuild it from the engine's checkpoint + WAL.
     let mut s: Store<RaftCluster> =
         Store::new(StoreConfig::new(13).durable(8, simnet::DiskModel::ssd()));
     for shard in 0..s.cfg.n_shards as u32 {

@@ -7,6 +7,12 @@
 //! order and message contents all feed the fingerprints of the checked-in
 //! artifacts.
 //!
+//! Between the two halves, the sharded store's rows: the paths the four
+//! fault-free 2PC-over-consensus store rows never reach — every commit
+//! backend at every router-crash point, a router restart, causal tracing,
+//! and the geo fast read served, NACKed and timed out — recorded at 9fa5da1,
+//! before routers, recovery and audit were moved onto one `Port`.
+//!
 //! The second half does the same for the six BFT protocols that joined the
 //! shell later (MinBFT, CheapBFT, XFT, SeeMoRe, Zyzzyva, HotStuff). Their
 //! constants were recorded by running these rows against the `*Cluster`
@@ -22,11 +28,13 @@ use forty::bft::xft::{Xft, XftCluster};
 use forty::bft::zyzzyva::{ZyzCluster, Zyzzyva};
 use forty::consensus_core::driver::{BatchConfig, ClusterDriver, DriverConfig};
 use forty::consensus_core::workload::KvMix;
-use forty::consensus_core::{Cluster, SmrProtocol, StateMachine, WorkloadMode};
+use forty::consensus_core::{Cluster, ReadMode, SmrProtocol, StateMachine, WorkloadMode};
 use forty::paxos::MultiPaxosCluster;
 use forty::raft::RaftCluster;
 use forty::simnet::{DiskModel, DropAll, NetConfig, NodeId, Time};
-use forty::store::{ShardEngine, Store, StoreConfig};
+use forty::store::{
+    CommitBackend, GeoConfig, ReadOutcome, RouterCrashPoint, ShardEngine, Store, StoreConfig,
+};
 
 const SEEDS: [u64; 2] = [3, 11];
 
@@ -196,6 +204,212 @@ const PAXOS_CRASH: u64 = 13623694217501413311;
 const RAFT_CRASH: u64 = 11120947086349577556;
 const STORE_PAXOS: [u64; 2] = [6705092968428748827, 8249467345722595506];
 const STORE_RAFT: [u64; 2] = [11288678811017748299, 5479469973679516688];
+
+// ---- the store's crash, recovery, tracing and geo paths --------------------
+
+/// Hashes everything a finished store run exposes: the run fingerprint
+/// (harness trace lines, outcomes, replica digests), the merged client
+/// history record by record, the message count, and — on traced runs — the
+/// op records and every causal span, in the order the store returns them, so
+/// span-id allocation order is pinned too.
+fn store_run_hash<E: ShardEngine>(s: &Store<E>) -> u64 {
+    let mut h = Fnv::new();
+    h.eat_u64(s.fingerprint());
+    let history = s.history();
+    h.eat_u64(history.len() as u64);
+    for r in &history {
+        let line = format!(
+            "{} {} {} {} {:?}",
+            r.client, r.seq, r.op, r.invoked, r.completed
+        );
+        h.eat(line.as_bytes());
+    }
+    h.eat_u64(s.messages_sent());
+    for o in s.op_records() {
+        let line = format!(
+            "{} {} {} {} {} {} {}",
+            o.client, o.seq, o.shard, o.trace_id, o.started, o.finished, o.label
+        );
+        h.eat(line.as_bytes());
+    }
+    for c in s.causal_spans() {
+        let line = format!(
+            "{} {} {} {} {} {} {} {} {}",
+            c.trace_id, c.id, c.parent, c.node, c.site, c.name, c.cat, c.start, c.end
+        );
+        h.eat(line.as_bytes());
+    }
+    h.0
+}
+
+/// Seed 5: fault-free, router 0's first transaction commits across all
+/// three shards under every backend — so every crash point has something to
+/// interrupt and `AfterDecide` is reached.
+const CRASH_SEED: u64 = 5;
+const STORE_HORIZON: Time = Time(60_000_000);
+
+/// Router 0 dies at `point` of its first transaction; the recovery actor
+/// terminates it (or, under raw 2PC, gives up on it).
+fn router_crash_row<E: ShardEngine>(backend: CommitBackend, point: RouterCrashPoint) -> u64 {
+    let cfg = StoreConfig::new(CRASH_SEED)
+        .backend(backend)
+        .buggy_early_writes(point == RouterCrashPoint::AfterEarlyWrites);
+    let mut s: Store<E> = Store::new(cfg);
+    s.crash_router_on_txn(0, 0, point);
+    assert!(s.run(STORE_HORIZON), "{backend:?} {point:?}: store stalled");
+    let crashed = |l: &String| l.contains("r0 crash mid-txn t100.0");
+    assert!(
+        s.trace().iter().any(crashed),
+        "{backend:?} never reached {point:?}"
+    );
+    store_run_hash(&s)
+}
+
+/// Every backend × every crash point it can reach, then the one crash point
+/// only the early-dissemination bug opens.
+fn router_crash_rows<E: ShardEngine>() -> [u64; 10] {
+    let backends = [
+        CommitBackend::TwoPhase,
+        CommitBackend::TwoPhaseOverConsensus,
+        CommitBackend::PaxosCommit,
+    ];
+    let points = [
+        RouterCrashPoint::BeforePrepare,
+        RouterCrashPoint::AfterPrepare,
+        RouterCrashPoint::AfterDecide,
+    ];
+    let mut rows = Vec::new();
+    for backend in backends {
+        for point in points {
+            rows.push(router_crash_row::<E>(backend, point));
+        }
+    }
+    rows.push(router_crash_row::<E>(
+        CommitBackend::TwoPhaseOverConsensus,
+        RouterCrashPoint::AfterEarlyWrites,
+    ));
+    rows.try_into().expect("ten rows")
+}
+
+#[test]
+fn store_router_crash_runs_are_bit_identical_to_the_pre_port_commit() {
+    assert_eq!(router_crash_rows::<MultiPaxosCluster>(), STORE_CRASH_PAXOS);
+    assert_eq!(router_crash_rows::<RaftCluster>(), STORE_CRASH_RAFT);
+}
+
+/// A router crashed on the clock (whatever it had in flight goes to
+/// recovery), restarted later, finishing the rest of its workload.
+fn router_restart_row<E: ShardEngine>() -> u64 {
+    let mut s: Store<E> = Store::new(StoreConfig::new(CRASH_SEED));
+    s.crash_router_at(0, 30_000);
+    s.restart_router_at(0, 300_000);
+    assert!(s.run(STORE_HORIZON), "store stalled");
+    assert!(s.trace().iter().any(|l| l.contains("r0 crash mid-txn")));
+    assert!(s.trace().iter().any(|l| l.contains("r0 restart")));
+    assert!(s.router_done(0), "restarted router did not finish");
+    store_run_hash(&s)
+}
+
+#[test]
+fn store_router_restart_runs_are_bit_identical_to_the_pre_port_commit() {
+    assert_eq!(router_restart_row::<MultiPaxosCluster>(), STORE_RESTART[0]);
+    assert_eq!(router_restart_row::<RaftCluster>(), STORE_RESTART[1]);
+}
+
+/// Tracing on: durable shards, range scans, one Paxos Commit transaction
+/// among the default ones, and a router crash after a durable commit, so
+/// router, recovery and audit ops all mint root spans.
+fn traced_row<E: ShardEngine>() -> u64 {
+    let cfg = StoreConfig::new(CRASH_SEED)
+        .durable(8, DiskModel::ssd())
+        .ranges_per_router(2)
+        .txn_backend(1, 1, CommitBackend::PaxosCommit);
+    let mut s: Store<E> = Store::new(cfg);
+    s.enable_tracing();
+    s.crash_router_on_txn(0, 0, RouterCrashPoint::AfterDecide);
+    assert!(s.run(STORE_HORIZON), "store stalled");
+    assert!(!s.op_records().is_empty() && !s.causal_spans().is_empty());
+    store_run_hash(&s)
+}
+
+#[test]
+fn traced_store_runs_are_bit_identical_to_the_pre_port_commit() {
+    assert_eq!(traced_row::<MultiPaxosCluster>(), STORE_TRACED[0]);
+    assert_eq!(traced_row::<RaftCluster>(), STORE_TRACED[1]);
+}
+
+/// The three fates of a geo fast read, in one traced three-region store:
+/// served by the lease holder; NACKed at once (shard 1's leader clock is
+/// skewed past `max_skew_us`, so it refuses every lease read) and re-run
+/// through the log; and silent (region 2 is cut off while routers elsewhere
+/// aim reads at it) until `GEO_READ_TIMEOUT_US` sends it to the log, where it
+/// waits for the heal.
+#[test]
+fn geo_store_run_is_bit_identical_to_the_pre_port_commit() {
+    let cfg = StoreConfig::new(7)
+        .routers(3)
+        .geo(GeoConfig::three_dc().local_read_pct(50));
+    let mut s: Store<MultiPaxosCluster> = Store::new(cfg);
+    s.enable_tracing();
+    s.set_replica_skew(3, 12_000);
+    s.partition_region_at(51_000, 2);
+    s.heal_at(400_000);
+    assert!(s.run(STORE_HORIZON), "geo store stalled");
+    let reads = s.read_outcomes();
+    let fell_back = |r: &&ReadOutcome| r.mode == ReadMode::Log;
+    assert!(
+        reads.iter().any(|r| r.mode == ReadMode::Lease),
+        "no lease read"
+    );
+    assert!(
+        reads
+            .iter()
+            .filter(fell_back)
+            .any(|r| r.latency_us < 120_000),
+        "no NACKed read"
+    );
+    assert!(
+        reads
+            .iter()
+            .filter(fell_back)
+            .any(|r| r.latency_us >= 120_000),
+        "no timed-out read"
+    );
+    assert_eq!(store_run_hash(&s), STORE_GEO);
+}
+
+// Recorded at the parent commit (9fa5da1), before the store's routers,
+// recovery actor and audit reader were moved onto one `Port`. Crash rows:
+// raw 2PC, 2PC over consensus, Paxos Commit × before-prepare, after-prepare,
+// after-decide; then the early-write crash. Restart and traced rows: Paxos,
+// Raft.
+const STORE_CRASH_PAXOS: [u64; 10] = [
+    5903764025125676778,
+    1585343981737831373,
+    4558724246696524468,
+    12153570637012008498,
+    9651595685685821466,
+    6400941772593247051,
+    18429983539498512423,
+    5362216632128004144,
+    16286094017637997891,
+    12566436790128476242,
+];
+const STORE_CRASH_RAFT: [u64; 10] = [
+    1607432461658175543,
+    12708990914359179935,
+    12885166352108829033,
+    8616677155758940676,
+    9298658401951049366,
+    14082198171352097688,
+    4475173004272831352,
+    12098038493113592778,
+    15948422257171114802,
+    4356298779900705583,
+];
+const STORE_RESTART: [u64; 2] = [11101246268285575085, 18323169921715493525];
+const STORE_TRACED: [u64; 2] = [16011116929424282216, 12040361922233658554];
+const STORE_GEO: u64 = 8749982453929938282;
 
 // ---- the six BFT protocols ------------------------------------------------
 
