@@ -754,7 +754,7 @@ mod tests {
         let reply = |value: &str| HsMsg::Reply {
             client: 4,
             seq: 0,
-            output: KvResponse::Value(Some(value.to_string())),
+            output: KvResponse::Value(Some(value.into())),
         };
         let mut sim = sim(4, 1, WorkloadMode::Closed, |session| {
             HotStuff::client(HsConfig::rotating(4), session)

@@ -580,7 +580,7 @@ mod tests {
                     if let MinMsg::Prepare { view, ui, cmd } = msg {
                         let mut cmd = cmd.clone();
                         cmd.op = KvCommand::Put {
-                            key: format!("forged-{to}"),
+                            key: format!("forged-{to}").into(),
                             value: "evil".into(),
                         };
                         // The attacker cannot re-attest: the USIG is

@@ -449,18 +449,15 @@ impl PbftReplica {
             if !ready {
                 break;
             }
-            let cmds = {
-                let inst = self.instance(next);
-                inst.executed = true;
-                inst.cmds.clone().expect("committed instance has commands")
-            };
+            let inst = self.instance(next);
+            inst.executed = true;
+            let cmds = inst.cmds.clone().expect("committed instance has commands");
             // Sequence numbers execute strictly in order, so deciding slot
             // `next − 1` applies exactly that slot.
-            let outputs = self
-                .exec
-                .decide((next - 1) as usize, SmrOp::Batch(cmds.clone()));
+            let outputs = self.exec.decide((next - 1) as usize, SmrOp::Batch(cmds));
             self.executed_upto = next;
-            for cmd in &cmds {
+            let cmds = self.instances[&next].cmds.as_deref().expect("cloned above");
+            for cmd in cmds {
                 self.pending_requests.remove(&(cmd.client, cmd.seq));
             }
             for (_, outs) in outputs {
@@ -924,8 +921,8 @@ pub fn equivocation_filter() -> impl simnet::Filter<PbftMsg> {
                     client: 0,
                     seq: 9_999,
                     op: KvCommand::Put {
-                        key: "evil".to_string(),
-                        value: format!("forged-{n}-for-{to}"),
+                        key: "evil".into(),
+                        value: format!("forged-{n}-for-{to}").into(),
                     },
                 };
                 let cmds = vec![forged];

@@ -295,7 +295,7 @@ mod tests {
 
         fn reply(self) -> Option<(u64, KvResponse)> {
             match self {
-                Stub::Reply(seq, v) => Some((seq, KvResponse::Value(Some(v.to_string())))),
+                Stub::Reply(seq, v) => Some((seq, KvResponse::Value(Some(v.into())))),
                 _ => None,
             }
         }
@@ -411,7 +411,7 @@ mod tests {
                 client: 9,
                 seq,
                 op: KvCommand::Get {
-                    key: format!("k{seq}"),
+                    key: format!("k{seq}").into(),
                 },
             })
             .collect();

@@ -4,39 +4,65 @@
 //! signatures, and trusted monotonic counters. Their *logic* depends only
 //! on what these primitives prove, so we substitute structural equivalents
 //! (see DESIGN.md): the simulator authenticates senders, and certificates
-//! carry the explicit signer sets a verifier would check.
+//! carry the explicit signer sets a verifier would check. A [`Digest`] is a
+//! fixed-seed hash of the payload's bytes, recomputed by whoever receives
+//! the payload and never carried with or cached on it.
 
 use std::collections::BTreeSet;
+use std::hash::{Hash, Hasher};
 
 use simnet::NodeId;
 
-/// A message digest (FNV-1a over the debug rendering — stable, collision
-/// resistant enough for simulation, and *not* forgeable within the model
-/// because Byzantine nodes can only substitute whole messages, which the
-/// receivers re-digest themselves).
+/// A message digest: the value's `Hash` impl fed through one fixed-seed
+/// hasher. *Not* forgeable within the model, because Byzantine nodes can
+/// only substitute whole messages, which the receivers re-digest
+/// themselves. Its value is unobservable: digests are only ever compared
+/// for equality or used as vote-map keys, so no trace, fingerprint or
+/// artifact depends on the function chosen (the *state* digest that
+/// fingerprints do carry is [`consensus_core::StateMachine::digest`]).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Digest(pub u64);
 
-/// FNV-1a state that hashes whatever is formatted into it, so a digest
-/// costs no intermediate `String`.
-struct Fnv1a(u64);
+/// Word-at-a-time multiplicative hasher: one rotate-xor-multiply per eight
+/// input bytes, so digesting a 16 KiB batch costs about what copying it
+/// does.
+struct WordHasher(u64);
 
-impl std::fmt::Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for b in s.bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        Ok(())
+impl WordHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
 }
 
-/// Digests any debug-renderable value.
-pub fn digest_of<T: std::fmt::Debug>(value: &T) -> Digest {
-    use std::fmt::Write;
-    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
-    write!(h, "{value:?}").expect("hashing cannot fail");
-    Digest(h.0)
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.mix(u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        }
+        let mut tail = [0u8; 8];
+        tail[..words.remainder().len()].copy_from_slice(words.remainder());
+        self.mix(u64::from_le_bytes(tail));
+        // The zero padding makes "ab" and "ab\0" the same word; the length
+        // tells them (and differently cut writes) apart.
+        self.mix(bytes.len() as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves the low bits weak; two avalanche rounds
+        // (splitmix64's finalizer) spread every input bit over the result.
+        let mut h = self.0;
+        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^ (h >> 31)
+    }
+}
+
+/// Digests any hashable value.
+pub fn digest_of<T: Hash + ?Sized>(value: &T) -> Digest {
+    let mut h = WordHasher(0xcbf2_9ce4_8422_2325);
+    value.hash(&mut h);
+    Digest(h.finish())
 }
 
 /// A quorum certificate: proof that `signers` (distinct replicas) endorsed
@@ -185,6 +211,7 @@ impl UsigVerifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use consensus_core::{Command, KvCommand, KvResponse, Str};
     use proptest::prelude::*;
 
     #[test]
@@ -194,37 +221,46 @@ mod tests {
         assert_ne!(digest_of(&"a"), digest_of(&"b"));
     }
 
-    /// The definition `digest_of` had while it rendered into a `String`
-    /// first; every digest on the wire and in a fingerprint was made by it.
-    fn digest_via_string<T: std::fmt::Debug>(value: &T) -> Digest {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in format!("{value:?}").bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    fn put(client: u32, seq: u64, key: &str, value: &str) -> Command<KvCommand> {
+        let (key, value) = (key.into(), value.into());
+        Command {
+            client,
+            seq,
+            op: KvCommand::Put { key, value },
         }
-        Digest(h)
     }
 
     #[test]
-    fn streaming_digest_equals_the_string_rendering_definition() {
-        use consensus_core::{Command, KvCommand};
-        let cmd = |seq: u64, value: String| Command {
-            client: 7,
-            seq,
-            op: KvCommand::Put {
-                key: format!("k{seq}"),
-                value,
-            },
-        };
-        let one = cmd(1, "v\"quoted\"\n".into());
-        let batch: Vec<Command<KvCommand>> = (0..16).map(|i| cmd(i, "x".repeat(1024))).collect();
-        let big = "x✓".repeat(1024); // 4 KiB, multi-byte characters included
-        assert_eq!(digest_of(&one), digest_via_string(&one));
-        assert_eq!(digest_of(&batch), digest_via_string(&batch));
-        assert_eq!(digest_of(&(3u64, &batch)), digest_via_string(&(3u64, &batch)));
-        assert_eq!(digest_of(&(1u8, "a", Some(2.5f64))), digest_via_string(&(1u8, "a", Some(2.5f64))));
-        assert_eq!(digest_of(&big), digest_via_string(&big));
-        assert_eq!(digest_of(&()), digest_via_string(&()));
+    fn equal_values_digest_equal_whatever_allocation_holds_them() {
+        let batch = |v: &str| (0..16).map(|i| put(7, i, "k", v)).collect::<Vec<_>>();
+        let big = "x✓".repeat(256);
+        assert_eq!(digest_of(&batch(&big)), digest_of(&batch(&big)));
+        assert_eq!(digest_of(&(3u64, &batch("v"))), digest_of(&(3u64, &batch("v"))));
+        let shared = batch("v");
+        assert_eq!(digest_of(&shared), digest_of(&shared.clone()));
+    }
+
+    #[test]
+    fn digests_tell_near_misses_apart() {
+        assert_ne!(digest_of(&("ab", "c")), digest_of(&("a", "bc")));
+        assert_ne!(digest_of(&put(1, 0, "ab", "c")), digest_of(&put(1, 0, "a", "bc")));
+        let batch: Vec<_> = (0..16).map(|i| put(7, i, "k", "v")).collect();
+        let mut swapped = batch.clone();
+        swapped.swap(3, 11);
+        assert_ne!(digest_of(&batch), digest_of(&swapped));
+        // The last byte lands in a full word, a lone tail byte, or a
+        // longer tail depending on the length; every case must count.
+        for len in [7, 8, 9, 1_023, 1_024, 1_025] {
+            let a = "x".repeat(len);
+            let b = format!("{}y", &a[1..]);
+            assert_ne!(digest_of(&a), digest_of(&b), "length {len}");
+            assert_ne!(digest_of(&put(1, 0, "k", &a)), digest_of(&put(1, 0, "k", &b)));
+        }
+        assert_ne!(
+            digest_of(&KvResponse::Value(None)),
+            digest_of(&KvResponse::Value(Some("".into())))
+        );
+        assert_ne!(digest_of("ab"), digest_of("ab\0"));
     }
 
     #[test]
@@ -271,6 +307,29 @@ mod tests {
     }
 
     proptest! {
+        /// However many of 1 000 random commands are distinct, that many
+        /// digests are.
+        #[test]
+        fn prop_no_collision_among_a_thousand_commands(
+            raw in proptest::collection::vec((0u32..4, 0u64..64, 0u8..4, 0u64..512, 0usize..40), 1_000..1_001)
+        ) {
+            let cmds: std::collections::HashSet<Command<KvCommand>> = raw
+                .into_iter()
+                .map(|(client, seq, kind, k, pad)| {
+                    let (key, value): (Str, Str) = (format!("k{k}").into(), "v".repeat(pad).into());
+                    let op = match kind {
+                        0 => KvCommand::Put { key, value },
+                        1 => KvCommand::Get { key },
+                        2 => KvCommand::Delete { key },
+                        _ => KvCommand::Cas { key: value.clone(), expect: key, new: value },
+                    };
+                    Command { client, seq, op }
+                })
+                .collect();
+            let digests: BTreeSet<Digest> = cmds.iter().map(digest_of).collect();
+            prop_assert_eq!(digests.len(), cmds.len());
+        }
+
         /// No interleaving of create calls can produce two accepted
         /// certificates with the same counter (the USIG non-equivocation
         /// property).

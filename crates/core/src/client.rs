@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use simnet::{Context, Node, NodeId, Payload, Time, Timer, TraceCtx};
 
 use crate::history::HistorySink;
-use crate::smr::{Command, KvCommand, KvResponse, ReadMode};
+use crate::smr::{Command, KvCommand, KvResponse, ReadMode, Str};
 use crate::workload::{KvMix, KvWorkload, LatencyRecorder, WorkloadMode};
 
 /// One client's workload and its records.
@@ -142,7 +142,7 @@ pub enum Inbound {
         /// Read sequence number.
         seq: u64,
         /// The value — meaningful unless `mode` is [`ReadMode::Nack`].
-        value: Option<String>,
+        value: Option<Str>,
         /// How the read was served.
         mode: ReadMode,
     },
@@ -156,7 +156,7 @@ pub trait ClientWire: Payload {
     fn request(cmd: Command<KvCommand>) -> Self;
 
     /// Builds a fast-path read of `key`, identified by `(client, seq)`.
-    fn read_request(client: u32, seq: u64, key: String) -> Self;
+    fn read_request(client: u32, seq: u64, key: Str) -> Self;
 
     /// Classifies an inbound message.
     fn classify(self) -> Inbound;
@@ -194,7 +194,7 @@ pub struct Client<M> {
     /// path, which borrows stub clients as regional read gateways (several
     /// routers may share one gateway, hence the compound key); the classic
     /// workload never touches it.
-    pub read_replies: BTreeMap<(u32, u64), (Option<String>, ReadMode)>,
+    pub read_replies: BTreeMap<(u32, u64), (Option<Str>, ReadMode)>,
     wire: std::marker::PhantomData<M>,
 }
 
@@ -351,7 +351,7 @@ mod tests {
             Stub::Request(cmd.seq)
         }
 
-        fn read_request(_client: u32, seq: u64, _key: String) -> Self {
+        fn read_request(_client: u32, seq: u64, _key: Str) -> Self {
             Stub::Request(seq)
         }
 

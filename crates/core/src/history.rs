@@ -92,9 +92,10 @@ impl HistorySink {
     }
 
     fn find(&self, client: u32, seq: u64) -> Option<usize> {
+        // The op being completed is almost always the newest record.
         self.records
             .iter()
-            .position(|r| r.client == client && r.seq == seq)
+            .rposition(|r| r.client == client && r.seq == seq)
     }
 
     /// All records, in invocation order.
@@ -133,8 +134,8 @@ mod tests {
 
     fn put(k: &str, v: &str) -> KvCommand {
         KvCommand::Put {
-            key: k.to_string(),
-            value: v.to_string(),
+            key: k.into(),
+            value: v.into(),
         }
     }
 

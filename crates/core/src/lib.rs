@@ -61,7 +61,7 @@ pub use driver::{
 pub use history::{ClientRecord, HistorySink};
 pub use quorum::QuorumSpec;
 pub use workload::WorkloadMode;
-pub use smr::{Bank, BankOp, BankResponse, Command, DedupKvMachine, KvCommand, KvResponse, KvStore, ReadMode, ReplicatedLog, SmrOp, StateMachine};
+pub use smr::{Bank, BankOp, BankResponse, Command, DedupKvMachine, KvCommand, KvResponse, KvStore, ReadMode, ReplicatedLog, SmrOp, StateMachine, Str};
 pub use taxonomy::{
     ComplexityClass, FailureModel, NodeBound, ParticipantAwareness, ProcessingStrategy,
     ProtocolCard,

@@ -10,6 +10,11 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
+
+/// A key or value: allocated once where it is made, shared by refcount on
+/// every hop after that (`Arc`, not `Rc`, so a simulation stays `Send`).
+pub type Str = Arc<str>;
 
 /// A deterministic command with a client-visible identity, so replies can be
 /// matched to requests and duplicates suppressed.
@@ -53,29 +58,29 @@ pub enum KvCommand {
     /// Bind `key` to `value`.
     Put {
         /// Key to write.
-        key: String,
+        key: Str,
         /// Value to store.
-        value: String,
+        value: Str,
     },
     /// Read `key`.
     Get {
         /// Key to read.
-        key: String,
+        key: Str,
     },
     /// Remove `key`.
     Delete {
         /// Key to remove.
-        key: String,
+        key: Str,
     },
     /// Compare-and-swap: set `key` to `new` iff it currently equals
     /// `expect`.
     Cas {
         /// Key to update.
-        key: String,
+        key: Str,
         /// Expected current value.
-        expect: String,
+        expect: Str,
         /// Replacement value.
-        new: String,
+        new: Str,
     },
     /// Ordered scan of `[start, end)`, returning at most `limit` entries.
     /// The only multi-key command: shards serve it from their sorted
@@ -83,9 +88,9 @@ pub enum KvCommand {
     /// results into one globally ordered answer.
     Range {
         /// First key included.
-        start: String,
+        start: Str,
         /// First key excluded.
-        end: String,
+        end: Str,
         /// Maximum entries returned.
         limit: usize,
     },
@@ -130,19 +135,28 @@ impl fmt::Display for KvCommand {
 }
 
 /// Replies of the key-value store.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum KvResponse {
     /// Write acknowledged.
     Ok,
     /// Read result (None = absent).
-    Value(Option<String>),
+    Value(Option<Str>),
     /// CAS outcome.
     CasResult {
         /// Whether the swap happened.
         swapped: bool,
     },
     /// Range-scan result: `(key, value)` pairs in ascending key order.
-    Entries(Vec<(String, String)>),
+    Entries(Vec<(Str, Str)>),
+}
+
+impl KvResponse {
+    /// Whether this is a range result holding exactly `rows` — how a durable
+    /// replica checks its on-disk index scan against the machine's answer.
+    pub fn is_entries(&self, rows: &[(String, String)]) -> bool {
+        let rows = rows.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+        matches!(self, KvResponse::Entries(e) if e.iter().map(|(k, v)| (&**k, &**v)).eq(rows))
+    }
 }
 
 /// How a linearizable read was (or was not) served on the fast path.
@@ -169,13 +183,13 @@ pub enum ReadMode {
 /// A deterministic in-memory key-value store.
 #[derive(Clone, Debug, Default)]
 pub struct KvStore {
-    map: BTreeMap<String, String>,
+    map: BTreeMap<Str, Str>,
     applied: u64,
 }
 
 impl KvStore {
     /// Direct read access (test assertions).
-    pub fn get(&self, key: &str) -> Option<&String> {
+    pub fn get(&self, key: &str) -> Option<&Str> {
         self.map.get(key)
     }
 
@@ -190,14 +204,14 @@ impl KvStore {
     }
 
     /// Iterates entries in key order (snapshot serialization).
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &String)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&Str, &Str)> {
         self.map.iter()
     }
 
     /// Rebuilds a store from serialized state. `applied` must be the
     /// original operation count — the digest covers it, so a recovered
     /// replica only matches its peers if the count round-trips exactly.
-    pub fn restore(entries: Vec<(String, String)>, applied: u64) -> Self {
+    pub fn restore(entries: Vec<(Str, Str)>, applied: u64) -> Self {
         KvStore {
             map: entries.into_iter().collect(),
             applied,
@@ -213,8 +227,11 @@ impl KvStore {
     /// read that [`KvCommand::Range`] applies through the log. Exposed so
     /// durable replicas can cross-check their on-disk index scan against
     /// the authoritative machine state.
-    pub fn scan(&self, start: &str, end: &str, limit: usize) -> Vec<(String, String)> {
+    pub fn scan(&self, start: &str, end: &str, limit: usize) -> Vec<(Str, Str)> {
         use std::ops::Bound;
+        if start > end {
+            return Vec::new(); // `BTreeMap::range` panics on inverted bounds
+        }
         self.map
             .range::<str, _>((Bound::Included(start), Bound::Excluded(end)))
             .take(limit)
@@ -234,13 +251,13 @@ impl StateMachine for KvStore {
                 self.map.insert(key.clone(), value.clone());
                 KvResponse::Ok
             }
-            KvCommand::Get { key } => KvResponse::Value(self.map.get(key).cloned()),
+            KvCommand::Get { key } => KvResponse::Value(self.map.get(&**key).cloned()),
             KvCommand::Delete { key } => {
-                self.map.remove(key);
+                self.map.remove(&**key);
                 KvResponse::Ok
             }
             KvCommand::Cas { key, expect, new } => {
-                let swapped = match self.map.get(key) {
+                let swapped = match self.map.get(&**key) {
                     Some(v) if v == expect => {
                         self.map.insert(key.clone(), new.clone());
                         true
@@ -322,7 +339,6 @@ pub struct ReplicatedLog<S: StateMachine> {
     slots: Vec<Slot<S::Op>>,
     machine: S,
     next_apply: usize,
-    outputs: Vec<(usize, S::Output)>,
 }
 
 impl<S: StateMachine> Default for ReplicatedLog<S> {
@@ -338,7 +354,6 @@ impl<S: StateMachine> ReplicatedLog<S> {
             slots: Vec::new(),
             machine: S::default(),
             next_apply: 0,
-            outputs: Vec::new(),
         }
     }
 
@@ -373,16 +388,12 @@ impl<S: StateMachine> ReplicatedLog<S> {
         S::Op: PartialEq + fmt::Debug,
     {
         let mut produced = Vec::new();
-        while self.next_apply < self.slots.len() {
-            let i = self.next_apply;
-            let op = match &self.slots[i] {
-                Slot::Decided(op) => op.clone(),
-                _ => break,
+        while let Some(slot @ Slot::Decided(_)) = self.slots.get_mut(self.next_apply) {
+            let Slot::Decided(op) = std::mem::replace(slot, Slot::Empty) else {
+                unreachable!("matched above")
             };
-            let out = self.machine.apply(&op);
-            self.slots[i] = Slot::Applied(op);
-            self.outputs.push((i, out.clone()));
-            produced.push((i, out));
+            produced.push((self.next_apply, self.machine.apply(&op)));
+            *slot = Slot::Applied(op);
             self.next_apply += 1;
         }
         produced
@@ -411,11 +422,6 @@ impl<S: StateMachine> ReplicatedLog<S> {
     /// The underlying state machine.
     pub fn machine(&self) -> &S {
         &self.machine
-    }
-
-    /// All outputs produced so far, in application order.
-    pub fn outputs(&self) -> &[(usize, S::Output)] {
-        &self.outputs
     }
 
     /// Drops applied entries up to `index` (exclusive), modelling PBFT-style
@@ -458,7 +464,6 @@ impl<S: StateMachine> ReplicatedLog<S> {
         self.slots.resize_with(applied_len, || Slot::Empty);
         self.machine = machine;
         self.next_apply = applied_len;
-        self.outputs.clear();
     }
 }
 
@@ -536,6 +541,7 @@ mod tests {
             "limit truncates; end is exclusive"
         );
         assert_eq!(kv.scan("a", "c", 10).len(), 2);
+        assert!(kv.scan("c", "a", 10).is_empty(), "inverted bounds are empty, not a panic");
         assert_eq!(kv.applied(), 7, "ranges count as applied operations");
     }
 
@@ -630,14 +636,11 @@ mod tests {
         kv.apply(&put("a", "1"));
         kv.apply(&put("b", "2"));
         kv.apply(&KvCommand::Get { key: "a".into() });
-        let entries: Vec<(String, String)> =
-            kv.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        let restored = KvStore::restore(entries, kv.applied());
+        let entries = || kv.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        let restored = KvStore::restore(entries(), kv.applied());
         assert_eq!(restored.digest(), kv.digest());
         // Applied count matters: same map, different history ⇒ different digest.
-        let entries2: Vec<(String, String)> =
-            kv.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        assert_ne!(KvStore::restore(entries2, 2).digest(), kv.digest());
+        assert_ne!(KvStore::restore(entries(), 2).digest(), kv.digest());
     }
 
     #[test]
@@ -656,12 +659,12 @@ mod tests {
         #[test]
         fn prop_kv_determinism(ops in proptest::collection::vec(0u8..4, 0..40)) {
             let cmds: Vec<KvCommand> = ops.iter().enumerate().map(|(i, &o)| {
-                let key = format!("k{}", i % 5);
+                let key: Str = format!("k{}", i % 5).into();
                 match o {
-                    0 => KvCommand::Put { key, value: format!("v{i}") },
+                    0 => KvCommand::Put { key, value: format!("v{i}").into() },
                     1 => KvCommand::Get { key },
                     2 => KvCommand::Delete { key },
-                    _ => KvCommand::Cas { key, expect: format!("v{}", i.saturating_sub(5)), new: format!("w{i}") },
+                    _ => KvCommand::Cas { key, expect: format!("v{}", i.saturating_sub(5)).into(), new: format!("w{i}").into() },
                 }
             }).collect();
             let mut a = KvStore::default();
@@ -677,12 +680,12 @@ mod tests {
         #[test]
         fn prop_log_order_independence(order in Just((0..8usize).collect::<Vec<_>>()).prop_shuffle()) {
             let mut log: ReplicatedLog<Counter> = ReplicatedLog::new();
+            let mut applied = Vec::new();
             for &i in &order {
-                log.decide(i, i as i64 + 1);
+                applied.extend(log.decide(i, i as i64 + 1).into_iter().map(|(i, _)| i));
             }
             prop_assert_eq!(log.applied_len(), 8);
-            let outputs: Vec<usize> = log.outputs().iter().map(|(i, _)| *i).collect();
-            prop_assert_eq!(outputs, (0..8).collect::<Vec<_>>());
+            prop_assert_eq!(applied, (0..8).collect::<Vec<_>>());
         }
     }
 }
@@ -856,6 +859,31 @@ mod dedup_tests {
     }
 
     #[test]
+    fn a_decided_batch_shares_its_strings_with_the_store_and_the_replies() {
+        let cmd = |seq, op| Command { client: 1, seq, op };
+        let value: Str = "x".repeat(1024).into();
+        let put = |seq, key: &str| {
+            let (key, value) = (key.into(), value.clone());
+            cmd(seq, KvCommand::Put { key, value })
+        };
+        let mut log: ReplicatedLog<DedupKvMachine> = ReplicatedLog::new();
+        let issued = vec![put(0, "a"), put(1, "b")];
+        log.decide(0, SmrOp::Batch(issued.clone()));
+        let stored = log.machine().kv().get("b").expect("applied");
+        assert!(Arc::ptr_eq(stored, &value), "apply must not copy the value");
+        let outs = log.decide(1, SmrOp::Cmd(cmd(2, KvCommand::Get { key: "b".into() })));
+        let [(1, reply)] = outs.as_slice() else {
+            panic!("one slot applied: {outs:?}")
+        };
+        let [KvResponse::Value(Some(read))] = reply.as_slice() else {
+            panic!("one read reply: {reply:?}")
+        };
+        assert!(Arc::ptr_eq(read, &value), "a read reply shares the stored value");
+        let cached = log.machine().cached(1, 2).expect("dedup cache");
+        assert!(matches!(cached, KvResponse::Value(Some(v)) if Arc::ptr_eq(v, &value)));
+    }
+
+    #[test]
     fn singleton_batches_stay_cmd() {
         let one = |seq| Command {
             client: 1,
@@ -889,12 +917,12 @@ mod dedup_tests {
                 }
                 let seq = next_seq[client as usize];
                 next_seq[client as usize] += 1;
-                let key = format!("k{key}");
+                let key: Str = format!("k{key}").into();
                 let op = match kind {
-                    0 => KvCommand::Put { key, value: format!("v{i}") },
+                    0 => KvCommand::Put { key, value: format!("v{i}").into() },
                     1 => KvCommand::Get { key },
                     2 => KvCommand::Delete { key },
-                    3 => KvCommand::Cas { key, expect: format!("v{}", i / 2), new: format!("w{i}") },
+                    3 => KvCommand::Cas { key, expect: format!("v{}", i / 2).into(), new: format!("w{i}").into() },
                     _ => KvCommand::Range { start: "k0".into(), end: key, limit: 3 },
                 };
                 cmds.push(Command { client, seq, op });

@@ -6,7 +6,7 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha20Rng;
 
-use crate::smr::{Command, KvCommand};
+use crate::smr::{Command, KvCommand, Str};
 use simnet::Time;
 
 /// Mix of operations in a generated key-value workload.
@@ -84,19 +84,19 @@ impl KvWorkload {
     /// Pads a generated value up to `mix.value_bytes` (no-op at the default
     /// of 0, so pre-existing workloads are byte-identical). Padding is
     /// deterministic and draws no randomness.
-    fn pad(&self, mut v: String) -> String {
+    fn pad(&self, mut v: String) -> Str {
         if v.len() < self.mix.value_bytes {
             let fill = self.mix.value_bytes - v.len();
             v.push_str(&"x".repeat(fill));
         }
-        v
+        v.into()
     }
 
     /// Produces the next command.
     pub fn next_command(&mut self) -> Command<KvCommand> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let key = format!("k{}", self.rng.gen_range(0..self.mix.keys.max(1)));
+        let key: Str = format!("k{}", self.rng.gen_range(0..self.mix.keys.max(1))).into();
         let r: f64 = self.rng.gen();
         let op = if r < self.mix.cas_fraction {
             KvCommand::Cas {
@@ -252,7 +252,7 @@ mod tests {
                 (KvCommand::Put { key: ka, value: va }, KvCommand::Put { key: kb, value: vb }) => {
                     assert_eq!(ka, kb);
                     assert_eq!(vb.len(), 256);
-                    assert!(vb.starts_with(va.as_str()));
+                    assert!(vb.starts_with(&**va));
                 }
                 other => panic!("streams diverged: {other:?}"),
             }

@@ -194,12 +194,12 @@ pub fn check_atomic_commit(votes: &[bool], states: &[(u32, TxnState)]) -> Vec<Vi
 /// * `txn-atomicity` — a data write (or read observation) of a transaction
 ///   that aborted, or for which no commit decision was ever witnessed.
 pub fn check_txn_atomicity(history: &[ClientRecord]) -> Vec<Violation> {
-    use consensus_core::smr::{KvCommand, KvResponse};
+    use consensus_core::smr::{KvCommand, KvResponse, Str};
     use consensus_core::txn::{self, TxnDecision, TxnId};
 
     let (decisions, mut out) = witnessed_decisions(history);
 
-    let mut flagged: BTreeSet<(TxnId, String)> = BTreeSet::new();
+    let mut flagged: BTreeSet<(TxnId, Str)> = BTreeSet::new();
     for r in history {
         let Some(resp) = r.response() else { continue };
         let (kind, key, value) = match (&r.op, resp) {
@@ -300,12 +300,12 @@ fn witnessed_decisions(
 /// early write that 2PC should have kept invisible — exactly the leak the
 /// `buggy_early_writes` injection produces.
 pub fn check_range_consistency(history: &[ClientRecord]) -> Vec<Violation> {
-    use consensus_core::smr::{KvCommand, KvResponse};
+    use consensus_core::smr::{KvCommand, KvResponse, Str};
     use consensus_core::txn::{self, TxnDecision, TxnId};
 
     let (decisions, _) = witnessed_decisions(history);
     let mut out = Vec::new();
-    let mut flagged: BTreeSet<(TxnId, String)> = BTreeSet::new();
+    let mut flagged: BTreeSet<(TxnId, Str)> = BTreeSet::new();
     for r in history {
         let KvCommand::Range { start, end, limit } = &r.op else {
             continue;
@@ -324,7 +324,7 @@ pub fn check_range_consistency(history: &[ClientRecord]) -> Vec<Violation> {
         }
         if let Some(bad) = entries
             .iter()
-            .find(|(k, _)| k.as_str() < start.as_str() || k.as_str() >= end.as_str())
+            .find(|(k, _)| k < start || k >= end)
         {
             out.push(Violation {
                 check: "range-bounds",
@@ -481,7 +481,7 @@ mod tests {
         };
         let commit_cas = rec(
             KvCommand::Cas {
-                key: txn::decision_key(tid),
+                key: txn::decision_key(tid).into(),
                 expect: txn::DECISION_PENDING.into(),
                 new: "commit".into(),
             },
@@ -489,20 +489,20 @@ mod tests {
         );
         let abort_read = rec(
             KvCommand::Get {
-                key: txn::decision_key(tid),
+                key: txn::decision_key(tid).into(),
             },
             KvResponse::Value(Some("abort".into())),
         );
         let data_write = rec(
             KvCommand::Put {
                 key: "k1".into(),
-                value: txn::tag_value("v", tid),
+                value: txn::tag_value("v", tid).into(),
             },
             KvResponse::Ok,
         );
         let data_read = rec(
             KvCommand::Get { key: "k1".into() },
-            KvResponse::Value(Some(txn::tag_value("v", tid))),
+            KvResponse::Value(Some(txn::tag_value("v", tid).into())),
         );
 
         // Committed txn with visible writes: clean.
@@ -517,7 +517,7 @@ mod tests {
         // commit evidence too, and conflicts with an abort read.
         let commit_put = rec(
             KvCommand::Put {
-                key: txn::decision_key(tid),
+                key: txn::decision_key(tid).into(),
                 value: "commit".into(),
             },
             KvResponse::Ok,
@@ -544,7 +544,7 @@ mod tests {
             ..rec(
                 KvCommand::Put {
                     key: "k2".into(),
-                    value: txn::tag_value("v", tid),
+                    value: txn::tag_value("v", tid).into(),
                 },
                 KvResponse::Ok,
             )
@@ -573,13 +573,13 @@ mod tests {
                     limit: 4,
                 },
                 KvResponse::Entries(
-                    entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
+                    entries.into_iter().map(|(k, v)| (k.into(), v.into())).collect(),
                 ),
             )
         };
         let commit = rec(
             KvCommand::Put {
-                key: txn::decision_key(tid),
+                key: txn::decision_key(tid).into(),
                 value: "commit".into(),
             },
             KvResponse::Ok,
@@ -602,7 +602,7 @@ mod tests {
         // So is one from a transaction witnessed as aborted.
         let abort = rec(
             KvCommand::Get {
-                key: txn::decision_key(tid),
+                key: txn::decision_key(tid).into(),
             },
             KvResponse::Value(Some("abort".into())),
         );

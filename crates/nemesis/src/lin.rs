@@ -25,7 +25,7 @@
 
 use std::collections::BTreeMap;
 
-use consensus_core::{ClientRecord, KvCommand, KvResponse};
+use consensus_core::{ClientRecord, KvCommand, KvResponse, Str};
 
 use crate::checker::Violation;
 
@@ -45,13 +45,13 @@ fn key_of(cmd: &KvCommand) -> Option<&str> {
 
 /// Applies `cmd` to a single register holding `state`, returning the new
 /// state and the response a sequential store would give.
-fn step(state: &Option<String>, cmd: &KvCommand) -> (Option<String>, KvResponse) {
+fn step(state: &Option<Str>, cmd: &KvCommand) -> (Option<Str>, KvResponse) {
     match cmd {
         KvCommand::Put { value, .. } => (Some(value.clone()), KvResponse::Ok),
         KvCommand::Get { .. } => (state.clone(), KvResponse::Value(state.clone())),
         KvCommand::Delete { .. } => (None, KvResponse::Ok),
         KvCommand::Cas { expect, new, .. } => {
-            if state.as_deref() == Some(expect.as_str()) {
+            if state.as_ref() == Some(expect) {
                 (Some(new.clone()), KvResponse::CasResult { swapped: true })
             } else {
                 (state.clone(), KvResponse::CasResult { swapped: false })
@@ -78,7 +78,7 @@ struct Search<'a> {
 impl Search<'_> {
     /// DFS over witness orders. Returns true if a legal sequential witness
     /// exists for the remaining (unused) operations from `state`.
-    fn dfs(&mut self, state: &Option<String>, remaining: usize) -> bool {
+    fn dfs(&mut self, state: &Option<Str>, remaining: usize) -> bool {
         if remaining == 0 {
             return true;
         }

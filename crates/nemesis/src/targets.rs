@@ -359,8 +359,8 @@ fn equivocation_filter() -> Box<dyn Filter<PbftMsg>> {
         client: 0,
         seq: 9_999,
         op: KvCommand::Put {
-            key: "evil".to_string(),
-            value: "forged".to_string(),
+            key: "evil".into(),
+            value: "forged".into(),
         },
     }];
     Box::new(FnFilter(move |_from, to: NodeId, msg: &PbftMsg, _rng: &mut ChaCha20Rng| {

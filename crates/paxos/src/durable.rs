@@ -32,7 +32,7 @@
 //! client table. Restoring must reproduce the machine digest bit-for-bit —
 //! the nemesis fingerprint oracle depends on it.
 
-use consensus_core::{Ballot, Command, DedupKvMachine, KvCommand, KvResponse, KvStore, SmrOp};
+use consensus_core::{Ballot, Command, DedupKvMachine, KvCommand, KvResponse, KvStore, SmrOp, Str};
 use storage::codec::{put_str, put_u32, put_u64, Reader};
 
 /// WAL record decoded back from bytes.
@@ -64,9 +64,9 @@ pub enum WalRecord {
     /// *before* the releasing reply leaves (WAL-before-decision).
     TxnDecision {
         /// The decision key (`~dec.<tid>`).
-        key: String,
+        key: Str,
         /// The resolved decision value (`commit` / `abort`).
-        value: String,
+        value: Str,
     },
 }
 
@@ -405,8 +405,8 @@ mod tests {
                 i % 3,
                 u64::from(i),
                 KvCommand::Put {
-                    key: format!("k{i}"),
-                    value: format!("v{i}"),
+                    key: format!("k{i}").into(),
+                    value: format!("v{i}").into(),
                 },
             )));
         }
@@ -482,5 +482,85 @@ mod tests {
             "020000000000000002000000000000000100000001000000780100000079020000000100\
              0000010000000000000000000000020000000300000000000000020000000100000079"
         );
+    }
+
+    /// Recorded at the parent of the `Arc<str>` change, with `String`
+    /// fields: empty and multi-byte strings, and both reply shapes that
+    /// carry them, encode to the same bytes whatever owns the text.
+    #[test]
+    fn shared_strings_encode_to_the_bytes_owned_strings_did() {
+        let c = |seq, op| Command { client: 1, seq, op };
+        let cmds = vec![
+            c(0, KvCommand::Put { key: "".into(), value: "é✓".into() }),
+            c(1, KvCommand::Get { key: "".into() }),
+            c(2, KvCommand::Range { start: "".into(), end: "\u{10FFFF}".into(), limit: 3 }),
+        ];
+        let rec = encode_record(&WalRecord::Decide { index: 5, op: SmrOp::Batch(cmds.clone()) });
+        assert_eq!(
+            hex(&rec),
+            "0300000005000000000000000200000003000000010000000000000000000000000000000000000005000000c3a9e29c930100000001000000000000000100000000000000010000000200000000000000040000000000000004000000f48fbfbf0300000000000000"
+        );
+        let mut m = DedupKvMachine::default();
+        m.apply(&SmrOp::Batch(cmds[..2].to_vec()));
+        assert_eq!(
+            hex(&encode_snapshot(&m, 1)),
+            "01000000000000000200000000000000010000000000000005000000c3a9e29c93010000000100000001000000000000000200000005000000c3a9e29c93"
+        );
+        m.apply(&SmrOp::Batch(cmds[2..].to_vec()));
+        assert_eq!(
+            hex(&encode_snapshot(&m, 1)),
+            "01000000000000000300000000000000010000000000000005000000c3a9e29c930100000001000000020000000000000004000000010000000000000005000000c3a9e29c93"
+        );
+    }
+
+    const GLYPHS: [&str; 4] = ["a", "é", "✓", "\u{10FFFF}"];
+    const REPEATS: [usize; 4] = [0, 1, 9, 4096];
+
+    /// Empty, short and ≥ 4 KiB strings of 1- to 4-byte characters.
+    fn text((glyph, repeat): (usize, usize)) -> Str {
+        GLYPHS[glyph].repeat(REPEATS[repeat]).into()
+    }
+
+    proptest::proptest! {
+        /// `decode(encode(x)) == x` wherever a `Str` is stored: commands in
+        /// log records, decision records, the snapshot's map and the
+        /// replies (`Value`, `Entries`) in its client table.
+        #[test]
+        fn prop_every_string_field_round_trips(
+            raw in proptest::collection::vec(
+                (0u8..5, (0usize..4, 0usize..4), (0usize..4, 0usize..4), (0usize..4, 0usize..4)),
+                1..6,
+            )
+        ) {
+            use proptest::prelude::*;
+            let cmds: Vec<Command<KvCommand>> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(kind, a, b, c))| {
+                    let (key, value, new) = (text(a), text(b), text(c));
+                    let op = match kind {
+                        0 => KvCommand::Put { key, value },
+                        1 => KvCommand::Get { key },
+                        2 => KvCommand::Delete { key },
+                        3 => KvCommand::Cas { key, expect: value, new },
+                        _ => KvCommand::Range { start: key, end: value, limit: i + 1 },
+                    };
+                    Command { client: i as u32 % 3, seq: i as u64, op }
+                })
+                .collect();
+            let op = SmrOp::from_batch(cmds.iter().cloned());
+            let rec = WalRecord::Decide { index: 5, op };
+            prop_assert_eq!(decode_record(&encode_record(&rec)), Some(rec));
+            let dec = WalRecord::TxnDecision { key: text(raw[0].1), value: text(raw[0].2) };
+            prop_assert_eq!(decode_record(&encode_record(&dec)), Some(dec));
+            let mut m = DedupKvMachine::default();
+            for c in &cmds {
+                m.apply_cmd(c);
+            }
+            let back = decode_snapshot(&encode_snapshot(&m, 1)).expect("decodes").0;
+            prop_assert_eq!(back.kv().iter().collect::<Vec<_>>(), m.kv().iter().collect::<Vec<_>>());
+            prop_assert_eq!(back.client_table(), m.client_table());
+            prop_assert_eq!(back.digest(), m.digest());
+        }
     }
 }

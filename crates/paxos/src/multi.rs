@@ -27,7 +27,7 @@ use consensus_core::smr::Slot;
 use consensus_core::txn::is_txn_decision;
 use consensus_core::{
     Ballot, Client, ClientWire, Cluster, Command, DedupKvMachine, DurableProtocol, Inbound,
-    KvCommand, KvResponse, QuorumSpec, ReadMode, ReplicatedLog, Session, SmrOp, SmrProtocol,
+    KvCommand, KvResponse, QuorumSpec, ReadMode, ReplicatedLog, Session, SmrOp, SmrProtocol, Str,
 };
 use simnet::causal::cat;
 use simnet::{CncPhase, Context, DiskModel, Node, NodeId, Payload, Time, Timer, TraceCtx};
@@ -142,7 +142,7 @@ pub enum MpMsg {
         /// Client-chosen read sequence number (echoed back verbatim).
         seq: u64,
         /// Key to read.
-        key: String,
+        key: Str,
     },
     /// Reply to [`MpMsg::ReadReq`]. `mode` says how (or whether) the read
     /// was served; on [`ReadMode::Nack`] the value is meaningless and the
@@ -153,7 +153,7 @@ pub enum MpMsg {
         /// Echoed read sequence number.
         seq: u64,
         /// The value (None = key absent) — only meaningful when served.
-        value: Option<String>,
+        value: Option<Str>,
         /// How the read was served.
         mode: ReadMode,
     },
@@ -276,7 +276,7 @@ pub struct Replica {
     /// this replica applied, persisted as first-class `TxnDecision` WAL
     /// records *before* the releasing reply leaves and rebuilt on recovery
     /// (from snapshot + WAL) without replaying the command history.
-    txn_decisions: BTreeMap<String, String>,
+    txn_decisions: BTreeMap<Str, Str>,
     /// `TxnDecision` records appended over this replica's lifetime.
     pub txn_decisions_logged: u64,
     /// Durable mode: per client, the highest sequence number mirrored into
@@ -666,7 +666,7 @@ impl Replica {
         let Slot::Applied(op) = self.log.slot(index) else {
             return false;
         };
-        let mut decisions: Vec<(String, String)> = Vec::new();
+        let mut decisions: Vec<(Str, Str)> = Vec::new();
         for (cmd, out) in op.commands().iter().zip(replies) {
             let last = self.mirrored_seq.get(&cmd.client);
             if last.is_some_and(|last| cmd.seq <= *last) {
@@ -700,7 +700,7 @@ impl Replica {
                     let mut got = engine.scan(start, end);
                     got.truncate(*limit);
                     assert!(
-                        *out == KvResponse::Entries(got),
+                        out.is_entries(&got),
                         "engine index diverged from machine on range scan"
                     );
                 }
@@ -717,7 +717,7 @@ impl Replica {
 
     /// Durable mode: the transaction decision records this replica has
     /// applied (decision key → `commit`/`abort`), survives crash recovery.
-    pub fn txn_decisions(&self) -> &BTreeMap<String, String> {
+    pub fn txn_decisions(&self) -> &BTreeMap<Str, Str> {
         &self.txn_decisions
     }
 
@@ -729,15 +729,9 @@ impl Replica {
         if self.engine.is_none() {
             return;
         }
-        let entries: Vec<(String, String)> = self
-            .log
-            .machine()
-            .kv()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
+        let kv = self.log.machine().kv();
         let engine = self.engine.as_mut().expect("checked above");
-        for (k, v) in &entries {
+        for (k, v) in kv.iter() {
             engine.put(k, v);
         }
         self.mirrored_seq = (self.log.machine().client_table().iter())
@@ -745,7 +739,7 @@ impl Replica {
             .collect();
         // Decision records captured by the checkpoint re-seed the decision
         // table; WAL replay then adds anything resolved after it.
-        for (k, v) in &entries {
+        for (k, v) in kv.iter() {
             if is_txn_decision(k, v) {
                 self.txn_decisions.insert(k.clone(), v.clone());
             }
@@ -1324,7 +1318,7 @@ impl ClientWire for MpMsg {
         MpMsg::Request { cmd }
     }
 
-    fn read_request(client: u32, seq: u64, key: String) -> Self {
+    fn read_request(client: u32, seq: u64, key: Str) -> Self {
         MpMsg::ReadReq { client, seq, key }
     }
 
@@ -1575,7 +1569,7 @@ mod tests {
                 r.mirror_applied(i, &replies);
             }
         }
-        assert_eq!(r.log.machine().kv().get("k"), Some(&"b".to_string()));
+        assert_eq!(r.log.machine().kv().get("k"), Some(&"b".into()));
         let engine = r.engine.as_mut().expect("attached above");
         assert_eq!(engine.get("k"), Some("b".to_string()), "index follows the machine");
     }
@@ -1737,7 +1731,7 @@ mod tests {
                 client: 3,
                 seq,
                 op: KvCommand::Put {
-                    key: format!("k{seq}"),
+                    key: format!("k{seq}").into(),
                     value: "v".into(),
                 },
             },
@@ -2057,7 +2051,7 @@ mod tests {
     }
 
     /// Helper: the current leader plus one `(key, value)` it has applied.
-    fn leader_and_sample(cluster: &MultiPaxosCluster) -> (NodeId, String, String) {
+    fn leader_and_sample(cluster: &MultiPaxosCluster) -> (NodeId, Str, Str) {
         let leader = cluster.leader().expect("stable leader");
         let Proc::Replica(r) = cluster.sim.node(leader) else {
             panic!("leader is a replica")

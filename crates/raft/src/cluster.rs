@@ -541,7 +541,7 @@ mod tests {
     }
 
     /// One `(key, value)` pair from the most-applied replica's KV state.
-    fn applied_sample(cluster: &RaftCluster) -> (String, String) {
+    fn applied_sample(cluster: &RaftCluster) -> (consensus_core::Str, consensus_core::Str) {
         let r = cluster
             .replicas()
             .max_by_key(|r| r.last_applied)

@@ -1,7 +1,7 @@
 //! Raft wire messages and log entries.
 
 use consensus_core::{
-    ClientWire, Command, DedupKvMachine, Inbound, KvCommand, KvResponse, ReadMode, SmrOp,
+    ClientWire, Command, DedupKvMachine, Inbound, KvCommand, KvResponse, ReadMode, SmrOp, Str,
 };
 use simnet::{NodeId, Payload};
 
@@ -97,7 +97,7 @@ pub enum RaftMsg {
         /// Client-chosen read sequence number (echoed back verbatim).
         seq: u64,
         /// Key to read.
-        key: String,
+        key: Str,
     },
     /// Reply to [`RaftMsg::ReadReq`]. On [`ReadMode::Nack`] the value is
     /// meaningless and the caller must fall back to the log path.
@@ -107,7 +107,7 @@ pub enum RaftMsg {
         /// Echoed read sequence number.
         seq: u64,
         /// The value (None = key absent) — only meaningful when served.
-        value: Option<String>,
+        value: Option<Str>,
         /// How the read was served.
         mode: ReadMode,
     },
@@ -178,7 +178,7 @@ impl ClientWire for RaftMsg {
         RaftMsg::Request { cmd }
     }
 
-    fn read_request(client: u32, seq: u64, key: String) -> Self {
+    fn read_request(client: u32, seq: u64, key: Str) -> Self {
         RaftMsg::ReadReq { client, seq, key }
     }
 

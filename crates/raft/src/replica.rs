@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 
 use consensus_core::txn::is_txn_decision;
 use consensus_core::{
-    BatchConfig, Batcher, DedupKvMachine, Flush, KvCommand, KvResponse, ReadMode, SmrOp,
+    BatchConfig, Batcher, DedupKvMachine, Flush, KvCommand, KvResponse, ReadMode, SmrOp, Str,
 };
 use simnet::causal::cat;
 use simnet::{CncPhase, Context, Node, NodeId, Time, TraceCtx, Timer, TimerId};
@@ -51,7 +51,7 @@ const READ_CONTACT_US: u64 = 4 * HB_PERIOD;
 /// (by the leader) and locally applied.
 struct PendingRead {
     /// Key to serve once ready.
-    key: String,
+    key: Str,
     /// Node the [`RaftMsg::ReadResp`] goes back to.
     reply_to: NodeId,
     /// Leader-confirmed commit index the read must wait for (`None` while
@@ -133,7 +133,7 @@ pub struct Replica {
     /// this replica applied, persisted as first-class `TxnDecision` WAL
     /// records *before* the releasing reply leaves and rebuilt on recovery
     /// (from snapshot + WAL) without replaying the command history.
-    txn_decisions: BTreeMap<String, String>,
+    txn_decisions: BTreeMap<Str, Str>,
     /// `TxnDecision` records appended over this replica's lifetime.
     pub txn_decisions_logged: u64,
 
@@ -222,7 +222,7 @@ impl Replica {
 
     /// Durable mode: the transaction decision records this replica has
     /// applied (decision key → `commit`/`abort`), survives crash recovery.
-    pub fn txn_decisions(&self) -> &BTreeMap<String, String> {
+    pub fn txn_decisions(&self) -> &BTreeMap<Str, Str> {
         &self.txn_decisions
     }
 
@@ -314,30 +314,23 @@ impl Replica {
         if self.engine.is_none() {
             return;
         }
-        let entries: Vec<(String, String)> = self
-            .machine
-            .kv()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        let live: std::collections::BTreeSet<&str> =
-            entries.iter().map(|(k, _)| k.as_str()).collect();
+        let kv = self.machine.kv();
         let engine = self.engine.as_mut().expect("checked above");
         let stale: Vec<String> = engine
             .scan("", "\u{10FFFF}")
             .into_iter()
             .map(|(k, _)| k)
-            .filter(|k| !live.contains(k.as_str()))
+            .filter(|k| kv.get(k).is_none())
             .collect();
         for k in &stale {
             engine.delete(k);
         }
-        for (k, v) in &entries {
+        for (k, v) in kv.iter() {
             engine.put(k, v);
         }
         // Decision records captured by the checkpoint re-seed the decision
         // table; WAL replay then adds anything resolved after it.
-        for (k, v) in &entries {
+        for (k, v) in kv.iter() {
             if is_txn_decision(k, v) {
                 self.txn_decisions.insert(k.clone(), v.clone());
             }
@@ -876,7 +869,7 @@ fn mirror_cmd(
     engine: &mut dyn storage::StorageEngine,
     op: &KvCommand,
     out: &KvResponse,
-) -> Option<(String, String)> {
+) -> Option<(Str, Str)> {
     let written = match op {
         KvCommand::Put { key, value } => {
             engine.put(key, value);
@@ -901,7 +894,7 @@ fn mirror_cmd(
             let mut got = engine.scan(start, end);
             got.truncate(*limit);
             assert!(
-                *out == KvResponse::Entries(got),
+                out.is_entries(&got),
                 "engine index diverged from machine on range scan"
             );
             None

@@ -4,6 +4,8 @@
 //! derive; every on-disk format in this crate (and the WAL records the
 //! consensus layer writes through it) is encoded with these primitives.
 
+use std::sync::Arc;
+
 /// Appends a `u32` in little-endian order.
 pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -62,10 +64,11 @@ impl<'a> Reader<'a> {
         self.take(len)
     }
 
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Option<String> {
+    /// Reads a length-prefixed UTF-8 string into the one allocation its
+    /// holders then share.
+    pub fn get_str(&mut self) -> Option<Arc<str>> {
         let b = self.get_bytes()?;
-        String::from_utf8(b.to_vec()).ok()
+        std::str::from_utf8(b).ok().map(Arc::from)
     }
 
     fn take(&mut self, n: usize) -> Option<&'a [u8]> {

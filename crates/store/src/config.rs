@@ -5,7 +5,7 @@
 //! write into the shard logs.
 
 use consensus_core::driver::BatchConfig;
-use consensus_core::smr::KvCommand;
+use consensus_core::smr::{KvCommand, Str};
 use consensus_core::txn::{self, TxnDecision, TxnId};
 use simnet::{DiskModel, NetConfig};
 
@@ -119,13 +119,13 @@ pub fn decode_intent(s: &str) -> (CommitBackend, Vec<usize>) {
 // are the registers' operations as shard-log commands; the keys and values
 // are `consensus_core::txn`'s.
 
-pub(crate) fn put(key: String, value: impl Into<String>) -> KvCommand {
-    let value = value.into();
+pub(crate) fn put(key: String, value: impl Into<Str>) -> KvCommand {
+    let (key, value) = (key.into(), value.into());
     KvCommand::Put { key, value }
 }
 
 pub(crate) fn get(key: String) -> KvCommand {
-    KvCommand::Get { key }
+    KvCommand::Get { key: key.into() }
 }
 
 /// Records `decision` as a plain entry: raw 2PC's decision, or the outcome
@@ -138,9 +138,9 @@ pub(crate) fn decision_put(tid: TxnId, decision: TxnDecision) -> KvCommand {
 /// shard's log serializes concurrent resolvers; exactly one CAS swaps.
 pub(crate) fn decision_cas(tid: TxnId, decision: TxnDecision) -> KvCommand {
     KvCommand::Cas {
-        key: txn::decision_key(tid),
-        expect: txn::DECISION_PENDING.to_string(),
-        new: decision.as_str().to_string(),
+        key: txn::decision_key(tid).into(),
+        expect: txn::DECISION_PENDING.into(),
+        new: decision.as_str().into(),
     }
 }
 
@@ -152,9 +152,9 @@ pub(crate) fn decision_get(tid: TxnId) -> KvCommand {
 /// or a terminating coordinator's free abort.
 pub(crate) fn vote_cas(tid: TxnId, shard: usize, vote: String) -> KvCommand {
     KvCommand::Cas {
-        key: txn::vote_key(tid, shard),
-        expect: txn::VOTE_PENDING.to_string(),
-        new: vote,
+        key: txn::vote_key(tid, shard).into(),
+        expect: txn::VOTE_PENDING.into(),
+        new: vote.into(),
     }
 }
 

@@ -16,7 +16,7 @@
 //! "decided in the shard log".
 
 use consensus_core::driver::{BatchConfig, ClusterDriver, DriverConfig};
-use consensus_core::smr::{Command, KvCommand, KvResponse};
+use consensus_core::smr::{Command, KvCommand, KvResponse, Str};
 use consensus_core::{Client, ClientWire, Cluster, DurableProtocol, ReadMode, SmrProtocol};
 use paxos::multi::MultiPaxos;
 use raft::Raft;
@@ -151,7 +151,7 @@ pub trait ShardEngine: ClusterDriver {
 
     /// The fast-read reply for `(client, seq)`, if one has arrived at any
     /// regional stub: `(value, mode)`.
-    fn read_reply(&self, client: u32, seq: u64) -> Option<(Option<String>, ReadMode)>;
+    fn read_reply(&self, client: u32, seq: u64) -> Option<(Option<Str>, ReadMode)>;
 
     /// The replica a region-`region` client should aim its fast reads at:
     /// for Multi-Paxos the (lease-holding) leader — only it can serve; for
@@ -255,17 +255,17 @@ where
     fn peek(&self, key: &str) -> Option<String> {
         self.replicas()
             .max_by_key(|r| P::applied_len(r))
-            .and_then(|r| P::machine(r).kv().get(key).cloned())
+            .and_then(|r| P::machine(r).kv().get(key).map(|v| v.to_string()))
     }
 
     fn submit_read(&mut self, client: u32, seq: u64, key: &str, target: usize, region: usize) {
         let stub = NodeId::from(self.n_replicas + region);
         let at = self.sim.now();
-        let msg = P::Msg::read_request(client, seq, key.to_string());
+        let msg = P::Msg::read_request(client, seq, key.into());
         self.sim.inject(stub, NodeId::from(target), msg, at);
     }
 
-    fn read_reply(&self, client: u32, seq: u64) -> Option<(Option<String>, ReadMode)> {
+    fn read_reply(&self, client: u32, seq: u64) -> Option<(Option<Str>, ReadMode)> {
         self.clients()
             .find_map(|c| c.read_replies.get(&(client, seq)).cloned())
     }

@@ -26,7 +26,7 @@
 //! the nemesis `store-geo` target checks is that a *served* fast read is
 //! never stale.
 
-use consensus_core::ReadMode;
+use consensus_core::{ReadMode, Str};
 use simnet::WanTopology;
 
 /// How a shard's consensus group is assigned to regions.
@@ -169,7 +169,7 @@ pub struct ReadOutcome {
     /// Issuing router's client id.
     pub client: u32,
     /// Key read.
-    pub key: String,
+    pub key: Str,
     /// Shard owning the key.
     pub shard: usize,
     /// The router's home region.
@@ -181,7 +181,7 @@ pub struct ReadOutcome {
     /// fallback. Never [`ReadMode::Nack`] — a NACK *causes* the fallback.
     pub mode: ReadMode,
     /// The value read (`None` = key absent).
-    pub value: Option<String>,
+    pub value: Option<Str>,
     /// Completion time (µs).
     pub at: u64,
     /// Issue-to-answer latency (µs).

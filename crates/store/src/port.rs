@@ -29,7 +29,7 @@
 use std::fmt;
 
 use consensus_core::history::HistorySink;
-use consensus_core::smr::{Command, KvCommand, KvResponse};
+use consensus_core::smr::{Command, KvCommand, KvResponse, Str};
 use consensus_core::ReadMode;
 use simnet::causal::cat;
 use simnet::{TraceCtx, Tracer};
@@ -275,7 +275,7 @@ impl Port {
         &mut self,
         cx: &mut Step<'_, E>,
         shard: usize,
-        key: String,
+        key: Str,
         region: usize,
     ) -> usize {
         let target = cx.shards[shard].read_target(region);

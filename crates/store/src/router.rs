@@ -34,7 +34,7 @@
 
 use std::collections::VecDeque;
 
-use consensus_core::smr::{KvCommand, KvResponse};
+use consensus_core::smr::{KvCommand, KvResponse, Str};
 use consensus_core::txn::{self, TxnDecision, TxnId, TxnPhase};
 use consensus_core::ReadMode;
 
@@ -86,14 +86,14 @@ pub struct RangeOutcome {
     /// Issuing router's client id.
     pub client: u32,
     /// Scan start key (inclusive).
-    pub start: String,
+    pub start: Str,
     /// Scan end key (exclusive).
-    pub end: String,
+    pub end: Str,
     /// Maximum entries requested.
     pub limit: usize,
     /// Merged result: per-shard scans concatenated, sorted by key, and
     /// truncated to `limit` — the deterministic global top-`limit`.
-    pub entries: Vec<(String, String)>,
+    pub entries: Vec<(Str, Str)>,
     /// Completion time (µs).
     pub at: u64,
 }

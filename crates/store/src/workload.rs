@@ -1,7 +1,7 @@
 //! The deterministic per-router workload: what each router will issue, in
 //! order, drawn from the store seed alone.
 
-use consensus_core::smr::KvCommand;
+use consensus_core::smr::{KvCommand, Str};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha20Rng;
 
@@ -14,8 +14,8 @@ pub(crate) enum WorkItem {
     Single(KvCommand),
     /// A key-interval scan, fanned out across every shard and merged.
     Range {
-        start: String,
-        end: String,
+        start: Str,
+        end: Str,
         limit: usize,
     },
     Txn {
@@ -26,7 +26,7 @@ pub(crate) enum WorkItem {
     /// A fast-path linearizable read (geo stores only): tries the lease /
     /// read-index path first, falls back to the log on NACK or silence.
     GeoRead {
-        key: String,
+        key: Str,
     },
 }
 
@@ -86,11 +86,11 @@ pub(crate) fn generate_items(
         }
         if singles < cfg.singles_per_router {
             let s = rng.gen_range(0..cfg.n_shards);
-            let key = pool[s][rng.gen_range(0..pool[s].len())].clone();
+            let key = pool[s][rng.gen_range(0..pool[s].len())].as_str().into();
             let op = if rng.gen_range(0..2) == 0 {
                 KvCommand::Put {
                     key,
-                    value: format!("s{router}.{i}"),
+                    value: format!("s{router}.{i}").into(),
                 }
             } else {
                 KvCommand::Get { key }
@@ -110,10 +110,10 @@ pub(crate) fn generate_items(
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
             // `"!"` sorts below every pool-key character, so this end bound
             // includes `all_keys[hi]` itself but none of its extensions.
-            let end = format!("{}!", all_keys[hi]);
+            let end = format!("{}!", all_keys[hi]).into();
             let limit = 1 + rng.gen_range(0..all_keys.len());
             items.push(WorkItem::Range {
-                start: all_keys[lo].clone(),
+                start: all_keys[lo].as_str().into(),
                 end,
                 limit,
             });
@@ -143,7 +143,7 @@ pub(crate) fn generate_items(
             let a = rng.gen_range(0..pool[s].len());
             let b = rng.gen_range(0..pool[s].len());
             items.push(WorkItem::GeoRead {
-                key: pool[s][a.min(b)].clone(),
+                key: pool[s][a.min(b)].as_str().into(),
             });
         }
     }

@@ -4,6 +4,7 @@
 use atomic_commit::two_phase;
 use atomic_commit::TxnState;
 use consensus_core::txn::{self, TxnDecision};
+use consensus_core::Str;
 use nemesis::checker::check_range_consistency;
 use paxos::MultiPaxosCluster;
 use raft::RaftCluster;
@@ -278,7 +279,7 @@ fn durable_coordinator_shard_recovers_in_flight_decision() {
         1
     );
     assert_eq!(
-        r.txn_decisions().get(&dec_key).map(String::as_str),
+        r.txn_decisions().get(dec_key.as_str()).map(|v| &**v),
         Some("commit"),
         "restarted replica must recover the in-flight decision"
     );
@@ -383,7 +384,7 @@ fn sequential_range_cfg(seed: u64) -> StoreConfig {
         .ranges_per_router(3)
 }
 
-type MergedRange = (String, String, usize, Vec<(String, String)>);
+type MergedRange = (Str, Str, usize, Vec<(Str, Str)>);
 
 fn merged_ranges<E: ShardEngine>(cfg: StoreConfig) -> Vec<MergedRange> {
     let mut s: Store<E> = Store::new(cfg);
@@ -413,7 +414,7 @@ fn range_queries_merge_deterministically_across_shards() {
             }
             for (k, _) in &o.entries {
                 assert!(
-                    k.as_str() >= o.start.as_str() && k.as_str() < o.end.as_str(),
+                    *k >= o.start && *k < o.end,
                     "key {k} outside [{},{})",
                     o.start,
                     o.end

@@ -2,17 +2,23 @@
 //! protocol in the zoo, under identical network conditions — the data
 //! behind experiment T5's "who wins, by roughly what factor".
 
+use std::sync::Arc;
+
 use forty::bft::cheapbft::CheapCluster;
 use forty::bft::hotstuff::HsCluster;
 use forty::bft::minbft::MinCluster;
-use forty::bft::pbft::PbftCluster;
+use forty::bft::pbft::{Pbft, PbftCluster};
 use forty::bft::seemore::SmCluster;
 use forty::bft::xft::XftCluster;
 use forty::bft::zyzzyva::ZyzCluster;
 use forty::consensus_core::driver::{ClusterDriver, DriverConfig};
-use forty::paxos::MultiPaxosCluster;
-use forty::raft::RaftCluster;
-use forty::simnet::Time;
+use forty::consensus_core::workload::KvMix;
+use forty::consensus_core::{
+    Cluster, DurableProtocol, KvCommand, Proc, SmrProtocol, Str, WorkloadClient,
+};
+use forty::paxos::{MultiPaxos, MultiPaxosCluster};
+use forty::raft::{Raft, RaftCluster};
+use forty::simnet::{DiskModel, NodeId, Time};
 use nemesis::checker::{check_log_agreement, check_state_digests};
 use nemesis::lin::{check_linearizable, DEFAULT_BUDGET};
 
@@ -140,4 +146,105 @@ fn minbft_with_trusted_component_runs_fewer_replicas_and_messages_than_pbft() {
         minbft < pbft,
         "minbft {minbft:.1} should undercut pbft {pbft:.1}"
     );
+}
+
+/// One client issues one `Put` padded to `value_bytes` on protocol `P`;
+/// returns the cluster after every replica applied it, and the value the
+/// client's history holds.
+fn one_padded_put<P: SmrProtocol>(
+    n_replicas: usize,
+    value_bytes: usize,
+    prepare: fn(Cluster<P>) -> Cluster<P>,
+) -> (Cluster<P>, Str)
+where
+    P::Shape: From<usize>,
+{
+    let mix = KvMix {
+        write_fraction: 1.0,
+        ..KvMix::default().with_value_bytes(value_bytes)
+    };
+    let cfg = DriverConfig::new(n_replicas, 1, 1, SEED).with_mix(mix);
+    let mut cluster = prepare(Cluster::<P>::build(n_replicas.into(), &cfg));
+    assert!(cluster.run(Time::from_secs(30)), "{} stalled", P::NAME);
+    cluster.sim.run_for(300_000); // followers learn the decision and apply
+    let issued = {
+        let client = cluster.clients().next().expect("one client");
+        let [record] = client.session().history.records() else {
+            panic!("one op issued")
+        };
+        assert!(record.is_complete(), "{}", P::NAME);
+        let KvCommand::Put { value, .. } = &record.op else {
+            panic!("write-only mix")
+        };
+        assert_eq!(value.len(), value_bytes);
+        value.clone()
+    };
+    (cluster, issued)
+}
+
+fn stored<P: SmrProtocol>(replica: &P::Replica) -> &Str {
+    let mut entries = P::machine(replica).kv().iter();
+    let (_, value) = entries.next().unwrap_or_else(|| panic!("{}: nothing applied", P::NAME));
+    assert!(entries.next().is_none(), "{}: one key written", P::NAME);
+    value
+}
+
+/// From issue to apply nothing deep-copies a payload: broadcast, proposal
+/// table, log and machine on every replica all hold the client's allocation.
+fn every_replica_shares_the_clients_allocation<P: SmrProtocol>(n_replicas: usize)
+where
+    P::Shape: From<usize>,
+{
+    let (cluster, issued) = one_padded_put::<P>(n_replicas, 1024, |c| c);
+    for r in cluster.replicas() {
+        let value = stored::<P>(r);
+        assert!(Arc::ptr_eq(value, &issued), "{}: value was copied", P::NAME);
+    }
+}
+
+#[test]
+fn multi_paxos_replicas_share_the_issued_payload() {
+    every_replica_shares_the_clients_allocation::<MultiPaxos>(3);
+}
+
+#[test]
+fn raft_replicas_share_the_issued_payload() {
+    every_replica_shares_the_clients_allocation::<Raft>(3);
+}
+
+#[test]
+fn pbft_replicas_share_the_issued_payload() {
+    every_replica_shares_the_clients_allocation::<Pbft>(4);
+}
+
+/// A durable replica shares the allocation while it runs, and after a crash
+/// holds an equal value of its own, decoded from its WAL.
+fn a_recovered_replica_holds_its_own_copy<P: DurableProtocol>()
+where
+    P::Shape: From<usize>,
+{
+    let durable = |c: Cluster<P>| c.with_durability(64, DiskModel::ssd());
+    // The B+ tree takes entries of at most a quarter page.
+    let (mut cluster, issued) = one_padded_put::<P>(3, 512, durable);
+    let victim = NodeId(2);
+    let Proc::Replica(r) = cluster.sim.node(victim) else {
+        panic!("node 2 is a replica")
+    };
+    assert!(Arc::ptr_eq(stored::<P>(r), &issued));
+    let now = cluster.sim.now();
+    cluster.sim.crash_at(victim, Time(now.0 + 1_000));
+    cluster.sim.restart_at(victim, Time(now.0 + 50_000));
+    cluster.sim.run_for(500_000);
+    let Proc::Replica(r) = cluster.sim.node(victim) else {
+        panic!("node 2 is a replica")
+    };
+    let recovered = stored::<P>(r);
+    assert_eq!(*recovered, issued, "{}: recovery lost the value", P::NAME);
+    assert!(!Arc::ptr_eq(recovered, &issued), "{}: RAM survived a crash", P::NAME);
+}
+
+#[test]
+fn durable_replicas_recover_an_equal_payload_from_the_wal() {
+    a_recovered_replica_holds_its_own_copy::<MultiPaxos>();
+    a_recovered_replica_holds_its_own_copy::<Raft>();
 }
