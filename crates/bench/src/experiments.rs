@@ -738,7 +738,7 @@ pub fn f17_xft() -> Report {
     c.sim.run_until(Time::from_millis(5));
     c.sim.crash_at(NodeId(1), Time::from_millis(6)); // inside the group
     let ok = c.run(Time::from_secs(60));
-    let vc = c.replicas().map(|r| r.view_changes).max().unwrap();
+    let vc = c.replicas().map(|r| r.voter.view_changes).max().unwrap();
     let lines = vec![
         format!(
             "n=5 (2f+1), synchronous group of f+1=3; group-member crash → {vc} view change(s); completed = {ok}"

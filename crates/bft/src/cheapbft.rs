@@ -26,7 +26,10 @@ use simnet::{CncPhase, Context, Node, NodeId, Timer};
 /// Span protocol label; instances are sequence numbers.
 const SPAN: &str = "cheapbft";
 
-use crate::shell::{decided_commands, VoteWire, VotingClient};
+use crate::shell::{
+    decided_commands, peers, replica_ids, take_ready, Admission, Executor, ReplyWire, VoteWire,
+    VotingClient, Watchdog, VIEW_TIMER,
+};
 use crate::sim_crypto::{digest_of, Usig, UsigCert, UsigVerifier};
 
 /// Which protocol the cluster is running.
@@ -121,7 +124,8 @@ struct CheapInstance {
     executed: bool,
 }
 
-const PROGRESS_TIMER: u64 = 1;
+/// The primary never changes: a fault switches the protocol, not the leader.
+const PRIMARY: NodeId = NodeId(0);
 
 /// A CheapBFT replica. Nodes `0..=f` are initially active; the rest are
 /// passive.
@@ -136,17 +140,14 @@ pub struct CheapReplica {
     usig: Usig,
     verifier: UsigVerifier,
     instances: BTreeMap<u64, CheapInstance>,
-    /// Executed history.
-    history: Vec<Command<KvCommand>>,
-    executed_counter: u64,
-    machine: DedupKvMachine,
-    pending_requests: BTreeSet<(u32, u64)>,
-    progress_timer_armed: bool,
+    /// The machine and the executed history (also the abort history of a
+    /// switch); its frontier restarts with the protocol epoch.
+    pub exec: Executor,
+    /// Watches relayed requests; it is never disarmed, and firing with one
+    /// still unexecuted raises `Panic`.
+    progress: Watchdog,
     /// Whether this replica already panicked.
     panicked: bool,
-    switch_votes: BTreeSet<NodeId>,
-    /// Counter base after the protocol switch.
-    switch_base: u64,
 }
 
 impl CheapReplica {
@@ -161,32 +162,17 @@ impl CheapReplica {
             usig: Usig::new(NodeId(0)),
             verifier: UsigVerifier::new(),
             instances: BTreeMap::new(),
-            history: Vec::new(),
-            executed_counter: 0,
-            machine: DedupKvMachine::default(),
-            pending_requests: BTreeSet::new(),
-            progress_timer_armed: false,
+            exec: Executor::default(),
+            progress: Watchdog::default(),
             panicked: false,
-            switch_votes: BTreeSet::new(),
-            switch_base: 0,
         }
-    }
-
-    /// The machine.
-    pub fn machine(&self) -> &DedupKvMachine {
-        &self.machine
-    }
-
-    /// Executed command count.
-    pub fn executed(&self) -> usize {
-        self.history.len()
     }
 
     /// The active replica set under the current protocol.
     pub fn active_set(&self) -> Vec<NodeId> {
         match self.proto {
-            Protocol::CheapTiny => (0..=self.f).map(NodeId::from).collect(),
-            Protocol::MinBft => (0..self.n_replicas).map(NodeId::from).collect(),
+            Protocol::CheapTiny => replica_ids(self.f + 1).collect(),
+            Protocol::MinBft => replica_ids(self.n_replicas).collect(),
         }
     }
 
@@ -195,56 +181,13 @@ impl CheapReplica {
         self.active_set().contains(&id)
     }
 
-    /// Commit quorum: in CheapTiny **all** `f+1` active replicas must
-    /// endorse (no spare redundancy — that is the point); in MinBFT mode,
-    /// `f+1` of `2f+1`.
-    fn quorum(&self) -> usize {
-        self.f + 1
-    }
-
-    fn primary(&self) -> NodeId {
-        NodeId(0)
-    }
-
-    fn peer_replicas(&self, me: NodeId) -> Vec<NodeId> {
-        (0..self.n_replicas)
-            .map(NodeId::from)
-            .filter(|id| *id != me)
-            .collect()
-    }
-
     fn try_execute(&mut self, ctx: &mut Context<CheapMsg>) {
-        loop {
-            let next = self.executed_counter + 1;
-            let ready = self
-                .instances
-                .get(&next)
-                .is_some_and(|i| i.decided && !i.executed && i.cmd.is_some());
-            if !ready {
-                return;
-            }
-            let cmd = {
-                let inst = self.instances.get_mut(&next).expect("ready");
-                inst.executed = true;
-                inst.cmd.clone().expect("ready")
-            };
-            self.apply(ctx, cmd);
-            self.executed_counter = next;
-        }
-    }
-
-    fn apply(&mut self, ctx: &mut Context<CheapMsg>, cmd: Command<KvCommand>) {
-        let output = self.machine.apply_cmd(&cmd);
-        self.pending_requests.remove(&(cmd.client, cmd.seq));
-        self.history.push(cmd.clone());
-        ctx.send(
-            NodeId(cmd.client),
-            CheapMsg::Reply {
-                client: cmd.client,
-                seq: cmd.seq,
-                output,
-            },
-        );
+        let instances = &mut self.instances;
+        let ready = |n| {
+            let i = instances.get_mut(&n)?;
+            take_ready(&i.cmd, i.decided, &mut i.executed)
+        };
+        self.exec.drain(ctx, ready, |_, _, _| {});
     }
 
     fn panic(&mut self, ctx: &mut Context<CheapMsg>) {
@@ -253,10 +196,11 @@ impl CheapReplica {
         }
         self.panicked = true;
         let me = ctx.id();
-        ctx.send_many(self.peer_replicas(me), CheapMsg::Panic);
+        ctx.send_many(peers(self.n_replicas, me), CheapMsg::Panic);
         // Broadcast our abort history so everyone converges.
-        let history = self.history.clone();
-        ctx.send_many(self.peer_replicas(me), CheapMsg::SwitchHistory { history });
+        let history = self.exec.history().to_vec();
+        let switch = CheapMsg::SwitchHistory { history };
+        ctx.send_many(peers(self.n_replicas, me), switch);
     }
 
     fn enter_minbft(&mut self) {
@@ -265,10 +209,9 @@ impl CheapReplica {
         }
         self.proto = Protocol::MinBft;
         self.instances.clear();
-        self.switch_base = self.usig.counter();
         // Sequence numbering restarts in the new protocol epoch.
         self.next_seq = 0;
-        self.executed_counter = 0;
+        self.exec.executed_upto = 0;
     }
 }
 
@@ -280,61 +223,33 @@ impl Node for CheapReplica {
     }
 
     fn on_message(&mut self, ctx: &mut Context<CheapMsg>, from: NodeId, msg: CheapMsg) {
+        let me = ctx.id();
         match msg {
             CheapMsg::Request { cmd } => {
-                if let Some(out) = self.machine.cached(cmd.client, cmd.seq) {
-                    ctx.send(
-                        NodeId(cmd.client),
-                        CheapMsg::Reply {
-                            client: cmd.client,
-                            seq: cmd.seq,
-                            output: out.clone(),
-                        },
-                    );
-                    return;
-                }
-                if self.primary() == ctx.id() {
-                    let in_flight = self.instances.values().any(|i| {
-                        !i.executed
-                            && i.cmd
-                                .as_ref()
-                                .is_some_and(|c| c.client == cmd.client && c.seq == cmd.seq)
-                    });
-                    if in_flight {
-                        return;
-                    }
-                    self.next_seq += 1;
-                    let n = self.next_seq;
-                    ctx.span_open(SPAN, n, 0);
-                    ctx.phase(SPAN, n, 0, CncPhase::ValueDiscovery);
-                    let proto = self.proto;
-                    let ui = self.usig.create(digest_of(&(proto_tag(proto), n, &cmd)));
-                    let me = ctx.id();
-                    let inst = self.instances.entry(n).or_default();
-                    inst.cmd = Some(cmd.clone());
-                    inst.commits.insert(me);
-                    // Prepare goes only to the *active* replicas.
-                    let targets: Vec<NodeId> = self
-                        .active_set()
-                        .into_iter()
-                        .filter(|id| *id != me)
-                        .collect();
-                    ctx.send_many(
-                        targets,
-                        CheapMsg::Prepare {
+                let ordered = self.instances.values().filter(|i| !i.executed);
+                let ordered = ordered.filter_map(|i| i.cmd.as_ref());
+                match self.exec.admit(ctx, &cmd, PRIMARY, ordered) {
+                    Admission::Handled => {}
+                    Admission::Relayed => self.progress.arm(ctx, 60_000),
+                    Admission::Order => {
+                        self.next_seq += 1;
+                        let n = self.next_seq;
+                        ctx.span_open(SPAN, n, 0);
+                        ctx.phase(SPAN, n, 0, CncPhase::ValueDiscovery);
+                        let proto = self.proto;
+                        let ui = self.usig.create(digest_of(&(proto_tag(proto), n, &cmd)));
+                        let inst = self.instances.entry(n).or_default();
+                        inst.cmd = Some(cmd.clone());
+                        inst.commits.insert(me);
+                        // Prepare goes only to the *active* replicas.
+                        let targets = self.active_set().into_iter().filter(|id| *id != me);
+                        let prepare = CheapMsg::Prepare {
                             proto,
                             seq: n,
                             ui,
                             cmd,
-                        },
-                    );
-                } else {
-                    self.pending_requests.insert((cmd.client, cmd.seq));
-                    let p = self.primary();
-                    ctx.send(p, CheapMsg::Request { cmd });
-                    if !self.progress_timer_armed {
-                        self.progress_timer_armed = true;
-                        ctx.set_timer(60_000 + 10_000 * u64::from(ctx.id().0), PROGRESS_TIMER);
+                        };
+                        ctx.send_many(targets, prepare);
                     }
                 }
             }
@@ -345,16 +260,11 @@ impl Node for CheapReplica {
                 ui,
                 cmd,
             } => {
-                if proto != self.proto || from != self.primary() {
+                if proto != self.proto || from != PRIMARY || !self.is_active(me) {
                     return;
                 }
-                if !self.is_active(ctx.id()) {
-                    return;
-                }
-                if !self
-                    .verifier
-                    .verify_monotonic(&ui, digest_of(&(proto_tag(proto), seq, &cmd)))
-                {
+                let attested = digest_of(&(proto_tag(proto), seq, &cmd));
+                if !self.verifier.verify_monotonic(&ui, attested) {
                     return;
                 }
                 let inst = self.instances.entry(seq).or_default();
@@ -364,52 +274,42 @@ impl Node for CheapReplica {
                 }
                 inst.cmd = Some(cmd);
                 inst.commits.insert(from);
-                let my_ui = self.usig.create(digest_of(&(proto_tag(proto), seq)));
-                ctx.send(
-                    from,
-                    CheapMsg::Commit {
-                        proto,
-                        n: seq,
-                        ui: my_ui,
-                    },
-                );
+                let ui = self.usig.create(digest_of(&(proto_tag(proto), seq)));
+                ctx.send(from, CheapMsg::Commit { proto, n: seq, ui });
             }
 
             CheapMsg::Commit { proto, n, ui } => {
-                if proto != self.proto || self.primary() != ctx.id() {
+                if proto != self.proto || PRIMARY != me {
                     return;
                 }
-                if !self
-                    .verifier
-                    .verify_monotonic(&ui, digest_of(&(proto_tag(proto), n)))
-                {
+                let attested = digest_of(&(proto_tag(proto), n));
+                if !self.verifier.verify_monotonic(&ui, attested) {
                     return;
                 }
-                let quorum = self.quorum();
-                let proto = self.proto;
+                // In CheapTiny **all** `f+1` active replicas must endorse (no
+                // spare redundancy — that is the point); in MinBFT mode,
+                // `f+1` of `2f+1`.
                 let inst = self.instances.entry(n).or_default();
                 inst.commits.insert(from);
-                if inst.commits.len() >= quorum && !inst.decided {
+                if inst.commits.len() > self.f && !inst.decided {
                     inst.decided = true;
                     ctx.phase(SPAN, n, 0, CncPhase::Decision);
                     ctx.span_close(SPAN, n, 0);
                     let cmd = inst.cmd.clone().expect("prepared");
                     // Updates serve both as decide for actives and state
                     // transfer for passives.
-                    let me = ctx.id();
-                    ctx.send_many(self.peer_replicas(me), CheapMsg::Update { proto, n, cmd });
+                    let update = CheapMsg::Update { proto, n, cmd };
+                    ctx.send_many(peers(self.n_replicas, me), update);
                     self.try_execute(ctx);
                 }
             }
 
             CheapMsg::Update { proto, n, cmd } => {
-                if proto != self.proto || from != self.primary() {
+                if proto != self.proto || from != PRIMARY {
                     return;
                 }
                 let inst = self.instances.entry(n).or_default();
-                if inst.cmd.is_none() {
-                    inst.cmd = Some(cmd);
-                }
+                inst.cmd.get_or_insert(cmd);
                 if !inst.decided {
                     ctx.phase(SPAN, n, 0, CncPhase::Decision);
                     ctx.span_close(SPAN, n, 0);
@@ -421,18 +321,12 @@ impl Node for CheapReplica {
             CheapMsg::Panic => {
                 // Any panic triggers the switch protocol.
                 self.panic(ctx);
-                self.switch_votes.insert(from);
                 self.enter_minbft();
             }
 
             CheapMsg::SwitchHistory { history } => {
-                // Adopt any commands we miss (dedup table makes this
-                // idempotent), then run under MinBFT.
-                for cmd in history {
-                    if self.machine.cached(cmd.client, cmd.seq).is_none() {
-                        self.apply(ctx, cmd);
-                    }
-                }
+                // Adopt any commands we miss, then run under MinBFT.
+                self.exec.replay(ctx, history);
                 self.enter_minbft();
             }
 
@@ -441,13 +335,23 @@ impl Node for CheapReplica {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<CheapMsg>, timer: Timer) {
-        if timer.kind == PROGRESS_TIMER {
-            self.progress_timer_armed = false;
-            if !self.pending_requests.is_empty() {
+        if timer.kind == VIEW_TIMER {
+            self.progress.fired();
+            if self.exec.has_pending() {
                 // Something is stuck: PANIC.
                 self.panic(ctx);
                 self.enter_minbft();
             }
+        }
+    }
+}
+
+impl ReplyWire for CheapMsg {
+    fn reply_to(cmd: &Command<KvCommand>, output: KvResponse) -> Self {
+        CheapMsg::Reply {
+            client: cmd.client,
+            seq: cmd.seq,
+            output,
         }
     }
 }
@@ -499,20 +403,20 @@ impl SmrProtocol for CheapBft {
         VotingClient::new(session, n_replicas, (n_replicas - 1) / 2 + 1)
     }
 
-    fn is_leader(replica: &CheapReplica, id: NodeId) -> bool {
-        replica.primary() == id
+    fn is_leader(_replica: &CheapReplica, id: NodeId) -> bool {
+        PRIMARY == id
     }
 
     fn applied_len(replica: &CheapReplica) -> u64 {
-        replica.history.len() as u64
+        replica.exec.history().len() as u64
     }
 
     fn machine(replica: &CheapReplica) -> &DedupKvMachine {
-        &replica.machine
+        replica.exec.machine()
     }
 
     fn decided(replica: &CheapReplica, node: u32, out: &mut Vec<DecidedEntry>) {
-        decided_commands(&replica.history, node, out);
+        decided_commands(replica.exec.history(), node, out);
     }
 }
 
@@ -550,12 +454,15 @@ mod tests {
         let mut cluster = CheapCluster::new(3, 1, 10, NetConfig::lan(), 2);
         assert!(cluster.run(Time::from_secs(10)));
         cluster.sim.run_for(300_000);
-        let executed: Vec<usize> = cluster.replicas().map(|r| r.executed()).collect();
+        let executed: Vec<usize> = cluster.replicas().map(|r| r.exec.history().len()).collect();
         assert!(
             executed.iter().all(|&e| e == 10),
             "passive replica lags: {executed:?}"
         );
-        let digests: BTreeSet<u64> = cluster.replicas().map(|r| r.machine().digest()).collect();
+        let digests: BTreeSet<u64> = cluster
+            .replicas()
+            .map(|r| r.exec.machine().digest())
+            .collect();
         assert_eq!(digests.len(), 1);
     }
 

@@ -30,7 +30,10 @@ use simnet::{CncPhase, Context, Node, NodeId, Timer};
 /// Span protocol label; instances are HotStuff view/instance numbers.
 const SPAN: &str = "hotstuff";
 
-use crate::shell::{count_vote, decided_commands, replica_ids, ReplyVotes};
+use crate::shell::{
+    answer_cached, count_vote, decided_commands, replica_ids, take_ready, Executor, ReplyVotes,
+    ReplyWire,
+};
 use crate::sim_crypto::{digest_of, Digest, QuorumCert};
 
 /// Protocol phase of one instance.
@@ -199,9 +202,8 @@ pub struct HsReplica {
     instances: BTreeMap<u64, HsInstance>,
     /// Next instance this cluster will start.
     next_instance: u64,
-    /// Highest executed instance.
-    pub executed_upto: u64,
-    machine: DedupKvMachine,
+    /// The machine, the executed commands and the highest executed instance.
+    pub exec: Executor,
     /// Instances this replica led.
     pub led: u64,
 }
@@ -216,15 +218,9 @@ impl HsReplica {
             queued: BTreeSet::new(),
             instances: BTreeMap::new(),
             next_instance: 0,
-            executed_upto: 0,
-            machine: DedupKvMachine::default(),
+            exec: Executor::default(),
             led: 0,
         }
-    }
-
-    /// The machine.
-    pub fn machine(&self) -> &DedupKvMachine {
-        &self.machine
     }
 
     fn quorum(&self) -> usize {
@@ -249,14 +245,10 @@ impl HsReplica {
         }
     }
 
-    fn replica_ids(&self) -> Vec<NodeId> {
-        (0..self.cfg.n_replicas).map(NodeId::from).collect()
-    }
-
     fn maybe_start_instances(&mut self, ctx: &mut Context<HsMsg>) {
         loop {
-            let n = self.next_instance.max(self.executed_upto) + 1;
-            if n > self.executed_upto + self.window() {
+            let n = self.next_instance.max(self.exec.executed_upto) + 1;
+            if n > self.exec.executed_upto + self.window() {
                 return;
             }
             if self.leader_of(n) != ctx.id() {
@@ -285,7 +277,7 @@ impl HsReplica {
             inst.phase = HsPhase::Prepare;
             ctx.span_open(SPAN, n, 0);
             ctx.phase(SPAN, n, 0, CncPhase::ValueDiscovery);
-            ctx.send_many(self.replica_ids(), HsMsg::Propose { n, cmd });
+            ctx.send_many(replica_ids(self.cfg.n_replicas), HsMsg::Propose { n, cmd });
         }
     }
 
@@ -300,7 +292,8 @@ impl HsReplica {
         } else {
             None
         };
-        ctx.send_many(self.replica_ids(), HsMsg::QcAnnounce { n, phase, qc, cmd });
+        let announce = HsMsg::QcAnnounce { n, phase, qc, cmd };
+        ctx.send_many(replica_ids(self.cfg.n_replicas), announce);
     }
 
     fn advance_phase(&mut self, ctx: &mut Context<HsMsg>, n: u64, completed: HsPhase) {
@@ -345,32 +338,17 @@ impl HsReplica {
     }
 
     fn try_execute(&mut self, ctx: &mut Context<HsMsg>) {
-        loop {
-            let n = self.executed_upto + 1;
-            let ready = self
-                .instances
-                .get(&n)
-                .is_some_and(|i| i.decided && !i.executed && i.cmd.is_some());
-            if !ready {
-                return;
-            }
-            let cmd = {
-                let inst = self.instances.get_mut(&n).expect("ready");
-                inst.executed = true;
-                inst.cmd.clone().expect("ready")
-            };
-            let output = self.machine.apply_cmd(&cmd);
-            self.executed_upto = n;
-            self.queued.remove(&(cmd.client, cmd.seq));
-            ctx.send(
-                NodeId(cmd.client),
-                HsMsg::Reply {
-                    client: cmd.client,
-                    seq: cmd.seq,
-                    output,
-                },
-            );
-        }
+        let (instances, queued) = (&mut self.instances, &mut self.queued);
+        self.exec.drain(
+            ctx,
+            |n| {
+                let i = instances.get_mut(&n)?;
+                take_ready(&i.cmd, i.decided, &mut i.executed)
+            },
+            |_, _, cmd| {
+                queued.remove(&(cmd.client, cmd.seq));
+            },
+        );
     }
 }
 
@@ -382,15 +360,8 @@ impl Node for HsReplica {
     fn on_message(&mut self, ctx: &mut Context<HsMsg>, from: NodeId, msg: HsMsg) {
         match msg {
             HsMsg::Request { cmd } => {
-                if let Some(out) = self.machine.cached(cmd.client, cmd.seq) {
-                    ctx.send(
-                        NodeId(cmd.client),
-                        HsMsg::Reply {
-                            client: cmd.client,
-                            seq: cmd.seq,
-                            output: out.clone(),
-                        },
-                    );
+                let reply = |out| HsMsg::reply_to(&cmd, out);
+                if answer_cached(self.exec.machine(), ctx, &cmd, reply) {
                     return;
                 }
                 if self.queued.insert((cmd.client, cmd.seq)) {
@@ -469,6 +440,16 @@ impl Node for HsReplica {
             }
 
             HsMsg::Reply { .. } => {}
+        }
+    }
+}
+
+impl ReplyWire for HsMsg {
+    fn reply_to(cmd: &Command<KvCommand>, output: KvResponse) -> Self {
+        HsMsg::Reply {
+            client: cmd.client,
+            seq: cmd.seq,
+            output,
         }
     }
 }
@@ -564,20 +545,19 @@ impl SmrProtocol for HotStuff {
     }
 
     fn is_leader(replica: &HsReplica, id: NodeId) -> bool {
-        replica.leader_of(replica.executed_upto + 1) == id
+        replica.leader_of(replica.exec.executed_upto + 1) == id
     }
 
     fn applied_len(replica: &HsReplica) -> u64 {
-        replica.executed_upto
+        replica.exec.executed_upto
     }
 
     fn machine(replica: &HsReplica) -> &DedupKvMachine {
-        &replica.machine
+        replica.exec.machine()
     }
 
     fn decided(replica: &HsReplica, node: u32, out: &mut Vec<DecidedEntry>) {
-        let executed = replica.instances.values().filter(|i| i.executed);
-        decided_commands(executed.filter_map(|i| i.cmd.as_ref()), node, out);
+        decided_commands(replica.exec.history(), node, out);
     }
 }
 
@@ -667,8 +647,8 @@ mod tests {
         cluster.sim.run_for(200_000);
         let digests: BTreeSet<u64> = cluster
             .replicas()
-            .filter(|r| r.executed_upto >= 20)
-            .map(|r| r.machine().digest())
+            .filter(|r| r.exec.executed_upto >= 20)
+            .map(|r| r.exec.machine().digest())
             .collect();
         assert_eq!(digests.len(), 1);
     }

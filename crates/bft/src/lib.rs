@@ -26,12 +26,17 @@
 //! * [`seemore`] — SeeMoRe's hybrid-cloud modes 1–3 over `3m+2c+1` nodes.
 //! * [`upright`] — the UpRight fault model (`u = 2m+c+1` quorums,
 //!   intersection `m+1`) and its agreement/execution split.
-//! * [`shell`] — what the seven share beyond `consensus_core`: the
-//!   reply-voting [`shell::VotingClient`] (accept at a quorum of *matching*
-//!   replies, escalate silence by broadcast) that PBFT, MinBFT, CheapBFT,
-//!   XFT and SeeMoRe parameterise through [`shell::VoteWire`], the vote
-//!   counting HotStuff's windowed client reuses, and the `decided_log` shape
-//!   of one-command-at-a-time protocols.
+//! * [`shell`] — what the seven share beyond `consensus_core`. Client half:
+//!   the reply-voting [`shell::VotingClient`] (accept at a quorum of
+//!   *matching* replies, escalate silence by broadcast) that PBFT, MinBFT,
+//!   CheapBFT, XFT and SeeMoRe parameterise through [`shell::VoteWire`], and
+//!   the vote counting HotStuff's windowed client reuses. Replica half:
+//!   [`shell::Executor`] (request admission, the execute step, the in-order
+//!   drain, history replay, and the `decided_log` record) and
+//!   [`shell::Voter`] (view, view-change votes, watchdog). A protocol module
+//!   keeps what the paper's info cards distinguish: who receives a proposal,
+//!   what sequences and attests it, the quorum rule, and what recovery
+//!   looks like.
 //! * [`sim_crypto`] — the structural stand-ins for digests, MACs, threshold
 //!   signatures, and trusted counters (see DESIGN.md's substitution table).
 

@@ -21,12 +21,15 @@ use consensus_core::driver::{BatchConfig, DecidedEntry};
 use consensus_core::{
     Cluster, Command, DedupKvMachine, KvCommand, KvResponse, Session, SmrProtocol,
 };
-use simnet::{CncPhase, Context, Node, NodeId, Timer, TimerId};
+use simnet::{CncPhase, Context, Node, NodeId, Timer};
 
 /// Span protocol label; instances are USIG counters, rounds are views.
 const SPAN: &str = "minbft";
 
-use crate::shell::{decided_commands, VoteWire, VotingClient};
+use crate::shell::{
+    decided_commands, peers, take_ready, Admission, Executor, ReplyWire, VoteWire, Voter,
+    VotingClient, VIEW_TIMER,
+};
 use crate::sim_crypto::{digest_of, Usig, UsigCert, UsigVerifier};
 
 /// MinBFT wire messages.
@@ -120,133 +123,55 @@ struct MinInstance {
     executed: bool,
 }
 
-const VIEW_TIMER: u64 = 1;
-
 /// A MinBFT replica (cluster size `2f+1`).
 pub struct MinReplica {
     n_replicas: usize,
     /// Fault bound `f = ⌊(n−1)/2⌋`.
     pub f: usize,
-    /// Current view.
-    pub view: u64,
+    /// The view, the view-change votes and the watchdog.
+    pub voter: Voter,
     usig: Usig,
     verifier: UsigVerifier,
     /// Instances of the current view, keyed by primary counter.
     instances: BTreeMap<u64, MinInstance>,
-    /// Counter value at which the current view started (primary's first
-    /// prepare of the view is `view_base + 1`).
-    view_base: u64,
-    /// Executed command history (also the state-transfer payload).
-    history: Vec<Command<KvCommand>>,
-    /// Highest executed counter in the current view.
-    executed_counter: u64,
-    machine: DedupKvMachine,
-    pending_requests: BTreeSet<(u32, u64)>,
-    view_timer: Option<TimerId>,
-    vc_votes: BTreeMap<u64, BTreeSet<NodeId>>,
-    max_vc_sent: u64,
-    /// Completed view changes.
-    pub view_changes: u64,
+    /// The machine and the executed history (also the state-transfer
+    /// payload); its frontier is the highest executed counter of the view.
+    pub exec: Executor,
 }
 
 impl MinReplica {
     /// Creates a replica; cluster size must be `2f+1`. Its USIG is bound to
     /// the node id when the node starts.
     pub fn new(n_replicas: usize) -> Self {
+        let f = (n_replicas - 1) / 2;
         MinReplica {
             n_replicas,
-            f: (n_replicas - 1) / 2,
-            view: 0,
+            f,
+            voter: Voter::new(n_replicas, f + 1, 50_000, SPAN),
             usig: Usig::new(NodeId(0)),
             verifier: UsigVerifier::new(),
             instances: BTreeMap::new(),
-            view_base: 0,
-            history: Vec::new(),
-            executed_counter: 0,
-            machine: DedupKvMachine::default(),
-            pending_requests: BTreeSet::new(),
-            view_timer: None,
-            vc_votes: BTreeMap::new(),
-            max_vc_sent: 0,
-            view_changes: 0,
-        }
-    }
-
-    /// The machine.
-    pub fn machine(&self) -> &DedupKvMachine {
-        &self.machine
-    }
-
-    /// Executed commands so far.
-    pub fn executed(&self) -> usize {
-        self.history.len()
-    }
-
-    /// The primary of view `v`.
-    pub fn primary_of(&self, v: u64) -> NodeId {
-        NodeId((v % self.n_replicas as u64) as u32)
-    }
-
-    fn quorum(&self) -> usize {
-        self.f + 1
-    }
-
-    fn peer_replicas(&self, me: NodeId) -> Vec<NodeId> {
-        (0..self.n_replicas)
-            .map(NodeId::from)
-            .filter(|id| *id != me)
-            .collect()
-    }
-
-    fn arm_view_timer(&mut self, ctx: &mut Context<MinMsg>) {
-        if self.view_timer.is_none() {
-            let timeout = 50_000 + 10_000 * u64::from(ctx.id().0);
-            self.view_timer = Some(ctx.set_timer(timeout, VIEW_TIMER));
-        }
-    }
-
-    fn disarm_view_timer(&mut self, ctx: &mut Context<MinMsg>) {
-        if let Some(t) = self.view_timer.take() {
-            ctx.cancel_timer(t);
+            exec: Executor::default(),
         }
     }
 
     fn try_execute(&mut self, ctx: &mut Context<MinMsg>) {
-        loop {
-            let next = self.executed_counter + 1;
-            let ready = self
-                .instances
-                .get(&next)
-                .is_some_and(|i| i.decided && !i.executed);
-            if !ready {
-                return;
-            }
-            let cmd = {
-                let inst = self.instances.get_mut(&next).expect("ready");
-                inst.executed = true;
-                inst.cmd.clone().expect("decided instance has command")
-            };
-            self.apply(ctx, cmd);
-            self.executed_counter = next;
-            self.disarm_view_timer(ctx);
-            if !self.pending_requests.is_empty() {
-                self.arm_view_timer(ctx);
-            }
-        }
+        let (instances, voter) = (&mut self.instances, &mut self.voter);
+        self.exec.drain(
+            ctx,
+            |n| {
+                let i = instances.get_mut(&n)?;
+                take_ready(&i.cmd, i.decided, &mut i.executed)
+            },
+            |exec, ctx, _| voter.progress(ctx, exec.has_pending()),
+        );
     }
 
-    fn apply(&mut self, ctx: &mut Context<MinMsg>, cmd: Command<KvCommand>) {
-        let output = self.machine.apply_cmd(&cmd);
-        self.pending_requests.remove(&(cmd.client, cmd.seq));
-        self.history.push(cmd.clone());
-        ctx.send(
-            NodeId(cmd.client),
-            MinMsg::Reply {
-                client: cmd.client,
-                seq: cmd.seq,
-                output,
-            },
-        );
+    /// Drops the view's instances; the new primary's counter `base` is where
+    /// the next view's numbering starts.
+    fn rebase(&mut self, base: u64) {
+        self.instances.clear();
+        self.exec.executed_upto = base;
     }
 }
 
@@ -258,50 +183,32 @@ impl Node for MinReplica {
     }
 
     fn on_message(&mut self, ctx: &mut Context<MinMsg>, from: NodeId, msg: MinMsg) {
+        let me = ctx.id();
         match msg {
             MinMsg::Request { cmd } => {
-                if let Some(out) = self.machine.cached(cmd.client, cmd.seq) {
-                    ctx.send(
-                        NodeId(cmd.client),
-                        MinMsg::Reply {
-                            client: cmd.client,
-                            seq: cmd.seq,
-                            output: out.clone(),
-                        },
-                    );
-                    return;
-                }
-                if self.primary_of(self.view) == ctx.id() {
-                    let in_flight = self.instances.values().any(|i| {
-                        !i.executed
-                            && i.cmd
-                                .as_ref()
-                                .is_some_and(|c| c.client == cmd.client && c.seq == cmd.seq)
-                    });
-                    if in_flight {
-                        return;
+                let ordered = self.instances.values().filter(|i| !i.executed);
+                let ordered = ordered.filter_map(|i| i.cmd.as_ref());
+                match self.exec.admit(ctx, &cmd, self.voter.primary(), ordered) {
+                    Admission::Handled => {}
+                    Admission::Relayed => self.voter.arm(ctx),
+                    Admission::Order => {
+                        // Order it: the USIG counter is the sequence number.
+                        let ui = self.usig.create(digest_of(&cmd));
+                        let n = ui.counter;
+                        let view = self.voter.view;
+                        ctx.span_open(SPAN, n, view);
+                        ctx.phase(SPAN, n, view, CncPhase::ValueDiscovery);
+                        let inst = self.instances.entry(n).or_default();
+                        inst.cmd = Some(cmd.clone());
+                        inst.commits.insert(me); // the prepare is the primary's commit
+                        let prepare = MinMsg::Prepare { view, ui, cmd };
+                        ctx.send_many(peers(self.n_replicas, me), prepare);
                     }
-                    // Order it: the USIG counter is the sequence number.
-                    let ui = self.usig.create(digest_of(&cmd));
-                    let n = ui.counter;
-                    ctx.span_open(SPAN, n, self.view);
-                    ctx.phase(SPAN, n, self.view, CncPhase::ValueDiscovery);
-                    let me = ctx.id();
-                    let inst = self.instances.entry(n).or_default();
-                    inst.cmd = Some(cmd.clone());
-                    inst.commits.insert(me); // the prepare is the primary's commit
-                    let view = self.view;
-                    ctx.send_many(self.peer_replicas(me), MinMsg::Prepare { view, ui, cmd });
-                } else {
-                    self.pending_requests.insert((cmd.client, cmd.seq));
-                    let primary = self.primary_of(self.view);
-                    ctx.send(primary, MinMsg::Request { cmd });
-                    self.arm_view_timer(ctx);
                 }
             }
 
             MinMsg::Prepare { view, ui, cmd } => {
-                if view != self.view || from != self.primary_of(view) {
+                if view != self.voter.view || from != self.voter.primary() {
                     return;
                 }
                 // USIG verification: the attestation must cover exactly
@@ -321,31 +228,29 @@ impl Node for MinReplica {
                 // Endorse with our own USIG.
                 let my_ui = self.usig.create(digest_of(&(view, n)));
                 ctx.send(from, MinMsg::Commit { view, n, ui: my_ui });
-                self.arm_view_timer(ctx);
+                self.voter.arm(ctx);
             }
 
             MinMsg::Commit { view, n, ui } => {
-                if view != self.view || self.primary_of(view) != ctx.id() {
+                if view != self.voter.view || self.voter.primary() != me {
                     return;
                 }
                 if !self.verifier.verify_monotonic(&ui, digest_of(&(view, n))) {
                     return;
                 }
-                let quorum = self.quorum();
                 let inst = self.instances.entry(n).or_default();
                 inst.commits.insert(from);
-                if inst.commits.len() >= quorum && !inst.decided {
+                if inst.commits.len() > self.f && !inst.decided {
                     inst.decided = true;
                     ctx.phase(SPAN, n, view, CncPhase::Decision);
                     ctx.span_close(SPAN, n, view);
-                    let me = ctx.id();
-                    ctx.send_many(self.peer_replicas(me), MinMsg::Decide { view, n });
+                    ctx.send_many(peers(self.n_replicas, me), MinMsg::Decide { view, n });
                     self.try_execute(ctx);
                 }
             }
 
             MinMsg::Decide { view, n } => {
-                if view != self.view {
+                if view != self.voter.view {
                     return;
                 }
                 let inst = self.instances.entry(n).or_default();
@@ -359,47 +264,21 @@ impl Node for MinReplica {
                 }
             }
 
+            // Join once anyone demands it (with n = 2f+1, a single honest
+            // demand suffices to probe; safety comes from the new primary's
+            // quorum).
             MinMsg::ViewChange { new_view } => {
-                if new_view <= self.view {
-                    return;
-                }
-                self.vc_votes.entry(new_view).or_default().insert(from);
-                // Join once anyone demands it (with n = 2f+1, a single
-                // honest demand suffices to probe; safety comes from the
-                // new primary's quorum).
-                if self.max_vc_sent < new_view {
-                    self.max_vc_sent = new_view;
-                    ctx.phase(
-                        SPAN,
-                        self.executed_counter + 1,
-                        new_view,
-                        CncPhase::LeaderElection,
-                    );
-                    let me = ctx.id();
-                    self.vc_votes.entry(new_view).or_default().insert(me);
-                    ctx.send_many(self.peer_replicas(me), MinMsg::ViewChange { new_view });
-                }
-                let votes = self.vc_votes[&new_view].len();
-                if votes >= self.quorum() && self.primary_of(new_view) == ctx.id() {
-                    // Install ourselves as primary with state transfer.
-                    self.view = new_view;
-                    self.view_changes += 1;
-                    self.instances.clear();
-                    self.view_base = self.usig.counter();
-                    self.executed_counter = self.usig.counter();
-                    let view = self.view;
+                let next = self.exec.executed_upto + 1;
+                if self.voter.on_view_change(ctx, from, new_view, next, msg) {
+                    // Installed as primary: transfer our state.
                     let counter_base = self.usig.counter();
-                    let history = self.history.clone();
-                    self.disarm_view_timer(ctx);
-                    let me = ctx.id();
-                    ctx.send_many(
-                        self.peer_replicas(me),
-                        MinMsg::NewView {
-                            view,
-                            counter_base,
-                            history,
-                        },
-                    );
+                    self.rebase(counter_base);
+                    let new_view = MinMsg::NewView {
+                        view: new_view,
+                        counter_base,
+                        history: self.exec.history().to_vec(),
+                    };
+                    ctx.send_many(peers(self.n_replicas, me), new_view);
                 }
             }
 
@@ -408,29 +287,16 @@ impl Node for MinReplica {
                 counter_base,
                 history,
             } => {
-                if view < self.view || from != self.primary_of(view) {
+                if !self.voter.on_new_view(from, view) {
                     return;
                 }
-                self.view = view;
-                self.view_changes += 1;
-                self.instances.clear();
-                self.disarm_view_timer(ctx);
-                // State transfer: replay missing commands (the dedup
-                // client table suppresses ones we already executed).
-                for cmd in history {
-                    if self.machine.cached(cmd.client, cmd.seq).is_none() {
-                        self.apply(ctx, cmd);
-                    }
-                }
-                // The new primary's prepares continue from its attested
-                // counter base: fast-forward its verification window and
-                // re-base execution.
+                // State transfer, then continue from the new primary's
+                // attested counter base: fast-forward its verification window
+                // and re-base execution.
+                self.exec.replay(ctx, history);
                 self.verifier.fast_forward(from, counter_base);
-                self.executed_counter = counter_base;
-                self.view_base = counter_base;
-                if !self.pending_requests.is_empty() {
-                    self.arm_view_timer(ctx);
-                }
+                self.rebase(counter_base);
+                self.voter.progress(ctx, self.exec.has_pending());
             }
 
             MinMsg::Reply { .. } => {}
@@ -439,20 +305,20 @@ impl Node for MinReplica {
 
     fn on_timer(&mut self, ctx: &mut Context<MinMsg>, timer: Timer) {
         if timer.kind == VIEW_TIMER {
-            self.view_timer = None;
-            let stalled = !self.pending_requests.is_empty()
-                || self
-                    .instances
-                    .values()
-                    .any(|i| i.cmd.is_some() && !i.executed);
-            if stalled {
-                let new_view = self.view.max(self.max_vc_sent) + 1;
-                self.max_vc_sent = new_view;
-                let me = ctx.id();
-                self.vc_votes.entry(new_view).or_default().insert(me);
-                ctx.send_many(self.peer_replicas(me), MinMsg::ViewChange { new_view });
-                self.arm_view_timer(ctx);
-            }
+            let unexecuted = |i: &MinInstance| i.cmd.is_some() && !i.executed;
+            let stalled = self.exec.has_pending() || self.instances.values().any(unexecuted);
+            self.voter
+                .on_timeout(ctx, stalled, |new_view| MinMsg::ViewChange { new_view });
+        }
+    }
+}
+
+impl ReplyWire for MinMsg {
+    fn reply_to(cmd: &Command<KvCommand>, output: KvResponse) -> Self {
+        MinMsg::Reply {
+            client: cmd.client,
+            seq: cmd.seq,
+            output,
         }
     }
 }
@@ -493,19 +359,19 @@ impl SmrProtocol for MinBft {
     }
 
     fn is_leader(replica: &MinReplica, id: NodeId) -> bool {
-        replica.primary_of(replica.view) == id
+        replica.voter.primary() == id
     }
 
     fn applied_len(replica: &MinReplica) -> u64 {
-        replica.history.len() as u64
+        replica.exec.history().len() as u64
     }
 
     fn machine(replica: &MinReplica) -> &DedupKvMachine {
-        &replica.machine
+        replica.exec.machine()
     }
 
     fn decided(replica: &MinReplica, node: u32, out: &mut Vec<DecidedEntry>) {
-        decided_commands(&replica.history, node, out);
+        decided_commands(replica.exec.history(), node, out);
     }
 }
 
@@ -561,7 +427,11 @@ mod tests {
             cluster.total_completed()
         );
         assert_eq!(cluster.total_completed(), 10);
-        let vc = cluster.replicas().map(|r| r.view_changes).max().unwrap();
+        let vc = cluster
+            .replicas()
+            .map(|r| r.voter.view_changes)
+            .max()
+            .unwrap();
         assert!(vc >= 1);
     }
 
@@ -601,7 +471,7 @@ mod tests {
             cluster.total_completed()
         );
         assert_eq!(cluster.total_completed(), 5);
-        let view = cluster.replicas().map(|r| r.view).max().unwrap();
+        let view = cluster.replicas().map(|r| r.voter.view).max().unwrap();
         assert!(view >= 1, "the equivocating primary must be deposed");
     }
 
@@ -612,8 +482,8 @@ mod tests {
         cluster.sim.run_for(300_000);
         let digests: BTreeSet<u64> = cluster
             .replicas()
-            .filter(|r| r.executed() >= 15)
-            .map(|r| r.machine().digest())
+            .filter(|r| r.exec.history().len() >= 15)
+            .map(|r| r.exec.machine().digest())
             .collect();
         assert_eq!(digests.len(), 1);
     }

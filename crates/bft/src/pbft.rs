@@ -33,9 +33,9 @@ use consensus_core::{
     SmrProtocol, StateMachine,
 };
 use rand_chacha::ChaCha20Rng;
-use simnet::{CncPhase, Context, Filter, FilterAction, FnFilter, Node, NodeId, Timer, TimerId};
+use simnet::{CncPhase, Context, Filter, FilterAction, FnFilter, Node, NodeId, Timer};
 
-use crate::shell::{VoteWire, VotingClient};
+use crate::shell::{answer_cached, in_flight, peers, VoteWire, VotingClient, Watchdog, VIEW_TIMER};
 use crate::sim_crypto::{digest_of, Digest};
 
 /// Span protocol label; instances are sequence numbers, rounds are views.
@@ -170,7 +170,6 @@ struct Instance {
     executed: bool,
 }
 
-const VIEW_TIMER: u64 = 1;
 /// Flush timer for underfull request batches (primary only).
 const BATCH_FLUSH: u64 = 2;
 
@@ -211,7 +210,7 @@ pub struct PbftReplica {
     view_change_votes: BTreeMap<u64, BTreeMap<NodeId, (u64, Vec<PreparedClaim>)>>,
     /// Views this replica has vote-changed into.
     max_vc_sent: u64,
-    view_timer: Option<TimerId>,
+    view_timer: Watchdog,
     /// Client requests relayed to the primary and not yet executed — these
     /// are what the view-change watchdog watches.
     pending_requests: BTreeSet<(u32, u64)>,
@@ -247,7 +246,7 @@ impl PbftReplica {
             checkpoint_votes: BTreeMap::new(),
             view_change_votes: BTreeMap::new(),
             max_vc_sent: 0,
-            view_timer: None,
+            view_timer: Watchdog::default(),
             pending_requests: BTreeSet::new(),
             view_changes_completed: 0,
             in_new_view: true,
@@ -292,28 +291,11 @@ impl PbftReplica {
         &self.exec
     }
 
-    /// All replica ids except this node.
-    fn peer_replicas(&self, me: NodeId) -> Vec<NodeId> {
-        (0..self.n_replicas)
-            .map(NodeId::from)
-            .filter(|id| *id != me)
-            .collect()
-    }
-
     fn arm_view_timer(&mut self, ctx: &mut Context<PbftMsg>) {
-        if self.view_timer.is_none() {
-            // Grows with the view so cascading view changes eventually find
-            // a live primary.
-            let timeout = 40_000 * (1 + self.view.saturating_sub(self.max_vc_sent).min(4))
-                + 10_000 * u64::from(ctx.id().0);
-            self.view_timer = Some(ctx.set_timer(timeout, VIEW_TIMER));
-        }
-    }
-
-    fn disarm_view_timer(&mut self, ctx: &mut Context<PbftMsg>) {
-        if let Some(t) = self.view_timer.take() {
-            ctx.cancel_timer(t);
-        }
+        // Grows with the view so cascading view changes eventually find a
+        // live primary.
+        let base = 40_000 * (1 + self.view.saturating_sub(self.max_vc_sent).min(4));
+        self.view_timer.arm(ctx, base);
     }
 
     fn has_pending_work(&self) -> bool {
@@ -330,19 +312,10 @@ impl PbftReplica {
 
     /// Primary path: accept a new request into the batch queue.
     fn enqueue(&mut self, ctx: &mut Context<PbftMsg>, cmd: Command<KvCommand>) {
-        let in_instances = self.instances.values().any(|i| {
-            i.view == self.view
-                && !i.executed
-                && i.cmds
-                    .iter()
-                    .flatten()
-                    .any(|c| c.client == cmd.client && c.seq == cmd.seq)
-        });
-        let in_queue = self
-            .queue
-            .iter()
-            .any(|c| c.client == cmd.client && c.seq == cmd.seq);
-        if in_instances || in_queue {
+        let ordered = self.instances.values();
+        let ordered = ordered.filter(|i| i.view == self.view && !i.executed);
+        let ordered = ordered.flat_map(|i| i.cmds.iter().flatten());
+        if in_flight(&cmd, ordered.chain(&self.queue)) {
             return;
         }
         self.queue.push(cmd);
@@ -393,7 +366,7 @@ impl PbftReplica {
         }
         let me = ctx.id();
         ctx.send_many(
-            self.peer_replicas(me),
+            peers(self.n_replicas, me),
             PbftMsg::PrePrepare {
                 view,
                 n,
@@ -422,7 +395,10 @@ impl PbftReplica {
         inst.commits.insert(me);
         let digest = inst.digest;
         ctx.phase(SPAN, n, view, CncPhase::Agreement);
-        ctx.send_many(self.peer_replicas(me), PbftMsg::Commit { view, n, digest });
+        ctx.send_many(
+            peers(self.n_replicas, me),
+            PbftMsg::Commit { view, n, digest },
+        );
         self.maybe_committed(ctx, n);
     }
 
@@ -474,7 +450,7 @@ impl PbftReplica {
                 }
             }
             // Progress: reset the watchdog.
-            self.disarm_view_timer(ctx);
+            self.view_timer.disarm(ctx);
             if self.has_pending_work() {
                 self.arm_view_timer(ctx);
             }
@@ -490,7 +466,7 @@ impl PbftReplica {
                     .insert(me);
                 let me = ctx.id();
                 ctx.send_many(
-                    self.peer_replicas(me),
+                    peers(self.n_replicas, me),
                     PbftMsg::Checkpoint { n: next, state },
                 );
                 self.maybe_stable_checkpoint(next, state);
@@ -536,7 +512,7 @@ impl PbftReplica {
             .or_default()
             .insert(me, (stable_n, prepared.clone()));
         ctx.send_many(
-            self.peer_replicas(me),
+            peers(self.n_replicas, me),
             PbftMsg::ViewChange {
                 new_view,
                 stable_n,
@@ -584,14 +560,14 @@ impl PbftReplica {
         // Instances that neither committed nor appear in the new-view set
         // are abandoned; any request they carried will be re-ordered.
         self.instances.retain(|_, i| i.committed);
-        self.disarm_view_timer(ctx);
+        self.view_timer.disarm(ctx);
         let pre_prepares: Vec<(u64, Vec<Command<KvCommand>>)> = chosen
             .iter()
             .map(|(&n, (_, cmds))| (n, cmds.clone()))
             .collect();
         let me = ctx.id();
         ctx.send_many(
-            self.peer_replicas(me),
+            peers(self.n_replicas, me),
             PbftMsg::NewView {
                 view: v,
                 pre_prepares: pre_prepares.clone(),
@@ -640,7 +616,10 @@ impl PbftReplica {
             ctx.span_open(SPAN, n, view);
             ctx.phase(SPAN, n, view, CncPhase::ValueDiscovery);
         }
-        ctx.send_many(self.peer_replicas(me), PbftMsg::Prepare { view, n, digest });
+        ctx.send_many(
+            peers(self.n_replicas, me),
+            PbftMsg::Prepare { view, n, digest },
+        );
         self.arm_view_timer(ctx);
         self.maybe_prepared(ctx, n);
     }
@@ -666,16 +645,13 @@ impl Node for PbftReplica {
         match msg {
             PbftMsg::Request { cmd } => {
                 // Dedup: answer executed requests from the client table.
-                if let Some(out) = self.exec.machine().cached(cmd.client, cmd.seq) {
-                    ctx.send(
-                        NodeId(cmd.client),
-                        PbftMsg::Reply {
-                            view: self.view,
-                            client: cmd.client,
-                            seq: cmd.seq,
-                            output: out.clone(),
-                        },
-                    );
+                let reply = |output| PbftMsg::Reply {
+                    view: self.view,
+                    client: cmd.client,
+                    seq: cmd.seq,
+                    output,
+                };
+                if answer_cached(self.exec.machine(), ctx, &cmd, reply) {
                     return;
                 }
                 if self.is_primary(ctx.id()) {
@@ -768,7 +744,7 @@ impl Node for PbftReplica {
                 self.view_changes_completed += 1;
                 self.reset_batching();
                 self.instances.retain(|_, i| i.committed);
-                self.disarm_view_timer(ctx);
+                self.view_timer.disarm(ctx);
                 for (n, cmds) in pre_prepares {
                     let digest = digest_of(&cmds);
                     self.accept_pre_prepare(ctx, view, n, digest, cmds, from);
@@ -782,7 +758,7 @@ impl Node for PbftReplica {
     fn on_timer(&mut self, ctx: &mut Context<PbftMsg>, timer: Timer) {
         match timer.kind {
             VIEW_TIMER => {
-                self.view_timer = None;
+                self.view_timer.fired();
                 if self.has_pending_work() {
                     // The primary failed us: demand a view change. Escalate
                     // past views whose primaries never answered.

@@ -28,7 +28,9 @@ use simnet::{CncPhase, Context, Node, NodeId};
 /// Span protocol label; instances are sequence numbers.
 const SPAN: &str = "seemore";
 
-use crate::shell::{decided_commands, VoteWire, VotingClient};
+use crate::shell::{
+    decided_commands, peers, take_ready, Admission, Executor, ReplyWire, VoteWire, VotingClient,
+};
 use crate::sim_crypto::{digest_of, Digest};
 
 /// The three SeeMoRe operating modes.
@@ -220,9 +222,8 @@ pub struct SmReplica {
     pub cfg: SeeMoReConfig,
     next_seq: u64,
     instances: BTreeMap<u64, SmInstance>,
-    /// Executed prefix length.
-    pub executed_upto: u64,
-    machine: DedupKvMachine,
+    /// The machine, the executed commands and the executed prefix length.
+    pub exec: Executor,
 }
 
 impl SmReplica {
@@ -232,21 +233,8 @@ impl SmReplica {
             cfg,
             next_seq: 0,
             instances: BTreeMap::new(),
-            executed_upto: 0,
-            machine: DedupKvMachine::default(),
+            exec: Executor::default(),
         }
-    }
-
-    /// The machine.
-    pub fn machine(&self) -> &DedupKvMachine {
-        &self.machine
-    }
-
-    fn peer_replicas(&self, me: NodeId) -> Vec<NodeId> {
-        (0..self.cfg.n())
-            .map(NodeId::from)
-            .filter(|id| *id != me)
-            .collect()
     }
 
     fn is_proxy(&self, id: NodeId) -> bool {
@@ -268,38 +256,18 @@ impl SmReplica {
             inst.cmd.clone()
         };
         if let Some(cmd) = cmd {
-            let me = ctx.id();
-            ctx.send_many(self.peer_replicas(me), SmMsg::Decide { n, cmd });
+            ctx.send_many(peers(self.cfg.n(), ctx.id()), SmMsg::Decide { n, cmd });
         }
         self.try_execute(ctx);
     }
 
     fn try_execute(&mut self, ctx: &mut Context<SmMsg>) {
-        loop {
-            let next = self.executed_upto + 1;
-            let ready = self
-                .instances
-                .get(&next)
-                .is_some_and(|i| i.decided && !i.executed && i.cmd.is_some());
-            if !ready {
-                return;
-            }
-            let cmd = {
-                let inst = self.instances.get_mut(&next).expect("ready");
-                inst.executed = true;
-                inst.cmd.clone().expect("ready")
-            };
-            let output = self.machine.apply_cmd(&cmd);
-            self.executed_upto = next;
-            ctx.send(
-                NodeId(cmd.client),
-                SmMsg::Reply {
-                    client: cmd.client,
-                    seq: cmd.seq,
-                    output,
-                },
-            );
-        }
+        let instances = &mut self.instances;
+        let ready = |n| {
+            let i = instances.get_mut(&n)?;
+            take_ready(&i.cmd, i.decided, &mut i.executed)
+        };
+        self.exec.drain(ctx, ready, |_, _, _| {});
     }
 }
 
@@ -311,29 +279,14 @@ impl Node for SmReplica {
     fn on_message(&mut self, ctx: &mut Context<SmMsg>, from: NodeId, msg: SmMsg) {
         match msg {
             SmMsg::Request { cmd } => {
-                if self.cfg.primary() != ctx.id() {
-                    let p = self.cfg.primary();
-                    ctx.send(p, SmMsg::Request { cmd });
+                let me = ctx.id();
+                if self.cfg.primary() != me {
+                    ctx.send(self.cfg.primary(), SmMsg::Request { cmd });
                     return;
                 }
-                if let Some(out) = self.machine.cached(cmd.client, cmd.seq) {
-                    ctx.send(
-                        NodeId(cmd.client),
-                        SmMsg::Reply {
-                            client: cmd.client,
-                            seq: cmd.seq,
-                            output: out.clone(),
-                        },
-                    );
-                    return;
-                }
-                let in_flight = self.instances.values().any(|i| {
-                    !i.executed
-                        && i.cmd
-                            .as_ref()
-                            .is_some_and(|c| c.client == cmd.client && c.seq == cmd.seq)
-                });
-                if in_flight {
+                let ordered = self.instances.values().filter(|i| !i.executed);
+                let ordered = ordered.filter_map(|i| i.cmd.as_ref());
+                if self.exec.admit(ctx, &cmd, me, ordered) != Admission::Order {
                     return;
                 }
                 self.next_seq += 1;
@@ -341,7 +294,6 @@ impl Node for SmReplica {
                 let digest = digest_of(&cmd);
                 ctx.span_open(SPAN, n, 0);
                 ctx.phase(SPAN, n, 0, CncPhase::ValueDiscovery);
-                let me = ctx.id();
                 let inst = self.instances.entry(n).or_default();
                 inst.cmd = Some(cmd.clone());
                 inst.digest = digest;
@@ -351,8 +303,7 @@ impl Node for SmReplica {
                     // 2m+c+1 quorum.
                     inst.acks.insert(me);
                 }
-                let me2 = ctx.id();
-                ctx.send_many(self.peer_replicas(me2), SmMsg::Propose { n, cmd, digest });
+                ctx.send_many(peers(self.cfg.n(), me), SmMsg::Propose { n, cmd, digest });
             }
 
             SmMsg::Propose { n, cmd, digest } => {
@@ -481,6 +432,16 @@ impl VoteWire for SmMsg {
     }
 }
 
+impl ReplyWire for SmMsg {
+    fn reply_to(cmd: &Command<KvCommand>, output: KvResponse) -> Self {
+        SmMsg::Reply {
+            client: cmd.client,
+            seq: cmd.seq,
+            output,
+        }
+    }
+}
+
 /// SeeMoRe as a log protocol of the SMR shell.
 pub struct SeeMoRe;
 
@@ -507,16 +468,15 @@ impl SmrProtocol for SeeMoRe {
     }
 
     fn applied_len(replica: &SmReplica) -> u64 {
-        replica.executed_upto
+        replica.exec.executed_upto
     }
 
     fn machine(replica: &SmReplica) -> &DedupKvMachine {
-        &replica.machine
+        replica.exec.machine()
     }
 
     fn decided(replica: &SmReplica, node: u32, out: &mut Vec<DecidedEntry>) {
-        let executed = replica.instances.values().filter(|i| i.executed);
-        decided_commands(executed.filter_map(|i| i.cmd.as_ref()), node, out);
+        decided_commands(replica.exec.history(), node, out);
     }
 }
 
@@ -615,8 +575,8 @@ mod tests {
         cluster.sim.run_for(300_000);
         let digests: BTreeSet<u64> = cluster
             .replicas()
-            .filter(|r| r.executed_upto >= 12)
-            .map(|r| r.machine().digest())
+            .filter(|r| r.exec.executed_upto >= 12)
+            .map(|r| r.exec.machine().digest())
             .collect();
         assert_eq!(digests.len(), 1);
     }

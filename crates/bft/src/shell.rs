@@ -1,21 +1,33 @@
-//! The BFT corner of the SMR shell: the reply-voting workload client and the
-//! `decided_log` shape of protocols that execute one command at a time.
+//! The BFT corner of the SMR shell — what the seven protocols share beyond
+//! `consensus_core`, written once.
 //!
-//! A BFT client cannot trust a single reply. It accepts an output once a
-//! protocol-specific quorum of replicas report the *same* output, and it
-//! escalates silence by broadcasting every outstanding request to all
-//! replicas — which is what lets backups notice a faulty primary. PBFT,
-//! MinBFT, CheapBFT, XFT and SeeMoRe differ only in what a [`VoteWire`]
-//! impl and the [`VotingClient`] builders state; Zyzzyva (the client *is*
-//! the commitment point) and HotStuff (windowed broadcast) keep their own
-//! nodes over the same [`Session`].
+//! **Client half.** A BFT client cannot trust a single reply. It accepts an
+//! output once a protocol-specific quorum of replicas report the *same*
+//! output, and it escalates silence by broadcasting every outstanding request
+//! to all replicas — which is what lets backups notice a faulty primary.
+//! PBFT, MinBFT, CheapBFT, XFT and SeeMoRe differ only in what a
+//! [`VoteWire`] impl and the [`VotingClient`] builders state; Zyzzyva (the
+//! client *is* the commitment point) and HotStuff (windowed broadcast) keep
+//! their own nodes over the same [`Session`].
+//!
+//! **Replica half.** Plain structs the handlers call, not a node with hooks:
+//! the protocols differ in who receives a proposal, what sequences and
+//! attests it and which quorum decides it at nearly every line of their
+//! agreement phases, so those stay in the protocol files. What does not
+//! differ lives here. An [`Executor`] owns the dedup machine, the executed
+//! command record, the relayed-and-unanswered request set and the executed
+//! frontier, and provides request admission ([`Executor::admit`]), the
+//! execute step, the in-order drain and history replay. A [`Voter`] owns the
+//! view, the view-change votes and the [`Watchdog`], and makes the vote /
+//! join-once / install decisions MinBFT and XFT share (PBFT's votes carry
+//! prepared claims, so it keeps them and borrows the watchdog only).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
 
 use consensus_core::driver::DecidedEntry;
-use consensus_core::{Command, KvCommand, KvResponse, Session, WorkloadClient};
-use simnet::{Context, Node, NodeId, Payload, Timer};
+use consensus_core::{Command, DedupKvMachine, KvCommand, KvResponse, Session, WorkloadClient};
+use simnet::{CncPhase, Context, Node, NodeId, Payload, Timer, TimerId};
 
 use crate::sim_crypto::digest_of;
 
@@ -43,6 +55,11 @@ const CLIENT_ISSUE: u64 = 2;
 /// Node ids `0..n` — every replica, as a broadcast target list.
 pub fn replica_ids(n: usize) -> impl Iterator<Item = NodeId> + Clone {
     (0..n).map(NodeId::from)
+}
+
+/// Every replica but `me`.
+pub fn peers(n: usize, me: NodeId) -> impl Iterator<Item = NodeId> + Clone {
+    replica_ids(n).filter(move |id| *id != me)
 }
 
 /// Reply votes per outstanding request: seq → output digest → repliers.
@@ -197,6 +214,311 @@ pub fn decided_commands<'a>(
     );
 }
 
+/// The replica-facing corner of a protocol's message type: how an executed
+/// command is answered when the reply is just `(client, seq, output)`.
+pub trait ReplyWire: Payload {
+    /// The reply to `cmd`.
+    fn reply_to(cmd: &Command<KvCommand>, output: KvResponse) -> Self;
+}
+
+/// Whether `cmd`'s `(client, seq)` is among `ordered` — the commands a
+/// primary has sequenced and not yet executed.
+pub fn in_flight<'a>(
+    cmd: &Command<KvCommand>,
+    ordered: impl IntoIterator<Item = &'a Command<KvCommand>>,
+) -> bool {
+    let mut ordered = ordered.into_iter();
+    ordered.any(|c| c.client == cmd.client && c.seq == cmd.seq)
+}
+
+/// Resends the cached reply if `cmd` already executed on `machine`; `reply`
+/// builds it where it carries more than [`ReplyWire::reply_to`] can state.
+pub fn answer_cached<M: Payload>(
+    machine: &DedupKvMachine,
+    ctx: &mut Context<M>,
+    cmd: &Command<KvCommand>,
+    reply: impl FnOnce(KvResponse) -> M,
+) -> bool {
+    let Some(output) = machine.cached(cmd.client, cmd.seq) else {
+        return false;
+    };
+    ctx.send(NodeId(cmd.client), reply(output.clone()));
+    true
+}
+
+/// Hands out an instance's command for execution, once: `None` unless it is
+/// `decided`, has a command and is not yet `executed` (which this sets).
+pub fn take_ready(
+    cmd: &Option<Command<KvCommand>>,
+    decided: bool,
+    executed: &mut bool,
+) -> Option<Command<KvCommand>> {
+    let cmd = cmd.as_ref().filter(|_| decided && !*executed)?;
+    *executed = true;
+    Some(cmd.clone())
+}
+
+/// What [`Executor::admit`] made of a client request.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Admission {
+    /// Answered from the dedup cache, or ordered and not yet executed:
+    /// nothing left to do.
+    Handled,
+    /// New, and this replica is the primary: order it.
+    Order,
+    /// New, and relayed to the primary; the caller's watchdog watches it.
+    Relayed,
+}
+
+/// What every replica owns whatever its agreement protocol: the dedup
+/// machine, the executed commands in order, the requests relayed to the
+/// primary and not yet executed here, and the executed frontier.
+#[derive(Default)]
+pub struct Executor {
+    machine: DedupKvMachine,
+    history: Vec<Command<KvCommand>>,
+    pending: BTreeSet<(u32, u64)>,
+    /// Highest executed instance in the protocol's current numbering (a view
+    /// change or protocol switch re-bases it; the history is never cut).
+    pub executed_upto: u64,
+}
+
+impl Executor {
+    /// The replicated machine.
+    pub fn machine(&self) -> &DedupKvMachine {
+        &self.machine
+    }
+
+    /// Every command executed so far, in order — also the state-transfer
+    /// payload of a view change or protocol switch.
+    pub fn history(&self) -> &[Command<KvCommand>] {
+        &self.history
+    }
+
+    /// Whether a request relayed to the primary is still unexecuted.
+    pub fn has_pending(&self) -> bool {
+        !self.pending.is_empty()
+    }
+
+    /// Request admission: an executed request is answered from the cache, one
+    /// among `ordered` is swallowed; a new one is the caller's to order if it
+    /// is `primary`, and is otherwise relayed there and remembered.
+    pub fn admit<'a, M: VoteWire + ReplyWire>(
+        &mut self,
+        ctx: &mut Context<M>,
+        cmd: &Command<KvCommand>,
+        primary: NodeId,
+        ordered: impl IntoIterator<Item = &'a Command<KvCommand>>,
+    ) -> Admission {
+        if answer_cached(&self.machine, ctx, cmd, |out| M::reply_to(cmd, out)) {
+            Admission::Handled
+        } else if primary != ctx.id() {
+            self.pending.insert((cmd.client, cmd.seq));
+            ctx.send(primary, M::request(cmd.clone()));
+            Admission::Relayed
+        } else if in_flight(cmd, ordered) {
+            Admission::Handled
+        } else {
+            Admission::Order
+        }
+    }
+
+    /// Applies `cmd`, forgets it as pending and records it; the caller
+    /// replies with the output.
+    pub fn apply(&mut self, cmd: &Command<KvCommand>) -> KvResponse {
+        let output = self.machine.apply_cmd(cmd);
+        self.pending.remove(&(cmd.client, cmd.seq));
+        self.history.push(cmd.clone());
+        output
+    }
+
+    /// [`Executor::apply`], then the reply to the client.
+    pub fn execute<M: ReplyWire>(&mut self, ctx: &mut Context<M>, cmd: &Command<KvCommand>) {
+        let output = self.apply(cmd);
+        ctx.send(NodeId(cmd.client), M::reply_to(cmd, output));
+    }
+
+    /// Executes instances in order from the frontier for as long as `ready`
+    /// hands out the next one's command (see [`take_ready`]); `after` runs
+    /// once per executed command, the frontier already on its instance.
+    pub fn drain<M: ReplyWire>(
+        &mut self,
+        ctx: &mut Context<M>,
+        mut ready: impl FnMut(u64) -> Option<Command<KvCommand>>,
+        mut after: impl FnMut(&mut Self, &mut Context<M>, &Command<KvCommand>),
+    ) {
+        while let Some(cmd) = ready(self.executed_upto + 1) {
+            self.execute(ctx, &cmd);
+            self.executed_upto += 1;
+            after(self, ctx, &cmd);
+        }
+    }
+
+    /// Replays a transferred history: commands the dedup table has not seen
+    /// execute (and are answered), the rest are skipped.
+    pub fn replay<M: ReplyWire>(&mut self, ctx: &mut Context<M>, history: Vec<Command<KvCommand>>) {
+        for cmd in history {
+            if self.machine.cached(cmd.client, cmd.seq).is_none() {
+                self.execute(ctx, &cmd);
+            }
+        }
+    }
+}
+
+/// Timer kind of the [`Watchdog`].
+pub const VIEW_TIMER: u64 = 1;
+
+/// The one-shot progress timer a replica keeps while work is outstanding.
+#[derive(Default)]
+pub struct Watchdog(Option<TimerId>);
+
+impl Watchdog {
+    /// Arms the timer unless it is running: `base_us` plus a per-node stagger.
+    pub fn arm<M: Payload>(&mut self, ctx: &mut Context<M>, base_us: u64) {
+        if self.0.is_none() {
+            let timeout = base_us + 10_000 * u64::from(ctx.id().0);
+            self.0 = Some(ctx.set_timer(timeout, VIEW_TIMER));
+        }
+    }
+
+    /// Cancels the timer if it is running.
+    pub fn disarm<M: Payload>(&mut self, ctx: &mut Context<M>) {
+        if let Some(t) = self.0.take() {
+            ctx.cancel_timer(t);
+        }
+    }
+
+    /// The timer fired: it may be armed again.
+    pub fn fired(&mut self) {
+        self.0 = None;
+    }
+}
+
+/// View-change voting as MinBFT and XFT do it: the primary of view `v` is
+/// `v mod n`, any single demand makes a replica join, and `quorum` demands
+/// install the view at its primary.
+pub struct Voter {
+    n: usize,
+    quorum: usize,
+    timeout_us: u64,
+    span: &'static str,
+    /// Current view.
+    pub view: u64,
+    /// View changes completed.
+    pub view_changes: u64,
+    vc_votes: BTreeMap<u64, BTreeSet<NodeId>>,
+    max_vc_sent: u64,
+    watchdog: Watchdog,
+}
+
+impl Voter {
+    /// A voter among `n` replicas whose watchdog runs `timeout_us` (plus the
+    /// per-node stagger) and whose spans are labelled `span`.
+    pub fn new(n: usize, quorum: usize, timeout_us: u64, span: &'static str) -> Self {
+        Voter {
+            n,
+            quorum,
+            timeout_us,
+            span,
+            view: 0,
+            view_changes: 0,
+            vc_votes: BTreeMap::new(),
+            max_vc_sent: 0,
+            watchdog: Watchdog::default(),
+        }
+    }
+
+    /// The primary of view `v`.
+    pub fn primary_of(&self, v: u64) -> NodeId {
+        NodeId((v % self.n as u64) as u32)
+    }
+
+    /// The current primary.
+    pub fn primary(&self) -> NodeId {
+        self.primary_of(self.view)
+    }
+
+    /// Starts the watchdog unless it is running.
+    pub fn arm<M: Payload>(&mut self, ctx: &mut Context<M>) {
+        self.watchdog.arm(ctx, self.timeout_us);
+    }
+
+    /// Progress: restarts the watchdog while relayed requests are `pending`,
+    /// stops it otherwise.
+    pub fn progress<M: Payload>(&mut self, ctx: &mut Context<M>, pending: bool) {
+        self.watchdog.disarm(ctx);
+        if pending {
+            self.arm(ctx);
+        }
+    }
+
+    fn demand<M: Payload>(&mut self, ctx: &mut Context<M>, new_view: u64, demand: M) {
+        let me = ctx.id();
+        self.max_vc_sent = new_view;
+        self.vc_votes.entry(new_view).or_default().insert(me);
+        ctx.send_many(peers(self.n, me), demand);
+    }
+
+    /// `from` demands `new_view` (`demand` is that message, to pass on). A
+    /// stale demand is ignored; the first one for a view makes this replica
+    /// join it, once. Returns `true` when a quorum demands a view this
+    /// replica is primary of — the view is then installed here, and the
+    /// caller re-bases its instances (the next of which is `next`) and
+    /// announces it.
+    pub fn on_view_change<M: Payload>(
+        &mut self,
+        ctx: &mut Context<M>,
+        from: NodeId,
+        new_view: u64,
+        next: u64,
+        demand: M,
+    ) -> bool {
+        if new_view <= self.view {
+            return false;
+        }
+        self.vc_votes.entry(new_view).or_default().insert(from);
+        if self.max_vc_sent < new_view {
+            ctx.phase(self.span, next, new_view, CncPhase::LeaderElection);
+            self.demand(ctx, new_view, demand);
+        }
+        let install =
+            self.vc_votes[&new_view].len() >= self.quorum && self.primary_of(new_view) == ctx.id();
+        if install {
+            self.view = new_view;
+            self.view_changes += 1;
+            self.watchdog.disarm(ctx);
+        }
+        install
+    }
+
+    /// `from` announces `view`. Returns whether it is that view's primary and
+    /// the view is not behind ours — it is then installed here.
+    pub fn on_new_view(&mut self, from: NodeId, view: u64) -> bool {
+        let install = view >= self.view && from == self.primary_of(view);
+        if install {
+            self.view = view;
+            self.view_changes += 1;
+        }
+        install
+    }
+
+    /// The watchdog fired. A `stalled` replica demands (with `demand(v)`) the
+    /// first view nobody has been asked for yet and keeps watching.
+    pub fn on_timeout<M: Payload>(
+        &mut self,
+        ctx: &mut Context<M>,
+        stalled: bool,
+        demand: impl FnOnce(u64) -> M,
+    ) {
+        self.watchdog.fired();
+        if stalled {
+            let new_view = self.view.max(self.max_vc_sent) + 1;
+            self.demand(ctx, new_view, demand(new_view));
+            self.arm(ctx);
+        }
+    }
+}
+
 /// Unit-test harness: one client under test among silent replicas.
 #[cfg(test)]
 pub(crate) mod testkit {
@@ -242,12 +564,18 @@ pub(crate) mod testkit {
         mode: WorkloadMode,
         build: impl FnOnce(Session) -> C,
     ) -> Sim<Harness<C>> {
+        let session = Session::new(n as u32, total, KvMix::default(), 1, mode);
+        sim_of(n, build(session))
+    }
+
+    /// `n` silent nodes plus `node` under test (the last), on a fixed 500 µs
+    /// network.
+    pub fn sim_of<C: Node>(n: usize, node: C) -> Sim<Harness<C>> {
         let mut sim = Sim::new(NetConfig::synchronous(), 1);
         for _ in 0..n {
             sim.add_node(Harness::Silent(Vec::new()));
         }
-        let session = Session::new(n as u32, total, KvMix::default(), 1, mode);
-        sim.add_node(Harness::Client(build(session)));
+        sim.add_node(Harness::Client(node));
         sim
     }
 
@@ -423,5 +751,316 @@ mod tests {
             assert_eq!(e.op, format!("{:?}", cmds[i as usize]));
         }
         assert_eq!(out.len(), 3);
+    }
+}
+
+#[cfg(test)]
+mod replica_tests {
+    use super::testkit::{client, received, sim_of, Harness};
+    use super::*;
+    use consensus_core::StateMachine as _;
+    use simnet::{Sim, Time};
+
+    /// Everything a replica under test can be told.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Wire {
+        Request(Command<KvCommand>),
+        Reply(u64),
+        /// Instance `n` is decided with this command.
+        Decide(u64, Command<KvCommand>),
+        History(Vec<Command<KvCommand>>),
+        ViewChange(u64),
+        NewView(u64),
+        /// Progress was made; are relayed requests still pending?
+        Progress(bool),
+    }
+
+    impl Payload for Wire {}
+
+    impl VoteWire for Wire {
+        const RETRY_US: u64 = 50_000;
+
+        fn request(cmd: Command<KvCommand>) -> Self {
+            Wire::Request(cmd)
+        }
+
+        fn reply(self) -> Option<(u64, KvResponse)> {
+            None
+        }
+    }
+
+    impl ReplyWire for Wire {
+        fn reply_to(cmd: &Command<KvCommand>, _output: KvResponse) -> Self {
+            Wire::Reply(cmd.seq)
+        }
+    }
+
+    const N: usize = 4;
+    /// The replica under test: node 4 of 5, so primary of views 4, 9, ….
+    const RIG: NodeId = NodeId(N as u32);
+    const TIMEOUT_US: u64 = 20_000;
+
+    /// The smallest replica the shared pieces can run in: it orders nothing
+    /// itself — instances arrive decided — and records what the executor and
+    /// the voter answered.
+    struct Rig {
+        primary: NodeId,
+        exec: Executor,
+        voter: Voter,
+        instances: BTreeMap<u64, (Option<Command<KvCommand>>, bool)>,
+        admissions: Vec<Admission>,
+        executed: Vec<u64>,
+        installed: Vec<bool>,
+        stalled: bool,
+    }
+
+    impl Rig {
+        fn new(primary: NodeId) -> Self {
+            Rig {
+                primary,
+                exec: Executor::default(),
+                voter: Voter::new(N + 1, 2, TIMEOUT_US, "rig"),
+                instances: BTreeMap::new(),
+                admissions: Vec::new(),
+                executed: Vec::new(),
+                installed: Vec::new(),
+                stalled: true,
+            }
+        }
+    }
+
+    impl Node for Rig {
+        type Msg = Wire;
+
+        fn on_start(&mut self, _ctx: &mut Context<Wire>) {}
+
+        fn on_message(&mut self, ctx: &mut Context<Wire>, from: NodeId, msg: Wire) {
+            match msg {
+                Wire::Request(cmd) => {
+                    let ordered = self.instances.values().filter(|(_, executed)| !executed);
+                    let ordered = ordered.filter_map(|(c, _)| c.as_ref());
+                    let admission = self.exec.admit(ctx, &cmd, self.primary, ordered);
+                    match admission {
+                        Admission::Order => {
+                            let n = self.instances.len() as u64 + 1;
+                            self.instances.insert(n, (Some(cmd), false));
+                        }
+                        Admission::Relayed => self.voter.arm(ctx),
+                        Admission::Handled => {}
+                    }
+                    self.admissions.push(admission);
+                }
+                Wire::Decide(n, cmd) => {
+                    self.instances.insert(n, (Some(cmd), false));
+                    let (instances, executed) = (&mut self.instances, &mut self.executed);
+                    self.exec.drain(
+                        ctx,
+                        |n| {
+                            let (cmd, done) = instances.get_mut(&n)?;
+                            take_ready(cmd, true, done)
+                        },
+                        |exec, _, _| executed.push(exec.executed_upto),
+                    );
+                }
+                Wire::History(history) => self.exec.replay(ctx, history),
+                Wire::ViewChange(v) => {
+                    let next = self.exec.executed_upto + 1;
+                    let installed = self.voter.on_view_change(ctx, from, v, next, msg);
+                    self.installed.push(installed);
+                }
+                Wire::NewView(v) => self.installed.push(self.voter.on_new_view(from, v)),
+                Wire::Progress(pending) => self.voter.progress(ctx, pending),
+                Wire::Reply(_) => {}
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<Wire>, timer: Timer) {
+            assert_eq!(timer.kind, VIEW_TIMER);
+            self.voter.on_timeout(ctx, self.stalled, Wire::ViewChange);
+        }
+    }
+
+    /// A put by client 0 (a silent node, so its replies are recorded).
+    fn put(seq: u64) -> Command<KvCommand> {
+        let (key, value) = (format!("k{seq}").into(), format!("v{seq}").into());
+        let op = KvCommand::Put { key, value };
+        Command { client: 0, seq, op }
+    }
+
+    /// Delivers `msgs` to the rig from node 1, one per millisecond, and runs
+    /// past the last.
+    fn tell(sim: &mut Sim<Harness<Rig>>, msgs: impl IntoIterator<Item = Wire>) {
+        let start = sim.now().0;
+        let mut at = start;
+        for msg in msgs {
+            at += 1_000;
+            sim.inject(NodeId(1), RIG, msg, Time(at));
+        }
+        sim.run_until(Time(at + 900));
+    }
+
+    fn got(sim: &Sim<Harness<Rig>>, r: usize) -> Vec<Wire> {
+        received(sim, r).iter().map(|(_, m)| m.clone()).collect()
+    }
+
+    #[test]
+    fn an_executed_request_is_answered_from_the_cache_without_a_second_record() {
+        let mut sim = sim_of(N, Rig::new(RIG));
+        tell(
+            &mut sim,
+            [
+                Wire::Decide(1, put(0)),
+                Wire::Request(put(0)),
+                Wire::Request(put(0)),
+            ],
+        );
+        let rig = client(&sim);
+        assert_eq!(rig.admissions, [Admission::Handled, Admission::Handled]);
+        assert_eq!(
+            got(&sim, 0),
+            [Wire::Reply(0), Wire::Reply(0), Wire::Reply(0)]
+        );
+        assert_eq!(rig.exec.history(), [put(0)]);
+        assert_eq!(rig.exec.machine().kv().applied(), 1);
+    }
+
+    #[test]
+    fn an_ordered_but_unexecuted_duplicate_is_swallowed() {
+        let mut sim = sim_of(N, Rig::new(RIG));
+        tell(&mut sim, [Wire::Request(put(0)), Wire::Request(put(0))]);
+        let rig = client(&sim);
+        assert_eq!(rig.admissions, [Admission::Order, Admission::Handled]);
+        assert_eq!(rig.instances.len(), 1);
+        assert!(
+            (0..N).all(|r| received(&sim, r).is_empty()),
+            "no reply, no relay"
+        );
+    }
+
+    #[test]
+    fn a_backup_relays_a_new_request_to_the_primary_and_watches_it() {
+        let mut sim = sim_of(N, Rig::new(NodeId(2)));
+        tell(&mut sim, [Wire::Request(put(0)), Wire::Request(put(0))]);
+        let rig = client(&sim);
+        assert_eq!(rig.admissions, [Admission::Relayed, Admission::Relayed]);
+        assert!(rig.exec.has_pending());
+        assert_eq!(got(&sim, 2), [Wire::Request(put(0)), Wire::Request(put(0))]);
+        // Executing it clears the watch.
+        tell(&mut sim, [Wire::Decide(1, put(0))]);
+        assert!(!client(&sim).exec.has_pending());
+    }
+
+    #[test]
+    fn instances_decided_out_of_order_execute_in_order_and_stop_at_a_gap() {
+        let mut sim = sim_of(N, Rig::new(RIG));
+        tell(&mut sim, [Wire::Decide(2, put(1)), Wire::Decide(3, put(2))]);
+        assert!(client(&sim).executed.is_empty(), "instance 1 is missing");
+        tell(&mut sim, [Wire::Decide(1, put(0)), Wire::Decide(5, put(4))]);
+        let rig = client(&sim);
+        assert_eq!(rig.executed, [1, 2, 3], "instance 4 is missing");
+        assert_eq!(rig.exec.executed_upto, 3);
+        assert_eq!(rig.exec.history(), [put(0), put(1), put(2)]);
+        assert_eq!(
+            got(&sim, 0),
+            [Wire::Reply(0), Wire::Reply(1), Wire::Reply(2)]
+        );
+    }
+
+    #[test]
+    fn replaying_an_overlapping_history_applies_only_the_missing_suffix() {
+        let history: Vec<_> = (0..4).map(put).collect();
+        let mut lagging = sim_of(N, Rig::new(RIG));
+        tell(
+            &mut lagging,
+            [
+                Wire::Decide(1, put(0)),
+                Wire::Decide(2, put(1)),
+                Wire::History(history.clone()),
+            ],
+        );
+        let mut fresh = sim_of(N, Rig::new(RIG));
+        tell(&mut fresh, [Wire::History(history.clone())]);
+        let (lagging, fresh) = (client(&lagging), client(&fresh));
+        assert_eq!(lagging.exec.history(), history);
+        assert_eq!(lagging.exec.machine().kv().applied(), 4);
+        assert_eq!(
+            lagging.exec.machine().digest(),
+            fresh.exec.machine().digest()
+        );
+        assert_eq!(
+            lagging.exec.executed_upto, 2,
+            "replay leaves re-basing to the caller"
+        );
+    }
+
+    #[test]
+    fn view_change_decision_table() {
+        let mut sim = sim_of(N, Rig::new(RIG));
+        let demands = |sim: &Sim<Harness<Rig>>| got(sim, 3);
+        // A demand for a view at or below ours is ignored.
+        tell(&mut sim, [Wire::ViewChange(0)]);
+        assert!(demands(&sim).is_empty());
+        // The first demand for view 2 makes the rig join — once.
+        tell(&mut sim, [Wire::ViewChange(2), Wire::ViewChange(2)]);
+        assert_eq!(demands(&sim), [Wire::ViewChange(2)]);
+        // Votes {1, rig} reach the quorum of 2, but node 2 is view 2's primary.
+        assert_eq!(client(&sim).installed, [false, false, false]);
+        assert_eq!(client(&sim).voter.view, 0);
+        // View 4 is the rig's: the same quorum installs it here.
+        tell(&mut sim, [Wire::ViewChange(4)]);
+        let rig = client(&sim);
+        assert_eq!(rig.installed.last(), Some(&true));
+        assert_eq!((rig.voter.view, rig.voter.view_changes), (4, 1));
+        assert_eq!(rig.voter.primary(), RIG);
+        // Only a view's primary can announce it, and never an older view.
+        tell(
+            &mut sim,
+            [Wire::NewView(5), Wire::NewView(3), Wire::NewView(6)],
+        );
+        let rig = client(&sim);
+        assert_eq!(rig.installed[4..], [false, false, true], "sent by node 1");
+        assert_eq!((rig.voter.view, rig.voter.view_changes), (6, 2));
+    }
+
+    #[test]
+    fn a_stalled_timeout_demands_the_next_unasked_view_and_keeps_watching() {
+        let mut sim = sim_of(N, Rig::new(NodeId(2)));
+        // Joining view 3 makes it the highest view asked for; the relayed
+        // request starts the watchdog.
+        tell(&mut sim, [Wire::ViewChange(3), Wire::Request(put(0))]);
+        let timeout = TIMEOUT_US + 10_000 * u64::from(RIG.0);
+        sim.run_until(Time(2_000 + 2 * timeout + 900));
+        let demands: Vec<Wire> = got(&sim, 3);
+        assert_eq!(
+            demands,
+            [
+                Wire::ViewChange(3),
+                Wire::ViewChange(4),
+                Wire::ViewChange(5)
+            ]
+        );
+        // Not stalled: the next timeout demands nothing and stops watching.
+        match sim.node_mut(RIG) {
+            Harness::Client(rig) => rig.stalled = false,
+            Harness::Silent(_) => unreachable!(),
+        }
+        sim.run_until(Time(2_000 + 5 * timeout));
+        assert_eq!(got(&sim, 3).len(), 3);
+        assert_eq!(sim.metrics().timer_fires, 3);
+    }
+
+    #[test]
+    fn progress_restarts_the_watchdog_only_while_requests_are_pending() {
+        let timeout = TIMEOUT_US + 10_000 * u64::from(RIG.0);
+        for (pending, fires) in [(false, 0), (true, 1)] {
+            let mut sim = sim_of(N, Rig::new(NodeId(2)));
+            tell(&mut sim, [Wire::Request(put(0)), Wire::Progress(pending)]);
+            // The request's own timer was due at 1 ms + timeout; progress at
+            // 2 ms cancelled it and, if pending, started a new one.
+            sim.run_until(Time(1_500 + timeout));
+            assert_eq!(sim.metrics().timer_fires, 0, "pending={pending}");
+            sim.run_until(Time(2_500 + timeout));
+            assert_eq!(sim.metrics().timer_fires, fires, "pending={pending}");
+        }
     }
 }

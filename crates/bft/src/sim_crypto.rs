@@ -235,7 +235,10 @@ mod tests {
         let batch = |v: &str| (0..16).map(|i| put(7, i, "k", v)).collect::<Vec<_>>();
         let big = "x✓".repeat(256);
         assert_eq!(digest_of(&batch(&big)), digest_of(&batch(&big)));
-        assert_eq!(digest_of(&(3u64, &batch("v"))), digest_of(&(3u64, &batch("v"))));
+        assert_eq!(
+            digest_of(&(3u64, &batch("v"))),
+            digest_of(&(3u64, &batch("v")))
+        );
         let shared = batch("v");
         assert_eq!(digest_of(&shared), digest_of(&shared.clone()));
     }
@@ -243,7 +246,10 @@ mod tests {
     #[test]
     fn digests_tell_near_misses_apart() {
         assert_ne!(digest_of(&("ab", "c")), digest_of(&("a", "bc")));
-        assert_ne!(digest_of(&put(1, 0, "ab", "c")), digest_of(&put(1, 0, "a", "bc")));
+        assert_ne!(
+            digest_of(&put(1, 0, "ab", "c")),
+            digest_of(&put(1, 0, "a", "bc"))
+        );
         let batch: Vec<_> = (0..16).map(|i| put(7, i, "k", "v")).collect();
         let mut swapped = batch.clone();
         swapped.swap(3, 11);
@@ -254,7 +260,10 @@ mod tests {
             let a = "x".repeat(len);
             let b = format!("{}y", &a[1..]);
             assert_ne!(digest_of(&a), digest_of(&b), "length {len}");
-            assert_ne!(digest_of(&put(1, 0, "k", &a)), digest_of(&put(1, 0, "k", &b)));
+            assert_ne!(
+                digest_of(&put(1, 0, "k", &a)),
+                digest_of(&put(1, 0, "k", &b))
+            );
         }
         assert_ne!(
             digest_of(&KvResponse::Value(None)),

@@ -23,12 +23,15 @@ use consensus_core::driver::{BatchConfig, DecidedEntry};
 use consensus_core::{
     Cluster, Command, DedupKvMachine, KvCommand, KvResponse, Session, SmrProtocol,
 };
-use simnet::{CncPhase, Context, Node, NodeId, Timer, TimerId};
+use simnet::{CncPhase, Context, Node, NodeId, Timer};
 
 /// Span protocol label; instances are sequence numbers, rounds are views.
 const SPAN: &str = "xft";
 
-use crate::shell::{decided_commands, VoteWire, VotingClient};
+use crate::shell::{
+    decided_commands, peers, replica_ids, take_ready, Admission, Executor, ReplyWire, VoteWire,
+    Voter, VotingClient, VIEW_TIMER,
+};
 use crate::sim_crypto::digest_of;
 
 /// The anarchy predicate from the slides: `m(s) > 0` **and**
@@ -111,63 +114,37 @@ impl simnet::Payload for XftMsg {
 struct XftInstance {
     cmd: Option<Command<KvCommand>>,
     endorsements: BTreeSet<NodeId>,
+    /// Arrived as an `Update`: the synchronous group already certified it.
+    certified: bool,
     executed: bool,
 }
-
-const VIEW_TIMER: u64 = 1;
 
 /// An XPaxos replica.
 pub struct XftReplica {
     n_replicas: usize,
     /// Fault bound `f = ⌊(n−1)/2⌋`.
     pub f: usize,
-    /// Current view.
-    pub view: u64,
+    /// The view, the view-change votes and the watchdog.
+    pub voter: Voter,
     next_seq: u64,
     instances: BTreeMap<u64, XftInstance>,
-    /// Executed history.
-    history: Vec<Command<KvCommand>>,
-    /// Executed prefix.
-    pub executed_upto: u64,
-    machine: DedupKvMachine,
-    pending_requests: BTreeSet<(u32, u64)>,
-    view_timer: Option<TimerId>,
-    vc_votes: BTreeMap<u64, BTreeSet<NodeId>>,
-    max_vc_sent: u64,
-    /// View changes completed.
-    pub view_changes: u64,
+    /// The machine and the executed history; its frontier restarts in every
+    /// view.
+    pub exec: Executor,
 }
 
 impl XftReplica {
     /// Creates a replica for a `2f+1` cluster.
     pub fn new(n_replicas: usize) -> Self {
+        let f = (n_replicas - 1) / 2;
         XftReplica {
             n_replicas,
-            f: (n_replicas - 1) / 2,
-            view: 0,
+            f,
+            voter: Voter::new(n_replicas, f + 1, 60_000, SPAN),
             next_seq: 0,
             instances: BTreeMap::new(),
-            history: Vec::new(),
-            executed_upto: 0,
-            machine: DedupKvMachine::default(),
-            pending_requests: BTreeSet::new(),
-            view_timer: None,
-            vc_votes: BTreeMap::new(),
-            max_vc_sent: 0,
-            view_changes: 0,
+            exec: Executor::default(),
         }
-    }
-
-    /// The machine.
-    pub fn machine(&self) -> &DedupKvMachine {
-        &self.machine
-    }
-
-    fn peer_replicas(&self, me: NodeId) -> Vec<NodeId> {
-        (0..self.n_replicas)
-            .map(NodeId::from)
-            .filter(|id| *id != me)
-            .collect()
     }
 
     /// The synchronous group of view `v`: `f+1` consecutive replicas
@@ -178,74 +155,43 @@ impl XftReplica {
             .collect()
     }
 
-    /// The primary of view `v`.
-    pub fn primary_of(&self, v: u64) -> NodeId {
-        NodeId((v % self.n_replicas as u64) as u32)
-    }
-
     fn in_group(&self, id: NodeId) -> bool {
-        self.sync_group(self.view).contains(&id)
-    }
-
-    fn arm_view_timer(&mut self, ctx: &mut Context<XftMsg>) {
-        if self.view_timer.is_none() {
-            let timeout = 60_000 + 10_000 * u64::from(ctx.id().0);
-            self.view_timer = Some(ctx.set_timer(timeout, VIEW_TIMER));
-        }
-    }
-
-    fn disarm_view_timer(&mut self, ctx: &mut Context<XftMsg>) {
-        if let Some(t) = self.view_timer.take() {
-            ctx.cancel_timer(t);
-        }
+        self.sync_group(self.voter.view).contains(&id)
     }
 
     fn try_execute(&mut self, ctx: &mut Context<XftMsg>) {
-        let group_size = self.f + 1;
-        loop {
-            let next = self.executed_upto + 1;
-            let ready = self.instances.get(&next).is_some_and(|i| {
-                !i.executed && i.cmd.is_some() && i.endorsements.len() >= group_size
-            });
-            if !ready {
-                return;
-            }
-            let cmd = {
-                let inst = self.instances.get_mut(&next).expect("ready");
-                inst.executed = true;
-                inst.cmd.clone().expect("ready")
-            };
-            ctx.phase(SPAN, next, self.view, CncPhase::Decision);
-            ctx.span_close(SPAN, next, self.view);
-            self.apply(ctx, cmd.clone());
-            self.executed_upto = next;
-            self.disarm_view_timer(ctx);
-            if !self.pending_requests.is_empty() {
-                self.arm_view_timer(ctx);
-            }
-            // Primary lazily updates the passive replicas.
-            if self.primary_of(self.view) == ctx.id() {
-                let passives: Vec<NodeId> = (0..self.n_replicas)
-                    .map(NodeId::from)
-                    .filter(|id| !self.in_group(*id))
-                    .collect();
-                ctx.send_many(passives, XftMsg::Update { n: next, cmd });
-            }
-        }
-    }
-
-    fn apply(&mut self, ctx: &mut Context<XftMsg>, cmd: Command<KvCommand>) {
-        let output = self.machine.apply_cmd(&cmd);
-        self.pending_requests.remove(&(cmd.client, cmd.seq));
-        self.history.push(cmd.clone());
-        ctx.send(
-            NodeId(cmd.client),
-            XftMsg::Reply {
-                client: cmd.client,
-                seq: cmd.seq,
-                output,
+        let view = self.voter.view;
+        // The primary lazily updates the passive replicas.
+        let primary = self.voter.primary() == ctx.id();
+        let passives = replica_ids(self.n_replicas).filter(|id| primary && !self.in_group(*id));
+        let passives: Vec<NodeId> = passives.collect();
+        let (instances, voter, group_size) = (&mut self.instances, &mut self.voter, self.f + 1);
+        self.exec.drain(
+            ctx,
+            |n| {
+                let i = instances.get_mut(&n)?;
+                let decided = i.certified || i.endorsements.len() >= group_size;
+                take_ready(&i.cmd, decided, &mut i.executed)
+            },
+            |exec, ctx, cmd| {
+                let n = exec.executed_upto;
+                ctx.phase(SPAN, n, view, CncPhase::Decision);
+                ctx.span_close(SPAN, n, view);
+                voter.progress(ctx, exec.has_pending());
+                let update = XftMsg::Update {
+                    n,
+                    cmd: cmd.clone(),
+                };
+                ctx.send_many(passives.iter().copied(), update);
             },
         );
+    }
+
+    /// Drops the view's instances: sequence numbers restart in the next one.
+    fn rebase(&mut self) {
+        self.instances.clear();
+        self.next_seq = 0;
+        self.exec.executed_upto = 0;
     }
 }
 
@@ -255,159 +201,90 @@ impl Node for XftReplica {
     fn on_start(&mut self, _ctx: &mut Context<XftMsg>) {}
 
     fn on_message(&mut self, ctx: &mut Context<XftMsg>, from: NodeId, msg: XftMsg) {
+        let me = ctx.id();
         match msg {
             XftMsg::Request { cmd } => {
-                if let Some(out) = self.machine.cached(cmd.client, cmd.seq) {
-                    ctx.send(
-                        NodeId(cmd.client),
-                        XftMsg::Reply {
-                            client: cmd.client,
-                            seq: cmd.seq,
-                            output: out.clone(),
-                        },
-                    );
-                    return;
-                }
-                if self.primary_of(self.view) == ctx.id() {
-                    let in_flight = self.instances.values().any(|i| {
-                        !i.executed
-                            && i.cmd
-                                .as_ref()
-                                .is_some_and(|c| c.client == cmd.client && c.seq == cmd.seq)
-                    });
-                    if in_flight {
-                        return;
+                let ordered = self.instances.values().filter(|i| !i.executed);
+                let ordered = ordered.filter_map(|i| i.cmd.as_ref());
+                match self.exec.admit(ctx, &cmd, self.voter.primary(), ordered) {
+                    Admission::Handled => return,
+                    Admission::Relayed => {}
+                    Admission::Order => {
+                        self.next_seq += 1;
+                        let n = self.next_seq;
+                        let view = self.voter.view;
+                        ctx.span_open(SPAN, n, view);
+                        ctx.phase(SPAN, n, view, CncPhase::ValueDiscovery);
+                        let inst = self.instances.entry(n).or_default();
+                        inst.cmd = Some(cmd.clone());
+                        inst.endorsements.insert(me);
+                        let followers = self.sync_group(view).into_iter().filter(|id| *id != me);
+                        ctx.send_many(followers, XftMsg::Prepare { view, n, cmd });
                     }
-                    self.next_seq += 1;
-                    let n = self.next_seq;
-                    let me = ctx.id();
-                    let view = self.view;
-                    ctx.span_open(SPAN, n, view);
-                    ctx.phase(SPAN, n, view, CncPhase::ValueDiscovery);
-                    let inst = self.instances.entry(n).or_default();
-                    inst.cmd = Some(cmd.clone());
-                    inst.endorsements.insert(me);
-                    let followers: Vec<NodeId> = self
-                        .sync_group(view)
-                        .into_iter()
-                        .filter(|id| *id != me)
-                        .collect();
-                    ctx.send_many(followers, XftMsg::Prepare { view, n, cmd });
-                    self.arm_view_timer(ctx);
-                } else {
-                    self.pending_requests.insert((cmd.client, cmd.seq));
-                    let p = self.primary_of(self.view);
-                    ctx.send(p, XftMsg::Request { cmd });
-                    self.arm_view_timer(ctx);
                 }
+                self.voter.arm(ctx);
             }
 
             XftMsg::Prepare { view, n, cmd } => {
-                if view != self.view || from != self.primary_of(view) {
-                    return;
-                }
-                if !self.in_group(ctx.id()) {
+                if view != self.voter.view || from != self.voter.primary() || !self.in_group(me) {
                     return;
                 }
                 let digest = digest_of(&cmd).0;
-                let me = ctx.id();
-                {
-                    let inst = self.instances.entry(n).or_default();
-                    if inst.cmd.is_none() {
-                        ctx.span_open(SPAN, n, view);
-                        ctx.phase(SPAN, n, view, CncPhase::Agreement);
-                    }
-                    inst.cmd = Some(cmd);
-                    inst.endorsements.insert(from);
-                    inst.endorsements.insert(me);
+                let inst = self.instances.entry(n).or_default();
+                if inst.cmd.is_none() {
+                    ctx.span_open(SPAN, n, view);
+                    ctx.phase(SPAN, n, view, CncPhase::Agreement);
                 }
+                inst.cmd = Some(cmd);
+                inst.endorsements.insert(from);
+                inst.endorsements.insert(me);
                 // Commit to the whole group.
-                let group = self.sync_group(view);
-                ctx.send_many(
-                    group.into_iter().filter(|id| *id != me),
-                    XftMsg::Commit { view, n, digest },
-                );
-                self.arm_view_timer(ctx);
+                let group = self.sync_group(view).into_iter().filter(|id| *id != me);
+                ctx.send_many(group, XftMsg::Commit { view, n, digest });
+                self.voter.arm(ctx);
                 self.try_execute(ctx);
             }
 
             XftMsg::Commit { view, n, digest } => {
-                if view != self.view || !self.in_group(ctx.id()) {
+                if view != self.voter.view || !self.in_group(me) {
                     return;
                 }
                 let inst = self.instances.entry(n).or_default();
-                if let Some(cmd) = &inst.cmd {
-                    if digest_of(cmd).0 != digest {
-                        return;
-                    }
+                if inst.cmd.as_ref().is_some_and(|c| digest_of(c).0 != digest) {
+                    return;
                 }
                 inst.endorsements.insert(from);
                 self.try_execute(ctx);
             }
 
             XftMsg::Update { n, cmd } => {
-                // Passive replica: apply lazily in order.
+                // Passive replica: apply lazily in order, trusting the
+                // (synchronous-group-certified) update.
                 let inst = self.instances.entry(n).or_default();
-                if inst.cmd.is_none() {
-                    inst.cmd = Some(cmd);
-                }
-                // Passives trust the (synchronous-group-certified) update.
-                for k in 0..=self.f {
-                    inst.endorsements.insert(NodeId(k as u32 + 1_000)); // synthetic certificate
-                }
+                inst.cmd.get_or_insert(cmd);
+                inst.certified = true;
                 self.try_execute(ctx);
             }
 
             XftMsg::ViewChange { new_view } => {
-                if new_view <= self.view {
-                    return;
-                }
-                self.vc_votes.entry(new_view).or_default().insert(from);
-                if self.max_vc_sent < new_view {
-                    self.max_vc_sent = new_view;
-                    ctx.phase(
-                        SPAN,
-                        self.executed_upto + 1,
-                        new_view,
-                        CncPhase::LeaderElection,
-                    );
-                    let me = ctx.id();
-                    self.vc_votes.entry(new_view).or_default().insert(me);
-                    ctx.send_many(self.peer_replicas(me), XftMsg::ViewChange { new_view });
-                }
-                let votes = self.vc_votes[&new_view].len();
-                if votes >= self.f + 1 && self.primary_of(new_view) == ctx.id() {
-                    self.view = new_view;
-                    self.view_changes += 1;
-                    self.instances.clear();
-                    self.next_seq = 0;
-                    self.executed_upto = 0;
-                    let view = self.view;
-                    let history = self.history.clone();
-                    self.disarm_view_timer(ctx);
-                    let me = ctx.id();
-                    ctx.send_many(self.peer_replicas(me), XftMsg::NewView { view, history });
+                let next = self.exec.executed_upto + 1;
+                if self.voter.on_view_change(ctx, from, new_view, next, msg) {
+                    self.rebase();
+                    let new_view = XftMsg::NewView {
+                        view: new_view,
+                        history: self.exec.history().to_vec(),
+                    };
+                    ctx.send_many(peers(self.n_replicas, me), new_view);
                 }
             }
 
             XftMsg::NewView { view, history } => {
-                if view < self.view || from != self.primary_of(view) {
+                if !self.voter.on_new_view(from, view) {
                     return;
                 }
-                self.view = view;
-                self.view_changes += 1;
-                self.instances.clear();
-                self.next_seq = 0;
-                self.executed_upto = 0;
-                self.disarm_view_timer(ctx);
-                for cmd in history {
-                    if self.machine.cached(cmd.client, cmd.seq).is_none() {
-                        self.apply(ctx, cmd);
-                    }
-                }
-                if !self.pending_requests.is_empty() {
-                    self.arm_view_timer(ctx);
-                }
+                self.rebase();
+                self.exec.replay(ctx, history);
+                self.voter.progress(ctx, self.exec.has_pending());
             }
 
             XftMsg::Reply { .. } => {}
@@ -416,20 +293,20 @@ impl Node for XftReplica {
 
     fn on_timer(&mut self, ctx: &mut Context<XftMsg>, timer: Timer) {
         if timer.kind == VIEW_TIMER {
-            self.view_timer = None;
-            let stalled = !self.pending_requests.is_empty()
-                || self
-                    .instances
-                    .values()
-                    .any(|i| i.cmd.is_some() && !i.executed);
-            if stalled {
-                let new_view = self.view.max(self.max_vc_sent) + 1;
-                self.max_vc_sent = new_view;
-                let me = ctx.id();
-                self.vc_votes.entry(new_view).or_default().insert(me);
-                ctx.send_many(self.peer_replicas(me), XftMsg::ViewChange { new_view });
-                self.arm_view_timer(ctx);
-            }
+            let unexecuted = |i: &XftInstance| i.cmd.is_some() && !i.executed;
+            let stalled = self.exec.has_pending() || self.instances.values().any(unexecuted);
+            self.voter
+                .on_timeout(ctx, stalled, |new_view| XftMsg::ViewChange { new_view });
+        }
+    }
+}
+
+impl ReplyWire for XftMsg {
+    fn reply_to(cmd: &Command<KvCommand>, output: KvResponse) -> Self {
+        XftMsg::Reply {
+            client: cmd.client,
+            seq: cmd.seq,
+            output,
         }
     }
 }
@@ -471,20 +348,20 @@ impl SmrProtocol for Xft {
     }
 
     fn is_leader(replica: &XftReplica, id: NodeId) -> bool {
-        replica.primary_of(replica.view) == id
+        replica.voter.primary() == id
     }
 
-    /// `executed_upto` restarts in every view; the history does not.
+    /// The executor's frontier restarts in every view; the history does not.
     fn applied_len(replica: &XftReplica) -> u64 {
-        replica.history.len() as u64
+        replica.exec.history().len() as u64
     }
 
     fn machine(replica: &XftReplica) -> &DedupKvMachine {
-        &replica.machine
+        replica.exec.machine()
     }
 
     fn decided(replica: &XftReplica, node: u32, out: &mut Vec<DecidedEntry>) {
-        decided_commands(&replica.history, node, out);
+        decided_commands(replica.exec.history(), node, out);
     }
 }
 
@@ -532,10 +409,14 @@ mod tests {
             cluster.total_completed()
         );
         assert_eq!(cluster.total_completed(), 8);
-        let vc = cluster.replicas().map(|r| r.view_changes).max().unwrap();
+        let vc = cluster
+            .replicas()
+            .map(|r| r.voter.view_changes)
+            .max()
+            .unwrap();
         assert!(vc >= 1, "the whole group must be reconfigured");
         // The new group excludes the crashed node (view advanced).
-        let view = cluster.replicas().map(|r| r.view).max().unwrap();
+        let view = cluster.replicas().map(|r| r.voter.view).max().unwrap();
         assert!(view >= 1);
     }
 
@@ -544,15 +425,15 @@ mod tests {
         let mut cluster = XftCluster::new(5, 1, 12, NetConfig::lan(), 3);
         assert!(cluster.run(Time::from_secs(10)));
         cluster.sim.run_for(500_000);
-        let executed: Vec<u64> = cluster.replicas().map(|r| r.executed_upto).collect();
+        let executed: Vec<u64> = cluster.replicas().map(|r| r.exec.executed_upto).collect();
         assert!(
             executed.iter().filter(|&&e| e >= 12).count() >= 3,
             "at least the group is current: {executed:?}"
         );
         let digests: BTreeSet<u64> = cluster
             .replicas()
-            .filter(|r| r.executed_upto >= 12)
-            .map(|r| r.machine().digest())
+            .filter(|r| r.exec.executed_upto >= 12)
+            .map(|r| r.exec.machine().digest())
             .collect();
         assert_eq!(digests.len(), 1);
     }
@@ -563,7 +444,11 @@ mod tests {
         cluster.sim.crash_at(NodeId(4), Time::ZERO); // passive node
         assert!(cluster.run(Time::from_secs(10)));
         assert_eq!(cluster.total_completed(), 10);
-        let vc = cluster.replicas().map(|r| r.view_changes).max().unwrap();
+        let vc = cluster
+            .replicas()
+            .map(|r| r.voter.view_changes)
+            .max()
+            .unwrap();
         assert_eq!(vc, 0, "no view change needed for a passive crash");
     }
 

@@ -28,7 +28,7 @@ use simnet::{CncPhase, Context, Node, NodeId, Timer};
 /// Span protocol label; instances are sequence numbers, rounds are views.
 const SPAN: &str = "zyzzyva";
 
-use crate::shell::{decided_commands, replica_ids};
+use crate::shell::{answer_cached, decided_commands, in_flight, peers, replica_ids, Executor};
 use crate::sim_crypto::{digest_of, Digest};
 
 /// Zyzzyva wire messages.
@@ -108,17 +108,15 @@ pub struct ZyzReplica {
     next_seq: u64,
     /// Buffered order-reqs awaiting in-order execution.
     pending: BTreeMap<u64, (Digest, Command<KvCommand>)>,
-    /// Highest speculatively executed sequence number.
-    pub spec_executed: u64,
+    /// The machine, the speculatively executed commands in order, and the
+    /// highest speculatively executed sequence number.
+    pub exec: Executor,
     /// Highest sequence number covered by a commit certificate.
     pub committed_upto: u64,
-    machine: DedupKvMachine,
     /// Rolling history digest.
     pub history: Digest,
     /// Per-sequence history digests (to validate commit certs).
     hist_at: BTreeMap<u64, Digest>,
-    /// Speculatively executed commands, in execution order.
-    executed: Vec<Command<KvCommand>>,
 }
 
 impl ZyzReplica {
@@ -130,18 +128,11 @@ impl ZyzReplica {
             view: 0,
             next_seq: 0,
             pending: BTreeMap::new(),
-            spec_executed: 0,
+            exec: Executor::default(),
             committed_upto: 0,
-            machine: DedupKvMachine::default(),
             history: Digest(0),
             hist_at: BTreeMap::new(),
-            executed: Vec::new(),
         }
-    }
-
-    /// The replicated machine.
-    pub fn machine(&self) -> &DedupKvMachine {
-        &self.machine
     }
 
     fn primary(&self) -> NodeId {
@@ -152,9 +143,20 @@ impl ZyzReplica {
         Digest(prev.0.rotate_left(13).wrapping_add(digest_of(cmd).0))
     }
 
+    fn spec_response(&self, cmd: &Command<KvCommand>, output: KvResponse) -> ZyzMsg {
+        ZyzMsg::SpecResponse {
+            view: self.view,
+            n: self.exec.executed_upto,
+            hist: self.history,
+            client: cmd.client,
+            seq: cmd.seq,
+            output,
+        }
+    }
+
     fn drain_executable(&mut self, ctx: &mut Context<ZyzMsg>) {
-        while let Some((hist, cmd)) = self.pending.remove(&(self.spec_executed + 1)) {
-            let n = self.spec_executed + 1;
+        while let Some((hist, cmd)) = self.pending.remove(&(self.exec.executed_upto + 1)) {
+            let n = self.exec.executed_upto + 1;
             let expected = Self::chain(self.history, &cmd);
             if expected != hist {
                 // Corrupt ordering: refuse to execute further. (A full
@@ -167,23 +169,11 @@ impl ZyzReplica {
             ctx.phase(SPAN, n, self.view, CncPhase::Agreement);
             ctx.phase(SPAN, n, self.view, CncPhase::Decision);
             ctx.span_close(SPAN, n, self.view);
-            let output = self.machine.apply_cmd(&cmd);
+            let output = self.exec.apply(&cmd);
             self.history = expected;
             self.hist_at.insert(n, expected);
-            self.spec_executed = n;
-            let view = self.view;
-            ctx.send(
-                NodeId(cmd.client),
-                ZyzMsg::SpecResponse {
-                    view,
-                    n,
-                    hist: expected,
-                    client: cmd.client,
-                    seq: cmd.seq,
-                    output,
-                },
-            );
-            self.executed.push(cmd);
+            self.exec.executed_upto = n;
+            ctx.send(NodeId(cmd.client), self.spec_response(&cmd, output));
         }
     }
 }
@@ -196,39 +186,25 @@ impl Node for ZyzReplica {
     fn on_message(&mut self, ctx: &mut Context<ZyzMsg>, from: NodeId, msg: ZyzMsg) {
         match msg {
             ZyzMsg::Request { cmd } => {
-                if self.primary() != ctx.id() {
-                    let primary = self.primary();
-                    ctx.send(primary, ZyzMsg::Request { cmd });
+                let me = ctx.id();
+                if self.primary() != me {
+                    ctx.send(self.primary(), ZyzMsg::Request { cmd });
                     return;
                 }
-                // Dedup executed requests.
-                if let Some(out) = self.machine.cached(cmd.client, cmd.seq) {
-                    let view = self.view;
-                    let reply = ZyzMsg::SpecResponse {
-                        view,
-                        n: self.spec_executed,
-                        hist: self.history,
-                        client: cmd.client,
-                        seq: cmd.seq,
-                        output: out.clone(),
-                    };
-                    ctx.send(NodeId(cmd.client), reply);
+                // Dedup executed requests, then ordered ones.
+                let reply = |out| self.spec_response(&cmd, out);
+                if answer_cached(self.exec.machine(), ctx, &cmd, reply)
+                    || in_flight(&cmd, self.pending.values().map(|(_, c)| c))
+                {
                     return;
                 }
-                let in_flight = self
-                    .pending
-                    .values()
-                    .any(|(_, c)| c.client == cmd.client && c.seq == cmd.seq);
-                if in_flight {
-                    return;
-                }
-                self.next_seq = self.next_seq.max(self.spec_executed);
+                self.next_seq = self.next_seq.max(self.exec.executed_upto);
                 self.next_seq += 1;
                 let n = self.next_seq;
                 // History digest the request must extend (chained through
                 // any still-pending predecessors).
                 let mut hist = self.history;
-                for i in self.spec_executed + 1..n {
+                for i in self.exec.executed_upto + 1..n {
                     if let Some((h, _)) = self.pending.get(&i) {
                         hist = *h;
                     }
@@ -238,12 +214,8 @@ impl Node for ZyzReplica {
                 ctx.span_open(SPAN, n, view);
                 ctx.phase(SPAN, n, view, CncPhase::ValueDiscovery);
                 self.pending.insert(n, (hist, cmd.clone()));
-                let me = ctx.id();
-                let backups: Vec<NodeId> = (0..self.n_replicas)
-                    .map(NodeId::from)
-                    .filter(|id| *id != me)
-                    .collect();
-                ctx.send_many(backups, ZyzMsg::OrderReq { view, n, hist, cmd });
+                let order = ZyzMsg::OrderReq { view, n, hist, cmd };
+                ctx.send_many(peers(self.n_replicas, me), order);
                 self.drain_executable(ctx);
             }
 
@@ -251,7 +223,7 @@ impl Node for ZyzReplica {
                 if view != self.view || from != self.primary() {
                     return;
                 }
-                if n <= self.spec_executed {
+                if n <= self.exec.executed_upto {
                     return;
                 }
                 self.pending.insert(n, (hist, cmd));
@@ -465,18 +437,18 @@ impl SmrProtocol for Zyzzyva {
         replica.primary() == id
     }
 
-    /// Speculative execution *is* application: the frontier is
-    /// `spec_executed`, not the certified `committed_upto`.
+    /// Speculative execution *is* application: the frontier is the
+    /// executor's, not the certified `committed_upto`.
     fn applied_len(replica: &ZyzReplica) -> u64 {
-        replica.spec_executed
+        replica.exec.executed_upto
     }
 
     fn machine(replica: &ZyzReplica) -> &DedupKvMachine {
-        &replica.machine
+        replica.exec.machine()
     }
 
     fn decided(replica: &ZyzReplica, node: u32, out: &mut Vec<DecidedEntry>) {
-        decided_commands(&replica.executed, node, out);
+        decided_commands(replica.exec.history(), node, out);
     }
 }
 
@@ -548,8 +520,8 @@ mod tests {
         assert!(cluster.run(Time::from_secs(10)));
         let digests: BTreeSet<u64> = cluster
             .replicas()
-            .filter(|r| r.spec_executed >= 20)
-            .map(|r| r.machine().digest())
+            .filter(|r| r.exec.executed_upto >= 20)
+            .map(|r| r.exec.machine().digest())
             .collect();
         assert_eq!(digests.len(), 1, "speculative execution diverged");
     }
@@ -584,7 +556,10 @@ mod tests {
         assert_eq!(c.session.completed, 3);
         assert!(c.cert_path > 0, "case 2 must fire");
         // The lied-to backup executed nothing.
-        let stalled = cluster.replicas().filter(|r| r.spec_executed == 0).count();
+        let stalled = cluster
+            .replicas()
+            .filter(|r| r.exec.executed_upto == 0)
+            .count();
         assert_eq!(stalled, 1);
     }
 

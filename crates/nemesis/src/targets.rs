@@ -142,10 +142,10 @@ pub fn targets() -> Vec<Box<dyn Target>> {
         smr::<Raft>("raft+batch", 5, 6, NEMESIS_BATCH, None),
         smr::<Pbft>("pbft", 4, 5, unbatched, Some(equivocation_filter)),
         smr::<Pbft>("pbft+batch", 4, 5, NEMESIS_BATCH, Some(equivocation_filter)),
-        Box::new(TwoPcTarget),
-        Box::new(ThreePcTarget),
-        Box::new(PaxosCommitTarget),
-        Box::new(BenOrTarget),
+        two_pc(),
+        three_pc(),
+        paxos_commit(),
+        ben_or(),
         store::<MultiPaxosCluster>("store-paxos", false, false, false),
         store::<raft::RaftCluster>("store-raft", false, false, false),
         store::<MultiPaxosCluster>("store-paxos-durable", false, true, false),
@@ -394,224 +394,175 @@ fn derive_votes(seed: u64, n: usize) -> Vec<bool> {
     (0..n).map(|_| rng.gen_bool(0.8)).collect()
 }
 
-fn commit_states<N, F>(sim: &Sim<N>, state_of: F) -> Vec<(u32, TxnState)>
-where
-    N: simnet::Node,
-    F: Fn(&N) -> TxnState,
-{
-    // Crashed nodes included: a decision made before crashing still counts
-    // toward (or against) atomicity.
-    sim.nodes().map(|(id, p)| (id.0, state_of(p))).collect()
+/// A protocol that is one bare `Sim` built from the seed, run under the
+/// plan to its horizon and judged by what its nodes then hold: the three
+/// atomic-commit protocols and Ben-Or, one [`targets`] row each.
+struct SimTarget<N: simnet::Node> {
+    name: &'static str,
+    spec: FaultSpec,
+    build: fn(seed: u64) -> Sim<N>,
+    check: fn(&Sim<N>, seed: u64) -> RunReport,
 }
 
-struct TwoPcTarget;
+impl<N: simnet::Node> SimTarget<N> {
+    /// The one build-and-execute under both [`Target::run`] and
+    /// [`Target::trace_json`]: recording is the only difference between the
+    /// checked run and the traced one.
+    fn execute(&self, seed: u64, plan: &FaultPlan, trace: bool) -> Sim<N> {
+        let mut sim = (self.build)(seed);
+        sim.record_trace(trace);
+        execute_plan(&mut sim, plan, self.spec.horizon, 0.0, |_, _| None);
+        sim
+    }
+}
 
-impl Target for TwoPcTarget {
+impl<N: simnet::Node> Target for SimTarget<N> {
     fn name(&self) -> &'static str {
-        "2pc"
+        self.name
     }
 
     fn fault_spec(&self) -> FaultSpec {
-        FaultSpec {
-            nodes: 4, // coordinator + 3 participants
-            max_crash_nodes: 2,
-            allow_restart: false,
-            allow_partition: false,
-            allow_loss: true,
-            max_byzantine: 0,
-            allow_equivocation: false,
-            horizon: COMMIT_HORIZON,
-        }
+        self.spec
     }
 
     fn run(&self, seed: u64, plan: &FaultPlan) -> RunReport {
-        let votes = derive_votes(seed, 3);
-        let mut sim = two_phase::build(&votes, NetConfig::lan(), seed);
-        execute_plan(&mut sim, plan, COMMIT_HORIZON, 0.0, |_, _| None);
-        let states = commit_states(&sim, |p| match p {
-            two_phase::TwoPcProc::Coordinator(c) => c.state,
-            two_phase::TwoPcProc::Participant(p) => p.state,
-        });
-        let decided = states.iter().filter(|(_, s)| s.is_final()).count();
-        RunReport {
-            violations: check_atomic_commit(&votes, &states),
-            ops: decided,
-        }
+        (self.check)(&self.execute(seed, plan, false), seed)
     }
 
     fn trace_json(&self, seed: u64, plan: &FaultPlan) -> Option<String> {
-        let votes = derive_votes(seed, 3);
-        let mut sim = two_phase::build(&votes, NetConfig::lan(), seed);
-        sim.record_trace(true);
-        execute_plan(&mut sim, plan, COMMIT_HORIZON, 0.0, |_, _| None);
+        let sim = self.execute(seed, plan, true);
         Some(simnet::causal::export_events(sim.trace(), sim.spans()))
     }
 }
 
-struct ThreePcTarget;
-
-impl Target for ThreePcTarget {
-    fn name(&self) -> &'static str {
-        "3pc"
-    }
-
-    fn fault_spec(&self) -> FaultSpec {
-        // 3PC's non-blocking termination protocol is only sound under
-        // crash-stop faults on a reliable synchronous network — that is the
-        // survey's whole point about it — so that is all the nemesis probes.
-        FaultSpec {
-            nodes: 4,
-            max_crash_nodes: 1,
-            allow_restart: false,
-            allow_partition: false,
-            allow_loss: false,
-            max_byzantine: 0,
-            allow_equivocation: false,
-            horizon: COMMIT_HORIZON,
-        }
-    }
-
-    fn run(&self, seed: u64, plan: &FaultPlan) -> RunReport {
-        let votes = derive_votes(seed, 3);
-        let mut sim = three_phase::build(&votes, CrashPoint::None, NetConfig::lan(), seed);
-        execute_plan(&mut sim, plan, COMMIT_HORIZON, 0.0, |_, _| None);
-        let states = commit_states(&sim, |p| match p {
-            three_phase::ThreePcProc::Coordinator(c) => c.state,
-            three_phase::ThreePcProc::Participant(p) => p.state,
-        });
-        let decided = states.iter().filter(|(_, s)| s.is_final()).count();
-        RunReport {
-            violations: check_atomic_commit(&votes, &states),
-            ops: decided,
-        }
-    }
-
-    fn trace_json(&self, seed: u64, plan: &FaultPlan) -> Option<String> {
-        let votes = derive_votes(seed, 3);
-        let mut sim = three_phase::build(&votes, CrashPoint::None, NetConfig::lan(), seed);
-        sim.record_trace(true);
-        execute_plan(&mut sim, plan, COMMIT_HORIZON, 0.0, |_, _| None);
-        Some(simnet::causal::export_events(sim.trace(), sim.spans()))
+/// Crash-stop faults on `nodes` processes, with or without message loss —
+/// no restarts, partitions or Byzantine nodes: the model the commit
+/// protocols and Ben-Or are analysed under.
+const fn crash_stop(nodes: u32, max_crash_nodes: u32, allow_loss: bool, horizon: u64) -> FaultSpec {
+    FaultSpec {
+        nodes,
+        max_crash_nodes,
+        allow_restart: false,
+        allow_partition: false,
+        allow_loss,
+        max_byzantine: 0,
+        allow_equivocation: false,
+        horizon,
     }
 }
 
-// ---------------------------------------------------------------------------
-// Paxos Commit
-// ---------------------------------------------------------------------------
+/// Atomicity over `states` — crashed nodes included: a decision made before
+/// crashing still counts toward (or against) it.
+fn commit_report(votes: &[bool], states: &[(u32, TxnState)]) -> RunReport {
+    RunReport {
+        violations: check_atomic_commit(votes, states),
+        ops: states.iter().filter(|(_, s)| s.is_final()).count(),
+    }
+}
 
-/// Gray & Lamport's Paxos Commit at `F = 1`: one Paxos instance per RM
-/// vote over a shared 3-acceptor set, with 2 co-located coordinators.
-/// The node map is acceptors 0–2 (coordinators on 0–1, node 0 leading)
-/// and RMs 3–5, so a plan crashing node 0 is exactly the coordinator
-/// crash that blocks unreplicated 2PC.
-struct PaxosCommitTarget;
+/// 2PC: a coordinator and 3 participants, under up to 2 crashes and loss.
+fn two_pc() -> Box<dyn Target> {
+    Box::new(SimTarget {
+        name: "2pc",
+        spec: crash_stop(4, 2, true, COMMIT_HORIZON),
+        build: |seed| two_phase::build(&derive_votes(seed, 3), NetConfig::lan(), seed),
+        check: |sim, seed| {
+            let state = |(id, p): (NodeId, &two_phase::TwoPcProc)| match p {
+                two_phase::TwoPcProc::Coordinator(c) => (id.0, c.state),
+                two_phase::TwoPcProc::Participant(p) => (id.0, p.state),
+            };
+            let states: Vec<_> = sim.nodes().map(state).collect();
+            commit_report(&derive_votes(seed, 3), &states)
+        },
+    })
+}
+
+/// 3PC. Its non-blocking termination protocol is only sound under
+/// crash-stop faults on a reliable synchronous network — that is the
+/// survey's whole point about it — so one crash and no loss is all the
+/// nemesis probes.
+fn three_pc() -> Box<dyn Target> {
+    Box::new(SimTarget {
+        name: "3pc",
+        spec: crash_stop(4, 1, false, COMMIT_HORIZON),
+        build: |seed| {
+            let votes = derive_votes(seed, 3);
+            three_phase::build(&votes, CrashPoint::None, NetConfig::lan(), seed)
+        },
+        check: |sim, seed| {
+            let state = |(id, p): (NodeId, &three_phase::ThreePcProc)| match p {
+                three_phase::ThreePcProc::Coordinator(c) => (id.0, c.state),
+                three_phase::ThreePcProc::Participant(p) => (id.0, p.state),
+            };
+            let states: Vec<_> = sim.nodes().map(state).collect();
+            commit_report(&derive_votes(seed, 3), &states)
+        },
+    })
+}
 
 /// The `F = 1`, three-RM layout every `paxos-commit` trial runs.
 const PC_LAYOUT: atomic_commit::paxos_commit::Layout =
     atomic_commit::paxos_commit::Layout { f: 1, n_rms: 3 };
 
-impl Target for PaxosCommitTarget {
-    fn name(&self) -> &'static str {
-        "paxos-commit"
-    }
-
-    fn fault_spec(&self) -> FaultSpec {
-        // The protocol claims non-blocking termination under F = 1 crash
-        // faults plus message loss; partitions and restarts are outside
-        // the card (acceptor state is volatile in this model).
-        FaultSpec {
-            nodes: PC_LAYOUT.n_nodes() as u32,
-            max_crash_nodes: 1,
-            allow_restart: false,
-            allow_partition: false,
-            allow_loss: true,
-            max_byzantine: 0,
-            allow_equivocation: false,
-            horizon: COMMIT_HORIZON,
-        }
-    }
-
-    fn run(&self, seed: u64, plan: &FaultPlan) -> RunReport {
-        let votes = derive_votes(seed, PC_LAYOUT.n_rms);
-        let mut sim = atomic_commit::paxos_commit::build(&votes, PC_LAYOUT.f, NetConfig::lan(), seed);
-        execute_plan(&mut sim, plan, COMMIT_HORIZON, 0.0, |_, _| None);
-        let base = PC_LAYOUT.n_acceptors() as u32;
-        let states: Vec<(u32, TxnState)> = atomic_commit::paxos_commit::participant_states(&sim)
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| (base + i as u32, s))
-            .collect();
-        let decided = states.iter().filter(|(_, s)| s.is_final()).count();
-        RunReport {
-            violations: check_atomic_commit(&votes, &states),
-            ops: decided,
-        }
-    }
-
-    fn trace_json(&self, seed: u64, plan: &FaultPlan) -> Option<String> {
-        let votes = derive_votes(seed, PC_LAYOUT.n_rms);
-        let mut sim = atomic_commit::paxos_commit::build(&votes, PC_LAYOUT.f, NetConfig::lan(), seed);
-        sim.record_trace(true);
-        execute_plan(&mut sim, plan, COMMIT_HORIZON, 0.0, |_, _| None);
-        Some(simnet::causal::export_events(sim.trace(), sim.spans()))
-    }
+/// Gray & Lamport's Paxos Commit at `F = 1` — 2PC is the same protocol at
+/// `F = 0`, which is why the two rows differ in layout and crash bound only:
+/// one Paxos instance per RM vote over a shared 3-acceptor set, with 2
+/// co-located coordinators. The node map is acceptors 0–2 (coordinators on
+/// 0–1, node 0 leading) and RMs 3–5, so a plan crashing node 0 is exactly the
+/// coordinator crash that blocks unreplicated 2PC. The protocol claims
+/// non-blocking termination under `F` crash faults plus message loss;
+/// partitions and restarts are outside the card (acceptor state is volatile
+/// in this model).
+fn paxos_commit() -> Box<dyn Target> {
+    use atomic_commit::paxos_commit::{build, participant_states};
+    Box::new(SimTarget {
+        name: "paxos-commit",
+        spec: crash_stop(PC_LAYOUT.n_nodes() as u32, 1, true, COMMIT_HORIZON),
+        build: |seed| {
+            let votes = derive_votes(seed, PC_LAYOUT.n_rms);
+            build(&votes, PC_LAYOUT.f, NetConfig::lan(), seed)
+        },
+        check: |sim, seed| {
+            let rms = PC_LAYOUT.n_acceptors() as u32..;
+            let states: Vec<_> = rms.zip(participant_states(sim)).collect();
+            commit_report(&derive_votes(seed, PC_LAYOUT.n_rms), &states)
+        },
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Ben-Or
 // ---------------------------------------------------------------------------
 
-struct BenOrTarget;
-
-/// Seed-derived Ben-Or cluster: five nodes with independent coin-flip
-/// inputs (the inputs also feed the agreement/validity checks).
-fn ben_or_sim(seed: u64) -> (Sim<BenOrNode>, Vec<u8>) {
+/// Seed-derived Ben-Or inputs: five independent coin flips (they also feed
+/// the agreement/validity checks).
+fn ben_or_inputs(seed: u64) -> Vec<u8> {
     let mut rng = ChaCha20Rng::seed_from_u64(seed ^ WORKLOAD_SALT);
-    let inputs: Vec<u8> = (0..5).map(|_| u8::from(rng.gen_bool(0.5))).collect();
-    let mut sim: Sim<BenOrNode> = Sim::new(NetConfig::asynchronous(), seed);
-    for &v in &inputs {
-        sim.add_node(BenOrNode::new(5, 1, v));
-    }
-    (sim, inputs)
+    (0..5).map(|_| u8::from(rng.gen_bool(0.5))).collect()
 }
 
-impl Target for BenOrTarget {
-    fn name(&self) -> &'static str {
-        "ben-or"
-    }
-
-    fn fault_spec(&self) -> FaultSpec {
-        FaultSpec {
-            nodes: 5,
-            max_crash_nodes: 1, // f = 1 with n = 5 (needs 2f < n)
-            allow_restart: false,
-            allow_partition: false,
-            allow_loss: true,
-            max_byzantine: 0,
-            allow_equivocation: false,
-            horizon: BEN_OR_HORIZON,
-        }
-    }
-
-    fn run(&self, seed: u64, plan: &FaultPlan) -> RunReport {
-        let (mut sim, inputs) = ben_or_sim(seed);
-        execute_plan(&mut sim, plan, BEN_OR_HORIZON, 0.0, |_, _| None);
-        // Crashed nodes' decisions count too — a decision is irrevocable.
-        let decisions: Vec<(u32, Option<u8>)> =
-            sim.nodes().map(|(id, n)| (id.0, n.decided)).collect();
-        let decided = decisions.iter().filter(|(_, d)| d.is_some()).count();
-        RunReport {
-            violations: check_binary_agreement(&decisions, &inputs),
-            ops: decided,
-        }
-    }
-
-    fn trace_json(&self, seed: u64, plan: &FaultPlan) -> Option<String> {
-        let (mut sim, _inputs) = ben_or_sim(seed);
-        sim.record_trace(true);
-        execute_plan(&mut sim, plan, BEN_OR_HORIZON, 0.0, |_, _| None);
-        Some(simnet::causal::export_events(sim.trace(), sim.spans()))
-    }
+/// Ben-Or on five asynchronous nodes: `f = 1` crash (needs `2f < n`) and loss.
+fn ben_or() -> Box<dyn Target> {
+    Box::new(SimTarget {
+        name: "ben-or",
+        spec: crash_stop(5, 1, true, BEN_OR_HORIZON),
+        build: |seed| {
+            let mut sim: Sim<BenOrNode> = Sim::new(NetConfig::asynchronous(), seed);
+            for v in ben_or_inputs(seed) {
+                sim.add_node(BenOrNode::new(5, 1, v));
+            }
+            sim
+        },
+        check: |sim, seed| {
+            // Crashed nodes' decisions count too — a decision is irrevocable.
+            let decisions: Vec<(u32, Option<u8>)> =
+                sim.nodes().map(|(id, n)| (id.0, n.decided)).collect();
+            RunReport {
+                violations: check_binary_agreement(&decisions, &ben_or_inputs(seed)),
+                ops: decisions.iter().filter(|(_, d)| d.is_some()).count(),
+            }
+        },
+    })
 }
 
 // ---------------------------------------------------------------------------

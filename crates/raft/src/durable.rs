@@ -82,6 +82,12 @@ pub enum WalRecord {
     },
 }
 
+/// Least encoded size of a command (client, seq, op tag) and of a key–value
+/// pair (two length words): what bounds a decoder's reservation for a count
+/// read from the bytes.
+const MIN_COMMAND_BYTES: usize = 16;
+const MIN_PAIR_BYTES: usize = 8;
+
 fn put_kv_command(buf: &mut Vec<u8>, op: &KvCommand) {
     match op {
         KvCommand::Put { key, value } => {
@@ -170,7 +176,7 @@ fn get_op(r: &mut Reader) -> Option<SmrOp> {
         1 => SmrOp::Cmd(get_command(r)?),
         2 => {
             let n = r.get_u32()? as usize;
-            let mut cmds = Vec::with_capacity(n);
+            let mut cmds = r.vec_for(n, MIN_COMMAND_BYTES);
             for _ in 0..n {
                 cmds.push(get_command(r)?);
             }
@@ -225,7 +231,7 @@ fn get_response(r: &mut Reader) -> Option<KvResponse> {
         },
         4 => {
             let n = r.get_u32()? as usize;
-            let mut entries = Vec::with_capacity(n);
+            let mut entries = r.vec_for(n, MIN_PAIR_BYTES);
             for _ in 0..n {
                 let k = r.get_str()?;
                 let v = r.get_str()?;
@@ -334,7 +340,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Option<(DedupKvMachine, usize, u64)> {
     let last_included_term = r.get_u64()?;
     let kv_applied = r.get_u64()?;
     let n_kv = r.get_u32()? as usize;
-    let mut entries = Vec::with_capacity(n_kv);
+    let mut entries = r.vec_for(n_kv, MIN_PAIR_BYTES);
     for _ in 0..n_kv {
         let k = r.get_str()?;
         let v = r.get_str()?;
@@ -611,6 +617,122 @@ mod tests {
             prop_assert_eq!(back.kv().iter().collect::<Vec<_>>(), m.kv().iter().collect::<Vec<_>>());
             prop_assert_eq!(back.client_table(), m.client_table());
             prop_assert_eq!(back.digest(), m.digest());
+        }
+    }
+
+    /// A machine whose snapshot holds every shape a decoder reads: map
+    /// entries and a client table with `Value`, `CasResult` and `Entries`
+    /// replies.
+    fn busy_machine() -> DedupKvMachine {
+        let mut m = DedupKvMachine::default();
+        let put = |key: &str| KvCommand::Put {
+            key: key.into(),
+            value: "v".into(),
+        };
+        let (start, end) = ("a".into(), "z".into());
+        let range = KvCommand::Range {
+            start,
+            end,
+            limit: 8,
+        };
+        let (key, expect, new) = ("a".into(), "v".into(), "w".into());
+        let ops = [put("a"), put("b"), range, KvCommand::Cas { key, expect, new }];
+        for (client, op) in ops.into_iter().enumerate() {
+            let (client, seq) = (client as u32 % 3, client as u64);
+            m.apply_cmd(&Command { client, seq, op });
+        }
+        m
+    }
+
+    /// `bytes` with the four bytes at `at` replaced by `word`.
+    fn with_word(bytes: &[u8], at: usize, word: u32) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        out[at..at + 4].copy_from_slice(&word.to_le_bytes());
+        out
+    }
+
+    /// Every single-word corruption of `bytes` by a boundary value, at every
+    /// offset: whichever count, length or tag the word lands on, the decoder
+    /// under test must come back — `Some` or `None` — instead of aborting on
+    /// a reservation the bytes cannot back.
+    fn word_mutations(bytes: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+        const WORDS: [u32; 5] = [0, 1, 0x7FFF_FFFF, 0x8000_0000, u32::MAX];
+        let offsets = 0..bytes.len().saturating_sub(3);
+        offsets.flat_map(move |at| WORDS.map(|w| with_word(bytes, at, w)))
+    }
+
+    /// A count word is input. `0xFFFF_FFFF` items cannot fit in the bytes
+    /// that follow it, and the decoder must say so (`None`) rather than
+    /// reserve for them — which, at 24 or 32 bytes an item, aborted the
+    /// process before the first item was read.
+    #[test]
+    fn decoders_reject_a_hostile_count_without_reserving_for_it() {
+        // Index, term, kv applied, then the map's count: 28 bytes.
+        let snapshot = encode_snapshot(&busy_machine(), 4, 2);
+        assert!(decode_snapshot(&with_word(&snapshot[..28], 24, u32::MAX)).is_none());
+        // tag, index, term, op tag, then the batch's count.
+        let op = SmrOp::Batch(vec![Command {
+            client: 1,
+            seq: 2,
+            op: KvCommand::Get { key: "k".into() },
+        }]);
+        let entry = Entry { term: 2, op };
+        let record = encode_record(&WalRecord::Append { index: 5, entry });
+        assert!(decode_record(&record).is_some());
+        assert_eq!(decode_record(&with_word(&record, 24, u32::MAX)), None);
+        // An `Entries` reply in the client table: empty map, one client.
+        let mut entries = Vec::new();
+        put_u64(&mut entries, 1);
+        put_u64(&mut entries, 1);
+        put_u64(&mut entries, 1);
+        put_u32(&mut entries, 0);
+        put_u32(&mut entries, 1);
+        put_u32(&mut entries, 7);
+        put_u64(&mut entries, 3);
+        put_response(&mut entries, &KvResponse::Entries(Vec::new()));
+        assert!(decode_snapshot(&entries).is_some());
+        let count_at = entries.len() - 4;
+        assert!(decode_snapshot(&with_word(&entries, count_at, u32::MAX)).is_none());
+    }
+
+    #[test]
+    fn decoders_survive_every_single_word_corruption_of_a_valid_encoding() {
+        let op = SmrOp::from_batch((0..3u32).map(|seq| Command {
+            client: 1,
+            seq: u64::from(seq),
+            op: KvCommand::Get { key: "k".into() },
+        }));
+        let (key, value) = ("~dec.t1".into(), "commit".into());
+        let records = [
+            WalRecord::Append { index: 2, entry: Entry { term: 2, op } },
+            WalRecord::HardState { term: 2, voted_for: Some(NodeId(1)) },
+            WalRecord::TxnDecision { key, value },
+        ];
+        for record in records {
+            for bytes in word_mutations(&encode_record(&record)) {
+                let _ = decode_record(&bytes);
+            }
+        }
+        for bytes in word_mutations(&encode_snapshot(&busy_machine(), 4, 2)) {
+            let _ = decode_snapshot(&bytes);
+        }
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes — word soup biased towards small tags and counts,
+        /// so decoding gets past the first match arm — never panic a decoder.
+        #[test]
+        fn prop_decoders_survive_arbitrary_bytes(
+            words in proptest::collection::vec((0u8..4, 0u32..=u32::MAX), 0..24),
+            tail in proptest::collection::vec(0u8..=255, 0..4),
+        ) {
+            let mut bytes = Vec::new();
+            for (kind, word) in words {
+                put_u32(&mut bytes, if kind == 0 { word } else { word % 6 });
+            }
+            bytes.extend(tail);
+            let _ = decode_record(&bytes);
+            let _ = decode_snapshot(&bytes);
         }
     }
 }

@@ -46,6 +46,14 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
+    /// An empty `Vec` for the `n` items a count word announced, each at least
+    /// `min_item_bytes` long. The count is outside input, so the reservation
+    /// is capped at what the unread bytes could hold: a hostile count costs a
+    /// `None` from the item reads, not an allocation failure.
+    pub fn vec_for<T>(&self, n: usize, min_item_bytes: usize) -> Vec<T> {
+        Vec::with_capacity(n.min(self.remaining() / min_item_bytes))
+    }
+
     /// Reads a `u32`.
     pub fn get_u32(&mut self) -> Option<u32> {
         let b = self.take(4)?;
