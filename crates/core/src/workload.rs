@@ -84,12 +84,10 @@ impl KvWorkload {
     /// Pads a generated value up to `mix.value_bytes` (no-op at the default
     /// of 0, so pre-existing workloads are byte-identical). Padding is
     /// deterministic and draws no randomness.
-    fn pad(&self, mut v: String) -> Str {
-        if v.len() < self.mix.value_bytes {
-            let fill = self.mix.value_bytes - v.len();
-            v.push_str(&"x".repeat(fill));
-        }
-        v.into()
+    fn pad(&self, v: String) -> Str {
+        let mut v = v.into_bytes();
+        v.resize(v.len().max(self.mix.value_bytes), b'x');
+        String::from_utf8(v).expect("a string padded with ASCII").into()
     }
 
     /// Produces the next command.

@@ -775,6 +775,12 @@ impl<N: Node> Sim<N> {
         self.queue.len()
     }
 
+    /// How many of them are timers. A cancelled timer stays queued, and
+    /// counted, until its time passes.
+    pub fn pending_timers(&self) -> usize {
+        self.queue.pending_timers()
+    }
+
     /// Timers in the ledger's window, and how many of them are marked
     /// cancelled.
     #[cfg(test)]
@@ -1014,6 +1020,23 @@ mod tests {
     }
 
     #[test]
+    fn inject_at_now_runs_before_a_far_event_the_horizon_looked_at() {
+        let mut sim = pingpong_sim(2, NetConfig::synchronous(), 9);
+        // Ping and pong are done by 1 000; node 0's timer is nine queue
+        // windows later, and stopping at the horizon has looked at it.
+        assert_eq!(sim.run_until(Time(1_000)), RunOutcome::TimeLimit);
+        assert_eq!((sim.pending_events(), sim.pending_timers()), (1, 1));
+        sim.inject(NodeId(0), NodeId(1), Msg::Ping(5), sim.now());
+        assert!(sim.step());
+        assert_eq!(sim.now(), Time(1_000));
+        assert_eq!(sim.node(NodeId(1)).pings_seen, 2);
+        assert!(!sim.node(NodeId(0)).timer_fired);
+        assert_eq!(sim.run_to_quiescence(), RunOutcome::Quiescent);
+        assert!(sim.node(NodeId(0)).timer_fired);
+        assert_eq!(sim.node(NodeId(0)).pong_value_sum, 1 + 5);
+    }
+
+    #[test]
     fn event_limit_detects_infinite_chatter() {
         struct Loop;
         #[derive(Clone, Debug)]
@@ -1083,6 +1106,39 @@ mod tests {
         let id = sim.add_node(C { fired: false });
         sim.run_to_quiescence();
         assert!(!sim.node(id).fired);
+    }
+
+    #[test]
+    fn pending_timers_counts_a_cancelled_timer_until_its_time_passes() {
+        struct Two {
+            fired: u32,
+        }
+        #[derive(Clone, Debug)]
+        struct M;
+        impl Payload for M {}
+        impl Node for Two {
+            type Msg = M;
+            fn on_start(&mut self, ctx: &mut Context<M>) {
+                ctx.set_timer(500, 0);
+                let id = ctx.set_timer(300_000, 0);
+                ctx.cancel_timer(id);
+            }
+            fn on_message(&mut self, _ctx: &mut Context<M>, _f: NodeId, _m: M) {}
+            fn on_timer(&mut self, _ctx: &mut Context<M>, _t: Timer) {
+                self.fired += 1;
+            }
+        }
+        let mut sim: Sim<Two> = Sim::new(NetConfig::synchronous(), 12);
+        let id = sim.add_node(Two { fired: 0 });
+        sim.run_until(Time(499));
+        assert_eq!((sim.pending_timers(), sim.node(id).fired), (2, 0));
+        sim.run_until(Time(299_999));
+        assert_eq!((sim.pending_timers(), sim.node(id).fired), (1, 1));
+        assert_eq!(sim.pending_events(), 1);
+        let before = sim.events_processed();
+        assert_eq!(sim.run_until(Time(300_000)), RunOutcome::Quiescent);
+        assert_eq!((sim.pending_timers(), sim.node(id).fired), (0, 1));
+        assert_eq!(sim.events_processed(), before + 1, "a cancelled timer still pops");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 # One command for a host profile of a benchmark workload: builds prof.so and
 # a debuginfo benchmark/ under $TMPDIR (default /tmp; never benchmark/target),
 # runs the workload under LD_PRELOAD and prints report.py's tables for the
-# timed part. Extra arguments replace report.py's default filters.
+# timed part (`Cluster<P>::run`, or `Store<E>::run` for store-txn). Extra
+# arguments replace report.py's default filters.
 # Usage: scripts/hostprof/run.sh <workload> [seconds=12] [report.py args...]
 set -eu
 usage="usage: scripts/hostprof/run.sh <workload> [seconds=12] [report.py args...]"
@@ -10,7 +11,9 @@ workload=${1:?$usage}
 seconds=${2:-12}
 shift
 [ $# -gt 0 ] && shift
-[ $# -gt 0 ] || set -- --under 'Cluster<P>::run' --top 15
+# The timed part: the SMR workloads drive a `Cluster`, store-txn a `Store`.
+case $workload in store-*) timed='Store<E>::run' ;; *) timed='Cluster<P>::run' ;; esac
+[ $# -gt 0 ] || set -- --under "$timed" --top 15
 here=$(cd "$(dirname "$0")" && pwd)
 work=${TMPDIR:-/tmp}/forty-hostprof
 mkdir -p "$work"
