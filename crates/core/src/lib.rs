@@ -44,6 +44,7 @@ pub mod ballot;
 pub mod client;
 pub mod cluster;
 pub mod cnc;
+pub mod codec;
 pub mod driver;
 pub mod history;
 pub mod quorum;
@@ -61,7 +62,7 @@ pub use driver::{
 pub use history::{ClientRecord, HistorySink};
 pub use quorum::QuorumSpec;
 pub use workload::WorkloadMode;
-pub use smr::{Bank, BankOp, BankResponse, Command, DedupKvMachine, KvCommand, KvResponse, KvStore, ReadMode, ReplicatedLog, SmrOp, StateMachine, Str};
+pub use smr::{Bank, BankOp, BankResponse, Command, DedupKvMachine, IndexWrite, KvCommand, KvResponse, KvStore, ReadMode, ReplicatedLog, SmrOp, StateMachine, Str};
 pub use taxonomy::{
     ComplexityClass, FailureModel, NodeBound, ParticipantAwareness, ProcessingStrategy,
     ProtocolCard,

@@ -12,6 +12,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
+use crate::txn::is_txn_decision;
+
 /// A key or value: allocated once where it is made, shared by refcount on
 /// every hop after that (`Arc`, not `Rc`, so a simulation stays `Send`).
 pub type Str = Arc<str>;
@@ -151,11 +153,78 @@ pub enum KvResponse {
 }
 
 impl KvResponse {
-    /// Whether this is a range result holding exactly `rows` — how a durable
-    /// replica checks its on-disk index scan against the machine's answer.
-    pub fn is_entries(&self, rows: &[(String, String)]) -> bool {
+    /// Panics unless this is a range result holding exactly the first `limit`
+    /// of `rows` — how a durable replica checks the scan of its on-disk
+    /// index against the answer the machine gave at that point of the log.
+    pub fn check_index_scan(&self, mut rows: Vec<(String, String)>, limit: usize) {
+        rows.truncate(limit);
         let rows = rows.iter().map(|(k, v)| (k.as_str(), v.as_str()));
-        matches!(self, KvResponse::Entries(e) if e.iter().map(|(k, v)| (&**k, &**v)).eq(rows))
+        assert!(
+            matches!(self, KvResponse::Entries(e) if e.iter().map(|(k, v)| (&**k, &**v)).eq(rows)),
+            "engine index diverged from machine on range scan"
+        );
+    }
+}
+
+/// What an applied command writes to a durable replica's primary index —
+/// the one rule the mirrors of both log protocols follow. Plain strings, so
+/// the caller can hand them to any `storage::StorageEngine`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum IndexWrite<'a> {
+    /// `key` now holds `value`; `decision` when that resolves a transaction
+    /// decision record ([`crate::txn::is_txn_decision`]), which the replica
+    /// must also log as its own WAL record before the reply leaves.
+    Holds {
+        /// The key written.
+        key: &'a Str,
+        /// Its new value.
+        value: &'a Str,
+        /// Whether the write resolves a 2PC decision record.
+        decision: bool,
+    },
+    /// `key` is gone.
+    Gone {
+        /// The key deleted.
+        key: &'a Str,
+    },
+    /// Nothing is written, but the index serves the scan too — charging the
+    /// honest B+ tree I/O — and its rows for `[start, end)`, cut at `limit`,
+    /// must be the command's reply ([`KvResponse::check_index_scan`]).
+    Scan {
+        /// Inclusive lower bound.
+        start: &'a str,
+        /// Exclusive upper bound.
+        end: &'a str,
+        /// Maximum number of rows.
+        limit: usize,
+    },
+    /// A read, or a compare-and-swap that did not swap.
+    Nothing,
+}
+
+impl KvCommand {
+    /// The index write of this command given `out`, the machine's actual
+    /// reply to it — so a failed CAS writes nothing.
+    pub fn index_write<'a>(&'a self, out: &KvResponse) -> IndexWrite<'a> {
+        let holds = |key: &'a Str, value: &'a Str| {
+            let decision = is_txn_decision(key, value);
+            IndexWrite::Holds { key, value, decision }
+        };
+        match self {
+            KvCommand::Put { key, value } => holds(key, value),
+            KvCommand::Cas { key, new, .. }
+                if matches!(out, KvResponse::CasResult { swapped: true }) =>
+            {
+                holds(key, new)
+            }
+            KvCommand::Delete { key } => IndexWrite::Gone { key },
+            KvCommand::Range { start, end, limit } => IndexWrite::Scan {
+                start,
+                end,
+                limit: *limit,
+            },
+            KvCommand::Cas { .. } | KvCommand::Get { .. } => IndexWrite::Nothing,
+        }
     }
 }
 
@@ -206,6 +275,12 @@ impl KvStore {
     /// Iterates entries in key order (snapshot serialization).
     pub fn iter(&self) -> impl Iterator<Item = (&Str, &Str)> {
         self.map.iter()
+    }
+
+    /// The entries that are resolved transaction decision records, in key
+    /// order: what a checkpoint re-seeds a replica's decision table from.
+    pub fn txn_decisions(&self) -> impl Iterator<Item = (&Str, &Str)> {
+        self.iter().filter(|(k, v)| is_txn_decision(k, v))
     }
 
     /// Rebuilds a store from serialized state. `applied` must be the
@@ -477,6 +552,84 @@ mod tests {
             key: k.into(),
             value: v.into(),
         }
+    }
+
+    #[test]
+    fn index_write_follows_the_reply_not_the_request() {
+        let (k, v, w): (Str, Str, Str) = ("k".into(), "v".into(), "w".into());
+        let holds = |key, value| IndexWrite::Holds {
+            key,
+            value,
+            decision: false,
+        };
+        assert_eq!(put("k", "v").index_write(&KvResponse::Ok), holds(&k, &v));
+        let cas = KvCommand::Cas {
+            key: k.clone(),
+            expect: v.clone(),
+            new: w.clone(),
+        };
+        let swapped = |swapped| KvResponse::CasResult { swapped };
+        assert_eq!(cas.index_write(&swapped(true)), holds(&k, &w));
+        assert_eq!(cas.index_write(&swapped(false)), IndexWrite::Nothing);
+        let delete = KvCommand::Delete { key: k.clone() };
+        assert_eq!(delete.index_write(&KvResponse::Ok), IndexWrite::Gone { key: &k });
+        let get = KvCommand::Get { key: k.clone() };
+        assert_eq!(get.index_write(&KvResponse::Value(None)), IndexWrite::Nothing);
+        let range = KvCommand::Range {
+            start: "a".into(),
+            end: "z".into(),
+            limit: 3,
+        };
+        let scan = IndexWrite::Scan {
+            start: "a",
+            end: "z",
+            limit: 3,
+        };
+        assert_eq!(range.index_write(&KvResponse::Entries(Vec::new())), scan);
+    }
+
+    #[test]
+    fn index_write_flags_a_resolved_decision_record_only() {
+        let decision = |cmd: KvCommand, out| match cmd.index_write(&out) {
+            IndexWrite::Holds { decision, .. } => decision,
+            other => panic!("{other:?}"),
+        };
+        let resolve = |new: &str| KvCommand::Cas {
+            key: "~dec.t100.3".into(),
+            expect: "pending".into(),
+            new: new.into(),
+        };
+        let swapped = KvResponse::CasResult { swapped: true };
+        assert!(decision(resolve("commit"), swapped.clone()));
+        assert!(decision(put("~dec.t100.3", "abort"), KvResponse::Ok));
+        assert!(!decision(put("~dec.t100.3", "pending"), KvResponse::Ok));
+        assert!(!decision(put("k", "commit"), KvResponse::Ok));
+        let (lost, not_swapped) = (resolve("abort"), KvResponse::CasResult { swapped: false });
+        assert_eq!(lost.index_write(&not_swapped), IndexWrite::Nothing);
+
+        let mut kv = KvStore::default();
+        for cmd in [put("a", "commit"), put("~dec.t1.0", "pending"), put("~dec.t2.0", "abort")] {
+            kv.apply(&cmd);
+        }
+        let decided: Vec<(&str, &str)> = kv.txn_decisions().map(|(k, v)| (&**k, &**v)).collect();
+        assert_eq!(decided, [("~dec.t2.0", "abort")]);
+    }
+
+    #[test]
+    fn an_index_scan_is_checked_against_the_reply_up_to_the_limit() {
+        let rows = |keys: &[&str]| -> Vec<(String, String)> {
+            keys.iter().map(|k| (k.to_string(), "v".to_string())).collect()
+        };
+        let reply = KvResponse::Entries(vec![("a".into(), "v".into()), ("b".into(), "v".into())]);
+        reply.check_index_scan(rows(&["a", "b"]), 2);
+        reply.check_index_scan(rows(&["a", "b", "c"]), 2);
+        let diverged = |reply: &KvResponse, keys: &[&str], limit| {
+            let (reply, rows) = (reply.clone(), rows(keys));
+            std::panic::catch_unwind(move || reply.check_index_scan(rows, limit)).is_err()
+        };
+        assert!(diverged(&reply, &["a", "b", "c"], 3), "a row the machine never returned");
+        assert!(diverged(&reply, &["a"], 2), "a row the index lost");
+        assert!(diverged(&KvResponse::Ok, &[], 2), "not a range reply");
     }
 
     #[test]

@@ -24,13 +24,15 @@ use consensus_core::cluster::decided_slots;
 use consensus_core::driver::{BatchConfig, Batcher, DecidedEntry, Flush};
 use consensus_core::quorum::Phase;
 use consensus_core::smr::Slot;
-use consensus_core::txn::is_txn_decision;
 use consensus_core::{
     Ballot, Client, ClientWire, Cluster, Command, DedupKvMachine, DurableProtocol, Inbound,
-    KvCommand, KvResponse, QuorumSpec, ReadMode, ReplicatedLog, Session, SmrOp, SmrProtocol, Str,
+    IndexWrite, KvCommand, KvResponse, QuorumSpec, ReadMode, ReplicatedLog, Session, SmrOp,
+    SmrProtocol, Str,
 };
 use simnet::causal::cat;
 use simnet::{CncPhase, Context, DiskModel, Node, NodeId, Payload, Time, Timer, TraceCtx};
+
+use crate::durable::{decode_record, decode_snapshot, encode_record, encode_snapshot, WalRecord};
 
 /// Span protocol label; instances are log indices.
 const SPAN: &str = "multi-paxos";
@@ -247,11 +249,13 @@ pub struct Replica {
     /// Commands accepted from clients but not yet proposed (leader only),
     /// with the causal context + arrival time of each (for queue spans).
     queue: Vec<(Command<KvCommand>, NodeId, Option<TraceCtx>, Time)>,
-    /// Durable storage, when enabled: promises/accepts/decides go to its
-    /// WAL *before* the ack they justify leaves, checkpoints absorb the
-    /// applied prefix, and the applied KV state is mirrored into its index.
-    /// `None` keeps the historical everything-in-RAM behaviour.
-    engine: Option<Box<dyn storage::StorageEngine>>,
+    /// The durable side: with an engine attached, promises/accepts/decides
+    /// go to its WAL *before* the ack they justify leaves, checkpoints
+    /// absorb the applied prefix, and the applied KV state is mirrored into
+    /// its index. Detached, the historical everything-in-RAM behaviour. Also
+    /// holds what the last crash recovery cost and the transaction decision
+    /// table.
+    pub durable: storage::Durable,
     /// Take a checkpoint every this-many newly applied entries.
     /// `usize::MAX` (the default) disables snapshots entirely.
     snapshot_threshold: usize,
@@ -266,19 +270,6 @@ pub struct Replica {
     /// the current election, and who reported it.
     prepare_max_floor: usize,
     prepare_floor_holder: NodeId,
-    /// Floor restored by the most recent crash recovery (0 = none / cold).
-    pub recovered_floor: usize,
-    /// Entries replayed from the WAL by the most recent recovery.
-    pub last_recovery_replayed: u64,
-    /// Disk time the most recent recovery charged (µs).
-    pub last_recovery_io_us: u64,
-    /// Durable mode: transaction decision records (`~dec.<tid>` → value)
-    /// this replica applied, persisted as first-class `TxnDecision` WAL
-    /// records *before* the releasing reply leaves and rebuilt on recovery
-    /// (from snapshot + WAL) without replaying the command history.
-    txn_decisions: BTreeMap<Str, Str>,
-    /// `TxnDecision` records appended over this replica's lifetime.
-    pub txn_decisions_logged: u64,
     /// Durable mode: per client, the highest sequence number mirrored into
     /// the engine — the machine's dedup table as of the mirrored prefix,
     /// which tells a first apply from a duplicate at a later slot.
@@ -338,18 +329,13 @@ impl Replica {
             view_changes: 0,
             batcher: Batcher::new(batch),
             queue: Vec::new(),
-            engine: None,
+            durable: storage::Durable::default(),
             snapshot_threshold: usize::MAX,
             snapshot_floor: 0,
             snapshots_taken: 0,
             snapshots_installed: 0,
             prepare_max_floor: 0,
             prepare_floor_holder: NodeId(0),
-            recovered_floor: 0,
-            last_recovery_replayed: 0,
-            last_recovery_io_us: 0,
-            txn_decisions: BTreeMap::new(),
-            txn_decisions_logged: 0,
             mirrored_seq: BTreeMap::new(),
             lease_us: 0,
             max_skew_us: 0,
@@ -382,7 +368,7 @@ impl Replica {
     /// Attaches a durable storage engine: the WAL-before-ack discipline,
     /// checkpointing and crash recovery all activate.
     pub fn attach_engine(&mut self, engine: Box<dyn storage::StorageEngine>) {
-        self.engine = Some(engine);
+        self.durable.attach(engine);
     }
 
     /// Whether snapshots/compaction are enabled (gates the catch-up
@@ -393,28 +379,13 @@ impl Replica {
 
     /// Storage counters, when a durable engine is attached.
     pub fn storage_stats(&self) -> Option<storage::StorageStats> {
-        self.engine.as_ref().map(|e| e.stats())
+        self.durable.engine().map(|e| e.stats())
     }
 
-    /// Appends a protocol record to the engine's WAL. Without an engine
-    /// the record is never built, so a RAM-mode replica clones no op for it.
-    fn wal_log(&mut self, rec: impl FnOnce() -> crate::durable::WalRecord) {
-        if let Some(e) = self.engine.as_mut() {
-            e.log_record(&crate::durable::encode_record(&rec()));
-        }
-    }
-
-    /// Group-commits everything this handler logged (no-op without engine)
-    /// and charges the modeled device time to the current causal trace.
-    fn wal_sync(&mut self, ctx: &mut Context<MpMsg>) {
-        if let Some(e) = self.engine.as_mut() {
-            let before = e.stats().io_time_us;
-            e.sync();
-            let spent = e.stats().io_time_us - before;
-            if spent > 0 {
-                ctx.charge_io("wal-sync", spent);
-            }
-        }
+    /// Appends a protocol record to the WAL. Without an engine the record
+    /// is never built, so a RAM-mode replica clones no op for it.
+    fn wal_log(&mut self, rec: impl FnOnce() -> WalRecord) {
+        self.durable.log(|| encode_record(&rec()));
     }
 
     fn arm_election_timer(&mut self, ctx: &mut Context<MpMsg>) {
@@ -619,7 +590,7 @@ impl Replica {
                 // WAL-before-decision: the slot resolved a transaction
                 // decision record — its dedicated WAL entry must be on disk
                 // before the reply that releases the transaction leaves.
-                self.wal_sync(ctx);
+                self.durable.sync(ctx);
             }
             let Slot::Applied(op) = self.log.slot(i) else {
                 continue;
@@ -657,60 +628,48 @@ impl Replica {
     ///
     /// Returns `true` when the slot resolved a transaction decision record:
     /// the outcome was additionally appended to the WAL as a first-class
-    /// [`crate::durable::WalRecord::TxnDecision`], and the caller must sync
+    /// [`WalRecord::TxnDecision`], and the caller must sync
     /// before the releasing reply leaves.
     fn mirror_applied(&mut self, index: usize, replies: &[KvResponse]) -> bool {
-        let Some(engine) = self.engine.as_mut() else {
+        let Some(engine) = self.durable.engine_mut() else {
             return false;
         };
         let Slot::Applied(op) = self.log.slot(index) else {
             return false;
         };
-        let mut decisions: Vec<(Str, Str)> = Vec::new();
+        let mut decisions: Vec<(&Str, &Str)> = Vec::new();
         for (cmd, out) in op.commands().iter().zip(replies) {
+            // Freshness by the mirrored prefix's own dedup table: the
+            // machine may be slots ahead by now (one `decide` can apply
+            // several before any is mirrored), so it cannot be asked.
             let last = self.mirrored_seq.get(&cmd.client);
             if last.is_some_and(|last| cmd.seq <= *last) {
                 continue;
             }
             self.mirrored_seq.insert(cmd.client, cmd.seq);
-            match &cmd.op {
-                KvCommand::Put { key, value } => {
+            match cmd.op.index_write(out) {
+                IndexWrite::Holds {
+                    key,
+                    value,
+                    decision,
+                } => {
                     engine.put(key, value);
-                    if is_txn_decision(key, value) {
-                        decisions.push((key.clone(), value.clone()));
+                    if decision {
+                        decisions.push((key, value));
                     }
                 }
-                KvCommand::Delete { key } => engine.delete(key),
-                KvCommand::Cas { key, new, .. } => {
-                    if matches!(out, KvResponse::CasResult { swapped: true }) {
-                        engine.put(key, new);
-                        if is_txn_decision(key, new) {
-                            decisions.push((key.clone(), new.clone()));
-                        }
-                    }
+                IndexWrite::Gone { key } => engine.delete(key),
+                IndexWrite::Scan { start, end, limit } => {
+                    out.check_index_scan(engine.scan(start, end), limit);
                 }
-                KvCommand::Get { .. } => {}
-                // Serve every range from the on-disk primary index too:
-                // charges the honest B+ tree scan I/O and cross-checks the
-                // index against the answer the machine gave at this point
-                // of the log. (The machine itself may be slots ahead by
-                // now: one `decide` can apply several before any is
-                // mirrored.)
-                KvCommand::Range { start, end, limit } => {
-                    let mut got = engine.scan(start, end);
-                    got.truncate(*limit);
-                    assert!(
-                        out.is_entries(&got),
-                        "engine index diverged from machine on range scan"
-                    );
-                }
+                IndexWrite::Nothing => {}
             }
         }
         let resolved = !decisions.is_empty();
         for (key, value) in decisions {
-            self.txn_decisions.insert(key.clone(), value.clone());
-            self.txn_decisions_logged += 1;
-            self.wal_log(|| crate::durable::WalRecord::TxnDecision { key, value });
+            let (k, v) = (key.clone(), value.clone());
+            let record = encode_record(&WalRecord::TxnDecision { key: k, value: v });
+            self.durable.log_decision(key, value, record);
         }
         resolved
     }
@@ -718,7 +677,7 @@ impl Replica {
     /// Durable mode: the transaction decision records this replica has
     /// applied (decision key → `commit`/`abort`), survives crash recovery.
     pub fn txn_decisions(&self) -> &BTreeMap<Str, Str> {
-        &self.txn_decisions
+        self.durable.txn_decisions()
     }
 
     /// Rebuilds the engine's primary index from the full machine state —
@@ -726,11 +685,10 @@ impl Replica {
     /// when the on-disk index can't be trusted / doesn't exist yet. This
     /// pays the honest rebuild I/O that recovery-time experiments measure.
     fn mirror_full_state(&mut self) {
-        if self.engine.is_none() {
+        let Some(engine) = self.durable.engine_mut() else {
             return;
-        }
+        };
         let kv = self.log.machine().kv();
-        let engine = self.engine.as_mut().expect("checked above");
         for (k, v) in kv.iter() {
             engine.put(k, v);
         }
@@ -739,11 +697,7 @@ impl Replica {
             .collect();
         // Decision records captured by the checkpoint re-seed the decision
         // table; WAL replay then adds anything resolved after it.
-        for (k, v) in kv.iter() {
-            if is_txn_decision(k, v) {
-                self.txn_decisions.insert(k.clone(), v.clone());
-            }
-        }
+        self.durable.note_decisions(kv.txn_decisions());
     }
 
     /// Takes a checkpoint once enough new entries applied since the last
@@ -771,35 +725,27 @@ impl Replica {
     /// accepted entries at or above the applied frontier, and decided-but-
     /// unapplied slots. After this, recovery = snapshot load + WAL replay.
     fn persist_checkpoint(&mut self) {
-        use crate::durable::{encode_record, encode_snapshot, WalRecord};
-        if self.engine.is_none() {
-            return;
-        }
-        let applied = self.log.applied_len();
-        let blob = encode_snapshot(self.log.machine(), applied);
-        let engine = self.engine.as_mut().expect("checked above");
-        engine.write_snapshot(&blob);
-        if self.promised != Ballot::ZERO {
-            engine.log_record(&encode_record(&WalRecord::Promise {
-                ballot: self.promised,
-            }));
-        }
-        for (&index, (ballot, op)) in self.accepted.range(applied..) {
-            engine.log_record(&encode_record(&WalRecord::Accept {
+        let (log, applied) = (&self.log, self.log.applied_len());
+        let ballot = self.promised;
+        let promise = (ballot != Ballot::ZERO).then_some(WalRecord::Promise { ballot });
+        let accepts =
+            (self.accepted.range(applied..)).map(|(&index, (ballot, op))| WalRecord::Accept {
                 index,
                 ballot: *ballot,
                 op: op.clone(),
-            }));
-        }
-        for index in applied..self.log.len() {
-            if let Slot::Decided(op) = self.log.slot(index) {
-                engine.log_record(&encode_record(&WalRecord::Decide {
-                    index,
-                    op: op.clone(),
-                }));
-            }
-        }
-        engine.sync();
+            });
+        let decides = (applied..log.len()).filter_map(|index| match log.slot(index) {
+            Slot::Decided(op) => Some(WalRecord::Decide {
+                index,
+                op: op.clone(),
+            }),
+            _ => None,
+        });
+        let live = promise.into_iter().chain(accepts).chain(decides);
+        self.durable.checkpoint(
+            || encode_snapshot(log.machine(), applied),
+            live.map(|rec| encode_record(&rec)),
+        );
     }
 
     /// Crash recovery: reformat the engine's volatile layers, load the last
@@ -807,19 +753,11 @@ impl Replica {
     /// model declared axiomatically durable (promised, accepted, the log)
     /// is rebuilt here from actual on-disk bytes — and the disk charges for
     /// every read, which is what recovery-time experiments measure.
-    fn recover_from_engine(&mut self, ctx: &mut Context<MpMsg>) {
-        use crate::durable::{decode_record, decode_snapshot, WalRecord};
-        let (recovery, io_before) = {
-            let engine = self.engine.as_mut().expect("durable mode");
-            let io_before = engine.stats().io_time_us;
-            engine.crash();
-            (engine.recover(), io_before)
-        };
+    fn recover_from(&mut self, ctx: &mut Context<MpMsg>, recovery: storage::Recovery) {
         self.promised = Ballot::ZERO;
         self.accepted.clear();
         self.log = ReplicatedLog::new();
         self.snapshot_floor = 0;
-        self.txn_decisions.clear();
         self.mirrored_seq.clear();
         if let Some(blob) = recovery.snapshot {
             let (machine, applied) =
@@ -828,10 +766,8 @@ impl Replica {
             self.snapshot_floor = applied;
             self.mirror_full_state();
         }
-        let mut replayed = 0u64;
         for raw in &recovery.records {
             let rec = decode_record(raw).expect("CRC-valid WAL record decodes");
-            replayed += 1;
             match rec {
                 WalRecord::Promise { ballot } => {
                     if ballot > self.promised {
@@ -850,19 +786,11 @@ impl Replica {
                     self.on_decided(ctx, index, op);
                 }
                 WalRecord::TxnDecision { key, value } => {
-                    self.txn_decisions.insert(key, value);
+                    self.durable.note_decisions([(&key, &value)]);
                 }
             }
         }
-        self.recovered_floor = self.snapshot_floor;
-        self.last_recovery_replayed = replayed;
-        self.last_recovery_io_us = self
-            .engine
-            .as_ref()
-            .expect("durable mode")
-            .stats()
-            .io_time_us
-            - io_before;
+        self.durable.recovered(self.snapshot_floor);
     }
 
     fn leader_hint(&self) -> NodeId {
@@ -961,10 +889,10 @@ impl Node for Replica {
                         self.step_down();
                     }
                     if ballot > self.promised {
-                        self.wal_log(|| crate::durable::WalRecord::Promise { ballot });
+                        self.wal_log(|| WalRecord::Promise { ballot });
                     }
                     self.promised = ballot;
-                    self.wal_sync(ctx); // promise durable before the ack leaves
+                    self.durable.sync(ctx); // promise durable before the ack leaves
                     self.arm_election_timer(ctx);
                     let entries: Vec<(usize, Ballot, SmrOp)> = self
                         .accepted
@@ -1038,15 +966,15 @@ impl Node for Replica {
                         self.step_down();
                     }
                     if ballot > self.promised {
-                        self.wal_log(|| crate::durable::WalRecord::Promise { ballot });
+                        self.wal_log(|| WalRecord::Promise { ballot });
                     }
                     self.promised = ballot;
-                    self.wal_log(|| crate::durable::WalRecord::Accept {
+                    self.wal_log(|| WalRecord::Accept {
                         index,
                         ballot,
                         op: op.clone(),
                     });
-                    self.wal_sync(ctx); // accept durable before the ack leaves
+                    self.durable.sync(ctx); // accept durable before the ack leaves
                     self.accepted.insert(index, (ballot, op));
                     self.arm_election_timer(ctx);
                     if self.lease_us > 0 {
@@ -1085,11 +1013,11 @@ impl Node for Replica {
                             ctx.phase(SPAN, index as u64, ballot.num, CncPhase::Decision);
                             ctx.span_close(SPAN, index as u64, ballot.num);
                             if matches!(self.log.slot(index), Slot::Empty) {
-                                self.wal_log(|| crate::durable::WalRecord::Decide {
+                                self.wal_log(|| WalRecord::Decide {
                                     index,
                                     op: op.clone(),
                                 });
-                                self.wal_sync(ctx);
+                                self.durable.sync(ctx);
                             }
                             let me = ctx.id();
                             ctx.send_many(
@@ -1115,11 +1043,11 @@ impl Node for Replica {
                 ctx.phase(SPAN, index as u64, self.promised.num, CncPhase::Decision);
                 ctx.span_close(SPAN, index as u64, self.promised.num);
                 if matches!(self.log.slot(index), Slot::Empty) {
-                    self.wal_log(|| crate::durable::WalRecord::Decide {
+                    self.wal_log(|| WalRecord::Decide {
                         index,
                         op: op.clone(),
                     });
-                    self.wal_sync(ctx); // decision durable before it applies
+                    self.durable.sync(ctx); // decision durable before it applies
                 }
                 self.on_decided(ctx, index, op.clone());
                 // Decisions are also (implicitly) accepted state.
@@ -1302,10 +1230,10 @@ impl Node for Replica {
             self.lease_holder = None;
             self.lease_until = Time(ctx.local_now().0 + self.lease_us);
         }
-        if self.engine.is_some() {
+        if let Some(recovery) = self.durable.restart() {
             // Durable mode: promised/accepted/log exist only as WAL records
             // and checkpoints. Rebuild them the honest way.
-            self.recover_from_engine(ctx);
+            self.recover_from(ctx, recovery);
         }
         // else: the historical RAM model — promised/accepted/log are
         // axiomatically durable and still in place.
@@ -1570,7 +1498,7 @@ mod tests {
             }
         }
         assert_eq!(r.log.machine().kv().get("k"), Some(&"b".into()));
-        let engine = r.engine.as_mut().expect("attached above");
+        let engine = r.durable.engine_mut().expect("attached above");
         assert_eq!(engine.get("k"), Some("b".to_string()), "index follows the machine");
     }
 
@@ -1600,7 +1528,7 @@ mod tests {
         for (slot, replies) in applied {
             r.mirror_applied(slot, &replies);
         }
-        let index = r.engine.as_mut().expect("attached above").scan("a", "z");
+        let index = r.durable.engine_mut().expect("attached above").scan("a", "z");
         assert_eq!(index.len(), 2);
     }
 
@@ -1938,13 +1866,13 @@ mod tests {
             panic!("node 2 is a replica")
         };
         assert!(
-            r.recovered_floor > 0,
+            r.durable.recovered_floor > 0,
             "recovery replayed from slot 0 instead of the snapshot"
         );
         assert_eq!(r.log.machine().digest(), digest_before, "state must survive");
         let stats = r.storage_stats().expect("durable engine");
         assert_eq!(stats.recoveries, 1);
-        assert!(r.last_recovery_io_us > 0, "recovery must charge disk time");
+        assert!(r.durable.last_recovery_io_us > 0, "recovery must charge disk time");
         cluster.check_log_consistency();
     }
 
@@ -1981,6 +1909,69 @@ mod tests {
             "laggard still behind the compaction floor"
         );
         cluster.check_log_consistency();
+    }
+
+    /// Pins a defect (ROADMAP item 7's epoch list): a follower misses a
+    /// `Delete`, its peers compact past it, and `InstallState` lands their
+    /// machine on its *live* index. `mirror_full_state` upserts what the
+    /// incoming state has but never removes what it no longer has (Raft's
+    /// install path prunes first), so the deleted key stays in the
+    /// follower's B+ tree and the next `Range` over it finds a row the
+    /// machine never returned. The fix is Raft's prune step before the
+    /// upserts; it adds a full index scan to every install, which moves the
+    /// storage counters the `durable_*` equivalence rows pin, so it waits
+    /// for an epoch. No generated workload emits `Delete`.
+    #[test]
+    #[should_panic(expected = "engine index diverged from machine on range scan")]
+    fn install_state_keeps_a_key_the_incoming_state_no_longer_has() {
+        let mut cluster = MultiPaxosCluster::new(
+            QuorumSpec::Majority { n: 3 },
+            1,
+            0,
+            NetConfig::synchronous(),
+            1,
+        )
+        .with_durability(2, DiskModel::ssd());
+        cluster.sim.run_for(5_000);
+        let leader = cluster.leader().expect("node 0 bootstraps leadership");
+        let (client, laggard) = (NodeId(3), NodeId(2));
+        let mut seq = 0;
+        let mut submit = |cluster: &mut MultiPaxosCluster, op| {
+            seq += 1;
+            let cmd = Command { client: 3, seq, op };
+            let now = cluster.sim.now();
+            cluster.sim.inject(client, leader, MpMsg::Request { cmd }, now);
+            cluster.sim.run_for(3_000);
+        };
+        let put = |key: &str| KvCommand::Put {
+            key: key.into(),
+            value: "v".into(),
+        };
+        submit(&mut cluster, put("doomed"));
+        let Proc::Replica(r) = cluster.sim.node_mut(laggard) else {
+            panic!("node 2 is a replica")
+        };
+        let mirrored = r.durable.engine_mut().expect("durable").scan("", "~");
+        assert_eq!(mirrored.len(), 1, "the laggard mirrored the put");
+
+        // Cut the laggard off, delete the key, and push its peers' floor
+        // past its log end.
+        let now = cluster.sim.now();
+        let rest = vec![NodeId(0), NodeId(1), client];
+        cluster.sim.partition_at(now, vec![rest, vec![laggard]]);
+        submit(&mut cluster, KvCommand::Delete { key: "doomed".into() });
+        for key in ["a", "b", "c", "d"] {
+            submit(&mut cluster, put(key));
+        }
+        assert!(replica(&cluster, leader).snapshot_floor > replica(&cluster, laggard).log.len());
+
+        // Heal: the next heartbeat's probe is answered with `InstallState`.
+        let now = cluster.sim.now();
+        cluster.sim.heal_at(now);
+        cluster.sim.run_for(30_000);
+        assert_eq!(replica(&cluster, laggard).snapshots_installed, 1);
+        let (start, end) = ("a".into(), "z".into());
+        submit(&mut cluster, KvCommand::Range { start, end, limit: 16 });
     }
 
     #[test]

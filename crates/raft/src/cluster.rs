@@ -505,13 +505,13 @@ mod tests {
             panic!("node 2 is a replica")
         };
         assert!(
-            r.recovered_floor > 0,
+            r.durable.recovered_floor > 0,
             "recovery replayed from index 0 instead of the snapshot"
         );
         assert_eq!(r.machine().digest(), digest_before, "state must survive");
         let stats = r.storage_stats().expect("durable engine");
         assert_eq!(stats.recoveries, 1);
-        assert!(r.last_recovery_io_us > 0, "recovery must charge disk time");
+        assert!(r.durable.last_recovery_io_us > 0, "recovery must charge disk time");
         cluster.check_log_matching();
     }
 

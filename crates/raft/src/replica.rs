@@ -4,14 +4,13 @@
 
 use std::collections::BTreeMap;
 
-use consensus_core::txn::is_txn_decision;
 use consensus_core::{
-    BatchConfig, Batcher, DedupKvMachine, Flush, KvCommand, KvResponse, ReadMode, SmrOp, Str,
+    BatchConfig, Batcher, DedupKvMachine, Flush, IndexWrite, KvResponse, ReadMode, SmrOp, Str,
 };
 use simnet::causal::cat;
 use simnet::{CncPhase, Context, Node, NodeId, Time, TraceCtx, Timer, TimerId};
 
-use crate::durable::WalRecord;
+use crate::durable::{decode_record, decode_snapshot, encode_record, encode_snapshot, WalRecord};
 use crate::msg::{Entry, RaftMsg};
 
 /// Span protocol label; instances are log indices, rounds are terms.
@@ -116,26 +115,13 @@ pub struct Replica {
     pub snapshots_installed: u64,
 
     // --- durability ---
-    /// Durable storage, when enabled: term/vote/log changes go to its WAL
-    /// *before* the message they justify leaves, checkpoints absorb the
-    /// applied prefix, and applied KV state is mirrored into its primary
-    /// index. `None` keeps the historical everything-in-RAM behaviour.
-    engine: Option<Box<dyn storage::StorageEngine>>,
-    /// Whether WAL records were appended since the last sync.
-    wal_dirty: bool,
-    /// Floor restored by the most recent crash recovery (0 = none / cold).
-    pub recovered_floor: usize,
-    /// Entries replayed from the WAL by the most recent recovery.
-    pub last_recovery_replayed: u64,
-    /// Disk time the most recent recovery charged (µs).
-    pub last_recovery_io_us: u64,
-    /// Durable mode: transaction decision records (`~dec.<tid>` → value)
-    /// this replica applied, persisted as first-class `TxnDecision` WAL
-    /// records *before* the releasing reply leaves and rebuilt on recovery
-    /// (from snapshot + WAL) without replaying the command history.
-    txn_decisions: BTreeMap<Str, Str>,
-    /// `TxnDecision` records appended over this replica's lifetime.
-    pub txn_decisions_logged: u64,
+    /// The durable side: with an engine attached, term/vote/log changes go
+    /// to its WAL *before* the message they justify leaves, checkpoints
+    /// absorb the applied prefix, and applied KV state is mirrored into its
+    /// primary index. Detached, the historical everything-in-RAM behaviour.
+    /// Also holds what the last crash recovery cost and the transaction
+    /// decision table.
+    pub durable: storage::Durable,
 
     // --- read-index fast reads (geo read path) ---
     /// Reads parked here until confirmed + applied, keyed by
@@ -189,13 +175,7 @@ impl Replica {
             snapshot_threshold: SNAPSHOT_THRESHOLD,
             snapshots_taken: 0,
             snapshots_installed: 0,
-            engine: None,
-            wal_dirty: false,
-            recovered_floor: 0,
-            last_recovery_replayed: 0,
-            last_recovery_io_us: 0,
-            txn_decisions: BTreeMap::new(),
-            txn_decisions_logged: 0,
+            durable: storage::Durable::default(),
             pending_reads: BTreeMap::new(),
             last_contact: BTreeMap::new(),
             term_start_index: 0,
@@ -212,36 +192,34 @@ impl Replica {
     /// Attaches a durable storage engine: the WAL-before-message
     /// discipline, checkpointing and crash recovery all activate.
     pub fn attach_engine(&mut self, engine: Box<dyn storage::StorageEngine>) {
-        self.engine = Some(engine);
+        self.durable.attach(engine);
     }
 
     /// Storage counters, when a durable engine is attached.
     pub fn storage_stats(&self) -> Option<storage::StorageStats> {
-        self.engine.as_ref().map(|e| e.stats())
+        self.durable.engine().map(|e| e.stats())
     }
 
     /// Durable mode: the transaction decision records this replica has
     /// applied (decision key → `commit`/`abort`), survives crash recovery.
     pub fn txn_decisions(&self) -> &BTreeMap<Str, Str> {
-        &self.txn_decisions
+        self.durable.txn_decisions()
     }
 
-    /// Appends a protocol record to the engine's WAL (no-op without one).
-    fn wal_log(&mut self, rec: WalRecord) {
-        if let Some(e) = self.engine.as_mut() {
-            e.log_record(&crate::durable::encode_record(&rec));
-            self.wal_dirty = true;
-        }
+    /// Appends a protocol record to the WAL. Without an engine the record
+    /// is never built, so a RAM-mode replica clones no entry for it.
+    fn wal_log(&mut self, rec: impl FnOnce() -> WalRecord) {
+        self.durable.log(|| encode_record(&rec()));
     }
 
-    /// Appends `entry` to the log and, in durable mode, its `Append` record
-    /// to the WAL; returns the entry's index. A RAM-mode replica moves the
-    /// entry in without cloning it for a record nobody writes.
+    /// Appends `entry` to the log and its `Append` record to the WAL;
+    /// returns the entry's index.
     fn append(&mut self, entry: Entry) -> usize {
         let index = self.last_log_index() + 1;
-        if self.engine.is_some() {
-            self.wal_log(WalRecord::Append { index, entry: entry.clone() });
-        }
+        self.wal_log(|| WalRecord::Append {
+            index,
+            entry: entry.clone(),
+        });
         self.log.push(entry);
         index
     }
@@ -251,25 +229,7 @@ impl Replica {
     /// commit before its response leaves.
     fn log_hard_state(&mut self) {
         let (term, voted_for) = (self.current_term, self.voted_for);
-        self.wal_log(WalRecord::HardState { term, voted_for });
-    }
-
-    /// Group-commits everything this handler logged (no-op when nothing
-    /// is outstanding) and charges the modeled device time to the current
-    /// causal trace.
-    fn wal_sync(&mut self, ctx: &mut Context<RaftMsg>) {
-        if !self.wal_dirty {
-            return;
-        }
-        self.wal_dirty = false;
-        if let Some(e) = self.engine.as_mut() {
-            let before = e.stats().io_time_us;
-            e.sync();
-            let spent = e.stats().io_time_us - before;
-            if spent > 0 {
-                ctx.charge_io("wal-sync", spent);
-            }
-        }
+        self.wal_log(|| WalRecord::HardState { term, voted_for });
     }
 
     /// Applies retained log entry `i` to the machine and, in durable mode,
@@ -288,53 +248,59 @@ impl Replica {
         let SmrOp::Cmd(cmd) = op else {
             return (None, false);
         };
+        // Freshness asked of the machine itself, before it applies: every
+        // entry is mirrored in the step that applies it.
         let fresh = self.machine.cached(cmd.client, cmd.seq).is_none();
         let out = self.machine.apply_cmd(cmd);
-        let decision = match self.engine.as_deref_mut() {
-            Some(engine) if fresh => mirror_cmd(engine, &cmd.op, &out),
-            _ => None,
-        };
-        let reply = Some((cmd.client, cmd.seq, out));
-        let Some((key, value)) = decision else {
-            return (reply, false);
-        };
-        self.txn_decisions.insert(key.clone(), value.clone());
-        self.txn_decisions_logged += 1;
-        self.wal_log(WalRecord::TxnDecision { key, value });
-        (reply, true)
+        let mut resolved = false;
+        if let Some(engine) = self.durable.engine_mut().filter(|_| fresh) {
+            match cmd.op.index_write(&out) {
+                IndexWrite::Holds {
+                    key,
+                    value,
+                    decision,
+                } => {
+                    engine.put(key, value);
+                    if decision {
+                        let (k, v) = (key.clone(), value.clone());
+                        let record = encode_record(&WalRecord::TxnDecision { key: k, value: v });
+                        self.durable.log_decision(key, value, record);
+                        resolved = true;
+                    }
+                }
+                IndexWrite::Gone { key } => engine.delete(key),
+                IndexWrite::Scan { start, end, limit } => {
+                    out.check_index_scan(engine.scan(start, end), limit);
+                }
+                IndexWrite::Nothing => {}
+            }
+        }
+        (Some((cmd.client, cmd.seq, out)), resolved)
     }
 
     /// Rebuilds the engine's primary index from the full machine state —
     /// used after installing a snapshot (local recovery or leader state
-    /// transfer). Keys the incoming state no longer has are dropped first
+    /// transfer). Keys the incoming state no longer has are pruned first
     /// (a leader snapshot may land on a live index), then everything is
     /// upserted; this pays the honest rebuild I/O that recovery-time
     /// experiments measure.
     fn mirror_full_state(&mut self) {
-        if self.engine.is_none() {
+        let Some(engine) = self.durable.engine_mut() else {
             return;
-        }
+        };
         let kv = self.machine.kv();
-        let engine = self.engine.as_mut().expect("checked above");
-        let stale: Vec<String> = engine
-            .scan("", "\u{10FFFF}")
-            .into_iter()
-            .map(|(k, _)| k)
-            .filter(|k| kv.get(k).is_none())
-            .collect();
-        for k in &stale {
-            engine.delete(k);
+        // Raft's own step, not the shared path's: one full scan, then a
+        // delete per key the incoming state lacks.
+        let rows = engine.scan("", "\u{10FFFF}");
+        for (stale, _) in rows.iter().filter(|(k, _)| kv.get(k).is_none()) {
+            engine.delete(stale);
         }
         for (k, v) in kv.iter() {
             engine.put(k, v);
         }
         // Decision records captured by the checkpoint re-seed the decision
         // table; WAL replay then adds anything resolved after it.
-        for (k, v) in kv.iter() {
-            if is_txn_decision(k, v) {
-                self.txn_decisions.insert(k.clone(), v.clone());
-            }
-        }
+        self.durable.note_decisions(kv.txn_decisions());
     }
 
     /// Writes the machine state through the engine as a snapshot (which
@@ -342,31 +308,19 @@ impl Replica {
     /// state, the retained log suffix, and the commit index. After this,
     /// recovery = snapshot load + WAL replay.
     fn persist_checkpoint(&mut self) {
-        use crate::durable::{encode_record, encode_snapshot};
-        if self.engine.is_none() {
-            return;
-        }
-        let blob = encode_snapshot(&self.machine, self.log_offset, self.log[0].term);
-        let hard_state = encode_record(&WalRecord::HardState {
-            term: self.current_term,
-            voted_for: self.voted_for,
+        let (term, voted_for, offset) = (self.current_term, self.voted_for, self.log_offset);
+        let hard_state = WalRecord::HardState { term, voted_for };
+        let appends = (self.log.iter().enumerate().skip(1)).map(|(rel, entry)| WalRecord::Append {
+            index: offset + rel,
+            entry: entry.clone(),
         });
-        let engine = self.engine.as_mut().expect("checked above");
-        engine.write_snapshot(&blob);
-        engine.log_record(&hard_state);
-        for (rel, entry) in self.log.iter().enumerate().skip(1) {
-            engine.log_record(&encode_record(&WalRecord::Append {
-                index: self.log_offset + rel,
-                entry: entry.clone(),
-            }));
-        }
-        if self.commit_index > self.log_offset {
-            engine.log_record(&encode_record(&WalRecord::Commit {
-                index: self.commit_index,
-            }));
-        }
-        engine.sync();
-        self.wal_dirty = false;
+        let index = self.commit_index;
+        let commit = (index > offset).then_some(WalRecord::Commit { index });
+        let live = std::iter::once(hard_state).chain(appends).chain(commit);
+        self.durable.checkpoint(
+            || encode_snapshot(&self.machine, offset, self.log[0].term),
+            live.map(|rec| encode_record(&rec)),
+        );
     }
 
     /// Crash recovery: reformat the engine's volatile layers, load the
@@ -375,15 +329,7 @@ impl Replica {
     /// log, machine) is rebuilt here from actual on-disk bytes — and the
     /// disk charges for every read, which is what recovery-time
     /// experiments measure.
-    fn recover_from_engine(&mut self) {
-        use crate::durable::{decode_record, decode_snapshot};
-        let (recovery, io_before) = {
-            let engine = self.engine.as_mut().expect("durable mode");
-            let io_before = engine.stats().io_time_us;
-            engine.crash();
-            (engine.recover(), io_before)
-        };
-        self.wal_dirty = false;
+    fn recover_from(&mut self, recovery: storage::Recovery) {
         self.current_term = 0;
         self.voted_for = None;
         self.log = vec![Entry {
@@ -395,7 +341,6 @@ impl Replica {
         self.commit_index = 0;
         self.last_applied = 0;
         self.leader_hint = None;
-        self.txn_decisions.clear();
         if let Some(blob) = recovery.snapshot {
             let (machine, idx, term) =
                 decode_snapshot(&blob).expect("checkpoint blob decodes");
@@ -409,11 +354,9 @@ impl Replica {
             self.last_applied = idx;
             self.mirror_full_state();
         }
-        let mut replayed = 0u64;
         let mut commit = self.commit_index;
         for raw in &recovery.records {
             let rec = decode_record(raw).expect("CRC-valid WAL record decodes");
-            replayed += 1;
             match rec {
                 WalRecord::HardState { term, voted_for } => {
                     if term >= self.current_term {
@@ -438,7 +381,7 @@ impl Replica {
                 }
                 WalRecord::Commit { index } => commit = commit.max(index),
                 WalRecord::TxnDecision { key, value } => {
-                    self.txn_decisions.insert(key, value);
+                    self.durable.note_decisions([(&key, &value)]);
                 }
             }
         }
@@ -454,15 +397,7 @@ impl Replica {
             }
             self.apply_entry(i);
         }
-        self.recovered_floor = self.log_offset;
-        self.last_recovery_replayed = replayed;
-        self.last_recovery_io_us = self
-            .engine
-            .as_ref()
-            .expect("durable mode")
-            .stats()
-            .io_time_us
-            - io_before;
+        self.durable.recovered(self.log_offset);
     }
 
     /// Absolute index of the last log entry.
@@ -593,7 +528,7 @@ impl Replica {
         self.voted_for = Some(ctx.id());
         self.votes = 1; // own vote
         self.log_hard_state();
-        self.wal_sync(ctx); // term + self-vote durable before soliciting
+        self.durable.sync(ctx); // term + self-vote durable before soliciting
         self.reset_election_timer(ctx);
         ctx.phase(
             SPAN,
@@ -639,7 +574,7 @@ impl Replica {
             term: self.current_term,
             op: SmrOp::Noop,
         });
-        self.wal_sync(ctx); // the no-op is durable before it replicates
+        self.durable.sync(ctx); // the no-op is durable before it replicates
         self.match_index[ctx.id().index()] = self.last_log_index();
         // Reads are confirmable only after this no-op commits; contact
         // history from older terms never carries over.
@@ -727,7 +662,7 @@ impl Replica {
         let index = index.min(self.last_log_index());
         if index > self.commit_index {
             self.commit_index = index;
-            self.wal_log(WalRecord::Commit { index: self.commit_index });
+            self.wal_log(|| WalRecord::Commit { index });
         }
         // Apply in order; entries ≤ log_offset are already reflected in the
         // machine (they came from a snapshot).
@@ -745,7 +680,7 @@ impl Replica {
                 // WAL-before-decision: the entry resolved a transaction
                 // decision record — its dedicated WAL entry must be on
                 // disk before the reply that releases the transaction.
-                self.wal_sync(ctx);
+                self.durable.sync(ctx);
             }
             if self.role == Role::Leader {
                 if let (Some(client_node), Some((client, seq, output))) =
@@ -861,50 +796,6 @@ impl Replica {
     }
 }
 
-/// Mirrors one command's effect into the durable engine's primary index.
-/// `out` is the machine's actual output, so a failed CAS mirrors nothing.
-/// Returns the `(key, value)` written when it is a transaction decision
-/// record.
-fn mirror_cmd(
-    engine: &mut dyn storage::StorageEngine,
-    op: &KvCommand,
-    out: &KvResponse,
-) -> Option<(Str, Str)> {
-    let written = match op {
-        KvCommand::Put { key, value } => {
-            engine.put(key, value);
-            Some((key, value))
-        }
-        KvCommand::Delete { key } => {
-            engine.delete(key);
-            None
-        }
-        KvCommand::Cas { key, new, .. } => {
-            let swapped = matches!(out, KvResponse::CasResult { swapped: true });
-            swapped.then(|| {
-                engine.put(key, new);
-                (key, new)
-            })
-        }
-        KvCommand::Get { .. } => None,
-        // Serve every range from the on-disk primary index too: charges the
-        // honest B+ tree scan I/O and cross-checks the index against the
-        // answer the machine just gave.
-        KvCommand::Range { start, end, limit } => {
-            let mut got = engine.scan(start, end);
-            got.truncate(*limit);
-            assert!(
-                out.is_entries(&got),
-                "engine index diverged from machine on range scan"
-            );
-            None
-        }
-    };
-    written
-        .filter(|(key, value)| is_txn_decision(key, value))
-        .map(|(key, value)| (key.clone(), value.clone()))
-}
-
 impl Node for Replica {
     type Msg = RaftMsg;
 
@@ -960,7 +851,7 @@ impl Node for Replica {
                     term: self.current_term,
                     op: SmrOp::Cmd(cmd),
                 });
-                self.wal_sync(ctx); // entry durable before the leader counts it
+                self.durable.sync(ctx); // entry durable before the leader counts it
                 ctx.span_open(SPAN, index as u64, self.current_term);
                 ctx.phase(SPAN, index as u64, self.current_term, CncPhase::Agreement);
                 self.match_index[ctx.id().index()] = index;
@@ -988,7 +879,7 @@ impl Node for Replica {
                     self.log_hard_state();
                     self.reset_election_timer(ctx);
                 }
-                self.wal_sync(ctx); // term/vote durable before the response
+                self.durable.sync(ctx); // term/vote durable before the response
                 ctx.send(
                     from,
                     RaftMsg::VoteResponse {
@@ -1035,7 +926,7 @@ impl Node for Replica {
                 if prev_log_index < self.log_offset {
                     // We have a snapshot past `prev`: ask the leader to
                     // resume from our offset.
-                    self.wal_sync(ctx); // any term bump durable first
+                    self.durable.sync(ctx); // any term bump durable first
                     ctx.send(
                         from,
                         RaftMsg::AppendResponse {
@@ -1054,7 +945,7 @@ impl Node for Replica {
                         .saturating_sub(1)
                         .min(self.last_log_index())
                         .max(self.log_offset);
-                    self.wal_sync(ctx); // any term bump durable first
+                    self.durable.sync(ctx); // any term bump durable first
                     ctx.send(
                         from,
                         RaftMsg::AppendResponse {
@@ -1077,7 +968,7 @@ impl Node for Replica {
                                 "attempted to truncate a committed entry"
                             );
                             self.log.truncate(index - self.log_offset);
-                            self.wal_log(WalRecord::Truncate { from: index });
+                            self.wal_log(|| WalRecord::Truncate { from: index });
                             self.append(entry);
                         }
                         None => {
@@ -1091,7 +982,7 @@ impl Node for Replica {
                 }
                 // One group commit covers the term bump, every appended
                 // entry, and the commit advance — WAL-before-ack.
-                self.wal_sync(ctx);
+                self.durable.sync(ctx);
                 ctx.send(
                     from,
                     RaftMsg::AppendResponse {
@@ -1277,10 +1168,10 @@ impl Node for Replica {
         self.last_contact.clear();
         self.reset_batching();
         self.election_timer = None;
-        if self.engine.is_some() {
+        if let Some(recovery) = self.durable.restart() {
             // Durable mode: term, vote, log, and machine exist only as WAL
             // records and checkpoints. Rebuild them the honest way.
-            self.recover_from_engine();
+            self.recover_from(recovery);
         }
         // else: the historical RAM model — current_term, voted_for, log,
         // snapshot, and machine are axiomatically durable and still here.

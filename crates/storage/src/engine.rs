@@ -22,7 +22,8 @@
 //! log + sync **before** acknowledging anything externally — promises,
 //! accepts, 2PC decisions. The engine cannot enforce ordering for its
 //! caller, but `recover` makes violations visible: whatever was not synced
-//! is simply not there after a crash.
+//! is simply not there after a crash. The log protocols keep the invariant
+//! through one handle, [`crate::Durable`].
 
 use simnet::DiskModel;
 use std::collections::BTreeMap;

@@ -233,7 +233,7 @@ fn durable_paxos_store_survives_replica_crash_restart() {
         let r = e.replicas().nth(2).expect("replica 2 exists");
         let stats = r.storage_stats().expect("durable engine attached");
         assert_eq!(stats.recoveries, 1, "replica 2 must have recovered once");
-        assert!(r.last_recovery_io_us > 0, "recovery must charge disk time");
+        assert!(r.durable.last_recovery_io_us > 0, "recovery must charge disk time");
     }
 }
 
@@ -287,7 +287,7 @@ fn durable_coordinator_shard_recovers_in_flight_decision() {
     // first-class WAL record.
     assert!(s.shards()[coord]
         .replicas()
-        .any(|r| r.txn_decisions_logged > 0));
+        .any(|r| r.durable.txn_decisions_logged > 0));
 }
 
 #[test]
@@ -326,7 +326,7 @@ fn durable_raft_store_survives_replica_crash_restart() {
         let r = e.replicas().nth(2).expect("replica 2 exists");
         let stats = r.storage_stats().expect("durable engine attached");
         assert_eq!(stats.recoveries, 1, "replica 2 must have recovered once");
-        assert!(r.last_recovery_io_us > 0, "recovery must charge disk time");
+        assert!(r.durable.last_recovery_io_us > 0, "recovery must charge disk time");
     }
 }
 

@@ -13,6 +13,13 @@
 //! and the geo fast read served, NACKed and timed out — recorded at 9fa5da1,
 //! before routers, recovery and audit were moved onto one `Port`.
 //!
+//! After the store's rows, the `durable_*` rows: what a durable replica does
+//! to its engine — every storage counter, the recovery and decision-table
+//! bookkeeping, and the device's bytes — under a leader crash, a follower
+//! caught up by state transfer and a store shard-replica restart, recorded
+//! at bcb1844, before the byte codec, the engine handle and the index-mirror
+//! rule each moved to one home under Multi-Paxos and Raft.
+//!
 //! The second half does the same for the six BFT protocols that joined the
 //! shell later (MinBFT, CheapBFT, XFT, SeeMoRe, Zyzzyva, HotStuff). Their
 //! constants were recorded by running these rows against the `*Cluster`
@@ -34,9 +41,11 @@ use forty::bft::xft::{Xft, XftCluster};
 use forty::bft::zyzzyva::{ZyzCluster, Zyzzyva};
 use forty::consensus_core::driver::{BatchConfig, ClusterDriver, DriverConfig};
 use forty::consensus_core::workload::KvMix;
-use forty::consensus_core::{Cluster, ReadMode, SmrProtocol, StateMachine, WorkloadMode};
+use forty::consensus_core::{Cluster, Proc, ReadMode, SmrProtocol, StateMachine, WorkloadMode};
+use forty::consensus_core::DurableProtocol;
+use forty::paxos::multi::MultiPaxos;
 use forty::paxos::MultiPaxosCluster;
-use forty::raft::RaftCluster;
+use forty::raft::{Raft, RaftCluster};
 use forty::simnet::{DiskModel, DropAll, NetConfig, NodeId, Time};
 use forty::store::{
     CommitBackend, GeoConfig, ReadOutcome, RouterCrashPoint, ShardEngine, Store, StoreConfig,
@@ -64,12 +73,24 @@ impl Fnv {
     }
 }
 
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.eat(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// Runs `d` to completion and hashes everything a run exposes through the
 /// driver surface: the decided log as `(node, index, op string)`, the state
 /// digests, the network and timer counters, and the sorted client latencies.
 fn fingerprint<D: ClusterDriver>(mut d: D) -> u64 {
     assert!(d.run(Time::from_secs(120)), "{} stalled", d.protocol());
     let mut h = Fnv::new();
+    eat_driver(&d, &mut h);
+    h.0
+}
+
+fn eat_driver<D: ClusterDriver>(d: &D, h: &mut Fnv) {
     for e in d.decided_log() {
         h.eat_u64(u64::from(e.node));
         h.eat_u64(e.index);
@@ -89,7 +110,6 @@ fn fingerprint<D: ClusterDriver>(mut d: D) -> u64 {
     for v in latencies {
         h.eat_u64(v);
     }
-    h.0
 }
 
 /// Unbatched closed-loop: tiny default values, one command per slot.
@@ -417,6 +437,203 @@ const STORE_CRASH_RAFT: [u64; 10] = [
 const STORE_RESTART: [u64; 2] = [11101246268285575085, 18323169921715493525];
 const STORE_TRACED: [u64; 2] = [16011116929424282216, 12040361922233658554];
 const STORE_GEO: u64 = 8749982453929938282;
+
+// ---- the durable path under Multi-Paxos and Raft ----------------------------
+
+/// The durable half of a log replica, which the driver surface does not
+/// show: a reordered `put` or `log_record` passes every row above.
+trait DurableSide {
+    /// Hashes all 14 storage counters, the recovery triple, the checkpoint
+    /// and decision-record counts, every decision-table pair, and the
+    /// engine's `Debug` form — device pages, log and snapshot regions, pool
+    /// frames and the unflushed WAL tail, byte for byte.
+    fn eat_durable(&self, h: &mut Fnv);
+    /// The primary index, scanned end to end in key order. Last, because the
+    /// scan itself moves the pool's counters.
+    fn index(&mut self) -> Vec<(String, String)>;
+    fn installed(&self) -> u64;
+}
+
+macro_rules! durable_side {
+    ($replica:ty) => {
+        impl DurableSide for $replica {
+            fn eat_durable(&self, h: &mut Fnv) {
+                use std::fmt::Write;
+                let s = self.storage_stats().expect("durable engine attached");
+                let d = &self.durable;
+                for v in [
+                    s.disk_reads,
+                    s.disk_writes,
+                    s.bytes_read,
+                    s.bytes_written,
+                    s.io_time_us,
+                    s.wal_appends,
+                    s.wal_flushes,
+                    s.pool_hits,
+                    s.pool_misses,
+                    s.evictions,
+                    s.writebacks,
+                    s.snapshots_written,
+                    s.recoveries,
+                    s.records_replayed,
+                    d.recovered_floor as u64,
+                    d.last_recovery_replayed,
+                    d.last_recovery_io_us,
+                    self.snapshots_taken,
+                    d.txn_decisions_logged,
+                ] {
+                    h.eat_u64(v);
+                }
+                for (key, value) in self.txn_decisions() {
+                    h.eat(key.as_bytes());
+                    h.eat(value.as_bytes());
+                }
+                write!(h, "{:?}", d.engine()).expect("hashing cannot fail");
+            }
+
+            fn index(&mut self) -> Vec<(String, String)> {
+                let engine = self.durable.engine_mut().expect("durable engine attached");
+                engine.scan("", "\u{10FFFF}")
+            }
+
+            fn installed(&self) -> u64 {
+                self.snapshots_installed
+            }
+        }
+    };
+}
+durable_side!(forty::paxos::multi::Replica);
+durable_side!(forty::raft::Replica);
+
+/// The driver surface of a finished cluster run, then every replica's
+/// durable side and ordered index.
+fn durable_cluster_hash<P: SmrProtocol>(c: &mut Cluster<P>) -> u64
+where
+    Cluster<P>: ClusterDriver,
+    P::Replica: DurableSide,
+{
+    let mut h = Fnv::new();
+    eat_driver(c, &mut h);
+    for i in 0..c.n_replicas {
+        let Proc::Replica(r) = c.sim.node_mut(NodeId::from(i)) else {
+            panic!("node {i} is a replica");
+        };
+        r.eat_durable(&mut h);
+        for (key, value) in r.index() {
+            h.eat(key.as_bytes());
+            h.eat(value.as_bytes());
+        }
+    }
+    h.0
+}
+
+/// Puts, gets and compare-and-swaps, checkpointing every four applied
+/// entries, so the WAL is re-logged and truncated many times a run.
+fn durable_cluster<P: DurableProtocol>(seed: u64) -> Cluster<P>
+where
+    Cluster<P>: ClusterDriver,
+{
+    let mix = KvMix {
+        cas_fraction: 0.25,
+        ..KvMix::default()
+    };
+    let cfg = DriverConfig::new(3, 2, 60, seed).with_mix(mix);
+    Cluster::<P>::from_config(&cfg).with_durability(4, DiskModel::ssd())
+}
+
+fn replica<P: SmrProtocol>(c: &Cluster<P>, id: u32) -> &P::Replica {
+    let Proc::Replica(r) = c.sim.node(NodeId(id)) else {
+        panic!("node {id} is a replica");
+    };
+    r
+}
+
+/// (i) The initial leader crashes mid-run and comes back through checkpoint
+/// load + WAL replay while its peers fail over.
+fn durable_leader_restart_row<P: DurableProtocol>() -> u64
+where
+    Cluster<P>: ClusterDriver,
+    P::Replica: DurableSide,
+{
+    let mut c = durable_cluster::<P>(5);
+    c.crash_at(NodeId(0), Time::from_millis(30));
+    c.restart_at(NodeId(0), Time::from_millis(200));
+    assert!(c.run(Time::from_secs(120)), "{} stalled", P::NAME);
+    c.sim.run_for(500_000);
+    durable_cluster_hash(&mut c)
+}
+
+/// (ii) A follower stays down until its peers have compacted past its log
+/// end: only `InstallState` / `InstallSnapshot` can bring it back, onto an
+/// index that is live on Multi-Paxos' side and rebuilt on recovery's.
+fn durable_state_transfer_row<P: DurableProtocol>() -> u64
+where
+    Cluster<P>: ClusterDriver,
+    P::Replica: DurableSide,
+{
+    let mut c = durable_cluster::<P>(23);
+    c.crash_at(NodeId(2), Time::from_millis(20));
+    assert!(c.run(Time::from_secs(120)), "{} stalled", P::NAME);
+    let now = c.sim.now();
+    c.restart_at(NodeId(2), Time(now.0 + 1_000));
+    c.sim.run_for(2_000_000);
+    assert!(
+        replica(&c, 2).installed() >= 1,
+        "{}: the laggard never installed a peer's checkpoint",
+        P::NAME
+    );
+    durable_cluster_hash(&mut c)
+}
+
+/// (iii) The 3 × 3 durable store with range scans; shard 0's first leader
+/// crashes while transactions are in flight and restarts. `Store::shards` is
+/// shared access and a scan needs exclusive, so here the engine's `Debug`
+/// form alone stands for the index — its pages are in it.
+fn durable_store_row<P: SmrProtocol>() -> u64
+where
+    Cluster<P>: ShardEngine,
+    P::Replica: DurableSide,
+{
+    let cfg = StoreConfig::new(CRASH_SEED)
+        .durable(8, DiskModel::ssd())
+        .ranges_per_router(2);
+    let mut s: Store<Cluster<P>> = Store::new(cfg);
+    s.crash_node_at(0, 40_000);
+    s.restart_node_at(0, 52_000);
+    assert!(s.run(STORE_HORIZON), "store stalled");
+    let mut h = Fnv::new();
+    h.eat_u64(store_run_hash(&s));
+    for shard in s.shards() {
+        for r in shard.replicas() {
+            r.eat_durable(&mut h);
+        }
+    }
+    h.0
+}
+
+#[test]
+fn durable_leader_restart_runs_match_the_pre_handle_commit() {
+    assert_eq!(durable_leader_restart_row::<MultiPaxos>(), DURABLE_LEADER_RESTART[0]);
+    assert_eq!(durable_leader_restart_row::<Raft>(), DURABLE_LEADER_RESTART[1]);
+}
+
+#[test]
+fn durable_state_transfer_runs_match_the_pre_handle_commit() {
+    assert_eq!(durable_state_transfer_row::<MultiPaxos>(), DURABLE_STATE_TRANSFER[0]);
+    assert_eq!(durable_state_transfer_row::<Raft>(), DURABLE_STATE_TRANSFER[1]);
+}
+
+#[test]
+fn durable_store_runs_match_the_pre_handle_commit() {
+    assert_eq!(durable_store_row::<MultiPaxos>(), DURABLE_STORE[0]);
+    assert_eq!(durable_store_row::<Raft>(), DURABLE_STORE[1]);
+}
+
+// Recorded at the parent commit (bcb1844), Multi-Paxos then Raft, with two
+// probe accessors (`engine`, `engine_mut`) patched onto each replica.
+const DURABLE_LEADER_RESTART: [u64; 2] = [12620842744037691189, 303630961433290270];
+const DURABLE_STATE_TRANSFER: [u64; 2] = [17870152087451345458, 15188570215261920073];
+const DURABLE_STORE: [u64; 2] = [11409747987989008587, 12659693488071406292];
 
 // ---- the six BFT protocols ------------------------------------------------
 
