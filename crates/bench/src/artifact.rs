@@ -8,10 +8,14 @@
 //! [`Artifact`] and supplies only what differs — its name and path, its
 //! specs, `run`, its document header, its gates — plus one **field table**
 //! ([`Field`]) naming each flat field of a point once. The JSON record, the
-//! structural validation of a parsed document and the plain columns of the
+//! structural validation of a parsed document and the columns of the
 //! markdown table are all derived from that table.
 
-use serde_json::Value;
+use std::collections::BTreeMap;
+
+use serde_json::{Number, Value};
+
+use crate::render;
 
 /// How a field is read off a point — and thereby its JSON type.
 pub enum Get<P> {
@@ -124,26 +128,95 @@ pub fn record<P>(fields: &[Field<P>], p: &P) -> Value {
     )
 }
 
-/// The markdown table of a sweep: one column per field with a header, in
-/// field-table order.
-pub fn table<P>(fields: &[Field<P>], points: &[P]) -> Vec<String> {
-    let cols: Vec<(&str, &Get<P>)> = fields
-        .iter()
-        .filter_map(|f| Some((f.header?, &f.get)))
-        .collect();
-    let row = |cells: Vec<String>| format!("| {} |", cells.join(" | "));
-    let mut lines = vec![
-        row(cols.iter().map(|(h, _)| h.to_string()).collect()),
-        format!("|{}", "---|".repeat(cols.len())),
-    ];
-    for p in points {
-        let cell = |get: &Get<P>| match get.value(p) {
-            Value::String(s) => s,
-            other => other.to_string(),
-        };
-        lines.push(row(cols.iter().map(|(_, get)| cell(get)).collect()));
+/// The table of a sweep as rows: per point, one value per field with a
+/// header, keyed by that header — what [`markdown`] draws.
+pub fn columns<P>(fields: &[Field<P>], points: &[P]) -> Value {
+    let row = |p: &P| {
+        let cells = fields
+            .iter()
+            .filter_map(|f| Some((f.header?.to_string(), f.get.value(p))));
+        Value::Object(cells.collect())
+    };
+    Value::Array(points.iter().map(row).collect())
+}
+
+/// A record as markdown — the text `bench tables` prints and a sweep's
+/// table. A list of rows is one table; an object is a `| field | value |`
+/// table of its fields (a nested object's under dotted names), then one
+/// table per field that holds a list of rows, headed by the field's name.
+/// Columns follow the record's key order, and [`render::table`] draws every
+/// table. A row whose keys differ from the first row's is reported, never
+/// drawn misaligned.
+pub fn markdown(record: &Value) -> Result<String, String> {
+    let Value::Object(map) = record else {
+        return rows(record);
+    };
+    let (mut fields, mut lists) = (Vec::new(), String::new());
+    flatten("", map, &mut fields, &mut lists)?;
+    Ok(render::table(&["field", "value"], fields) + &lists)
+}
+
+fn is_rows(v: &Value) -> bool {
+    v.as_array()
+        .and_then(|items| items.first())
+        .is_some_and(|first| first.as_object().is_some())
+}
+
+/// Splits an object into its field rows (nested objects under dotted
+/// names) and the tables of its lists of rows.
+fn flatten(
+    prefix: &str,
+    map: &BTreeMap<String, Value>,
+    fields: &mut Vec<[String; 2]>,
+    lists: &mut String,
+) -> Result<(), String> {
+    for (key, v) in map {
+        let name = format!("{prefix}{key}");
+        match v {
+            Value::Object(inner) => flatten(&format!("{name}."), inner, fields, lists)?,
+            _ if is_rows(v) => lists.push_str(&format!("\n{name}:\n\n{}", rows(v)?)),
+            _ => fields.push([name, cell(v)]),
+        }
     }
-    lines
+    Ok(())
+}
+
+/// A list of rows as one table whose columns are the first row's keys.
+fn rows(v: &Value) -> Result<String, String> {
+    let rows = v.as_array().filter(|_| is_rows(v));
+    let rows = rows.ok_or_else(|| format!("not a record: {v}"))?;
+    let columns: Vec<&String> = rows[0]
+        .as_object()
+        .into_iter()
+        .flat_map(|m| m.keys())
+        .collect();
+    let mut cells = Vec::new();
+    for (i, row) in rows.iter().enumerate() {
+        let row = row
+            .as_object()
+            .filter(|m| m.keys().eq(columns.iter().copied()));
+        let row = row.ok_or_else(|| format!("row {i} lacks the columns of row 0 {columns:?}"))?;
+        cells.push(row.values().map(cell).collect::<Vec<_>>());
+    }
+    Ok(render::table(&columns, cells))
+}
+
+/// A value as cell text. A float keeps three significant digits, or all of
+/// its integer digits when it has more — in the text only: the record keeps
+/// every digit. `null` and an empty list read `—`; a list reads as its
+/// items joined by `, `.
+fn cell(v: &Value) -> String {
+    match v {
+        Value::Null => "—".into(),
+        Value::String(s) => s.clone(),
+        Value::Number(Number::F64(x)) if *x != 0.0 => {
+            let decimals = 2 - x.abs().log10().floor() as i64;
+            format!("{x:.prec$}", prec = decimals.max(0) as usize)
+        }
+        Value::Array(items) if items.is_empty() => "—".into(),
+        Value::Array(items) => items.iter().map(cell).collect::<Vec<_>>().join(", "),
+        other => other.to_string(),
+    }
 }
 
 /// What a sweep supplies to the pipeline.
@@ -263,10 +336,6 @@ pub struct Args {
 /// placeholder (`"--out <path>"`), so the list doubles as the usage line. An
 /// unknown flag or a flag missing its value is a usage error.
 pub fn parse_args(name: &str, argv: &[String], accepted: &[&str]) -> Result<Args, Failure> {
-    let usage = |problem: String| {
-        let flags = accepted.join("] [");
-        Failure::Usage(format!("{problem}\nusage: bench {name} [{flags}]"))
-    };
     let mut args = Args::default();
     let mut rest = argv.iter();
     while let Some(flag) = rest.next() {
@@ -274,13 +343,13 @@ pub fn parse_args(name: &str, argv: &[String], accepted: &[&str]) -> Result<Args
             .iter()
             .any(|a| a.split(' ').next() == Some(flag.as_str()))
         {
-            return Err(usage(format!("unknown argument: {flag}")));
+            return Err(usage(name, accepted, &format!("unknown argument: {flag}")));
         }
         let mut value = || {
             rest.next()
                 .filter(|v| !v.starts_with("--"))
                 .cloned()
-                .ok_or_else(|| usage(format!("{flag} needs a value")))
+                .ok_or_else(|| usage(name, accepted, &format!("{flag} needs a value")))
         };
         match flag.as_str() {
             "--check" => args.check = true,
@@ -292,6 +361,12 @@ pub fn parse_args(name: &str, argv: &[String], accepted: &[&str]) -> Result<Args
         }
     }
     Ok(args)
+}
+
+/// The usage error of the subcommand `name`, which accepts `accepted`.
+pub fn usage(name: &str, accepted: &[&str], problem: &str) -> Failure {
+    let flags = accepted.join("] [");
+    Failure::Usage(format!("{problem}\nusage: bench {name} [{flags}]"))
 }
 
 /// The serialized form of every artifact: pretty JSON plus a final newline.
@@ -341,9 +416,8 @@ pub fn run_artifact<A: Artifact>(argv: &[String]) -> Result<(), Failure> {
     let points = A::run(&spec);
     let secs = started.elapsed().as_secs_f64();
     eprintln!("ran {} {} cells in {secs:.1}s", points.len(), A::NAME);
-    for line in table(&A::fields(), &points) {
-        println!("{line}");
-    }
+    let table = markdown(&columns(&A::fields(), &points));
+    print!("{}", table.expect("every point has the same columns"));
     let problems = A::gate(&points);
     if !problems.is_empty() {
         return Err(Failure::Failed(problems));
@@ -378,6 +452,7 @@ mod tests {
     use crate::latency::Latency;
     use crate::recovery::Recovery;
     use crate::throughput::Throughput;
+    use serde_json::json;
 
     /// The first record of `doc`'s record list, for tampering.
     fn first_record<'a>(
@@ -462,6 +537,75 @@ mod tests {
                 "{header_key}: missing or differs from the regenerated value"
             )]
         );
+    }
+
+    #[test]
+    fn rows_become_one_table_in_key_order() {
+        let rows = json!([json!({"b": "x", "a": 1u64}), json!({"a": 2u64, "b": "y"})]);
+        assert_eq!(
+            markdown(&rows).unwrap(),
+            "| a | b |\n|---|---|\n| 1 | x |\n| 2 | y |\n"
+        );
+    }
+
+    #[test]
+    fn an_object_is_a_field_table_plus_one_table_per_list_of_rows() {
+        let v = json!({
+            "n": 3u64,
+            "net": json!({"lan": true}),
+            "tags": json!(["a", "b"]),
+            "none": json!([]),
+            "legs": json!([json!({"k": 1u64}), json!({"k": 2u64})]),
+        });
+        assert_eq!(
+            markdown(&v).unwrap(),
+            "| field | value |\n|---|---|\n| n | 3 |\n| net.lan | true |\n| none | — |\n\
+             | tags | a, b |\n\nlegs:\n\n| k |\n|---|\n| 1 |\n| 2 |\n"
+        );
+    }
+
+    #[test]
+    fn rows_that_disagree_on_keys_are_reported() {
+        let rows = json!([json!({"a": 1u64}), json!({"b": 1u64})]);
+        let err = markdown(&rows).unwrap_err();
+        assert_eq!(err, "row 1 lacks the columns of row 0 [\"a\"]");
+        let extra = json!([json!({"a": 1u64}), json!({"a": 1u64, "b": 2u64})]);
+        assert!(markdown(&json!({ "legs": extra })).is_err());
+        assert!(markdown(&json!(7u64)).is_err(), "a scalar is not a record");
+    }
+
+    #[test]
+    fn a_pipe_inside_a_record_cell_is_escaped() {
+        let md = markdown(&json!([json!({"config": "majority |Q1|=|Q2|=4 (n=7)"})])).unwrap();
+        assert_eq!(
+            md,
+            "| config |\n|---|\n| majority \\|Q1\\|=\\|Q2\\|=4 (n=7) |\n"
+        );
+    }
+
+    #[test]
+    fn floats_are_rounded_in_the_text_only() {
+        let v = json!({
+            "rate": 0.05319148936170213,
+            "lat": 13666.666666666666,
+            "msgs": 29.0,
+            "share": 79.83870967741936,
+            "zero": 0.0,
+            "n": 7u64,
+        });
+        let md = markdown(&v).unwrap();
+        for row in [
+            "| rate | 0.0532 |",
+            "| lat | 13667 |",
+            "| msgs | 29.0 |",
+            "| share | 79.8 |",
+            "| zero | 0.0 |",
+            "| n | 7 |",
+        ] {
+            assert!(md.contains(row), "{row} not in\n{md}");
+        }
+        let json = serde_json::to_string(&v).unwrap();
+        assert!(json.contains("0.05319148936170213") && json.contains("13666.666666666666"));
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! # bench — regenerate every table and figure
 //!
 //! One function per experiment from DESIGN.md's per-experiment index
-//! (T1–T5, F1–F30). Each returns a [`Report`] with human-readable lines
-//! and a machine-readable JSON value; `bench tables` prints them and keeps
-//! `results.json`. The four sweeps ([`throughput`], [`latency`],
+//! (T1–T5, F1–F30). Each returns a [`Report`]: its JSON record, the only
+//! place a measured value is stated, plus static notes. `bench tables`
+//! keeps the records in `results.json` and prints the text derived from
+//! each ([`Report::text`]: markdown tables drawn from the record by
+//! [`artifact::markdown`]). The four sweeps ([`throughput`], [`latency`],
 //! [`recovery`], [`geo`]) each implement [`artifact::Artifact`], and the
 //! one pipeline in [`artifact`] regenerates or drift-checks their
 //! `BENCH_*.json` files. `bench figures` renders the generated

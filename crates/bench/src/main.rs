@@ -6,9 +6,10 @@
 //! cargo run --release -p bench -- geo --check         # CI drift gate (exit 1 on drift)
 //! cargo run --release -p bench -- latency --smoke     # small grid
 //! cargo run --release -p bench -- recovery --out x.json
-//! cargo run --release -p bench -- tables --exp f11    # one experiment
+//! cargo run --release -p bench -- tables --exp f11    # one experiment, as markdown
 //! cargo run --release -p bench -- tables --json results.json
 //! cargo run --release -p bench -- tables --check      # results.json drift gate
+//! cargo run --release -p bench -- tables --exp f28 --check
 //! cargo run --release -p bench -- figures             # write docs/
 //! ```
 //!
@@ -19,7 +20,9 @@
 
 use std::path::Path;
 
-use bench::artifact::{compare, parse_args, read_checked_in, render, run_artifact, write, Failure};
+use bench::artifact::{
+    compare, parse_args, read_checked_in, render, run_artifact, usage, write, Failure,
+};
 use bench::figures::{all_pages, index_page, observability_page};
 use bench::{all_experiments, geo, latency, recovery, throughput};
 use serde_json::{json, Value};
@@ -58,36 +61,36 @@ fn main() {
     }
 }
 
-/// `bench tables`: runs the experiments (all, or `--exp <id>`), prints each
-/// report, and writes (`--json <path>`) or checks (`--check`) the
-/// machine-readable records. Wall-clock goes to stderr only, so the file is
+/// `bench tables`: runs the experiments (all, or `--exp <id>`), prints the
+/// markdown drawn from each record, and writes (`--json <path>`) or checks
+/// (`--check`) the records. Wall-clock goes to stderr only, so the file is
 /// a pure function of the code.
 fn tables(argv: &[String]) -> Result<(), Failure> {
-    let args = parse_args(
-        "tables",
-        argv,
-        &["--exp <id>", "--json <path>", "--check", "--list"],
-    )?;
+    let flags = ["--exp <id>", "--json <path>", "--check", "--list"];
+    let args = parse_args("tables", argv, &flags)?;
     if args.list {
-        for (id, _) in all_experiments() {
+        for (id, _, _) in all_experiments() {
             println!("{id}");
         }
         return Ok(());
     }
+    // One experiment's records are a slice of the file: writing them would
+    // drop every other experiment's.
+    if args.exp.is_some() && args.out.is_some() && !args.check {
+        let problem = "--exp with --json only checks that experiment's slice: add --check";
+        return Err(usage("tables", &flags, problem));
+    }
     let mut records = Vec::new();
-    for (id, run) in all_experiments() {
+    for (id, title, run) in all_experiments() {
         if args.exp.as_deref().is_some_and(|want| want != id) {
             continue;
         }
         let started = std::time::Instant::now();
         let report = run();
-        println!("═══ {} — {}", report.id.to_uppercase(), report.title);
-        for line in &report.lines {
-            println!("{line}");
-        }
-        println!();
+        let text = report.text(id, title);
+        println!("{}", text.map_err(|e| Failure::Failed(vec![e]))?);
         eprintln!("    ({id} in {:.2}s)", started.elapsed().as_secs_f64());
-        records.push(json!({"id": report.id, "title": report.title, "data": report.data}));
+        records.push(report.entry(id, title));
     }
     if records.is_empty() {
         return Err(Failure::Failed(vec![

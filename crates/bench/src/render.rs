@@ -1,7 +1,9 @@
 //! Renders simulation output into the Markdown/Mermaid figures under
 //! `docs/` — sequence diagrams from message traces, C&C phase annotations
 //! from span events, info-card tables from [`consensus_core::taxonomy`],
-//! and measured-metrics tables from [`simnet::Metrics`].
+//! and measured-metrics tables from [`simnet::Metrics`] — and owns the one
+//! markdown table writer, [`table`], that draws every table `bench` prints
+//! or writes.
 //!
 //! Everything here is a pure function of its inputs: rendering the same
 //! trace twice yields byte-identical Markdown, which is what lets CI check
@@ -14,38 +16,21 @@ use consensus_core::taxonomy::{
 };
 use simnet::{CncPhase, Metrics, SpanEvent, SpanKind, Synchrony, TraceEntry, TraceEvent};
 
-/// Human label for a synchrony assumption (the enum is `Debug`-only).
-pub fn synchrony_label(s: Synchrony) -> &'static str {
-    match s {
-        Synchrony::Synchronous => "synchronous",
-        Synchrony::PartiallySynchronous => "partially synchronous",
-        Synchrony::Asynchronous => "asynchronous",
+/// Draws a markdown table: the header, the separator, then one line per
+/// row. Every table `bench` prints or writes to `docs/` comes from here. A
+/// `|` inside a cell is escaped as `\|` so it cannot split the row.
+pub fn table<H: AsRef<str>, C: AsRef<str>>(
+    header: &[H],
+    rows: impl IntoIterator<Item = impl IntoIterator<Item = C>>,
+) -> String {
+    let line = |cells: Vec<String>| format!("| {} |\n", cells.join(" | "));
+    let escape = |cell: &str| cell.replace('|', "\\|");
+    let mut out = line(header.iter().map(|h| escape(h.as_ref())).collect());
+    out.push_str(&format!("|{}\n", "---|".repeat(header.len())));
+    for row in rows {
+        out.push_str(&line(row.into_iter().map(|c| escape(c.as_ref())).collect()));
     }
-}
-
-/// Human label for a failure model.
-pub fn failure_label(f: FailureModel) -> &'static str {
-    match f {
-        FailureModel::Crash => "crash",
-        FailureModel::Byzantine => "Byzantine",
-        FailureModel::Hybrid => "hybrid (crash + Byzantine)",
-    }
-}
-
-/// Human label for a processing strategy.
-pub fn strategy_label(s: ProcessingStrategy) -> &'static str {
-    match s {
-        ProcessingStrategy::Pessimistic => "pessimistic",
-        ProcessingStrategy::Optimistic => "optimistic",
-    }
-}
-
-/// Human label for participant awareness.
-pub fn awareness_label(a: ParticipantAwareness) -> &'static str {
-    match a {
-        ParticipantAwareness::Known => "known",
-        ParticipantAwareness::Unknown => "unknown (open membership)",
-    }
+    out
 }
 
 /// One merged timeline item: either a network trace entry or a span event.
@@ -117,8 +102,16 @@ pub fn mermaid_sequence(trace: &[TraceEntry], spans: &[SpanEvent], max_msgs: usi
                         continue;
                     }
                     msgs += 1;
-                    let arrow = if t.event == TraceEvent::Drop { "--x" } else { "->>" };
-                    let suffix = if t.event == TraceEvent::Drop { " (dropped)" } else { "" };
+                    let arrow = if t.event == TraceEvent::Drop {
+                        "--x"
+                    } else {
+                        "->>"
+                    };
+                    let suffix = if t.event == TraceEvent::Drop {
+                        " (dropped)"
+                    } else {
+                        ""
+                    };
                     let _ = writeln!(out, "    {}{arrow}{}: {}{suffix}", t.from, t.to, t.kind);
                 }
                 TraceEvent::Crash => {
@@ -143,116 +136,134 @@ pub fn mermaid_sequence(trace: &[TraceEntry], spans: &[SpanEvent], max_msgs: usi
     out
 }
 
-/// Renders a taxonomy info card as a two-column Markdown table — the
-/// tutorial's per-protocol card, generated from `core/src/taxonomy.rs`
-/// instead of hand-written.
-pub fn card_table(card: &ProtocolCard) -> String {
-    let mut out = String::from("| Aspect | Value |\n|---|---|\n");
-    let rows: [(&str, String); 8] = [
-        ("Synchrony assumption", synchrony_label(card.synchrony).to_string()),
-        ("Failure model", failure_label(card.failure).to_string()),
-        ("Processing strategy", strategy_label(card.strategy).to_string()),
-        ("Participant awareness", awareness_label(card.awareness).to_string()),
+/// A card's eight aspects in card order, each with its human label.
+fn aspects(card: &ProtocolCard) -> [(&'static str, String); 8] {
+    let synchrony = match card.synchrony {
+        Synchrony::Synchronous => "synchronous",
+        Synchrony::PartiallySynchronous => "partially synchronous",
+        Synchrony::Asynchronous => "asynchronous",
+    };
+    let failure = match card.failure {
+        FailureModel::Crash => "crash",
+        FailureModel::Byzantine => "Byzantine",
+        FailureModel::Hybrid => "hybrid (crash + Byzantine)",
+    };
+    let strategy = match card.strategy {
+        ProcessingStrategy::Pessimistic => "pessimistic",
+        ProcessingStrategy::Optimistic => "optimistic",
+    };
+    let awareness = match card.awareness {
+        ParticipantAwareness::Known => "known",
+        ParticipantAwareness::Unknown => "unknown (open membership)",
+    };
+    [
+        ("Synchrony assumption", synchrony.into()),
+        ("Failure model", failure.into()),
+        ("Processing strategy", strategy.into()),
+        ("Participant awareness", awareness.into()),
         ("Nodes required", card.nodes.to_string()),
         ("Communication phases", card.phases.to_string()),
         ("Message complexity", card.complexity.to_string()),
         ("Reference", card.reference.to_string()),
-    ];
-    for (k, v) in rows {
-        let _ = writeln!(out, "| {k} | {v} |");
-    }
-    out
+    ]
+}
+
+/// Renders a taxonomy info card as a two-column Markdown table — the
+/// tutorial's per-protocol card, generated from `core/src/taxonomy.rs`
+/// instead of hand-written.
+pub fn card_table(card: &ProtocolCard) -> String {
+    let rows = aspects(card).map(|(aspect, value)| [aspect.to_string(), value]);
+    table(&["Aspect", "Value"], rows)
 }
 
 /// Renders measured run statistics: totals, the per-kind message
 /// breakdown, C&C phase entry counts, and per-instance latency.
 pub fn metrics_table(m: &Metrics) -> String {
-    let mut out = String::from("| Measure | Value |\n|---|---|\n");
-    let _ = writeln!(out, "| Messages sent | {} |", m.sent);
-    let _ = writeln!(out, "| Messages delivered | {} |", m.delivered);
-    let _ = writeln!(
-        out,
-        "| Messages dropped (partition / loss / filter / dead) | {} ({} / {} / {} / {}) |",
+    let (instance, delivered) = (&m.instance_latency, &m.delivered_latency);
+    let dropped = format!(
+        "{} ({} / {} / {} / {})",
         m.dropped, m.dropped_partition, m.dropped_loss, m.dropped_filter, m.dropped_dead
     );
-    let _ = writeln!(out, "| Bytes sent | {} |", m.bytes_sent);
-    let _ = writeln!(out, "| Timer fires | {} |", m.timer_fires);
-    let _ = writeln!(out, "| Crashes / restarts | {} / {} |", m.crashes, m.restarts);
-    let _ = writeln!(out, "| Spans opened / closed | {} / {} |", m.spans_opened, m.spans_closed);
-    let _ = writeln!(
-        out,
-        "| Instances completed | {} |",
-        m.instance_latency.count()
-    );
-    if m.instance_latency.count() > 0 {
-        let _ = writeln!(
-            out,
-            "| Instance latency (mean / p50≤ / max, µs) | {:.0} / {} / {} |",
-            m.instance_latency.mean(),
-            m.instance_latency.quantile(0.5).unwrap_or(0),
-            m.instance_latency.max().unwrap_or(0),
+    let crashes = format!("{} / {}", m.crashes, m.restarts);
+    let spans = format!("{} / {}", m.spans_opened, m.spans_closed);
+    let mut rows = vec![
+        ("Messages sent", m.sent.to_string()),
+        ("Messages delivered", m.delivered.to_string()),
+        (
+            "Messages dropped (partition / loss / filter / dead)",
+            dropped,
+        ),
+        ("Bytes sent", m.bytes_sent.to_string()),
+        ("Timer fires", m.timer_fires.to_string()),
+        ("Crashes / restarts", crashes),
+        ("Spans opened / closed", spans),
+        ("Instances completed", instance.count().to_string()),
+    ];
+    if instance.count() > 0 {
+        let (p50, max) = (
+            instance.quantile(0.5).unwrap_or(0),
+            instance.max().unwrap_or(0),
         );
+        let cell = format!("{:.0} / {p50} / {max}", instance.mean());
+        rows.push(("Instance latency (mean / p50≤ / max, µs)", cell));
     }
-    if m.delivered_latency.count() > 0 {
-        let _ = writeln!(
-            out,
-            "| Delivered latency (mean / p50≤ / p99≤ / max, µs) | {:.0} / {} / {} / {} |",
-            m.delivered_latency.mean(),
-            m.delivered_latency.quantile(0.5).unwrap_or(0),
-            m.delivered_latency.quantile(0.99).unwrap_or(0),
-            m.delivered_latency.max().unwrap_or(0),
-        );
+    if delivered.count() > 0 {
+        let q = |p| delivered.quantile(p).unwrap_or(0);
+        let max = delivered.max().unwrap_or(0);
+        let cell = format!("{:.0} / {} / {} / {max}", delivered.mean(), q(0.5), q(0.99));
+        rows.push(("Delivered latency (mean / p50≤ / p99≤ / max, µs)", cell));
     }
-
-    out.push_str("\nPer message kind:\n\n| Kind | Sent | Bytes |\n|---|---|---|\n");
-    for (kind, sent, bytes) in m.kinds() {
-        let _ = writeln!(out, "| `{kind}` | {sent} | {bytes} |");
-    }
-
-    out.push_str("\nC&C phase entries observed on the trace:\n\n| Phase | Entries |\n|---|---|\n");
-    for p in CncPhase::ALL {
-        let _ = writeln!(out, "| {} | {} |", p.label(), m.phase(p.label()));
-    }
+    let rows = rows.into_iter().map(|(k, v)| [k.to_string(), v]);
+    let mut out = table(&["Measure", "Value"], rows);
+    out.push_str("\nPer message kind:\n\n");
+    let kinds = m.kinds().into_iter();
+    let kinds = kinds.map(|(k, s, b)| [format!("`{k}`"), s.to_string(), b.to_string()]);
+    out.push_str(&table(&["Kind", "Sent", "Bytes"], kinds));
+    out.push_str("\nC&C phase entries observed on the trace:\n\n");
+    let phases = CncPhase::ALL.map(|p| [p.label().to_string(), m.phase(p.label()).to_string()]);
+    out.push_str(&table(&["Phase", "Entries"], phases));
     out
 }
 
 /// Renders the cross-protocol comparison table from the full card set —
 /// the tutorial's summary table, keyed to `core/src/taxonomy.rs`.
 pub fn complexity_table(cards: &[ProtocolCard]) -> String {
-    let mut out = String::from(
-        "| Protocol | Synchrony | Failures | Strategy | Participants | Nodes | Phases | Messages |\n\
-         |---|---|---|---|---|---|---|---|\n",
-    );
-    for c in cards {
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} | {} | {} | {} | {} |",
-            c.name,
-            synchrony_label(c.synchrony),
-            failure_label(c.failure),
-            strategy_label(c.strategy),
-            awareness_label(c.awareness),
-            c.nodes,
-            c.phases,
-            c.complexity,
-        );
-    }
-    out
+    let header = [
+        "Protocol",
+        "Synchrony",
+        "Failures",
+        "Strategy",
+        "Participants",
+        "Nodes",
+        "Phases",
+        "Messages",
+    ];
+    // The comparison shows every aspect of a card but its reference.
+    let rows = cards.iter().map(|c| {
+        let aspects = aspects(c).into_iter().take(7).map(|(_, value)| value);
+        std::iter::once(c.name.to_string()).chain(aspects)
+    });
+    table(&header, rows)
 }
 
 /// Renders the first `max` span events in their compact one-line form — a
 /// raw excerpt that shows exactly what the protocol emitted and when.
 pub fn span_excerpt(spans: &[SpanEvent], max: usize) -> String {
+    let lines: Vec<String> = spans.iter().map(SpanEvent::render).collect();
+    excerpt(&lines, max, " span events")
+}
+
+/// A fenced text block of the first `max` lines; a last line counts the
+/// rest as `… N more<what>`.
+pub fn excerpt<L: AsRef<str>>(lines: &[L], max: usize, what: &str) -> String {
     let mut out = String::from("```text\n");
-    for s in spans.iter().take(max) {
-        out.push_str(&s.render());
-        out.push('\n');
+    for line in lines.iter().take(max) {
+        let _ = writeln!(out, "{}", line.as_ref());
     }
-    if spans.len() > max {
-        let _ = writeln!(out, "… {} more span events", spans.len() - max);
+    if lines.len() > max {
+        let _ = writeln!(out, "… {} more{what}", lines.len() - max);
     }
-    out.push_str("```\n");
-    out
+    out + "```\n"
 }
 
 #[cfg(test)]
@@ -341,6 +352,15 @@ mod tests {
         assert!(md.contains("| `accept` | 5 | 320 |"));
         assert!(md.contains("| decision | 2 |"));
         assert!(md.contains("| leader-election | 0 |"));
+    }
+
+    #[test]
+    fn a_pipe_inside_a_cell_is_escaped() {
+        let md = table(&["a|b"], [["majority |Q1|=|Q2|=4 (n=7)"]]);
+        assert_eq!(
+            md,
+            "| a\\|b |\n|---|\n| majority \\|Q1\\|=\\|Q2\\|=4 (n=7) |\n"
+        );
     }
 
     #[test]

@@ -57,6 +57,36 @@ fn check_passes_on_a_fresh_artifact_and_fails_on_a_tampered_one() {
     std::fs::remove_dir_all(&dir).expect("clean up");
 }
 
+/// One experiment is checked against its slice of the whole `results.json`
+/// (writing it alone is a usage error: see the misuse test).
+#[test]
+fn one_experiment_checks_its_slice_and_never_writes() {
+    let dir = scratch_dir("slice");
+    let checked_in = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results.json");
+    let copy = dir.join("results.json");
+    std::fs::copy(checked_in, &copy).expect("copy results.json");
+    let check = ["tables", "--exp", "t4", "--check", "--json", "results.json"];
+    let out = bench(&dir, &check);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+
+    // Flip one digit inside t4's record: its data precedes its id.
+    let mut bytes = std::fs::read(&copy).expect("copy written");
+    let id_at = String::from_utf8_lossy(&bytes)
+        .find("\"id\": \"t4\"")
+        .expect("t4 record");
+    let at = bytes[..id_at]
+        .iter()
+        .rposition(|b| b.is_ascii_digit())
+        .expect("a digit in t4's data");
+    bytes[at] = if bytes[at] == b'9' { b'8' } else { bytes[at] + 1 };
+    std::fs::write(&copy, bytes).expect("tamper");
+    let out = bench(&dir, &check);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("drifted"), "stderr: {stderr}");
+    std::fs::remove_dir_all(&dir).expect("clean up");
+}
+
 #[test]
 fn misuse_prints_usage_and_exits_2_without_writing() {
     let dir = scratch_dir("misuse");
@@ -64,9 +94,10 @@ fn misuse_prints_usage_and_exits_2_without_writing() {
         &["figures", "--out"][..], // a flag missing its value
         &["tables", "--exp"],
         &["tables", "--json"],
-        &["geo", "--frobnicate"], // an unknown flag
-        &["frobnicate"],          // an unknown subcommand
-        &["recovery", "--smoke"], // no smoke grid to run
+        &["tables", "--exp", "t4", "--json", "x.json"], // one record over the whole file
+        &["geo", "--frobnicate"],                       // an unknown flag
+        &["frobnicate"],                                // an unknown subcommand
+        &["recovery", "--smoke"],                       // no smoke grid to run
         &[],
     ] {
         let out = bench(&dir, args);
