@@ -12,7 +12,7 @@ use agreement::flp::{run_voting, Scheduler};
 use agreement::interactive_consistency;
 use agreement::oral_messages::{om, ConsistentLiar, ParitySplit, ATTACK};
 use atomic_commit::three_phase::{self, CrashPoint};
-use atomic_commit::two_phase;
+use atomic_commit::{paxos_commit, two_phase};
 
 use bft::cheapbft::CheapCluster;
 use bft::hotstuff::{ClientWindow, HsCluster, HsConfig};
@@ -30,7 +30,6 @@ use blockchain::permissioned::run_permissioned;
 use blockchain::pos::{run_pos, PosMode};
 use blockchain::pow::{expected_hashes, mine_block, MiningParams};
 use blockchain::{Blockchain, Transaction};
-use consensus_core::cnc::{CncConfig, CncEngine};
 use consensus_core::driver::{ClusterDriver, DriverConfig};
 use consensus_core::taxonomy::all_cards;
 use consensus_core::txn::TxnDecision;
@@ -146,13 +145,29 @@ pub fn t1_taxonomy() -> Report {
 
 // ───────────────────────── Paxos family ─────────────────────────
 
-/// F1 — single-decree Paxos message flow.
-pub fn f1_paxos_flow() -> Report {
-    let mut sim: Sim<PaxosNode> = Sim::new(fixed_net(500), 1);
+/// Single-decree Paxos over five nodes, node 0 proposing `value` at once
+/// and never retrying.
+fn paxos_sim(net: NetConfig, seed: u64, value: u64) -> Sim<PaxosNode> {
+    let mut sim: Sim<PaxosNode> = Sim::new(net, seed);
     for _ in 0..5 {
         sim.add_node(PaxosNode::acceptor(5));
     }
-    *sim.node_mut(NodeId(0)) = PaxosNode::proposer(5, 42, 0, RetryPolicy::Never);
+    *sim.node_mut(NodeId(0)) = PaxosNode::proposer(5, value, 0, RetryPolicy::Never);
+    sim
+}
+
+/// F2's run: node 0's value 111 goes out, node 0 crashes at 2 ms, and node 1
+/// proposes 222 at 20 ms.
+fn paxos_leader_crash(seed: u64) -> Sim<PaxosNode> {
+    let mut sim = paxos_sim(NetConfig::lan(), seed, 111);
+    *sim.node_mut(NodeId(1)) = PaxosNode::proposer(5, 222, 20_000, RetryPolicy::Fixed(10_000));
+    sim.crash_at(NodeId(0), Time(2_000));
+    sim
+}
+
+/// F1 — single-decree Paxos message flow.
+pub fn f1_paxos_flow() -> Report {
+    let mut sim = paxos_sim(fixed_net(500), 1, 42);
     sim.record_trace(true);
     sim.run_until(Time::from_secs(1));
     let deliveries: Vec<Value> = sim
@@ -175,13 +190,7 @@ pub fn f1_paxos_flow() -> Report {
 
 /// F2 — leader crash after acceptance: the value survives.
 pub fn f2_leader_crash() -> Report {
-    let mut sim: Sim<PaxosNode> = Sim::new(NetConfig::lan(), 4);
-    for _ in 0..5 {
-        sim.add_node(PaxosNode::acceptor(5));
-    }
-    *sim.node_mut(NodeId(0)) = PaxosNode::proposer(5, 111, 0, RetryPolicy::Never);
-    *sim.node_mut(NodeId(1)) = PaxosNode::proposer(5, 222, 20_000, RetryPolicy::Fixed(10_000));
-    sim.crash_at(NodeId(0), Time(2_000));
+    let mut sim = paxos_leader_crash(4);
     sim.run_until(Time::from_secs(2));
     let decisions: BTreeSet<u64> = sim.nodes().filter_map(|(_, n)| n.decided).collect();
     Report::new(
@@ -291,19 +300,22 @@ pub fn f6_flexible() -> Report {
 
 // ───────────────────────── Commitment ─────────────────────────
 
+/// 2PC whose coordinator dies inside the blocking window, after every vote
+/// arrived: its participants block forever.
+fn blocked_two_pc() -> Sim<two_phase::TwoPcProc> {
+    let crash = two_phase::CrashPoint::AfterVotes;
+    let mut sim = two_phase::build_with_crash(&[true; 3], crash, NetConfig::lan(), 1);
+    sim.run_until(Time::from_secs(2));
+    sim
+}
+
 /// F7 — 2PC commit, abort, and the blocking window.
 pub fn f7_two_pc() -> Report {
     let mut commit = two_phase::build(&[true, true, true], NetConfig::lan(), 1);
     commit.run_until(Time::from_secs(1));
     let mut abort = two_phase::build(&[true, false, true], NetConfig::lan(), 1);
     abort.run_until(Time::from_secs(1));
-    let mut blocked = two_phase::build_with_crash(
-        &[true, true, true],
-        two_phase::CrashPoint::AfterVotes,
-        NetConfig::lan(),
-        1,
-    );
-    blocked.run_until(Time::from_secs(2));
+    let blocked = blocked_two_pc();
     Report::new(
         json!({"commit_states": debug_all(&two_phase::participant_states(&commit)),
                "abort_states": debug_all(&two_phase::participant_states(&abort)),
@@ -337,36 +349,58 @@ pub fn f8_three_pc() -> Report {
     )
 }
 
-/// F9 — the C&C framework instances.
+/// Runs `sim` until every commit protocol's termination or takeover round
+/// is over, and returns the C&C phase spans it emitted.
+fn spans_of<N: simnet::Node>(mut sim: Sim<N>) -> Vec<simnet::SpanEvent> {
+    sim.run_until(Time::from_secs(2));
+    sim.spans().to_vec()
+}
+
+/// F9 — the C&C framework, read off the real protocols' spans: per run, one
+/// row per round in the order the round first appears, listing each phase
+/// once, in the order it was first emitted.
 pub fn f9_cnc() -> Report {
+    let (lan, votes) = (NetConfig::lan, [true; 3]);
+    let three_pc = |cp| spans_of(three_phase::build(&votes, cp, lan(), 5));
+    // Paxos Commit's leader crashes before any vote request leaves, so no
+    // RM votes and the backup coordinator has to take over every instance.
+    let mut lost = paxos_commit::build(&votes, 1, lan(), 5);
+    lost.set_filter(NodeId(0), Box::new(simnet::DropAll));
+    lost.crash_at(NodeId(0), Time(0));
+    let paxos = spans_of(paxos_sim(fixed_net(500), 1, 42));
+    let two_pc = spans_of(two_phase::build(&votes, lan(), 5));
+    let pc = spans_of(paxos_commit::build(&votes, 1, lan(), 5));
+    let runs = [
+        ("Paxos", "fault-free", paxos),
+        ("2PC", "fault-free", two_pc),
+        ("3PC", "fault-free", three_pc(CrashPoint::None)),
+        ("3PC", "crash after votes", three_pc(CrashPoint::AfterVotes)),
+        ("Paxos Commit", "F = 1, fault-free", pc),
+        ("Paxos Commit", "F = 1, leader lost", spans_of(lost)),
+    ];
     let mut rows = Vec::new();
-    for (name, cfg) in [
-        ("abstract Paxos", CncConfig::abstract_paxos(5)),
-        ("abstract 2PC", CncConfig::abstract_2pc(5)),
-        ("abstract 3PC", CncConfig::abstract_3pc(5)),
-    ] {
-        let mut sim: Sim<CncEngine> = Sim::new(NetConfig::lan(), 5);
-        for _ in 0..5 {
-            sim.add_node(CncEngine::new(cfg, 42, true));
+    for (protocol, run, spans) in runs {
+        let mut rounds: Vec<(u64, Vec<&str>)> = Vec::new();
+        for span in spans {
+            if let simnet::SpanKind::Phase(phase) = span.kind {
+                match rounds.iter_mut().find(|(round, _)| *round == span.round) {
+                    Some((_, seen)) if seen.contains(&phase.label()) => {}
+                    Some((_, seen)) => seen.push(phase.label()),
+                    None => rounds.push((span.round, vec![phase.label()])),
+                }
+            }
         }
-        sim.run_until(Time::from_secs(2));
-        let phases: Vec<&str> = [
-            ("elect-req", "LeaderElection"),
-            ("discover", "ValueDiscovery"),
-            ("propose", "FT-Agreement"),
-            ("decide", "Decision"),
-        ]
-        .into_iter()
-        .filter(|(k, _)| sim.metrics().kind(k) > 0)
-        .map(|(_, label)| label)
-        .collect();
-        let decided = sim.nodes().find_map(|(_, n)| n.decided);
-        rows.push(json!({"instance": name, "phases": phases,
-                         "decided": decided.map(|d| format!("{d:?}"))}));
+        for (round, phases) in rounds {
+            rows.push(json!({"protocol": protocol, "run": run, "round": round, "phases": phases}));
+        }
     }
     Report::new(
         json!(rows),
-        "phases are those observed on the wire, in order",
+        "round: Paxos' ballot, or a commit protocol's termination or takeover round\n\n\
+         a fixed coordinator elects no one, and 2PC replicates no decision; a Paxos learner \
+         tags the decision with round 0, as `decide` carries no ballot\n\n\
+         after a crash, round 1 is a new coordinator's and opens with leader election; \
+         Paxos Commit's lost leader sent no vote request, so its backup is free to abort",
     )
 }
 
@@ -824,13 +858,7 @@ pub fn f28_store() -> Report {
 
     // The epigraph from F7: an unreplicated protocol-level coordinator dies
     // inside the uncertainty window and its participants block forever.
-    let mut blocked = two_phase::build_with_crash(
-        &[true, true, true],
-        two_phase::CrashPoint::AfterVotes,
-        NetConfig::lan(),
-        1,
-    );
-    blocked.run_until(Time::from_secs(2));
+    let blocked = blocked_two_pc();
 
     // Probe fault-free default-backend runs to find a seed whose router-0
     // workload contains a *committing* multi-shard transaction — the txn
@@ -1065,6 +1093,7 @@ pub fn all_experiments() -> Vec<Experiment> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::CncPhase;
 
     #[test]
     fn registry_is_complete_and_ids_match() {
@@ -1085,6 +1114,115 @@ mod tests {
             }
             Value::Array(items) => items.iter().for_each(|i| keys(i, out)),
             _ => {}
+        }
+    }
+
+    /// F9's `(round, phases)` rows for one protocol and run.
+    fn f9_rounds(data: &Value, protocol: &str, run: &str) -> Vec<(u64, Vec<String>)> {
+        let text = |row: &Value, key| row.get(key).and_then(Value::as_str).map(str::to_string);
+        let rows = data.as_array().expect("F9's record is a list of rows");
+        rows.iter()
+            .filter(|row| {
+                text(row, "protocol").as_deref() == Some(protocol)
+                    && text(row, "run").as_deref() == Some(run)
+            })
+            .map(|row| {
+                let phases = row.get("phases").and_then(Value::as_array).expect("phases");
+                let phases = phases.iter().filter_map(Value::as_str).map(str::to_string);
+                let round = row.get("round").and_then(Value::as_u64).expect("round");
+                (round, phases.collect())
+            })
+            .collect()
+    }
+
+    fn labels(phases: &[CncPhase]) -> Vec<String> {
+        phases.iter().map(|p| p.label().to_string()).collect()
+    }
+
+    #[test]
+    fn f9_reads_the_four_phases_off_the_real_protocols() {
+        use CncPhase::{Agreement, Decision, LeaderElection, ValueDiscovery};
+        let data = f9_cnc().data;
+        // The proposer's ballot runs all four phases in canonical order; the
+        // learners' decision follows at round 0.
+        let paxos = f9_rounds(&data, "Paxos", "fault-free");
+        assert_eq!(
+            paxos,
+            [(1, labels(&CncPhase::ALL)), (0, labels(&[Decision]))]
+        );
+        // A fixed coordinator elects no one, and 2PC replicates no decision.
+        let two_pc = f9_rounds(&data, "2PC", "fault-free");
+        assert_eq!(two_pc, [(0, labels(&[ValueDiscovery, Decision]))]);
+        let three_pc = f9_rounds(&data, "3PC", "fault-free");
+        assert_eq!(
+            three_pc,
+            [(0, labels(&[ValueDiscovery, Agreement, Decision]))]
+        );
+        // A crash hands the decision to a new coordinator, which has to be
+        // elected first.
+        let crashes = [
+            ("3PC", "crash after votes"),
+            ("Paxos Commit", "F = 1, leader lost"),
+        ];
+        for (protocol, run) in crashes {
+            let rounds = f9_rounds(&data, protocol, run);
+            let later: Vec<_> = rounds.iter().filter(|(round, _)| *round >= 1).collect();
+            assert!(
+                !later.is_empty(),
+                "{protocol}, {run}: only round 0 in {rounds:?}"
+            );
+            for (round, phases) in later {
+                let first = phases.first().map(String::as_str);
+                let at = format!("{protocol}, {run}, round {round}");
+                assert_eq!(first, Some(LeaderElection.label()), "{at}");
+            }
+        }
+    }
+
+    /// Within every `(instance, round)` of a run, phases never go back in
+    /// `CncPhase` order — the invariant F9's per-round sequences rely on.
+    #[test]
+    fn phases_never_go_backwards_within_a_round() {
+        use std::collections::BTreeMap;
+        let (lan, votes) = (NetConfig::lan, [true; 3]);
+        let two_pc_crashes = [
+            two_phase::CrashPoint::None,
+            two_phase::CrashPoint::AfterVotes,
+        ];
+        let three_pc_crashes = [
+            CrashPoint::None,
+            CrashPoint::AfterVotes,
+            CrashPoint::AfterPreCommit,
+        ];
+        for seed in 0..8 {
+            let mut runs = vec![
+                spans_of(paxos_sim(lan(), seed, 42)),
+                spans_of(paxos_leader_crash(seed)),
+            ];
+            for cp in two_pc_crashes {
+                let two_pc = two_phase::build_with_crash(&votes, cp, lan(), seed);
+                runs.push(spans_of(two_pc));
+                let pc = paxos_commit::build_with_crash(&votes, 1, cp, lan(), seed);
+                runs.push(spans_of(pc));
+            }
+            for cp in three_pc_crashes {
+                runs.push(spans_of(three_phase::build(&votes, cp, lan(), seed)));
+            }
+            for spans in runs {
+                let mut last = BTreeMap::new();
+                for span in spans {
+                    let simnet::SpanKind::Phase(phase) = span.kind else {
+                        continue;
+                    };
+                    let key = (span.protocol, span.instance, span.round);
+                    if let Some(before) = last.insert(key, phase) {
+                        assert!(
+                            before <= phase,
+                            "seed {seed}: {before} then {phase} in {key:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -20,10 +20,12 @@
 //!   Non-blocking for `F ≥ 1`, and provably (by test) identical to 2PC's
 //!   message pattern and outcomes at `F = 0`.
 //!
-//! The abstract versions of both protocols also exist as C&C framework
-//! instances in `consensus_core::cnc`; here they are implemented with the
-//! full state machines (Initial/Ready/PreCommitted/Committed/Aborted) and
-//! per-state timeout actions.
+//! All three are the tutorial's C&C framework instances, and they say so as
+//! they run: each tags its steps with `simnet::CncPhase` spans (voting is
+//! value discovery; pre-commit and the acceptors' `Phase2b` are
+//! fault-tolerant agreement; a termination or takeover round opens with
+//! leader election), which experiment F9 reads back. 2PC and 3PC's fixed
+//! coordinator never elects itself, so their fault-free runs skip phase 1.
 
 pub mod msg;
 pub mod paxos_commit;

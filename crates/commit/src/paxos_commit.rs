@@ -24,6 +24,7 @@ use std::collections::BTreeMap;
 use simnet::{CncPhase, Context, NetConfig, Node, NodeId, Payload, Sim, Time, Timer};
 
 use crate::msg::TxnState;
+use crate::two_phase::CrashPoint;
 
 /// Span protocol label; the single transaction is instance [`TXN`].
 const SPAN: &str = "paxos-commit";
@@ -37,18 +38,6 @@ const RM_BLOCK: u64 = 2;
 /// Timeout before a backup coordinator (or blocked RM) acts (µs); matches
 /// [`crate::two_phase`] so crash schedules are comparable.
 const TIMEOUT_US: u64 = 30_000;
-
-/// Where the leader coordinator may crash (fault injection), mirroring
-/// [`crate::two_phase::CrashPoint`]: freeze after every vote instance is
-/// learned and before any decision escapes. At `F = 0` this is 2PC's
-/// blocking window; at `F ≥ 1` a backup coordinator completes the commit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CrashPoint {
-    /// Run to completion.
-    None,
-    /// Freeze after learning all prepared votes (before any decision escapes).
-    AfterVotes,
-}
 
 /// The value decided by one per-RM Paxos instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -674,8 +663,9 @@ pub fn build(votes: &[bool], f: usize, config: NetConfig, seed: u64) -> Sim<PcPr
 }
 
 /// Builds a Paxos Commit instance with the leader crashing at
-/// `crash_point`, mirroring [`crate::two_phase::build_with_crash`]: the
-/// leader freezes inside the window and is then crashed outright. At
+/// `crash_point`, as [`crate::two_phase::build_with_crash`] does: with
+/// [`CrashPoint::AfterVotes`] the leader freezes after learning every vote,
+/// before any decision escapes, and is then crashed outright. At
 /// `F = 0` the RMs block exactly like 2PC; at `F ≥ 1` a backup
 /// coordinator drives the commit to completion.
 pub fn build_with_crash(

@@ -13,10 +13,10 @@ const DECISION_TIMEOUT: u64 = 1;
 /// Participant timeout before starting cooperative termination (µs).
 const TIMEOUT_US: u64 = 30_000;
 
-/// Where the 2PC coordinator may crash (fault injection), mirroring
-/// [`crate::three_phase::CrashPoint`]. 2PC has only one interesting spot:
-/// inside the blocking window, after every vote arrived and before any
-/// decision escapes.
+/// Where the 2PC coordinator — or Paxos Commit's leader coordinator — may
+/// crash (fault injection), mirroring [`crate::three_phase::CrashPoint`].
+/// Both protocols have only one interesting spot: inside the blocking
+/// window, after every vote arrived and before any decision escapes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CrashPoint {
     /// Run to completion.

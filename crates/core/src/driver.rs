@@ -329,24 +329,17 @@ pub trait ClusterDriver {
 
     /// Enables causal tracing on the underlying simulation. `site` tags the
     /// span ids this cluster mints, so traces from several clusters (e.g.
-    /// the shards of a store) merge without id collisions. Off by default;
-    /// drivers without tracing support may ignore the call.
-    fn enable_tracing(&mut self, site: u32) {
-        let _ = site;
-    }
+    /// the shards of a store) merge without id collisions. Off by default.
+    fn enable_tracing(&mut self, site: u32);
 
     /// Every causal span recorded since tracing was enabled (empty when
-    /// tracing is off or unsupported).
-    fn causal_spans(&self) -> Vec<CausalSpan> {
-        Vec::new()
-    }
+    /// tracing is off).
+    fn causal_spans(&self) -> Vec<CausalSpan>;
 
     /// Consensus-instance spans currently open (a `span_open` without a
     /// matching `span_close`). Zero after a quiesced fault-free run on every
     /// protocol — the span-balance invariant the smoke tests assert.
-    fn open_span_instances(&self) -> usize {
-        0
-    }
+    fn open_span_instances(&self) -> usize;
 
     // ---- fault hooks -----------------------------------------------------
 
@@ -368,15 +361,10 @@ pub trait ClusterDriver {
     /// Installs a Byzantine outbound filter on `node`. Returns whether the
     /// protocol supports (and installed) the window; crash-fault drivers
     /// return `false`.
-    fn open_byzantine_window(&mut self, kind: ByzantineWindow, node: NodeId) -> bool {
-        let _ = (kind, node);
-        false
-    }
+    fn open_byzantine_window(&mut self, kind: ByzantineWindow, node: NodeId) -> bool;
 
     /// Removes any Byzantine filter from `node`.
-    fn close_byzantine_window(&mut self, node: NodeId) {
-        let _ = node;
-    }
+    fn close_byzantine_window(&mut self, node: NodeId);
 }
 
 #[cfg(test)]

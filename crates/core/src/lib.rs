@@ -34,16 +34,17 @@
 //!   (`forty-store`): transaction ids and outcomes, and the log-entry
 //!   encoding of the Gray–Lamport 2PC-over-consensus construction, including
 //!   the C&C phase mapping of its prepare/decide steps.
-//! * [`cnc`] — the **Consensus & Commitment (C&C) framework**: every
-//!   leader-based agreement protocol as *Leader Election → Value Discovery →
-//!   Fault-tolerant Agreement → Decision*, including a runnable generic
-//!   engine whose configurations yield abstract Paxos, abstract 2PC, and
-//!   abstract (fault-tolerant) 3PC.
+//!
+//! The paper's other contribution, the **Consensus & Commitment (C&C)
+//! framework** — every leader-based agreement protocol as *Leader Election →
+//! Value Discovery → Fault-tolerant Agreement → Decision* — has no engine of
+//! its own: it is the [`simnet::CncPhase`] span each real protocol emits as
+//! it runs, and experiment F9 reads the four phases off single-decree Paxos,
+//! 2PC, 3PC and Paxos Commit.
 
 pub mod ballot;
 pub mod client;
 pub mod cluster;
-pub mod cnc;
 pub mod codec;
 pub mod driver;
 pub mod history;

@@ -682,16 +682,13 @@ impl Replica {
 
     /// Rebuilds the engine's primary index from the full machine state —
     /// used after installing a snapshot (local recovery or state transfer),
-    /// when the on-disk index can't be trusted / doesn't exist yet. This
-    /// pays the honest rebuild I/O that recovery-time experiments measure.
+    /// when the on-disk index can't be trusted / doesn't exist yet.
     fn mirror_full_state(&mut self) {
-        let Some(engine) = self.durable.engine_mut() else {
+        if self.durable.engine().is_none() {
             return;
-        };
-        let kv = self.log.machine().kv();
-        for (k, v) in kv.iter() {
-            engine.put(k, v);
         }
+        let kv = self.log.machine().kv();
+        self.durable.rebuild_index(kv.iter().map(|(k, v)| (&**k, &**v)));
         self.mirrored_seq = (self.log.machine().client_table().iter())
             .map(|(&client, &(seq, _))| (client, seq))
             .collect();
@@ -1911,19 +1908,15 @@ mod tests {
         cluster.check_log_consistency();
     }
 
-    /// Pins a defect (ROADMAP item 7's epoch list): a follower misses a
-    /// `Delete`, its peers compact past it, and `InstallState` lands their
-    /// machine on its *live* index. `mirror_full_state` upserts what the
-    /// incoming state has but never removes what it no longer has (Raft's
-    /// install path prunes first), so the deleted key stays in the
-    /// follower's B+ tree and the next `Range` over it finds a row the
-    /// machine never returned. The fix is Raft's prune step before the
-    /// upserts; it adds a full index scan to every install, which moves the
-    /// storage counters the `durable_*` equivalence rows pin, so it waits
-    /// for an epoch. No generated workload emits `Delete`.
+    /// A follower misses a `Delete`, its peers compact past it, and
+    /// `InstallState` lands their machine on its *live* index, which still
+    /// holds the deleted key. The index rebuild prunes what the incoming
+    /// state no longer has before it upserts, so the key is gone and the
+    /// next `Range` over it finds only the machine's rows (a stale row
+    /// would trip the engine-vs-machine scan check). No generated workload
+    /// emits `Delete`.
     #[test]
-    #[should_panic(expected = "engine index diverged from machine on range scan")]
-    fn install_state_keeps_a_key_the_incoming_state_no_longer_has() {
+    fn install_state_drops_a_key_the_incoming_state_no_longer_has() {
         let mut cluster = MultiPaxosCluster::new(
             QuorumSpec::Majority { n: 3 },
             1,
@@ -1970,6 +1963,14 @@ mod tests {
         cluster.sim.heal_at(now);
         cluster.sim.run_for(30_000);
         assert_eq!(replica(&cluster, laggard).snapshots_installed, 1);
+        let Proc::Replica(r) = cluster.sim.node_mut(laggard) else {
+            panic!("node 2 is a replica")
+        };
+        let keys: Vec<String> = (r.durable.engine_mut().expect("durable").scan("", "~"))
+            .into_iter()
+            .map(|(key, _)| key)
+            .collect();
+        assert_eq!(keys, ["a", "b", "c", "d"], "the deleted key left the index");
         let (start, end) = ("a".into(), "z".into());
         submit(&mut cluster, KvCommand::Range { start, end, limit: 16 });
     }

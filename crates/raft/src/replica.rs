@@ -280,24 +280,13 @@ impl Replica {
 
     /// Rebuilds the engine's primary index from the full machine state —
     /// used after installing a snapshot (local recovery or leader state
-    /// transfer). Keys the incoming state no longer has are pruned first
-    /// (a leader snapshot may land on a live index), then everything is
-    /// upserted; this pays the honest rebuild I/O that recovery-time
-    /// experiments measure.
+    /// transfer).
     fn mirror_full_state(&mut self) {
-        let Some(engine) = self.durable.engine_mut() else {
+        if self.durable.engine().is_none() {
             return;
-        };
+        }
         let kv = self.machine.kv();
-        // Raft's own step, not the shared path's: one full scan, then a
-        // delete per key the incoming state lacks.
-        let rows = engine.scan("", "\u{10FFFF}");
-        for (stale, _) in rows.iter().filter(|(k, _)| kv.get(k).is_none()) {
-            engine.delete(stale);
-        }
-        for (k, v) in kv.iter() {
-            engine.put(k, v);
-        }
+        self.durable.rebuild_index(kv.iter().map(|(k, v)| (&**k, &**v)));
         // Decision records captured by the checkpoint re-seed the decision
         // table; WAL replay then adds anything resolved after it.
         self.durable.note_decisions(kv.txn_decisions());

@@ -12,10 +12,33 @@ use forty::agreement::ben_or::run_ben_or;
 use forty::agreement::flp::{run_voting, Scheduler};
 use forty::agreement::oral_messages::{om, ConsistentLiar, ParitySplit, ATTACK};
 use forty::agreement::interactive_consistency;
-use forty::consensus_core::cnc::{CncConfig, CncEngine};
+use forty::atomic_commit::three_phase::{self, CrashPoint};
+use forty::atomic_commit::{paxos_commit, two_phase};
 use forty::paxos::livelock::run_duel;
 use forty::paxos::{PaxosNode, RetryPolicy};
-use forty::simnet::{NetConfig, NodeId, Sim, Time, TraceEvent};
+use forty::simnet::{DropAll, NetConfig, Node, NodeId, Sim, SpanKind, Time, TraceEvent};
+
+/// Runs `sim` to a settled state and lists the C&C phases its spans carry:
+/// per round, in the order the round first appears, each phase once.
+fn phases<N: Node>(mut sim: Sim<N>) -> String {
+    sim.run_until(Time::from_secs(2));
+    let mut rounds: Vec<(u64, Vec<&str>)> = Vec::new();
+    for span in sim.spans() {
+        let SpanKind::Phase(phase) = span.kind else {
+            continue;
+        };
+        match rounds.iter_mut().find(|(round, _)| *round == span.round) {
+            Some((_, seen)) if seen.contains(&phase.label()) => {}
+            Some((_, seen)) => seen.push(phase.label()),
+            None => rounds.push((span.round, vec![phase.label()])),
+        }
+    }
+    let rounds: Vec<String> = rounds
+        .iter()
+        .map(|(round, seen)| format!("r{round}: {}", seen.join(" → ")))
+        .collect();
+    rounds.join("; ")
+}
 
 fn main() {
     // ---- 1. Single-decree Paxos, message flow --------------------------
@@ -60,27 +83,21 @@ fn main() {
 
     // ---- 3. The C&C framework ------------------------------------------
     println!();
-    println!("── 3. C&C framework: Paxos and 2PC as four-phase instances");
-    for (name, cfg, votes) in [
-        ("abstract Paxos", CncConfig::abstract_paxos(5), vec![true; 5]),
-        ("abstract 2PC  ", CncConfig::abstract_2pc(5), vec![true; 5]),
-        (
-            "abstract 3PC  ",
-            CncConfig::abstract_3pc(5),
-            vec![true, true, true, true, false],
-        ),
+    println!("── 3. C&C framework: the phases each protocol's own spans report, per round");
+    let (lan, votes) = (NetConfig::lan, [true; 3]);
+    let mut lost_leader = paxos_commit::build(&votes, 1, lan(), 5);
+    lost_leader.set_filter(NodeId(0), Box::new(DropAll));
+    lost_leader.crash_at(NodeId(0), Time(0));
+    let three_pc = |cp| three_phase::build(&votes, cp, lan(), 5);
+    for (name, seen) in [
+        ("Paxos", phases(sim)),
+        ("2PC", phases(two_phase::build(&votes, lan(), 5))),
+        ("3PC", phases(three_pc(CrashPoint::None))),
+        ("3PC, coordinator crash", phases(three_pc(CrashPoint::AfterVotes))),
+        ("Paxos Commit F=1", phases(paxos_commit::build(&votes, 1, lan(), 5))),
+        ("Paxos Commit F=1, leader lost", phases(lost_leader)),
     ] {
-        let mut sim: Sim<CncEngine> = Sim::new(NetConfig::lan(), 5);
-        for &v in &votes {
-            sim.add_node(CncEngine::new(cfg, 42, v));
-        }
-        sim.run_until(Time::from_secs(2));
-        let phases: Vec<&str> = ["elect-req", "discover", "propose", "decide"]
-            .into_iter()
-            .filter(|k| sim.metrics().kind(k) > 0)
-            .collect();
-        let decision = sim.nodes().find_map(|(_, n)| n.decided);
-        println!("   {name}: phases {phases:?} → {decision:?}");
+        println!("   {name:<30} {seen}");
     }
 
     // ---- 4. PSL interactive consistency --------------------------------

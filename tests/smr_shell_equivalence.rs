@@ -18,7 +18,9 @@
 //! bookkeeping, and the device's bytes — under a leader crash, a follower
 //! caught up by state transfer and a store shard-replica restart, recorded
 //! at bcb1844, before the byte codec, the engine handle and the index-mirror
-//! rule each moved to one home under Multi-Paxos and Raft.
+//! rule each moved to one home under Multi-Paxos and Raft. The Multi-Paxos
+//! entries were re-recorded once since, in the `InstallState`-prune epoch
+//! (see the constants).
 //!
 //! The second half does the same for the six BFT protocols that joined the
 //! shell later (MinBFT, CheapBFT, XFT, SeeMoRe, Zyzzyva, HotStuff). Their
@@ -629,11 +631,17 @@ fn durable_store_runs_match_the_pre_handle_commit() {
     assert_eq!(durable_store_row::<Raft>(), DURABLE_STORE[1]);
 }
 
-// Recorded at the parent commit (bcb1844), Multi-Paxos then Raft, with two
-// probe accessors (`engine`, `engine_mut`) patched onto each replica.
-const DURABLE_LEADER_RESTART: [u64; 2] = [12620842744037691189, 303630961433290270];
-const DURABLE_STATE_TRANSFER: [u64; 2] = [17870152087451345458, 15188570215261920073];
-const DURABLE_STORE: [u64; 2] = [11409747987989008587, 12659693488071406292];
+// Multi-Paxos then Raft. The Raft entries were recorded at bcb1844, with two
+// probe accessors (`engine`, `engine_mut`) patched onto each replica. The
+// Multi-Paxos entries were re-recorded in the `InstallState`-prune epoch,
+// when Multi-Paxos began rebuilding its index as Raft does
+// (`storage::Durable::rebuild_index`: one full scan, a delete per stale key,
+// then the upserts). The scan adds buffer-pool hits on the replica that
+// recovers or installs a peer's state (+4, +4, +2 across the three rows);
+// no other counter moves.
+const DURABLE_LEADER_RESTART: [u64; 2] = [4605429752786685514, 303630961433290270];
+const DURABLE_STATE_TRANSFER: [u64; 2] = [6354725764404676506, 15188570215261920073];
+const DURABLE_STORE: [u64; 2] = [12410634604824050775, 12659693488071406292];
 
 // ---- the six BFT protocols ------------------------------------------------
 
