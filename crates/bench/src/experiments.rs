@@ -868,7 +868,7 @@ pub fn f28_store() -> Report {
     // spans, and abort intentions.
     let (seed, target) = (42..74)
         .find_map(|seed| {
-            let mut probe: Store<MultiPaxosCluster> = Store::new(StoreConfig::small(seed));
+            let mut probe: Store<MultiPaxosCluster> = Store::new(StoreConfig::new(seed));
             assert!(probe.run(STORE_HORIZON), "store probe stalled");
             probe
                 .outcomes()
@@ -884,7 +884,7 @@ pub fn f28_store() -> Report {
     // killing the target transaction's coordinator right after its prepare
     // (vote) round — 2PC's classic blocking window, one layer up.
     let leg = |backend: store::CommitBackend, crash: bool| {
-        let cfg = StoreConfig::small(seed).backend(backend);
+        let cfg = StoreConfig::new(seed).backend(backend);
         let mut s: Store<MultiPaxosCluster> = Store::new(cfg);
         if crash {
             s.crash_router_on_txn(0, target.tid.number, RouterCrashPoint::AfterPrepare);

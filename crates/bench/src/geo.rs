@@ -110,7 +110,7 @@ fn run_cell<E: ShardEngine>(
     local_pct: u32,
     spec: &GeoSpec,
 ) -> GeoPoint {
-    let cfg = StoreConfig::small(spec.seed).routers(3).geo(
+    let cfg = StoreConfig::new(spec.seed).routers(3).geo(
         GeoConfig::three_dc()
             .placement(placement)
             .local_read_pct(local_pct)

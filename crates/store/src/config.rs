@@ -258,12 +258,6 @@ impl StoreConfig {
         }
     }
 
-    /// A small default store (alias of [`StoreConfig::new`], kept for the
-    /// historical name).
-    pub fn small(seed: u64) -> Self {
-        Self::new(seed)
-    }
-
     /// The same store with `n` shards.
     #[must_use]
     pub fn shards(mut self, n: usize) -> Self {

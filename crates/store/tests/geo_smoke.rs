@@ -12,7 +12,7 @@ use store::{GeoConfig, PlacementPolicy, ShardEngine, Store, StoreConfig};
 const HORIZON: Time = Time(60_000_000);
 
 fn geo_cfg(seed: u64) -> StoreConfig {
-    StoreConfig::small(seed).routers(3).geo(GeoConfig::three_dc())
+    StoreConfig::new(seed).routers(3).geo(GeoConfig::three_dc())
 }
 
 fn run_geo<E: ShardEngine>(cfg: StoreConfig) -> Store<E> {
@@ -93,7 +93,7 @@ fn lease_matrix_skew_past_bound_falls_back_never_stale() {
     for (skew, fast_ok) in [(0u64, true), (4_000, true), (12_000, false)] {
         // One router: its reads run after its writes, so at read time the
         // store is quiescent and `peek` is the linearizable expectation.
-        let cfg = StoreConfig::small(19)
+        let cfg = StoreConfig::new(19)
             .routers(1)
             .geo(GeoConfig::three_dc().local_read_pct(100));
         let mut s: Store<MultiPaxosCluster> = Store::new(cfg);
@@ -132,7 +132,7 @@ fn lease_matrix_skew_past_bound_falls_back_never_stale() {
 /// leases leaves follower reads on the fast path.
 #[test]
 fn raft_read_index_is_immune_to_clock_skew() {
-    let cfg = StoreConfig::small(19)
+    let cfg = StoreConfig::new(19)
         .routers(1)
         .geo(GeoConfig::three_dc().local_read_pct(100));
     let mut s: Store<RaftCluster> = Store::new(cfg);
@@ -161,7 +161,7 @@ fn geo_runs_are_deterministic_and_non_geo_stores_are_untouched() {
     assert_ne!(run(21).0, run(22).0);
     // A store without a geo config has no geo machinery at all: no reads,
     // no placement, no extra stub clients in the serialized map.
-    let mut plain: Store<MultiPaxosCluster> = Store::new(StoreConfig::small(21));
+    let mut plain: Store<MultiPaxosCluster> = Store::new(StoreConfig::new(21));
     assert!(plain.run(HORIZON));
     assert!(plain.read_outcomes().is_empty());
     assert!(plain.shard_map().placement().is_none());
@@ -173,7 +173,7 @@ fn geo_runs_are_deterministic_and_non_geo_stores_are_untouched() {
 /// that region serves all its reads locally.
 #[test]
 fn single_region_placement_maximizes_locality() {
-    let cfg = StoreConfig::small(23)
+    let cfg = StoreConfig::new(23)
         .routers(3)
         .geo(GeoConfig::three_dc()
             .placement(PlacementPolicy::SingleRegion)

@@ -41,7 +41,7 @@ fn committed_values_visible<E: ShardEngine>(s: &Store<E>) {
 }
 
 fn fault_free<E: ShardEngine>() {
-    let mut s: Store<E> = Store::new(StoreConfig::small(11));
+    let mut s: Store<E> = Store::new(StoreConfig::new(11));
     assert!(s.run(HORIZON), "store did not quiesce");
     let outcomes = s.outcomes();
     assert_eq!(outcomes.len(), 2 * 3, "2 routers x 3 txns each");
@@ -80,7 +80,7 @@ fn raft_store_commits_cross_shard_txns() {
 #[test]
 fn same_seed_runs_are_bit_identical() {
     let run = |engine_seed: u64| {
-        let mut s: Store<MultiPaxosCluster> = Store::new(StoreConfig::small(engine_seed));
+        let mut s: Store<MultiPaxosCluster> = Store::new(StoreConfig::new(engine_seed));
         assert!(s.run(HORIZON));
         (s.fingerprint(), s.trace().len(), s.messages_sent())
     };
@@ -89,7 +89,7 @@ fn same_seed_runs_are_bit_identical() {
 }
 
 fn crash_recovery_case<E: ShardEngine>(point: RouterCrashPoint, seed: u64) {
-    let mut s: Store<E> = Store::new(StoreConfig::small(seed));
+    let mut s: Store<E> = Store::new(StoreConfig::new(seed));
     s.crash_router_on_txn(0, 0, point);
     assert!(s.run(HORIZON), "store did not quiesce after router crash");
     // Recovery must have resolved router 0's first transaction.
@@ -168,7 +168,7 @@ fn unreplicated_two_pc_blocks_where_the_store_recovers() {
     // The store: the router (coordinator) dies after every participant
     // prepared, before the decision — and the system still terminates,
     // because decision and prepare state live in replicated shard logs.
-    let mut s: Store<MultiPaxosCluster> = Store::new(StoreConfig::small(5));
+    let mut s: Store<MultiPaxosCluster> = Store::new(StoreConfig::new(5));
     s.crash_router_on_txn(0, 0, RouterCrashPoint::AfterPrepare);
     assert!(s.run(HORIZON));
     let tid = consensus_core::TxnId::new(store::ROUTER_BASE, 0);
@@ -180,7 +180,7 @@ fn unreplicated_two_pc_blocks_where_the_store_recovers() {
 
 #[test]
 fn restarted_router_abandons_txn_and_finishes_workload() {
-    let mut s: Store<RaftCluster> = Store::new(StoreConfig::small(77));
+    let mut s: Store<RaftCluster> = Store::new(StoreConfig::new(77));
     s.crash_router_on_txn(0, 0, RouterCrashPoint::AfterPrepare);
     s.restart_router_at(0, 300_000);
     assert!(s.run(HORIZON));
@@ -220,7 +220,7 @@ fn durable_paxos_store_survives_replica_crash_restart() {
     // engine's checkpoint + WAL. The store-level guarantees (committed
     // writes visible, audit clean) must hold across that path.
     let mut s: Store<MultiPaxosCluster> =
-        Store::new(StoreConfig::small(13).durable(8, simnet::DiskModel::ssd()));
+        Store::new(StoreConfig::new(13).durable(8, simnet::DiskModel::ssd()));
     for shard in 0..s.cfg.n_shards as u32 {
         s.crash_node_at(shard * 3 + 2, 20_000);
         s.restart_node_at(shard * 3 + 2, 32_000);
@@ -248,7 +248,7 @@ fn durable_coordinator_shard_recovers_in_flight_decision() {
     let seed = probe_committing_seed(13);
     let tid = consensus_core::TxnId::new(store::ROUTER_BASE, 0);
     let mut s: Store<MultiPaxosCluster> =
-        Store::new(StoreConfig::small(seed).durable(8, simnet::DiskModel::ssd()));
+        Store::new(StoreConfig::new(seed).durable(8, simnet::DiskModel::ssd()));
     s.crash_router_on_txn(0, 0, RouterCrashPoint::AfterDecide);
     assert!(s.run(HORIZON), "durable store must quiesce");
     // Recovery completed the in-flight commit.
@@ -296,7 +296,7 @@ fn durable_store_same_seed_fingerprints_are_bit_identical() {
     // accounting, WAL replay, checkpoint install — same seed, same bits.
     let run = || {
         let mut s: Store<MultiPaxosCluster> =
-            Store::new(StoreConfig::small(42).durable(8, simnet::DiskModel::ssd()));
+            Store::new(StoreConfig::new(42).durable(8, simnet::DiskModel::ssd()));
         for shard in 0..s.cfg.n_shards as u32 {
             s.crash_node_at(shard * 3 + 2, 20_000);
             s.restart_node_at(shard * 3 + 2, 32_000);
@@ -481,7 +481,7 @@ fn range_results_are_identical_across_engines_and_knobs() {
 /// something to block).
 fn probe_committing_seed(base: u64) -> u64 {
     for seed in base..base + 32 {
-        let mut s: Store<MultiPaxosCluster> = Store::new(StoreConfig::small(seed));
+        let mut s: Store<MultiPaxosCluster> = Store::new(StoreConfig::new(seed));
         assert!(s.run(HORIZON));
         let tid = consensus_core::TxnId::new(store::ROUTER_BASE, 0);
         if s.outcomes()
@@ -496,7 +496,7 @@ fn probe_committing_seed(base: u64) -> u64 {
 
 fn backend_outcomes(backend: CommitBackend, seed: u64) -> Vec<(String, &'static str)> {
     let mut s: Store<MultiPaxosCluster> =
-        Store::new(StoreConfig::small(seed).backend(backend));
+        Store::new(StoreConfig::new(seed).backend(backend));
     assert!(s.run(HORIZON), "{backend:?} store did not quiesce");
     committed_values_visible(&s);
     // Completion *order* may shift with the backend's message pattern; the
@@ -513,7 +513,7 @@ fn backend_outcomes(backend: CommitBackend, seed: u64) -> Vec<(String, &'static 
 #[test]
 fn paxos_commit_backend_commits_cross_shard_txns() {
     let mut s: Store<MultiPaxosCluster> =
-        Store::new(StoreConfig::small(11).backend(CommitBackend::PaxosCommit));
+        Store::new(StoreConfig::new(11).backend(CommitBackend::PaxosCommit));
     assert!(s.run(HORIZON), "paxos-commit store did not quiesce");
     let outcomes = s.outcomes();
     assert_eq!(outcomes.len(), 6);
@@ -530,7 +530,7 @@ fn paxos_commit_backend_commits_cross_shard_txns() {
 #[test]
 fn raw_two_phase_backend_commits_cross_shard_txns() {
     let mut s: Store<MultiPaxosCluster> =
-        Store::new(StoreConfig::small(11).backend(CommitBackend::TwoPhase));
+        Store::new(StoreConfig::new(11).backend(CommitBackend::TwoPhase));
     assert!(s.run(HORIZON), "raw-2pc store did not quiesce");
     assert_eq!(s.outcomes().len(), 6);
     committed_values_visible(&s);
@@ -565,7 +565,7 @@ fn backend_availability_contrast_under_identical_coordinator_crash() {
     let tid = consensus_core::TxnId::new(store::ROUTER_BASE, 0);
     let run = |backend| {
         let mut s: Store<MultiPaxosCluster> =
-            Store::new(StoreConfig::small(seed).backend(backend));
+            Store::new(StoreConfig::new(seed).backend(backend));
         s.crash_router_on_txn(0, 0, RouterCrashPoint::AfterPrepare);
         assert!(s.run(HORIZON), "{backend:?} store did not quiesce");
         committed_values_visible(&s);
@@ -604,7 +604,7 @@ fn paxos_commit_recovery_aborts_unvoted_txn() {
     // Crash before any vote is cast: recovery free-aborts the first open
     // vote register and the transaction aborts cleanly everywhere.
     let mut s: Store<MultiPaxosCluster> =
-        Store::new(StoreConfig::small(11).backend(CommitBackend::PaxosCommit));
+        Store::new(StoreConfig::new(11).backend(CommitBackend::PaxosCommit));
     s.crash_router_on_txn(0, 0, RouterCrashPoint::BeforePrepare);
     assert!(s.run(HORIZON));
     let tid = consensus_core::TxnId::new(store::ROUTER_BASE, 0);
@@ -615,7 +615,7 @@ fn paxos_commit_recovery_aborts_unvoted_txn() {
 #[test]
 fn shard_replica_crash_does_not_lose_txns() {
     // Crash one replica per shard (f = 1 of 3): every group keeps running.
-    let mut s: Store<MultiPaxosCluster> = Store::new(StoreConfig::small(91));
+    let mut s: Store<MultiPaxosCluster> = Store::new(StoreConfig::new(91));
     for shard in 0..s.cfg.n_shards as u32 {
         s.crash_node_at(shard * 3 + 2, 50_000);
     }

@@ -107,7 +107,7 @@ fn store_equivalent<E: forty::store::ShardEngine>() {
     use nemesis::checker::check_txn_atomicity;
 
     let run = |batch: BatchConfig| {
-        let mut s: Store<E> = Store::new(StoreConfig::small(SEED).batch(batch));
+        let mut s: Store<E> = Store::new(StoreConfig::new(SEED).batch(batch));
         assert!(
             s.run(forty::simnet::Time(20_000_000)),
             "store stalled under {}",

@@ -83,7 +83,7 @@ fn paxos_commit_store_run_balances_spans() {
     // them must not perturb the run.
     let run = |traced: bool| {
         let mut s: Store<MultiPaxosCluster> =
-            Store::new(StoreConfig::small(SEED).backend(CommitBackend::PaxosCommit));
+            Store::new(StoreConfig::new(SEED).backend(CommitBackend::PaxosCommit));
         if traced {
             s.enable_tracing();
         }

@@ -25,7 +25,7 @@ const HORIZON: Time = Time(20_000_000);
 /// over a fixed window keeps the test deterministic.
 fn seed_with_all_spans<E: ShardEngine>() -> (u64, Vec<TxnOutcome>) {
     for seed in 0..64 {
-        let mut s: Store<E> = Store::new(StoreConfig::small(seed));
+        let mut s: Store<E> = Store::new(StoreConfig::new(seed));
         assert!(s.run(HORIZON), "probe run stalled at seed {seed}");
         let outcomes = s.outcomes();
         let spans_of_r0 = |span: usize| {
@@ -48,7 +48,7 @@ fn crash_cell<E: ShardEngine>(seed: u64, outcomes: &[TxnOutcome], span: usize, p
         .iter()
         .find(|o| o.tid.client == ROUTER_BASE && o.span == span)
         .expect("probe guaranteed a txn of this span");
-    let mut s: Store<E> = Store::new(StoreConfig::small(seed));
+    let mut s: Store<E> = Store::new(StoreConfig::new(seed));
     s.crash_router_on_txn(0, target.tid.number, point);
     assert!(
         s.run(HORIZON),
@@ -109,11 +109,11 @@ fn raft_store_atomicity_matrix() {
 fn fault_free_histories_are_atomic() {
     // No faults at all: both engines' full histories still satisfy the
     // checker (sound baseline for the matrix above).
-    let mut p: Store<MultiPaxosCluster> = Store::new(StoreConfig::small(3));
+    let mut p: Store<MultiPaxosCluster> = Store::new(StoreConfig::new(3));
     assert!(p.run(HORIZON));
     assert!(check_txn_atomicity(&p.history()).is_empty());
 
-    let mut r: Store<RaftCluster> = Store::new(StoreConfig::small(3));
+    let mut r: Store<RaftCluster> = Store::new(StoreConfig::new(3));
     assert!(r.run(HORIZON));
     assert!(check_txn_atomicity(&r.history()).is_empty());
 }

@@ -18,7 +18,7 @@ const HORIZON_US: u64 = 30_000_000;
 /// One traced store run (3 shards × 3 Multi-Paxos replicas, the default
 /// small workload), returning the Chrome trace and the folded stacks.
 fn traced_run() -> (String, String) {
-    let mut s: Store<MultiPaxosCluster> = Store::new(StoreConfig::small(SEED));
+    let mut s: Store<MultiPaxosCluster> = Store::new(StoreConfig::new(SEED));
     s.enable_tracing();
     assert!(s.run(Time(HORIZON_US)), "store did not quiesce");
     let spans = s.causal_spans();
