@@ -222,12 +222,11 @@ impl Node for Participant {
                     ctx.send(from, CommitMsg::Vote { txn, yes: false });
                 }
             }
-            CommitMsg::PreCommit { txn } if txn == self.txn
-                && self.state == TxnState::Ready => {
-                    self.state = TxnState::PreCommitted;
-                    ctx.send(from, CommitMsg::PreCommitAck { txn });
-                    self.arm_watchdog(ctx);
-                }
+            CommitMsg::PreCommit { txn } if txn == self.txn && self.state == TxnState::Ready => {
+                self.state = TxnState::PreCommitted;
+                ctx.send(from, CommitMsg::PreCommitAck { txn });
+                self.arm_watchdog(ctx);
+            }
             CommitMsg::GlobalCommit { txn } if txn == self.txn => {
                 ctx.span_close(SPAN, txn, 0);
                 self.finish(true);
@@ -245,20 +244,19 @@ impl Node for Participant {
                     },
                 );
             }
-            CommitMsg::StateReport { txn, state } if txn == self.txn
-                && self.recovering => {
-                    self.reports.insert(from, state);
-                    // Resolve as soon as every *other participant* that is
-                    // still alive could have answered; with n participants
-                    // we expect up to n-1 reports, but any single
-                    // PreCommitted/final report is already decisive. For
-                    // all-Ready we wait for everyone we can hear (handled
-                    // in the timer re-check).
-                    let decisive = state.is_final() || state == TxnState::PreCommitted;
-                    if decisive || self.reports.len() >= ctx.n_nodes().saturating_sub(2) {
-                        self.resolve(ctx);
-                    }
+            CommitMsg::StateReport { txn, state } if txn == self.txn && self.recovering => {
+                self.reports.insert(from, state);
+                // Resolve as soon as every *other participant* that is
+                // still alive could have answered; with n participants
+                // we expect up to n-1 reports, but any single
+                // PreCommitted/final report is already decisive. For
+                // all-Ready we wait for everyone we can hear (handled
+                // in the timer re-check).
+                let decisive = state.is_final() || state == TxnState::PreCommitted;
+                if decisive || self.reports.len() >= ctx.n_nodes().saturating_sub(2) {
+                    self.resolve(ctx);
                 }
+            }
             _ => {}
         }
     }
@@ -357,7 +355,12 @@ mod tests {
     #[test]
     fn coordinator_crash_after_votes_aborts_not_blocks() {
         // Where 2PC blocks forever, 3PC's termination protocol aborts.
-        let mut sim = build(&[true, true, true], CrashPoint::AfterVotes, NetConfig::lan(), 3);
+        let mut sim = build(
+            &[true, true, true],
+            CrashPoint::AfterVotes,
+            NetConfig::lan(),
+            3,
+        );
         sim.run_until(Time::from_secs(3));
         let states = participant_states(&sim);
         assert!(
@@ -393,11 +396,8 @@ mod tests {
             sim.crash_at(NodeId(0), Time::from_millis(crash_ms));
             sim.run_until(Time::from_secs(3));
             let states = participant_states(&sim);
-            let finals: std::collections::BTreeSet<_> = states
-                .iter()
-                .filter(|s| s.is_final())
-                .copied()
-                .collect();
+            let finals: std::collections::BTreeSet<_> =
+                states.iter().filter(|s| s.is_final()).copied().collect();
             assert!(
                 finals.len() <= 1,
                 "crash at {crash_ms}ms produced mixed outcomes: {states:?}"
@@ -411,7 +411,12 @@ mod tests {
 
     #[test]
     fn recovery_is_led_by_lowest_cohort() {
-        let mut sim = build(&[true, true, true], CrashPoint::AfterVotes, NetConfig::lan(), 6);
+        let mut sim = build(
+            &[true, true, true],
+            CrashPoint::AfterVotes,
+            NetConfig::lan(),
+            6,
+        );
         sim.run_until(Time::from_secs(3));
         let leaders: Vec<u64> = sim
             .nodes()
