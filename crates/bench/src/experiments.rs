@@ -11,8 +11,8 @@ use serde_json::{json, Value};
 use agreement::flp::{run_voting, Scheduler};
 use agreement::interactive_consistency;
 use agreement::oral_messages::{om, ConsistentLiar, ParitySplit, ATTACK};
+use atomic_commit::paxos_commit;
 use atomic_commit::three_phase::{self, CrashPoint};
-use atomic_commit::{paxos_commit, two_phase};
 
 use bft::cheapbft::CheapCluster;
 use bft::hotstuff::{ClientWindow, HsCluster, HsConfig};
@@ -300,26 +300,26 @@ pub fn f6_flexible() -> Report {
 
 // ───────────────────────── Commitment ─────────────────────────
 
-/// 2PC whose coordinator dies inside the blocking window, after every vote
-/// arrived: its participants block forever.
-fn blocked_two_pc() -> Sim<two_phase::TwoPcProc> {
-    let crash = two_phase::CrashPoint::AfterVotes;
-    let mut sim = two_phase::build_with_crash(&[true; 3], crash, NetConfig::lan(), 1);
+/// 2PC — Paxos Commit at `F = 0` — whose coordinator dies inside the
+/// blocking window, after every vote arrived: its participants block forever.
+fn blocked_two_pc() -> Sim<paxos_commit::PcProc> {
+    let crash = paxos_commit::CrashPoint::AfterVotes;
+    let mut sim = paxos_commit::build_with_crash(&[true; 3], 0, crash, NetConfig::lan(), 1);
     sim.run_until(Time::from_secs(2));
     sim
 }
 
 /// F7 — 2PC commit, abort, and the blocking window.
 pub fn f7_two_pc() -> Report {
-    let mut commit = two_phase::build(&[true, true, true], NetConfig::lan(), 1);
+    let mut commit = paxos_commit::build(&[true, true, true], 0, NetConfig::lan(), 1);
     commit.run_until(Time::from_secs(1));
-    let mut abort = two_phase::build(&[true, false, true], NetConfig::lan(), 1);
+    let mut abort = paxos_commit::build(&[true, false, true], 0, NetConfig::lan(), 1);
     abort.run_until(Time::from_secs(1));
     let blocked = blocked_two_pc();
     Report::new(
-        json!({"commit_states": debug_all(&two_phase::participant_states(&commit)),
-               "abort_states": debug_all(&two_phase::participant_states(&abort)),
-               "blocked_states": debug_all(&two_phase::participant_states(&blocked)),
+        json!({"commit_states": debug_all(&paxos_commit::participant_states(&commit)),
+               "abort_states": debug_all(&paxos_commit::participant_states(&abort)),
+               "blocked_states": debug_all(&paxos_commit::participant_states(&blocked)),
                "messages_per_txn": commit.metrics().sent}),
         "commit: unanimous yes; abort: one no vote; blocked: the coordinator dies \
          inside the window and the participants block forever\n\n\
@@ -368,7 +368,7 @@ pub fn f9_cnc() -> Report {
     lost.set_filter(NodeId(0), Box::new(simnet::DropAll));
     lost.crash_at(NodeId(0), Time(0));
     let paxos = spans_of(paxos_sim(fixed_net(500), 1, 42));
-    let two_pc = spans_of(two_phase::build(&votes, lan(), 5));
+    let two_pc = spans_of(paxos_commit::build(&votes, 0, lan(), 5));
     let pc = spans_of(paxos_commit::build(&votes, 1, lan(), 5));
     let runs = [
         ("Paxos", "fault-free", paxos),
@@ -950,7 +950,7 @@ pub fn f28_store() -> Report {
 
     Report::new(
         json!({
-            "blocked_states": debug_all(&two_phase::participant_states(&blocked)),
+            "blocked_states": debug_all(&paxos_commit::participant_states(&blocked)),
             "plain_2pc_messages": blocked.metrics().sent,
             "seed": seed,
             "target_txn": target.tid.to_string(),
@@ -1185,9 +1185,9 @@ mod tests {
     fn phases_never_go_backwards_within_a_round() {
         use std::collections::BTreeMap;
         let (lan, votes) = (NetConfig::lan, [true; 3]);
-        let two_pc_crashes = [
-            two_phase::CrashPoint::None,
-            two_phase::CrashPoint::AfterVotes,
+        let paxos_commit_crashes = [
+            paxos_commit::CrashPoint::None,
+            paxos_commit::CrashPoint::AfterVotes,
         ];
         let three_pc_crashes = [
             CrashPoint::None,
@@ -1199,11 +1199,12 @@ mod tests {
                 spans_of(paxos_sim(lan(), seed, 42)),
                 spans_of(paxos_leader_crash(seed)),
             ];
-            for cp in two_pc_crashes {
-                let two_pc = two_phase::build_with_crash(&votes, cp, lan(), seed);
-                runs.push(spans_of(two_pc));
-                let pc = paxos_commit::build_with_crash(&votes, 1, cp, lan(), seed);
-                runs.push(spans_of(pc));
+            // F = 0 is 2PC.
+            for f in [0, 1] {
+                for cp in paxos_commit_crashes {
+                    let pc = paxos_commit::build_with_crash(&votes, f, cp, lan(), seed);
+                    runs.push(spans_of(pc));
+                }
             }
             for cp in three_pc_crashes {
                 runs.push(spans_of(three_phase::build(&votes, cp, lan(), seed)));

@@ -1,4 +1,4 @@
-//! Messages and participant states shared by 2PC and 3PC.
+//! Participant states shared by 3PC and Paxos Commit, and 3PC's messages.
 
 use simnet::Payload;
 
@@ -25,7 +25,8 @@ impl TxnState {
     }
 }
 
-/// Wire messages of both commitment protocols.
+/// Wire messages of 3PC (Paxos Commit has its own,
+/// [`crate::paxos_commit::PcMsg`]).
 #[derive(Clone, Debug)]
 pub enum CommitMsg {
     /// Phase 1: coordinator asks for votes.
@@ -60,7 +61,7 @@ pub enum CommitMsg {
         /// Transaction id.
         txn: u64,
     },
-    /// Cooperative termination / recovery: "what state are you in?".
+    /// Termination protocol: "what state are you in?".
     StateRequest {
         /// Transaction id.
         txn: u64,

@@ -29,7 +29,7 @@
 //! | [`consensus_core`] | taxonomy, ballots, quorum systems, C&C framework, and the SMR shell (`SmrOp`, `DedupKvMachine`, `Session` + `Client`, `Batcher`, `Cluster<P>`) under all nine SMR protocols |
 //! | [`paxos`] | single-decree, Multi-, Fast, and Flexible Paxos |
 //! | [`raft`] | Raft |
-//! | [`atomic_commit`] | 2PC and fault-tolerant 3PC |
+//! | [`atomic_commit`] | Paxos Commit (2PC at `F = 0`) and fault-tolerant 3PC |
 //! | [`agreement`] | interactive consistency, OM(m), FLP, Ben-Or |
 //! | [`bft`] | PBFT, Zyzzyva, HotStuff, MinBFT, CheapBFT, XFT, SeeMoRe — each a `Cluster<P>` — their reply-voting client, and the UpRight model |
 //! | [`blockchain`] | PoW, PoS, permissioned chains |

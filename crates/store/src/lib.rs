@@ -28,10 +28,10 @@
 //!   linearizable read path (leader leases / read index) ([`geo`]).
 //!
 //! The punchline mirrors the tutorial's commitment story one layer up:
-//! unreplicated 2PC (`atomic_commit::two_phase`) **blocks forever** when
-//! its coordinator dies after collecting votes, while this store's
-//! coordinator state is replicated log entries — the same crash only delays
-//! the transaction until recovery re-derives the outcome from the logs.
+//! unreplicated 2PC (`atomic_commit::paxos_commit` at `F = 0`) **blocks
+//! forever** when its coordinator dies after collecting votes, while this
+//! store's coordinator state is replicated log entries — the same crash only
+//! delays the transaction until recovery re-derives the outcome from the logs.
 
 pub mod config;
 pub mod engine;

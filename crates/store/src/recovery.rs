@@ -9,7 +9,7 @@
 //! that is still open, and commits iff every register resolved prepared.
 //! Under raw 2PC there is nothing to force: a transaction whose decision
 //! record never became durable stalls forever. Unreplicated 2PC blocks in
-//! this exact scenario — `atomic_commit::two_phase` with
+//! this exact scenario — `atomic_commit::paxos_commit` at `F = 0` with
 //! `CrashPoint::AfterVotes` demonstrates the contrast.
 
 use consensus_core::smr::{KvCommand, KvResponse};

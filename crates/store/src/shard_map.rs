@@ -127,7 +127,9 @@ impl ShardMap {
     }
 
     /// Parses [`ShardMap::serialize`] output. Returns `None` on malformed
-    /// input or a map that does not cover the whole ring.
+    /// input, a map that does not cover the whole ring, or one whose group
+    /// ids are not exactly `0..n_groups()` (the store indexes its shards by
+    /// them).
     pub fn deserialize(s: &str) -> Option<ShardMap> {
         let (ranges, placement_part) = match s.split_once('|') {
             Some((r, p)) => (r, Some(p)),
@@ -142,7 +144,7 @@ impl ShardMap {
         }
         let covers = bounds.last() == Some(&u64::MAX);
         let sorted = bounds.windows(2).all(|w| w[0] < w[1]);
-        if !(covers && sorted && !bounds.is_empty()) {
+        if !(covers && sorted) {
             return None;
         }
         let mut map = ShardMap {
@@ -150,13 +152,18 @@ impl ShardMap {
             groups,
             placement: None,
         };
+        // Every id below the count of distinct ids ⇔ the ids are 0..n_groups.
+        let n_groups = map.n_groups();
+        if map.groups.iter().any(|&g| g as usize >= n_groups) {
+            return None;
+        }
         if let Some(p) = placement_part {
             let rows: Option<Vec<Vec<u32>>> = p
                 .split(',')
                 .map(|row| row.split('.').map(|r| r.parse().ok()).collect())
                 .collect();
             let rows = rows?;
-            if rows.len() != map.n_groups() || rows.iter().any(Vec::is_empty) {
+            if rows.len() != n_groups || rows.iter().any(Vec::is_empty) {
                 return None;
             }
             map.placement = Some(rows);
@@ -196,6 +203,12 @@ mod tests {
         assert_eq!(ShardMap::deserialize("10:0,5:1"), None, "unsorted");
         assert_eq!(ShardMap::deserialize("10:0,20:1"), None, "uncovered ring");
         assert_eq!(ShardMap::deserialize("zz"), None);
+        // Group ids must be exactly 0..n_groups: the first map has one
+        // group, yet `group_of` would answer 7 for every key.
+        for sparse in ["ffffffffffffffff:7", "10:0,ffffffffffffffff:2"] {
+            assert_eq!(ShardMap::deserialize(sparse), None, "{sparse}");
+        }
+        assert!(ShardMap::deserialize("10:1,ffffffffffffffff:0").is_some());
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! End-to-end store tests: fault-free commits, determinism, router-crash
 //! recovery, and the headline blocking-2PC vs replicated-2PC contrast.
 
-use atomic_commit::two_phase;
-use atomic_commit::TxnState;
+use atomic_commit::{paxos_commit, TxnState};
 use consensus_core::txn::{self, TxnDecision};
 use consensus_core::Str;
 use nemesis::checker::check_range_consistency;
@@ -150,16 +149,18 @@ fn raft_recovery_resolves_all_crash_points() {
 #[test]
 fn unreplicated_two_pc_blocks_where_the_store_recovers() {
     // The same fault — the 2PC coordinator dies after collecting votes —
-    // in both worlds. Plain 2PC: participants stay blocked forever.
-    let mut blocked = two_phase::build_with_crash(
+    // in both worlds. Plain 2PC (Paxos Commit at F = 0): participants stay
+    // blocked forever.
+    let mut blocked = paxos_commit::build_with_crash(
         &[true, true, true],
-        two_phase::CrashPoint::AfterVotes,
+        0,
+        paxos_commit::CrashPoint::AfterVotes,
         NetConfig::lan(),
         5,
     );
     blocked.run_until(Time::from_secs(5));
     assert!(
-        two_phase::participant_states(&blocked)
+        paxos_commit::participant_states(&blocked)
             .iter()
             .all(|s| *s == TxnState::Ready),
         "plain 2PC participants must block in Ready"

@@ -13,7 +13,7 @@ use forty::agreement::flp::{run_voting, Scheduler};
 use forty::agreement::oral_messages::{om, ConsistentLiar, ParitySplit, ATTACK};
 use forty::agreement::interactive_consistency;
 use forty::atomic_commit::three_phase::{self, CrashPoint};
-use forty::atomic_commit::{paxos_commit, two_phase};
+use forty::atomic_commit::paxos_commit;
 use forty::paxos::livelock::run_duel;
 use forty::paxos::{PaxosNode, RetryPolicy};
 use forty::simnet::{DropAll, NetConfig, Node, NodeId, Sim, SpanKind, Time, TraceEvent};
@@ -91,7 +91,7 @@ fn main() {
     let three_pc = |cp| three_phase::build(&votes, cp, lan(), 5);
     for (name, seen) in [
         ("Paxos", phases(sim)),
-        ("2PC", phases(two_phase::build(&votes, lan(), 5))),
+        ("2PC (Paxos Commit F=0)", phases(paxos_commit::build(&votes, 0, lan(), 5))),
         ("3PC", phases(three_pc(CrashPoint::None))),
         ("3PC, coordinator crash", phases(three_pc(CrashPoint::AfterVotes))),
         ("Paxos Commit F=1", phases(paxos_commit::build(&votes, 1, lan(), 5))),

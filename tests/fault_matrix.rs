@@ -9,8 +9,7 @@
 
 use forty::agreement::flp::{run_voting, Scheduler};
 use forty::atomic_commit::three_phase::{self, CrashPoint};
-use forty::atomic_commit::two_phase;
-use forty::atomic_commit::TxnState;
+use forty::atomic_commit::{paxos_commit, TxnState};
 use forty::bft::pbft::PbftCluster;
 use forty::bft::xft::is_anarchy;
 use forty::consensus_core::{ClusterDriver, QuorumSpec};
@@ -108,27 +107,19 @@ fn pbft_stalls_beyond_its_byzantine_bound() {
 fn two_pc_blocks_where_three_pc_terminates() {
     // Same fault (coordinator dies after unanimous yes votes), two
     // protocols, opposite outcomes — the tutorial's core commitment story.
+    // 2PC is Paxos Commit at F = 0; its participants are nodes 1–3.
     let votes = [true, true, true];
-    let mut blocked = two_phase::build_with_crash(
+    let mut blocked = paxos_commit::build_with_crash(
         &votes,
-        two_phase::CrashPoint::AfterVotes,
+        0,
+        paxos_commit::CrashPoint::AfterVotes,
         NetConfig::lan(),
         6,
     );
     blocked.run_until(Time::from_secs(2));
-    assert!(two_phase::participant_states(&blocked)
-        .iter()
-        .all(|s| *s == TxnState::Ready));
-    let states: Vec<(u32, TxnState)> = blocked
-        .nodes()
-        .map(|(id, p)| {
-            let s = match p {
-                two_phase::TwoPcProc::Coordinator(c) => c.state,
-                two_phase::TwoPcProc::Participant(p) => p.state,
-            };
-            (id.0, s)
-        })
-        .collect();
+    let participants = paxos_commit::participant_states(&blocked);
+    assert!(participants.iter().all(|s| *s == TxnState::Ready));
+    let states: Vec<(u32, TxnState)> = (1..).zip(participants).collect();
     assert_eq!(check_atomic_commit(&votes, &states), []);
 
     let mut free = three_phase::build(&votes, CrashPoint::AfterVotes, NetConfig::lan(), 6);
