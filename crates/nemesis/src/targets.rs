@@ -70,10 +70,10 @@ use std::collections::BTreeSet;
 use agreement::ben_or::BenOrNode;
 use atomic_commit::three_phase::{self, CrashPoint};
 use atomic_commit::TxnState;
-use bft::pbft::{Pbft, PbftMsg};
+use bft::pbft::{Pbft, PbftMsg, PbftWire};
 use bft::sim_crypto::digest_of;
 use consensus_core::{
-    BatchConfig, ClientRecord, Cluster, ClusterDriver, Command, DriverConfig, KvCommand,
+    BatchConfig, ClientRecord, Cluster, ClusterDriver, Command, DriverConfig, Envelope, KvCommand,
     QuorumSpec, SmrProtocol,
 };
 use paxos::multi::{MultiPaxos, MultiPaxosCluster};
@@ -259,7 +259,7 @@ struct SmrTarget<P: SmrProtocol> {
     batch: BatchConfig,
     /// Set for protocols that claim to survive `f = 1` Byzantine replica.
     /// Crash-fault protocols have `None` and never see a Byzantine window.
-    lie: Option<Lie<P::Msg>>,
+    lie: Option<Lie<Envelope<P::Peer>>>,
 }
 
 /// `nodes` replicas in the protocol's default shape (majority quorums).
@@ -268,7 +268,7 @@ fn smr<P: SmrProtocol>(
     nodes: usize,
     cmds: usize,
     batch: BatchConfig,
-    lie: Option<Lie<P::Msg>>,
+    lie: Option<Lie<Envelope<P::Peer>>>,
 ) -> Box<dyn Target>
 where
     P::Shape: From<usize>,
@@ -341,7 +341,7 @@ where
 /// place of the node's real `PrePrepare`/`Prepare`; even destinations hear
 /// the truth. Splitting the backups this way is the classic attempt to get
 /// two quorums to prepare different requests at the same sequence number.
-fn equivocation_filter() -> Box<dyn Filter<PbftMsg>> {
+fn equivocation_filter() -> Box<dyn Filter<PbftWire>> {
     // The forged request names the Byzantine node *itself* as the client.
     // Real PBFT authenticates client requests, so a lying primary cannot
     // impersonate an honest client — but it can always submit a request of
@@ -362,24 +362,25 @@ fn equivocation_filter() -> Box<dyn Filter<PbftMsg>> {
         },
     }];
     Box::new(FnFilter(
-        move |_from, to: NodeId, msg: &PbftMsg, _rng: &mut ChaCha20Rng| {
+        move |_from, to: NodeId, msg: &PbftWire, _rng: &mut ChaCha20Rng| {
             if to.0.is_multiple_of(2) {
                 return FilterAction::Deliver;
             }
-            match msg {
-                PbftMsg::PrePrepare { view, n, .. } => FilterAction::Replace(PbftMsg::PrePrepare {
+            let lie = match msg {
+                Envelope::Peer(PbftMsg::PrePrepare { view, n, .. }) => PbftMsg::PrePrepare {
                     view: *view,
                     n: *n,
                     digest: digest_of(&forged),
                     cmds: forged.clone(),
-                }),
-                PbftMsg::Prepare { view, n, .. } => FilterAction::Replace(PbftMsg::Prepare {
+                },
+                Envelope::Peer(PbftMsg::Prepare { view, n, .. }) => PbftMsg::Prepare {
                     view: *view,
                     n: *n,
                     digest: digest_of(&forged),
-                }),
-                _ => FilterAction::Deliver,
-            }
+                },
+                _ => return FilterAction::Deliver,
+            };
+            FilterAction::Replace(lie.into())
         },
     ))
 }

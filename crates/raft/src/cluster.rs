@@ -13,7 +13,7 @@ pub struct Raft;
 impl SmrProtocol for Raft {
     const NAME: &'static str = "raft";
     type Shape = usize;
-    type Msg = RaftMsg;
+    type Peer = RaftMsg;
     type Replica = Replica;
     type Client = Client<RaftMsg>;
 
@@ -118,7 +118,7 @@ impl LogMatching for RaftCluster {
 mod tests {
     use super::*;
     use consensus_core::driver::{ClusterDriver, DriverConfig};
-    use consensus_core::{StateMachine as _, WorkloadMode};
+    use consensus_core::{ClientMsg, Envelope, StateMachine as _, Str, WorkloadMode};
     use simnet::{NetConfig, Time};
 
     #[test]
@@ -543,8 +543,13 @@ mod tests {
         assert_eq!(r.storage_stats().expect("durable engine").recoveries, 1);
     }
 
+    /// A fast read of `key` by `client`, numbered `seq`.
+    fn read(client: u32, seq: u64, key: Str) -> Envelope<RaftMsg> {
+        Envelope::Client(ClientMsg::Read { client, seq, key })
+    }
+
     /// One `(key, value)` pair from the most-applied replica's KV state.
-    fn applied_sample(cluster: &RaftCluster) -> (consensus_core::Str, consensus_core::Str) {
+    fn applied_sample(cluster: &RaftCluster) -> (Str, Str) {
         let r = cluster
             .replicas()
             .max_by_key(|r| r.last_applied())
@@ -564,26 +569,12 @@ mod tests {
         let client = NodeId::from(3usize); // the workload client doubles as reader
         let follower = (0..3).map(NodeId::from).find(|&id| id != leader).unwrap();
         let now = cluster.sim.now();
-        cluster.sim.inject(
-            client,
-            follower,
-            crate::msg::RaftMsg::ReadReq {
-                client: 3,
-                seq: 1,
-                key: key.clone(),
-            },
-            Time(now.0 + 10),
-        );
-        cluster.sim.inject(
-            client,
-            leader,
-            crate::msg::RaftMsg::ReadReq {
-                client: 3,
-                seq: 2,
-                key,
-            },
-            Time(now.0 + 20),
-        );
+        cluster
+            .sim
+            .inject(client, follower, read(3, 1, key.clone()), Time(now.0 + 10));
+        cluster
+            .sim
+            .inject(client, leader, read(3, 2, key), Time(now.0 + 20));
         cluster.sim.run_for(200_000);
         let Proc::Client(c) = cluster.sim.node(client) else {
             panic!("node 3 is the client")
@@ -625,16 +616,9 @@ mod tests {
         // longer confirm its leadership and must refuse the fast path.
         cluster.sim.run_for(300_000);
         let now = cluster.sim.now();
-        cluster.sim.inject(
-            client,
-            leader,
-            crate::msg::RaftMsg::ReadReq {
-                client: 5,
-                seq: 7,
-                key: "k0".into(),
-            },
-            Time(now.0 + 10),
-        );
+        cluster
+            .sim
+            .inject(client, leader, read(5, 7, "k0".into()), Time(now.0 + 10));
         cluster.sim.run_for(100_000);
         let Proc::Client(c) = cluster.sim.node(client) else {
             panic!("node 5 is the client")
@@ -662,16 +646,9 @@ mod tests {
             if with_reads {
                 let now = cluster.sim.now();
                 for (i, target) in (0..3).map(NodeId::from).enumerate() {
-                    cluster.sim.inject(
-                        NodeId::from(3usize),
-                        target,
-                        crate::msg::RaftMsg::ReadReq {
-                            client: 3,
-                            seq: 100 + i as u64,
-                            key: "k1".into(),
-                        },
-                        Time(now.0 + 10 + i as u64),
-                    );
+                    let read = read(3, 100 + i as u64, "k1".into());
+                    let at = Time(now.0 + 10 + i as u64);
+                    cluster.sim.inject(NodeId::from(3usize), target, read, at);
                 }
             }
             assert!(cluster.run(Time::from_secs(30)));

@@ -162,6 +162,9 @@ pub(crate) fn vote_get(tid: TxnId, shard: usize) -> KvCommand {
     get(txn::vote_key(tid, shard))
 }
 
+/// Maximum shards a generated transaction spans.
+pub const MAX_SPAN: usize = 3;
+
 /// Store-wide configuration. Serialized (including the shard map) and
 /// re-parsed by every router, so all routers provably share one routing
 /// view.
@@ -186,8 +189,8 @@ pub(crate) fn vote_get(tid: TxnId, shard: usize) -> KvCommand {
 /// | [`txn_backend`](StoreConfig::txn_backend) | — | Per-transaction backend override `(router, txn_number, backend)`. |
 /// | [`geo`](StoreConfig::geo) | off | WAN regions, shard placement, and the fast geo read path. |
 ///
-/// `max_span` (default 3) has no builder: set the field directly. The
-/// master `seed` is [`StoreConfig::new`]'s argument.
+/// A generated transaction spans at most [`MAX_SPAN`] shards. The master
+/// `seed` is [`StoreConfig::new`]'s argument.
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
     /// Number of shards = consensus groups.
@@ -203,8 +206,6 @@ pub struct StoreConfig {
     /// Range scans each router issues (after its txns/singles, so the
     /// default of 0 leaves historical workloads bit-identical).
     pub ranges_per_router: usize,
-    /// Maximum shards a generated transaction spans.
-    pub max_span: usize,
     /// Data keys per shard in the workload pool.
     pub keys_per_shard: usize,
     /// Batching/pipelining knob forwarded to every shard group.
@@ -245,7 +246,6 @@ impl StoreConfig {
             txns_per_router: 3,
             singles_per_router: 2,
             ranges_per_router: 0,
-            max_span: 3,
             keys_per_shard: 4,
             batch: BatchConfig::unbatched(),
             net: NetConfig::lan(),

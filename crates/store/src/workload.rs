@@ -5,7 +5,7 @@ use consensus_core::smr::{KvCommand, Str};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha20Rng;
 
-use crate::config::{CommitBackend, StoreConfig};
+use crate::config::{CommitBackend, StoreConfig, MAX_SPAN};
 use crate::shard_map::ShardMap;
 
 /// One generated workload item.
@@ -61,7 +61,7 @@ pub(crate) fn generate_items(
     let mut singles = 0;
     for i in 0..rounds {
         if txns < cfg.txns_per_router {
-            let span = 1 + rng.gen_range(0..cfg.max_span.min(cfg.n_shards).max(1));
+            let span = 1 + rng.gen_range(0..MAX_SPAN.min(cfg.n_shards).max(1));
             let span = span.min(cfg.n_shards);
             let mut shards: Vec<usize> = (0..cfg.n_shards).collect();
             // Deterministic partial shuffle.
