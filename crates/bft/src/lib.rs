@@ -29,8 +29,9 @@
 //! * [`shell`] — what the seven share beyond `consensus_core`. Client half:
 //!   the reply-voting [`shell::VotingClient`] (accept at a quorum of
 //!   *matching* replies, escalate silence by broadcast) that PBFT, MinBFT,
-//!   CheapBFT, XFT and SeeMoRe parameterise through [`shell::VoteWire`], and
-//!   the vote counting HotStuff's windowed client reuses. Replica half:
+//!   CheapBFT, XFT and SeeMoRe build with their quorum, retry period and
+//!   (CheapBFT) alarm, and the vote counting HotStuff's windowed client
+//!   reuses; all of them speak `consensus_core`'s `ClientMsg`. Replica half:
 //!   [`shell::Executor`] (request admission, the execute step, the in-order
 //!   drain, history replay, and the `decided_log` record) and
 //!   [`shell::Voter`] (view, view-change votes, watchdog). A protocol module

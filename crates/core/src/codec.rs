@@ -2,6 +2,14 @@
 //! [`Reader`] cursor, and one `put_*` / `get_*` pair each for [`KvCommand`],
 //! [`Command`], [`SmrOp`], [`KvResponse`] and the [`DedupKvMachine`] body.
 //!
+//! The same `put_*` path prices every SMR message on the wire: a message
+//! costs [`ENVELOPE_BYTES`] plus the bytes these functions write for each
+//! command and op it carries, counted into a [`Count`] sink without
+//! allocating ([`wire_size`]). Replies and state transfers pay the envelope
+//! alone for now: priced by their bytes, a 1 KiB read reply at a saturated
+//! leader and a megabyte snapshot in one message push today's unbounded
+//! NIC queues into retry storms (ROADMAP 1b).
+//!
 //! The workspace builds with no registry access, so there is no serde
 //! derive: every byte is explicit. A log protocol's `durable` module wraps
 //! these in its own WAL records and snapshot header; what a command, a reply
@@ -16,24 +24,60 @@
 
 use crate::smr::{Command, DedupKvMachine, KvCommand, KvResponse, KvStore, SmrOp, Str};
 
+/// Where encoded bytes go: a buffer, or a [`Count`] that only sizes them.
+pub trait Sink {
+    /// Appends `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// A sink that keeps only the number of bytes written to it.
+#[derive(Debug, Default)]
+pub struct Count(pub usize);
+
+impl Sink for Count {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+/// What every SMR message pays on the wire besides what it carries: the
+/// header, sender and receiver, the protocol's ballot, term or view and
+/// sequence numbers, digests and authenticators. One value for all nine
+/// protocols.
+pub const ENVELOPE_BYTES: usize = 64;
+
+/// The wire size of a message whose payload `carried` writes:
+/// [`ENVELOPE_BYTES`] plus the bytes of each command and op.
+pub fn wire_size(carried: impl FnOnce(&mut Count)) -> usize {
+    let mut count = Count::default();
+    carried(&mut count);
+    ENVELOPE_BYTES + count.0
+}
+
 /// Appends a `u32` in little-endian order.
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+pub fn put_u32(buf: &mut impl Sink, v: u32) {
+    buf.put(&v.to_le_bytes());
 }
 
 /// Appends a `u64` in little-endian order.
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+pub fn put_u64(buf: &mut impl Sink, v: u64) {
+    buf.put(&v.to_le_bytes());
 }
 
 /// Appends a length-prefixed byte string (`u32` length + bytes).
-pub fn put_bytes(buf: &mut Vec<u8>, v: &[u8]) {
+pub fn put_bytes(buf: &mut impl Sink, v: &[u8]) {
     put_u32(buf, v.len() as u32);
-    buf.extend_from_slice(v);
+    buf.put(v);
 }
 
 /// Appends a length-prefixed UTF-8 string.
-pub fn put_str(buf: &mut Vec<u8>, v: &str) {
+pub fn put_str(buf: &mut impl Sink, v: &str) {
     put_bytes(buf, v.as_bytes());
 }
 
@@ -106,7 +150,7 @@ const MIN_COMMAND_BYTES: usize = 16;
 const MIN_PAIR_BYTES: usize = 8;
 
 /// Appends a key-value command: a `u32` variant tag, then its fields.
-pub fn put_kv_command(buf: &mut Vec<u8>, op: &KvCommand) {
+pub fn put_kv_command(buf: &mut impl Sink, op: &KvCommand) {
     match op {
         KvCommand::Put { key, value } => {
             put_u32(buf, 0);
@@ -160,7 +204,7 @@ pub fn get_kv_command(r: &mut Reader) -> Option<KvCommand> {
 }
 
 /// Appends a client command: client id, sequence number, operation.
-pub fn put_command(buf: &mut Vec<u8>, cmd: &Command<KvCommand>) {
+pub fn put_command(buf: &mut impl Sink, cmd: &Command<KvCommand>) {
     put_u32(buf, cmd.client);
     put_u64(buf, cmd.seq);
     put_kv_command(buf, &cmd.op);
@@ -175,7 +219,7 @@ pub fn get_command(r: &mut Reader) -> Option<Command<KvCommand>> {
 }
 
 /// Appends a log-slot op: no-op, one command, or a counted batch.
-pub fn put_op(buf: &mut Vec<u8>, op: &SmrOp) {
+pub fn put_op(buf: &mut impl Sink, op: &SmrOp) {
     match op {
         SmrOp::Noop => put_u32(buf, 0),
         SmrOp::Cmd(cmd) => {
@@ -210,7 +254,7 @@ pub fn get_op(r: &mut Reader) -> Option<SmrOp> {
 }
 
 /// Appends a state-machine reply.
-pub fn put_response(buf: &mut Vec<u8>, out: &KvResponse) {
+pub fn put_response(buf: &mut impl Sink, out: &KvResponse) {
     match out {
         KvResponse::Ok => put_u32(buf, 0),
         KvResponse::Value(None) => put_u32(buf, 1),
@@ -244,7 +288,7 @@ pub fn get_response(r: &mut Reader) -> Option<KvResponse> {
 }
 
 /// A `u32` count, then that many `(key, value)` string pairs.
-fn put_pairs<'a>(buf: &mut Vec<u8>, n: usize, pairs: impl Iterator<Item = (&'a Str, &'a Str)>) {
+fn put_pairs<'a>(buf: &mut impl Sink, n: usize, pairs: impl Iterator<Item = (&'a Str, &'a Str)>) {
     put_u32(buf, n as u32);
     for (k, v) in pairs {
         put_str(buf, k);
@@ -264,7 +308,7 @@ fn get_pairs(r: &mut Reader) -> Option<Vec<(Str, Str)>> {
 /// Appends the body of a machine checkpoint: the KV applied-counter, the KV
 /// entries in key order, then the client table (`client`, `seq`, cached
 /// reply). A protocol's snapshot is its own header followed by this.
-pub fn put_machine(buf: &mut Vec<u8>, machine: &DedupKvMachine) {
+pub fn put_machine(buf: &mut impl Sink, machine: &DedupKvMachine) {
     put_u64(buf, machine.kv().applied());
     put_pairs(buf, machine.kv().len(), machine.kv().iter());
     put_u32(buf, machine.client_table().len() as u32);

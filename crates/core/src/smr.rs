@@ -98,30 +98,6 @@ pub enum KvCommand {
     },
 }
 
-impl KvCommand {
-    /// Payload bytes beyond the flat per-op wire estimate the protocols'
-    /// `size_bytes` models charge (48 bytes covers headers plus a small
-    /// key/value budget). Commands whose strings fit the budget — every
-    /// historical generated workload — report 0, keeping message sizes
-    /// bit-identical; padded large-value workloads (the bench's value-size
-    /// axis, [`crate::workload::KvMix::value_bytes`]) pay for their real
-    /// bytes on every hop that carries the command.
-    pub fn payload_excess(&self) -> usize {
-        let payload = match self {
-            KvCommand::Put { key, value } => key.len() + value.len(),
-            KvCommand::Get { key } | KvCommand::Delete { key } => key.len(),
-            KvCommand::Cas { key, expect, new } => key.len() + expect.len() + new.len(),
-            KvCommand::Range { start, end, .. } => start.len() + end.len(),
-        };
-        payload.saturating_sub(PAYLOAD_BUDGET)
-    }
-}
-
-/// Key/value bytes already covered by the flat 48-byte per-op estimate.
-/// Generated workload strings (`k12`, `v345`, intent keys) fit well within
-/// it; only deliberately padded values exceed it.
-const PAYLOAD_BUDGET: usize = 16;
-
 impl fmt::Display for KvCommand {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

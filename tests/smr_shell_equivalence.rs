@@ -33,6 +33,13 @@
 //! instances decided out of order, the watchdog re-armed while other requests
 //! are pending — recorded at d78aa45, before the replica half of each (request
 //! admission, in-order execution, view-change voting) moved into `bft::shell`.
+//!
+//! Every row that hashes bytes sent was re-recorded once, in the wire-size
+//! epoch, when messages came to be priced by one rule (an envelope plus the
+//! codec bytes of the commands and ops they carry,
+//! `consensus_core::codec::wire_size`); hashed without byte counts, each
+//! equals its earlier recording except the loaded-NIC row, whose timing the
+//! bytes drive.
 
 use forty::bft::cheapbft::{CheapBft, CheapCluster, Protocol};
 use forty::bft::hotstuff::{ClientWindow, HotStuff, HsCluster, HsConfig};
@@ -206,31 +213,31 @@ fn store_runs_are_bit_identical_to_the_pre_shell_commit() {
     assert_eq!(SEEDS.map(store_fingerprint::<RaftCluster>), STORE_RAFT);
 }
 
-// Recorded at the parent commit (c3467b2), seeds 3 and 11: unbatched ×2,
-// then batched ×2.
+// The wire-size epoch; seeds 3 and 11: unbatched ×2, then batched ×2.
 const PAXOS: [u64; 4] = [
-    6227608528637292267,
-    7889221283333341554,
-    2356703652189599819,
-    11802581843483606468,
+    10184614704748552583,
+    12548035212035345309,
+    23646109923626074,
+    8793756025766828228,
 ];
 const RAFT: [u64; 4] = [
-    15893798149942701564,
-    7044956324213430519,
-    4173961979720785174,
-    3585083761847203132,
+    17002649590385615491,
+    5123432958599759092,
+    16624956709659484373,
+    2485240614884188660,
 ];
 const PBFT: [u64; 4] = [
-    11046079406199242240,
-    5911648275169753677,
-    7725206949083403816,
-    9668082458443956368,
+    842354386186140293,
+    10134697323361102843,
+    1277358347951379506,
+    3513646930663583358,
 ];
+// The wire-size epoch.
+const PAXOS_LOADED_NIC: [u64; 2] = [8886903626215217766, 12791073068835564364];
+const PAXOS_CRASH: u64 = 14351967125280618953;
+const RAFT_CRASH: u64 = 17704906085539196203;
 // Recorded at 7711502, before the event queue, the proposal table and the
 // per-node simulator state changed shape.
-const PAXOS_LOADED_NIC: [u64; 2] = [17210024983022237609, 12686584460293277376];
-const PAXOS_CRASH: u64 = 13623694217501413311;
-const RAFT_CRASH: u64 = 11120947086349577556;
 const STORE_PAXOS: [u64; 2] = [6705092968428748827, 8249467345722595506];
 const STORE_RAFT: [u64; 2] = [11288678811017748299, 5479469973679516688];
 
@@ -631,16 +638,14 @@ fn durable_store_runs_match_the_pre_handle_commit() {
     assert_eq!(durable_store_row::<Raft>(), DURABLE_STORE[1]);
 }
 
-// Multi-Paxos then Raft. The Raft entries were recorded at bcb1844, with two
-// probe accessors (`engine`, `engine_mut`) patched onto each replica. The
-// Multi-Paxos entries were re-recorded in the `InstallState`-prune epoch,
-// when Multi-Paxos began rebuilding its index as Raft does
-// (`storage::Durable::rebuild_index`: one full scan, a delete per stale key,
-// then the upserts). The scan adds buffer-pool hits on the replica that
-// recovers or installs a peer's state (+4, +4, +2 across the three rows);
-// no other counter moves.
-const DURABLE_LEADER_RESTART: [u64; 2] = [4605429752786685514, 303630961433290270];
-const DURABLE_STATE_TRANSFER: [u64; 2] = [6354725764404676506, 15188570215261920073];
+// Multi-Paxos then Raft. The two cluster rows: the wire-size epoch.
+const DURABLE_LEADER_RESTART: [u64; 2] = [10473023533922034316, 1027232216742984401];
+const DURABLE_STATE_TRANSFER: [u64; 2] = [3899931310322530583, 129320340987489251];
+// The store row: Raft recorded at bcb1844, with two probe accessors
+// (`engine`, `engine_mut`) patched onto each replica; Multi-Paxos re-recorded
+// in the `InstallState`-prune epoch, when it began rebuilding its index as
+// Raft does (`storage::Durable::rebuild_index`), which adds buffer-pool hits
+// on the replica that recovers.
 const DURABLE_STORE: [u64; 2] = [12410634604824050775, 12659693488071406292];
 
 // ---- the six BFT protocols ------------------------------------------------
@@ -764,28 +769,26 @@ fn hotstuff_runs_are_bit_identical_to_the_pre_shell_commit() {
     assert_eq!(bft_fingerprint(&mut c), HOTSTUFF_FOLLOWER_CRASH);
 }
 
-// Recorded at the parent commit (14b98a2) through its `MinCluster`,
-// `CheapCluster`, `XftCluster`, `SmCluster`, `ZyzCluster` and `HsCluster`
-// structs: fault-free seeds 3 and 11 (SeeMoRe: mode 1 ×2, mode 2, mode 3),
-// then the faulted run.
-const MINBFT: [u64; 2] = [6450686441595572534, 8648420573318878212];
-const MINBFT_PRIMARY_CRASH: u64 = 8194679454399035488;
-const CHEAPBFT: [u64; 2] = [8072534484268492587, 3905578503002983233];
-const CHEAPBFT_ACTIVE_CRASH: u64 = 13827861117942440587;
-const XFT: [u64; 2] = [9381033767962496262, 11592708336159364853];
-const XFT_PRIMARY_CRASH: u64 = 5977028364248751804;
+// The wire-size epoch: fault-free seeds 3 and 11 (SeeMoRe: mode 1 ×2, mode 2,
+// mode 3), then the faulted run.
+const MINBFT: [u64; 2] = [14789556597993335101, 7134300193076631734];
+const MINBFT_PRIMARY_CRASH: u64 = 11430012711007023873;
+const CHEAPBFT: [u64; 2] = [15705465354213198629, 4282813338050848399];
+const CHEAPBFT_ACTIVE_CRASH: u64 = 14643019398772969077;
+const XFT: [u64; 2] = [1318638543131400588, 10587192060061097973];
+const XFT_PRIMARY_CRASH: u64 = 15996985764630642141;
 const SEEMORE: [u64; 4] = [
-    17361397773961994718,
-    12378801892068985603,
-    1212677813086060933,
-    11845416409176330910,
+    5334855402385851314,
+    7424011466120372134,
+    4307860975241958497,
+    16586304466518668779,
 ];
-const SEEMORE_FAULTED: u64 = 14154465284525968917;
-const ZYZZYVA: [u64; 2] = [13380404556965488691, 17459630557714406066];
-const ZYZZYVA_BACKUP_CRASH: u64 = 18119961797937107811;
-const HOTSTUFF: [u64; 2] = [15366296371999945091, 10606750106032775182];
-const HOTSTUFF_PIPELINED: u64 = 15348452969657559956;
-const HOTSTUFF_FOLLOWER_CRASH: u64 = 1609866020959986535;
+const SEEMORE_FAULTED: u64 = 14465564160689055053;
+const ZYZZYVA: [u64; 2] = [8342521399524878005, 7666287468893005437];
+const ZYZZYVA_BACKUP_CRASH: u64 = 8389024006514821613;
+const HOTSTUFF: [u64; 2] = [16824540807495141884, 7576771298614034638];
+const HOTSTUFF_PIPELINED: u64 = 11466185294453800158;
+const HOTSTUFF_FOLLOWER_CRASH: u64 = 8183852292902242898;
 
 // ---- the seven BFT protocols under concurrent clients ----------------------
 
@@ -934,27 +937,25 @@ fn bft_hotstuff_concurrent_clients_match_the_pre_replica_shell_commit() {
     assert_eq!(multi_client_hash(&mut c), HOTSTUFF_3C_FOLLOWER_CRASH);
 }
 
-// Recorded at d78aa45, before request admission, in-order execution and
-// view-change voting moved from the seven replica files into `bft::shell`:
-// fault-free seeds 3 and 11 (SeeMoRe: mode 1 ×2, mode 2 ×2; HotStuff:
-// rotating ×2, pipelined window 4 ×2; MinBFT also seed 99), then each
-// protocol's faulted run.
-const PBFT_3C: [u64; 2] = [1660682959666289433, 15582382309202862624];
-const PBFT_3C_PRIMARY_CRASH: u64 = 754532407518168737;
-const MINBFT_3C: [u64; 2] = [5547144152632482447, 6493016122038228315];
-const MINBFT_3C_DIVERGED: u64 = 10189891669126479889;
-const MINBFT_3C_PRIMARY_CRASH: u64 = 16418187375699861516;
-const CHEAPBFT_3C: [u64; 2] = [13560639613622667442, 1227858235925379545];
-const CHEAPBFT_3C_ACTIVE_CRASH: u64 = 3858559612390492521;
-const XFT_3C: [u64; 2] = [780598099380705829, 1681668783780251338];
-const XFT_3C_PRIMARY_CRASH: u64 = 11882789604341716993;
+// The wire-size epoch: fault-free seeds 3 and 11 (SeeMoRe: mode 1 ×2, mode 2
+// ×2; HotStuff: rotating ×2, pipelined window 4 ×2; MinBFT also seed 99),
+// then each protocol's faulted run.
+const PBFT_3C: [u64; 2] = [4233481775162279834, 59524483919836268];
+const PBFT_3C_PRIMARY_CRASH: u64 = 12086630340558223537;
+const MINBFT_3C: [u64; 2] = [16737522395652942214, 3995693811886815526];
+const MINBFT_3C_DIVERGED: u64 = 11812978578993891858;
+const MINBFT_3C_PRIMARY_CRASH: u64 = 828796878129813515;
+const CHEAPBFT_3C: [u64; 2] = [9192220362605410661, 16498900997226274900];
+const CHEAPBFT_3C_ACTIVE_CRASH: u64 = 1009964971800431957;
+const XFT_3C: [u64; 2] = [13992062202593079909, 16417805348194705924];
+const XFT_3C_PRIMARY_CRASH: u64 = 14949570165478998137;
 const SEEMORE_3C: [[u64; 2]; 2] = [
-    [2931190665014159060, 17961475316919674649],
-    [16115454913820376284, 14174495914536745908],
+    [10154712099381304636, 7450740240243497073],
+    [17162980132110712109, 699852108307336369],
 ];
-const SEEMORE_3C_FAULTED: u64 = 12675083603448490854;
-const ZYZZYVA_3C: [u64; 2] = [6437268963164865109, 152528329586697057];
-const ZYZZYVA_3C_BACKUP_CRASH: u64 = 4067084742270767638;
-const HOTSTUFF_3C: [u64; 2] = [13125206355639381205, 14680097072295993231];
-const HOTSTUFF_3C_PIPELINED: [u64; 2] = [15383659743462085105, 16833146707247495938];
-const HOTSTUFF_3C_FOLLOWER_CRASH: u64 = 13706932433434386251;
+const SEEMORE_3C_FAULTED: u64 = 2602933846398364048;
+const ZYZZYVA_3C: [u64; 2] = [2580249310998319721, 10048311241871532986];
+const ZYZZYVA_3C_BACKUP_CRASH: u64 = 15243853703065002;
+const HOTSTUFF_3C: [u64; 2] = [7917309638649959257, 3569365355535753215];
+const HOTSTUFF_3C_PIPELINED: [u64; 2] = [14580062453679155417, 8301499945950113068];
+const HOTSTUFF_3C_FOLLOWER_CRASH: u64 = 17639854511449682197;
