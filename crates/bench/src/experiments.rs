@@ -15,7 +15,7 @@ use atomic_commit::paxos_commit;
 use atomic_commit::three_phase::{self, CrashPoint};
 
 use bft::cheapbft::CheapCluster;
-use bft::hotstuff::{ClientWindow, HsCluster, HsConfig};
+use bft::hotstuff::{HsCluster, HsConfig};
 use bft::minbft::MinCluster;
 use bft::pbft::{PbftCluster, CHECKPOINT_INTERVAL};
 use bft::seemore::{Mode, SeeMoReConfig, SmCluster};
@@ -531,11 +531,11 @@ pub fn f12_pbft_viewchange() -> Report {
 pub fn f13_zyzzyva() -> Report {
     let mut fast = ZyzCluster::new(4, 1, 10, fixed_net(500), 6);
     assert!(fast.run(Time::from_secs(30)));
-    let fast_path: usize = fast.clients().map(|c| c.fast_path).sum();
+    let fast_path: usize = fast.clients().map(|c| c.accept.fast_path).sum();
     let mut slow = ZyzCluster::new(4, 1, 10, fixed_net(500), 6);
     slow.sim.crash_at(NodeId(3), Time::ZERO);
     assert!(slow.run(Time::from_secs(30)));
-    let cert_path: usize = slow.clients().map(|c| c.cert_path).sum();
+    let cert_path: usize = slow.clients().map(|c| c.accept.cert_path).sum();
     Report::new(
         json!({"fast_path": fast_path, "cert_path": cert_path,
                "fast_latency_us": fast.latencies().min(),
@@ -560,8 +560,9 @@ pub fn f14_hotstuff() -> Report {
             n_replicas: 4,
             rotate: false,
             pipeline,
+            window: 4,
         };
-        let mut c = HsCluster::new(cfg, 1, 40, NetConfig::lan(), 7).with_client_window(4);
+        let mut c = HsCluster::new(cfg, 1, 40, NetConfig::lan(), 7);
         assert!(c.run(Time::from_secs(60)));
         c.sim.now().as_micros()
     };

@@ -278,10 +278,12 @@ fn pbft_page() -> FigurePage {
 }
 
 fn hotstuff_page() -> FigurePage {
-    use bft::hotstuff::{ClientWindow, HsCluster, HsConfig};
-    let cluster = traced(
-        HsCluster::new(HsConfig::pipelined(4), 1, 3, NetConfig::lan(), 42).with_client_window(2),
-    );
+    use bft::hotstuff::{HsCluster, HsConfig};
+    let cfg = HsConfig {
+        window: 2,
+        ..HsConfig::pipelined(4)
+    };
+    let cluster = traced(HsCluster::new(cfg, 1, 3, NetConfig::lan(), 42));
     compose(
         "hotstuff",
         "HotStuff",

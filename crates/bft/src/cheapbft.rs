@@ -20,16 +20,16 @@ use std::collections::{BTreeMap, BTreeSet};
 use consensus_core::codec::{put_command, wire_size};
 use consensus_core::driver::{BatchConfig, DecidedEntry};
 use consensus_core::{
-    ClientMsg, Cluster, Command, DedupKvMachine, Envelope, KvCommand, Session, SmrProtocol,
+    Client, ClientMsg, Cluster, Command, DedupKvMachine, Envelope, KvCommand, Quorum, Session,
+    Silence, SmrProtocol, Target,
 };
-use simnet::{CncPhase, Context, Node, NodeId, Timer};
+use simnet::{CncPhase, Context, LiveTimer, Node, NodeId, Timer};
 
 /// Span protocol label; instances are sequence numbers.
 const SPAN: &str = "cheapbft";
 
 use crate::shell::{
-    decided_commands, peers, replica_ids, take_ready, Admission, Executor, VotingClient, Watchdog,
-    VIEW_TIMER,
+    decided_commands, peers, replica_ids, take_ready, watch, Admission, Executor, VIEW_TIMER,
 };
 use crate::sim_crypto::{digest_of, Usig, UsigCert, UsigVerifier};
 
@@ -141,7 +141,7 @@ pub struct CheapReplica {
     pub exec: Executor,
     /// Watches relayed requests; it is never disarmed, and firing with one
     /// still unexecuted raises `Panic`.
-    progress: Watchdog,
+    progress: LiveTimer,
     /// Whether this replica already panicked.
     panicked: bool,
 }
@@ -159,7 +159,7 @@ impl CheapReplica {
             verifier: UsigVerifier::new(),
             instances: BTreeMap::new(),
             exec: Executor::default(),
-            progress: Watchdog::default(),
+            progress: LiveTimer::default(),
             panicked: false,
         }
     }
@@ -192,7 +192,7 @@ impl CheapReplica {
         let ordered = ordered.filter_map(|i| i.cmd.as_ref());
         match self.exec.admit(ctx, &cmd, PRIMARY, ordered) {
             Admission::Handled => {}
-            Admission::Relayed => self.progress.arm(ctx, 60_000),
+            Admission::Relayed => watch(&mut self.progress, ctx, 60_000),
             Admission::Order => {
                 self.next_seq += 1;
                 let n = self.next_seq;
@@ -361,7 +361,7 @@ impl SmrProtocol for CheapBft {
     type Shape = usize;
     type Peer = CheapMsg;
     type Replica = CheapReplica;
-    type Client = VotingClient<CheapMsg>;
+    type Accept = Quorum;
 
     /// One request per sequence number: `batch` is ignored.
     fn replica(n_replicas: usize, _batch: BatchConfig) -> CheapReplica {
@@ -371,9 +371,10 @@ impl SmrProtocol for CheapBft {
     /// The client accepts an output at `f+1` matching replies. It is also
     /// CheapBFT's fault detector: a missing reply raises `Panic` at all
     /// replicas.
-    fn client(n_replicas: usize, session: Session) -> VotingClient<CheapMsg> {
-        VotingClient::new(session, n_replicas, (n_replicas - 1) / 2 + 1, 150_000)
-            .with_alarm(CheapMsg::Panic)
+    fn client(n: usize, session: Session) -> Client<CheapMsg> {
+        let quorum = Quorum::of((n - 1) / 2 + 1);
+        let silence = Silence::Broadcast(150_000, Some(CheapMsg::Panic));
+        Client::new(session, n, Target::Primary(NodeId(0)), silence, quorum)
     }
 
     fn is_leader(_replica: &CheapReplica, id: NodeId) -> bool {

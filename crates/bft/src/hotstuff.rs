@@ -16,24 +16,23 @@
 //!   after a single attempt to commit a command").
 //! * **Pipelining**: with [`HsConfig::pipeline`] the leader launches
 //!   instance `n+1` as soon as instance `n`'s prepare-QC forms, so four
-//!   commands occupy the four phases simultaneously (the pipeline figure).
+//!   commands occupy the four phases simultaneously (the pipeline figure);
+//!   [`HsConfig::window`] lets each client keep that many in flight.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use consensus_core::codec::{put_command, wire_size};
 use consensus_core::driver::{BatchConfig, DecidedEntry};
 use consensus_core::{
-    ClientMsg, Cluster, ClusterShape, Command, DedupKvMachine, Envelope, KvCommand, Proc, Session,
-    SmrProtocol, WorkloadClient,
+    Client, ClientMsg, Cluster, ClusterShape, Command, DedupKvMachine, Envelope, KvCommand, Quorum,
+    Session, Silence, SmrProtocol, Target,
 };
-use simnet::{CncPhase, Context, Node, NodeId, Timer};
+use simnet::{CncPhase, Context, Node, NodeId};
 
 /// Span protocol label; instances are HotStuff view/instance numbers.
 const SPAN: &str = "hotstuff";
 
-use crate::shell::{
-    answer_cached, count_vote, decided_commands, replica_ids, take_ready, Executor, ReplyVotes,
-};
+use crate::shell::{answer_cached, decided_commands, replica_ids, take_ready, Executor};
 use crate::sim_crypto::{digest_of, Digest, QuorumCert};
 
 /// Protocol phase of one instance.
@@ -126,6 +125,9 @@ pub struct HsConfig {
     /// Pipeline: start instance `n+1` once instance `n`'s prepare QC forms
     /// (requires `rotate = false` in this implementation).
     pub pipeline: bool,
+    /// Commands each closed-loop client keeps in flight (pipelining needs
+    /// more than one to show gains).
+    pub window: usize,
 }
 
 impl HsConfig {
@@ -135,6 +137,7 @@ impl HsConfig {
             n_replicas,
             rotate: true,
             pipeline: false,
+            window: 1,
         }
     }
 
@@ -144,6 +147,7 @@ impl HsConfig {
             n_replicas,
             rotate: false,
             pipeline: true,
+            window: 1,
         }
     }
 }
@@ -441,72 +445,6 @@ impl Node for HsReplica {
     }
 }
 
-const CLIENT_RETRY: u64 = 1;
-
-/// A HotStuff client: broadcasts each request to every replica (the leader
-/// rotates, so there is no one to aim at), keeps up to `window` requests in
-/// flight so pipelining has something to overlap, and — decides carrying
-/// threshold QCs notwithstanding — conservatively waits for `f+1` replies
-/// like PBFT.
-pub struct HsClient {
-    /// The workload and its records.
-    pub session: Session,
-    n_replicas: usize,
-    f: usize,
-    votes: ReplyVotes,
-    window: usize,
-}
-
-impl HsClient {
-    fn fill_window(&mut self, ctx: &mut Context<Wire>) {
-        while self.session.outstanding().count() < self.window {
-            let Some(cmd) = self.session.issue(ctx.now()) else {
-                break;
-            };
-            let request = Envelope::request(cmd);
-            ctx.send_many(replica_ids(self.n_replicas), request);
-        }
-        ctx.set_timer(200_000, CLIENT_RETRY);
-    }
-}
-
-impl WorkloadClient for HsClient {
-    fn session(&self) -> &Session {
-        &self.session
-    }
-}
-
-impl Node for HsClient {
-    type Msg = Wire;
-
-    fn on_start(&mut self, ctx: &mut Context<Wire>) {
-        self.fill_window(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<Wire>, from: NodeId, msg: Wire) {
-        if let Envelope::Client(ClientMsg::Reply { seq, output }) = msg {
-            if !self.session.is_outstanding(seq) {
-                return;
-            }
-            if count_vote(&mut self.votes, seq, &output, from) >= self.f + 1 {
-                self.votes.remove(&seq);
-                self.session.complete(seq, output, ctx.now());
-                self.fill_window(ctx);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<Wire>, timer: Timer) {
-        if timer.kind == CLIENT_RETRY && self.session.has_outstanding() {
-            for cmd in self.session.outstanding() {
-                let request = Envelope::request(cmd.clone());
-                ctx.send_many(replica_ids(self.n_replicas), request);
-            }
-            ctx.set_timer(200_000, CLIENT_RETRY);
-        }
-    }
-}
-
 /// HotStuff as a log protocol of the SMR shell.
 pub struct HotStuff;
 
@@ -515,21 +453,21 @@ impl SmrProtocol for HotStuff {
     type Shape = HsConfig;
     type Peer = HsMsg;
     type Replica = HsReplica;
-    type Client = HsClient;
+    type Accept = Quorum;
 
     /// One command per instance: `batch` is ignored.
     fn replica(cfg: HsConfig, _batch: BatchConfig) -> HsReplica {
         HsReplica::new(cfg)
     }
 
-    fn client(cfg: HsConfig, session: Session) -> HsClient {
-        HsClient {
-            session,
-            n_replicas: cfg.n_replicas,
-            f: (cfg.n_replicas - 1) / 3,
-            votes: ReplyVotes::new(),
-            window: 1,
-        }
+    /// First attempts go to every replica: the leader rotates, so there is
+    /// no one to aim at. Decides carry threshold QCs, but the client still
+    /// waits for `f+1` matching replies, like PBFT's.
+    fn client(cfg: HsConfig, session: Session) -> Client<HsMsg> {
+        let quorum = Quorum::of((cfg.n_replicas - 1) / 3 + 1);
+        let silence = Silence::Broadcast(200_000, None);
+        let session = session.with_window(cfg.window);
+        Client::new(session, cfg.n_replicas, Target::All, silence, quorum)
     }
 
     fn is_leader(replica: &HsReplica, id: NodeId) -> bool {
@@ -551,26 +489,6 @@ impl SmrProtocol for HotStuff {
 
 /// A ready-to-run HotStuff cluster (`3f+1` replicas).
 pub type HsCluster = Cluster<HotStuff>;
-
-/// The HotStuff-only cluster knob.
-pub trait ClientWindow {
-    /// Lets every client keep `window` commands in flight (default 1;
-    /// pipelining needs more than one to show gains). A builder — call
-    /// before the first step.
-    #[must_use]
-    fn with_client_window(self, window: usize) -> Self;
-}
-
-impl ClientWindow for HsCluster {
-    fn with_client_window(mut self, window: usize) -> Self {
-        for i in self.n_replicas..self.n_replicas + self.n_clients {
-            if let Proc::Client(c) = self.sim.node_mut(NodeId::from(i)) {
-                c.window = window.max(1);
-            }
-        }
-        self
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -644,8 +562,8 @@ mod tests {
     #[test]
     fn pipeline_improves_throughput() {
         let run = |cfg: HsConfig, window: usize| {
-            let mut cluster =
-                HsCluster::new(cfg, 1, 30, NetConfig::lan(), 5).with_client_window(window);
+            let cfg = HsConfig { window, ..cfg };
+            let mut cluster = HsCluster::new(cfg, 1, 30, NetConfig::lan(), 5);
             assert!(cluster.run(Time::from_secs(60)));
             cluster.sim.now().as_micros()
         };
@@ -654,6 +572,7 @@ mod tests {
                 n_replicas: 4,
                 rotate: false,
                 pipeline: false,
+                window: 1,
             },
             4,
         );
@@ -673,6 +592,7 @@ mod tests {
                 n_replicas: 4,
                 rotate: false,
                 pipeline: false,
+                window: 1,
             },
             1,
             8,
@@ -703,6 +623,7 @@ mod tests {
             n_replicas: 4,
             rotate: false,
             pipeline: false,
+            window: 1,
         };
         let lossy = NetConfig::lan().with_drop_prob(0.02);
         let mut cluster = HsCluster::new(fixed, 1, 10, lossy, 1);

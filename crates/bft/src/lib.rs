@@ -26,18 +26,18 @@
 //! * [`seemore`] — SeeMoRe's hybrid-cloud modes 1–3 over `3m+2c+1` nodes.
 //! * [`upright`] — the UpRight fault model (`u = 2m+c+1` quorums,
 //!   intersection `m+1`) and its agreement/execution split.
-//! * [`shell`] — what the seven share beyond `consensus_core`. Client half:
-//!   the reply-voting [`shell::VotingClient`] (accept at a quorum of
-//!   *matching* replies, escalate silence by broadcast) that PBFT, MinBFT,
-//!   CheapBFT, XFT and SeeMoRe build with their quorum, retry period and
-//!   (CheapBFT) alarm, and the vote counting HotStuff's windowed client
-//!   reuses; all of them speak `consensus_core`'s `ClientMsg`. Replica half:
-//!   [`shell::Executor`] (request admission, the execute step, the in-order
-//!   drain, history replay, and the `decided_log` record) and
-//!   [`shell::Voter`] (view, view-change votes, watchdog). A protocol module
-//!   keeps what the paper's info cards distinguish: who receives a proposal,
-//!   what sequences and attests it, the quorum rule, and what recovery
-//!   looks like.
+//! * [`shell`] — what the seven share beyond `consensus_core`. There is no
+//!   BFT client node: every protocol runs `consensus_core::Client` and sets
+//!   its policies as values — first attempts to the primary (HotStuff: to
+//!   every replica), a broadcast on silence (CheapBFT raises `Panic` ahead of
+//!   it), and a `Quorum` of *matching* replies, or Zyzzyva's
+//!   [`zyzzyva::Speculative`] policy, in which the client takes part in
+//!   agreement. Replica half: [`shell::Executor`] (request admission, the
+//!   execute step, the in-order drain, history replay, and the `decided_log`
+//!   record) and [`shell::Voter`] (view, view-change votes, watchdog). A
+//!   protocol module keeps what the paper's info cards distinguish: who
+//!   receives a proposal, what sequences and attests it, the quorum rule, and
+//!   what recovery looks like.
 //! * [`sim_crypto`] — the structural stand-ins for digests, MACs, threshold
 //!   signatures, and trusted counters (see DESIGN.md's substitution table).
 

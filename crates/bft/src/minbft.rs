@@ -20,16 +20,15 @@ use std::collections::{BTreeMap, BTreeSet};
 use consensus_core::codec::{put_command, wire_size};
 use consensus_core::driver::{BatchConfig, DecidedEntry};
 use consensus_core::{
-    ClientMsg, Cluster, Command, DedupKvMachine, Envelope, KvCommand, Session, SmrProtocol,
+    Client, ClientMsg, Cluster, Command, DedupKvMachine, Envelope, KvCommand, Quorum, Session,
+    Silence, SmrProtocol, Target,
 };
 use simnet::{CncPhase, Context, Node, NodeId, Timer};
 
 /// Span protocol label; instances are USIG counters, rounds are views.
 const SPAN: &str = "minbft";
 
-use crate::shell::{
-    decided_commands, peers, take_ready, Admission, Executor, Voter, VotingClient, VIEW_TIMER,
-};
+use crate::shell::{decided_commands, peers, take_ready, Admission, Executor, Voter, VIEW_TIMER};
 use crate::sim_crypto::{digest_of, Usig, UsigCert, UsigVerifier};
 
 /// MinBFT messages between replicas.
@@ -316,7 +315,7 @@ impl SmrProtocol for MinBft {
     type Shape = usize;
     type Peer = MinMsg;
     type Replica = MinReplica;
-    type Client = VotingClient<MinMsg>;
+    type Accept = Quorum;
 
     /// One request per USIG counter: `batch` is ignored.
     fn replica(n_replicas: usize, _batch: BatchConfig) -> MinReplica {
@@ -324,8 +323,10 @@ impl SmrProtocol for MinBft {
     }
 
     /// The client accepts an output at `f+1` matching replies.
-    fn client(n_replicas: usize, session: Session) -> VotingClient<MinMsg> {
-        VotingClient::new(session, n_replicas, (n_replicas - 1) / 2 + 1, 150_000)
+    fn client(n: usize, session: Session) -> Client<MinMsg> {
+        let quorum = Quorum::of((n - 1) / 2 + 1);
+        let silence = Silence::Broadcast(150_000, None);
+        Client::new(session, n, Target::Primary(NodeId(0)), silence, quorum)
     }
 
     fn is_leader(replica: &MinReplica, id: NodeId) -> bool {

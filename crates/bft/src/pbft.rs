@@ -30,13 +30,13 @@ use consensus_core::cluster::decided_slots;
 use consensus_core::codec::{put_command, wire_size};
 use consensus_core::driver::{BatchConfig, Batcher, DecidedEntry, Flush};
 use consensus_core::{
-    ClientMsg, Cluster, Command, DedupKvMachine, Envelope, KvCommand, ReplicatedLog, Session,
-    SmrOp, SmrProtocol, StateMachine,
+    Client, ClientMsg, Cluster, Command, DedupKvMachine, Envelope, KvCommand, Quorum,
+    ReplicatedLog, Session, Silence, SmrOp, SmrProtocol, StateMachine, Target,
 };
 use rand_chacha::ChaCha20Rng;
-use simnet::{CncPhase, Context, Filter, FilterAction, FnFilter, Node, NodeId, Timer};
+use simnet::{CncPhase, Context, Filter, FilterAction, FnFilter, LiveTimer, Node, NodeId, Timer};
 
-use crate::shell::{answer_cached, in_flight, peers, VotingClient, Watchdog, VIEW_TIMER};
+use crate::shell::{answer_cached, in_flight, peers, watch, VIEW_TIMER};
 use crate::sim_crypto::{digest_of, Digest};
 
 /// Span protocol label; instances are sequence numbers, rounds are views.
@@ -182,7 +182,7 @@ pub struct PbftReplica {
     view_change_votes: BTreeMap<u64, BTreeMap<NodeId, (u64, Vec<PreparedClaim>)>>,
     /// Views this replica has vote-changed into.
     max_vc_sent: u64,
-    view_timer: Watchdog,
+    view_timer: LiveTimer,
     /// Client requests relayed to the primary and not yet executed — these
     /// are what the view-change watchdog watches.
     pending_requests: BTreeSet<(u32, u64)>,
@@ -218,7 +218,7 @@ impl PbftReplica {
             checkpoint_votes: BTreeMap::new(),
             view_change_votes: BTreeMap::new(),
             max_vc_sent: 0,
-            view_timer: Watchdog::default(),
+            view_timer: LiveTimer::default(),
             pending_requests: BTreeSet::new(),
             view_changes_completed: 0,
             in_new_view: true,
@@ -267,7 +267,7 @@ impl PbftReplica {
         // Grows with the view so cascading view changes eventually find a
         // live primary.
         let base = 40_000 * (1 + self.view.saturating_sub(self.max_vc_sent).min(4));
-        self.view_timer.arm(ctx, base);
+        watch(&mut self.view_timer, ctx, base);
     }
 
     fn has_pending_work(&self) -> bool {
@@ -431,7 +431,7 @@ impl PbftReplica {
                 }
             }
             // Progress: reset the watchdog.
-            self.view_timer.disarm(ctx);
+            self.view_timer.cancel(ctx);
             if self.has_pending_work() {
                 self.arm_view_timer(ctx);
             }
@@ -542,7 +542,7 @@ impl PbftReplica {
         // Instances that neither committed nor appear in the new-view set
         // are abandoned; any request they carried will be re-ordered.
         self.instances.retain(|_, i| i.committed);
-        self.view_timer.disarm(ctx);
+        self.view_timer.cancel(ctx);
         let pre_prepares: Vec<(u64, Vec<Command<KvCommand>>)> = chosen
             .iter()
             .map(|(&n, (_, cmds))| (n, cmds.clone()))
@@ -710,7 +710,7 @@ impl Node for PbftReplica {
                 self.view_changes_completed += 1;
                 self.reset_batching();
                 self.instances.retain(|_, i| i.committed);
-                self.view_timer.disarm(ctx);
+                self.view_timer.cancel(ctx);
                 for (n, cmds) in pre_prepares {
                     let digest = digest_of(&cmds);
                     self.accept_pre_prepare(ctx, view, n, digest, cmds, from);
@@ -752,17 +752,19 @@ impl SmrProtocol for Pbft {
     type Shape = usize;
     type Peer = PbftMsg;
     type Replica = PbftReplica;
-    type Client = VotingClient<PbftMsg>;
+    type Accept = Quorum;
 
     fn replica(n_replicas: usize, batch: BatchConfig) -> PbftReplica {
         PbftReplica::new_with(n_replicas, batch)
     }
 
-    /// The client accepts an output at `f+1` matching replies and escalates
-    /// a silent request by broadcast after 150 ms — which is why it does not
-    /// share the leader-following [`consensus_core::Client`].
-    fn client(n_replicas: usize, session: Session) -> VotingClient<PbftMsg> {
-        VotingClient::new(session, n_replicas, (n_replicas - 1) / 3 + 1, 150_000)
+    /// `f+1` matching replies include one from a correct replica; the
+    /// broadcast after 150 ms of silence shows every backup a request a
+    /// faulty primary sits on.
+    fn client(n: usize, session: Session) -> Client<PbftMsg> {
+        let quorum = Quorum::of((n - 1) / 3 + 1);
+        let silence = Silence::Broadcast(150_000, None);
+        Client::new(session, n, Target::Primary(NodeId(0)), silence, quorum)
     }
 
     fn is_leader(replica: &PbftReplica, id: NodeId) -> bool {

@@ -22,15 +22,15 @@ use std::collections::{BTreeMap, BTreeSet};
 use consensus_core::codec::{put_command, wire_size};
 use consensus_core::driver::{BatchConfig, DecidedEntry};
 use consensus_core::{
-    ClientMsg, Cluster, ClusterShape, Command, DedupKvMachine, Envelope, KvCommand, Session,
-    SmrProtocol,
+    Client, ClientMsg, Cluster, ClusterShape, Command, DedupKvMachine, Envelope, KvCommand, Quorum,
+    Session, Silence, SmrProtocol, Target,
 };
 use simnet::{CncPhase, Context, Node, NodeId};
 
 /// Span protocol label; instances are sequence numbers.
 const SPAN: &str = "seemore";
 
-use crate::shell::{decided_commands, peers, take_ready, Admission, Executor, VotingClient};
+use crate::shell::{decided_commands, peers, take_ready, Admission, Executor};
 use crate::sim_crypto::{digest_of, Digest};
 
 /// The three SeeMoRe operating modes.
@@ -430,7 +430,7 @@ impl SmrProtocol for SeeMoRe {
     type Shape = SeeMoReConfig;
     type Peer = SmMsg;
     type Replica = SmReplica;
-    type Client = VotingClient<SmMsg>;
+    type Accept = Quorum;
 
     /// One request per sequence number: `batch` is ignored.
     fn replica(cfg: SeeMoReConfig, _batch: BatchConfig) -> SmReplica {
@@ -438,11 +438,13 @@ impl SmrProtocol for SeeMoRe {
     }
 
     /// The client accepts an output at `m+1` matching replies (a correct
-    /// node is among them), or at one reply from the private cloud.
-    fn client(cfg: SeeMoReConfig, session: Session) -> VotingClient<SmMsg> {
-        VotingClient::new(session, cfg.n(), cfg.m + 1, 200_000)
-            .to_primary(cfg.primary())
-            .trusting(cfg.n_private())
+    /// node is among them), or at one reply from the private cloud, which
+    /// can crash but not lie.
+    fn client(cfg: SeeMoReConfig, session: Session) -> Client<SmMsg> {
+        let quorum = Quorum::of(cfg.m + 1).trusting(cfg.n_private());
+        let target = Target::Primary(cfg.primary());
+        let silence = Silence::Broadcast(200_000, None);
+        Client::new(session, cfg.n(), target, silence, quorum)
     }
 
     fn is_leader(replica: &SmReplica, id: NodeId) -> bool {

@@ -1,15 +1,17 @@
 //! The BFT corner of the SMR shell — what the seven protocols share beyond
 //! `consensus_core`, written once.
 //!
-//! **Client half.** A BFT client cannot trust a single reply. It accepts an
-//! output once a protocol-specific quorum of replicas report the *same*
-//! output, and it escalates silence by broadcasting every outstanding request
-//! to all replicas — which is what lets backups notice a faulty primary.
-//! PBFT, MinBFT, CheapBFT, XFT and SeeMoRe differ only in what they build a
-//! [`VotingClient`] with — quorum, retry period, first target, trusted
-//! repliers and CheapBFT's alarm; Zyzzyva (the client *is* the commitment
-//! point) and HotStuff (windowed broadcast) keep their own nodes over the
-//! same [`Session`]. All of them speak the shell's [`ClientMsg`].
+//! **Client.** There is no BFT client node: every protocol runs
+//! `consensus_core::Client` and sets its three policies as values. A BFT
+//! client cannot trust a single reply, so five protocols send a first attempt
+//! to the primary, broadcast every outstanding request on silence (which is
+//! what lets backups notice a faulty primary; CheapBFT raises `Panic` ahead
+//! of it), and accept an output at a [`consensus_core::Quorum`] of *matching*
+//! replies (SeeMoRe: or one from the trusted private cloud). HotStuff aims at
+//! every replica, because its leader rotates; Zyzzyva's client is the
+//! commitment point, so its acceptance policy ([`crate::zyzzyva::Speculative`])
+//! takes part in agreement. The tests below pin the primary / broadcast /
+//! alarm policies on the one client.
 //!
 //! **Replica half.** Plain structs the handlers call, not a node with hooks:
 //! the protocols differ in who receives a proposal, what sequences and
@@ -19,22 +21,16 @@
 //! command record, the relayed-and-unanswered request set and the executed
 //! frontier, and provides request admission ([`Executor::admit`]), the
 //! execute step, the in-order drain and history replay. A [`Voter`] owns the
-//! view, the view-change votes and the [`Watchdog`], and makes the vote /
+//! view, the view-change votes and the progress watchdog (a
+//! [`simnet::LiveTimer`] armed through [`watch`]), and makes the vote /
 //! join-once / install decisions MinBFT and XFT share (PBFT's votes carry
 //! prepared claims, so it keeps them and borrows the watchdog only).
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use consensus_core::driver::DecidedEntry;
-use consensus_core::{
-    ClientMsg, Command, DedupKvMachine, Envelope, KvCommand, KvResponse, Session, WorkloadClient,
-};
-use simnet::{CncPhase, Context, Node, NodeId, Payload, Timer, TimerId};
-
-use crate::sim_crypto::digest_of;
-
-const CLIENT_RETRY: u64 = 1;
-const CLIENT_ISSUE: u64 = 2;
+use consensus_core::{Command, DedupKvMachine, Envelope, KvCommand, KvResponse};
+use simnet::{CncPhase, Context, LiveTimer, NodeId, Payload};
 
 /// Node ids `0..n` — every replica, as a broadcast target list.
 pub fn replica_ids(n: usize) -> impl Iterator<Item = NodeId> + Clone {
@@ -44,150 +40,6 @@ pub fn replica_ids(n: usize) -> impl Iterator<Item = NodeId> + Clone {
 /// Every replica but `me`.
 pub fn peers(n: usize, me: NodeId) -> impl Iterator<Item = NodeId> + Clone {
     replica_ids(n).filter(move |id| *id != me)
-}
-
-/// Reply votes per outstanding request: seq → output digest → repliers.
-pub type ReplyVotes = BTreeMap<u64, BTreeMap<u64, BTreeSet<NodeId>>>;
-
-/// Records `from`'s vote for `output` as the reply to `seq` and returns how
-/// many distinct replicas now report exactly that output.
-pub fn count_vote(votes: &mut ReplyVotes, seq: u64, output: &KvResponse, from: NodeId) -> usize {
-    let matching = votes
-        .entry(seq)
-        .or_default()
-        .entry(digest_of(output).0)
-        .or_default();
-    matching.insert(from);
-    matching.len()
-}
-
-/// The reply-voting workload client: optimistically sends each request to
-/// the primary only, accepts an output at `quorum` matching replies, and on
-/// silence broadcasts every outstanding request to all replicas. Closed
-/// loop by default (one outstanding request), optionally open loop with a
-/// fixed issue interval so batching experiments can saturate the primary.
-pub struct VotingClient<P> {
-    /// The workload and its records.
-    pub session: Session,
-    n_replicas: usize,
-    quorum: usize,
-    primary: NodeId,
-    /// Replies from nodes `0..trusted` are definitive on their own.
-    trusted: usize,
-    /// Silence after which every outstanding request is broadcast (µs).
-    retry_us: u64,
-    /// What a retry sends every replica ahead of the requests.
-    alarm: Option<P>,
-    votes: ReplyVotes,
-}
-
-impl<P: Payload> VotingClient<P> {
-    /// A client of replicas `0..n_replicas` that accepts an output at
-    /// `quorum` matching replies, first tries node 0, and broadcasts after
-    /// `retry_us` of silence.
-    pub fn new(session: Session, n_replicas: usize, quorum: usize, retry_us: u64) -> Self {
-        VotingClient {
-            session,
-            n_replicas,
-            quorum,
-            primary: NodeId(0),
-            trusted: 0,
-            retry_us,
-            alarm: None,
-            votes: ReplyVotes::new(),
-        }
-    }
-
-    /// Sends `alarm` to every replica ahead of a retry (CheapBFT's client is
-    /// its fault detector: silence raises `Panic`).
-    #[must_use]
-    pub fn with_alarm(mut self, alarm: P) -> Self {
-        self.alarm = Some(alarm);
-        self
-    }
-
-    /// Sends first attempts to `primary` instead of node 0.
-    #[must_use]
-    pub fn to_primary(mut self, primary: NodeId) -> Self {
-        self.primary = primary;
-        self
-    }
-
-    /// Takes a single reply from any of nodes `0..n` as definitive
-    /// (SeeMoRe's private cloud can crash but not lie).
-    #[must_use]
-    pub fn trusting(mut self, n: usize) -> Self {
-        self.trusted = n;
-        self
-    }
-
-    fn issue_next(&mut self, ctx: &mut Context<Envelope<P>>) {
-        let Some(cmd) = self.session.issue(ctx.now()) else {
-            return;
-        };
-        ctx.send(self.primary, Envelope::request(cmd));
-        ctx.set_timer(self.retry_us, CLIENT_RETRY);
-    }
-}
-
-impl<P: Payload> WorkloadClient for VotingClient<P> {
-    fn session(&self) -> &Session {
-        &self.session
-    }
-}
-
-impl<P: Payload> Node for VotingClient<P> {
-    type Msg = Envelope<P>;
-
-    fn on_start(&mut self, ctx: &mut Context<Envelope<P>>) {
-        self.issue_next(ctx);
-        if let Some(interval) = self.session.open_interval() {
-            ctx.set_timer(interval, CLIENT_ISSUE);
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<Envelope<P>>, from: NodeId, msg: Envelope<P>) {
-        let Envelope::Client(ClientMsg::Reply { seq, output }) = msg else {
-            return;
-        };
-        if !self.session.is_outstanding(seq) {
-            return;
-        }
-        let matching = count_vote(&mut self.votes, seq, &output, from);
-        if matching >= self.quorum || from.index() < self.trusted {
-            self.votes.remove(&seq);
-            self.session.complete(seq, output, ctx.now());
-            if self.session.is_closed_loop() {
-                self.issue_next(ctx);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<Envelope<P>>, timer: Timer) {
-        match timer.kind {
-            CLIENT_RETRY if self.session.has_outstanding() => {
-                // Escalate: every replica sees every pending request, which
-                // is what ultimately deposes a faulty primary.
-                let replicas = replica_ids(self.n_replicas);
-                if let Some(alarm) = &self.alarm {
-                    ctx.send_many(replicas.clone(), alarm.clone().into());
-                }
-                for cmd in self.session.outstanding() {
-                    ctx.send_many(replicas.clone(), Envelope::request(cmd.clone()));
-                }
-                ctx.set_timer(self.retry_us, CLIENT_RETRY);
-            }
-            CLIENT_ISSUE => {
-                self.issue_next(ctx);
-                if let Some(interval) = self.session.open_interval() {
-                    if self.session.remaining() {
-                        ctx.set_timer(interval, CLIENT_ISSUE);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
 }
 
 /// Appends one [`DecidedEntry`] per command of `executed`, indexed by
@@ -361,33 +213,14 @@ impl Executor {
     }
 }
 
-/// Timer kind of the [`Watchdog`].
+/// Timer kind of a replica's progress watchdog.
 pub const VIEW_TIMER: u64 = 1;
 
-/// The one-shot progress timer a replica keeps while work is outstanding.
-#[derive(Default)]
-pub struct Watchdog(Option<TimerId>);
-
-impl Watchdog {
-    /// Arms the timer unless it is running: `base_us` plus a per-node stagger.
-    pub fn arm<M: Payload>(&mut self, ctx: &mut Context<M>, base_us: u64) {
-        if self.0.is_none() {
-            let timeout = base_us + 10_000 * u64::from(ctx.id().0);
-            self.0 = Some(ctx.set_timer(timeout, VIEW_TIMER));
-        }
-    }
-
-    /// Cancels the timer if it is running.
-    pub fn disarm<M: Payload>(&mut self, ctx: &mut Context<M>) {
-        if let Some(t) = self.0.take() {
-            ctx.cancel_timer(t);
-        }
-    }
-
-    /// The timer fired: it may be armed again.
-    pub fn fired(&mut self) {
-        self.0 = None;
-    }
+/// Arms the progress `watchdog` unless it is running: `base_us` plus a
+/// per-node stagger.
+pub fn watch<M: Payload>(watchdog: &mut LiveTimer, ctx: &mut Context<M>, base_us: u64) {
+    let timeout = base_us + 10_000 * u64::from(ctx.id().0);
+    watchdog.arm_if_idle(ctx, timeout, VIEW_TIMER);
 }
 
 /// View-change voting as MinBFT and XFT do it: the primary of view `v` is
@@ -404,7 +237,7 @@ pub struct Voter {
     pub view_changes: u64,
     vc_votes: BTreeMap<u64, BTreeSet<NodeId>>,
     max_vc_sent: u64,
-    watchdog: Watchdog,
+    watchdog: LiveTimer,
 }
 
 impl Voter {
@@ -420,7 +253,7 @@ impl Voter {
             view_changes: 0,
             vc_votes: BTreeMap::new(),
             max_vc_sent: 0,
-            watchdog: Watchdog::default(),
+            watchdog: LiveTimer::default(),
         }
     }
 
@@ -436,13 +269,13 @@ impl Voter {
 
     /// Starts the watchdog unless it is running.
     pub fn arm<M: Payload>(&mut self, ctx: &mut Context<M>) {
-        self.watchdog.arm(ctx, self.timeout_us);
+        watch(&mut self.watchdog, ctx, self.timeout_us);
     }
 
     /// Progress: restarts the watchdog while relayed requests are `pending`,
     /// stops it otherwise.
     pub fn progress<M: Payload>(&mut self, ctx: &mut Context<M>, pending: bool) {
-        self.watchdog.disarm(ctx);
+        self.watchdog.cancel(ctx);
         if pending {
             self.arm(ctx);
         }
@@ -482,7 +315,7 @@ impl Voter {
         if install {
             self.view = new_view;
             self.view_changes += 1;
-            self.watchdog.disarm(ctx);
+            self.watchdog.cancel(ctx);
         }
         install
     }
@@ -518,10 +351,9 @@ impl Voter {
 /// Unit-test harness: one client under test among silent replicas.
 #[cfg(test)]
 pub(crate) mod testkit {
-    use super::*;
     use consensus_core::workload::KvMix;
-    use consensus_core::WorkloadMode;
-    use simnet::{NetConfig, Sim};
+    use consensus_core::{Session, WorkloadMode};
+    use simnet::{Context, NetConfig, Node, NodeId, Sim, Timer};
 
     /// A silent replica that records `(arrival µs, message)`, or the client.
     pub enum Harness<C: Node> {
@@ -594,9 +426,9 @@ pub(crate) mod testkit {
 
 #[cfg(test)]
 mod tests {
-    use super::testkit::{client, received, sim, Harness};
+    use super::testkit::{received, sim, Harness};
     use super::*;
-    use consensus_core::WorkloadMode;
+    use consensus_core::{Client, ClientMsg, Quorum, Session, Silence, Target, WorkloadMode};
     use simnet::{Sim, Time};
 
     /// A protocol's one peer message: the alarm a retry may raise.
@@ -606,9 +438,19 @@ mod tests {
     impl Payload for Alarm {}
 
     const RETRY_US: u64 = 50_000;
+    const N: usize = 4;
 
-    fn voting(s: Session) -> VotingClient<Alarm> {
-        VotingClient::new(s, N, 2, RETRY_US)
+    /// The BFT client: first attempts to `primary`, `alarm` and a broadcast
+    /// on silence, accepted at two matching replies.
+    fn voting(s: Session, primary: u32, alarm: Option<Alarm>) -> Client<Alarm> {
+        let target = Target::Primary(NodeId(primary));
+        Client::new(
+            s,
+            N,
+            target,
+            Silence::Broadcast(RETRY_US, alarm),
+            Quorum::of(2),
+        )
     }
 
     /// What a silent replica saw: a request by sequence number, or an alarm.
@@ -619,7 +461,7 @@ mod tests {
     }
 
     /// `(arrival µs, what)` for everything replica `r` received.
-    fn got(sim: &Sim<Harness<VotingClient<Alarm>>>, r: usize) -> Vec<(u64, Stub)> {
+    fn got(sim: &Sim<Harness<Client<Alarm>>>, r: usize) -> Vec<(u64, Stub)> {
         let what = |msg: &Envelope<Alarm>| match msg {
             Envelope::Client(ClientMsg::Request(cmd)) => Stub::Request(cmd.seq),
             Envelope::Peer(_) => Stub::Alarm,
@@ -629,47 +471,9 @@ mod tests {
         got.map(|(at, msg)| (*at, what(msg))).collect()
     }
 
-    /// A replica's reply to `seq` whose output carries `value`, so tests can
-    /// forge disagreeing ones.
-    fn reply(seq: u64, value: &str) -> Envelope<Alarm> {
-        let output = KvResponse::Value(Some(value.into()));
-        Envelope::Client(ClientMsg::Reply { seq, output })
-    }
-
-    const N: usize = 4;
-    const CLIENT: NodeId = NodeId(N as u32);
-
-    #[test]
-    fn acceptance_decision_table() {
-        // (trusted prefix, replies as (replier, seq, output), completes?) —
-        // quorum 2 of 4 replicas, one command (seq 0) outstanding.
-        type Row = (usize, &'static [(u32, u64, &'static str)], bool);
-        let table: [Row; 7] = [
-            (0, &[(1, 0, "a")], false),
-            (0, &[(1, 0, "a"), (2, 0, "a")], true),
-            (0, &[(1, 0, "a"), (2, 0, "b")], false),
-            (0, &[(1, 0, "a"), (1, 0, "a")], false),
-            (0, &[(1, 7, "a"), (2, 7, "a")], false),
-            (1, &[(0, 0, "a")], true),
-            (1, &[(1, 0, "a")], false),
-        ];
-        for (trusted, replies, completes) in table {
-            let mut sim = sim(N, 1, WorkloadMode::Closed, |s| voting(s).trusting(trusted));
-            for (i, &(from, seq, out)) in replies.iter().enumerate() {
-                let at = Time(1_000 + i as u64);
-                sim.inject(NodeId(from), CLIENT, reply(seq, out), at);
-            }
-            sim.run_until(Time(10_000));
-            let done = client(&sim).session.done();
-            assert_eq!(done, completes, "trusted={trusted} {replies:?}");
-        }
-    }
-
     #[test]
     fn first_attempt_goes_to_the_primary_only() {
-        let mut sim = sim(N, 1, WorkloadMode::Closed, |s| {
-            voting(s).to_primary(NodeId(2))
-        });
+        let mut sim = sim(N, 1, WorkloadMode::Closed, |s| voting(s, 2, None));
         sim.run_until(Time(10_000));
         assert_eq!(got(&sim, 2), [(500, Stub::Request(0))]);
         assert!(received(&sim, 0).is_empty());
@@ -678,7 +482,8 @@ mod tests {
     #[test]
     fn retry_broadcasts_every_outstanding_command_to_all_replicas() {
         // Open loop: three commands outstanding when the first retry fires.
-        let mut sim = sim(N, 3, WorkloadMode::Open { interval_us: 1_000 }, voting);
+        let open = WorkloadMode::Open { interval_us: 1_000 };
+        let mut sim = sim(N, 3, open, |s| voting(s, 0, None));
         sim.run_until(Time(RETRY_US + 600));
         let requests = [Stub::Request(0), Stub::Request(1), Stub::Request(2)];
         for r in 1..N {
@@ -690,7 +495,7 @@ mod tests {
 
     #[test]
     fn retry_sends_the_alarm_ahead_of_the_requests_when_the_protocol_has_one() {
-        let mut sim = sim(N, 1, WorkloadMode::Closed, |s| voting(s).with_alarm(Alarm));
+        let mut sim = sim(N, 1, WorkloadMode::Closed, |s| voting(s, 0, Some(Alarm)));
         sim.run_until(Time(RETRY_US + 600));
         for r in 1..N {
             let got: Vec<Stub> = got(&sim, r).into_iter().map(|(_, m)| m).collect();
@@ -700,7 +505,8 @@ mod tests {
 
     #[test]
     fn open_loop_stops_arming_the_issue_timer_at_total() {
-        let mut sim = sim(N, 3, WorkloadMode::Open { interval_us: 1_000 }, voting);
+        let open = WorkloadMode::Open { interval_us: 1_000 };
+        let mut sim = sim(N, 3, open, |s| voting(s, 0, None));
         sim.run_until(Time(40_000));
         let arrivals: Vec<u64> = received(&sim, 0).iter().map(|(at, _)| *at).collect();
         assert_eq!(arrivals, [500, 1_500, 2_500], "one per interval");
@@ -735,8 +541,8 @@ mod tests {
 mod replica_tests {
     use super::testkit::{client, received, sim_of, Harness};
     use super::*;
-    use consensus_core::StateMachine as _;
-    use simnet::{Sim, Time};
+    use consensus_core::{ClientMsg, StateMachine as _};
+    use simnet::{Node, Sim, Time, Timer};
 
     /// Everything a replica under test can be told, or send: a request and a
     /// reply travel as [`ClientMsg`]s, the rest as this rig's peer messages.

@@ -22,7 +22,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use consensus_core::codec::{put_command, wire_size};
 use consensus_core::driver::{BatchConfig, DecidedEntry};
 use consensus_core::{
-    ClientMsg, Cluster, Command, DedupKvMachine, Envelope, KvCommand, Session, SmrProtocol,
+    Client, ClientMsg, Cluster, Command, DedupKvMachine, Envelope, KvCommand, Quorum, Session,
+    Silence, SmrProtocol, Target,
 };
 use simnet::{CncPhase, Context, Node, NodeId, Timer};
 
@@ -30,8 +31,7 @@ use simnet::{CncPhase, Context, Node, NodeId, Timer};
 const SPAN: &str = "xft";
 
 use crate::shell::{
-    decided_commands, peers, replica_ids, take_ready, Admission, Executor, Voter, VotingClient,
-    VIEW_TIMER,
+    decided_commands, peers, replica_ids, take_ready, Admission, Executor, Voter, VIEW_TIMER,
 };
 use crate::sim_crypto::digest_of;
 
@@ -309,7 +309,7 @@ impl SmrProtocol for Xft {
     type Shape = usize;
     type Peer = XftMsg;
     type Replica = XftReplica;
-    type Client = VotingClient<XftMsg>;
+    type Accept = Quorum;
 
     /// One request per sequence number: `batch` is ignored.
     fn replica(n_replicas: usize, _batch: BatchConfig) -> XftReplica {
@@ -318,8 +318,10 @@ impl SmrProtocol for Xft {
 
     /// The client waits for matching replies from the whole synchronous
     /// group (`f+1`).
-    fn client(n_replicas: usize, session: Session) -> VotingClient<XftMsg> {
-        VotingClient::new(session, n_replicas, (n_replicas - 1) / 2 + 1, 200_000)
+    fn client(n: usize, session: Session) -> Client<XftMsg> {
+        let quorum = Quorum::of((n - 1) / 2 + 1);
+        let silence = Silence::Broadcast(200_000, None);
+        Client::new(session, n, Target::Primary(NodeId(0)), silence, quorum)
     }
 
     fn is_leader(replica: &XftReplica, id: NodeId) -> bool {

@@ -19,13 +19,14 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use consensus_core::client::ACCEPT_TIMER;
 use consensus_core::codec::{put_command, wire_size};
 use consensus_core::driver::{BatchConfig, DecidedEntry};
 use consensus_core::{
-    ClientMsg, Cluster, Command, DedupKvMachine, Envelope, KvCommand, KvResponse, Session,
-    SmrProtocol, WorkloadClient,
+    Accept, Answer, Client, ClientMsg, Cluster, Command, DedupKvMachine, Envelope, KvCommand,
+    KvResponse, Session, Silence, SmrProtocol, Target,
 };
-use simnet::{CncPhase, Context, Node, NodeId, Timer};
+use simnet::{CncPhase, Context, Node, NodeId};
 
 /// Span protocol label; instances are sequence numbers, rounds are views.
 const SPAN: &str = "zyzzyva";
@@ -266,30 +267,35 @@ impl Node for ZyzReplica {
     }
 }
 
-const CLIENT_COMMIT_TIMER: u64 = 1;
-const CLIENT_RETRY: u64 = 2;
+/// Timer kind of the commit-certificate check.
+const COMMIT_TIMER: u64 = ACCEPT_TIMER;
+
+/// How long the client waits for `3f+1` matching speculative responses
+/// before it falls back to a commit certificate, and between re-checks (µs).
+const COMMIT_US: u64 = 10_000;
 
 /// Where the outstanding request stands.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 enum ReqPhase {
+    #[default]
     AwaitingSpec,
     /// A commit certificate for sequence `n` is out; `output` is what its
     /// signers reported.
-    AwaitingLocalCommit {
-        n: u64,
-        output: KvResponse,
-    },
+    AwaitingLocalCommit { n: u64, output: KvResponse },
 }
 
-/// A Zyzzyva client: the commitment point of the protocol, which is why it
-/// is not a [`crate::shell::VotingClient`]. Closed loop only — the
-/// speculative votes and the commit certificate belong to the one
-/// outstanding request.
-pub struct ZyzClient {
-    /// The workload and its records.
-    pub session: Session,
+/// Zyzzyva's acceptance policy. The client is the protocol's commitment
+/// point, so this policy takes part in agreement: it completes a request on
+/// `3f+1` matching speculative responses (case 1), or else sends a commit
+/// certificate once `2f+1` match and completes on `2f+1` local-commit acks
+/// (case 2). The votes and the certificate belong to the one outstanding
+/// request.
+#[derive(Default)]
+pub struct Speculative {
     n_replicas: usize,
-    f: usize,
+    /// `2f+1`: the matching responses a certificate needs, and the
+    /// local-commit acks that complete it.
+    quorum: usize,
     /// Requests completed via the fast path (case 1).
     pub fast_path: usize,
     /// Requests completed via a commit certificate (case 2).
@@ -301,49 +307,20 @@ pub struct ZyzClient {
     local_commits: BTreeSet<NodeId>,
 }
 
-impl ZyzClient {
-    fn send_next(&mut self, ctx: &mut Context<Wire>) {
-        let Some(cmd) = self.session.issue(ctx.now()) else {
-            return;
-        };
+impl Accept<ZyzMsg> for Speculative {
+    /// Replicas answer with speculative responses, never a plain reply.
+    fn on_reply(&mut self, _seq: u64, _output: &KvResponse, _from: NodeId) -> bool {
+        false
+    }
+
+    fn on_issue(&mut self, ctx: &mut Context<Wire>) {
         self.phase = ReqPhase::AwaitingSpec;
         self.votes.clear();
         self.local_commits.clear();
-        ctx.send(NodeId(0), Envelope::request(cmd));
-        // If 3f+1 matching responses don't arrive promptly, fall back to
-        // the commit-certificate path.
-        ctx.set_timer(10_000, CLIENT_COMMIT_TIMER);
-        ctx.set_timer(300_000, CLIENT_RETRY);
+        ctx.set_timer(COMMIT_US, COMMIT_TIMER);
     }
 
-    fn complete(&mut self, ctx: &mut Context<Wire>, seq: u64, output: KvResponse, fast: bool) {
-        self.session.complete(seq, output, ctx.now());
-        if fast {
-            self.fast_path += 1;
-        } else {
-            self.cert_path += 1;
-        }
-        self.send_next(ctx);
-    }
-}
-
-impl WorkloadClient for ZyzClient {
-    fn session(&self) -> &Session {
-        &self.session
-    }
-}
-
-impl Node for ZyzClient {
-    type Msg = Wire;
-
-    fn on_start(&mut self, ctx: &mut Context<Wire>) {
-        self.send_next(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<Wire>, from: NodeId, msg: Wire) {
-        let Envelope::Peer(msg) = msg else {
-            return;
-        };
+    fn on_peer(&mut self, session: &Session, from: NodeId, msg: ZyzMsg) -> Option<Answer> {
         match msg {
             ZyzMsg::SpecResponse {
                 n,
@@ -352,8 +329,8 @@ impl Node for ZyzClient {
                 output,
                 ..
             } => {
-                if !self.session.is_outstanding(seq) || self.phase != ReqPhase::AwaitingSpec {
-                    return;
+                if !session.is_outstanding(seq) || self.phase != ReqPhase::AwaitingSpec {
+                    return None;
                 }
                 let key = (n, hist, digest_of(&output).0);
                 let (_, voters) = self
@@ -361,66 +338,55 @@ impl Node for ZyzClient {
                     .entry(key)
                     .or_insert_with(|| (output.clone(), BTreeSet::new()));
                 voters.insert(from);
-                if voters.len() >= self.n_replicas {
-                    // Case 1: 3f+1 matching replies.
-                    self.complete(ctx, seq, output, true);
+                if voters.len() < self.n_replicas {
+                    return None;
                 }
+                // Case 1: 3f+1 matching replies.
+                self.fast_path += 1;
+                Some((seq, output))
             }
             ZyzMsg::LocalCommit { n, .. } => {
-                let Some(seq) = self.session.outstanding().next().map(|cmd| cmd.seq) else {
-                    return;
-                };
-                if let ReqPhase::AwaitingLocalCommit { n: want, output } = &self.phase {
-                    if *want == n {
+                let seq = session.outstanding().next()?.seq;
+                match &self.phase {
+                    ReqPhase::AwaitingLocalCommit { n: want, output } if *want == n => {
                         self.local_commits.insert(from);
-                        if self.local_commits.len() >= 2 * self.f + 1 {
-                            let output = output.clone();
-                            self.complete(ctx, seq, output, false);
+                        if self.local_commits.len() < self.quorum {
+                            return None;
                         }
+                        self.cert_path += 1;
+                        Some((seq, output.clone()))
                     }
+                    _ => None,
                 }
             }
-            _ => {}
+            ZyzMsg::OrderReq { .. } | ZyzMsg::CommitCert { .. } => None,
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<Wire>, timer: Timer) {
-        match timer.kind {
-            CLIENT_COMMIT_TIMER => {
-                if !self.session.has_outstanding() || self.phase != ReqPhase::AwaitingSpec {
-                    return;
-                }
-                // Case 2: 2f+1 ≤ matching < 3f+1 → send a commit
-                // certificate.
-                let best = self.votes.iter().max_by_key(|(_, (_, s))| s.len());
-                if let Some((&(n, hist, _), (output, signers))) = best {
-                    if signers.len() >= 2 * self.f + 1 {
-                        let cert = ZyzMsg::CommitCert {
-                            view: 0,
-                            n,
-                            hist,
-                            signers: signers.clone(),
-                        };
-                        self.phase = ReqPhase::AwaitingLocalCommit {
-                            n,
-                            output: output.clone(),
-                        };
-                        ctx.send_many(replica_ids(self.n_replicas), cert.into());
-                        return;
-                    }
-                }
-                // Not enough yet: re-check shortly.
-                ctx.set_timer(10_000, CLIENT_COMMIT_TIMER);
-            }
-            CLIENT_RETRY if self.session.has_outstanding() => {
-                for cmd in self.session.outstanding() {
-                    let request = Envelope::request(cmd.clone());
-                    ctx.send_many(replica_ids(self.n_replicas), request);
-                }
-                ctx.set_timer(300_000, CLIENT_RETRY);
-            }
-            _ => {}
+    fn on_timer(&mut self, ctx: &mut Context<Wire>, session: &Session) {
+        if !session.has_outstanding() || self.phase != ReqPhase::AwaitingSpec {
+            return;
         }
+        // Case 2: 2f+1 ≤ matching < 3f+1 → send a commit certificate.
+        let best = self.votes.iter().max_by_key(|(_, (_, s))| s.len());
+        if let Some((&(n, hist, _), (output, signers))) = best {
+            if signers.len() >= self.quorum {
+                let cert = ZyzMsg::CommitCert {
+                    view: 0,
+                    n,
+                    hist,
+                    signers: signers.clone(),
+                };
+                self.phase = ReqPhase::AwaitingLocalCommit {
+                    n,
+                    output: output.clone(),
+                };
+                ctx.send_many(replica_ids(self.n_replicas), cert.into());
+                return;
+            }
+        }
+        // Not enough yet: re-check shortly.
+        ctx.set_timer(COMMIT_US, COMMIT_TIMER);
     }
 }
 
@@ -432,24 +398,27 @@ impl SmrProtocol for Zyzzyva {
     type Shape = usize;
     type Peer = ZyzMsg;
     type Replica = ZyzReplica;
-    type Client = ZyzClient;
+    type Accept = Speculative;
 
     /// One request per sequence number: `batch` is ignored.
     fn replica(n_replicas: usize, _batch: BatchConfig) -> ZyzReplica {
         ZyzReplica::new(n_replicas)
     }
 
-    fn client(n_replicas: usize, session: Session) -> ZyzClient {
-        ZyzClient {
-            session,
-            n_replicas,
-            f: (n_replicas - 1) / 3,
-            fast_path: 0,
-            cert_path: 0,
-            phase: ReqPhase::AwaitingSpec,
-            votes: BTreeMap::new(),
-            local_commits: BTreeSet::new(),
-        }
+    /// The speculative policy holds one request's votes, so a client runs
+    /// one request at a time: a closed loop with a window of one.
+    fn client(n: usize, session: Session) -> Client<ZyzMsg, Speculative> {
+        assert!(
+            session.is_closed_loop() && session.window() == 1,
+            "a Zyzzyva client runs one request at a time"
+        );
+        let accept = Speculative {
+            n_replicas: n,
+            quorum: 2 * ((n - 1) / 3) + 1,
+            ..Speculative::default()
+        };
+        let silence = Silence::Broadcast(300_000, None);
+        Client::new(session, n, Target::Primary(NodeId(0)), silence, accept)
     }
 
     fn is_leader(replica: &ZyzReplica, id: NodeId) -> bool {
@@ -477,11 +446,89 @@ pub type ZyzCluster = Cluster<Zyzzyva>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use consensus_core::StateMachine as _;
+    use consensus_core::workload::KvMix;
+    use consensus_core::{StateMachine as _, WorkloadMode};
     use simnet::{DelayModel, NetConfig, Time};
 
     fn fixed_net() -> NetConfig {
         NetConfig::synchronous().with_delay(DelayModel::Fixed(500))
+    }
+
+    /// Zyzzyva's rows of the acceptance decision table (the rows of every
+    /// `Quorum` policy are in `consensus_core::client`): `3f+1` matching
+    /// speculative responses complete a request at once; else `2f+1`
+    /// matching ones put a commit certificate out when the commit timer
+    /// fires, and `2f+1` local commits for its sequence complete it.
+    #[test]
+    fn speculative_acceptance_decision_table() {
+        use crate::shell::testkit::{client, received, sim};
+
+        // (each replica's speculative output for `seq` — `-` for none —,
+        // `seq`, local commits as (replier, n), certificate sent?, completed
+        // by).
+        type Row = (
+            &'static str,
+            u64,
+            &'static [(u32, u64)],
+            bool,
+            Option<&'static str>,
+        );
+        let commits_1: &[(u32, u64)] = &[(0, 1), (1, 1), (2, 1)];
+        let table: [Row; 8] = [
+            ("aaaa", 0, &[], false, Some("fast")),
+            ("aaab", 0, &[], true, None),
+            ("aaab", 0, commits_1, true, Some("cert")),
+            ("aaa-", 0, &[(0, 1), (1, 1)], true, None),
+            ("aaa-", 0, &[(0, 1), (1, 1), (1, 1)], true, None),
+            ("aaa-", 0, &[(0, 2), (1, 2), (2, 2)], true, None),
+            ("aa-b", 0, commits_1, false, None),
+            ("aaaa", 7, &[], false, None),
+        ];
+        for (outputs, seq, commits, cert, completed) in table {
+            let mut sim = sim(4, 1, WorkloadMode::Closed, |s| Zyzzyva::client(4, s));
+            for (from, out) in outputs.chars().enumerate().filter(|(_, o)| *o != '-') {
+                let output = KvResponse::Value(Some(out.to_string().into()));
+                let spec = ZyzMsg::SpecResponse {
+                    view: 0,
+                    n: 1,
+                    hist: Digest(1),
+                    client: 4,
+                    seq,
+                    output,
+                };
+                let at = Time(1_000 + from as u64);
+                sim.inject(NodeId::from(from), NodeId(4), spec.into(), at);
+            }
+            // The commit timer fires at 10 ms; local commits follow.
+            for (i, &(from, n)) in commits.iter().enumerate() {
+                let ack = ZyzMsg::LocalCommit { view: 0, n };
+                sim.inject(NodeId(from), NodeId(4), ack.into(), Time(20_000 + i as u64));
+            }
+            sim.run_until(Time(40_000));
+            let row = format!("{outputs} seq {seq} {commits:?}");
+            let certified =
+                |m: &(u64, Wire)| matches!(m.1, Envelope::Peer(ZyzMsg::CommitCert { .. }));
+            assert_eq!(received(&sim, 1).iter().any(certified), cert, "{row}");
+            let c = client(&sim);
+            let by = match (c.accept.fast_path, c.accept.cert_path) {
+                (1, 0) => Some("fast"),
+                (0, 1) => Some("cert"),
+                _ => None,
+            };
+            assert_eq!(
+                (c.session.done(), by),
+                (completed.is_some(), completed),
+                "{row}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one request at a time")]
+    fn a_client_refuses_more_than_one_request_in_flight() {
+        let open = WorkloadMode::Open { interval_us: 1_000 };
+        let session = Session::new(4, 3, KvMix::default(), 1, open);
+        Zyzzyva::client(4, session);
     }
 
     #[test]
@@ -490,8 +537,8 @@ mod tests {
         assert!(cluster.run(Time::from_secs(10)));
         let c = cluster.clients().next().unwrap();
         assert_eq!(c.session.completed, 10);
-        assert_eq!(c.fast_path, 10, "all requests on case 1");
-        assert_eq!(c.cert_path, 0);
+        assert_eq!(c.accept.fast_path, 10, "all requests on case 1");
+        assert_eq!(c.accept.cert_path, 0);
     }
 
     #[test]
@@ -509,7 +556,7 @@ mod tests {
         assert!(cluster.run(Time::from_secs(30)));
         let c = cluster.clients().next().unwrap();
         assert_eq!(c.session.completed, 5);
-        assert_eq!(c.cert_path, 5, "all requests need case 2");
+        assert_eq!(c.accept.cert_path, 5, "all requests need case 2");
         for (i, r) in cluster.replicas().enumerate() {
             if cluster.sim.is_alive(NodeId::from(i)) {
                 assert!(r.committed_upto >= 5, "replica {i}: {}", r.committed_upto);
@@ -574,7 +621,7 @@ mod tests {
         assert!(cluster.run(Time::from_secs(30)));
         let c = cluster.clients().next().unwrap();
         assert_eq!(c.session.completed, 3);
-        assert!(c.cert_path > 0, "case 2 must fire");
+        assert!(c.accept.cert_path > 0, "case 2 must fire");
         // The lied-to backup executed nothing.
         let stalled = cluster
             .replicas()

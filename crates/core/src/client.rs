@@ -5,12 +5,21 @@
 //! outstanding set, and the latency and invoke/response records the
 //! checkers read. [`ClientMsg`] is the client side of every protocol's wire,
 //! carried in an [`Envelope`] beside the protocol's peer messages.
-//! [`Client`] adds the leader-following policy Multi-Paxos and Raft share —
-//! send to the believed leader, follow `NotLeader` hints, resend on silence.
-//! Protocols whose clients talk to replicas differently (the BFT family
-//! collects a quorum of matching replies and escalates by broadcast —
-//! `bft::shell::VotingClient`) wrap a `Session` in their own node and
-//! implement [`WorkloadClient`].
+//!
+//! [`Client`] is the one client node all nine protocols run. It never asks
+//! which protocol it serves: each protocol's `SmrProtocol::client` sets three
+//! policy values, and they are all that differ.
+//! - [`Target`] — where a first attempt goes: the leader guess that follows
+//!   `NotLeader` hints (Multi-Paxos, Raft), a fixed primary (PBFT, MinBFT,
+//!   CheapBFT, XFT, SeeMoRe, Zyzzyva), or every replica (HotStuff).
+//! - [`Silence`] — what silence does, and after how long: resend to the
+//!   target, or broadcast with an optional alarm ahead of the requests
+//!   (CheapBFT's `Panic`).
+//! - An [`Accept`] policy — when an output is accepted. [`Quorum`] covers
+//!   eight protocols: the first reply, `quorum` matching replies, or one reply
+//!   from a trusted node. Zyzzyva's policy (in `bft`) also sees peer
+//!   messages, sends and owns a timer, because there the client takes part
+//!   in agreement.
 
 use std::collections::BTreeMap;
 
@@ -28,6 +37,8 @@ pub struct Session {
     mode: WorkloadMode,
     /// Completed commands.
     pub completed: usize,
+    /// Commands a closed loop keeps in flight.
+    window: usize,
     /// Issued-but-unreplied commands, by client sequence number.
     outstanding: BTreeMap<u64, (Command<KvCommand>, Time)>,
     /// Request → reply latencies.
@@ -44,11 +55,26 @@ impl Session {
             workload: KvWorkload::new(client_id, mix, seed),
             total,
             mode,
+            window: 1,
             completed: 0,
             outstanding: BTreeMap::new(),
             latencies: LatencyRecorder::new(),
             history: HistorySink::new(),
         }
+    }
+
+    /// Keeps `k` commands in flight instead of one: a closed loop that gives
+    /// a pipelined protocol something to overlap (HotStuff's client window).
+    /// The open loop has no window.
+    #[must_use]
+    pub fn with_window(mut self, k: usize) -> Self {
+        self.window = k.max(1);
+        self
+    }
+
+    /// Commands a closed loop keeps in flight (1 unless widened).
+    pub fn window(&self) -> usize {
+        self.window
     }
 
     /// Whether all commands completed.
@@ -113,12 +139,6 @@ impl Session {
             WorkloadMode::Open { interval_us } => Some(interval_us.max(1)),
         }
     }
-}
-
-/// A client node the cluster harness can harvest.
-pub trait WorkloadClient: Node {
-    /// The client's workload and records.
-    fn session(&self) -> &Session;
 }
 
 /// The client side of every SMR protocol's wire, declared once: what a
@@ -237,8 +257,9 @@ const CLIENT_RETRY: u64 = 1;
 const CLIENT_ISSUE: u64 = 2;
 const CLIENT_NUDGE: u64 = 3;
 
-/// Silence after which outstanding commands are resent (µs).
-const RETRY_US: u64 = 100_000;
+/// The first timer kind an [`Accept`] policy may arm: the client hands it
+/// every timer of this kind or above.
+pub const ACCEPT_TIMER: u64 = 4;
 
 /// Delay before resending after a `NotLeader` redirect. A single armed
 /// nudge (instead of an immediate resend per redirect) bounds redirect
@@ -247,16 +268,113 @@ const RETRY_US: u64 = 100_000;
 /// bounce triggers another bounce — a self-sustaining request storm.
 const NUDGE_US: u64 = 2_000;
 
-/// The leader-following workload client: closed loop (one outstanding
-/// command, the default) or open loop (fixed inter-arrival time, several
-/// outstanding).
-pub struct Client<P> {
+/// Where a client's first attempt at a command goes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Target {
+    /// The replica believed to lead: this one at first, then wherever a
+    /// `NotLeader` hint points (one nudge resends after any number of
+    /// redirects).
+    Leader(NodeId),
+    /// A fixed primary.
+    Primary(NodeId),
+    /// Every replica.
+    All,
+}
+
+/// What a client does when the given number of µs pass without an answer.
+#[derive(Clone, Debug)]
+pub enum Silence<P> {
+    /// Resend every outstanding command to the target. The first expiry
+    /// keeps a leader guess (the reply may just be slow under load); the
+    /// second in a row moves it to the next replica — eagerly rotating off a
+    /// live-but-saturated leader turns every slow reply into a redirect
+    /// round-trip.
+    Resend(u64),
+    /// Send the alarm, if any, and then every outstanding command to every
+    /// replica — which is what lets backups notice a faulty primary.
+    Broadcast(u64, Option<P>),
+}
+
+/// A command's accepted output: `(seq, output)`.
+pub type Answer = (u64, KvResponse);
+
+/// When a client accepts an output as a command's answer.
+pub trait Accept<P> {
+    /// `from` answered outstanding command `seq` with `output`: whether that
+    /// is the answer.
+    fn on_reply(&mut self, seq: u64, output: &KvResponse, from: NodeId) -> bool;
+
+    /// A command has just been sent for the first time.
+    fn on_issue(&mut self, _ctx: &mut Context<Envelope<P>>) {}
+
+    /// A peer message reached the client: the `(seq, output)` it completes.
+    fn on_peer(&mut self, _session: &Session, _from: NodeId, _msg: P) -> Option<Answer> {
+        None
+    }
+
+    /// A timer of kind [`ACCEPT_TIMER`] or above fired.
+    fn on_timer(&mut self, _ctx: &mut Context<Envelope<P>>, _session: &Session) {}
+}
+
+/// Accepts an output once `quorum` distinct replicas report exactly it, or
+/// at once from any of nodes `0..trusted`. A quorum of one keeps no votes.
+#[derive(Debug, Default)]
+pub struct Quorum {
+    quorum: usize,
+    trusted: usize,
+    /// `(seq, output, replier)` for every reply to a command not yet
+    /// accepted.
+    votes: Vec<(u64, KvResponse, NodeId)>,
+}
+
+impl Quorum {
+    /// Accepts at `quorum` matching replies.
+    pub fn of(quorum: usize) -> Self {
+        Quorum {
+            quorum,
+            ..Quorum::default()
+        }
+    }
+
+    /// Also takes a single reply from any of nodes `0..n` as definitive
+    /// (SeeMoRe's private cloud can crash but not lie).
+    #[must_use]
+    pub fn trusting(self, trusted: usize) -> Self {
+        Quorum { trusted, ..self }
+    }
+}
+
+impl<P> Accept<P> for Quorum {
+    fn on_reply(&mut self, seq: u64, output: &KvResponse, from: NodeId) -> bool {
+        if self.quorum <= 1 {
+            return true;
+        }
+        let vote = (seq, output.clone(), from);
+        if !self.votes.contains(&vote) {
+            self.votes.push(vote);
+        }
+        let matching = self.votes.iter().filter(|v| v.0 == seq && v.1 == *output);
+        let accepted = from.index() < self.trusted || matching.count() >= self.quorum;
+        if accepted {
+            self.votes.retain(|(s, ..)| *s != seq);
+        }
+        accepted
+    }
+}
+
+/// The workload client node: closed loop (a window of outstanding commands,
+/// one by default) or open loop (fixed inter-arrival time, several
+/// outstanding), under the three policies of the module docs.
+pub struct Client<P, A = Quorum> {
     /// The workload and its records.
     pub session: Session,
     n_replicas: usize,
+    target: Target,
+    silence: Silence<P>,
+    /// When an output is accepted.
+    pub accept: A,
     /// Causal root span per outstanding command (when tracing is enabled).
     trace_roots: BTreeMap<u64, TraceCtx>,
-    leader_guess: NodeId,
     nudge_armed: bool,
     /// Consecutive `CLIENT_RETRY` expiries with no reply or redirect.
     retry_strikes: u8,
@@ -266,89 +384,105 @@ pub struct Client<P> {
     /// routers may share one gateway, hence the compound key); the classic
     /// workload never touches it.
     pub read_replies: BTreeMap<(u32, u64), (Option<Str>, ReadMode)>,
-    wire: std::marker::PhantomData<P>,
 }
 
-impl<P: Payload> Client<P> {
-    /// Wraps `session` for a cluster of `n_replicas` (node ids `0..n`).
-    pub fn new(session: Session, n_replicas: usize) -> Self {
+impl<P: Payload, A: Accept<P>> Client<P, A> {
+    /// Wraps `session` for a cluster of `n` replicas (node ids `0..n`).
+    pub fn new(session: Session, n: usize, target: Target, silence: Silence<P>, accept: A) -> Self {
         Client {
             session,
-            n_replicas,
+            n_replicas: n,
+            target,
+            silence,
+            accept,
             trace_roots: BTreeMap::new(),
-            leader_guess: NodeId(0),
             nudge_armed: false,
             retry_strikes: 0,
             read_replies: BTreeMap::new(),
-            wire: std::marker::PhantomData,
         }
     }
 
-    fn issue_next(&mut self, ctx: &mut Context<Envelope<P>>) {
+    /// Issues commands while the window has room.
+    fn top_up(&mut self, ctx: &mut Context<Envelope<P>>) {
+        while self.session.outstanding.len() < self.session.window && self.issue_next(ctx) {}
+    }
+
+    fn issue_next(&mut self, ctx: &mut Context<Envelope<P>>) -> bool {
         let Some(cmd) = self.session.issue(ctx.now()) else {
-            return;
+            return false;
         };
         // Root the command's causal trace (no-op unless tracing is on); the
         // request send below inherits it automatically.
         if let Some(tc) = ctx.trace_begin(&format!("op c{} s{}", cmd.client, cmd.seq)) {
             self.trace_roots.insert(cmd.seq, tc);
         }
-        ctx.send(self.leader_guess, Envelope::request(cmd));
-        ctx.set_timer(RETRY_US, CLIENT_RETRY);
+        self.send(ctx, Envelope::request(cmd), false);
+        self.accept.on_issue(ctx);
+        self.arm_retry(ctx);
+        true
     }
 
-    fn resend_all(&mut self, ctx: &mut Context<Envelope<P>>) {
+    /// Arms the retry timer — the one place it is armed: after every first
+    /// attempt and every resend. Nothing cancels one.
+    fn arm_retry(&self, ctx: &mut Context<Envelope<P>>) {
+        let (Silence::Resend(after_us) | Silence::Broadcast(after_us, _)) = self.silence;
+        ctx.set_timer(after_us, CLIENT_RETRY);
+    }
+
+    /// Sends `msg` to every replica, or else where the target says.
+    fn send(&self, ctx: &mut Context<Envelope<P>>, msg: Envelope<P>, to_all: bool) {
+        match self.target {
+            Target::Leader(to) | Target::Primary(to) if !to_all => ctx.send(to, msg),
+            _ => ctx.send_many((0..self.n_replicas).map(NodeId::from), msg),
+        }
+    }
+
+    /// Sends every outstanding command again and arms the retry.
+    fn resend(&self, ctx: &mut Context<Envelope<P>>, to_all: bool) {
         for cmd in self.session.outstanding() {
             // Retransmits stay on the command's original trace, not the
             // trace of whatever message happened to trigger the retry.
             ctx.set_trace_ctx(self.trace_roots.get(&cmd.seq).copied());
-            ctx.send(self.leader_guess, Envelope::request(cmd.clone()));
+            self.send(ctx, Envelope::request(cmd.clone()), to_all);
         }
         ctx.set_trace_ctx(None);
         if self.session.has_outstanding() {
-            ctx.set_timer(RETRY_US, CLIENT_RETRY);
+            self.arm_retry(ctx);
         }
     }
 }
 
-impl<P: Payload> WorkloadClient for Client<P> {
-    fn session(&self) -> &Session {
-        &self.session
-    }
-}
-
-impl<P: Payload> Node for Client<P> {
+impl<P: Payload, A: Accept<P>> Node for Client<P, A> {
     type Msg = Envelope<P>;
 
     fn on_start(&mut self, ctx: &mut Context<Envelope<P>>) {
-        self.issue_next(ctx);
-        if let Some(interval) = self.session.open_interval() {
-            ctx.set_timer(interval, CLIENT_ISSUE);
+        match self.session.open_interval() {
+            None => self.top_up(ctx),
+            Some(interval) => {
+                self.issue_next(ctx);
+                ctx.set_timer(interval, CLIENT_ISSUE);
+            }
         }
     }
 
     fn on_message(&mut self, ctx: &mut Context<Envelope<P>>, from: NodeId, msg: Envelope<P>) {
-        let Envelope::Client(msg) = msg else {
-            return;
-        };
-        match msg {
-            ClientMsg::Reply { seq, output } => {
+        let answer = match msg {
+            Envelope::Peer(msg) => self.accept.on_peer(&self.session, from, msg),
+            Envelope::Client(ClientMsg::Reply { seq, output }) => {
                 self.retry_strikes = 0;
-                if self.session.complete(seq, output, ctx.now()) {
-                    if let Some(tc) = self.trace_roots.remove(&seq) {
-                        ctx.trace_close(tc);
-                    }
-                    if self.session.is_closed_loop() {
-                        self.issue_next(ctx);
-                    }
-                }
+                let outstanding = self.session.is_outstanding(seq);
+                let accepted = outstanding && self.accept.on_reply(seq, &output, from);
+                accepted.then_some((seq, output))
             }
-            ClientMsg::NotLeader { seq, hint } => {
+            Envelope::Client(ClientMsg::NotLeader { seq, hint }) => {
                 self.retry_strikes = 0;
+                let Target::Leader(guess) = &mut self.target else {
+                    return;
+                };
                 if self.session.is_outstanding(seq) {
                     // Follow the hint unless it points back at the
                     // replier; then probe round-robin.
-                    self.leader_guess = if hint != from && hint.index() < self.n_replicas {
+                    *guess = if hint != from && hint.index() < self.n_replicas {
                         hint
                     } else {
                         NodeId::from((from.index() + 1) % self.n_replicas)
@@ -358,38 +492,58 @@ impl<P: Payload> Node for Client<P> {
                         ctx.set_timer(NUDGE_US, CLIENT_NUDGE);
                     }
                 }
+                None
             }
-            ClientMsg::ReadReply {
+            Envelope::Client(ClientMsg::ReadReply {
                 client,
                 seq,
                 value,
                 mode,
-            } => {
+            }) => {
                 self.read_replies.insert((client, seq), (value, mode));
+                None
             }
-            ClientMsg::Request(_) | ClientMsg::Read { .. } => {}
+            Envelope::Client(ClientMsg::Request(_) | ClientMsg::Read { .. }) => None,
+        };
+        // An accepted answer completes its command and, closed loop,
+        // refills the window.
+        let Some((seq, output)) = answer else {
+            return;
+        };
+        if self.session.complete(seq, output, ctx.now()) {
+            if let Some(tc) = self.trace_roots.remove(&seq) {
+                ctx.trace_close(tc);
+            }
+            if self.session.is_closed_loop() {
+                self.top_up(ctx);
+            }
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<Envelope<P>>, timer: Timer) {
         match timer.kind {
-            CLIENT_RETRY if self.session.has_outstanding() => {
-                // First expiry resends to the current guess (the reply may
-                // just be slow under load); only repeated silence rotates —
-                // eagerly rotating off a live-but-saturated leader turns
-                // every >100 ms reply into a redirect round-trip.
-                self.retry_strikes = self.retry_strikes.saturating_add(1);
-                if self.retry_strikes >= 2 {
-                    self.retry_strikes = 0;
-                    self.leader_guess =
-                        NodeId::from((self.leader_guess.index() + 1) % self.n_replicas);
+            CLIENT_RETRY if self.session.has_outstanding() => match &self.silence {
+                Silence::Resend(_) => {
+                    self.retry_strikes = self.retry_strikes.saturating_add(1);
+                    if self.retry_strikes >= 2 {
+                        self.retry_strikes = 0;
+                        if let Target::Leader(guess) = &mut self.target {
+                            *guess = NodeId::from((guess.index() + 1) % self.n_replicas);
+                        }
+                    }
+                    self.resend(ctx, false);
                 }
-                self.resend_all(ctx);
-            }
+                Silence::Broadcast(_, alarm) => {
+                    if let Some(alarm) = alarm {
+                        self.send(ctx, alarm.clone().into(), true);
+                    }
+                    self.resend(ctx, true);
+                }
+            },
             CLIENT_NUDGE => {
                 self.nudge_armed = false;
                 if self.session.has_outstanding() {
-                    self.resend_all(ctx);
+                    self.resend(ctx, false);
                 }
             }
             CLIENT_ISSUE => {
@@ -400,6 +554,7 @@ impl<P: Payload> Node for Client<P> {
                     }
                 }
             }
+            kind if kind >= ACCEPT_TIMER => self.accept.on_timer(ctx, &self.session),
             _ => {}
         }
     }
@@ -410,8 +565,8 @@ mod tests {
     use super::*;
     use simnet::{NetConfig, Sim};
 
-    /// A protocol with no peer messages: the smallest wire a leader-following
-    /// client can run over.
+    /// A protocol with no peer messages: the smallest wire a client can run
+    /// over.
     #[derive(Clone, Debug)]
     pub struct NoPeer;
 
@@ -451,22 +606,119 @@ mod tests {
 
     const CLIENT: NodeId = NodeId(3);
 
-    /// Three silent replicas and one client, on a fixed 500 µs network.
-    fn sim(total: usize, mode: WorkloadMode) -> Sim<Proc> {
+    /// Multi-Paxos' and Raft's retry period.
+    const RETRY_US: u64 = 100_000;
+
+    /// The leader-following client Multi-Paxos and Raft run.
+    fn leader_following(s: Session, n: usize) -> Client<NoPeer> {
+        let target = Target::Leader(NodeId(0));
+        Client::new(s, n, target, Silence::Resend(RETRY_US), Quorum::of(1))
+    }
+
+    /// `n` silent replicas and the client `build` makes from its session
+    /// (`total` commands, seed 1), on a fixed 500 µs network.
+    fn sim_of(
+        n: usize,
+        total: usize,
+        mode: WorkloadMode,
+        build: impl FnOnce(Session) -> Client<NoPeer>,
+    ) -> Sim<Proc> {
         let mut sim = Sim::new(NetConfig::synchronous(), 1);
-        for _ in 0..3 {
+        for _ in 0..n {
             sim.add_node(Recorder::default());
         }
-        let session = Session::new(CLIENT.0, total, KvMix::default(), 1, mode);
-        sim.add_node(Client::<NoPeer>::new(session, 3));
+        let session = Session::new(n as u32, total, KvMix::default(), 1, mode);
+        sim.add_node(build(session));
         sim
+    }
+
+    /// Three silent replicas and one leader-following client.
+    fn sim(total: usize, mode: WorkloadMode) -> Sim<Proc> {
+        sim_of(3, total, mode, |s| leader_following(s, 3))
     }
 
     /// Arrival times of the requests replica `r` has seen.
     fn arrivals(sim: &Sim<Proc>, r: u32) -> Vec<u64> {
         match sim.node(NodeId(r)) {
             Proc::Replica(rec) => rec.got.iter().map(|&(at, _)| at).collect(),
-            Proc::Client(_) => unreachable!("nodes 0..3 are replicas"),
+            Proc::Client(_) => unreachable!("node {r} is a replica"),
+        }
+    }
+
+    /// The client under test (the last node).
+    fn client(sim: &Sim<Proc>) -> &Client<NoPeer> {
+        match sim.node(NodeId::from(sim.n_nodes() - 1)) {
+            Proc::Client(c) => c,
+            Proc::Replica(_) => unreachable!("the last node is the client"),
+        }
+    }
+
+    /// Replicas of the acceptance table: `3f+1` with `f = 1`.
+    const N: usize = 4;
+
+    /// The BFT silence policy, at a period no row reaches.
+    fn broadcast() -> Silence<NoPeer> {
+        Silence::Broadcast(50_000, None)
+    }
+
+    #[test]
+    fn acceptance_decision_table() {
+        // (policy, replies as (replier, seq, output), completes?) — one
+        // command (seq 0) outstanding among four replicas.
+        type Policy = fn(Session) -> Client<NoPeer>;
+        let leader: Policy = |s| leader_following(s, N);
+        // PBFT: f+1 = 2 matching replies.
+        let pbft: Policy = |s| {
+            let primary = Target::Primary(NodeId(0));
+            Client::new(s, N, primary, broadcast(), Quorum::of(2))
+        };
+        // SeeMoRe: the same, but node 0 (the private cloud) is trusted.
+        let seemore: Policy = |s| {
+            let primary = Target::Primary(NodeId(0));
+            Client::new(s, N, primary, broadcast(), Quorum::of(2).trusting(1))
+        };
+        // HotStuff: f+1 matching replies from any replica.
+        let hotstuff: Policy = |s| Client::new(s, N, Target::All, broadcast(), Quorum::of(2));
+        type Row = (
+            &'static str,
+            Policy,
+            &'static [(u32, u64, &'static str)],
+            bool,
+        );
+        let table: [Row; 13] = [
+            ("leader", leader, &[(1, 0, "a")], true),
+            ("leader", leader, &[(1, 7, "a")], false),
+            ("pbft", pbft, &[(1, 0, "a")], false),
+            ("pbft", pbft, &[(1, 0, "a"), (2, 0, "a")], true),
+            ("pbft", pbft, &[(1, 0, "a"), (2, 0, "b")], false),
+            ("pbft", pbft, &[(1, 0, "a"), (1, 0, "a")], false),
+            ("pbft", pbft, &[(1, 7, "a"), (2, 7, "a")], false),
+            ("seemore", seemore, &[(0, 0, "a")], true),
+            ("seemore", seemore, &[(1, 0, "a")], false),
+            ("seemore", seemore, &[(1, 0, "a"), (3, 0, "a")], true),
+            ("hotstuff", hotstuff, &[(3, 0, "a"), (2, 0, "a")], true),
+            (
+                "hotstuff",
+                hotstuff,
+                &[(1, 0, "forged"), (2, 0, "honest")],
+                false,
+            ),
+            ("hotstuff", hotstuff, &[(0, 0, "a")], false),
+        ];
+        for (name, policy, replies, completes) in table {
+            let mut sim = sim_of(N, 1, WorkloadMode::Closed, policy);
+            for (i, &(from, seq, out)) in replies.iter().enumerate() {
+                let output = KvResponse::Value(Some(out.into()));
+                let reply = Envelope::Client(ClientMsg::Reply { seq, output });
+                sim.inject(NodeId(from), NodeId::from(N), reply, Time(1_000 + i as u64));
+            }
+            sim.run_until(Time(10_000));
+            let c = client(&sim);
+            assert_eq!(c.session.done(), completes, "{name} {replies:?}");
+            if name == "leader" {
+                // A quorum of one never allocates vote state.
+                assert_eq!(c.accept.votes.capacity(), 0);
+            }
         }
     }
 
@@ -516,10 +768,7 @@ mod tests {
         sim.inject(NodeId(1), CLIENT, Envelope::Client(reply), Time(250_000));
         sim.run_until(Time(1_000_000));
         assert_eq!(arrivals(&sim, 1).len(), 1);
-        match sim.node(CLIENT) {
-            Proc::Client(c) => assert!(c.session.done()),
-            Proc::Replica(_) => unreachable!("node 3 is the client"),
-        }
+        assert!(client(&sim).session.done());
     }
 
     #[test]
@@ -530,5 +779,19 @@ mod tests {
         // Two issue-timer fires (the third command exhausts the workload, so
         // nothing is re-armed); the first retry timer is not due yet.
         assert_eq!(sim.metrics().timer_fires, 2);
+    }
+
+    #[test]
+    fn a_window_keeps_k_commands_in_flight() {
+        let window = |s: Session| Client::new(s, N, Target::All, broadcast(), Quorum::of(1));
+        let mut sim = sim_of(N, 5, WorkloadMode::Closed, |s| window(s.with_window(3)));
+        sim.run_until(Time(10_000));
+        assert_eq!(arrivals(&sim, 2), [500, 500, 500], "three at once");
+        // One answer frees one slot.
+        let output = KvResponse::Ok;
+        let reply = Envelope::Client(ClientMsg::Reply { seq: 1, output });
+        sim.inject(NodeId(2), NodeId::from(N), reply, Time(10_000));
+        sim.run_until(Time(20_000));
+        assert_eq!(arrivals(&sim, 2), [500, 500, 500, 10_500]);
     }
 }

@@ -13,7 +13,7 @@ use simnet::{
     RunOutcome, Sim, Time, Timer,
 };
 
-use crate::client::{Envelope, Session, WorkloadClient};
+use crate::client::{Accept, Client, Envelope, Session};
 use crate::driver::{BatchConfig, ByzantineWindow, ClusterDriver, DecidedEntry, DriverConfig};
 use crate::history::{ClientRecord, HistorySink};
 use crate::quorum::QuorumSpec;
@@ -51,14 +51,15 @@ pub trait SmrProtocol: Sized + 'static {
     type Peer: Payload;
     /// Server replica.
     type Replica: Node<Msg = Envelope<Self::Peer>>;
-    /// Workload client.
-    type Client: WorkloadClient<Msg = Envelope<Self::Peer>>;
+    /// When a client accepts an output.
+    type Accept: Accept<Self::Peer>;
 
     /// Builds one replica.
     fn replica(shape: Self::Shape, batch: BatchConfig) -> Self::Replica;
 
-    /// Builds one client around its workload `session`.
-    fn client(shape: Self::Shape, session: Session) -> Self::Client;
+    /// Builds one client around its workload `session`: where its first
+    /// attempts go, what silence does, and when it accepts an output.
+    fn client(shape: Self::Shape, session: Session) -> Client<Self::Peer, Self::Accept>;
 
     /// Whether `replica` (node `id`) currently believes it leads.
     fn is_leader(replica: &Self::Replica, id: NodeId) -> bool;
@@ -90,8 +91,8 @@ pub trait DurableProtocol: SmrProtocol {
 pub enum Proc<P: SmrProtocol> {
     /// Server replica.
     Replica(P::Replica),
-    /// Workload client.
-    Client(P::Client),
+    /// Workload client (boxed, so a `Proc` is sized by its replica).
+    Client(Box<Client<P::Peer, P::Accept>>),
 }
 
 impl<P: SmrProtocol> Node for Proc<P> {
@@ -201,7 +202,7 @@ impl<P: SmrProtocol> Cluster<P> {
         for c in 0..cfg.n_clients {
             let id = (cfg.n_replicas + c) as u32;
             let session = Session::new(id, cfg.cmds_per_client, cfg.mix, cfg.seed, cfg.mode);
-            sim.add_node(Proc::Client(P::client(shape, session)));
+            sim.add_node(Proc::Client(Box::new(P::client(shape, session))));
         }
         Cluster {
             sim,
@@ -239,13 +240,13 @@ impl<P: SmrProtocol> Cluster<P> {
 
     /// Whether every client completed its workload.
     pub fn all_done(&self) -> bool {
-        self.clients().all(|c| c.session().done())
+        self.clients().all(|c| c.session.done())
     }
 
     /// Iterates over client states.
-    pub fn clients(&self) -> impl Iterator<Item = &P::Client> {
+    pub fn clients(&self) -> impl Iterator<Item = &Client<P::Peer, P::Accept>> {
         self.sim.nodes().filter_map(|(_, p)| match p {
-            Proc::Client(c) => Some(c),
+            Proc::Client(c) => Some(&**c),
             Proc::Replica(_) => None,
         })
     }
@@ -270,14 +271,14 @@ impl<P: SmrProtocol> Cluster<P> {
 
     /// Total commands completed across clients.
     pub fn total_completed(&self) -> usize {
-        self.clients().map(|c| c.session().completed).sum()
+        self.clients().map(|c| c.session.completed).sum()
     }
 
     /// Aggregated latency recorder across clients.
     pub fn latencies(&self) -> LatencyRecorder {
         let mut agg = LatencyRecorder::new();
         for c in self.clients() {
-            for &s in c.session().latencies.samples() {
+            for &s in c.session.latencies.samples() {
                 agg.record_micros(s);
             }
         }
@@ -391,7 +392,7 @@ where
     }
 
     fn history(&self) -> Vec<ClientRecord> {
-        HistorySink::merge(self.clients().map(|c| &c.session().history))
+        HistorySink::merge(self.clients().map(|c| &c.session.history))
     }
 
     fn latencies(&self) -> LatencyRecorder {

@@ -26,11 +26,12 @@
 //! * [`client`] and [`cluster`] — the rest of the **SMR shell** shared by
 //!   all nine SMR protocols (Multi-Paxos, Raft and the seven in `bft`): the
 //!   workload [`Session`], the client messages ([`ClientMsg`]) every
-//!   protocol's [`Envelope`] carries, the leader-following [`Client`], and
-//!   the generic [`Cluster`] harness with the single [`ClusterDriver`] impl.
+//!   protocol's [`Envelope`] carries, the one workload [`Client`] under each
+//!   protocol's three policies, and the generic [`Cluster`] harness with the
+//!   single [`ClusterDriver`] impl.
 //!   A log protocol supplies an [`SmrProtocol`] impl — peer messages,
-//!   replica, client, [`ClusterShape`], `decided_log` shape — and nothing
-//!   else.
+//!   replica, client policies, [`ClusterShape`], `decided_log` shape — and
+//!   nothing else.
 //! * [`txn`] — shared transaction types for the sharded store
 //!   (`forty-store`): transaction ids and outcomes, and the log-entry
 //!   encoding of the Gray–Lamport 2PC-over-consensus construction, including
@@ -56,7 +57,7 @@ pub mod txn;
 pub mod workload;
 
 pub use ballot::Ballot;
-pub use client::{Client, ClientMsg, Envelope, Session, WorkloadClient};
+pub use client::{Accept, Answer, Client, ClientMsg, Envelope, Quorum, Session, Silence, Target};
 pub use cluster::{Cluster, ClusterShape, DurableProtocol, Proc, SmrProtocol};
 pub use driver::{
     BatchConfig, Batcher, ByzantineWindow, ClusterDriver, DecidedEntry, DriverConfig, Flush,

@@ -31,7 +31,7 @@
 //! | [`raft`] | Raft |
 //! | [`atomic_commit`] | Paxos Commit (2PC at `F = 0`) and fault-tolerant 3PC |
 //! | [`agreement`] | interactive consistency, OM(m), FLP, Ben-Or |
-//! | [`bft`] | PBFT, Zyzzyva, HotStuff, MinBFT, CheapBFT, XFT, SeeMoRe — each a `Cluster<P>` — their reply-voting client, and the UpRight model |
+//! | [`bft`] | PBFT, Zyzzyva, HotStuff, MinBFT, CheapBFT, XFT, SeeMoRe — each a `Cluster<P>` — their replica shell, and the UpRight model |
 //! | [`blockchain`] | PoW, PoS, permissioned chains |
 //! | [`store`] | sharded transactional KV store: 2PC over consensus groups |
 

@@ -27,10 +27,13 @@ use consensus_core::quorum::Phase;
 use consensus_core::smr::Slot;
 use consensus_core::{
     Ballot, Client, ClientMsg, Cluster, Command, DedupKvMachine, DurableProtocol, Envelope,
-    KvCommand, QuorumSpec, ReadMode, ReplicatedLog, Session, SmrOp, SmrProtocol, Str,
+    KvCommand, Quorum, QuorumSpec, ReadMode, ReplicatedLog, Session, Silence, SmrOp, SmrProtocol,
+    Str, Target,
 };
 use simnet::causal::cat;
-use simnet::{CncPhase, Context, DiskModel, Node, NodeId, Payload, Time, Timer, TraceCtx};
+use simnet::{
+    CncPhase, Context, DiskModel, LiveTimer, Node, NodeId, Payload, Time, Timer, TraceCtx,
+};
 
 use crate::durable::{
     decode_record, decode_snapshot, encode_record, encode_snapshot, Index, WalRecord,
@@ -183,7 +186,7 @@ pub struct Replica {
     /// is both decided and applied (see [`Replica::retire_proposal`]).
     proposals: BTreeMap<usize, Proposal>,
     pending_reply: BTreeMap<(u32, u64), NodeId>,
-    election_timer: Option<simnet::TimerId>,
+    election_timer: LiveTimer,
     /// Leader changes observed (the "phase 1 only on leader change" claim).
     pub view_changes: u64,
     /// Batching/pipelining policy.
@@ -263,7 +266,7 @@ impl Replica {
             next_index: 0,
             proposals: BTreeMap::new(),
             pending_reply: BTreeMap::new(),
-            election_timer: None,
+            election_timer: LiveTimer::default(),
             view_changes: 0,
             batcher: Batcher::new(batch),
             queue: Vec::new(),
@@ -327,13 +330,10 @@ impl Replica {
 
     fn arm_election_timer(&mut self, ctx: &mut Context<Wire>) {
         use rand::Rng;
-        if let Some(t) = self.election_timer.take() {
-            ctx.cancel_timer(t);
-        }
         // Randomized, id-staggered timeout: avoids duelling candidates.
         let base = 40_000 + 20_000 * u64::from(ctx.id().0);
         let jitter = ctx.rng().gen_range(0..10_000);
-        self.election_timer = Some(ctx.set_timer(base + jitter, ELECTION));
+        self.election_timer.restart(ctx, base + jitter, ELECTION);
     }
 
     fn start_election(&mut self, ctx: &mut Context<Wire>) {
@@ -1084,7 +1084,7 @@ impl Node for Replica {
         self.electing = false;
         self.proposals.clear();
         self.pending_reply.clear();
-        self.election_timer = None;
+        self.election_timer.fired();
         if self.lease_us > 0 {
             // Lease grants are volatile, so a restarted acceptor no longer
             // remembers whom it promised quiescence to. Observe a grace
@@ -1114,14 +1114,16 @@ impl SmrProtocol for MultiPaxos {
     type Shape = QuorumSpec;
     type Peer = MpMsg;
     type Replica = Replica;
-    type Client = Client<MpMsg>;
+    type Accept = Quorum;
 
     fn replica(spec: QuorumSpec, batch: BatchConfig) -> Replica {
         Replica::new_with(spec, spec.n(), batch)
     }
 
     fn client(spec: QuorumSpec, session: Session) -> Client<MpMsg> {
-        Client::new(session, spec.n())
+        let target = Target::Leader(NodeId(0));
+        let silence = Silence::Resend(100_000);
+        Client::new(session, spec.n(), target, silence, Quorum::of(1))
     }
 
     fn is_leader(replica: &Replica, _id: NodeId) -> bool {

@@ -1,7 +1,9 @@
 //! Raft as a log protocol of the SMR shell, plus its end-to-end tests.
 
 use consensus_core::driver::{BatchConfig, DecidedEntry};
-use consensus_core::{Client, Cluster, DedupKvMachine, DurableProtocol, Session, SmrProtocol};
+use consensus_core::{
+    Client, Cluster, DedupKvMachine, DurableProtocol, Quorum, Session, Silence, SmrProtocol, Target,
+};
 use simnet::{DiskModel, NodeId};
 
 use crate::msg::RaftMsg;
@@ -15,14 +17,15 @@ impl SmrProtocol for Raft {
     type Shape = usize;
     type Peer = RaftMsg;
     type Replica = Replica;
-    type Client = Client<RaftMsg>;
+    type Accept = Quorum;
 
     fn replica(n_replicas: usize, batch: BatchConfig) -> Replica {
         Replica::new_with(n_replicas, batch)
     }
 
-    fn client(n_replicas: usize, session: Session) -> Client<RaftMsg> {
-        Client::new(session, n_replicas)
+    fn client(n: usize, session: Session) -> Client<RaftMsg> {
+        let target = Target::Leader(NodeId(0));
+        Client::new(session, n, target, Silence::Resend(100_000), Quorum::of(1))
     }
 
     fn is_leader(replica: &Replica, _id: NodeId) -> bool {

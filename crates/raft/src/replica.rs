@@ -9,7 +9,7 @@ use consensus_core::{
     ReplicatedLog, SmrOp, Str,
 };
 use simnet::causal::cat;
-use simnet::{CncPhase, Context, Node, NodeId, Time, Timer, TimerId, TraceCtx};
+use simnet::{CncPhase, Context, LiveTimer, Node, NodeId, Time, Timer, TraceCtx};
 
 use crate::durable::{
     decode_record, decode_snapshot, encode_record, encode_snapshot, Index, WalRecord,
@@ -90,7 +90,7 @@ pub struct Replica {
     /// Highest log index known committed (absolute).
     pub commit_index: usize,
     votes: usize,
-    election_timer: Option<TimerId>,
+    election_timer: LiveTimer,
     leader_hint: Option<NodeId>,
 
     // --- leader state ---
@@ -165,7 +165,7 @@ impl Replica {
             role: Role::Follower,
             commit_index: 0,
             votes: 0,
-            election_timer: None,
+            election_timer: LiveTimer::default(),
             leader_hint: None,
             next_index: Vec::new(),
             match_index: Vec::new(),
@@ -429,12 +429,9 @@ impl Replica {
 
     fn reset_election_timer(&mut self, ctx: &mut Context<Wire>) {
         use rand::Rng;
-        if let Some(t) = self.election_timer.take() {
-            ctx.cancel_timer(t);
-        }
         // Raft's randomized timeout: [5, 10] heartbeat periods.
         let timeout = ctx.rng().gen_range(5 * HB_PERIOD..=10 * HB_PERIOD);
-        self.election_timer = Some(ctx.set_timer(timeout, ELECTION));
+        self.election_timer.restart(ctx, timeout, ELECTION);
     }
 
     fn become_follower(&mut self, ctx: &mut Context<Wire>, term: u64) {
@@ -804,10 +801,7 @@ impl Node for Replica {
         self.reset_election_timer(ctx);
         // Bias node 0 to win the first election fast: fire almost at once.
         if ctx.id() == NodeId(0) {
-            if let Some(t) = self.election_timer.take() {
-                ctx.cancel_timer(t);
-            }
-            self.election_timer = Some(ctx.set_timer(1_000, ELECTION));
+            self.election_timer.restart(ctx, 1_000, ELECTION);
         }
     }
 
@@ -1085,7 +1079,7 @@ impl Node for Replica {
         self.pending_reads.clear();
         self.last_contact.clear();
         self.reset_batching();
-        self.election_timer = None;
+        self.election_timer.fired();
         if let Some(recovery) = self.durable.restart() {
             // Durable mode: term, vote, log, and machine exist only as WAL
             // records and checkpoints. Rebuild them the honest way.

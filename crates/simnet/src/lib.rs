@@ -62,6 +62,7 @@ mod metrics;
 mod node;
 mod sim;
 mod time;
+mod timer;
 mod trace;
 
 pub use causal::{
@@ -74,6 +75,7 @@ pub use metrics::{DropCause, Histogram, Metrics};
 pub use node::{Context, Node, Payload, Timer, TimerId};
 pub use sim::{RunOutcome, Sim};
 pub use time::{NodeId, Time};
+pub use timer::LiveTimer;
 pub use trace::{CncPhase, SpanEvent, SpanKind, TraceEntry, TraceEvent};
 
 /// Defines an enum of heterogeneous node roles (e.g. replicas and clients)

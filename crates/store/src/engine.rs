@@ -17,9 +17,7 @@
 
 use consensus_core::driver::{BatchConfig, ClusterDriver, DriverConfig};
 use consensus_core::smr::{Command, KvCommand, KvResponse, Str};
-use consensus_core::{
-    Client, ClientMsg, Cluster, DurableProtocol, Envelope, ReadMode, SmrProtocol,
-};
+use consensus_core::{ClientMsg, Cluster, DurableProtocol, Envelope, ReadMode};
 use paxos::multi::MultiPaxos;
 use raft::Raft;
 use simnet::{DiskModel, NetConfig, NodeId, TraceCtx};
@@ -156,10 +154,10 @@ pub trait ShardEngine: ClusterDriver {
     fn set_replica_skew(&mut self, replica: usize, offset_us: u64);
 }
 
-/// What a log protocol adds to [`SmrProtocol`] to serve as a shard group:
-/// durable replicas, leader-following clients (the stubs the harness
-/// injects through), and the geo read path's two protocol-specific rules.
-pub trait ShardProtocol: DurableProtocol<Client = Client<<Self as SmrProtocol>::Peer>> {
+/// What a log protocol adds to [`consensus_core::SmrProtocol`] to serve as a
+/// shard group: durable replicas, and the geo read path's two
+/// protocol-specific rules.
+pub trait ShardProtocol: DurableProtocol {
     /// Configures `replica`'s fast-read path for a geo deployment.
     /// Multi-Paxos enables leader leases; Raft's read-index needs nothing.
     fn configure_geo(replica: &mut Self::Replica, geo: &ShardGeo) {

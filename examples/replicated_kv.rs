@@ -110,6 +110,7 @@ fn main() {
             n_replicas: 4,
             rotate: false,
             pipeline: false,
+            window: 1,
         };
         let mut c = HsCluster::new(cfg, 1, CMDS, NetConfig::lan(), SEED);
         c.sim.run_until(Time::from_millis(20));

@@ -17,12 +17,13 @@ use forty::consensus_core::driver::{ClusterDriver, DriverConfig};
 use forty::consensus_core::workload::KvMix;
 use forty::consensus_core::{
     Cluster, Command, DurableProtocol, Envelope, KvCommand, Proc, SmrOp, SmrProtocol, Str,
-    WorkloadClient,
 };
 use forty::paxos::multi::MpMsg;
 use forty::paxos::{MultiPaxos, MultiPaxosCluster};
 use forty::raft::{Entry, Raft, RaftCluster, RaftMsg};
-use forty::simnet::{DiskModel, FilterAction, FnFilter, NetConfig, NodeId, Payload, Time};
+use forty::simnet::{
+    DiskModel, DropAll, FilterAction, FnFilter, NetConfig, NodeId, Payload, Time, TraceEvent,
+};
 use nemesis::checker::{check_log_agreement, check_state_digests};
 use nemesis::lin::{check_linearizable, DEFAULT_BUDGET};
 use rand_chacha::ChaCha20Rng;
@@ -174,7 +175,7 @@ where
     cluster.sim.run_for(300_000); // followers learn the decision and apply
     let issued = {
         let client = cluster.clients().next().expect("one client");
-        let [record] = client.session().history.records() else {
+        let [record] = client.session.history.records() else {
             panic!("one op issued")
         };
         assert!(record.is_complete(), "{}", P::NAME);
@@ -412,4 +413,55 @@ fn raft_replicas_at_one_applied_index_agree_the_moment_a_run_ends() {
         })
         .collect();
     assert!(violations.is_empty(), "{violations:?}");
+}
+
+/// One LAN delay at most (`NetConfig::lan()` draws 300–800 µs).
+const LAN_DELAY_US: u64 = 800;
+
+/// One closed-loop client on a LAN whose first `Request` goes to a node that
+/// answers nothing (an outbound `DropAll`): a `Request` from that client must
+/// reach some other replica within two of the protocol's retry periods
+/// (`retry_us`, as its `SmrProtocol::client` sets it) plus one network delay.
+fn abandons_a_silent_first_target<P: SmrProtocol>(n_replicas: usize, retry_us: u64)
+where
+    P::Shape: From<usize>,
+{
+    let client = NodeId::from(n_replicas);
+    let horizon = Time(2 * retry_us + LAN_DELAY_US);
+    // `(time, event, to)` of every request the client sent or had delivered.
+    let run = |mute: Option<NodeId>| {
+        let shape = P::Shape::from(n_replicas);
+        let mut c = Cluster::<P>::new(shape, 1, CMDS, NetConfig::lan(), SEED);
+        c.sim.record_trace(true);
+        if let Some(node) = mute {
+            c.sim.set_filter(node, Box::new(DropAll));
+        }
+        c.sim.run_until(horizon);
+        let requests = c.sim.trace().iter();
+        let requests = requests.filter(|e| e.from == client && e.kind == "request");
+        requests.map(|e| (e.time, e.event, e.to)).collect::<Vec<_>>()
+    };
+    let sent = |e: &&(Time, TraceEvent, NodeId)| e.1 == TraceEvent::Send;
+    let first = run(None).iter().find(sent).expect("a first attempt").2;
+    let reached = run(Some(first))
+        .into_iter()
+        .find(|&(_, event, to)| event == TraceEvent::Deliver && to != first);
+    assert!(
+        reached.is_some(),
+        "{}: no request left silent node {first} by {horizon}",
+        P::NAME
+    );
+}
+
+#[test]
+fn every_protocol_abandons_a_silent_first_target_within_two_retry_periods() {
+    abandons_a_silent_first_target::<MultiPaxos>(3, 100_000);
+    abandons_a_silent_first_target::<Raft>(3, 100_000);
+    abandons_a_silent_first_target::<Pbft>(4, 150_000);
+    abandons_a_silent_first_target::<MinBft>(3, 150_000);
+    abandons_a_silent_first_target::<CheapBft>(3, 150_000);
+    abandons_a_silent_first_target::<Xft>(3, 200_000);
+    abandons_a_silent_first_target::<SeeMoRe>(6, 200_000);
+    abandons_a_silent_first_target::<HotStuff>(4, 200_000);
+    abandons_a_silent_first_target::<Zyzzyva>(4, 300_000);
 }

@@ -42,7 +42,7 @@
 //! bytes drive.
 
 use forty::bft::cheapbft::{CheapBft, CheapCluster, Protocol};
-use forty::bft::hotstuff::{ClientWindow, HotStuff, HsCluster, HsConfig};
+use forty::bft::hotstuff::{HotStuff, HsCluster, HsConfig};
 use forty::bft::minbft::{MinBft, MinCluster};
 use forty::bft::pbft::{Pbft, PbftCluster};
 use forty::bft::seemore::{Mode, SeeMoRe, SeeMoReConfig, SmCluster};
@@ -744,7 +744,15 @@ fn zyzzyva_runs_are_bit_identical_to_the_pre_shell_commit() {
     let mut c: ZyzCluster = bft(4, 3);
     c.sim.crash_at(NodeId(3), Time::ZERO);
     assert_eq!(bft_fingerprint(&mut c), ZYZZYVA_BACKUP_CRASH);
-    assert_eq!(c.clients().next().unwrap().cert_path, 25);
+    assert_eq!(c.clients().next().unwrap().accept.cert_path, 25);
+}
+
+/// The pipelined HotStuff shape with four commands in flight per client.
+fn pipelined_window_4() -> HsConfig {
+    HsConfig {
+        window: 4,
+        ..HsConfig::pipelined(4)
+    }
 }
 
 /// HotStuff here has no pacemaker, so a crashed leader has no recovery path
@@ -757,12 +765,13 @@ fn zyzzyva_runs_are_bit_identical_to_the_pre_shell_commit() {
 fn hotstuff_runs_are_bit_identical_to_the_pre_shell_commit() {
     let rows = SEEDS.map(|seed| (HsConfig::rotating(4), seed));
     assert_eq!(fault_free::<HotStuff, 2>(rows), HOTSTUFF);
-    let mut pipelined: HsCluster = bft(HsConfig::pipelined(4), 3).with_client_window(4);
+    let mut pipelined: HsCluster = bft(pipelined_window_4(), 3);
     assert_eq!(bft_fingerprint(&mut pipelined), HOTSTUFF_PIPELINED);
     let fixed = HsConfig {
         n_replicas: 4,
         rotate: false,
         pipeline: false,
+        window: 1,
     };
     let mut c: HsCluster = bft(fixed, 3);
     c.sim.crash_at(NodeId(2), Time::from_millis(21));
@@ -923,7 +932,7 @@ fn bft_zyzzyva_concurrent_clients_match_the_pre_replica_shell_commit() {
 fn bft_hotstuff_concurrent_clients_match_the_pre_replica_shell_commit() {
     assert_eq!(concurrent::<HotStuff>(HsConfig::rotating(4)), HOTSTUFF_3C);
     let pipelined = SEEDS.map(|seed| {
-        let mut c: HsCluster = bft3(HsConfig::pipelined(4), seed).with_client_window(4);
+        let mut c: HsCluster = bft3(pipelined_window_4(), seed);
         multi_client_hash(&mut c)
     });
     assert_eq!(pipelined, HOTSTUFF_3C_PIPELINED);
@@ -931,6 +940,7 @@ fn bft_hotstuff_concurrent_clients_match_the_pre_replica_shell_commit() {
         n_replicas: 4,
         rotate: false,
         pipeline: false,
+        window: 1,
     };
     let mut c: HsCluster = bft3(fixed, 3);
     c.sim.crash_at(NodeId(2), Time::from_millis(21));
