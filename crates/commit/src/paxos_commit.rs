@@ -6,12 +6,17 @@
 //! the decision. The transaction commits iff every instance chooses
 //! `Prepared`.
 //!
-//! The fast path is ballot 0: each RM acts as the phase-1-free proposer of
-//! its *own* instance and sends `Phase2a⟨ballot 0⟩` straight to the
+//! Each acceptor keeps one [`consensus_core::Register`] per RM instance,
+//! and a ballot is a [`consensus_core::Ballot`] `⟨num, coordinator⟩`. The
+//! fast path is [`Ballot::ZERO`]: each RM acts as the phase-1-free proposer
+//! of its *own* instance and sends `Phase2a⟨ZERO⟩` straight to the
 //! acceptors. A backup coordinator that suspects the leader runs phase 1
-//! for the undecided instances at a higher ballot; if a quorum reports no
-//! accepted value the backup is *free* to choose `Aborted` — this is what
-//! makes the protocol non-blocking where 2PC stalls.
+//! for the undecided instances at its next ballot `⟨num + 1, own id⟩`,
+//! which no other coordinator can pick; an acceptor answers it only when
+//! the ballot is strictly higher than its promise, Gray & Lamport's rule. If
+//! a quorum reports no accepted value the backup is *free* to choose
+//! `Aborted` — this is what makes the protocol non-blocking where 2PC
+//! stalls.
 //!
 //! With `F = 0` the protocol *is* 2PC, and this crate runs 2PC that way.
 //! The one acceptor is co-located with the single coordinator, so
@@ -22,6 +27,8 @@
 
 use std::collections::BTreeMap;
 
+use consensus_core::quorum::Phase;
+use consensus_core::{Ballot, QuorumSpec, Register, Tally};
 use simnet::{CncPhase, Context, NetConfig, Node, NodeId, Payload, Sim, Time, Timer};
 
 use crate::msg::TxnState;
@@ -86,6 +93,11 @@ impl Layout {
         self.f + 1
     }
 
+    /// The acceptors' quorum system: majorities of [`Layout::quorum`].
+    fn quorums(&self) -> QuorumSpec {
+        QuorumSpec::from(self.n_acceptors())
+    }
+
     /// Total sim nodes.
     pub fn n_nodes(&self) -> usize {
         self.n_acceptors() + self.n_rms
@@ -114,13 +126,13 @@ pub enum PcMsg {
     /// Leader asks every RM to prepare (begins the transaction).
     VoteRequest,
     /// Proposer → acceptors: accept `vote` for `instance` at `ballot`.
-    /// Ballot 0 comes from the instance's own RM (the fast path); higher
-    /// ballots come from a recovering coordinator.
+    /// [`Ballot::ZERO`] comes from the instance's own RM (the fast path);
+    /// higher ballots come from a recovering coordinator.
     Phase2a {
         /// Per-RM Paxos instance (the RM's index).
         instance: u32,
         /// Paxos ballot.
-        ballot: u32,
+        ballot: Ballot,
         /// Proposed vote value.
         vote: Vote,
     },
@@ -129,7 +141,7 @@ pub enum PcMsg {
         /// Per-RM Paxos instance.
         instance: u32,
         /// Paxos ballot.
-        ballot: u32,
+        ballot: Ballot,
         /// Accepted vote value.
         vote: Vote,
     },
@@ -138,7 +150,7 @@ pub enum PcMsg {
         /// Per-RM Paxos instance.
         instance: u32,
         /// Takeover ballot.
-        ballot: u32,
+        ballot: Ballot,
     },
     /// Acceptor → recovering coordinator: promise, reporting any accepted
     /// value.
@@ -146,9 +158,9 @@ pub enum PcMsg {
         /// Per-RM Paxos instance.
         instance: u32,
         /// The promised ballot (echoed).
-        ballot: u32,
+        ballot: Ballot,
         /// Highest accepted `(ballot, vote)`, if any.
-        accepted: Option<(u32, Vote)>,
+        accepted: Option<(Ballot, Vote)>,
     },
     /// Coordinator → RMs (and peer coordinators): the global decision.
     Outcome {
@@ -181,24 +193,18 @@ fn post(ctx: &mut Context<PcMsg>, out: &mut Vec<(NodeId, PcMsg)>, to: NodeId, ms
     }
 }
 
-/// Per-instance acceptor slot.
-#[derive(Clone, Copy, Debug, Default)]
-struct AccSlot {
-    promised: u32,
-    accepted: Option<(u32, Vote)>,
-}
-
-/// One member of the shared acceptor set.
+/// One member of the shared acceptor set: a register per RM instance,
+/// its vote in slot 0.
 pub struct Acceptor {
     layout: Layout,
-    slots: BTreeMap<u32, AccSlot>,
+    registers: BTreeMap<u32, Register<Vote>>,
 }
 
 impl Acceptor {
     fn new(layout: Layout) -> Self {
         Acceptor {
             layout,
-            slots: BTreeMap::new(),
+            registers: BTreeMap::new(),
         }
     }
 
@@ -215,10 +221,8 @@ impl Acceptor {
                 ballot,
                 vote,
             } => {
-                let slot = self.slots.entry(instance).or_default();
-                if ballot >= slot.promised {
-                    slot.promised = ballot;
-                    slot.accepted = Some((ballot, vote));
+                let register = self.registers.entry(instance).or_default();
+                if register.accept(ballot, 0, vote).is_ok() {
                     for c in self.layout.coordinators() {
                         post(
                             ctx,
@@ -234,19 +238,15 @@ impl Acceptor {
                 }
             }
             PcMsg::Phase1a { instance, ballot } => {
-                let slot = self.slots.entry(instance).or_default();
-                if ballot > slot.promised {
-                    slot.promised = ballot;
-                    post(
-                        ctx,
-                        out,
-                        from,
-                        PcMsg::Phase1b {
-                            instance,
-                            ballot,
-                            accepted: slot.accepted,
-                        },
-                    );
+                let register = self.registers.entry(instance).or_default();
+                if register.prepare(ballot) == Ok(true) {
+                    let accepted = register.accepted(0).copied();
+                    let reply = PcMsg::Phase1b {
+                        instance,
+                        ballot,
+                        accepted,
+                    };
+                    post(ctx, out, from, reply);
                 }
             }
             _ => {}
@@ -264,14 +264,12 @@ pub struct Coordinator {
     pub crash_point: CrashPoint,
     /// Chosen vote per instance.
     learned: BTreeMap<u32, Vote>,
-    /// Phase2b tallies: `(instance, ballot)` → acceptor → vote.
-    tally2b: BTreeMap<(u32, u32), BTreeMap<u32, Vote>>,
-    /// Phase1b gathering during takeover: instance → acceptor → accepted.
-    recovery: BTreeMap<u32, BTreeMap<u32, Option<(u32, Vote)>>>,
-    /// Current takeover ballot (0 until the first takeover round).
-    ballot: u32,
-    /// Takeover retry round.
-    round: u32,
+    /// Phase2b tallies per `(instance, ballot)`.
+    tally2b: BTreeMap<(u32, Ballot), Tally<Vote>>,
+    /// Phase1b tallies per instance during a takeover.
+    recovery: BTreeMap<u32, Tally<Vote>>,
+    /// Current takeover ballot (zero until the first takeover round).
+    ballot: Ballot,
     /// The global decision, once known.
     pub decided: Option<bool>,
     /// Whether this coordinator already broadcast (or saw) the decision.
@@ -292,8 +290,7 @@ impl Coordinator {
             learned: BTreeMap::new(),
             tally2b: BTreeMap::new(),
             recovery: BTreeMap::new(),
-            ballot: 0,
-            round: 0,
+            ballot: Ballot::ZERO,
             decided: None,
             announced: false,
             frozen: false,
@@ -395,9 +392,11 @@ impl Coordinator {
                     ctx.phase(SPAN, TXN, 0, CncPhase::Agreement);
                     self.marked_agreement = true;
                 }
-                let tally = self.tally2b.entry((instance, ballot)).or_default();
-                tally.insert(from.0, vote);
-                if tally.len() >= self.layout.quorum() {
+                let quorums = self.layout.quorums();
+                let tally = (self.tally2b.entry((instance, ballot)))
+                    .or_insert_with(|| Tally::new(quorums, Phase::Agreement));
+                tally.vote(from, [(0, ballot, vote)]);
+                if tally.reached() {
                     self.learned.entry(instance).or_insert(vote);
                     self.maybe_decide(ctx, out);
                 }
@@ -413,16 +412,12 @@ impl Coordinator {
                 let Some(gather) = self.recovery.get_mut(&instance) else {
                     return; // already re-proposed (or never ours)
                 };
-                gather.insert(from.0, accepted);
-                if gather.len() >= self.layout.quorum() {
+                gather.vote(from, accepted.map(|(b, v)| (0, b, v)));
+                if gather.reached() {
                     // Paxos rule: re-propose the highest-ballot accepted
                     // value; a quorum with nothing accepted frees us to
                     // choose — and Paxos Commit chooses Aborted.
-                    let vote = gather
-                        .values()
-                        .flatten()
-                        .max_by_key(|(b, _)| *b)
-                        .map_or(Vote::Aborted, |(_, v)| *v);
+                    let vote = gather.value(0).copied().unwrap_or(Vote::Aborted);
                     self.recovery.remove(&instance);
                     if !self.marked_agreement {
                         ctx.phase(SPAN, TXN, 1, CncPhase::Agreement);
@@ -464,9 +459,8 @@ impl Coordinator {
             return;
         }
         // Take over the undecided instances at a fresh, globally unique
-        // ballot: coordinator idx owns ballots idx+1, idx+1+(F+1), ...
-        self.ballot = self.round * self.layout.n_coordinators() as u32 + self.idx as u32 + 1;
-        self.round += 1;
+        // ballot: the embedded id tells the coordinators' ballots apart.
+        self.ballot = self.ballot.next_for(ctx.id());
         if !self.span1_open {
             ctx.span_open(SPAN, TXN, 1);
             ctx.phase(SPAN, TXN, 1, CncPhase::LeaderElection);
@@ -477,7 +471,8 @@ impl Coordinator {
             if self.learned.contains_key(&instance) {
                 continue;
             }
-            self.recovery.insert(instance, BTreeMap::new());
+            let tally = Tally::new(self.layout.quorums(), Phase::Election);
+            self.recovery.insert(instance, tally);
             let ballot = self.ballot;
             for a in self.layout.acceptors() {
                 post(ctx, out, a, PcMsg::Phase1a { instance, ballot });
@@ -538,7 +533,7 @@ impl Rm {
                 a,
                 PcMsg::Phase2a {
                     instance,
-                    ballot: 0,
+                    ballot: Ballot::ZERO,
                     vote,
                 },
             );

@@ -14,9 +14,13 @@
 //!   flexible (FPaxos' generalized quorum condition), grid, and the hybrid
 //!   `m`-malicious/`c`-crash systems of UpRight/SeeMoRe, with intersection
 //!   checkers used by property tests.
+//! * [`register`] — the one Paxos acceptor ([`Register`]: a promise over
+//!   slots plus each slot's accepted value) and its [`Tally`] of distinct
+//!   voters. Single-decree, Fast and Multi-Paxos and Paxos Commit all
+//!   promise and accept through it.
 //! * [`smr`] — state machine replication building blocks: commands, a
 //!   replicated log, and deterministic state machines (key-value store,
-//!   counter, bank).
+//!   counter).
 //! * [`workload`] — deterministic client workload generators and latency
 //!   recording shared by all protocol crates and the bench harness.
 //! * [`driver`] — the unified [`ClusterDriver`] API (construct from seed,
@@ -51,6 +55,7 @@ pub mod codec;
 pub mod driver;
 pub mod history;
 pub mod quorum;
+pub mod register;
 pub mod smr;
 pub mod taxonomy;
 pub mod txn;
@@ -64,8 +69,9 @@ pub use driver::{
 };
 pub use history::{ClientRecord, HistorySink};
 pub use quorum::QuorumSpec;
+pub use register::{Register, Tally};
 pub use workload::WorkloadMode;
-pub use smr::{Bank, BankOp, BankResponse, Command, DedupKvMachine, KvCommand, KvResponse, KvStore, PrimaryIndex, ReadMode, ReplicatedLog, SmrOp, StateMachine, Str};
+pub use smr::{Command, DedupKvMachine, KvCommand, KvResponse, KvStore, PrimaryIndex, ReadMode, ReplicatedLog, SmrOp, StateMachine, Str};
 pub use taxonomy::{
     ComplexityClass, FailureModel, NodeBound, ParticipantAwareness, ProcessingStrategy,
     ProtocolCard,

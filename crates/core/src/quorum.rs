@@ -163,12 +163,6 @@ impl QuorumSpec {
         }
     }
 
-    /// Convenience: does a plain vote count reach the agreement quorum?
-    /// (Not meaningful for grids.)
-    pub fn reached(&self, votes: usize, phase: Phase) -> bool {
-        votes >= self.quorum_size(phase)
-    }
-
     /// The members of grid row `r` (election quorum `r`). Panics for
     /// non-grid specs.
     pub fn grid_row(&self, r: usize) -> Vec<NodeId> {

@@ -1216,237 +1216,3 @@ mod dedup_tests {
         }
     }
 }
-
-/// Operations of the bank state machine — a second deterministic machine
-/// whose invariant (conservation of money) is the classic SMR correctness
-/// probe: if replicas ever diverge, totals stop matching.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub enum BankOp {
-    /// Create `account` with `balance` (no-op if it exists).
-    Open {
-        /// Account id.
-        account: u32,
-        /// Initial balance (minted — the only way money enters).
-        balance: u64,
-    },
-    /// Move `amount` from one account to another; fails (without effect)
-    /// on insufficient funds or missing accounts.
-    Transfer {
-        /// Source account.
-        from: u32,
-        /// Destination account.
-        to: u32,
-        /// Amount to move.
-        amount: u64,
-    },
-    /// Read a balance.
-    Balance {
-        /// Account id.
-        account: u32,
-    },
-}
-
-/// Replies of the bank machine.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BankResponse {
-    /// Operation applied.
-    Ok,
-    /// Transfer refused (insufficient funds / unknown account).
-    Refused,
-    /// Balance read result (`None` = unknown account).
-    Balance(Option<u64>),
-}
-
-/// A deterministic in-memory bank.
-#[derive(Clone, Debug, Default)]
-pub struct Bank {
-    accounts: BTreeMap<u32, u64>,
-    /// Total money ever minted via `Open` — the conservation target.
-    minted: u64,
-    applied: u64,
-}
-
-impl Bank {
-    /// Sum of all balances. Must equal [`Bank::minted`] at all times.
-    pub fn total(&self) -> u64 {
-        self.accounts.values().sum()
-    }
-
-    /// Money minted so far.
-    pub fn minted(&self) -> u64 {
-        self.minted
-    }
-
-    /// Direct read access.
-    pub fn balance(&self, account: u32) -> Option<u64> {
-        self.accounts.get(&account).copied()
-    }
-
-    /// The conservation invariant.
-    pub fn conserved(&self) -> bool {
-        self.total() == self.minted
-    }
-}
-
-impl StateMachine for Bank {
-    type Op = BankOp;
-    type Output = BankResponse;
-
-    fn apply(&mut self, op: &BankOp) -> BankResponse {
-        self.applied += 1;
-        match op {
-            BankOp::Open { account, balance } => {
-                if self.accounts.contains_key(account) {
-                    BankResponse::Refused
-                } else {
-                    self.accounts.insert(*account, *balance);
-                    self.minted += balance;
-                    BankResponse::Ok
-                }
-            }
-            BankOp::Transfer { from, to, amount } => {
-                if from == to {
-                    return BankResponse::Refused;
-                }
-                match (self.accounts.get(from).copied(), self.accounts.get(to)) {
-                    (Some(src), Some(_)) if src >= *amount => {
-                        *self.accounts.get_mut(from).expect("checked") -= amount;
-                        *self.accounts.get_mut(to).expect("checked") += amount;
-                        BankResponse::Ok
-                    }
-                    _ => BankResponse::Refused,
-                }
-            }
-            BankOp::Balance { account } => BankResponse::Balance(self.balance(*account)),
-        }
-    }
-
-    fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for (a, b) in &self.accounts {
-            h ^= u64::from(*a).rotate_left(17) ^ b.rotate_left(43);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h ^ self.applied
-    }
-}
-
-#[cfg(test)]
-mod bank_tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    #[test]
-    fn transfers_move_money_conservatively() {
-        let mut bank = Bank::default();
-        assert_eq!(
-            bank.apply(&BankOp::Open {
-                account: 1,
-                balance: 100
-            }),
-            BankResponse::Ok
-        );
-        assert_eq!(
-            bank.apply(&BankOp::Open {
-                account: 2,
-                balance: 50
-            }),
-            BankResponse::Ok
-        );
-        assert_eq!(
-            bank.apply(&BankOp::Transfer {
-                from: 1,
-                to: 2,
-                amount: 30
-            }),
-            BankResponse::Ok
-        );
-        assert_eq!(bank.balance(1), Some(70));
-        assert_eq!(bank.balance(2), Some(80));
-        assert!(bank.conserved());
-    }
-
-    #[test]
-    fn refusals_have_no_effect() {
-        let mut bank = Bank::default();
-        bank.apply(&BankOp::Open {
-            account: 1,
-            balance: 10,
-        });
-        let before = bank.clone();
-        // Overdraft.
-        assert_eq!(
-            bank.apply(&BankOp::Transfer {
-                from: 1,
-                to: 2,
-                amount: 99
-            }),
-            BankResponse::Refused
-        );
-        // Unknown destination.
-        assert_eq!(
-            bank.apply(&BankOp::Transfer {
-                from: 1,
-                to: 9,
-                amount: 1
-            }),
-            BankResponse::Refused
-        );
-        // Self transfer.
-        assert_eq!(
-            bank.apply(&BankOp::Transfer {
-                from: 1,
-                to: 1,
-                amount: 1
-            }),
-            BankResponse::Refused
-        );
-        // Re-open.
-        assert_eq!(
-            bank.apply(&BankOp::Open {
-                account: 1,
-                balance: 5
-            }),
-            BankResponse::Refused
-        );
-        assert_eq!(bank.balance(1), before.balance(1));
-        assert!(bank.conserved());
-    }
-
-    proptest! {
-        /// Money is conserved under any operation sequence, and two
-        /// replicas applying the same sequence agree exactly.
-        #[test]
-        fn prop_conservation_and_determinism(
-            ops in proptest::collection::vec((0u8..3, 0u32..6, 0u32..6, 0u64..200), 0..80)
-        ) {
-            let cmds: Vec<BankOp> = ops.into_iter().map(|(k, a, b, amt)| match k {
-                0 => BankOp::Open { account: a, balance: amt },
-                1 => BankOp::Transfer { from: a, to: b, amount: amt },
-                _ => BankOp::Balance { account: a },
-            }).collect();
-            let mut x = Bank::default();
-            let mut y = Bank::default();
-            for c in &cmds {
-                let ox = x.apply(c);
-                let oy = y.apply(c);
-                prop_assert_eq!(ox, oy);
-                prop_assert!(x.conserved(), "money leaked: total {} vs minted {}", x.total(), x.minted());
-            }
-            prop_assert_eq!(x.digest(), y.digest());
-        }
-
-        /// Transfers never create negative balances (all u64 math checked).
-        #[test]
-        fn prop_no_overdrafts(amounts in proptest::collection::vec(0u64..100, 1..40)) {
-            let mut bank = Bank::default();
-            bank.apply(&BankOp::Open { account: 0, balance: 50 });
-            bank.apply(&BankOp::Open { account: 1, balance: 0 });
-            for amt in amounts {
-                bank.apply(&BankOp::Transfer { from: 0, to: 1, amount: amt });
-                prop_assert!(bank.balance(0).unwrap() <= 50);
-                prop_assert!(bank.conserved());
-            }
-        }
-    }
-}

@@ -13,10 +13,14 @@
 //! coordinator picks the value with the most votes (the slide: "chooses the
 //! value with the majority quorum if exists") and falls back to a classic
 //! round.
+//!
+//! A replica's promise and accepted value are slot 0 of the shared
+//! [`consensus_core::Register`]; only a client value that arrives before
+//! *Any* waits outside it, as Fast Paxos state.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use consensus_core::Ballot;
+use consensus_core::{Ballot, Register};
 use simnet::{Context, NetConfig, Node, NodeId, Payload, Sim, Time, Timer};
 
 /// Fast Paxos wire messages.
@@ -95,11 +99,10 @@ pub struct FpReplica {
     /// overridable for the quorum-size ablation).
     pub fast_quorum_size: usize,
     // --- acceptor ---
-    promised: Ballot,
+    acceptor: Register<u64>,
     any_enabled: Option<Ballot>,
-    /// The value this replica accepted, if any.
-    pub accept_val: Option<u64>,
-    accept_ballot: Ballot,
+    /// A client value that arrived before *Any*, accepted once it does.
+    early_value: Option<u64>,
     // --- coordinator (node 0 only) ---
     is_coordinator: bool,
     fast_votes: BTreeMap<u64, BTreeSet<NodeId>>,
@@ -121,10 +124,9 @@ impl FpReplica {
         FpReplica {
             n_replicas,
             fast_quorum_size: fast_quorum(n_replicas),
-            promised: Ballot::ZERO,
+            acceptor: Register::default(),
             any_enabled: None,
-            accept_val: None,
-            accept_ballot: Ballot::ZERO,
+            early_value: None,
             is_coordinator: coordinator,
             fast_votes: BTreeMap::new(),
             responders: BTreeSet::new(),
@@ -146,6 +148,13 @@ impl FpReplica {
         ctx.broadcast(FpMsg::Commit { value });
     }
 
+    /// Accepts `value` in the fast round and reports it to the coordinator.
+    fn fast_accept(&mut self, ctx: &mut Context<FpMsg>, ballot: Ballot, value: u64) {
+        if self.acceptor.accept(ballot, 0, value).is_ok() {
+            ctx.send(NodeId(0), FpMsg::FastAccepted { ballot, value });
+        }
+    }
+
     fn start_classic_round(&mut self, ctx: &mut Context<FpMsg>) {
         if self.in_classic || self.decided.is_some() {
             return;
@@ -162,8 +171,10 @@ impl FpReplica {
             .unwrap_or(0);
         self.classic_value = Some(value);
         self.classic_votes.clear();
-        let ballot = self.promised.next_for(ctx.id());
-        self.promised = ballot;
+        let ballot = self.acceptor.promise().next_for(ctx.id());
+        self.acceptor
+            .prepare(ballot)
+            .expect("a successor ballot is never refused");
         ctx.broadcast_all(FpMsg::ClassicAccept { ballot, value });
     }
 }
@@ -174,7 +185,9 @@ impl Node for FpReplica {
     fn on_start(&mut self, ctx: &mut Context<FpMsg>) {
         if self.is_coordinator {
             let ballot = Ballot::new(1, 0);
-            self.promised = ballot;
+            self.acceptor
+                .prepare(ballot)
+                .expect("the first ballot is never refused");
             ctx.broadcast_all(FpMsg::Any { ballot });
             // If responses stall (crashed replica / collision without full
             // attendance), recover via a classic round.
@@ -185,25 +198,21 @@ impl Node for FpReplica {
     fn on_message(&mut self, ctx: &mut Context<FpMsg>, from: NodeId, msg: FpMsg) {
         match msg {
             FpMsg::Any { ballot } => {
-                if ballot >= self.promised {
-                    self.promised = ballot;
+                if self.acceptor.prepare(ballot).is_ok() {
                     self.any_enabled = Some(ballot);
                     // A value that raced ahead of Any can now be accepted.
-                    if let Some(v) = self.accept_val {
-                        if self.accept_ballot == Ballot::ZERO {
-                            self.accept_ballot = ballot;
-                            ctx.send(NodeId(0), FpMsg::FastAccepted { ballot, value: v });
-                        }
+                    if let Some(value) = self.early_value.take() {
+                        self.fast_accept(ctx, ballot, value);
                     }
                 }
             }
             FpMsg::ClientValue { value } => {
                 // Fast acceptance: first client value wins locally.
-                if self.accept_val.is_none() && !self.in_classic && self.decided.is_none() {
-                    self.accept_val = Some(value);
-                    if let Some(ballot) = self.any_enabled {
-                        self.accept_ballot = ballot;
-                        ctx.send(NodeId(0), FpMsg::FastAccepted { ballot, value });
+                let first = self.early_value.is_none() && self.acceptor.accepted(0).is_none();
+                if first && !self.in_classic && self.decided.is_none() {
+                    match self.any_enabled {
+                        Some(ballot) => self.fast_accept(ctx, ballot, value),
+                        None => self.early_value = Some(value),
                     }
                 }
             }
@@ -211,7 +220,8 @@ impl Node for FpReplica {
                 if !self.is_coordinator || self.in_classic || self.decided.is_some() {
                     return;
                 }
-                if Some(ballot) != self.any_enabled.or(Some(self.promised)) && ballot != self.promised {
+                let promise = self.acceptor.promise();
+                if Some(ballot) != self.any_enabled.or(Some(promise)) && ballot != promise {
                     return;
                 }
                 self.responders.insert(from);
@@ -231,16 +241,13 @@ impl Node for FpReplica {
                 }
             }
             FpMsg::ClassicAccept { ballot, value } => {
-                if ballot >= self.promised {
-                    self.promised = ballot;
-                    self.accept_ballot = ballot;
-                    self.accept_val = Some(value);
+                if self.acceptor.accept(ballot, 0, value).is_ok() {
                     self.any_enabled = None;
                     ctx.send(from, FpMsg::ClassicAccepted { ballot, value });
                 }
             }
             FpMsg::ClassicAccepted { ballot, value } => {
-                if self.is_coordinator && self.in_classic && ballot == self.promised {
+                if self.is_coordinator && self.in_classic && ballot == self.acceptor.promise() {
                     self.classic_votes.insert(from);
                     if self.classic_votes.len() >= classic_quorum(self.n_replicas) {
                         self.decide(ctx, value);
@@ -337,12 +344,7 @@ simnet::node_enum! {
 
 /// Builds a Fast Paxos instance: `n` replicas plus one client per
 /// `(value, delay)` pair.
-pub fn build(
-    n: usize,
-    clients: &[(u64, u64)],
-    config: NetConfig,
-    seed: u64,
-) -> Sim<FastProc> {
+pub fn build(n: usize, clients: &[(u64, u64)], config: NetConfig, seed: u64) -> Sim<FastProc> {
     let mut sim = Sim::new(config, seed);
     for i in 0..n {
         sim.add_node(FpReplica::new(n, i == 0));
@@ -395,11 +397,7 @@ mod tests {
         // sweeps all replicas.
         for c in [4u32, 5] {
             for r in 0..4u32 {
-                sim.set_link_delay(
-                    NodeId(c),
-                    NodeId(r),
-                    DelayModel::Uniform(300, 900),
-                );
+                sim.set_link_delay(NodeId(c), NodeId(r), DelayModel::Uniform(300, 900));
             }
         }
         sim.run_until(Time::from_secs(1));

@@ -27,8 +27,8 @@ use consensus_core::quorum::Phase;
 use consensus_core::smr::Slot;
 use consensus_core::{
     Ballot, Client, ClientMsg, Cluster, Command, DedupKvMachine, DurableProtocol, Envelope,
-    KvCommand, Quorum, QuorumSpec, ReadMode, ReplicatedLog, Session, Silence, SmrOp, SmrProtocol,
-    Str, Target,
+    KvCommand, Quorum, QuorumSpec, ReadMode, Register, ReplicatedLog, Session, Silence, SmrOp,
+    SmrProtocol, Str, Tally, Target,
 };
 use simnet::causal::cat;
 use simnet::{
@@ -167,10 +167,9 @@ pub struct Replica {
     spec: QuorumSpec,
     /// Number of replica nodes (clients have higher ids).
     n_replicas: usize,
-    /// Highest ballot promised (durable).
-    pub promised: Ballot,
-    /// Accepted entries: index → (ballot, op) (durable).
-    accepted: BTreeMap<usize, (Ballot, SmrOp)>,
+    /// The acceptor: one promise over the whole log and each index's
+    /// accepted `(ballot, op)` (durable).
+    acceptor: Register<SmrOp>,
     /// The replicated log + state machine.
     pub log: ReplicatedLog<DedupKvMachine>,
     /// Whether this replica currently leads.
@@ -178,8 +177,8 @@ pub struct Replica {
     /// Candidate election state.
     electing: bool,
     election_ballot: Ballot,
-    prepare_acks: BTreeSet<NodeId>,
-    prepare_entries: BTreeMap<usize, (Ballot, SmrOp)>,
+    /// Phase-1b replies of the current election.
+    prepare_tally: Tally<SmrOp>,
     /// Leader state.
     next_index: usize,
     /// The open window of this leadership's proposals: an entry goes once it
@@ -255,14 +254,12 @@ impl Replica {
         Replica {
             spec,
             n_replicas,
-            promised: Ballot::ZERO,
-            accepted: BTreeMap::new(),
+            acceptor: Register::default(),
             log: ReplicatedLog::new(),
             is_leader: false,
             electing: false,
             election_ballot: Ballot::ZERO,
-            prepare_acks: BTreeSet::new(),
-            prepare_entries: BTreeMap::new(),
+            prepare_tally: Tally::new(spec, Phase::Election),
             next_index: 0,
             proposals: BTreeMap::new(),
             pending_reply: BTreeMap::new(),
@@ -339,9 +336,8 @@ impl Replica {
     fn start_election(&mut self, ctx: &mut Context<Wire>) {
         self.electing = true;
         self.is_leader = false;
-        self.election_ballot = self.promised.next_for(ctx.id());
-        self.prepare_acks.clear();
-        self.prepare_entries.clear();
+        self.election_ballot = self.acceptor.promise().next_for(ctx.id());
+        self.prepare_tally = Tally::new(self.spec, Phase::Election);
         self.prepare_max_floor = 0;
         self.prepare_floor_holder = NodeId(0);
         let low = self.log.applied_len();
@@ -369,7 +365,8 @@ impl Replica {
         self.lease_grants.clear();
         // Adopt the highest-ballot value for every discovered index and
         // re-propose it under my ballot; fill gaps with no-ops.
-        let discovered: BTreeMap<usize, (Ballot, SmrOp)> = self.prepare_entries.clone();
+        let fresh = Tally::new(self.spec, Phase::Election);
+        let discovered = std::mem::replace(&mut self.prepare_tally, fresh).into_values();
         let max_idx = discovered.keys().max().copied();
         let low = self.log.applied_len();
         self.next_index = max_idx.map_or(low, |m| m + 1).max(low);
@@ -383,7 +380,7 @@ impl Replica {
             ctx.phase(
                 SPAN,
                 index as u64,
-                self.promised.num,
+                self.acceptor.promise().num,
                 CncPhase::ValueDiscovery,
             );
             let op = discovered
@@ -398,7 +395,7 @@ impl Replica {
         self.lease_floor = self.next_index;
         ctx.set_timer(HB_PERIOD, HEARTBEAT);
         let hb = MpMsg::Heartbeat {
-            ballot: self.promised,
+            ballot: self.acceptor.promise(),
             decided: self.log.applied_len(),
         };
         let me = ctx.id();
@@ -511,12 +508,13 @@ impl Replica {
                 decided: false,
             },
         );
-        ctx.span_open(SPAN, index as u64, self.promised.num);
-        ctx.phase(SPAN, index as u64, self.promised.num, CncPhase::Agreement);
+        let ballot = self.acceptor.promise();
+        ctx.span_open(SPAN, index as u64, ballot.num);
+        ctx.phase(SPAN, index as u64, ballot.num, CncPhase::Agreement);
         ctx.send_many(
             self.replica_ids(),
             MpMsg::Accept {
-                ballot: self.promised,
+                ballot,
                 index,
                 op,
                 sent: ctx.local_now(),
@@ -571,8 +569,8 @@ impl Replica {
     }
 
     /// Takes a checkpoint once enough new entries applied since the last
-    /// floor: prune `accepted` and the log below the applied frontier, then
-    /// persist (when durable) so the WAL restarts empty.
+    /// floor: prune accepted entries and the log below the applied
+    /// frontier, then persist (when durable) so the WAL restarts empty.
     fn maybe_snapshot(&mut self) {
         let applied = self.log.applied_len();
         if applied.saturating_sub(self.snapshot_floor) < self.snapshot_threshold {
@@ -584,7 +582,7 @@ impl Replica {
 
     /// Compacts protocol state below `floor` and persists a checkpoint.
     fn compact_to(&mut self, floor: usize) {
-        self.accepted = self.accepted.split_off(&floor);
+        self.acceptor.prune_below(floor);
         self.log.truncate_prefix(floor);
         self.snapshot_floor = floor;
         self.persist_checkpoint();
@@ -596,14 +594,15 @@ impl Replica {
     /// unapplied slots. After this, recovery = snapshot load + WAL replay.
     fn persist_checkpoint(&mut self) {
         let (log, applied) = (&self.log, self.log.applied_len());
-        let ballot = self.promised;
+        let ballot = self.acceptor.promise();
         let promise = (ballot != Ballot::ZERO).then_some(WalRecord::Promise { ballot });
-        let accepts =
-            (self.accepted.range(applied..)).map(|(&index, (ballot, op))| WalRecord::Accept {
+        let accepts = (self.acceptor.accepted_since(applied)).map(|(index, (ballot, op))| {
+            WalRecord::Accept {
                 index,
                 ballot: *ballot,
                 op: op.clone(),
-            });
+            }
+        });
         let decides = (applied..log.len()).filter_map(|index| match log.slot(index) {
             Slot::Decided(op) => Some(WalRecord::Decide {
                 index,
@@ -624,8 +623,7 @@ impl Replica {
     /// is rebuilt here from actual on-disk bytes — and the disk charges for
     /// every read, which is what recovery-time experiments measure.
     fn recover_from(&mut self, ctx: &mut Context<Wire>, recovery: storage::Recovery) {
-        self.promised = Ballot::ZERO;
-        self.accepted.clear();
+        self.acceptor = Register::default();
         self.log = ReplicatedLog::new();
         self.snapshot_floor = 0;
         if let Some(blob) = recovery.snapshot {
@@ -639,16 +637,11 @@ impl Replica {
             let rec = decode_record(raw).expect("CRC-valid WAL record decodes");
             match rec {
                 WalRecord::Promise { ballot } => {
-                    if ballot > self.promised {
-                        self.promised = ballot;
-                    }
+                    let _ = self.acceptor.prepare(ballot);
                 }
                 WalRecord::Accept { index, ballot, op } => {
                     if index >= self.snapshot_floor {
-                        if ballot > self.promised {
-                            self.promised = ballot;
-                        }
-                        self.accepted.insert(index, (ballot, op));
+                        self.acceptor.restore(ballot, index, op);
                     }
                 }
                 WalRecord::Decide { index, op } => {
@@ -664,7 +657,7 @@ impl Replica {
 
     fn leader_hint(&self) -> NodeId {
         // Best effort: the process embedded in the highest promised ballot.
-        self.promised.proposer()
+        self.acceptor.promise().proposer()
     }
 
     /// Whether an unexpired lease (or post-restart grace period, when
@@ -770,21 +763,17 @@ impl Node for Replica {
                     // new leader commit writes the lease holder can't see.
                     return;
                 }
-                if ballot >= self.promised {
-                    let stepping_down = self.is_leader && ballot.proposer() != ctx.id();
-                    if stepping_down {
+                if let Ok(rose) = self.acceptor.prepare(ballot) {
+                    if self.is_leader && ballot.proposer() != ctx.id() {
                         self.step_down();
                     }
-                    if ballot > self.promised {
+                    if rose {
                         self.wal_log(|| WalRecord::Promise { ballot });
                     }
-                    self.promised = ballot;
                     self.durable.sync(ctx); // promise durable before the ack leaves
                     self.arm_election_timer(ctx);
-                    let entries: Vec<(usize, Ballot, SmrOp)> = self
-                        .accepted
-                        .range(low..)
-                        .map(|(&i, (b, op))| (i, *b, op.clone()))
+                    let entries: Vec<(usize, Ballot, SmrOp)> = (self.acceptor.accepted_since(low))
+                        .map(|(i, (b, op))| (i, *b, op.clone()))
                         .collect();
                     ctx.send(
                         from,
@@ -804,22 +793,12 @@ impl Node for Replica {
                 entries,
             } => {
                 if self.electing && ballot == self.election_ballot {
-                    self.prepare_acks.insert(from);
                     if floor > self.prepare_max_floor {
                         self.prepare_max_floor = floor;
                         self.prepare_floor_holder = from;
                     }
-                    for (i, b, op) in entries {
-                        match self.prepare_entries.get(&i) {
-                            Some((existing, _)) if *existing >= b => {}
-                            _ => {
-                                self.prepare_entries.insert(i, (b, op));
-                            }
-                        }
-                    }
-                    if self.spec.is_quorum(&self.prepare_acks, Phase::Election)
-                        && self.promised == ballot
-                    {
+                    self.prepare_tally.vote(from, entries);
+                    if self.prepare_tally.reached() && self.acceptor.promise() == ballot {
                         if self.prepare_max_floor > self.log.applied_len() {
                             // A responder compacted entries this candidate
                             // has never applied: phase 1 can no longer
@@ -848,21 +827,24 @@ impl Node for Replica {
                 op,
                 sent,
             } => {
-                if ballot >= self.promised && index >= self.snapshot_floor {
+                if index < self.snapshot_floor {
+                    return; // compacted away; checked before the promise moves
+                }
+                if let Ok(rose) = self.acceptor.prepare(ballot) {
                     if self.is_leader && ballot.proposer() != ctx.id() {
                         self.step_down();
                     }
-                    if ballot > self.promised {
+                    if rose {
                         self.wal_log(|| WalRecord::Promise { ballot });
                     }
-                    self.promised = ballot;
                     self.wal_log(|| WalRecord::Accept {
                         index,
                         ballot,
                         op: op.clone(),
                     });
                     self.durable.sync(ctx); // accept durable before the ack leaves
-                    self.accepted.insert(index, (ballot, op));
+                    let stored = self.acceptor.accept(ballot, index, op);
+                    debug_assert_eq!(stored, Ok(false), "the promise was taken above");
                     self.arm_election_timer(ctx);
                     if self.lease_us > 0 {
                         // Accepting doubles as a lease grant: honor the
@@ -888,7 +870,7 @@ impl Node for Replica {
                 index,
                 sent,
             } => {
-                if self.is_leader && ballot == self.promised {
+                if self.is_leader && ballot == self.acceptor.promise() {
                     if self.lease_us > 0 {
                         // Renewal rides on normal phase-2 traffic: date the
                         // grant from when the Accept left, not when the echo
@@ -936,8 +918,9 @@ impl Node for Replica {
                 if index < self.snapshot_floor {
                     return; // compacted away; the effect is in the snapshot
                 }
-                ctx.phase(SPAN, index as u64, self.promised.num, CncPhase::Decision);
-                ctx.span_close(SPAN, index as u64, self.promised.num);
+                let promised = self.acceptor.promise().num;
+                ctx.phase(SPAN, index as u64, promised, CncPhase::Decision);
+                ctx.span_close(SPAN, index as u64, promised);
                 if matches!(self.log.slot(index), Slot::Empty) {
                     self.wal_log(|| WalRecord::Decide {
                         index,
@@ -947,15 +930,14 @@ impl Node for Replica {
                 }
                 self.on_decided(ctx, index, op.clone());
                 // Decisions are also (implicitly) accepted state.
-                self.accepted.entry(index).or_insert((self.promised, op));
+                self.acceptor.note_decided(index, op);
             }
 
             MpMsg::Heartbeat { ballot, decided } => {
-                if ballot >= self.promised {
+                if self.acceptor.prepare(ballot).is_ok() {
                     if self.is_leader && ballot.proposer() != ctx.id() {
                         self.step_down();
                     }
-                    self.promised = ballot;
                     self.arm_election_timer(ctx);
                     // Catch-up probe: only with compaction enabled, so the
                     // default protocol's message trace is untouched. The
@@ -1022,7 +1004,7 @@ impl Node for Replica {
                 self.log.install(*machine, floor);
                 // The install applied every slot below `floor` at once.
                 self.proposals.retain(|&i, p| !(p.decided && i < floor));
-                self.accepted = self.accepted.split_off(&floor);
+                self.acceptor.prune_below(floor);
                 self.snapshot_floor = floor;
                 self.snapshots_installed += 1;
                 let kv = self.log.machine().kv();
@@ -1047,7 +1029,7 @@ impl Node for Replica {
             }
             HEARTBEAT if self.is_leader => {
                 let hb = MpMsg::Heartbeat {
-                    ballot: self.promised,
+                    ballot: self.acceptor.promise(),
                     decided: self.log.applied_len(),
                 };
                 let me = ctx.id();
@@ -1525,7 +1507,7 @@ mod tests {
         // both proposals go.
         let r = replica(&cluster, leader);
         let echo = MpMsg::Accepted {
-            ballot: r.promised,
+            ballot: r.acceptor.promise(),
             index: 0,
             sent: Time(0),
         };

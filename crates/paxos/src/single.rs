@@ -6,6 +6,13 @@
 //! * `AcceptNum ← ⟨0,0⟩` — latest ballot it accepted a value in (phase 2);
 //! * `AcceptVal ← ⊥`    — latest accepted value.
 //!
+//! The three live in slot 0 of a [`consensus_core::Register`], the acceptor
+//! every Paxos variant shares; [`PaxosNode::ballot_num`],
+//! [`PaxosNode::accept_num`] and [`PaxosNode::accept_val`] read them under
+//! the slides' names. The proposer's phase-1b count and the learner's
+//! phase-2b count are [`consensus_core::Tally`]s, so an acceptor counts once
+//! however often the network delivers its reply.
+//!
 //! Phase 1 (*prepare*): a node that believes it is the leader picks a new
 //! unique ballot and learns the outcome of all smaller ballots from a
 //! majority. Phase 2 (*accept*): it proposes its own initial value, or the
@@ -17,7 +24,8 @@
 
 use std::collections::BTreeMap;
 
-use consensus_core::Ballot;
+use consensus_core::quorum::Phase;
+use consensus_core::{Ballot, QuorumSpec, Register, Tally};
 use simnet::{CncPhase, Context, Node, NodeId, Payload, Timer};
 
 /// Span protocol label; single-decree Paxos decides one instance (0).
@@ -115,21 +123,16 @@ const DEADLINE: u64 = 3;
 
 /// A Paxos process: acceptor + learner, optionally proposer.
 pub struct PaxosNode {
-    n: usize,
+    spec: QuorumSpec,
 
-    // ---- acceptor state (durable across crashes) ----
-    /// Latest ballot this acceptor took part in (phase 1).
-    pub ballot_num: Ballot,
-    /// Latest ballot it accepted a value in (phase 2).
-    pub accept_num: Ballot,
-    /// Latest accepted value.
-    pub accept_val: Option<u64>,
+    /// Acceptor state (durable across crashes), in slot 0.
+    acceptor: Register<u64>,
 
     // ---- learner state ----
     /// The decided value, once learned.
     pub decided: Option<u64>,
-    /// `accepted` messages seen per ballot (learner-side decision rule).
-    accepted_votes: BTreeMap<Ballot, (u64, usize)>,
+    /// `accepted` senders per ballot (learner-side decision rule).
+    accepted_votes: BTreeMap<Ballot, Tally<u64>>,
 
     // ---- proposer state (volatile) ----
     my_value: Option<u64>,
@@ -137,7 +140,7 @@ pub struct PaxosNode {
     retry: RetryPolicy,
     phase: ProposerPhase,
     current_ballot: Ballot,
-    acks: BTreeMap<NodeId, (Ballot, Option<u64>)>,
+    acks: Tally<u64>,
     /// Highest ballot seen in any Nack, to jump past it on retry.
     preempted_by: Ballot,
     /// How long an attempt may run before the proposer gives up and applies
@@ -150,11 +153,10 @@ pub struct PaxosNode {
 impl PaxosNode {
     /// A pure acceptor/learner.
     pub fn acceptor(n: usize) -> Self {
+        let spec = QuorumSpec::from(n);
         PaxosNode {
-            n,
-            ballot_num: Ballot::ZERO,
-            accept_num: Ballot::ZERO,
-            accept_val: None,
+            spec,
+            acceptor: Register::default(),
             decided: None,
             accepted_votes: BTreeMap::new(),
             my_value: None,
@@ -162,7 +164,7 @@ impl PaxosNode {
             retry: RetryPolicy::Never,
             phase: ProposerPhase::Idle,
             current_ballot: Ballot::ZERO,
-            acks: BTreeMap::new(),
+            acks: Tally::new(spec, Phase::Election),
             preempted_by: Ballot::ZERO,
             deadline_us: 30_000,
             attempts: 0,
@@ -187,16 +189,27 @@ impl PaxosNode {
         self
     }
 
-    fn majority(&self) -> usize {
-        self.n / 2 + 1
+    /// Latest ballot this acceptor took part in (phase 1).
+    pub fn ballot_num(&self) -> Ballot {
+        self.acceptor.promise()
+    }
+
+    /// Latest ballot it accepted a value in (phase 2).
+    pub fn accept_num(&self) -> Ballot {
+        self.acceptor.accepted(0).map_or(Ballot::ZERO, |&(b, _)| b)
+    }
+
+    /// Latest accepted value.
+    pub fn accept_val(&self) -> Option<u64> {
+        self.acceptor.accepted(0).map(|&(_, v)| v)
     }
 
     /// Phase 1: `BallotNum ← ⟨BallotNum.num+1, myId⟩; send ("prepare", BallotNum) to all`.
     fn start_prepare(&mut self, ctx: &mut Context<PaxosMsg>) {
-        let base = self.ballot_num.max(self.preempted_by);
+        let base = self.ballot_num().max(self.preempted_by);
         self.current_ballot = base.next_for(ctx.id());
         self.phase = ProposerPhase::Preparing;
-        self.acks.clear();
+        self.acks = Tally::new(self.spec, Phase::Election);
         if self.attempts == 0 {
             ctx.span_open(SPAN, 0, self.current_ballot.num);
         }
@@ -238,44 +251,24 @@ impl Node for PaxosNode {
     fn on_message(&mut self, ctx: &mut Context<PaxosMsg>, from: NodeId, msg: PaxosMsg) {
         match msg {
             // ---------------- acceptor ----------------
+            // Promise not to accept smaller ballots in the future.
             PaxosMsg::Prepare { ballot } => {
-                if ballot >= self.ballot_num {
-                    // Promise not to accept smaller ballots in the future.
-                    self.ballot_num = ballot;
-                    ctx.send(
-                        from,
-                        PaxosMsg::Ack {
-                            ballot,
-                            accept_num: self.accept_num,
-                            accept_val: self.accept_val,
-                        },
-                    );
-                } else {
-                    ctx.send(
-                        from,
-                        PaxosMsg::Nack {
-                            ballot,
-                            promised: self.ballot_num,
-                        },
-                    );
-                }
+                let reply = match self.acceptor.prepare(ballot) {
+                    Ok(_) => PaxosMsg::Ack {
+                        ballot,
+                        accept_num: self.accept_num(),
+                        accept_val: self.accept_val(),
+                    },
+                    Err(promised) => PaxosMsg::Nack { ballot, promised },
+                };
+                ctx.send(from, reply);
             }
             PaxosMsg::Accept { ballot, value } => {
-                if ballot >= self.ballot_num {
-                    // Accept the proposal.
-                    self.ballot_num = ballot;
-                    self.accept_num = ballot;
-                    self.accept_val = Some(value);
-                    ctx.send(from, PaxosMsg::Accepted { ballot, value });
-                } else {
-                    ctx.send(
-                        from,
-                        PaxosMsg::Nack {
-                            ballot,
-                            promised: self.ballot_num,
-                        },
-                    );
-                }
+                let reply = match self.acceptor.accept(ballot, 0, value) {
+                    Ok(_) => PaxosMsg::Accepted { ballot, value },
+                    Err(promised) => PaxosMsg::Nack { ballot, promised },
+                };
+                ctx.send(from, reply);
             }
 
             // ---------------- proposer ----------------
@@ -285,18 +278,12 @@ impl Node for PaxosNode {
                 accept_val,
             } => {
                 if self.phase == ProposerPhase::Preparing && ballot == self.current_ballot {
-                    self.acks.insert(from, (accept_num, accept_val));
-                    if self.acks.len() >= self.majority() {
+                    self.acks.vote(from, accept_val.map(|v| (0, accept_num, v)));
+                    if self.acks.reached() {
                         // "if all vals = ⊥ then myVal = initial value
                         //  else myVal = received val with highest b".
                         ctx.phase(SPAN, 0, ballot.num, CncPhase::ValueDiscovery);
-                        let adopted = self
-                            .acks
-                            .values()
-                            .filter(|(_, v)| v.is_some())
-                            .max_by_key(|(b, _)| *b)
-                            .and_then(|(_, v)| *v);
-                        let value = adopted
+                        let value = (self.acks.value(0).copied())
                             .or(self.my_value)
                             .expect("proposer always has an initial value");
                         self.phase = ProposerPhase::Accepting;
@@ -320,10 +307,11 @@ impl Node for PaxosNode {
 
             // ---------------- learner ----------------
             PaxosMsg::Accepted { ballot, value } => {
-                let entry = self.accepted_votes.entry(ballot).or_insert((value, 0));
-                debug_assert_eq!(entry.0, value, "one ballot carries one value");
-                entry.1 += 1;
-                if entry.1 >= self.majority() && self.decided.is_none() {
+                let spec = self.spec;
+                let votes = (self.accepted_votes.entry(ballot))
+                    .or_insert_with(|| Tally::new(spec, Phase::Agreement));
+                votes.vote(from, [(0, ballot, value)]);
+                if votes.reached() && self.decided.is_none() {
                     self.decided = Some(value);
                     self.phase = ProposerPhase::Done;
                     ctx.phase(SPAN, 0, ballot.num, CncPhase::Decision);
@@ -347,18 +335,19 @@ impl Node for PaxosNode {
     fn on_timer(&mut self, ctx: &mut Context<PaxosMsg>, timer: Timer) {
         match timer.kind {
             START_PROPOSAL | RETRY
-                if self.decided.is_none() && self.phase == ProposerPhase::Idle => {
-                    self.start_prepare(ctx);
-                }
+                if self.decided.is_none() && self.phase == ProposerPhase::Idle =>
+            {
+                self.start_prepare(ctx);
+            }
             DEADLINE
                 if self.decided.is_none()
                     && matches!(
                         self.phase,
                         ProposerPhase::Preparing | ProposerPhase::Accepting
-                    )
-                => {
-                    self.schedule_retry(ctx);
-                }
+                    ) =>
+            {
+                self.schedule_retry(ctx);
+            }
             _ => {}
         }
     }
@@ -367,7 +356,7 @@ impl Node for PaxosNode {
     /// proposer state is volatile and not resumed.
     fn on_restart(&mut self, _ctx: &mut Context<PaxosMsg>) {
         self.phase = ProposerPhase::Idle;
-        self.acks.clear();
+        self.acks = Tally::new(self.spec, Phase::Election);
     }
 }
 
@@ -448,8 +437,7 @@ mod tests {
         let mut sim = cluster(5, 4);
         *sim.node_mut(NodeId(0)) = PaxosNode::proposer(5, 111, 0, RetryPolicy::Never);
         // Second proposer wakes late with a different value.
-        *sim.node_mut(NodeId(1)) =
-            PaxosNode::proposer(5, 222, 20_000, RetryPolicy::Fixed(10_000));
+        *sim.node_mut(NodeId(1)) = PaxosNode::proposer(5, 222, 20_000, RetryPolicy::Fixed(10_000));
         // Crash the first leader after accepts are out (~1.6ms) but before
         // it can learn/disseminate (~2.4ms would be safe; use 2ms).
         sim.crash_at(NodeId(0), Time(2_000));
@@ -511,8 +499,7 @@ mod tests {
     fn blocks_without_quorum() {
         // 3 of 5 crashed: no majority, no decision — but no wrong decision.
         let mut sim = cluster(5, 7);
-        *sim.node_mut(NodeId(0)) =
-            PaxosNode::proposer(5, 9, 0, RetryPolicy::Fixed(5_000));
+        *sim.node_mut(NodeId(0)) = PaxosNode::proposer(5, 9, 0, RetryPolicy::Fixed(5_000));
         for id in [2u32, 3, 4] {
             sim.crash_at(NodeId(id), Time(0));
         }
@@ -529,17 +516,39 @@ mod tests {
         sim.run_until(Time::from_secs(1));
         all_decided(&sim, 5);
         let before = (
-            sim.node(NodeId(1)).ballot_num,
-            sim.node(NodeId(1)).accept_val,
+            sim.node(NodeId(1)).ballot_num(),
+            sim.node(NodeId(1)).accept_val(),
         );
         sim.crash_at(NodeId(1), sim.now() + 10);
         sim.restart_at(NodeId(1), sim.now() + 1_000);
         sim.run_until(sim.now() + 10_000);
         let after = (
-            sim.node(NodeId(1)).ballot_num,
-            sim.node(NodeId(1)).accept_val,
+            sim.node(NodeId(1)).ballot_num(),
+            sim.node(NodeId(1)).accept_val(),
         );
         assert_eq!(before, after, "durable acceptor state lost on restart");
+    }
+
+    #[test]
+    fn learner_counts_each_acceptor_once_when_replies_are_duplicated() {
+        // Every message is delivered twice. Node 0's accept reaches only
+        // acceptors 0 and 1 before the partition, so their duplicated
+        // `accepted` replies are two votes of five, not four: node 0 must
+        // not decide 100 while the majority side decides 200.
+        let net = NetConfig::synchronous()
+            .with_delay(simnet::DelayModel::Fixed(500))
+            .with_duplicate_prob(1.0);
+        let mut sim: Sim<PaxosNode> = Sim::new(net, 1);
+        for _ in 0..5 {
+            sim.add_node(PaxosNode::acceptor(5));
+        }
+        *sim.node_mut(NodeId(0)) = PaxosNode::proposer(5, 100, 0, RetryPolicy::Never);
+        *sim.node_mut(NodeId(4)) = PaxosNode::proposer(5, 200, 10_000, RetryPolicy::Never);
+        let sides = vec![vec![NodeId(0), NodeId(1)], (2..5).map(NodeId).collect()];
+        sim.partition_at(Time(900), sides);
+        sim.run_until(Time::from_secs(1));
+        let decided: Vec<Option<u64>> = sim.nodes().map(|(_, n)| n.decided).collect();
+        assert_eq!(decided, [None, None, Some(200), Some(200), Some(200)]);
     }
 
     #[test]
