@@ -361,8 +361,9 @@ impl Artifact for Latency {
     const LIST: &'static str = "cells";
 
     /// The full grid behind `BENCH_latency.json`: Multi-Paxos swept over
-    /// batching × storage, Raft over batching (Raft shards keep the RAM
-    /// durability model, so a "durable" Raft cell would be a lie).
+    /// batching × storage, Raft over batching alone. Raft shards run on the
+    /// durable engine too (`StoreConfig::durable`); the grid has no durable
+    /// Raft cell only because none was ever added to it.
     fn full_spec() -> SweepSpec {
         let mut cells = Vec::new();
         for durable in [false, true] {

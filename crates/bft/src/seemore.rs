@@ -67,12 +67,6 @@ impl SeeMoReConfig {
         2 * self.c + 1
     }
 
-    /// Public-cloud size (`3m` nodes; with one private node acting in the
-    /// proxy set where needed, proxies number `3m + 1`).
-    pub fn n_public(&self) -> usize {
-        self.n() - self.n_private()
-    }
-
     /// The decision quorum for this mode.
     pub fn quorum(&self) -> usize {
         match self.mode {

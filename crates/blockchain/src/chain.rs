@@ -103,19 +103,9 @@ impl Blockchain {
         self.blocks[&self.tip].height
     }
 
-    /// Total blocks known (including side branches, excluding orphans).
-    pub fn total_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Looks up a block.
     pub fn block(&self, hash: &BlockHash) -> Option<&Block> {
         self.blocks.get(hash).map(|s| &s.block)
-    }
-
-    /// Height of a known block.
-    pub fn height_of(&self, hash: &BlockHash) -> Option<u64> {
-        self.blocks.get(hash).map(|s| s.height)
     }
 
     /// The best chain, genesis first.
@@ -157,11 +147,6 @@ impl Blockchain {
             .saturating_sub(self.blocks[&cur].block.header.timestamp)
             .max(1);
         self.params.retarget(tip.block.header.bits, span)
-    }
-
-    /// Expected reward for the next block.
-    pub fn next_reward(&self) -> u64 {
-        self.params.reward_at(self.height() + 1)
     }
 
     /// Adds a block (and any orphans it unblocks).

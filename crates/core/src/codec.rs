@@ -11,11 +11,11 @@
 //! NIC queues into retry storms (ROADMAP 1b).
 //!
 //! The workspace builds with no registry access, so there is no serde
-//! derive: every byte is explicit. A log protocol's `durable` module wraps
-//! these in its own WAL records and snapshot header; what a command, a reply
-//! or a state machine looks like on disk is decided here, once, for both
-//! Multi-Paxos and Raft — a format change or a decoder hardening (ROADMAP
-//! 5d) has one place to happen.
+//! derive: every byte is explicit. [`crate::durable`] wraps these in the WAL
+//! records and snapshot header both log protocols write; what a command, a
+//! reply or a state machine looks like on disk is decided here, once, for
+//! both Multi-Paxos and Raft — a format change or a decoder hardening
+//! (ROADMAP 5d) has one place to happen.
 //!
 //! Decoders take bytes that came off a disk. Every `get_*` returns `None` on
 //! an underrun, an unknown tag or invalid UTF-8 instead of panicking, and a

@@ -21,6 +21,10 @@
 //! * [`smr`] — state machine replication building blocks: commands, a
 //!   replicated log, and deterministic state machines (key-value store,
 //!   counter).
+//! * [`codec`] and [`durable`] — the bytes of the shell's types, and the
+//!   replicated log's one durable format over a `storage` engine: the WAL
+//!   records Multi-Paxos and Raft both write, the snapshot header, the
+//!   restore step, and the engine handle as the apply step's index.
 //! * [`workload`] — deterministic client workload generators and latency
 //!   recording shared by all protocol crates and the bench harness.
 //! * [`driver`] — the unified [`ClusterDriver`] API (construct from seed,
@@ -53,6 +57,7 @@ pub mod client;
 pub mod cluster;
 pub mod codec;
 pub mod driver;
+pub mod durable;
 pub mod history;
 pub mod quorum;
 pub mod register;

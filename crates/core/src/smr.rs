@@ -143,8 +143,8 @@ impl KvResponse {
 }
 
 /// A durable replica's primary index, as an applied command is mirrored
-/// into it. The engine behind it is `storage`'s, which this crate cannot
-/// name, so each log protocol lends its engine handle through this trait.
+/// into it. Both log protocols lend their engine handle, `storage::Durable`,
+/// through this trait ([`crate::durable`]).
 pub trait PrimaryIndex {
     /// Upserts `key`.
     fn put(&mut self, key: &str, value: &str);
@@ -528,14 +528,14 @@ impl ReplicatedLog<DedupKvMachine> {
     pub fn apply(
         &mut self,
         op: &SmrOp,
-        mut index: Option<impl PrimaryIndex>,
+        mut index: Option<&mut impl PrimaryIndex>,
         mut reply: impl FnMut(&Command<KvCommand>, KvResponse),
     ) -> bool {
         let mut resolved = false;
         for cmd in op.commands() {
             let fresh = index.is_some() && self.machine.cached(cmd.client, cmd.seq).is_none();
             let out = self.machine.apply_cmd(cmd);
-            if let Some(index) = index.as_mut().filter(|_| fresh) {
+            if let Some(index) = index.as_deref_mut().filter(|_| fresh) {
                 resolved |= cmd.op.mirror(&out, index);
             }
             reply(cmd, out);
@@ -550,7 +550,7 @@ impl ReplicatedLog<DedupKvMachine> {
     /// caller can sync and reply between slots.
     pub fn apply_decided(
         &mut self,
-        index: Option<impl PrimaryIndex>,
+        index: Option<&mut impl PrimaryIndex>,
         reply: impl FnMut(&Command<KvCommand>, KvResponse),
     ) -> Option<(usize, bool)> {
         let op = self.take_decided()?;
@@ -577,7 +577,7 @@ mod tests {
     #[derive(Default)]
     pub(super) struct Recorder(pub(super) Vec<String>);
 
-    impl PrimaryIndex for &mut Recorder {
+    impl PrimaryIndex for Recorder {
         fn put(&mut self, key: &str, value: &str) {
             self.0.push(format!("put {key}={value}"));
         }
@@ -600,7 +600,7 @@ mod tests {
     /// decision record.
     fn mirrored(cmd: &KvCommand, out: KvResponse) -> (Vec<String>, bool) {
         let mut index = Recorder::default();
-        let decision = cmd.mirror(&out, &mut &mut index);
+        let decision = cmd.mirror(&out, &mut index);
         (index.0, decision)
     }
 

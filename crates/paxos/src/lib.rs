@@ -18,12 +18,12 @@
 //! * [`flexible`] — Flexible Paxos: [`multi`] parameterized by any
 //!   [`consensus_core::QuorumSpec`] whose election and replication quorums
 //!   intersect — including grid quorums.
-//! * [`durable`] — on-disk formats for durable Multi-Paxos: WAL records and
-//!   checkpoint blobs for the [`storage`] engine, giving [`multi`]
-//!   snapshot / install-state / log-truncation support and real crash
-//!   recovery (WAL replay + snapshot load) instead of RAM-durability.
+//!
+//! Durable Multi-Paxos writes the replicated log's one durable format,
+//! [`consensus_core::durable`], through the [`storage`] engine: snapshot /
+//! install-state / log-truncation support and real crash recovery (WAL
+//! replay + snapshot load) instead of RAM-durability.
 
-pub mod durable;
 pub mod fast;
 pub mod flexible;
 pub mod livelock;

@@ -35,9 +35,7 @@ use simnet::{
     CncPhase, Context, DiskModel, LiveTimer, Node, NodeId, Payload, Time, Timer, TraceCtx,
 };
 
-use crate::durable::{
-    decode_record, decode_snapshot, encode_record, encode_snapshot, Index, WalRecord,
-};
+use consensus_core::durable::{self, encode_record, encode_snapshot, WalRecord};
 
 /// Span protocol label; instances are log indices.
 const SPAN: &str = "multi-paxos";
@@ -533,7 +531,7 @@ impl Replica {
         let mut replies = Vec::new();
         while let Some((i, resolved)) = self
             .log
-            .apply_decided(Index::of(&mut self.durable), |cmd, out| {
+            .apply_decided(durable::index(&mut self.durable), |cmd, out| {
                 replies.push((cmd.client, cmd.seq, out))
             })
         {
@@ -612,29 +610,22 @@ impl Replica {
         });
         let live = promise.into_iter().chain(accepts).chain(decides);
         self.durable.checkpoint(
-            || encode_snapshot(log.machine(), applied),
+            || encode_snapshot(log.machine(), applied, 0),
             live.map(|rec| encode_record(&rec)),
         );
     }
 
-    /// Crash recovery: reformat the engine's volatile layers, load the last
-    /// checkpoint, replay the WAL in order. Everything the pre-durability
-    /// model declared axiomatically durable (promised, accepted, the log)
-    /// is rebuilt here from actual on-disk bytes — and the disk charges for
+    /// Crash recovery: install the checkpoint [`durable::restore`] loaded,
+    /// then replay the WAL in order. Everything the pre-durability model
+    /// declared axiomatically durable (promised, accepted, the log) is
+    /// rebuilt here from actual on-disk bytes — and the disk charges for
     /// every read, which is what recovery-time experiments measure.
-    fn recover_from(&mut self, ctx: &mut Context<Wire>, recovery: storage::Recovery) {
+    fn recover_from(&mut self, ctx: &mut Context<Wire>, restored: durable::Restored) {
         self.acceptor = Register::default();
         self.log = ReplicatedLog::new();
-        self.snapshot_floor = 0;
-        if let Some(blob) = recovery.snapshot {
-            let (machine, applied) = decode_snapshot(&blob).expect("checkpoint blob decodes");
-            self.log.install(machine, applied);
-            self.snapshot_floor = applied;
-            let kv = self.log.machine().kv();
-            self.durable.rebuild_index(kv.iter(), kv.txn_decisions());
-        }
-        for raw in &recovery.records {
-            let rec = decode_record(raw).expect("CRC-valid WAL record decodes");
+        self.log.install(restored.machine, restored.index);
+        self.snapshot_floor = restored.index;
+        for rec in restored.records {
             match rec {
                 WalRecord::Promise { ballot } => {
                     let _ = self.acceptor.prepare(ballot);
@@ -647,9 +638,7 @@ impl Replica {
                 WalRecord::Decide { index, op } => {
                     self.on_decided(ctx, index, op);
                 }
-                WalRecord::TxnDecision { key, value } => {
-                    self.durable.note_decisions([(&key, &value)]);
-                }
+                rec => panic!("Multi-Paxos never logs {rec:?}"),
             }
         }
         self.durable.recovered(self.snapshot_floor);
@@ -1077,10 +1066,10 @@ impl Node for Replica {
             self.lease_holder = None;
             self.lease_until = Time(ctx.local_now().0 + self.lease_us);
         }
-        if let Some(recovery) = self.durable.restart() {
+        if let Some(restored) = durable::restore(&mut self.durable) {
             // Durable mode: promised/accepted/log exist only as WAL records
             // and checkpoints. Rebuild them the honest way.
-            self.recover_from(ctx, recovery);
+            self.recover_from(ctx, restored);
         }
         // else: the historical RAM model — promised/accepted/log are
         // axiomatically durable and still in place.
@@ -1317,7 +1306,7 @@ mod tests {
         let mut applied = 0;
         while r
             .log
-            .apply_decided(Index::of(&mut r.durable), |_, _| {})
+            .apply_decided(durable::index(&mut r.durable), |_, _| {})
             .is_some()
         {
             applied += 1;
@@ -1671,6 +1660,14 @@ mod tests {
         assert!(cluster.run(Time::from_secs(20)));
         assert_eq!(cluster.total_completed(), 30);
         cluster.sim.run_for(300_000);
+        // The promise and whether the replica has recovered yet.
+        let promise = |cluster: &MultiPaxosCluster| {
+            let Proc::Replica(r) = cluster.sim.node(NodeId(2)) else {
+                panic!("node 2 is a replica")
+            };
+            let recoveries = r.storage_stats().expect("durable engine").recoveries;
+            (r.acceptor.promise(), recoveries)
+        };
         let digest_before = {
             let Proc::Replica(r) = cluster.sim.node(NodeId(2)) else {
                 panic!("node 2 is a replica")
@@ -1678,11 +1675,28 @@ mod tests {
             assert!(r.snapshots_taken >= 1, "needs a checkpoint to recover from");
             r.log.machine().digest()
         };
-        // Crash + restart: recovery must come from the checkpoint (not a
-        // full replay from slot 0) and reproduce the exact machine state.
+        // A candidate's `Prepare` lifts node 2's promise above every ballot
+        // it accepted under, so only its `Promise` record can restore it.
         let now = cluster.sim.now();
+        let ballot = promise(&cluster).0.next_for(NodeId(1));
+        let prepare = MpMsg::Prepare { ballot, low: 0 }.into();
+        cluster.sim.inject(NodeId(1), NodeId(2), prepare, now);
+        // Crash + restart: recovery must come from the checkpoint (not a
+        // full replay from slot 0) and reproduce the exact machine state,
+        // and the `Promise` record the promise it held.
         cluster.sim.crash_at(NodeId(2), Time(now.0 + 1_000));
         cluster.sim.restart_at(NodeId(2), Time(now.0 + 50_000));
+        cluster.sim.run_until(Time(now.0 + 1_000));
+        let (before, _) = promise(&cluster);
+        {
+            let Proc::Replica(r) = cluster.sim.node(NodeId(2)) else {
+                panic!("node 2 is a replica")
+            };
+            let accepted = r.acceptor.accepted_since(0).map(|(_, (b, _))| *b).max();
+            assert!(before >= ballot && accepted < Some(before), "{accepted:?}");
+        }
+        cluster.sim.run_until(Time(now.0 + 50_000));
+        assert_eq!(promise(&cluster), (before, 1), "the promise must survive");
         cluster.sim.run_for(500_000);
         let Proc::Replica(r) = cluster.sim.node(NodeId(2)) else {
             panic!("node 2 is a replica")

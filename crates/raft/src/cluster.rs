@@ -491,6 +491,14 @@ mod tests {
         assert!(cluster.run(Time::from_secs(20)));
         assert_eq!(cluster.total_completed(), 30);
         cluster.sim.run_for(300_000);
+        // Term, vote and whether the replica has recovered yet.
+        let hard_state = |cluster: &RaftCluster| {
+            let Proc::Replica(r) = cluster.sim.node(NodeId(2)) else {
+                panic!("node 2 is a replica")
+            };
+            let recoveries = r.storage_stats().expect("durable engine").recoveries;
+            (r.current_term, r.voted_for, recoveries)
+        };
         let digest_before = {
             let Proc::Replica(r) = cluster.sim.node(NodeId(2)) else {
                 panic!("node 2 is a replica")
@@ -498,11 +506,20 @@ mod tests {
             assert!(r.snapshots_taken >= 1, "needs a checkpoint to recover from");
             r.machine().digest()
         };
+        let (term, vote, _) = hard_state(&cluster);
+        assert!(term > 0 && vote.is_some(), "{term} {vote:?}");
         // Crash + restart: recovery must come from the checkpoint (not a
-        // full replay from index 0) and reproduce the exact machine state.
+        // full replay from index 0) and reproduce the exact machine state,
+        // and the `Promise` records the term and vote it held.
         let now = cluster.sim.now();
         cluster.sim.crash_at(NodeId(2), Time(now.0 + 1_000));
         cluster.sim.restart_at(NodeId(2), Time(now.0 + 50_000));
+        cluster.sim.run_until(Time(now.0 + 50_000));
+        assert_eq!(
+            hard_state(&cluster),
+            (term, vote, 1),
+            "term and vote must survive"
+        );
         cluster.sim.run_for(500_000);
         let Proc::Replica(r) = cluster.sim.node(NodeId(2)) else {
             panic!("node 2 is a replica")

@@ -14,10 +14,11 @@
 //! and the current-term commit rule.
 
 pub mod cluster;
-pub mod durable;
 pub mod msg;
 pub mod replica;
 
 pub use cluster::{LogMatching, Proc, Raft, RaftCluster};
+/// The replicated log's durable format, which Multi-Paxos writes too.
+pub use consensus_core::durable;
 pub use msg::{Entry, RaftMsg};
 pub use replica::{Replica, Role};

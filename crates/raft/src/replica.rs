@@ -4,17 +4,28 @@
 
 use std::collections::BTreeMap;
 
+use consensus_core::durable::{self, encode_record, encode_snapshot, WalRecord};
 use consensus_core::{
-    BatchConfig, Batcher, ClientMsg, Command, DedupKvMachine, Envelope, Flush, KvCommand, ReadMode,
-    ReplicatedLog, SmrOp, Str,
+    Ballot, BatchConfig, Batcher, ClientMsg, Command, DedupKvMachine, Envelope, Flush, KvCommand,
+    ReadMode, ReplicatedLog, SmrOp, Str,
 };
 use simnet::causal::cat;
 use simnet::{CncPhase, Context, LiveTimer, Node, NodeId, Time, Timer, TraceCtx};
 
-use crate::durable::{
-    decode_record, decode_snapshot, encode_record, encode_snapshot, Index, WalRecord,
-};
 use crate::msg::{Entry, RaftMsg};
+
+/// The pid of a `Promise` that records a term without a vote.
+const NO_VOTE: u32 = u32::MAX;
+
+/// An entry's `Accept` record: Raft has one leader per term, so the ballot
+/// is the entry's term and its pid carries nothing.
+fn accept(index: usize, entry: &Entry) -> WalRecord {
+    WalRecord::Accept {
+        index,
+        ballot: Ballot::new(entry.term, 0),
+        op: entry.op.clone(),
+    }
+}
 
 /// Span protocol label; instances are log indices, rounds are terms.
 const SPAN: &str = "raft";
@@ -214,14 +225,11 @@ impl Replica {
         self.durable.log(|| encode_record(&rec()));
     }
 
-    /// Appends `entry` to the log and its `Append` record to the WAL;
+    /// Appends `entry` to the log and its `Accept` record to the WAL;
     /// returns the entry's index.
     fn append(&mut self, entry: Entry) -> usize {
         let index = self.last_log_index() + 1;
-        self.wal_log(|| WalRecord::Append {
-            index,
-            entry: entry.clone(),
-        });
+        self.wal_log(|| accept(index, &entry));
         self.log.push(entry);
         index
     }
@@ -230,8 +238,17 @@ impl Replica {
     /// called whenever either changes; the sync rides the handler's group
     /// commit before its response leaves.
     fn log_hard_state(&mut self) {
-        let (term, voted_for) = (self.current_term, self.voted_for);
-        self.wal_log(|| WalRecord::HardState { term, voted_for });
+        let promise = self.hard_state();
+        self.wal_log(|| promise);
+    }
+
+    /// The Figure-2 hard state as a `Promise`: the term is the ballot's
+    /// number, the vote its pid ([`NO_VOTE`] for none).
+    fn hard_state(&self) -> WalRecord {
+        let pid = self.voted_for.map_or(NO_VOTE, |n| n.0);
+        WalRecord::Promise {
+            ballot: Ballot::new(self.current_term, pid),
+        }
     }
 
     /// Writes the machine state through the engine as a snapshot (which
@@ -239,15 +256,11 @@ impl Replica {
     /// state, the retained log suffix, and the commit index. After this,
     /// recovery = snapshot load + WAL replay.
     fn persist_checkpoint(&mut self) {
-        let (term, voted_for, (offset, offset_term)) =
-            (self.current_term, self.voted_for, self.snapshot);
-        let hard_state = WalRecord::HardState { term, voted_for };
+        let (offset, offset_term) = self.snapshot;
+        let hard_state = self.hard_state();
         let appends = (offset + 1..)
             .zip(&self.log)
-            .map(|(index, entry)| WalRecord::Append {
-                index,
-                entry: entry.clone(),
-            });
+            .map(|(index, entry)| accept(index, entry));
         let index = self.commit_index;
         let commit = (index > offset).then_some(WalRecord::Commit { index });
         let live = std::iter::once(hard_state).chain(appends).chain(commit);
@@ -257,56 +270,45 @@ impl Replica {
         );
     }
 
-    /// Crash recovery: reformat the engine's volatile layers, load the
-    /// last checkpoint, replay the WAL in order. Everything the
-    /// pre-durability model declared axiomatically persistent (term, vote,
-    /// log, machine) is rebuilt here from actual on-disk bytes — and the
-    /// disk charges for every read, which is what recovery-time
-    /// experiments measure.
-    fn recover_from(&mut self, recovery: storage::Recovery) {
+    /// Crash recovery: install the checkpoint [`durable::restore`] loaded,
+    /// then replay the WAL in order. Everything the pre-durability model
+    /// declared axiomatically persistent (term, vote, log, machine) is
+    /// rebuilt here from actual on-disk bytes — and the disk charges for
+    /// every read, which is what recovery-time experiments measure.
+    fn recover_from(&mut self, restored: durable::Restored) {
         self.current_term = 0;
         self.voted_for = None;
         self.log.clear();
-        self.snapshot = (0, 0);
         self.exec = ReplicatedLog::new();
-        self.commit_index = 0;
+        self.exec.install(restored.machine, restored.index);
+        self.snapshot = (restored.index, restored.term);
+        self.commit_index = restored.index;
         self.leader_hint = None;
-        if let Some(blob) = recovery.snapshot {
-            let (machine, index, term) = decode_snapshot(&blob).expect("checkpoint blob decodes");
-            self.exec.install(machine, index);
-            let kv = self.exec.machine().kv();
-            self.durable.rebuild_index(kv.iter(), kv.txn_decisions());
-            self.snapshot = (index, term);
-            self.commit_index = index;
-        }
         let mut commit = self.commit_index;
-        for raw in &recovery.records {
-            let rec = decode_record(raw).expect("CRC-valid WAL record decodes");
+        for rec in restored.records {
             match rec {
-                WalRecord::HardState { term, voted_for } => {
-                    if term >= self.current_term {
-                        self.current_term = term;
-                        self.voted_for = voted_for;
+                WalRecord::Promise { ballot } => {
+                    if ballot.num >= self.current_term {
+                        self.current_term = ballot.num;
+                        self.voted_for = (ballot.pid != NO_VOTE).then_some(NodeId(ballot.pid));
                     }
                 }
-                WalRecord::Append { index, entry } => {
+                WalRecord::Accept { index, ballot, op } => {
                     if index <= self.snapshot.0 {
                         continue; // absorbed by the checkpoint
                     }
+                    // Replaying an append drops every entry at and above
+                    // it: a conflicting suffix needs no record of its own.
                     let rel = index - self.snapshot.0 - 1;
                     self.log.truncate(rel);
                     assert_eq!(rel, self.log.len(), "WAL append out of order at {index}");
-                    self.log.push(entry);
-                }
-                WalRecord::Truncate { from } => {
-                    if from > self.snapshot.0 {
-                        self.log.truncate(from - self.snapshot.0 - 1);
-                    }
+                    self.log.push(Entry {
+                        term: ballot.num,
+                        op,
+                    });
                 }
                 WalRecord::Commit { index } => commit = commit.max(index),
-                WalRecord::TxnDecision { key, value } => {
-                    self.durable.note_decisions([(&key, &value)]);
-                }
+                rec => panic!("Raft never logs {rec:?}"),
             }
         }
         // Re-apply to the recovered commit frontier (never past the log —
@@ -616,7 +618,7 @@ impl Replica {
             let mut reply = None;
             let resolved = self
                 .exec
-                .apply(op, Index::of(&mut self.durable), |cmd, out| {
+                .apply(op, durable::index(&mut self.durable), |cmd, out| {
                     reply = Some((cmd.seq, out));
                 });
             let Some(ctx) = ctx.as_deref_mut() else {
@@ -920,7 +922,6 @@ impl Node for Replica {
                                 "attempted to truncate a committed entry"
                             );
                             self.log.truncate(index - self.snapshot.0 - 1);
-                            self.wal_log(|| WalRecord::Truncate { from: index });
                             self.append(entry);
                         }
                         None => {
@@ -1080,10 +1081,10 @@ impl Node for Replica {
         self.last_contact.clear();
         self.reset_batching();
         self.election_timer.fired();
-        if let Some(recovery) = self.durable.restart() {
+        if let Some(restored) = durable::restore(&mut self.durable) {
             // Durable mode: term, vote, log, and machine exist only as WAL
             // records and checkpoints. Rebuild them the honest way.
-            self.recover_from(recovery);
+            self.recover_from(restored);
         }
         // else: the historical RAM model — current_term, voted_for, log,
         // snapshot, and machine are axiomatically durable and still here.
@@ -1105,6 +1106,28 @@ mod tests {
         assert_eq!(r.snapshot_index(), 0);
         assert_eq!(r.term_at(0), Some(0), "the empty log's snapshot");
         assert_eq!(r.entry(0), None);
+    }
+
+    /// A `Promise` whose pid is [`NO_VOTE`] replays as a term without a
+    /// vote; any other pid as the vote. The latest term wins.
+    #[test]
+    fn replayed_promise_maps_to_term_and_vote() {
+        let replay = |pids: &[(u64, u32)]| {
+            let mut r = Replica::new(3);
+            r.attach_engine(Box::new(storage::MemEngine::new()));
+            let engine = r.durable.engine_mut().expect("attached");
+            for &(term, pid) in pids {
+                let ballot = Ballot::new(term, pid);
+                engine.log_record(&encode_record(&WalRecord::Promise { ballot }));
+            }
+            engine.sync();
+            let restored = durable::restore(&mut r.durable).expect("attached");
+            r.recover_from(restored);
+            (r.current_term, r.voted_for)
+        };
+        assert_eq!(replay(&[(5, 1), (6, NO_VOTE)]), (6, None));
+        assert_eq!(replay(&[(6, NO_VOTE), (6, 2)]), (6, Some(NodeId(2))));
+        assert_eq!(replay(&[(7, 0), (6, 2)]), (7, Some(NodeId(0))));
     }
 
     #[test]

@@ -23,7 +23,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::time::Time;
 use crate::trace::{SpanEvent, SpanKind, TraceEntry, TraceEvent};
 
 /// Bucket names used for critical-path attribution. Every span carries one
@@ -397,11 +396,6 @@ pub fn export_events(trace: &[TraceEntry], spans: &[SpanEvent]) -> String {
     }
     out.push_str("],\"displayTimeUnit\":\"ms\"}\n");
     out
-}
-
-/// Helper: the instant a window should treat as "now" for closing spans.
-pub fn close_time(now: Time) -> u64 {
-    now.0
 }
 
 #[cfg(test)]

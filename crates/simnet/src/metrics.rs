@@ -205,13 +205,6 @@ impl Metrics {
         rows
     }
 
-    /// Resets all counters — used between phases of an experiment so the
-    /// message complexity of e.g. "steady state" and "view change" can be
-    /// measured separately.
-    pub fn reset(&mut self) {
-        *self = Metrics::default();
-    }
-
     /// Times the given C&C phase was entered.
     pub fn phase(&self, label: &str) -> u64 {
         self.phase_entries.get(label).copied().unwrap_or(0)
@@ -296,9 +289,6 @@ mod tests {
         assert_eq!(m.phase("decision"), 0);
         assert_eq!(m.kind_bytes("accept"), 640);
         assert_eq!(m.kind_bytes("prepare"), 0);
-        m.reset();
-        assert_eq!(m.phase("agreement"), 0);
-        assert_eq!(m.instance_latency.count(), 0);
     }
 
     #[test]
@@ -321,7 +311,7 @@ mod tests {
     }
 
     #[test]
-    fn kind_lookup_and_reset() {
+    fn kind_lookup_joins_a_label_by_its_text() {
         let mut m = Metrics::default();
         m.add_kind("prepare", 3, 192);
         m.sent = 3;
@@ -333,8 +323,5 @@ mod tests {
         m.add_kind(twin, 2, 128);
         m.add_kind("accept", 1, 64);
         assert_eq!(m.kinds(), vec![("accept", 1, 64), ("prepare", 5, 320)]);
-        m.reset();
-        assert_eq!(m.sent, 0);
-        assert_eq!(m.kind("prepare"), 0);
     }
 }

@@ -217,11 +217,6 @@ impl<N: Node> Sim<N> {
         &self.metrics
     }
 
-    /// Resets counters (e.g. to measure steady-state separately from setup).
-    pub fn reset_metrics(&mut self) {
-        self.metrics.reset();
-    }
-
     /// Enables (or disables) trace recording for figure output.
     pub fn record_trace(&mut self, on: bool) {
         self.trace = if on { Some(Vec::new()) } else { None };

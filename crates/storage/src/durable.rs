@@ -1,10 +1,12 @@
 //! [`Durable`]: the handle a log replica holds its [`StorageEngine`]
 //! through — the one place that knows how a consensus protocol drives an
 //! engine. Multi-Paxos and Raft differ in *which* records they write and
-//! what is live at a checkpoint; how records reach the WAL, when they are
-//! synced and charged, how a checkpoint and a restart run, and how decision
-//! records are tabled is the same for both and written here. Page checksums
-//! and detect-and-refetch recovery (ROADMAP 5c) belong behind this handle.
+//! what is live at a checkpoint (the records' format is the consensus
+//! layer's, `consensus_core::durable`); how records reach the WAL, when they
+//! are synced and charged, how a checkpoint and a restart run, and how
+//! decision records are tabled is the same for both and written here. Page
+//! checksums and detect-and-refetch recovery (ROADMAP 5c) belong behind this
+//! handle.
 //!
 //! ## The contract a replica keeps through it
 //!

@@ -47,7 +47,8 @@ impl Wal {
     pub fn append(&mut self, payload: &[u8]) {
         self.pending
             .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.pending.extend_from_slice(&crc32(payload).to_le_bytes());
+        self.pending
+            .extend_from_slice(&crc32(payload).to_le_bytes());
         self.pending.extend_from_slice(payload);
         self.appends += 1;
     }
@@ -80,8 +81,7 @@ impl Wal {
         let mut records = Vec::new();
         let mut pos = 0;
         while bytes.len() - pos >= RECORD_HEADER {
-            let len =
-                u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
+            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
             let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
             let start = pos + RECORD_HEADER;
             if bytes.len() - start < len {
@@ -242,8 +242,7 @@ mod tests {
     /// prefix property must hold at every byte of every record.
     #[test]
     fn torn_tail_anywhere_never_yields_partial_records() {
-        let records: Vec<Vec<u8>> =
-            (0..6u8).map(|i| vec![i; 5 + usize::from(i) * 7]).collect();
+        let records: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 5 + usize::from(i) * 7]).collect();
         let mut reference = disk();
         let mut w = Wal::new();
         for r in &records {

@@ -396,11 +396,6 @@ impl<E: ShardEngine> Store<E> {
 
     // ---- fault injection -------------------------------------------------
 
-    /// Total fault-addressable nodes: all shard replicas, then routers.
-    pub fn n_fault_nodes(&self) -> u32 {
-        (self.cfg.n_shards * self.cfg.replicas_per_shard + self.cfg.n_routers) as u32
-    }
-
     /// Schedules a fault on a global node at `at`: `on_replica` for a shard
     /// replica, the slot `on_router` picks for a router.
     fn fault_node_at(

@@ -1,12 +1,16 @@
 #!/bin/sh
 # A/B of the `benchmark/` package: <parent-ref> is side a, the working tree
-# side b. Checks the parent out beside a scratch result directory (under
-# $TMPDIR, default /tmp), builds each side's benchmark/ into its own target
-# directory, alternates the two binaries on shared seeds (SEED, SEED+1, ...;
-# SEED defaults to 1) for as long as BENCHMARK.json's run_seconds says, and
-# ends with `compare`: one row per (workload, metric) with the verdict from
-# BENCHMARK.json's bounds, plus whether every shared seed's sim_fingerprint
-# matches. Exit status is compare's. Run from anywhere inside the repo.
+# side b. Exports both beside a scratch result directory (under $TMPDIR,
+# default /tmp): the parent to $work/parent, the working tree to
+# $work/change — tracked files as they are on disk, uncommitted edits
+# included, plus untracked files git does not ignore. The two paths have the
+# same length, so the binaries do not differ by where they were built.
+# Builds each side's benchmark/ into its own target directory, alternates the
+# two binaries on shared seeds (SEED, SEED+1, ...; SEED defaults to 1) for as
+# long as BENCHMARK.json's run_seconds says, and ends with `compare`: one row
+# per (workload, metric) with the verdict from BENCHMARK.json's bounds, plus
+# whether every shared seed's sim_fingerprint matches. Exit status is
+# compare's. Run from anywhere inside the repo.
 # Usage: scripts/ab.sh <parent-ref> [pairs=10] [workload...]
 set -eu
 usage="usage: scripts/ab.sh <parent-ref> [pairs=10] [workload...]"
@@ -20,13 +24,16 @@ seed=${SEED:-1}
 seconds=$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json)
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/forty-ab.XXXXXX")
-mkdir "$work/parent"
+mkdir "$work/parent" "$work/change"
 git archive "$ref" | tar -x -C "$work/parent"
+git ls-files -z --cached --others --exclude-standard |
+    xargs -0 sh -c 'for f; do [ -e "$f" ] && printf "%s\0" "$f"; done; :' sh |
+    tar -c --null -T - | tar -x -C "$work/change"
 echo "ab: building $ref (a) and the working tree (b) under $work" >&2
 CARGO_TARGET_DIR=$work/target-a cargo build --release --offline --quiet \
     --manifest-path "$work/parent/benchmark/Cargo.toml"
 CARGO_TARGET_DIR=$work/target-b cargo build --release --offline --quiet \
-    --manifest-path benchmark/Cargo.toml
+    --manifest-path "$work/change/benchmark/Cargo.toml"
 
 r=0
 while [ "$r" -lt "$pairs" ]; do

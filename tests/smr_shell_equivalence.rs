@@ -18,9 +18,10 @@
 //! bookkeeping, and the device's bytes — under a leader crash, a follower
 //! caught up by state transfer and a store shard-replica restart, recorded
 //! at bcb1844, before the byte codec, the engine handle and the index-mirror
-//! rule each moved to one home under Multi-Paxos and Raft. The Multi-Paxos
-//! entries were re-recorded once since, in the `InstallState`-prune epoch
-//! (see the constants).
+//! rule each moved to one home under Multi-Paxos and Raft. Each row is two
+//! hashes, the driver surface and the storage side, so an epoch that only
+//! moves bytes on disk re-records the storage half alone (see the
+//! constants).
 //!
 //! The second half does the same for the six BFT protocols that joined the
 //! shell later (MinBFT, CheapBFT, XFT, SeeMoRe, Zyzzyva, HotStuff). Their
@@ -514,26 +515,32 @@ macro_rules! durable_side {
 durable_side!(forty::paxos::multi::Replica);
 durable_side!(forty::raft::Replica);
 
+/// A durable row in two halves: `[driver, storage]`. The driver half is what
+/// the run shows through the driver surface; the storage half is what every
+/// replica did to its engine. A change that only moves bytes on disk moves
+/// the second alone.
+type Halves = [u64; 2];
+
 /// The driver surface of a finished cluster run, then every replica's
 /// durable side and ordered index.
-fn durable_cluster_hash<P: SmrProtocol>(c: &mut Cluster<P>) -> u64
+fn durable_cluster_hash<P: SmrProtocol>(c: &mut Cluster<P>) -> Halves
 where
     Cluster<P>: ClusterDriver,
     P::Replica: DurableSide,
 {
-    let mut h = Fnv::new();
-    eat_driver(c, &mut h);
+    let (mut driver, mut storage) = (Fnv::new(), Fnv::new());
+    eat_driver(c, &mut driver);
     for i in 0..c.n_replicas {
         let Proc::Replica(r) = c.sim.node_mut(NodeId::from(i)) else {
             panic!("node {i} is a replica");
         };
-        r.eat_durable(&mut h);
+        r.eat_durable(&mut storage);
         for (key, value) in r.index() {
-            h.eat(key.as_bytes());
-            h.eat(value.as_bytes());
+            storage.eat(key.as_bytes());
+            storage.eat(value.as_bytes());
         }
     }
-    h.0
+    [driver.0, storage.0]
 }
 
 /// Puts, gets and compare-and-swaps, checkpointing every four applied
@@ -559,7 +566,7 @@ fn replica<P: SmrProtocol>(c: &Cluster<P>, id: u32) -> &P::Replica {
 
 /// (i) The initial leader crashes mid-run and comes back through checkpoint
 /// load + WAL replay while its peers fail over.
-fn durable_leader_restart_row<P: DurableProtocol>() -> u64
+fn durable_leader_restart_row<P: DurableProtocol>() -> Halves
 where
     Cluster<P>: ClusterDriver,
     P::Replica: DurableSide,
@@ -575,7 +582,7 @@ where
 /// (ii) A follower stays down until its peers have compacted past its log
 /// end: only `InstallState` / `InstallSnapshot` can bring it back, onto an
 /// index that is live on Multi-Paxos' side and rebuilt on recovery's.
-fn durable_state_transfer_row<P: DurableProtocol>() -> u64
+fn durable_state_transfer_row<P: DurableProtocol>() -> Halves
 where
     Cluster<P>: ClusterDriver,
     P::Replica: DurableSide,
@@ -598,7 +605,7 @@ where
 /// crashes while transactions are in flight and restarts. `Store::shards` is
 /// shared access and a scan needs exclusive, so here the engine's `Debug`
 /// form alone stands for the index — its pages are in it.
-fn durable_store_row<P: SmrProtocol>() -> u64
+fn durable_store_row<P: SmrProtocol>() -> Halves
 where
     Cluster<P>: ShardEngine,
     P::Replica: DurableSide,
@@ -610,14 +617,13 @@ where
     s.crash_node_at(0, 40_000);
     s.restart_node_at(0, 52_000);
     assert!(s.run(STORE_HORIZON), "store stalled");
-    let mut h = Fnv::new();
-    h.eat_u64(store_run_hash(&s));
+    let mut storage = Fnv::new();
     for shard in s.shards() {
         for r in shard.replicas() {
-            r.eat_durable(&mut h);
+            r.eat_durable(&mut storage);
         }
     }
-    h.0
+    [store_run_hash(&s), storage.0]
 }
 
 #[test]
@@ -638,15 +644,27 @@ fn durable_store_runs_match_the_pre_handle_commit() {
     assert_eq!(durable_store_row::<Raft>(), DURABLE_STORE[1]);
 }
 
-// Multi-Paxos then Raft. The two cluster rows: the wire-size epoch.
-const DURABLE_LEADER_RESTART: [u64; 2] = [10473023533922034316, 1027232216742984401];
-const DURABLE_STATE_TRANSFER: [u64; 2] = [3899931310322530583, 129320340987489251];
-// The store row: Raft recorded at bcb1844, with two probe accessors
-// (`engine`, `engine_mut`) patched onto each replica; Multi-Paxos re-recorded
-// in the `InstallState`-prune epoch, when it began rebuilding its index as
-// Raft does (`storage::Durable::rebuild_index`), which adds buffer-pool hits
-// on the replica that recovers.
-const DURABLE_STORE: [u64; 2] = [12410634604824050775, 12659693488071406292];
+// Multi-Paxos then Raft, each `[driver, storage]`. Recorded as one hash per
+// row at bcb1844 (the two cluster rows re-recorded in the wire-size epoch;
+// the Multi-Paxos store row in the `InstallState`-prune epoch, when it began
+// rebuilding its index as Raft does, `storage::Durable::rebuild_index`), and
+// split into two halves at 05c5df0. The storage halves alone were
+// re-recorded in the durable-log-format epoch, when both protocols came to
+// write one record set (`consensus_core::durable`): Multi-Paxos snapshots
+// gained a term word, Raft appends a pid word, and Raft stopped logging a
+// `Truncate` before a conflicting append. The driver halves did not move.
+const DURABLE_LEADER_RESTART: [Halves; 2] = [
+    [11182715684973404286, 3760959519668716244],
+    [4563307388967734418, 3214893806415069096],
+];
+const DURABLE_STATE_TRANSFER: [Halves; 2] = [
+    [464618541121695666, 9225870227277716708],
+    [9610268248865215974, 1844581736488958695],
+];
+const DURABLE_STORE: [Halves; 2] = [
+    [11600020430647999325, 2224437018376044833],
+    [13609160267234260603, 474431995631768030],
+];
 
 // ---- the six BFT protocols ------------------------------------------------
 
