@@ -44,7 +44,9 @@
 
 use storage::{Durable, StorageEngine};
 
-use crate::codec::{get_machine, get_op, put_machine, put_op, put_str, put_u32, put_u64, Reader};
+use crate::codec::{
+    get_machine, get_op, put_machine, put_op, put_str, put_u32, put_u64, Count, Reader, Sink,
+};
 use crate::{Ballot, DedupKvMachine, PrimaryIndex, SmrOp, Str};
 
 /// The engine handle as the apply step's index: applied state is mirrored
@@ -121,7 +123,7 @@ pub enum WalRecord {
     },
 }
 
-fn put_ballot(buf: &mut Vec<u8>, b: Ballot) {
+fn put_ballot(buf: &mut impl Sink, b: Ballot) {
     put_u64(buf, b.num);
     put_u32(buf, b.pid);
 }
@@ -132,36 +134,43 @@ fn get_ballot(r: &mut Reader) -> Option<Ballot> {
     Some(Ballot::new(num, pid))
 }
 
-/// Encodes a WAL record.
+/// Encodes a WAL record. A first pass over a [`Count`] sizes the buffer, so
+/// the bytes are written once and never moved by a regrow.
 pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
-    let mut buf = Vec::new();
+    let mut count = Count::default();
+    put_record(&mut count, rec);
+    let mut buf = Vec::with_capacity(count.0);
+    put_record(&mut buf, rec);
+    buf
+}
+
+fn put_record(buf: &mut impl Sink, rec: &WalRecord) {
     match rec {
         WalRecord::Promise { ballot } => {
-            put_u32(&mut buf, 1);
-            put_ballot(&mut buf, *ballot);
+            put_u32(buf, 1);
+            put_ballot(buf, *ballot);
         }
         WalRecord::Accept { index, ballot, op } => {
-            put_u32(&mut buf, 2);
-            put_u64(&mut buf, *index as u64);
-            put_ballot(&mut buf, *ballot);
-            put_op(&mut buf, op);
+            put_u32(buf, 2);
+            put_u64(buf, *index as u64);
+            put_ballot(buf, *ballot);
+            put_op(buf, op);
         }
         WalRecord::Decide { index, op } => {
-            put_u32(&mut buf, 3);
-            put_u64(&mut buf, *index as u64);
-            put_op(&mut buf, op);
+            put_u32(buf, 3);
+            put_u64(buf, *index as u64);
+            put_op(buf, op);
         }
         WalRecord::TxnDecision { key, value } => {
-            put_u32(&mut buf, 4);
-            put_str(&mut buf, key);
-            put_str(&mut buf, value);
+            put_u32(buf, 4);
+            put_str(buf, key);
+            put_str(buf, value);
         }
         WalRecord::Commit { index } => {
-            put_u32(&mut buf, 5);
-            put_u64(&mut buf, *index as u64);
+            put_u32(buf, 5);
+            put_u64(buf, *index as u64);
         }
     }
-    buf
 }
 
 /// Decodes a WAL record. The WAL hands recovery only CRC-valid records (a
@@ -195,13 +204,21 @@ pub fn decode_record(bytes: &[u8]) -> Option<WalRecord> {
 }
 
 /// Serializes a machine checkpoint: the state after the entries up to
-/// `index`, whose entry had `term`.
+/// `index`, whose entry had `term`. Sized by a first pass, as
+/// [`encode_record`] is: a megabyte checkpoint is written once, not copied
+/// at every doubling.
 pub fn encode_snapshot(machine: &DedupKvMachine, index: usize, term: u64) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u64(&mut buf, index as u64);
-    put_u64(&mut buf, term);
-    put_machine(&mut buf, machine);
+    let mut count = Count::default();
+    put_snapshot(&mut count, machine, index, term);
+    let mut buf = Vec::with_capacity(count.0);
+    put_snapshot(&mut buf, machine, index, term);
     buf
+}
+
+fn put_snapshot(buf: &mut impl Sink, machine: &DedupKvMachine, index: usize, term: u64) {
+    put_u64(buf, index as u64);
+    put_u64(buf, term);
+    put_machine(buf, machine);
 }
 
 /// Deserializes a checkpoint back into `(machine, index, term)`. The
@@ -466,6 +483,49 @@ mod tests {
             "020000000000000000000000000000000200000000000000010000000100000078010000\
              00790200000001000000010000000000000000000000020000000300000000000000020000000100000079"
         );
+    }
+
+    /// The counting pass sizes each buffer exactly: nothing is regrown, and
+    /// nothing is left over.
+    #[test]
+    fn records_and_snapshots_are_encoded_into_buffers_sized_once() {
+        let records = [
+            WalRecord::Promise {
+                ballot: Ballot::new(7, 2),
+            },
+            WalRecord::Accept {
+                index: 42,
+                ballot: Ballot::new(3, 1),
+                op: cas(),
+            },
+            WalRecord::Decide {
+                index: 5,
+                op: SmrOp::Batch(vec![cmd(1, 1, KvCommand::Get { key: "x".into() }); 16]),
+            },
+            WalRecord::TxnDecision {
+                key: "~dec.t1".into(),
+                value: "commit".into(),
+            },
+            WalRecord::Commit { index: 40 },
+        ];
+        for rec in &records {
+            let buf = encode_record(rec);
+            assert_eq!(buf.capacity(), buf.len(), "{rec:?}");
+        }
+        let mut m = DedupKvMachine::default();
+        for i in 0..1000u64 {
+            m.apply(&SmrOp::Cmd(cmd(
+                (i % 9) as u32,
+                i,
+                KvCommand::Put {
+                    key: format!("key{i}").into(),
+                    value: "v".repeat(100).into(),
+                },
+            )));
+        }
+        let blob = encode_snapshot(&m, 1000, 3);
+        assert!(blob.len() > 100_000);
+        assert_eq!(blob.capacity(), blob.len());
     }
 
     /// Recorded at the parent of the `Arc<str>` change, with `String`

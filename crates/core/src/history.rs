@@ -11,6 +11,8 @@
 //! collects and merges them after a run. Recording is append-only and cheap
 //! enough to leave on unconditionally.
 
+use std::fmt;
+
 use crate::smr::{KvCommand, KvResponse};
 
 /// The lifecycle of one client operation.
@@ -56,10 +58,25 @@ impl ClientRecord {
 /// Retransmissions are *not* new invocations: `invoke` is called once per
 /// fresh operation, and a duplicate `(client, seq)` invoke (or a completion
 /// for an operation that was never invoked or already completed) is ignored
-/// rather than corrupting the history.
-#[derive(Clone, Debug, Default)]
+/// rather than corrupting the history. A client's `seq`s only grow, so a
+/// fresh invoke is told from a duplicate without a search, and a completion
+/// searches back only over the ops invoked after it: a sink that records a
+/// whole run of one router's ops stays linear.
+#[derive(Clone, Default)]
 pub struct HistorySink {
     records: Vec<ClientRecord>,
+    /// Each client's highest invoked `seq`; one entry per client, and a
+    /// sink rarely holds more than one client.
+    newest: Vec<(u32, u64)>,
+}
+
+/// The records alone: `newest` is derived from them.
+impl fmt::Debug for HistorySink {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HistorySink")
+            .field("records", &self.records)
+            .finish()
+    }
 }
 
 impl HistorySink {
@@ -70,8 +87,11 @@ impl HistorySink {
 
     /// Records the invocation of a fresh operation.
     pub fn invoke(&mut self, client: u32, seq: u64, op: KvCommand, at: u64) {
-        if self.find(client, seq).is_some() {
-            return; // retransmission, already recorded
+        match self.newest.iter().position(|&(c, _)| c == client) {
+            None => self.newest.push((client, seq)),
+            Some(i) if seq > self.newest[i].1 => self.newest[i].1 = seq,
+            Some(_) if self.find(client, seq).is_some() => return, // retransmission
+            Some(_) => {}
         }
         self.records.push(ClientRecord {
             client,
@@ -92,7 +112,11 @@ impl HistorySink {
     }
 
     fn find(&self, client: u32, seq: u64) -> Option<usize> {
-        // The op being completed is almost always the newest record.
+        let &(_, newest) = self.newest.iter().find(|(c, _)| *c == client)?;
+        if seq > newest {
+            return None; // never invoked
+        }
+        // The op being completed is almost always among the newest records.
         self.records
             .iter()
             .rposition(|r| r.client == client && r.seq == seq)
@@ -162,7 +186,60 @@ mod tests {
         assert_eq!(h.records()[0].response(), Some(&KvResponse::Ok));
         // Completing an unknown op does nothing.
         h.complete(2, 7, 1000, KvResponse::Ok);
+        h.complete(1, 9, 1000, KvResponse::Ok);
         assert_eq!(h.len(), 1);
+        // A fresh op below the client's newest seq is still recorded, once.
+        h.invoke(1, 5, put("b", "y"), 1100);
+        h.invoke(1, 3, put("c", "z"), 1200);
+        h.invoke(1, 3, put("c", "z"), 1300);
+        h.complete(1, 3, 1400, KvResponse::Ok);
+        let ops: Vec<_> = h.records().iter().map(|r| (r.seq, r.invoked)).collect();
+        assert_eq!(ops, [(0, 100), (5, 1100), (3, 1200)]);
+        assert_eq!(h.records()[2].completed_at(), Some(1400));
+    }
+
+    /// Seven clients' ops interleaved in one long sink: every op invoked,
+    /// then retransmitted; most completed, then answered again late; some
+    /// completed only late, the last of those never; completions for a
+    /// client that invoked nothing.
+    #[test]
+    fn ten_thousand_ops_keep_the_first_invoke_and_the_first_completion() {
+        let mut h = HistorySink::new();
+        let n = 10_000u64;
+        let id = |i: u64| ((i % 7) as u32, i / 7);
+        for i in 0..n {
+            let (client, seq) = id(i);
+            h.invoke(client, seq, put("k", "v"), i);
+            if i >= 3 {
+                // A retransmission of an op three back.
+                let (c, s) = id(i - 3);
+                h.invoke(c, s, put("k", "retry"), i + n);
+            }
+            if i % 5 != 4 {
+                h.complete(client, seq, 2 * n + i, KvResponse::Ok);
+            }
+            if i >= 10 {
+                // A late duplicate reply for an op ten back.
+                let (c, s) = id(i - 10);
+                h.complete(c, s, 4 * n + i, KvResponse::Value(None));
+            }
+            // An op no one invoked.
+            h.complete(99, i, 5 * n, KvResponse::Ok);
+        }
+        assert_eq!(h.len(), n as usize);
+        for (i, r) in (0..n).zip(h.records()) {
+            assert_eq!((r.client, r.seq), id(i));
+            assert_eq!(r.invoked, i);
+            assert_eq!(r.op, put("k", "v"));
+            let want = if i % 5 != 4 {
+                Some((2 * n + i, KvResponse::Ok))
+            } else if i + 10 < n {
+                Some((4 * n + i + 10, KvResponse::Value(None)))
+            } else {
+                None
+            };
+            assert_eq!(r.completed, want, "op {i}");
+        }
     }
 
     #[test]

@@ -41,8 +41,10 @@ pub struct DiskStats {
 #[derive(Debug)]
 pub struct SimDisk {
     model: DiskModel,
-    pages: Vec<[u8; PAGE_SIZE]>,
+    /// Boxed, so growing the table moves pointers, not pages.
+    pages: Vec<Box<[u8; PAGE_SIZE]>>,
     log: Vec<u8>,
+    /// Overwritten in place by each checkpoint, so its buffer is kept.
     snapshot: Option<Vec<u8>>,
     stats: DiskStats,
 }
@@ -75,7 +77,8 @@ impl SimDisk {
     /// write (the allocation formats the frame).
     pub fn alloc_page(&mut self) -> u32 {
         let pid = self.pages.len() as u32;
-        self.pages.push([0u8; PAGE_SIZE]);
+        let page = vec![0u8; PAGE_SIZE].into_boxed_slice().try_into();
+        self.pages.push(page.expect("PAGE_SIZE bytes"));
         self.charge_write(PAGE_SIZE);
         pid
     }
@@ -89,7 +92,7 @@ impl SimDisk {
     /// Writes page `pid` in place.
     pub fn write_page(&mut self, pid: u32, data: &[u8; PAGE_SIZE]) {
         self.charge_write(PAGE_SIZE);
-        self.pages[pid as usize] = *data;
+        *self.pages[pid as usize] = *data;
     }
 
     /// Number of allocated pages.
@@ -132,7 +135,9 @@ impl SimDisk {
     /// Atomically replaces the snapshot blob.
     pub fn write_snapshot(&mut self, blob: &[u8]) {
         self.charge_write(blob.len());
-        self.snapshot = Some(blob.to_vec());
+        let snapshot = self.snapshot.get_or_insert_with(Vec::new);
+        snapshot.clear();
+        snapshot.extend_from_slice(blob);
     }
 
     /// Reads the snapshot blob, if any.
@@ -204,6 +209,9 @@ mod tests {
         d.write_snapshot(b"v1");
         d.write_snapshot(b"v2-longer");
         assert_eq!(d.read_snapshot().as_deref(), Some(&b"v2-longer"[..]));
+        // The buffer is reused: a shorter blob leaves no stale tail.
+        d.write_snapshot(b"v3");
+        assert_eq!(d.read_snapshot().as_deref(), Some(&b"v3"[..]));
     }
 
     #[test]

@@ -18,6 +18,11 @@
 //! A crash mid-append (a *torn write*) therefore loses at most the tail
 //! record being written — every record before it is returned intact, which
 //! is the consistent-prefix contract the torn-write test matrix pins down.
+//!
+//! The CRC is [`crate::codec::crc32`]: a payload of 64 bytes or more is
+//! checksummed by carry-less multiplication where the CPU has it, a shorter
+//! one (most single-op records) by slice-by-8 tables. Both give the same
+//! value, so which one ran never shows in the bytes.
 
 use crate::codec::crc32;
 use crate::disk::SimDisk;
@@ -190,6 +195,33 @@ mod tests {
         let (records, valid) = Wal::parse(&bytes);
         assert_eq!(records, vec![b"good".to_vec()]);
         assert_eq!(valid, RECORD_HEADER + 4);
+    }
+
+    /// A 300-byte payload fills the carry-less CRC's four 16-byte lanes four
+    /// times (256 B), then two one-register steps (32 B) and a 12-byte tail
+    /// the tables fold: a flipped bit anywhere in it must fail the check.
+    #[test]
+    fn a_flipped_bit_anywhere_in_a_long_payload_ends_the_valid_prefix() {
+        let payload: Vec<u8> = (0..300u32).map(|i| (i * 7 + 3) as u8).collect();
+        let mut d = disk();
+        let mut w = Wal::new();
+        w.append(b"before");
+        w.append(&payload);
+        w.append(b"after");
+        w.flush(&mut d);
+        let bytes = d.read_log();
+        let start = RECORD_HEADER + 6 + RECORD_HEADER;
+        for i in 0..payload.len() {
+            let mut torn = bytes.clone();
+            torn[start + i] ^= 1 << (i % 8);
+            let (records, valid) = Wal::parse(&torn);
+            assert_eq!(
+                records,
+                vec![b"before".to_vec()],
+                "bit flipped at payload byte {i}"
+            );
+            assert_eq!(valid, RECORD_HEADER + 6);
+        }
     }
 
     /// The torn-write matrix: truncate the flushed log at *every* byte
