@@ -395,8 +395,22 @@ mod tests {
             (b, false, false, 9, 2, Flush::Hold),
             (b, true, false, 1, 1, Flush::Take(1)),
             (b, true, false, 1, 2, Flush::Hold),
-            (BatchConfig::new(4, 0, 2), false, false, 1, 0, Flush::Take(1)),
-            (BatchConfig::new(0, 0, 1), false, false, 3, 0, Flush::Take(1)),
+            (
+                BatchConfig::new(4, 0, 2),
+                false,
+                false,
+                1,
+                0,
+                Flush::Take(1),
+            ),
+            (
+                BatchConfig::new(0, 0, 1),
+                false,
+                false,
+                3,
+                0,
+                Flush::Take(1),
+            ),
         ];
         for (cfg, overdue, armed, queued, in_flight, want) in table {
             let mut batcher = Batcher {
@@ -405,7 +419,10 @@ mod tests {
                 overdue,
             };
             let got = batcher.poll(queued, in_flight);
-            assert_eq!(got, want, "{cfg:?} overdue={overdue} armed={armed} {queued}/{in_flight}");
+            assert_eq!(
+                got, want,
+                "{cfg:?} overdue={overdue} armed={armed} {queued}/{in_flight}"
+            );
         }
     }
 
@@ -426,9 +443,17 @@ mod tests {
         assert_eq!(batcher.poll(2, 0), Flush::Arm(300));
         assert_eq!(batcher.poll(3, 0), Flush::Hold, "one timer at a time");
         batcher.expire(true);
-        assert_eq!(batcher.poll(3, 0), Flush::Take(3), "overdue: underfull goes");
+        assert_eq!(
+            batcher.poll(3, 0),
+            Flush::Take(3),
+            "overdue: underfull goes"
+        );
         assert_eq!(batcher.poll(0, 1), Flush::Hold, "drained: overdue is spent");
-        assert_eq!(batcher.poll(1, 1), Flush::Arm(300), "next batch waits again");
+        assert_eq!(
+            batcher.poll(1, 1),
+            Flush::Arm(300),
+            "next batch waits again"
+        );
         // A timer that fires with nothing to flush (or after leadership was
         // lost) must not make the next batch overdue.
         batcher.expire(false);

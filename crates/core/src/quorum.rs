@@ -106,7 +106,7 @@ impl QuorumSpec {
                 Phase::Agreement => q2,
             },
             QuorumSpec::Grid { rows, cols } => match phase {
-                Phase::Election => cols, // a full row has `cols` members
+                Phase::Election => cols,  // a full row has `cols` members
                 Phase::Agreement => rows, // a full column has `rows` members
             },
             QuorumSpec::Hybrid { m, c } => 2 * m + c + 1,
@@ -137,9 +137,7 @@ impl QuorumSpec {
     pub fn is_safe(&self) -> bool {
         match *self {
             QuorumSpec::Majority { n } => n >= 1,
-            QuorumSpec::Byzantine { n, f } => {
-                n > 3 * f && self.min_intersection() >= f + 1
-            }
+            QuorumSpec::Byzantine { n, f } => n > 3 * f && self.min_intersection() >= f + 1,
             QuorumSpec::Flexible { .. } | QuorumSpec::Grid { .. } => self.min_intersection() >= 1,
             QuorumSpec::Hybrid { m, .. } => self.min_intersection() >= m + 1,
         }
@@ -152,12 +150,10 @@ impl QuorumSpec {
     pub fn is_quorum(&self, members: &BTreeSet<NodeId>, phase: Phase) -> bool {
         match *self {
             QuorumSpec::Grid { rows, cols } => match phase {
-                Phase::Election => (0..rows).any(|r| {
-                    (0..cols).all(|c| members.contains(&NodeId::from(r * cols + c)))
-                }),
-                Phase::Agreement => (0..cols).any(|c| {
-                    (0..rows).all(|r| members.contains(&NodeId::from(r * cols + c)))
-                }),
+                Phase::Election => (0..rows)
+                    .any(|r| (0..cols).all(|c| members.contains(&NodeId::from(r * cols + c)))),
+                Phase::Agreement => (0..cols)
+                    .any(|c| (0..rows).all(|r| members.contains(&NodeId::from(r * cols + c)))),
             },
             _ => members.len() >= self.quorum_size(phase),
         }
@@ -227,8 +223,12 @@ pub fn verify_intersection_exhaustively(spec: &QuorumSpec) -> bool {
     let n = spec.n();
     let (elections, agreements): (Vec<BTreeSet<NodeId>>, Vec<BTreeSet<NodeId>>) = match spec {
         QuorumSpec::Grid { rows, cols } => (
-            (0..*rows).map(|r| spec.grid_row(r).into_iter().collect()).collect(),
-            (0..*cols).map(|c| spec.grid_col(c).into_iter().collect()).collect(),
+            (0..*rows)
+                .map(|r| spec.grid_row(r).into_iter().collect())
+                .collect(),
+            (0..*cols)
+                .map(|c| spec.grid_col(c).into_iter().collect())
+                .collect(),
         ),
         _ => (
             k_subsets(n, spec.quorum_size(Phase::Election)),
@@ -236,11 +236,9 @@ pub fn verify_intersection_exhaustively(spec: &QuorumSpec) -> bool {
         ),
     };
     let need = spec.min_intersection();
-    elections.iter().all(|e| {
-        agreements
-            .iter()
-            .all(|a| e.intersection(a).count() >= need)
-    })
+    elections
+        .iter()
+        .all(|e| agreements.iter().all(|a| e.intersection(a).count() >= need))
 }
 
 #[cfg(test)]

@@ -246,7 +246,10 @@ mod tests {
         assert_eq!(parse_prepare_key(&prepare_key(tid, 3)), Some((tid, 3)));
         assert!(is_control_key(&decision_key(tid)));
         assert!(!is_control_key("k12"));
-        assert!(decision_key(tid).as_str() > "zzz", "~ sorts after ASCII letters");
+        assert!(
+            decision_key(tid).as_str() > "zzz",
+            "~ sorts after ASCII letters"
+        );
     }
 
     #[test]

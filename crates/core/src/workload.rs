@@ -87,7 +87,9 @@ impl KvWorkload {
     fn pad(&self, v: String) -> Str {
         let mut v = v.into_bytes();
         v.resize(v.len().max(self.mix.value_bytes), b'x');
-        String::from_utf8(v).expect("a string padded with ASCII").into()
+        String::from_utf8(v)
+            .expect("a string padded with ASCII")
+            .into()
     }
 
     /// Produces the next command.
@@ -218,7 +220,10 @@ mod tests {
         };
         let mut all_writes = KvWorkload::new(0, writes, 3);
         for _ in 0..50 {
-            assert!(matches!(all_writes.next_command().op, KvCommand::Put { .. }));
+            assert!(matches!(
+                all_writes.next_command().op,
+                KvCommand::Put { .. }
+            ));
         }
         let reads = KvMix {
             write_fraction: 0.0,
