@@ -29,18 +29,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use consensus_core::driver::DecidedEntry;
+pub use consensus_core::shell::{peers, replica_ids};
 use consensus_core::{Command, DedupKvMachine, Envelope, KvCommand, KvResponse};
 use simnet::{CncPhase, Context, LiveTimer, NodeId, Payload};
-
-/// Node ids `0..n` — every replica, as a broadcast target list.
-pub fn replica_ids(n: usize) -> impl Iterator<Item = NodeId> + Clone {
-    (0..n).map(NodeId::from)
-}
-
-/// Every replica but `me`.
-pub fn peers(n: usize, me: NodeId) -> impl Iterator<Item = NodeId> + Clone {
-    replica_ids(n).filter(move |id| *id != me)
-}
 
 /// Appends one [`DecidedEntry`] per command of `executed`, indexed by
 /// execution order — the `decided_log` shape of protocols whose replicas

@@ -17,6 +17,7 @@ use crate::client::{Accept, Client, Envelope, Session};
 use crate::driver::{BatchConfig, ByzantineWindow, ClusterDriver, DecidedEntry, DriverConfig};
 use crate::history::{ClientRecord, HistorySink};
 use crate::quorum::QuorumSpec;
+use crate::shell::Disk;
 use crate::smr::{DedupKvMachine, ReplicatedLog, Slot, SmrOp, StateMachine};
 use crate::workload::{LatencyRecorder, WorkloadMode};
 
@@ -82,9 +83,8 @@ pub trait SmrProtocol: Sized + 'static {
 
 /// A protocol whose replicas can run on a durable storage engine.
 pub trait DurableProtocol: SmrProtocol {
-    /// Attaches a fresh engine over `model` to `replica`, checkpointing
-    /// every `threshold` applied entries.
-    fn attach_storage(replica: &mut Self::Replica, threshold: usize, model: DiskModel);
+    /// `replica`'s durable side.
+    fn disk(replica: &mut Self::Replica) -> &mut Disk;
 }
 
 /// A process of protocol `P`: replica or client.
@@ -292,7 +292,7 @@ impl<P: DurableProtocol> Cluster<P> {
     /// checkpointing, and real crash recovery all activate.
     #[must_use]
     pub fn with_durability(self, threshold: usize, model: DiskModel) -> Self {
-        self.map_replicas(|r| P::attach_storage(r, threshold, model))
+        self.map_replicas(|r| P::disk(r).attach(threshold, model))
     }
 }
 

@@ -24,16 +24,15 @@ use consensus_core::cluster::decided_slots;
 use consensus_core::codec::{put_op, wire_size};
 use consensus_core::driver::{BatchConfig, Batcher, DecidedEntry, Flush};
 use consensus_core::quorum::Phase;
+use consensus_core::shell::{self, peers, replica_ids, Disk, Reads};
 use consensus_core::smr::Slot;
 use consensus_core::{
     Ballot, Client, ClientMsg, Cluster, Command, DedupKvMachine, DurableProtocol, Envelope,
     KvCommand, Quorum, QuorumSpec, ReadMode, Register, ReplicatedLog, Session, Silence, SmrOp,
-    SmrProtocol, Str, Tally, Target,
+    SmrProtocol, Tally, Target,
 };
 use simnet::causal::cat;
-use simnet::{
-    CncPhase, Context, DiskModel, LiveTimer, Node, NodeId, Payload, Time, Timer, TraceCtx,
-};
+use simnet::{CncPhase, Context, LiveTimer, Node, NodeId, Payload, Time, Timer, TraceCtx};
 
 use consensus_core::durable::{self, encode_record, encode_snapshot, WalRecord};
 
@@ -151,6 +150,12 @@ const BATCH_FLUSH: u64 = 4;
 
 /// Heartbeat period (µs).
 const HB_PERIOD: u64 = 10_000;
+/// Leader-lease length (µs): an acceptor that echoed an `Accept` honors its
+/// sender's leadership this long on its own clock.
+const LEASE_US: u64 = 30_000;
+/// Clock skew (µs) the lease math tolerates. Lease reads are refused
+/// whenever the sim's skew oracle reports a larger bound.
+const MAX_SKEW_US: u64 = 5_000;
 
 #[derive(Debug)]
 struct Proposal {
@@ -163,8 +168,6 @@ struct Proposal {
 pub struct Replica {
     /// Cluster quorum configuration.
     spec: QuorumSpec,
-    /// Number of replica nodes (clients have higher ids).
-    n_replicas: usize,
     /// The acceptor: one promise over the whole log and each index's
     /// accepted `(ballot, op)` (durable).
     acceptor: Register<SmrOp>,
@@ -184,41 +187,31 @@ pub struct Replica {
     proposals: BTreeMap<usize, Proposal>,
     pending_reply: BTreeMap<(u32, u64), NodeId>,
     election_timer: LiveTimer,
-    /// Leader changes observed (the "phase 1 only on leader change" claim).
-    pub view_changes: u64,
     /// Batching/pipelining policy.
     batcher: Batcher,
     /// Commands accepted from clients but not yet proposed (leader only),
     /// with the causal context + arrival time of each (for queue spans).
     queue: Vec<(Command<KvCommand>, NodeId, Option<TraceCtx>, Time)>,
-    /// The durable side: with an engine attached, promises/accepts/decides
-    /// go to its WAL *before* the ack they justify leaves, checkpoints
-    /// absorb the applied prefix, and the applied KV state is mirrored into
-    /// its index. Detached, the historical everything-in-RAM behaviour. Also
-    /// holds what the last crash recovery cost and the transaction decision
-    /// table.
-    pub durable: storage::Durable,
-    /// Take a checkpoint every this-many newly applied entries.
-    /// `usize::MAX` (the default) disables snapshots entirely.
-    snapshot_threshold: usize,
+    /// The durable side: promises, accepts and decides go to its WAL before
+    /// the ack they justify leaves. Never checkpoints unless a threshold is
+    /// set.
+    pub disk: Disk,
     /// First log index not absorbed by a checkpoint; slots below it are
     /// compacted away (`Slot::Empty`) and `accepted` is pruned below it.
     snapshot_floor: usize,
-    /// Checkpoints this replica took itself.
-    pub snapshots_taken: u64,
-    /// Checkpoints installed from a peer (state transfer).
-    pub snapshots_installed: u64,
     /// Candidate-side: highest snapshot floor reported in `PrepareAck`s of
     /// the current election, and who reported it.
     prepare_max_floor: usize,
     prepare_floor_holder: NodeId,
-    /// Leader-lease duration (µs). `0` — the default — disables the lease
-    /// fast path entirely: no extra messages, timers, or RNG draws, so
-    /// lease-off runs stay bit-identical to the pre-lease protocol.
-    lease_us: u64,
-    /// Maximum clock skew (µs) the lease math tolerates. Lease reads are
-    /// refused whenever the sim's skew oracle reports a larger bound.
-    max_skew_us: u64,
+    /// Clock-bound leader leases, the one switch geo shards set. On, the
+    /// leader answers a [`ClientMsg::Read`] locally while an Agreement
+    /// quorum of acceptors granted it a lease within the last [`LEASE_US`],
+    /// acceptors refuse to elect anyone else while honoring an unexpired
+    /// lease, and reads are NACKed whenever the skew oracle exceeds
+    /// [`MAX_SKEW_US`]. Off — the default — the lease fast path costs
+    /// nothing: no extra messages, timers, or RNG draws, so lease-off runs
+    /// stay bit-identical to the pre-lease protocol.
+    pub leases: bool,
     /// Acceptor side: whose lease this node currently honors (volatile;
     /// `None` during the post-restart grace period, which gates promises
     /// for every candidate).
@@ -229,29 +222,27 @@ pub struct Replica {
     lease_until: Time,
     /// Leader side: per-acceptor send-time of the newest `Accept` that
     /// acceptor echoed back. A lease read is legal only while an Agreement
-    /// quorum of these stamps is fresher than `lease_us` (minus skew).
+    /// quorum of these stamps is fresher than [`LEASE_US`] (minus skew).
     lease_grants: BTreeMap<NodeId, Time>,
     /// Leader side: first log index proposed under this leadership. Lease
     /// reads wait until the re-proposed tail of the previous term has
     /// applied, so the local machine reflects every acknowledged write.
     lease_floor: usize,
-    /// Fast lease reads this replica served locally.
-    pub lease_reads_served: u64,
-    /// Read requests NACKed back to the caller (fallback to the log path).
-    pub read_nacks: u64,
+    /// Lease reads: confirmed at the applied frontier, so answered at once.
+    reads: Reads,
 }
 
 impl Replica {
-    /// Creates an unbatched replica for a cluster of `n_replicas`.
-    pub fn new(spec: QuorumSpec, n_replicas: usize) -> Self {
-        Self::new_with(spec, n_replicas, BatchConfig::unbatched())
+    /// Creates an unbatched replica; `spec` says how many replicas there
+    /// are (nodes `0..n`; clients have higher ids).
+    pub fn new(spec: QuorumSpec) -> Self {
+        Self::new_with(spec, BatchConfig::unbatched())
     }
 
     /// Creates a replica with the given batching/pipelining config.
-    pub fn new_with(spec: QuorumSpec, n_replicas: usize, batch: BatchConfig) -> Self {
+    pub fn new_with(spec: QuorumSpec, batch: BatchConfig) -> Self {
         Replica {
             spec,
-            n_replicas,
             acceptor: Register::default(),
             log: ReplicatedLog::new(),
             is_leader: false,
@@ -262,65 +253,24 @@ impl Replica {
             proposals: BTreeMap::new(),
             pending_reply: BTreeMap::new(),
             election_timer: LiveTimer::default(),
-            view_changes: 0,
             batcher: Batcher::new(batch),
             queue: Vec::new(),
-            durable: storage::Durable::default(),
-            snapshot_threshold: usize::MAX,
+            disk: Disk::new(usize::MAX),
             snapshot_floor: 0,
-            snapshots_taken: 0,
-            snapshots_installed: 0,
             prepare_max_floor: 0,
             prepare_floor_holder: NodeId(0),
-            lease_us: 0,
-            max_skew_us: 0,
+            leases: false,
             lease_holder: None,
             lease_until: Time(0),
             lease_grants: BTreeMap::new(),
             lease_floor: 0,
-            lease_reads_served: 0,
-            read_nacks: 0,
+            reads: Reads::new(ReadMode::Lease),
         }
-    }
-
-    /// Enables clock-bound leader leases: the leader answers
-    /// [`MpMsg::ReadReq`] locally while an Agreement quorum of acceptors
-    /// granted it a lease within the last `lease_us` µs, and acceptors
-    /// refuse to elect anyone else while honoring an unexpired lease.
-    /// Reads are NACKed whenever the skew oracle exceeds `max_skew_us`.
-    pub fn set_lease(&mut self, lease_us: u64, max_skew_us: u64) {
-        self.lease_us = lease_us;
-        self.max_skew_us = max_skew_us;
-    }
-
-    /// Checkpoints (and compacts the log) every `threshold` applied
-    /// entries. Works with or without a durable engine: RAM-only replicas
-    /// still bound their log growth; durable ones also truncate the WAL.
-    pub fn set_snapshot_threshold(&mut self, threshold: usize) {
-        self.snapshot_threshold = threshold.max(1);
-    }
-
-    /// Attaches a durable storage engine: the WAL-before-ack discipline,
-    /// checkpointing and crash recovery all activate.
-    pub fn attach_engine(&mut self, engine: Box<dyn storage::StorageEngine>) {
-        self.durable.attach(engine);
-    }
-
-    /// Whether snapshots/compaction are enabled (gates the catch-up
-    /// protocol so default runs stay message-for-message identical).
-    fn compaction_enabled(&self) -> bool {
-        self.snapshot_threshold != usize::MAX
     }
 
     /// Storage counters, when a durable engine is attached.
     pub fn storage_stats(&self) -> Option<storage::StorageStats> {
-        self.durable.engine().map(|e| e.stats())
-    }
-
-    /// Appends a protocol record to the WAL. Without an engine the record
-    /// is never built, so a RAM-mode replica clones no op for it.
-    fn wal_log(&mut self, rec: impl FnOnce() -> WalRecord) {
-        self.durable.log(|| encode_record(&rec()));
+        self.disk.durable.engine().map(|e| e.stats())
     }
 
     fn arm_election_timer(&mut self, ctx: &mut Context<Wire>) {
@@ -346,7 +296,7 @@ impl Replica {
             CncPhase::LeaderElection,
         );
         ctx.send_many(
-            self.replica_ids(),
+            replica_ids(self.spec.n()),
             MpMsg::Prepare {
                 ballot: self.election_ballot,
                 low,
@@ -358,7 +308,6 @@ impl Replica {
     fn become_leader(&mut self, ctx: &mut Context<Wire>) {
         self.electing = false;
         self.is_leader = true;
-        self.view_changes += 1;
         self.proposals.clear();
         self.lease_grants.clear();
         // Adopt the highest-ballot value for every discovered index and
@@ -396,8 +345,7 @@ impl Replica {
             ballot: self.acceptor.promise(),
             decided: self.log.applied_len(),
         };
-        let me = ctx.id();
-        ctx.send_many(self.replica_ids().filter(|&r| r != me), hb.into());
+        ctx.send_many(peers(self.spec.n(), ctx.id()), hb.into());
         self.try_flush(ctx);
     }
 
@@ -413,14 +361,6 @@ impl Replica {
     /// Undecided proposals currently in flight.
     fn in_flight(&self) -> usize {
         self.proposals.values().filter(|p| !p.decided).count()
-    }
-
-    /// Replica node ids (`0..n_replicas`). Protocol multicast must target
-    /// this set, not the whole simulation — clients share the node space,
-    /// and with a transmit-limited NIC every stray delivery costs the
-    /// sender serialization time.
-    fn replica_ids(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.n_replicas).map(NodeId::from)
     }
 
     /// Proposes queued commands as the batch policy releases them. With the
@@ -510,7 +450,7 @@ impl Replica {
         ctx.span_open(SPAN, index as u64, ballot.num);
         ctx.phase(SPAN, index as u64, ballot.num, CncPhase::Agreement);
         ctx.send_many(
-            self.replica_ids(),
+            replica_ids(self.spec.n()),
             MpMsg::Accept {
                 ballot,
                 index,
@@ -531,7 +471,7 @@ impl Replica {
         let mut replies = Vec::new();
         while let Some((i, resolved)) = self
             .log
-            .apply_decided(durable::index(&mut self.durable), |cmd, out| {
+            .apply_decided(durable::index(&mut self.disk.durable), |cmd, out| {
                 replies.push((cmd.client, cmd.seq, out))
             })
         {
@@ -540,7 +480,7 @@ impl Replica {
                 // WAL-before-decision: the slot resolved a transaction
                 // decision record — its dedicated WAL entry must be on disk
                 // before the reply that releases the transaction leaves.
-                self.durable.sync(ctx);
+                self.disk.durable.sync(ctx);
             }
             for (client, seq, output) in replies.drain(..) {
                 if let Some(client_node) = self.pending_reply.remove(&(client, seq)) {
@@ -560,30 +500,17 @@ impl Replica {
         );
     }
 
-    /// Durable mode: the transaction decision records this replica has
-    /// applied (decision key → `commit`/`abort`), survives crash recovery.
-    pub fn txn_decisions(&self) -> &BTreeMap<Str, Str> {
-        self.durable.txn_decisions()
-    }
-
     /// Takes a checkpoint once enough new entries applied since the last
     /// floor: prune accepted entries and the log below the applied
     /// frontier, then persist (when durable) so the WAL restarts empty.
     fn maybe_snapshot(&mut self) {
         let applied = self.log.applied_len();
-        if applied.saturating_sub(self.snapshot_floor) < self.snapshot_threshold {
-            return;
+        if self.disk.checkpoint_due(applied, self.snapshot_floor) {
+            self.acceptor.prune_below(applied);
+            self.log.truncate_prefix(applied);
+            self.snapshot_floor = applied;
+            self.persist_checkpoint();
         }
-        self.compact_to(applied);
-        self.snapshots_taken += 1;
-    }
-
-    /// Compacts protocol state below `floor` and persists a checkpoint.
-    fn compact_to(&mut self, floor: usize) {
-        self.acceptor.prune_below(floor);
-        self.log.truncate_prefix(floor);
-        self.snapshot_floor = floor;
-        self.persist_checkpoint();
     }
 
     /// Writes the machine state through the engine as a snapshot (which
@@ -609,7 +536,7 @@ impl Replica {
             _ => None,
         });
         let live = promise.into_iter().chain(accepts).chain(decides);
-        self.durable.checkpoint(
+        self.disk.durable.checkpoint(
             || encode_snapshot(log.machine(), applied, 0),
             live.map(|rec| encode_record(&rec)),
         );
@@ -622,7 +549,6 @@ impl Replica {
     /// every read, which is what recovery-time experiments measure.
     fn recover_from(&mut self, ctx: &mut Context<Wire>, restored: durable::Restored) {
         self.acceptor = Register::default();
-        self.log = ReplicatedLog::new();
         self.log.install(restored.machine, restored.index);
         self.snapshot_floor = restored.index;
         for rec in restored.records {
@@ -641,12 +567,7 @@ impl Replica {
                 rec => panic!("Multi-Paxos never logs {rec:?}"),
             }
         }
-        self.durable.recovered(self.snapshot_floor);
-    }
-
-    fn leader_hint(&self) -> NodeId {
-        // Best effort: the process embedded in the highest promised ballot.
-        self.acceptor.promise().proposer()
+        self.disk.durable.recovered(self.snapshot_floor);
     }
 
     /// Whether an unexpired lease (or post-restart grace period, when
@@ -654,20 +575,18 @@ impl Replica {
     /// or electing — `candidate`. Without this gate a new leader could
     /// commit writes concurrent with the old leader's local lease reads.
     fn lease_gates(&self, ctx: &Context<Wire>, candidate: NodeId) -> bool {
-        self.lease_us > 0
-            && ctx.local_now() < self.lease_until
-            && self.lease_holder != Some(candidate)
+        self.leases && ctx.local_now() < self.lease_until && self.lease_holder != Some(candidate)
     }
 
     /// Whether this leader's lease authorizes a local read at local time
     /// `at`: the skew oracle is within tolerance, the previous term's
     /// re-proposed tail has fully applied (so the local machine reflects
     /// every acknowledged write), and an Agreement quorum of acceptors
-    /// echoed an `Accept` sent within the last `lease_us` µs. The
-    /// `max_skew_us` margin is subtracted so a grantor whose clock jumps
+    /// echoed an `Accept` sent within the last [`LEASE_US`]. The
+    /// [`MAX_SKEW_US`] margin is subtracted so a grantor whose clock jumps
     /// forward (expiring its grant early in real time) cannot be counted.
     fn lease_valid_at(&self, ctx: &Context<Wire>, at: Time) -> bool {
-        if self.lease_us == 0 || !self.is_leader || ctx.clock_skew_bound() > self.max_skew_us {
+        if !self.leases || !self.is_leader || ctx.clock_skew_bound() > MAX_SKEW_US {
             return false;
         }
         if self.log.applied_len() < self.lease_floor {
@@ -676,7 +595,7 @@ impl Replica {
         let fresh: BTreeSet<NodeId> = self
             .lease_grants
             .iter()
-            .filter(|(_, sent)| at.0 + self.max_skew_us < sent.0 + self.lease_us)
+            .filter(|(_, sent)| at.0 + MAX_SKEW_US < sent.0 + LEASE_US)
             .map(|(&id, _)| id)
             .collect();
         self.spec.is_quorum(&fresh, Phase::Agreement)
@@ -686,45 +605,31 @@ impl Replica {
 impl Replica {
     /// A command goes to the leader's queue, a read to the lease fast path.
     fn on_client(&mut self, ctx: &mut Context<Wire>, from: NodeId, msg: ClientMsg) {
-        let reply = match msg {
+        match msg {
             ClientMsg::Request(cmd) => {
-                if !self.is_leader {
-                    let hint = self.leader_hint();
-                    ClientMsg::NotLeader { seq: cmd.seq, hint }
-                } else if let Some(out) = self.log.machine().cached(cmd.client, cmd.seq) {
-                    // Duplicate: reply from the client table.
-                    let (seq, output) = (cmd.seq, out.clone());
-                    ClientMsg::Reply { seq, output }
-                } else {
-                    // Unless already in flight (a retry while we decide).
-                    if !self.cmd_in_flight(cmd.client, cmd.seq) {
-                        self.queue.push((cmd, from, ctx.trace_ctx(), ctx.now()));
-                        self.try_flush(ctx);
-                    }
+                // The leader hint is the proposer of the highest promise.
+                let hint = (!self.is_leader).then(|| self.acceptor.promise().proposer());
+                let Some(cmd) = shell::intake(ctx, from, cmd, self.log.machine(), hint) else {
                     return;
+                };
+                // Unless already in flight (a retry while we decide).
+                if !self.cmd_in_flight(cmd.client, cmd.seq) {
+                    self.queue.push((cmd, from, ctx.trace_ctx(), ctx.now()));
+                    self.try_flush(ctx);
                 }
             }
             ClientMsg::Read { client, seq, key } => {
-                let served = self.lease_valid_at(ctx, ctx.local_now());
-                let (value, mode) = if served {
-                    self.lease_reads_served += 1;
-                    let value = self.log.machine().kv().get(&key).cloned();
-                    (value, ReadMode::Lease)
+                if self.lease_valid_at(ctx, ctx.local_now()) {
+                    let at = Some(self.log.applied_len());
+                    self.reads.park(from, (client, seq), key, at);
+                    self.reads.serve(ctx, &self.log);
                 } else {
-                    self.read_nacks += 1;
-                    (None, ReadMode::Nack)
-                };
-                ClientMsg::ReadReply {
-                    client,
-                    seq,
-                    value,
-                    mode,
+                    shell::nack(ctx, from, (client, seq));
                 }
             }
             // Replicas never receive the other client messages.
-            _ => return,
-        };
-        ctx.send(from, Envelope::Client(reply));
+            _ => {}
+        }
     }
 }
 
@@ -757,9 +662,9 @@ impl Node for Replica {
                         self.step_down();
                     }
                     if rose {
-                        self.wal_log(|| WalRecord::Promise { ballot });
+                        self.disk.log(|| WalRecord::Promise { ballot });
                     }
-                    self.durable.sync(ctx); // promise durable before the ack leaves
+                    self.disk.durable.sync(ctx); // promise durable before the ack leaves
                     self.arm_election_timer(ctx);
                     let entries: Vec<(usize, Ballot, SmrOp)> = (self.acceptor.accepted_since(low))
                         .map(|(i, (b, op))| (i, *b, op.clone()))
@@ -824,22 +729,22 @@ impl Node for Replica {
                         self.step_down();
                     }
                     if rose {
-                        self.wal_log(|| WalRecord::Promise { ballot });
+                        self.disk.log(|| WalRecord::Promise { ballot });
                     }
-                    self.wal_log(|| WalRecord::Accept {
+                    self.disk.log(|| WalRecord::Accept {
                         index,
                         ballot,
                         op: op.clone(),
                     });
-                    self.durable.sync(ctx); // accept durable before the ack leaves
+                    self.disk.durable.sync(ctx); // accept durable before the ack leaves
                     let stored = self.acceptor.accept(ballot, index, op);
                     debug_assert_eq!(stored, Ok(false), "the promise was taken above");
                     self.arm_election_timer(ctx);
-                    if self.lease_us > 0 {
+                    if self.leases {
                         // Accepting doubles as a lease grant: honor the
-                        // sender's leadership for `lease_us` of local clock.
+                        // sender's leadership for `LEASE_US` of local clock.
                         self.lease_holder = Some(ballot.proposer());
-                        let until = Time(ctx.local_now().0 + self.lease_us);
+                        let until = Time(ctx.local_now().0 + LEASE_US);
                         self.lease_until = self.lease_until.max(until);
                     }
                     ctx.send(
@@ -860,7 +765,7 @@ impl Node for Replica {
                 sent,
             } => {
                 if self.is_leader && ballot == self.acceptor.promise() {
-                    if self.lease_us > 0 {
+                    if self.leases {
                         // Renewal rides on normal phase-2 traffic: date the
                         // grant from when the Accept left, not when the echo
                         // returned, so delays shorten the usable lease.
@@ -879,15 +784,14 @@ impl Node for Replica {
                             ctx.phase(SPAN, index as u64, ballot.num, CncPhase::Decision);
                             ctx.span_close(SPAN, index as u64, ballot.num);
                             if matches!(self.log.slot(index), Slot::Empty) {
-                                self.wal_log(|| WalRecord::Decide {
+                                self.disk.log(|| WalRecord::Decide {
                                     index,
                                     op: op.clone(),
                                 });
-                                self.durable.sync(ctx);
+                                self.disk.durable.sync(ctx);
                             }
-                            let me = ctx.id();
                             ctx.send_many(
-                                self.replica_ids().filter(|&r| r != me),
+                                peers(self.spec.n(), ctx.id()),
                                 MpMsg::Decide {
                                     index,
                                     op: op.clone(),
@@ -911,11 +815,11 @@ impl Node for Replica {
                 ctx.phase(SPAN, index as u64, promised, CncPhase::Decision);
                 ctx.span_close(SPAN, index as u64, promised);
                 if matches!(self.log.slot(index), Slot::Empty) {
-                    self.wal_log(|| WalRecord::Decide {
+                    self.disk.log(|| WalRecord::Decide {
                         index,
                         op: op.clone(),
                     });
-                    self.durable.sync(ctx); // decision durable before it applies
+                    self.disk.durable.sync(ctx); // decision durable before it applies
                 }
                 self.on_decided(ctx, index, op.clone());
                 // Decisions are also (implicitly) accepted state.
@@ -931,7 +835,7 @@ impl Node for Replica {
                     // Catch-up probe: only with compaction enabled, so the
                     // default protocol's message trace is untouched. The
                     // heartbeat period naturally rate-limits requests.
-                    if self.compaction_enabled() && decided > self.log.applied_len() {
+                    if self.disk.compacts() && decided > self.log.applied_len() {
                         ctx.send(
                             from,
                             MpMsg::CatchUpRequest {
@@ -990,14 +894,11 @@ impl Node for Replica {
                         _ => None,
                     })
                     .collect();
-                self.log.install(*machine, floor);
+                self.disk.install(&mut self.log, *machine, floor);
                 // The install applied every slot below `floor` at once.
                 self.proposals.retain(|&i, p| !(p.decided && i < floor));
                 self.acceptor.prune_below(floor);
                 self.snapshot_floor = floor;
-                self.snapshots_installed += 1;
-                let kv = self.log.machine().kv();
-                self.durable.rebuild_index(kv.iter(), kv.txn_decisions());
                 self.persist_checkpoint();
                 for (index, op) in tail {
                     self.on_decided(ctx, index, op);
@@ -1021,15 +922,14 @@ impl Node for Replica {
                     ballot: self.acceptor.promise(),
                     decided: self.log.applied_len(),
                 };
-                let me = ctx.id();
-                ctx.send_many(self.replica_ids().filter(|&r| r != me), hb.into());
+                ctx.send_many(peers(self.spec.n(), ctx.id()), hb.into());
                 ctx.set_timer(HB_PERIOD, HEARTBEAT);
                 // Lease renewal rides the log: when idle and the lease
                 // would lapse within its half-life, propose a no-op so
                 // fresh Accepts (and their echoed grants) circulate.
-                if self.lease_us > 0
+                if self.leases
                     && self.in_flight() == 0
-                    && !self.lease_valid_at(ctx, Time(ctx.local_now().0 + self.lease_us / 2))
+                    && !self.lease_valid_at(ctx, Time(ctx.local_now().0 + LEASE_US / 2))
                 {
                     let index = self.next_index;
                     self.next_index += 1;
@@ -1056,7 +956,7 @@ impl Node for Replica {
         self.proposals.clear();
         self.pending_reply.clear();
         self.election_timer.fired();
-        if self.lease_us > 0 {
+        if self.leases {
             // Lease grants are volatile, so a restarted acceptor no longer
             // remembers whom it promised quiescence to. Observe a grace
             // period of one full lease before promising to *anyone* —
@@ -1064,9 +964,9 @@ impl Node for Replica {
             // breaks (the restarted node could elect a new leader while the
             // old one still serves local reads).
             self.lease_holder = None;
-            self.lease_until = Time(ctx.local_now().0 + self.lease_us);
+            self.lease_until = Time(ctx.local_now().0 + LEASE_US);
         }
-        if let Some(restored) = durable::restore(&mut self.durable) {
+        if let Some(restored) = durable::restore(&mut self.disk.durable) {
             // Durable mode: promised/accepted/log exist only as WAL records
             // and checkpoints. Rebuild them the honest way.
             self.recover_from(ctx, restored);
@@ -1088,7 +988,7 @@ impl SmrProtocol for MultiPaxos {
     type Accept = Quorum;
 
     fn replica(spec: QuorumSpec, batch: BatchConfig) -> Replica {
-        Replica::new_with(spec, spec.n(), batch)
+        Replica::new_with(spec, batch)
     }
 
     fn client(spec: QuorumSpec, session: Session) -> Client<MpMsg> {
@@ -1115,9 +1015,8 @@ impl SmrProtocol for MultiPaxos {
 }
 
 impl DurableProtocol for MultiPaxos {
-    fn attach_storage(replica: &mut Replica, threshold: usize, model: DiskModel) {
-        replica.set_snapshot_threshold(threshold);
-        replica.attach_engine(Box::new(storage::DurableEngine::new(model)));
+    fn disk(replica: &mut Replica) -> &mut Disk {
+        &mut replica.disk
     }
 }
 
@@ -1126,7 +1025,7 @@ pub type Proc = consensus_core::Proc<MultiPaxos>;
 
 /// A ready-to-run Multi-Paxos cluster with clients. Leases and RAM-only
 /// snapshots are per-replica knobs: `cluster.map_replicas(|r|
-/// r.set_lease(..))`.
+/// r.leases = true)`.
 pub type MultiPaxosCluster = Cluster<MultiPaxos>;
 
 /// Asserts that all replica logs agree on their common applied prefix and
@@ -1163,8 +1062,8 @@ impl LogConsistency for MultiPaxosCluster {
 mod tests {
     use super::*;
     use consensus_core::driver::{ClusterDriver, DriverConfig};
-    use consensus_core::{StateMachine as _, WorkloadMode};
-    use simnet::NetConfig;
+    use consensus_core::{StateMachine as _, Str, WorkloadMode};
+    use simnet::{DiskModel, NetConfig};
 
     fn majority_cluster(n: usize, clients: usize, cmds: usize, seed: u64) -> MultiPaxosCluster {
         MultiPaxosCluster::new(
@@ -1276,8 +1175,8 @@ mod tests {
     }
 
     fn durable_replica() -> Replica {
-        let mut r = Replica::new(QuorumSpec::Majority { n: 3 }, 3);
-        r.attach_engine(Box::new(storage::DurableEngine::new(DiskModel::ssd())));
+        let mut r = Replica::new(QuorumSpec::Majority { n: 3 });
+        r.disk.attach(usize::MAX, DiskModel::ssd());
         r
     }
 
@@ -1306,13 +1205,14 @@ mod tests {
         let mut applied = 0;
         while r
             .log
-            .apply_decided(durable::index(&mut r.durable), |_, _| {})
+            .apply_decided(durable::index(&mut r.disk.durable), |_, _| {})
             .is_some()
         {
             applied += 1;
         }
         assert_eq!(applied, 4);
         let index = r
+            .disk
             .durable
             .engine_mut()
             .expect("attached above")
@@ -1590,14 +1490,14 @@ mod tests {
         // workload must checkpoint at least once and retain well under 40
         // slots — the log stays bounded against the checkpoint.
         let mut cluster =
-            majority_cluster(3, 1, 40, 21).map_replicas(|r| r.set_snapshot_threshold(8));
+            majority_cluster(3, 1, 40, 21).map_replicas(|r| r.disk.set_snapshot_threshold(8));
         assert!(cluster.run(Time::from_secs(20)));
         assert_eq!(cluster.total_completed(), 40);
         cluster.sim.run_for(300_000); // let followers settle / catch up
         cluster.check_log_consistency();
         for r in cluster.replicas() {
             assert!(
-                r.snapshots_taken >= 1,
+                r.disk.snapshots_taken >= 1,
                 "replica never checkpointed (floor {})",
                 r.snapshot_floor
             );
@@ -1672,7 +1572,10 @@ mod tests {
             let Proc::Replica(r) = cluster.sim.node(NodeId(2)) else {
                 panic!("node 2 is a replica")
             };
-            assert!(r.snapshots_taken >= 1, "needs a checkpoint to recover from");
+            assert!(
+                r.disk.snapshots_taken >= 1,
+                "needs a checkpoint to recover from"
+            );
             r.log.machine().digest()
         };
         // A candidate's `Prepare` lifts node 2's promise above every ballot
@@ -1702,7 +1605,7 @@ mod tests {
             panic!("node 2 is a replica")
         };
         assert!(
-            r.durable.recovered_floor > 0,
+            r.disk.durable.recovered_floor > 0,
             "recovery replayed from slot 0 instead of the snapshot"
         );
         assert_eq!(
@@ -1713,7 +1616,7 @@ mod tests {
         let stats = r.storage_stats().expect("durable engine");
         assert_eq!(stats.recoveries, 1);
         assert!(
-            r.durable.last_recovery_io_us > 0,
+            r.disk.durable.last_recovery_io_us > 0,
             "recovery must charge disk time"
         );
         cluster.check_log_consistency();
@@ -1743,7 +1646,7 @@ mod tests {
             panic!("node 2 is a replica")
         };
         assert!(
-            r.snapshots_installed >= 1,
+            r.disk.snapshots_installed >= 1,
             "laggard never installed a peer checkpoint (applied {}, floor {leader_floor})",
             r.log.applied_len()
         );
@@ -1792,7 +1695,7 @@ mod tests {
         let Proc::Replica(r) = cluster.sim.node_mut(laggard) else {
             panic!("node 2 is a replica")
         };
-        let mirrored = r.durable.engine_mut().expect("durable").scan("", "~");
+        let mirrored = r.disk.durable.engine_mut().expect("durable").scan("", "~");
         assert_eq!(mirrored.len(), 1, "the laggard mirrored the put");
 
         // Cut the laggard off, delete the key, and push its peers' floor
@@ -1815,11 +1718,11 @@ mod tests {
         let now = cluster.sim.now();
         cluster.sim.heal_at(now);
         cluster.sim.run_for(30_000);
-        assert_eq!(replica(&cluster, laggard).snapshots_installed, 1);
+        assert_eq!(replica(&cluster, laggard).disk.snapshots_installed, 1);
         let Proc::Replica(r) = cluster.sim.node_mut(laggard) else {
             panic!("node 2 is a replica")
         };
-        let keys: Vec<String> = (r.durable.engine_mut().expect("durable").scan("", "~"))
+        let keys: Vec<String> = (r.disk.durable.engine_mut().expect("durable").scan("", "~"))
             .into_iter()
             .map(|(key, _)| key)
             .collect();
@@ -1916,8 +1819,7 @@ mod tests {
 
     #[test]
     fn lease_reads_serve_locally_and_nack_past_skew_bound() {
-        let mut cluster =
-            majority_cluster(3, 1, 10, 12).map_replicas(|r| r.set_lease(30_000, 5_000));
+        let mut cluster = majority_cluster(3, 1, 10, 12).map_replicas(|r| r.leases = true);
         assert!(cluster.run(Time::from_secs(10)));
         let (leader, key, want) = leader_and_sample(&cluster);
         let client = NodeId(3);
@@ -1973,10 +1875,9 @@ mod tests {
         // After the workload drains, only heartbeat-driven no-op proposals
         // can keep the lease alive. Run well past several lease lifetimes
         // and verify a fast read still serves locally.
-        let mut cluster =
-            majority_cluster(3, 1, 15, 13).map_replicas(|r| r.set_lease(30_000, 5_000));
+        let mut cluster = majority_cluster(3, 1, 15, 13).map_replicas(|r| r.leases = true);
         assert!(cluster.run(Time::from_secs(5)));
-        cluster.sim.run_for(500_000); // ≫ lease_us with no client traffic
+        cluster.sim.run_for(500_000); // ≫ LEASE_US with no client traffic
         let (leader, key, want) = leader_and_sample(&cluster);
         let at = cluster.sim.now();
         cluster.sim.inject(
@@ -2010,8 +1911,7 @@ mod tests {
         // A leader cut off from its acceptors keeps self-delivering Accepts
         // (local hops bypass partitions), so only the *quorum* freshness
         // check stands between it and stale reads.
-        let mut cluster =
-            majority_cluster(3, 1, 10, 14).map_replicas(|r| r.set_lease(30_000, 5_000));
+        let mut cluster = majority_cluster(3, 1, 10, 14).map_replicas(|r| r.leases = true);
         assert!(cluster.run(Time::from_secs(10)));
         let (leader, key, _) = leader_and_sample(&cluster);
         let now = cluster.sim.now();
@@ -2058,7 +1958,7 @@ mod tests {
                 42,
             );
             if lease {
-                cluster = cluster.map_replicas(|r| r.set_lease(30_000, 5_000));
+                cluster = cluster.map_replicas(|r| r.leases = true);
             }
             assert!(cluster.run(Time::from_secs(30)));
             cluster.check_log_consistency();

@@ -1,10 +1,11 @@
 //! Raft as a log protocol of the SMR shell, plus its end-to-end tests.
 
 use consensus_core::driver::{BatchConfig, DecidedEntry};
+use consensus_core::shell::Disk;
 use consensus_core::{
     Client, Cluster, DedupKvMachine, DurableProtocol, Quorum, Session, Silence, SmrProtocol, Target,
 };
-use simnet::{DiskModel, NodeId};
+use simnet::NodeId;
 
 use crate::msg::RaftMsg;
 use crate::replica::{Replica, Role};
@@ -58,9 +59,8 @@ impl SmrProtocol for Raft {
 }
 
 impl DurableProtocol for Raft {
-    fn attach_storage(replica: &mut Replica, threshold: usize, model: DiskModel) {
-        replica.set_snapshot_threshold(threshold);
-        replica.attach_engine(Box::new(storage::DurableEngine::new(model)));
+    fn disk(replica: &mut Replica) -> &mut Disk {
+        &mut replica.disk
     }
 }
 
@@ -122,7 +122,7 @@ mod tests {
     use super::*;
     use consensus_core::driver::{ClusterDriver, DriverConfig};
     use consensus_core::{ClientMsg, Envelope, StateMachine as _, Str, WorkloadMode};
-    use simnet::{NetConfig, Time};
+    use simnet::{DiskModel, NetConfig, Time};
 
     #[test]
     fn elects_a_leader() {
@@ -252,14 +252,14 @@ mod tests {
     fn snapshots_bound_log_growth() {
         // Low threshold: replicas must compact while serving.
         let mut cluster = RaftCluster::new(3, 1, 40, NetConfig::lan(), 20)
-            .map_replicas(|r| r.set_snapshot_threshold(8));
+            .map_replicas(|r| r.disk.set_snapshot_threshold(8));
         assert!(cluster.run(Time::from_secs(30)));
         cluster.sim.run_for(300_000);
         for (id, r) in cluster.sim.nodes().filter_map(|(id, p)| match p {
             Proc::Replica(r) => Some((id, r)),
             _ => None,
         }) {
-            assert!(r.snapshots_taken >= 1, "{id} never compacted");
+            assert!(r.disk.snapshots_taken >= 1, "{id} never compacted");
             assert!(
                 r.retained_len() < 40,
                 "{id} kept the whole log: {}",
@@ -274,7 +274,7 @@ mod tests {
         // A follower sleeps through enough traffic that the leader compacts
         // past its position; on wake-up only InstallSnapshot can help.
         let mut cluster = RaftCluster::new(3, 1, 50, NetConfig::lan(), 21)
-            .map_replicas(|r| r.set_snapshot_threshold(8));
+            .map_replicas(|r| r.disk.set_snapshot_threshold(8));
         cluster.sim.run_until(Time::from_millis(30));
         let leader = cluster.leader().expect("leader");
         let sleeper = (0..3).map(NodeId::from).find(|&id| id != leader).unwrap();
@@ -288,7 +288,7 @@ mod tests {
         assert!(snaps >= 1, "snapshot shipping expected");
         if let Proc::Replica(r) = cluster.sim.node(sleeper) {
             assert!(
-                r.snapshots_installed >= 1,
+                r.disk.snapshots_installed >= 1,
                 "sleeper should have installed a snapshot"
             );
             assert!(
@@ -468,7 +468,7 @@ mod tests {
         assert!(cluster.run(Time::from_secs(30)));
         cluster.sim.run_for(300_000);
         for r in cluster.replicas() {
-            assert!(r.snapshots_taken >= 1, "replica never compacted");
+            assert!(r.disk.snapshots_taken >= 1, "replica never compacted");
             assert!(
                 r.retained_len() < 40,
                 "log not compacted: {} entries retained",
@@ -503,7 +503,10 @@ mod tests {
             let Proc::Replica(r) = cluster.sim.node(NodeId(2)) else {
                 panic!("node 2 is a replica")
             };
-            assert!(r.snapshots_taken >= 1, "needs a checkpoint to recover from");
+            assert!(
+                r.disk.snapshots_taken >= 1,
+                "needs a checkpoint to recover from"
+            );
             r.machine().digest()
         };
         let (term, vote, _) = hard_state(&cluster);
@@ -525,14 +528,14 @@ mod tests {
             panic!("node 2 is a replica")
         };
         assert!(
-            r.durable.recovered_floor > 0,
+            r.disk.durable.recovered_floor > 0,
             "recovery replayed from index 0 instead of the snapshot"
         );
         assert_eq!(r.machine().digest(), digest_before, "state must survive");
         let stats = r.storage_stats().expect("durable engine");
         assert_eq!(stats.recoveries, 1);
         assert!(
-            r.durable.last_recovery_io_us > 0,
+            r.disk.durable.last_recovery_io_us > 0,
             "recovery must charge disk time"
         );
         cluster.check_log_matching();

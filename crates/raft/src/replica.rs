@@ -5,9 +5,10 @@
 use std::collections::BTreeMap;
 
 use consensus_core::durable::{self, encode_record, encode_snapshot, WalRecord};
+use consensus_core::shell::{self, peers, Disk, Reads};
 use consensus_core::{
     Ballot, BatchConfig, Batcher, ClientMsg, Command, DedupKvMachine, Envelope, Flush, KvCommand,
-    ReadMode, ReplicatedLog, SmrOp, Str,
+    ReadMode, ReplicatedLog, SmrOp,
 };
 use simnet::causal::cat;
 use simnet::{CncPhase, Context, LiveTimer, Node, NodeId, Time, Timer, TraceCtx};
@@ -63,18 +64,6 @@ pub const SNAPSHOT_THRESHOLD: usize = 64;
 /// contact-based confirmation safe without extra round-trips.
 const READ_CONTACT_US: u64 = 4 * HB_PERIOD;
 
-/// A fast read parked at this replica until its commit index is confirmed
-/// (by the leader) and locally applied.
-struct PendingRead {
-    /// Key to serve once ready.
-    key: Str,
-    /// Node the [`ClientMsg::ReadReply`] goes back to.
-    reply_to: NodeId,
-    /// Leader-confirmed commit index the read must wait for (`None` while
-    /// the read-index round-trip is still in flight).
-    ready_at: Option<usize>,
-}
-
 /// A Raft server.
 pub struct Replica {
     n_replicas: usize,
@@ -124,27 +113,15 @@ pub struct Replica {
     /// followers. They form the next `AppendEntries` wave.
     unflushed: usize,
 
-    // --- compaction ---
-    snapshot_threshold: usize,
-    /// Snapshots this replica has taken locally.
-    pub snapshots_taken: u64,
-    /// Snapshots received and installed from a leader.
-    pub snapshots_installed: u64,
-
-    // --- durability ---
-    /// The durable side: with an engine attached, term/vote/log changes go
-    /// to its WAL *before* the message they justify leaves, checkpoints
-    /// absorb the applied prefix, and applied KV state is mirrored into its
-    /// primary index. Detached, the historical everything-in-RAM behaviour.
-    /// Also holds what the last crash recovery cost and the transaction
-    /// decision table.
-    pub durable: storage::Durable,
+    // --- durability and compaction ---
+    /// The durable side: term, vote and log changes go to its WAL before
+    /// the message they justify leaves; checkpoints every
+    /// [`SNAPSHOT_THRESHOLD`] applied entries unless told otherwise.
+    pub disk: Disk,
 
     // --- read-index fast reads (geo read path) ---
-    /// Reads parked here until confirmed + applied, keyed by
-    /// `(client, seq)`. Volatile: cleared on restart (the caller's timeout
-    /// falls back to the log path).
-    pending_reads: BTreeMap<(u32, u64), PendingRead>,
+    /// Reads parked here until their confirmed commit index has applied.
+    reads: Reads,
     /// Leader: arrival time of the last `AppendResponse` per peer, for the
     /// quorum-contact check. Sim-clock based — read-index needs no
     /// synchronized clocks, which is its advantage over leases.
@@ -152,10 +129,6 @@ pub struct Replica {
     /// First index appended under the current leadership (the no-op from
     /// `become_leader`). Reads are confirmable only once it commits.
     term_start_index: usize,
-    /// Fast reads this replica served from its applied state.
-    pub read_index_served: u64,
-    /// Read requests NACKed back to the caller (fallback to the log path).
-    pub read_nacks: u64,
 }
 
 impl Replica {
@@ -185,51 +158,23 @@ impl Replica {
             elections_won: 0,
             batcher: Batcher::new(batch),
             unflushed: 0,
-            snapshot_threshold: SNAPSHOT_THRESHOLD,
-            snapshots_taken: 0,
-            snapshots_installed: 0,
-            durable: storage::Durable::default(),
-            pending_reads: BTreeMap::new(),
+            disk: Disk::new(SNAPSHOT_THRESHOLD),
+            reads: Reads::new(ReadMode::ReadIndex),
             last_contact: BTreeMap::new(),
             term_start_index: 0,
-            read_index_served: 0,
-            read_nacks: 0,
         }
-    }
-
-    /// Overrides the snapshot threshold (compaction experiments).
-    pub fn set_snapshot_threshold(&mut self, t: usize) {
-        self.snapshot_threshold = t.max(1);
-    }
-
-    /// Attaches a durable storage engine: the WAL-before-message
-    /// discipline, checkpointing and crash recovery all activate.
-    pub fn attach_engine(&mut self, engine: Box<dyn storage::StorageEngine>) {
-        self.durable.attach(engine);
     }
 
     /// Storage counters, when a durable engine is attached.
     pub fn storage_stats(&self) -> Option<storage::StorageStats> {
-        self.durable.engine().map(|e| e.stats())
-    }
-
-    /// Durable mode: the transaction decision records this replica has
-    /// applied (decision key → `commit`/`abort`), survives crash recovery.
-    pub fn txn_decisions(&self) -> &BTreeMap<Str, Str> {
-        self.durable.txn_decisions()
-    }
-
-    /// Appends a protocol record to the WAL. Without an engine the record
-    /// is never built, so a RAM-mode replica clones no entry for it.
-    fn wal_log(&mut self, rec: impl FnOnce() -> WalRecord) {
-        self.durable.log(|| encode_record(&rec()));
+        self.disk.durable.engine().map(|e| e.stats())
     }
 
     /// Appends `entry` to the log and its `Accept` record to the WAL;
     /// returns the entry's index.
     fn append(&mut self, entry: Entry) -> usize {
         let index = self.last_log_index() + 1;
-        self.wal_log(|| accept(index, &entry));
+        self.disk.log(|| accept(index, &entry));
         self.log.push(entry);
         index
     }
@@ -239,7 +184,7 @@ impl Replica {
     /// commit before its response leaves.
     fn log_hard_state(&mut self) {
         let promise = self.hard_state();
-        self.wal_log(|| promise);
+        self.disk.log(|| promise);
     }
 
     /// The Figure-2 hard state as a `Promise`: the term is the ballot's
@@ -264,7 +209,7 @@ impl Replica {
         let index = self.commit_index;
         let commit = (index > offset).then_some(WalRecord::Commit { index });
         let live = std::iter::once(hard_state).chain(appends).chain(commit);
-        self.durable.checkpoint(
+        self.disk.durable.checkpoint(
             || encode_snapshot(self.exec.machine(), offset, offset_term),
             live.map(|rec| encode_record(&rec)),
         );
@@ -279,7 +224,6 @@ impl Replica {
         self.current_term = 0;
         self.voted_for = None;
         self.log.clear();
-        self.exec = ReplicatedLog::new();
         self.exec.install(restored.machine, restored.index);
         self.snapshot = (restored.index, restored.term);
         self.commit_index = restored.index;
@@ -316,7 +260,7 @@ impl Replica {
         // the next leader round re-commits them).
         self.commit_index = commit.min(self.last_log_index());
         self.apply_committed(None);
-        self.durable.recovered(self.snapshot.0);
+        self.disk.durable.recovered(self.snapshot.0);
     }
 
     /// Absolute index of the last log entry.
@@ -453,7 +397,7 @@ impl Replica {
         self.voted_for = Some(ctx.id());
         self.votes = 1; // own vote
         self.log_hard_state();
-        self.durable.sync(ctx); // term + self-vote durable before soliciting
+        self.disk.durable.sync(ctx); // term + self-vote durable before soliciting
         self.reset_election_timer(ctx);
         ctx.phase(
             SPAN,
@@ -461,12 +405,8 @@ impl Replica {
             self.current_term,
             CncPhase::LeaderElection,
         );
-        // Multicast to the replica set only (`0..n_replicas`): clients share
-        // the node space, and with a transmit-limited NIC every stray
-        // delivery costs the sender serialization time.
-        let me = ctx.id();
         ctx.send_many(
-            (0..self.n_replicas).map(NodeId::from).filter(|&r| r != me),
+            peers(self.n_replicas, ctx.id()),
             RaftMsg::RequestVote {
                 term: self.current_term,
                 last_log_index: self.last_log_index(),
@@ -500,7 +440,7 @@ impl Replica {
             term: self.current_term,
             op: SmrOp::Noop,
         });
-        self.durable.sync(ctx); // the no-op is durable before it replicates
+        self.disk.durable.sync(ctx); // the no-op is durable before it replicates
         self.match_index[ctx.id().index()] = self.last_log_index();
         // Reads are confirmable only after this no-op commits; contact
         // history from older terms never carries over.
@@ -511,11 +451,8 @@ impl Replica {
     }
 
     fn replicate_all(&mut self, ctx: &mut Context<Wire>) {
-        for peer in 0..self.n_replicas {
-            let peer = NodeId::from(peer);
-            if peer != ctx.id() {
-                self.replicate_to(ctx, peer);
-            }
+        for peer in peers(self.n_replicas, ctx.id()) {
+            self.replicate_to(ctx, peer);
         }
     }
 
@@ -595,11 +532,11 @@ impl Replica {
         let index = index.min(self.last_log_index());
         if index > self.commit_index {
             self.commit_index = index;
-            self.wal_log(|| WalRecord::Commit { index });
+            self.disk.log(|| WalRecord::Commit { index });
         }
         self.apply_committed(Some(&mut *ctx));
         // A fresh applied frontier may unlock parked fast reads.
-        self.serve_ready_reads(ctx);
+        self.reads.serve(ctx, &self.exec);
         self.maybe_snapshot();
         // Commits drain the pipeline window: a held-back wave may now ship.
         self.maybe_flush(ctx);
@@ -616,11 +553,11 @@ impl Replica {
             let i = self.exec.applied_len() + 1;
             let op = &self.log[i - self.snapshot.0 - 1].op;
             let mut reply = None;
-            let resolved = self
-                .exec
-                .apply(op, durable::index(&mut self.durable), |cmd, out| {
-                    reply = Some((cmd.seq, out));
-                });
+            let resolved =
+                self.exec
+                    .apply(op, durable::index(&mut self.disk.durable), |cmd, out| {
+                        reply = Some((cmd.seq, out));
+                    });
             let Some(ctx) = ctx.as_deref_mut() else {
                 continue;
             };
@@ -628,7 +565,7 @@ impl Replica {
             ctx.phase(SPAN, i as u64, self.current_term, CncPhase::Decision);
             ctx.span_close(SPAN, i as u64, self.current_term);
             if resolved {
-                self.durable.sync(ctx);
+                self.disk.durable.sync(ctx);
             }
             let client_node = (self.role == Role::Leader)
                 .then(|| self.pending_reply.remove(&i))
@@ -643,13 +580,12 @@ impl Replica {
     /// Compact the applied prefix once it exceeds the threshold.
     fn maybe_snapshot(&mut self) {
         let (applied, offset) = (self.exec.applied_len(), self.snapshot.0);
-        if applied - offset < self.snapshot_threshold {
+        if !self.disk.checkpoint_due(applied, offset) {
             return;
         }
         let term = self.term_at(applied).expect("applied entries are retained");
         self.log.drain(..applied - offset);
         self.snapshot = (applied, term);
-        self.snapshots_taken += 1;
         // Durable mode: the checkpoint truncates the WAL and re-logs the
         // retained suffix, so recovery cost stays bounded.
         self.persist_checkpoint();
@@ -678,82 +614,25 @@ impl Replica {
         fresh + 1 >= self.majority()
     }
 
-    /// Serves every parked read whose confirmed commit index has applied
-    /// locally. The value comes from the applied machine, so it reflects
-    /// every write acknowledged before the read arrived.
-    fn serve_ready_reads(&mut self, ctx: &mut Context<Wire>) {
-        let ready: Vec<(u32, u64)> = self
-            .pending_reads
-            .iter()
-            .filter(|(_, p)| p.ready_at.is_some_and(|i| self.exec.applied_len() >= i))
-            .map(|(&k, _)| k)
-            .collect();
-        for (client, seq) in ready {
-            let p = self
-                .pending_reads
-                .remove(&(client, seq))
-                .expect("just listed");
-            self.read_index_served += 1;
-            let value = self.exec.machine().kv().get(&p.key).cloned();
-            let mode = ReadMode::ReadIndex;
-            let reply = ClientMsg::ReadReply {
-                client,
-                seq,
-                value,
-                mode,
-            };
-            ctx.send(p.reply_to, Envelope::Client(reply));
-        }
-    }
-
-    /// Refuses a fast read: the caller falls back to the log path.
-    fn nack_read(&mut self, ctx: &mut Context<Wire>, client: u32, seq: u64, to: NodeId) {
-        self.read_nacks += 1;
-        let (value, mode) = (None, ReadMode::Nack);
-        let reply = ClientMsg::ReadReply {
-            client,
-            seq,
-            value,
-            mode,
-        };
-        ctx.send(to, Envelope::Client(reply));
-    }
-
     /// A command goes into the leader's log; a read is served through
     /// read-index confirmation.
     fn on_client(&mut self, ctx: &mut Context<Wire>, from: NodeId, msg: ClientMsg) {
         match msg {
             ClientMsg::Request(cmd) => self.on_request(ctx, from, cmd),
             ClientMsg::Read { client, seq, key } => {
-                if self.role == Role::Leader {
-                    if self.can_confirm_reads(ctx) {
-                        self.pending_reads.insert(
-                            (client, seq),
-                            PendingRead {
-                                key,
-                                reply_to: from,
-                                ready_at: Some(self.commit_index),
-                            },
-                        );
-                        self.serve_ready_reads(ctx);
-                    } else {
-                        self.nack_read(ctx, client, seq, from);
-                    }
-                } else if let Some(leader) = self.leader_hint {
+                if self.can_confirm_reads(ctx) {
+                    let at = Some(self.commit_index);
+                    self.reads.park(from, (client, seq), key, at);
+                    self.reads.serve(ctx, &self.exec);
+                } else if let Some(leader) = self.leader_hint.filter(|_| self.role != Role::Leader)
+                {
                     // Park the read and ask the leader to confirm its
                     // commit index; we serve from local applied state once
                     // it both confirms and applies here.
-                    self.pending_reads.insert(
-                        (client, seq),
-                        PendingRead {
-                            key,
-                            reply_to: from,
-                            ready_at: None,
-                        },
-                    );
+                    self.reads.park(from, (client, seq), key, None);
                     ctx.send(leader, RaftMsg::ReadIndexQ { client, seq }.into());
                 } else {
-                    self.nack_read(ctx, client, seq, from);
+                    shell::nack(ctx, from, (client, seq));
                 }
             }
             // Replicas never receive the other client messages.
@@ -762,16 +641,10 @@ impl Replica {
     }
 
     fn on_request(&mut self, ctx: &mut Context<Wire>, from: NodeId, cmd: Command<KvCommand>) {
-        if self.role != Role::Leader {
-            let hint = self.leader_hint.unwrap_or(NodeId(0));
-            let not_leader = ClientMsg::NotLeader { seq: cmd.seq, hint };
-            ctx.send(from, Envelope::Client(not_leader));
+        let hint = (self.role != Role::Leader).then(|| self.leader_hint.unwrap_or(NodeId(0)));
+        let Some(cmd) = shell::intake(ctx, from, cmd, self.exec.machine(), hint) else {
             return;
-        }
-        if let Some(out) = self.exec.machine().cached(cmd.client, cmd.seq) {
-            ctx.send(from, Envelope::reply(&cmd, out.clone()));
-            return;
-        }
+        };
         let uncommitted_from = self.commit_index.saturating_sub(self.snapshot.0);
         let in_flight = self.log[uncommitted_from.min(self.log.len())..]
             .iter()
@@ -783,7 +656,7 @@ impl Replica {
             term: self.current_term,
             op: SmrOp::Cmd(cmd),
         });
-        self.durable.sync(ctx); // entry durable before the leader counts it
+        self.disk.durable.sync(ctx); // entry durable before the leader counts it
         ctx.span_open(SPAN, index as u64, self.current_term);
         ctx.phase(SPAN, index as u64, self.current_term, CncPhase::Agreement);
         self.match_index[ctx.id().index()] = index;
@@ -829,7 +702,7 @@ impl Node for Replica {
                     self.log_hard_state();
                     self.reset_election_timer(ctx);
                 }
-                self.durable.sync(ctx); // term/vote durable before the response
+                self.disk.durable.sync(ctx); // term/vote durable before the response
                 ctx.send(
                     from,
                     RaftMsg::VoteResponse {
@@ -878,7 +751,7 @@ impl Node for Replica {
                 if prev_log_index < self.snapshot.0 {
                     // We have a snapshot past `prev`: ask the leader to
                     // resume from our offset.
-                    self.durable.sync(ctx); // any term bump durable first
+                    self.disk.durable.sync(ctx); // any term bump durable first
                     ctx.send(
                         from,
                         RaftMsg::AppendResponse {
@@ -898,7 +771,7 @@ impl Node for Replica {
                         .saturating_sub(1)
                         .min(self.last_log_index())
                         .max(self.snapshot.0);
-                    self.durable.sync(ctx); // any term bump durable first
+                    self.disk.durable.sync(ctx); // any term bump durable first
                     ctx.send(
                         from,
                         RaftMsg::AppendResponse {
@@ -935,7 +808,7 @@ impl Node for Replica {
                 }
                 // One group commit covers the term bump, every appended
                 // entry, and the commit advance — WAL-before-ack.
-                self.durable.sync(ctx);
+                self.disk.durable.sync(ctx);
                 ctx.send(
                     from,
                     RaftMsg::AppendResponse {
@@ -972,16 +845,13 @@ impl Node for Replica {
                 };
                 self.log.drain(..absorbed);
                 self.snapshot = (last_included_index, last_included_term);
-                self.exec.install(*machine, last_included_index);
+                self.disk
+                    .install(&mut self.exec, *machine, last_included_index);
                 self.commit_index = self.commit_index.max(last_included_index);
-                self.snapshots_installed += 1;
                 // The applied frontier jumped: parked fast reads may serve.
-                self.serve_ready_reads(ctx);
-                // Durable mode: rebuild the on-disk index from the shipped
-                // state and checkpoint it, so the install survives a crash
-                // that follows the ack.
-                let kv = self.exec.machine().kv();
-                self.durable.rebuild_index(kv.iter(), kv.txn_decisions());
+                self.reads.serve(ctx, &self.exec);
+                // Checkpoint the install, so it survives a crash that
+                // follows the ack.
                 self.persist_checkpoint();
                 ctx.send(
                     from,
@@ -1031,19 +901,9 @@ impl Node for Replica {
                 ctx.send(from, RaftMsg::ReadIndexR { client, seq, index }.into());
             }
 
-            RaftMsg::ReadIndexR { client, seq, index } => match index {
-                None => {
-                    if let Some(p) = self.pending_reads.remove(&(client, seq)) {
-                        self.nack_read(ctx, client, seq, p.reply_to);
-                    }
-                }
-                Some(index) => {
-                    if let Some(p) = self.pending_reads.get_mut(&(client, seq)) {
-                        p.ready_at = Some(index);
-                        self.serve_ready_reads(ctx);
-                    }
-                }
-            },
+            RaftMsg::ReadIndexR { client, seq, index } => {
+                self.reads.confirm(ctx, &self.exec, (client, seq), index);
+            }
         }
     }
 
@@ -1077,11 +937,11 @@ impl Node for Replica {
         self.votes = 0;
         self.pending_reply.clear();
         self.pending_trace.clear();
-        self.pending_reads.clear();
+        self.reads.clear();
         self.last_contact.clear();
         self.reset_batching();
         self.election_timer.fired();
-        if let Some(restored) = durable::restore(&mut self.durable) {
+        if let Some(restored) = durable::restore(&mut self.disk.durable) {
             // Durable mode: term, vote, log, and machine exist only as WAL
             // records and checkpoints. Rebuild them the honest way.
             self.recover_from(restored);
@@ -1114,14 +974,14 @@ mod tests {
     fn replayed_promise_maps_to_term_and_vote() {
         let replay = |pids: &[(u64, u32)]| {
             let mut r = Replica::new(3);
-            r.attach_engine(Box::new(storage::MemEngine::new()));
-            let engine = r.durable.engine_mut().expect("attached");
+            r.disk.durable.attach(Box::new(storage::MemEngine::new()));
+            let engine = r.disk.durable.engine_mut().expect("attached");
             for &(term, pid) in pids {
                 let ballot = Ballot::new(term, pid);
                 engine.log_record(&encode_record(&WalRecord::Promise { ballot }));
             }
             engine.sync();
-            let restored = durable::restore(&mut r.durable).expect("attached");
+            let restored = durable::restore(&mut r.disk.durable).expect("attached");
             r.recover_from(restored);
             (r.current_term, r.voted_for)
         };
@@ -1155,7 +1015,7 @@ mod tests {
         // Commit and apply three of the five, then snapshot at index 3.
         r.commit_index = 3;
         r.apply_committed(None);
-        r.snapshot_threshold = 1;
+        r.disk.set_snapshot_threshold(1);
         r.maybe_snapshot();
         assert_eq!(r.snapshot_index(), 3);
         assert_eq!(r.term_at(3), Some(3), "the snapshot keeps its term");

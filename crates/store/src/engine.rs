@@ -22,8 +22,8 @@ use paxos::multi::MultiPaxos;
 use raft::Raft;
 use simnet::{DiskModel, NetConfig, NodeId, TraceCtx};
 
-/// Geo deployment of one shard group: which region each replica lives in,
-/// plus the fast-read protocol parameters. The group's WAN topology itself
+/// Geo deployment of one shard group: which region each replica lives in.
+/// The group's WAN topology itself
 /// travels in [`ShardBuildSpec::net`] (`NetConfig::wan`); this struct binds
 /// the group's nodes to it.
 #[derive(Clone, Debug)]
@@ -35,11 +35,6 @@ pub struct ShardGeo {
     pub n_regions: usize,
     /// Region of each replica (`regions[r]` for replica `r`).
     pub regions: Vec<u32>,
-    /// Multi-Paxos leader-lease length in µs (`0` disables; Raft ignores
-    /// this and serves fast reads through read-index confirmation).
-    pub lease_us: u64,
-    /// Maximum tolerated clock skew for lease reads in µs.
-    pub max_skew_us: u64,
 }
 
 /// Everything needed to build one shard group, in one place. Collapsing the
@@ -160,17 +155,15 @@ pub trait ShardEngine: ClusterDriver {
 pub trait ShardProtocol: DurableProtocol {
     /// Configures `replica`'s fast-read path for a geo deployment.
     /// Multi-Paxos enables leader leases; Raft's read-index needs nothing.
-    fn configure_geo(replica: &mut Self::Replica, geo: &ShardGeo) {
-        let _ = (replica, geo);
-    }
+    fn configure_geo(_replica: &mut Self::Replica) {}
 
     /// The replica a region-`region` client should aim its fast reads at.
     fn read_target(cluster: &Cluster<Self>, region: usize) -> usize;
 }
 
 impl ShardProtocol for MultiPaxos {
-    fn configure_geo(replica: &mut paxos::multi::Replica, geo: &ShardGeo) {
-        replica.set_lease(geo.lease_us, geo.max_skew_us);
+    fn configure_geo(replica: &mut paxos::multi::Replica) {
+        replica.leases = true;
     }
 
     fn read_target(cluster: &Cluster<Self>, _region: usize) -> usize {
@@ -202,7 +195,7 @@ where
             .with_batch(spec.batch);
         let mut cluster = Self::from_config(&cfg);
         if let Some(geo) = &spec.geo {
-            cluster = cluster.map_replicas(|r| P::configure_geo(r, geo));
+            cluster = cluster.map_replicas(P::configure_geo);
             for (r, &region) in geo.regions.iter().enumerate() {
                 cluster
                     .sim

@@ -10,7 +10,7 @@
 //! protocol can prove it is legal:
 //!
 //! * **Multi-Paxos** — clock-bound leader leases, renewed through the log
-//!   (`paxos::multi::Replica::set_lease`). A lease-holding leader answers
+//!   (`paxos::multi::Replica::leases`). A lease-holding leader answers
 //!   reads from applied state without a log round; reads are region-local
 //!   exactly when the leader is homed in the client's region.
 //! * **Raft** — read-index follower reads: any replica parks the read,
@@ -103,12 +103,6 @@ pub struct GeoConfig {
     pub topology: WanTopology,
     /// How shard groups are assigned to regions.
     pub placement: PlacementPolicy,
-    /// Multi-Paxos leader-lease length in µs (`0` disables leases; Raft
-    /// ignores this and uses read-index confirmation instead).
-    pub lease_us: u64,
-    /// Maximum tolerated clock skew for lease reads in µs: when the sim's
-    /// skew oracle reports a bound above this, lease reads NACK.
-    pub max_skew_us: u64,
     /// Fast-path reads each router issues (appended after its transactions,
     /// singles, and ranges, so `0` leaves historical workloads untouched).
     pub reads_per_router: usize,
@@ -126,8 +120,6 @@ impl GeoConfig {
         GeoConfig {
             topology: WanTopology::three_dc(),
             placement: PlacementPolicy::PrimaryWitness,
-            lease_us: 30_000,
-            max_skew_us: 5_000,
             reads_per_router: 8,
             local_read_pct: 80,
         }
@@ -151,14 +143,6 @@ impl GeoConfig {
     #[must_use]
     pub fn local_read_pct(mut self, pct: u32) -> Self {
         self.local_read_pct = pct.min(100);
-        self
-    }
-
-    /// The same deployment with different lease parameters.
-    #[must_use]
-    pub fn lease(mut self, lease_us: u64, max_skew_us: u64) -> Self {
-        self.lease_us = lease_us;
-        self.max_skew_us = max_skew_us;
         self
     }
 }

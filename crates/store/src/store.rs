@@ -100,8 +100,6 @@ impl<E: ShardEngine> Store<E> {
                     spec = spec.geo(ShardGeo {
                         n_regions: g.topology.n_regions(),
                         regions: map.placement().expect("geo store has a placement")[s].clone(),
-                        lease_us: g.lease_us,
-                        max_skew_us: g.max_skew_us,
                     });
                 }
                 if let Some((threshold, disk)) = cfg.durability {
