@@ -3,11 +3,12 @@
 //! Classic textbook shape: internal pages route by separator keys, leaf
 //! pages hold `(key, value)` pairs and chain left-to-right so range scans
 //! are a descent plus a linked-list walk. Every operation works on the
-//! pool's frame itself: it walks the packed entries where they lie, shifts
-//! the tail with `copy_within` to make or close a gap, and allocates only
-//! for the rows a `get`/`scan` returns and the separator a split promotes.
-//! A page splits when an edit would grow it past [`PAGE_SIZE`]; deletes
-//! leave pages sparse (no merge — sparse pages only cost space).
+//! pool's frame itself: it binary-searches the page through its directory,
+//! compares keys where they lie, shifts the tail with `copy_within` to make
+//! or close a gap, and allocates only for the rows a `get`/`scan` returns
+//! and the separator a split promotes. A page splits when an edit would
+//! grow it past [`PAGE_SIZE`]; deletes leave pages sparse (no merge —
+//! sparse pages only cost space).
 //!
 //! Page layouts (little-endian) — a contract, since code reads them in
 //! place and checkpoints persist them:
@@ -22,6 +23,13 @@
 //! Entries are packed in ascending key order and every byte after the last
 //! one is zero. In an internal page, `child0` covers keys `< key[0]`; entry
 //! `i`'s child covers `key[i] ≤ k < key[i+1]`.
+//!
+//! The only state derived from a page is its *directory*, held in RAM by
+//! the tree and never written: the offset of each entry, then the page's
+//! used length. It cannot go stale, because only the tree writes its pages
+//! and keeps the directory in step at each write (`alloc`, `splice`,
+//! `split`), and the pool writes back and reads back exactly those bytes;
+//! a crash drops the page area and the tree together.
 
 use crate::buffer::BufferPool;
 use crate::disk::{SimDisk, PAGE_SIZE};
@@ -44,6 +52,11 @@ pub const MAX_ENTRY_BYTES: usize = 1024;
 /// A page image with room for the one entry that overflowed it.
 type Wide = [u8; WIDE];
 const WIDE: usize = PAGE_SIZE + SEP_FRAMING + MAX_ENTRY_BYTES;
+const _: () = assert!(WIDE <= u16::MAX as usize, "directory offsets are u16");
+
+/// A page's directory: the offset of each of its `n` entries, then one past
+/// the last entry's last byte (its `used`) — `n + 1` offsets.
+type Dir = Vec<u16>;
 
 fn u16_at(page: &[u8], at: usize) -> usize {
     usize::from(u16::from_le_bytes([page[at], page[at + 1]]))
@@ -69,65 +82,44 @@ fn set_link(page: &mut [u8], pid: u32) {
     page[3..HEADER].copy_from_slice(&pid.to_le_bytes());
 }
 
-/// Walks a page's packed entries as `(offset, key, end offset)`. A leaf
-/// entry's value is the bytes between its key and `end`; an internal
-/// entry's child is the last four bytes before `end`.
-fn entries(page: &[u8]) -> impl Iterator<Item = (usize, &[u8], usize)> {
-    let leaf = page[0] == LEAF;
-    let mut off = HEADER;
-    (0..count(page)).map(move |_| {
-        let klen = u16_at(page, off);
-        let (key_at, end) = if leaf {
-            (off + 4, off + 4 + klen + u16_at(page, off + 2))
-        } else {
-            (off + 2, off + 2 + klen + 4)
-        };
-        let entry = (off, &page[key_at..key_at + klen], end);
-        off = end;
-        entry
-    })
+/// The key of the entry at `off`. A leaf entry's value is the bytes between
+/// its key and the next entry; an internal entry's child is the four bytes
+/// before the next entry.
+fn key_at(page: &[u8], off: usize) -> &[u8] {
+    let at = off + if page[0] == LEAF { 4 } else { 2 };
+    &page[at..at + u16_at(page, off)]
 }
 
-/// One past the last entry's last byte.
-fn used(page: &[u8]) -> usize {
-    entries(page).last().map_or(HEADER, |(.., end)| end)
+/// Binary-searches a page for `key` through its directory: `Ok(i)` if entry
+/// `i` holds it, else `Err(i)`, `i` being the number of entries below it.
+fn search(page: &[u8], dir: &[u16], key: &[u8]) -> Result<usize, usize> {
+    debug_assert_eq!(dir.len(), count(page) + 1, "stale directory");
+    dir[..dir.len() - 1].binary_search_by(|&off| key_at(page, usize::from(off)).cmp(key))
 }
 
-/// Where `key` lives or belongs — `(offset, end)` of its entry, or twice the
-/// offset of the first larger entry (of `used` if there is none) — followed
-/// by the page's `used`.
-fn locate(page: &[u8], key: &[u8]) -> (usize, usize, usize) {
-    let mut entries = entries(page);
-    let (mut at, mut found) = (HEADER, None);
-    for (off, k, end) in entries.by_ref() {
-        at = end;
-        if k >= key {
-            found = Some((off, if k == key { end } else { off }));
-            break;
-        }
-    }
-    let used = entries.last().map_or(at, |(.., end)| end);
-    let (off, end) = found.unwrap_or((used, used));
-    (off, end, used)
-}
-
-/// The child of an internal page that covers `key`, and the offset just
+/// The child of an internal page that covers `key`, and the index just
 /// past the entry naming it — where a separator split off that child goes.
-fn route(page: &[u8], key: &[u8]) -> (u32, usize) {
-    entries(page)
-        .take_while(|(_, k, _)| *k <= key)
-        .last()
-        .map_or((link(page), HEADER), |(.., end)| {
-            (u32_at(page, end - 4), end)
-        })
+fn route(page: &[u8], dir: &[u16], key: &[u8]) -> (u32, usize) {
+    let i = search(page, dir, key).map_or_else(|i| i, |i| i + 1);
+    let child = match i {
+        0 => link(page),
+        _ => u32_at(page, usize::from(dir[i]) - 4),
+    };
+    (child, i)
 }
 
-/// Replaces bytes `[off, resume)` of a page's `used` entry bytes — one
-/// whole entry, or nothing — with the concatenation of `parts` — again one
-/// entry or nothing — shifting the tail, zeroing what a shrink vacates and
-/// keeping the entry count. Returns the new `used`.
-fn splice(page: &mut [u8], used: usize, off: usize, resume: usize, parts: [&[u8]; 3]) -> usize {
+/// Replaces entry `i` of a page (`replace`) or inserts before it the
+/// concatenation of `parts` — one entry, or nothing to delete entry `i` —
+/// shifting the tail, zeroing what a shrink vacates, and keeping the entry
+/// count and the directory `dir` in step.
+fn splice(page: &mut [u8], dir: &mut Dir, i: usize, replace: bool, parts: [&[u8]; 3]) {
     let len: usize = parts.iter().map(|p| p.len()).sum();
+    let (off, used) = (usize::from(dir[i]), usize::from(dir[dir.len() - 1]));
+    let resume = if replace {
+        usize::from(dir[i + 1])
+    } else {
+        off
+    };
     page.copy_within(resume..used, off + len);
     let mut at = off;
     for part in parts {
@@ -138,9 +130,16 @@ fn splice(page: &mut [u8], used: usize, off: usize, resume: usize, parts: [&[u8]
     if new_used < used {
         page[new_used..used].fill(0);
     }
-    let n = count(page) + usize::from(len > 0) - usize::from(resume > off);
-    set_count(page, n);
-    new_used
+    if len == 0 {
+        dir.remove(i);
+    } else if !replace {
+        dir.insert(i, off as u16);
+    }
+    let (grow, shrink) = (len as u16, (resume - off) as u16);
+    for later in &mut dir[i + usize::from(len > 0)..] {
+        *later = *later + grow - shrink;
+    }
+    set_count(page, dir.len() - 1);
 }
 
 fn widen(page: &[u8], used: usize) -> Wide {
@@ -156,19 +155,36 @@ fn text(bytes: &[u8]) -> String {
 /// A B+ tree rooted at one page id. The tree owns no I/O state — the disk
 /// and pool are passed into every operation, so the engine can hold all
 /// three side by side.
-#[derive(Debug)]
 pub struct BTree {
     root: u32,
     /// Live key count (maintained on put/delete; cheap introspection).
     pub len: usize,
+    /// page id → that page's directory; dense, like the pool's table.
+    dirs: Vec<Dir>,
+}
+
+/// Leaves out the directories: they are derived from the pages, which the
+/// engine's `Debug` already shows.
+impl std::fmt::Debug for BTree {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BTree")
+            .field("root", &self.root)
+            .field("len", &self.len)
+            .finish()
+    }
 }
 
 impl BTree {
     /// Creates an empty tree by allocating its root leaf.
     pub fn new(disk: &mut SimDisk, pool: &mut BufferPool) -> Self {
-        let root = pool.alloc(disk);
-        set_link(pool.page_mut(disk, root), NO_LEAF);
-        BTree { root, len: 0 }
+        let mut tree = BTree {
+            root: 0,
+            len: 0,
+            dirs: Vec::new(),
+        };
+        tree.root = tree.alloc(disk, pool, vec![HEADER as u16]);
+        set_link(pool.page_mut(disk, tree.root), NO_LEAF);
+        tree
     }
 
     /// Inserts or updates `key`.
@@ -181,13 +197,13 @@ impl BTree {
         );
         if let Some((sep, right)) = self.insert_into(disk, pool, self.root, key, value) {
             // Root split: grow the tree by one level.
-            let new_root = pool.alloc(disk);
+            let new_root = self.alloc(disk, pool, vec![HEADER as u16]);
             let page = pool.page_mut(disk, new_root);
             page[0] = INTERNAL;
             set_link(page, self.root);
             let klen = (sep.len() as u16).to_le_bytes();
             let parts = [&klen[..], sep.as_bytes(), &right.to_le_bytes()];
-            splice(page, HEADER, HEADER, HEADER, parts);
+            splice(page, &mut self.dirs[new_root as usize], 0, false, parts);
             self.root = new_root;
         }
     }
@@ -195,22 +211,21 @@ impl BTree {
     /// Point lookup.
     pub fn get(&self, disk: &mut SimDisk, pool: &mut BufferPool, key: &str) -> Option<String> {
         let pid = self.descend(disk, pool, key);
-        let page = pool.page(disk, pid);
-        entries(page)
-            .find(|(_, k, _)| *k == key.as_bytes())
-            .map(|(off, k, end)| text(&page[off + 4 + k.len()..end]))
+        let (page, dir) = (pool.page(disk, pid), &self.dirs[pid as usize]);
+        let i = search(page, dir, key.as_bytes()).ok()?;
+        let (off, end) = (usize::from(dir[i]), usize::from(dir[i + 1]));
+        Some(text(&page[off + 4 + key.len()..end]))
     }
 
     /// Removes `key` if present. Returns whether it existed. Pages are not
     /// merged; a sparse leaf stays in the chain.
     pub fn delete(&mut self, disk: &mut SimDisk, pool: &mut BufferPool, key: &str) -> bool {
         let pid = self.descend(disk, pool, key);
-        let page = pool.page(disk, pid);
-        let (off, end, used) = locate(page, key.as_bytes());
-        if off == end {
+        let dir = &mut self.dirs[pid as usize];
+        let Ok(i) = search(pool.page(disk, pid), dir, key.as_bytes()) else {
             return false;
-        }
-        splice(pool.page_mut(disk, pid), used, off, end, [&[]; 3]);
+        };
+        splice(pool.page_mut(disk, pid), dir, i, true, [&[]; 3]);
         self.len -= 1;
         true
     }
@@ -225,15 +240,20 @@ impl BTree {
     ) -> Vec<(String, String)> {
         let mut out = Vec::new();
         let mut pid = self.descend(disk, pool, lo);
+        // Only the first leaf holds keys below `lo`.
+        let mut below = Some(lo.as_bytes());
         loop {
-            let page = pool.page(disk, pid);
-            for (off, k, end) in entries(page) {
+            let (page, dir) = (pool.page(disk, pid), &self.dirs[pid as usize]);
+            let from = below
+                .take()
+                .map_or(0, |lo| search(page, dir, lo).unwrap_or_else(|i| i));
+            for pair in dir[from..].windows(2) {
+                let (off, end) = (usize::from(pair[0]), usize::from(pair[1]));
+                let k = key_at(page, off);
                 if k >= hi.as_bytes() {
                     return out;
                 }
-                if k >= lo.as_bytes() {
-                    out.push((text(k), text(&page[off + 4 + k.len()..end])));
-                }
+                out.push((text(k), text(&page[off + 4 + k.len()..end])));
             }
             pid = link(page);
             if pid == NO_LEAF {
@@ -250,8 +270,18 @@ impl BTree {
             if page[0] == LEAF {
                 return pid;
             }
-            pid = route(page, key.as_bytes()).0;
+            pid = route(page, &self.dirs[pid as usize], key.as_bytes()).0;
         }
+    }
+
+    /// Allocates a zeroed page whose directory is `dir`.
+    fn alloc(&mut self, disk: &mut SimDisk, pool: &mut BufferPool, dir: Dir) -> u32 {
+        let pid = pool.alloc(disk);
+        if self.dirs.len() <= pid as usize {
+            self.dirs.resize(pid as usize + 1, Dir::new());
+        }
+        self.dirs[pid as usize] = dir;
+        pid
     }
 
     /// Upserts below `pid`; returns the separator and page a split of `pid`
@@ -270,19 +300,27 @@ impl BTree {
         key: &str,
         value: &str,
     ) -> Option<(String, u32)> {
-        let page = pool.page(disk, pid);
+        let (page, dir) = (pool.page(disk, pid), &self.dirs[pid as usize]);
+        let used = usize::from(dir[dir.len() - 1]);
         if page[0] == LEAF {
-            let (off, end, used) = locate(page, key.as_bytes());
-            self.len += usize::from(off == end);
+            let (i, found) = match search(page, dir, key.as_bytes()) {
+                Ok(i) => (i, true),
+                Err(i) => (i, false),
+            };
+            let old = if found {
+                usize::from(dir[i + 1] - dir[i])
+            } else {
+                0
+            };
+            self.len += usize::from(!found);
             let [k0, k1] = (key.len() as u16).to_le_bytes();
             let [v0, v1] = (value.len() as u16).to_le_bytes();
             let parts = [&[k0, k1, v0, v1][..], key.as_bytes(), value.as_bytes()];
-            let grown = used - (end - off) + 4 + key.len() + value.len();
+            let grown = used - old + 4 + key.len() + value.len();
             let wide = (grown > PAGE_SIZE).then(|| widen(page, used));
-            return place(disk, pool, pid, wide, used, (off, end), parts);
+            return self.place(disk, pool, pid, wide, (i, found), parts);
         }
-        let (child, at) = route(page, key.as_bytes());
-        let used = used(page);
+        let (child, at) = route(page, dir, key.as_bytes());
         // A child split must not fetch this page again before its `alloc`
         // (that would reorder evictions), so a page that the promoted
         // separator could overflow is copied now, while it is in hand.
@@ -291,97 +329,134 @@ impl BTree {
         let klen = (sep.len() as u16).to_le_bytes();
         let parts = [&klen[..], sep.as_bytes(), &new_child.to_le_bytes()[..]];
         let wide = spare.filter(|_| used + SEP_FRAMING + sep.len() > PAGE_SIZE);
-        place(disk, pool, pid, wide, used, (at, at), parts)
+        self.place(disk, pool, pid, wide, (at, false), parts)
+    }
+
+    /// Writes the entry `parts` over entry `i` of page `pid` (`replace`) or
+    /// before it: in the frame when it fits (`wide` is `None`), else in the
+    /// widened image, which is then split.
+    fn place(
+        &mut self,
+        disk: &mut SimDisk,
+        pool: &mut BufferPool,
+        pid: u32,
+        wide: Option<Wide>,
+        (i, replace): (usize, bool),
+        parts: [&[u8]; 3],
+    ) -> Option<(String, u32)> {
+        let dir = &mut self.dirs[pid as usize];
+        let Some(mut wide) = wide else {
+            splice(pool.page_mut(disk, pid), dir, i, replace, parts);
+            return None;
+        };
+        splice(&mut wide, dir, i, replace, parts);
+        Some(self.split(disk, pool, pid, &wide))
+    }
+
+    /// Splits the over-full image `wide` of page `pid` (its directory already
+    /// edited to match) in two: the left half goes back to `pid`, the right
+    /// half to a fresh page, and the separator between them is returned with
+    /// the fresh page's id. A leaf keeps the separator's entry as the right
+    /// page's first; an internal page promotes it, its child becoming the
+    /// right page's `child0`. Both halves' directories are cut from the
+    /// image's.
+    fn split(
+        &mut self,
+        disk: &mut SimDisk,
+        pool: &mut BufferPool,
+        pid: u32,
+        wide: &Wide,
+    ) -> (String, u32) {
+        let mut dir = std::mem::take(&mut self.dirs[pid as usize]);
+        let (leaf, n) = (wide[0] == LEAF, dir.len() - 1);
+        let used = usize::from(dir[n]);
+        // The right page starts at the separator's entry in a leaf, after it
+        // in an internal page.
+        let skip = usize::from(!leaf);
+        // Halve by entry count. Entries vary in size, so move the cut as little
+        // as it takes for both halves to fit a page: `mid` is the first entry
+        // from the middle on that leaves a right half that fits, or failing
+        // that the last one whose left half does.
+        let mut mid = 0;
+        for i in 0..n {
+            if usize::from(dir[i]) > PAGE_SIZE {
+                break;
+            }
+            mid = i;
+            if i >= n / 2 && HEADER + used - usize::from(dir[i + skip]) <= PAGE_SIZE {
+                break;
+            }
+        }
+        let (cut, right_from) = (usize::from(dir[mid]), usize::from(dir[mid + skip]));
+        let right_link = if leaf {
+            link(wide)
+        } else {
+            u32_at(wide, right_from - 4)
+        };
+        let shift = (right_from - HEADER) as u16;
+        let right_dir = dir[mid + skip..].iter().map(|&off| off - shift).collect();
+        let right = self.alloc(disk, pool, right_dir);
+        let page = pool.page_mut(disk, right);
+        page[0] = wide[0];
+        set_count(page, n - mid - skip);
+        set_link(page, right_link);
+        page[HEADER..HEADER + used - right_from].copy_from_slice(&wide[right_from..used]);
+        let page = pool.page_mut(disk, pid);
+        page[..cut].copy_from_slice(&wide[..cut]);
+        page[cut..].fill(0);
+        set_count(page, mid);
+        if leaf {
+            set_link(page, right);
+        }
+        dir.truncate(mid + 1);
+        self.dirs[pid as usize] = dir;
+        (text(key_at(wide, cut)), right)
     }
 }
 
-/// Writes the entry `parts` over bytes `[off, end)` of page `pid`: in the
-/// frame when it fits (`wide` is `None`), else in the widened image, which
-/// is then split.
-fn place(
-    disk: &mut SimDisk,
-    pool: &mut BufferPool,
-    pid: u32,
-    wide: Option<Wide>,
-    used: usize,
-    (off, end): (usize, usize),
-    parts: [&[u8]; 3],
-) -> Option<(String, u32)> {
-    let Some(mut wide) = wide else {
-        splice(pool.page_mut(disk, pid), used, off, end, parts);
-        return None;
-    };
-    let used = splice(&mut wide, used, off, end, parts);
-    Some(split(disk, pool, pid, &wide, used))
-}
-
-/// Splits the over-full image `wide` of page `pid` (`used` bytes) in two:
-/// the left half goes back to `pid`, the right half to a fresh page, and
-/// the separator between them is returned with the fresh page's id. A leaf
-/// keeps the separator's entry as the right page's first; an internal page
-/// promotes it, its child becoming the right page's `child0`.
-fn split(
-    disk: &mut SimDisk,
-    pool: &mut BufferPool,
-    pid: u32,
-    wide: &Wide,
-    used: usize,
-) -> (String, u32) {
-    let (leaf, n) = (wide[0] == LEAF, count(wide));
-    // Halve by entry count. Entries vary in size, so move the cut as little
-    // as it takes for both halves to fit a page: `mid` is the first entry
-    // from the middle on that leaves a right half that fits, or failing
-    // that the last one whose left half does.
-    let (mut mid, mut sep, mut cut, mut right_from) = (0, &wide[..0], HEADER, HEADER);
-    for (i, (off, key, end)) in entries(wide).enumerate() {
-        if off > PAGE_SIZE {
-            break;
-        }
-        (mid, sep, cut, right_from) = (i, key, off, if leaf { off } else { end });
-        if i >= n / 2 && HEADER + used - right_from <= PAGE_SIZE {
-            break;
-        }
-    }
-    let (right_n, right_link) = if leaf {
-        (n - mid, link(wide))
-    } else {
-        (n - mid - 1, u32_at(wide, right_from - 4))
-    };
-    let right = pool.alloc(disk);
-    let page = pool.page_mut(disk, right);
-    page[0] = wide[0];
-    set_count(page, right_n);
-    set_link(page, right_link);
-    page[HEADER..HEADER + used - right_from].copy_from_slice(&wide[right_from..used]);
-    let page = pool.page_mut(disk, pid);
-    page[..cut].copy_from_slice(&wide[..cut]);
-    page[cut..].fill(0);
-    set_count(page, mid);
-    if leaf {
-        set_link(page, right);
-    }
-    (text(sep), right)
+/// Walks a page's packed entries as `(offset, key, end offset)` — the
+/// reference the directory is checked against.
+#[cfg(test)]
+fn entries(page: &[u8]) -> impl Iterator<Item = (usize, &[u8], usize)> {
+    let leaf = page[0] == LEAF;
+    let mut off = HEADER;
+    (0..count(page)).map(move |_| {
+        let klen = u16_at(page, off);
+        let (key_at, end) = if leaf {
+            (off + 4, off + 4 + klen + u16_at(page, off + 2))
+        } else {
+            (off + 2, off + 2 + klen + 4)
+        };
+        let entry = (off, &page[key_at..key_at + klen], end);
+        off = end;
+        entry
+    })
 }
 
 #[cfg(test)]
 impl BTree {
     /// Asserts what every operation relies on: entries sorted within a
     /// page and inside the bounds its parent's separators give it, used
-    /// bytes within the page and nothing but zeros after them, the leaf
-    /// chain visiting the leaves left to right, and `len` counting the keys.
+    /// bytes within the page and nothing but zeros after them, each page's
+    /// directory equal to a fresh walk of its bytes, the leaf chain visiting
+    /// the leaves left to right, and `len` counting the keys.
     fn check_invariants(&self, disk: &mut SimDisk, pool: &mut BufferPool) {
         fn check(
             disk: &mut SimDisk,
             pool: &mut BufferPool,
+            dirs: &[Dir],
             pid: u32,
             (lo, hi): (Option<&[u8]>, Option<&[u8]>),
             leaves: &mut Vec<u32>,
         ) -> usize {
             let page = *pool.page(disk, pid); // copied: the recursion reuses the pool
             assert!(page[0] == LEAF || page[0] == INTERNAL, "page {pid}: tag");
-            let used = used(&page);
+            let used = entries(&page).last().map_or(HEADER, |(.., end)| end);
             assert!(used <= PAGE_SIZE, "page {pid}: {used} bytes used");
             assert!(page[used..].iter().all(|&b| b == 0), "page {pid}: tail");
+            let walk = entries(&page).map(|(off, ..)| off).chain([used]);
+            let walk: Vec<u16> = walk.map(|off| off as u16).collect();
+            assert_eq!(dirs[pid as usize], walk, "page {pid}: directory");
             let keys: Vec<&[u8]> = entries(&page).map(|(_, k, _)| k).collect();
             assert!(keys.windows(2).all(|w| w[0] < w[1]), "page {pid}: order");
             let outside = |k: &&[u8]| lo.is_some_and(|lo| *k < lo) || hi.is_some_and(|hi| *k >= hi);
@@ -397,15 +472,15 @@ impl BTree {
                 !keys.is_empty(),
                 "page {pid}: internal page without separators"
             );
-            let mut total = check(disk, pool, link(&page), (lo, Some(keys[0])), leaves);
+            let mut total = check(disk, pool, dirs, link(&page), (lo, Some(keys[0])), leaves);
             for (i, (_, k, end)) in entries(&page).enumerate() {
                 let bounds = (Some(k), keys.get(i + 1).copied().or(hi));
-                total += check(disk, pool, u32_at(&page, end - 4), bounds, leaves);
+                total += check(disk, pool, dirs, u32_at(&page, end - 4), bounds, leaves);
             }
             total
         }
         let mut leaves = Vec::new();
-        let keys = check(disk, pool, self.root, (None, None), &mut leaves);
+        let keys = check(disk, pool, &self.dirs, self.root, (None, None), &mut leaves);
         assert_eq!(keys, self.len, "len must count the keys");
         leaves.push(NO_LEAF);
         for pair in leaves.windows(2) {
@@ -466,6 +541,7 @@ mod tests {
                 "key{i:04} lost after splits"
             );
         }
+        t.check_invariants(&mut d, &mut p);
     }
 
     #[test]
@@ -615,6 +691,7 @@ mod tests {
         assert!(s.misses > 0, "a 3-frame pool cannot hold the tree");
         assert!(s.evictions > 0);
         assert!(s.writebacks > 0, "dirty evictions must write back");
+        t.check_invariants(&mut d, &mut p);
     }
 
     #[test]
