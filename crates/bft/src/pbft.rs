@@ -28,7 +28,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use consensus_core::cluster::decided_slots;
 use consensus_core::codec::{put_command, wire_size};
-use consensus_core::driver::{BatchConfig, Batcher, DecidedEntry, Flush};
+use consensus_core::driver::{BatchConfig, DecidedEntry, Wave};
 use consensus_core::{
     Client, ClientMsg, Cluster, Command, DedupKvMachine, Envelope, KvCommand, Quorum,
     ReplicatedLog, Session, Silence, SmrOp, SmrProtocol, StateMachine, Target,
@@ -166,13 +166,10 @@ pub struct PbftReplica {
     /// Executes one batch of commands per slot (sequence `n` lives at slot
     /// `n − 1`).
     exec: ReplicatedLog<DedupKvMachine>,
-    /// Batching/pipelining policy. Under `BatchConfig::unbatched()` every
-    /// request is ordered immediately in its own sequence number, exactly
-    /// as before the knob existed.
-    batcher: Batcher,
     /// Requests accepted by the primary but not yet assigned a sequence
-    /// number — the next batch.
-    queue: Vec<Command<KvCommand>>,
+    /// number — the next batch. Under `BatchConfig::unbatched()` every
+    /// request is ordered immediately in its own sequence number.
+    wave: Wave<Command<KvCommand>>,
     /// Highest executed sequence number.
     pub executed_upto: u64,
     checkpoint_interval: u64,
@@ -211,8 +208,7 @@ impl PbftReplica {
             low_water: 0,
             instances: BTreeMap::new(),
             exec: ReplicatedLog::new(),
-            batcher: Batcher::new(batch),
-            queue: Vec::new(),
+            wave: Wave::new(batch, BATCH_FLUSH),
             executed_upto: 0,
             checkpoint_interval: CHECKPOINT_INTERVAL,
             checkpoint_votes: BTreeMap::new(),
@@ -303,10 +299,10 @@ impl PbftReplica {
         let ordered = self.instances.values();
         let ordered = ordered.filter(|i| i.view == self.view && !i.executed);
         let ordered = ordered.flat_map(|i| i.cmds.iter().flatten());
-        if in_flight(&cmd, ordered.chain(&self.queue)) {
+        if in_flight(&cmd, ordered.chain(self.wave.items())) {
             return;
         }
-        self.queue.push(cmd);
+        self.wave.push(ctx, cmd);
         self.try_flush(ctx);
     }
 
@@ -319,22 +315,17 @@ impl PbftReplica {
         }
         loop {
             let in_flight = self.next_seq.saturating_sub(self.executed_upto) as usize;
-            match self.batcher.poll(self.queue.len(), in_flight) {
-                Flush::Take(k) => self.flush_one(ctx, k),
-                Flush::Arm(delay) => {
-                    ctx.set_timer(delay, BATCH_FLUSH);
-                    return;
-                }
-                Flush::Hold => return,
-            }
+            let Some(k) = self.wave.ripe(ctx, in_flight) else {
+                return;
+            };
+            self.flush_one(ctx, k);
         }
     }
 
     /// Primary path: bind the oldest `k` queued requests to the next
     /// sequence number.
     fn flush_one(&mut self, ctx: &mut Context<PbftWire>, k: usize) {
-        let cmds: Vec<Command<KvCommand>> = self.queue.drain(..k).collect();
-        ctx.record_batch(k as u64);
+        let cmds = self.wave.take(ctx, k);
         self.next_seq += 1;
         let n = self.next_seq;
         let digest = digest_of(&cmds);
@@ -364,13 +355,6 @@ impl PbftReplica {
             .into(),
         );
         self.arm_view_timer(ctx);
-    }
-
-    /// Drops primary-side batching state (queued requests are re-sent by
-    /// their clients' retry path if they matter).
-    fn reset_batching(&mut self) {
-        self.queue.clear();
-        self.batcher.reset();
     }
 
     fn on_prepared(&mut self, ctx: &mut Context<PbftWire>, n: u64) {
@@ -538,7 +522,8 @@ impl PbftReplica {
         self.in_new_view = true;
         self.view_changes_completed += 1;
         self.next_seq = max_n;
-        self.reset_batching();
+        // Queued requests are re-sent by their clients' retry path.
+        self.wave.reset();
         // Instances that neither committed nor appear in the new-view set
         // are abandoned; any request they carried will be re-ordered.
         self.instances.retain(|_, i| i.committed);
@@ -708,7 +693,7 @@ impl Node for PbftReplica {
                 self.view = view;
                 self.in_new_view = true;
                 self.view_changes_completed += 1;
-                self.reset_batching();
+                self.wave.reset();
                 self.instances.retain(|_, i| i.committed);
                 self.view_timer.cancel(ctx);
                 for (n, cmds) in pre_prepares {
@@ -733,9 +718,8 @@ impl Node for PbftReplica {
                 }
             }
             BATCH_FLUSH => {
-                let pending = self.is_primary(ctx.id()) && !self.queue.is_empty();
-                self.batcher.expire(pending);
-                if pending {
+                let overdue = self.wave.expire(self.is_primary(ctx.id()));
+                if overdue {
                     self.try_flush(ctx);
                 }
             }

@@ -29,7 +29,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use consensus_core::driver::DecidedEntry;
-pub use consensus_core::shell::{peers, replica_ids};
+pub use consensus_core::shell::{in_flight, peers, replica_ids};
 use consensus_core::{Command, DedupKvMachine, Envelope, KvCommand, KvResponse};
 use simnet::{CncPhase, Context, LiveTimer, NodeId, Payload};
 
@@ -52,16 +52,6 @@ pub fn decided_commands<'a>(
                 origin: Some((cmd.client, cmd.seq)),
             }),
     );
-}
-
-/// Whether `cmd`'s `(client, seq)` is among `ordered` — the commands a
-/// primary has sequenced and not yet executed.
-pub fn in_flight<'a>(
-    cmd: &Command<KvCommand>,
-    ordered: impl IntoIterator<Item = &'a Command<KvCommand>>,
-) -> bool {
-    let mut ordered = ordered.into_iter();
-    ordered.any(|c| c.client == cmd.client && c.seq == cmd.seq)
 }
 
 /// Resends the cached reply if `cmd` already executed on `machine`.

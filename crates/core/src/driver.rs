@@ -11,15 +11,19 @@
 //! consume. Adding a protocol to bench *and* nemesis is now one impl.
 //!
 //! The same module defines [`BatchConfig`], the batching/pipelining knob the
-//! three protocols share. `BatchConfig::unbatched()` reproduces the
-//! pre-batching behaviour exactly (one command per slot, proposed
-//! immediately, unbounded pipeline), so it is the default everywhere.
+//! three batching protocols share, and [`Wave`], the leader's unproposed work
+//! under that knob. `BatchConfig::unbatched()` reproduces the pre-batching
+//! behaviour exactly (one command per slot, proposed immediately, unbounded
+//! pipeline), so it is the default everywhere.
 
 use std::collections::BTreeSet;
 
 use crate::history::ClientRecord;
 use crate::workload::{KvMix, LatencyRecorder, WorkloadMode};
-use simnet::{CausalSpan, Metrics, NetConfig, NodeId, RunOutcome, Time};
+use simnet::causal::cat;
+use simnet::{
+    CausalSpan, Context, Metrics, NetConfig, NodeId, Payload, RunOutcome, Time, TraceCtx,
+};
 
 /// Batching and pipelining configuration shared by the SMR protocols.
 ///
@@ -90,86 +94,133 @@ impl Default for BatchConfig {
     }
 }
 
-/// What a proposer does with its queue right now — [`Batcher::poll`]'s answer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Flush {
-    /// Nothing to do: the queue is empty, the pipeline window is full, or an
-    /// underfull batch is waiting out its already armed flush timer.
-    Hold,
-    /// Arm the flush timer for this many µs, then hold.
-    Arm(u64),
-    /// Propose the oldest `k` queued commands as one batch, then poll again.
-    Take(usize),
+/// One item of a [`Wave`]: the work, and the causal context and time it
+/// arrived under (for its queue-wait span).
+#[derive(Debug)]
+struct Queued<T> {
+    item: T,
+    tc: Option<TraceCtx>,
+    at: Time,
 }
 
-/// The batch-ripeness policy of [`BatchConfig`], shared by the three SMR
-/// proposers: never exceed `pipeline_window` slots in flight; take a full
-/// batch at once; hold an underfull one for `max_delay` µs (one armed timer
-/// at a time), after which everything queued goes out — underfull batches
-/// included — as fast as the window allows, until the queue has drained.
-#[derive(Clone, Copy, Debug)]
-pub struct Batcher {
+/// A leader's work it has not proposed yet, under the batch-ripeness policy
+/// of [`BatchConfig`] — written once for the three batching proposers
+/// (Multi-Paxos, Raft, PBFT), which keep only their in-flight count and what
+/// they do with a batch. The policy: never exceed `pipeline_window` slots in
+/// flight; take a full batch at once; hold an underfull one for `max_delay`
+/// µs (one armed flush timer at a time), after which everything queued goes
+/// out — underfull batches included — as fast as the window allows, until
+/// the queue has drained.
+#[derive(Debug)]
+pub struct Wave<T> {
     cfg: BatchConfig,
+    /// The protocol's flush-timer kind.
+    timer: u64,
+    queue: Vec<Queued<T>>,
     /// A flush timer is outstanding.
     armed: bool,
-    /// The open batch's `max_delay` has expired.
+    /// The open batch's `max_delay` has expired. Never set while the queue
+    /// is empty.
     overdue: bool,
 }
 
-impl Batcher {
-    /// A policy with nothing armed.
-    pub fn new(cfg: BatchConfig) -> Self {
-        Batcher {
+impl<T> Wave<T> {
+    /// An empty wave that arms flush timers of kind `timer`.
+    pub fn new(cfg: BatchConfig, timer: u64) -> Self {
+        Wave {
             cfg,
+            timer,
+            queue: Vec::new(),
             armed: false,
             overdue: false,
         }
     }
 
-    /// Decides from the number of `queued` commands and of slots `in_flight`.
-    pub fn poll(&mut self, queued: usize, in_flight: usize) -> Flush {
-        if queued == 0 {
-            self.drained();
-            return Flush::Hold;
-        }
-        if in_flight >= self.cfg.pipeline_window {
-            return Flush::Hold;
-        }
-        let full = self.cfg.max_batch.max(1);
-        if queued >= full || self.cfg.max_delay == 0 || self.overdue {
-            Flush::Take(queued.min(full))
-        } else if self.armed {
-            Flush::Hold
-        } else {
-            self.armed = true;
-            Flush::Arm(self.cfg.max_delay)
-        }
+    /// Queues `item` under the context and time of the callback it arrived in.
+    pub fn push<M: Payload>(&mut self, ctx: &Context<M>, item: T) {
+        let (tc, at) = (ctx.trace_ctx(), ctx.now());
+        self.queue.push(Queued { item, tc, at });
     }
 
-    /// The flush timer fired. `pending` says whether this node still leads
-    /// and has commands queued; if so the caller polls next.
-    pub fn expire(&mut self, pending: bool) {
-        self.armed = false;
-        self.overdue |= pending;
+    /// The queued items, oldest first.
+    pub fn items(&self) -> impl Iterator<Item = &T> {
+        self.queue.iter().map(|q| &q.item)
     }
 
-    /// The queue emptied: the next batch gets its full `max_delay` again.
-    /// [`Batcher::poll`] notices an empty queue itself; this is for a
-    /// proposer that stops polling once its queue is empty (Multi-Paxos,
-    /// whose in-flight count is not free) or ships it without asking
-    /// (Raft's heartbeat).
-    pub fn drained(&mut self) {
-        self.overdue = false;
+    /// How many items are queued.
+    pub fn len(&self) -> usize {
+        self.queue.len()
     }
 
-    /// Forgets timer and overdue state (leadership lost, queue dropped).
-    pub fn reset(&mut self) {
-        *self = Batcher::new(self.cfg);
+    /// Whether nothing is queued.
+    pub fn is_empty(&self) -> bool {
+        self.queue.is_empty()
     }
 
     /// The largest batch the policy hands out.
     pub fn max_batch(&self) -> usize {
         self.cfg.max_batch
+    }
+
+    /// How many of the oldest items to propose now, given `in_flight` slots
+    /// on the wire; `None` holds. Holding an underfull batch arms the flush
+    /// timer unless it is armed already.
+    pub fn ripe<M: Payload>(&mut self, ctx: &mut Context<M>, in_flight: usize) -> Option<usize> {
+        let queued = self.queue.len();
+        if queued == 0 || in_flight >= self.cfg.pipeline_window {
+            return None;
+        }
+        let full = self.cfg.max_batch.max(1);
+        if queued >= full || self.cfg.max_delay == 0 || self.overdue {
+            return Some(queued.min(full));
+        }
+        if !self.armed {
+            self.armed = true;
+            ctx.set_timer(self.cfg.max_delay, self.timer);
+        }
+        None
+    }
+
+    /// Removes the oldest `k` items as one batch: records its size, charges
+    /// each traced item its wait in the queue, and rebinds the send context
+    /// to the first traced item, so the batch's consensus traffic chains
+    /// under its trace (batch-mates rely on the attribution fallback).
+    pub fn take<M: Payload>(&mut self, ctx: &mut Context<M>, k: usize) -> Vec<T> {
+        ctx.record_batch(k as u64);
+        let mut first = None;
+        let taken = self.queue.drain(..k).map(|q| {
+            if let Some(tc) = q.tc {
+                if ctx.now() > q.at {
+                    ctx.trace_span_since(tc, "batch-queue", cat::QUEUE, q.at);
+                }
+                first = first.or(Some(tc));
+            }
+            q.item
+        });
+        let taken = taken.collect();
+        if first.is_some() {
+            ctx.set_trace_ctx(first);
+        }
+        // Drained: the next batch gets its full `max_delay` again.
+        self.overdue &= !self.queue.is_empty();
+        taken
+    }
+
+    /// The flush timer fired. Returns whether the caller, `leading`, has
+    /// items queued and should ask [`Wave::ripe`] again: they are overdue.
+    pub fn expire(&mut self, leading: bool) -> bool {
+        self.armed = false;
+        let pending = leading && !self.queue.is_empty();
+        self.overdue |= pending;
+        pending
+    }
+
+    /// Drops the queue and forgets timer and overdue state (leadership
+    /// lost, restart).
+    pub fn reset(&mut self) {
+        self.queue.clear();
+        self.armed = false;
+        self.overdue = false;
     }
 }
 
@@ -370,6 +421,7 @@ pub trait ClusterDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::{Node, Sim, Timer};
 
     #[test]
     fn unbatched_is_the_default_and_labelled() {
@@ -382,8 +434,118 @@ mod tests {
         assert_eq!(BatchConfig::new(4, 0, usize::MAX).label(), "b4/winf/d0");
     }
 
+    /// What the test tells the leader under test.
+    #[derive(Clone, Debug)]
+    enum Step {
+        /// Queue this item.
+        Push(u32),
+        /// Ask [`Wave::ripe`] with this many slots in flight, and take what
+        /// it releases, as a proposer would.
+        Poll(usize),
+        /// Take the oldest `k` items.
+        Take(usize),
+        /// The flush timer fired; the leader still leads if `true`.
+        Expire(bool),
+    }
+
+    impl Payload for Step {}
+
+    const FLUSH: u64 = 7;
+
+    /// A one-node leader: its wave, what it took, what `ripe` last answered,
+    /// the context a take left behind and when its flush timers fired. The
+    /// test, not the timer, calls `expire`.
+    struct Leader {
+        wave: Wave<u32>,
+        taken: Vec<Vec<u32>>,
+        answer: Option<usize>,
+        bound: Option<TraceCtx>,
+        fired: Vec<Time>,
+    }
+
+    impl Node for Leader {
+        type Msg = Step;
+
+        fn on_start(&mut self, _: &mut Context<Step>) {}
+
+        fn on_message(&mut self, ctx: &mut Context<Step>, _: NodeId, step: Step) {
+            match step {
+                Step::Push(item) => self.wave.push(ctx, item),
+                Step::Poll(in_flight) => {
+                    self.answer = self.wave.ripe(ctx, in_flight);
+                    if let Some(k) = self.answer {
+                        self.taken.push(self.wave.take(ctx, k));
+                    }
+                }
+                Step::Take(k) => {
+                    self.taken.push(self.wave.take(ctx, k));
+                    self.bound = ctx.trace_ctx();
+                }
+                Step::Expire(leading) => {
+                    self.wave.expire(leading);
+                }
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<Step>, timer: Timer) {
+            assert_eq!(timer.kind, FLUSH);
+            self.fired.push(ctx.now());
+        }
+    }
+
+    /// What one poll did: hold, arm the flush timer for this many µs and
+    /// hold, or release the oldest `k` items.
+    #[derive(Debug, PartialEq, Eq)]
+    enum Flush {
+        Hold,
+        Arm(u64),
+        Take(usize),
+    }
+
+    /// A leader whose wave is `wave`, on a fixed-delay network.
+    fn rig(wave: Wave<u32>) -> Sim<Leader> {
+        let mut sim = Sim::new(NetConfig::synchronous(), 1);
+        sim.add_node(Leader {
+            wave,
+            taken: Vec::new(),
+            answer: None,
+            bound: None,
+            fired: Vec::new(),
+        });
+        sim
+    }
+
+    fn leader(sim: &Sim<Leader>) -> &Leader {
+        sim.node(NodeId(0))
+    }
+
+    /// Delivers `step` 1 ms from now, traced under `tc`, and lets a timer it
+    /// arms fire. Returns when it was delivered.
+    fn deliver(sim: &mut Sim<Leader>, step: Step, tc: Option<TraceCtx>) -> Time {
+        let at = sim.now() + 1_000;
+        sim.inject_traced(NodeId(0), NodeId(0), step, at, tc);
+        sim.run_for(2_000);
+        at
+    }
+
+    /// Pushes until `queued` items wait, then polls with `in_flight`.
+    fn poll(sim: &mut Sim<Leader>, queued: usize, in_flight: usize) -> Flush {
+        while leader(sim).wave.len() < queued {
+            deliver(sim, Step::Push(0), None);
+        }
+        let fired = leader(sim).fired.len();
+        let t0 = deliver(sim, Step::Poll(in_flight), None);
+        let leader = leader(sim);
+        match (leader.answer, &leader.fired[fired..]) {
+            (Some(k), []) => Flush::Take(k),
+            (None, []) => Flush::Hold,
+            (None, [at]) => Flush::Arm(at.0 - t0.0),
+            other => panic!("took and armed at once: {other:?}"),
+        }
+    }
+
     #[test]
-    fn batcher_decision_table() {
+    fn wave_decision_table() {
         // (config, overdue, armed, queued, in_flight) → answer.
         let b = BatchConfig::new(4, 300, 2);
         let table = [
@@ -413,12 +575,9 @@ mod tests {
             ),
         ];
         for (cfg, overdue, armed, queued, in_flight, want) in table {
-            let mut batcher = Batcher {
-                cfg,
-                armed,
-                overdue,
-            };
-            let got = batcher.poll(queued, in_flight);
+            let mut wave = Wave::new(cfg, FLUSH);
+            (wave.overdue, wave.armed) = (overdue, armed);
+            let got = poll(&mut rig(wave), queued, in_flight);
             assert_eq!(
                 got, want,
                 "{cfg:?} overdue={overdue} armed={armed} {queued}/{in_flight}"
@@ -428,46 +587,91 @@ mod tests {
 
     #[test]
     fn unbatched_default_never_arms_and_always_takes_immediately() {
-        let mut batcher = Batcher::new(BatchConfig::unbatched());
+        let mut sim = rig(Wave::new(BatchConfig::unbatched(), FLUSH));
         for queued in 1..50 {
             for in_flight in [0, 1, 1_000_000] {
-                assert_eq!(batcher.poll(queued, in_flight), Flush::Take(1));
+                assert_eq!(poll(&mut sim, queued, in_flight), Flush::Take(1));
             }
         }
-        assert_eq!(batcher.poll(0, 0), Flush::Hold);
+        assert!(leader(&sim).taken.iter().all(|t| t.len() == 1));
+        while !leader(&sim).wave.is_empty() {
+            deliver(&mut sim, Step::Take(1), None);
+        }
+        assert_eq!(poll(&mut sim, 0, 0), Flush::Hold);
     }
 
     #[test]
     fn expired_timer_releases_one_underfull_batch_then_holds_again() {
-        let mut batcher = Batcher::new(BatchConfig::new(4, 300, 8));
-        assert_eq!(batcher.poll(2, 0), Flush::Arm(300));
-        assert_eq!(batcher.poll(3, 0), Flush::Hold, "one timer at a time");
-        batcher.expire(true);
-        assert_eq!(
-            batcher.poll(3, 0),
-            Flush::Take(3),
-            "overdue: underfull goes"
-        );
-        assert_eq!(batcher.poll(0, 1), Flush::Hold, "drained: overdue is spent");
-        assert_eq!(
-            batcher.poll(1, 1),
-            Flush::Arm(300),
-            "next batch waits again"
-        );
+        let mut sim = rig(Wave::new(BatchConfig::new(4, 300, 8), FLUSH));
+        let sim = &mut sim;
+        assert_eq!(poll(sim, 2, 0), Flush::Arm(300));
+        assert_eq!(poll(sim, 3, 0), Flush::Hold, "one timer at a time");
+        deliver(sim, Step::Expire(true), None);
+        assert_eq!(poll(sim, 3, 0), Flush::Take(3), "overdue: underfull goes");
+        assert_eq!(poll(sim, 0, 1), Flush::Hold, "drained: overdue is spent");
+        assert_eq!(poll(sim, 1, 1), Flush::Arm(300), "next batch waits again");
         // A timer that fires with nothing to flush (or after leadership was
         // lost) must not make the next batch overdue.
-        batcher.expire(false);
-        assert_eq!(batcher.poll(1, 1), Flush::Arm(300));
+        deliver(sim, Step::Expire(false), None);
+        assert_eq!(poll(sim, 1, 1), Flush::Arm(300));
         // While overdue, a queue longer than one batch drains in full
         // batches plus the underfull remainder.
-        batcher.expire(true);
-        assert_eq!(batcher.poll(6, 0), Flush::Take(4));
-        assert_eq!(batcher.poll(2, 1), Flush::Take(2));
-        // Losing leadership forgets an armed timer and an overdue batch.
-        batcher.reset();
-        assert_eq!(batcher.poll(1, 2), Flush::Arm(300));
-        batcher.reset();
-        assert_eq!(batcher.poll(1, 2), Flush::Arm(300));
+        deliver(sim, Step::Expire(true), None);
+        assert_eq!(poll(sim, 6, 0), Flush::Take(4));
+        assert_eq!(poll(sim, 2, 1), Flush::Take(2));
+        // Losing leadership drops the queue and forgets an armed timer and
+        // an overdue batch.
+        deliver(sim, Step::Push(0), None);
+        sim.node_mut(NodeId(0)).wave.reset();
+        assert!(leader(sim).wave.is_empty());
+        assert_eq!(poll(sim, 1, 2), Flush::Arm(300));
+        sim.node_mut(NodeId(0)).wave.reset();
+        assert_eq!(poll(sim, 1, 2), Flush::Arm(300));
+    }
+
+    #[test]
+    fn take_charges_each_traced_item_its_wait_and_binds_the_first_traced() {
+        let tc = |id| TraceCtx {
+            trace_id: id,
+            parent_span: 0,
+            span_id: 10 * id,
+        };
+        let mut sim = rig(Wave::new(BatchConfig::new(8, 300, 8), FLUSH));
+        sim.enable_tracing(1);
+        deliver(&mut sim, Step::Push(1), None);
+        deliver(&mut sim, Step::Push(2), Some(tc(2)));
+        deliver(&mut sim, Step::Push(3), Some(tc(3)));
+        let t0 = sim.now() + 1_000;
+        sim.inject_traced(NodeId(0), NodeId(0), Step::Push(4), t0, Some(tc(4)));
+        sim.inject_traced(NodeId(0), NodeId(0), Step::Take(4), t0, None);
+        sim.run_for(2_000);
+        let leader = leader(&sim);
+        assert_eq!(leader.taken, [vec![1, 2, 3, 4]]);
+        assert_eq!(leader.bound, Some(tc(2)), "the first *traced* item");
+        assert_eq!(sim.metrics().batch_size.max(), Some(4));
+        // Items 2 and 3 waited 2 ms and 1 ms; 1 is untraced and 4 arrived
+        // as the batch left.
+        let waits: Vec<_> = sim
+            .causal_spans()
+            .iter()
+            .map(|s| {
+                (
+                    s.name.as_str(),
+                    s.cat,
+                    s.trace_id,
+                    s.parent,
+                    t0.0 - s.start,
+                    s.end,
+                )
+            })
+            .collect();
+        assert_eq!(
+            waits,
+            [
+                ("batch-queue", cat::QUEUE, 2, 20, 2_000, t0.0),
+                ("batch-queue", cat::QUEUE, 3, 30, 1_000, t0.0),
+            ]
+        );
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //!   recording shared by all protocol crates and the bench harness.
 //! * [`driver`] — the unified [`ClusterDriver`] API (construct from seed,
 //!   step, fault, harvest) plus the shared [`BatchConfig`]
-//!   batching/pipelining knob and its one ripeness policy, [`Batcher`];
+//!   batching/pipelining knob and the leader's unproposed work under its
+//!   one ripeness policy, [`Wave`];
 //!   bench and nemesis drive every SMR protocol only through this trait.
 //! * [`client`] and [`cluster`] — the rest of the **SMR shell** shared by
 //!   all nine SMR protocols (Multi-Paxos, Raft and the seven in `bft`): the
@@ -74,9 +75,7 @@ pub mod workload;
 pub use ballot::Ballot;
 pub use client::{Accept, Answer, Client, ClientMsg, Envelope, Quorum, Session, Silence, Target};
 pub use cluster::{Cluster, ClusterShape, DurableProtocol, Proc, SmrProtocol};
-pub use driver::{
-    BatchConfig, Batcher, ByzantineWindow, ClusterDriver, DecidedEntry, DriverConfig, Flush,
-};
+pub use driver::{BatchConfig, ByzantineWindow, ClusterDriver, DecidedEntry, DriverConfig, Wave};
 pub use history::{ClientRecord, HistorySink};
 pub use quorum::QuorumSpec;
 pub use register::{Register, Tally};

@@ -6,8 +6,10 @@
 //!
 //! **Request intake.** [`intake`] answers a [`ClientMsg::Request`] this
 //! replica will not order — `NotLeader` with the caller's hint, or the dedup
-//! table's cached reply — and hands a new command back. Each protocol keeps
-//! its own in-flight test and the step that orders the command.
+//! table's cached reply — and hands a new command back. [`in_flight`] is the
+//! one test that swallows a retry of a command still being ordered; each
+//! protocol keeps its own in-flight set (queued and proposed, or the
+//! uncommitted log suffix) and the step that orders the command.
 //!
 //! **The read path.** [`Reads`] parks a [`ClientMsg::Read`] until an index it
 //! must observe has applied, answers it from the applied machine, or NACKs
@@ -45,6 +47,16 @@ pub fn replica_ids(n: usize) -> impl Iterator<Item = NodeId> + Clone {
 /// Every replica but `me`.
 pub fn peers(n: usize, me: NodeId) -> impl Iterator<Item = NodeId> + Clone {
     replica_ids(n).filter(move |id| *id != me)
+}
+
+/// Whether `cmd`'s `(client, seq)` is among `ordered` — the commands a
+/// leader has queued or proposed and not yet applied or executed.
+pub fn in_flight<'a>(
+    cmd: &Command<KvCommand>,
+    ordered: impl IntoIterator<Item = &'a Command<KvCommand>>,
+) -> bool {
+    let mut ordered = ordered.into_iter();
+    ordered.any(|c| c.client == cmd.client && c.seq == cmd.seq)
 }
 
 /// Answers a request this replica will not order, to `from`: `NotLeader`

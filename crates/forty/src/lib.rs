@@ -26,7 +26,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`simnet`] | deterministic discrete-event network simulation |
-//! | [`consensus_core`] | taxonomy, ballots, quorum systems, C&C framework, and the SMR shell (`SmrOp`, `DedupKvMachine`, `Session` + `Client`, `Batcher`, `Cluster<P>`) under all nine SMR protocols |
+//! | [`consensus_core`] | taxonomy, ballots, quorum systems, C&C framework, and the SMR shell (`SmrOp`, `DedupKvMachine`, `Session` + `Client`, `Wave`, `Cluster<P>`) under all nine SMR protocols |
 //! | [`paxos`] | single-decree, Multi-, Fast, and Flexible Paxos |
 //! | [`raft`] | Raft |
 //! | [`atomic_commit`] | Paxos Commit (2PC at `F = 0`) and fault-tolerant 3PC |

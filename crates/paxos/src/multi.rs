@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use consensus_core::cluster::decided_slots;
 use consensus_core::codec::{put_op, wire_size};
-use consensus_core::driver::{BatchConfig, Batcher, DecidedEntry, Flush};
+use consensus_core::driver::{BatchConfig, DecidedEntry, Wave};
 use consensus_core::quorum::Phase;
 use consensus_core::shell::{self, peers, replica_ids, Disk, Reads};
 use consensus_core::smr::Slot;
@@ -31,8 +31,7 @@ use consensus_core::{
     KvCommand, Quorum, QuorumSpec, ReadMode, Register, ReplicatedLog, Session, Silence, SmrOp,
     SmrProtocol, Tally, Target,
 };
-use simnet::causal::cat;
-use simnet::{CncPhase, Context, LiveTimer, Node, NodeId, Payload, Time, Timer, TraceCtx};
+use simnet::{CncPhase, Context, LiveTimer, Node, NodeId, Payload, Time, Timer};
 
 use consensus_core::durable::{self, encode_record, encode_snapshot, WalRecord};
 
@@ -187,11 +186,9 @@ pub struct Replica {
     proposals: BTreeMap<usize, Proposal>,
     pending_reply: BTreeMap<(u32, u64), NodeId>,
     election_timer: LiveTimer,
-    /// Batching/pipelining policy.
-    batcher: Batcher,
     /// Commands accepted from clients but not yet proposed (leader only),
-    /// with the causal context + arrival time of each (for queue spans).
-    queue: Vec<(Command<KvCommand>, NodeId, Option<TraceCtx>, Time)>,
+    /// with their senders.
+    wave: Wave<(Command<KvCommand>, NodeId)>,
     /// The durable side: promises, accepts and decides go to its WAL before
     /// the ack they justify leaves. Never checkpoints unless a threshold is
     /// set.
@@ -253,8 +250,7 @@ impl Replica {
             proposals: BTreeMap::new(),
             pending_reply: BTreeMap::new(),
             election_timer: LiveTimer::default(),
-            batcher: Batcher::new(batch),
-            queue: Vec::new(),
+            wave: Wave::new(batch, BATCH_FLUSH),
             disk: Disk::new(usize::MAX),
             snapshot_floor: 0,
             prepare_max_floor: 0,
@@ -353,8 +349,7 @@ impl Replica {
     /// are abandoned; clients retransmit to the new leader.
     fn step_down(&mut self) {
         self.is_leader = false;
-        self.queue.clear();
-        self.batcher.reset();
+        self.wave.reset();
         self.lease_grants.clear();
     }
 
@@ -372,47 +367,26 @@ impl Replica {
             return;
         }
         // `in_flight` scans the proposal table: ask only with work queued.
-        while !self.queue.is_empty() {
-            match self.batcher.poll(self.queue.len(), self.in_flight()) {
-                Flush::Take(k) => self.flush_one(ctx, k),
-                Flush::Arm(delay) => {
-                    ctx.set_timer(delay, BATCH_FLUSH);
-                    return;
-                }
-                Flush::Hold => return,
+        while !self.wave.is_empty() {
+            let Some(k) = self.wave.ripe(ctx, self.in_flight()) else {
+                return;
+            };
+            let index = self.next_index;
+            self.next_index += 1;
+            let taken = self.wave.take(ctx, k);
+            for (cmd, from) in &taken {
+                self.pending_reply.insert((cmd.client, cmd.seq), *from);
             }
+            let op = SmrOp::from_batch(taken.into_iter().map(|(c, _)| c));
+            self.propose(ctx, index, op);
         }
-        self.batcher.drained();
-    }
-
-    /// Proposes the oldest `k` queued commands as one slot.
-    fn flush_one(&mut self, ctx: &mut Context<Wire>, k: usize) {
-        let taken: Vec<(Command<KvCommand>, NodeId, Option<TraceCtx>, Time)> =
-            self.queue.drain(..k).collect();
-        let index = self.next_index;
-        self.next_index += 1;
-        for (cmd, from, tc, enqueued) in &taken {
-            self.pending_reply.insert((cmd.client, cmd.seq), *from);
-            // The wait in the leader's batch queue, charged per command.
-            if let Some(tc) = tc {
-                if ctx.now() > *enqueued {
-                    ctx.trace_span_since(*tc, "batch-queue", cat::QUEUE, *enqueued);
-                }
-            }
-        }
-        // The slot's consensus traffic chains under the first batched
-        // command's trace; batch-mates rely on the attribution fallback.
-        ctx.set_trace_ctx(taken.first().and_then(|(_, _, tc, _)| *tc));
-        ctx.record_batch(k as u64);
-        let op = SmrOp::from_batch(taken.into_iter().map(|(c, ..)| c));
-        self.propose(ctx, index, op);
     }
 
     /// Forgets the proposal at `index` if it is both decided and applied.
     /// Nothing can ask for it again: `in_flight` counts undecided proposals
     /// only, a late `Accepted` for a missing entry is ignored exactly like
     /// one for a decided entry, and the dedup table answers a retried
-    /// `Request` for any applied command before `cmd_in_flight` is
+    /// `Request` for any applied command before the in-flight test is
     /// consulted. A proposal that is decided but held behind a gap stays (a
     /// retry must still be swallowed, not re-proposed at a new slot), and so
     /// does one whose slot a stale `Decide` applied before its own quorum
@@ -421,20 +395,6 @@ impl Replica {
         if index < self.log.applied_len() && self.proposals.get(&index).is_some_and(|p| p.decided) {
             self.proposals.remove(&index);
         }
-    }
-
-    /// Whether `(client, seq)` is queued or proposed but not yet applied.
-    fn cmd_in_flight(&self, client: u32, seq: u64) -> bool {
-        self.queue
-            .iter()
-            .any(|(c, ..)| c.client == client && c.seq == seq)
-            || self.proposals.values().any(|p| match &p.op {
-                // Spelled out per variant: this scan runs once per request
-                // over the open proposal window.
-                SmrOp::Cmd(c) => c.client == client && c.seq == seq,
-                SmrOp::Batch(cs) => cs.iter().any(|c| c.client == client && c.seq == seq),
-                SmrOp::Noop => false,
-            })
     }
 
     fn propose(&mut self, ctx: &mut Context<Wire>, index: usize, op: SmrOp) {
@@ -612,9 +572,11 @@ impl Replica {
                 let Some(cmd) = shell::intake(ctx, from, cmd, self.log.machine(), hint) else {
                     return;
                 };
-                // Unless already in flight (a retry while we decide).
-                if !self.cmd_in_flight(cmd.client, cmd.seq) {
-                    self.queue.push((cmd, from, ctx.trace_ctx(), ctx.now()));
+                // Unless queued or proposed (a retry while we decide).
+                let queued = self.wave.items().map(|(c, _)| c);
+                let proposed = self.proposals.values().flat_map(|p| p.op.commands());
+                if !shell::in_flight(&cmd, queued.chain(proposed)) {
+                    self.wave.push(ctx, (cmd, from));
                     self.try_flush(ctx);
                 }
             }
@@ -939,9 +901,8 @@ impl Node for Replica {
             BATCH_FLUSH => {
                 // The open batch's grace period is over: flush underfull
                 // as soon as the pipeline window allows.
-                let pending = self.is_leader && !self.queue.is_empty();
-                self.batcher.expire(pending);
-                if pending {
+                let overdue = self.wave.expire(self.is_leader);
+                if overdue {
                     self.try_flush(ctx);
                 }
             }

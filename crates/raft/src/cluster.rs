@@ -759,4 +759,76 @@ mod tests {
             "held-back waves must charge batch-queue time"
         );
     }
+
+    #[test]
+    fn a_reelected_leader_replies_only_for_the_commands_it_appended() {
+        // Node 0 leads, muted, and appends (4, 9) and (3, 1) at indices 2
+        // and 3. Its successor X overwrites them with its no-op and (4, 1),
+        // then dies; node 0 wins the next election and applies (4, 1) at
+        // index 3. A reply table keyed by index would answer node 3 — whose
+        // command never committed — with (4, 1)'s output under seq 1.
+        use simnet::{DropAll, FilterAction, FnFilter, TraceEvent};
+        let mut cluster = RaftCluster::new(3, 2, 0, NetConfig::synchronous(), 1);
+        cluster.sim.record_trace(true);
+        fn replica(c: &RaftCluster, id: NodeId) -> &Replica {
+            c.replicas().nth(id.index()).unwrap()
+        }
+        let put = |client: u32, seq: u64| {
+            let (key, value) = ("k".into(), format!("{client}.{seq}").into());
+            let op = consensus_core::KvCommand::Put { key, value };
+            Envelope::request(consensus_core::Command { client, seq, op })
+        };
+        let (n0, c3, c4) = (NodeId(0), NodeId(3), NodeId(4));
+        cluster.sim.run_until(Time::from_millis(5));
+        assert_eq!(cluster.leader(), Some(n0));
+        cluster.sim.set_filter(n0, Box::new(DropAll));
+        let now = cluster.sim.now();
+        cluster.sim.inject(c4, n0, put(4, 9), now + 10);
+        cluster.sim.inject(c3, n0, put(3, 1), now + 20);
+        cluster.sim.run_for(100);
+        assert_eq!(replica(&cluster, n0).last_log_index(), 3);
+
+        let mut x = None;
+        while x.is_none() {
+            cluster.sim.run_for(1_000);
+            x = [NodeId(1), NodeId(2)].into_iter().find(|&id| {
+                cluster.leader() == Some(id) && replica(&cluster, id).commit_index >= 2
+            });
+        }
+        let x = x.unwrap();
+        let now = cluster.sim.now();
+        cluster.sim.inject(c4, x, put(4, 1), now);
+        cluster.sim.crash_at(x, now + 700);
+        cluster.sim.run_for(700);
+
+        cluster.sim.clear_filter(n0);
+        let other = if x == NodeId(1) { NodeId(2) } else { NodeId(1) };
+        cluster.sim.set_filter(
+            other,
+            Box::new(FnFilter(
+                |_, _, msg: &Envelope<RaftMsg>, _: &mut _| match msg {
+                    Envelope::Peer(RaftMsg::RequestVote { .. }) => FilterAction::Drop,
+                    _ => FilterAction::Deliver,
+                },
+            )),
+        );
+        cluster.sim.run_for(1_000_000);
+        assert_eq!(cluster.leader(), Some(n0));
+        let n0_replica = replica(&cluster, n0);
+        assert!(n0_replica.last_applied() >= 3);
+        let at3 = n0_replica.entry(3).map(|e| e.op.commands());
+        let at3 = at3.and_then(|cmds| cmds.first()).map(|c| (c.client, c.seq));
+        assert_eq!(at3, Some((4, 1)), "node 0 applied X's command at index 3");
+
+        let stray = cluster
+            .sim
+            .trace()
+            .iter()
+            .filter(|e| matches!(e.event, TraceEvent::Send) && e.to == c3 && e.kind == "reply");
+        assert_eq!(stray.count(), 0, "node 3's command never committed");
+        for r in cluster.replicas() {
+            let mut log = (r.snapshot_index() + 1..=r.last_log_index()).filter_map(|i| r.entry(i));
+            assert!(log.all(|e| e.op.commands().iter().all(|c| c.client != 3)));
+        }
+    }
 }

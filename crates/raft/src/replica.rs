@@ -7,11 +7,10 @@ use std::collections::BTreeMap;
 use consensus_core::durable::{self, encode_record, encode_snapshot, WalRecord};
 use consensus_core::shell::{self, peers, Disk, Reads};
 use consensus_core::{
-    Ballot, BatchConfig, Batcher, ClientMsg, Command, DedupKvMachine, Envelope, Flush, KvCommand,
-    ReadMode, ReplicatedLog, SmrOp,
+    Ballot, BatchConfig, ClientMsg, Command, DedupKvMachine, Envelope, KvCommand, ReadMode,
+    ReplicatedLog, SmrOp, Wave,
 };
-use simnet::causal::cat;
-use simnet::{CncPhase, Context, LiveTimer, Node, NodeId, Time, Timer, TraceCtx};
+use simnet::{CncPhase, Context, LiveTimer, Node, NodeId, Time, Timer};
 
 use crate::msg::{Entry, RaftMsg};
 
@@ -96,22 +95,18 @@ pub struct Replica {
     // --- leader state ---
     next_index: Vec<usize>,
     match_index: Vec<usize>,
-    pending_reply: BTreeMap<usize, NodeId>,
-    /// Causal context and arrival time per unflushed log index, so the
-    /// replication wave can emit queue-wait spans and chain under the
-    /// oldest batched command's trace (tracing only; always maintained).
-    pending_trace: BTreeMap<usize, (TraceCtx, Time)>,
+    /// Who submitted each command this node appended as leader, by
+    /// `(client, seq)`: whoever applies it replies to that sender, leader
+    /// or not (a log index may hold another command by then).
+    pending_reply: BTreeMap<(u32, u64), NodeId>,
     /// Elections this replica has won.
     pub elections_won: u64,
 
     // --- replication batching (leader only) ---
-    /// Batching/pipelining policy. Under `BatchConfig::unbatched()` every
-    /// appended entry triggers an immediate fan-out, exactly as before the
-    /// knob existed.
-    batcher: Batcher,
-    /// Entries appended to the leader's log but not yet shipped to
-    /// followers. They form the next `AppendEntries` wave.
-    unflushed: usize,
+    /// One item per entry appended to the leader's log but not yet shipped
+    /// to followers: the log's tail, the next `AppendEntries` wave. Under
+    /// `BatchConfig::unbatched()` every appended entry ships at once.
+    wave: Wave<()>,
 
     // --- durability and compaction ---
     /// The durable side: term, vote and log changes go to its WAL before
@@ -154,10 +149,8 @@ impl Replica {
             next_index: Vec::new(),
             match_index: Vec::new(),
             pending_reply: BTreeMap::new(),
-            pending_trace: BTreeMap::new(),
             elections_won: 0,
-            batcher: Batcher::new(batch),
-            unflushed: 0,
+            wave: Wave::new(batch, FLUSH),
             disk: Disk::new(SNAPSHOT_THRESHOLD),
             reads: Reads::new(ReadMode::ReadIndex),
             last_contact: BTreeMap::new(),
@@ -317,7 +310,7 @@ impl Replica {
     /// Highest log index already included in a replication wave. Entries
     /// above it are queued for the next `AppendEntries` fan-out.
     fn flushed_tip(&self) -> usize {
-        self.last_log_index() - self.unflushed
+        self.last_log_index() - self.wave.len()
     }
 
     /// Ships the queued entries as one wave when the batch policy releases
@@ -330,47 +323,11 @@ impl Replica {
         if self.role != Role::Leader {
             return;
         }
-        loop {
-            let in_flight = self.flushed_tip().saturating_sub(self.commit_index);
-            match self.batcher.poll(self.unflushed, in_flight) {
-                Flush::Take(_) => {
-                    self.take_wave(ctx);
-                    self.replicate_all(ctx);
-                }
-                Flush::Arm(delay) => {
-                    ctx.set_timer(delay, FLUSH);
-                    return;
-                }
-                Flush::Hold => return,
-            }
+        let in_flight = self.flushed_tip().saturating_sub(self.commit_index);
+        if self.wave.ripe(ctx, in_flight).is_some() {
+            self.wave.take(ctx, self.wave.len());
+            self.replicate_all(ctx);
         }
-    }
-
-    /// Turns the queued entries into the next wave: the caller's fan-out
-    /// ships them. Emits their queue-wait spans and rebinds the send context
-    /// to the oldest one, so the `AppendEntries` fan-out chains under the
-    /// first batched command's trace — exactly the Multi-Paxos convention.
-    fn take_wave(&mut self, ctx: &mut Context<Wire>) {
-        ctx.record_batch(self.unflushed as u64);
-        let wave_from = self.flushed_tip() + 1;
-        self.unflushed = 0;
-        let mut first: Option<TraceCtx> = None;
-        for i in wave_from..=self.last_log_index() {
-            if let Some(&(tc, enqueued)) = self.pending_trace.get(&i) {
-                if ctx.now() > enqueued {
-                    ctx.trace_span_since(tc, "batch-queue", cat::QUEUE, enqueued);
-                }
-                first = first.or(Some(tc));
-            }
-        }
-        if first.is_some() {
-            ctx.set_trace_ctx(first);
-        }
-    }
-
-    fn reset_batching(&mut self) {
-        self.unflushed = 0;
-        self.batcher.reset();
     }
 
     fn reset_election_timer(&mut self, ctx: &mut Context<Wire>) {
@@ -387,7 +344,7 @@ impl Replica {
             self.log_hard_state();
         }
         self.role = Role::Follower;
-        self.reset_batching();
+        self.wave.reset();
         self.reset_election_timer(ctx);
     }
 
@@ -421,7 +378,7 @@ impl Replica {
 
     fn become_leader(&mut self, ctx: &mut Context<Wire>) {
         self.role = Role::Leader;
-        self.reset_batching();
+        self.wave.reset();
         self.elections_won += 1;
         self.leader_hint = Some(ctx.id());
         self.next_index = vec![self.last_log_index() + 1; self.n_replicas];
@@ -489,7 +446,7 @@ impl Replica {
         // Ship at most a wire batch, and never past the flushed tip:
         // queued-but-unflushed entries wait for their wave (an empty
         // entries list is just a heartbeat).
-        let end = (rel_next + BATCH.max(self.batcher.max_batch()))
+        let end = (rel_next + BATCH.max(self.wave.max_batch()))
             .min(self.log.len())
             .min(self.flushed_tip() - offset)
             .max(rel_next);
@@ -546,8 +503,9 @@ impl Replica {
     /// through the apply step Multi-Paxos shares ([`ReplicatedLog::apply`]).
     /// Live, each entry also closes its span, syncs a transaction decision
     /// it resolved before the reply that releases the transaction leaves
-    /// (WAL-before-decision), and the leader replies; replaying a recovered
-    /// log (`ctx` is `None`) does none of that.
+    /// (WAL-before-decision), and the node that appended a command replies
+    /// to its sender; replaying a recovered log (`ctx` is `None`) does none
+    /// of that.
     fn apply_committed(&mut self, mut ctx: Option<&mut Context<Wire>>) {
         while self.exec.applied_len() < self.commit_index {
             let i = self.exec.applied_len() + 1;
@@ -556,21 +514,20 @@ impl Replica {
             let resolved =
                 self.exec
                     .apply(op, durable::index(&mut self.disk.durable), |cmd, out| {
-                        reply = Some((cmd.seq, out));
+                        reply = Some((cmd.client, cmd.seq, out));
                     });
             let Some(ctx) = ctx.as_deref_mut() else {
                 continue;
             };
-            self.pending_trace.remove(&i);
             ctx.phase(SPAN, i as u64, self.current_term, CncPhase::Decision);
             ctx.span_close(SPAN, i as u64, self.current_term);
             if resolved {
                 self.disk.durable.sync(ctx);
             }
-            let client_node = (self.role == Role::Leader)
-                .then(|| self.pending_reply.remove(&i))
-                .flatten();
-            if let (Some(client_node), Some((seq, output))) = (client_node, reply) {
+            let Some((client, seq, output)) = reply else {
+                continue;
+            };
+            if let Some(client_node) = self.pending_reply.remove(&(client, seq)) {
                 let reply = ClientMsg::Reply { seq, output };
                 ctx.send(client_node, Envelope::Client(reply));
             }
@@ -646,12 +603,11 @@ impl Replica {
             return;
         };
         let uncommitted_from = self.commit_index.saturating_sub(self.snapshot.0);
-        let in_flight = self.log[uncommitted_from.min(self.log.len())..]
-            .iter()
-            .any(|e| matches!(&e.op, SmrOp::Cmd(c) if c.client == cmd.client && c.seq == cmd.seq));
-        if in_flight {
+        let uncommitted = &self.log[uncommitted_from.min(self.log.len())..];
+        if shell::in_flight(&cmd, uncommitted.iter().flat_map(|e| e.op.commands())) {
             return;
         }
+        self.pending_reply.insert((cmd.client, cmd.seq), from);
         let index = self.append(Entry {
             term: self.current_term,
             op: SmrOp::Cmd(cmd),
@@ -660,11 +616,7 @@ impl Replica {
         ctx.span_open(SPAN, index as u64, self.current_term);
         ctx.phase(SPAN, index as u64, self.current_term, CncPhase::Agreement);
         self.match_index[ctx.id().index()] = index;
-        self.pending_reply.insert(index, from);
-        if let Some(tc) = ctx.trace_ctx() {
-            self.pending_trace.insert(index, (tc, ctx.now()));
-        }
-        self.unflushed += 1;
+        self.wave.push(ctx, ());
         self.maybe_flush(ctx);
     }
 }
@@ -913,17 +865,15 @@ impl Node for Replica {
             HEARTBEAT if self.role == Role::Leader => {
                 // The heartbeat fan-out ships everything anyway: fold any
                 // queued wave into it.
-                if self.unflushed > 0 {
-                    self.take_wave(ctx);
-                    self.batcher.drained();
+                if !self.wave.is_empty() {
+                    self.wave.take(ctx, self.wave.len());
                 }
                 self.replicate_all(ctx);
                 ctx.set_timer(HB_PERIOD, HEARTBEAT);
             }
             FLUSH => {
-                let pending = self.role == Role::Leader && self.unflushed > 0;
-                self.batcher.expire(pending);
-                if pending {
+                let overdue = self.wave.expire(self.role == Role::Leader);
+                if overdue {
                     self.maybe_flush(ctx);
                 }
             }
@@ -936,10 +886,9 @@ impl Node for Replica {
         self.role = Role::Follower;
         self.votes = 0;
         self.pending_reply.clear();
-        self.pending_trace.clear();
         self.reads.clear();
         self.last_contact.clear();
-        self.reset_batching();
+        self.wave.reset();
         self.election_timer.fired();
         if let Some(restored) = durable::restore(&mut self.disk.durable) {
             // Durable mode: term, vote, log, and machine exist only as WAL
