@@ -184,8 +184,8 @@ impl Tracer {
 pub fn bucket_for_kind(kind: &str) -> &'static str {
     match kind {
         "prepare" | "promise" | "prepare-ack" | "pre-prepare" => "value-discovery",
-        "accept" | "accepted" | "append-entries" | "append-response" | "heartbeat"
-        | "commit" | "vote" => "agreement",
+        "accept" | "accepted" | "append-entries" | "append-response" | "heartbeat" | "commit"
+        | "vote" => "agreement",
         "decide" | "decision" => "decision",
         "request-vote" | "vote-response" | "view-change" | "new-view" => "leader-election",
         _ => cat::FLIGHT,
@@ -309,8 +309,7 @@ pub fn folded_stacks(spans: &[CausalSpan]) -> String {
     }
     let mut lines: Vec<String> = Vec::new();
     for s in spans {
-        let own = (s.end - s.start)
-            .saturating_sub(child_time.get(&s.id).copied().unwrap_or(0));
+        let own = (s.end - s.start).saturating_sub(child_time.get(&s.id).copied().unwrap_or(0));
         if own == 0 {
             continue;
         }
@@ -446,7 +445,7 @@ mod tests {
     fn own_trace_beats_other_traces_but_fallback_applies() {
         let spans = vec![
             span(7, 1, cat::FLIGHT, 0, 10),
-            span(9, 2, cat::FSYNC, 0, 10),   // other trace, higher priority
+            span(9, 2, cat::FSYNC, 0, 10), // other trace, higher priority
             span(9, 3, "agreement", 10, 20), // other trace, sole coverage
         ];
         let b = attribute_window(&spans, 7, 0, 20);
@@ -468,7 +467,10 @@ mod tests {
             .expect("traceEvents array");
         assert_eq!(events.len(), 2);
         // Sorted by start time regardless of emission order.
-        assert_eq!(events[0].get("ts").and_then(serde_json::Value::as_u64), Some(0));
+        assert_eq!(
+            events[0].get("ts").and_then(serde_json::Value::as_u64),
+            Some(0)
+        );
         for e in events {
             for field in ["name", "cat", "ph", "ts", "dur", "pid", "tid"] {
                 assert!(e.get(field).is_some(), "missing {field}");

@@ -77,7 +77,11 @@ impl Histogram {
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return Some(if i >= 63 { u64::MAX } else { (1u64 << i).min(self.max) });
+                return Some(if i >= 63 {
+                    u64::MAX
+                } else {
+                    (1u64 << i).min(self.max)
+                });
             }
         }
         Some(self.max)
@@ -170,7 +174,10 @@ pub enum DropCause {
 impl Metrics {
     /// Messages of one kind sent so far.
     pub fn kind(&self, kind: &str) -> u64 {
-        self.kinds.iter().find(|t| t.kind == kind).map_or(0, |t| t.sent)
+        self.kinds
+            .iter()
+            .find(|t| t.kind == kind)
+            .map_or(0, |t| t.sent)
     }
 
     /// Adds `sent` messages totalling `bytes` to `kind`'s tally — one routed
@@ -200,7 +207,11 @@ impl Metrics {
 
     /// `(kind, sent, bytes)` for every kind seen, sorted by kind.
     pub fn kinds(&self) -> Vec<(&'static str, u64, u64)> {
-        let mut rows: Vec<_> = self.kinds.iter().map(|t| (t.kind, t.sent, t.bytes)).collect();
+        let mut rows: Vec<_> = self
+            .kinds
+            .iter()
+            .map(|t| (t.kind, t.sent, t.bytes))
+            .collect();
         rows.sort_unstable_by_key(|&(kind, ..)| kind);
         rows
     }
@@ -212,7 +223,10 @@ impl Metrics {
 
     /// Bytes sent for messages of one kind.
     pub fn kind_bytes(&self, kind: &str) -> u64 {
-        self.kinds.iter().find(|t| t.kind == kind).map_or(0, |t| t.bytes)
+        self.kinds
+            .iter()
+            .find(|t| t.kind == kind)
+            .map_or(0, |t| t.bytes)
     }
 
     /// Records one lost message: bumps `dropped` and the per-cause split

@@ -72,12 +72,18 @@ struct TimerLedger {
 
 impl TimerLedger {
     fn arm(&mut self, id: TimerId) {
-        debug_assert_eq!(id.0, self.base + self.states.len() as u64, "timer ids are sequential");
+        debug_assert_eq!(
+            id.0,
+            self.base + self.states.len() as u64,
+            "timer ids are sequential"
+        );
         self.states.push_back(TimerState::Pending);
     }
 
     fn cancel(&mut self, id: TimerId) {
-        let state = id.0.checked_sub(self.base).and_then(|i| self.states.get_mut(i as usize));
+        let state =
+            id.0.checked_sub(self.base)
+                .and_then(|i| self.states.get_mut(i as usize));
         if let Some(state @ TimerState::Pending) = state {
             *state = TimerState::Cancelled;
         }
@@ -273,7 +279,8 @@ impl<N: Node> Sim<N> {
     pub fn partition_at(&mut self, at: Time, groups: Vec<Vec<NodeId>>) {
         let plan = self.partition_plans.len();
         self.partition_plans.push(groups);
-        self.queue.push(at, NodeId(0), EventKind::Partition { plan });
+        self.queue
+            .push(at, NodeId(0), EventKind::Partition { plan });
     }
 
     /// Schedules the partition to heal at `at`.
@@ -348,7 +355,12 @@ impl<N: Node> Sim<N> {
         self.queue.push(
             at,
             to,
-            EventKind::Deliver { from, msg, sent: at, tc: None },
+            EventKind::Deliver {
+                from,
+                msg,
+                sent: at,
+                tc: None,
+            },
         );
     }
 
@@ -363,7 +375,16 @@ impl<N: Node> Sim<N> {
         at: Time,
         tc: Option<TraceCtx>,
     ) {
-        self.queue.push(at, to, EventKind::Deliver { from, msg, sent: at, tc });
+        self.queue.push(
+            at,
+            to,
+            EventKind::Deliver {
+                from,
+                msg,
+                sent: at,
+                tc,
+            },
+        );
     }
 
     fn ensure_started(&mut self) {
@@ -411,11 +432,19 @@ impl<N: Node> Sim<N> {
                 Effect::Send { to, msg, tc } => self.route(from, to, msg, tc),
                 Effect::SetTimer { id, delay, kind } => {
                     self.timers.arm(id);
-                    self.queue
-                        .push(self.now + delay, from, EventKind::TimerFire { id, kind, epoch });
+                    self.queue.push(
+                        self.now + delay,
+                        from,
+                        EventKind::TimerFire { id, kind, epoch },
+                    );
                 }
                 Effect::CancelTimer { id } => self.timers.cancel(id),
-                Effect::Span { protocol, instance, round, kind } => {
+                Effect::Span {
+                    protocol,
+                    instance,
+                    round,
+                    kind,
+                } => {
                     self.record_span(from, protocol, instance, round, kind);
                 }
                 Effect::Batch(size) => self.metrics.batch_size.record(size),
@@ -431,8 +460,16 @@ impl<N: Node> Sim<N> {
         // context passes straight through.
         if from == to {
             let at = self.now + 1;
-            self.queue
-                .push(at, to, EventKind::Deliver { from, msg, sent: at, tc });
+            self.queue.push(
+                at,
+                to,
+                EventKind::Deliver {
+                    from,
+                    msg,
+                    sent: at,
+                    tc,
+                },
+            );
             return;
         }
 
@@ -487,7 +524,10 @@ impl<N: Node> Sim<N> {
         let model = match self.link_delays.get(&(from, to)) {
             Some(m) => *m,
             None => match &self.config.wan {
-                Some(t) => match (self.slots[from.index()].region, self.slots[to.index()].region) {
+                Some(t) => match (
+                    self.slots[from.index()].region,
+                    self.slots[to.index()].region,
+                ) {
                     (Some(a), Some(b)) => t.model_between(a, b),
                     _ => self.config.delay,
                 },
@@ -577,7 +617,12 @@ impl<N: Node> Sim<N> {
         self.queue.push(
             Time(sent_at + delay),
             to,
-            EventKind::Deliver { from, msg, sent: self.now, tc: tc_out },
+            EventKind::Deliver {
+                from,
+                msg,
+                sent: self.now,
+                tc: tc_out,
+            },
         );
     }
 
@@ -595,7 +640,9 @@ impl<N: Node> Sim<N> {
         match kind {
             SpanKind::Open => {
                 self.metrics.spans_opened += 1;
-                self.open_instances.entry((protocol, instance)).or_insert(self.now);
+                self.open_instances
+                    .entry((protocol, instance))
+                    .or_insert(self.now);
             }
             SpanKind::Phase(phase) => {
                 *self.metrics.phase_entries.entry(phase.label()).or_insert(0) += 1;
@@ -633,7 +680,12 @@ impl<N: Node> Sim<N> {
         let idx = ev.node.index();
         self.now = ev.time;
         match ev.kind {
-            EventKind::Deliver { from, msg, sent, tc } => {
+            EventKind::Deliver {
+                from,
+                msg,
+                sent,
+                tc,
+            } => {
                 if !self.slots[idx].alive {
                     if from != ev.node {
                         self.metrics.record_drop(DropCause::Dead);
@@ -659,7 +711,9 @@ impl<N: Node> Sim<N> {
                     return;
                 }
                 self.metrics.timer_fires += 1;
-                self.invoke(idx, None, |node, ctx| node.on_timer(ctx, Timer { id, kind }));
+                self.invoke(idx, None, |node, ctx| {
+                    node.on_timer(ctx, Timer { id, kind })
+                });
             }
             EventKind::Crash => {
                 let slot = &mut self.slots[idx];
@@ -780,7 +834,11 @@ impl<N: Node> Sim<N> {
     /// cancelled.
     #[cfg(test)]
     fn timer_records(&self) -> (usize, usize) {
-        let cancelled = self.timers.states.iter().filter(|s| **s == TimerState::Cancelled);
+        let cancelled = self
+            .timers
+            .states
+            .iter()
+            .filter(|s| **s == TimerState::Cancelled);
         (self.timers.states.len(), cancelled.count())
     }
 }
@@ -879,10 +937,7 @@ mod tests {
             (
                 sim.now(),
                 sim.metrics().sent,
-                sim.trace()
-                    .iter()
-                    .map(|t| t.render())
-                    .collect::<Vec<_>>(),
+                sim.trace().iter().map(|t| t.render()).collect::<Vec<_>>(),
             )
         };
         assert_eq!(run(99), run(99));
@@ -958,7 +1013,10 @@ mod tests {
     #[test]
     fn partition_blocks_and_heal_restores() {
         let mut sim = pingpong_sim(4, NetConfig::synchronous(), 5);
-        sim.partition_at(Time(0), vec![vec![NodeId(0), NodeId(1)], vec![NodeId(2), NodeId(3)]]);
+        sim.partition_at(
+            Time(0),
+            vec![vec![NodeId(0), NodeId(1)], vec![NodeId(2), NodeId(3)]],
+        );
         sim.run_to_quiescence();
         // Pings to 2 and 3 were cut; only node 1 ponged.
         assert_eq!(sim.node(NodeId(0)).pongs, 1);
@@ -988,13 +1046,15 @@ mod tests {
         let mut sim = pingpong_sim(3, NetConfig::synchronous(), 8);
         sim.set_filter(
             NodeId(0),
-            Box::new(FnFilter(|_f, to: NodeId, msg: &Msg, _r: &mut ChaCha20Rng| {
-                if let Msg::Ping(_) = msg {
-                    FilterAction::Replace(Msg::Ping(to.0 as u64 * 100))
-                } else {
-                    FilterAction::Deliver
-                }
-            })),
+            Box::new(FnFilter(
+                |_f, to: NodeId, msg: &Msg, _r: &mut ChaCha20Rng| {
+                    if let Msg::Ping(_) = msg {
+                        FilterAction::Replace(Msg::Ping(to.0 as u64 * 100))
+                    } else {
+                        FilterAction::Deliver
+                    }
+                },
+            )),
         );
         sim.run_to_quiescence();
         // Both receivers saw a ping (mutated), both ponged the forged values.
@@ -1133,7 +1193,11 @@ mod tests {
         let before = sim.events_processed();
         assert_eq!(sim.run_until(Time(300_000)), RunOutcome::Quiescent);
         assert_eq!((sim.pending_timers(), sim.node(id).fired), (0, 1));
-        assert_eq!(sim.events_processed(), before + 1, "a cancelled timer still pops");
+        assert_eq!(
+            sim.events_processed(),
+            before + 1,
+            "a cancelled timer still pops"
+        );
     }
 
     #[test]
@@ -1179,7 +1243,12 @@ mod tests {
         }
         let mut sim: Sim<Rearm> = Sim::new(NetConfig::synchronous(), 33);
         for _ in 0..2 {
-            sim.add_node(Rearm { current: None, first: None, fires: 0, long_fired: false });
+            sim.add_node(Rearm {
+                current: None,
+                first: None,
+                fires: 0,
+                long_fired: false,
+            });
         }
         sim.run_until(Time(50_000));
         let (window, cancelled) = sim.timer_records();
@@ -1188,7 +1257,10 @@ mod tests {
         assert_eq!(sim.run_to_quiescence(), RunOutcome::Quiescent);
         assert_eq!(sim.timer_records(), (0, 0));
         for (_, node) in sim.nodes() {
-            assert_eq!(node.fires, 1_000, "a stale cancel must not hit a live timer");
+            assert_eq!(
+                node.fires, 1_000,
+                "a stale cancel must not hit a live timer"
+            );
         }
         assert!(sim.node(NodeId(1)).long_fired);
     }
@@ -1292,7 +1364,10 @@ mod tests {
     fn drop_counters_attribute_losses_by_cause() {
         // Partition drops.
         let mut sim = pingpong_sim(4, NetConfig::synchronous(), 15);
-        sim.partition_at(Time(0), vec![vec![NodeId(0), NodeId(1)], vec![NodeId(2), NodeId(3)]]);
+        sim.partition_at(
+            Time(0),
+            vec![vec![NodeId(0), NodeId(1)], vec![NodeId(2), NodeId(3)]],
+        );
         sim.run_to_quiescence();
         let m = sim.metrics();
         assert_eq!(m.dropped_partition, 2);
@@ -1361,7 +1436,11 @@ mod tests {
         assert_eq!(sim.node(NodeId(1)).got, 1);
         sim.set_drop_prob(1.0);
         sim.run_to_quiescence();
-        assert_eq!(sim.node(NodeId(1)).got, 1, "message in the burst window was lost");
+        assert_eq!(
+            sim.node(NodeId(1)).got,
+            1,
+            "message in the burst window was lost"
+        );
         assert_eq!(sim.metrics().dropped_loss, 1);
     }
 
@@ -1433,11 +1512,20 @@ mod tests {
         // Fully isolate every node, then heal before the broadcast.
         sim.partition_at(
             Time(0),
-            vec![vec![NodeId(0)], vec![NodeId(1)], vec![NodeId(2)], vec![NodeId(3)]],
+            vec![
+                vec![NodeId(0)],
+                vec![NodeId(1)],
+                vec![NodeId(2)],
+                vec![NodeId(3)],
+            ],
         );
         sim.heal_at(Time(50_000));
         sim.run_to_quiescence();
-        assert_eq!(sim.node(NodeId(0)).pongs, 3, "post-heal broadcast reaches everyone");
+        assert_eq!(
+            sim.node(NodeId(0)).pongs,
+            3,
+            "post-heal broadcast reaches everyone"
+        );
         assert_eq!(sim.metrics().dropped, 0);
         assert_eq!(sim.metrics().delivered, 6);
     }
@@ -1530,8 +1618,14 @@ mod tests {
         let root = spans.iter().find(|s| s.name == "op").expect("root span");
         assert_eq!(root.trace_id, root.id);
         assert!(root.end > root.start, "root closed when the pong arrived");
-        let ping = spans.iter().find(|s| s.name == "net:ping").expect("ping flight");
-        let pong = spans.iter().find(|s| s.name == "net:pong").expect("pong flight");
+        let ping = spans
+            .iter()
+            .find(|s| s.name == "net:ping")
+            .expect("ping flight");
+        let pong = spans
+            .iter()
+            .find(|s| s.name == "net:pong")
+            .expect("pong flight");
         assert_eq!(ping.trace_id, root.id);
         assert_eq!(ping.parent, root.id);
         assert_eq!(pong.trace_id, root.id);
@@ -1585,7 +1679,10 @@ mod tests {
             .map(|t| (t.time.0, t.to.0))
             .collect();
         // Intra round-trip at 100/200, inter at 30_000/60_000.
-        assert_eq!(deliveries, vec![(100, 1), (200, 0), (30_000, 2), (60_000, 0)]);
+        assert_eq!(
+            deliveries,
+            vec![(100, 1), (200, 0), (30_000, 2), (60_000, 0)]
+        );
     }
 
     #[test]
@@ -1615,7 +1712,7 @@ mod tests {
         assert_eq!(sim.clock_skew_bound(), 700); // node 0 still at 0
         sim.set_clock_skew(NodeId(0), 600);
         assert_eq!(sim.clock_skew_bound(), 400); // spread of {600,700,300}
-        // Skew never perturbs the schedule: same quiescence time as unskewed.
+                                                 // Skew never perturbs the schedule: same quiescence time as unskewed.
         sim.run_to_quiescence();
         let mut plain = pingpong_sim(3, NetConfig::synchronous(), 42);
         plain.run_to_quiescence();
@@ -1640,10 +1737,23 @@ mod tests {
         let mut set = BTreeMap::new();
         // Some set, one of them to zero; then all set; then all set with a
         // zero among them; then all equal.
-        for (node, offset) in [(1, 700), (0, 0), (2, 300), (0, 600), (2, 0), (2, 900), (0, 900), (1, 900)] {
+        for (node, offset) in [
+            (1, 700),
+            (0, 0),
+            (2, 300),
+            (0, 600),
+            (2, 0),
+            (2, 900),
+            (0, 900),
+            (1, 900),
+        ] {
             sim.set_clock_skew(NodeId(node), offset);
             set.insert(node as usize, offset);
-            assert_eq!(sim.clock_skew_bound(), rule(&set, 3), "after {node} := {offset}");
+            assert_eq!(
+                sim.clock_skew_bound(),
+                rule(&set, 3),
+                "after {node} := {offset}"
+            );
         }
         assert_eq!(sim.clock_skew_bound(), 0);
     }
@@ -1673,7 +1783,10 @@ mod tests {
             fn on_message(&mut self, ctx: &mut Context<K>, from: NodeId, m: K) {
                 if self.hops > 0 {
                     self.hops -= 1;
-                    ctx.send(from, K((m.0 * 3 + ctx.id().index() + self.hops) % KINDS.len()));
+                    ctx.send(
+                        from,
+                        K((m.0 * 3 + ctx.id().index() + self.hops) % KINDS.len()),
+                    );
                 }
             }
         }
@@ -1685,7 +1798,11 @@ mod tests {
         sim.run_to_quiescence();
 
         let mut model: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-        for t in sim.trace().iter().filter(|t| matches!(t.event, TraceEvent::Send)) {
+        for t in sim
+            .trace()
+            .iter()
+            .filter(|t| matches!(t.event, TraceEvent::Send))
+        {
             let size = 10 + 7 * KINDS.iter().position(|k| *k == t.kind).expect("known kind");
             let row = model.entry(t.kind).or_default();
             row.0 += 1;
@@ -1725,7 +1842,11 @@ mod tests {
         sim.inject(NodeId(0), late, Msg::Ping(9), t0);
         sim.run_to_quiescence();
         assert_eq!(sim.node(late).pings_seen, 1);
-        assert_eq!(sim.node(NodeId(0)).pongs, 1, "the filter swallowed the pong");
+        assert_eq!(
+            sim.node(NodeId(0)).pongs,
+            1,
+            "the filter swallowed the pong"
+        );
         assert_eq!(sim.metrics().dropped_filter, 1);
 
         sim.clear_filter(late);

@@ -145,11 +145,17 @@ impl TraceEntry {
     /// figure output.
     pub fn render(&self) -> String {
         match self.event {
-            TraceEvent::Send => format!("{} {}→{} {} (send)", self.time, self.from, self.to, self.kind),
+            TraceEvent::Send => format!(
+                "{} {}→{} {} (send)",
+                self.time, self.from, self.to, self.kind
+            ),
             TraceEvent::Deliver => {
                 format!("{} {}→{} {}", self.time, self.from, self.to, self.kind)
             }
-            TraceEvent::Drop => format!("{} {}→{} {} (dropped)", self.time, self.from, self.to, self.kind),
+            TraceEvent::Drop => format!(
+                "{} {}→{} {} (dropped)",
+                self.time, self.from, self.to, self.kind
+            ),
             TraceEvent::Crash => format!("{} {} CRASH", self.time, self.from),
             TraceEvent::Restart => format!("{} {} RESTART", self.time, self.from),
         }
@@ -182,7 +188,12 @@ mod tests {
         let labels: Vec<&str> = CncPhase::ALL.iter().map(|p| p.label()).collect();
         assert_eq!(
             labels,
-            ["leader-election", "value-discovery", "agreement", "decision"]
+            [
+                "leader-election",
+                "value-discovery",
+                "agreement",
+                "decision"
+            ]
         );
     }
 
