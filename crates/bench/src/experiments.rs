@@ -40,7 +40,7 @@ use paxos::flexible::run_flexible;
 use paxos::livelock::run_duel;
 use paxos::{MultiPaxosCluster, PaxosNode, RetryPolicy};
 use raft::RaftCluster;
-use simnet::{DelayModel, NetConfig, NodeId, Sim, Time, TraceEvent};
+use simnet::{CncPhase, DelayModel, NetConfig, NodeId, Sim, Time, TraceEvent};
 use store::{RouterCrashPoint, Store, StoreConfig, ROUTER_BASE};
 
 use crate::artifact::{columns, markdown, Artifact};
@@ -349,11 +349,12 @@ pub fn f8_three_pc() -> Report {
     )
 }
 
-/// Runs `sim` until every commit protocol's termination or takeover round
-/// is over, and returns the C&C phase spans it emitted.
-fn spans_of<N: simnet::Node>(mut sim: Sim<N>) -> Vec<simnet::SpanEvent> {
+/// Runs `sim` with its trace recorded until every commit protocol's
+/// termination or takeover round is over, and returns the timeline.
+fn spans_of<N: simnet::Node>(mut sim: Sim<N>) -> Vec<simnet::TraceEntry> {
+    sim.record_trace(true);
     sim.run_until(Time::from_secs(2));
-    sim.spans().to_vec()
+    sim.trace().to_vec()
 }
 
 /// F9 — the C&C framework, read off the real protocols' spans: per run, one
@@ -379,18 +380,9 @@ pub fn f9_cnc() -> Report {
         ("Paxos Commit", "F = 1, leader lost", spans_of(lost)),
     ];
     let mut rows = Vec::new();
-    for (protocol, run, spans) in runs {
-        let mut rounds: Vec<(u64, Vec<&str>)> = Vec::new();
-        for span in spans {
-            if let simnet::SpanKind::Phase(phase) = span.kind {
-                match rounds.iter_mut().find(|(round, _)| *round == span.round) {
-                    Some((_, seen)) if seen.contains(&phase.label()) => {}
-                    Some((_, seen)) => seen.push(phase.label()),
-                    None => rounds.push((span.round, vec![phase.label()])),
-                }
-            }
-        }
-        for (round, phases) in rounds {
+    for (protocol, run, trace) in runs {
+        for (round, phases) in simnet::cnc_rounds(&trace) {
+            let phases: Vec<&str> = phases.iter().map(CncPhase::label).collect();
             rows.push(json!({"protocol": protocol, "run": run, "round": round, "phases": phases}));
         }
     }
@@ -1094,7 +1086,6 @@ pub fn all_experiments() -> Vec<Experiment> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::CncPhase;
 
     #[test]
     fn registry_is_complete_and_ids_match() {
@@ -1210,13 +1201,18 @@ mod tests {
             for cp in three_pc_crashes {
                 runs.push(spans_of(three_phase::build(&votes, cp, lan(), seed)));
             }
-            for spans in runs {
+            for trace in runs {
                 let mut last = BTreeMap::new();
-                for span in spans {
-                    let simnet::SpanKind::Phase(phase) = span.kind else {
+                for t in trace {
+                    let TraceEvent::Span {
+                        kind: simnet::SpanKind::Phase(phase),
+                        instance,
+                        round,
+                    } = t.event
+                    else {
                         continue;
                     };
-                    let key = (span.protocol, span.instance, span.round);
+                    let key = (t.kind, instance, round);
                     if let Some(before) = last.insert(key, phase) {
                         assert!(
                             before <= phase,

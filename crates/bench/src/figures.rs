@@ -88,14 +88,14 @@ fn compose<N: Node>(
     body.push_str("## Scenario\n\n");
     body.push_str(scenario);
     body.push_str("\n\n## Message flow\n\n");
-    let flow = render::mermaid_sequence(sim.trace(), sim.spans(), MAX_MSGS);
+    let flow = render::mermaid_sequence(sim.trace(), MAX_MSGS);
     body.push_str(&flow);
     body.push_str("\n## Span events\n\n");
     body.push_str(
         "The implementation tags its trace with the C&C framework's four \
          phases (leader election, value discovery, agreement, decision):\n\n",
     );
-    body.push_str(&render::span_excerpt(sim.spans(), MAX_SPANS));
+    body.push_str(&render::span_excerpt(sim.trace(), MAX_SPANS));
     body.push_str("\n## Measured\n\n");
     body.push_str(&render::metrics_table(sim.metrics()));
     if let Some(mechanism) = batching {
@@ -420,8 +420,8 @@ fn shard_metrics(s: &store::Store<paxos::MultiPaxosCluster>) -> Metrics {
         for (kind, sent, bytes) in sm.kinds() {
             m.add_kind(kind, sent, bytes);
         }
-        for (&k, &v) in &sm.phase_entries {
-            *m.phase_entries.entry(k).or_default() += v;
+        for (total, n) in m.phase_entries.iter_mut().zip(sm.phase_entries) {
+            *total += n;
         }
     }
     m
@@ -780,7 +780,7 @@ fn paxos_commit_page() -> FigurePage {
          `EXPERIMENTS.md` and the [store page](store.md).\n\n\
          ## Span events\n\n",
     );
-    body.push_str(&render::span_excerpt(crashed.spans(), MAX_SPANS));
+    body.push_str(&render::span_excerpt(crashed.trace(), MAX_SPANS));
     body.push_str("\n## Measured\n\nThe crashed-leader headline run:\n\n");
     body.push_str(&render::metrics_table(crashed.metrics()));
     page(
@@ -1057,7 +1057,7 @@ fn storage_page() -> FigurePage {
         "The consensus layer's C&C span tags are unchanged by durability — \
          the engine adds I/O accounting, not protocol steps:\n\n",
     );
-    body.push_str(&render::span_excerpt(cluster.sim.spans(), MAX_SPANS));
+    body.push_str(&render::span_excerpt(cluster.sim.trace(), MAX_SPANS));
     body.push_str("\n## Measured\n\n");
     body.push_str(&render::metrics_table(cluster.sim.metrics()));
     page("storage", "Durable storage engine", body)

@@ -1,6 +1,6 @@
 //! Renders simulation output into the Markdown/Mermaid figures under
-//! `docs/` — sequence diagrams from message traces, C&C phase annotations
-//! from span events, info-card tables from [`consensus_core::taxonomy`],
+//! `docs/` — sequence diagrams from recorded traces, annotated with the C&C
+//! phases their span entries carry, info-card tables from [`consensus_core::taxonomy`],
 //! and measured-metrics tables from [`simnet::Metrics`] — and owns the one
 //! markdown table writer, [`table`], that draws every table `bench` prints
 //! or writes.
@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 use consensus_core::taxonomy::{
     FailureModel, ParticipantAwareness, ProcessingStrategy, ProtocolCard,
 };
-use simnet::{CncPhase, Metrics, SpanEvent, SpanKind, Synchrony, TraceEntry, TraceEvent};
+use simnet::{CncPhase, Metrics, SpanKind, Synchrony, TraceEntry, TraceEvent};
 
 /// Draws a markdown table: the header, the separator, then one line per
 /// row. Every table `bench` prints or writes to `docs/` comes from here. A
@@ -33,55 +33,14 @@ pub fn table<H: AsRef<str>, C: AsRef<str>>(
     out
 }
 
-/// One merged timeline item: either a network trace entry or a span event.
-/// Ties go to the trace entry — the simulator records a delivery before the
-/// receiving callback emits its spans.
-enum Item<'a> {
-    Net(&'a TraceEntry),
-    Span(&'a SpanEvent),
-}
-
-fn merge<'a>(trace: &'a [TraceEntry], spans: &'a [SpanEvent]) -> Vec<Item<'a>> {
-    let mut out = Vec::with_capacity(trace.len() + spans.len());
-    let (mut i, mut j) = (0, 0);
-    while i < trace.len() || j < spans.len() {
-        let take_net = match (trace.get(i), spans.get(j)) {
-            (Some(t), Some(s)) => t.time <= s.time,
-            (Some(_), None) => true,
-            _ => false,
-        };
-        if take_net {
-            out.push(Item::Net(&trace[i]));
-            i += 1;
-        } else {
-            out.push(Item::Span(&spans[j]));
-            j += 1;
-        }
-    }
-    out
-}
-
-fn span_note(s: &SpanEvent) -> String {
-    match s.kind {
-        SpanKind::Open => format!("open {}/{} r{}", s.protocol, s.instance, s.round),
-        SpanKind::Phase(p) => format!("{} {}/{} r{}", p.label(), s.protocol, s.instance, s.round),
-        SpanKind::Close => format!("decided {}/{} r{}", s.protocol, s.instance, s.round),
-    }
-}
-
-/// Renders a message trace plus its span events as a Mermaid
-/// `sequenceDiagram`. Deliveries become arrows, drops become failed
-/// (`--x`) arrows, crashes/restarts and span events become notes. At most
-/// `max_msgs` message arrows are drawn; the rest are summarized in a final
-/// note so pages stay readable for chatty protocols.
-pub fn mermaid_sequence(trace: &[TraceEntry], spans: &[SpanEvent], max_msgs: usize) -> String {
-    let mut max_node = 0usize;
-    for t in trace {
-        max_node = max_node.max(t.from.index()).max(t.to.index());
-    }
-    for s in spans {
-        max_node = max_node.max(s.node.index());
-    }
+/// Renders a recorded trace as a Mermaid `sequenceDiagram`, in recorded
+/// order. Deliveries become arrows, drops become failed (`--x`) arrows,
+/// crashes/restarts and span entries become notes. At most `max_msgs`
+/// message arrows are drawn; the rest are summarized in a final note so
+/// pages stay readable for chatty protocols.
+pub fn mermaid_sequence(trace: &[TraceEntry], max_msgs: usize) -> String {
+    let nodes = trace.iter().map(|t| t.from.index().max(t.to.index()));
+    let max_node = nodes.max().unwrap_or(0);
 
     let mut out = String::from("```mermaid\nsequenceDiagram\n");
     for n in 0..=max_node {
@@ -90,43 +49,47 @@ pub fn mermaid_sequence(trace: &[TraceEntry], spans: &[SpanEvent], max_msgs: usi
 
     let mut msgs = 0usize;
     let mut truncated = 0usize;
-    for item in merge(trace, spans) {
-        match item {
-            Item::Net(t) => match t.event {
-                // Send events would draw every arrow twice; the delivery
-                // (or drop) is the interesting half.
-                TraceEvent::Send => {}
-                TraceEvent::Deliver | TraceEvent::Drop => {
-                    if msgs >= max_msgs {
-                        truncated += 1;
-                        continue;
-                    }
-                    msgs += 1;
-                    let arrow = if t.event == TraceEvent::Drop {
-                        "--x"
-                    } else {
-                        "->>"
-                    };
-                    let suffix = if t.event == TraceEvent::Drop {
-                        " (dropped)"
-                    } else {
-                        ""
-                    };
-                    let _ = writeln!(out, "    {}{arrow}{}: {}{suffix}", t.from, t.to, t.kind);
-                }
-                TraceEvent::Crash => {
-                    let _ = writeln!(out, "    Note over {}: CRASH", t.from);
-                }
-                TraceEvent::Restart => {
-                    let _ = writeln!(out, "    Note over {}: RESTART", t.from);
-                }
-            },
-            Item::Span(s) => {
+    for t in trace {
+        match t.event {
+            TraceEvent::Deliver | TraceEvent::Drop => {
                 if msgs >= max_msgs {
+                    truncated += 1;
                     continue;
                 }
-                let _ = writeln!(out, "    Note over {}: {}", s.node, span_note(s));
+                msgs += 1;
+                let (arrow, suffix) = if t.event == TraceEvent::Drop {
+                    ("--x", " (dropped)")
+                } else {
+                    ("->>", "")
+                };
+                let _ = writeln!(out, "    {}{arrow}{}: {}{suffix}", t.from, t.to, t.kind);
             }
+            TraceEvent::Crash => {
+                let _ = writeln!(out, "    Note over {}: CRASH", t.from);
+            }
+            TraceEvent::Restart => {
+                let _ = writeln!(out, "    Note over {}: RESTART", t.from);
+            }
+            TraceEvent::Span {
+                kind,
+                instance,
+                round,
+            } if msgs < max_msgs => {
+                let what = match kind {
+                    SpanKind::Open => "open",
+                    SpanKind::Phase(p) => p.label(),
+                    SpanKind::Close => "decided",
+                };
+                let (node, protocol) = (t.from, t.kind);
+                let _ = writeln!(
+                    out,
+                    "    Note over {node}: {what} {protocol}/{instance} r{round}"
+                );
+            }
+            // Send events would draw every arrow twice; the delivery (or
+            // drop) is the interesting half. Span notes stop with the last
+            // arrow drawn.
+            _ => {}
         }
     }
     if truncated > 0 {
@@ -246,10 +209,14 @@ pub fn complexity_table(cards: &[ProtocolCard]) -> String {
     table(&header, rows)
 }
 
-/// Renders the first `max` span events in their compact one-line form — a
-/// raw excerpt that shows exactly what the protocol emitted and when.
-pub fn span_excerpt(spans: &[SpanEvent], max: usize) -> String {
-    let lines: Vec<String> = spans.iter().map(SpanEvent::render).collect();
+/// Renders the first `max` span entries of a recorded trace in their
+/// compact one-line form — a raw excerpt that shows exactly what the
+/// protocol emitted and when.
+pub fn span_excerpt(trace: &[TraceEntry], max: usize) -> String {
+    let spans = trace
+        .iter()
+        .filter(|t| matches!(t.event, TraceEvent::Span { .. }));
+    let lines: Vec<String> = spans.map(TraceEntry::render).collect();
     excerpt(&lines, max, " span events")
 }
 
@@ -282,23 +249,32 @@ mod tests {
         }
     }
 
+    fn span(
+        us: u64,
+        node: usize,
+        protocol: &'static str,
+        instance: u64,
+        kind: SpanKind,
+    ) -> TraceEntry {
+        let event = TraceEvent::Span {
+            kind,
+            instance,
+            round: 1,
+        };
+        entry(us, event, node, node, protocol)
+    }
+
     #[test]
     fn mermaid_draws_deliveries_and_notes() {
+        let agreement = SpanKind::Phase(CncPhase::Agreement);
         let trace = vec![
             entry(10, TraceEvent::Send, 0, 1, "prepare"),
             entry(20, TraceEvent::Deliver, 0, 1, "prepare"),
+            span(20, 1, "paxos", 0, agreement),
             entry(30, TraceEvent::Drop, 0, 2, "prepare"),
             entry(40, TraceEvent::Crash, 2, 2, ""),
         ];
-        let spans = vec![SpanEvent {
-            time: Time(25),
-            node: NodeId(1),
-            protocol: "paxos",
-            instance: 0,
-            round: 1,
-            kind: SpanKind::Phase(CncPhase::Agreement),
-        }];
-        let md = mermaid_sequence(&trace, &spans, 50);
+        let md = mermaid_sequence(&trace, 50);
         assert!(md.starts_with("```mermaid\nsequenceDiagram\n"));
         assert!(md.contains("participant n2"));
         assert!(md.contains("n0->>n1: prepare"));
@@ -306,7 +282,7 @@ mod tests {
         assert!(md.contains("n0--xn2: prepare (dropped)"));
         assert!(md.contains("Note over n1: agreement paxos/0 r1"));
         assert!(md.contains("Note over n2: CRASH"));
-        // Span note lands between the delivery (t=20) and the drop (t=30).
+        // The span note follows the delivery whose handler emitted it.
         let deliver = md.find("n0->>n1").unwrap();
         let note = md.find("Note over n1").unwrap();
         let drop = md.find("n0--xn2").unwrap();
@@ -318,7 +294,7 @@ mod tests {
         let trace: Vec<TraceEntry> = (0..10)
             .map(|i| entry(i * 10, TraceEvent::Deliver, 0, 1, "m"))
             .collect();
-        let md = mermaid_sequence(&trace, &[], 3);
+        let md = mermaid_sequence(&trace, 3);
         assert_eq!(md.matches("n0->>n1").count(), 3);
         assert!(md.contains("7 more messages elided"));
     }
@@ -347,7 +323,7 @@ mod tests {
     fn metrics_table_lists_all_phases() {
         let mut m = Metrics::default();
         m.add_kind("accept", 5, 320);
-        m.phase_entries.insert("decision", 2);
+        m.phase_entries[CncPhase::Decision as usize] = 2;
         let md = metrics_table(&m);
         assert!(md.contains("| `accept` | 5 | 320 |"));
         assert!(md.contains("| decision | 2 |"));
@@ -365,18 +341,13 @@ mod tests {
 
     #[test]
     fn span_excerpt_truncates() {
-        let spans: Vec<SpanEvent> = (0..5)
-            .map(|i| SpanEvent {
-                time: Time(i),
-                node: NodeId(0),
-                protocol: "x",
-                instance: i,
-                round: 0,
-                kind: SpanKind::Open,
-            })
-            .collect();
-        let md = span_excerpt(&spans, 2);
+        let mut trace: Vec<TraceEntry> =
+            (0..5).map(|i| span(i, 0, "x", i, SpanKind::Open)).collect();
+        trace.insert(1, entry(0, TraceEvent::Deliver, 1, 0, "m"));
+        let md = span_excerpt(&trace, 2);
         assert!(md.contains("… 3 more span events"));
         assert_eq!(md.matches(" open").count(), 2);
+        assert!(md.contains("0.001ms n0 x/1 r1 open"), "{md}");
+        assert!(!md.contains("n1→n0"), "only span entries are excerpted");
     }
 }

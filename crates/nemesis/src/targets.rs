@@ -329,10 +329,7 @@ where
 
     fn trace_json(&self, seed: u64, plan: &FaultPlan) -> Option<String> {
         let cluster = self.drive(seed, plan, true);
-        Some(simnet::causal::export_events(
-            cluster.sim.trace(),
-            cluster.sim.spans(),
-        ))
+        Some(simnet::causal::export_events(cluster.sim.trace()))
     }
 }
 
@@ -432,7 +429,7 @@ impl<N: simnet::Node> Target for SimTarget<N> {
 
     fn trace_json(&self, seed: u64, plan: &FaultPlan) -> Option<String> {
         let sim = self.execute(seed, plan, true);
-        Some(simnet::causal::export_events(sim.trace(), sim.spans()))
+        Some(simnet::causal::export_events(sim.trace()))
     }
 }
 

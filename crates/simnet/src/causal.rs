@@ -1,10 +1,11 @@
 //! Causal distributed tracing: follow one request across nodes, messages,
 //! and disk flushes, then attribute its end-to-end latency to named buckets.
 //!
-//! The existing [`crate::SpanEvent`] layer tags *consensus instances* with
-//! C&C phases; this module tags *causal chains*. A [`TraceCtx`] rides in the
-//! message envelope: every send made while handling a traced delivery
-//! automatically inherits the delivery's context, so the simulator can
+//! The span entries of the simulator's trace ([`crate::TraceEvent::Span`])
+//! tag *consensus instances* with C&C phases; this module tags *causal
+//! chains*. A [`TraceCtx`] rides in the message envelope: every send made
+//! while handling a traced delivery automatically inherits the delivery's
+//! context, so the simulator can
 //! reconstruct "request → accept fan-out → ack → decide → reply" trees
 //! without any protocol cooperation. Protocols opt in further by opening
 //! root spans ([`crate::Context::trace_begin`]), recording queueing delay
@@ -23,7 +24,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::trace::{SpanEvent, SpanKind, TraceEntry, TraceEvent};
+use crate::trace::{TraceEntry, TraceEvent};
 
 /// Bucket names used for critical-path attribution. Every span carries one
 /// as its category; [`attribute_window`] reports time per bucket under
@@ -44,8 +45,6 @@ pub mod cat {
     pub const UNTRACED: &str = "untraced";
     /// A root (request-scope) span; a container, excluded from attribution.
     pub const OP: &str = "op";
-    /// An instantaneous annotation; excluded from attribution.
-    pub const MARK: &str = "mark";
 }
 
 /// The causal context carried in a message envelope: which trace the
@@ -114,18 +113,6 @@ impl Tracer {
         self.enabled
     }
 
-    /// The site tag.
-    pub fn site(&self) -> u32 {
-        self.site
-    }
-
-    /// Allocates a fresh span id: `(site + 1) << 40 | serial`, so ids from
-    /// different sites never collide and id 0 stays "none".
-    pub fn alloc_id(&mut self) -> u64 {
-        self.serial += 1;
-        ((u64::from(self.site) + 1) << 40) | self.serial
-    }
-
     /// Records a span and returns its id (0 when disabled).
     #[allow(clippy::too_many_arguments)]
     pub fn record(
@@ -141,8 +128,11 @@ impl Tracer {
         if !self.enabled {
             return 0;
         }
-        let id = self.alloc_id();
+        // A span id is `(site + 1) << 40 | serial`, so ids from different
+        // sites never collide and id 0 stays "none".
+        self.serial += 1;
         let site = self.site;
+        let id = ((u64::from(site) + 1) << 40) | self.serial;
         self.spans.push(CausalSpan {
             trace_id,
             id,
@@ -226,7 +216,7 @@ pub fn attribute_window(
     // Candidate spans: nonzero overlap with the window, attributable cat.
     let active: Vec<&CausalSpan> = spans
         .iter()
-        .filter(|s| s.cat != cat::OP && s.cat != cat::MARK)
+        .filter(|s| s.cat != cat::OP)
         .filter(|s| s.end > start && s.start < end && s.end > s.start)
         .collect();
     let mut cuts: Vec<u64> = Vec::with_capacity(active.len() * 2 + 2);
@@ -334,63 +324,38 @@ pub fn folded_stacks(spans: &[CausalSpan]) -> String {
     out
 }
 
-/// Renders a message trace plus span events as Chrome `trace_event` JSON —
-/// the generic exporter for sims without causal instrumentation (nemesis
-/// counterexample replays use it for every target). Message sends/delivers
-/// and span events become instant events (`ph:"i"`).
-pub fn export_events(trace: &[TraceEntry], spans: &[SpanEvent]) -> String {
-    #[derive(PartialEq, Eq, PartialOrd, Ord)]
-    struct Item {
-        ts: u64,
-        seq: usize,
-        tid: u32,
-        name: String,
-    }
-    let mut items: Vec<Item> = Vec::with_capacity(trace.len() + spans.len());
-    for (seq, t) in trace.iter().enumerate() {
+/// Renders a recorded trace as Chrome `trace_event` JSON — the generic
+/// exporter for sims without causal instrumentation (nemesis counterexample
+/// replays use it for every target). Every entry, message event or span,
+/// becomes an instant event (`ph:"i"`) in recorded order.
+pub fn export_events(trace: &[TraceEntry]) -> String {
+    let mut out = String::from("{\"traceEvents\":[");
+    for (i, t) in trace.iter().enumerate() {
         let verb = match t.event {
             TraceEvent::Send => "send",
             TraceEvent::Deliver => "deliver",
             TraceEvent::Drop => "drop",
             TraceEvent::Crash => "crash",
             TraceEvent::Restart => "restart",
+            TraceEvent::Span { .. } => "",
         };
-        let name = if t.kind.is_empty() {
-            verb.to_string()
-        } else {
-            format!("{verb}:{}:n{}→n{}", t.kind, t.from.0, t.to.0)
+        let name = match t.event {
+            TraceEvent::Span {
+                kind,
+                instance,
+                round,
+            } => format!("{}/{instance} r{round} {kind}", t.kind),
+            _ if t.kind.is_empty() => verb.to_string(),
+            _ => format!("{verb}:{}:n{}→n{}", t.kind, t.from.0, t.to.0),
         };
-        items.push(Item {
-            ts: t.time.0,
-            seq,
-            tid: t.to.0,
-            name,
-        });
-    }
-    for (seq, s) in spans.iter().enumerate() {
-        let what = match s.kind {
-            SpanKind::Open => "open".to_string(),
-            SpanKind::Phase(p) => format!("phase={}", p.label()),
-            SpanKind::Close => "close".to_string(),
-        };
-        items.push(Item {
-            ts: s.time.0,
-            seq: trace.len() + seq,
-            tid: s.node.0,
-            name: format!("{}/{} r{} {what}", s.protocol, s.instance, s.round),
-        });
-    }
-    items.sort();
-    let mut out = String::from("{\"traceEvents\":[");
-    for (i, it) in items.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":0,\"tid\":{}}}",
-            escape(&it.name),
-            it.ts,
-            it.tid
+            escape(&name),
+            t.time.0,
+            t.to.0
         ));
     }
     out.push_str("],\"displayTimeUnit\":\"ms\"}\n");

@@ -76,7 +76,7 @@ pub use node::{Context, Node, Payload, Timer, TimerId};
 pub use sim::{RunOutcome, Sim};
 pub use time::{NodeId, Time};
 pub use timer::LiveTimer;
-pub use trace::{CncPhase, SpanEvent, SpanKind, TraceEntry, TraceEvent};
+pub use trace::{cnc_rounds, CncPhase, SpanKind, TraceEntry, TraceEvent};
 
 /// Defines an enum of heterogeneous node roles (e.g. replicas and clients)
 /// that share a message type, and implements [`Node`] for it by delegation.

@@ -2,7 +2,7 @@
 //! columns of the taxonomy table (messages per consensus instance, bytes,
 //! phases observed on traces).
 
-use std::collections::BTreeMap;
+use crate::trace::CncPhase;
 
 /// A power-of-two-bucketed histogram of `u64` samples (latencies in µs,
 /// message sizes in bytes). Bucket `i` counts samples of bit length `i`
@@ -143,8 +143,9 @@ pub struct Metrics {
     /// End-to-end latency per consensus instance in µs: first `span_open` to
     /// first `span_close` of each `(protocol, instance)` pair.
     pub instance_latency: Histogram,
-    /// How many times each C&C phase was entered (phase label → count).
-    pub phase_entries: BTreeMap<&'static str, u64>,
+    /// How many times each C&C phase was entered, indexed by
+    /// `CncPhase as usize` (the order of [`CncPhase::ALL`]).
+    pub phase_entries: [u64; 4],
     /// `span_open` events seen (one per node per instance).
     pub spans_opened: u64,
     /// `span_close` events seen.
@@ -216,9 +217,10 @@ impl Metrics {
         rows
     }
 
-    /// Times the given C&C phase was entered.
+    /// Times the C&C phase with the given label was entered.
     pub fn phase(&self, label: &str) -> u64 {
-        self.phase_entries.get(label).copied().unwrap_or(0)
+        let at = CncPhase::ALL.iter().position(|p| p.label() == label);
+        at.map_or(0, |i| self.phase_entries[i])
     }
 
     /// Bytes sent for messages of one kind.
@@ -297,7 +299,7 @@ mod tests {
     #[test]
     fn phase_and_bytes_lookup() {
         let mut m = Metrics::default();
-        m.phase_entries.insert("agreement", 4);
+        m.phase_entries[CncPhase::Agreement as usize] = 4;
         m.add_kind("accept", 10, 640);
         assert_eq!(m.phase("agreement"), 4);
         assert_eq!(m.phase("decision"), 0);

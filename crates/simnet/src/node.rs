@@ -82,7 +82,9 @@ pub(crate) enum Effect<M> {
     Send { to: NodeId, msg: M, tc: Option<TraceCtx> },
     SetTimer { id: TimerId, delay: u64, kind: u64 },
     CancelTimer { id: TimerId },
-    Span { protocol: &'static str, instance: u64, round: u64, kind: SpanKind },
+    /// `(protocol, instance, round, kind)`, as [`Context::span_open`] names
+    /// them.
+    Span(&'static str, u64, u64, SpanKind),
     Batch(u64),
     Stop,
 }
@@ -217,8 +219,9 @@ impl<M: Payload> Context<'_, M> {
     /// `(protocol, instance)` identifies the instance (e.g. a Multi-Paxos
     /// slot or a blockchain height); `round` is the protocol's round /
     /// ballot / view / term. The simulator timestamps the event, appends it
-    /// to the span trace, and uses the *first* open across all nodes as the
-    /// instance's start time for latency accounting.
+    /// to the trace when one is recorded ([`crate::Sim::record_trace`]), and
+    /// uses the *first* open across all nodes as the instance's start time
+    /// for latency accounting, recorded or not.
     ///
     /// ```
     /// use simnet::{Sim, Node, Context, NodeId, NetConfig, Payload, CncPhase};
@@ -240,40 +243,26 @@ impl<M: Payload> Context<'_, M> {
     ///
     /// let mut sim: Sim<Solo> = Sim::new(NetConfig::synchronous(), 7);
     /// sim.add_node(Solo);
+    /// sim.record_trace(true);
     /// sim.run_to_quiescence();
-    /// assert_eq!(sim.spans().len(), 3);
+    /// assert_eq!(sim.trace().len(), 3);
     /// assert_eq!(sim.metrics().phase("decision"), 1);
     /// assert_eq!(sim.metrics().instance_latency.count(), 1);
     /// ```
     pub fn span_open(&mut self, protocol: &'static str, instance: u64, round: u64) {
-        self.effects.push(Effect::Span {
-            protocol,
-            instance,
-            round,
-            kind: SpanKind::Open,
-        });
+        self.effects.push(Effect::Span(protocol, instance, round, SpanKind::Open));
     }
 
     /// Marks this node entering a C&C phase within an instance. See
     /// [`Context::span_open`] for the identification scheme.
     pub fn phase(&mut self, protocol: &'static str, instance: u64, round: u64, phase: CncPhase) {
-        self.effects.push(Effect::Span {
-            protocol,
-            instance,
-            round,
-            kind: SpanKind::Phase(phase),
-        });
+        self.effects.push(Effect::Span(protocol, instance, round, SpanKind::Phase(phase)));
     }
 
     /// Marks this node learning the decision for an instance. The first
     /// close across all nodes ends the instance for latency accounting.
     pub fn span_close(&mut self, protocol: &'static str, instance: u64, round: u64) {
-        self.effects.push(Effect::Span {
-            protocol,
-            instance,
-            round,
-            kind: SpanKind::Close,
-        });
+        self.effects.push(Effect::Span(protocol, instance, round, SpanKind::Close));
     }
 
     // ---- causal tracing -------------------------------------------------

@@ -12,7 +12,7 @@ use crate::fault::{Filter, FilterAction};
 use crate::metrics::{DropCause, Metrics};
 use crate::node::{Context, Effect, Node, Payload, Timer, TimerId};
 use crate::time::{NodeId, Time};
-use crate::trace::{SpanEvent, SpanKind, TraceEntry, TraceEvent};
+use crate::trace::{SpanKind, TraceEntry, TraceEvent};
 
 /// Why a `run_*` call returned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -118,7 +118,6 @@ pub struct Sim<N: Node> {
     timers: TimerLedger,
     metrics: Metrics,
     trace: Option<Vec<TraceEntry>>,
-    spans: Vec<SpanEvent>,
     /// First `span_open` time of instances that have not yet closed.
     open_instances: BTreeMap<(&'static str, u64), Time>,
     /// `partition[i]` = group id of node i; `None` = fully connected.
@@ -150,7 +149,6 @@ impl<N: Node> Sim<N> {
             timers: TimerLedger::default(),
             metrics: Metrics::default(),
             trace: None,
-            spans: Vec::new(),
             open_instances: BTreeMap::new(),
             partition: None,
             partition_plans: Vec::new(),
@@ -223,20 +221,17 @@ impl<N: Node> Sim<N> {
         &self.metrics
     }
 
-    /// Enables (or disables) trace recording for figure output.
+    /// Enables (or disables) trace recording for figure output. Turning it
+    /// on starts an empty trace.
     pub fn record_trace(&mut self, on: bool) {
         self.trace = if on { Some(Vec::new()) } else { None };
     }
 
-    /// The recorded trace, if enabled.
+    /// The recorded timeline — message events, crashes and restarts, and the
+    /// protocols' span events, in the order they happened. Empty unless
+    /// [`Sim::record_trace`] is on.
     pub fn trace(&self) -> &[TraceEntry] {
         self.trace.as_deref().unwrap_or(&[])
-    }
-
-    /// Span events emitted by protocol code, in emission order. Always
-    /// recorded (unlike the message trace, spans are few and cheap).
-    pub fn spans(&self) -> &[SpanEvent] {
-        &self.spans
     }
 
     /// Enables causal-trace recording under the given site tag (which keeps
@@ -439,12 +434,7 @@ impl<N: Node> Sim<N> {
                     );
                 }
                 Effect::CancelTimer { id } => self.timers.cancel(id),
-                Effect::Span {
-                    protocol,
-                    instance,
-                    round,
-                    kind,
-                } => {
+                Effect::Span(protocol, instance, round, kind) => {
                     self.record_span(from, protocol, instance, round, kind);
                 }
                 Effect::Batch(size) => self.metrics.batch_size.record(size),
@@ -626,9 +616,10 @@ impl<N: Node> Sim<N> {
         );
     }
 
-    /// Appends a span event and folds it into the metrics: phase entries
-    /// are counted, and the first open / first close of each `(protocol,
-    /// instance)` pair bound its end-to-end latency.
+    /// Folds a span event into the metrics — phase entries are counted,
+    /// and the first open / first close of each `(protocol, instance)` pair
+    /// bound its end-to-end latency — and appends it to the trace when one
+    /// is recorded.
     fn record_span(
         &mut self,
         node: NodeId,
@@ -644,9 +635,7 @@ impl<N: Node> Sim<N> {
                     .entry((protocol, instance))
                     .or_insert(self.now);
             }
-            SpanKind::Phase(phase) => {
-                *self.metrics.phase_entries.entry(phase.label()).or_insert(0) += 1;
-            }
+            SpanKind::Phase(phase) => self.metrics.phase_entries[phase as usize] += 1,
             SpanKind::Close => {
                 self.metrics.spans_closed += 1;
                 if let Some(opened) = self.open_instances.remove(&(protocol, instance)) {
@@ -654,14 +643,12 @@ impl<N: Node> Sim<N> {
                 }
             }
         }
-        self.spans.push(SpanEvent {
-            time: self.now,
-            node,
-            protocol,
+        let event = TraceEvent::Span {
+            kind,
             instance,
             round,
-            kind,
-        });
+        };
+        self.push_trace(event, node, node, protocol);
     }
 
     fn push_trace(&mut self, event: TraceEvent, from: NodeId, to: NodeId, kind: &'static str) {
@@ -1302,7 +1289,7 @@ mod tests {
 
     #[test]
     fn spans_record_phases_and_instance_latency() {
-        use crate::trace::{CncPhase, SpanKind};
+        use crate::trace::CncPhase;
 
         #[derive(Clone, Debug)]
         struct Go(u64);
@@ -1331,15 +1318,25 @@ mod tests {
         let mut sim: Sim<Spanner> = Sim::new(NetConfig::synchronous(), 3);
         sim.add_node(Spanner);
         sim.add_node(Spanner);
+        sim.record_trace(true);
         sim.run_to_quiescence();
 
-        let spans = sim.spans();
-        assert_eq!(spans.len(), 4);
-        assert_eq!(spans[0].kind, SpanKind::Open);
-        assert_eq!(spans[0].node, NodeId(0));
-        assert_eq!(spans[3].kind, SpanKind::Close);
-        assert_eq!(spans[3].node, NodeId(1));
-        assert!(spans[3].time > spans[0].time);
+        // One timeline, in the order things happened: node 1's spans follow
+        // the delivery whose handler emitted them.
+        let lines: Vec<String> = sim.trace().iter().map(TraceEntry::render).collect();
+        let at = |i: usize| sim.trace()[i].time;
+        assert_eq!(
+            lines,
+            [
+                format!("{} n0 toy/5 r1 open", at(0)),
+                format!("{} n0 toy/5 r1 phase=agreement", at(0)),
+                format!("{} n0→n1 go (send)", at(0)),
+                format!("{} n0→n1 go", at(3)),
+                format!("{} n1 toy/5 r1 phase=decision", at(3)),
+                format!("{} n1 toy/5 r1 close", at(3)),
+            ]
+        );
+        assert!(at(3) > at(0));
 
         let m = sim.metrics();
         assert_eq!(m.spans_opened, 1);
@@ -1347,7 +1344,7 @@ mod tests {
         assert_eq!(m.phase("agreement"), 1);
         assert_eq!(m.phase("decision"), 1);
         assert_eq!(m.instance_latency.count(), 1);
-        let delay = (spans[3].time.0 - spans[0].time.0) as f64;
+        let delay = (at(3).0 - at(0).0) as f64;
         assert_eq!(m.instance_latency.mean(), delay);
         // Message-size histogram saw the one routed message.
         assert_eq!(m.msg_size.count(), 1);
@@ -1357,7 +1354,9 @@ mod tests {
         // does not double-count latency.
         sim.inject(NodeId(0), NodeId(1), Go(5), sim.now() + 10);
         sim.run_to_quiescence();
+        assert_eq!(sim.metrics().spans_closed, 2);
         assert_eq!(sim.metrics().instance_latency.count(), 1);
+        assert_eq!(sim.trace().len(), 9);
     }
 
     #[test]

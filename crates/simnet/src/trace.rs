@@ -1,15 +1,17 @@
-//! Optional event trace, used by the benchmark harness to regenerate the
-//! tutorial's message-flow figures (who sent what to whom, when), plus the
-//! structured *span* events protocols emit to tag which phase of the C&C
-//! framework they are executing.
+//! The optional event trace: one timeline per run, recorded only under
+//! [`crate::Sim::record_trace`], from which the benchmark harness
+//! regenerates the tutorial's message-flow figures.
 //!
-//! Message events ([`TraceEntry`]) are recorded by the simulator itself;
-//! span events ([`SpanEvent`]) are emitted explicitly by protocol code via
+//! The simulator records message events (send, deliver, drop) and crash /
+//! restart itself. Protocol code adds *span* entries via
 //! [`crate::Context::span_open`] / [`crate::Context::phase`] /
-//! [`crate::Context::span_close`] and let the figure renderer annotate a raw
-//! message flow with protocol-level structure: which consensus instance a
-//! message belongs to, what round/view it is in, and which of the four
-//! canonical phases the node is executing.
+//! [`crate::Context::span_close`], which tag the flow with protocol-level
+//! structure: which consensus instance a message belongs to, what
+//! round/view it is in, and which of the four canonical C&C phases the node
+//! is executing. Both land in the one [`TraceEntry`] stream in the order
+//! they happened, so a span entry follows the delivery whose handler
+//! emitted it. Spans are folded into [`crate::Metrics`] on every run either
+//! way.
 
 use std::fmt;
 
@@ -62,7 +64,7 @@ impl fmt::Display for CncPhase {
     }
 }
 
-/// What a [`SpanEvent`] marks.
+/// What a span entry ([`TraceEvent::Span`]) marks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpanKind {
     /// A node started working on a consensus instance.
@@ -73,40 +75,13 @@ pub enum SpanKind {
     Close,
 }
 
-/// A structured, phase-tagged event emitted by protocol code.
-///
-/// `(protocol, instance)` identifies one consensus instance — e.g.
-/// `("multi-paxos", 3)` is slot 3 of a Multi-Paxos log. `round` carries the
-/// protocol's round/ballot/view/term number, whichever notion it has.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// When the event was emitted.
-    pub time: Time,
-    /// The emitting node.
-    pub node: NodeId,
-    /// Protocol name (stable, lowercase, e.g. `"raft"`, `"pbft"`).
-    pub protocol: &'static str,
-    /// Consensus-instance number (slot, height, sequence number).
-    pub instance: u64,
-    /// Round / ballot / view / term within the instance.
-    pub round: u64,
-    /// What this event marks.
-    pub kind: SpanKind,
-}
-
-impl SpanEvent {
-    /// Renders the event in the compact one-line form used by figure output,
-    /// e.g. `1.500ms n0 pbft/3 r2 phase=agreement`.
-    pub fn render(&self) -> String {
-        let what = match self.kind {
-            SpanKind::Open => "open".to_string(),
-            SpanKind::Phase(p) => format!("phase={p}"),
-            SpanKind::Close => "close".to_string(),
-        };
-        format!(
-            "{} {} {}/{} r{} {}",
-            self.time, self.node, self.protocol, self.instance, self.round, what
-        )
+impl fmt::Display for SpanKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpanKind::Open => f.write_str("open"),
+            SpanKind::Phase(p) => write!(f, "phase={p}"),
+            SpanKind::Close => f.write_str("close"),
+        }
     }
 }
 
@@ -123,6 +98,19 @@ pub enum TraceEvent {
     Crash,
     /// A node restarted.
     Restart,
+    /// A node emitted a phase-tagged span event: `from == to ==` the node
+    /// and the entry's `kind` is the protocol label (stable, lowercase, e.g.
+    /// `"raft"`). `(protocol, instance)` identifies one consensus instance —
+    /// e.g. `("multi-paxos", 3)` is slot 3 of a Multi-Paxos log; `round` is
+    /// the protocol's round/ballot/view/term number, whichever it has.
+    Span {
+        /// What the event marks.
+        kind: SpanKind,
+        /// Consensus-instance number (slot, height, sequence number).
+        instance: u64,
+        /// Round / ballot / view / term within the instance.
+        round: u64,
+    },
 }
 
 /// One line of the trace.
@@ -136,51 +124,106 @@ pub struct TraceEntry {
     pub from: NodeId,
     /// Destination node (for crash/restart: the node itself).
     pub to: NodeId,
-    /// Message kind label (empty for crash/restart).
+    /// Message kind label (empty for crash/restart; the protocol label for
+    /// a span).
     pub kind: &'static str,
 }
 
 impl TraceEntry {
-    /// Renders the entry in the compact `t=… n0→n2 prepare` form used by the
-    /// figure output.
+    /// Renders the entry in the compact one-line form used by the figure
+    /// output: `1.500ms n0→n2 prepare` for a delivery, `1.500ms n0 pbft/3 r2
+    /// phase=agreement` for a span.
     pub fn render(&self) -> String {
+        let (t, from, to, kind) = (self.time, self.from, self.to, self.kind);
         match self.event {
-            TraceEvent::Send => format!(
-                "{} {}→{} {} (send)",
-                self.time, self.from, self.to, self.kind
-            ),
-            TraceEvent::Deliver => {
-                format!("{} {}→{} {}", self.time, self.from, self.to, self.kind)
-            }
-            TraceEvent::Drop => format!(
-                "{} {}→{} {} (dropped)",
-                self.time, self.from, self.to, self.kind
-            ),
-            TraceEvent::Crash => format!("{} {} CRASH", self.time, self.from),
-            TraceEvent::Restart => format!("{} {} RESTART", self.time, self.from),
+            TraceEvent::Send => format!("{t} {from}→{to} {kind} (send)"),
+            TraceEvent::Deliver => format!("{t} {from}→{to} {kind}"),
+            TraceEvent::Drop => format!("{t} {from}→{to} {kind} (dropped)"),
+            TraceEvent::Crash => format!("{t} {from} CRASH"),
+            TraceEvent::Restart => format!("{t} {from} RESTART"),
+            TraceEvent::Span {
+                kind: mark,
+                instance,
+                round,
+            } => format!("{t} {from} {kind}/{instance} r{round} {mark}"),
         }
     }
+}
+
+/// The C&C phases a timeline's span entries carry, per round: rounds in
+/// the order they first appear, each listing its phases once, in the order
+/// first entered.
+pub fn cnc_rounds(trace: &[TraceEntry]) -> Vec<(u64, Vec<CncPhase>)> {
+    let mut rounds: Vec<(u64, Vec<CncPhase>)> = Vec::new();
+    for t in trace {
+        let TraceEvent::Span {
+            kind: SpanKind::Phase(phase),
+            round,
+            ..
+        } = t.event
+        else {
+            continue;
+        };
+        match rounds.iter_mut().find(|(r, _)| *r == round) {
+            Some((_, seen)) if seen.contains(&phase) => {}
+            Some((_, seen)) => seen.push(phase),
+            None => rounds.push((round, vec![phase])),
+        }
+    }
+    rounds
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn span(time: u64, round: u64, kind: SpanKind) -> TraceEntry {
+        TraceEntry {
+            time: Time(time),
+            event: TraceEvent::Span {
+                kind,
+                instance: 3,
+                round,
+            },
+            from: NodeId(0),
+            to: NodeId(0),
+            kind: "pbft",
+        }
+    }
+
     #[test]
     fn span_render_forms() {
-        let mut e = SpanEvent {
-            time: Time(1500),
-            node: NodeId(0),
-            protocol: "pbft",
-            instance: 3,
-            round: 2,
-            kind: SpanKind::Phase(CncPhase::Agreement),
+        let phase = SpanKind::Phase(CncPhase::Agreement);
+        assert_eq!(
+            span(1500, 2, phase).render(),
+            "1.500ms n0 pbft/3 r2 phase=agreement"
+        );
+        let open = span(1500, 2, SpanKind::Open);
+        assert_eq!(open.render(), "1.500ms n0 pbft/3 r2 open");
+        let close = span(1500, 2, SpanKind::Close);
+        assert_eq!(close.render(), "1.500ms n0 pbft/3 r2 close");
+    }
+
+    #[test]
+    fn cnc_rounds_lists_each_phase_once_per_round_in_first_seen_order() {
+        use CncPhase::{Agreement, Decision, LeaderElection};
+        let deliver = TraceEntry {
+            event: TraceEvent::Deliver,
+            ..span(0, 0, SpanKind::Open)
         };
-        assert_eq!(e.render(), "1.500ms n0 pbft/3 r2 phase=agreement");
-        e.kind = SpanKind::Open;
-        assert_eq!(e.render(), "1.500ms n0 pbft/3 r2 open");
-        e.kind = SpanKind::Close;
-        assert_eq!(e.render(), "1.500ms n0 pbft/3 r2 close");
+        let trace = [
+            span(1, 1, SpanKind::Open),
+            span(2, 1, SpanKind::Phase(Agreement)),
+            deliver,
+            span(3, 0, SpanKind::Phase(Decision)),
+            span(4, 1, SpanKind::Phase(LeaderElection)),
+            span(5, 1, SpanKind::Phase(Agreement)),
+            span(6, 1, SpanKind::Close),
+        ];
+        assert_eq!(
+            cnc_rounds(&trace),
+            [(1, vec![Agreement, LeaderElection]), (0, vec![Decision])]
+        );
     }
 
     #[test]

@@ -16,28 +16,27 @@ use forty::atomic_commit::three_phase::{self, CrashPoint};
 use forty::atomic_commit::paxos_commit;
 use forty::paxos::livelock::run_duel;
 use forty::paxos::{PaxosNode, RetryPolicy};
-use forty::simnet::{DropAll, NetConfig, Node, NodeId, Sim, SpanKind, Time, TraceEvent};
+use forty::simnet::{self, DropAll, NetConfig, Node, NodeId, Sim, Time, TraceEvent};
 
-/// Runs `sim` to a settled state and lists the C&C phases its spans carry:
-/// per round, in the order the round first appears, each phase once.
+/// Runs `sim` to a settled state and lists the C&C phases its recorded
+/// trace carries: per round, in the order the round first appears, each
+/// phase once.
 fn phases<N: Node>(mut sim: Sim<N>) -> String {
     sim.run_until(Time::from_secs(2));
-    let mut rounds: Vec<(u64, Vec<&str>)> = Vec::new();
-    for span in sim.spans() {
-        let SpanKind::Phase(phase) = span.kind else {
-            continue;
-        };
-        match rounds.iter_mut().find(|(round, _)| *round == span.round) {
-            Some((_, seen)) if seen.contains(&phase.label()) => {}
-            Some((_, seen)) => seen.push(phase.label()),
-            None => rounds.push((span.round, vec![phase.label()])),
-        }
-    }
-    let rounds: Vec<String> = rounds
+    let rounds: Vec<String> = simnet::cnc_rounds(sim.trace())
         .iter()
-        .map(|(round, seen)| format!("r{round}: {}", seen.join(" → ")))
+        .map(|(round, seen)| {
+            let seen: Vec<&str> = seen.iter().map(|p| p.label()).collect();
+            format!("r{round}: {}", seen.join(" → "))
+        })
         .collect();
     rounds.join("; ")
+}
+
+/// Turns trace recording on before a run.
+fn traced<N: Node>(mut sim: Sim<N>) -> Sim<N> {
+    sim.record_trace(true);
+    sim
 }
 
 fn main() {
@@ -85,16 +84,18 @@ fn main() {
     println!();
     println!("── 3. C&C framework: the phases each protocol's own spans report, per round");
     let (lan, votes) = (NetConfig::lan, [true; 3]);
-    let mut lost_leader = paxos_commit::build(&votes, 1, lan(), 5);
+    let mut lost_leader = traced(paxos_commit::build(&votes, 1, lan(), 5));
     lost_leader.set_filter(NodeId(0), Box::new(DropAll));
     lost_leader.crash_at(NodeId(0), Time(0));
-    let three_pc = |cp| three_phase::build(&votes, cp, lan(), 5);
+    let three_pc = |cp| traced(three_phase::build(&votes, cp, lan(), 5));
+    let commit = |f| traced(paxos_commit::build(&votes, f, lan(), 5));
+    // The Paxos run of section 1 has recorded its trace from the start.
     for (name, seen) in [
         ("Paxos", phases(sim)),
-        ("2PC (Paxos Commit F=0)", phases(paxos_commit::build(&votes, 0, lan(), 5))),
+        ("2PC (Paxos Commit F=0)", phases(commit(0))),
         ("3PC", phases(three_pc(CrashPoint::None))),
         ("3PC, coordinator crash", phases(three_pc(CrashPoint::AfterVotes))),
-        ("Paxos Commit F=1", phases(paxos_commit::build(&votes, 1, lan(), 5))),
+        ("Paxos Commit F=1", phases(commit(1))),
         ("Paxos Commit F=1, leader lost", phases(lost_leader)),
     ] {
         println!("   {name:<30} {seen}");

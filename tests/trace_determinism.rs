@@ -1,4 +1,5 @@
-//! Exported-trace determinism and schema validity.
+//! Exported-trace determinism and schema validity, and a run's outcome
+//! being independent of whether its trace is recorded.
 //!
 //! The causal trace is part of the reproducible artifact chain: the same
 //! seed must export byte-identical Chrome `trace_event` JSON (and folded
@@ -7,9 +8,13 @@
 //! µs timestamps, `pid` = tracer site, `tid` = node, and the causal ids
 //! in `args`.
 
-use forty::paxos::MultiPaxosCluster;
+use forty::bft::pbft::Pbft;
+use forty::consensus_core::driver::{ClusterDriver, DecidedEntry};
+use forty::consensus_core::{Cluster, SmrProtocol};
+use forty::paxos::{MultiPaxos, MultiPaxosCluster};
+use forty::raft::Raft;
 use forty::simnet::causal::{chrome_trace, folded_stacks};
-use forty::simnet::Time;
+use forty::simnet::{NetConfig, Time, TraceEvent};
 use forty::store::{Store, StoreConfig};
 
 const SEED: u64 = 41;
@@ -85,4 +90,76 @@ fn chrome_trace_export_matches_the_trace_event_schema() {
             "non-numeric self time in {line:?}"
         );
     }
+}
+
+/// What recording the trace must not move: the counters messages, timers
+/// and span events feed, and the decided log.
+fn outcome<P: SmrProtocol>(c: &Cluster<P>) -> (Vec<u64>, Vec<DecidedEntry>)
+where
+    P::Shape: From<usize>,
+{
+    let m = c.sim.metrics();
+    let mut counters = vec![
+        m.sent,
+        m.delivered,
+        m.timer_fires,
+        m.spans_opened,
+        m.spans_closed,
+        m.instance_latency.count(),
+    ];
+    counters.extend(m.phase_entries);
+    (counters, c.decided_log())
+}
+
+/// Runs `n` replicas and eight clients one event at a time, with the trace recorded or not. When
+/// recorded, each step's new entries are one handler's: a delivery's come
+/// right after it, and every span among them is the receiver's.
+fn stepped<P: SmrProtocol>(n: usize, record: bool) -> Cluster<P>
+where
+    P::Shape: From<usize>,
+{
+    let mut c = Cluster::<P>::new(n.into(), 8, 20, NetConfig::lan(), SEED);
+    c.sim.record_trace(record);
+    c.sim.run_until(Time::ZERO);
+    while !c.all_done() && c.sim.now() < Time::from_secs(30) {
+        let (from, delivered) = (c.sim.trace().len(), c.sim.metrics().delivered);
+        assert!(c.sim.step(), "{}: queue drained", P::NAME);
+        let [first, rest @ ..] = &c.sim.trace()[from..] else {
+            continue;
+        };
+        if c.sim.metrics().delivered == delivered {
+            continue;
+        }
+        assert_eq!(first.event, TraceEvent::Deliver, "{}", first.render());
+        for t in rest {
+            if let TraceEvent::Span { .. } = t.event {
+                let at = (t.from, t.time);
+                assert_eq!(at, (first.to, first.time), "{} after {}", t.render(), first.render());
+            }
+        }
+    }
+    assert!(c.all_done(), "{}: workload did not finish", P::NAME);
+    c
+}
+
+fn recording_changes_nothing<P: SmrProtocol>(n: usize)
+where
+    P::Shape: From<usize>,
+{
+    let off = stepped::<P>(n, false);
+    let on = stepped::<P>(n, true);
+    assert_eq!(outcome(&off), outcome(&on), "{}", P::NAME);
+    assert!(off.sim.trace().is_empty(), "{}", P::NAME);
+    let m = on.sim.metrics();
+    let phases: u64 = m.phase_entries.iter().sum();
+    let spans = on.sim.trace().iter();
+    let spans = spans.filter(|t| matches!(t.event, TraceEvent::Span { .. }));
+    assert_eq!(spans.count() as u64, m.spans_opened + m.spans_closed + phases);
+}
+
+#[test]
+fn recording_the_trace_leaves_counters_and_decided_log_unchanged() {
+    recording_changes_nothing::<MultiPaxos>(5);
+    recording_changes_nothing::<Raft>(5);
+    recording_changes_nothing::<Pbft>(4);
 }
