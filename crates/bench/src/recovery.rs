@@ -110,9 +110,9 @@ pub fn cold_restart_cell(
                 engine,
                 threshold,
                 disk,
-                recovered_floor: r.disk.durable.recovered_floor,
-                records_replayed: r.disk.durable.last_recovery_replayed,
-                recovery_io_us: r.disk.durable.last_recovery_io_us,
+                recovered_floor: r.disk.recovered_floor,
+                records_replayed: r.disk.last_recovery_replayed,
+                recovery_io_us: r.disk.last_recovery_io_us,
                 checkpoints: s.snapshots_written,
                 wal_appends: s.wal_appends,
                 total_io_us: s.io_time_us,

@@ -12,12 +12,13 @@ use simnet::{
     CausalSpan, Context, DiskModel, DropAll, Filter, Metrics, NetConfig, Node, NodeId, Payload,
     RunOutcome, Sim, Time, Timer,
 };
+use storage::DurableEngine;
 
 use crate::client::{Accept, Client, Envelope, Session};
 use crate::driver::{BatchConfig, ByzantineWindow, ClusterDriver, DecidedEntry, DriverConfig};
+use crate::durable::Disk;
 use crate::history::{ClientRecord, HistorySink};
 use crate::quorum::QuorumSpec;
-use crate::shell::Disk;
 use crate::smr::{DedupKvMachine, ReplicatedLog, Slot, SmrOp, StateMachine};
 use crate::workload::{LatencyRecorder, WorkloadMode};
 
@@ -292,7 +293,7 @@ impl<P: DurableProtocol> Cluster<P> {
     /// checkpointing, and real crash recovery all activate.
     #[must_use]
     pub fn with_durability(self, threshold: usize, model: DiskModel) -> Self {
-        self.map_replicas(|r| P::disk(r).attach(threshold, model))
+        self.map_replicas(|r| P::disk(r).attach(threshold, DurableEngine::new(model)))
     }
 }
 

@@ -22,9 +22,11 @@
 //!   replicated log, and deterministic state machines (key-value store,
 //!   counter).
 //! * [`codec`] and [`durable`] — the bytes of the shell's types, and the
-//!   replicated log's one durable format over a `storage` engine: the WAL
-//!   records Multi-Paxos and Raft both write, the snapshot header, the
-//!   restore step, and the engine handle as the apply step's index.
+//!   replicated log's durable side over a `storage` engine: the WAL records
+//!   Multi-Paxos and Raft both write, the snapshot header, and the one
+//!   handle a log replica holds its engine through, [`durable::Disk`] —
+//!   log, sync, checkpoint, restore, state install, the decision table,
+//!   and the apply step's index.
 //! * [`workload`] — deterministic client workload generators and latency
 //!   recording shared by all protocol crates and the bench harness.
 //! * [`driver`] — the unified [`ClusterDriver`] API (construct from seed,
@@ -42,9 +44,8 @@
 //!   replica, client policies, [`ClusterShape`], `decided_log` shape — and
 //!   nothing else.
 //! * [`shell`] — the replica half of that shell for the two log protocols,
-//!   Multi-Paxos and Raft: request intake, the fast-read path that parks and
-//!   answers a read once its protocol confirmed it, and the durable side with
-//!   its checkpoint bookkeeping and state install.
+//!   Multi-Paxos and Raft: request intake and the fast-read path that parks
+//!   and answers a read once its protocol confirmed it.
 //! * [`txn`] — shared transaction types for the sharded store
 //!   (`forty-store`): transaction ids and outcomes, and the log-entry
 //!   encoding of the Gray–Lamport 2PC-over-consensus construction, including

@@ -23,8 +23,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use consensus_core::cluster::decided_slots;
 use consensus_core::codec::{put_op, wire_size};
 use consensus_core::driver::{BatchConfig, DecidedEntry, Wave};
+use consensus_core::durable::{Disk, Restored, WalRecord};
 use consensus_core::quorum::Phase;
-use consensus_core::shell::{self, peers, replica_ids, Disk, Reads};
+use consensus_core::shell::{self, peers, replica_ids, Reads};
 use consensus_core::smr::Slot;
 use consensus_core::{
     Ballot, Client, ClientMsg, Cluster, Command, DedupKvMachine, DurableProtocol, Envelope,
@@ -32,8 +33,6 @@ use consensus_core::{
     SmrProtocol, Tally, Target,
 };
 use simnet::{CncPhase, Context, LiveTimer, Node, NodeId, Payload, Time, Timer};
-
-use consensus_core::durable::{self, encode_record, encode_snapshot, WalRecord};
 
 /// Span protocol label; instances are log indices.
 const SPAN: &str = "multi-paxos";
@@ -266,7 +265,7 @@ impl Replica {
 
     /// Storage counters, when a durable engine is attached.
     pub fn storage_stats(&self) -> Option<storage::StorageStats> {
-        self.disk.durable.engine().map(|e| e.stats())
+        self.disk.stats()
     }
 
     fn arm_election_timer(&mut self, ctx: &mut Context<Wire>) {
@@ -429,18 +428,15 @@ impl Replica {
         }
         self.log.record(index, op);
         let mut replies = Vec::new();
-        while let Some((i, resolved)) = self
-            .log
-            .apply_decided(durable::index(&mut self.disk.durable), |cmd, out| {
-                replies.push((cmd.client, cmd.seq, out))
-            })
-        {
+        while let Some((i, resolved)) = self.log.apply_decided(self.disk.index(), |cmd, out| {
+            replies.push((cmd.client, cmd.seq, out))
+        }) {
             self.retire_proposal(i);
             if resolved {
                 // WAL-before-decision: the slot resolved a transaction
                 // decision record — its dedicated WAL entry must be on disk
                 // before the reply that releases the transaction leaves.
-                self.disk.durable.sync(ctx);
+                self.disk.sync(ctx);
             }
             for (client, seq, output) in replies.drain(..) {
                 if let Some(client_node) = self.pending_reply.remove(&(client, seq)) {
@@ -496,20 +492,17 @@ impl Replica {
             _ => None,
         });
         let live = promise.into_iter().chain(accepts).chain(decides);
-        self.disk.durable.checkpoint(
-            || encode_snapshot(log.machine(), applied, 0),
-            live.map(|rec| encode_record(&rec)),
-        );
+        self.disk.checkpoint(log.machine(), applied, 0, live);
     }
 
-    /// Crash recovery: install the checkpoint [`durable::restore`] loaded,
-    /// then replay the WAL in order. Everything the pre-durability model
-    /// declared axiomatically durable (promised, accepted, the log) is
-    /// rebuilt here from actual on-disk bytes — and the disk charges for
-    /// every read, which is what recovery-time experiments measure.
-    fn recover_from(&mut self, ctx: &mut Context<Wire>, restored: durable::Restored) {
+    /// Crash recovery: replay, in order, the WAL records [`Disk::restore`]
+    /// handed back over the checkpoint it installed. Everything the
+    /// pre-durability model declared axiomatically durable (promised,
+    /// accepted, the log) is rebuilt here from actual on-disk bytes — and
+    /// the disk charges for every read, which is what recovery-time
+    /// experiments measure.
+    fn recover_from(&mut self, ctx: &mut Context<Wire>, restored: Restored) {
         self.acceptor = Register::default();
-        self.log.install(restored.machine, restored.index);
         self.snapshot_floor = restored.index;
         for rec in restored.records {
             match rec {
@@ -527,7 +520,7 @@ impl Replica {
                 rec => panic!("Multi-Paxos never logs {rec:?}"),
             }
         }
-        self.disk.durable.recovered(self.snapshot_floor);
+        self.disk.recovered(self.snapshot_floor);
     }
 
     /// Whether an unexpired lease (or post-restart grace period, when
@@ -626,7 +619,7 @@ impl Node for Replica {
                     if rose {
                         self.disk.log(|| WalRecord::Promise { ballot });
                     }
-                    self.disk.durable.sync(ctx); // promise durable before the ack leaves
+                    self.disk.sync(ctx); // promise durable before the ack leaves
                     self.arm_election_timer(ctx);
                     let entries: Vec<(usize, Ballot, SmrOp)> = (self.acceptor.accepted_since(low))
                         .map(|(i, (b, op))| (i, *b, op.clone()))
@@ -698,7 +691,7 @@ impl Node for Replica {
                         ballot,
                         op: op.clone(),
                     });
-                    self.disk.durable.sync(ctx); // accept durable before the ack leaves
+                    self.disk.sync(ctx); // accept durable before the ack leaves
                     let stored = self.acceptor.accept(ballot, index, op);
                     debug_assert_eq!(stored, Ok(false), "the promise was taken above");
                     self.arm_election_timer(ctx);
@@ -750,7 +743,7 @@ impl Node for Replica {
                                     index,
                                     op: op.clone(),
                                 });
-                                self.disk.durable.sync(ctx);
+                                self.disk.sync(ctx);
                             }
                             ctx.send_many(
                                 peers(self.spec.n(), ctx.id()),
@@ -781,7 +774,7 @@ impl Node for Replica {
                         index,
                         op: op.clone(),
                     });
-                    self.disk.durable.sync(ctx); // decision durable before it applies
+                    self.disk.sync(ctx); // decision durable before it applies
                 }
                 self.on_decided(ctx, index, op.clone());
                 // Decisions are also (implicitly) accepted state.
@@ -927,7 +920,7 @@ impl Node for Replica {
             self.lease_holder = None;
             self.lease_until = Time(ctx.local_now().0 + LEASE_US);
         }
-        if let Some(restored) = durable::restore(&mut self.disk.durable) {
+        if let Some(restored) = self.disk.restore(&mut self.log) {
             // Durable mode: promised/accepted/log exist only as WAL records
             // and checkpoints. Rebuild them the honest way.
             self.recover_from(ctx, restored);
@@ -1025,6 +1018,7 @@ mod tests {
     use consensus_core::driver::{ClusterDriver, DriverConfig};
     use consensus_core::{StateMachine as _, Str, WorkloadMode};
     use simnet::{DiskModel, NetConfig};
+    use storage::DurableEngine;
 
     fn majority_cluster(n: usize, clients: usize, cmds: usize, seed: u64) -> MultiPaxosCluster {
         MultiPaxosCluster::new(
@@ -1137,7 +1131,8 @@ mod tests {
 
     fn durable_replica() -> Replica {
         let mut r = Replica::new(QuorumSpec::Majority { n: 3 });
-        r.disk.attach(usize::MAX, DiskModel::ssd());
+        r.disk
+            .attach(usize::MAX, DurableEngine::new(DiskModel::ssd()));
         r
     }
 
@@ -1164,20 +1159,11 @@ mod tests {
         // that no longer describe the index.
         r.log.record(3, cmd(2, range()));
         let mut applied = 0;
-        while r
-            .log
-            .apply_decided(durable::index(&mut r.disk.durable), |_, _| {})
-            .is_some()
-        {
+        while r.log.apply_decided(r.disk.index(), |_, _| {}).is_some() {
             applied += 1;
         }
         assert_eq!(applied, 4);
-        let index = r
-            .disk
-            .durable
-            .engine_mut()
-            .expect("attached above")
-            .scan("a", "z");
+        let index = r.disk.engine_mut().expect("attached above").scan("a", "z");
         assert_eq!(index.len(), 2);
     }
 
@@ -1566,7 +1552,7 @@ mod tests {
             panic!("node 2 is a replica")
         };
         assert!(
-            r.disk.durable.recovered_floor > 0,
+            r.disk.recovered_floor > 0,
             "recovery replayed from slot 0 instead of the snapshot"
         );
         assert_eq!(
@@ -1577,7 +1563,7 @@ mod tests {
         let stats = r.storage_stats().expect("durable engine");
         assert_eq!(stats.recoveries, 1);
         assert!(
-            r.disk.durable.last_recovery_io_us > 0,
+            r.disk.last_recovery_io_us > 0,
             "recovery must charge disk time"
         );
         cluster.check_log_consistency();
@@ -1656,7 +1642,7 @@ mod tests {
         let Proc::Replica(r) = cluster.sim.node_mut(laggard) else {
             panic!("node 2 is a replica")
         };
-        let mirrored = r.disk.durable.engine_mut().expect("durable").scan("", "~");
+        let mirrored = r.disk.engine_mut().expect("durable").scan("", "~");
         assert_eq!(mirrored.len(), 1, "the laggard mirrored the put");
 
         // Cut the laggard off, delete the key, and push its peers' floor
@@ -1683,7 +1669,7 @@ mod tests {
         let Proc::Replica(r) = cluster.sim.node_mut(laggard) else {
             panic!("node 2 is a replica")
         };
-        let keys: Vec<String> = (r.disk.durable.engine_mut().expect("durable").scan("", "~"))
+        let keys: Vec<String> = (r.disk.engine_mut().expect("durable").scan("", "~"))
             .into_iter()
             .map(|(key, _)| key)
             .collect();

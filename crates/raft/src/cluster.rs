@@ -1,7 +1,7 @@
 //! Raft as a log protocol of the SMR shell, plus its end-to-end tests.
 
 use consensus_core::driver::{BatchConfig, DecidedEntry};
-use consensus_core::shell::Disk;
+use consensus_core::durable::Disk;
 use consensus_core::{
     Client, Cluster, DedupKvMachine, DurableProtocol, Quorum, Session, Silence, SmrProtocol, Target,
 };
@@ -528,14 +528,14 @@ mod tests {
             panic!("node 2 is a replica")
         };
         assert!(
-            r.disk.durable.recovered_floor > 0,
+            r.disk.recovered_floor > 0,
             "recovery replayed from index 0 instead of the snapshot"
         );
         assert_eq!(r.machine().digest(), digest_before, "state must survive");
         let stats = r.storage_stats().expect("durable engine");
         assert_eq!(stats.recoveries, 1);
         assert!(
-            r.disk.durable.last_recovery_io_us > 0,
+            r.disk.last_recovery_io_us > 0,
             "recovery must charge disk time"
         );
         cluster.check_log_matching();

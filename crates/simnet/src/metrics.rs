@@ -141,7 +141,11 @@ pub struct Metrics {
     /// Distribution of individual message sizes in bytes.
     pub msg_size: Histogram,
     /// End-to-end latency per consensus instance in µs: first `span_open` to
-    /// first `span_close` of each `(protocol, instance)` pair.
+    /// first `span_close` of each `(protocol, instance)` pair. An instance is
+    /// the protocol's own unit, which batching makes unequal: one Raft log
+    /// entry (one command) against one Multi-Paxos slot or one PBFT sequence
+    /// number (one batch each), so on batched runs neither this nor
+    /// `spans_opened` compares across protocols.
     pub instance_latency: Histogram,
     /// How many times each C&C phase was entered, indexed by
     /// `CncPhase as usize` (the order of [`CncPhase::ALL`]).

@@ -23,7 +23,7 @@
 //! accepts, 2PC decisions. The engine cannot enforce ordering for its
 //! caller, but `recover` makes violations visible: whatever was not synced
 //! is simply not there after a crash. The log protocols keep the invariant
-//! through one handle, [`crate::Durable`].
+//! through one handle, `consensus_core::durable::Disk`.
 
 use simnet::DiskModel;
 use std::collections::BTreeMap;

@@ -24,10 +24,12 @@
 //!   layers program against, with [`MemEngine`] (the historical in-memory
 //!   map, perfectly durable, zero latency) and [`DurableEngine`] (the full
 //!   stack) as implementations.
-//! * [`Durable`] ([`durable`]) — the handle a log replica holds its engine
-//!   through: record logging, dirty-gated group commit charged to the causal
-//!   trace, checkpoint, crash restart and the decision table, written once
-//!   for Multi-Paxos and Raft.
+//!
+//! A log replica holds its engine through one handle, `Disk`, which lives
+//! beside the record format it writes in `consensus_core::durable`: record
+//! logging, dirty-gated group commit charged to the causal trace,
+//! checkpoint, crash restore and the decision table. This crate holds only
+//! the engines and knows nothing of what a record means.
 //!
 //! The crash model matches the simulator's: [`StorageEngine::crash`] drops
 //! exactly the volatile state (pool frames, unflushed WAL tail), and
@@ -39,13 +41,11 @@ pub mod btree;
 pub mod buffer;
 pub mod codec;
 pub mod disk;
-pub mod durable;
 pub mod engine;
 pub mod wal;
 
 pub use btree::BTree;
 pub use buffer::BufferPool;
 pub use disk::{DiskStats, SimDisk, PAGE_SIZE};
-pub use durable::Durable;
 pub use engine::{DurableEngine, MemEngine, Recovery, StorageEngine, StorageStats};
 pub use wal::Wal;

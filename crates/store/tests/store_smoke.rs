@@ -234,7 +234,7 @@ fn durable_paxos_store_survives_replica_crash_restart() {
         let r = e.replicas().nth(2).expect("replica 2 exists");
         let stats = r.storage_stats().expect("durable engine attached");
         assert_eq!(stats.recoveries, 1, "replica 2 must have recovered once");
-        assert!(r.disk.durable.last_recovery_io_us > 0, "recovery must charge disk time");
+        assert!(r.disk.last_recovery_io_us > 0, "recovery must charge disk time");
     }
 }
 
@@ -280,7 +280,7 @@ fn durable_coordinator_shard_recovers_in_flight_decision() {
         1
     );
     assert_eq!(
-        r.disk.durable.txn_decisions().get(dec_key.as_str()).map(|v| &**v),
+        r.disk.txn_decisions().get(dec_key.as_str()).map(|v| &**v),
         Some("commit"),
         "restarted replica must recover the in-flight decision"
     );
@@ -288,7 +288,7 @@ fn durable_coordinator_shard_recovers_in_flight_decision() {
     // first-class WAL record.
     assert!(s.shards()[coord]
         .replicas()
-        .any(|r| r.disk.durable.txn_decisions_logged > 0));
+        .any(|r| r.disk.txn_decisions_logged > 0));
 }
 
 #[test]
@@ -327,7 +327,7 @@ fn durable_raft_store_survives_replica_crash_restart() {
         let r = e.replicas().nth(2).expect("replica 2 exists");
         let stats = r.storage_stats().expect("durable engine attached");
         assert_eq!(stats.recoveries, 1, "replica 2 must have recovered once");
-        assert!(r.disk.durable.last_recovery_io_us > 0, "recovery must charge disk time");
+        assert!(r.disk.last_recovery_io_us > 0, "recovery must charge disk time");
     }
 }
 

@@ -333,7 +333,7 @@ fn paxos_decides(cmds: &[Command<KvCommand>]) -> (Option<Str>, Option<String>) {
         panic!("node 2 is a replica")
     };
     let machine = r.log.machine().kv().get("k").cloned();
-    (machine, r.disk.durable.engine_mut().expect("durable").get("k"))
+    (machine, r.disk.engine_mut().expect("durable").get("k"))
 }
 
 /// Raft's node 2 is sent `cmds` by its leader as entries after its log and
@@ -364,7 +364,7 @@ fn raft_commits(cmds: &[Command<KvCommand>]) -> (Option<Str>, Option<String>) {
         panic!("node 2 is a replica")
     };
     let machine = r.machine().kv().get("k").cloned();
-    (machine, r.disk.durable.engine_mut().expect("durable").get("k"))
+    (machine, r.disk.engine_mut().expect("durable").get("k"))
 }
 
 /// c1: Put k=a, c2: Put k=b, then c1's retransmission decided again at a

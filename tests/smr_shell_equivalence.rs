@@ -515,7 +515,7 @@ macro_rules! durable_side {
             fn eat_durable(&self, h: &mut Fnv) {
                 use std::fmt::Write;
                 let s = self.storage_stats().expect("durable engine attached");
-                let d = &self.disk.durable;
+                let d = &self.disk;
                 for v in [
                     s.disk_reads,
                     s.disk_writes,
@@ -547,7 +547,7 @@ macro_rules! durable_side {
             }
 
             fn index(&mut self) -> Vec<(String, String)> {
-                let engine = self.disk.durable.engine_mut().expect("durable engine attached");
+                let engine = self.disk.engine_mut().expect("durable engine attached");
                 engine.scan("", "\u{10FFFF}")
             }
 
