@@ -416,10 +416,7 @@ mod tests {
     fn profiles_declare_synchrony() {
         assert_eq!(NetConfig::synchronous().synchrony, Synchrony::Synchronous);
         assert_eq!(NetConfig::lan().synchrony, Synchrony::PartiallySynchronous);
-        assert_eq!(
-            NetConfig::asynchronous().synchrony,
-            Synchrony::Asynchronous
-        );
+        assert_eq!(NetConfig::asynchronous().synchrony, Synchrony::Asynchronous);
         assert_eq!(NetConfig::asynchronous().delay.bound(), None);
     }
 

@@ -73,7 +73,9 @@ pub struct Equivocate<M> {
 impl<M: Clone> Equivocate<M> {
     /// An equivocator with no lies registered yet (delivers everything).
     pub fn new() -> Self {
-        Equivocate { variants: Vec::new() }
+        Equivocate {
+            variants: Vec::new(),
+        }
     }
 
     /// Registers the payload `to` should receive instead of the truth.

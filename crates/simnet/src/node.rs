@@ -79,9 +79,19 @@ pub trait Node {
 /// after the callback returns.
 #[derive(Debug)]
 pub(crate) enum Effect<M> {
-    Send { to: NodeId, msg: M, tc: Option<TraceCtx> },
-    SetTimer { id: TimerId, delay: u64, kind: u64 },
-    CancelTimer { id: TimerId },
+    Send {
+        to: NodeId,
+        msg: M,
+        tc: Option<TraceCtx>,
+    },
+    SetTimer {
+        id: TimerId,
+        delay: u64,
+        kind: u64,
+    },
+    CancelTimer {
+        id: TimerId,
+    },
     /// `(protocol, instance, round, kind)`, as [`Context::span_open`] names
     /// them.
     Span(&'static str, u64, u64, SpanKind),
@@ -178,7 +188,10 @@ impl<M: Payload> Context<'_, M> {
     /// Broadcasts to every *other* node.
     pub fn broadcast(&mut self, msg: M) {
         let me = self.node;
-        self.send_many((0..self.n_nodes).map(NodeId::from).filter(|&to| to != me), msg);
+        self.send_many(
+            (0..self.n_nodes).map(NodeId::from).filter(|&to| to != me),
+            msg,
+        );
     }
 
     /// Broadcasts to every node *including* self.
@@ -250,19 +263,26 @@ impl<M: Payload> Context<'_, M> {
     /// assert_eq!(sim.metrics().instance_latency.count(), 1);
     /// ```
     pub fn span_open(&mut self, protocol: &'static str, instance: u64, round: u64) {
-        self.effects.push(Effect::Span(protocol, instance, round, SpanKind::Open));
+        self.effects
+            .push(Effect::Span(protocol, instance, round, SpanKind::Open));
     }
 
     /// Marks this node entering a C&C phase within an instance. See
     /// [`Context::span_open`] for the identification scheme.
     pub fn phase(&mut self, protocol: &'static str, instance: u64, round: u64, phase: CncPhase) {
-        self.effects.push(Effect::Span(protocol, instance, round, SpanKind::Phase(phase)));
+        self.effects.push(Effect::Span(
+            protocol,
+            instance,
+            round,
+            SpanKind::Phase(phase),
+        ));
     }
 
     /// Marks this node learning the decision for an instance. The first
     /// close across all nodes ends the instance for latency accounting.
     pub fn span_close(&mut self, protocol: &'static str, instance: u64, round: u64) {
-        self.effects.push(Effect::Span(protocol, instance, round, SpanKind::Close));
+        self.effects
+            .push(Effect::Span(protocol, instance, round, SpanKind::Close));
     }
 
     // ---- causal tracing -------------------------------------------------
@@ -295,7 +315,9 @@ impl<M: Payload> Context<'_, M> {
         }
         let node = self.node.0;
         let now = self.now.0;
-        let id = self.tracer.record(0, 0, node, name.to_string(), cat::OP, now, now);
+        let id = self
+            .tracer
+            .record(0, 0, node, name.to_string(), cat::OP, now, now);
         // A root's trace id is its own span id; fix it up post-allocation.
         self.tracer.retag_root(id);
         let tc = TraceCtx {
