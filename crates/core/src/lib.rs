@@ -44,8 +44,10 @@
 //!   replica, client policies, [`ClusterShape`], `decided_log` shape — and
 //!   nothing else.
 //! * [`shell`] — the replica half of that shell for the two log protocols,
-//!   Multi-Paxos and Raft: request intake and the fast-read path that parks
-//!   and answers a read once its protocol confirmed it.
+//!   Multi-Paxos and Raft: request intake, the fast-read path that parks
+//!   and answers a read once its protocol confirmed it, and
+//!   [`shell::Core`], what both replicas hold and do alike around their log
+//!   (apply with decision sync and reply, restart and restore, install).
 //! * [`txn`] — shared transaction types for the sharded store
 //!   (`forty-store`): transaction ids and outcomes, and the log-entry
 //!   encoding of the Gray–Lamport 2PC-over-consensus construction, including

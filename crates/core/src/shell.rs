@@ -5,6 +5,16 @@
 //! written here once. Their durable side is [`crate::durable::Disk`], beside
 //! the record format it writes.
 //!
+//! **The applied half.** [`Core`] is what both replicas hold alike: the
+//! applied log, the disk, the parked reads, the proposer wave, who awaits
+//! each command's reply, the election timer and the checkpoint floor. Its
+//! steps are the ones both took the same way: apply one decided entry, sync
+//! a decision it resolved and reply ([`Core::apply`]), restart and restore
+//! ([`Core::restart`]), the common half of a state install
+//! ([`Core::install`]) and the checkpoint trigger. Election, ack counting,
+//! the commit rule, catch-up and each protocol's checkpoint records and
+//! replay stay with the protocol.
+//!
 //! **Request intake.** [`intake`] answers a [`ClientMsg::Request`] this
 //! replica will not order — `NotLeader` with the caller's hint, or the dedup
 //! table's cached reply — and hands a new command back. [`in_flight`] is the
@@ -21,10 +31,23 @@
 
 use std::collections::BTreeMap;
 
-use simnet::{Context, NodeId, Payload};
+use simnet::{Context, LiveTimer, NodeId, Payload};
+use storage::StorageStats;
 
 use crate::client::{ClientMsg, Envelope};
-use crate::smr::{Command, DedupKvMachine, KvCommand, Log, ReadMode, Str};
+use crate::driver::{BatchConfig, Wave};
+use crate::durable::{Disk, Restored};
+use crate::smr::{
+    Command, DedupKvMachine, KvCommand, KvResponse, Log, ReadMode, ReplicatedLog, SmrOp, Str,
+};
+
+/// A log replica's context: its protocol's messages `P` beside the client's.
+type Ctx<'a, P> = Context<'a, Envelope<P>>;
+
+/// Timer kind of a log replica's election timer, [`Core::election`].
+pub const ELECTION: u64 = 1;
+/// Timer kind of a log replica's batch flush timer, armed by [`Core::wave`].
+pub const FLUSH: u64 = 3;
 
 /// Node ids `0..n` — every replica, as a multicast target list. Protocol
 /// multicast must target this set, not the whole simulation: clients share
@@ -158,18 +181,136 @@ impl Reads {
             !ready
         });
     }
+}
 
-    /// Drops every parked read: the restart forgot them.
-    pub fn clear(&mut self) {
-        self.parked.clear();
+/// What a Multi-Paxos and a Raft replica hold and do alike, around the log
+/// their own protocol decides. `T` is what the leader's wave queues.
+#[derive(Debug)]
+pub struct Core<T> {
+    /// The applied side: the state machine and the entries it reflects.
+    pub log: ReplicatedLog<DedupKvMachine>,
+    /// The durable side: every record a message reveals goes to its WAL
+    /// before the message leaves.
+    pub disk: Disk,
+    /// Fast reads parked until their index applies.
+    pub reads: Reads,
+    /// The leader's work not yet proposed, flushed on [`FLUSH`] timers.
+    pub wave: Wave<T>,
+    /// The one live election timer, of kind [`ELECTION`].
+    pub election: LiveTimer,
+    /// The applied length the last checkpoint or install reflects: entries
+    /// below it are compacted away.
+    pub floor: usize,
+    /// Who submitted each command this node ordered, by `(client, seq)`:
+    /// whoever applies it replies to that sender.
+    replies: BTreeMap<(u32, u64), NodeId>,
+    /// The replies of the entry being applied, held until its decision is
+    /// synced. Empty between calls; kept to reuse its buffer.
+    out: Vec<(u32, u64, KvResponse)>,
+}
+
+impl<T> Core<T> {
+    /// An empty log over a detached disk that checkpoints every `threshold`
+    /// applied entries; reads served are answered as `reads`.
+    pub fn new(batch: BatchConfig, threshold: usize, reads: ReadMode) -> Self {
+        Core {
+            log: ReplicatedLog::new(),
+            disk: Disk::new(threshold),
+            reads: Reads::new(reads),
+            wave: Wave::new(batch, FLUSH),
+            election: LiveTimer::default(),
+            floor: 0,
+            replies: BTreeMap::new(),
+            out: Vec::new(),
+        }
+    }
+
+    /// Storage counters, when a durable engine is attached.
+    pub fn storage_stats(&self) -> Option<StorageStats> {
+        self.disk.stats()
+    }
+
+    /// The replicated state machine.
+    pub fn machine(&self) -> &DedupKvMachine {
+        self.log.machine()
+    }
+
+    /// Records `from` as the sender to answer once `cmd` applies here.
+    pub fn await_reply(&mut self, cmd: &Command<KvCommand>, from: NodeId) {
+        self.replies.insert((cmd.client, cmd.seq), from);
+    }
+
+    /// Applies `op` as the entry at the frontier (through
+    /// [`ReplicatedLog::apply`]), syncs a transaction decision it resolved,
+    /// then replies to each command's recorded sender: WAL before decision.
+    pub fn apply<P: Payload>(&mut self, ctx: &mut Ctx<'_, P>, op: &SmrOp) {
+        let (out, index) = (&mut self.out, self.disk.index());
+        let reply = |c: &Command<KvCommand>, r| out.push((c.client, c.seq, r));
+        let resolved = self.log.apply(op, index, reply);
+        self.release(ctx, resolved);
+    }
+
+    /// [`Core::apply`] for the decided slot at the frontier of a log with
+    /// holes; returns its index, or `None` while the frontier is undecided.
+    pub fn apply_decided<P: Payload>(&mut self, ctx: &mut Ctx<'_, P>) -> Option<usize> {
+        let (out, index) = (&mut self.out, self.disk.index());
+        let reply = |c: &Command<KvCommand>, r| out.push((c.client, c.seq, r));
+        let (slot, resolved) = self.log.apply_decided(index, reply)?;
+        self.release(ctx, resolved);
+        Some(slot)
+    }
+
+    /// Syncs a resolved decision, then sends the replies a sender awaits.
+    fn release<P: Payload>(&mut self, ctx: &mut Ctx<'_, P>, resolved: bool) {
+        if resolved {
+            self.disk.sync(ctx);
+        }
+        for (client, seq, output) in self.out.drain(..) {
+            if let Some(to) = self.replies.remove(&(client, seq)) {
+                ctx.send(to, Envelope::Client(ClientMsg::Reply { seq, output }));
+            }
+        }
+    }
+
+    /// Whether the log applied a checkpoint threshold past [`Core::floor`];
+    /// counts the checkpoint the caller then takes and moves the floor to.
+    pub fn checkpoint_due(&mut self) -> bool {
+        self.disk.checkpoint_due(self.log.applied_len(), self.floor)
+    }
+
+    /// The common half of a state transfer: the log takes a peer's
+    /// `machine` as the state of its first `at` entries through
+    /// [`Disk::install`], the floor moves to `at`, and parked reads that
+    /// state satisfies are answered. The caller drops what the install
+    /// absorbed and checkpoints.
+    pub fn install(&mut self, ctx: &mut Ctx<'_, impl Payload>, machine: DedupKvMachine, at: usize) {
+        self.disk.install(&mut self.log, machine, at);
+        self.floor = at;
+        self.reads.serve(ctx, &self.log);
+    }
+
+    /// A restart: forgets the replies owed, parked reads, the wave and the
+    /// election timer, then restores through [`Disk::restore`], which
+    /// installs the checkpoint into the log; the floor moves to it. The
+    /// caller replays the records that come back, then calls
+    /// [`Disk::recovered`]. `None` when detached: the log stays in place.
+    pub fn restart(&mut self) -> Option<Restored> {
+        self.replies.clear();
+        self.reads.parked.clear();
+        self.wave.reset();
+        self.election.fired();
+        let restored = self.disk.restore(&mut self.log)?;
+        self.floor = restored.index;
+        Some(restored)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::smr::{KvResponse, SmrOp};
+    use crate::smr::{KvResponse, StateMachine};
     use simnet::{NetConfig, Node, Sim};
+    use storage::MemEngine;
 
     /// What a test tells the replica under test, beside client traffic.
     #[derive(Clone, Debug)]
@@ -178,6 +319,8 @@ mod tests {
         Confirm((u32, u64), Option<usize>),
         /// `op` is decided at the frontier and applies.
         Apply(SmrOp),
+        /// A leader queues an item in its wave.
+        Queue,
         /// The replica restarted.
         Restart,
     }
@@ -188,13 +331,12 @@ mod tests {
     /// records the client messages that reach it.
     enum Probe {
         Replica {
-            log: Log,
-            reads: Reads,
+            core: Box<Core<()>>,
             /// Where the next client read parks.
             park_at: Option<usize>,
             /// `Some` while the replica does not lead.
             hint: Option<NodeId>,
-            /// Commands [`intake`] handed back.
+            /// Commands [`intake`] handed back; the core awaits their reply.
             handed: Vec<Command<KvCommand>>,
         },
         Recorder(Vec<ClientMsg>),
@@ -207,8 +349,7 @@ mod tests {
 
         fn on_message(&mut self, ctx: &mut Context<Envelope<Step>>, from: NodeId, msg: Self::Msg) {
             let Probe::Replica {
-                log,
-                reads,
+                core,
                 park_at,
                 hint,
                 handed,
@@ -224,29 +365,37 @@ mod tests {
             };
             match msg {
                 Envelope::Client(ClientMsg::Read { client, seq, key }) => {
-                    reads.park(from, (client, seq), key, *park_at);
-                    reads.serve(ctx, log);
+                    core.reads.park(from, (client, seq), key, *park_at);
+                    core.reads.serve(ctx, &core.log);
                 }
                 Envelope::Client(ClientMsg::Request(cmd)) => {
-                    handed.extend(intake(ctx, from, cmd, log.machine(), *hint));
+                    if let Some(cmd) = intake(ctx, from, cmd, core.machine(), *hint) {
+                        core.await_reply(&cmd, from);
+                        handed.push(cmd);
+                    }
                 }
-                Envelope::Peer(Step::Confirm(id, at)) => reads.confirm(ctx, log, id, at),
+                Envelope::Peer(Step::Confirm(id, at)) => core.reads.confirm(ctx, &core.log, id, at),
                 Envelope::Peer(Step::Apply(op)) => {
-                    log.decide(log.applied_len(), op);
-                    reads.serve(ctx, log);
+                    core.apply(ctx, &op);
+                    core.reads.serve(ctx, &core.log);
                 }
-                Envelope::Peer(Step::Restart) => reads.clear(),
+                Envelope::Peer(Step::Queue) => core.wave.push(ctx, ()),
+                Envelope::Peer(Step::Restart) => assert!(core.restart().is_none(), "detached"),
                 Envelope::Client(other) => panic!("a replica never receives {other:?}"),
             }
         }
     }
 
-    /// The replica under test and three recorders, on a fixed-delay network.
-    fn rig() -> Sim<Probe> {
+    /// The replica under test over `disk`'s engine, if any, and three
+    /// recorders, on a fixed-delay network.
+    fn rig_over(disk: Option<MemEngine>) -> Sim<Probe> {
         let mut sim = Sim::new(NetConfig::synchronous(), 1);
+        let mut core = Core::new(BatchConfig::unbatched(), usize::MAX, ReadMode::ReadIndex);
+        if let Some(engine) = disk {
+            core.disk.attach(usize::MAX, engine);
+        }
         sim.add_node(Probe::Replica {
-            log: Log::new(),
-            reads: Reads::new(ReadMode::ReadIndex),
+            core: Box::new(core),
             park_at: None,
             hint: None,
             handed: Vec::new(),
@@ -255,6 +404,11 @@ mod tests {
             sim.add_node(Probe::Recorder(Vec::new()));
         }
         sim
+    }
+
+    /// A detached replica under test and three recorders.
+    fn rig() -> Sim<Probe> {
+        rig_over(None)
     }
 
     /// Delivers `msg` from node `from` to the replica and lets every reply land.
@@ -281,6 +435,13 @@ mod tests {
 
     fn apply(sim: &mut Sim<Probe>, cmd: Command<KvCommand>) {
         deliver(sim, 3, Envelope::Peer(Step::Apply(SmrOp::Cmd(cmd))));
+    }
+
+    fn core(sim: &Sim<Probe>) -> &Core<()> {
+        let Probe::Replica { core, .. } = sim.node(NodeId(0)) else {
+            unreachable!()
+        };
+        core
     }
 
     fn replica(sim: &mut Sim<Probe>) -> (&mut Option<usize>, &mut Option<NodeId>) {
@@ -316,6 +477,82 @@ mod tests {
             other => panic!("not a read reply: {other:?}"),
         };
         got(sim, node).iter().map(brief).collect()
+    }
+
+    /// The command replies node `node` received: `(seq, output)`.
+    fn answers(sim: &Sim<Probe>, node: u32) -> Vec<(u64, KvResponse)> {
+        let brief = |msg: &ClientMsg| match msg {
+            ClientMsg::Reply { seq, output } => (*seq, output.clone()),
+            other => panic!("not a reply: {other:?}"),
+        };
+        got(sim, node).iter().map(brief).collect()
+    }
+
+    #[test]
+    fn a_reply_goes_once_to_the_recorded_sender_and_never_for_an_unrecorded_command() {
+        let mut sim = rig();
+        deliver(&mut sim, 1, Envelope::request(put(3, 4, "v")));
+        assert_eq!(handed(&sim), [(3, 4)]);
+        apply(&mut sim, put(9, 1, "w")); // nobody here awaits it
+        apply(&mut sim, put(3, 4, "v"));
+        // Decided again at a later index: answered from the dedup table,
+        // but the sender was answered already.
+        apply(&mut sim, put(3, 4, "v"));
+        assert_eq!(answers(&sim, 1), [(4, KvResponse::Ok)]);
+        assert!(got(&sim, 2).is_empty() && got(&sim, 3).is_empty());
+        assert_eq!(core(&sim).log.applied_len(), 3);
+    }
+
+    #[test]
+    fn a_resolved_decision_is_synced_in_the_handler_that_sends_its_reply() {
+        let mut sim = rig_over(Some(MemEngine::new()));
+        let (key, value) = ("~dec.t1.0".into(), "commit".into());
+        let decision = Command {
+            client: 3,
+            seq: 4,
+            op: KvCommand::Put { key, value },
+        };
+        deliver(&mut sim, 1, Envelope::request(decision.clone()));
+        // Apply it and stop as soon as its handler returns: the reply is on
+        // the wire, not delivered.
+        let now = sim.now();
+        let step = Envelope::Peer(Step::Apply(SmrOp::Cmd(decision)));
+        sim.inject(NodeId(3), NodeId(0), step, now);
+        sim.run_for(0);
+        assert!(got(&sim, 1).is_empty(), "the reply landed already");
+        // A crash now loses every unsynced record; the decision survives.
+        let Probe::Replica { core, .. } = sim.node_mut(NodeId(0)) else {
+            unreachable!()
+        };
+        assert_eq!(core.disk.txn_decisions_logged, 1);
+        let restored = core.disk.restore(&mut ReplicatedLog::new());
+        assert!(restored.expect("attached").records.is_empty());
+        let tabled = core.disk.txn_decisions().get("~dec.t1.0").map(|v| &**v);
+        assert_eq!(tabled, Some("commit"), "the decision was not synced");
+        sim.run_for(10_000);
+        assert_eq!(answers(&sim, 1), [(4, KvResponse::Ok)]);
+    }
+
+    #[test]
+    fn a_restart_drops_replies_reads_and_the_wave_and_leaves_a_detached_log() {
+        let mut sim = rig();
+        apply(&mut sim, put(9, 1, "v1"));
+        deliver(&mut sim, 1, Envelope::request(put(3, 4, "v")));
+        read(&mut sim, 2, (2, 1));
+        deliver(&mut sim, 3, Envelope::Peer(Step::Queue));
+        assert_eq!(core(&sim).wave.len(), 1);
+        let digest = core(&sim).machine().digest();
+        deliver(&mut sim, 3, Envelope::Peer(Step::Restart));
+        assert!(core(&sim).wave.is_empty(), "the wave survived");
+        assert_eq!(core(&sim).log.applied_len(), 1);
+        assert_eq!(core(&sim).machine().digest(), digest);
+        apply(&mut sim, put(3, 4, "v"));
+        deliver(&mut sim, 3, Envelope::Peer(Step::Confirm((2, 1), Some(0))));
+        assert!(got(&sim, 1).is_empty(), "a reply outlived the restart");
+        assert!(
+            got(&sim, 2).is_empty(),
+            "a parked read outlived the restart"
+        );
     }
 
     #[test]

@@ -22,17 +22,17 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use consensus_core::cluster::decided_slots;
 use consensus_core::codec::{put_op, wire_size};
-use consensus_core::driver::{BatchConfig, DecidedEntry, Wave};
+use consensus_core::driver::{BatchConfig, DecidedEntry};
 use consensus_core::durable::{Disk, Restored, WalRecord};
 use consensus_core::quorum::Phase;
-use consensus_core::shell::{self, peers, replica_ids, Reads};
+use consensus_core::shell::{self, peers, replica_ids, Core, ELECTION, FLUSH};
 use consensus_core::smr::Slot;
 use consensus_core::{
     Ballot, Client, ClientMsg, Cluster, Command, DedupKvMachine, DurableProtocol, Envelope,
-    KvCommand, Quorum, QuorumSpec, ReadMode, Register, ReplicatedLog, Session, Silence, SmrOp,
-    SmrProtocol, Tally, Target,
+    KvCommand, Quorum, QuorumSpec, ReadMode, Register, Session, Silence, SmrOp, SmrProtocol, Tally,
+    Target,
 };
-use simnet::{CncPhase, Context, LiveTimer, Node, NodeId, Payload, Time, Timer};
+use simnet::{CncPhase, Context, Node, NodeId, Payload, Time, Timer};
 
 /// Span protocol label; instances are log indices.
 const SPAN: &str = "multi-paxos";
@@ -142,9 +142,7 @@ impl Payload for MpMsg {
     }
 }
 
-const ELECTION: u64 = 1;
 const HEARTBEAT: u64 = 2;
-const BATCH_FLUSH: u64 = 4;
 
 /// Heartbeat period (µs).
 const HB_PERIOD: u64 = 10_000;
@@ -162,15 +160,19 @@ struct Proposal {
     decided: bool,
 }
 
-/// A Multi-Paxos replica (acceptor + potential leader).
+/// A Multi-Paxos replica (acceptor + potential leader). It derefs to its
+/// [`Core`]: `r.log`, `r.disk` and `r.storage_stats()` are the core's.
 pub struct Replica {
     /// Cluster quorum configuration.
     spec: QuorumSpec,
     /// The acceptor: one promise over the whole log and each index's
     /// accepted `(ballot, op)` (durable).
     acceptor: Register<SmrOp>,
-    /// The replicated log + state machine.
-    pub log: ReplicatedLog<DedupKvMachine>,
+    /// The applied log, disk, reads and wave (commands with their senders).
+    /// Never checkpoints unless a threshold is set; `floor` is the first log
+    /// index not absorbed by a checkpoint (slots below it are `Slot::Empty`
+    /// and `accepted` is pruned below it).
+    core: Core<(Command<KvCommand>, NodeId)>,
     /// Whether this replica currently leads.
     pub is_leader: bool,
     /// Candidate election state.
@@ -183,30 +185,18 @@ pub struct Replica {
     /// The open window of this leadership's proposals: an entry goes once it
     /// is both decided and applied (see [`Replica::retire_proposal`]).
     proposals: BTreeMap<usize, Proposal>,
-    pending_reply: BTreeMap<(u32, u64), NodeId>,
-    election_timer: LiveTimer,
-    /// Commands accepted from clients but not yet proposed (leader only),
-    /// with their senders.
-    wave: Wave<(Command<KvCommand>, NodeId)>,
-    /// The durable side: promises, accepts and decides go to its WAL before
-    /// the ack they justify leaves. Never checkpoints unless a threshold is
-    /// set.
-    pub disk: Disk,
-    /// First log index not absorbed by a checkpoint; slots below it are
-    /// compacted away (`Slot::Empty`) and `accepted` is pruned below it.
-    snapshot_floor: usize,
     /// Candidate-side: highest snapshot floor reported in `PrepareAck`s of
     /// the current election, and who reported it.
     prepare_max_floor: usize,
     prepare_floor_holder: NodeId,
     /// Clock-bound leader leases, the one switch geo shards set. On, the
     /// leader answers a [`ClientMsg::Read`] locally while an Agreement
-    /// quorum of acceptors granted it a lease within the last [`LEASE_US`],
-    /// acceptors refuse to elect anyone else while honoring an unexpired
-    /// lease, and reads are NACKed whenever the skew oracle exceeds
-    /// [`MAX_SKEW_US`]. Off — the default — the lease fast path costs
-    /// nothing: no extra messages, timers, or RNG draws, so lease-off runs
-    /// stay bit-identical to the pre-lease protocol.
+    /// quorum of acceptors granted it a lease within the last `LEASE_US`
+    /// (30 ms), acceptors refuse to elect anyone else while honoring an
+    /// unexpired lease, and reads are NACKed whenever the skew oracle
+    /// exceeds `MAX_SKEW_US` (5 ms). Off — the default — the lease fast
+    /// path costs nothing: no extra messages, timers, or RNG draws, so
+    /// lease-off runs stay bit-identical to the pre-lease protocol.
     pub leases: bool,
     /// Acceptor side: whose lease this node currently honors (volatile;
     /// `None` during the post-restart grace period, which gates promises
@@ -224,8 +214,20 @@ pub struct Replica {
     /// reads wait until the re-proposed tail of the previous term has
     /// applied, so the local machine reflects every acknowledged write.
     lease_floor: usize,
-    /// Lease reads: confirmed at the applied frontier, so answered at once.
-    reads: Reads,
+}
+
+impl std::ops::Deref for Replica {
+    type Target = Core<(Command<KvCommand>, NodeId)>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.core
+    }
+}
+
+impl std::ops::DerefMut for Replica {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.core
+    }
 }
 
 impl Replica {
@@ -240,18 +242,15 @@ impl Replica {
         Replica {
             spec,
             acceptor: Register::default(),
-            log: ReplicatedLog::new(),
+            // Lease reads: confirmed at the applied frontier, so answered
+            // at once.
+            core: Core::new(batch, usize::MAX, ReadMode::Lease),
             is_leader: false,
             electing: false,
             election_ballot: Ballot::ZERO,
             prepare_tally: Tally::new(spec, Phase::Election),
             next_index: 0,
             proposals: BTreeMap::new(),
-            pending_reply: BTreeMap::new(),
-            election_timer: LiveTimer::default(),
-            wave: Wave::new(batch, BATCH_FLUSH),
-            disk: Disk::new(usize::MAX),
-            snapshot_floor: 0,
             prepare_max_floor: 0,
             prepare_floor_holder: NodeId(0),
             leases: false,
@@ -259,13 +258,7 @@ impl Replica {
             lease_until: Time(0),
             lease_grants: BTreeMap::new(),
             lease_floor: 0,
-            reads: Reads::new(ReadMode::Lease),
         }
-    }
-
-    /// Storage counters, when a durable engine is attached.
-    pub fn storage_stats(&self) -> Option<storage::StorageStats> {
-        self.disk.stats()
     }
 
     fn arm_election_timer(&mut self, ctx: &mut Context<Wire>) {
@@ -273,7 +266,7 @@ impl Replica {
         // Randomized, id-staggered timeout: avoids duelling candidates.
         let base = 40_000 + 20_000 * u64::from(ctx.id().0);
         let jitter = ctx.rng().gen_range(0..10_000);
-        self.election_timer.restart(ctx, base + jitter, ELECTION);
+        self.core.election.restart(ctx, base + jitter, ELECTION);
     }
 
     fn start_election(&mut self, ctx: &mut Context<Wire>) {
@@ -283,7 +276,7 @@ impl Replica {
         self.prepare_tally = Tally::new(self.spec, Phase::Election);
         self.prepare_max_floor = 0;
         self.prepare_floor_holder = NodeId(0);
-        let low = self.log.applied_len();
+        let low = self.core.log.applied_len();
         ctx.phase(
             SPAN,
             low as u64,
@@ -310,7 +303,7 @@ impl Replica {
         let fresh = Tally::new(self.spec, Phase::Election);
         let discovered = std::mem::replace(&mut self.prepare_tally, fresh).into_values();
         let max_idx = discovered.keys().max().copied();
-        let low = self.log.applied_len();
+        let low = self.core.log.applied_len();
         self.next_index = max_idx.map_or(low, |m| m + 1).max(low);
         for index in low..self.next_index {
             // Re-proposing a discovered value is the C&C value-discovery
@@ -338,7 +331,7 @@ impl Replica {
         ctx.set_timer(HB_PERIOD, HEARTBEAT);
         let hb = MpMsg::Heartbeat {
             ballot: self.acceptor.promise(),
-            decided: self.log.applied_len(),
+            decided: self.core.log.applied_len(),
         };
         ctx.send_many(peers(self.spec.n(), ctx.id()), hb.into());
         self.try_flush(ctx);
@@ -348,7 +341,7 @@ impl Replica {
     /// are abandoned; clients retransmit to the new leader.
     fn step_down(&mut self) {
         self.is_leader = false;
-        self.wave.reset();
+        self.core.wave.reset();
         self.lease_grants.clear();
     }
 
@@ -366,15 +359,15 @@ impl Replica {
             return;
         }
         // `in_flight` scans the proposal table: ask only with work queued.
-        while !self.wave.is_empty() {
-            let Some(k) = self.wave.ripe(ctx, self.in_flight()) else {
+        while !self.core.wave.is_empty() {
+            let Some(k) = self.core.wave.ripe(ctx, self.in_flight()) else {
                 return;
             };
             let index = self.next_index;
             self.next_index += 1;
-            let taken = self.wave.take(ctx, k);
+            let taken = self.core.wave.take(ctx, k);
             for (cmd, from) in &taken {
-                self.pending_reply.insert((cmd.client, cmd.seq), *from);
+                self.core.await_reply(cmd, *from);
             }
             let op = SmrOp::from_batch(taken.into_iter().map(|(c, _)| c));
             self.propose(ctx, index, op);
@@ -391,7 +384,9 @@ impl Replica {
     /// does one whose slot a stale `Decide` applied before its own quorum
     /// arrived (`in_flight` counts it until then).
     fn retire_proposal(&mut self, index: usize) {
-        if index < self.log.applied_len() && self.proposals.get(&index).is_some_and(|p| p.decided) {
+        if index < self.core.log.applied_len()
+            && self.proposals.get(&index).is_some_and(|p| p.decided)
+        {
             self.proposals.remove(&index);
         }
     }
@@ -423,34 +418,19 @@ impl Replica {
     fn on_decided(&mut self, ctx: &mut Context<Wire>, index: usize, op: SmrOp) {
         // Slots below the snapshot floor were compacted away; a stale
         // Decide for one must not resurrect the slot.
-        if index < self.snapshot_floor {
+        if index < self.core.floor {
             return;
         }
-        self.log.record(index, op);
-        let mut replies = Vec::new();
-        while let Some((i, resolved)) = self.log.apply_decided(self.disk.index(), |cmd, out| {
-            replies.push((cmd.client, cmd.seq, out))
-        }) {
+        self.core.log.record(index, op);
+        while let Some(i) = self.core.apply_decided(ctx) {
             self.retire_proposal(i);
-            if resolved {
-                // WAL-before-decision: the slot resolved a transaction
-                // decision record — its dedicated WAL entry must be on disk
-                // before the reply that releases the transaction leaves.
-                self.disk.sync(ctx);
-            }
-            for (client, seq, output) in replies.drain(..) {
-                if let Some(client_node) = self.pending_reply.remove(&(client, seq)) {
-                    let reply = ClientMsg::Reply { seq, output };
-                    ctx.send(client_node, Envelope::Client(reply));
-                }
-            }
         }
         self.maybe_snapshot();
         // A decided slot may free pipeline-window room for queued commands.
         self.try_flush(ctx);
         debug_assert!(
             self.proposals
-                .range(..self.log.applied_len())
+                .range(..self.core.log.applied_len())
                 .all(|(_, p)| !p.decided),
             "a proposal that is decided and applied must have been retired"
         );
@@ -460,11 +440,11 @@ impl Replica {
     /// floor: prune accepted entries and the log below the applied
     /// frontier, then persist (when durable) so the WAL restarts empty.
     fn maybe_snapshot(&mut self) {
-        let applied = self.log.applied_len();
-        if self.disk.checkpoint_due(applied, self.snapshot_floor) {
+        if self.core.checkpoint_due() {
+            let applied = self.core.log.applied_len();
             self.acceptor.prune_below(applied);
-            self.log.truncate_prefix(applied);
-            self.snapshot_floor = applied;
+            self.core.log.truncate_prefix(applied);
+            self.core.floor = applied;
             self.persist_checkpoint();
         }
     }
@@ -474,7 +454,7 @@ impl Replica {
     /// accepted entries at or above the applied frontier, and decided-but-
     /// unapplied slots. After this, recovery = snapshot load + WAL replay.
     fn persist_checkpoint(&mut self) {
-        let (log, applied) = (&self.log, self.log.applied_len());
+        let (log, applied) = (&self.core.log, self.core.log.applied_len());
         let ballot = self.acceptor.promise();
         let promise = (ballot != Ballot::ZERO).then_some(WalRecord::Promise { ballot });
         let accepts = (self.acceptor.accepted_since(applied)).map(|(index, (ballot, op))| {
@@ -492,10 +472,10 @@ impl Replica {
             _ => None,
         });
         let live = promise.into_iter().chain(accepts).chain(decides);
-        self.disk.checkpoint(log.machine(), applied, 0, live);
+        self.core.disk.checkpoint(log.machine(), applied, 0, live);
     }
 
-    /// Crash recovery: replay, in order, the WAL records [`Disk::restore`]
+    /// Crash recovery: replay, in order, the WAL records [`Core::restart`]
     /// handed back over the checkpoint it installed. Everything the
     /// pre-durability model declared axiomatically durable (promised,
     /// accepted, the log) is rebuilt here from actual on-disk bytes — and
@@ -503,14 +483,13 @@ impl Replica {
     /// experiments measure.
     fn recover_from(&mut self, ctx: &mut Context<Wire>, restored: Restored) {
         self.acceptor = Register::default();
-        self.snapshot_floor = restored.index;
         for rec in restored.records {
             match rec {
                 WalRecord::Promise { ballot } => {
                     let _ = self.acceptor.prepare(ballot);
                 }
                 WalRecord::Accept { index, ballot, op } => {
-                    if index >= self.snapshot_floor {
+                    if index >= self.core.floor {
                         self.acceptor.restore(ballot, index, op);
                     }
                 }
@@ -520,7 +499,7 @@ impl Replica {
                 rec => panic!("Multi-Paxos never logs {rec:?}"),
             }
         }
-        self.disk.recovered(self.snapshot_floor);
+        self.core.disk.recovered(self.core.floor);
     }
 
     /// Whether an unexpired lease (or post-restart grace period, when
@@ -542,7 +521,7 @@ impl Replica {
         if !self.leases || !self.is_leader || ctx.clock_skew_bound() > MAX_SKEW_US {
             return false;
         }
-        if self.log.applied_len() < self.lease_floor {
+        if self.core.log.applied_len() < self.lease_floor {
             return false;
         }
         let fresh: BTreeSet<NodeId> = self
@@ -562,22 +541,22 @@ impl Replica {
             ClientMsg::Request(cmd) => {
                 // The leader hint is the proposer of the highest promise.
                 let hint = (!self.is_leader).then(|| self.acceptor.promise().proposer());
-                let Some(cmd) = shell::intake(ctx, from, cmd, self.log.machine(), hint) else {
+                let Some(cmd) = shell::intake(ctx, from, cmd, self.core.log.machine(), hint) else {
                     return;
                 };
                 // Unless queued or proposed (a retry while we decide).
-                let queued = self.wave.items().map(|(c, _)| c);
+                let queued = self.core.wave.items().map(|(c, _)| c);
                 let proposed = self.proposals.values().flat_map(|p| p.op.commands());
                 if !shell::in_flight(&cmd, queued.chain(proposed)) {
-                    self.wave.push(ctx, (cmd, from));
+                    self.core.wave.push(ctx, (cmd, from));
                     self.try_flush(ctx);
                 }
             }
             ClientMsg::Read { client, seq, key } => {
                 if self.lease_valid_at(ctx, ctx.local_now()) {
-                    let at = Some(self.log.applied_len());
-                    self.reads.park(from, (client, seq), key, at);
-                    self.reads.serve(ctx, &self.log);
+                    let at = Some(self.core.log.applied_len());
+                    self.core.reads.park(from, (client, seq), key, at);
+                    self.core.reads.serve(ctx, &self.core.log);
                 } else {
                     shell::nack(ctx, from, (client, seq));
                 }
@@ -617,9 +596,9 @@ impl Node for Replica {
                         self.step_down();
                     }
                     if rose {
-                        self.disk.log(|| WalRecord::Promise { ballot });
+                        self.core.disk.log(|| WalRecord::Promise { ballot });
                     }
-                    self.disk.sync(ctx); // promise durable before the ack leaves
+                    self.core.disk.sync(ctx); // promise durable before the ack leaves
                     self.arm_election_timer(ctx);
                     let entries: Vec<(usize, Ballot, SmrOp)> = (self.acceptor.accepted_since(low))
                         .map(|(i, (b, op))| (i, *b, op.clone()))
@@ -628,7 +607,7 @@ impl Node for Replica {
                         from,
                         MpMsg::PrepareAck {
                             ballot,
-                            floor: self.snapshot_floor,
+                            floor: self.core.floor,
                             entries,
                         }
                         .into(),
@@ -648,7 +627,7 @@ impl Node for Replica {
                     }
                     self.prepare_tally.vote(from, entries);
                     if self.prepare_tally.reached() && self.acceptor.promise() == ballot {
-                        if self.prepare_max_floor > self.log.applied_len() {
+                        if self.prepare_max_floor > self.core.log.applied_len() {
                             // A responder compacted entries this candidate
                             // has never applied: phase 1 can no longer
                             // discover them. Abort, fetch the checkpoint,
@@ -659,7 +638,7 @@ impl Node for Replica {
                             ctx.send(
                                 self.prepare_floor_holder,
                                 MpMsg::CatchUpRequest {
-                                    from_index: self.log.applied_len(),
+                                    from_index: self.core.log.applied_len(),
                                 }
                                 .into(),
                             );
@@ -676,7 +655,7 @@ impl Node for Replica {
                 op,
                 sent,
             } => {
-                if index < self.snapshot_floor {
+                if index < self.core.floor {
                     return; // compacted away; checked before the promise moves
                 }
                 if let Ok(rose) = self.acceptor.prepare(ballot) {
@@ -684,14 +663,14 @@ impl Node for Replica {
                         self.step_down();
                     }
                     if rose {
-                        self.disk.log(|| WalRecord::Promise { ballot });
+                        self.core.disk.log(|| WalRecord::Promise { ballot });
                     }
-                    self.disk.log(|| WalRecord::Accept {
+                    self.core.disk.log(|| WalRecord::Accept {
                         index,
                         ballot,
                         op: op.clone(),
                     });
-                    self.disk.sync(ctx); // accept durable before the ack leaves
+                    self.core.disk.sync(ctx); // accept durable before the ack leaves
                     let stored = self.acceptor.accept(ballot, index, op);
                     debug_assert_eq!(stored, Ok(false), "the promise was taken above");
                     self.arm_election_timer(ctx);
@@ -738,12 +717,12 @@ impl Node for Replica {
                             let op = p.op.clone();
                             ctx.phase(SPAN, index as u64, ballot.num, CncPhase::Decision);
                             ctx.span_close(SPAN, index as u64, ballot.num);
-                            if matches!(self.log.slot(index), Slot::Empty) {
-                                self.disk.log(|| WalRecord::Decide {
+                            if matches!(self.core.log.slot(index), Slot::Empty) {
+                                self.core.disk.log(|| WalRecord::Decide {
                                     index,
                                     op: op.clone(),
                                 });
-                                self.disk.sync(ctx);
+                                self.core.disk.sync(ctx);
                             }
                             ctx.send_many(
                                 peers(self.spec.n(), ctx.id()),
@@ -763,18 +742,18 @@ impl Node for Replica {
             }
 
             MpMsg::Decide { index, op } => {
-                if index < self.snapshot_floor {
+                if index < self.core.floor {
                     return; // compacted away; the effect is in the snapshot
                 }
                 let promised = self.acceptor.promise().num;
                 ctx.phase(SPAN, index as u64, promised, CncPhase::Decision);
                 ctx.span_close(SPAN, index as u64, promised);
-                if matches!(self.log.slot(index), Slot::Empty) {
-                    self.disk.log(|| WalRecord::Decide {
+                if matches!(self.core.log.slot(index), Slot::Empty) {
+                    self.core.disk.log(|| WalRecord::Decide {
                         index,
                         op: op.clone(),
                     });
-                    self.disk.sync(ctx); // decision durable before it applies
+                    self.core.disk.sync(ctx); // decision durable before it applies
                 }
                 self.on_decided(ctx, index, op.clone());
                 // Decisions are also (implicitly) accepted state.
@@ -790,11 +769,11 @@ impl Node for Replica {
                     // Catch-up probe: only with compaction enabled, so the
                     // default protocol's message trace is untouched. The
                     // heartbeat period naturally rate-limits requests.
-                    if self.disk.compacts() && decided > self.log.applied_len() {
+                    if self.core.disk.compacts() && decided > self.core.log.applied_len() {
                         ctx.send(
                             from,
                             MpMsg::CatchUpRequest {
-                                from_index: self.log.applied_len(),
+                                from_index: self.core.log.applied_len(),
                             }
                             .into(),
                         );
@@ -806,24 +785,24 @@ impl Node for Replica {
                 // Serve from local state: ship the checkpoint if the caller
                 // is below our floor, then re-send decisions we still hold.
                 let mut start = from_index;
-                if from_index < self.snapshot_floor {
-                    let applied = self.log.applied_len();
+                if from_index < self.core.floor {
+                    let applied = self.core.log.applied_len();
                     ctx.send(
                         from,
                         MpMsg::InstallState {
                             floor: applied,
-                            machine: Box::new(self.log.machine().clone()),
+                            machine: Box::new(self.core.log.machine().clone()),
                         }
                         .into(),
                     );
                     start = applied;
                 }
                 let mut sent = 0;
-                for index in start..self.log.len() {
+                for index in start..self.core.log.len() {
                     if sent >= 64 {
                         break; // bounded burst; the next heartbeat re-probes
                     }
-                    if let Slot::Decided(op) | Slot::Applied(op) = self.log.slot(index) {
+                    if let Slot::Decided(op) | Slot::Applied(op) = self.core.log.slot(index) {
                         ctx.send(
                             from,
                             MpMsg::Decide {
@@ -838,22 +817,21 @@ impl Node for Replica {
             }
 
             MpMsg::InstallState { floor, machine } => {
-                if floor <= self.log.applied_len() {
+                if floor <= self.core.log.applied_len() {
                     return; // stale: we already applied past it
                 }
                 // Preserve any decided-but-unapplied tail above the incoming
                 // floor; `install` drops it, so re-decide afterwards.
-                let tail: Vec<(usize, SmrOp)> = (floor..self.log.len())
-                    .filter_map(|i| match self.log.slot(i) {
+                let tail: Vec<(usize, SmrOp)> = (floor..self.core.log.len())
+                    .filter_map(|i| match self.core.log.slot(i) {
                         Slot::Decided(op) => Some((i, op.clone())),
                         _ => None,
                     })
                     .collect();
-                self.disk.install(&mut self.log, *machine, floor);
+                self.core.install(ctx, *machine, floor);
                 // The install applied every slot below `floor` at once.
                 self.proposals.retain(|&i, p| !(p.decided && i < floor));
                 self.acceptor.prune_below(floor);
-                self.snapshot_floor = floor;
                 self.persist_checkpoint();
                 for (index, op) in tail {
                     self.on_decided(ctx, index, op);
@@ -875,7 +853,7 @@ impl Node for Replica {
             HEARTBEAT if self.is_leader => {
                 let hb = MpMsg::Heartbeat {
                     ballot: self.acceptor.promise(),
-                    decided: self.log.applied_len(),
+                    decided: self.core.log.applied_len(),
                 };
                 ctx.send_many(peers(self.spec.n(), ctx.id()), hb.into());
                 ctx.set_timer(HB_PERIOD, HEARTBEAT);
@@ -891,14 +869,9 @@ impl Node for Replica {
                     self.propose(ctx, index, SmrOp::Noop);
                 }
             }
-            BATCH_FLUSH => {
-                // The open batch's grace period is over: flush underfull
-                // as soon as the pipeline window allows.
-                let overdue = self.wave.expire(self.is_leader);
-                if overdue {
-                    self.try_flush(ctx);
-                }
-            }
+            // The open batch's grace period is over: flush underfull as
+            // soon as the pipeline window allows.
+            FLUSH if self.core.wave.expire(self.is_leader) => self.try_flush(ctx),
             _ => {}
         }
     }
@@ -908,8 +881,6 @@ impl Node for Replica {
         self.step_down();
         self.electing = false;
         self.proposals.clear();
-        self.pending_reply.clear();
-        self.election_timer.fired();
         if self.leases {
             // Lease grants are volatile, so a restarted acceptor no longer
             // remembers whom it promised quiescence to. Observe a grace
@@ -920,7 +891,7 @@ impl Node for Replica {
             self.lease_holder = None;
             self.lease_until = Time(ctx.local_now().0 + LEASE_US);
         }
-        if let Some(restored) = self.disk.restore(&mut self.log) {
+        if let Some(restored) = self.core.restart() {
             // Durable mode: promised/accepted/log exist only as WAL records
             // and checkpoints. Rebuild them the honest way.
             self.recover_from(ctx, restored);
@@ -1159,7 +1130,12 @@ mod tests {
         // that no longer describe the index.
         r.log.record(3, cmd(2, range()));
         let mut applied = 0;
-        while r.log.apply_decided(r.disk.index(), |_, _| {}).is_some() {
+        while r
+            .core
+            .log
+            .apply_decided(r.core.disk.index(), |_, _| {})
+            .is_some()
+        {
             applied += 1;
         }
         assert_eq!(applied, 4);
@@ -1446,7 +1422,7 @@ mod tests {
             assert!(
                 r.disk.snapshots_taken >= 1,
                 "replica never checkpointed (floor {})",
-                r.snapshot_floor
+                r.floor
             );
             assert!(
                 r.log.retained_len() < 40,
@@ -1579,11 +1555,7 @@ mod tests {
         cluster.sim.crash_at(NodeId(2), Time::from_millis(20));
         assert!(cluster.run(Time::from_secs(20)), "quorum of 2 must finish");
         assert_eq!(cluster.total_completed(), 60);
-        let leader_floor = cluster
-            .replicas()
-            .map(|r| r.snapshot_floor)
-            .max()
-            .expect("replicas");
+        let leader_floor = cluster.replicas().map(|r| r.floor).max().expect("replicas");
         assert!(leader_floor > 0, "survivors never compacted");
         let now = cluster.sim.now();
         cluster.sim.restart_at(NodeId(2), Time(now.0 + 1_000));
@@ -1659,7 +1631,7 @@ mod tests {
         for key in ["a", "b", "c", "d"] {
             submit(&mut cluster, put(key));
         }
-        assert!(replica(&cluster, leader).snapshot_floor > replica(&cluster, laggard).log.len());
+        assert!(replica(&cluster, leader).floor > replica(&cluster, laggard).log.len());
 
         // Heal: the next heartbeat's probe is answered with `InstallState`.
         let now = cluster.sim.now();

@@ -248,6 +248,27 @@ mod tests {
         );
     }
 
+    /// Election Safety under a network that delivers every message twice: a
+    /// duplicated `VoteResponse` is one voter, not two. Counting responses,
+    /// nodes 1 and 3 both led term 2 at 101 ms of this run.
+    #[test]
+    fn duplicated_vote_grants_never_elect_two_leaders_in_one_term() {
+        let net = NetConfig::lan().with_duplicate_prob(1.0);
+        let mut cluster = RaftCluster::new(5, 2, 20, net, 135);
+        cluster.sim.crash_at(NodeId(0), Time::from_millis(20));
+        let mut leaders = std::collections::BTreeMap::new();
+        while cluster.sim.now() < Time::from_millis(500) {
+            cluster.sim.run_for(1_000);
+            for (id, r) in cluster.replicas().enumerate() {
+                if r.role == Role::Leader {
+                    let first = *leaders.entry(r.current_term).or_insert(id);
+                    assert_eq!(first, id, "two leaders in term {}", r.current_term);
+                }
+            }
+        }
+        assert!(!leaders.is_empty(), "no leader was ever elected");
+    }
+
     #[test]
     fn snapshots_bound_log_growth() {
         // Low threshold: replicas must compact while serving.

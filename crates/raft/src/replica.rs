@@ -4,13 +4,14 @@
 
 use std::collections::BTreeMap;
 
-use consensus_core::durable::{Disk, Restored, WalRecord};
-use consensus_core::shell::{self, peers, Reads};
+use consensus_core::durable::{Restored, WalRecord};
+use consensus_core::quorum::Phase;
+use consensus_core::shell::{self, peers, Core, ELECTION, FLUSH};
 use consensus_core::{
-    Ballot, BatchConfig, ClientMsg, Command, DedupKvMachine, Envelope, KvCommand, ReadMode,
-    ReplicatedLog, SmrOp, Wave,
+    Ballot, BatchConfig, ClientMsg, Command, Envelope, KvCommand, QuorumSpec, ReadMode, SmrOp,
+    Tally,
 };
-use simnet::{CncPhase, Context, LiveTimer, Node, NodeId, Time, Timer};
+use simnet::{CncPhase, Context, Node, NodeId, Time, Timer};
 
 use crate::msg::{Entry, RaftMsg};
 
@@ -44,10 +45,7 @@ pub enum Role {
     Leader,
 }
 
-const ELECTION: u64 = 1;
 const HEARTBEAT: u64 = 2;
-/// Flush timer for underfull replication batches (leader only).
-const FLUSH: u64 = 3;
 
 /// Heartbeat period (µs).
 const HB_PERIOD: u64 = 10_000;
@@ -63,7 +61,8 @@ pub const SNAPSHOT_THRESHOLD: usize = 64;
 /// contact-based confirmation safe without extra round-trips.
 const READ_CONTACT_US: u64 = 4 * HB_PERIOD;
 
-/// A Raft server.
+/// A Raft server. It derefs to its [`Core`]: `r.disk`, `r.machine()` and
+/// `r.storage_stats()` are the core's.
 pub struct Replica {
     n_replicas: usize,
 
@@ -73,50 +72,36 @@ pub struct Replica {
     /// Candidate voted for in the current term.
     pub voted_for: Option<NodeId>,
     /// The retained log: the entries after the snapshot, `log[0]` at
-    /// absolute index `snapshot.0 + 1`.
+    /// absolute index `core.floor + 1`.
     log: Vec<Entry>,
-    /// `(index, term)` of the last entry the snapshot absorbed — `(0, 0)`
-    /// before the first one. Entries up to it are gone.
-    snapshot: (usize, u64),
+    /// The term of the last entry the snapshot absorbed, at index
+    /// `core.floor` — 0 before the first one. Entries up to it are gone.
+    snapshot_term: u64,
     /// The applied side, as Multi-Paxos keeps it: the state machine (shipped
     /// whole in `InstallSnapshot`) and the entries it reflects,
-    /// `1..=exec.applied_len()`.
-    exec: ReplicatedLog<DedupKvMachine>,
+    /// `1..=core.log.applied_len()`; the disk, which checkpoints every
+    /// [`SNAPSHOT_THRESHOLD`] applied entries unless told otherwise; the
+    /// read-index reads; and the wave, one item per entry appended to the
+    /// leader's log but not yet shipped (under `BatchConfig::unbatched()`
+    /// every appended entry ships at once).
+    core: Core<()>,
 
     // --- volatile state ---
     /// Current role.
     pub role: Role,
     /// Highest log index known committed (absolute).
     pub commit_index: usize,
-    votes: usize,
-    election_timer: LiveTimer,
+    /// The current candidacy's granted votes, one per voter.
+    votes: Tally<()>,
     leader_hint: Option<NodeId>,
 
     // --- leader state ---
     next_index: Vec<usize>,
     match_index: Vec<usize>,
-    /// Who submitted each command this node appended as leader, by
-    /// `(client, seq)`: whoever applies it replies to that sender, leader
-    /// or not (a log index may hold another command by then).
-    pending_reply: BTreeMap<(u32, u64), NodeId>,
     /// Elections this replica has won.
     pub elections_won: u64,
 
-    // --- replication batching (leader only) ---
-    /// One item per entry appended to the leader's log but not yet shipped
-    /// to followers: the log's tail, the next `AppendEntries` wave. Under
-    /// `BatchConfig::unbatched()` every appended entry ships at once.
-    wave: Wave<()>,
-
-    // --- durability and compaction ---
-    /// The durable side: term, vote and log changes go to its WAL before
-    /// the message they justify leaves; checkpoints every
-    /// [`SNAPSHOT_THRESHOLD`] applied entries unless told otherwise.
-    pub disk: Disk,
-
     // --- read-index fast reads (geo read path) ---
-    /// Reads parked here until their confirmed commit index has applied.
-    reads: Reads,
     /// Leader: arrival time of the last `AppendResponse` per peer, for the
     /// quorum-contact check. Sim-clock based — read-index needs no
     /// synchronized clocks, which is its advantage over leases.
@@ -139,35 +124,25 @@ impl Replica {
             current_term: 0,
             voted_for: None,
             log: Vec::new(),
-            snapshot: (0, 0),
-            exec: ReplicatedLog::new(),
+            snapshot_term: 0,
+            core: Core::new(batch, SNAPSHOT_THRESHOLD, ReadMode::ReadIndex),
             role: Role::Follower,
             commit_index: 0,
-            votes: 0,
-            election_timer: LiveTimer::default(),
+            votes: Tally::new(QuorumSpec::Majority { n: n_replicas }, Phase::Election),
             leader_hint: None,
             next_index: Vec::new(),
             match_index: Vec::new(),
-            pending_reply: BTreeMap::new(),
             elections_won: 0,
-            wave: Wave::new(batch, FLUSH),
-            disk: Disk::new(SNAPSHOT_THRESHOLD),
-            reads: Reads::new(ReadMode::ReadIndex),
             last_contact: BTreeMap::new(),
             term_start_index: 0,
         }
-    }
-
-    /// Storage counters, when a durable engine is attached.
-    pub fn storage_stats(&self) -> Option<storage::StorageStats> {
-        self.disk.stats()
     }
 
     /// Appends `entry` to the log and its `Accept` record to the WAL;
     /// returns the entry's index.
     fn append(&mut self, entry: Entry) -> usize {
         let index = self.last_log_index() + 1;
-        self.disk.log(|| accept(index, &entry));
+        self.core.disk.log(|| accept(index, &entry));
         self.log.push(entry);
         index
     }
@@ -177,7 +152,7 @@ impl Replica {
     /// commit before its response leaves.
     fn log_hard_state(&mut self) {
         let promise = self.hard_state();
-        self.disk.log(|| promise);
+        self.core.disk.log(|| promise);
     }
 
     /// The Figure-2 hard state as a `Promise`: the term is the ballot's
@@ -194,7 +169,7 @@ impl Replica {
     /// state, the retained log suffix, and the commit index. After this,
     /// recovery = snapshot load + WAL replay.
     fn persist_checkpoint(&mut self) {
-        let (offset, offset_term) = self.snapshot;
+        let (offset, offset_term) = (self.core.floor, self.snapshot_term);
         let hard_state = self.hard_state();
         let appends = (offset + 1..)
             .zip(&self.log)
@@ -202,11 +177,10 @@ impl Replica {
         let index = self.commit_index;
         let commit = (index > offset).then_some(WalRecord::Commit { index });
         let live = std::iter::once(hard_state).chain(appends).chain(commit);
-        self.disk
-            .checkpoint(self.exec.machine(), offset, offset_term, live);
+        (self.core.disk).checkpoint(self.core.log.machine(), offset, offset_term, live);
     }
 
-    /// Crash recovery: replay, in order, the WAL records [`Disk::restore`]
+    /// Crash recovery: replay, in order, the WAL records [`Core::restart`]
     /// handed back over the checkpoint it installed. Everything the
     /// pre-durability model declared axiomatically persistent (term, vote,
     /// log, machine) is rebuilt here from actual on-disk bytes — and the
@@ -216,7 +190,7 @@ impl Replica {
         self.current_term = 0;
         self.voted_for = None;
         self.log.clear();
-        self.snapshot = (restored.index, restored.term);
+        self.snapshot_term = restored.term;
         self.commit_index = restored.index;
         self.leader_hint = None;
         let mut commit = self.commit_index;
@@ -229,12 +203,12 @@ impl Replica {
                     }
                 }
                 WalRecord::Accept { index, ballot, op } => {
-                    if index <= self.snapshot.0 {
+                    if index <= self.core.floor {
                         continue; // absorbed by the checkpoint
                     }
                     // Replaying an append drops every entry at and above
                     // it: a conflicting suffix needs no record of its own.
-                    let rel = index - self.snapshot.0 - 1;
+                    let rel = index - self.core.floor - 1;
                     self.log.truncate(rel);
                     assert_eq!(rel, self.log.len(), "WAL append out of order at {index}");
                     self.log.push(Entry {
@@ -251,23 +225,23 @@ impl Replica {
         // the next leader round re-commits them).
         self.commit_index = commit.min(self.last_log_index());
         self.apply_committed(None);
-        self.disk.recovered(self.snapshot.0);
+        self.core.disk.recovered(self.core.floor);
     }
 
     /// Absolute index of the last log entry.
     pub fn last_log_index(&self) -> usize {
-        self.snapshot.0 + self.log.len()
+        self.core.floor + self.log.len()
     }
 
     /// Term of the last log entry.
     pub fn last_log_term(&self) -> u64 {
-        self.log.last().map_or(self.snapshot.1, |e| e.term)
+        self.log.last().map_or(self.snapshot_term, |e| e.term)
     }
 
     /// Absolute index of the last entry the snapshot absorbed (entries up
     /// to it are gone).
     pub fn snapshot_index(&self) -> usize {
-        self.snapshot.0
+        self.core.floor
     }
 
     /// Number of retained log entries.
@@ -275,28 +249,23 @@ impl Replica {
         self.log.len()
     }
 
-    /// The replicated state machine.
-    pub fn machine(&self) -> &DedupKvMachine {
-        self.exec.machine()
-    }
-
     /// Highest log index applied to the machine: the number of entries it
     /// reflects.
     pub fn last_applied(&self) -> usize {
-        self.exec.applied_len()
+        self.core.log.applied_len()
     }
 
     /// Entry at absolute `index`, if still retained.
     pub fn entry(&self, index: usize) -> Option<&Entry> {
-        let rel = index.checked_sub(self.snapshot.0 + 1)?;
+        let rel = index.checked_sub(self.core.floor + 1)?;
         self.log.get(rel)
     }
 
     /// Term at absolute `index`: the snapshot's own term at its index,
     /// `None` below it (compacted away) or beyond the end.
     pub fn term_at(&self, index: usize) -> Option<u64> {
-        if index == self.snapshot.0 {
-            return Some(self.snapshot.1);
+        if index == self.core.floor {
+            return Some(self.snapshot_term);
         }
         self.entry(index).map(|e| e.term)
     }
@@ -308,7 +277,7 @@ impl Replica {
     /// Highest log index already included in a replication wave. Entries
     /// above it are queued for the next `AppendEntries` fan-out.
     fn flushed_tip(&self) -> usize {
-        self.last_log_index() - self.wave.len()
+        self.last_log_index() - self.core.wave.len()
     }
 
     /// Ships the queued entries as one wave when the batch policy releases
@@ -322,8 +291,8 @@ impl Replica {
             return;
         }
         let in_flight = self.flushed_tip().saturating_sub(self.commit_index);
-        if self.wave.ripe(ctx, in_flight).is_some() {
-            self.wave.take(ctx, self.wave.len());
+        if self.core.wave.ripe(ctx, in_flight).is_some() {
+            self.core.wave.take(ctx, self.core.wave.len());
             self.replicate_all(ctx);
         }
     }
@@ -332,7 +301,7 @@ impl Replica {
         use rand::Rng;
         // Raft's randomized timeout: [5, 10] heartbeat periods.
         let timeout = ctx.rng().gen_range(5 * HB_PERIOD..=10 * HB_PERIOD);
-        self.election_timer.restart(ctx, timeout, ELECTION);
+        self.core.election.restart(ctx, timeout, ELECTION);
     }
 
     fn become_follower(&mut self, ctx: &mut Context<Wire>, term: u64) {
@@ -342,7 +311,7 @@ impl Replica {
             self.log_hard_state();
         }
         self.role = Role::Follower;
-        self.wave.reset();
+        self.core.wave.reset();
         self.reset_election_timer(ctx);
     }
 
@@ -350,9 +319,10 @@ impl Replica {
         self.current_term += 1;
         self.role = Role::Candidate;
         self.voted_for = Some(ctx.id());
-        self.votes = 1; // own vote
+        self.votes = Tally::new(QuorumSpec::Majority { n: self.n_replicas }, Phase::Election);
+        self.votes.vote(ctx.id(), []);
         self.log_hard_state();
-        self.disk.sync(ctx); // term + self-vote durable before soliciting
+        self.core.disk.sync(ctx); // term + self-vote durable before soliciting
         self.reset_election_timer(ctx);
         ctx.phase(
             SPAN,
@@ -369,14 +339,14 @@ impl Replica {
             }
             .into(),
         );
-        if self.votes >= self.majority() {
+        if self.votes.reached() {
             self.become_leader(ctx);
         }
     }
 
     fn become_leader(&mut self, ctx: &mut Context<Wire>) {
         self.role = Role::Leader;
-        self.wave.reset();
+        self.core.wave.reset();
         self.elections_won += 1;
         self.leader_hint = Some(ctx.id());
         self.next_index = vec![self.last_log_index() + 1; self.n_replicas];
@@ -395,7 +365,7 @@ impl Replica {
             term: self.current_term,
             op: SmrOp::Noop,
         });
-        self.disk.sync(ctx); // the no-op is durable before it replicates
+        self.core.disk.sync(ctx); // the no-op is durable before it replicates
         self.match_index[ctx.id().index()] = self.last_log_index();
         // Reads are confirmable only after this no-op commits; contact
         // history from older terms never carries over.
@@ -413,11 +383,11 @@ impl Replica {
 
     fn replicate_to(&mut self, ctx: &mut Context<Wire>, peer: NodeId) {
         let next = self.next_index[peer.index()].max(1);
-        let offset = self.snapshot.0;
+        let offset = self.core.floor;
         if next <= offset {
             // The entries the follower needs are compacted: ship the
             // machine instead, labelled with the index it reflects.
-            let applied = self.exec.applied_len();
+            let applied = self.core.log.applied_len();
             let term = self
                 .term_at(applied)
                 .expect("the applied index is retained or the snapshot's");
@@ -427,7 +397,7 @@ impl Replica {
                     term: self.current_term,
                     last_included_index: applied,
                     last_included_term: term,
-                    machine: Box::new(self.exec.machine().clone()),
+                    machine: Box::new(self.core.log.machine().clone()),
                 }
                 .into(),
             );
@@ -444,7 +414,7 @@ impl Replica {
         // Ship at most a wire batch, and never past the flushed tip:
         // queued-but-unflushed entries wait for their wave (an empty
         // entries list is just a heartbeat).
-        let end = (rel_next + BATCH.max(self.wave.max_batch()))
+        let end = (rel_next + BATCH.max(self.core.wave.max_batch()))
             .min(self.log.len())
             .min(self.flushed_tip() - offset)
             .max(rel_next);
@@ -487,58 +457,44 @@ impl Replica {
         let index = index.min(self.last_log_index());
         if index > self.commit_index {
             self.commit_index = index;
-            self.disk.log(|| WalRecord::Commit { index });
+            self.core.disk.log(|| WalRecord::Commit { index });
         }
         self.apply_committed(Some(&mut *ctx));
         // A fresh applied frontier may unlock parked fast reads.
-        self.reads.serve(ctx, &self.exec);
+        self.core.reads.serve(ctx, &self.core.log);
         self.maybe_snapshot();
         // Commits drain the pipeline window: a held-back wave may now ship.
         self.maybe_flush(ctx);
     }
 
-    /// Applies every committed entry the machine does not reflect yet,
-    /// through the apply step Multi-Paxos shares ([`ReplicatedLog::apply`]).
-    /// Live, each entry also closes its span, syncs a transaction decision
-    /// it resolved before the reply that releases the transaction leaves
-    /// (WAL-before-decision), and the node that appended a command replies
-    /// to its sender; replaying a recovered log (`ctx` is `None`) does none
-    /// of that.
+    /// Applies every committed entry the machine does not reflect yet.
+    /// Live, each entry closes its span and goes through the step Multi-Paxos
+    /// shares ([`Core::apply`]: sync a resolved decision, then reply to the
+    /// command's sender); replaying a recovered log (`ctx` is `None`) only
+    /// applies ([`consensus_core::ReplicatedLog::apply`]).
     fn apply_committed(&mut self, mut ctx: Option<&mut Context<Wire>>) {
-        while self.exec.applied_len() < self.commit_index {
-            let i = self.exec.applied_len() + 1;
-            let op = &self.log[i - self.snapshot.0 - 1].op;
-            let mut reply = None;
-            let resolved = self.exec.apply(op, self.disk.index(), |cmd, out| {
-                reply = Some((cmd.client, cmd.seq, out));
-            });
+        while self.core.log.applied_len() < self.commit_index {
+            let i = self.core.log.applied_len() + 1;
+            let op = &self.log[i - self.core.floor - 1].op;
             let Some(ctx) = ctx.as_deref_mut() else {
+                self.core.log.apply(op, self.core.disk.index(), |_, _| {});
                 continue;
             };
             ctx.phase(SPAN, i as u64, self.current_term, CncPhase::Decision);
             ctx.span_close(SPAN, i as u64, self.current_term);
-            if resolved {
-                self.disk.sync(ctx);
-            }
-            let Some((client, seq, output)) = reply else {
-                continue;
-            };
-            if let Some(client_node) = self.pending_reply.remove(&(client, seq)) {
-                let reply = ClientMsg::Reply { seq, output };
-                ctx.send(client_node, Envelope::Client(reply));
-            }
+            self.core.apply(ctx, op);
         }
     }
 
     /// Compact the applied prefix once it exceeds the threshold.
     fn maybe_snapshot(&mut self) {
-        let (applied, offset) = (self.exec.applied_len(), self.snapshot.0);
-        if !self.disk.checkpoint_due(applied, offset) {
+        if !self.core.checkpoint_due() {
             return;
         }
+        let applied = self.core.log.applied_len();
         let term = self.term_at(applied).expect("applied entries are retained");
-        self.log.drain(..applied - offset);
-        self.snapshot = (applied, term);
+        self.log.drain(..applied - self.core.floor);
+        (self.core.floor, self.snapshot_term) = (applied, term);
         // Durable mode: the checkpoint truncates the WAL and re-logs the
         // retained suffix, so recovery cost stays bounded.
         self.persist_checkpoint();
@@ -575,14 +531,14 @@ impl Replica {
             ClientMsg::Read { client, seq, key } => {
                 if self.can_confirm_reads(ctx) {
                     let at = Some(self.commit_index);
-                    self.reads.park(from, (client, seq), key, at);
-                    self.reads.serve(ctx, &self.exec);
+                    self.core.reads.park(from, (client, seq), key, at);
+                    self.core.reads.serve(ctx, &self.core.log);
                 } else if let Some(leader) = self.leader_hint.filter(|_| self.role != Role::Leader)
                 {
                     // Park the read and ask the leader to confirm its
                     // commit index; we serve from local applied state once
                     // it both confirms and applies here.
-                    self.reads.park(from, (client, seq), key, None);
+                    self.core.reads.park(from, (client, seq), key, None);
                     ctx.send(leader, RaftMsg::ReadIndexQ { client, seq }.into());
                 } else {
                     shell::nack(ctx, from, (client, seq));
@@ -595,25 +551,39 @@ impl Replica {
 
     fn on_request(&mut self, ctx: &mut Context<Wire>, from: NodeId, cmd: Command<KvCommand>) {
         let hint = (self.role != Role::Leader).then(|| self.leader_hint.unwrap_or(NodeId(0)));
-        let Some(cmd) = shell::intake(ctx, from, cmd, self.exec.machine(), hint) else {
+        let Some(cmd) = shell::intake(ctx, from, cmd, self.core.log.machine(), hint) else {
             return;
         };
-        let uncommitted_from = self.commit_index.saturating_sub(self.snapshot.0);
+        let uncommitted_from = self.commit_index.saturating_sub(self.core.floor);
         let uncommitted = &self.log[uncommitted_from.min(self.log.len())..];
         if shell::in_flight(&cmd, uncommitted.iter().flat_map(|e| e.op.commands())) {
             return;
         }
-        self.pending_reply.insert((cmd.client, cmd.seq), from);
+        self.core.await_reply(&cmd, from);
         let index = self.append(Entry {
             term: self.current_term,
             op: SmrOp::Cmd(cmd),
         });
-        self.disk.sync(ctx); // entry durable before the leader counts it
+        self.core.disk.sync(ctx); // entry durable before the leader counts it
         ctx.span_open(SPAN, index as u64, self.current_term);
         ctx.phase(SPAN, index as u64, self.current_term, CncPhase::Agreement);
         self.match_index[ctx.id().index()] = index;
-        self.wave.push(ctx, ());
+        self.core.wave.push(ctx, ());
         self.maybe_flush(ctx);
+    }
+}
+
+impl std::ops::Deref for Replica {
+    type Target = Core<()>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.core
+    }
+}
+
+impl std::ops::DerefMut for Replica {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.core
     }
 }
 
@@ -624,7 +594,7 @@ impl Node for Replica {
         self.reset_election_timer(ctx);
         // Bias node 0 to win the first election fast: fire almost at once.
         if ctx.id() == NodeId(0) {
-            self.election_timer.restart(ctx, 1_000, ELECTION);
+            self.core.election.restart(ctx, 1_000, ELECTION);
         }
     }
 
@@ -650,7 +620,7 @@ impl Node for Replica {
                     self.log_hard_state();
                     self.reset_election_timer(ctx);
                 }
-                self.disk.sync(ctx); // term/vote durable before the response
+                self.core.disk.sync(ctx); // term/vote durable before the response
                 ctx.send(
                     from,
                     RaftMsg::VoteResponse {
@@ -667,8 +637,8 @@ impl Node for Replica {
                     return;
                 }
                 if self.role == Role::Candidate && term == self.current_term && granted {
-                    self.votes += 1;
-                    if self.votes >= self.majority() {
+                    self.votes.vote(from, []);
+                    if self.votes.reached() {
                         self.become_leader(ctx);
                     }
                 }
@@ -696,16 +666,16 @@ impl Node for Replica {
                 self.become_follower(ctx, term);
                 self.leader_hint = Some(from);
 
-                if prev_log_index < self.snapshot.0 {
+                if prev_log_index < self.core.floor {
                     // We have a snapshot past `prev`: ask the leader to
                     // resume from our offset.
-                    self.disk.sync(ctx); // any term bump durable first
+                    self.core.disk.sync(ctx); // any term bump durable first
                     ctx.send(
                         from,
                         RaftMsg::AppendResponse {
                             term: self.current_term,
                             success: false,
-                            match_index: self.snapshot.0,
+                            match_index: self.core.floor,
                         }
                         .into(),
                     );
@@ -718,8 +688,8 @@ impl Node for Replica {
                     let hint = prev_log_index
                         .saturating_sub(1)
                         .min(self.last_log_index())
-                        .max(self.snapshot.0);
-                    self.disk.sync(ctx); // any term bump durable first
+                        .max(self.core.floor);
+                    self.core.disk.sync(ctx); // any term bump durable first
                     ctx.send(
                         from,
                         RaftMsg::AppendResponse {
@@ -742,7 +712,7 @@ impl Node for Replica {
                                 index > self.commit_index,
                                 "attempted to truncate a committed entry"
                             );
-                            self.log.truncate(index - self.snapshot.0 - 1);
+                            self.log.truncate(index - self.core.floor - 1);
                             self.append(entry);
                         }
                         None => {
@@ -756,7 +726,7 @@ impl Node for Replica {
                 }
                 // One group commit covers the term bump, every appended
                 // entry, and the commit advance — WAL-before-ack.
-                self.disk.sync(ctx);
+                self.core.disk.sync(ctx);
                 ctx.send(
                     from,
                     RaftMsg::AppendResponse {
@@ -779,7 +749,7 @@ impl Node for Replica {
                 }
                 self.become_follower(ctx, term);
                 self.leader_hint = Some(from);
-                let offset = self.snapshot.0;
+                let offset = self.core.floor;
                 if last_included_index <= offset {
                     return; // stale snapshot
                 }
@@ -792,12 +762,10 @@ impl Node for Replica {
                     self.log.len()
                 };
                 self.log.drain(..absorbed);
-                self.snapshot = (last_included_index, last_included_term);
-                self.disk
-                    .install(&mut self.exec, *machine, last_included_index);
+                self.snapshot_term = last_included_term;
+                // The applied frontier jumps: parked fast reads may serve.
+                self.core.install(ctx, *machine, last_included_index);
                 self.commit_index = self.commit_index.max(last_included_index);
-                // The applied frontier jumped: parked fast reads may serve.
-                self.reads.serve(ctx, &self.exec);
                 // Checkpoint the install, so it survives a crash that
                 // follows the ack.
                 self.persist_checkpoint();
@@ -850,7 +818,9 @@ impl Node for Replica {
             }
 
             RaftMsg::ReadIndexR { client, seq, index } => {
-                self.reads.confirm(ctx, &self.exec, (client, seq), index);
+                self.core
+                    .reads
+                    .confirm(ctx, &self.core.log, (client, seq), index);
             }
         }
     }
@@ -861,18 +831,13 @@ impl Node for Replica {
             HEARTBEAT if self.role == Role::Leader => {
                 // The heartbeat fan-out ships everything anyway: fold any
                 // queued wave into it.
-                if !self.wave.is_empty() {
-                    self.wave.take(ctx, self.wave.len());
+                if !self.core.wave.is_empty() {
+                    self.core.wave.take(ctx, self.core.wave.len());
                 }
                 self.replicate_all(ctx);
                 ctx.set_timer(HB_PERIOD, HEARTBEAT);
             }
-            FLUSH => {
-                let overdue = self.wave.expire(self.role == Role::Leader);
-                if overdue {
-                    self.maybe_flush(ctx);
-                }
-            }
+            FLUSH if self.core.wave.expire(self.role == Role::Leader) => self.maybe_flush(ctx),
             _ => {}
         }
     }
@@ -880,13 +845,8 @@ impl Node for Replica {
     fn on_restart(&mut self, ctx: &mut Context<Wire>) {
         // Leadership and volatile indices never survive a restart.
         self.role = Role::Follower;
-        self.votes = 0;
-        self.pending_reply.clear();
-        self.reads.clear();
         self.last_contact.clear();
-        self.wave.reset();
-        self.election_timer.fired();
-        if let Some(restored) = self.disk.restore(&mut self.exec) {
+        if let Some(restored) = self.core.restart() {
             // Durable mode: term, vote, log, and machine exist only as WAL
             // records and checkpoints. Rebuild them the honest way.
             self.recover_from(restored);
@@ -927,7 +887,7 @@ mod tests {
                 });
             }
             r.disk.engine_mut().expect("attached").sync();
-            let restored = r.disk.restore(&mut r.exec).expect("attached");
+            let restored = r.core.restart().expect("attached");
             r.recover_from(restored);
             (r.current_term, r.voted_for)
         };
