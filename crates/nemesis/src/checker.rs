@@ -322,10 +322,7 @@ pub fn check_range_consistency(history: &[ClientRecord]) -> Vec<Violation> {
                 ),
             });
         }
-        if let Some(bad) = entries
-            .iter()
-            .find(|(k, _)| k < start || k >= end)
-        {
+        if let Some(bad) = entries.iter().find(|(k, _)| k < start || k >= end) {
             out.push(Violation {
                 check: "range-bounds",
                 detail: format!("range [{start},{end}) returned out-of-range key {}", bad.0),
@@ -573,7 +570,10 @@ mod tests {
                     limit: 4,
                 },
                 KvResponse::Entries(
-                    entries.into_iter().map(|(k, v)| (k.into(), v.into())).collect(),
+                    entries
+                        .into_iter()
+                        .map(|(k, v)| (k.into(), v.into()))
+                        .collect(),
                 ),
             )
         };
@@ -644,9 +644,15 @@ mod tests {
         assert!(check_binary_agreement(&ok, &[0, 1, 1]).is_empty());
 
         let split = [(0, Some(0)), (1, Some(1))];
-        assert_eq!(check_binary_agreement(&split, &[0, 1])[0].check, "ba-agreement");
+        assert_eq!(
+            check_binary_agreement(&split, &[0, 1])[0].check,
+            "ba-agreement"
+        );
 
         let invented = [(0, Some(1))];
-        assert_eq!(check_binary_agreement(&invented, &[0, 0])[0].check, "ba-validity");
+        assert_eq!(
+            check_binary_agreement(&invented, &[0, 0])[0].check,
+            "ba-validity"
+        );
     }
 }

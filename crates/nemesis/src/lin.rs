@@ -126,7 +126,12 @@ impl Search<'_> {
 
 /// Checks one key's sub-history. `pending` are incomplete records; each
 /// subset of them is tried as "executed without responding".
-fn check_key(key: &str, complete: &[&ClientRecord], pending: &[&ClientRecord], budget: &mut u64) -> Option<Violation> {
+fn check_key(
+    key: &str,
+    complete: &[&ClientRecord],
+    pending: &[&ClientRecord],
+    budget: &mut u64,
+) -> Option<Violation> {
     let subsets = 1u32 << pending.len().min(16);
     let mut exhausted = false;
     for mask in 0..subsets {

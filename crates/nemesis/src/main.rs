@@ -54,12 +54,10 @@ fn parse_args() -> Result<Args, String> {
             "--trace-out" => {
                 args.trace_out = Some(it.next().ok_or("--trace-out needs a path")?);
             }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: nemesis [--seeds N] [--protocols a,b,c] [--replay FILE [--trace-out PATH]]"
-                        .to_string(),
-                )
-            }
+            "--help" | "-h" => return Err(
+                "usage: nemesis [--seeds N] [--protocols a,b,c] [--replay FILE [--trace-out PATH]]"
+                    .to_string(),
+            ),
             other => return Err(format!("unknown argument {other:?} (try --help)")),
         }
     }
@@ -82,7 +80,8 @@ fn resolve_targets(names: &Option<Vec<String>>) -> Result<Vec<Box<dyn Target>>, 
 fn run_replay(path: &str, trace_out: Option<&str>) -> Result<ExitCode, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let cx = Counterexample::from_json(&text)?;
-    let target = by_name(&cx.protocol).ok_or_else(|| format!("unknown protocol {:?}", cx.protocol))?;
+    let target =
+        by_name(&cx.protocol).ok_or_else(|| format!("unknown protocol {:?}", cx.protocol))?;
     println!(
         "replaying {} seed {} ({} actions): {}",
         cx.protocol,
@@ -117,10 +116,16 @@ fn run_replay(path: &str, trace_out: Option<&str>) -> Result<ExitCode, String> {
         }
     }
     if observed == cx.violations {
-        println!("reproduced: {} violation(s), exactly as stored", observed.len());
+        println!(
+            "reproduced: {} violation(s), exactly as stored",
+            observed.len()
+        );
         Ok(ExitCode::SUCCESS)
     } else {
-        println!("MISMATCH: stored {:?}, observed {observed:?}", cx.violations);
+        println!(
+            "MISMATCH: stored {:?}, observed {observed:?}",
+            cx.violations
+        );
         Ok(ExitCode::FAILURE)
     }
 }
@@ -160,8 +165,7 @@ fn run_sweep(args: &Args) -> Result<ExitCode, String> {
                 violations: report.violations.iter().map(|v| v.to_string()).collect(),
             };
             let file = format!("nemesis-{}-{}.json", result.protocol, failure.seed);
-            std::fs::write(&file, cx.to_json())
-                .map_err(|e| format!("cannot write {file}: {e}"))?;
+            std::fs::write(&file, cx.to_json()).map_err(|e| format!("cannot write {file}: {e}"))?;
             artifacts.push(file);
         }
     }
