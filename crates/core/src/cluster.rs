@@ -9,13 +9,13 @@
 //! `Replica::on_message` / `on_timer`.
 
 use simnet::{
-    CausalSpan, Context, DiskModel, DropAll, Filter, Metrics, NetConfig, Node, NodeId, Payload,
-    RunOutcome, Sim, Time, Timer,
+    CausalSpan, Context, DiskModel, Filter, Metrics, NetConfig, Node, NodeId, Payload, RunOutcome,
+    Sim, Time, Timer,
 };
 use storage::DurableEngine;
 
 use crate::client::{Accept, Client, Envelope, Session};
-use crate::driver::{BatchConfig, ByzantineWindow, ClusterDriver, DecidedEntry, DriverConfig};
+use crate::driver::{BatchConfig, ClusterDriver, DecidedEntry, DriverConfig};
 use crate::durable::Disk;
 use crate::history::{ClientRecord, HistorySink};
 use crate::quorum::QuorumSpec;
@@ -75,8 +75,11 @@ pub trait SmrProtocol: Sized + 'static {
     /// Appends every entry `replica` (node `node`) knows to be decided.
     fn decided(replica: &Self::Replica, node: u32, out: &mut Vec<DecidedEntry>);
 
-    /// The outbound filter that makes a node equivocate, for protocols
-    /// whose fault model includes Byzantine replicas.
+    /// The one place a protocol declares its Byzantine behaviour: the
+    /// outbound filter a lying replica runs, for protocols whose fault
+    /// model includes Byzantine replicas. `None` (the default) marks a
+    /// crash-fault protocol, which the nemesis never gives a Byzantine
+    /// window.
     fn equivocation_filter() -> Option<Box<dyn Filter<Envelope<Self::Peer>>>> {
         None
     }
@@ -434,21 +437,5 @@ where
 
     fn set_drop_prob(&mut self, p: f64) {
         self.sim.set_drop_prob(p);
-    }
-
-    fn open_byzantine_window(&mut self, kind: ByzantineWindow, node: NodeId) -> bool {
-        let Some(lie) = P::equivocation_filter() else {
-            return false;
-        };
-        let filter = match kind {
-            ByzantineWindow::Mute => Box::new(DropAll),
-            ByzantineWindow::Equivocate => lie,
-        };
-        self.sim.set_filter(node, filter);
-        true
-    }
-
-    fn close_byzantine_window(&mut self, node: NodeId) {
-        self.sim.clear_filter(node);
     }
 }

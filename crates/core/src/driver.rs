@@ -306,18 +306,6 @@ pub struct DecidedEntry {
     pub origin: Option<(u32, u64)>,
 }
 
-/// Byzantine fault windows a driver may support. Drivers for crash-fault
-/// protocols return `false` from
-/// [`ClusterDriver::open_byzantine_window`] — the nemesis planner never
-/// schedules these against them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ByzantineWindow {
-    /// The node stops sending anything (fail-silent).
-    Mute,
-    /// The node sends conflicting messages to different destinations.
-    Equivocate,
-}
-
 /// A protocol cluster that can be driven, faulted, and harvested without
 /// knowing which protocol it is.
 ///
@@ -408,14 +396,6 @@ pub trait ClusterDriver {
 
     /// Sets the global message drop probability, effective immediately.
     fn set_drop_prob(&mut self, p: f64);
-
-    /// Installs a Byzantine outbound filter on `node`. Returns whether the
-    /// protocol supports (and installed) the window; crash-fault drivers
-    /// return `false`.
-    fn open_byzantine_window(&mut self, kind: ByzantineWindow, node: NodeId) -> bool;
-
-    /// Removes any Byzantine filter from `node`.
-    fn close_byzantine_window(&mut self, node: NodeId);
 }
 
 #[cfg(test)]

@@ -78,7 +78,7 @@ pub mod workload;
 pub use ballot::Ballot;
 pub use client::{Accept, Answer, Client, ClientMsg, Envelope, Quorum, Session, Silence, Target};
 pub use cluster::{Cluster, ClusterShape, DurableProtocol, Proc, SmrProtocol};
-pub use driver::{BatchConfig, ByzantineWindow, ClusterDriver, DecidedEntry, DriverConfig, Wave};
+pub use driver::{BatchConfig, ClusterDriver, DecidedEntry, DriverConfig, Wave};
 pub use history::{ClientRecord, HistorySink};
 pub use quorum::QuorumSpec;
 pub use register::{Register, Tally};

@@ -1383,7 +1383,6 @@ mod tests {
 
     #[test]
     fn cluster_driver_trait_drives_and_harvests() {
-        use consensus_core::driver::ByzantineWindow;
         let mut cluster = MultiPaxosCluster::from_config(&DriverConfig::new(3, 2, 5, 7));
         let drv: &mut dyn ClusterDriver = &mut cluster;
         assert_eq!(drv.protocol(), "multi-paxos");
@@ -1403,8 +1402,8 @@ mod tests {
                 >= 10
         );
         assert!(drv.metrics().sent > 0);
-        // Crash-fault protocol: Byzantine windows are unsupported.
-        assert!(!drv.open_byzantine_window(ByzantineWindow::Mute, NodeId(1)));
+        // Crash-fault protocol: it declares no lie.
+        assert!(MultiPaxos::equivocation_filter().is_none());
     }
 
     #[test]
