@@ -333,6 +333,17 @@ impl<N: Node> Sim<N> {
         self.config.drop_prob = p.clamp(0.0, 1.0);
     }
 
+    /// Overrides the message-duplication probability from this point on —
+    /// duplicate bursts, as [`Sim::set_drop_prob`] models loss bursts.
+    pub fn set_duplicate_prob(&mut self, p: f64) {
+        self.config.duplicate_prob = p.clamp(0.0, 1.0);
+    }
+
+    /// The message-duplication probability in force.
+    pub fn duplicate_prob(&self) -> f64 {
+        self.config.duplicate_prob
+    }
+
     /// Installs a Byzantine outbound filter on `id` (replacing any previous
     /// one). See [`crate::fault`].
     pub fn set_filter(&mut self, id: NodeId, filter: Box<dyn Filter<N::Msg>>) {
