@@ -198,16 +198,27 @@ fn decode_record(bytes: &[u8]) -> Option<WalRecord> {
     (r.remaining() == 0).then_some(rec)
 }
 
-/// Serializes a machine checkpoint: the state after the entries up to
-/// `index`, whose entry had `term`. Sized by a first pass, as a WAL record
-/// is: a megabyte checkpoint is written once, not copied at every
-/// doubling.
+/// Serializes a machine checkpoint into a fresh buffer, the bytes
+/// [`Disk::checkpoint`] encodes straight into the engine's own.
 pub fn encode_snapshot(machine: &DedupKvMachine, index: usize, term: u64) -> Vec<u8> {
+    let mut buf = Vec::new();
+    snapshot_into(&mut buf, machine, index, term);
+    buf
+}
+
+/// Writes a machine checkpoint into the empty `buf`: the state after the
+/// entries up to `index`, whose entry had `term`. A first pass sizes it, as
+/// for a WAL record: a megabyte checkpoint is written once, not copied at
+/// every doubling.
+fn snapshot_into(buf: &mut Vec<u8>, machine: &DedupKvMachine, index: usize, term: u64) {
+    debug_assert!(buf.is_empty());
     let mut count = Count::default();
     put_snapshot(&mut count, machine, index, term);
-    let mut buf = Vec::with_capacity(count.0);
-    put_snapshot(&mut buf, machine, index, term);
-    buf
+    if buf.capacity() < count.0 {
+        // Not `reserve`: a regrow would copy the last blob's stale bytes.
+        *buf = Vec::with_capacity(count.0.max(2 * buf.capacity()));
+    }
+    put_snapshot(buf, machine, index, term);
 }
 
 fn put_snapshot(buf: &mut impl Sink, machine: &DedupKvMachine, index: usize, term: u64) {
@@ -356,15 +367,13 @@ impl Disk {
 
     /// Group-commits everything logged since the last sync and charges the
     /// modeled device time to the handler's causal trace. A no-op — no
-    /// counter read, no flush, no span — when nothing is outstanding.
+    /// flush, no span — when nothing is outstanding.
     pub fn sync<M: Payload>(&mut self, ctx: &mut Context<M>) {
         let Some(engine) = self.engine.as_mut().filter(|_| self.dirty) else {
             return;
         };
         self.dirty = false;
-        let before = engine.stats().io_time_us;
-        engine.sync();
-        let spent = engine.stats().io_time_us - before;
+        let spent = engine.sync();
         if spent > 0 {
             ctx.charge_io("wal-sync", spent);
         }
@@ -385,7 +394,7 @@ impl Disk {
         let Some(engine) = self.engine.as_mut() else {
             return;
         };
-        engine.write_snapshot(&encode_snapshot(machine, index, term));
+        engine.write_snapshot_with(&mut |buf| snapshot_into(buf, machine, index, term));
         live.into_iter()
             .for_each(|rec| engine.log_record(&encode_record(&rec)));
         engine.sync();

@@ -8,8 +8,16 @@
 //! copied on a hit. [`BufferPool::crash`] drops every frame — including
 //! dirty ones — which is precisely why the layers above must WAL first and
 //! treat on-disk pages as reconstructible.
+//!
+//! A frame holds a [`Page`] it may share with the disk: a miss or an
+//! allocation installs the disk's page, and a flush or dirty eviction hands
+//! the frame's page back, all by pointer. [`BufferPool::page_mut`] copies the
+//! 4 KiB only while the disk still shares the frame's page, so the one copy
+//! left is the first edit after a fetch, an allocation or a flush.
 
-use crate::disk::{SimDisk, PAGE_SIZE};
+use std::rc::Rc;
+
+use crate::disk::{Page, SimDisk, PAGE_SIZE};
 
 /// Pool counters, all deterministic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -27,7 +35,7 @@ pub struct PoolStats {
 #[derive(Debug)]
 struct Frame {
     pid: u32,
-    data: [u8; PAGE_SIZE],
+    data: Page,
     dirty: bool,
     referenced: bool,
 }
@@ -70,23 +78,23 @@ impl BufferPool {
 
     /// Lends out page `pid`'s resident frame for editing in place and marks
     /// it dirty; the disk sees the edit at eviction or
-    /// [`BufferPool::flush_all`].
+    /// [`BufferPool::flush_all`]. Copies the page first if the disk still
+    /// shares it.
     pub fn page_mut(&mut self, disk: &mut SimDisk, pid: u32) -> &mut [u8; PAGE_SIZE] {
         let idx = self.fetch(disk, pid);
         let f = &mut self.frames[idx];
         f.dirty = true;
         f.referenced = true;
-        &mut f.data
+        Rc::make_mut(&mut f.data)
     }
 
     /// Allocates a fresh page on disk and installs its (zeroed) frame
     /// without a read. Returns the page id.
     pub fn alloc(&mut self, disk: &mut SimDisk) -> u32 {
         let pid = disk.alloc_page();
-        let idx = self.claim_frame(disk, pid);
-        let f = &mut self.frames[idx];
-        f.data.fill(0);
-        f.referenced = true;
+        let zero = disk.zero_page();
+        let idx = self.claim_frame(disk, pid, zero);
+        self.frames[idx].referenced = true;
         pid
     }
 
@@ -94,7 +102,7 @@ impl BufferPool {
     pub fn flush_all(&mut self, disk: &mut SimDisk) {
         for f in &mut self.frames {
             if f.dirty {
-                disk.write_page(f.pid, &f.data);
+                disk.write_page(f.pid, Rc::clone(&f.data));
                 f.dirty = false;
                 self.stats.writebacks += 1;
             }
@@ -121,21 +129,20 @@ impl BufferPool {
             }
             _ => {
                 self.stats.misses += 1;
-                let idx = self.claim_frame(disk, pid);
-                self.frames[idx].data = *disk.read_page(pid);
-                idx
+                let page = disk.read_page(pid);
+                self.claim_frame(disk, pid, page)
             }
         }
     }
 
-    /// Makes a clean, unreferenced frame the home of `pid`, evicting (and
-    /// writing back) a victim when the pool is full. The frame's bytes are
-    /// whatever was there before; the caller overwrites them.
-    fn claim_frame(&mut self, disk: &mut SimDisk, pid: u32) -> usize {
+    /// Makes a clean, unreferenced frame holding `page` the home of `pid`,
+    /// evicting a victim when the pool is full and handing its page to the
+    /// disk if it is dirty.
+    fn claim_frame(&mut self, disk: &mut SimDisk, pid: u32, page: Page) -> usize {
         let idx = if self.frames.len() < self.capacity {
             self.frames.push(Frame {
                 pid,
-                data: [0u8; PAGE_SIZE],
+                data: page,
                 dirty: false,
                 referenced: false,
             });
@@ -143,8 +150,9 @@ impl BufferPool {
         } else {
             let victim = self.pick_victim();
             let f = &mut self.frames[victim];
+            let evicted = std::mem::replace(&mut f.data, page);
             if f.dirty {
-                disk.write_page(f.pid, &f.data);
+                disk.write_page(f.pid, evicted);
                 self.stats.writebacks += 1;
             }
             self.table[f.pid as usize] = NOT_RESIDENT;
@@ -248,6 +256,64 @@ mod tests {
         );
         pool.page(&mut d, b);
         assert_eq!(pool.stats().misses, miss_before + 1, "b was the victim");
+    }
+
+    #[test]
+    fn an_edit_after_a_flush_leaves_the_disk_as_flushed_until_the_next_write_back() {
+        let mut d = disk();
+        let mut pool = BufferPool::new(4);
+        let pid = pool.alloc(&mut d);
+        *pool.page_mut(&mut d, pid) = page(1);
+        pool.flush_all(&mut d);
+        pool.page_mut(&mut d, pid)[7] = 2;
+        assert_eq!(
+            *d.read_page(pid),
+            page(1),
+            "the disk keeps what was flushed"
+        );
+        assert_eq!(pool.page(&mut d, pid)[7], 2);
+        pool.flush_all(&mut d);
+        assert_eq!(d.read_page(pid)[7], 2);
+        assert_eq!(pool.stats().writebacks, 2);
+    }
+
+    #[test]
+    fn pages_allocated_from_the_shared_zero_page_do_not_alias() {
+        let mut d = disk();
+        let mut pool = BufferPool::new(4);
+        let a = pool.alloc(&mut d);
+        let b = pool.alloc(&mut d);
+        *pool.page_mut(&mut d, a) = page(3);
+        assert_eq!(*pool.page(&mut d, b), page(0));
+        pool.page_mut(&mut d, b)[0] = 4;
+        assert_eq!(*pool.page(&mut d, a), page(3));
+        pool.flush_all(&mut d);
+        assert_eq!(*d.read_page(a), page(3));
+        assert_eq!(d.read_page(b)[..2], [4, 0]);
+        assert_eq!(*d.zero_page(), page(0));
+        // A page allocated after the others were written is still zero.
+        let c = pool.alloc(&mut d);
+        assert_eq!(*pool.page(&mut d, c), page(0));
+    }
+
+    #[test]
+    fn a_dirty_eviction_then_a_refetch_reads_back_the_evicted_bytes() {
+        let mut d = disk();
+        let mut pool = BufferPool::new(1);
+        let a = pool.alloc(&mut d);
+        *pool.page_mut(&mut d, a) = page(5);
+        let b = pool.alloc(&mut d); // evicts a, dirty
+        assert_eq!(pool.stats().writebacks, 1);
+        *pool.page_mut(&mut d, b) = page(6);
+        assert_eq!(
+            *pool.page(&mut d, a),
+            page(5),
+            "a miss reads the evicted bytes"
+        );
+        assert_eq!(pool.stats().writebacks, 2, "b went back on the way out");
+        pool.page_mut(&mut d, a)[0] = 7;
+        assert_eq!(*d.read_page(a), page(5), "an edit stays in the frame");
+        assert_eq!(*d.read_page(b), page(6));
     }
 
     #[test]

@@ -16,11 +16,24 @@
 //!
 //! Everything written here is durable by definition; the *volatile* half of
 //! the stack (pool frames, unflushed WAL buffer) lives in the layers above.
+//!
+//! Pages are [`Page`]s, shared copy-on-write with the buffer pool's frames:
+//! an allocation hands out the disk's one zero page, a read lends the
+//! device's page to a frame and a write-back hands the frame's page to the
+//! device, each by pointer. The bytes are copied only when the pool edits a
+//! page the device still shares.
+
+use std::fmt;
+use std::rc::Rc;
 
 use simnet::DiskModel;
 
 /// Bytes per page frame. 4 KiB, the classic unit.
 pub const PAGE_SIZE: usize = 4096;
+
+/// One page's bytes, shared between the device and the pool's frames.
+/// `Rc`, not `Arc`: an engine never crosses a thread.
+pub type Page = Rc<[u8; PAGE_SIZE]>;
 
 /// Cumulative device counters. All deterministic; all monotone except none.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -38,15 +51,29 @@ pub struct DiskStats {
 }
 
 /// A deterministic simulated disk.
-#[derive(Debug)]
 pub struct SimDisk {
     model: DiskModel,
-    /// Boxed, so growing the table moves pointers, not pages.
-    pages: Vec<Box<[u8; PAGE_SIZE]>>,
+    pages: Vec<Page>,
+    /// What every allocated page starts as, shared until it is written.
+    zero: Page,
     log: Vec<u8>,
     /// Overwritten in place by each checkpoint, so its buffer is kept.
     snapshot: Option<Vec<u8>>,
     stats: DiskStats,
+}
+
+/// The device's contents and counters; the shared zero page is a cache, so
+/// it is left out.
+impl fmt::Debug for SimDisk {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SimDisk")
+            .field("model", &self.model)
+            .field("pages", &self.pages)
+            .field("log", &self.log)
+            .field("snapshot", &self.snapshot)
+            .field("stats", &self.stats)
+            .finish()
+    }
 }
 
 impl SimDisk {
@@ -55,6 +82,7 @@ impl SimDisk {
         SimDisk {
             model,
             pages: Vec::new(),
+            zero: Rc::new([0; PAGE_SIZE]),
             log: Vec::new(),
             snapshot: None,
             stats: DiskStats::default(),
@@ -74,25 +102,30 @@ impl SimDisk {
     }
 
     /// Allocates a zeroed page and returns its id. Charged as one page
-    /// write (the allocation formats the frame).
+    /// write (the allocation formats the frame); the page is the shared
+    /// [`SimDisk::zero_page`] until it is written.
     pub fn alloc_page(&mut self) -> u32 {
         let pid = self.pages.len() as u32;
-        let page = vec![0u8; PAGE_SIZE].into_boxed_slice().try_into();
-        self.pages.push(page.expect("PAGE_SIZE bytes"));
+        self.pages.push(Rc::clone(&self.zero));
         self.charge_write(PAGE_SIZE);
         pid
     }
 
-    /// Reads page `pid`: charges the I/O and lends out the device's copy.
-    pub fn read_page(&mut self, pid: u32) -> &[u8; PAGE_SIZE] {
-        self.charge_read(PAGE_SIZE);
-        &self.pages[pid as usize]
+    /// The page a fresh allocation holds, shared (metadata: no I/O).
+    pub fn zero_page(&self) -> Page {
+        Rc::clone(&self.zero)
     }
 
-    /// Writes page `pid` in place.
-    pub fn write_page(&mut self, pid: u32, data: &[u8; PAGE_SIZE]) {
+    /// Reads page `pid`: charges the I/O and lends out the device's page.
+    pub fn read_page(&mut self, pid: u32) -> Page {
+        self.charge_read(PAGE_SIZE);
+        Rc::clone(&self.pages[pid as usize])
+    }
+
+    /// Writes page `pid`: charges the I/O and keeps `page` as its contents.
+    pub fn write_page(&mut self, pid: u32, page: Page) {
         self.charge_write(PAGE_SIZE);
-        *self.pages[pid as usize] = *data;
+        self.pages[pid as usize] = page;
     }
 
     /// Number of allocated pages.
@@ -132,12 +165,14 @@ impl SimDisk {
         self.log.truncate(len);
     }
 
-    /// Atomically replaces the snapshot blob.
-    pub fn write_snapshot(&mut self, blob: &[u8]) {
-        self.charge_write(blob.len());
+    /// Atomically replaces the snapshot blob with what `encode` writes into
+    /// the cleared buffer the disk keeps, and charges its final length.
+    pub fn write_snapshot_with(&mut self, encode: &mut dyn FnMut(&mut Vec<u8>)) {
         let snapshot = self.snapshot.get_or_insert_with(Vec::new);
         snapshot.clear();
-        snapshot.extend_from_slice(blob);
+        encode(snapshot);
+        let len = snapshot.len();
+        self.charge_write(len);
     }
 
     /// Reads the snapshot blob, if any.
@@ -178,7 +213,7 @@ mod tests {
         let mut frame = [0u8; PAGE_SIZE];
         frame[0] = 0xAB;
         frame[PAGE_SIZE - 1] = 0xCD;
-        d.write_page(p1, &frame);
+        d.write_page(p1, Rc::new(frame));
         assert_eq!(*d.read_page(p1), frame);
         assert_eq!(*d.read_page(p0), [0u8; PAGE_SIZE]);
         let s = d.stats();
@@ -205,13 +240,17 @@ mod tests {
     #[test]
     fn snapshot_replaces_atomically() {
         let mut d = disk();
+        let write = |d: &mut SimDisk, blob: &[u8]| {
+            d.write_snapshot_with(&mut |buf| buf.extend_from_slice(blob));
+        };
         assert_eq!(d.read_snapshot(), None);
-        d.write_snapshot(b"v1");
-        d.write_snapshot(b"v2-longer");
+        write(&mut d, b"v1");
+        write(&mut d, b"v2-longer");
         assert_eq!(d.read_snapshot().as_deref(), Some(&b"v2-longer"[..]));
         // The buffer is reused: a shorter blob leaves no stale tail.
-        d.write_snapshot(b"v3");
+        write(&mut d, b"v3");
         assert_eq!(d.read_snapshot().as_deref(), Some(&b"v3"[..]));
+        assert_eq!(d.stats().bytes_written, 2 + 9 + 2);
     }
 
     #[test]
@@ -230,7 +269,7 @@ mod tests {
                 let pid = d.alloc_page();
                 let mut f = [i; PAGE_SIZE];
                 f[0] = i;
-                d.write_page(pid, &f);
+                d.write_page(pid, Rc::new(f));
                 d.append_log(&[i; 33]);
             }
             d.read_log();

@@ -10,10 +10,13 @@
 //!   durable; they ride the pool and may be lost on crash.
 //! * `log_record` + `sync` are the **durability path**: a record is
 //!   guaranteed to survive a crash once `sync` returns (group commit — all
-//!   records buffered since the last sync flush as one I/O).
-//! * `write_snapshot` checkpoints: it flushes the index, stores the blob,
-//!   and **truncates the WAL** — every record logged so far is considered
+//!   records buffered since the last sync flush as one I/O). `sync` returns
+//!   the device time that flush charged.
+//! * `write_snapshot_with` checkpoints: it flushes the index, runs the
+//!   caller's encoder into the engine's own snapshot buffer, and
+//!   **truncates the WAL** — every record logged so far is considered
 //!   absorbed by the blob. Callers re-log anything still live.
+//!   `write_snapshot` stores a blob already encoded.
 //! * `crash` drops exactly the volatile state; `recover` returns the last
 //!   snapshot blob and the WAL records flushed after it, in append order.
 //!   The caller replays those into its own state and re-mirrors the index.
@@ -89,10 +92,16 @@ pub trait StorageEngine: std::fmt::Debug {
     fn scan(&mut self, lo: &str, hi: &str) -> Vec<(String, String)>;
     /// Buffers one WAL record (durable after the next [`StorageEngine::sync`]).
     fn log_record(&mut self, rec: &[u8]);
-    /// Group commit: makes every buffered record durable in one I/O.
-    fn sync(&mut self);
-    /// Checkpoint: persists `blob`, flushes the index, truncates the WAL.
-    fn write_snapshot(&mut self, blob: &[u8]);
+    /// Group commit: makes every buffered record durable in one I/O, and
+    /// returns the modeled device time it charged (µs).
+    fn sync(&mut self) -> u64;
+    /// Checkpoint: flushes the index, persists what `encode` writes into
+    /// the engine's cleared snapshot buffer, truncates the WAL.
+    fn write_snapshot_with(&mut self, encode: &mut dyn FnMut(&mut Vec<u8>));
+    /// Checkpoint with a blob already encoded.
+    fn write_snapshot(&mut self, blob: &[u8]) {
+        self.write_snapshot_with(&mut |buf| buf.extend_from_slice(blob));
+    }
     /// Drops all volatile state (pool frames, unflushed WAL, the index's
     /// in-RAM form). Counters survive — they model the operator's view.
     fn crash(&mut self);
@@ -150,16 +159,18 @@ impl StorageEngine for MemEngine {
         self.stats.wal_appends += 1;
     }
 
-    fn sync(&mut self) {
-        if self.pending.is_empty() {
-            return;
+    fn sync(&mut self) -> u64 {
+        if !self.pending.is_empty() {
+            self.synced.append(&mut self.pending);
+            self.stats.wal_flushes += 1;
         }
-        self.synced.append(&mut self.pending);
-        self.stats.wal_flushes += 1;
+        0
     }
 
-    fn write_snapshot(&mut self, blob: &[u8]) {
-        self.snapshot = Some(blob.to_vec());
+    fn write_snapshot_with(&mut self, encode: &mut dyn FnMut(&mut Vec<u8>)) {
+        let snapshot = self.snapshot.get_or_insert_with(Vec::new);
+        snapshot.clear();
+        encode(snapshot);
         self.synced.clear();
         self.pending.clear();
         self.stats.snapshots_written += 1;
@@ -244,13 +255,15 @@ impl StorageEngine for DurableEngine {
         self.wal.append(rec);
     }
 
-    fn sync(&mut self) {
+    fn sync(&mut self) -> u64 {
+        let before = self.disk.stats().io_time_us;
         self.wal.flush(&mut self.disk);
+        self.disk.stats().io_time_us - before
     }
 
-    fn write_snapshot(&mut self, blob: &[u8]) {
+    fn write_snapshot_with(&mut self, encode: &mut dyn FnMut(&mut Vec<u8>)) {
         self.pool.flush_all(&mut self.disk);
-        self.disk.write_snapshot(blob);
+        self.disk.write_snapshot_with(encode);
         self.disk.truncate_log(0);
         self.wal.crash(); // buffered records are absorbed by the blob
         self.snapshots_written += 1;
@@ -388,6 +401,62 @@ mod tests {
             assert_eq!(r.snapshot.as_deref(), Some(&b"state@5"[..]));
             assert_eq!(r.records, vec![b"after".to_vec()]);
         }
+    }
+
+    #[test]
+    fn in_place_and_blob_checkpoints_leave_the_same_bytes_and_counters() {
+        let run = |in_place: bool| -> Vec<(String, StorageStats)> {
+            engines()
+                .into_iter()
+                .map(|mut e| {
+                    for i in 0..300 {
+                        e.put(&format!("k{i:03}"), &"v".repeat(i % 50));
+                        e.log_record(format!("r{i}").as_bytes());
+                        if i % 100 == 99 {
+                            let blob = format!("state@{i}").repeat(200 - i / 2);
+                            if in_place {
+                                e.write_snapshot_with(&mut |buf| {
+                                    buf.extend_from_slice(blob.as_bytes())
+                                });
+                            } else {
+                                e.write_snapshot(blob.as_bytes());
+                            }
+                        }
+                    }
+                    e.sync();
+                    (format!("{e:?}"), e.stats())
+                })
+                .collect()
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn a_shorter_checkpoint_after_a_longer_one_leaves_no_stale_tail() {
+        for mut e in engines() {
+            e.write_snapshot_with(&mut |buf| buf.extend_from_slice(b"a longer blob"));
+            e.write_snapshot_with(&mut |buf| {
+                assert!(buf.is_empty(), "the encoder gets a cleared buffer");
+                buf.extend_from_slice(b"short");
+            });
+            e.crash();
+            assert_eq!(e.recover().snapshot.as_deref(), Some(&b"short"[..]));
+        }
+    }
+
+    #[test]
+    fn sync_returns_the_device_time_it_charged() {
+        for mut e in engines() {
+            e.log_record(b"one");
+            e.log_record(b"two");
+            let before = e.stats().io_time_us;
+            let spent = e.sync();
+            assert_eq!(spent, e.stats().io_time_us - before, "on {e:?}");
+            assert_eq!(e.sync(), 0, "nothing left to flush");
+        }
+        let mut dur = DurableEngine::new(DiskModel::ssd());
+        dur.log_record(b"x");
+        assert!(dur.sync() > 0);
     }
 
     #[test]

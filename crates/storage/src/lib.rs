@@ -17,7 +17,8 @@
 //!   carries) and per-record CRC32 checksums, so replay tolerates torn
 //!   tails by stopping at the first short or corrupt record.
 //! * [`BufferPool`] ([`buffer`]) — a fixed set of in-RAM page frames with
-//!   CLOCK (second-chance) eviction and dirty-page write-back.
+//!   CLOCK (second-chance) eviction and dirty-page write-back, sharing
+//!   pages copy-on-write with the disk.
 //! * [`BTree`] ([`btree`]) — a B+ tree primary index over the pool: point
 //!   put/get/delete plus ordered range scans via leaf chaining.
 //! * [`StorageEngine`] ([`engine`]) — the trait the consensus and store
