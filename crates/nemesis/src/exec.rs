@@ -7,10 +7,40 @@
 //! probabilities at each window edge.
 //! Everything stays deterministic: segment boundaries are fixed times, and
 //! `run_until` is exact.
+//!
+//! One execution may process at most [`EVENT_BUDGET`] simulator events,
+//! counted across all its segments; a message storm that spends it ends
+//! the run early and is reported as [`BudgetSpent`], which the targets
+//! turn into an `event-budget` violation. The store targets do not come
+//! through here: they keep their own step loop, bounded by simulated time.
 
 use simnet::{Filter, Node, NodeId, RunOutcome, Sim, Time};
 
+use crate::checker::Violation;
 use crate::plan::{FaultAction, FaultPlan};
+
+/// Simulator events one plan execution may process, all segments together:
+/// over 80 times the most any passing trial of `nemesis --seeds 200` used
+/// (1 167, `raft` seed 69).
+pub const EVENT_BUDGET: u64 = 100_000;
+
+/// A plan execution spent its [`EVENT_BUDGET`] before its horizon.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BudgetSpent {
+    /// Simulated time (µs) the run had reached.
+    pub at: u64,
+}
+
+impl BudgetSpent {
+    /// The violation a target reports: a storm that would otherwise run to
+    /// the horizon silently.
+    pub fn violation(self) -> Violation {
+        Violation {
+            check: "event-budget",
+            detail: format!("{EVENT_BUDGET} simulator events spent by t={}µs", self.at),
+        }
+    }
+}
 
 /// Which kind of Byzantine window is opening (the protocol adapter decides
 /// what filter implements it for its message type).
@@ -38,17 +68,20 @@ enum Edge {
 /// probability `sim` had on entry. `make_filter` maps a Byzantine window onto a
 /// concrete outbound filter for the protocol's message type; returning
 /// `None` skips the window (e.g. a crash-fault adapter that should never
-/// see one).
+/// see one). Stops early with [`BudgetSpent`] once the run has processed
+/// [`EVENT_BUDGET`] events.
 pub fn execute_plan<N, F>(
     sim: &mut Sim<N>,
     plan: &FaultPlan,
     horizon: u64,
     base_drop_prob: f64,
     mut make_filter: F,
-) where
+) -> Result<(), BudgetSpent>
+where
     N: Node,
     F: FnMut(WindowKind, NodeId) -> Option<Box<dyn Filter<N::Msg>>>,
 {
+    let spent_at = sim.events_processed() + EVENT_BUDGET;
     let base_duplicate_prob = sim.duplicate_prob();
     // Point faults go straight onto the event queue.
     let mut edges: Vec<(u64, u8, Edge)> = Vec::new();
@@ -94,7 +127,7 @@ pub fn execute_plan<N, F>(
     edges.sort_by_key(|(t, tag, _)| (*t, std::cmp::Reverse(*tag)));
 
     for (t, _, edge) in edges {
-        run_to(sim, t.min(horizon));
+        run_to(sim, t.min(horizon), spent_at)?;
         match edge {
             Edge::FilterOn(kind, node) => {
                 if let Some(filter) = make_filter(kind, NodeId(node)) {
@@ -108,20 +141,27 @@ pub fn execute_plan<N, F>(
             Edge::DuplicateOff => sim.set_duplicate_prob(base_duplicate_prob),
         }
     }
-    run_to(sim, horizon);
+    run_to(sim, horizon, spent_at)
 }
 
 /// Advances the simulation to absolute time `t`, pushing through protocol
-/// `stop()` requests (a node declaring itself done must not end the trial).
-fn run_to<N: Node>(sim: &mut Sim<N>, t: u64) {
+/// `stop()` requests (a node declaring itself done must not end the trial),
+/// unless the event count reaches `spent_at` first.
+fn run_to<N: Node>(sim: &mut Sim<N>, t: u64, spent_at: u64) -> Result<(), BudgetSpent> {
     if sim.now() >= Time(t) {
-        return;
+        return Ok(());
     }
+    let cap = sim.max_events();
     let mut guard = 0u32;
-    while sim.run_until(Time(t)) == RunOutcome::Stopped {
-        guard += 1;
-        if guard > 10_000 {
-            break; // a stop() storm; the harvest will judge what happened
+    loop {
+        sim.set_max_events(spent_at.saturating_sub(sim.events_processed()));
+        let outcome = sim.run_until(Time(t));
+        sim.set_max_events(cap);
+        match outcome {
+            // Past 10 000, a stop() storm; the harvest judges what happened.
+            RunOutcome::Stopped if guard < 10_000 => guard += 1,
+            RunOutcome::EventLimit => return Err(BudgetSpent { at: sim.now().0 }),
+            _ => return Ok(()),
         }
     }
 }
@@ -176,7 +216,8 @@ mod tests {
         execute_plan(&mut sim, &plan, 85_000, 0.0, |kind, _| {
             assert_eq!(kind, WindowKind::Mute);
             Some(Box::new(DropAll))
-        });
+        })
+        .expect("within budget");
         assert_eq!(sim.node(NodeId(1)).got, 5);
         assert_eq!(sim.metrics().dropped_filter, 3);
 
@@ -190,7 +231,7 @@ mod tests {
                 permille: 1000,
             }],
         };
-        execute_plan(&mut sim, &plan, 85_000, 0.0, |_, _| None);
+        execute_plan(&mut sim, &plan, 85_000, 0.0, |_, _| None).expect("within budget");
         assert_eq!(sim.node(NodeId(1)).got, 5);
         assert_eq!(sim.metrics().dropped_loss, 3);
     }
@@ -207,7 +248,7 @@ mod tests {
                 permille: 1000,
             }],
         };
-        execute_plan(&mut sim, &plan, 85_000, 0.0, |_, _| None);
+        execute_plan(&mut sim, &plan, 85_000, 0.0, |_, _| None).expect("within budget");
         assert_eq!(sim.node(NodeId(1)).got, 8 + 3);
         assert_eq!(sim.metrics().duplicated, 3);
         assert_eq!(sim.duplicate_prob(), 0.0, "the window's close restores it");
@@ -216,8 +257,61 @@ mod tests {
         let mut sim: Sim<Ticker> = Sim::new(NetConfig::synchronous().with_duplicate_prob(0.25), 5);
         sim.add_node(Ticker { got: 0 });
         sim.add_node(Ticker { got: 0 });
-        execute_plan(&mut sim, &plan, 85_000, 0.0, |_, _| None);
+        execute_plan(&mut sim, &plan, 85_000, 0.0, |_, _| None).expect("within budget");
         assert_eq!(sim.duplicate_prob(), 0.25);
+    }
+
+    /// Node 0 serves once and each node returns every ball it gets: a rally
+    /// that never quiesces, one delivery every 500 µs.
+    struct Echo;
+    impl Node for Echo {
+        type Msg = Tick;
+        fn on_start(&mut self, ctx: &mut Context<Tick>) {
+            if ctx.id() == NodeId(0) {
+                ctx.send(NodeId(1), Tick);
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Context<Tick>, from: NodeId, _m: Tick) {
+            ctx.send(from, Tick);
+        }
+        fn on_timer(&mut self, _ctx: &mut Context<Tick>, _t: simnet::Timer) {}
+    }
+
+    #[test]
+    fn one_budget_spans_every_segment_of_a_plan() {
+        // The rally delivers once every 500 µs. A window that changes
+        // nothing cuts a 60 s run into three 20 s segments of 40 000
+        // deliveries: no segment alone spends the budget, the run does.
+        let plan = FaultPlan {
+            actions: vec![FaultAction::LossBurst {
+                from: 20_000_000,
+                until: 40_000_000,
+                permille: 0,
+            }],
+        };
+        let echo = || {
+            let mut sim: Sim<Echo> = Sim::new(NetConfig::synchronous(), 6);
+            sim.add_node(Echo);
+            sim.add_node(Echo);
+            sim
+        };
+        let mut sim = echo();
+        let cap = sim.max_events();
+        let spent = execute_plan(&mut sim, &plan, 60_000_000, 0.0, |_, _| None)
+            .expect_err("the rally outlasts the budget");
+        assert_eq!(sim.events_processed(), EVENT_BUDGET);
+        assert!(
+            (45_000_000..55_000_000).contains(&spent.at),
+            "spent at {}",
+            spent.at
+        );
+        assert_eq!(sim.max_events(), cap, "the simulator's own cap is restored");
+        assert_eq!(spent.violation().check, "event-budget");
+
+        let mut sim = echo();
+        let within = execute_plan(&mut sim, &plan, 45_000_000, 0.0, |_, _| None);
+        assert_eq!(within, Ok(()));
+        assert_eq!(sim.now(), Time(45_000_000));
     }
 
     #[test]
@@ -240,7 +334,7 @@ mod tests {
                 FaultAction::Heal { at: 75_000 },
             ],
         };
-        execute_plan(&mut sim, &plan, 95_000, 0.0, |_, _| None);
+        execute_plan(&mut sim, &plan, 95_000, 0.0, |_, _| None).expect("within budget");
         let m = sim.metrics();
         assert_eq!(m.crashes, 1);
         assert_eq!(m.restarts, 1);

@@ -40,7 +40,7 @@ pub use checker::{DecidedEntry, Violation};
 pub use engine::{
     quiet_panics, replay, run_plan, run_trial, shrink, sweep, Counterexample, Failure, SweepResult,
 };
-pub use exec::{execute_plan, WindowKind};
+pub use exec::{execute_plan, BudgetSpent, WindowKind, EVENT_BUDGET};
 pub use lin::check_linearizable;
 pub use plan::{generate, FaultAction, FaultPlan, FaultSpec};
 pub use targets::{

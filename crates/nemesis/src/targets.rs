@@ -49,6 +49,11 @@
 //! Raft that is hard-state persistence, log WAL records, and snapshot
 //! install, exactly as for Multi-Paxos.
 //!
+//! Every row but the store's runs its plan through
+//! [`execute_plan`](crate::exec::execute_plan), whose event budget turns a
+//! message storm into an `event-budget` violation. The store rows keep
+//! their own step loop, bounded by a simulated-time cap.
+//!
 //! `store-geo` runs the geo deployment: three regions on a WAN topology,
 //! primary+witness shard placement, a router per region, and the
 //! region-local fast-read path (leader leases on Multi-Paxos). On top of
@@ -92,7 +97,7 @@ use crate::checker::{
     check_range_consistency, check_state_digests, check_txn_atomicity, check_validity,
     DecidedEntry, Violation,
 };
-use crate::exec::{execute_plan, WindowKind};
+use crate::exec::{execute_plan, BudgetSpent, WindowKind};
 use crate::lin::{check_linearizable, DEFAULT_BUDGET};
 use crate::plan::{FaultAction, FaultPlan, FaultSpec};
 use store::{GeoConfig, RouterCrashPoint, ShardEngine, Store, StoreConfig};
@@ -291,18 +296,23 @@ impl<P: SmrProtocol> SmrTarget<P> {
     }
 
     /// Builds the cluster from `seed` and plays `plan` against it.
-    fn drive(&self, seed: u64, plan: &FaultPlan, trace: bool) -> Cluster<P> {
+    fn drive(
+        &self,
+        seed: u64,
+        plan: &FaultPlan,
+        trace: bool,
+    ) -> (Cluster<P>, Result<(), BudgetSpent>) {
         let cfg = DriverConfig::new(self.nodes, 2, self.cmds, seed).with_batch(self.batch);
         let mut cluster = Cluster::<P>::build(self.shape, &cfg);
         cluster.sim.record_trace(trace);
-        execute_plan(&mut cluster.sim, plan, SMR_HORIZON, 0.0, |kind, _node| {
+        let executed = execute_plan(&mut cluster.sim, plan, SMR_HORIZON, 0.0, |kind, _node| {
             let lie = P::equivocation_filter()?;
             Some(match kind {
                 WindowKind::Mute => Box::new(simnet::DropAll),
                 WindowKind::Equivocate => lie,
             })
         });
-        cluster
+        (cluster, executed)
     }
 }
 
@@ -323,18 +333,20 @@ where
     }
 
     fn run(&self, seed: u64, plan: &FaultPlan) -> RunReport {
-        let cluster = self.drive(seed, plan, false);
+        let (cluster, executed) = self.drive(seed, plan, false);
         let (entries, digests) = harvest(&cluster);
         // Under a Byzantine model validity is not checked — see [`smr_safety`].
         let issued = (!self.byzantine()).then(|| cluster.issued());
+        let mut violations = smr_safety(&entries, &digests, &cluster.history(), issued.as_ref());
+        violations.extend(executed.err().map(BudgetSpent::violation));
         RunReport {
-            violations: smr_safety(&entries, &digests, &cluster.history(), issued.as_ref()),
+            violations,
             ops: cluster.total_completed(),
         }
     }
 
     fn trace_json(&self, seed: u64, plan: &FaultPlan) -> Option<String> {
-        let cluster = self.drive(seed, plan, true);
+        let (cluster, _) = self.drive(seed, plan, true);
         Some(simnet::causal::export_events(cluster.sim.trace()))
     }
 }
@@ -363,11 +375,16 @@ impl<N: simnet::Node> SimTarget<N> {
     /// The one build-and-execute under both [`Target::run`] and
     /// [`Target::trace_json`]: recording is the only difference between the
     /// checked run and the traced one.
-    fn execute(&self, seed: u64, plan: &FaultPlan, trace: bool) -> Sim<N> {
+    fn execute(
+        &self,
+        seed: u64,
+        plan: &FaultPlan,
+        trace: bool,
+    ) -> (Sim<N>, Result<(), BudgetSpent>) {
         let mut sim = (self.build)(seed);
         sim.record_trace(trace);
-        execute_plan(&mut sim, plan, self.spec.horizon, 0.0, |_, _| None);
-        sim
+        let executed = execute_plan(&mut sim, plan, self.spec.horizon, 0.0, |_, _| None);
+        (sim, executed)
     }
 }
 
@@ -381,11 +398,16 @@ impl<N: simnet::Node> Target for SimTarget<N> {
     }
 
     fn run(&self, seed: u64, plan: &FaultPlan) -> RunReport {
-        (self.check)(&self.execute(seed, plan, false), seed)
+        let (sim, executed) = self.execute(seed, plan, false);
+        let mut report = (self.check)(&sim, seed);
+        report
+            .violations
+            .extend(executed.err().map(BudgetSpent::violation));
+        report
     }
 
     fn trace_json(&self, seed: u64, plan: &FaultPlan) -> Option<String> {
-        let sim = self.execute(seed, plan, true);
+        let (sim, _) = self.execute(seed, plan, true);
         Some(simnet::causal::export_events(sim.trace()))
     }
 }
@@ -929,7 +951,7 @@ mod tests {
 
         let votes = derive_votes(seed, COMMIT_RMS);
         let mut sim = atomic_commit::paxos_commit::build(&votes, 1, NetConfig::lan(), seed);
-        execute_plan(&mut sim, &plan, COMMIT_HORIZON, 0.0, |_, _| None);
+        execute_plan(&mut sim, &plan, COMMIT_HORIZON, 0.0, |_, _| None).expect("within budget");
         assert!(
             atomic_commit::paxos_commit::participant_states(&sim)
                 .iter()

@@ -259,6 +259,11 @@ impl<N: Node> Sim<N> {
         self.max_events = cap;
     }
 
+    /// The cap [`Sim::set_max_events`] last set.
+    pub fn max_events(&self) -> u64 {
+        self.max_events
+    }
+
     /// Schedules a crash of `id` at absolute time `at`.
     pub fn crash_at(&mut self, id: NodeId, at: Time) {
         self.queue.push(at, id, EventKind::Crash);

@@ -36,7 +36,7 @@ fn paxos_survives_f_crashes_but_not_f_plus_one() {
             FaultAction::Crash { node: 4, at: 0 },
         ],
     };
-    execute_plan(&mut ok.sim, &plan, 1_000, 0.0, |_, _| None);
+    execute_plan(&mut ok.sim, &plan, 1_000, 0.0, |_, _| None).expect("within budget");
     assert!(ok.run(Time::from_secs(30)), "f = 2 of 5 must be fine");
     let (entries, digests) = harvest(&ok);
     let issued = ok.issued();
@@ -155,7 +155,7 @@ fn partitions_respect_quorum_boundaries() {
             FaultAction::Heal { at: 800_000 },
         ],
     };
-    execute_plan(&mut c.sim, &plan, 900_000, 0.0, |_, _| None);
+    execute_plan(&mut c.sim, &plan, 900_000, 0.0, |_, _| None).expect("within budget");
     assert!(c.run(Time::from_secs(60)));
     let (entries, digests) = harvest(&c);
     let issued = c.issued();
