@@ -304,31 +304,37 @@ impl<P: DurableProtocol> Cluster<P> {
 /// [`DecidedEntry`] indices: command `j` of slot `i` gets `i·2²⁰ + j`.
 const SUB_INDEX: u64 = 1 << 20;
 
-/// Appends every slot of `log` that holds a value, one [`DecidedEntry`] per
-/// command (no-ops yield one entry without an origin) — the `decided_log`
-/// shape of protocols that decide [`SmrOp`]s slot by slot.
+/// Appends every slot of `log` that holds a value through [`decided_op`],
+/// unlabelled — the `decided_log` shape of protocols that decide
+/// [`SmrOp`]s slot by slot.
 pub fn decided_slots(log: &ReplicatedLog<DedupKvMachine>, node: u32, out: &mut Vec<DecidedEntry>) {
     for i in 0..log.len() {
-        let (Slot::Decided(op) | Slot::Applied(op)) = log.slot(i) else {
-            continue;
-        };
-        let base = i as u64 * SUB_INDEX;
-        if matches!(op, SmrOp::Noop) {
-            out.push(DecidedEntry {
-                node,
-                index: base,
-                op: "Noop".to_string(),
-                origin: None,
-            });
+        if let Slot::Decided(op) | Slot::Applied(op) = log.slot(i) {
+            decided_op(node, i, "", op, out);
         }
-        for (j, cmd) in op.commands().iter().enumerate() {
-            out.push(DecidedEntry {
-                node,
-                index: base + j as u64,
-                op: format!("{cmd:?}"),
-                origin: Some((cmd.client, cmd.seq)),
-            });
-        }
+    }
+}
+
+/// Appends `op`, decided at log index `index` on `node`, as one
+/// [`DecidedEntry`] per command, each op string prefixed with `label` (a
+/// no-op yields one entry without an origin).
+pub fn decided_op(node: u32, index: usize, label: &str, op: &SmrOp, out: &mut Vec<DecidedEntry>) {
+    let base = index as u64 * SUB_INDEX;
+    if matches!(op, SmrOp::Noop) {
+        out.push(DecidedEntry {
+            node,
+            index: base,
+            op: format!("{label}Noop"),
+            origin: None,
+        });
+    }
+    for (j, cmd) in op.commands().iter().enumerate() {
+        out.push(DecidedEntry {
+            node,
+            index: base + j as u64,
+            op: format!("{label}{cmd:?}"),
+            origin: Some((cmd.client, cmd.seq)),
+        });
     }
 }
 

@@ -1,5 +1,6 @@
 //! Raft as a log protocol of the SMR shell, plus its end-to-end tests.
 
+use consensus_core::cluster::decided_op;
 use consensus_core::driver::{BatchConfig, DecidedEntry};
 use consensus_core::durable::Disk;
 use consensus_core::{
@@ -41,19 +42,14 @@ impl SmrProtocol for Raft {
         replica.machine()
     }
 
-    /// Every *committed* retained entry (an uncommitted suffix may legally
-    /// be overwritten; compacted prefixes are covered by the digest check).
-    /// Terms are baked into the op identity so the agreement check also
-    /// enforces Log Matching.
+    /// Every *committed* retained entry, one [`DecidedEntry`] per command
+    /// (an uncommitted suffix may legally be overwritten; compacted prefixes
+    /// are covered by the digest check). Each is labelled `t{term}:`, so the
+    /// agreement check also enforces Log Matching.
     fn decided(r: &Replica, node: u32, out: &mut Vec<DecidedEntry>) {
         for i in (r.snapshot_index() + 1)..=r.commit_index {
             let Some(entry) = r.entry(i) else { continue };
-            out.push(DecidedEntry {
-                node,
-                index: i as u64,
-                op: format!("t{}:{:?}", entry.term, entry.op),
-                origin: entry.op.commands().first().map(|c| (c.client, c.seq)),
-            });
+            decided_op(node, i, &format!("t{}:", entry.term), &entry.op, out);
         }
     }
 }
