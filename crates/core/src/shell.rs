@@ -6,10 +6,12 @@
 //! the record format it writes.
 //!
 //! **The applied half.** [`Core`] is what both replicas hold alike: the
-//! applied log, the disk, the parked reads, the proposer wave, who awaits
-//! each command's reply, the election timer and the checkpoint floor. Its
-//! steps are the ones both took the same way: apply one decided entry, sync
-//! a decision it resolved and reply ([`Core::apply`]), restart and restore
+//! applied log, the disk, the parked reads, the proposer wave of commands
+//! and their senders, who awaits each command's reply, the election timer
+//! and the checkpoint floor. Its steps are the ones both take the same way:
+//! turn queued commands into the op of one log instance and await their
+//! replies ([`Core::batch`]), apply one decided entry, sync a decision it
+//! resolved and reply ([`Core::apply`]), restart and restore
 //! ([`Core::restart`]), the common half of a state install
 //! ([`Core::install`]) and the checkpoint trigger. Election, ack counting,
 //! the commit rule, catch-up and each protocol's checkpoint records and
@@ -19,8 +21,8 @@
 //! replica will not order — `NotLeader` with the caller's hint, or the dedup
 //! table's cached reply — and hands a new command back. [`in_flight`] is the
 //! one test that swallows a retry of a command still being ordered; each
-//! protocol keeps its own in-flight set (queued and proposed, or the
-//! uncommitted log suffix) and the step that orders the command.
+//! protocol keeps its own in-flight set (the wave, plus the proposed slots
+//! or the uncommitted log suffix) and the step that orders a batch.
 //!
 //! **The read path.** [`Reads`] parks a [`ClientMsg::Read`] until an index it
 //! must observe has applied, answers it from the applied machine, or NACKs
@@ -184,9 +186,9 @@ impl Reads {
 }
 
 /// What a Multi-Paxos and a Raft replica hold and do alike, around the log
-/// their own protocol decides. `T` is what the leader's wave queues.
+/// their own protocol decides.
 #[derive(Debug)]
-pub struct Core<T> {
+pub struct Core {
     /// The applied side: the state machine and the entries it reflects.
     pub log: ReplicatedLog<DedupKvMachine>,
     /// The durable side: every record a message reveals goes to its WAL
@@ -194,8 +196,9 @@ pub struct Core<T> {
     pub disk: Disk,
     /// Fast reads parked until their index applies.
     pub reads: Reads,
-    /// The leader's work not yet proposed, flushed on [`FLUSH`] timers.
-    pub wave: Wave<T>,
+    /// The commands the leader has not proposed yet, each with the sender
+    /// its reply goes to; flushed on [`FLUSH`] timers.
+    pub wave: Wave<(Command<KvCommand>, NodeId)>,
     /// The one live election timer, of kind [`ELECTION`].
     pub election: LiveTimer,
     /// The applied length the last checkpoint or install reflects: entries
@@ -209,7 +212,7 @@ pub struct Core<T> {
     out: Vec<(u32, u64, KvResponse)>,
 }
 
-impl<T> Core<T> {
+impl Core {
     /// An empty log over a detached disk that checkpoints every `threshold`
     /// applied entries; reads served are answered as `reads`.
     pub fn new(batch: BatchConfig, threshold: usize, reads: ReadMode) -> Self {
@@ -235,9 +238,16 @@ impl<T> Core<T> {
         self.log.machine()
     }
 
-    /// Records `from` as the sender to answer once `cmd` applies here.
-    pub fn await_reply(&mut self, cmd: &Command<KvCommand>, from: NodeId) {
-        self.replies.insert((cmd.client, cmd.seq), from);
+    /// Takes the oldest `k` queued commands as one batch ([`Wave::take`]),
+    /// records each one's sender to answer once it applies here, and
+    /// returns them as the op of one log instance.
+    pub fn batch<P: Payload>(&mut self, ctx: &mut Ctx<'_, P>, k: usize) -> SmrOp {
+        let replies = &mut self.replies;
+        let taken = self.wave.take(ctx, k).into_iter().map(|(cmd, from)| {
+            replies.insert((cmd.client, cmd.seq), from);
+            cmd
+        });
+        SmrOp::from_batch(taken)
     }
 
     /// Applies `op` as the entry at the frontier (through
@@ -319,8 +329,8 @@ mod tests {
         Confirm((u32, u64), Option<usize>),
         /// `op` is decided at the frontier and applies.
         Apply(SmrOp),
-        /// A leader queues an item in its wave.
-        Queue,
+        /// The oldest `k` queued commands become one op.
+        Batch(usize),
         /// The replica restarted.
         Restart,
     }
@@ -331,13 +341,15 @@ mod tests {
     /// records the client messages that reach it.
     enum Probe {
         Replica {
-            core: Box<Core<()>>,
+            core: Box<Core>,
             /// Where the next client read parks.
             park_at: Option<usize>,
             /// `Some` while the replica does not lead.
             hint: Option<NodeId>,
-            /// Commands [`intake`] handed back; the core awaits their reply.
+            /// Commands [`intake`] handed back; each is queued in the wave.
             handed: Vec<Command<KvCommand>>,
+            /// The ops [`Core::batch`] made, oldest first.
+            batches: Vec<SmrOp>,
         },
         Recorder(Vec<ClientMsg>),
     }
@@ -353,6 +365,7 @@ mod tests {
                 park_at,
                 hint,
                 handed,
+                batches,
             } = self
             else {
                 let Probe::Recorder(got) = self else {
@@ -370,8 +383,8 @@ mod tests {
                 }
                 Envelope::Client(ClientMsg::Request(cmd)) => {
                     if let Some(cmd) = intake(ctx, from, cmd, core.machine(), *hint) {
-                        core.await_reply(&cmd, from);
-                        handed.push(cmd);
+                        handed.push(cmd.clone());
+                        core.wave.push(ctx, (cmd, from));
                     }
                 }
                 Envelope::Peer(Step::Confirm(id, at)) => core.reads.confirm(ctx, &core.log, id, at),
@@ -379,7 +392,7 @@ mod tests {
                     core.apply(ctx, &op);
                     core.reads.serve(ctx, &core.log);
                 }
-                Envelope::Peer(Step::Queue) => core.wave.push(ctx, ()),
+                Envelope::Peer(Step::Batch(k)) => batches.push(core.batch(ctx, k)),
                 Envelope::Peer(Step::Restart) => assert!(core.restart().is_none(), "detached"),
                 Envelope::Client(other) => panic!("a replica never receives {other:?}"),
             }
@@ -399,6 +412,7 @@ mod tests {
             park_at: None,
             hint: None,
             handed: Vec::new(),
+            batches: Vec::new(),
         });
         for _ in 0..3 {
             sim.add_node(Probe::Recorder(Vec::new()));
@@ -437,7 +451,14 @@ mod tests {
         deliver(sim, 3, Envelope::Peer(Step::Apply(SmrOp::Cmd(cmd))));
     }
 
-    fn core(sim: &Sim<Probe>) -> &Core<()> {
+    /// Submits `cmd` from node `from` and batches it alone, so its reply
+    /// is awaited.
+    fn submit(sim: &mut Sim<Probe>, from: u32, cmd: Command<KvCommand>) {
+        deliver(sim, from, Envelope::request(cmd));
+        deliver(sim, 3, Envelope::Peer(Step::Batch(1)));
+    }
+
+    fn core(sim: &Sim<Probe>) -> &Core {
         let Probe::Replica { core, .. } = sim.node(NodeId(0)) else {
             unreachable!()
         };
@@ -449,6 +470,13 @@ mod tests {
             unreachable!()
         };
         (park_at, hint)
+    }
+
+    fn batches(sim: &Sim<Probe>) -> &[SmrOp] {
+        let Probe::Replica { batches, .. } = sim.node(NodeId(0)) else {
+            unreachable!()
+        };
+        batches
     }
 
     fn handed(sim: &Sim<Probe>) -> Vec<(u32, u64)> {
@@ -491,7 +519,7 @@ mod tests {
     #[test]
     fn a_reply_goes_once_to_the_recorded_sender_and_never_for_an_unrecorded_command() {
         let mut sim = rig();
-        deliver(&mut sim, 1, Envelope::request(put(3, 4, "v")));
+        submit(&mut sim, 1, put(3, 4, "v"));
         assert_eq!(handed(&sim), [(3, 4)]);
         apply(&mut sim, put(9, 1, "w")); // nobody here awaits it
         apply(&mut sim, put(3, 4, "v"));
@@ -512,7 +540,7 @@ mod tests {
             seq: 4,
             op: KvCommand::Put { key, value },
         };
-        deliver(&mut sim, 1, Envelope::request(decision.clone()));
+        submit(&mut sim, 1, decision.clone());
         // Apply it and stop as soon as its handler returns: the reply is on
         // the wire, not delivered.
         let now = sim.now();
@@ -537,9 +565,9 @@ mod tests {
     fn a_restart_drops_replies_reads_and_the_wave_and_leaves_a_detached_log() {
         let mut sim = rig();
         apply(&mut sim, put(9, 1, "v1"));
-        deliver(&mut sim, 1, Envelope::request(put(3, 4, "v")));
+        submit(&mut sim, 1, put(3, 4, "v"));
         read(&mut sim, 2, (2, 1));
-        deliver(&mut sim, 3, Envelope::Peer(Step::Queue));
+        deliver(&mut sim, 1, Envelope::request(put(3, 5, "w")));
         assert_eq!(core(&sim).wave.len(), 1);
         let digest = core(&sim).machine().digest();
         deliver(&mut sim, 3, Envelope::Peer(Step::Restart));
@@ -621,6 +649,27 @@ mod tests {
             .map(|(client, seq, ..)| (client, seq))
             .collect();
         assert_eq!(order, [(1, 2), (1, 7), (2, 5), (3, 1)]);
+    }
+
+    #[test]
+    fn a_batch_is_the_oldest_queued_commands_and_each_reply_goes_to_its_sender() {
+        let mut sim = rig();
+        deliver(&mut sim, 1, Envelope::request(put(1, 1, "a")));
+        deliver(&mut sim, 2, Envelope::request(put(2, 1, "b")));
+        deliver(&mut sim, 1, Envelope::request(put(1, 2, "c")));
+        deliver(&mut sim, 3, Envelope::Peer(Step::Batch(2)));
+        deliver(&mut sim, 3, Envelope::Peer(Step::Batch(1)));
+        let (a, b, c) = (put(1, 1, "a"), put(2, 1, "b"), put(1, 2, "c"));
+        assert_eq!(batches(&sim), [SmrOp::Batch(vec![a, b]), SmrOp::Cmd(c)]);
+        assert!(core(&sim).wave.is_empty());
+        assert_eq!(sim.metrics().batch_size.count(), 2);
+        let ops = batches(&sim).to_vec();
+        for op in ops {
+            deliver(&mut sim, 3, Envelope::Peer(Step::Apply(op)));
+        }
+        assert_eq!(answers(&sim, 1), [(1, KvResponse::Ok), (2, KvResponse::Ok)]);
+        assert_eq!(answers(&sim, 2), [(1, KvResponse::Ok)]);
+        assert!(got(&sim, 3).is_empty());
     }
 
     #[test]

@@ -28,9 +28,8 @@ use consensus_core::quorum::Phase;
 use consensus_core::shell::{self, peers, replica_ids, Core, ELECTION, FLUSH};
 use consensus_core::smr::Slot;
 use consensus_core::{
-    Ballot, Client, ClientMsg, Cluster, Command, DedupKvMachine, DurableProtocol, Envelope,
-    KvCommand, Quorum, QuorumSpec, ReadMode, Register, Session, Silence, SmrOp, SmrProtocol, Tally,
-    Target,
+    Ballot, Client, ClientMsg, Cluster, DedupKvMachine, DurableProtocol, Envelope, Quorum,
+    QuorumSpec, ReadMode, Register, Session, Silence, SmrOp, SmrProtocol, Tally, Target,
 };
 use simnet::{CncPhase, Context, Node, NodeId, Payload, Time, Timer};
 
@@ -172,7 +171,7 @@ pub struct Replica {
     /// Never checkpoints unless a threshold is set; `floor` is the first log
     /// index not absorbed by a checkpoint (slots below it are `Slot::Empty`
     /// and `accepted` is pruned below it).
-    core: Core<(Command<KvCommand>, NodeId)>,
+    core: Core,
     /// Whether this replica currently leads.
     pub is_leader: bool,
     /// Candidate election state.
@@ -217,7 +216,7 @@ pub struct Replica {
 }
 
 impl std::ops::Deref for Replica {
-    type Target = Core<(Command<KvCommand>, NodeId)>;
+    type Target = Core;
 
     fn deref(&self) -> &Self::Target {
         &self.core
@@ -365,11 +364,7 @@ impl Replica {
             };
             let index = self.next_index;
             self.next_index += 1;
-            let taken = self.core.wave.take(ctx, k);
-            for (cmd, from) in &taken {
-                self.core.await_reply(cmd, *from);
-            }
-            let op = SmrOp::from_batch(taken.into_iter().map(|(c, _)| c));
+            let op = self.core.batch(ctx, k);
             self.propose(ctx, index, op);
         }
     }
@@ -987,7 +982,7 @@ impl LogConsistency for MultiPaxosCluster {
 mod tests {
     use super::*;
     use consensus_core::driver::{ClusterDriver, DriverConfig};
-    use consensus_core::{StateMachine as _, Str, WorkloadMode};
+    use consensus_core::{Command, KvCommand, StateMachine as _, Str, WorkloadMode};
     use simnet::{DiskModel, NetConfig};
     use storage::DurableEngine;
 

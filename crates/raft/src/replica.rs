@@ -50,7 +50,7 @@ const HEARTBEAT: u64 = 2;
 /// Heartbeat period (µs).
 const HB_PERIOD: u64 = 10_000;
 /// Max entries shipped per AppendEntries.
-const BATCH: usize = 32;
+const MAX_ENTRIES: usize = 32;
 /// Default applied-entry count that triggers a snapshot.
 pub const SNAPSHOT_THRESHOLD: usize = 64;
 /// Read-index quorum-contact window (µs): the leader confirms a read's
@@ -81,10 +81,10 @@ pub struct Replica {
     /// whole in `InstallSnapshot`) and the entries it reflects,
     /// `1..=core.log.applied_len()`; the disk, which checkpoints every
     /// [`SNAPSHOT_THRESHOLD`] applied entries unless told otherwise; the
-    /// read-index reads; and the wave, one item per entry appended to the
-    /// leader's log but not yet shipped (under `BatchConfig::unbatched()`
-    /// every appended entry ships at once).
-    core: Core<()>,
+    /// read-index reads; and the wave, the commands the leader has not
+    /// appended yet, which go into the log as one entry when it is released
+    /// (under `BatchConfig::unbatched()` each command at once).
+    core: Core,
 
     // --- volatile state ---
     /// Current role.
@@ -274,27 +274,40 @@ impl Replica {
         self.n_replicas / 2 + 1
     }
 
-    /// Highest log index already included in a replication wave. Entries
-    /// above it are queued for the next `AppendEntries` fan-out.
-    fn flushed_tip(&self) -> usize {
-        self.last_log_index() - self.core.wave.len()
+    /// The retained entries above the commit index.
+    fn uncommitted(&self) -> &[Entry] {
+        let from = self.commit_index.saturating_sub(self.core.floor);
+        &self.log[from.min(self.log.len())..]
     }
 
-    /// Ships the queued entries as one wave when the batch policy releases
-    /// them: full, overdue, or configured for immediate flushing — but never
-    /// while `pipeline_window` uncommitted entries are already on the wire
+    /// Flushes the queued commands when the batch policy releases them:
+    /// full, overdue, or configured for immediate flushing — but never while
+    /// `pipeline_window` commands above the commit index are on the wire
     /// (commits drain the window and re-trigger this via
-    /// [`Self::set_commit_index`]). `AppendEntries` carries a range, so the
-    /// whole queue goes out however many batches it holds.
+    /// [`Self::set_commit_index`]).
     fn maybe_flush(&mut self, ctx: &mut Context<Wire>) {
         if self.role != Role::Leader {
             return;
         }
-        let in_flight = self.flushed_tip().saturating_sub(self.commit_index);
-        if self.core.wave.ripe(ctx, in_flight).is_some() {
-            self.core.wave.take(ctx, self.core.wave.len());
-            self.replicate_all(ctx);
+        let in_flight = self.uncommitted().iter().map(|e| e.op.commands().len());
+        if self.core.wave.ripe(ctx, in_flight.sum()).is_some() {
+            self.flush(ctx);
         }
+    }
+
+    /// Appends the whole queue as one entry, durable before the leader
+    /// counts it, opens its instance and ships it.
+    fn flush(&mut self, ctx: &mut Context<Wire>) {
+        let op = self.core.batch(ctx, self.core.wave.len());
+        let index = self.append(Entry {
+            term: self.current_term,
+            op,
+        });
+        self.core.disk.sync(ctx); // entry durable before the leader counts it
+        ctx.span_open(SPAN, index as u64, self.current_term);
+        ctx.phase(SPAN, index as u64, self.current_term, CncPhase::Agreement);
+        self.match_index[ctx.id().index()] = index;
+        self.replicate_all(ctx);
     }
 
     fn reset_election_timer(&mut self, ctx: &mut Context<Wire>) {
@@ -411,13 +424,9 @@ impl Replica {
             .term_at(prev_log_index)
             .expect("prev ≥ the snapshot index is retained");
         let rel_next = next - offset - 1;
-        // Ship at most a wire batch, and never past the flushed tip:
-        // queued-but-unflushed entries wait for their wave (an empty
-        // entries list is just a heartbeat).
-        let end = (rel_next + BATCH.max(self.core.wave.max_batch()))
-            .min(self.log.len())
-            .min(self.flushed_tip() - offset)
-            .max(rel_next);
+        // Ship at most `MAX_ENTRIES` (an empty entries list is just a
+        // heartbeat).
+        let end = (rel_next + MAX_ENTRIES).min(self.log.len()).max(rel_next);
         let entries: Vec<Entry> = self.log[rel_next..end].to_vec();
         // Advance `next_index` optimistically to just past what was shipped,
         // so concurrent triggers (new requests, acks, heartbeats) don't
@@ -554,27 +563,18 @@ impl Replica {
         let Some(cmd) = shell::intake(ctx, from, cmd, self.core.log.machine(), hint) else {
             return;
         };
-        let uncommitted_from = self.commit_index.saturating_sub(self.core.floor);
-        let uncommitted = &self.log[uncommitted_from.min(self.log.len())..];
-        if shell::in_flight(&cmd, uncommitted.iter().flat_map(|e| e.op.commands())) {
-            return;
+        // Unless queued or appended and uncommitted (a retry while we decide).
+        let queued = self.core.wave.items().map(|(c, _)| c);
+        let appended = self.uncommitted().iter().flat_map(|e| e.op.commands());
+        if !shell::in_flight(&cmd, queued.chain(appended)) {
+            self.core.wave.push(ctx, (cmd, from));
+            self.maybe_flush(ctx);
         }
-        self.core.await_reply(&cmd, from);
-        let index = self.append(Entry {
-            term: self.current_term,
-            op: SmrOp::Cmd(cmd),
-        });
-        self.core.disk.sync(ctx); // entry durable before the leader counts it
-        ctx.span_open(SPAN, index as u64, self.current_term);
-        ctx.phase(SPAN, index as u64, self.current_term, CncPhase::Agreement);
-        self.match_index[ctx.id().index()] = index;
-        self.core.wave.push(ctx, ());
-        self.maybe_flush(ctx);
     }
 }
 
 impl std::ops::Deref for Replica {
-    type Target = Core<()>;
+    type Target = Core;
 
     fn deref(&self) -> &Self::Target {
         &self.core
@@ -803,7 +803,7 @@ impl Node for Replica {
                     // suffix and restart the ping-pong.
                     self.next_index[peer] = self.next_index[peer].max(self.match_index[peer] + 1);
                     self.advance_commit(ctx);
-                    if self.next_index[peer] <= self.flushed_tip() {
+                    if self.next_index[peer] <= self.last_log_index() {
                         self.replicate_to(ctx, from);
                     }
                 } else {
@@ -830,11 +830,12 @@ impl Node for Replica {
             ELECTION if self.role != Role::Leader => self.start_election(ctx),
             HEARTBEAT if self.role == Role::Leader => {
                 // The heartbeat fan-out ships everything anyway: fold any
-                // queued wave into it.
-                if !self.core.wave.is_empty() {
-                    self.core.wave.take(ctx, self.core.wave.len());
+                // queued commands into it.
+                if self.core.wave.is_empty() {
+                    self.replicate_all(ctx);
+                } else {
+                    self.flush(ctx);
                 }
-                self.replicate_all(ctx);
                 ctx.set_timer(HB_PERIOD, HEARTBEAT);
             }
             FLUSH if self.core.wave.expire(self.role == Role::Leader) => self.maybe_flush(ctx),
