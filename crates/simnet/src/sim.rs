@@ -363,16 +363,7 @@ impl<N: Node> Sim<N> {
     /// Injects a message "from the outside" (e.g. an external client not
     /// modelled as a node) to be delivered at `at`.
     pub fn inject(&mut self, from: NodeId, to: NodeId, msg: N::Msg, at: Time) {
-        self.queue.push(
-            at,
-            to,
-            EventKind::Deliver {
-                from,
-                msg,
-                sent: at,
-                tc: None,
-            },
-        );
+        self.inject_traced(from, to, msg, at, None);
     }
 
     /// Like [`Sim::inject`], but the delivered message carries the given
