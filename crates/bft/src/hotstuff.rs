@@ -511,24 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn seven_phase_structure_on_the_wire() {
-        let mut cluster = HsCluster::new(HsConfig::rotating(4), 1, 4, NetConfig::lan(), 2);
-        assert!(cluster.run(Time::from_secs(20)));
-        let m = cluster.sim.metrics();
-        for kind in [
-            "prepare",
-            "prepare-vote",
-            "pre-commit",
-            "pre-commit-vote",
-            "commit",
-            "commit-vote",
-            "decide",
-        ] {
-            assert!(m.kind(kind) > 0, "missing phase {kind}");
-        }
-    }
-
-    #[test]
     fn linear_message_complexity_vs_quadratic() {
         // messages/command grows linearly with n (each phase is n→1 or
         // 1→n), unlike PBFT.

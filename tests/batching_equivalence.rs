@@ -9,8 +9,10 @@ use std::collections::BTreeMap;
 
 use forty::bft::pbft::PbftCluster;
 use forty::consensus_core::driver::{BatchConfig, ClusterDriver, DriverConfig};
+use forty::consensus_core::WorkloadMode;
 use forty::paxos::MultiPaxosCluster;
 use forty::raft::RaftCluster;
+use forty::simnet::{NetConfig, Time};
 use nemesis::smr_safety;
 
 const SEED: u64 = 7;
@@ -143,4 +145,45 @@ fn paxos_store_batched_equals_unbatched() {
 #[test]
 fn raft_store_batched_equals_unbatched() {
     store_equivalent::<RaftCluster>();
+}
+
+/// One batch is one C&C instance under all three batching protocols: each
+/// batch a leader takes from its wave becomes one Multi-Paxos slot, one Raft
+/// log entry or one PBFT sequence number, whose span opens once, so
+/// `instance_latency` counts exactly the batches `batch_size` counts.
+fn one_instance_per_batch<D: ClusterDriver>(n_replicas: usize) {
+    let cfg = DriverConfig::new(n_replicas, 48, 50, 1)
+        .with_batch(BatchConfig::new(16, 400, 16))
+        .with_mode(WorkloadMode::Open { interval_us: 2_000 })
+        .with_net(NetConfig::lan().with_nic(30, 50));
+    let mut d = D::from_config(&cfg);
+    assert!(d.run(Time::from_secs(60)), "{} stalled", d.protocol());
+    let m = d.metrics();
+    let batches = m.batch_size.count();
+    assert!(
+        m.batch_size.mean() > 1.5,
+        "{}: batches did not form",
+        d.protocol()
+    );
+    assert_eq!(
+        m.instance_latency.count(),
+        batches,
+        "{}: instances against batches",
+        d.protocol()
+    );
+}
+
+#[test]
+fn multi_paxos_decides_one_instance_per_batch() {
+    one_instance_per_batch::<MultiPaxosCluster>(5);
+}
+
+#[test]
+fn raft_decides_one_instance_per_batch() {
+    one_instance_per_batch::<RaftCluster>(5);
+}
+
+#[test]
+fn pbft_decides_one_instance_per_batch() {
+    one_instance_per_batch::<PbftCluster>(4);
 }
