@@ -141,11 +141,11 @@ pub struct Metrics {
     /// Distribution of individual message sizes in bytes.
     pub msg_size: Histogram,
     /// End-to-end latency per consensus instance in µs: first `span_open` to
-    /// first `span_close` of each `(protocol, instance)` pair. An instance is
-    /// the protocol's own unit, which batching makes unequal: one Raft log
-    /// entry (one command) against one Multi-Paxos slot or one PBFT sequence
-    /// number (one batch each), so on batched runs neither this nor
-    /// `spans_opened` compares across protocols.
+    /// first `span_close` of each `(protocol, instance)` pair. Under the
+    /// three batching protocols an instance is one batch — a Multi-Paxos
+    /// slot, a Raft log entry, a PBFT sequence number — so on a fault-free
+    /// batched run this counts what [`Metrics::batch_size`] counts, and
+    /// unbatched every instance is one command.
     pub instance_latency: Histogram,
     /// How many times each C&C phase was entered, indexed by
     /// `CncPhase as usize` (the order of [`CncPhase::ALL`]).
@@ -154,7 +154,7 @@ pub struct Metrics {
     pub spans_opened: u64,
     /// `span_close` events seen.
     pub spans_closed: u64,
-    /// Commands per decided batch / flush wave, recorded by protocol leaders
+    /// Commands per batch a leader formed, recorded by protocol leaders
     /// via [`crate::Context::record_batch`].
     pub batch_size: Histogram,
     /// Per-message network latency in µs (send call to delivery, including

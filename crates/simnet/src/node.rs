@@ -214,7 +214,7 @@ impl<M: Payload> Context<'_, M> {
         self.effects.push(Effect::CancelTimer { id });
     }
 
-    /// Records the size (commands) of one decided batch / flush wave into
+    /// Records the size (commands) of one batch a leader formed into
     /// [`crate::Metrics::batch_size`]. Leaders call this once per batch they
     /// form, so the histogram shows how well batching amortizes under load.
     pub fn record_batch(&mut self, size: u64) {
