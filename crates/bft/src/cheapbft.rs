@@ -18,19 +18,17 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use consensus_core::codec::{put_command, wire_size};
-use consensus_core::driver::{BatchConfig, DecidedEntry};
+use consensus_core::driver::BatchConfig;
 use consensus_core::{
-    Client, ClientMsg, Cluster, Command, DedupKvMachine, Envelope, KvCommand, Quorum, Session,
-    Silence, SmrProtocol, Target,
+    Client, ClientMsg, Cluster, Command, DedupKvMachine, Envelope, Harvest, KvCommand, Quorum,
+    Session, Silence, SmrProtocol, Target,
 };
 use simnet::{CncPhase, Context, LiveTimer, Node, NodeId, Timer};
 
 /// Span protocol label; instances are sequence numbers.
 const SPAN: &str = "cheapbft";
 
-use crate::shell::{
-    decided_commands, peers, replica_ids, take_ready, watch, Admission, Executor, VIEW_TIMER,
-};
+use crate::shell::{peers, replica_ids, take_ready, watch, Admission, Executor, VIEW_TIMER};
 use crate::sim_crypto::{digest_of, Usig, UsigCert, UsigVerifier};
 
 /// Which protocol the cluster is running.
@@ -389,8 +387,8 @@ impl SmrProtocol for CheapBft {
         replica.exec.machine()
     }
 
-    fn decided(replica: &CheapReplica, node: u32, out: &mut Vec<DecidedEntry>) {
-        decided_commands(replica.exec.history(), node, out);
+    fn decided(replica: &CheapReplica, node: u32, out: &mut Harvest) {
+        out.commands(node, replica.exec.history());
     }
 }
 

@@ -22,17 +22,17 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use consensus_core::codec::{put_command, wire_size};
-use consensus_core::driver::{BatchConfig, DecidedEntry};
+use consensus_core::driver::BatchConfig;
 use consensus_core::{
-    Client, ClientMsg, Cluster, ClusterShape, Command, DedupKvMachine, Envelope, KvCommand, Quorum,
-    Session, Silence, SmrProtocol, Target,
+    Client, ClientMsg, Cluster, ClusterShape, Command, DedupKvMachine, Envelope, Harvest,
+    KvCommand, Quorum, Session, Silence, SmrProtocol, Target,
 };
 use simnet::{CncPhase, Context, Node, NodeId};
 
 /// Span protocol label; instances are HotStuff view/instance numbers.
 const SPAN: &str = "hotstuff";
 
-use crate::shell::{answer_cached, decided_commands, replica_ids, take_ready, Executor};
+use crate::shell::{answer_cached, replica_ids, take_ready, Executor};
 use crate::sim_crypto::{digest_of, Digest, QuorumCert};
 
 /// Protocol phase of one instance.
@@ -482,8 +482,8 @@ impl SmrProtocol for HotStuff {
         replica.exec.machine()
     }
 
-    fn decided(replica: &HsReplica, node: u32, out: &mut Vec<DecidedEntry>) {
-        decided_commands(replica.exec.history(), node, out);
+    fn decided(replica: &HsReplica, node: u32, out: &mut Harvest) {
+        out.commands(node, replica.exec.history());
     }
 }
 

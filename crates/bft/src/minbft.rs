@@ -18,17 +18,17 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use consensus_core::codec::{put_command, wire_size};
-use consensus_core::driver::{BatchConfig, DecidedEntry};
+use consensus_core::driver::BatchConfig;
 use consensus_core::{
-    Client, ClientMsg, Cluster, Command, DedupKvMachine, Envelope, KvCommand, Quorum, Session,
-    Silence, SmrProtocol, Target,
+    Client, ClientMsg, Cluster, Command, DedupKvMachine, Envelope, Harvest, KvCommand, Quorum,
+    Session, Silence, SmrProtocol, Target,
 };
 use simnet::{CncPhase, Context, Node, NodeId, Timer};
 
 /// Span protocol label; instances are USIG counters, rounds are views.
 const SPAN: &str = "minbft";
 
-use crate::shell::{decided_commands, peers, take_ready, Admission, Executor, Voter, VIEW_TIMER};
+use crate::shell::{peers, take_ready, Admission, Executor, Voter, VIEW_TIMER};
 use crate::sim_crypto::{digest_of, Usig, UsigCert, UsigVerifier};
 
 /// MinBFT messages between replicas.
@@ -341,8 +341,8 @@ impl SmrProtocol for MinBft {
         replica.exec.machine()
     }
 
-    fn decided(replica: &MinReplica, node: u32, out: &mut Vec<DecidedEntry>) {
-        decided_commands(replica.exec.history(), node, out);
+    fn decided(replica: &MinReplica, node: u32, out: &mut Harvest) {
+        out.commands(node, replica.exec.history());
     }
 }
 

@@ -26,11 +26,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use consensus_core::cluster::decided_slots;
 use consensus_core::codec::{put_command, wire_size};
-use consensus_core::driver::{BatchConfig, DecidedEntry, Wave};
+use consensus_core::driver::{BatchConfig, Wave};
 use consensus_core::{
-    Client, ClientMsg, Cluster, Command, DedupKvMachine, Envelope, KvCommand, Quorum,
+    Client, ClientMsg, Cluster, Command, DedupKvMachine, Envelope, Harvest, KvCommand, Quorum,
     ReplicatedLog, Session, Silence, SmrOp, SmrProtocol, StateMachine, Target,
 };
 use rand_chacha::ChaCha20Rng;
@@ -771,8 +770,8 @@ impl SmrProtocol for Pbft {
     /// A Byzantine replica's *outbound* messages may have lied, but its
     /// local execution log is honestly built from what it received, so its
     /// harvest is still evidence about the protocol.
-    fn decided(replica: &PbftReplica, node: u32, out: &mut Vec<DecidedEntry>) {
-        decided_slots(replica.exec_log(), node, out);
+    fn decided(replica: &PbftReplica, node: u32, out: &mut Harvest) {
+        out.slots(node, replica.exec_log());
     }
 
     fn equivocation_filter() -> Option<Box<dyn Filter<PbftWire>>> {
@@ -880,7 +879,7 @@ pub fn equivocation_filter() -> impl Filter<PbftWire> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use consensus_core::driver::{ClusterDriver, DriverConfig};
+    use consensus_core::driver::{ClusterDriver, DecidedEntry, DriverConfig};
     use consensus_core::WorkloadMode;
     use simnet::{NetConfig, Time};
 

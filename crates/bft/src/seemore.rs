@@ -20,17 +20,17 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use consensus_core::codec::{put_command, wire_size};
-use consensus_core::driver::{BatchConfig, DecidedEntry};
+use consensus_core::driver::BatchConfig;
 use consensus_core::{
-    Client, ClientMsg, Cluster, ClusterShape, Command, DedupKvMachine, Envelope, KvCommand, Quorum,
-    Session, Silence, SmrProtocol, Target,
+    Client, ClientMsg, Cluster, ClusterShape, Command, DedupKvMachine, Envelope, Harvest,
+    KvCommand, Quorum, Session, Silence, SmrProtocol, Target,
 };
 use simnet::{CncPhase, Context, Node, NodeId};
 
 /// Span protocol label; instances are sequence numbers.
 const SPAN: &str = "seemore";
 
-use crate::shell::{decided_commands, peers, take_ready, Admission, Executor};
+use crate::shell::{peers, take_ready, Admission, Executor};
 use crate::sim_crypto::{digest_of, Digest};
 
 /// The three SeeMoRe operating modes.
@@ -453,8 +453,8 @@ impl SmrProtocol for SeeMoRe {
         replica.exec.machine()
     }
 
-    fn decided(replica: &SmReplica, node: u32, out: &mut Vec<DecidedEntry>) {
-        decided_commands(replica.exec.history(), node, out);
+    fn decided(replica: &SmReplica, node: u32, out: &mut Harvest) {
+        out.commands(node, replica.exec.history());
     }
 }
 

@@ -28,31 +28,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use consensus_core::driver::DecidedEntry;
 pub use consensus_core::shell::{in_flight, peers, replica_ids};
 use consensus_core::{Command, DedupKvMachine, Envelope, KvCommand, KvResponse};
 use simnet::{CncPhase, Context, LiveTimer, NodeId, Payload};
-
-/// Appends one [`DecidedEntry`] per command of `executed`, indexed by
-/// execution order — the `decided_log` shape of protocols whose replicas
-/// execute a single totally ordered command sequence.
-pub fn decided_commands<'a>(
-    executed: impl IntoIterator<Item = &'a Command<KvCommand>>,
-    node: u32,
-    out: &mut Vec<DecidedEntry>,
-) {
-    out.extend(
-        executed
-            .into_iter()
-            .enumerate()
-            .map(|(i, cmd)| DecidedEntry {
-                node,
-                index: i as u64,
-                op: format!("{cmd:?}"),
-                origin: Some((cmd.client, cmd.seq)),
-            }),
-    );
-}
 
 /// Resends the cached reply if `cmd` already executed on `machine`.
 pub fn answer_cached<P: Payload>(
@@ -494,27 +472,6 @@ mod tests {
         // Two issue-timer fires (the third command exhausts the workload, so
         // nothing is re-armed); the first retry timer is not due yet.
         assert_eq!(sim.metrics().timer_fires, 2);
-    }
-
-    #[test]
-    fn decided_commands_index_by_execution_order() {
-        let cmds: Vec<Command<KvCommand>> = (0..3)
-            .map(|seq| Command {
-                client: 9,
-                seq,
-                op: KvCommand::Get {
-                    key: format!("k{seq}").into(),
-                },
-            })
-            .collect();
-        let mut out = Vec::new();
-        decided_commands(&cmds, 2, &mut out);
-        for (i, e) in out.iter().enumerate() {
-            let i = i as u64;
-            assert_eq!((e.node, e.index, e.origin), (2, i, Some((9, i))));
-            assert_eq!(e.op, format!("{:?}", cmds[i as usize]));
-        }
-        assert_eq!(out.len(), 3);
     }
 }
 

@@ -20,19 +20,17 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use consensus_core::codec::{put_command, wire_size};
-use consensus_core::driver::{BatchConfig, DecidedEntry};
+use consensus_core::driver::BatchConfig;
 use consensus_core::{
-    Client, ClientMsg, Cluster, Command, DedupKvMachine, Envelope, KvCommand, Quorum, Session,
-    Silence, SmrProtocol, Target,
+    Client, ClientMsg, Cluster, Command, DedupKvMachine, Envelope, Harvest, KvCommand, Quorum,
+    Session, Silence, SmrProtocol, Target,
 };
 use simnet::{CncPhase, Context, Node, NodeId, Timer};
 
 /// Span protocol label; instances are sequence numbers, rounds are views.
 const SPAN: &str = "xft";
 
-use crate::shell::{
-    decided_commands, peers, replica_ids, take_ready, Admission, Executor, Voter, VIEW_TIMER,
-};
+use crate::shell::{peers, replica_ids, take_ready, Admission, Executor, Voter, VIEW_TIMER};
 use crate::sim_crypto::digest_of;
 
 /// The anarchy predicate from the slides: `m(s) > 0` **and**
@@ -337,8 +335,8 @@ impl SmrProtocol for Xft {
         replica.exec.machine()
     }
 
-    fn decided(replica: &XftReplica, node: u32, out: &mut Vec<DecidedEntry>) {
-        decided_commands(replica.exec.history(), node, out);
+    fn decided(replica: &XftReplica, node: u32, out: &mut Harvest) {
+        out.commands(node, replica.exec.history());
     }
 }
 

@@ -21,17 +21,17 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use consensus_core::client::ACCEPT_TIMER;
 use consensus_core::codec::{put_command, wire_size};
-use consensus_core::driver::{BatchConfig, DecidedEntry};
+use consensus_core::driver::BatchConfig;
 use consensus_core::{
-    Accept, Answer, Client, ClientMsg, Cluster, Command, DedupKvMachine, Envelope, KvCommand,
-    KvResponse, Session, Silence, SmrProtocol, Target,
+    Accept, Answer, Client, ClientMsg, Cluster, Command, DedupKvMachine, Envelope, Harvest,
+    KvCommand, KvResponse, Session, Silence, SmrProtocol, Target,
 };
 use simnet::{CncPhase, Context, Node, NodeId};
 
 /// Span protocol label; instances are sequence numbers, rounds are views.
 const SPAN: &str = "zyzzyva";
 
-use crate::shell::{decided_commands, in_flight, peers, replica_ids, Executor};
+use crate::shell::{in_flight, peers, replica_ids, Executor};
 use crate::sim_crypto::{digest_of, Digest};
 
 /// Zyzzyva's own messages: between replicas, and between replicas and the
@@ -435,8 +435,8 @@ impl SmrProtocol for Zyzzyva {
         replica.exec.machine()
     }
 
-    fn decided(replica: &ZyzReplica, node: u32, out: &mut Vec<DecidedEntry>) {
-        decided_commands(replica.exec.history(), node, out);
+    fn decided(replica: &ZyzReplica, node: u32, out: &mut Harvest) {
+        out.commands(node, replica.exec.history());
     }
 }
 

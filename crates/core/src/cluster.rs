@@ -8,6 +8,8 @@
 //! (election, replication, the commit rule, read fast paths) stays inside
 //! `Replica::on_message` / `on_timer`.
 
+use std::collections::HashMap;
+
 use simnet::{
     CausalSpan, Context, DiskModel, Filter, Metrics, NetConfig, Node, NodeId, Payload, RunOutcome,
     Sim, Time, Timer,
@@ -19,7 +21,9 @@ use crate::driver::{BatchConfig, ClusterDriver, DecidedEntry, DriverConfig};
 use crate::durable::Disk;
 use crate::history::{ClientRecord, HistorySink};
 use crate::quorum::QuorumSpec;
-use crate::smr::{DedupKvMachine, ReplicatedLog, Slot, SmrOp, StateMachine};
+use crate::smr::{
+    Command, DedupKvMachine, KvCommand, ReplicatedLog, Slot, SmrOp, StateMachine, Str,
+};
 use crate::workload::{LatencyRecorder, WorkloadMode};
 
 /// What a protocol's replicas and clients are built from: the replica count
@@ -72,8 +76,8 @@ pub trait SmrProtocol: Sized + 'static {
     /// The replicated state machine.
     fn machine(replica: &Self::Replica) -> &DedupKvMachine;
 
-    /// Appends every entry `replica` (node `node`) knows to be decided.
-    fn decided(replica: &Self::Replica, node: u32, out: &mut Vec<DecidedEntry>);
+    /// Pushes every entry `replica` (node `node`) knows to be decided.
+    fn decided(replica: &Self::Replica, node: u32, out: &mut Harvest);
 
     /// The one place a protocol declares its Byzantine behaviour: the
     /// outbound filter a lying replica runs, for protocols whose fault
@@ -304,36 +308,91 @@ impl<P: DurableProtocol> Cluster<P> {
 /// [`DecidedEntry`] indices: command `j` of slot `i` gets `i·2²⁰ + j`.
 const SUB_INDEX: u64 = 1 << 20;
 
-/// Appends every slot of `log` that holds a value through [`decided_op`],
-/// unlabelled — the `decided_log` shape of protocols that decide
-/// [`SmrOp`]s slot by slot.
-pub fn decided_slots(log: &ReplicatedLog<DedupKvMachine>, node: u32, out: &mut Vec<DecidedEntry>) {
-    for i in 0..log.len() {
-        if let Slot::Decided(op) | Slot::Applied(op) = log.slot(i) {
-            decided_op(node, i, "", op, out);
-        }
-    }
+/// One [`ClusterDriver::decided_log`] call: the entries harvested so far, and
+/// a memo that renders each decided command once, so every replica that
+/// decided it shares one [`Str`].
+///
+/// The memo is keyed by origin `(client, seq)` and Raft term, and reuses a
+/// rendering only for a command `==` to the one it was made for — O(1) when
+/// the payloads are shared `Arc`s, and a forgery that reuses an origin still
+/// gets a rendering of its own.
+#[derive(Default)]
+pub struct Harvest {
+    entries: Vec<DecidedEntry>,
+    memo: HashMap<MemoKey, Renderings>,
 }
 
-/// Appends `op`, decided at log index `index` on `node`, as one
-/// [`DecidedEntry`] per command, each op string prefixed with `label` (a
-/// no-op yields one entry without an origin).
-pub fn decided_op(node: u32, index: usize, label: &str, op: &SmrOp, out: &mut Vec<DecidedEntry>) {
-    let base = index as u64 * SUB_INDEX;
-    if matches!(op, SmrOp::Noop) {
-        out.push(DecidedEntry {
-            node,
-            index: base,
-            op: format!("{label}Noop"),
-            origin: None,
-        });
+/// Raft term (the label) and origin `(client, seq)`, which a no-op lacks.
+type MemoKey = (Option<u64>, Option<(u32, u64)>);
+
+/// The renderings made under one key, each beside the command it renders
+/// (`None`: a no-op).
+type Renderings = Vec<(Option<Command<KvCommand>>, Str)>;
+
+impl Harvest {
+    /// Appends every slot of `log` that holds a value through [`Harvest::op`],
+    /// unlabelled — the `decided_log` shape of protocols that decide
+    /// [`SmrOp`]s slot by slot.
+    pub fn slots(&mut self, node: u32, log: &ReplicatedLog<DedupKvMachine>) {
+        for i in 0..log.len() {
+            if let Slot::Decided(op) | Slot::Applied(op) = log.slot(i) {
+                self.op(node, i, None, op);
+            }
+        }
     }
-    for (j, cmd) in op.commands().iter().enumerate() {
-        out.push(DecidedEntry {
+
+    /// Appends `op`, decided at log index `index` on `node`, as one entry per
+    /// command, each rendering prefixed `t{term}:` when a `term` is given (a
+    /// no-op yields one entry without an origin).
+    pub fn op(&mut self, node: u32, index: usize, term: Option<u64>, op: &SmrOp) {
+        let base = index as u64 * SUB_INDEX;
+        if matches!(op, SmrOp::Noop) {
+            self.push(node, base, term, None);
+        }
+        for (j, cmd) in op.commands().iter().enumerate() {
+            self.push(node, base + j as u64, term, Some(cmd));
+        }
+    }
+
+    /// Appends one entry per command of `executed`, indexed by execution
+    /// order — the `decided_log` shape of protocols whose replicas execute a
+    /// single totally ordered command sequence.
+    pub fn commands<'a>(
+        &mut self,
+        node: u32,
+        executed: impl IntoIterator<Item = &'a Command<KvCommand>>,
+    ) {
+        for (i, cmd) in executed.into_iter().enumerate() {
+            self.push(node, i as u64, None, Some(cmd));
+        }
+    }
+
+    /// The harvested entries, in the order they were pushed.
+    pub fn into_entries(self) -> Vec<DecidedEntry> {
+        self.entries
+    }
+
+    fn push(&mut self, node: u32, index: u64, term: Option<u64>, cmd: Option<&Command<KvCommand>>) {
+        let origin = cmd.map(|c| (c.client, c.seq));
+        let known = self.memo.entry((term, origin)).or_default();
+        let op = match known.iter().find(|(c, _)| c.as_ref() == cmd) {
+            Some((_, op)) => op.clone(),
+            None => {
+                let label = term.map(|t| format!("t{t}:")).unwrap_or_default();
+                let op: Str = match cmd {
+                    Some(cmd) => format!("{label}{cmd:?}"),
+                    None => format!("{label}Noop"),
+                }
+                .into();
+                known.push((cmd.cloned(), op.clone()));
+                op
+            }
+        };
+        self.entries.push(DecidedEntry {
             node,
-            index: base + j as u64,
-            op: format!("{label}{cmd:?}"),
-            origin: Some((cmd.client, cmd.seq)),
+            index,
+            op,
+            origin,
         });
     }
 }
@@ -382,13 +441,13 @@ where
     }
 
     fn decided_log(&self) -> Vec<DecidedEntry> {
-        let mut entries = Vec::new();
+        let mut harvest = Harvest::default();
         for (id, proc_) in self.sim.nodes() {
             if let Proc::Replica(r) = proc_ {
-                P::decided(r, id.0, &mut entries);
+                P::decided(r, id.0, &mut harvest);
             }
         }
-        entries
+        harvest.into_entries()
     }
 
     fn state_digests(&self) -> Vec<(u32, u64, u64)> {
@@ -443,5 +502,76 @@ where
 
     fn set_drop_prob(&mut self, p: f64) {
         self.sim.set_drop_prob(p);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use super::*;
+
+    fn get(client: u32, seq: u64) -> Command<KvCommand> {
+        Command {
+            client,
+            seq,
+            op: KvCommand::Get {
+                key: format!("k{seq}").into(),
+            },
+        }
+    }
+
+    #[test]
+    fn commands_index_by_execution_order() {
+        let cmds: Vec<Command<KvCommand>> = (0..3).map(|seq| get(9, seq)).collect();
+        let mut h = Harvest::default();
+        h.commands(2, &cmds);
+        let log = h.into_entries();
+        for (i, e) in log.iter().enumerate() {
+            let i = i as u64;
+            assert_eq!((e.node, e.index, e.origin), (2, i, Some((9, i))));
+            assert_eq!(*e.op, format!("{:?}", cmds[i as usize]));
+        }
+        assert_eq!(log.len(), 3);
+    }
+
+    #[test]
+    fn one_rendering_per_labelled_command_with_format_bytes() {
+        let batch = SmrOp::Batch(vec![get(9, 0), get(9, 1)]);
+        let mut h = Harvest::default();
+        h.op(0, 3, Some(2), &batch);
+        h.op(1, 3, Some(2), &batch.clone());
+        h.op(2, 3, Some(5), &batch);
+        h.op(0, 4, Some(2), &SmrOp::Noop);
+        h.op(1, 4, Some(2), &SmrOp::Noop);
+        h.op(2, 4, None, &SmrOp::Noop);
+        let log = h.into_entries();
+
+        let base = 3 * SUB_INDEX;
+        let shape: Vec<_> = log.iter().map(|e| (e.node, e.index, e.origin)).collect();
+        let origins = [Some((9, 0)), Some((9, 1))];
+        assert_eq!(
+            shape[..2],
+            [(0, base, origins[0]), (0, base + 1, origins[1])]
+        );
+        assert_eq!(
+            shape[6..],
+            [
+                (0, 4 * SUB_INDEX, None),
+                (1, 4 * SUB_INDEX, None),
+                (2, 4 * SUB_INDEX, None)
+            ]
+        );
+        assert_eq!(*log[0].op, format!("t2:{:?}", get(9, 0)));
+        assert_eq!(*log[4].op, format!("t5:{:?}", get(9, 0)));
+        assert_eq!((&*log[6].op, &*log[8].op), ("t2:Noop", "Noop"));
+
+        // Same command, same term: one allocation across replicas; another
+        // term or another command: a rendering of its own.
+        assert!(Arc::ptr_eq(&log[0].op, &log[2].op));
+        assert!(Arc::ptr_eq(&log[1].op, &log[3].op));
+        assert!(Arc::ptr_eq(&log[6].op, &log[7].op));
+        assert!(!Arc::ptr_eq(&log[0].op, &log[1].op));
+        assert!(!Arc::ptr_eq(&log[0].op, &log[4].op));
     }
 }

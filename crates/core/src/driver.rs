@@ -19,6 +19,7 @@
 use std::collections::BTreeSet;
 
 use crate::history::ClientRecord;
+use crate::smr::Str;
 use crate::workload::{KvMix, LatencyRecorder, WorkloadMode};
 use simnet::causal::cat;
 use simnet::{
@@ -296,8 +297,13 @@ pub struct DecidedEntry {
     /// several commands per slot emit one entry per command at synthetic
     /// sub-indices, consistently across replicas.
     pub index: u64,
-    /// Canonical rendering of the decided operation.
-    pub op: String,
+    /// Canonical rendering of the decided operation, `{label}{cmd:?}` (or
+    /// `{label}Noop`), the label `t{term}:` on Raft and empty elsewhere.
+    /// Rendered once per `decided_log()` call and shared by every entry of
+    /// the same labelled command on any replica (see
+    /// [`crate::cluster::Harvest`]); the bytes are those of a fresh
+    /// `format!`.
+    pub op: Str,
     /// `(client, seq)` of the originating request, if the op carries one.
     pub origin: Option<(u32, u64)>,
 }

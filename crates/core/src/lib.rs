@@ -77,7 +77,7 @@ pub mod workload;
 
 pub use ballot::Ballot;
 pub use client::{Accept, Answer, Client, ClientMsg, Envelope, Quorum, Session, Silence, Target};
-pub use cluster::{Cluster, ClusterShape, DurableProtocol, Proc, SmrProtocol};
+pub use cluster::{Cluster, ClusterShape, DurableProtocol, Harvest, Proc, SmrProtocol};
 pub use driver::{BatchConfig, ClusterDriver, DecidedEntry, DriverConfig, Wave};
 pub use history::{ClientRecord, HistorySink};
 pub use quorum::QuorumSpec;

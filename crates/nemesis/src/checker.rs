@@ -401,7 +401,7 @@ mod tests {
         DecidedEntry {
             node,
             index,
-            op: op.to_string(),
+            op: op.into(),
             origin,
         }
     }
@@ -437,6 +437,42 @@ mod tests {
         ];
         assert_eq!(check_integrity(&forked)[0].check, "integrity");
         assert!(check_integrity(&forked[..1]).is_empty());
+    }
+
+    /// Two replicas decide different commands under one origin at one
+    /// slot: the harvest renders each on its own, so the forgery still
+    /// reads as a divergence and as a forked request.
+    #[test]
+    fn a_forged_command_under_a_real_origin_keeps_its_own_rendering() {
+        use consensus_core::{Command, Harvest, KvCommand, SmrOp};
+        use std::sync::Arc;
+
+        let put = |value: &str| {
+            SmrOp::Cmd(Command {
+                client: 7,
+                seq: 1,
+                op: KvCommand::Put {
+                    key: "k".into(),
+                    value: value.into(),
+                },
+            })
+        };
+        let (honest, forged) = (put("v"), put("w"));
+        let mut h = Harvest::default();
+        h.op(0, 1, None, &honest);
+        h.op(1, 1, None, &forged);
+        h.op(2, 1, None, &honest);
+        let log = h.into_entries();
+        assert!(!Arc::ptr_eq(&log[0].op, &log[1].op));
+        assert!(Arc::ptr_eq(&log[0].op, &log[2].op));
+        assert_eq!(*log[1].op, format!("{:?}", forged.commands()[0]));
+
+        let diverged = check_log_agreement(&log);
+        assert_eq!(diverged.len(), 1);
+        assert_eq!(diverged[0].check, "agreement");
+        let forked = check_integrity(&log);
+        assert_eq!(forked.len(), 1);
+        assert_eq!(forked[0].check, "integrity");
     }
 
     #[test]

@@ -22,10 +22,10 @@
 //! * [`exec`] — drives a plan through a live [`simnet::Sim`].
 //! * [`checker`] — history-based safety checks shared across protocols.
 //! * [`lin`] — Wing–Gill linearizability checking for the KV machine.
-//! * [`targets`] — one adapter per protocol (Multi-Paxos, Raft, PBFT, 2PC,
-//!   3PC, Ben-Or, and the sharded store over either SMR engine) plus the
-//!   deliberately broken Flexible-Paxos and early-write store
-//!   configurations that prove the engine catches real bugs.
+//! * [`targets`](mod@targets) — one adapter per protocol (Multi-Paxos,
+//!   Raft, PBFT, 2PC, 3PC, Ben-Or, and the sharded store over either SMR
+//!   engine) plus the deliberately broken Flexible-Paxos and early-write
+//!   store configurations that prove the engine catches real bugs.
 //! * [`engine`] — sweeps, shrinking, counterexample (de)serialization, and
 //!   replay.
 

@@ -50,9 +50,9 @@
 //! install, exactly as for Multi-Paxos.
 //!
 //! Every row but the store's runs its plan through
-//! [`execute_plan`](crate::exec::execute_plan), whose event budget turns a
-//! message storm into an `event-budget` violation. The store rows keep
-//! their own step loop, bounded by a simulated-time cap.
+//! [`crate::exec::execute_plan`], whose event budget turns a message storm
+//! into an `event-budget` violation. The store rows keep their own step
+//! loop, bounded by a simulated-time cap.
 //!
 //! `store-geo` runs the geo deployment: three regions on a WAN topology,
 //! primary+witness shard placement, a router per region, and the
@@ -143,7 +143,7 @@ const NEMESIS_BATCH: BatchConfig = BatchConfig::new(4, 300, 4);
 
 /// All legitimate targets, in verdict-table order. Each SMR protocol
 /// appears twice: unbatched (the historical configuration) and under
-/// [`NEMESIS_BATCH`] — safety must hold for every knob setting.
+/// `NEMESIS_BATCH` — safety must hold for every knob setting.
 pub fn targets() -> Vec<Box<dyn Target>> {
     let unbatched = BatchConfig::unbatched();
     vec![
@@ -715,9 +715,10 @@ impl<E: ShardEngine> Target for StoreTarget<E> {
         // logs and digests are only comparable within a shard) …
         let mut violations = Vec::new();
         for shard in s.shards() {
-            violations.extend(check_log_agreement(&shard.decided_log()));
-            violations.extend(check_validity(&shard.decided_log(), &issued));
-            violations.extend(check_integrity(&shard.decided_log()));
+            let decided = shard.decided_log();
+            violations.extend(check_log_agreement(&decided));
+            violations.extend(check_validity(&decided, &issued));
+            violations.extend(check_integrity(&decided));
             violations.extend(check_state_digests(&shard.state_digests()));
         }
         // … then the store-level checks over the merged client history.

@@ -20,15 +20,14 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use consensus_core::cluster::decided_slots;
 use consensus_core::codec::{put_op, wire_size};
-use consensus_core::driver::{BatchConfig, DecidedEntry};
+use consensus_core::driver::BatchConfig;
 use consensus_core::durable::{Disk, Restored, WalRecord};
 use consensus_core::quorum::Phase;
 use consensus_core::shell::{self, peers, replica_ids, Core, ELECTION, FLUSH};
 use consensus_core::smr::Slot;
 use consensus_core::{
-    Ballot, Client, ClientMsg, Cluster, DedupKvMachine, DurableProtocol, Envelope, Quorum,
+    Ballot, Client, ClientMsg, Cluster, DedupKvMachine, DurableProtocol, Envelope, Harvest, Quorum,
     QuorumSpec, ReadMode, Register, Session, Silence, SmrOp, SmrProtocol, Tally, Target,
 };
 use simnet::{CncPhase, Context, Node, NodeId, Payload, Time, Timer};
@@ -929,8 +928,8 @@ impl SmrProtocol for MultiPaxos {
         replica.log.machine()
     }
 
-    fn decided(replica: &Replica, node: u32, out: &mut Vec<DecidedEntry>) {
-        decided_slots(&replica.log, node, out);
+    fn decided(replica: &Replica, node: u32, out: &mut Harvest) {
+        out.slots(node, &replica.log);
     }
 }
 

@@ -1,10 +1,10 @@
 //! Raft as a log protocol of the SMR shell, plus its end-to-end tests.
 
-use consensus_core::cluster::decided_op;
-use consensus_core::driver::{BatchConfig, DecidedEntry};
+use consensus_core::driver::BatchConfig;
 use consensus_core::durable::Disk;
 use consensus_core::{
-    Client, Cluster, DedupKvMachine, DurableProtocol, Quorum, Session, Silence, SmrProtocol, Target,
+    Client, Cluster, DedupKvMachine, DurableProtocol, Harvest, Quorum, Session, Silence,
+    SmrProtocol, Target,
 };
 use simnet::NodeId;
 
@@ -42,14 +42,14 @@ impl SmrProtocol for Raft {
         replica.machine()
     }
 
-    /// Every *committed* retained entry, one [`DecidedEntry`] per command
+    /// Every *committed* retained entry, one decided entry per command
     /// (an uncommitted suffix may legally be overwritten; compacted prefixes
     /// are covered by the digest check). Each is labelled `t{term}:`, so the
     /// agreement check also enforces Log Matching.
-    fn decided(r: &Replica, node: u32, out: &mut Vec<DecidedEntry>) {
+    fn decided(r: &Replica, node: u32, out: &mut Harvest) {
         for i in (r.snapshot_index() + 1)..=r.commit_index {
             let Some(entry) = r.entry(i) else { continue };
-            decided_op(node, i, &format!("t{}:", entry.term), &entry.op, out);
+            out.op(node, i, Some(entry.term), &entry.op);
         }
     }
 }

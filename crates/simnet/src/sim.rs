@@ -350,7 +350,7 @@ impl<N: Node> Sim<N> {
     }
 
     /// Installs a Byzantine outbound filter on `id` (replacing any previous
-    /// one). See [`crate::fault`].
+    /// one). See [`Filter`].
     pub fn set_filter(&mut self, id: NodeId, filter: Box<dyn Filter<N::Msg>>) {
         self.slots[id.index()].filter = Some(filter);
     }

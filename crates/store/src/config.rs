@@ -217,11 +217,12 @@ pub struct StoreConfig {
     /// Inject the early-dissemination bug (see module docs).
     pub buggy_early_writes: bool,
     /// Durable shard storage: `(snapshot_threshold, disk model)`. When set,
-    /// every shard group that supports it persists its state through a
-    /// [`storage::StorageEngine`] — 2PC prepare/decision records become WAL
-    /// entries that are durable *before* the acks that release them, and
-    /// replica recovery is a real WAL-replay + snapshot-load. `None` keeps
-    /// the historical RAM-durability model.
+    /// every shard group that supports it persists its state through the
+    /// durable engine behind [`consensus_core::durable::Disk`] — 2PC
+    /// prepare/decision records become WAL entries that are durable *before*
+    /// the acks that release them, and replica recovery is a real
+    /// WAL-replay + snapshot-load. `None` keeps the historical
+    /// RAM-durability model.
     pub durability: Option<(usize, DiskModel)>,
     /// Commitment protocol generated transactions run (overridable
     /// per-transaction via [`StoreConfig::txn_backend`]).
