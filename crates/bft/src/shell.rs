@@ -473,6 +473,32 @@ mod tests {
         // nothing is re-armed); the first retry timer is not due yet.
         assert_eq!(sim.metrics().timer_fires, 2);
     }
+
+    #[test]
+    fn decided_commands_index_by_execution_order() {
+        let cmds: Vec<Command<KvCommand>> = (0..3)
+            .map(|seq| Command {
+                client: 9,
+                seq,
+                op: KvCommand::Get {
+                    key: format!("k{seq}").into(),
+                },
+            })
+            .collect();
+        let mut exec = Executor::default();
+        for cmd in &cmds {
+            exec.apply(cmd);
+        }
+        let mut harvest = consensus_core::Harvest::default();
+        harvest.commands(2, exec.history());
+        let out = harvest.into_entries();
+        for (i, e) in out.iter().enumerate() {
+            let i = i as u64;
+            assert_eq!((e.node, e.index, e.origin), (2, i, Some((9, i))));
+            assert_eq!(*e.op, format!("{:?}", cmds[i as usize]));
+        }
+        assert_eq!(out.len(), 3);
+    }
 }
 
 #[cfg(test)]
