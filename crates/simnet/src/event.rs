@@ -4,37 +4,50 @@
 //! queued at any moment is a timer tens of milliseconds away, while what
 //! runs next is a message a few hundred microseconds away. The queue
 //! therefore orders only what is due. Simulated time is cut into windows of
-//! `1 << WINDOW_BITS` µs and a [`Key`] waits in exactly one of three places:
+//! `1 << WINDOW_BITS` µs and a key waits in exactly one of four places:
 //!
-//! 1. `heap` — every key of the current window `cur` or of an earlier one.
-//!    The only place keys are compared with each other.
-//! 2. `ring[w % RING]` — the keys of window `w`, `cur < w < cur + RING`, in
+//! 1. `early` — a small heap of keys from windows before the current one
+//!    `cur` (pushed for a time the queue has already looked past). The only
+//!    place besides `beyond` where keys are compared with each other.
+//! 2. `lists` — the keys of window `cur`, one FIFO per µs. The FIFOs are
+//!    intrusive, threaded through one pool of [`Link`]s, and an occupancy
+//!    bitmap finds the next µs that holds one.
+//! 3. `ring[w % RING]` — the keys of window `w`, `cur < w < cur + RING`, in
 //!    arrival order. Pushing one is an append.
-//! 3. `beyond` — a second, small heap for keys `RING` or more windows ahead.
+//! 4. `beyond` — a second, small heap for keys `RING` or more windows ahead.
 //!
-//! Invariant: **every key in `ring` / `beyond` is later than every key in
-//! `heap`** — its window is `> cur`, theirs `<= cur` — so the heap's top is
-//! the queue's top whenever the heap is not empty. When it runs dry, `cur`
-//! moves to the next window that holds a key and that window's keys move
-//! into the heap ([`EventQueue::advance`]). Pop order is exactly
-//! `(time, seq)` for every push pattern, a time before the last pop included.
+//! Invariant: **every key in `early` is earlier than every key in `lists`,
+//! and those earlier than every key in `ring` / `beyond`** — by window — and
+//! **each µs FIFO holds its keys in `seq` order**. A key pushed straight to
+//! `lists` is the newest key, so appending keeps the order; when the window
+//! is drained into it ([`EventQueue::advance`]), its `beyond` keys (pushed
+//! while the window was out of the ring's reach, so before any of its ring
+//! keys) go in first, in heap order, then its ring keys in arrival order.
+//! Pop order is therefore exactly `(time, seq)` for every push pattern, a
+//! time before the last pop included.
+//!
+//! A message is not in here at all: a `Deliver` event carries the slot of
+//! the message in the simulator's own slab, so a push or pop moves a few
+//! dozen bytes whatever the protocol's message type.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::causal::TraceCtx;
 use crate::node::TimerId;
+use crate::slab::Slab;
 use crate::time::{NodeId, Time};
 
 /// A scheduled occurrence.
 #[derive(Debug)]
-pub(crate) enum EventKind<M> {
-    /// Deliver `msg` from `from` to the owning node. `sent` is the time the
-    /// send was issued (for delivery-latency accounting); `tc` is the causal
-    /// trace context riding in the envelope, if any.
+pub(crate) enum EventKind {
+    /// Deliver the message in slot `msg` of the simulator's message slab
+    /// from `from` to the owning node. `sent` is the time the send was
+    /// issued (for delivery-latency accounting); `tc` is the causal trace
+    /// context riding in the envelope, if any.
     Deliver {
         from: NodeId,
-        msg: M,
+        msg: u32,
         sent: Time,
         tc: Option<TraceCtx>,
     },
@@ -51,27 +64,30 @@ pub(crate) enum EventKind<M> {
 }
 
 /// A popped event: when, for whom, and what.
-pub(crate) struct Event<M> {
+pub(crate) struct Event {
     pub time: Time,
     /// Insertion order; the simulator never looks, the order tests do.
     #[cfg_attr(not(test), allow(dead_code))]
     pub seq: u64,
     pub node: NodeId,
-    pub kind: EventKind<M>,
+    pub kind: EventKind,
 }
 
 /// Windows are `1 << WINDOW_BITS` µs wide: wide enough that a LAN hop lands
 /// in the current or the next one, narrow enough that a 100 ms timer does not.
 const WINDOW_BITS: u32 = 10;
+/// µs per window, and so FIFOs in `lists`.
+const SPAN: usize = 1 << WINDOW_BITS;
 /// Windows the ring reaches ahead of `cur` (262 ms): past every retry and
 /// most election timers, so `beyond` stays small.
 const RING: u64 = 256;
-/// Set in [`Key::slot`] when the payload sits in the timer slab.
+/// Set in a key's slot when the payload sits in the timer slab.
 const TIMER: u32 = 1 << 31;
+/// The end of a FIFO or of the pool's free list.
+const NIL: u32 = u32::MAX;
 
-/// What the queue orders: `(time, seq)` — `seq` is unique, so `slot` never
-/// decides — plus where the payload sits. Sifts move these 24 bytes instead
-/// of a whole `Event<M>` (150–190 bytes with a protocol message inside).
+/// What the heaps and the ring order: `(time, seq)` — `seq` is unique, so
+/// `slot` never decides — plus where the payload sits.
 #[derive(Clone, Copy)]
 struct Key {
     time: Time,
@@ -113,69 +129,68 @@ impl Ord for Key {
 
 const _: () = assert!(std::mem::size_of::<Key>() <= 24);
 
-/// Payloads waiting for their keys to pop. Freed slots are reused, the most
-/// recently freed first, so a steady-state run allocates nothing per event.
-struct Slab<T> {
-    items: Vec<Option<T>>,
-    free: Vec<u32>,
+/// A key of the current window, on the FIFO of its µs: the list gives the
+/// time, so only `seq` and the payload's slot are kept, and `next` threads
+/// the FIFO (or the pool's free list).
+#[derive(Clone, Copy)]
+struct Link {
+    seq: u64,
+    slot: u32,
+    next: u32,
 }
 
-impl<T> Slab<T> {
-    fn new() -> Self {
-        Slab {
-            items: Vec::new(),
-            free: Vec::new(),
-        }
-    }
+const _: () = assert!(std::mem::size_of::<Link>() == 16);
 
-    fn insert(&mut self, item: T) -> u32 {
-        if let Some(slot) = self.free.pop() {
-            self.items[slot as usize] = Some(item);
-            return slot;
-        }
-        let slot = u32::try_from(self.items.len())
-            .ok()
-            .filter(|slot| slot & TIMER == 0)
-            .expect("fewer than 2^31 queued events of a kind");
-        self.items.push(Some(item));
-        slot
-    }
-
-    fn take(&mut self, slot: u32) -> T {
-        self.free.push(slot);
-        self.items[slot as usize]
-            .take()
-            .expect("every key points at an occupied slot")
-    }
-
-    fn live(&self) -> usize {
-        self.items.len() - self.free.len()
-    }
+/// One µs FIFO of the current window: first and last link, `head == NIL`
+/// when empty (`tail` is then stale).
+#[derive(Clone, Copy)]
+struct Fifo {
+    head: u32,
+    tail: u32,
 }
 
-/// Deterministic priority queue of events: [`Key`]s in the current window's
-/// heap, the ring of later windows or `beyond` (module docs), payloads in two
-/// slabs. Pop order is the total order `(time, seq)`, `seq` being insertion
-/// order.
-pub(crate) struct EventQueue<M> {
-    heap: BinaryHeap<Key>,
-    /// The window `heap` is ordering; never moves backwards.
+/// Deterministic priority queue of events: keys in `early`, the current
+/// window's µs FIFOs, the ring of later windows or `beyond` (module docs),
+/// payloads in two slabs. Pop order is the total order `(time, seq)`, `seq`
+/// being insertion order.
+pub(crate) struct EventQueue {
+    early: BinaryHeap<Key>,
+    /// The window `lists` holds; never moves backwards.
     cur: u64,
+    lists: Box<[Fifo; SPAN]>,
+    /// Bit `us` set ⇔ `lists[us]` is non-empty.
+    occupied: [u64; SPAN / 64],
+    /// No word of `occupied` below this one has a bit set.
+    low_word: usize,
+    /// The links of every FIFO, and freed ones chained from `free_link`.
+    links: Vec<Link>,
+    free_link: u32,
     ring: Vec<Vec<Key>>,
     beyond: BinaryHeap<Key>,
-    /// Everything but timers: mostly messages in flight.
-    slab: Slab<(NodeId, EventKind<M>)>,
+    /// Everything but timers: messages in flight (by their slot in the
+    /// simulator's slab), crashes, restarts, partitions.
+    slab: Slab<(NodeId, EventKind)>,
     /// `TimerFire` payloads, which outnumber and outlive the messages;
     /// their keys carry the [`TIMER`] bit.
     timers: Slab<(NodeId, TimerId, u64, u32)>,
     next_seq: u64,
 }
 
-impl<M> EventQueue<M> {
+impl EventQueue {
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            early: BinaryHeap::new(),
             cur: 0,
+            lists: Box::new(
+                [Fifo {
+                    head: NIL,
+                    tail: NIL,
+                }; SPAN],
+            ),
+            occupied: [0; SPAN / 64],
+            low_word: SPAN / 64,
+            links: Vec::new(),
+            free_link: NIL,
             ring: vec![Vec::new(); RING as usize],
             beyond: BinaryHeap::new(),
             slab: Slab::new(),
@@ -184,7 +199,7 @@ impl<M> EventQueue<M> {
         }
     }
 
-    pub fn push(&mut self, time: Time, node: NodeId, kind: EventKind<M>) {
+    pub fn push(&mut self, time: Time, node: NodeId, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = match kind {
@@ -195,8 +210,10 @@ impl<M> EventQueue<M> {
         };
         let key = Key { time, seq, slot };
         let window = key.window();
-        if window <= self.cur {
-            self.heap.push(key);
+        if window == self.cur {
+            self.append(key);
+        } else if window < self.cur {
+            self.early.push(key);
         } else if window - self.cur < RING {
             self.ring[(window % RING) as usize].push(key);
         } else {
@@ -204,9 +221,59 @@ impl<M> EventQueue<M> {
         }
     }
 
-    /// With the heap empty, moves `cur` to the earliest window that holds a
-    /// key — the nearer of the ring's next occupied slot and `beyond`'s top
-    /// — and that window's keys into the heap.
+    /// Appends `key`, of window `cur`, to the FIFO of its µs.
+    fn append(&mut self, key: Key) {
+        let link = Link {
+            seq: key.seq,
+            slot: key.slot,
+            next: NIL,
+        };
+        let i = if self.free_link == NIL {
+            self.links.push(link);
+            (self.links.len() - 1) as u32
+        } else {
+            let i = self.free_link;
+            self.free_link = self.links[i as usize].next;
+            self.links[i as usize] = link;
+            i
+        };
+        let us = (key.time.0 & (SPAN as u64 - 1)) as usize;
+        let fifo = &mut self.lists[us];
+        if fifo.head == NIL {
+            fifo.head = i;
+            self.occupied[us / 64] |= 1 << (us % 64);
+            self.low_word = self.low_word.min(us / 64);
+        } else {
+            self.links[fifo.tail as usize].next = i;
+        }
+        fifo.tail = i;
+    }
+
+    /// The earliest µs of window `cur` whose FIFO holds a key, moving to
+    /// the next window that holds one if this one is drained.
+    fn next_us(&mut self) -> Option<usize> {
+        self.first_us().or_else(|| {
+            self.advance();
+            self.first_us()
+        })
+    }
+
+    /// The earliest µs of window `cur` whose FIFO holds a key.
+    fn first_us(&mut self) -> Option<usize> {
+        while self.low_word < self.occupied.len() {
+            let word = self.occupied[self.low_word];
+            if word != 0 {
+                return Some(self.low_word * 64 + word.trailing_zeros() as usize);
+            }
+            self.low_word += 1;
+        }
+        None
+    }
+
+    /// With `early` and `lists` empty, moves `cur` to the earliest window
+    /// that holds a key — the nearer of the ring's next occupied slot and
+    /// `beyond`'s top — and that window's keys into `lists`: `beyond`'s
+    /// first, then the ring slot's, so each FIFO stays in `seq` order.
     fn advance(&mut self) {
         let in_ring =
             (self.cur + 1..self.cur + RING).find(|w| !self.ring[(w % RING) as usize].is_empty());
@@ -215,20 +282,44 @@ impl<M> EventQueue<M> {
             return;
         };
         self.cur = next;
-        // An occupied slot holds one window's keys, and a `next` past the
-        // ring's reach means the whole ring is empty.
-        self.heap
-            .extend(self.ring[(next % RING) as usize].drain(..));
         while self.beyond.peek().is_some_and(|k| k.window() == next) {
-            self.heap.extend(self.beyond.pop());
+            let key = self.beyond.pop().expect("peeked");
+            self.append(key);
         }
+        // An occupied slot holds one window's keys, and a `next` past the
+        // ring's reach means the whole ring is empty. The bucket goes back
+        // with its capacity kept.
+        let mut bucket = std::mem::take(&mut self.ring[(next % RING) as usize]);
+        for key in bucket.drain(..) {
+            self.append(key);
+        }
+        self.ring[(next % RING) as usize] = bucket;
     }
 
-    pub fn pop(&mut self) -> Option<Event<M>> {
-        if self.heap.is_empty() {
-            self.advance();
+    /// Takes the earliest key out of wherever it waits.
+    fn pop_key(&mut self) -> Option<Key> {
+        if let Some(key) = self.early.pop() {
+            return Some(key);
         }
-        let Key { time, seq, slot } = self.heap.pop()?;
+        let us = self.next_us()?;
+        let fifo = &mut self.lists[us];
+        let i = fifo.head;
+        let link = self.links[i as usize];
+        fifo.head = link.next;
+        if link.next == NIL {
+            self.occupied[us / 64] &= !(1 << (us % 64));
+        }
+        self.links[i as usize].next = self.free_link;
+        self.free_link = i;
+        Some(Key {
+            time: Time((self.cur << WINDOW_BITS) | us as u64),
+            seq: link.seq,
+            slot: link.slot,
+        })
+    }
+
+    pub fn pop(&mut self) -> Option<Event> {
+        let Key { time, seq, slot } = self.pop_key()?;
         let (node, kind) = if slot & TIMER != 0 {
             let (node, id, kind, epoch) = self.timers.take(slot ^ TIMER);
             (node, EventKind::TimerFire { id, kind, epoch })
@@ -243,12 +334,13 @@ impl<M> EventQueue<M> {
         })
     }
 
-    /// `&mut` because looking past an empty heap advances `cur`.
+    /// `&mut` because looking past an empty window advances `cur`.
     pub fn peek_time(&mut self) -> Option<Time> {
-        if self.heap.is_empty() {
-            self.advance();
+        if let Some(key) = self.early.peek() {
+            return Some(key.time);
         }
-        self.heap.peek().map(|k| k.time)
+        let us = self.next_us()?;
+        Some(Time((self.cur << WINDOW_BITS) | us as u64))
     }
 
     pub fn len(&self) -> usize {
@@ -268,9 +360,29 @@ mod tests {
 
     const WINDOW: u64 = 1 << WINDOW_BITS;
 
+    /// Keys on the current window's FIFOs, counted by walking each FIFO;
+    /// also checks that the occupancy map marks exactly the non-empty ones
+    /// and that none lies below `low_word`.
+    fn listed(q: &EventQueue) -> usize {
+        assert!(q.occupied[..q.low_word.min(q.occupied.len())]
+            .iter()
+            .all(|&w| w == 0));
+        let mut n = 0;
+        for (us, fifo) in q.lists.iter().enumerate() {
+            let marked = q.occupied[us / 64] >> (us % 64) & 1 == 1;
+            assert_eq!(marked, fifo.head != NIL, "occupancy of µs {us}");
+            let mut i = fifo.head;
+            while i != NIL {
+                n += 1;
+                i = q.links[i as usize].next;
+            }
+        }
+        n
+    }
+
     #[test]
     fn pops_in_time_order() {
-        let mut q: EventQueue<()> = EventQueue::new();
+        let mut q: EventQueue = EventQueue::new();
         q.push(Time(30), NodeId(0), EventKind::Crash);
         q.push(Time(10), NodeId(1), EventKind::Crash);
         q.push(Time(20), NodeId(2), EventKind::Crash);
@@ -280,7 +392,7 @@ mod tests {
 
     #[test]
     fn ties_break_by_insertion_order() {
-        let mut q: EventQueue<()> = EventQueue::new();
+        let mut q: EventQueue = EventQueue::new();
         q.push(Time(5), NodeId(9), EventKind::Crash);
         q.push(Time(5), NodeId(7), EventKind::Crash);
         q.push(Time(5), NodeId(8), EventKind::Crash);
@@ -289,7 +401,7 @@ mod tests {
     }
 
     /// Pops everything; `(time, node)` per event.
-    fn pop_all(q: &mut EventQueue<()>) -> Vec<(u64, u32)> {
+    fn pop_all(q: &mut EventQueue) -> Vec<(u64, u32)> {
         std::iter::from_fn(|| q.pop())
             .map(|e| (e.time.0, e.node.0))
             .collect()
@@ -297,7 +409,7 @@ mod tests {
 
     #[test]
     fn ties_straddling_a_window_boundary_keep_insertion_order() {
-        let mut q: EventQueue<()> = EventQueue::new();
+        let mut q: EventQueue = EventQueue::new();
         // The last µs of window 2 and the first of window 3, interleaved,
         // pushed while `cur` is still 0 so both go through the ring.
         let (last, first) = (3 * WINDOW - 1, 3 * WINDOW);
@@ -322,12 +434,12 @@ mod tests {
 
     #[test]
     fn a_window_whose_ring_slot_was_just_drained_takes_pushes() {
-        let mut q: EventQueue<()> = EventQueue::new();
+        let mut q: EventQueue = EventQueue::new();
         let w4 = 4 * WINDOW;
         q.push(Time(w4 + 500), NodeId(0), EventKind::Crash);
         // Looking drains ring slot 4 into the heap and moves `cur` to 4.
         assert_eq!(q.peek_time(), Some(Time(w4 + 500)));
-        assert_eq!((q.cur, q.ring[4].len(), q.heap.len()), (4, 0, 1));
+        assert_eq!((q.cur, q.ring[4].len(), listed(&q)), (4, 0, 1));
         // The same window again, earlier and later than the key moved in …
         q.push(Time(w4 + 100), NodeId(1), EventKind::Heal);
         q.push(Time(w4 + 900), NodeId(2), EventKind::Heal);
@@ -348,7 +460,7 @@ mod tests {
 
     #[test]
     fn a_beyond_key_overtaken_by_the_ring_pops_in_order_with_its_window() {
-        let mut q: EventQueue<()> = EventQueue::new();
+        let mut q: EventQueue = EventQueue::new();
         let far = (RING + 10) * WINDOW;
         q.push(Time(far + 7), NodeId(0), EventKind::Crash);
         q.push(
@@ -382,12 +494,49 @@ mod tests {
         );
     }
 
+    #[test]
+    fn one_us_takes_beyond_ring_and_direct_keys_in_seq_order_across_a_drain() {
+        let mut q = EventQueue::new();
+        let far = (RING + 10) * WINDOW;
+        let t = far + 5;
+        // Nodes 0..3 at `t` while `cur` is 0: `beyond`, pushed out of
+        // time order with a key one µs either side.
+        q.push(Time(t + 1), NodeId(100), EventKind::Crash);
+        for node in 0..3 {
+            q.push(Time(t), NodeId(node), EventKind::Crash);
+        }
+        q.push(Time(t - 1), NodeId(101), EventKind::Crash);
+        // `cur` moves to window 20, which brings `t`'s window into ring
+        // range: nodes 3..6 go to the ring.
+        q.push(Time(20 * WINDOW), NodeId(99), EventKind::Crash);
+        assert_eq!(q.pop().map(|e| e.node), Some(NodeId(99)));
+        for node in 3..6 {
+            q.push(Time(t), NodeId(node), EventKind::Crash);
+        }
+        assert_eq!((q.cur, q.beyond.len()), (20, 5));
+        assert_eq!(q.ring[((RING + 10) % RING) as usize].len(), 3);
+        // Looking drains the window: `beyond` first, then the ring.
+        assert_eq!(q.peek_time(), Some(Time(t - 1)));
+        assert_eq!((q.cur, listed(&q), q.beyond.len()), (RING + 10, 8, 0));
+        // Direct pushes to the same µs queue behind them …
+        for node in 6..8 {
+            q.push(Time(t), NodeId(node), EventKind::Crash);
+        }
+        assert_eq!(q.pop().map(|e| e.node), Some(NodeId(101)));
+        assert_eq!(q.pop().map(|e| e.node), Some(NodeId(0)));
+        // … and so do pushes made after the µs started popping.
+        q.push(Time(t), NodeId(8), EventKind::Crash);
+        let mut want: Vec<(u64, u32)> = (1..9).map(|node| (t, node)).collect();
+        want.push((t + 1, 100));
+        assert_eq!(pop_all(&mut q), want);
+    }
+
     proptest! {
         /// Pops are globally ordered by (time, insertion sequence) for any
         /// insertion pattern.
         #[test]
         fn prop_pops_sorted(times in proptest::collection::vec(0u64..1_000, 1..100)) {
-            let mut q: EventQueue<()> = EventQueue::new();
+            let mut q: EventQueue = EventQueue::new();
             for (i, &t) in times.iter().enumerate() {
                 q.push(Time(t), NodeId(i as u32), EventKind::Crash);
             }
@@ -465,7 +614,7 @@ mod tests {
             push_share in 2u8..7,
             peek_every_step in 0u8..2,
         ) {
-            let mut q: EventQueue<()> = EventQueue::new();
+            let mut q: EventQueue = EventQueue::new();
             let mut model: BinaryHeap<ModelEvent> = BinaryHeap::new();
             let mut next_seq = 0u64;
             let mut last = 0u64;
@@ -511,11 +660,11 @@ mod tests {
                 }
                 prop_assert_eq!(q.len(), model.len());
                 prop_assert_eq!(q.pending_timers(), live[1]);
-                let keys = q.heap.len() + q.beyond.len() + q.ring.iter().map(Vec::len).sum::<usize>();
+                let keys = q.early.len() + listed(&q) + q.beyond.len() + q.ring.iter().map(Vec::len).sum::<usize>();
                 prop_assert_eq!(keys, model.len());
                 for (slab_len, free, kind) in [
-                    (q.slab.items.len(), q.slab.free.len(), 0),
-                    (q.timers.items.len(), q.timers.free.len(), 1),
+                    (q.slab.capacity(), q.slab.capacity() - q.slab.live(), 0),
+                    (q.timers.capacity(), q.timers.capacity() - q.timers.live(), 1),
                 ] {
                     prop_assert_eq!(free + live[kind], slab_len);
                     prop_assert!(slab_len <= peak[kind], "slab {} > peak {}", slab_len, peak[kind]);
@@ -528,7 +677,7 @@ mod tests {
 
     #[test]
     fn peek_matches_pop() {
-        let mut q: EventQueue<()> = EventQueue::new();
+        let mut q: EventQueue = EventQueue::new();
         assert_eq!(q.len(), 0);
         q.push(Time(42), NodeId(0), EventKind::Heal);
         assert_eq!(q.peek_time(), Some(Time(42)));

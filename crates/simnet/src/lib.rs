@@ -61,6 +61,7 @@ mod fault;
 mod metrics;
 mod node;
 mod sim;
+mod slab;
 mod time;
 mod timer;
 mod trace;

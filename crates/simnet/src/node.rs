@@ -5,6 +5,7 @@ use std::fmt;
 use rand_chacha::ChaCha20Rng;
 
 use crate::causal::{cat, TraceCtx, Tracer};
+use crate::slab::Slab;
 use crate::time::{NodeId, Time};
 use crate::trace::{CncPhase, SpanKind};
 
@@ -78,10 +79,11 @@ pub trait Node {
 /// An effect a node requests during a callback; applied by the simulator
 /// after the callback returns.
 #[derive(Debug)]
-pub(crate) enum Effect<M> {
+pub(crate) enum Effect {
+    /// The message waits in slot `msg` of the simulator's message slab.
     Send {
         to: NodeId,
-        msg: M,
+        msg: u32,
         tc: Option<TraceCtx>,
     },
     SetTimer {
@@ -105,7 +107,11 @@ pub struct Context<'a, M> {
     pub(crate) now: Time,
     pub(crate) n_nodes: usize,
     pub(crate) rng: &'a mut ChaCha20Rng,
-    pub(crate) effects: &'a mut Vec<Effect<M>>,
+    pub(crate) effects: &'a mut Vec<Effect>,
+    /// The simulator's slab of messages in flight: a send parks its
+    /// message here, and the message stays put until it is delivered or
+    /// dropped.
+    pub(crate) msgs: &'a mut Slab<M>,
     pub(crate) next_timer: &'a mut u64,
     pub(crate) tracer: &'a mut Tracer,
     /// The causal context this callback executes under: the envelope context
@@ -169,6 +175,7 @@ impl<M: Payload> Context<'_, M> {
     /// simulator as a local hop).
     pub fn send(&mut self, to: NodeId, msg: M) {
         let tc = self.cur;
+        let msg = self.msgs.insert(msg);
         self.effects.push(Effect::Send { to, msg, tc });
     }
 
@@ -390,16 +397,17 @@ mod tests {
         }
     }
 
-    fn ctx_harness(f: impl FnOnce(&mut Context<M>)) -> Vec<Effect<M>> {
+    fn ctx_harness(f: impl FnOnce(&mut Context<M>)) -> Vec<Effect> {
         ctx_harness_traced(Tracer::new(), f).0
     }
 
     fn ctx_harness_traced(
         mut tracer: Tracer,
         f: impl FnOnce(&mut Context<M>),
-    ) -> (Vec<Effect<M>>, Tracer) {
+    ) -> (Vec<Effect>, Tracer) {
         let mut rng = ChaCha20Rng::seed_from_u64(0);
         let mut effects = Vec::new();
+        let mut msgs = Slab::new();
         let mut next_timer = 0;
         let mut ctx = Context {
             node: NodeId(1),
@@ -407,6 +415,7 @@ mod tests {
             n_nodes: 4,
             rng: &mut rng,
             effects: &mut effects,
+            msgs: &mut msgs,
             next_timer: &mut next_timer,
             tracer: &mut tracer,
             cur: None,

@@ -11,6 +11,7 @@ use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::{Filter, FilterAction};
 use crate::metrics::{DropCause, Metrics};
 use crate::node::{Context, Effect, Node, Payload, Timer, TimerId};
+use crate::slab::Slab;
 use crate::time::{NodeId, Time};
 use crate::trace::{SpanKind, TraceEntry, TraceEvent};
 
@@ -110,7 +111,11 @@ impl TimerLedger {
 pub struct Sim<N: Node> {
     config: NetConfig,
     slots: Vec<Slot<N>>,
-    queue: EventQueue<N::Msg>,
+    queue: EventQueue,
+    /// Every message sent or injected and not yet delivered or dropped: it
+    /// moves in once, at the send, and out once, at its delivery or drop;
+    /// events and effects carry its slot.
+    msgs: Slab<N::Msg>,
     net_rng: ChaCha20Rng,
     seed: u64,
     now: Time,
@@ -130,7 +135,7 @@ pub struct Sim<N: Node> {
     stop_requested: bool,
     max_events: u64,
     events_processed: u64,
-    scratch: Vec<Effect<N::Msg>>,
+    scratch: Vec<Effect>,
     /// Causal-trace recorder (disabled by default; see [`Sim::enable_tracing`]).
     tracer: Tracer,
 }
@@ -142,6 +147,7 @@ impl<N: Node> Sim<N> {
             config,
             slots: Vec::new(),
             queue: EventQueue::new(),
+            msgs: Slab::new(),
             net_rng: ChaCha20Rng::seed_from_u64(seed),
             seed,
             now: Time::ZERO,
@@ -377,6 +383,7 @@ impl<N: Node> Sim<N> {
         at: Time,
         tc: Option<TraceCtx>,
     ) {
+        let msg = self.msgs.insert(msg);
         self.queue.push(
             at,
             to,
@@ -419,6 +426,7 @@ impl<N: Node> Sim<N> {
                 n_nodes,
                 rng: &mut slot.rng,
                 effects: &mut effects,
+                msgs: &mut self.msgs,
                 next_timer: &mut self.next_timer,
                 tracer: &mut self.tracer,
                 cur,
@@ -451,8 +459,9 @@ impl<N: Node> Sim<N> {
         self.scratch = effects;
     }
 
-    /// Applies filter, loss, partition, and delay to one message.
-    fn route(&mut self, from: NodeId, to: NodeId, msg: N::Msg, tc: Option<TraceCtx>) {
+    /// Applies filter, loss, partition, and delay to the message in slot
+    /// `msg`; a message dropped here is taken out of the slab here.
+    fn route(&mut self, from: NodeId, to: NodeId, msg: u32, tc: Option<TraceCtx>) {
         // Local hop: bypasses the network and all accounting; the causal
         // context passes straight through.
         if from == to {
@@ -473,25 +482,28 @@ impl<N: Node> Sim<N> {
         // Byzantine outbound filter. A filtered message never reaches the
         // network, so it is not counted as sent — but the loss is visible in
         // the drop counters and the trace.
-        let msg = match self.slots[from.index()].filter.as_mut() {
-            Some(filter) => match filter.outgoing(from, to, &msg, &mut self.net_rng) {
-                FilterAction::Deliver => msg,
+        if let Some(filter) = self.slots[from.index()].filter.as_mut() {
+            match filter.outgoing(from, to, self.msgs.get(msg), &mut self.net_rng) {
+                FilterAction::Deliver => {}
                 FilterAction::Drop => {
                     self.metrics.record_drop(DropCause::Filter);
+                    let msg = self.msgs.take(msg);
                     self.push_trace(TraceEvent::Drop, from, to, msg.kind());
                     return;
                 }
-                FilterAction::Replace(m) => m,
-            },
-            None => msg,
-        };
+                FilterAction::Replace(m) => *self.msgs.get_mut(msg) = m,
+            }
+        }
 
+        let (kind, size) = {
+            let m = self.msgs.get(msg);
+            (m.kind(), m.size_bytes() as u64)
+        };
         self.metrics.sent += 1;
-        let size = msg.size_bytes() as u64;
         self.metrics.bytes_sent += size;
-        self.metrics.add_kind(msg.kind(), 1, size);
+        self.metrics.add_kind(kind, 1, size);
         self.metrics.msg_size.record(size);
-        self.push_trace(TraceEvent::Send, from, to, msg.kind());
+        self.push_trace(TraceEvent::Send, from, to, kind);
 
         // Partition check.
         if let Some(groups) = &self.partition {
@@ -499,7 +511,8 @@ impl<N: Node> Sim<N> {
             let gt = groups.get(to.index()).copied().unwrap_or(usize::MAX);
             if gf != gt {
                 self.metrics.record_drop(DropCause::Partition);
-                self.push_trace(TraceEvent::Drop, from, to, msg.kind());
+                self.msgs.take(msg);
+                self.push_trace(TraceEvent::Drop, from, to, kind);
                 return;
             }
         }
@@ -509,7 +522,8 @@ impl<N: Node> Sim<N> {
             use rand::Rng;
             if self.net_rng.gen::<f64>() < self.config.drop_prob {
                 self.metrics.record_drop(DropCause::Loss);
-                self.push_trace(TraceEvent::Drop, from, to, msg.kind());
+                self.msgs.take(msg);
+                self.push_trace(TraceEvent::Drop, from, to, kind);
                 return;
             }
         }
@@ -562,7 +576,6 @@ impl<N: Node> Sim<N> {
                 Some(t) => (t.trace_id, t.span_id),
                 None => (0, 0),
             };
-            let kind = msg.kind();
             if sent_at > self.now.0 {
                 parent = self.tracer.record(
                     trace_id,
@@ -598,12 +611,13 @@ impl<N: Node> Sim<N> {
             if self.net_rng.gen::<f64>() < self.config.duplicate_prob {
                 let delay2 = model.sample(&mut self.net_rng);
                 self.metrics.duplicated += 1;
+                let copy = self.msgs.insert(self.msgs.get(msg).clone());
                 self.queue.push(
                     Time(sent_at + delay2),
                     to,
                     EventKind::Deliver {
                         from,
-                        msg: msg.clone(),
+                        msg: copy,
                         sent: self.now,
                         tc: tc_out,
                     },
@@ -670,7 +684,7 @@ impl<N: Node> Sim<N> {
         }
     }
 
-    fn handle(&mut self, ev: Event<N::Msg>) {
+    fn handle(&mut self, ev: Event) {
         let idx = ev.node.index();
         self.now = ev.time;
         match ev.kind {
@@ -680,6 +694,7 @@ impl<N: Node> Sim<N> {
                 sent,
                 tc,
             } => {
+                let msg = self.msgs.take(msg);
                 if !self.slots[idx].alive {
                     if from != ev.node {
                         self.metrics.record_drop(DropCause::Dead);
@@ -1878,5 +1893,74 @@ mod tests {
             run(NetConfig::lan()),
             run(NetConfig::lan().with_nic(0, u64::MAX))
         );
+    }
+
+    #[test]
+    fn no_message_slot_outlives_its_message() {
+        /// Every node floods `Hop(d)` to everyone, itself included, and
+        /// forwards `Hop(d - 1)` on receipt: a few thousand messages, then
+        /// quiescence.
+        #[derive(Clone, Debug)]
+        struct Hop(u32);
+        impl Payload for Hop {}
+        struct Flood;
+        impl Node for Flood {
+            type Msg = Hop;
+            fn on_start(&mut self, ctx: &mut Context<Hop>) {
+                ctx.broadcast_all(Hop(3));
+            }
+            fn on_message(&mut self, ctx: &mut Context<Hop>, _f: NodeId, m: Hop) {
+                if m.0 > 0 {
+                    ctx.broadcast(Hop(m.0 - 1));
+                }
+            }
+        }
+        let config = NetConfig::lan().with_drop_prob(0.1);
+        let mut sim: Sim<Flood> = Sim::new(config, 31);
+        for _ in 0..5 {
+            sim.add_node(Flood);
+        }
+        sim.set_duplicate_prob(0.2);
+        sim.partition_at(Time(700), vec![vec![NodeId(0), NodeId(1)]]);
+        sim.heal_at(Time(1_500));
+        // Node 1 drops what it sends to node 2; node 3 rewrites all it sends.
+        sim.set_filter(
+            NodeId(1),
+            Box::new(FnFilter(
+                |_f, to: NodeId, _m: &Hop, _r: &mut ChaCha20Rng| {
+                    if to == NodeId(2) {
+                        FilterAction::Drop
+                    } else {
+                        FilterAction::Deliver
+                    }
+                },
+            )),
+        );
+        sim.set_filter(
+            NodeId(3),
+            Box::new(FnFilter(|_f, _t, m: &Hop, _r: &mut ChaCha20Rng| {
+                FilterAction::Replace(Hop(m.0 / 2))
+            })),
+        );
+        sim.inject(NodeId(0), NodeId(4), Hop(2), Time(300));
+        // Node 4 goes down for good while its first deliveries are in
+        // flight, and the injected message lands after it did.
+        sim.crash_at(NodeId(4), Time(250));
+        assert_eq!(sim.run_to_quiescence(), RunOutcome::Quiescent);
+
+        let m = sim.metrics();
+        for (count, what) in [
+            (m.dropped_loss, "lost"),
+            (m.dropped_partition, "cut by the partition"),
+            (m.dropped_filter, "dropped by a filter"),
+            (m.dropped_dead, "sent to the crashed node"),
+            (m.duplicated, "duplicated"),
+            (m.delivered, "delivered"),
+        ] {
+            assert!(count > 0, "no message was {what}");
+        }
+        assert!(sim.msgs.capacity() > 0);
+        assert_eq!(sim.msgs.live(), 0, "a message slot outlived its message");
+        assert_eq!(sim.pending_events(), 0);
     }
 }

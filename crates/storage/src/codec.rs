@@ -8,8 +8,9 @@
 //! and nothing else chooses — an input of 64 bytes or more is folded
 //! 64 bytes per step by carry-less multiplication and then Barrett-reduced
 //! to 32 bits (Intel, "Fast CRC Computation for Generic Polynomials Using
-//! PCLMULQDQ"), about ten times the tables' speed. Its intrinsics are the
-//! workspace's only `unsafe` code, kept in the private `clmul` module.
+//! PCLMULQDQ"), about ten times the tables' speed. Its intrinsics are this
+//! crate's only `unsafe` code, kept in the private `clmul` module (the
+//! workspace's other is the ChaCha20 RNG's SSE2 refill).
 
 /// The shortest input the carry-less path takes: one 16-byte register for
 /// each of its four fold lanes. Shorter inputs, and every input on a CPU
@@ -63,7 +64,7 @@ fn update_tables(mut crc: u32, data: &[u8]) -> u32 {
     crc
 }
 
-/// The carry-less-multiply path: the workspace's only `unsafe` code.
+/// The carry-less-multiply path: this crate's only `unsafe` code.
 #[cfg(target_arch = "x86_64")]
 mod clmul {
     use std::arch::x86_64::{
