@@ -26,52 +26,16 @@
 //! Pop order is therefore exactly `(time, seq)` for every push pattern, a
 //! time before the last pop included.
 //!
-//! A message is not in here at all: a `Deliver` event carries the slot of
-//! the message in the simulator's own slab, so a push or pop moves a few
-//! dozen bytes whatever the protocol's message type.
+//! Nothing that happens is in here, only when: a key's `slot` is opaque to
+//! the queue. The simulator keeps every pending message, timer and fault
+//! as one record in a slab of its own, and a key's slot names the record
+//! (the simulator tags it with the slab), so a push or pop moves 16 or 24
+//! bytes whatever the protocol's message type.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::causal::TraceCtx;
-use crate::node::TimerId;
-use crate::slab::Slab;
-use crate::time::{NodeId, Time};
-
-/// A scheduled occurrence.
-#[derive(Debug)]
-pub(crate) enum EventKind {
-    /// Deliver the message in slot `msg` of the simulator's message slab
-    /// from `from` to the owning node. `sent` is the time the send was
-    /// issued (for delivery-latency accounting); `tc` is the causal trace
-    /// context riding in the envelope, if any.
-    Deliver {
-        from: NodeId,
-        msg: u32,
-        sent: Time,
-        tc: Option<TraceCtx>,
-    },
-    /// Fire a timer (if still valid for the node's current epoch).
-    TimerFire { id: TimerId, kind: u64, epoch: u32 },
-    /// Crash the node.
-    Crash,
-    /// Restart the node.
-    Restart,
-    /// Install a partition (group list index into `Sim::partition_plans`).
-    Partition { plan: usize },
-    /// Remove any partition.
-    Heal,
-}
-
-/// A popped event: when, for whom, and what.
-pub(crate) struct Event {
-    pub time: Time,
-    /// Insertion order; the simulator never looks, the order tests do.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub seq: u64,
-    pub node: NodeId,
-    pub kind: EventKind,
-}
+use crate::time::Time;
 
 /// Windows are `1 << WINDOW_BITS` µs wide: wide enough that a LAN hop lands
 /// in the current or the next one, narrow enough that a 100 ms timer does not.
@@ -81,18 +45,17 @@ const SPAN: usize = 1 << WINDOW_BITS;
 /// Windows the ring reaches ahead of `cur` (262 ms): past every retry and
 /// most election timers, so `beyond` stays small.
 const RING: u64 = 256;
-/// Set in a key's slot when the payload sits in the timer slab.
-const TIMER: u32 = 1 << 31;
 /// The end of a FIFO or of the pool's free list.
 const NIL: u32 = u32::MAX;
 
-/// What the heaps and the ring order: `(time, seq)` — `seq` is unique, so
-/// `slot` never decides — plus where the payload sits.
+/// What the queue orders: `(time, seq)` — `seq` is the insertion counter,
+/// so it is unique and `slot` never decides — plus the caller's slot.
 #[derive(Clone, Copy)]
-struct Key {
-    time: Time,
-    seq: u64,
-    slot: u32,
+pub(crate) struct Key {
+    pub time: Time,
+    /// Insertion order; the simulator never looks, the order tests do.
+    pub seq: u64,
+    pub slot: u32,
 }
 
 impl Key {
@@ -130,8 +93,8 @@ impl Ord for Key {
 const _: () = assert!(std::mem::size_of::<Key>() <= 24);
 
 /// A key of the current window, on the FIFO of its µs: the list gives the
-/// time, so only `seq` and the payload's slot are kept, and `next` threads
-/// the FIFO (or the pool's free list).
+/// time, so only `seq` and the slot are kept, and `next` threads the FIFO
+/// (or the pool's free list).
 #[derive(Clone, Copy)]
 struct Link {
     seq: u64,
@@ -149,10 +112,9 @@ struct Fifo {
     tail: u32,
 }
 
-/// Deterministic priority queue of events: keys in `early`, the current
-/// window's µs FIFOs, the ring of later windows or `beyond` (module docs),
-/// payloads in two slabs. Pop order is the total order `(time, seq)`, `seq`
-/// being insertion order.
+/// Deterministic priority queue of keys, each in `early`, the current
+/// window's µs FIFOs, the ring of later windows or `beyond` (module docs).
+/// Pop order is the total order `(time, seq)`, `seq` being insertion order.
 pub(crate) struct EventQueue {
     early: BinaryHeap<Key>,
     /// The window `lists` holds; never moves backwards.
@@ -167,12 +129,8 @@ pub(crate) struct EventQueue {
     free_link: u32,
     ring: Vec<Vec<Key>>,
     beyond: BinaryHeap<Key>,
-    /// Everything but timers: messages in flight (by their slot in the
-    /// simulator's slab), crashes, restarts, partitions.
-    slab: Slab<(NodeId, EventKind)>,
-    /// `TimerFire` payloads, which outnumber and outlive the messages;
-    /// their keys carry the [`TIMER`] bit.
-    timers: Slab<(NodeId, TimerId, u64, u32)>,
+    /// Keys pushed and not yet popped.
+    len: usize,
     next_seq: u64,
 }
 
@@ -193,21 +151,15 @@ impl EventQueue {
             free_link: NIL,
             ring: vec![Vec::new(); RING as usize],
             beyond: BinaryHeap::new(),
-            slab: Slab::new(),
-            timers: Slab::new(),
+            len: 0,
             next_seq: 0,
         }
     }
 
-    pub fn push(&mut self, time: Time, node: NodeId, kind: EventKind) {
+    pub fn push(&mut self, time: Time, slot: u32) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = match kind {
-            EventKind::TimerFire { id, kind, epoch } => {
-                self.timers.insert((node, id, kind, epoch)) | TIMER
-            }
-            kind => self.slab.insert((node, kind)),
-        };
+        self.len += 1;
         let key = Key { time, seq, slot };
         let window = key.window();
         if window == self.cur {
@@ -297,11 +249,13 @@ impl EventQueue {
     }
 
     /// Takes the earliest key out of wherever it waits.
-    fn pop_key(&mut self) -> Option<Key> {
+    pub fn pop(&mut self) -> Option<Key> {
         if let Some(key) = self.early.pop() {
+            self.len -= 1;
             return Some(key);
         }
         let us = self.next_us()?;
+        self.len -= 1;
         let fifo = &mut self.lists[us];
         let i = fifo.head;
         let link = self.links[i as usize];
@@ -318,22 +272,6 @@ impl EventQueue {
         })
     }
 
-    pub fn pop(&mut self) -> Option<Event> {
-        let Key { time, seq, slot } = self.pop_key()?;
-        let (node, kind) = if slot & TIMER != 0 {
-            let (node, id, kind, epoch) = self.timers.take(slot ^ TIMER);
-            (node, EventKind::TimerFire { id, kind, epoch })
-        } else {
-            self.slab.take(slot)
-        };
-        Some(Event {
-            time,
-            seq,
-            node,
-            kind,
-        })
-    }
-
     /// `&mut` because looking past an empty window advances `cur`.
     pub fn peek_time(&mut self) -> Option<Time> {
         if let Some(key) = self.early.peek() {
@@ -344,12 +282,7 @@ impl EventQueue {
     }
 
     pub fn len(&self) -> usize {
-        self.slab.live() + self.timers.live()
-    }
-
-    /// Queued timer events, cancelled ones included until their time passes.
-    pub fn pending_timers(&self) -> usize {
-        self.timers.live()
+        self.len
     }
 }
 
@@ -383,27 +316,27 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q: EventQueue = EventQueue::new();
-        q.push(Time(30), NodeId(0), EventKind::Crash);
-        q.push(Time(10), NodeId(1), EventKind::Crash);
-        q.push(Time(20), NodeId(2), EventKind::Crash);
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.time.0).collect();
+        q.push(Time(30), 0);
+        q.push(Time(10), 1);
+        q.push(Time(20), 2);
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|k| k.time.0).collect();
         assert_eq!(order, vec![10, 20, 30]);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
         let mut q: EventQueue = EventQueue::new();
-        q.push(Time(5), NodeId(9), EventKind::Crash);
-        q.push(Time(5), NodeId(7), EventKind::Crash);
-        q.push(Time(5), NodeId(8), EventKind::Crash);
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| e.node.0).collect();
+        q.push(Time(5), 9);
+        q.push(Time(5), 7);
+        q.push(Time(5), 8);
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|k| k.slot).collect();
         assert_eq!(order, vec![9, 7, 8]);
     }
 
-    /// Pops everything; `(time, node)` per event.
+    /// Pops everything; `(time, slot)` per key.
     fn pop_all(q: &mut EventQueue) -> Vec<(u64, u32)> {
         std::iter::from_fn(|| q.pop())
-            .map(|e| (e.time.0, e.node.0))
+            .map(|k| (k.time.0, k.slot))
             .collect()
     }
 
@@ -413,11 +346,8 @@ mod tests {
         // The last µs of window 2 and the first of window 3, interleaved,
         // pushed while `cur` is still 0 so both go through the ring.
         let (last, first) = (3 * WINDOW - 1, 3 * WINDOW);
-        for (node, time) in [first, last, first, last, last, first]
-            .into_iter()
-            .enumerate()
-        {
-            q.push(Time(time), NodeId(node as u32), EventKind::Crash);
+        for (slot, time) in (0..).zip([first, last, first, last, last, first]) {
+            q.push(Time(time), slot);
         }
         assert_eq!(
             pop_all(&mut q),
@@ -436,15 +366,15 @@ mod tests {
     fn a_window_whose_ring_slot_was_just_drained_takes_pushes() {
         let mut q: EventQueue = EventQueue::new();
         let w4 = 4 * WINDOW;
-        q.push(Time(w4 + 500), NodeId(0), EventKind::Crash);
+        q.push(Time(w4 + 500), 0);
         // Looking drains ring slot 4 into the heap and moves `cur` to 4.
         assert_eq!(q.peek_time(), Some(Time(w4 + 500)));
         assert_eq!((q.cur, q.ring[4].len(), listed(&q)), (4, 0, 1));
         // The same window again, earlier and later than the key moved in …
-        q.push(Time(w4 + 100), NodeId(1), EventKind::Heal);
-        q.push(Time(w4 + 900), NodeId(2), EventKind::Heal);
+        q.push(Time(w4 + 100), 1);
+        q.push(Time(w4 + 900), 2);
         // … and the window that shares its ring slot, one lap ahead.
-        q.push(Time(w4 + RING * WINDOW), NodeId(3), EventKind::Heal);
+        q.push(Time(w4 + RING * WINDOW), 3);
         assert_eq!((q.ring[4].len(), q.beyond.len()), (0, 1));
         assert_eq!(q.peek_time(), Some(Time(w4 + 100)));
         assert_eq!(
@@ -462,24 +392,16 @@ mod tests {
     fn a_beyond_key_overtaken_by_the_ring_pops_in_order_with_its_window() {
         let mut q: EventQueue = EventQueue::new();
         let far = (RING + 10) * WINDOW;
-        q.push(Time(far + 7), NodeId(0), EventKind::Crash);
-        q.push(
-            Time(far + 3),
-            NodeId(1),
-            EventKind::TimerFire {
-                id: TimerId(1),
-                kind: 0,
-                epoch: 0,
-            },
-        );
+        q.push(Time(far + 7), 0);
+        q.push(Time(far + 3), 1);
         assert_eq!(q.beyond.len(), 2);
         // `cur` moves to window 20: window RING + 10 is now in ring range,
         // the two keys above stay where they were put.
-        q.push(Time(20 * WINDOW), NodeId(2), EventKind::Crash);
-        assert_eq!(q.pop().map(|e| e.node), Some(NodeId(2)));
-        q.push(Time(far + 5), NodeId(3), EventKind::Crash);
-        q.push(Time(far + 3), NodeId(4), EventKind::Crash);
-        q.push(Time(far + WINDOW), NodeId(5), EventKind::Crash);
+        q.push(Time(20 * WINDOW), 2);
+        assert_eq!(q.pop().map(|k| k.slot), Some(2));
+        q.push(Time(far + 5), 3);
+        q.push(Time(far + 3), 4);
+        q.push(Time(far + WINDOW), 5);
         assert_eq!((q.cur, q.beyond.len()), (20, 2));
         assert_eq!(q.ring[((RING + 10) % RING) as usize].len(), 2);
         assert_eq!(
@@ -499,19 +421,19 @@ mod tests {
         let mut q = EventQueue::new();
         let far = (RING + 10) * WINDOW;
         let t = far + 5;
-        // Nodes 0..3 at `t` while `cur` is 0: `beyond`, pushed out of
+        // Slots 0..3 at `t` while `cur` is 0: `beyond`, pushed out of
         // time order with a key one µs either side.
-        q.push(Time(t + 1), NodeId(100), EventKind::Crash);
-        for node in 0..3 {
-            q.push(Time(t), NodeId(node), EventKind::Crash);
+        q.push(Time(t + 1), 100);
+        for slot in 0..3 {
+            q.push(Time(t), slot);
         }
-        q.push(Time(t - 1), NodeId(101), EventKind::Crash);
+        q.push(Time(t - 1), 101);
         // `cur` moves to window 20, which brings `t`'s window into ring
-        // range: nodes 3..6 go to the ring.
-        q.push(Time(20 * WINDOW), NodeId(99), EventKind::Crash);
-        assert_eq!(q.pop().map(|e| e.node), Some(NodeId(99)));
-        for node in 3..6 {
-            q.push(Time(t), NodeId(node), EventKind::Crash);
+        // range: slots 3..6 go to the ring.
+        q.push(Time(20 * WINDOW), 99);
+        assert_eq!(q.pop().map(|k| k.slot), Some(99));
+        for slot in 3..6 {
+            q.push(Time(t), slot);
         }
         assert_eq!((q.cur, q.beyond.len()), (20, 5));
         assert_eq!(q.ring[((RING + 10) % RING) as usize].len(), 3);
@@ -519,14 +441,14 @@ mod tests {
         assert_eq!(q.peek_time(), Some(Time(t - 1)));
         assert_eq!((q.cur, listed(&q), q.beyond.len()), (RING + 10, 8, 0));
         // Direct pushes to the same µs queue behind them …
-        for node in 6..8 {
-            q.push(Time(t), NodeId(node), EventKind::Crash);
+        for slot in 6..8 {
+            q.push(Time(t), slot);
         }
-        assert_eq!(q.pop().map(|e| e.node), Some(NodeId(101)));
-        assert_eq!(q.pop().map(|e| e.node), Some(NodeId(0)));
+        assert_eq!(q.pop().map(|k| k.slot), Some(101));
+        assert_eq!(q.pop().map(|k| k.slot), Some(0));
         // … and so do pushes made after the µs started popping.
-        q.push(Time(t), NodeId(8), EventKind::Crash);
-        let mut want: Vec<(u64, u32)> = (1..9).map(|node| (t, node)).collect();
+        q.push(Time(t), 8);
+        let mut want: Vec<(u64, u32)> = (1..9).map(|slot| (t, slot)).collect();
         want.push((t + 1, 100));
         assert_eq!(pop_all(&mut q), want);
     }
@@ -537,8 +459,8 @@ mod tests {
         #[test]
         fn prop_pops_sorted(times in proptest::collection::vec(0u64..1_000, 1..100)) {
             let mut q: EventQueue = EventQueue::new();
-            for (i, &t) in times.iter().enumerate() {
-                q.push(Time(t), NodeId(i as u32), EventKind::Crash);
+            for (slot, &t) in (0..).zip(&times) {
+                q.push(Time(t), slot);
             }
             let mut prev: Option<(Time, u64)> = None;
             while let Some(e) = q.pop() {
@@ -559,8 +481,7 @@ mod tests {
     struct ModelEvent {
         time: Time,
         seq: u64,
-        node: NodeId,
-        timer: bool,
+        slot: u32,
     }
     impl PartialEq for ModelEvent {
         fn eq(&self, other: &Self) -> bool {
@@ -602,15 +523,15 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Any interleaving of pushes — times near the last pop, across the
-        /// ring, past its horizon and before the last pop; timers and other
-        /// kinds mixed; queues kept long or nearly empty by `push_share` —
-        /// with pops and peeks yields the reference queue's `(time, seq,
-        /// node)` sequence, length and next time; each payload comes back
-        /// from the slab of its kind, and neither slab outgrows the peak
-        /// number of events of its kind queued at once.
+        /// ring, past its horizon and before the last pop; slots tagged in
+        /// their top bits as the simulator tags them; queues kept long or
+        /// nearly empty by `push_share` — with pops and peeks yields the
+        /// reference queue's `(time, seq, slot)` sequence, length and next
+        /// time, and the link pool never outgrows the peak number of keys
+        /// queued at once.
         #[test]
         fn prop_matches_the_whole_event_heap(
-            ops in proptest::collection::vec((0u8..8, 0u8..2, 0u8..5, 0u64..4_000), 1..400),
+            ops in proptest::collection::vec((0u8..8, 0u32..3, 0u8..5, 0u64..4_000), 1..400),
             push_share in 2u8..7,
             peek_every_step in 0u8..2,
         ) {
@@ -618,57 +539,34 @@ mod tests {
             let mut model: BinaryHeap<ModelEvent> = BinaryHeap::new();
             let mut next_seq = 0u64;
             let mut last = 0u64;
-            // Live and peak counts: [other kinds, timers].
-            let (mut live, mut peak) = ([0usize; 2], [0usize; 2]);
+            let mut peak = 0usize;
             // Then pop until both are empty.
             let drain = std::iter::repeat_n((push_share, 0, 0, 0), ops.len());
-            for (i, (op, timer, region, offset)) in ops.into_iter().chain(drain).enumerate() {
+            for (i, (op, tag, region, offset)) in ops.into_iter().chain(drain).enumerate() {
                 if op < push_share {
                     let time = Time(time_for(region, offset, last));
-                    let (node, timer) = (NodeId(i as u32), timer == 1);
-                    let kind = if timer {
-                        EventKind::TimerFire { id: TimerId(next_seq), kind: offset, epoch: i as u32 }
-                    } else {
-                        EventKind::Crash
-                    };
-                    q.push(time, node, kind);
-                    model.push(ModelEvent { time, seq: next_seq, node, timer });
+                    let slot = i as u32 | tag << 30;
+                    q.push(time, slot);
+                    model.push(ModelEvent { time, seq: next_seq, slot });
                     next_seq += 1;
-                    let t = usize::from(timer);
-                    live[t] += 1;
-                    peak[t] = peak[t].max(live[t]);
+                    peak = peak.max(model.len());
                 } else if op < 7 {
                     let (got, want) = (q.pop(), model.pop());
                     prop_assert_eq!(
-                        got.as_ref().map(|e| (e.time, e.seq, e.node)),
-                        want.as_ref().map(|e| (e.time, e.seq, e.node))
+                        got.map(|k| (k.time, k.seq, k.slot)),
+                        want.as_ref().map(|e| (e.time, e.seq, e.slot))
                     );
-                    if let (Some(got), Some(want)) = (got, want) {
+                    if let Some(got) = got {
                         last = got.time.0;
-                        live[usize::from(want.timer)] -= 1;
-                        match got.kind {
-                            EventKind::TimerFire { id, .. } => {
-                                prop_assert!(want.timer);
-                                prop_assert_eq!(id, TimerId(got.seq));
-                            }
-                            _ => prop_assert!(!want.timer),
-                        }
                     }
                 }
                 if op == 7 || peek_every_step == 1 {
                     prop_assert_eq!(q.peek_time(), model.peek().map(|e| e.time));
                 }
                 prop_assert_eq!(q.len(), model.len());
-                prop_assert_eq!(q.pending_timers(), live[1]);
                 let keys = q.early.len() + listed(&q) + q.beyond.len() + q.ring.iter().map(Vec::len).sum::<usize>();
                 prop_assert_eq!(keys, model.len());
-                for (slab_len, free, kind) in [
-                    (q.slab.capacity(), q.slab.capacity() - q.slab.live(), 0),
-                    (q.timers.capacity(), q.timers.capacity() - q.timers.live(), 1),
-                ] {
-                    prop_assert_eq!(free + live[kind], slab_len);
-                    prop_assert!(slab_len <= peak[kind], "slab {} > peak {}", slab_len, peak[kind]);
-                }
+                prop_assert!(q.links.len() <= peak, "links {} > peak {}", q.links.len(), peak);
             }
             prop_assert_eq!(q.len(), 0);
             prop_assert_eq!(q.peek_time(), None);
@@ -679,7 +577,7 @@ mod tests {
     fn peek_matches_pop() {
         let mut q: EventQueue = EventQueue::new();
         assert_eq!(q.len(), 0);
-        q.push(Time(42), NodeId(0), EventKind::Heal);
+        q.push(Time(42), 0);
         assert_eq!(q.peek_time(), Some(Time(42)));
         assert_eq!(q.len(), 1);
         q.pop();

@@ -27,9 +27,14 @@ pub trait Payload: Clone + fmt::Debug + 'static {
     }
 }
 
-/// Identifies a pending timer so it can be cancelled.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct TimerId(pub(crate) u64);
+/// Identifies a pending timer so it can be cancelled: the slot of its
+/// record in the simulator's timer slab, and the serial it was armed under,
+/// so the id of a timer that fired misses a later timer in the same slot.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct TimerId {
+    pub(crate) slot: u32,
+    pub(crate) serial: u32,
+}
 
 /// A fired timer, delivered to [`Node::on_timer`].
 #[derive(Clone, Copy, Debug)]
@@ -76,23 +81,41 @@ pub trait Node {
     fn on_crash(&mut self) {}
 }
 
+/// A message in flight: the one record of it from its send or injection
+/// to its delivery or drop.
+#[derive(Clone)]
+pub(crate) struct Flight<M> {
+    pub from: NodeId,
+    pub to: NodeId,
+    /// When the send was issued, for delivery-latency accounting.
+    pub sent: Time,
+    /// The causal trace context riding in the envelope, if any.
+    pub tc: Option<TraceCtx>,
+    pub msg: M,
+}
+
+/// An armed timer: the one record of it from [`Context::set_timer`] until
+/// its time passes, cancelled or not.
+pub(crate) struct Armed {
+    pub node: NodeId,
+    pub serial: u32,
+    /// The node's epoch when it was armed: a crash or restart since then
+    /// kills it.
+    pub epoch: u32,
+    pub kind: u64,
+    pub cancelled: bool,
+}
+
 /// An effect a node requests during a callback; applied by the simulator
-/// after the callback returns.
+/// after the callback returns, in the order the callback emitted them.
 #[derive(Debug)]
 pub(crate) enum Effect {
-    /// The message waits in slot `msg` of the simulator's message slab.
-    Send {
-        to: NodeId,
-        msg: u32,
-        tc: Option<TraceCtx>,
-    },
+    /// Route the message in this slot of the simulator's message slab.
+    Send(u32),
+    /// Queue the timer in slot `slot` of the timer slab for `at`.
     SetTimer {
-        id: TimerId,
-        delay: u64,
-        kind: u64,
-    },
-    CancelTimer {
-        id: TimerId,
+        slot: u32,
+        at: Time,
     },
     /// `(protocol, instance, round, kind)`, as [`Context::span_open`] names
     /// them.
@@ -109,10 +132,14 @@ pub struct Context<'a, M> {
     pub(crate) rng: &'a mut ChaCha20Rng,
     pub(crate) effects: &'a mut Vec<Effect>,
     /// The simulator's slab of messages in flight: a send parks its
-    /// message here, and the message stays put until it is delivered or
-    /// dropped.
-    pub(crate) msgs: &'a mut Slab<M>,
-    pub(crate) next_timer: &'a mut u64,
+    /// record here, and it stays put until it is delivered or dropped.
+    pub(crate) msgs: &'a mut Slab<Flight<M>>,
+    /// The simulator's slab of armed timers, and the serial the next one
+    /// is armed under.
+    pub(crate) timers: &'a mut Slab<Armed>,
+    pub(crate) next_timer: &'a mut u32,
+    /// This node's epoch, stamped on the timers it arms.
+    pub(crate) epoch: u32,
     pub(crate) tracer: &'a mut Tracer,
     /// The causal context this callback executes under: the envelope context
     /// of the message being handled, a root opened via
@@ -174,9 +201,14 @@ impl<M: Payload> Context<'_, M> {
     /// network like any other message (with delay ~0 handled by the
     /// simulator as a local hop).
     pub fn send(&mut self, to: NodeId, msg: M) {
-        let tc = self.cur;
-        let msg = self.msgs.insert(msg);
-        self.effects.push(Effect::Send { to, msg, tc });
+        let slot = self.msgs.insert(Flight {
+            from: self.node,
+            to,
+            sent: self.now,
+            tc: self.cur,
+            msg,
+        });
+        self.effects.push(Effect::Send(slot));
     }
 
     /// Sends `msg` to every node in `targets`: a clone to each but the last,
@@ -209,16 +241,31 @@ impl<M: Payload> Context<'_, M> {
     /// Arms a one-shot timer `delay` microseconds from now carrying the
     /// given `kind` discriminant.
     pub fn set_timer(&mut self, delay: u64, kind: u64) -> TimerId {
-        let id = TimerId(*self.next_timer);
-        *self.next_timer += 1;
-        self.effects.push(Effect::SetTimer { id, delay, kind });
-        id
+        let serial = *self.next_timer;
+        *self.next_timer = serial.wrapping_add(1);
+        let slot = self.timers.insert(Armed {
+            node: self.node,
+            serial,
+            epoch: self.epoch,
+            kind,
+            cancelled: false,
+        });
+        self.effects.push(Effect::SetTimer {
+            slot,
+            at: self.now + delay,
+        });
+        TimerId { slot, serial }
     }
 
-    /// Cancels a pending timer. Cancelling an already-fired or unknown timer
-    /// is a no-op.
+    /// Cancels a pending timer: it never fires, but stays queued — and
+    /// counted by [`crate::Sim::pending_timers`] — until its time passes.
+    /// Cancelling a timer that already fired, inside its own callback
+    /// included, is a no-op: a later timer in its slot has another serial.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        self.effects.push(Effect::CancelTimer { id });
+        let armed = self.timers.get_mut(id.slot);
+        if let Some(armed) = armed.filter(|t| t.serial == id.serial) {
+            armed.cancelled = true;
+        }
     }
 
     /// Records the size (commands) of one batch a leader formed into
@@ -401,13 +448,16 @@ mod tests {
         ctx_harness_traced(Tracer::new(), f).0
     }
 
+    /// Runs `f` on a fresh context of node 1; the effects it emitted, the
+    /// record of each message it sent (in send order) and the tracer.
     fn ctx_harness_traced(
         mut tracer: Tracer,
         f: impl FnOnce(&mut Context<M>),
-    ) -> (Vec<Effect>, Tracer) {
+    ) -> (Vec<Effect>, Vec<Flight<M>>, Tracer) {
         let mut rng = ChaCha20Rng::seed_from_u64(0);
         let mut effects = Vec::new();
         let mut msgs = Slab::new();
+        let mut timers = Slab::new();
         let mut next_timer = 0;
         let mut ctx = Context {
             node: NodeId(1),
@@ -416,27 +466,33 @@ mod tests {
             rng: &mut rng,
             effects: &mut effects,
             msgs: &mut msgs,
+            timers: &mut timers,
             next_timer: &mut next_timer,
+            epoch: 0,
             tracer: &mut tracer,
             cur: None,
             clock_offset: 0,
             skew_bound: 0,
         };
         f(&mut ctx);
-        (effects, tracer)
+        let sent = effects
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Send(slot) => Some(msgs.take(*slot)),
+                _ => None,
+            })
+            .collect();
+        (effects, sent, tracer)
     }
 
     #[test]
     fn broadcast_excludes_self() {
-        let fx = ctx_harness(|ctx| ctx.broadcast(M("x")));
-        let targets: Vec<NodeId> = fx
-            .iter()
-            .filter_map(|e| match e {
-                Effect::Send { to, .. } => Some(*to),
-                _ => None,
-            })
-            .collect();
+        let (_, sent, _) = ctx_harness_traced(Tracer::new(), |ctx| ctx.broadcast(M("x")));
+        let targets: Vec<NodeId> = sent.iter().map(|f| f.to).collect();
         assert_eq!(targets, vec![NodeId(0), NodeId(2), NodeId(3)]);
+        assert!(sent
+            .iter()
+            .all(|f| f.from == NodeId(1) && f.sent == Time(100)));
     }
 
     #[test]
@@ -459,20 +515,14 @@ mod tests {
     fn sends_inherit_the_current_trace_context() {
         let mut enabled = Tracer::new();
         enabled.enable(0);
-        let (fx, tracer) = ctx_harness_traced(enabled, |ctx| {
+        let (_, sent, tracer) = ctx_harness_traced(enabled, |ctx| {
             ctx.send(NodeId(0), M("untraced"));
             let root = ctx.trace_begin("op").expect("tracing enabled");
             assert_eq!(root.trace_id, root.span_id);
             ctx.send(NodeId(0), M("traced"));
             ctx.charge_io("wal-sync", 250);
         });
-        let tcs: Vec<Option<TraceCtx>> = fx
-            .iter()
-            .filter_map(|e| match e {
-                Effect::Send { tc, .. } => Some(*tc),
-                _ => None,
-            })
-            .collect();
+        let tcs: Vec<Option<TraceCtx>> = sent.iter().map(|f| f.tc).collect();
         assert_eq!(tcs.len(), 2);
         assert!(tcs[0].is_none());
         assert_eq!(tcs[1].map(|tc| tc.trace_id), Some(tcs[1].unwrap().span_id));
@@ -486,7 +536,7 @@ mod tests {
 
     #[test]
     fn trace_api_is_inert_when_disabled() {
-        let (fx, tracer) = ctx_harness_traced(Tracer::new(), |ctx| {
+        let (fx, _, tracer) = ctx_harness_traced(Tracer::new(), |ctx| {
             assert!(ctx.trace_begin("op").is_none());
             ctx.charge_io("wal-sync", 250);
             ctx.send(NodeId(0), M("x"));

@@ -1,16 +1,16 @@
 //! The simulation engine.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 
 use crate::causal::{bucket_for_kind, cat, CausalSpan, TraceCtx, Tracer};
 use crate::config::{DelayModel, NetConfig};
-use crate::event::{Event, EventKind, EventQueue};
+use crate::event::{EventQueue, Key};
 use crate::fault::{Filter, FilterAction};
 use crate::metrics::{DropCause, Metrics};
-use crate::node::{Context, Effect, Node, Payload, Timer, TimerId};
+use crate::node::{Armed, Context, Effect, Flight, Node, Payload, Timer, TimerId};
 use crate::slab::Slab;
 use crate::time::{NodeId, Time};
 use crate::trace::{SpanKind, TraceEntry, TraceEvent};
@@ -51,57 +51,22 @@ struct Slot<N: Node> {
     filter: Option<Box<dyn Filter<N::Msg>>>,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum TimerState {
-    Pending,
-    Cancelled,
-    Fired,
+/// A scheduled fault: the one record of it from `crash_at`, `restart_at`,
+/// `partition_at` or `heal_at` until its time.
+enum Fault {
+    Crash(NodeId),
+    Restart(NodeId),
+    /// The groups as [`Sim::partition_at`] took them.
+    Partition(Vec<Vec<NodeId>>),
+    Heal,
 }
 
-/// What became of every timer that may still have an event queued. Timer
-/// ids are handed out in sequence, so the ledger is a window of states
-/// indexed by `id - base`: arming appends, cancelling and firing index, and
-/// the window's front advances past timers whose event has popped. Only a
-/// pending timer can be cancelled, so cancelling one that already fired
-/// records nothing.
-#[derive(Default)]
-struct TimerLedger {
-    /// Id of `states[0]`.
-    base: u64,
-    states: VecDeque<TimerState>,
-}
-
-impl TimerLedger {
-    fn arm(&mut self, id: TimerId) {
-        debug_assert_eq!(
-            id.0,
-            self.base + self.states.len() as u64,
-            "timer ids are sequential"
-        );
-        self.states.push_back(TimerState::Pending);
-    }
-
-    fn cancel(&mut self, id: TimerId) {
-        let state =
-            id.0.checked_sub(self.base)
-                .and_then(|i| self.states.get_mut(i as usize));
-        if let Some(state @ TimerState::Pending) = state {
-            *state = TimerState::Cancelled;
-        }
-    }
-
-    /// Retires `id` as its event pops; `true` unless it was cancelled.
-    fn fire(&mut self, id: TimerId) -> bool {
-        let state = &mut self.states[(id.0 - self.base) as usize];
-        let live = *state == TimerState::Pending;
-        *state = TimerState::Fired;
-        while self.states.front() == Some(&TimerState::Fired) {
-            self.states.pop_front();
-            self.base += 1;
-        }
-        live
-    }
-}
+/// An event-queue key's slot names one pending record: its low 30 bits are
+/// the record's slot in a slab, the top two say which slab — messages
+/// (zero, so a message's key is its slot), timers or faults.
+const TIMER: u32 = 1 << 30;
+const FAULT: u32 = 2 << 30;
+const SLOT: u32 = TIMER - 1;
 
 /// A deterministic discrete-event simulation of `N`-typed nodes.
 ///
@@ -111,23 +76,26 @@ impl TimerLedger {
 pub struct Sim<N: Node> {
     config: NetConfig,
     slots: Vec<Slot<N>>,
+    /// When each pending record is due: keys naming the slots below.
     queue: EventQueue,
     /// Every message sent or injected and not yet delivered or dropped: it
-    /// moves in once, at the send, and out once, at its delivery or drop;
-    /// events and effects carry its slot.
-    msgs: Slab<N::Msg>,
+    /// moves in once, at the send, and out once, at its delivery or drop.
+    msgs: Slab<Flight<N::Msg>>,
+    /// Every timer armed and not yet past its time, cancelled or not.
+    timers: Slab<Armed>,
+    /// Every fault scheduled and not yet applied.
+    faults: Slab<Fault>,
     net_rng: ChaCha20Rng,
     seed: u64,
     now: Time,
-    next_timer: u64,
-    timers: TimerLedger,
+    /// The serial the next timer is armed under.
+    next_timer: u32,
     metrics: Metrics,
     trace: Option<Vec<TraceEntry>>,
     /// First `span_open` time of instances that have not yet closed.
     open_instances: BTreeMap<(&'static str, u64), Time>,
     /// `partition[i]` = group id of node i; `None` = fully connected.
     partition: Option<Vec<usize>>,
-    partition_plans: Vec<Vec<Vec<NodeId>>>,
     link_delays: HashMap<(NodeId, NodeId), DelayModel>,
     /// Cached max pairwise clock-offset difference (the sim's ground-truth
     /// skew bound, exposed to nodes as a perfect sync-monitor oracle).
@@ -148,16 +116,16 @@ impl<N: Node> Sim<N> {
             slots: Vec::new(),
             queue: EventQueue::new(),
             msgs: Slab::new(),
+            timers: Slab::new(),
+            faults: Slab::new(),
             net_rng: ChaCha20Rng::seed_from_u64(seed),
             seed,
             now: Time::ZERO,
             next_timer: 0,
-            timers: TimerLedger::default(),
             metrics: Metrics::default(),
             trace: None,
             open_instances: BTreeMap::new(),
             partition: None,
-            partition_plans: Vec::new(),
             link_delays: HashMap::new(),
             skew_bound: 0,
             stop_requested: false,
@@ -272,26 +240,28 @@ impl<N: Node> Sim<N> {
 
     /// Schedules a crash of `id` at absolute time `at`.
     pub fn crash_at(&mut self, id: NodeId, at: Time) {
-        self.queue.push(at, id, EventKind::Crash);
+        self.schedule(at, Fault::Crash(id));
     }
 
     /// Schedules a restart of `id` at absolute time `at`.
     pub fn restart_at(&mut self, id: NodeId, at: Time) {
-        self.queue.push(at, id, EventKind::Restart);
+        self.schedule(at, Fault::Restart(id));
     }
 
     /// Schedules a network partition into the given groups at `at`.
     /// Nodes absent from every group form an implicit extra group.
     pub fn partition_at(&mut self, at: Time, groups: Vec<Vec<NodeId>>) {
-        let plan = self.partition_plans.len();
-        self.partition_plans.push(groups);
-        self.queue
-            .push(at, NodeId(0), EventKind::Partition { plan });
+        self.schedule(at, Fault::Partition(groups));
     }
 
     /// Schedules the partition to heal at `at`.
     pub fn heal_at(&mut self, at: Time) {
-        self.queue.push(at, NodeId(0), EventKind::Heal);
+        self.schedule(at, Fault::Heal);
+    }
+
+    fn schedule(&mut self, at: Time, fault: Fault) {
+        let slot = self.faults.insert(fault);
+        self.queue.push(at, slot | FAULT);
     }
 
     /// Overrides the delay model on the directed link `from → to`.
@@ -383,17 +353,14 @@ impl<N: Node> Sim<N> {
         at: Time,
         tc: Option<TraceCtx>,
     ) {
-        let msg = self.msgs.insert(msg);
-        self.queue.push(
-            at,
+        let slot = self.msgs.insert(Flight {
+            from,
             to,
-            EventKind::Deliver {
-                from,
-                msg,
-                sent: at,
-                tc,
-            },
-        );
+            sent: at,
+            tc,
+            msg,
+        });
+        self.queue.push(at, slot);
     }
 
     fn ensure_started(&mut self) {
@@ -427,7 +394,9 @@ impl<N: Node> Sim<N> {
                 rng: &mut slot.rng,
                 effects: &mut effects,
                 msgs: &mut self.msgs,
+                timers: &mut self.timers,
                 next_timer: &mut self.next_timer,
+                epoch: slot.epoch,
                 tracer: &mut self.tracer,
                 cur,
                 clock_offset: slot.clock_offset,
@@ -436,19 +405,10 @@ impl<N: Node> Sim<N> {
             f(&mut slot.node, &mut ctx);
         }
         let from = NodeId::from(idx);
-        let epoch = self.slots[idx].epoch;
         for effect in effects.drain(..) {
             match effect {
-                Effect::Send { to, msg, tc } => self.route(from, to, msg, tc),
-                Effect::SetTimer { id, delay, kind } => {
-                    self.timers.arm(id);
-                    self.queue.push(
-                        self.now + delay,
-                        from,
-                        EventKind::TimerFire { id, kind, epoch },
-                    );
-                }
-                Effect::CancelTimer { id } => self.timers.cancel(id),
+                Effect::Send(msg) => self.route(msg),
+                Effect::SetTimer { slot, at } => self.queue.push(at, slot | TIMER),
                 Effect::Span(protocol, instance, round, kind) => {
                     self.record_span(from, protocol, instance, round, kind);
                 }
@@ -461,21 +421,12 @@ impl<N: Node> Sim<N> {
 
     /// Applies filter, loss, partition, and delay to the message in slot
     /// `msg`; a message dropped here is taken out of the slab here.
-    fn route(&mut self, from: NodeId, to: NodeId, msg: u32, tc: Option<TraceCtx>) {
+    fn route(&mut self, msg: u32) {
+        let Flight { from, to, tc, .. } = *self.msgs.get(msg);
         // Local hop: bypasses the network and all accounting; the causal
         // context passes straight through.
         if from == to {
-            let at = self.now + 1;
-            self.queue.push(
-                at,
-                to,
-                EventKind::Deliver {
-                    from,
-                    msg,
-                    sent: at,
-                    tc,
-                },
-            );
+            self.queue.push(self.now + 1, msg);
             return;
         }
 
@@ -483,20 +434,15 @@ impl<N: Node> Sim<N> {
         // network, so it is not counted as sent — but the loss is visible in
         // the drop counters and the trace.
         if let Some(filter) = self.slots[from.index()].filter.as_mut() {
-            match filter.outgoing(from, to, self.msgs.get(msg), &mut self.net_rng) {
+            match filter.outgoing(from, to, &self.msgs.get(msg).msg, &mut self.net_rng) {
                 FilterAction::Deliver => {}
-                FilterAction::Drop => {
-                    self.metrics.record_drop(DropCause::Filter);
-                    let msg = self.msgs.take(msg);
-                    self.push_trace(TraceEvent::Drop, from, to, msg.kind());
-                    return;
-                }
-                FilterAction::Replace(m) => *self.msgs.get_mut(msg) = m,
+                FilterAction::Drop => return self.drop_msg(msg, DropCause::Filter),
+                FilterAction::Replace(m) => self.flight(msg).msg = m,
             }
         }
 
         let (kind, size) = {
-            let m = self.msgs.get(msg);
+            let m = &self.msgs.get(msg).msg;
             (m.kind(), m.size_bytes() as u64)
         };
         self.metrics.sent += 1;
@@ -510,10 +456,7 @@ impl<N: Node> Sim<N> {
             let gf = groups.get(from.index()).copied().unwrap_or(usize::MAX);
             let gt = groups.get(to.index()).copied().unwrap_or(usize::MAX);
             if gf != gt {
-                self.metrics.record_drop(DropCause::Partition);
-                self.msgs.take(msg);
-                self.push_trace(TraceEvent::Drop, from, to, kind);
-                return;
+                return self.drop_msg(msg, DropCause::Partition);
             }
         }
 
@@ -521,10 +464,7 @@ impl<N: Node> Sim<N> {
         if self.config.drop_prob > 0.0 {
             use rand::Rng;
             if self.net_rng.gen::<f64>() < self.config.drop_prob {
-                self.metrics.record_drop(DropCause::Loss);
-                self.msgs.take(msg);
-                self.push_trace(TraceEvent::Drop, from, to, kind);
-                return;
+                return self.drop_msg(msg, DropCause::Loss);
             }
         }
 
@@ -571,7 +511,7 @@ impl<N: Node> Sim<N> {
         // Messages without an envelope context still record (orphan) spans
         // under trace 0 — the attribution sweep uses them to classify wait
         // time that no traced span covers (leader elections, batch-mates).
-        let tc_out = if self.tracer.is_enabled() {
+        let tc = if self.tracer.is_enabled() {
             let (trace_id, mut parent) = match tc {
                 Some(t) => (t.trace_id, t.span_id),
                 None => (0, 0),
@@ -605,6 +545,8 @@ impl<N: Node> Sim<N> {
             tc
         };
 
+        self.flight(msg).tc = tc;
+
         // Possible duplication (shares the transmit slot, own propagation).
         if self.config.duplicate_prob > 0.0 {
             use rand::Rng;
@@ -612,29 +554,28 @@ impl<N: Node> Sim<N> {
                 let delay2 = model.sample(&mut self.net_rng);
                 self.metrics.duplicated += 1;
                 let copy = self.msgs.insert(self.msgs.get(msg).clone());
-                self.queue.push(
-                    Time(sent_at + delay2),
-                    to,
-                    EventKind::Deliver {
-                        from,
-                        msg: copy,
-                        sent: self.now,
-                        tc: tc_out,
-                    },
-                );
+                self.queue.push(Time(sent_at + delay2), copy);
             }
         }
 
-        self.queue.push(
-            Time(sent_at + delay),
-            to,
-            EventKind::Deliver {
-                from,
-                msg,
-                sent: self.now,
-                tc: tc_out,
-            },
-        );
+        self.queue.push(Time(sent_at + delay), msg);
+    }
+
+    fn flight(&mut self, msg: u32) -> &mut Flight<N::Msg> {
+        self.msgs
+            .get_mut(msg)
+            .expect("a routed message is in flight")
+    }
+
+    /// Takes the message in slot `msg` out of the slab as `cause` loses it.
+    /// A local hop's loss (its sender crashed) is not counted, as its send
+    /// was not.
+    fn drop_msg(&mut self, msg: u32, cause: DropCause) {
+        let Flight { from, to, msg, .. } = self.msgs.take(msg);
+        if from != to {
+            self.metrics.record_drop(cause);
+            self.push_trace(TraceEvent::Drop, from, to, msg.kind());
+        }
     }
 
     /// Folds a span event into the metrics — phase entries are counted,
@@ -684,86 +625,87 @@ impl<N: Node> Sim<N> {
         }
     }
 
-    fn handle(&mut self, ev: Event) {
-        let idx = ev.node.index();
-        self.now = ev.time;
-        match ev.kind {
-            EventKind::Deliver {
-                from,
-                msg,
-                sent,
-                tc,
-            } => {
-                let msg = self.msgs.take(msg);
-                if !self.slots[idx].alive {
-                    if from != ev.node {
-                        self.metrics.record_drop(DropCause::Dead);
-                        self.push_trace(TraceEvent::Drop, from, ev.node, msg.kind());
-                    }
-                    return;
-                }
-                if from != ev.node {
-                    self.metrics.delivered += 1;
-                    self.metrics
-                        .delivered_latency
-                        .record(self.now.0.saturating_sub(sent.0));
-                    self.push_trace(TraceEvent::Deliver, from, ev.node, msg.kind());
-                }
-                self.invoke(idx, tc, |node, ctx| node.on_message(ctx, from, msg));
-            }
-            EventKind::TimerFire { id, kind, epoch } => {
-                if !self.timers.fire(id) {
-                    return;
-                }
-                let slot = &self.slots[idx];
-                if !slot.alive || slot.epoch != epoch {
-                    return;
-                }
-                self.metrics.timer_fires += 1;
-                self.invoke(idx, None, |node, ctx| {
-                    node.on_timer(ctx, Timer { id, kind })
-                });
-            }
-            EventKind::Crash => {
-                let slot = &mut self.slots[idx];
+    /// Applies the record the popped key names.
+    fn handle(&mut self, key: Key) {
+        self.now = key.time;
+        let slot = key.slot & SLOT;
+        match key.slot & !SLOT {
+            TIMER => self.fire(slot),
+            FAULT => self.apply(slot),
+            _ => self.deliver(slot),
+        }
+    }
+
+    fn deliver(&mut self, msg: u32) {
+        let Flight { from, to, .. } = *self.msgs.get(msg);
+        if !self.slots[to.index()].alive {
+            return self.drop_msg(msg, DropCause::Dead);
+        }
+        let Flight { sent, tc, msg, .. } = self.msgs.take(msg);
+        if from != to {
+            self.metrics.delivered += 1;
+            self.metrics
+                .delivered_latency
+                .record(self.now.0.saturating_sub(sent.0));
+            self.push_trace(TraceEvent::Deliver, from, to, msg.kind());
+        }
+        self.invoke(to.index(), tc, |node, ctx| node.on_message(ctx, from, msg));
+    }
+
+    /// Fires the timer in `slot` unless it was cancelled or its node
+    /// crashed or restarted since arming it.
+    fn fire(&mut self, slot: u32) {
+        let armed = self.timers.take(slot);
+        let owner = &self.slots[armed.node.index()];
+        if armed.cancelled || !owner.alive || owner.epoch != armed.epoch {
+            return;
+        }
+        self.metrics.timer_fires += 1;
+        let timer = Timer {
+            id: TimerId {
+                slot,
+                serial: armed.serial,
+            },
+            kind: armed.kind,
+        };
+        self.invoke(armed.node.index(), None, |node, ctx| {
+            node.on_timer(ctx, timer)
+        });
+    }
+
+    fn apply(&mut self, slot: u32) {
+        match self.faults.take(slot) {
+            Fault::Crash(id) => {
+                let slot = &mut self.slots[id.index()];
                 if slot.alive {
                     slot.alive = false;
                     slot.epoch += 1;
                     slot.node.on_crash();
                     self.metrics.crashes += 1;
-                    self.push_trace(TraceEvent::Crash, ev.node, ev.node, "");
+                    self.push_trace(TraceEvent::Crash, id, id, "");
                 }
             }
-            EventKind::Restart => {
-                let slot = &mut self.slots[idx];
+            Fault::Restart(id) => {
+                let slot = &mut self.slots[id.index()];
                 if !slot.alive {
                     slot.alive = true;
                     slot.epoch += 1;
                     self.metrics.restarts += 1;
-                    self.push_trace(TraceEvent::Restart, ev.node, ev.node, "");
-                    self.invoke(idx, None, |node, ctx| node.on_restart(ctx));
+                    self.push_trace(TraceEvent::Restart, id, id, "");
+                    self.invoke(id.index(), None, |node, ctx| node.on_restart(ctx));
                 }
             }
-            EventKind::Partition { plan } => {
-                let groups = self.partition_plans[plan].clone();
-                let mut assignment = vec![usize::MAX; self.slots.len()];
+            Fault::Partition(groups) => {
+                // Nodes in no group form an implicit extra group together.
+                let mut assignment = vec![groups.len(); self.slots.len()];
                 for (g, members) in groups.iter().enumerate() {
                     for id in members {
                         assignment[id.index()] = g;
                     }
                 }
-                // Nodes in no group form an implicit extra group together.
-                let extra = groups.len();
-                for a in assignment.iter_mut() {
-                    if *a == usize::MAX {
-                        *a = extra;
-                    }
-                }
                 self.partition = Some(assignment);
             }
-            EventKind::Heal => {
-                self.partition = None;
-            }
+            Fault::Heal => self.partition = None,
         }
     }
 
@@ -771,9 +713,9 @@ impl<N: Node> Sim<N> {
     pub fn step(&mut self) -> bool {
         self.ensure_started();
         match self.queue.pop() {
-            Some(ev) => {
+            Some(key) => {
                 self.events_processed += 1;
-                self.handle(ev);
+                self.handle(key);
                 true
             }
             None => false,
@@ -809,9 +751,9 @@ impl<N: Node> Sim<N> {
                     return RunOutcome::TimeLimit;
                 }
                 Some(_) => {
-                    let ev = self.queue.pop().expect("peeked");
+                    let key = self.queue.pop().expect("peeked");
                     self.events_processed += 1;
-                    self.handle(ev);
+                    self.handle(key);
                 }
             }
         }
@@ -836,19 +778,7 @@ impl<N: Node> Sim<N> {
     /// How many of them are timers. A cancelled timer stays queued, and
     /// counted, until its time passes.
     pub fn pending_timers(&self) -> usize {
-        self.queue.pending_timers()
-    }
-
-    /// Timers in the ledger's window, and how many of them are marked
-    /// cancelled.
-    #[cfg(test)]
-    fn timer_records(&self) -> (usize, usize) {
-        let cancelled = self
-            .timers
-            .states
-            .iter()
-            .filter(|s| **s == TimerState::Cancelled);
-        (self.timers.states.len(), cancelled.count())
+        self.timers.live()
     }
 }
 
@@ -1211,13 +1141,16 @@ mod tests {
 
     #[test]
     fn cancelling_a_fired_timer_records_nothing() {
-        // The election-timer idiom: every fire cancels the stored id — the
-        // very timer that is firing — and arms the next. Node 1 also keeps a
-        // long timer pending and cancels a fired id again much later.
+        // The election-timer idiom, re-arming first: every fire arms the
+        // next timer — which takes the slot the firing one just left — and
+        // only then cancels the stored id, the very timer that is firing.
+        // That cancel must miss the newer timer in the slot. Node 1 also
+        // keeps a long timer pending and cancels its first id at every fire.
         struct Rearm {
             current: Option<TimerId>,
             first: Option<TimerId>,
             fires: u32,
+            reused: u32,
             long_fired: bool,
         }
         #[derive(Clone, Debug)]
@@ -1239,15 +1172,17 @@ mod tests {
                     return;
                 }
                 self.fires += 1;
-                if let Some(id) = self.current.take() {
-                    ctx.cancel_timer(id);
+                let next = (self.fires < 1_000).then(|| ctx.set_timer(100, 0));
+                let fired = self.current.take().expect("the stored timer fired");
+                assert_eq!(fired, t.id);
+                if next.is_some_and(|next| next.slot == fired.slot) {
+                    self.reused += 1;
                 }
-                if let Some(id) = self.first {
-                    ctx.cancel_timer(id); // fired long ago
+                ctx.cancel_timer(fired);
+                if let Some(first) = self.first {
+                    ctx.cancel_timer(first); // fired long ago
                 }
-                if self.fires < 1_000 {
-                    self.current = Some(ctx.set_timer(100, 0));
-                }
+                self.current = next;
             }
         }
         let mut sim: Sim<Rearm> = Sim::new(NetConfig::synchronous(), 33);
@@ -1256,22 +1191,22 @@ mod tests {
                 current: None,
                 first: None,
                 fires: 0,
+                reused: 0,
                 long_fired: false,
             });
         }
         sim.run_until(Time(50_000));
-        let (window, cancelled) = sim.timer_records();
-        assert_eq!(cancelled, 0, "a fired timer's cancellation left a record");
-        assert!(window > 0, "node 1's long timer is still pending");
+        assert_eq!(sim.pending_timers(), 3, "two re-armed, node 1's long one");
         assert_eq!(sim.run_to_quiescence(), RunOutcome::Quiescent);
-        assert_eq!(sim.timer_records(), (0, 0));
         for (_, node) in sim.nodes() {
+            assert_eq!(node.reused, 999, "each new timer took the fired one's slot");
             assert_eq!(
                 node.fires, 1_000,
                 "a stale cancel must not hit a live timer"
             );
         }
         assert!(sim.node(NodeId(1)).long_fired);
+        assert_eq!(sim.timers.live(), 0);
     }
 
     #[test]
@@ -1962,5 +1897,70 @@ mod tests {
         assert!(sim.msgs.capacity() > 0);
         assert_eq!(sim.msgs.live(), 0, "a message slot outlived its message");
         assert_eq!(sim.pending_events(), 0);
+    }
+
+    #[test]
+    fn no_timer_or_fault_slot_outlives_its_event() {
+        // Three nodes under a partition `{0} | {1, 2}` from 100 µs to
+        // 1 500 µs; node 1 crashes at 200 µs and restarts at 400 µs.
+        const STALE: u64 = 0; // node 1's goes stale with the crash
+        const CANCELLED: u64 = 1; // armed and cancelled in one handler
+        const REARMED: u64 = 2; // armed and cancelled as a timer fires
+        const AFTER: u64 = 3; // armed by the restart
+        #[derive(Default)]
+        struct Tick {
+            fired: Vec<u64>,
+            got: u32,
+        }
+        impl Node for Tick {
+            type Msg = Msg;
+            fn on_start(&mut self, ctx: &mut Context<Msg>) {
+                ctx.set_timer(1_000, STALE);
+                let id = ctx.set_timer(3_000, CANCELLED);
+                ctx.cancel_timer(id);
+                ctx.broadcast(Msg::Ping(0));
+            }
+            fn on_message(&mut self, _ctx: &mut Context<Msg>, _f: NodeId, _m: Msg) {
+                self.got += 1;
+            }
+            fn on_timer(&mut self, ctx: &mut Context<Msg>, t: Timer) {
+                self.fired.push(t.kind);
+                if t.kind == STALE {
+                    let id = ctx.set_timer(100, REARMED);
+                    ctx.cancel_timer(t.id);
+                    ctx.cancel_timer(id);
+                }
+                ctx.broadcast(Msg::Ping(t.kind));
+            }
+            fn on_restart(&mut self, ctx: &mut Context<Msg>) {
+                ctx.set_timer(2_000, AFTER);
+            }
+        }
+        let mut sim: Sim<Tick> = Sim::new(NetConfig::synchronous(), 34);
+        for _ in 0..3 {
+            sim.add_node(Tick::default());
+        }
+        sim.partition_at(Time(100), vec![vec![NodeId(0)]]);
+        sim.crash_at(NodeId(1), Time(200));
+        sim.restart_at(NodeId(1), Time(400));
+        sim.heal_at(Time(1_500));
+        assert_eq!(sim.faults.live(), 4);
+
+        // The three cancelled timers are still queued and counted.
+        sim.run_until(Time(2_999));
+        assert_eq!((sim.pending_timers(), sim.pending_events()), (3, 3));
+        assert_eq!(sim.faults.live(), 0);
+        assert_eq!(sim.run_to_quiescence(), RunOutcome::Quiescent);
+        let fired: Vec<&[u64]> = sim.nodes().map(|(_, n)| &n.fired[..]).collect();
+        assert_eq!(fired, [&[STALE][..], &[AFTER], &[STALE]]);
+        let m = sim.metrics();
+        assert_eq!((m.crashes, m.restarts), (1, 1));
+        assert!(m.dropped_partition > 0 && m.delivered > 0);
+        assert!(sim.node(NodeId(1)).got > 0);
+
+        assert!(sim.timers.capacity() > 0 && sim.faults.capacity() == 4);
+        let live = (sim.msgs.live(), sim.timers.live(), sim.faults.live());
+        assert_eq!(live, (0, 0, 0), "a slot outlived its event");
+        assert_eq!((sim.pending_events(), sim.pending_timers()), (0, 0));
     }
 }

@@ -1,5 +1,6 @@
-//! Values parked under `u32` slots: the messages in flight, and the event
-//! queue's payloads.
+//! Values parked under `u32` slots: the simulator's pending records —
+//! messages in flight, armed timers, scheduled faults — each from the
+//! moment it is made until its event pops.
 
 /// Freed slots are reused, the most recently freed first, so a steady-state
 /// run allocates nothing per value.
@@ -16,8 +17,8 @@ impl<T> Slab<T> {
         }
     }
 
-    /// Parks `item`; the slot is below `2^31`, so the event queue can flag
-    /// a slot's kind with the top bit.
+    /// Parks `item`; the slot is below `2^30`, so an event-queue key can
+    /// name the slab in its top two bits.
     pub fn insert(&mut self, item: T) -> u32 {
         if let Some(slot) = self.free.pop() {
             self.items[slot as usize] = Some(item);
@@ -25,8 +26,8 @@ impl<T> Slab<T> {
         }
         let slot = u32::try_from(self.items.len())
             .ok()
-            .filter(|slot| slot >> 31 == 0)
-            .expect("fewer than 2^31 parked values of a kind");
+            .filter(|slot| slot >> 30 == 0)
+            .expect("fewer than 2^30 parked values of a kind");
         self.items.push(Some(item));
         slot
     }
@@ -44,10 +45,9 @@ impl<T> Slab<T> {
             .expect("every slot handed out is occupied until taken")
     }
 
-    pub fn get_mut(&mut self, slot: u32) -> &mut T {
-        self.items[slot as usize]
-            .as_mut()
-            .expect("every slot handed out is occupied until taken")
+    /// The value in `slot`, or `None` once it was taken.
+    pub fn get_mut(&mut self, slot: u32) -> Option<&mut T> {
+        self.items.get_mut(slot as usize)?.as_mut()
     }
 
     /// Values parked and not yet taken.
