@@ -507,7 +507,7 @@ pub fn f12_pbft_viewchange() -> Report {
     assert!(c.run(Time::from_secs(60)));
     c.sim.run_for(300_000);
     let m = c.sim.metrics();
-    let view = c.replicas().map(|r| r.view).max().unwrap();
+    let view = c.replicas().map(|r| r.voter.view).max().unwrap();
     let low_water = c.replicas().map(|r| r.low_water).max().unwrap();
     let log_len = c.replicas().map(|r| r.log_len()).max().unwrap();
     Report::new(

@@ -34,7 +34,9 @@
 //!   [`zyzzyva::Speculative`] policy, in which the client takes part in
 //!   agreement. Replica half: [`shell::Executor`] (request admission, the
 //!   execute step, the in-order drain, history replay, and the `decided_log`
-//!   record) and [`shell::Voter`] (view, view-change votes, watchdog). A
+//!   record) and [`shell::Voter`], the one view change of PBFT, MinBFT and
+//!   XFT (view, the votes with their certified claims, the quorums, the
+//!   watchdog; [`shell::new_view`] computes the new view from the votes). A
 //!   protocol module keeps what the paper's info cards distinguish: who
 //!   receives a proposal, what sequences and attests it, the quorum rule, and
 //!   what recovery looks like.

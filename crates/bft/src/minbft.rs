@@ -28,7 +28,8 @@ use simnet::{CncPhase, Context, Node, NodeId, Timer};
 /// Span protocol label; instances are USIG counters, rounds are views.
 const SPAN: &str = "minbft";
 
-use crate::shell::{peers, take_ready, Admission, Executor, Voter, VIEW_TIMER};
+use crate::shell::{peers, put_vote, take_ready, Admission, Demand, Executor};
+use crate::shell::{Vote, Voter, Votes, VIEW_TIMER};
 use crate::sim_crypto::{digest_of, Usig, UsigCert, UsigVerifier};
 
 /// MinBFT messages between replicas.
@@ -60,22 +61,24 @@ pub enum MinMsg {
         /// The committed counter.
         n: u64,
     },
-    /// View-change demand.
+    /// View-change demand, carrying the sender's log.
     ViewChange {
         /// Proposed view.
         new_view: u64,
+        /// The sender's executed history, then its prepared commands.
+        vote: Vote,
     },
-    /// New primary installation with state transfer: the executed history
-    /// lets lagging backups catch up (the dedup client table makes replay
-    /// idempotent), and `counter_base` attests where the new primary's
-    /// USIG counter stands, so verifiers fast-forward.
+    /// New primary installation: the `f+1` logs it was installed with, from
+    /// which every replica computes the view's log and catches up, and
+    /// `base`, where the new primary's USIG counter stands, so verifiers
+    /// fast-forward.
     NewView {
         /// The view.
         view: u64,
         /// The new primary's current USIG counter.
-        counter_base: u64,
-        /// Commands the new primary has executed, in order.
-        history: Vec<Command<KvCommand>>,
+        base: u64,
+        /// The votes it was installed with.
+        votes: Votes,
     },
 }
 
@@ -93,9 +96,16 @@ impl simnet::Payload for MinMsg {
     fn size_bytes(&self) -> usize {
         wire_size(|w| match self {
             MinMsg::Prepare { cmd, .. } => put_command(w, cmd),
-            MinMsg::NewView { history, .. } => history.iter().for_each(|c| put_command(w, c)),
+            MinMsg::ViewChange { vote, .. } => put_vote(w, vote),
+            MinMsg::NewView { votes, .. } => votes.values().for_each(|v| put_vote(w, v)),
             _ => {}
         })
+    }
+}
+
+impl Demand for MinMsg {
+    fn demand(new_view: u64, vote: Vote) -> Self {
+        MinMsg::ViewChange { new_view, vote }
     }
 }
 
@@ -121,8 +131,11 @@ pub struct MinReplica {
     verifier: UsigVerifier,
     /// Instances of the current view, keyed by primary counter.
     instances: BTreeMap<u64, MinInstance>,
-    /// The machine and the executed history (also the state-transfer
-    /// payload); its frontier is the highest executed counter of the view.
+    /// Prepares whose counter is past the next one expected, by counter:
+    /// verified in order once the gap fills.
+    ahead: BTreeMap<u64, (UsigCert, Command<KvCommand>)>,
+    /// The machine and the executed history (also the view-change log); its
+    /// frontier is the highest executed counter of the view.
     pub exec: Executor,
 }
 
@@ -134,10 +147,11 @@ impl MinReplica {
         MinReplica {
             n_replicas,
             f,
-            voter: Voter::new(n_replicas, f + 1, 50_000, SPAN),
+            voter: Voter::new(n_replicas, 1, f + 1, 50_000, SPAN),
             usig: Usig::new(NodeId(0)),
             verifier: UsigVerifier::new(),
             instances: BTreeMap::new(),
+            ahead: BTreeMap::new(),
             exec: Executor::default(),
         }
     }
@@ -177,11 +191,35 @@ impl MinReplica {
         }
     }
 
-    /// Drops the view's instances; the new primary's counter `base` is where
-    /// the next view's numbering starts.
-    fn rebase(&mut self, base: u64) {
+    /// A backup's part in a verified `Prepare`: hold it and endorse it with
+    /// our own USIG.
+    fn on_prepare(&mut self, ctx: &mut Context<Wire>, ui: UsigCert, cmd: Command<KvCommand>) {
+        let (view, n, primary) = (self.voter.view, ui.counter, self.voter.primary());
+        let inst = self.instances.entry(n).or_default();
+        if inst.cmd.is_none() {
+            ctx.span_open(SPAN, n, view);
+            ctx.phase(SPAN, n, view, CncPhase::Agreement);
+        }
+        inst.cmd = Some(cmd);
+        inst.commits.insert(primary);
+        let my_ui = self.usig.create(digest_of(&(view, n)));
+        ctx.send(primary, MinMsg::Commit { view, n, ui: my_ui }.into());
+        self.voter.arm(ctx);
+    }
+
+    /// Enters the view installed with `votes`: executes its log, drops the
+    /// old view's instances and numbers the next from the new primary's
+    /// counter `base`. The view's primary then announces it.
+    fn enter(&mut self, ctx: &mut Context<Wire>, votes: Votes, base: u64) {
+        self.exec.adopt(ctx, &votes, base);
         self.instances.clear();
-        self.exec.executed_upto = base;
+        self.ahead.clear();
+        self.voter.progress(ctx, self.exec.has_pending());
+        let (view, primary) = (self.voter.view, self.voter.primary());
+        if primary == ctx.id() {
+            let announce = MinMsg::NewView { view, base, votes };
+            ctx.send_many(peers(self.n_replicas, primary), announce.into());
+        }
     }
 }
 
@@ -201,31 +239,26 @@ impl Node for MinReplica {
         };
         match msg {
             MinMsg::Prepare { view, ui, cmd } => {
-                if view != self.voter.view || from != self.voter.primary() {
+                if !self.voter.serving(view) || from != self.voter.primary() {
                     return;
                 }
-                // USIG verification: the attestation must cover exactly
-                // this command and be the next counter from this primary —
-                // this is what forecloses equivocation.
-                if !self.verifier.verify(&ui, digest_of(&cmd)) {
-                    return;
+                // USIG verification, in counter order: the attestation must
+                // cover exactly this command and be the next counter from
+                // this primary — this is what forecloses equivocation.
+                self.ahead.insert(ui.counter, (ui, cmd));
+                while let Some(next) = self.ahead.first_entry() {
+                    if *next.key() > self.verifier.last(from) + 1 {
+                        break;
+                    }
+                    let (ui, cmd) = next.remove();
+                    if self.verifier.verify(&ui, digest_of(&cmd)) {
+                        self.on_prepare(ctx, ui, cmd);
+                    }
                 }
-                let n = ui.counter;
-                let inst = self.instances.entry(n).or_default();
-                if inst.cmd.is_none() {
-                    ctx.span_open(SPAN, n, view);
-                    ctx.phase(SPAN, n, view, CncPhase::Agreement);
-                }
-                inst.cmd = Some(cmd);
-                inst.commits.insert(from);
-                // Endorse with our own USIG.
-                let my_ui = self.usig.create(digest_of(&(view, n)));
-                ctx.send(from, MinMsg::Commit { view, n, ui: my_ui }.into());
-                self.voter.arm(ctx);
             }
 
             MinMsg::Commit { view, n, ui } => {
-                if view != self.voter.view || self.voter.primary() != me {
+                if !self.voter.serving(view) || self.voter.primary() != me {
                     return;
                 }
                 if !self.verifier.verify_monotonic(&ui, digest_of(&(view, n))) {
@@ -246,7 +279,7 @@ impl Node for MinReplica {
             }
 
             MinMsg::Decide { view, n } => {
-                if view != self.voter.view {
+                if !self.voter.serving(view) {
                     return;
                 }
                 let inst = self.instances.entry(n).or_default();
@@ -261,38 +294,25 @@ impl Node for MinReplica {
             }
 
             // Join once anyone demands it (with n = 2f+1, a single honest
-            // demand suffices to probe; safety comes from the new primary's
-            // quorum).
-            MinMsg::ViewChange { new_view } => {
+            // demand suffices to probe; safety comes from the f+1 logs the
+            // new view is computed from).
+            MinMsg::ViewChange { new_view, vote } => {
+                let (instances, view) = (&self.instances, self.voter.view);
+                let mine = || self.exec.vote(view, |n| instances.get(&n)?.cmd.as_ref());
                 let next = self.exec.executed_upto + 1;
-                if self.voter.on_view_change(ctx, from, new_view, next, msg) {
-                    // Installed as primary: transfer our state.
-                    let counter_base = self.usig.counter();
-                    self.rebase(counter_base);
-                    let new_view = MinMsg::NewView {
-                        view: new_view,
-                        counter_base,
-                        history: self.exec.history().to_vec(),
-                    };
-                    ctx.send_many(peers(self.n_replicas, me), new_view.into());
+                if let Some(votes) = self
+                    .voter
+                    .on_view_change(ctx, from, new_view, vote, next, mine)
+                {
+                    self.enter(ctx, votes, self.usig.counter());
                 }
             }
 
-            MinMsg::NewView {
-                view,
-                counter_base,
-                history,
-            } => {
-                if !self.voter.on_new_view(from, view) {
-                    return;
+            MinMsg::NewView { view, base, votes } => {
+                if self.voter.on_new_view(ctx, from, view, &votes) {
+                    self.verifier.fast_forward(from, base);
+                    self.enter(ctx, votes, base);
                 }
-                // State transfer, then continue from the new primary's
-                // attested counter base: fast-forward its verification window
-                // and re-base execution.
-                self.exec.replay(ctx, history);
-                self.verifier.fast_forward(from, counter_base);
-                self.rebase(counter_base);
-                self.voter.progress(ctx, self.exec.has_pending());
             }
         }
     }
@@ -301,8 +321,12 @@ impl Node for MinReplica {
         if timer.kind == VIEW_TIMER {
             let unexecuted = |i: &MinInstance| i.cmd.is_some() && !i.executed;
             let stalled = self.exec.has_pending() || self.instances.values().any(unexecuted);
-            self.voter
-                .on_timeout(ctx, stalled, |new_view| MinMsg::ViewChange { new_view });
+            let (instances, view) = (&self.instances, self.voter.view);
+            let mine = || self.exec.vote(view, |n| instances.get(&n)?.cmd.as_ref());
+            let next = self.exec.executed_upto + 1;
+            if let Some(votes) = self.voter.on_timeout(ctx, stalled, next, mine) {
+                self.enter(ctx, votes, self.usig.counter());
+            }
         }
     }
 }

@@ -10,10 +10,14 @@
 //!   all lower sequence numbers have executed; the client waits for `f+1`
 //!   matching replies. Steady state costs `O(n²)` messages because prepare
 //!   and commit are all-to-all.
-//! * **View change**: timeouts trigger it; the new primary needs `2f+1`
-//!   view-change messages and re-proposes every prepared request —
+//! * **View change**: timeouts trigger it; each view-change message carries
+//!   every batch its sender prepared above its stable checkpoint, executed or
+//!   not, and the new primary needs `2f+1` of them. Its `NEW-VIEW` carries
+//!   them on, and every replica re-proposes the same log from them (the
+//!   highest-view batch per sequence number, null requests in the gaps) —
 //!   `O(n³)` message complexity (each of `O(n)` view-changes carries
-//!   `O(n)`-sized certificates to `O(n)` receivers).
+//!   `O(n)`-sized certificates to `O(n)` receivers). The vote path is
+//!   [`crate::shell::Voter`], shared with MinBFT and XFT.
 //! * **Garbage collection**: periodic checkpoints; `2f+1` matching
 //!   checkpoint messages form a stable proof allowing the log below the
 //!   checkpoint to be discarded.
@@ -33,9 +37,10 @@ use consensus_core::{
     ReplicatedLog, Session, Silence, SmrOp, SmrProtocol, StateMachine, Target,
 };
 use rand_chacha::ChaCha20Rng;
-use simnet::{CncPhase, Context, Filter, FilterAction, FnFilter, LiveTimer, Node, NodeId, Timer};
+use simnet::{CncPhase, Context, Filter, FilterAction, FnFilter, Node, NodeId, Timer};
 
-use crate::shell::{answer_cached, in_flight, peers, watch, VIEW_TIMER};
+use crate::shell::{answer_cached, in_flight, new_view, peers, put_vote, Demand, Vote, Voter};
+use crate::shell::{Votes, VIEW_TIMER};
 use crate::sim_crypto::{digest_of, Digest};
 
 /// Span protocol label; instances are sequence numbers, rounds are views.
@@ -80,21 +85,21 @@ pub enum PbftMsg {
         /// State digest after executing up to `n`.
         state: Digest,
     },
-    /// View-change vote.
+    /// View-change vote: the sender's last stable checkpoint and every
+    /// batch prepared above it, executed or not.
     ViewChange {
         /// Proposed new view.
         new_view: u64,
-        /// Sender's last stable checkpoint.
-        stable_n: u64,
-        /// Batches prepared above the stable checkpoint: `(view, n, cmds)`.
-        prepared: Vec<PreparedClaim>,
+        /// The sender's stable checkpoint and prepared batches.
+        vote: Vote,
     },
-    /// New primary's installation message.
+    /// New primary's installation message: the `2f+1` votes from which every
+    /// replica computes the view's pre-prepares.
     NewView {
         /// The new view.
         view: u64,
-        /// Re-proposed pre-prepares `(n, cmds)`.
-        pre_prepares: Vec<(u64, Vec<Command<KvCommand>>)>,
+        /// The votes it was installed with.
+        votes: Votes,
     },
 }
 
@@ -115,13 +120,17 @@ impl simnet::Payload for PbftMsg {
             let mut put = |cmds: &[Command<KvCommand>]| cmds.iter().for_each(|c| put_command(w, c));
             match self {
                 PbftMsg::PrePrepare { cmds, .. } => put(cmds),
-                PbftMsg::ViewChange { prepared, .. } => prepared.iter().for_each(|p| put(&p.2)),
-                PbftMsg::NewView { pre_prepares, .. } => {
-                    pre_prepares.iter().for_each(|p| put(&p.1))
-                }
+                PbftMsg::ViewChange { vote, .. } => put_vote(w, vote),
+                PbftMsg::NewView { votes, .. } => votes.values().for_each(|v| put_vote(w, v)),
                 _ => {}
             }
         })
+    }
+}
+
+impl Demand for PbftMsg {
+    fn demand(new_view: u64, vote: Vote) -> Self {
+        PbftMsg::ViewChange { new_view, vote }
     }
 }
 
@@ -147,17 +156,14 @@ const BATCH_FLUSH: u64 = 2;
 /// Default checkpoint interval (sequence numbers between checkpoints).
 pub const CHECKPOINT_INTERVAL: u64 = 16;
 
-/// One replica's claim about a prepared batch, carried in view-change
-/// messages: `(view, sequence number, commands)`.
-pub type PreparedClaim = (u64, u64, Vec<Command<KvCommand>>);
-
 /// A PBFT replica.
 pub struct PbftReplica {
     n_replicas: usize,
     /// Fault bound `f = ⌊(n−1)/3⌋`.
     pub f: usize,
-    /// Current view; primary = `view mod n`.
-    pub view: u64,
+    /// The view (primary = `view mod n`), the view-change votes and the
+    /// watchdog.
+    pub voter: Voter,
     next_seq: u64,
     /// Last stable checkpoint sequence number.
     pub low_water: u64,
@@ -174,19 +180,9 @@ pub struct PbftReplica {
     checkpoint_interval: u64,
     /// Checkpoint votes: (n, digest) → voters.
     checkpoint_votes: BTreeMap<(u64, Digest), BTreeSet<NodeId>>,
-    /// View-change votes per proposed view.
-    view_change_votes: BTreeMap<u64, BTreeMap<NodeId, (u64, Vec<PreparedClaim>)>>,
-    /// Views this replica has vote-changed into.
-    max_vc_sent: u64,
-    view_timer: LiveTimer,
     /// Client requests relayed to the primary and not yet executed — these
     /// are what the view-change watchdog watches.
     pending_requests: BTreeSet<(u32, u64)>,
-    /// Completed view changes observed (for experiment F12).
-    pub view_changes_completed: u64,
-    /// Whether a NewView for the current view was installed (primary sets
-    /// it implicitly).
-    in_new_view: bool,
 }
 
 impl PbftReplica {
@@ -202,7 +198,7 @@ impl PbftReplica {
         PbftReplica {
             n_replicas,
             f,
-            view: 0,
+            voter: Voter::new(n_replicas, f + 1, 2 * f + 1, 40_000, SPAN),
             next_seq: 0,
             low_water: 0,
             instances: BTreeMap::new(),
@@ -211,12 +207,7 @@ impl PbftReplica {
             executed_upto: 0,
             checkpoint_interval: CHECKPOINT_INTERVAL,
             checkpoint_votes: BTreeMap::new(),
-            view_change_votes: BTreeMap::new(),
-            max_vc_sent: 0,
-            view_timer: LiveTimer::default(),
             pending_requests: BTreeSet::new(),
-            view_changes_completed: 0,
-            in_new_view: true,
         }
     }
 
@@ -227,14 +218,9 @@ impl PbftReplica {
         self
     }
 
-    /// The primary of view `v`.
-    pub fn primary_of(&self, v: u64) -> NodeId {
-        NodeId((v % self.n_replicas as u64) as u32)
-    }
-
     /// Whether this replica is the current primary.
     pub fn is_primary(&self, me: NodeId) -> bool {
-        self.primary_of(self.view) == me
+        self.voter.primary() == me
     }
 
     /// Quorum size `2f+1`.
@@ -256,13 +242,6 @@ impl PbftReplica {
     /// checkers compare across replicas.
     pub fn exec_log(&self) -> &ReplicatedLog<DedupKvMachine> {
         &self.exec
-    }
-
-    fn arm_view_timer(&mut self, ctx: &mut Context<PbftWire>) {
-        // Grows with the view so cascading view changes eventually find a
-        // live primary.
-        let base = 40_000 * (1 + self.view.saturating_sub(self.max_vc_sent).min(4));
-        watch(&mut self.view_timer, ctx, base);
     }
 
     fn has_pending_work(&self) -> bool {
@@ -289,19 +268,18 @@ impl PbftReplica {
         if self.is_primary(ctx.id()) {
             self.enqueue(ctx, cmd);
         } else {
-            let primary = self.primary_of(self.view);
             let fresh = self.pending_requests.insert((cmd.client, cmd.seq));
             if fresh || from.index() >= self.n_replicas {
-                ctx.send(primary, Envelope::request(cmd));
+                ctx.send(self.voter.primary(), Envelope::request(cmd));
             }
-            self.arm_view_timer(ctx);
+            self.voter.arm(ctx);
         }
     }
 
     /// Primary path: accept a new request into the batch queue.
     fn enqueue(&mut self, ctx: &mut Context<PbftWire>, cmd: Command<KvCommand>) {
         let ordered = self.instances.values();
-        let ordered = ordered.filter(|i| i.view == self.view && !i.executed);
+        let ordered = ordered.filter(|i| i.view == self.voter.view && !i.executed);
         let ordered = ordered.flat_map(|i| i.cmds.iter().flatten());
         if in_flight(&cmd, ordered.chain(self.wave.items())) {
             return;
@@ -333,21 +311,18 @@ impl PbftReplica {
         self.next_seq += 1;
         let n = self.next_seq;
         let digest = digest_of(&cmds);
-        let view = self.view;
+        let view = self.voter.view;
         // Pre-prepare is where the primary binds a value to a sequence
         // number — PBFT's value-discovery phase.
         ctx.span_open(SPAN, n, view);
         ctx.phase(SPAN, n, view, CncPhase::ValueDiscovery);
-        {
-            let me = ctx.id();
-            let inst = self.instance(n);
-            inst.cmds = Some(cmds.clone());
-            inst.digest = digest;
-            inst.view = view;
-            inst.pre_prepared = true;
-            inst.prepares.insert(me); // the pre-prepare is the primary's prepare
-        }
         let me = ctx.id();
+        let inst = self.instance(n);
+        inst.cmds = Some(cmds.clone());
+        inst.digest = digest;
+        inst.view = view;
+        inst.pre_prepared = true;
+        inst.prepares.insert(me); // the pre-prepare is the primary's prepare
         ctx.send_many(
             peers(self.n_replicas, me),
             PbftMsg::PrePrepare {
@@ -358,14 +333,13 @@ impl PbftReplica {
             }
             .into(),
         );
-        self.arm_view_timer(ctx);
+        self.voter.arm(ctx);
     }
 
-    fn on_prepared(&mut self, ctx: &mut Context<PbftWire>, n: u64) {
-        let view = self.view;
-        let me = ctx.id();
+    fn maybe_prepared(&mut self, ctx: &mut Context<PbftWire>, n: u64) {
+        let (quorum, view, me) = (self.quorum(), self.voter.view, ctx.id());
         let inst = self.instance(n);
-        if inst.prepared {
+        if !inst.pre_prepared || inst.prepared || inst.prepares.len() < quorum {
             return;
         }
         inst.prepared = true;
@@ -419,21 +393,15 @@ impl PbftReplica {
                 }
             }
             // Progress: reset the watchdog.
-            self.view_timer.cancel(ctx);
-            if self.has_pending_work() {
-                self.arm_view_timer(ctx);
-            }
+            let pending = self.has_pending_work();
+            self.voter.progress(ctx, pending);
             // Executions drain the pipeline window: more batches may flush.
             self.try_flush(ctx);
             // Checkpoint?
             if next.is_multiple_of(self.checkpoint_interval) {
-                let state = Digest(self.exec.machine().digest());
-                let me = ctx.id();
-                self.checkpoint_votes
-                    .entry((next, state))
-                    .or_default()
-                    .insert(me);
-                let me = ctx.id();
+                let (state, me) = (Digest(self.exec.machine().digest()), ctx.id());
+                let votes = self.checkpoint_votes.entry((next, state)).or_default();
+                votes.insert(me);
                 ctx.send_many(
                     peers(self.n_replicas, me),
                     PbftMsg::Checkpoint { n: next, state }.into(),
@@ -458,96 +426,24 @@ impl PbftReplica {
         }
     }
 
-    fn start_view_change(&mut self, ctx: &mut Context<PbftWire>) {
-        let new_view = self.view + 1;
-        ctx.phase(
-            SPAN,
-            self.executed_upto + 1,
-            new_view,
-            CncPhase::LeaderElection,
-        );
-        self.max_vc_sent = self.max_vc_sent.max(new_view);
-        let prepared: Vec<PreparedClaim> = self
-            .instances
-            .iter()
-            .filter(|(_, i)| i.prepared && !i.executed)
-            .filter_map(|(&n, i)| i.cmds.clone().map(|c| (i.view, n, c)))
-            .collect();
-        let stable_n = self.low_water;
-        // Record own vote.
-        let me = ctx.id();
-        self.view_change_votes
-            .entry(new_view)
-            .or_default()
-            .insert(me, (stable_n, prepared.clone()));
-        ctx.send_many(
-            peers(self.n_replicas, me),
-            PbftMsg::ViewChange {
-                new_view,
-                stable_n,
-                prepared,
-            }
-            .into(),
-        );
-        self.maybe_install_view(ctx, new_view);
-    }
-
-    fn maybe_install_view(&mut self, ctx: &mut Context<PbftWire>, v: u64) {
-        if v <= self.view && self.in_new_view {
-            return;
-        }
-        if self.primary_of(v) != ctx.id() {
-            return;
-        }
-        let quorum = self.quorum();
-        let Some(votes) = self.view_change_votes.get(&v) else {
-            return;
-        };
-        if votes.len() < quorum {
-            return;
-        }
-        // Become primary of view v: re-propose every prepared batch at
-        // its original sequence number, choosing the highest-view claim
-        // per n.
-        let mut chosen: BTreeMap<u64, (u64, Vec<Command<KvCommand>>)> = BTreeMap::new();
-        let mut max_n = self.low_water.max(self.executed_upto);
-        for (_, (_, prepared)) in votes.iter() {
-            for (pv, n, cmds) in prepared {
-                max_n = max_n.max(*n);
-                match chosen.get(n) {
-                    Some((existing, _)) if *existing >= *pv => {}
-                    _ => {
-                        chosen.insert(*n, (*pv, cmds.clone()));
-                    }
-                }
-            }
-        }
-        self.view = v;
-        self.in_new_view = true;
-        self.view_changes_completed += 1;
-        self.next_seq = max_n;
-        // Queued requests are re-sent by their clients' retry path.
+    /// Enters the view installed with `votes`: queued requests and those
+    /// relayed to the old primary are dropped (their clients' retries
+    /// re-send them), instances that did not commit are abandoned, and the
+    /// view's log is pre-prepared afresh at its sequence numbers. The view's
+    /// primary then announces it.
+    fn enter(&mut self, ctx: &mut Context<PbftWire>, votes: Votes) {
+        let (view, primary) = (self.voter.view, self.voter.primary());
+        let log = new_view(&votes);
+        self.next_seq = log.keys().fold(self.executed_upto, |top, &n| top.max(n));
         self.wave.reset();
-        // Instances that neither committed nor appear in the new-view set
-        // are abandoned; any request they carried will be re-ordered.
+        self.pending_requests.clear();
         self.instances.retain(|_, i| i.committed);
-        self.view_timer.cancel(ctx);
-        let pre_prepares: Vec<(u64, Vec<Command<KvCommand>>)> = chosen
-            .iter()
-            .map(|(&n, (_, cmds))| (n, cmds.clone()))
-            .collect();
-        let me = ctx.id();
-        ctx.send_many(
-            peers(self.n_replicas, me),
-            PbftMsg::NewView {
-                view: v,
-                pre_prepares: pre_prepares.clone(),
-            }
-            .into(),
-        );
-        // Process own re-proposals.
-        for (n, cmds) in pre_prepares {
-            self.accept_pre_prepare(ctx, v, n, digest_of(&cmds), cmds, ctx.id());
+        for (n, cmds) in log {
+            self.accept_pre_prepare(ctx, view, n, digest_of(&cmds), cmds, primary);
+        }
+        if primary == ctx.id() {
+            let announce = PbftMsg::NewView { view, votes };
+            ctx.send_many(peers(self.n_replicas, primary), announce.into());
         }
     }
 
@@ -561,7 +457,7 @@ impl PbftReplica {
         cmds: Vec<Command<KvCommand>>,
         from: NodeId,
     ) {
-        if view != self.view || n <= self.low_water {
+        if !self.voter.serving(view) || n <= self.low_water {
             return;
         }
         let me = ctx.id();
@@ -570,8 +466,9 @@ impl PbftReplica {
             // Equivocation within a view: refuse the second assignment.
             return;
         }
-        if inst.view < view {
-            // New view re-proposal supersedes the old instance state.
+        if inst.pre_prepared && inst.view < view {
+            // New view re-proposal supersedes the old instance state (the
+            // votes of this view that overtook it stay).
             inst.prepares.clear();
             inst.commits.clear();
             inst.prepared = false;
@@ -592,19 +489,8 @@ impl PbftReplica {
             peers(self.n_replicas, me),
             PbftMsg::Prepare { view, n, digest }.into(),
         );
-        self.arm_view_timer(ctx);
+        self.voter.arm(ctx);
         self.maybe_prepared(ctx, n);
-    }
-
-    fn maybe_prepared(&mut self, ctx: &mut Context<PbftWire>, n: u64) {
-        let quorum = self.quorum();
-        let ready = {
-            let inst = self.instance(n);
-            inst.pre_prepared && !inst.prepared && inst.prepares.len() >= quorum
-        };
-        if ready {
-            self.on_prepared(ctx, n);
-        }
     }
 }
 
@@ -626,7 +512,7 @@ impl Node for PbftReplica {
                 digest,
                 cmds,
             } => {
-                if from != self.primary_of(view) {
+                if from != self.voter.primary_of(view) {
                     return; // only the view's primary may pre-prepare
                 }
                 if digest != digest_of(&cmds) {
@@ -636,7 +522,7 @@ impl Node for PbftReplica {
             }
 
             PbftMsg::Prepare { view, n, digest } => {
-                if view != self.view || n <= self.low_water {
+                if !self.voter.serving(view) || n <= self.low_water {
                     return;
                 }
                 let inst = self.instance(n);
@@ -648,7 +534,7 @@ impl Node for PbftReplica {
             }
 
             PbftMsg::Commit { view, n, digest } => {
-                if view != self.view || n <= self.low_water {
+                if !self.voter.serving(view) || n <= self.low_water {
                     return;
                 }
                 let inst = self.instance(n);
@@ -667,42 +553,21 @@ impl Node for PbftReplica {
                 self.maybe_stable_checkpoint(n, state);
             }
 
-            PbftMsg::ViewChange {
-                new_view,
-                stable_n,
-                prepared,
-            } => {
-                if new_view <= self.view {
-                    return;
+            PbftMsg::ViewChange { new_view, vote } => {
+                let (instances, floor) = (&self.instances, self.low_water);
+                let mine = || prepared(instances, floor);
+                let next = self.executed_upto + 1;
+                if let Some(votes) = self
+                    .voter
+                    .on_view_change(ctx, from, new_view, vote, next, mine)
+                {
+                    self.enter(ctx, votes);
                 }
-                self.view_change_votes
-                    .entry(new_view)
-                    .or_default()
-                    .insert(from, (stable_n, prepared));
-                // Join the view change once f+1 replicas demand it (they
-                // can't all be faulty).
-                let votes = self.view_change_votes[&new_view].len();
-                if votes > self.f && self.max_vc_sent < new_view {
-                    self.view = new_view - 1; // ensure start_view_change targets new_view
-                    self.in_new_view = false;
-                    self.start_view_change(ctx);
-                }
-                self.maybe_install_view(ctx, new_view);
             }
 
-            PbftMsg::NewView { view, pre_prepares } => {
-                if view < self.view || from != self.primary_of(view) {
-                    return;
-                }
-                self.view = view;
-                self.in_new_view = true;
-                self.view_changes_completed += 1;
-                self.wave.reset();
-                self.instances.retain(|_, i| i.committed);
-                self.view_timer.cancel(ctx);
-                for (n, cmds) in pre_prepares {
-                    let digest = digest_of(&cmds);
-                    self.accept_pre_prepare(ctx, view, n, digest, cmds, from);
+            PbftMsg::NewView { view, votes } => {
+                if self.voter.on_new_view(ctx, from, view, &votes) {
+                    self.enter(ctx, votes);
                 }
             }
         }
@@ -711,14 +576,13 @@ impl Node for PbftReplica {
     fn on_timer(&mut self, ctx: &mut Context<PbftWire>, timer: Timer) {
         match timer.kind {
             VIEW_TIMER => {
-                self.view_timer.fired();
-                if self.has_pending_work() {
-                    // The primary failed us: demand a view change. Escalate
-                    // past views whose primaries never answered.
-                    self.view = self.view.max(self.max_vc_sent);
-                    self.in_new_view = false;
-                    self.start_view_change(ctx);
-                    self.arm_view_timer(ctx);
+                // The primary failed us: demand a view change.
+                let stalled = self.has_pending_work();
+                let (instances, floor) = (&self.instances, self.low_water);
+                let mine = || prepared(instances, floor);
+                let next = self.executed_upto + 1;
+                if let Some(votes) = self.voter.on_timeout(ctx, stalled, next, mine) {
+                    self.enter(ctx, votes);
                 }
             }
             BATCH_FLUSH => {
@@ -730,6 +594,15 @@ impl Node for PbftReplica {
             _ => {}
         }
     }
+}
+
+/// PBFT's vote: the stable checkpoint `floor` and every batch prepared or
+/// committed above it, executed or not, in the view it was prepared in.
+fn prepared(instances: &BTreeMap<u64, Instance>, floor: u64) -> Vote {
+    let held = instances.iter().filter(|(_, i)| i.prepared || i.committed);
+    let claims = held.filter_map(|(&n, i)| Some((i.view, n, i.cmds.clone()?)));
+    let claims = claims.collect();
+    Vote { floor, claims }
 }
 
 /// PBFT as a log protocol of the SMR shell.
@@ -948,11 +821,11 @@ mod tests {
         cluster.check_state_agreement();
         let vc = cluster
             .replicas()
-            .map(|r| r.view_changes_completed)
+            .map(|r| r.voter.view_changes)
             .max()
             .unwrap();
         assert!(vc >= 1, "view change must have happened");
-        let view = cluster.replicas().map(|r| r.view).max().unwrap();
+        let view = cluster.replicas().map(|r| r.voter.view).max().unwrap();
         assert!(view >= 1);
     }
 
@@ -969,7 +842,7 @@ mod tests {
         let net = NetConfig::lan().with_duplicate_prob(1.0);
         let mut cluster = PbftCluster::new(4, 1, 1, net, 5);
         if let PbftProc::Replica(r) = cluster.sim.node_mut(NodeId(0)) {
-            r.view = 3;
+            r.voter.view = 3;
         }
         cluster.sim.set_max_events(1_000_000);
         cluster.sim.run_until(Time::from_millis(40));
@@ -994,7 +867,7 @@ mod tests {
         );
         cluster.check_state_agreement();
         // A view change happened to escape the malicious primary.
-        let view = cluster.replicas().map(|r| r.view).max().unwrap();
+        let view = cluster.replicas().map(|r| r.voter.view).max().unwrap();
         assert!(view >= 1, "should have left view 0");
     }
 

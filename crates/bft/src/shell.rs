@@ -20,14 +20,19 @@
 //! differ lives here. An [`Executor`] owns the dedup machine, the executed
 //! command record, the relayed-and-unanswered request set and the executed
 //! frontier, and provides request admission ([`Executor::admit`]), the
-//! execute step, the in-order drain and history replay. A [`Voter`] owns the
-//! view, the view-change votes and the progress watchdog (a
-//! [`simnet::LiveTimer`] armed through [`watch`]), and makes the vote /
-//! join-once / install decisions MinBFT and XFT share (PBFT's votes carry
-//! prepared claims, so it keeps them and borrows the watchdog only).
+//! execute step, the in-order drain and history replay. A [`Voter`] is the
+//! one view change of PBFT, MinBFT and XFT: it owns the view, the vote set
+//! with each voter's certified claims ([`Vote`]: PBFT's prepared batches
+//! above its stable checkpoint, executed or not; MinBFT's and XFT's whole
+//! log), the join and install quorums each protocol fixes, and the progress
+//! watchdog (a [`simnet::LiveTimer`] armed through [`watch`]); the new
+//! primary and every backup compute the new view from the votes with one
+//! function, [`new_view`]. A protocol keeps what it claims and how it
+//! re-bases its instances on the new view.
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use consensus_core::codec::{put_command, Sink};
 pub use consensus_core::shell::{in_flight, peers, replica_ids};
 use consensus_core::{Command, DedupKvMachine, Envelope, KvCommand, KvResponse};
 use simnet::{CncPhase, Context, LiveTimer, NodeId, Payload};
@@ -157,6 +162,34 @@ impl Executor {
         }
     }
 
+    /// The vote of a replica whose log is one command per position (MinBFT,
+    /// XFT): the executed history, then the command `held(n)` at each
+    /// instance `n` from the frontier on up to the first gap, each claimed at
+    /// its position in `view`.
+    pub fn vote<'a>(
+        &'a self,
+        view: u64,
+        held: impl Fn(u64) -> Option<&'a Command<KvCommand>>,
+    ) -> Vote {
+        let held = (self.executed_upto + 1..).map_while(held);
+        let log = self.history.iter().chain(held).zip(1..);
+        let claims = log.map(|(cmd, n)| (view, n, vec![cmd.clone()])).collect();
+        Vote { floor: 0, claims }
+    }
+
+    /// Enters the view installed with `votes` when the log is one command
+    /// per position: executes each command of [`new_view`] past the history,
+    /// in order, and re-bases the frontier on `base`. A command the dedup
+    /// table has seen is answered from it and still recorded, so every
+    /// replica's history keeps the log's positions.
+    pub fn adopt<P: Payload>(&mut self, ctx: &mut Context<Envelope<P>>, votes: &Votes, base: u64) {
+        let next = self.history.len() as u64 + 1;
+        for cmd in new_view(votes).range(next..).flat_map(|(_, cmds)| cmds) {
+            self.execute(ctx, cmd);
+        }
+        self.executed_upto = base;
+    }
+
     /// Replays a transferred history: commands the dedup table has not seen
     /// execute (and are answered), the rest are skipped.
     pub fn replay<P: Payload>(
@@ -182,37 +215,89 @@ pub fn watch<M: Payload>(watchdog: &mut LiveTimer, ctx: &mut Context<M>, base_us
     watchdog.arm_if_idle(ctx, timeout, VIEW_TIMER);
 }
 
-/// View-change voting as MinBFT and XFT do it: the primary of view `v` is
-/// `v mod n`, any single demand makes a replica join, and `quorum` demands
-/// install the view at its primary.
+/// A batch a replica holds at a sequence number, carried into a view change:
+/// `(view, n, commands)`, certified in `view` — prepared or committed there
+/// (PBFT), or in the USIG-ordered log of that view (MinBFT, XFT).
+pub type Claim = (u64, u64, Vec<Command<KvCommand>>);
+
+/// What one replica carries into a view change.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Vote {
+    /// Its stable checkpoint: what lies at or below it is settled (PBFT;
+    /// MinBFT and XFT carry the whole log, from 0).
+    pub floor: u64,
+    /// What it holds above the floor.
+    pub claims: Vec<Claim>,
+}
+
+/// The votes a view is installed with, one per voter; its `NewView` carries
+/// them.
+pub type Votes = BTreeMap<NodeId, Vote>;
+
+/// Counts `vote`'s commands into a message's wire size.
+pub fn put_vote(w: &mut impl Sink, vote: &Vote) {
+    let cmds = vote.claims.iter().flat_map(|c| &c.2);
+    cmds.for_each(|cmd| put_command(w, cmd));
+}
+
+/// A protocol's view-change demand, which the [`Voter`] sends.
+pub trait Demand: Payload {
+    /// The demand for `new_view`, carrying the sender's `vote`.
+    fn demand(new_view: u64, vote: Vote) -> Self;
+}
+
+/// The new view, computed alike by its primary and every backup from the
+/// votes it is installed with: above the highest floor, per sequence number
+/// the claim of the highest view, and a null request (no commands) in each
+/// gap below the highest claim.
+pub fn new_view(votes: &Votes) -> BTreeMap<u64, Vec<Command<KvCommand>>> {
+    let floor = votes.values().map(|v| v.floor).max().unwrap_or(0);
+    let mut best: BTreeMap<u64, &Claim> = BTreeMap::new();
+    for claim in votes.values().flat_map(|v| &v.claims) {
+        let held = best.entry(claim.1).or_insert(claim);
+        if held.0 < claim.0 {
+            *held = claim;
+        }
+    }
+    let top = best.keys().next_back().map_or(floor, |&n| n.max(floor));
+    let batch = |n| best.get(&n).map_or_else(Vec::new, |c| c.2.clone());
+    (floor + 1..=top).map(|n| (n, batch(n))).collect()
+}
+
+/// The view change of PBFT, MinBFT and XFT: the primary of view `v` is
+/// `v mod n`; `join` demands for a view make a replica demand it too, with
+/// its own vote; its primary installs it at `install` votes and announces
+/// them, and every replica computes the view's log from them with
+/// [`new_view`]. A replica takes no normal-case message once it has demanded
+/// a view past the one it is in.
+#[derive(Default)]
 pub struct Voter {
     n: usize,
-    quorum: usize,
+    join: usize,
+    install: usize,
     timeout_us: u64,
     span: &'static str,
     /// Current view.
     pub view: u64,
     /// View changes completed.
     pub view_changes: u64,
-    vc_votes: BTreeMap<u64, BTreeSet<NodeId>>,
-    max_vc_sent: u64,
+    votes: BTreeMap<u64, Votes>,
+    asked: u64,
     watchdog: LiveTimer,
 }
 
 impl Voter {
-    /// A voter among `n` replicas whose watchdog runs `timeout_us` (plus the
-    /// per-node stagger) and whose spans are labelled `span`.
-    pub fn new(n: usize, quorum: usize, timeout_us: u64, span: &'static str) -> Self {
+    /// A voter among `n` replicas with the protocol's `join` and `install`
+    /// quorums, whose watchdog runs `timeout_us` (plus the per-node stagger)
+    /// and whose spans are labelled `span`.
+    pub fn new(n: usize, join: usize, install: usize, timeout_us: u64, span: &'static str) -> Self {
         Voter {
             n,
-            quorum,
+            join,
+            install,
             timeout_us,
             span,
-            view: 0,
-            view_changes: 0,
-            vc_votes: BTreeMap::new(),
-            max_vc_sent: 0,
-            watchdog: LiveTimer::default(),
+            ..Voter::default()
         }
     }
 
@@ -226,13 +311,22 @@ impl Voter {
         self.primary_of(self.view)
     }
 
-    /// Starts the watchdog unless it is running.
-    pub fn arm<M: Payload>(&mut self, ctx: &mut Context<M>) {
-        watch(&mut self.watchdog, ctx, self.timeout_us);
+    /// Whether normal-case messages of `view` are taken here: it is the
+    /// current view, and no later one has been demanded since.
+    pub fn serving(&self, view: u64) -> bool {
+        view == self.view && self.asked <= self.view
     }
 
-    /// Progress: restarts the watchdog while relayed requests are `pending`,
-    /// stops it otherwise.
+    /// Starts the watchdog unless it is running. Its period grows with the
+    /// views demanded past the current one, so cascading view changes
+    /// eventually find a live primary.
+    pub fn arm<M: Payload>(&mut self, ctx: &mut Context<M>) {
+        let escalation = self.asked.saturating_sub(self.view).min(4);
+        watch(&mut self.watchdog, ctx, self.timeout_us * (1 + escalation));
+    }
+
+    /// Progress: restarts the watchdog while work is `pending`, stops it
+    /// otherwise.
     pub fn progress<M: Payload>(&mut self, ctx: &mut Context<M>, pending: bool) {
         self.watchdog.cancel(ctx);
         if pending {
@@ -240,70 +334,104 @@ impl Voter {
         }
     }
 
-    fn demand<P: Payload>(&mut self, ctx: &mut Context<Envelope<P>>, new_view: u64, demand: P) {
+    /// Demands `new_view` with this replica's `vote`, then installs it if it
+    /// is this replica's and the votes suffice.
+    fn demand<P: Demand>(
+        &mut self,
+        ctx: &mut Context<Envelope<P>>,
+        new_view: u64,
+        next: u64,
+        vote: Vote,
+    ) -> Option<Votes> {
         let me = ctx.id();
-        self.max_vc_sent = new_view;
-        self.vc_votes.entry(new_view).or_default().insert(me);
+        ctx.phase(self.span, next, new_view, CncPhase::LeaderElection);
+        self.asked = new_view;
+        let demand = P::demand(new_view, vote.clone());
         ctx.send_many(peers(self.n, me), demand.into());
+        self.votes.entry(new_view).or_default().insert(me, vote);
+        self.try_install(ctx, new_view)
     }
 
-    /// `from` demands `new_view` (`demand` is that message, to pass on). A
-    /// stale demand is ignored; the first one for a view makes this replica
-    /// join it, once. Returns `true` when a quorum demands a view this
-    /// replica is primary of — the view is then installed here, and the
-    /// caller re-bases its instances (the next of which is `next`) and
-    /// announces it.
-    pub fn on_view_change<P: Payload>(
+    fn try_install<M: Payload>(&mut self, ctx: &mut Context<M>, v: u64) -> Option<Votes> {
+        let votes = self.votes.get(&v)?;
+        if votes.len() < self.install || self.primary_of(v) != ctx.id() {
+            return None;
+        }
+        let votes = votes.clone();
+        self.enter(ctx, v);
+        Some(votes)
+    }
+
+    fn enter<M: Payload>(&mut self, ctx: &mut Context<M>, v: u64) {
+        self.view = v;
+        self.asked = v;
+        self.view_changes += 1;
+        self.votes.retain(|&w, _| w > v);
+        self.watchdog.cancel(ctx);
+    }
+
+    /// `from` demands `new_view` with `vote`. A demand for a view not past
+    /// ours is ignored; at `join` demands this replica demands the view too,
+    /// once, with `mine()`, its vote (`next` is the instance its span names).
+    /// Returns the votes when they install the view here, as its primary: the
+    /// caller enters [`new_view`] of them and announces them.
+    pub fn on_view_change<P: Demand>(
         &mut self,
         ctx: &mut Context<Envelope<P>>,
         from: NodeId,
         new_view: u64,
+        vote: Vote,
         next: u64,
-        demand: P,
-    ) -> bool {
+        mine: impl FnOnce() -> Vote,
+    ) -> Option<Votes> {
         if new_view <= self.view {
-            return false;
+            return None;
         }
-        self.vc_votes.entry(new_view).or_default().insert(from);
-        if self.max_vc_sent < new_view {
-            ctx.phase(self.span, next, new_view, CncPhase::LeaderElection);
-            self.demand(ctx, new_view, demand);
+        let votes = self.votes.entry(new_view).or_default();
+        votes.insert(from, vote);
+        if self.asked < new_view && votes.len() >= self.join {
+            return self.demand(ctx, new_view, next, mine());
         }
-        let install =
-            self.vc_votes[&new_view].len() >= self.quorum && self.primary_of(new_view) == ctx.id();
+        self.try_install(ctx, new_view)
+    }
+
+    /// `from` announces `view` installed with `votes`. Returns whether it is
+    /// that view's primary, the view is past ours and the votes suffice — the
+    /// view is then installed here, and the caller enters [`new_view`] of
+    /// them.
+    pub fn on_new_view<M: Payload>(
+        &mut self,
+        ctx: &mut Context<M>,
+        from: NodeId,
+        view: u64,
+        votes: &Votes,
+    ) -> bool {
+        let install = view > self.view && from == self.primary_of(view);
+        let install = install && votes.len() >= self.install;
         if install {
-            self.view = new_view;
-            self.view_changes += 1;
-            self.watchdog.cancel(ctx);
+            self.enter(ctx, view);
         }
         install
     }
 
-    /// `from` announces `view`. Returns whether it is that view's primary and
-    /// the view is not behind ours — it is then installed here.
-    pub fn on_new_view(&mut self, from: NodeId, view: u64) -> bool {
-        let install = view >= self.view && from == self.primary_of(view);
-        if install {
-            self.view = view;
-            self.view_changes += 1;
-        }
-        install
-    }
-
-    /// The watchdog fired. A `stalled` replica demands (with `demand(v)`) the
-    /// first view nobody has been asked for yet and keeps watching.
-    pub fn on_timeout<P: Payload>(
+    /// The watchdog fired. A `stalled` replica demands the first view nobody
+    /// has been asked for yet, with `mine()`, and keeps watching; it returns
+    /// what [`Voter::on_view_change`] does.
+    pub fn on_timeout<P: Demand>(
         &mut self,
         ctx: &mut Context<Envelope<P>>,
         stalled: bool,
-        demand: impl FnOnce(u64) -> P,
-    ) {
+        next: u64,
+        mine: impl FnOnce() -> Vote,
+    ) -> Option<Votes> {
         self.watchdog.fired();
-        if stalled {
-            let new_view = self.view.max(self.max_vc_sent) + 1;
-            self.demand(ctx, new_view, demand(new_view));
-            self.arm(ctx);
+        if !stalled {
+            return None;
         }
+        let new_view = self.view.max(self.asked) + 1;
+        let installed = self.demand(ctx, new_view, next, mine());
+        self.arm(ctx);
+        installed
     }
 }
 
@@ -517,13 +645,19 @@ mod replica_tests {
         /// Instance `n` is decided with this command.
         Decide(u64, Command<KvCommand>),
         History(Vec<Command<KvCommand>>),
-        ViewChange(u64),
-        NewView(u64),
+        ViewChange(u64, Vote),
+        NewView(u64, Votes),
         /// Progress was made; are relayed requests still pending?
         Progress(bool),
     }
 
     impl Payload for Wire {}
+
+    impl Demand for Wire {
+        fn demand(new_view: u64, vote: Vote) -> Self {
+            Wire::ViewChange(new_view, vote)
+        }
+    }
 
     impl Wire {
         /// On the wire: a request as the client message it is.
@@ -552,7 +686,8 @@ mod replica_tests {
 
     /// The smallest replica the shared pieces can run in: it orders nothing
     /// itself — instances arrive decided — and records what the executor and
-    /// the voter answered.
+    /// the voter answered. It joins a view at two demands and installs it at
+    /// three votes.
     struct Rig {
         primary: NodeId,
         exec: Executor,
@@ -569,7 +704,7 @@ mod replica_tests {
             Rig {
                 primary,
                 exec: Executor::default(),
-                voter: Voter::new(N + 1, 2, TIMEOUT_US, "rig"),
+                voter: Voter::new(N + 1, 2, 3, TIMEOUT_US, "rig"),
                 instances: BTreeMap::new(),
                 admissions: Vec::new(),
                 executed: Vec::new(),
@@ -613,13 +748,17 @@ mod replica_tests {
                     );
                 }
                 Wire::History(history) => self.exec.replay(ctx, history),
-                Wire::ViewChange(v) => {
+                Wire::ViewChange(v, vote) => {
+                    let (instances, view) = (&self.instances, self.voter.view);
+                    let mine = || self.exec.vote(view, |n| instances.get(&n)?.0.as_ref());
                     let next = self.exec.executed_upto + 1;
-                    let demand = Wire::ViewChange(v);
-                    let installed = self.voter.on_view_change(ctx, from, v, next, demand);
+                    let installed = self.voter.on_view_change(ctx, from, v, vote, next, mine);
+                    self.installed.push(installed.is_some());
+                }
+                Wire::NewView(v, votes) => {
+                    let installed = self.voter.on_new_view(ctx, from, v, &votes);
                     self.installed.push(installed);
                 }
-                Wire::NewView(v) => self.installed.push(self.voter.on_new_view(from, v)),
                 Wire::Progress(pending) => self.voter.progress(ctx, pending),
                 Wire::Reply(_) => {}
             }
@@ -627,7 +766,11 @@ mod replica_tests {
 
         fn on_timer(&mut self, ctx: &mut Context<Envelope<Wire>>, timer: Timer) {
             assert_eq!(timer.kind, VIEW_TIMER);
-            self.voter.on_timeout(ctx, self.stalled, Wire::ViewChange);
+            let next = self.exec.executed_upto + 1;
+            let installed = self
+                .voter
+                .on_timeout(ctx, self.stalled, next, Vote::default);
+            assert!(installed.is_none());
         }
     }
 
@@ -641,13 +784,38 @@ mod replica_tests {
     /// Delivers `msgs` to the rig from node 1, one per millisecond, and runs
     /// past the last.
     fn tell(sim: &mut Sim<Harness<Rig>>, msgs: impl IntoIterator<Item = Wire>) {
+        tell_from(sim, msgs.into_iter().map(|msg| (1, msg)));
+    }
+
+    /// [`tell`], each message from the node it names.
+    fn tell_from(sim: &mut Sim<Harness<Rig>>, msgs: impl IntoIterator<Item = (u32, Wire)>) {
         let start = sim.now().0;
         let mut at = start;
-        for msg in msgs {
+        for (from, msg) in msgs {
             at += 1_000;
-            sim.inject(NodeId(1), RIG, msg.send(), Time(at));
+            sim.inject(NodeId(from), RIG, msg.send(), Time(at));
         }
         sim.run_until(Time(at + 900));
+    }
+
+    /// The views the rig demanded, as replica 3 saw them.
+    fn demands(sim: &Sim<Harness<Rig>>) -> Vec<u64> {
+        let demanded = got(sim, 3).into_iter().map(|msg| match msg {
+            Wire::ViewChange(v, _) => v,
+            other => panic!("the rig sent replica 3 {other:?}"),
+        });
+        demanded.collect()
+    }
+
+    /// A demand for `v` carrying an empty vote.
+    fn demand(v: u64) -> Wire {
+        Wire::ViewChange(v, Vote::default())
+    }
+
+    /// An announcement of `v` installed with votes from `voters`.
+    fn announce(v: u64, voters: impl IntoIterator<Item = u32>) -> Wire {
+        let votes = voters.into_iter().map(|id| (NodeId(id), Vote::default()));
+        Wire::NewView(v, votes.collect())
     }
 
     fn got(sim: &Sim<Harness<Rig>>, r: usize) -> Vec<Wire> {
@@ -750,56 +918,125 @@ mod replica_tests {
     #[test]
     fn view_change_decision_table() {
         let mut sim = sim_of(N, Rig::new(RIG));
-        let demands = |sim: &Sim<Harness<Rig>>| got(sim, 3);
+        tell(&mut sim, [Wire::Decide(1, put(0))]);
         // A demand for a view at or below ours is ignored.
-        tell(&mut sim, [Wire::ViewChange(0)]);
+        tell(&mut sim, [demand(0)]);
         assert!(demands(&sim).is_empty());
-        // The first demand for view 2 makes the rig join — once.
-        tell(&mut sim, [Wire::ViewChange(2), Wire::ViewChange(2)]);
-        assert_eq!(demands(&sim), [Wire::ViewChange(2)]);
-        // Votes {1, rig} reach the quorum of 2, but node 2 is view 2's primary.
-        assert_eq!(client(&sim).installed, [false, false, false]);
-        assert_eq!(client(&sim).voter.view, 0);
-        // View 4 is the rig's: the same quorum installs it here.
-        tell(&mut sim, [Wire::ViewChange(4)]);
+        // One voter demanding view 2, twice, is short of the join quorum.
+        tell(&mut sim, [demand(2), demand(2)]);
+        assert!(demands(&sim).is_empty());
+        // A second voter makes the rig demand it too — once, with its log.
+        tell_from(&mut sim, [(2, demand(2)), (3, demand(2))]);
+        assert_eq!(demands(&sim), [2]);
+        let mine = Vote {
+            floor: 0,
+            claims: vec![(0, 1, vec![put(0)])],
+        };
+        assert_eq!(got(&sim, 3), [Wire::ViewChange(2, mine)]);
+        // Four votes for view 2, but node 2 is its primary; having demanded
+        // it, the rig takes no more messages of view 0.
         let rig = client(&sim);
-        assert_eq!(rig.installed.last(), Some(&true));
+        assert_eq!(rig.installed, [false; 5]);
+        assert_eq!(rig.voter.view, 0);
+        assert!(!rig.voter.serving(0));
+        // View 4 is the rig's: two demands and its own vote install it here.
+        tell_from(&mut sim, [(1, demand(4)), (2, demand(4))]);
+        let rig = client(&sim);
+        assert_eq!(rig.installed[5..], [false, true]);
         assert_eq!((rig.voter.view, rig.voter.view_changes), (4, 1));
         assert_eq!(rig.voter.primary(), RIG);
-        // Only a view's primary can announce it, and never an older view.
+        assert!(rig.voter.serving(4));
+        // Only a view's primary can announce it, never an older view, and
+        // only with an install quorum of votes.
         tell(
             &mut sim,
-            [Wire::NewView(5), Wire::NewView(3), Wire::NewView(6)],
+            [
+                announce(5, [0, 1, 2]),
+                announce(3, [0, 1, 2]),
+                announce(11, [0, 1]),
+                announce(6, [0, 1, 2]),
+            ],
         );
         let rig = client(&sim);
-        assert_eq!(rig.installed[4..], [false, false, true], "sent by node 1");
+        assert_eq!(
+            rig.installed[7..],
+            [false, false, false, true],
+            "sent by node 1"
+        );
         assert_eq!((rig.voter.view, rig.voter.view_changes), (6, 2));
+    }
+
+    #[test]
+    fn a_new_view_keeps_every_held_batch_and_fills_gaps_with_null_requests() {
+        let batch = |seqs: &[u64]| seqs.iter().copied().map(put).collect::<Vec<_>>();
+        // Node 0 executed batch 3 in view 1 (its checkpoint is at 2); node
+        // 1, behind, still holds the batch view 0 prepared there; node 2
+        // prepared batch 6 in view 1 and nothing between.
+        let votes = Votes::from([
+            (
+                NodeId(0),
+                Vote {
+                    floor: 2,
+                    claims: vec![(1, 3, batch(&[3, 4]))],
+                },
+            ),
+            (
+                NodeId(1),
+                Vote {
+                    floor: 0,
+                    claims: vec![(0, 1, batch(&[0])), (0, 3, batch(&[9]))],
+                },
+            ),
+            (
+                NodeId(2),
+                Vote {
+                    floor: 0,
+                    claims: vec![(1, 6, batch(&[6]))],
+                },
+            ),
+        ]);
+        let log: Vec<(u64, Vec<Command<KvCommand>>)> = new_view(&votes).into_iter().collect();
+        assert_eq!(
+            log,
+            [
+                (3, batch(&[3, 4])),
+                (4, vec![]),
+                (5, vec![]),
+                (6, batch(&[6]))
+            ],
+            "above the highest checkpoint, the highest view's batch, nulls in the gaps"
+        );
+        // Nothing claimed above the checkpoint: the view starts empty there.
+        let settled = Votes::from([(
+            NodeId(0),
+            Vote {
+                floor: 4,
+                claims: vec![],
+            },
+        )]);
+        assert!(new_view(&settled).is_empty());
     }
 
     #[test]
     fn a_stalled_timeout_demands_the_next_unasked_view_and_keeps_watching() {
         let mut sim = sim_of(N, Rig::new(NodeId(2)));
         // Joining view 3 makes it the highest view asked for; the relayed
-        // request starts the watchdog.
-        tell(&mut sim, [Wire::ViewChange(3), Wire::Request(put(0))]);
-        let timeout = TIMEOUT_US + 10_000 * u64::from(RIG.0);
-        sim.run_until(Time(2_000 + 2 * timeout + 900));
-        let demands: Vec<Wire> = got(&sim, 3);
-        assert_eq!(
-            demands,
-            [
-                Wire::ViewChange(3),
-                Wire::ViewChange(4),
-                Wire::ViewChange(5)
-            ]
-        );
+        // request starts the watchdog, whose period grows with the views
+        // asked past the current one.
+        tell_from(&mut sim, [(1, demand(3)), (2, demand(3))]);
+        let arrival = sim.now().0 + 1_000;
+        tell(&mut sim, [Wire::Request(put(0))]);
+        let period = |asked: u64| TIMEOUT_US * (1 + asked) + 10_000 * u64::from(RIG.0);
+        let second = arrival + period(3) + period(4);
+        sim.run_until(Time(second + 900));
+        assert_eq!(demands(&sim), [3, 4, 5]);
         // Not stalled: the next timeout demands nothing and stops watching.
         match sim.node_mut(RIG) {
             Harness::Client(rig) => rig.stalled = false,
             Harness::Silent(_) => unreachable!(),
         }
-        sim.run_until(Time(2_000 + 5 * timeout));
-        assert_eq!(got(&sim, 3).len(), 3);
+        sim.run_until(Time(second + 3 * period(4)));
+        assert_eq!(demands(&sim), [3, 4, 5]);
         assert_eq!(sim.metrics().timer_fires, 3);
     }
 

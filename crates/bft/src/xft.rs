@@ -30,7 +30,8 @@ use simnet::{CncPhase, Context, Node, NodeId, Timer};
 /// Span protocol label; instances are sequence numbers, rounds are views.
 const SPAN: &str = "xft";
 
-use crate::shell::{peers, replica_ids, take_ready, Admission, Executor, Voter, VIEW_TIMER};
+use crate::shell::{peers, put_vote, replica_ids, take_ready, Admission, Demand};
+use crate::shell::{Executor, Vote, Voter, Votes, VIEW_TIMER};
 use crate::sim_crypto::digest_of;
 
 /// The anarchy predicate from the slides: `m(s) > 0` **and**
@@ -62,22 +63,27 @@ pub enum XftMsg {
     },
     /// Lazy replication to passive (non-group) replicas.
     Update {
+        /// View.
+        view: u64,
         /// Sequence.
         n: u64,
         /// The command.
         cmd: Command<KvCommand>,
     },
-    /// View-change demand.
+    /// View-change demand, carrying the sender's log.
     ViewChange {
         /// Proposed view.
         new_view: u64,
+        /// The sender's executed history, then its endorsed commands.
+        vote: Vote,
     },
-    /// New-view installation with state transfer.
+    /// New-view installation: the `f+1` logs it was installed with, from
+    /// which every replica computes the view's log and catches up.
     NewView {
         /// The view.
         view: u64,
-        /// Executed history of the new primary.
-        history: Vec<Command<KvCommand>>,
+        /// The votes it was installed with.
+        votes: Votes,
     },
 }
 
@@ -95,9 +101,16 @@ impl simnet::Payload for XftMsg {
     fn size_bytes(&self) -> usize {
         wire_size(|w| match self {
             XftMsg::Prepare { cmd, .. } | XftMsg::Update { cmd, .. } => put_command(w, cmd),
-            XftMsg::NewView { history, .. } => history.iter().for_each(|c| put_command(w, c)),
+            XftMsg::ViewChange { vote, .. } => put_vote(w, vote),
+            XftMsg::NewView { votes, .. } => votes.values().for_each(|v| put_vote(w, v)),
             _ => {}
         })
+    }
+}
+
+impl Demand for XftMsg {
+    fn demand(new_view: u64, vote: Vote) -> Self {
+        XftMsg::ViewChange { new_view, vote }
     }
 }
 
@@ -134,7 +147,7 @@ impl XftReplica {
         XftReplica {
             n_replicas,
             f,
-            voter: Voter::new(n_replicas, f + 1, 60_000, SPAN),
+            voter: Voter::new(n_replicas, 1, f + 1, 60_000, SPAN),
             next_seq: 0,
             instances: BTreeMap::new(),
             exec: Executor::default(),
@@ -173,6 +186,7 @@ impl XftReplica {
                 ctx.span_close(SPAN, n, view);
                 voter.progress(ctx, exec.has_pending());
                 let update = XftMsg::Update {
+                    view,
                     n,
                     cmd: cmd.clone(),
                 };
@@ -204,11 +218,19 @@ impl XftReplica {
         self.voter.arm(ctx);
     }
 
-    /// Drops the view's instances: sequence numbers restart in the next one.
-    fn rebase(&mut self) {
+    /// Enters the view installed with `votes`: executes its log and drops the
+    /// old view's instances; sequence numbers restart. The view's primary
+    /// then announces it.
+    fn enter(&mut self, ctx: &mut Context<Wire>, votes: Votes) {
+        self.exec.adopt(ctx, &votes, 0);
         self.instances.clear();
         self.next_seq = 0;
-        self.exec.executed_upto = 0;
+        self.voter.progress(ctx, self.exec.has_pending());
+        let (view, primary) = (self.voter.view, self.voter.primary());
+        if primary == ctx.id() {
+            let announce = XftMsg::NewView { view, votes };
+            ctx.send_many(peers(self.n_replicas, primary), announce.into());
+        }
     }
 }
 
@@ -226,7 +248,7 @@ impl Node for XftReplica {
         };
         match msg {
             XftMsg::Prepare { view, n, cmd } => {
-                if view != self.voter.view || from != self.voter.primary() || !self.in_group(me) {
+                if !self.voter.serving(view) || from != self.voter.primary() || !self.in_group(me) {
                     return;
                 }
                 let digest = digest_of(&cmd).0;
@@ -246,7 +268,7 @@ impl Node for XftReplica {
             }
 
             XftMsg::Commit { view, n, digest } => {
-                if view != self.voter.view || !self.in_group(me) {
+                if !self.voter.serving(view) || !self.in_group(me) {
                     return;
                 }
                 let inst = self.instances.entry(n).or_default();
@@ -257,34 +279,34 @@ impl Node for XftReplica {
                 self.try_execute(ctx);
             }
 
-            XftMsg::Update { n, cmd } => {
+            XftMsg::Update { view, n, cmd } => {
                 // Passive replica: apply lazily in order, trusting the
                 // (synchronous-group-certified) update.
+                if !self.voter.serving(view) {
+                    return;
+                }
                 let inst = self.instances.entry(n).or_default();
                 inst.cmd.get_or_insert(cmd);
                 inst.certified = true;
                 self.try_execute(ctx);
             }
 
-            XftMsg::ViewChange { new_view } => {
+            XftMsg::ViewChange { new_view, vote } => {
+                let (instances, view) = (&self.instances, self.voter.view);
+                let mine = || self.exec.vote(view, |n| instances.get(&n)?.cmd.as_ref());
                 let next = self.exec.executed_upto + 1;
-                if self.voter.on_view_change(ctx, from, new_view, next, msg) {
-                    self.rebase();
-                    let new_view = XftMsg::NewView {
-                        view: new_view,
-                        history: self.exec.history().to_vec(),
-                    };
-                    ctx.send_many(peers(self.n_replicas, me), new_view.into());
+                if let Some(votes) = self
+                    .voter
+                    .on_view_change(ctx, from, new_view, vote, next, mine)
+                {
+                    self.enter(ctx, votes);
                 }
             }
 
-            XftMsg::NewView { view, history } => {
-                if !self.voter.on_new_view(from, view) {
-                    return;
+            XftMsg::NewView { view, votes } => {
+                if self.voter.on_new_view(ctx, from, view, &votes) {
+                    self.enter(ctx, votes);
                 }
-                self.rebase();
-                self.exec.replay(ctx, history);
-                self.voter.progress(ctx, self.exec.has_pending());
             }
         }
     }
@@ -293,8 +315,12 @@ impl Node for XftReplica {
         if timer.kind == VIEW_TIMER {
             let unexecuted = |i: &XftInstance| i.cmd.is_some() && !i.executed;
             let stalled = self.exec.has_pending() || self.instances.values().any(unexecuted);
-            self.voter
-                .on_timeout(ctx, stalled, |new_view| XftMsg::ViewChange { new_view });
+            let (instances, view) = (&self.instances, self.voter.view);
+            let mine = || self.exec.vote(view, |n| instances.get(&n)?.cmd.as_ref());
+            let next = self.exec.executed_upto + 1;
+            if let Some(votes) = self.voter.on_timeout(ctx, stalled, next, mine) {
+                self.enter(ctx, votes);
+            }
         }
     }
 }

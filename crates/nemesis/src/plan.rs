@@ -516,14 +516,20 @@ mod tests {
         // Every registry spec, over seeds 0..200: with the flag off the plan
         // is the one the generator drew before duplication existed (pinned
         // by a digest of every plan's summary, recorded before the
-        // `DuplicateBurst` draw was added); with it on, the plan differs
-        // only by its duplicate bursts.
-        let mut specs: Vec<FaultSpec> = crate::targets().iter().map(|t| t.fault_spec()).collect();
-        specs.push(crate::injected_bug_target().fault_spec());
-        specs.push(crate::store_injected_bug_target().fault_spec());
+        // `DuplicateBurst` draw was added, over the rows registered then —
+        // all but `minbft` and `xft`); with it on, the plan differs only by
+        // its duplicate bursts.
+        let bugs = [
+            crate::injected_bug_target(),
+            crate::store_injected_bug_target(),
+        ];
+        let targets = crate::targets().into_iter().chain(bugs);
+        let specs: Vec<(bool, FaultSpec)> = targets
+            .map(|t| (!["minbft", "xft"].contains(&t.name()), t.fault_spec()))
+            .collect();
         let mut digest: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a
         let mut bursts = 0;
-        for spec in specs {
+        for (pinned, spec) in specs {
             let off = FaultSpec {
                 allow_duplicate: false,
                 ..spec
@@ -534,7 +540,7 @@ mod tests {
             };
             for seed in 0..200 {
                 let today = generate(&off, seed);
-                for byte in today.summary().bytes().chain([b'\n']) {
+                for byte in today.summary().bytes().chain([b'\n']).filter(|_| pinned) {
                     digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
                 }
                 let mut with = generate(&on, seed);

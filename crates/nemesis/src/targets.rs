@@ -15,6 +15,8 @@
 //! | paxos        | any   | yes     | yes       | yes  | yes       | —         |
 //! | raft         | any   | yes     | yes       | yes  | yes       | —         |
 //! | pbft         | any   | yes     | yes       | yes  | yes       | ≤ f = 1   |
+//! | minbft       | any   | yes     | yes       | yes  | yes       | —         |
+//! | xft          | any   | yes     | yes       | yes  | yes       | —         |
 //! | 2pc          | ≤ 2   | no      | no        | yes  | no        | —         |
 //! | 3pc          | ≤ 1   | no      | no        | no   | no        | —         |
 //! | paxos-commit | ≤ F=1 | no      | no        | yes  | no        | —         |
@@ -82,7 +84,9 @@ use std::collections::BTreeSet;
 use agreement::ben_or::BenOrNode;
 use atomic_commit::three_phase::{self, CrashPoint};
 use atomic_commit::TxnState;
+use bft::minbft::MinBft;
 use bft::pbft::Pbft;
+use bft::xft::Xft;
 use consensus_core::{
     BatchConfig, ClientRecord, Cluster, ClusterDriver, DriverConfig, QuorumSpec, SmrProtocol,
 };
@@ -153,6 +157,8 @@ pub fn targets() -> Vec<Box<dyn Target>> {
         smr::<Raft>("raft+batch", 5, 6, NEMESIS_BATCH),
         smr::<Pbft>("pbft", 4, 5, unbatched),
         smr::<Pbft>("pbft+batch", 4, 5, NEMESIS_BATCH),
+        smr::<MinBft>("minbft", 3, 5, unbatched),
+        smr::<Xft>("xft", 3, 5, unbatched),
         paxos_commit::<0>("2pc", 2),
         three_pc(),
         paxos_commit::<1>("paxos-commit", 1),
@@ -746,8 +752,11 @@ mod tests {
     #[test]
     fn registry_names_are_unique_and_resolvable() {
         let names: Vec<&str> = targets().iter().map(|t| t.name()).collect();
+        for bft in ["pbft", "pbft+batch", "minbft", "xft"] {
+            assert!(names.contains(&bft), "{bft} is not registered");
+        }
         let set: BTreeSet<&str> = names.iter().copied().collect();
-        assert_eq!(set.len(), names.len());
+        assert_eq!((set.len(), names.len()), (17, 17));
         for n in names {
             assert!(by_name(n).is_some(), "unresolvable target {n}");
         }
@@ -962,15 +971,13 @@ mod tests {
     }
 
     #[test]
-    fn pbft_view_change_loses_an_executed_batch() {
-        // A PBFT safety defect, pinned as it stands so that its fix has an
-        // assertion to flip (ROADMAP 5g). `start_view_change` claims only
-        // the prepared batches a replica has not executed, so a batch that
-        // a quorum executed before the view moved is missing from the new
-        // view, and the new primary orders another batch at its sequence
-        // number. Both plans are shrunk counterexamples of 200-seed sweeps;
-        // crashes, a restart, a partition and loss suffice — no Byzantine
-        // window and no duplicate burst.
+    fn pbft_view_change_keeps_every_executed_batch() {
+        // ROADMAP 5g: a batch a quorum executed before the view moved must be
+        // in the new view, or its primary orders another batch at that
+        // sequence number. Both plans are shrunk counterexamples of 200-seed
+        // sweeps (crashes, a restart, a partition and loss; no Byzantine
+        // window, no duplicate burst); `pbft+batch` seed 10's generated plan
+        // (a loss burst, then node 2 crashed) diverged the same way.
         let cases = [
             (
                 "pbft",
@@ -1011,11 +1018,13 @@ mod tests {
                 ],
             ),
         ];
-        for (name, seed, actions) in cases {
+        let batched = by_name("pbft+batch").unwrap();
+        let seed_10 = generate(&batched.fault_spec(), 10).actions;
+        for (name, seed, actions) in cases.into_iter().chain([("pbft+batch", 10, seed_10)]) {
             let report = by_name(name).unwrap().run(seed, &FaultPlan { actions });
             assert!(
-                report.violations.iter().any(|v| v.check == "agreement"),
-                "{name} seed {seed} no longer diverges: flip this test: {:?}",
+                report.violations.is_empty(),
+                "{name} seed {seed}: {:?}",
                 report.violations
             );
         }

@@ -225,9 +225,6 @@ pub struct NetConfig {
     pub drop_prob: f64,
     /// Probability a delivered message is delivered twice.
     pub duplicate_prob: f64,
-    /// Declared synchrony mode, used by protocols that adapt (e.g. timeout
-    /// selection) and reported in experiment records.
-    pub synchrony: Synchrony,
     /// Optional sender-side transmit serialization; `None` = infinite NIC
     /// capacity (the historical behaviour).
     pub nic: Option<NicModel>,
@@ -244,7 +241,6 @@ impl NetConfig {
             delay: DelayModel::Fixed(500),
             drop_prob: 0.0,
             duplicate_prob: 0.0,
-            synchrony: Synchrony::Synchronous,
             nic: None,
             wan: None,
         }
@@ -258,7 +254,6 @@ impl NetConfig {
             delay: DelayModel::Uniform(300, 800),
             drop_prob: 0.0,
             duplicate_prob: 0.0,
-            synchrony: Synchrony::PartiallySynchronous,
             nic: None,
             wan: None,
         }
@@ -273,7 +268,6 @@ impl NetConfig {
             },
             drop_prob: 0.0,
             duplicate_prob: 0.0,
-            synchrony: Synchrony::PartiallySynchronous,
             nic: None,
             wan: None,
         }
@@ -290,7 +284,6 @@ impl NetConfig {
             },
             drop_prob: 0.0,
             duplicate_prob: 0.0,
-            synchrony: Synchrony::Asynchronous,
             nic: None,
             wan: None,
         }
@@ -413,10 +406,7 @@ mod tests {
     }
 
     #[test]
-    fn profiles_declare_synchrony() {
-        assert_eq!(NetConfig::synchronous().synchrony, Synchrony::Synchronous);
-        assert_eq!(NetConfig::lan().synchrony, Synchrony::PartiallySynchronous);
-        assert_eq!(NetConfig::asynchronous().synchrony, Synchrony::Asynchronous);
+    fn the_asynchronous_profile_has_no_delay_bound() {
         assert_eq!(NetConfig::asynchronous().delay.bound(), None);
     }
 

@@ -13,7 +13,7 @@ use consensus_core::txn::{TxnDecision, TxnId};
 use consensus_core::workload::LatencyRecorder;
 use simnet::{CausalSpan, NodeId, Time};
 
-use crate::config::{CommitBackend, StoreConfig, QUANTUM_US};
+use crate::config::{StoreConfig, QUANTUM_US};
 use crate::engine::{ShardBuildSpec, ShardEngine, ShardGeo};
 use crate::geo::{compute_placement, ReadOutcome};
 use crate::port::{OpRecord, Step, StoreTrace};
@@ -75,6 +75,7 @@ impl<E: ShardEngine> Store<E> {
     /// re-parsed by every router (asserted identical).
     pub fn new(cfg: StoreConfig) -> Self {
         assert!(cfg.n_shards > 0 && cfg.replicas_per_shard > 0 && cfg.n_routers > 0);
+        assert!(cfg.backend_overrides.iter().all(|o| o.0 < cfg.n_routers));
         let mut map = ShardMap::even(cfg.n_shards);
         if let Some(geo) = &cfg.geo {
             map = map.with_placement(compute_placement(
@@ -115,7 +116,15 @@ impl<E: ShardEngine> Store<E> {
                 let router_map =
                     ShardMap::deserialize(&wire).expect("store config shard map corrupt");
                 assert_eq!(router_map, map, "router {r} decoded a different shard map");
-                let items = generate_items(&cfg, &pool, r, &map);
+                let mut items = generate_items(&cfg, &pool, r, &map);
+                for &(_, number, backend) in cfg.backend_overrides.iter().filter(|o| o.0 == r) {
+                    let mut txns = items.iter_mut().filter_map(|item| match item {
+                        WorkItem::Txn { backend, .. } => Some(backend),
+                        _ => None,
+                    });
+                    let missing = || panic!("router {r} has no transaction number {number}");
+                    *txns.nth(number as usize).unwrap_or_else(missing) = backend;
+                }
                 Router::new(r, router_map, r % n_regions, items)
             })
             .collect();
@@ -124,7 +133,7 @@ impl<E: ShardEngine> Store<E> {
             .enumerate()
             .flat_map(|(s, keys)| keys.iter().map(move |k| (s, k.clone())))
             .collect();
-        let mut store = Store {
+        Store {
             cfg,
             map,
             shards,
@@ -134,12 +143,7 @@ impl<E: ShardEngine> Store<E> {
             now: 0,
             trace: Vec::new(),
             causal: StoreTrace::default(),
-        };
-        let overrides = store.cfg.backend_overrides.clone();
-        for (router, txn_number, backend) in overrides {
-            store.set_txn_backend(router, txn_number, backend);
         }
-        store
     }
 
     /// Current simulated time (µs).
@@ -304,25 +308,6 @@ impl<E: ShardEngine> Store<E> {
     /// exists anywhere, so they block forever.
     pub fn stalled(&self) -> &[TxnId] {
         &self.recovery.stalled
-    }
-
-    /// Overrides the commit backend of router `r`'s transaction number
-    /// `txn_number` (its `TxnId.number`). Panics if that transaction does
-    /// not exist in the generated workload. The builder-style home for
-    /// this knob is [`StoreConfig::txn_backend`], which applies it at
-    /// build time; this method remains for overriding after construction.
-    pub fn set_txn_backend(&mut self, r: usize, txn_number: u64, backend: CommitBackend) {
-        let mut n = 0u64;
-        for item in &mut self.routers[r].items {
-            if let WorkItem::Txn { backend: b, .. } = item {
-                if n == txn_number {
-                    *b = backend;
-                    return;
-                }
-                n += 1;
-            }
-        }
-        panic!("router {r} has no transaction number {txn_number}");
     }
 
     /// Begin-to-outcome transaction latencies across all routers.

@@ -6,10 +6,10 @@ use std::sync::{Arc, Mutex};
 
 use forty::bft::cheapbft::CheapCluster;
 use forty::bft::hotstuff::HsCluster;
-use forty::bft::minbft::MinCluster;
+use forty::bft::minbft::{MinCluster, MinMsg};
 use forty::bft::pbft::{Pbft, PbftCluster};
 use forty::bft::seemore::SmCluster;
-use forty::bft::xft::XftCluster;
+use forty::bft::xft::{XftCluster, XftMsg};
 use forty::bft::zyzzyva::ZyzCluster;
 use forty::bft::{cheapbft::CheapBft, hotstuff::HotStuff, minbft::MinBft, seemore::SeeMoRe};
 use forty::bft::{xft::Xft, zyzzyva::Zyzzyva};
@@ -44,6 +44,11 @@ struct Measured {
 /// replies the clients accepted are linearizable.
 fn agrees<D: ClusterDriver>(n_replicas: usize, n_clients: usize) -> Measured {
     let mut d = D::from_config(&DriverConfig::new(n_replicas, n_clients, CMDS, SEED));
+    holds(&mut d)
+}
+
+/// [`agrees`]'s checks on a cluster already built, faults scheduled.
+fn holds<D: ClusterDriver>(d: &mut D) -> Measured {
     let name = d.protocol();
     assert!(d.run(Time::from_secs(30)), "{name} stalled");
     assert!(d.all_done(), "{name}");
@@ -51,7 +56,7 @@ fn agrees<D: ClusterDriver>(n_replicas: usize, n_clients: usize) -> Measured {
     violations.extend(check_state_digests(&d.state_digests()));
     violations.extend(check_linearizable(&d.history(), DEFAULT_BUDGET));
     assert!(violations.is_empty(), "{name}: {violations:?}");
-    let ops = (n_clients * CMDS) as f64;
+    let ops = d.issued().len() as f64;
     Measured {
         name,
         messages_per_cmd: d.metrics().sent as f64 / ops,
@@ -92,17 +97,52 @@ fn every_protocol_completes_the_common_workload() {
 #[test]
 fn protocols_agree_under_concurrent_clients() {
     // Three clients race on the same keys, so the linearizability check has
-    // real concurrency to order. MinBFT and CheapBFT are absent: with more
-    // than one client MinBFT's replicas execute in different orders after
-    // its state-transfer view change and CheapBFT's MinBFT fallback wedges
-    // (ROADMAP item 5) — their one-client runs are held to `agrees` above.
+    // real concurrency to order. CheapBFT is absent: with more than one
+    // client its MinBFT fallback wedges (ROADMAP item 5e) — its one-client
+    // run is held to `agrees` above.
     agrees::<MultiPaxosCluster>(3, 3);
     agrees::<RaftCluster>(3, 3);
     agrees::<PbftCluster>(4, 3);
     agrees::<HsCluster>(4, 3);
     agrees::<ZyzCluster>(4, 3);
+    agrees::<MinCluster>(3, 3);
     agrees::<XftCluster>(3, 3);
     agrees::<SmCluster>(6, 3);
+}
+
+/// One client on three `P` replicas, `lagging` kept behind by a filter on
+/// the primary, node 0, that drops the messages `drop` picks to it, and
+/// `crashed` crashing at 30 ms: `lagging` leads the view the run ends in, and
+/// must have brought itself up to date from the view-change votes before
+/// ordering anything.
+fn lagging_new_primary<P: SmrProtocol>(lagging: u32, crashed: u32, drop: fn(&P::Peer) -> bool)
+where
+    P::Shape: From<usize>,
+{
+    let mut c = Cluster::<P>::from_config(&DriverConfig::new(3, 1, CMDS, SEED));
+    let behind =
+        move |_: NodeId, to: NodeId, msg: &Envelope<P::Peer>, _: &mut ChaCha20Rng| match msg {
+            Envelope::Peer(peer) if to == NodeId(lagging) && drop(peer) => FilterAction::Drop,
+            _ => FilterAction::Deliver,
+        };
+    c.sim.set_filter(NodeId(0), Box::new(FnFilter(behind)));
+    c.sim.crash_at(NodeId(crashed), Time::from_millis(30));
+    holds(&mut c);
+    assert_eq!(c.leader(), Some(NodeId(lagging)), "{}", P::NAME);
+}
+
+#[test]
+fn a_lagging_minbft_primary_catches_up_from_the_view_change_logs() {
+    // Node 1 never sees the primary's prepares, so it executes nothing while
+    // nodes 0 and 2 decide; node 0 crashes and node 1 leads view 1.
+    lagging_new_primary::<MinBft>(1, 0, |m| matches!(m, MinMsg::Prepare { .. }));
+}
+
+#[test]
+fn a_lagging_xft_primary_catches_up_from_the_view_change_logs() {
+    // Passive node 2 never gets the primary's lazy updates; group member 1
+    // crashes, so view 1 (led by 1) never installs and node 2 leads view 2.
+    lagging_new_primary::<Xft>(2, 1, |m| matches!(m, XftMsg::Update { .. }));
 }
 
 #[test]

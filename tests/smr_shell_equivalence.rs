@@ -44,6 +44,13 @@
 //! `consensus_core::codec::wire_size`); hashed without byte counts, each
 //! equals its earlier recording except the loaded-NIC row, whose timing the
 //! bytes drive.
+//!
+//! The BFT view-change epoch re-recorded exactly the BFT rows whose runs
+//! change view, when PBFT, MinBFT and XFT came to change view through one
+//! `bft::shell::Voter` carrying each replica's certified log: the MinBFT and
+//! XFT primary-crash rows, and under three clients the PBFT, MinBFT and XFT
+//! primary-crash rows and every MinBFT row (each changed view then). Every
+//! fault-free single-client row and every CheapBFT row is unchanged.
 
 use forty::bft::cheapbft::{CheapBft, CheapCluster, Protocol};
 use forty::bft::hotstuff::{HotStuff, HsCluster, HsConfig};
@@ -852,13 +859,14 @@ fn hotstuff_runs_are_bit_identical_to_the_pre_shell_commit() {
 }
 
 // The wire-size epoch: fault-free seeds 3 and 11 (SeeMoRe: mode 1 ×2, mode 2,
-// mode 3), then the faulted run.
+// mode 3), then the faulted run; the MinBFT and XFT faulted runs re-recorded
+// in the BFT view-change epoch.
 const MINBFT: [u64; 2] = [14789556597993335101, 7134300193076631734];
-const MINBFT_PRIMARY_CRASH: u64 = 11430012711007023873;
+const MINBFT_PRIMARY_CRASH: u64 = 1277595370597785629;
 const CHEAPBFT: [u64; 2] = [15705465354213198629, 4282813338050848399];
 const CHEAPBFT_ACTIVE_CRASH: u64 = 14643019398772969077;
 const XFT: [u64; 2] = [1318638543131400588, 10587192060061097973];
-const XFT_PRIMARY_CRASH: u64 = 15996985764630642141;
+const XFT_PRIMARY_CRASH: u64 = 515536669005729046;
 const SEEMORE: [u64; 4] = [
     5334855402385851314,
     7424011466120372134,
@@ -876,8 +884,8 @@ const HOTSTUFF_FOLLOWER_CRASH: u64 = 8183852292902242898;
 
 /// Runs `c` to a bounded horizon — finished or not — and hashes what
 /// [`bft_fingerprint`] hashes plus every decided entry and the per-kind
-/// message tallies. Nothing is asserted about the outcome: two of these
-/// rows pin runs that are wrong (ROADMAP item 5e) and must stay so, byte
+/// message tallies. Nothing is asserted about the outcome: the CheapBFT
+/// rows pin a run that is wrong (ROADMAP item 5e) and must stay so, byte
 /// for byte, until that item's fix spends an epoch.
 fn multi_client_hash<P: SmrProtocol>(c: &mut Cluster<P>) -> u64
 where
@@ -934,24 +942,22 @@ fn bft_pbft_concurrent_clients_match_the_pre_replica_shell_commit() {
     let mut c: PbftCluster = bft3(4, 3);
     c.sim.crash_at(NodeId(0), Time::from_millis(11));
     assert_eq!(multi_client_hash(&mut c), PBFT_3C_PRIMARY_CRASH);
-    assert!(c.replicas().any(|r| r.view_changes_completed >= 1));
+    assert!(c.replicas().any(|r| r.voter.view_changes >= 1));
 }
 
-/// ROADMAP item 5e, pinned as it is. Every MinBFT row here completes only
-/// through cascading view changes (a pipelining primary's prepares overtake
-/// each other and a backup's strict USIG check drops the early one for good),
-/// and at seed 99 — `cross_protocol::agrees`'s seed — `NewView` carrying one
-/// replica's history leaves replicas 0 and 1 with different commands at the
-/// same index. The fix flips that assertion and re-records the rows.
+/// ROADMAP item 5e's MinBFT half, fixed in the BFT view-change epoch: a
+/// backup holds a `Prepare` whose USIG counter is ahead of the next one and
+/// verifies it in order, and a new view is computed from `f+1` view-change
+/// logs, so at seed 99 — `cross_protocol::agrees`'s seed — replicas no longer
+/// decide different commands at one index. Seed 3 runs without a view
+/// change; at seed 11 the primary's monotonic check still drops two
+/// overtaken `Commit`s for one counter, and a view change recovers.
 #[test]
 fn bft_minbft_concurrent_clients_match_the_pre_replica_shell_commit() {
     assert_eq!(concurrent::<MinBft>(3), MINBFT_3C);
     let mut c: MinCluster = bft3(3, 99);
-    assert_eq!(multi_client_hash(&mut c), MINBFT_3C_DIVERGED);
-    assert!(
-        !check_log_agreement(&c.decided_log()).is_empty(),
-        "item 5e fixed? re-record these rows"
-    );
+    assert_eq!(multi_client_hash(&mut c), MINBFT_3C_SEED_99);
+    assert!(check_log_agreement(&c.decided_log()).is_empty());
     let mut c: MinCluster = bft3(3, 3);
     c.sim.crash_at(NodeId(0), Time::from_millis(11));
     assert_eq!(multi_client_hash(&mut c), MINBFT_3C_PRIMARY_CRASH);
@@ -1022,16 +1028,18 @@ fn bft_hotstuff_concurrent_clients_match_the_pre_replica_shell_commit() {
 
 // The wire-size epoch: fault-free seeds 3 and 11 (SeeMoRe: mode 1 ×2, mode 2
 // ×2; HotStuff: rotating ×2, pipelined window 4 ×2; MinBFT also seed 99),
-// then each protocol's faulted run.
+// then each protocol's faulted run. Re-recorded in the BFT view-change
+// epoch: the PBFT, MinBFT and XFT faulted runs and the three other MinBFT
+// rows.
 const PBFT_3C: [u64; 2] = [4233481775162279834, 59524483919836268];
-const PBFT_3C_PRIMARY_CRASH: u64 = 12086630340558223537;
-const MINBFT_3C: [u64; 2] = [16737522395652942214, 3995693811886815526];
-const MINBFT_3C_DIVERGED: u64 = 11812978578993891858;
-const MINBFT_3C_PRIMARY_CRASH: u64 = 828796878129813515;
+const PBFT_3C_PRIMARY_CRASH: u64 = 2253408457948672080;
+const MINBFT_3C: [u64; 2] = [11532344980450128445, 10243114624485217801];
+const MINBFT_3C_SEED_99: u64 = 17499974293187877493;
+const MINBFT_3C_PRIMARY_CRASH: u64 = 15938549126875073074;
 const CHEAPBFT_3C: [u64; 2] = [9192220362605410661, 16498900997226274900];
 const CHEAPBFT_3C_ACTIVE_CRASH: u64 = 1009964971800431957;
 const XFT_3C: [u64; 2] = [13992062202593079909, 16417805348194705924];
-const XFT_3C_PRIMARY_CRASH: u64 = 14949570165478998137;
+const XFT_3C_PRIMARY_CRASH: u64 = 14391981077518494831;
 const SEEMORE_3C: [[u64; 2]; 2] = [
     [10154712099381304636, 7450740240243497073],
     [17162980132110712109, 699852108307336369],
